@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -408,6 +409,14 @@ func TestExecPoolNoLeak(t *testing.T) {
 		if _, err := e.QueryExact("SELECT AVG(Time) FROM Sessions"); err != nil {
 			t.Fatal(err)
 		}
+		// The streamed exact operator: grouped with a vector sink, an
+		// evaluation error, and a cancelled scan.
+		if _, err := e.QueryExact("SELECT City, MIN(Time), PERCENTILE(Time, 0.5) FROM Sessions WHERE City != 'SF' GROUP BY City"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.QueryExact("SELECT AVG(Time + City) FROM Sessions WHERE Time > 0"); err == nil {
+			t.Fatal("string arithmetic accepted")
+		}
 		if _, err := e.Query("SELECT AVG(nope) FROM Sessions"); err == nil {
 			t.Fatal("bad query accepted")
 		}
@@ -417,6 +426,9 @@ func TestExecPoolNoLeak(t *testing.T) {
 		// would not exercise the cancellation release path.
 		if _, err := e.Run(ctx, "SELECT SUM(Time) FROM Sessions WHERE City = 'SF'"); err == nil {
 			t.Fatal("cancelled query succeeded")
+		}
+		if _, err := e.RunExact(ctx, "SELECT City, SUM(Time) FROM Sessions WHERE City != 'SF' GROUP BY City"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled exact query returned %v", err)
 		}
 		e.Close()
 		if !settle(base) {

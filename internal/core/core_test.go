@@ -408,3 +408,70 @@ func TestMixedAggregateQuery(t *testing.T) {
 		t.Errorf("MAX technique = %q", aggs[1].Technique)
 	}
 }
+
+// TestCountColumnEqualsCountStar: the engine has no NULLs, so COUNT(<expr>)
+// counts rows exactly as COUNT(*) does — it used to return SUM(<expr>).
+func TestCountColumnEqualsCountStar(t *testing.T) {
+	tiny := New(Config{Seed: 16})
+	if err := tiny.RegisterTable("T", table.MustNew(table.Schema{
+		{Name: "X", Type: table.Float64}, {Name: "G", Type: table.String},
+	}, table.Float64Col{10, 20, 30, 40}, table.StringCol{"a", "a", "b", "b"})); err != nil {
+		t.Fatal(err)
+	}
+	ans, err := tiny.Query("SELECT COUNT(X) FROM T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ans.Groups[0].Aggs[0].Estimate; got != 4 {
+		t.Errorf("COUNT(X) over {10,20,30,40} = %v, want 4", got)
+	}
+	ans, err = tiny.Query("SELECT G, COUNT(X) FROM T GROUP BY G")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range ans.Groups {
+		if got := g.Aggs[0].Estimate; got != 2 {
+			t.Errorf("COUNT(X) of group %q = %v, want 2", g.Key, got)
+		}
+	}
+	if _, err := tiny.Query("SELECT COUNT(nosuch) FROM T"); err == nil {
+		t.Error("COUNT of an unknown column accepted")
+	}
+
+	exact, _ := buildSessions(t, Config{Seed: 17}, 20000)
+	approx, _ := buildSessions(t, Config{Seed: 17, DisableFallback: true}, 60000)
+	if err := approx.BuildSamples("Sessions", 20000); err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]*Engine{"exact": exact, "approximate": approx} {
+		for _, tail := range []string{
+			"FROM Sessions",
+			"FROM Sessions WHERE Time > 55",
+			"FROM Sessions GROUP BY City",
+			"FROM Sessions WHERE Time > 55 GROUP BY City",
+		} {
+			star, err := e.Query("SELECT COUNT(*) " + tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, arg := range []string{"Time", "Time * 2", "City"} {
+				col, err := e.Query("SELECT COUNT(" + arg + ") " + tail)
+				if err != nil {
+					t.Fatalf("%s COUNT(%s) %s: %v", name, arg, tail, err)
+				}
+				if len(col.Groups) != len(star.Groups) {
+					t.Fatalf("%s COUNT(%s) %s: %d groups, COUNT(*) has %d",
+						name, arg, tail, len(col.Groups), len(star.Groups))
+				}
+				for gi, g := range star.Groups {
+					got, want := col.Groups[gi].Aggs[0], g.Aggs[0]
+					if col.Groups[gi].Key != g.Key || got.Estimate != want.Estimate ||
+						got.ErrorBar != want.ErrorBar || got.Exact != want.Exact {
+						t.Errorf("%s COUNT(%s) %s group %q: %+v, COUNT(*) gives %+v",
+							name, arg, tail, g.Key, got, want)
+					}
+				}
+			}
+		}
+	}
+}

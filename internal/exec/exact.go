@@ -1,0 +1,508 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"sort"
+	"strconv"
+	"strings"
+	"time"
+
+	"repro/internal/cache"
+	"repro/internal/estimator"
+	"repro/internal/obs"
+	"repro/internal/plan"
+	"repro/internal/sql"
+	"repro/internal/stats"
+	"repro/internal/table"
+)
+
+// Exact path: block-streamed sinks. A plan with no Resample, Bootstrap or
+// Diagnostic node over a table that is the whole dataset needs nothing but
+// θ per group, so it never gathers: runExact walks the zone-map-admitted
+// blocks once, evaluates predicate, aggregate inputs and GROUP BY key per
+// block in pooled scratch, and folds each surviving row straight into its
+// group's sinks — running moments for the algebraic aggregates, one
+// append-only value vector for PERCENTILE and UDFs. Memory is O(groups)
+// (plus those vectors), not O(rows).
+//
+// Rows are folded in row order, the order the materializing path hands a
+// group's values to Query.Eval, and the sinks perform the same operations
+// (Moments.Add, sum += v), so answers are bit-identical to it on every
+// backing and cache setting. The scan runs on the calling goroutine:
+// Config.Workers does not apply, so there is nothing for it to vary.
+
+// isExact reports whether the plan asks for exact execution on st.
+func isExact(nodes nodeSet, st *StoredTable) bool {
+	return nodes.resample == nil && nodes.boot == nil && nodes.diag == nil && st.PopRows <= 0
+}
+
+// exactInput is one distinct aggregate input expression and the sink kinds
+// the aggregates reading it need.
+type exactInput struct {
+	expr              sql.Expr
+	sum, moments, vec bool
+}
+
+// inputSink is one (group, input) accumulator; only the members the input's
+// aggregates need are maintained.
+type inputSink struct {
+	sum float64
+	m   stats.Moments
+	vec []float64
+}
+
+type exactGroup struct {
+	key   string
+	rows  int64
+	sinks []inputSink
+}
+
+// exactScan is the per-query state of the operator.
+type exactScan struct {
+	tbl    *table.Table
+	pred   sql.Expr
+	inputs []exactInput
+	// aggInput maps each aggregate to its entry in inputs (-1: the row
+	// indicator COUNT reads).
+	aggInput []int
+	blocks   *cache.BlockCache
+
+	// GROUP BY key: keyIdx is its schema index (-1 when ungrouped). An
+	// int64 key is read natively — float64 cannot carry every int64 — and
+	// keyInPred/keyInInputs say which other expressions name the column, so
+	// the one decode serves them too.
+	keyIdx                 int
+	keyRef                 *sql.ColumnRef
+	keyType                table.Type
+	keyInPred, keyInInputs bool
+
+	groups []exactGroup
+	byStr  map[string]int32
+	byI64  map[int64]int32
+	byBits map[uint64]int32
+	// rowPos/rowGroup list the current block's surviving rows and their
+	// groups during a fold.
+	rowPos, rowGroup []int32
+}
+
+// blockEval holds one block's evaluated expressions. Everything it points
+// to lives in its scratch until release.
+type blockEval struct {
+	sc    scratch
+	meter decodeMeter
+	n     int
+	keep  []bool // nil: no predicate, every row survives
+	kept  int
+	vals  []value
+	keyS  []string
+	keyI  []int64
+	keyF  []float64
+	// i64buf backs keyI for lazily decoded keys without a block cache.
+	i64buf []int64
+}
+
+// runExact executes an exact plan with the block-streamed operator.
+func runExact(ctx context.Context, nodes nodeSet, st *StoredTable, udfs Registry, cfg Config) (*Result, error) {
+	tbl := st.Data
+	grouped := len(nodes.agg.GroupBy) > 0
+	scanSpan := cfg.Span.StartSpan(obs.StageScan)
+
+	s := &exactScan{tbl: tbl, blocks: cfg.Blocks, keyIdx: -1, aggInput: make([]int, len(nodes.agg.Aggs))}
+	var skip []bool
+	var c Counters
+	if nodes.filter != nil {
+		s.pred = nodes.filter.Pred
+		skip, c.BlocksSkipped = zoneSkip(cfg.Preds, tbl, s.pred)
+	}
+	if err := s.plan(nodes.agg); err != nil {
+		return nil, fmt.Errorf("exec: scan of table %q: %w", nodes.scan.Table, err)
+	}
+	if err := s.planKey(nodes.agg); err != nil {
+		return nil, fmt.Errorf("exec: grouping on table %q: %w", nodes.scan.Table, err)
+	}
+	queries := make([]estimator.Query, len(nodes.agg.Aggs))
+	for ai, spec := range nodes.agg.Aggs {
+		q, err := queryFor(spec, st, tbl.NumRows(), grouped, udfs)
+		if err != nil {
+			return nil, fmt.Errorf("exec: aggregate %d: %w", ai, err)
+		}
+		queries[ai] = q
+	}
+
+	meter, err := s.scan(ctx, skip)
+	if err != nil {
+		return nil, fmt.Errorf("exec: scan of table %q: %w", nodes.scan.Table, err)
+	}
+	scanSpan.End()
+
+	c.Subqueries, c.Scans, c.Tasks = 1, 1, 1
+	c.RowsScanned, c.BytesScanned = int64(tbl.NumRows()), tbl.SizeBytes()
+	c.BlocksDecoded, c.DecodeNanos = meter.blocks, meter.nanos
+	c.CacheHits, c.CacheBytes = meter.hits, meter.hitBytes
+	for i := range s.groups {
+		c.RowsAfterFilter += s.groups[i].rows
+	}
+	addCounterAttrs(scanSpan, c)
+
+	res := &Result{SampleRows: tbl.NumRows(), Counters: c}
+	if grouped {
+		sort.Slice(s.groups, func(i, j int) bool { return s.groups[i].key < s.groups[j].key })
+	}
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		gout := GroupOutput{Key: g.key, Aggs: make([]AggOutput, len(queries))}
+		for ai, spec := range nodes.agg.Aggs {
+			gout.Aggs[ai] = AggOutput{Spec: spec, Query: queries[ai],
+				Value: s.finalize(g, ai, spec.Kind, queries[ai], grouped)}
+		}
+		res.Groups = append(res.Groups, gout)
+	}
+	if cfg.Span != nil {
+		recordCounters(cfg.Span.Metrics(), res.Counters)
+	}
+	return res, nil
+}
+
+// plan dedups the aggregates' input expressions and type-checks predicate
+// and inputs against the schema, so a bad expression fails the query even
+// when zone maps or the filter leave no block to evaluate it on.
+func (s *exactScan) plan(agg *plan.Aggregate) error {
+	if s.pred != nil {
+		if v, err := typeCheck(s.pred, s.tbl); err != nil {
+			return err
+		} else if v.bools == nil {
+			return fmt.Errorf("exec: WHERE expression %s is not boolean", s.pred)
+		}
+	}
+	byText := map[string]int{}
+	for ai, spec := range agg.Aggs {
+		in := aggInput(spec)
+		if spec.Input != nil {
+			if v, err := typeCheck(spec.Input, s.tbl); err != nil {
+				return err
+			} else if in != nil && (v.isStr || v.bools != nil) {
+				return fmt.Errorf("exec: expression %s is not numeric", in)
+			}
+		}
+		if in == nil {
+			s.aggInput[ai] = -1
+			continue
+		}
+		text := in.String()
+		ii, ok := byText[text]
+		if !ok {
+			ii = len(s.inputs)
+			byText[text] = ii
+			s.inputs = append(s.inputs, exactInput{expr: in})
+		}
+		s.aggInput[ai] = ii
+		switch spec.Kind {
+		case estimator.Sum:
+			s.inputs[ii].sum = true
+		case estimator.Percentile, estimator.UDF:
+			s.inputs[ii].vec = true
+		default:
+			s.inputs[ii].moments = true
+		}
+	}
+	return nil
+}
+
+// planKey resolves the GROUP BY column, or installs the single ungrouped
+// group.
+func (s *exactScan) planKey(agg *plan.Aggregate) error {
+	if len(agg.GroupBy) == 0 {
+		s.groups = []exactGroup{{sinks: make([]inputSink, len(s.inputs))}}
+		return nil
+	}
+	if len(agg.GroupBy) > 1 {
+		return fmt.Errorf("exec: multi-column GROUP BY not supported (got %d columns)",
+			len(agg.GroupBy))
+	}
+	name := agg.GroupBy[0]
+	s.keyIdx = s.tbl.Schema().Index(name)
+	if s.keyIdx < 0 {
+		return fmt.Errorf("exec: unknown GROUP BY column %q", name)
+	}
+	s.keyRef = &sql.ColumnRef{Name: name}
+	s.keyType = s.tbl.Schema()[s.keyIdx].Type
+	s.byStr = map[string]int32{}
+	switch s.keyType {
+	case table.Int64:
+		s.byI64 = map[int64]int32{}
+	case table.Float64:
+		s.byBits = map[uint64]int32{}
+	}
+	names := func(e sql.Expr) bool {
+		for _, c := range sql.Columns(e) {
+			if strings.EqualFold(c, name) {
+				return true
+			}
+		}
+		return false
+	}
+	s.keyInPred = s.pred != nil && names(s.pred)
+	for _, in := range s.inputs {
+		s.keyInInputs = s.keyInInputs || names(in.expr)
+	}
+	return nil
+}
+
+// scan walks the admitted blocks in row order on the calling goroutine,
+// evaluating and folding one block at a time. Cancellation is checked every
+// 64 blocks. It returns the decode work done.
+func (s *exactScan) scan(ctx context.Context, skip []bool) (decodeMeter, error) {
+	const ctxCheckBlocks = 64
+	be := blockEval{vals: make([]value, len(s.inputs))}
+	be.sc = scratch{m: &be.meter, blocks: s.blocks, memo: make([]value, s.tbl.NumCols())}
+	n := s.tbl.NumRows()
+	visited := 0
+	for row := 0; row < n; {
+		block := row / table.ZoneBlockRows
+		end := (block + 1) * table.ZoneBlockRows
+		if end > n {
+			end = n
+		}
+		if block < len(skip) && skip[block] {
+			row = end
+			continue
+		}
+		if visited%ctxCheckBlocks == 0 {
+			if err := ctx.Err(); err != nil {
+				return be.meter, err
+			}
+		}
+		visited++
+		err := s.evalBlock(&be, row, end)
+		if err == nil && be.kept > 0 {
+			s.fold(&be)
+		}
+		be.sc.release()
+		if err != nil {
+			return be.meter, err
+		}
+		row = end
+	}
+	return be.meter, nil
+}
+
+// evalBlock evaluates the predicate over rows [row, end) and, when any row
+// survives, the aggregate inputs and the GROUP BY key. The scratch memo
+// makes every referenced column decode at most once for the block.
+func (s *exactScan) evalBlock(be *blockEval, row, end int) error {
+	n := end - row
+	be.sc.off = row
+	be.n, be.keep, be.kept = n, nil, n
+	nativeKey := s.keyIdx >= 0 && s.keyType == table.Int64
+	if nativeKey && s.keyInPred {
+		s.readKeyI64(be, row)
+	}
+	if s.pred != nil {
+		v, err := evalExpr(s.pred, s.tbl, nil, n, &be.sc)
+		if err != nil {
+			return err
+		}
+		be.keep, be.kept = v.bools, 0
+		for _, keep := range v.bools {
+			if keep {
+				be.kept++
+			}
+		}
+		if be.kept == 0 {
+			return nil
+		}
+	}
+	if nativeKey && !s.keyInPred {
+		s.readKeyI64(be, row)
+	}
+	for ii, in := range s.inputs {
+		v, err := evalExpr(in.expr, s.tbl, nil, n, &be.sc)
+		if err != nil {
+			return err
+		}
+		be.vals[ii] = v
+	}
+	if s.keyIdx >= 0 && !nativeKey {
+		v, err := evalExpr(s.keyRef, s.tbl, nil, n, &be.sc)
+		if err != nil {
+			return err
+		}
+		be.keyS, be.keyF = v.strs, v.nums
+	}
+	return nil
+}
+
+// readKeyI64 reads the int64 GROUP BY key of the block starting at row
+// natively: raw columns by reference, lazy ones through the block cache or
+// one metered decode. When the predicate or an input names the column too,
+// the float64 form they evaluate over is derived here and memoized, not
+// decoded a second time.
+func (s *exactScan) readKeyI64(be *blockEval, row int) {
+	col := s.tbl.Column(s.keyIdx)
+	if c, ok := col.(table.Int64Col); ok {
+		be.keyI = c[row : row+be.n]
+		return
+	}
+	start := time.Now()
+	base, boff := table.BlockBase(col)
+	br, cacheable := base.(table.I64Reader)
+	if abs := boff + row; s.blocks != nil && cacheable && abs%table.BlockRows == 0 {
+		bLen := base.Len() - abs
+		if bLen > table.BlockRows {
+			bLen = table.BlockRows
+		}
+		vals, hit := s.blocks.GetI64(base, abs/table.BlockRows, bLen,
+			func(dst []int64) { br.ReadI64(dst, abs) })
+		be.keyI = vals[:be.n]
+		if hit {
+			be.meter.hits++
+			be.meter.hitBytes += int64(be.n) * 8
+		} else {
+			be.meter.blocks++
+		}
+	} else {
+		if be.i64buf == nil {
+			be.i64buf = make([]int64, table.ZoneBlockRows)
+		}
+		be.keyI = be.i64buf[:be.n]
+		col.(table.I64Reader).ReadI64(be.keyI, row)
+		be.meter.blocks++
+	}
+	be.meter.nanos += time.Since(start).Nanoseconds()
+	if s.keyInPred || s.keyInInputs {
+		nums := be.sc.getF64(be.n)
+		for i, v := range be.keyI {
+			nums[i] = float64(v)
+		}
+		be.sc.memo[s.keyIdx] = value{nums: nums}
+	}
+}
+
+// fold adds the block's surviving rows to their groups' sinks, in row order.
+func (s *exactScan) fold(be *blockEval) {
+	s.rowPos, s.rowGroup = s.rowPos[:0], s.rowGroup[:0]
+	for i := 0; i < be.n; i++ {
+		if be.keep != nil && !be.keep[i] {
+			continue
+		}
+		gi := int32(0)
+		if s.keyIdx >= 0 {
+			gi = s.groupOf(be, i)
+		}
+		s.groups[gi].rows++
+		s.rowPos = append(s.rowPos, int32(i))
+		s.rowGroup = append(s.rowGroup, gi)
+	}
+	for ii, in := range s.inputs {
+		v := &be.vals[ii]
+		for k, p := range s.rowPos {
+			x := v.numAt(int(p))
+			sink := &s.groups[s.rowGroup[k]].sinks[ii]
+			if in.sum {
+				sink.sum += x
+			}
+			if in.moments {
+				sink.m.Add(x)
+			}
+			if in.vec {
+				sink.vec = append(sink.vec, x)
+			}
+		}
+	}
+}
+
+// groupOf returns row i's group, creating it on first sight. Keys render
+// exactly as the materializing path's do (FormatInt, FormatFloat 'g'), and
+// a group is identified by its rendered key, so float keys whose bits
+// differ but render alike (NaN payloads) still share a group; the typed
+// maps only spare the per-row formatting.
+func (s *exactScan) groupOf(be *blockEval, i int) int32 {
+	switch s.keyType {
+	case table.Int64:
+		k := be.keyI[i]
+		gi, ok := s.byI64[k]
+		if !ok {
+			gi = s.groupNamed(strconv.FormatInt(k, 10))
+			s.byI64[k] = gi
+		}
+		return gi
+	case table.Float64:
+		k := math.Float64bits(be.keyF[i])
+		gi, ok := s.byBits[k]
+		if !ok {
+			gi = s.groupNamed(strconv.FormatFloat(be.keyF[i], 'g', -1, 64))
+			s.byBits[k] = gi
+		}
+		return gi
+	}
+	return s.groupNamed(be.keyS[i])
+}
+
+func (s *exactScan) groupNamed(key string) int32 {
+	gi, ok := s.byStr[key]
+	if !ok {
+		gi = int32(len(s.groups))
+		s.byStr[key] = gi
+		s.groups = append(s.groups, exactGroup{key: key, sinks: make([]inputSink, len(s.inputs))})
+	}
+	return gi
+}
+
+// finalize reads one aggregate's answer off its group's sink. Each case
+// returns what estimator.Query.Eval returns for the same rows: NaN over no
+// rows — except the ungrouped SUM/COUNT, which the materializing path
+// evaluates over a full-length column masked to zero and so answers 0
+// unless the table itself is empty.
+func (s *exactScan) finalize(g *exactGroup, ai int, kind estimator.AggKind, q estimator.Query, grouped bool) float64 {
+	var sink *inputSink
+	if ii := s.aggInput[ai]; ii >= 0 {
+		sink = &g.sinks[ii]
+	}
+	switch kind {
+	case estimator.Percentile, estimator.UDF:
+		return q.Eval(sink.vec)
+	case estimator.Sum, estimator.Count:
+		if !grouped && s.tbl.NumRows() == 0 {
+			return math.NaN()
+		}
+		if sink == nil {
+			return float64(g.rows)
+		}
+		return sink.sum
+	}
+	if g.rows == 0 {
+		return math.NaN()
+	}
+	switch kind {
+	case estimator.Avg:
+		return sink.m.Mean()
+	case estimator.Min:
+		return sink.m.Min()
+	case estimator.Max:
+		return sink.m.Max()
+	case estimator.Variance:
+		return sink.m.Variance()
+	case estimator.Stdev:
+		return sink.m.Stddev()
+	}
+	return math.NaN()
+}
+
+// aggInput is the expression an aggregate's values come from; nil is the
+// per-row indicator 1. The engine has no NULLs, so COUNT(<expr>) counts
+// rows exactly as COUNT(*) does and never evaluates its argument.
+func aggInput(spec plan.AggSpec) sql.Expr {
+	if spec.Kind == estimator.Count {
+		return nil
+	}
+	return spec.Input
+}
+
+// typeCheck evaluates e over zero rows of tbl: unknown columns and
+// operand-type errors surface, the result carries e's type, and nothing is
+// decoded.
+func typeCheck(e sql.Expr, tbl *table.Table) (value, error) {
+	return evalExpr(e, tbl, nil, 0, nil)
+}

@@ -143,7 +143,8 @@ type AggOutput struct {
 	Value float64
 	// Values is the projected aggregation column for this group — the
 	// post-filter inputs θ consumed. Downstream consumers use it for
-	// closed-form variance estimates without a second scan.
+	// closed-form variance estimates without a second scan. Exact plans
+	// stream rows into per-group sinks and leave it nil (see exact.go).
 	Values []float64
 	// Bootstrap holds the K resample estimates when error estimation ran.
 	Bootstrap []float64
@@ -178,6 +179,11 @@ type Result struct {
 //     re-scanning tens of thousands of times would only reproduce, slowly,
 //     the same per-subsample inputs.
 //
+// A plan with no Resample, Bootstrap or Diagnostic node over a table that is
+// the full dataset (PopRows == 0) is exact execution and runs on the
+// block-streamed operator in exact.go instead of the materializing pipeline
+// described above; its answers are bit-identical to that pipeline's.
+//
 // Execution honours ctx: cancellation is checked at every stage boundary,
 // between naive rescans, between (group, aggregate) work units, inside the
 // diagnostic's subsample loop and inside the kernel's block loop, so a
@@ -193,12 +199,14 @@ func Run(ctx context.Context, p *plan.Plan, tables map[string]*StoredTable, udfs
 	if !ok {
 		return nil, fmt.Errorf("exec: unknown table %q", nodes.scan.Table)
 	}
-	tbl := st.Data
-
-	res := &Result{SampleRows: tbl.NumRows()}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("exec: before scan: %w", err)
 	}
+	if isExact(nodes, st) {
+		return runExact(ctx, nodes, st, udfs, cfg)
+	}
+	tbl := st.Data
+	res := &Result{SampleRows: tbl.NumRows()}
 
 	// --- Scan, filter, project (one physical pass, parallel). ---
 	scanSpan := cfg.Span.StartSpan(obs.StageScan)
@@ -493,6 +501,7 @@ type colWork struct {
 // one evaluation exactly when they would compute identical vectors.
 func colKeyFor(spec plan.AggSpec, predKey string, masked bool) (string, colWork) {
 	isSum := spec.Kind == estimator.Sum || spec.Kind == estimator.Count
+	input := aggInput(spec)
 	switch {
 	case isSum && masked:
 		// Scaled sums evaluate over ALL sample rows, with zeros where the
@@ -501,15 +510,15 @@ func colKeyFor(spec plan.AggSpec, predKey string, masked bool) (string, colWork)
 		// back to conditional per-group columns; each group is treated as
 		// a separate query, per §2.1.)
 		key := "m|" + predKey + "|"
-		if spec.Input != nil {
-			key += spec.Input.String()
+		if input != nil {
+			key += input.String()
 		}
-		return key, colWork{predKey: predKey, input: spec.Input, masked: true}
-	case spec.Input == nil:
-		// COUNT(*) under GROUP BY: indicator 1 per surviving row.
+		return key, colWork{predKey: predKey, input: input, masked: true}
+	case input == nil:
+		// COUNT under GROUP BY: indicator 1 per surviving row.
 		return "1|" + predKey, colWork{predKey: predKey}
 	default:
-		return "o|" + predKey + "|" + spec.Input.String(), colWork{predKey: predKey, input: spec.Input}
+		return "o|" + predKey + "|" + input.String(), colWork{predKey: predKey, input: input}
 	}
 }
 
@@ -543,19 +552,11 @@ func scanFilterProjectMulti(ctx context.Context, members []nodeSet, tbl *table.T
 		if nodes.filter != nil {
 			pk = nodes.filter.Pred.String()
 			if _, ok := preds[pk]; !ok {
-				// The skip list is a pure function of (table zones, predicate
-				// text), so the predicate memo replays it for repeated
-				// predicates without re-walking the range analyzer. Skip
-				// lists are exact-keyed — literals decide which blocks are
-				// admissible — while the selectivity hint below shares one
-				// estimate across all literals of the same shape.
+				// Skip lists are exact-keyed — literals decide which blocks
+				// are admissible — while the selectivity hint below shares
+				// one estimate across all literals of the same shape.
 				pw := &predWork{pred: nodes.filter.Pred, hint: -1}
-				if skip, skipped, ok := cfg.Preds.Lookup(tbl, pk); ok {
-					pw.skip, pw.skipped = skip, skipped
-				} else {
-					pw.skip, pw.skipped = blockSkip(tbl, nodes.filter.Pred)
-					cfg.Preds.Store(tbl, pk, pw.skip, pw.skipped)
-				}
+				pw.skip, pw.skipped = zoneSkip(cfg.Preds, tbl, nodes.filter.Pred)
 				if cfg.Preds != nil {
 					pw.sig = history.PredicateSignature(nodes.filter.Pred)
 					if h, ok := cfg.Preds.Hint(tbl, pw.sig); ok {
@@ -571,6 +572,11 @@ func scanFilterProjectMulti(ctx context.Context, members []nodeSet, tbl *table.T
 		keys := make([]string, len(nodes.agg.Aggs))
 		masked := len(nodes.agg.GroupBy) == 0
 		for ai, spec := range nodes.agg.Aggs {
+			if spec.Kind == estimator.Count && spec.Input != nil && errs[m] == nil {
+				// COUNT never evaluates its argument, but a COUNT of
+				// something that does not resolve is still an error.
+				_, errs[m] = typeCheck(spec.Input, tbl)
+			}
 			key, w := colKeyFor(spec, pk, masked)
 			if _, ok := colWorks[key]; !ok {
 				colWorks[key] = w
@@ -732,6 +738,9 @@ func scanFilterProjectMulti(ctx context.Context, members []nodeSet, tbl *table.T
 	physCharged := false
 	skipCharged := map[string]bool{}
 	for m := range members {
+		if errs[m] != nil {
+			continue
+		}
 		pk := memberPred[m]
 		if err := keyErrs[pk]; err != nil {
 			errs[m] = err
@@ -773,6 +782,19 @@ func scanFilterProjectMulti(ctx context.Context, members []nodeSet, tbl *table.T
 		results[m] = r
 	}
 	return results, errs
+}
+
+// zoneSkip returns pred's zone-map skip list over tbl. The list is a pure
+// function of (table zones, predicate text), so the predicate memo replays
+// it for repeated predicates without re-walking the range analyzer.
+func zoneSkip(memo *cache.PredMemo, tbl *table.Table, pred sql.Expr) ([]bool, int64) {
+	text := pred.String()
+	if skip, skipped, ok := memo.Lookup(tbl, text); ok {
+		return skip, skipped
+	}
+	skip, skipped := blockSkip(tbl, pred)
+	memo.Store(tbl, text, skip, skipped)
+	return skip, skipped
 }
 
 // maskedColumn evaluates the aggregation input over ALL rows of the part,

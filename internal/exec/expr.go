@@ -25,11 +25,12 @@ import (
 // vectors (gathered columns, arithmetic intermediates, boolean masks) per
 // partition per query, which at serving rates dominates the allocator. A
 // scratch tracks every pooled slice handed out during one evaluation so
-// the caller can return them all at once. Only EvalPredicate uses a
-// scratch: its intermediates are provably dead once the selection vector
-// (freshly allocated, never pooled) is built. EvalNumeric passes nil —
-// its result vectors are retained by aggregation — and a nil scratch
-// degrades every get to a plain make.
+// the caller can return them all at once. Two callers use one: predicate
+// evaluation, whose intermediates are provably dead once the selection
+// vector (freshly allocated, never pooled) is built, and the exact
+// operator, which folds a block's values into its sinks before releasing
+// them. EvalNumeric passes nil — its result vectors are retained by
+// aggregation — and a nil scratch degrades every get to a plain make.
 //
 // The pools hold *[]T rather than []T so Put doesn't allocate (staticcheck
 // SA6002).
@@ -40,6 +41,10 @@ var (
 	}}
 	boolPool = sync.Pool{New: func() any {
 		s := make([]bool, 0, table.ZoneBlockRows)
+		return &s
+	}}
+	strPool = sync.Pool{New: func() any {
+		s := make([]string, 0, table.ZoneBlockRows)
 		return &s
 	}}
 )
@@ -77,6 +82,7 @@ type decodeMeter struct {
 type scratch struct {
 	f64s  []*[]float64
 	bools []*[]bool
+	strs  []*[]string
 	// noPool makes every get a fresh allocation that release ignores — for
 	// projection paths whose outputs are retained by aggregation but that
 	// still want decode metering through m.
@@ -86,6 +92,17 @@ type scratch struct {
 	// blocks, when non-nil, is the cross-query decoded-block cache; reader
 	// gathers consult it before decoding.
 	blocks *cache.BlockCache
+	// memo, when non-nil, holds one slot per schema column: the first
+	// reference to a column in an evaluation stores its gathered value
+	// there and later references — from any expression evaluated against
+	// the same rows before the next release — reuse it, so a column named
+	// by predicate, projection and GROUP BY key is decoded once. release
+	// clears it along with the buffers the values point into.
+	memo []value
+	// off is the first row of the window an evaluation without a selection
+	// vector covers: rows [off, off+n) of the table. Block walks move it
+	// instead of slicing a per-block table view.
+	off int
 }
 
 func (sc *scratch) meter() *decodeMeter {
@@ -100,6 +117,13 @@ func (sc *scratch) cache() *cache.BlockCache {
 		return nil
 	}
 	return sc.blocks
+}
+
+func (sc *scratch) window() int {
+	if sc == nil {
+		return 0
+	}
+	return sc.off
 }
 
 func (sc *scratch) getF64(n int) []float64 {
@@ -128,6 +152,19 @@ func (sc *scratch) getBool(n int) []bool {
 	return (*p)[:n]
 }
 
+func (sc *scratch) getStr(n int) []string {
+	if sc == nil || sc.noPool {
+		return make([]string, n)
+	}
+	p := strPool.Get().(*[]string)
+	if cap(*p) < n {
+		*p = make([]string, n)
+	}
+	sc.strs = append(sc.strs, p)
+	poolGets.Add(1)
+	return (*p)[:n]
+}
+
 // release returns every slice handed out by this scratch to the pools. The
 // caller must not retain any value produced during the evaluation. It is
 // safe (and a no-op) on nil and noPool scratches, and callers run it via
@@ -144,8 +181,14 @@ func (sc *scratch) release() {
 	for _, p := range sc.bools {
 		boolPool.Put(p)
 	}
-	poolPuts.Add(int64(len(sc.f64s) + len(sc.bools)))
-	sc.f64s, sc.bools = sc.f64s[:0], sc.bools[:0]
+	for _, p := range sc.strs {
+		strPool.Put(p)
+	}
+	poolPuts.Add(int64(len(sc.f64s) + len(sc.bools) + len(sc.strs)))
+	sc.f64s, sc.bools, sc.strs = sc.f64s[:0], sc.bools[:0], sc.strs[:0]
+	for i := range sc.memo {
+		sc.memo[i] = value{}
+	}
 }
 
 // value is the result of evaluating an expression over a batch of rows:
@@ -161,23 +204,26 @@ type value struct {
 	isStr  bool
 }
 
-func (v value) numAt(i int) float64 {
+// numAt and strAt take v by pointer: they run once per row, and a value is
+// over a hundred bytes to copy.
+func (v *value) numAt(i int) float64 {
 	if v.scalar {
 		return v.numS
 	}
 	return v.nums[i]
 }
 
-func (v value) strAt(i int) string {
+func (v *value) strAt(i int) string {
 	if v.scalar {
 		return v.strS
 	}
 	return v.strs[i]
 }
 
-// evalExpr evaluates e over the n rows of tbl, using sel as a selection
-// vector when non-nil (row i of the batch is tbl row sel[i]). sc, when
-// non-nil, supplies pooled scratch for the transient vectors.
+// evalExpr evaluates e over n rows of tbl: rows sel[0..n) when sel is
+// non-nil, otherwise the n rows starting at sc's window offset (row 0 for a
+// nil scratch). sc, when non-nil, supplies pooled scratch for the transient
+// vectors.
 func evalExpr(e sql.Expr, tbl *table.Table, sel []int, n int, sc *scratch) (value, error) {
 	switch ex := e.(type) {
 	case *sql.Literal:
@@ -187,32 +233,20 @@ func evalExpr(e sql.Expr, tbl *table.Table, sel []int, n int, sc *scratch) (valu
 		return value{scalar: true, numS: ex.Num}, nil
 
 	case *sql.ColumnRef:
-		col := tbl.ColumnByName(ex.Name)
-		if col == nil {
+		idx := tbl.Schema().Index(ex.Name)
+		if idx < 0 {
 			return value{}, fmt.Errorf("exec: unknown column %q", ex.Name)
 		}
-		switch c := col.(type) {
-		case table.Float64Col:
-			return value{nums: gatherF64(c, sel, n, sc)}, nil
-		case table.Int64Col:
-			return value{nums: gatherI64(c, sel, n, sc)}, nil
-		case table.StringCol:
-			out := make([]string, n)
-			for i := 0; i < n; i++ {
-				out[i] = c[rowIdx(sel, i)]
+		if sc != nil && sc.memo != nil {
+			if v := sc.memo[idx]; v.nums != nil || v.strs != nil {
+				return v, nil
 			}
-			return value{strs: out, isStr: true}, nil
-		default:
-			// Block-backed columns: decode after admission, through the
-			// reader interfaces, metering the decode work.
-			if r, ok := col.(table.F64Reader); ok {
-				return value{nums: gatherReaderF64(r, sel, n, sc)}, nil
-			}
-			if r, ok := col.(table.StrReader); ok {
-				return value{strs: gatherReaderStr(r, sel, n, sc), isStr: true}, nil
-			}
-			return value{}, fmt.Errorf("exec: unsupported column type for %q", ex.Name)
 		}
+		v, err := gatherColumn(tbl.Column(idx), ex.Name, sel, sc.window(), n, sc)
+		if err == nil && sc != nil && sc.memo != nil {
+			sc.memo[idx] = v
+		}
+		return v, err
 
 	case *sql.Unary:
 		inner, err := evalExpr(ex.E, tbl, sel, n, sc)
@@ -259,19 +293,42 @@ func evalExpr(e sql.Expr, tbl *table.Table, sel []int, n int, sc *scratch) (valu
 	}
 }
 
-func rowIdx(sel []int, i int) int {
-	if sel == nil {
-		return i
+// gatherColumn materializes one column over the selection (sel == nil: rows
+// [off, off+n)). Raw columns read their slices; block-backed columns decode
+// after admission, through the reader interfaces, metering the decode work.
+// With sel == nil, raw float64 and string columns return their own storage,
+// which callers must treat as read-only.
+func gatherColumn(col table.Column, name string, sel []int, off, n int, sc *scratch) (value, error) {
+	switch c := col.(type) {
+	case table.Float64Col:
+		return value{nums: gatherF64(c, sel, off, n, sc)}, nil
+	case table.Int64Col:
+		return value{nums: gatherI64(c, sel, off, n, sc)}, nil
+	case table.StringCol:
+		if sel == nil {
+			return value{strs: c[off : off+n], isStr: true}, nil
+		}
+		out := sc.getStr(n)
+		for i, j := range sel {
+			out[i] = c[j]
+		}
+		return value{strs: out, isStr: true}, nil
 	}
-	return sel[i]
+	if r, ok := col.(table.F64Reader); ok {
+		return value{nums: gatherReaderF64(r, sel, off, n, sc)}, nil
+	}
+	if r, ok := col.(table.StrReader); ok {
+		return value{strs: gatherReaderStr(r, sel, off, n, sc), isStr: true}, nil
+	}
+	return value{}, fmt.Errorf("exec: unsupported column type for %q", name)
 }
 
 // gatherF64 materializes a float64 column over the selection. With sel ==
 // nil it returns the column's own storage — callers must treat the result
 // as read-only, and it is never tracked by the scratch.
-func gatherF64(c table.Float64Col, sel []int, n int, sc *scratch) []float64 {
+func gatherF64(c table.Float64Col, sel []int, off, n int, sc *scratch) []float64 {
 	if sel == nil {
-		return c[:n]
+		return c[off : off+n]
 	}
 	out := sc.getF64(n)
 	for i, j := range sel {
@@ -282,10 +339,10 @@ func gatherF64(c table.Float64Col, sel []int, n int, sc *scratch) []float64 {
 
 // gatherI64 widens an int64 column to float64 over the selection, with a
 // branch-free sel == nil fast path mirroring gatherF64.
-func gatherI64(c table.Int64Col, sel []int, n int, sc *scratch) []float64 {
+func gatherI64(c table.Int64Col, sel []int, off, n int, sc *scratch) []float64 {
 	out := sc.getF64(n)
 	if sel == nil {
-		for i, v := range c[:n] {
+		for i, v := range c[off : off+n] {
 			out[i] = float64(v)
 		}
 		return out
@@ -297,13 +354,13 @@ func gatherI64(c table.Int64Col, sel []int, n int, sc *scratch) []float64 {
 }
 
 // gatherReaderF64 materializes a lazily decoded numeric column over the
-// selection. sel == nil decodes rows [0, n) straight into scratch; a
+// selection. sel == nil decodes rows [off, off+n) straight into scratch; a
 // selection decodes one block at a time into a pooled buffer, refilling
 // whenever the next selected row leaves the current block (selections are
 // produced in ascending row order, so each touched block decodes once).
 // All buffers come from sc, so the caller's deferred release reclaims them
 // on every return path, error and cancellation included.
-func gatherReaderF64(r table.F64Reader, sel []int, n int, sc *scratch) []float64 {
+func gatherReaderF64(r table.F64Reader, sel []int, off, n int, sc *scratch) []float64 {
 	out := sc.getF64(n)
 	m := sc.meter()
 	var start time.Time
@@ -323,7 +380,7 @@ func gatherReaderF64(r table.F64Reader, sel []int, n int, sc *scratch) []float64
 		// deterministic.
 		baseLen := base.Len()
 		for covered := 0; covered < n; {
-			abs := boff + covered
+			abs := boff + off + covered
 			b := abs / table.BlockRows
 			bStart := b * table.BlockRows
 			bLen := baseLen - bStart
@@ -373,8 +430,8 @@ func gatherReaderF64(r table.F64Reader, sel []int, n int, sc *scratch) []float64
 			out[i] = vals[j-lo]
 		}
 	case sel == nil:
-		r.ReadF64(out, 0)
-		blocks = int64((n + table.ZoneBlockRows - 1) / table.ZoneBlockRows)
+		r.ReadF64(out, off)
+		blocks = blocksSpanned(off, n)
 	default:
 		buf := sc.getF64(table.ZoneBlockRows)
 		rows := r.Len()
@@ -401,11 +458,17 @@ func gatherReaderF64(r table.F64Reader, sel []int, n int, sc *scratch) []float64
 	return out
 }
 
-// gatherReaderStr is gatherReaderF64 for string columns. String outputs are
-// retained by comparison results only transiently, but string slices are
-// not pooled; allocation here matches the raw StringCol path.
-func gatherReaderStr(r table.StrReader, sel []int, n int, sc *scratch) []string {
-	out := make([]string, n)
+// blocksSpanned counts the storage blocks rows [off, off+n) touch.
+func blocksSpanned(off, n int) int64 {
+	if n == 0 {
+		return 0
+	}
+	return int64((off+n-1)/table.ZoneBlockRows - off/table.ZoneBlockRows + 1)
+}
+
+// gatherReaderStr is gatherReaderF64 for string columns.
+func gatherReaderStr(r table.StrReader, sel []int, off, n int, sc *scratch) []string {
+	out := sc.getStr(n)
 	m := sc.meter()
 	var start time.Time
 	if m != nil {
@@ -419,7 +482,7 @@ func gatherReaderStr(r table.StrReader, sel []int, n int, sc *scratch) []string 
 	case cc != nil && cacheable && sel == nil:
 		baseLen := base.Len()
 		for covered := 0; covered < n; {
-			abs := boff + covered
+			abs := boff + off + covered
 			b := abs / table.BlockRows
 			bStart := b * table.BlockRows
 			bLen := baseLen - bStart
@@ -466,10 +529,10 @@ func gatherReaderStr(r table.StrReader, sel []int, n int, sc *scratch) []string 
 			out[i] = vals[j-lo]
 		}
 	case sel == nil:
-		r.ReadStr(out, 0)
-		blocks = int64((n + table.ZoneBlockRows - 1) / table.ZoneBlockRows)
+		r.ReadStr(out, off)
+		blocks = blocksSpanned(off, n)
 	default:
-		buf := make([]string, table.ZoneBlockRows)
+		buf := sc.getStr(table.ZoneBlockRows)
 		rows := r.Len()
 		lo, hi := 0, 0
 		for i, j := range sel {
@@ -718,8 +781,8 @@ func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, ab
 			}
 		}
 		visited++
-		view := tbl.Slice(row, end)
-		v, err := evalExpr(e, view, nil, end-row, sc)
+		sc.off = row
+		v, err := evalExpr(e, tbl, nil, end-row, sc)
 		if err != nil {
 			return nil, err
 		}

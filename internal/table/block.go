@@ -175,7 +175,8 @@ func (c *F64BlockCol) decodeBlock(b int, dst []float64, iscratch []int64) {
 // block once. Block-aligned full-block reads decode straight into dst.
 func (c *F64BlockCol) ReadF64(dst []float64, off int) {
 	var tmp []float64
-	iscratch := make([]int64, BlockRows)
+	var ibuf [BlockRows]int64 // stack scratch: a read allocates nothing per call
+	iscratch := ibuf[:]
 	for len(dst) > 0 {
 		b := off / BlockRows
 		bStart := b * BlockRows
@@ -312,10 +313,19 @@ func (c *I64BlockCol) ReadI64(dst []int64, off int) {
 
 // ReadF64 widens rows [off, off+len(dst)) into dst, matching Int64Col.
 func (c *I64BlockCol) ReadF64(dst []float64, off int) {
-	tmp := make([]int64, len(dst))
-	c.ReadI64(tmp, off)
-	for i, v := range tmp {
-		dst[i] = float64(v)
+	// Widen through a stack buffer one block at a time, each chunk ending on
+	// a block boundary so whole blocks decode straight into it.
+	var buf [BlockRows]int64
+	for len(dst) > 0 {
+		k := BlockRows - off%BlockRows
+		if k > len(dst) {
+			k = len(dst)
+		}
+		c.ReadI64(buf[:k], off)
+		for i, v := range buf[:k] {
+			dst[i] = float64(v)
+		}
+		dst, off = dst[k:], off+k
 	}
 }
 

@@ -302,6 +302,14 @@ func (l *Listener) protocolError(c *conn, seq *uint8, err error) {
 		}
 		s := uint8(1)
 		writePacket(c.nc, &s, errPayload(code, "HY000", err.Error())) //nolint:errcheck
+		if code == errNetPacketTooLarge {
+			// The client is still sending the frame it announced. Closing a
+			// socket with unread input resets the connection, which can
+			// destroy the ERR before the client reads it; discard what is
+			// in flight first, bounded by one frame and one second.
+			c.nc.SetReadDeadline(time.Now().Add(time.Second)) //nolint:errcheck
+			io.CopyN(io.Discard, c.br, maxChunk)              //nolint:errcheck
+		}
 		return
 	}
 	l.connError("io")
