@@ -251,6 +251,49 @@ func BenchmarkExactFallback(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildSamples measures what every aqpd start pays before its first
+// answer: drawing a 50,000-row uniform sample from a 250k-row compressed
+// table shaped like the serving benchmark's (an ascending int64, two
+// dictionary strings, six float64 measures) and storing it compressed.
+// B/op is the boot's allocation volume.
+func BenchmarkBuildSamples(b *testing.B) {
+	src := rng.New(3)
+	n := 250000
+	day := make(table.Int64Col, n)
+	city := make(table.StringCol, n)
+	device := make(table.StringCol, n)
+	cities := []string{"NYC", "SF", "LA", "CHI", "SEA", "BOS"}
+	for i := 0; i < n; i++ {
+		day[i] = int64(i * 90 / n)
+		city[i] = cities[src.Intn(len(cities))]
+		device[i] = fmt.Sprintf("dev%02d", src.Intn(40))
+	}
+	schema := table.Schema{
+		{Name: "Day", Type: table.Int64},
+		{Name: "City", Type: table.String},
+		{Name: "Device", Type: table.String},
+	}
+	cols := []table.Column{day, city, device}
+	for _, d := range []workload.DataDist{workload.Gaussian, workload.Uniform,
+		workload.Exponential, workload.LogNormalMild, workload.ParetoTail, workload.Spiky} {
+		schema = append(schema, table.Field{Name: d.String(), Type: table.Float64})
+		cols = append(cols, table.Float64Col(workload.GenerateColumn(src.Split(), d, n)))
+	}
+	full := table.Compress(table.MustNew(schema, cols...))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := core.New(core.Config{Seed: 20140622, Workers: 2,
+			Backing: table.BackingCompressed, SampleBacking: table.BackingCompressed})
+		if err := e.RegisterTable("Events", full); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.BuildSamples("Events", 50000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Ablations ---
 
 // BenchmarkAblationPlanRewrites measures the 2x2 grid of §5.3 rewrites on

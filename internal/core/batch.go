@@ -142,7 +142,8 @@ func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 			solo = append(solo, i)
 			continue
 		}
-		p, opt, err := e.buildApproxPlan(ms.qt, r.Query, def, ms.st, r.Opts.BootstrapK)
+		p, opt, err := e.buildApproxPlan(ms.qt, r.Query, def, ms.st, r.Opts.BootstrapK,
+			!e.cfg.DisableFallback)
 		if err != nil {
 			out[i].Err = err
 			e.finishQuery(ms.ctx, ms.qt, r.Query, nil, err, true)
@@ -167,7 +168,7 @@ func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 				ans, err = e.runExact(ms.ctx, ms.qt, ms.qt.Root(), q, ms.def, ms.rt)
 			} else {
 				ans, err = e.runApproximate(ms.ctx, ms.qt, q, ms.def, ms.rt, ms.st,
-					reqs[i].Opts.BootstrapK)
+					reqs[i].Opts.BootstrapK, !e.cfg.DisableFallback)
 				if err == nil && !e.cfg.DisableFallback {
 					err = e.applyFallback(ms.ctx, ms.qt, ans, ms.def, ms.rt)
 				}

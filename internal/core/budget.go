@@ -31,7 +31,7 @@ func (e *Engine) EstimateRequiredRows(query string, relErr float64) (int, error)
 		return 0, fmt.Errorf("core: required-rows estimation needs a single closed-form aggregate")
 	}
 	pilot := rt.samples[0]
-	ans, err := e.runApproximate(context.Background(), nil, query, def, rt, pilot, 0)
+	ans, err := e.runApproximate(context.Background(), nil, query, def, rt, pilot, 0, false)
 	if err != nil {
 		return 0, fmt.Errorf("core: pilot for required-rows estimate: %w", err)
 	}
@@ -76,7 +76,9 @@ func (e *Engine) RunWithTimeBudget(ctx context.Context, query string, budget tim
 		return e.runExact(ctx, qt, qt.Root(), query, def, rt)
 	}
 	pilot := rt.samples[0]
-	pilotAns, err := e.runApproximate(ctx, qt, query, def, rt, pilot, 0)
+	// Budgeted answers are returned as they come, rejected aggregates with
+	// their bootstrap error bars included, so the plans keep every bootstrap.
+	pilotAns, err := e.runApproximate(ctx, qt, query, def, rt, pilot, 0, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: budget pilot: %w", err)
 	}
@@ -96,7 +98,7 @@ func (e *Engine) RunWithTimeBudget(ctx context.Context, query string, budget tim
 	if best == pilot {
 		return pilotAns, nil
 	}
-	return e.runApproximate(ctx, qt, query, def, rt, best, 0)
+	return e.runApproximate(ctx, qt, query, def, rt, best, 0, false)
 }
 
 // RequiredSampleSizeForError is a convenience re-export of the Fig. 1

@@ -39,8 +39,9 @@ import (
 // Config tunes the engine. Zero values select the paper's defaults.
 type Config struct {
 	// Workers is the local execution parallelism (0 = 4). It bounds the
-	// scan operators, the multi-resample bootstrap kernel, and the
-	// diagnostic's per-size subsample fan-out alike; answers are
+	// scan operators, the multi-resample bootstrap kernel, the
+	// diagnostic's per-size subsample fan-out and the sample build's
+	// per-column fan-out alike; answers and built samples are
 	// bit-identical at every setting because all randomness is drawn from
 	// per-work-unit RNG streams, never from shared per-worker state.
 	Workers int
@@ -472,45 +473,67 @@ func upper(s string) string {
 // BuildSamples draws uniform random samples (without replacement) of the
 // given row counts from the named table and adds them to its catalog,
 // shuffled so that any contiguous subset is itself a random sample. The
-// catalog slice is rebuilt copy-on-write: queries snapshotted before the
-// call keep seeing the old catalog.
+// engine lock is held only to split the RNG and, afterwards, to publish:
+// the build itself (table.GatherStored, up to Config.Workers columns at a
+// time) reads nothing but the immutable registered table, so queries keep
+// running while it is in flight. The catalog slice is replaced
+// copy-on-write: queries snapshotted before the publish keep seeing the old
+// catalog.
 func (e *Engine) BuildSamples(name string, rowCounts ...int) error {
+	rt, srcs, err := e.sampleSources(name, rowCounts)
+	if err != nil {
+		return err
+	}
+	full := rt.full // immutable once registered
+	built := make([]*exec.StoredTable, len(rowCounts))
+	for i, n := range rowCounts {
+		idx := sample.RowsWithoutReplacement(srcs[i], full.NumRows(), n)
+		built[i] = e.storeSample(full, idx, e.cfg.SampleBacking)
+	}
+
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rt, ok := e.tables[name]
-	if !ok {
-		return fmt.Errorf("core: unknown table %q", name)
-	}
-	samples := append([]*exec.StoredTable(nil), rt.samples...)
-	for _, n := range rowCounts {
-		if n <= 0 || n > rt.full.NumRows() {
-			return fmt.Errorf("core: sample size %d invalid for table %q (%d rows)",
-				n, name, rt.full.NumRows())
-		}
-		s := sample.TableWithoutReplacement(e.src.Split(), rt.full, n)
-		if e.cfg.SampleBacking != table.BackingRaw && !s.Lazy() {
-			// Compressed samples mirror RegisterTable's backing treatment:
-			// Compress attaches zones, and the ablation drops them after.
-			s = table.Compress(s)
-			if e.cfg.DisableZoneMaps {
-				s.DropZones()
-			}
-		}
-		if !e.cfg.DisableZoneMaps {
-			s.BuildZones()
-		}
-		samples = append(samples, &exec.StoredTable{
-			Data:    s,
-			PopRows: rt.full.NumRows(),
-			Cached:  true,
-		})
-	}
+	samples := append(append([]*exec.StoredTable(nil), rt.samples...), built...)
 	sort.Slice(samples, func(i, j int) bool {
 		return samples[i].Data.NumRows() < samples[j].Data.NumRows()
 	})
 	rt.samples = samples
 	e.gen.Add(1)
 	return nil
+}
+
+// sampleSources validates a BuildSamples request and splits one RNG stream
+// per requested sample, in request order, under the engine lock — the only
+// part of a build whose order against other registrations decides which rows
+// are drawn.
+func (e *Engine) sampleSources(name string, rowCounts []int) (*registeredTable, []*rng.Source, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	rt, ok := e.tables[name]
+	if !ok {
+		return nil, nil, fmt.Errorf("core: unknown table %q", name)
+	}
+	srcs := make([]*rng.Source, len(rowCounts))
+	for i, n := range rowCounts {
+		if n <= 0 || n > rt.full.NumRows() {
+			return nil, nil, fmt.Errorf("core: sample size %d invalid for table %q (%d rows)",
+				n, name, rt.full.NumRows())
+		}
+		srcs[i] = e.src.Split()
+	}
+	return rt, srcs, nil
+}
+
+// storeSample materializes the rows at idx of full as a stored sample.
+// GatherStored attaches zone maps as a by-product of the build (the encoder
+// computes per-block envelopes anyway), so the DisableZoneMaps ablation
+// clears them afterwards rather than skipping them.
+func (e *Engine) storeSample(full *table.Table, idx []int, backing table.Backing) *exec.StoredTable {
+	s := full.GatherStored(idx, backing, e.cfg.workers())
+	if e.cfg.DisableZoneMaps {
+		s.DropZones()
+	}
+	return &exec.StoredTable{Data: s, PopRows: full.NumRows(), Cached: true}
 }
 
 // AggAnswer is one aggregate's answer with its error bar and diagnostic
@@ -636,7 +659,9 @@ func (e *Engine) Explain(query string) (string, error) {
 	if len(rt.samples) > 0 {
 		n = rt.samples[len(rt.samples)-1].Data.NumRows()
 	}
-	p, err := plan.Build(def, e.planOptions(n, needBootstrap, 0))
+	opt := e.planOptions(n, needBootstrap, 0)
+	opt.VerdictFirst = !e.cfg.DisableFallback // what Run plans
+	p, err := plan.Build(def, opt)
 	if err != nil {
 		return "", err
 	}

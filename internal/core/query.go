@@ -91,7 +91,7 @@ func (e *Engine) RunWithOptions(ctx context.Context, query string, opts RunOptio
 		e.answerCachePut(gen, query, opts.BootstrapK, ans)
 		return ans, nil
 	}
-	ans, err = e.runApproximate(ctx, qt, query, def, rt, st, opts.BootstrapK)
+	ans, err = e.runApproximate(ctx, qt, query, def, rt, st, opts.BootstrapK, !e.cfg.DisableFallback)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,10 @@ func (e *Engine) RunWithErrorBound(ctx context.Context, query string, relErr flo
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: %s: %w", e.queryID(qt, query), err)
 		}
-		ans, err := e.runApproximate(ctx, qt, query, def, rt, st, 0)
+		// With fallback on, a rejected aggregate sends the loop to the next
+		// sample and finally to exact execution, so its bootstrap is never
+		// read: the plan may run verdict-first.
+		ans, err := e.runApproximate(ctx, qt, query, def, rt, st, 0, !e.cfg.DisableFallback)
 		if err != nil {
 			return nil, err
 		}
@@ -263,9 +266,12 @@ func (e *Engine) runExact(ctx context.Context, qt *obs.QueryTrace, parent *obs.S
 
 // runApproximate executes the full §5 pipeline on the given sample. kCap,
 // when positive, bounds the resample count for this query only.
-func (e *Engine) runApproximate(ctx context.Context, qt *obs.QueryTrace, query string, def *plan.QueryDef, rt *registeredTable, st *exec.StoredTable, kCap int) (*Answer, error) {
+// exactOnReject promises that the caller replaces every aggregate the
+// diagnostic rejects with an exact answer (applyFallback, or a whole-query
+// exact fallback), which lets the plan skip those aggregates' bootstrap.
+func (e *Engine) runApproximate(ctx context.Context, qt *obs.QueryTrace, query string, def *plan.QueryDef, rt *registeredTable, st *exec.StoredTable, kCap int, exactOnReject bool) (*Answer, error) {
 	start := time.Now()
-	p, opt, err := e.buildApproxPlan(qt, query, def, st, kCap)
+	p, opt, err := e.buildApproxPlan(qt, query, def, st, kCap, exactOnReject)
 	if err != nil {
 		return nil, err
 	}
@@ -280,9 +286,10 @@ func (e *Engine) runApproximate(ctx context.Context, qt *obs.QueryTrace, query s
 // buildApproxPlan builds the §5 approximate plan for one query on one
 // sample, emitting the plan stage span. It is shared by the solo path
 // (runApproximate) and the shared-scan batch path (RunSharedBatch).
-func (e *Engine) buildApproxPlan(qt *obs.QueryTrace, query string, def *plan.QueryDef, st *exec.StoredTable, kCap int) (*plan.Plan, plan.Options, error) {
+func (e *Engine) buildApproxPlan(qt *obs.QueryTrace, query string, def *plan.QueryDef, st *exec.StoredTable, kCap int, exactOnReject bool) (*plan.Plan, plan.Options, error) {
 	n := st.Data.NumRows()
 	opt := e.planOptions(n, !def.ClosedFormOK(), kCap)
+	opt.VerdictFirst = exactOnReject
 	planSpan := qt.StartSpan(obs.StagePlan)
 	p, err := plan.Build(def, opt)
 	planSpan.SetAttr("mode", "approximate")

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/plan"
+	"repro/internal/rng"
 	"repro/internal/table"
 )
 
@@ -24,26 +25,15 @@ type stratifiedSample struct {
 // BuildStratifiedSample builds a stratified sample over the named key
 // column with at most capPerGroup rows per distinct key. The engine
 // prefers it over uniform samples for queries grouping by that column.
-// Like BuildSamples, the catalog slice is replaced copy-on-write under the
-// engine lock so concurrent queries keep their snapshot.
+// Like BuildSamples it holds the engine lock only to split the RNG and to
+// publish, and replaces the catalog slice copy-on-write, so concurrent
+// queries keep running and keep their snapshot.
 func (e *Engine) BuildStratifiedSample(name, keyColumn string, capPerGroup int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	rt, ok := e.tables[name]
-	if !ok {
-		return fmt.Errorf("core: unknown table %q", name)
-	}
-	if capPerGroup <= 0 {
-		return fmt.Errorf("core: cap per group must be positive")
-	}
-	col := rt.full.ColumnByName(keyColumn)
-	if col == nil {
-		return fmt.Errorf("core: table %q has no column %q", name, keyColumn)
-	}
-	keys, err := stringKeys(col)
+	rt, col, src, err := e.stratifiedSource(name, keyColumn, capPerGroup)
 	if err != nil {
-		return fmt.Errorf("core: stratified key %q: %w", keyColumn, err)
+		return err
 	}
+	keys := stringKeys(col)
 
 	// Collect row indices per key, cap each stratum by a seeded shuffle.
 	byKey := map[string][]int{}
@@ -56,7 +46,6 @@ func (e *Engine) BuildStratifiedSample(name, keyColumn string, capPerGroup int) 
 	}
 	sort.Strings(groupNames)
 
-	src := e.src.Split()
 	var idx []int
 	fractions := make(map[string]float64, len(groupNames))
 	for _, k := range groupNames {
@@ -73,38 +62,51 @@ func (e *Engine) BuildStratifiedSample(name, keyColumn string, capPerGroup int) 
 	// within strata interleaving.
 	src.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 
-	data := rt.full.Gather(idx)
-	if !e.cfg.DisableZoneMaps {
-		data.BuildZones()
+	built := &stratifiedSample{
+		keyColumn:     keyColumn,
+		st:            e.storeSample(rt.full, idx, table.BackingRaw),
+		groupFraction: fractions,
 	}
-	rt.stratified = append(append([]*stratifiedSample(nil), rt.stratified...),
-		&stratifiedSample{
-			keyColumn: keyColumn,
-			st: &exec.StoredTable{
-				Data:    data,
-				PopRows: rt.full.NumRows(),
-				Cached:  true,
-			},
-			groupFraction: fractions,
-		})
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	rt.stratified = append(append([]*stratifiedSample(nil), rt.stratified...), built)
 	e.gen.Add(1)
 	return nil
 }
 
-func stringKeys(col table.Column) ([]string, error) {
-	switch c := col.(type) {
-	case table.StringCol:
-		return c, nil
-	case table.StrReader:
-		// Block-backed string column: decode once into a flat slice. The
-		// stratified build touches every row anyway, so a bulk decode is
-		// the cheapest access pattern.
-		out := make([]string, c.Len())
-		c.ReadStr(out, 0)
-		return out, nil
-	default:
-		return nil, fmt.Errorf("stratified sampling requires a string key column")
+// stratifiedSource validates a BuildStratifiedSample request and splits its
+// RNG stream under the engine lock; a rejected request consumes no stream.
+func (e *Engine) stratifiedSource(name, keyColumn string, capPerGroup int) (*registeredTable, table.StrReader, *rng.Source, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	rt, ok := e.tables[name]
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("core: unknown table %q", name)
 	}
+	if capPerGroup <= 0 {
+		return nil, nil, nil, fmt.Errorf("core: cap per group must be positive")
+	}
+	col := rt.full.ColumnByName(keyColumn)
+	if col == nil {
+		return nil, nil, nil, fmt.Errorf("core: table %q has no column %q", name, keyColumn)
+	}
+	keys, ok := col.(table.StrReader)
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("core: stratified key %q: stratified sampling requires a string key column", keyColumn)
+	}
+	return rt, keys, e.src.Split(), nil
+}
+
+// stringKeys returns the key column as a flat slice. A block-backed column
+// is decoded once in bulk: the stratified build touches every row anyway, so
+// that is its cheapest access pattern.
+func stringKeys(col table.StrReader) []string {
+	if raw, ok := col.(table.StringCol); ok {
+		return raw
+	}
+	out := make([]string, col.Len())
+	col.ReadStr(out, 0)
+	return out
 }
 
 // stratifiedFor returns a stratified sample matching the query's GROUP BY

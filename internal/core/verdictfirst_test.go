@@ -1,0 +1,216 @@
+package core
+
+import (
+	"hash"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/rng"
+	"repro/internal/table"
+)
+
+// verdictEngine registers T(g, p, City) — g Gaussian (the diagnostic accepts
+// its percentiles), p Pareto with a tail index near 1 (it rejects MAX and
+// AVG) — and builds one uniform sample.
+func verdictEngine(t *testing.T, cfg Config) *Engine {
+	t.Helper()
+	src := rng.New(4242)
+	n := 60000
+	g := make(table.Float64Col, n)
+	p := make(table.Float64Col, n)
+	city := make(table.StringCol, n)
+	names := []string{"NYC", "SF", "LA"}
+	for i := 0; i < n; i++ {
+		g[i] = 60 + 20*src.NormFloat64()
+		p[i] = src.Pareto(1, 1.05)
+		city[i] = names[src.Intn(len(names))]
+	}
+	e := New(cfg)
+	if err := e.RegisterTable("T", table.MustNew(table.Schema{
+		{Name: "g", Type: table.Float64},
+		{Name: "p", Type: table.Float64},
+		{Name: "City", Type: table.String},
+	}, g, p, city)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.BuildSamples("T", 24000); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// verdictQueries mixes the cases verdict-first separates: bootstrap
+// aggregates the diagnostic accepts, bootstrap aggregates it rejects, both
+// in one query, the same under GROUP BY, and a closed-form-only query.
+var verdictQueries = []string{
+	"SELECT PERCENTILE(g, 0.5) FROM T",
+	"SELECT MAX(p) FROM T",
+	"SELECT PERCENTILE(g, 0.5), MAX(p), AVG(g) FROM T",
+	"SELECT MAX(p), PERCENTILE(g, 0.9), AVG(g) FROM T WHERE g > 50",
+	"SELECT City, MAX(p), PERCENTILE(g, 0.5) FROM T GROUP BY City",
+	"SELECT AVG(p), AVG(g) FROM T",
+}
+
+func hashAnswer(h hash.Hash64, ans *Answer) {
+	for _, g := range ans.Groups {
+		h.Write([]byte(g.Key))
+		for _, a := range g.Aggs {
+			h.Write([]byte(a.Name))
+			hashU64(h, math.Float64bits(a.Estimate))
+			hashU64(h, math.Float64bits(a.ErrorBar.Lo()))
+			hashU64(h, math.Float64bits(a.ErrorBar.Hi()))
+			h.Write([]byte(a.Technique))
+			h.Write([]byte(a.DiagnosticReason))
+			flags := uint64(0)
+			if a.DiagnosticOK {
+				flags |= 1
+			}
+			if a.Exact {
+				flags |= 2
+			}
+			hashU64(h, flags)
+		}
+	}
+}
+
+// TestVerdictFirstAnswersGolden pins every estimate, interval, technique and
+// verdict of the mixed query set to the hash recorded from the commit before
+// verdict-first error estimation (PR 13), solo and shared-scan, at 1, 2 and
+// 8 workers: skipping the bootstrap of rejected aggregates changes no answer.
+func TestVerdictFirstAnswersGolden(t *testing.T) {
+	const golden = uint64(0x4c6e3c25ee8ba1a6)
+	for _, workers := range []int{1, 2, 8} {
+		e := verdictEngine(t, Config{Seed: 7, Workers: workers, BootstrapK: 40})
+		solo, batch := fnv.New64a(), fnv.New64a()
+		var acceptedBoot, rejectedBoot int
+		for _, q := range verdictQueries {
+			ans, err := e.Query(q)
+			if err != nil {
+				t.Fatalf("%q: %v", q, err)
+			}
+			hashAnswer(solo, ans)
+			for _, g := range ans.Groups {
+				for _, a := range g.Aggs {
+					switch {
+					case a.Technique == "bootstrap" && a.DiagnosticOK:
+						acceptedBoot++
+					case a.Exact && !a.DiagnosticOK:
+						rejectedBoot++
+					}
+				}
+			}
+		}
+		if acceptedBoot == 0 || rejectedBoot == 0 {
+			t.Fatalf("query set lost its coverage: %d accepted bootstrap aggregates, %d rejected",
+				acceptedBoot, rejectedBoot)
+		}
+		reqs := make([]BatchRequest, len(verdictQueries))
+		for i, q := range verdictQueries {
+			reqs[i] = BatchRequest{Query: q}
+		}
+		for i, r := range e.RunSharedBatch(reqs) {
+			if r.Err != nil {
+				t.Fatalf("batch %q: %v", verdictQueries[i], r.Err)
+			}
+			hashAnswer(batch, r.Ans)
+		}
+		if got := solo.Sum64(); got != golden {
+			t.Errorf("Workers=%d solo: answer hash %#x, want %#x", workers, got, golden)
+		}
+		if got := batch.Sum64(); got != golden {
+			t.Errorf("Workers=%d RunSharedBatch: answer hash %#x, want %#x", workers, got, golden)
+		}
+	}
+}
+
+// TestVerdictFirstOffWithoutFallback: an engine that does not replace
+// rejected aggregates must keep estimating their error — the rejected
+// aggregate still carries its bootstrap interval and the full K ran.
+func TestVerdictFirstOffWithoutFallback(t *testing.T) {
+	const k = 40
+	e := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, DisableFallback: true})
+	ans, err := e.Query("SELECT MAX(p) FROM T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := ans.Groups[0].Aggs[0]
+	if a.DiagnosticOK {
+		t.Fatal("MAX over the Pareto column was accepted; the test needs a rejection")
+	}
+	if a.Technique != "bootstrap" || a.Exact || math.IsNaN(a.ErrorBar.HalfWidth) || a.ErrorBar.HalfWidth <= 0 {
+		t.Errorf("rejected aggregate lost its bootstrap error bar: %+v", a)
+	}
+	if ans.BootstrapKUsed != k {
+		t.Errorf("BootstrapKUsed = %d, want %d", ans.BootstrapKUsed, k)
+	}
+	if want := int64(k) * int64(ans.SampleRows); ans.Counters.WeightDraws != want {
+		t.Errorf("WeightDraws = %d, want %d", ans.Counters.WeightDraws, want)
+	}
+}
+
+// TestVerdictFirstSkipsRejectedWork: with fallback on, a query whose every
+// aggregate is rejected runs no bootstrap at all — no resample draws, no
+// K used, no bootstrap-kernel span — and a mixed query pays for exactly the
+// aggregates it keeps.
+func TestVerdictFirstSkipsRejectedWork(t *testing.T) {
+	const k = 40
+	tr := obs.NewTracer(obs.Options{})
+	on := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, Obs: tr})
+	off := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, DisableFallback: true})
+
+	ans, err := on.Query("SELECT MAX(p) FROM T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := ans.Groups[0].Aggs[0]; a.DiagnosticOK || !a.Exact {
+		t.Fatalf("want a rejected aggregate answered exactly, got %+v", a)
+	}
+	if ans.BootstrapKUsed != 0 || ans.Counters.WeightDraws != 0 {
+		t.Errorf("fully rejected query still bootstrapped: K used %d, weight draws %d",
+			ans.BootstrapKUsed, ans.Counters.WeightDraws)
+	}
+	snap, ok := tr.Last()
+	if !ok {
+		t.Fatal("no trace")
+	}
+	for _, s := range snap.Spans {
+		if s.Stage == obs.StageBootstrap {
+			t.Errorf("fully rejected query has a %s span (%.3f ms)", s.Stage, s.Ms)
+		}
+	}
+
+	// Mixed: MAX(p) is rejected, PERCENTILE(g) and AVG(g) are kept. Each
+	// bootstrapped aggregate costs K draws per filtered row whatever its
+	// verdict, so the engine that skips must report exactly 2/3 of the
+	// other's draws.
+	q := "SELECT PERCENTILE(g, 0.5), MAX(p), AVG(g) FROM T"
+	a, err := on.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := off.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rejected int
+	for _, agg := range b.Groups[0].Aggs {
+		if !agg.DiagnosticOK {
+			rejected++
+		}
+	}
+	if rejected != 1 {
+		t.Fatalf("want exactly MAX(p) rejected, got %d rejections", rejected)
+	}
+	rows := b.Counters.RowsAfterFilter
+	if want := 3 * int64(k) * rows; b.Counters.WeightDraws != want {
+		t.Errorf("without verdict-first: WeightDraws = %d, want 3·K·rows = %d", b.Counters.WeightDraws, want)
+	}
+	if want := 2 * int64(k) * rows; a.Counters.WeightDraws != want {
+		t.Errorf("verdict-first: WeightDraws = %d, want 2·K·rows = %d", a.Counters.WeightDraws, want)
+	}
+	if a.BootstrapKUsed != k {
+		t.Errorf("mixed query BootstrapKUsed = %d, want %d", a.BootstrapKUsed, k)
+	}
+}

@@ -244,17 +244,21 @@ func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *tab
 	if nodes.boot != nil {
 		k = nodes.boot.K
 	}
+	// The bootstrap span opens with the first bootstrap work rather than up
+	// front: under verdict-first a query whose every aggregate is rejected
+	// does none, and a span that never accumulates time would be rendered
+	// as running until the trace ends.
 	var bootSpan, diagSpan *obs.Span
-	if traced {
-		if k > 0 {
+	openBootSpan := func() {
+		if traced && bootSpan == nil {
 			bootSpan = cfg.Span.StartSpan(obs.StageBootstrap)
 			bootSpan.SetAttr("k", k)
 			bootSpan.SetAttr("consolidated",
 				nodes.resample != nil && nodes.resample.Consolidated)
 		}
-		if nodes.diag != nil {
-			diagSpan = cfg.Span.StartSpan(obs.StageDiagnostic)
-		}
+	}
+	if traced && nodes.diag != nil {
+		diagSpan = cfg.Span.StartSpan(obs.StageDiagnostic)
 	}
 
 	// The naive (§5.2) plan executes each bootstrap resample as its own
@@ -265,6 +269,7 @@ func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *tab
 	// to the bootstrap stage — they are error-estimation cost, not base
 	// answer cost.
 	if k > 0 && (nodes.resample == nil || !nodes.resample.Consolidated) {
+		openBootSpan()
 		start := now(traced)
 		var naive Counters
 		for r := 0; r < k; r++ {
@@ -324,7 +329,33 @@ func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *tab
 				scanSpan.AddInt("weight_draws", int64(len(values)))
 			}
 
-			if k > 0 {
+			// The diagnostic runs before error estimation. Its verdict does
+			// not depend on the bootstrap below (the "diag" and "boot" RNG
+			// streams are independent), and under a verdict-first plan a
+			// rejected aggregate is re-answered exactly by the caller, so its
+			// K resample estimates would never be read: skip them.
+			if nodes.diag != nil {
+				start := now(traced)
+				dres, c, err := runDiagnostic(ctx, nodes, values, q, k, cfg, diagSpan, g.key, ai)
+				if err != nil {
+					return fmt.Errorf("exec: diagnostic for group %q aggregate %d: %w",
+						g.key, ai, err)
+				}
+				out.Diag = dres
+				res.Counters.add(c)
+				if traced {
+					diagSpan.AddDuration(time.Since(start))
+					addCounterAttrs(diagSpan, c)
+					if dres.OK {
+						diagSpan.AddInt("accepted", 1)
+					} else {
+						diagSpan.AddInt("rejected", 1)
+					}
+				}
+			}
+			replaced := out.Diag != nil && !out.Diag.OK && nodes.diag.VerdictFirst
+			if k > 0 && !replaced {
+				openBootSpan()
 				start := now(traced)
 				ests, c, err := bootstrapEstimates(ctx, nodes, values, q, k, cfg,
 					tbl.NumRows(), g.key, ai)
@@ -344,25 +375,6 @@ func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *tab
 							"Multi-resample kernel throughput (resamples × rows / wall time).",
 							obs.ThroughputBuckets).
 							Observe(float64(k) * float64(len(values)) / secs)
-					}
-				}
-			}
-			if nodes.diag != nil {
-				start := now(traced)
-				dres, c, err := runDiagnostic(ctx, nodes, values, q, k, cfg, diagSpan, g.key, ai)
-				if err != nil {
-					return fmt.Errorf("exec: diagnostic for group %q aggregate %d: %w",
-						g.key, ai, err)
-				}
-				out.Diag = dres
-				res.Counters.add(c)
-				if traced {
-					diagSpan.AddDuration(time.Since(start))
-					addCounterAttrs(diagSpan, c)
-					if dres.OK {
-						diagSpan.AddInt("accepted", 1)
-					} else {
-						diagSpan.AddInt("rejected", 1)
 					}
 				}
 			}

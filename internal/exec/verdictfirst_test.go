@@ -1,0 +1,115 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/plan"
+	"repro/internal/rng"
+	"repro/internal/table"
+)
+
+// TestVerdictFirstSkipsOnlyRejectedBootstrap runs the same plans with and
+// without Options.VerdictFirst, through Run and RunShared at 1, 2 and 8
+// workers, and asserts the flag removes the bootstrap of rejected aggregates
+// and nothing else: values and verdicts are identical, accepted aggregates
+// keep bit-identical resample estimates, and the counters drop by exactly
+// what bootstrapEstimates charges for the aggregates that were skipped.
+func TestVerdictFirstSkipsOnlyRejectedBootstrap(t *testing.T) {
+	const n, k = 24000, 30
+	src := rng.New(4242)
+	g := make(table.Float64Col, n)
+	p := make(table.Float64Col, n)
+	city := make(table.StringCol, n)
+	names := []string{"NYC", "SF", "LA"}
+	for i := 0; i < n; i++ {
+		g[i] = 60 + 20*src.NormFloat64()
+		p[i] = src.Pareto(1, 1.05)
+		city[i] = names[src.Intn(len(names))]
+	}
+	tables := map[string]*StoredTable{"T": {
+		Data: table.MustNew(table.Schema{
+			{Name: "g", Type: table.Float64},
+			{Name: "p", Type: table.Float64},
+			{Name: "City", Type: table.String},
+		}, g, p, city),
+		PopRows: 10 * n,
+	}}
+	ctx := context.Background()
+	var accepted, rejected int
+	for _, q := range []string{
+		"SELECT PERCENTILE(g, 0.5), MAX(p), AVG(g) FROM T",
+		"SELECT City, PERCENTILE(g, 0.5), MAX(p) FROM T WHERE g > 30 GROUP BY City",
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			label := fmt.Sprintf("%s workers=%d", q, workers)
+			cfg := Config{Workers: workers, Seed: 7}
+			opt := plan.DefaultOptions(n)
+			opt.BootstrapK = k
+			keep, err := Run(ctx, mustPlan(t, q, opt), tables, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.VerdictFirst = true
+			skipPlan := mustPlan(t, q, opt)
+			skip, err := Run(ctx, skipPlan, tables, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared, errs := RunShared(ctx, []SharedItem{{Plan: skipPlan, Cfg: cfg}}, tables, nil)
+			if errs[0] != nil {
+				t.Fatal(errs[0])
+			}
+			resultsEqual(t, label+" shared vs solo", shared[0], skip)
+
+			nodes := collect(skipPlan.Root)
+			want := keep.Counters
+			for gi, kg := range keep.Groups {
+				for ai, ka := range kg.Aggs {
+					sa := skip.Groups[gi].Aggs[ai]
+					if sa.Value != ka.Value || sa.Diag.OK != ka.Diag.OK || sa.Diag.Reason != ka.Diag.Reason {
+						t.Fatalf("%s group %q agg %d: value/verdict changed: %v %+v vs %v %+v",
+							label, kg.Key, ai, sa.Value, sa.Diag, ka.Value, ka.Diag)
+					}
+					if len(ka.Bootstrap) != k {
+						t.Fatalf("%s group %q agg %d: plain plan ran %d resamples, want %d",
+							label, kg.Key, ai, len(ka.Bootstrap), k)
+					}
+					if ka.Diag.OK {
+						accepted++
+						if len(sa.Bootstrap) != k {
+							t.Fatalf("%s group %q agg %d: accepted aggregate lost its bootstrap", label, kg.Key, ai)
+						}
+						for r := range ka.Bootstrap {
+							if sa.Bootstrap[r] != ka.Bootstrap[r] {
+								t.Fatalf("%s group %q agg %d resample %d: %v != %v",
+									label, kg.Key, ai, r, sa.Bootstrap[r], ka.Bootstrap[r])
+							}
+						}
+						continue
+					}
+					rejected++
+					if sa.Bootstrap != nil {
+						t.Errorf("%s group %q agg %d: rejected aggregate was still bootstrapped", label, kg.Key, ai)
+					}
+					_, c, err := bootstrapEstimates(ctx, nodes, ka.Values, ka.Query, k, cfg, n, kg.Key, ai)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want.WeightDraws -= c.WeightDraws
+					want.Tasks -= c.Tasks
+				}
+			}
+			if skip.Counters != want {
+				t.Errorf("%s: counters %+v, want %+v", label, skip.Counters, want)
+			}
+			if shared[0].Counters != want {
+				t.Errorf("%s: shared counters %+v, want %+v", label, shared[0].Counters, want)
+			}
+		}
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("queries lost their coverage: %d accepted aggregates, %d rejected", accepted, rejected)
+	}
+}

@@ -216,6 +216,10 @@ type Diagnostic struct {
 	// Consolidated marks single-scan execution; when false the executor
 	// charges Sizes×P×(K+1) separate subqueries (the naive §5.2 cost).
 	Consolidated bool
+	// VerdictFirst tells the executor that the caller re-answers every
+	// rejected aggregate exactly, so it skips the bootstrap of an
+	// aggregate this operator rejects (see Options.VerdictFirst).
+	VerdictFirst bool
 }
 
 // Child implements Node.
@@ -226,6 +230,9 @@ func (d *Diagnostic) Label() string {
 	mode := "naive"
 	if d.Consolidated {
 		mode = "consolidated"
+	}
+	if d.VerdictFirst {
+		mode += ", verdict-first"
 	}
 	return fmt.Sprintf("Diagnostic(sizes=%v, p=%d, %s)", d.Sizes, d.P, mode)
 }

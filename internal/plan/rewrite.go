@@ -25,6 +25,13 @@ type Options struct {
 	ScanConsolidation bool
 	// OperatorPushdown enables the §5.3.2 resampling-pushdown rewrite.
 	OperatorPushdown bool
+	// VerdictFirst declares that whoever runs the plan replaces each
+	// aggregate the diagnostic rejects with an exact answer. The executor
+	// then does not bootstrap a rejected aggregate — its K estimates would
+	// be overwritten unread. Answers, error bars and verdicts of accepted
+	// aggregates are unchanged: the diagnostic and the bootstrap draw from
+	// independent RNG streams. No effect without Diagnostics.
+	VerdictFirst bool
 }
 
 // DefaultOptions returns the fully optimized pipeline with the paper's
@@ -138,6 +145,7 @@ func Build(def *QueryDef, opt Options) (*Plan, error) {
 			Sizes:        append([]int(nil), opt.DiagSizes...),
 			P:            opt.DiagP,
 			Consolidated: opt.ScanConsolidation,
+			VerdictFirst: opt.VerdictFirst,
 		}
 	}
 	return &Plan{Root: node, Def: def, Opt: opt}, nil

@@ -65,13 +65,20 @@ func TableWithReplacement(src *rng.Source, tbl *table.Table, n int) *table.Table
 	return tbl.Gather(idx)
 }
 
+// RowsWithoutReplacement draws the row ids of a uniform sample of n distinct
+// rows out of popRows, in the shuffled order a stored sample keeps them. The
+// ids are copied out of the permutation so that its popRows-long backing
+// array is garbage before the (much smaller) sample is materialized.
+func RowsWithoutReplacement(src *rng.Source, popRows, n int) []int {
+	if n > popRows {
+		panic(fmt.Sprintf("sample: cannot draw %d from %d rows", n, popRows))
+	}
+	return append([]int(nil), src.Perm(popRows)[:n]...)
+}
+
 // TableWithoutReplacement draws n distinct rows from tbl.
 func TableWithoutReplacement(src *rng.Source, tbl *table.Table, n int) *table.Table {
-	if n > tbl.NumRows() {
-		panic(fmt.Sprintf("sample: cannot draw %d from %d rows", n, tbl.NumRows()))
-	}
-	idx := src.Perm(tbl.NumRows())[:n]
-	return tbl.Gather(idx)
+	return tbl.Gather(RowsWithoutReplacement(src, tbl.NumRows(), n))
 }
 
 // Shuffled returns a uniformly shuffled copy of xs. A shuffled sample has

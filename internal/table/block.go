@@ -17,7 +17,6 @@ package table
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -202,24 +201,7 @@ func (c *F64BlockCol) slice(i, j int) Column {
 	return &f64BlockView{c: c, off: i, n: j - i}
 }
 
-func (c *F64BlockCol) gather(idx []int) Column {
-	out := make(Float64Col, len(idx))
-	// Sort positions by block so every touched block decodes exactly once.
-	order := sortedByRow(idx)
-	buf := make([]float64, BlockRows)
-	iscratch := make([]int64, BlockRows)
-	cur := -1
-	for _, k := range order {
-		r := idx[k]
-		b := r / BlockRows
-		if b != cur {
-			c.decodeBlock(b, buf[:c.blockLen(b)], iscratch)
-			cur = b
-		}
-		out[k] = buf[r-b*BlockRows]
-	}
-	return out
-}
+func (c *F64BlockCol) gather(p *gatherPlan) Column { return c.gatherAt(p, 0) }
 
 func (c *F64BlockCol) zoneEnvelope() (ColumnZones, bool) {
 	return ColumnZones{Mins: c.mins, Maxs: c.maxs}, true
@@ -230,19 +212,16 @@ type f64BlockView struct {
 	off, n int
 }
 
-func (v *f64BlockView) Len() int          { return v.n }
-func (v *f64BlockView) Type() Type        { return Float64 }
-func (v *f64BlockView) lazy() bool        { return true }
-func (v *f64BlockView) sizeBytes() int64  { return int64(v.n) * 8 }
-func (v *f64BlockView) physBytes() int64  { return 0 } // storage owned by base column
+func (v *f64BlockView) Len() int         { return v.n }
+func (v *f64BlockView) Type() Type       { return Float64 }
+func (v *f64BlockView) lazy() bool       { return true }
+func (v *f64BlockView) sizeBytes() int64 { return int64(v.n) * 8 }
+func (v *f64BlockView) physBytes() int64 { return 0 } // storage owned by base column
 func (v *f64BlockView) slice(i, j int) Column {
 	return &f64BlockView{c: v.c, off: v.off + i, n: j - i}
 }
 
-func (v *f64BlockView) gather(idx []int) Column {
-	shifted := shiftIdx(idx, v.off)
-	return v.c.gather(shifted)
-}
+func (v *f64BlockView) gather(p *gatherPlan) Column { return v.c.gatherAt(p, v.off) }
 
 // ReadF64 fills dst with view rows [off, off+len(dst)).
 func (v *f64BlockView) ReadF64(dst []float64, off int) { v.c.ReadF64(dst, v.off+off) }
@@ -333,22 +312,7 @@ func (c *I64BlockCol) slice(i, j int) Column {
 	return &i64BlockView{c: c, off: i, n: j - i}
 }
 
-func (c *I64BlockCol) gather(idx []int) Column {
-	out := make(Int64Col, len(idx))
-	order := sortedByRow(idx)
-	buf := make([]int64, BlockRows)
-	cur := -1
-	for _, k := range order {
-		r := idx[k]
-		b := r / BlockRows
-		if b != cur {
-			c.decodeBlock(b, buf[:c.blockLen(b)])
-			cur = b
-		}
-		out[k] = buf[r-b*BlockRows]
-	}
-	return out
-}
+func (c *I64BlockCol) gather(p *gatherPlan) Column { return c.gatherAt(p, 0) }
 
 func (c *I64BlockCol) zoneEnvelope() (ColumnZones, bool) {
 	return ColumnZones{Mins: c.mins, Maxs: c.maxs}, true
@@ -368,9 +332,7 @@ func (v *i64BlockView) slice(i, j int) Column {
 	return &i64BlockView{c: v.c, off: v.off + i, n: j - i}
 }
 
-func (v *i64BlockView) gather(idx []int) Column {
-	return v.c.gather(shiftIdx(idx, v.off))
-}
+func (v *i64BlockView) gather(p *gatherPlan) Column { return v.c.gatherAt(p, v.off) }
 
 // ReadI64 fills dst with view rows [off, off+len(dst)).
 func (v *i64BlockView) ReadI64(dst []int64, off int) { v.c.ReadI64(dst, v.off+off) }
@@ -463,22 +425,7 @@ func (c *StrBlockCol) slice(i, j int) Column {
 	return &strBlockView{c: c, off: i, n: j - i}
 }
 
-func (c *StrBlockCol) gather(idx []int) Column {
-	out := make(StringCol, len(idx))
-	order := sortedByRow(idx)
-	buf := make([]string, BlockRows)
-	cur := -1
-	for _, k := range order {
-		r := idx[k]
-		b := r / BlockRows
-		if b != cur {
-			c.decodeBlock(b, buf[:c.blockLen(b)])
-			cur = b
-		}
-		out[k] = buf[r-b*BlockRows]
-	}
-	return out
-}
+func (c *StrBlockCol) gather(p *gatherPlan) Column { return c.gatherAt(p, 0) }
 
 type strBlockView struct {
 	c      *StrBlockCol
@@ -499,33 +446,12 @@ func (v *strBlockView) slice(i, j int) Column {
 	return &strBlockView{c: v.c, off: v.off + i, n: j - i}
 }
 
-func (v *strBlockView) gather(idx []int) Column {
-	return v.c.gather(shiftIdx(idx, v.off))
-}
+func (v *strBlockView) gather(p *gatherPlan) Column { return v.c.gatherAt(p, v.off) }
 
 // ReadStr fills dst with view rows [off, off+len(dst)).
 func (v *strBlockView) ReadStr(dst []string, off int) { v.c.ReadStr(dst, v.off+off) }
 
 // --- shared small helpers. ---
-
-func shiftIdx(idx []int, off int) []int {
-	out := make([]int, len(idx))
-	for i, v := range idx {
-		out[i] = v + off
-	}
-	return out
-}
-
-// sortedByRow returns positions into idx ordered by ascending row, so block
-// decodes during gather happen once per touched block.
-func sortedByRow(idx []int) []int {
-	order := make([]int, len(idx))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return idx[order[a]] < idx[order[b]] })
-	return order
-}
 
 func appendRawStrBlock(dst []byte, vals []string) []byte {
 	for _, s := range vals {
@@ -575,72 +501,32 @@ func compressColumn(c Column) Column {
 
 func compressF64(c Float64Col) *F64BlockCol {
 	nb := numBlocksFor(len(c))
-	col := &F64BlockCol{
-		rows:   len(c),
+	e := f64BlockEnc{col: &F64BlockCol{
 		offs:   make([]uint32, 1, nb+1),
 		codecs: make([]byte, 0, nb),
 		mins:   make([]float64, 0, nb),
 		maxs:   make([]float64, 0, nb),
+	}}
+	for lo := 0; lo < len(c); lo += BlockRows {
+		hi := min(lo+BlockRows, len(c))
+		e.appendBlock(c[lo:hi], len(c)-hi)
 	}
-	for b := 0; b < nb; b++ {
-		lo := b * BlockRows
-		hi := lo + BlockRows
-		if hi > len(c) {
-			hi = len(c)
-		}
-		vals := c[lo:hi]
-		codec, data := encodeF64Block(col.data, vals)
-		col.data = data
-		col.codecs = append(col.codecs, codec)
-		col.offs = append(col.offs, uint32(len(data)))
-		mn, mx := vals[0], vals[0]
-		for _, v := range vals[1:] {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		col.mins = append(col.mins, mn)
-		col.maxs = append(col.maxs, mx)
-	}
-	return col
+	return e.col
 }
 
 func compressI64(c Int64Col) *I64BlockCol {
 	nb := numBlocksFor(len(c))
-	col := &I64BlockCol{
-		rows:   len(c),
+	e := i64BlockEnc{col: &I64BlockCol{
 		offs:   make([]uint32, 1, nb+1),
 		codecs: make([]byte, 0, nb),
 		mins:   make([]float64, 0, nb),
 		maxs:   make([]float64, 0, nb),
+	}}
+	for lo := 0; lo < len(c); lo += BlockRows {
+		hi := min(lo+BlockRows, len(c))
+		e.appendBlock(c[lo:hi], len(c)-hi)
 	}
-	for b := 0; b < nb; b++ {
-		lo := b * BlockRows
-		hi := lo + BlockRows
-		if hi > len(c) {
-			hi = len(c)
-		}
-		vals := c[lo:hi]
-		codec, data := encodeI64Block(col.data, vals)
-		col.data = data
-		col.codecs = append(col.codecs, codec)
-		col.offs = append(col.offs, uint32(len(data)))
-		mn, mx := vals[0], vals[0]
-		for _, v := range vals[1:] {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		col.mins = append(col.mins, float64(mn))
-		col.maxs = append(col.maxs, float64(mx))
-	}
-	return col
+	return e.col
 }
 
 func compressStr(c StringCol) *StrBlockCol {
@@ -822,29 +708,41 @@ func (b *BlockBuilder) Build() *Table {
 	return t
 }
 
+// reserveRaw grows data, in one step, to hold rest more raw 8-byte values.
+// A block falls back to the raw codec when its values are high-entropy, and
+// then the rest of the column almost always does too — reserving their exact
+// size once replaces regrowing the column by doubling, which allocates about
+// three times the column's final size along the way.
+func reserveRaw(data []byte, rest int) []byte {
+	if cap(data)-len(data) >= 8*rest {
+		return data
+	}
+	return append(make([]byte, 0, len(data)+8*rest), data...)
+}
+
+// f64BlockEnc encodes a float64 column block by block; shared between
+// Compress (whole blocks of a raw column) and the streaming BlockBuilder
+// (rows buffered into buf).
 type f64BlockEnc struct {
-	col *F64BlockCol
-	buf []float64
+	col     *F64BlockCol
+	buf     []float64
+	scratch encScratch
 }
 
-func (e *f64BlockEnc) append(v float64) {
-	e.buf = append(e.buf, v)
-	if len(e.buf) == BlockRows {
-		e.flush()
-	}
-}
-
-func (e *f64BlockEnc) flush() {
-	if len(e.buf) == 0 {
-		return
-	}
+// appendBlock encodes vals (non-empty, at most BlockRows) as the column's
+// next block and records its codec, payload offset and min/max envelope.
+// rest is the number of rows known to follow, or 0 when unknown.
+func (e *f64BlockEnc) appendBlock(vals []float64, rest int) {
 	c := e.col
-	codec, data := encodeF64Block(c.data, e.buf)
+	codec, data := e.scratch.encodeF64Block(c.data, vals)
+	if codec == codecRawF64 {
+		data = reserveRaw(data, rest)
+	}
 	c.data = data
 	c.codecs = append(c.codecs, codec)
 	c.offs = append(c.offs, uint32(len(data)))
-	mn, mx := e.buf[0], e.buf[0]
-	for _, v := range e.buf[1:] {
+	mn, mx := vals[0], vals[0]
+	for _, v := range vals[1:] {
 		if v < mn {
 			mn = v
 		}
@@ -854,38 +752,42 @@ func (e *f64BlockEnc) flush() {
 	}
 	c.mins = append(c.mins, mn)
 	c.maxs = append(c.maxs, mx)
-	c.rows += len(e.buf)
-	e.buf = e.buf[:0]
+	c.rows += len(vals)
+}
+
+func (e *f64BlockEnc) append(v float64) {
+	e.buf = append(e.buf, v)
+	if len(e.buf) == BlockRows {
+		e.appendBlock(e.buf, 0)
+		e.buf = e.buf[:0]
+	}
 }
 
 func (e *f64BlockEnc) finish() *F64BlockCol {
-	e.flush()
+	if len(e.buf) > 0 {
+		e.appendBlock(e.buf, 0)
+	}
 	return e.col
 }
 
+// i64BlockEnc is f64BlockEnc's int64 counterpart.
 type i64BlockEnc struct {
-	col *I64BlockCol
-	buf []int64
+	col     *I64BlockCol
+	buf     []int64
+	scratch encScratch
 }
 
-func (e *i64BlockEnc) append(v int64) {
-	e.buf = append(e.buf, v)
-	if len(e.buf) == BlockRows {
-		e.flush()
-	}
-}
-
-func (e *i64BlockEnc) flush() {
-	if len(e.buf) == 0 {
-		return
-	}
+func (e *i64BlockEnc) appendBlock(vals []int64, rest int) {
 	c := e.col
-	codec, data := encodeI64Block(c.data, e.buf)
+	codec, data := e.scratch.encodeI64Block(c.data, vals)
+	if codec == codecRawI64 {
+		data = reserveRaw(data, rest)
+	}
 	c.data = data
 	c.codecs = append(c.codecs, codec)
 	c.offs = append(c.offs, uint32(len(data)))
-	mn, mx := e.buf[0], e.buf[0]
-	for _, v := range e.buf[1:] {
+	mn, mx := vals[0], vals[0]
+	for _, v := range vals[1:] {
 		if v < mn {
 			mn = v
 		}
@@ -895,12 +797,21 @@ func (e *i64BlockEnc) flush() {
 	}
 	c.mins = append(c.mins, float64(mn))
 	c.maxs = append(c.maxs, float64(mx))
-	c.rows += len(e.buf)
-	e.buf = e.buf[:0]
+	c.rows += len(vals)
+}
+
+func (e *i64BlockEnc) append(v int64) {
+	e.buf = append(e.buf, v)
+	if len(e.buf) == BlockRows {
+		e.appendBlock(e.buf, 0)
+		e.buf = e.buf[:0]
+	}
 }
 
 func (e *i64BlockEnc) finish() *I64BlockCol {
-	e.flush()
+	if len(e.buf) > 0 {
+		e.appendBlock(e.buf, 0)
+	}
 	return e.col
 }
 

@@ -131,6 +131,21 @@ func appendUvarint(b []byte, v uint64) []byte {
 
 // --- int64 block codecs. ---
 
+// encScratch holds the working buffers of the per-block codec choosers —
+// the distinct-value table, the candidate encodings, the integral-float
+// re-encode — so the blocks of one column reuse them instead of allocating
+// afresh per block. The zero value is ready to use; it is not safe for
+// concurrent use, and nothing it holds outlives the call that filled it
+// (winning candidates are copied into the caller's dst).
+type encScratch struct {
+	seen  map[int64]uint64 // distinct block values → first-appearance code
+	dict  []int64          // the same values in code order
+	cand  []byte           // the candidate being tried
+	best  []byte           // the smallest candidate so far
+	ints  []int64          // integral floats as int64
+	inner []byte           // their int64 encoding
+}
+
 // i64Stats is the one-pass profile the chooser gates candidates on.
 type i64Stats struct {
 	min, max int64
@@ -142,60 +157,72 @@ type i64Stats struct {
 // 1024-row block the index width approaches the FOR width anyway.
 const dictMaxDistinct = 256
 
-func statsI64(vals []int64) i64Stats {
+// statsI64 profiles vals and leaves their first dictMaxDistinct+1 distinct
+// values in e.seen/e.dict, coded by first appearance — exactly the
+// dictionary the dictionary codec writes when distinct <= dictMaxDistinct.
+func (e *encScratch) statsI64(vals []int64) i64Stats {
 	s := i64Stats{min: vals[0], max: vals[0], runs: 1}
-	seen := make(map[int64]struct{}, dictMaxDistinct+1)
-	seen[vals[0]] = struct{}{}
-	for i := 1; i < len(vals); i++ {
-		v := vals[i]
+	if e.seen == nil {
+		e.seen = make(map[int64]uint64, dictMaxDistinct+1)
+	}
+	clear(e.seen)
+	e.dict = e.dict[:0]
+	for i, v := range vals {
 		if v < s.min {
 			s.min = v
 		}
 		if v > s.max {
 			s.max = v
 		}
-		if v != vals[i-1] {
+		if i > 0 && v != vals[i-1] {
 			s.runs++
 		}
-		if len(seen) <= dictMaxDistinct {
-			seen[v] = struct{}{}
+		if len(e.dict) <= dictMaxDistinct {
+			if _, ok := e.seen[v]; !ok {
+				e.seen[v] = uint64(len(e.dict))
+				e.dict = append(e.dict, v)
+			}
 		}
 	}
-	s.distinct = len(seen)
+	s.distinct = len(e.dict)
 	return s
+}
+
+// keepSmaller makes the candidate just built in e.cand the best so far when
+// it beats both the raw size and the current best.
+func (e *encScratch) keepSmaller(codec byte, best *byte, rawSize int) {
+	if len(e.cand) < rawSize && (*best == codecRawI64 || len(e.cand) < len(e.best)) {
+		*best = codec
+		e.cand, e.best = e.best, e.cand
+	}
 }
 
 // encodeI64Block picks a codec for vals and appends the encoded payload to
 // dst, returning the codec id and the grown buffer. vals must be non-empty.
-func encodeI64Block(dst []byte, vals []int64) (byte, []byte) {
-	s := statsI64(vals)
+func (e *encScratch) encodeI64Block(dst []byte, vals []int64) (byte, []byte) {
+	s := e.statsI64(vals)
 	if s.min == s.max {
 		return codecConstI64, appendUvarint(dst, zigzag(vals[0]))
 	}
 	rawSize := 8 * len(vals)
 	best := codecRawI64
-	var bestBuf []byte
 
 	// Frame-of-reference: always a candidate — cheap and usually competitive.
 	// Delta arithmetic is two's-complement, so min == MinInt64 wraps safely.
 	if width := uint(bits.Len64(uint64(s.max - s.min))); width < 64 {
-		var buf []byte
-		buf = appendUvarint(buf, zigzag(s.min))
+		buf := appendUvarint(e.cand[:0], zigzag(s.min))
 		buf = append(buf, byte(width))
 		w := bitWriter{buf: buf}
 		for _, v := range vals {
 			w.writeBits(uint64(v-s.min), width)
 		}
-		buf = w.finish()
-		if len(buf) < rawSize {
-			best, bestBuf = codecForI64, buf
-		}
+		e.cand = w.finish()
+		e.keepSmaller(codecForI64, &best, rawSize)
 	}
 
 	// Run-length: only worth encoding when runs are long on average.
 	if s.runs*4 <= len(vals) {
-		var buf []byte
-		buf = appendUvarint(buf, uint64(s.runs))
+		buf := appendUvarint(e.cand[:0], uint64(s.runs))
 		start := 0
 		for i := 1; i <= len(vals); i++ {
 			if i == len(vals) || vals[i] != vals[start] {
@@ -204,49 +231,35 @@ func encodeI64Block(dst []byte, vals []int64) (byte, []byte) {
 				start = i
 			}
 		}
-		if len(buf) < rawSize && (bestBuf == nil || len(buf) < len(bestBuf)) {
-			best, bestBuf = codecRleI64, buf
-		}
+		e.cand = buf
+		e.keepSmaller(codecRleI64, &best, rawSize)
 	}
 
 	// Dictionary: few distinct but wide-ranging values (sparse IDs).
 	if s.distinct <= dictMaxDistinct {
-		var dict []int64
-		index := make(map[int64]uint64, s.distinct)
-		codes := make([]uint64, len(vals))
-		for i, v := range vals {
-			c, ok := index[v]
-			if !ok {
-				c = uint64(len(dict))
-				index[v] = c
-				dict = append(dict, v)
-			}
-			codes[i] = c
-		}
-		width := uint(bits.Len64(uint64(len(dict) - 1)))
-		var buf []byte
-		buf = appendUvarint(buf, uint64(len(dict)))
-		for _, v := range dict {
+		width := uint(bits.Len64(uint64(len(e.dict) - 1)))
+		buf := appendUvarint(e.cand[:0], uint64(len(e.dict)))
+		for _, v := range e.dict {
 			buf = appendUvarint(buf, zigzag(v))
 		}
 		buf = append(buf, byte(width))
 		w := bitWriter{buf: buf}
-		for _, c := range codes {
-			w.writeBits(c, width)
+		for _, v := range vals {
+			w.writeBits(e.seen[v], width)
 		}
-		buf = w.finish()
-		if len(buf) < rawSize && (bestBuf == nil || len(buf) < len(bestBuf)) {
-			best, bestBuf = codecDictI64, buf
-		}
+		e.cand = w.finish()
+		e.keepSmaller(codecDictI64, &best, rawSize)
 	}
 
 	if best == codecRawI64 {
-		for _, v := range vals {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+		n := len(dst)
+		dst = append(dst, make([]byte, rawSize)...)
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(dst[n+8*i:], uint64(v))
 		}
 		return codecRawI64, dst
 	}
-	return best, append(dst, bestBuf...)
+	return best, append(dst, e.best...)
 }
 
 // decodeI64Block decodes n values of the given codec from payload into
@@ -324,7 +337,7 @@ func integralF64(v float64) bool {
 
 // encodeF64Block picks a codec for vals and appends the payload to dst.
 // vals must be non-empty.
-func encodeF64Block(dst []byte, vals []float64) (byte, []byte) {
+func (e *encScratch) encodeF64Block(dst []byte, vals []float64) (byte, []byte) {
 	first := math.Float64bits(vals[0])
 	allConst, allInt := true, true
 	for _, v := range vals {
@@ -346,15 +359,18 @@ func encodeF64Block(dst []byte, vals []float64) (byte, []byte) {
 	// Integral floats (counts, IDs, cents) re-encode through the int64
 	// chooser, which typically beats any float scheme by a wide margin.
 	if allInt {
-		ints := make([]int64, len(vals))
+		if cap(e.ints) < len(vals) {
+			e.ints = make([]int64, len(vals))
+		}
+		ints := e.ints[:len(vals)]
 		for i, v := range vals {
 			ints[i] = int64(v)
 		}
-		var buf []byte
-		codec, buf := encodeI64Block(buf, ints)
-		if len(buf)+1 < rawSize {
+		var codec byte
+		codec, e.inner = e.encodeI64Block(e.inner[:0], ints)
+		if len(e.inner)+1 < rawSize {
 			dst = append(dst, codec)
-			return codecIntF64, append(dst, buf...)
+			return codecIntF64, append(dst, e.inner...)
 		}
 	}
 
@@ -362,14 +378,16 @@ func encodeF64Block(dst []byte, vals []float64) (byte, []byte) {
 	// mantissas (uniform noise) make XOR a guaranteed loss, and the sample
 	// spots that without paying for a full encode.
 	if xorProfitable(vals) {
-		buf := encodeXorF64(nil, vals)
-		if len(buf) < rawSize {
-			return codecXorF64, append(dst, buf...)
+		e.cand = encodeXorF64(e.cand[:0], vals)
+		if len(e.cand) < rawSize {
+			return codecXorF64, append(dst, e.cand...)
 		}
 	}
 
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	n := len(dst)
+	dst = append(dst, make([]byte, rawSize)...)
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(dst[n+8*i:], math.Float64bits(v))
 	}
 	return codecRawF64, dst
 }

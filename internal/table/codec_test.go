@@ -30,23 +30,23 @@ func adversarialI64() map[string][]int64 {
 		dense[i] = 1_000_000 + int64(i)
 	}
 	return map[string][]int64{
-		"single":       {42},
-		"constant":     {7, 7, 7, 7, 7, 7, 7},
-		"constantMin":  {math.MinInt64, math.MinInt64, math.MinInt64},
-		"extremes":     {math.MinInt64, math.MaxInt64, 0, -1, 1, math.MinInt64 + 1},
-		"runs":         long,
-		"wide":         wide,
-		"sparseDict":   dict,
-		"denseRange":   dense,
-		"negativeRun":  {-5, -5, -5, -5, -4, -4, -4, -4, -3, -3, -3, -3},
-		"alternating":  {0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1},
+		"single":        {42},
+		"constant":      {7, 7, 7, 7, 7, 7, 7},
+		"constantMin":   {math.MinInt64, math.MinInt64, math.MinInt64},
+		"extremes":      {math.MinInt64, math.MaxInt64, 0, -1, 1, math.MinInt64 + 1},
+		"runs":          long,
+		"wide":          wide,
+		"sparseDict":    dict,
+		"denseRange":    dense,
+		"negativeRun":   {-5, -5, -5, -5, -4, -4, -4, -4, -3, -3, -3, -3},
+		"alternating":   {0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1},
 		"fullRangePair": {math.MinInt64, math.MaxInt64},
 	}
 }
 
 func TestI64CodecRoundTrip(t *testing.T) {
 	for name, vals := range adversarialI64() {
-		codec, buf := encodeI64Block(nil, vals)
+		codec, buf := new(encScratch).encodeI64Block(nil, vals)
 		got := make([]int64, len(vals))
 		decodeI64Block(codec, buf, got)
 		for i := range vals {
@@ -99,7 +99,7 @@ func adversarialF64() map[string][]float64 {
 
 func TestF64CodecRoundTrip(t *testing.T) {
 	for name, vals := range adversarialF64() {
-		codec, buf := encodeF64Block(nil, vals)
+		codec, buf := new(encScratch).encodeF64Block(nil, vals)
 		got := make([]float64, len(vals))
 		decodeF64Block(codec, buf, got, nil)
 		for i := range vals {
@@ -185,7 +185,7 @@ func FuzzI64Codec(f *testing.F) {
 		if len(vals) == 0 || len(vals) > BlockRows {
 			return
 		}
-		codec, buf := encodeI64Block(nil, vals)
+		codec, buf := new(encScratch).encodeI64Block(nil, vals)
 		got := make([]int64, len(vals))
 		decodeI64Block(codec, buf, got)
 		for i := range vals {
@@ -207,7 +207,7 @@ func FuzzF64Codec(f *testing.F) {
 		if len(vals) == 0 || len(vals) > BlockRows {
 			return
 		}
-		codec, buf := encodeF64Block(nil, vals)
+		codec, buf := new(encScratch).encodeF64Block(nil, vals)
 		got := make([]float64, len(vals))
 		decodeF64Block(codec, buf, got, nil)
 		for i := range vals {

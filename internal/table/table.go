@@ -71,8 +71,8 @@ type Column interface {
 	Type() Type
 	// slice returns a view of rows [i, j) sharing storage.
 	slice(i, j int) Column
-	// gather returns a new column of the rows at idx.
-	gather(idx []int) Column
+	// gather returns a new raw column of the rows at p.idx (see gather.go).
+	gather(p *gatherPlan) Column
 	// sizeBytes is the LOGICAL size: what the decoded values occupy. It is
 	// backing-invariant, so BytesScanned stays comparable across backings.
 	sizeBytes() int64
@@ -95,9 +95,9 @@ func (c Float64Col) Type() Type { return Float64 }
 
 func (c Float64Col) slice(i, j int) Column { return c[i:j] }
 
-func (c Float64Col) gather(idx []int) Column {
-	out := make(Float64Col, len(idx))
-	for k, i := range idx {
+func (c Float64Col) gather(p *gatherPlan) Column {
+	out := make(Float64Col, len(p.idx))
+	for k, i := range p.idx {
 		out[k] = c[i]
 	}
 	return out
@@ -116,9 +116,9 @@ func (c Int64Col) Type() Type { return Int64 }
 
 func (c Int64Col) slice(i, j int) Column { return c[i:j] }
 
-func (c Int64Col) gather(idx []int) Column {
-	out := make(Int64Col, len(idx))
-	for k, i := range idx {
+func (c Int64Col) gather(p *gatherPlan) Column {
+	out := make(Int64Col, len(p.idx))
+	for k, i := range p.idx {
 		out[k] = c[i]
 	}
 	return out
@@ -137,9 +137,9 @@ func (c StringCol) Type() Type { return String }
 
 func (c StringCol) slice(i, j int) Column { return c[i:j] }
 
-func (c StringCol) gather(idx []int) Column {
-	out := make(StringCol, len(idx))
-	for k, i := range idx {
+func (c StringCol) gather(p *gatherPlan) Column {
+	out := make(StringCol, len(p.idx))
+	for k, i := range p.idx {
 		out[k] = c[i]
 	}
 	return out
@@ -321,16 +321,6 @@ func (t *Table) PartitionAligned(k int) []*Table {
 		start = end
 	}
 	return parts
-}
-
-// Gather returns a new table containing the rows at idx, in order. Indices
-// may repeat (sampling with replacement).
-func (t *Table) Gather(idx []int) *Table {
-	cols := make([]Column, len(t.cols))
-	for k, c := range t.cols {
-		cols[k] = c.gather(idx)
-	}
-	return &Table{schema: t.schema, cols: cols, rows: len(idx)}
 }
 
 // WithColumn returns a new table view with an extra column appended. The
