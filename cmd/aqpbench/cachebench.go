@@ -50,7 +50,7 @@ type cacheEvict struct {
 	// SlowdownVsBaseline is warm ms-per-round over the cache-off baseline:
 	// near 1.0 means degradation is graceful, not a cliff.
 	SlowdownVsBaseline float64 `json:"slowdown_vs_baseline"`
-	Divergence         int    `json:"divergence"`
+	Divergence         int     `json:"divergence"`
 }
 
 // cacheSweepPoint is one budget fraction in the degradation sweep.

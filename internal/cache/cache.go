@@ -21,11 +21,10 @@ import (
 	"repro/internal/obs"
 )
 
-// block value kinds; part of the cache key so a column read both widened
-// (ReadF64 on an int64 column) and natively never aliases entries.
+// block value kinds; part of the cache key so an entry is only ever read
+// back as the type it was decoded to.
 const (
 	kindF64 = iota
-	kindI64
 	kindStr
 )
 
@@ -48,7 +47,7 @@ type blockKey struct {
 // one-pass sweep that would flush a plain LRU.
 type entry struct {
 	key   blockKey
-	val   any // []float64, []int64 or []string
+	val   any // []float64 or []string
 	bytes int64
 	ref   atomic.Bool
 }
@@ -154,31 +153,17 @@ func (c *BlockCache) shard(k blockKey) *blockShard {
 // decode on a miss. hit reports whether the block was served without
 // decoding (fill not called). The returned slice is shared and read-only.
 func (c *BlockCache) GetF64(col any, b, bLen int, fill func([]float64)) (vals []float64, hit bool) {
-	v, hit := c.get(blockKey{col: col, block: b, kind: kindF64},
-		int64(bLen)*8+entryOverhead,
-		func() any {
+	v, hit := c.getSized(blockKey{col: col, block: b, kind: kindF64},
+		func() (any, int64) {
 			dst := make([]float64, bLen)
 			fill(dst)
-			return dst
+			return dst, int64(bLen)*8 + entryOverhead
 		})
 	return v.([]float64), hit
 }
 
-// GetI64 is GetF64 for int64-decoded blocks.
-func (c *BlockCache) GetI64(col any, b, bLen int, fill func([]int64)) (vals []int64, hit bool) {
-	v, hit := c.get(blockKey{col: col, block: b, kind: kindI64},
-		int64(bLen)*8+entryOverhead,
-		func() any {
-			dst := make([]int64, bLen)
-			fill(dst)
-			return dst
-		})
-	return v.([]int64), hit
-}
-
-// GetStr is GetF64 for string blocks. sized is called after decode to
-// account the payload (string headers plus bytes), since the size is not
-// known up front.
+// GetStr is GetF64 for string blocks. The payload (string headers plus
+// bytes) is accounted after the decode, since the size is not known up front.
 func (c *BlockCache) GetStr(col any, b, bLen int, fill func([]string)) (vals []string, hit bool) {
 	v, hit := c.getSized(blockKey{col: col, block: b, kind: kindStr},
 		func() (any, int64) {
@@ -191,10 +176,6 @@ func (c *BlockCache) GetStr(col any, b, bLen int, fill func([]string)) (vals []s
 			return dst, sz
 		})
 	return v.([]string), hit
-}
-
-func (c *BlockCache) get(k blockKey, sz int64, fill func() any) (any, bool) {
-	return c.getSized(k, func() (any, int64) { return fill(), sz })
 }
 
 func (c *BlockCache) getSized(k blockKey, fill func() (any, int64)) (any, bool) {

@@ -43,14 +43,14 @@ func TestBlockCacheKindsDoNotAlias(t *testing.T) {
 	col := new(int)
 	var d atomic.Int64
 	c.GetF64(col, 0, 8, fillN(0, &d))
-	_, hit := c.GetI64(col, 0, 8, func(dst []int64) {
+	_, hit := c.GetStr(col, 0, 8, func(dst []string) {
 		d.Add(1)
 		for i := range dst {
-			dst[i] = int64(i)
+			dst[i] = "s"
 		}
 	})
 	if hit {
-		t.Fatal("an int64 read aliased a float64 entry for the same block")
+		t.Fatal("a string read aliased a float64 entry for the same block")
 	}
 	if d.Load() != 2 {
 		t.Fatalf("decodes = %d, want 2 (one per kind)", d.Load())

@@ -110,20 +110,22 @@ func (e *Engine) CachedAnswer(ctx context.Context, query string, kCap int) (*Ans
 }
 
 // CacheStats is the /debug/cache document: per-layer counters plus the
-// per-table hot residency breakdown.
+// per-sample hot residency breakdown.
 type CacheStats struct {
-	Enabled    bool               `json:"enabled"`
-	Generation uint64             `json:"catalog_generation"`
-	Block      cache.BlockStats   `json:"block"`
-	Predicate  cache.PredStats    `json:"predicate"`
-	Answer     cache.AnswerStats  `json:"answer"`
-	Tables     []TableCacheStats  `json:"tables,omitempty"`
+	Enabled    bool              `json:"enabled"`
+	Generation uint64            `json:"catalog_generation"`
+	Block      cache.BlockStats  `json:"block"`
+	Predicate  cache.PredStats   `json:"predicate"`
+	Answer     cache.AnswerStats `json:"answer"`
+	Tables     []TableCacheStats `json:"tables,omitempty"`
 }
 
-// TableCacheStats reports how much of one stored table (a registered full
-// table or one of its samples) is resident in the block cache.
+// TableCacheStats reports how much of one stored sample is resident in the
+// block cache. Base tables are never listed: only exact plans read them, and
+// the exact operator streams past the cache.
 type TableCacheStats struct {
-	// Name is the registered table name; samples append "/sample[rows]".
+	// Name is the registered table name plus "/sample[rows]" or
+	// "/stratified[key]".
 	Name string `json:"name"`
 	// ResidentBytes is decoded bytes of this table held in the cache.
 	ResidentBytes int64 `json:"resident_bytes"`
@@ -172,7 +174,6 @@ func (e *Engine) CacheStatsSnapshot(limit int) CacheStats {
 	}
 	var stored []named
 	for name, rt := range e.tables {
-		stored = append(stored, named{name, rt.full})
 		for _, s := range rt.samples {
 			stored = append(stored,
 				named{fmt.Sprintf("%s/sample[%d]", name, s.Data.NumRows()), s.Data})

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/rng"
 	"repro/internal/table"
 )
 
@@ -435,5 +436,122 @@ func TestExecPoolNoLeak(t *testing.T) {
 			t.Fatalf("cacheBytes=%d: %d pooled buffers outstanding after all paths",
 				cacheBytes, exec.PoolOutstanding()-base)
 		}
+	}
+}
+
+// TestExactScansLeaveBlockCacheToSample pins what the block cache holds: the
+// sample, which every approximate query re-reads, and nothing of the base
+// table, which only exact plans read and which they stream past the cache.
+// With a budget of twice the decoded sample, diagnostic fallbacks and
+// RunExact calls over a table several times that size evict nothing, leave
+// the sample's residency as it was, never list the base table on
+// /debug/cache, and answer with the cache-off engine's bits and decode counts.
+func TestExactScansLeaveBlockCacheToSample(t *testing.T) {
+	const n, sampleRows = 60000, 8000
+	build := func(cacheBytes int64) *Engine {
+		src := rng.New(431)
+		time, heavy := make(table.Float64Col, n), make(table.Float64Col, n)
+		shard, city := make(table.Int64Col, n), make(table.StringCol, n)
+		names := []string{"NYC", "SF", "LA", "CHI"}
+		for i := 0; i < n; i++ {
+			time[i] = 60 + 20*src.NormFloat64()
+			heavy[i] = src.Pareto(1, 1.05)
+			shard[i] = 1<<40 + int64(src.Intn(7))
+			city[i] = names[src.Intn(len(names))]
+		}
+		e := New(Config{Seed: 79, Backing: table.BackingCompressed,
+			SampleBacking: table.BackingCompressed, CacheBytes: cacheBytes})
+		t.Cleanup(func() { e.Close() })
+		if err := e.RegisterTable("T", table.MustNew(table.Schema{
+			{Name: "Time", Type: table.Float64}, {Name: "Heavy", Type: table.Float64},
+			{Name: "Shard", Type: table.Int64}, {Name: "City", Type: table.String},
+		}, time, heavy, shard, city)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.BuildSamples("T", sampleRows); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	off := build(0)
+	on := build(2 * off.tables["T"].samples[0].Data.SizeBytes())
+
+	// Two approximate runs over every column bring the whole sample in.
+	for _, lit := range []string{"0", "1"} {
+		if _, err := on.Query("SELECT AVG(Time), AVG(Heavy) FROM T WHERE Shard > " + lit + " AND City != 'zz'"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sampleResidency := func(st CacheStats) int64 {
+		t.Helper()
+		if len(st.Tables) != 1 || st.Tables[0].Name != fmt.Sprintf("T/sample[%d]", sampleRows) {
+			t.Fatalf("/debug/cache lists %+v, want the sample alone", st.Tables)
+		}
+		return st.Tables[0].ResidentBytes
+	}
+	warm := on.CacheStatsSnapshot(16)
+	warmSample := sampleResidency(warm)
+	if warm.Block.Evictions != 0 || warmSample == 0 {
+		t.Fatalf("warm-up: %+v", warm.Block)
+	}
+
+	for _, q := range []string{
+		"SELECT MAX(Heavy) FROM T",
+		"SELECT Shard, AVG(Time), MAX(Heavy) FROM T GROUP BY Shard",
+		"SELECT City, SUM(Time), PERCENTILE(Heavy, 0.5) FROM T WHERE Time > 50 GROUP BY City",
+	} {
+		ref, err := off.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := on.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fellBack := false
+		for _, g := range got.Groups {
+			for _, a := range g.Aggs {
+				fellBack = fellBack || (a.Exact && !a.DiagnosticOK)
+			}
+		}
+		if !fellBack {
+			t.Fatalf("%q: no aggregate fell back to exact execution", q)
+		}
+		if !bitsEqual(cacheAnswerBits(ref), cacheAnswerBits(got)) {
+			t.Errorf("%q: fallback answer diverged from cache-off", q)
+		}
+	}
+	for _, q := range []string{
+		"SELECT AVG(Time), PERCENTILE(Heavy, 0.9) FROM T WHERE City = 'LA'",
+		"SELECT Shard, COUNT(*), MIN(Time) FROM T WHERE Shard > 5 GROUP BY Shard",
+		"SELECT City, AVG(Heavy), SUM(Shard) FROM T GROUP BY City",
+	} {
+		ref, err := off.QueryExact(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			got, err := on.QueryExact(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitsEqual(cacheAnswerBits(ref), cacheAnswerBits(got)) {
+				t.Errorf("%q: exact answer diverged from cache-off", q)
+			}
+			c := got.Counters
+			if c.CacheHits != 0 || c.CacheBytes != 0 || c.BlocksDecoded != ref.Counters.BlocksDecoded {
+				t.Errorf("%q round %d: %d cache hits (%d B), %d blocks decoded; want none and the cache-off %d",
+					q, round, c.CacheHits, c.CacheBytes, c.BlocksDecoded, ref.Counters.BlocksDecoded)
+			}
+		}
+	}
+
+	after := on.CacheStatsSnapshot(16)
+	if after.Block.Evictions != 0 {
+		t.Errorf("%d evictions: exact scans pushed table blocks through the cache", after.Block.Evictions)
+	}
+	if after.Block.Bytes != warm.Block.Bytes || sampleResidency(after) != warmSample {
+		t.Errorf("residency moved: %d B (sample %d) -> %d B (sample %d)",
+			warm.Block.Bytes, warmSample, after.Block.Bytes, sampleResidency(after))
 	}
 }

@@ -477,8 +477,6 @@ func (e *Engine) applyFallback(ctx context.Context, qt *obs.QueryTrace, ans *Ans
 	ans.Counters.BlocksSkipped += exact.Counters.BlocksSkipped
 	ans.Counters.BlocksDecoded += exact.Counters.BlocksDecoded
 	ans.Counters.DecodeNanos += exact.Counters.DecodeNanos
-	ans.Counters.CacheHits += exact.Counters.CacheHits
-	ans.Counters.CacheBytes += exact.Counters.CacheBytes
 	ans.Elapsed += exact.Elapsed
 	return nil
 }

@@ -226,16 +226,17 @@ func run(ctx context.Context, src *rng.Source, values []float64, q estimator.Que
 	base := src.Uint64()
 
 	res := Result{PerSize: make([]SizeStats, 0, len(cfg.SubsampleSizes))}
+	// θ and ξ on each subsample, fanned across the worker pool. ests is the
+	// truth ladder; widths is ξ's per-subsample half-width. Every size
+	// overwrites all P entries, and a non-nil errs entry ends the run.
+	ests := make([]float64, cfg.P)
+	widths := make([]float64, cfg.P)
+	errs := make([]error, cfg.P)
 	for si, b := range cfg.SubsampleSizes {
 		subs, err := sample.DisjointSubsamples(s, b, cfg.P)
 		if err != nil {
 			return Result{}, err
 		}
-		// θ and ξ on each subsample, fanned across the worker pool. ests
-		// is the truth ladder; widths is ξ's per-subsample half-width.
-		ests := make([]float64, cfg.P)
-		widths := make([]float64, cfg.P)
-		errs := make([]error, cfg.P)
 		evalRange := func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				if done != nil {
@@ -296,7 +297,8 @@ func run(ctx context.Context, src *rng.Source, values []float64, q estimator.Que
 			}
 		}
 		res.SubsampleQueries += cfg.P // truth: one θ per subsample
-		x := stats.SymmetricHalfWidth(ests, t, cfg.Alpha)
+		// ests is rewritten by the next size and not read again at this one.
+		x := stats.SymmetricHalfWidthInPlace(ests, t, cfg.Alpha)
 		res.SubsampleQueries += cfg.P // ξ costs at least one θ-scale pass per subsample
 
 		st := SizeStats{Size: b, TrueHalfWidth: x}

@@ -8,8 +8,11 @@ import (
 	"testing"
 
 	"repro/internal/estimator"
+	"repro/internal/kernel"
 	"repro/internal/rng"
 	"repro/internal/sample"
+	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 func gaussianSample(seed uint64, n int, mu, sigma float64) []float64 {
@@ -360,3 +363,72 @@ func BenchmarkDiagnosticBootstrap(b *testing.B) {
 }
 
 var _ = sample.Shuffled // documents the dependency exercised above
+
+// genericBootstrap is the bootstrap ξ as it ran before the sort-once walk and
+// the reused scratch: the same two draws off src, every θ through
+// Query.EvalWeighted, a fresh deviation vector per interval.
+type genericBootstrap struct{ k int }
+
+func (genericBootstrap) Name() string                   { return "generic-bootstrap" }
+func (genericBootstrap) AppliesTo(estimator.Query) bool { return true }
+func (g genericBootstrap) Interval(src *rng.Source, values []float64, q estimator.Query, alpha float64) (estimator.Interval, error) {
+	seed, stream := src.Uint64(), src.Uint64()
+	ests, _ := kernel.Generic(context.Background(), values, g.k, seed, stream, 1, q.EvalWeighted)
+	center := q.Eval(values)
+	return estimator.Interval{Center: center, HalfWidth: stats.SymmetricHalfWidth(ests, center, alpha)}, nil
+}
+
+// TestDiagnosticLadderMatchesGenericPath pins the ladder's fast paths —
+// sort-once order statistics inside ξ, pooled UDF scratch, the per-run
+// estimate vectors overwritten in place — to the plain implementation:
+// verdict, reason and every per-size statistic bit-identical, at every
+// worker count, with the pools warm (second round) or cold.
+func TestDiagnosticLadderMatchesGenericPath(t *testing.T) {
+	samples := map[string][]float64{
+		"gaussian": gaussianSample(50, 20000, 100, 15),
+		"pareto":   paretoSample(51, 30000, 1.1),
+	}
+	if testing.Short() {
+		delete(samples, "gaussian")
+	}
+	queries := []estimator.Query{
+		{Kind: estimator.Min}, {Kind: estimator.Max},
+		{Kind: estimator.Percentile, Pct: 0.5}, {Kind: estimator.Percentile, Pct: 0.95},
+		{Kind: estimator.UDF, FnName: "median_abs_dev", Fn: workload.UDFByName("median_abs_dev").Fn},
+		{Kind: estimator.UDF, FnName: "trimmed_mean_5", Fn: workload.UDFByName("trimmed_mean_5").Fn},
+	}
+	for name, s := range samples {
+		for _, q := range queries {
+			cfg := smallConfig(len(s))
+			want, err := Run(context.Background(), rng.New(52), s, q, genericBootstrap{k: 30}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 2; round++ {
+				for _, workers := range []int{1, 2, 8} {
+					cfg.Workers = workers
+					got, err := Run(context.Background(), rng.New(52), s, q, estimator.Bootstrap{K: 30}, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// DeepEqual compares floats with ==; the ladder's NaN
+					// and ±0 cases are compared as bits below.
+					if got.OK != want.OK || got.Reason != want.Reason ||
+						got.SubsampleQueries != want.SubsampleQueries || len(got.PerSize) != len(want.PerSize) {
+						t.Fatalf("%s %s workers=%d: %+v, want %+v", name, q.Name(), workers, got, want)
+					}
+					for i, g := range got.PerSize {
+						w := want.PerSize[i]
+						for f, pair := range [][2]float64{{g.TrueHalfWidth, w.TrueHalfWidth},
+							{g.Delta, w.Delta}, {g.Sigma, w.Sigma}, {g.Pi, w.Pi}} {
+							if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+								t.Errorf("%s %s workers=%d size %d field %d: %v, want %v",
+									name, q.Name(), workers, g.Size, f, pair[0], pair[1])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -109,7 +109,8 @@ func (b Bootstrap) IntervalContext(ctx context.Context, src *rng.Source, values 
 		hi := stats.Quantile(ests, (1+alpha)/2)
 		half = (hi - lo) / 2
 	default:
-		half = stats.SymmetricHalfWidth(ests, center, alpha)
+		// ests is this call's own and is not read again.
+		half = stats.SymmetricHalfWidthInPlace(ests, center, alpha)
 	}
 	return Interval{Center: center, HalfWidth: half}, nil
 }
@@ -141,7 +142,9 @@ func (b Bootstrap) estimatesContext(ctx context.Context, src *rng.Source, values
 	}
 	if !q.FusedApplicable() {
 		seed, stream := src.Uint64(), src.Uint64()
-		out, _ := kernel.Generic(ctx, values, k, seed, stream, 1, q.EvalWeighted)
+		theta, release := q.ResampleTheta(values)
+		defer release()
+		out, _ := kernel.Generic(ctx, values, k, seed, stream, 1, theta)
 		return out
 	}
 	seed, stream := src.Uint64(), src.Uint64()

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/estimator"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -30,8 +29,13 @@ import (
 // Rows are folded in row order, the order the materializing path hands a
 // group's values to Query.Eval, and the sinks perform the same operations
 // (Moments.Add, sum += v), so answers are bit-identical to it on every
-// backing and cache setting. The scan runs on the calling goroutine:
-// Config.Workers does not apply, so there is nothing for it to vary.
+// backing. The scan runs on the calling goroutine: Config.Workers does not
+// apply, so there is nothing for it to vary.
+//
+// The operator reads past the decoded-block cache (Config.Blocks): its
+// blocks are read once, and admitting them would evict the sample blocks
+// every approximate query re-reads (DESIGN.md §15). Config.Preds still
+// serves the zone-map skip list.
 
 // isExact reports whether the plan asks for exact execution on st.
 func isExact(nodes nodeSet, st *StoredTable) bool {
@@ -39,18 +43,20 @@ func isExact(nodes nodeSet, st *StoredTable) bool {
 }
 
 // exactInput is one distinct aggregate input expression and the sink kinds
-// the aggregates reading it need.
+// the aggregates reading it need. udf marks a vector a UDF reads, which must
+// reach it in row order.
 type exactInput struct {
-	expr              sql.Expr
-	sum, moments, vec bool
+	expr                   sql.Expr
+	sum, moments, vec, udf bool
 }
 
 // inputSink is one (group, input) accumulator; only the members the input's
-// aggregates need are maintained.
+// aggregates need are maintained. sorted: finalize has sorted vec in place.
 type inputSink struct {
-	sum float64
-	m   stats.Moments
-	vec []float64
+	sum    float64
+	m      stats.Moments
+	vec    []float64
+	sorted bool
 }
 
 type exactGroup struct {
@@ -67,7 +73,6 @@ type exactScan struct {
 	// aggInput maps each aggregate to its entry in inputs (-1: the row
 	// indicator COUNT reads).
 	aggInput []int
-	blocks   *cache.BlockCache
 
 	// GROUP BY key: keyIdx is its schema index (-1 when ungrouped). An
 	// int64 key is read natively — float64 cannot carry every int64 — and
@@ -99,7 +104,7 @@ type blockEval struct {
 	keyS  []string
 	keyI  []int64
 	keyF  []float64
-	// i64buf backs keyI for lazily decoded keys without a block cache.
+	// i64buf backs keyI for lazily decoded keys.
 	i64buf []int64
 }
 
@@ -109,7 +114,7 @@ func runExact(ctx context.Context, nodes nodeSet, st *StoredTable, udfs Registry
 	grouped := len(nodes.agg.GroupBy) > 0
 	scanSpan := cfg.Span.StartSpan(obs.StageScan)
 
-	s := &exactScan{tbl: tbl, blocks: cfg.Blocks, keyIdx: -1, aggInput: make([]int, len(nodes.agg.Aggs))}
+	s := &exactScan{tbl: tbl, keyIdx: -1, aggInput: make([]int, len(nodes.agg.Aggs))}
 	var skip []bool
 	var c Counters
 	if nodes.filter != nil {
@@ -140,7 +145,6 @@ func runExact(ctx context.Context, nodes nodeSet, st *StoredTable, udfs Registry
 	c.Subqueries, c.Scans, c.Tasks = 1, 1, 1
 	c.RowsScanned, c.BytesScanned = int64(tbl.NumRows()), tbl.SizeBytes()
 	c.BlocksDecoded, c.DecodeNanos = meter.blocks, meter.nanos
-	c.CacheHits, c.CacheBytes = meter.hits, meter.hitBytes
 	for i := range s.groups {
 		c.RowsAfterFilter += s.groups[i].rows
 	}
@@ -201,8 +205,10 @@ func (s *exactScan) plan(agg *plan.Aggregate) error {
 		switch spec.Kind {
 		case estimator.Sum:
 			s.inputs[ii].sum = true
-		case estimator.Percentile, estimator.UDF:
+		case estimator.Percentile:
 			s.inputs[ii].vec = true
+		case estimator.UDF:
+			s.inputs[ii].vec, s.inputs[ii].udf = true, true
 		default:
 			s.inputs[ii].moments = true
 		}
@@ -256,7 +262,7 @@ func (s *exactScan) planKey(agg *plan.Aggregate) error {
 func (s *exactScan) scan(ctx context.Context, skip []bool) (decodeMeter, error) {
 	const ctxCheckBlocks = 64
 	be := blockEval{vals: make([]value, len(s.inputs))}
-	be.sc = scratch{m: &be.meter, blocks: s.blocks, memo: make([]value, s.tbl.NumCols())}
+	be.sc = scratch{m: &be.meter, memo: make([]value, s.tbl.NumCols())}
 	n := s.tbl.NumRows()
 	visited := 0
 	for row := 0; row < n; {
@@ -335,10 +341,9 @@ func (s *exactScan) evalBlock(be *blockEval, row, end int) error {
 }
 
 // readKeyI64 reads the int64 GROUP BY key of the block starting at row
-// natively: raw columns by reference, lazy ones through the block cache or
-// one metered decode. When the predicate or an input names the column too,
-// the float64 form they evaluate over is derived here and memoized, not
-// decoded a second time.
+// natively: raw columns by reference, lazy ones with one metered decode. When
+// the predicate or an input names the column too, the float64 form they
+// evaluate over is derived here and memoized, not decoded a second time.
 func (s *exactScan) readKeyI64(be *blockEval, row int) {
 	col := s.tbl.Column(s.keyIdx)
 	if c, ok := col.(table.Int64Col); ok {
@@ -346,30 +351,12 @@ func (s *exactScan) readKeyI64(be *blockEval, row int) {
 		return
 	}
 	start := time.Now()
-	base, boff := table.BlockBase(col)
-	br, cacheable := base.(table.I64Reader)
-	if abs := boff + row; s.blocks != nil && cacheable && abs%table.BlockRows == 0 {
-		bLen := base.Len() - abs
-		if bLen > table.BlockRows {
-			bLen = table.BlockRows
-		}
-		vals, hit := s.blocks.GetI64(base, abs/table.BlockRows, bLen,
-			func(dst []int64) { br.ReadI64(dst, abs) })
-		be.keyI = vals[:be.n]
-		if hit {
-			be.meter.hits++
-			be.meter.hitBytes += int64(be.n) * 8
-		} else {
-			be.meter.blocks++
-		}
-	} else {
-		if be.i64buf == nil {
-			be.i64buf = make([]int64, table.ZoneBlockRows)
-		}
-		be.keyI = be.i64buf[:be.n]
-		col.(table.I64Reader).ReadI64(be.keyI, row)
-		be.meter.blocks++
+	if be.i64buf == nil {
+		be.i64buf = make([]int64, table.ZoneBlockRows)
 	}
+	be.keyI = be.i64buf[:be.n]
+	col.(table.I64Reader).ReadI64(be.keyI, row)
+	be.meter.blocks++
 	be.meter.nanos += time.Since(start).Nanoseconds()
 	if s.keyInPred || s.keyInInputs {
 		nums := be.sc.getF64(be.n)
@@ -462,7 +449,16 @@ func (s *exactScan) finalize(g *exactGroup, ai int, kind estimator.AggKind, q es
 	}
 	switch kind {
 	case estimator.Percentile, estimator.UDF:
-		return q.Eval(sink.vec)
+		if kind == estimator.UDF || s.inputs[s.aggInput[ai]].udf {
+			return q.Eval(sink.vec)
+		}
+		// The sink owns vec and no UDF wants it in row order, so the sort
+		// stats.Quantile performs on a copy runs on vec itself, once.
+		if !sink.sorted {
+			sort.Float64s(sink.vec)
+			sink.sorted = true
+		}
+		return stats.QuantileSorted(sink.vec, q.Pct)
 	case estimator.Sum, estimator.Count:
 		if !grouped && s.tbl.NumRows() == 0 {
 			return math.NaN()

@@ -433,3 +433,82 @@ func TestExactGroupedAllocationsDoNotScaleWithRows(t *testing.T) {
 			large/small, small, large)
 	}
 }
+
+// TestExactPercentileOwnsItsVector covers the in-place sort of a holistic
+// sink: several percentiles over one input share one sorted vector, and an
+// input a UDF also reads is left in row order for it — ROWSUM folds its
+// values left to right, so a sorted vector would change its bits.
+func TestExactPercentileOwnsItsVector(t *testing.T) {
+	raw := exactCorpus()
+	udfs := Registry{"ROWSUM": func(values, _ []float64) float64 {
+		sum := 0.0
+		for i, v := range values {
+			sum += v / float64(i+1)
+		}
+		return sum
+	}}
+	for _, q := range []string{
+		"SELECT PERCENTILE(y, 0.9), PERCENTILE(y, 0.1), PERCENTILE(y, 0.5) FROM T",
+		"SELECT PERCENTILE(y, 0.9), ROWSUM(y), PERCENTILE(y, 0.1), PERCENTILE(x, 0.5), PERCENTILE(x, 0.25) FROM T WHERE day < 9",
+		"SELECT city, PERCENTILE(y, 0.75), ROWSUM(y), PERCENTILE(y, 0.25), PERCENTILE(y * 2, 0.5), PERCENTILE(y * 2, 0.99) FROM T GROUP BY city",
+	} {
+		p := mustPlan(t, q, plan.Options{}, "ROWSUM")
+		want, err := referenceExact(p, raw, udfs)
+		if err != nil {
+			t.Fatalf("reference %q: %v", q, err)
+		}
+		for name, data := range backingVariants(t, raw) {
+			got, err := Run(context.Background(), p, map[string]*StoredTable{"T": {Data: data}}, udfs, Config{})
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, q, err)
+			}
+			groupsBitEqual(t, name+": "+q, got.Groups, want)
+		}
+	}
+}
+
+// TestExactOperatorReadsPastBlockCache: an exact plan over a lazy table
+// decodes into its own scratch and leaves an attached block cache untouched —
+// no lookups, no residents — with the counters of a cache-less run, while the
+// predicate memo still serves its zone-map skip list.
+func TestExactOperatorReadsPastBlockCache(t *testing.T) {
+	raw := exactCorpus()
+	for name, data := range backingVariants(t, raw) {
+		if name == "raw" {
+			continue
+		}
+		tables := map[string]*StoredTable{"T": {Data: data}}
+		for _, q := range []string{
+			"SELECT big, AVG(y), PERCENTILE(x, 0.5) FROM T WHERE day >= 2 AND big > 0 GROUP BY big",
+			"SELECT city, SUM(y), COUNT(*) FROM T WHERE city != 'SF' GROUP BY city",
+		} {
+			p := mustPlan(t, q, plan.Options{})
+			plain, err := Run(context.Background(), p, tables, nil, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{
+				Blocks: cache.NewBlockCache(cache.BlockConfig{Bytes: 1 << 20}),
+				Preds:  cache.NewPredMemo(nil),
+			}
+			for pass := 0; pass < 2; pass++ {
+				got, err := Run(context.Background(), p, tables, nil, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				groupsBitEqual(t, name+": "+q, got.Groups, plain.Groups)
+				got.Counters.DecodeNanos, plain.Counters.DecodeNanos = 0, 0
+				if got.Counters != plain.Counters {
+					t.Errorf("%s %q pass %d: counters %+v, want the cache-less %+v",
+						name, q, pass, got.Counters, plain.Counters)
+				}
+			}
+			if st := cfg.Blocks.Stats(); st.Hits+st.Misses != 0 || st.Entries != 0 || st.Bytes != 0 {
+				t.Errorf("%s %q: exact scan touched the block cache: %+v", name, q, st)
+			}
+			if st := cfg.Preds.Stats(); st.Hits != 1 || st.SkipLists != 1 {
+				t.Errorf("%s %q: predicate memo %+v, want one stored skip list hit once", name, q, st)
+			}
+		}
+	}
+}

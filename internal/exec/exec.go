@@ -57,7 +57,7 @@ type Config struct {
 	// Blocks, when non-nil, is the cross-query decoded-block cache: reader
 	// gathers consult it before paying a codec decode. Hits are metered in
 	// Counters.CacheHits/CacheBytes. Nil reproduces decode-every-time
-	// behavior exactly.
+	// behavior exactly. Exact plans stream past it (exact.go).
 	Blocks *cache.BlockCache
 	// Preds, when non-nil, memoizes zone-map skip lists per (table,
 	// predicate text) and feeds measured-selectivity hints back into the
@@ -992,8 +992,10 @@ func bootstrapEstimates(ctx context.Context, nodes nodeSet, values []float64, q 
 		}
 		c.Tasks += sums.Tasks
 	} else {
+		theta, release := q.ResampleTheta(values)
 		var tasks int
-		ests, tasks = kernel.Generic(ctx, values, k, cfg.Seed, stream, cfg.workers(), q.EvalWeighted)
+		ests, tasks = kernel.Generic(ctx, values, k, cfg.Seed, stream, cfg.workers(), theta)
+		release()
 		if err := ctx.Err(); err != nil {
 			return nil, c, err
 		}

@@ -160,8 +160,8 @@ type Server struct {
 	drained  chan struct{} // closed when draining and inflight hits zero
 	batches  map[string]*batchGroup
 
-	gInflight  *obs.Gauge
-	gQueued    *obs.Gauge
+	gInflight   *obs.Gauge
+	gQueued     *obs.Gauge
 	admitted    *obs.Counter
 	cancelled   *obs.Counter
 	cacheServed *obs.Counter

@@ -272,15 +272,21 @@ func WeightedQuantile(xs, ws []float64, q float64) float64 {
 //
 // It returns NaN for empty input or alpha outside (0, 1].
 func SymmetricHalfWidth(xs []float64, center, alpha float64) float64 {
+	return SymmetricHalfWidthInPlace(append([]float64(nil), xs...), center, alpha)
+}
+
+// SymmetricHalfWidthInPlace is SymmetricHalfWidth for callers that own xs
+// and are done with it: xs is overwritten with the sorted absolute
+// deviations instead of a copy being allocated for them.
+func SymmetricHalfWidthInPlace(xs []float64, center, alpha float64) float64 {
 	n := len(xs)
 	if n == 0 || alpha <= 0 || alpha > 1 {
 		return math.NaN()
 	}
-	devs := make([]float64, n)
 	for i, x := range xs {
-		devs[i] = math.Abs(x - center)
+		xs[i] = math.Abs(x - center)
 	}
-	sort.Float64s(devs)
+	sort.Float64s(xs)
 	k := int(math.Ceil(alpha * float64(n)))
 	if k < 1 {
 		k = 1
@@ -288,7 +294,7 @@ func SymmetricHalfWidth(xs []float64, center, alpha float64) float64 {
 	if k > n {
 		k = n
 	}
-	return devs[k-1]
+	return xs[k-1]
 }
 
 // Histogram is a fixed-width bucket histogram over [lo, hi); values outside

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/stats"
 )
@@ -63,15 +64,22 @@ func UDFByName(name string) *UDFSpec {
 	return nil
 }
 
-// expand materializes the weighted multiset as sorted values. Order
-// statistics (quantile-style UDFs) need this; weights are expected to be
-// small non-negative integers (Poisson multiplicities).
-func expandSorted(values, weights []float64) []float64 {
-	var out []float64
+// scratchPool recycles the order-statistic UDFs' working vectors: a bootstrap
+// calls one θ thousands of times over inputs of one size, and the expansion
+// is dead when θ returns.
+var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// expandSorted materializes the weighted multiset as sorted values in a
+// pooled vector, which the caller returns to scratchPool when done with it.
+// Order statistics (quantile-style UDFs) need this; weights are expected to
+// be small non-negative integers (Poisson multiplicities). The inputs are
+// neither modified nor retained.
+func expandSorted(values, weights []float64) *[]float64 {
+	p := scratchPool.Get().(*[]float64)
+	out := (*p)[:0]
 	if weights == nil {
-		out = append([]float64(nil), values...)
+		out = append(out, values...)
 	} else {
-		out = make([]float64, 0, len(values))
 		for i, v := range values {
 			for c := 0.0; c < weights[i]; c++ {
 				out = append(out, v)
@@ -79,12 +87,15 @@ func expandSorted(values, weights []float64) []float64 {
 		}
 	}
 	sort.Float64s(out)
-	return out
+	*p = out
+	return p
 }
 
 func trimmedMean(frac float64) func(values, weights []float64) float64 {
 	return func(values, weights []float64) float64 {
-		xs := expandSorted(values, weights)
+		p := expandSorted(values, weights)
+		defer scratchPool.Put(p)
+		xs := *p
 		n := len(xs)
 		if n == 0 {
 			return math.NaN()
@@ -170,23 +181,28 @@ func clampedMean(values, weights []float64) float64 {
 
 // medianAbsDev is the median absolute deviation from the median — robust.
 func medianAbsDev(values, weights []float64) float64 {
-	xs := expandSorted(values, weights)
+	p := expandSorted(values, weights)
+	defer scratchPool.Put(p)
+	xs := *p
 	if len(xs) == 0 {
 		return math.NaN()
 	}
+	// The median is read off before the deviations overwrite the expansion.
 	med := stats.QuantileSorted(xs, 0.5)
-	devs := make([]float64, len(xs))
 	for i, v := range xs {
-		devs[i] = math.Abs(v - med)
+		xs[i] = math.Abs(v - med)
 	}
-	return stats.Quantile(devs, 0.5)
+	sort.Float64s(xs)
+	return stats.QuantileSorted(xs, 0.5)
 }
 
 // topFracMean averages the top frac of the data — tail-sensitive, so it
 // inherits MAX-like fragility on heavy-tailed columns.
 func topFracMean(frac float64) func(values, weights []float64) float64 {
 	return func(values, weights []float64) float64 {
-		xs := expandSorted(values, weights)
+		p := expandSorted(values, weights)
+		defer scratchPool.Put(p)
+		xs := *p
 		n := len(xs)
 		if n == 0 {
 			return math.NaN()

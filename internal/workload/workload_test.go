@@ -2,6 +2,9 @@ package workload
 
 import (
 	"math"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/estimator"
@@ -305,4 +308,100 @@ func TestQuerySpecSQL(t *testing.T) {
 	if got := mk(estimator.Sum, 0, "").SQL("t", "v"); got != "SELECT SUM(v) FROM t" {
 		t.Errorf("SUM sql = %q", got)
 	}
+}
+
+// plainExpandSorted and the three θs below are the order-statistic UDFs as
+// they were written before they shared pooled scratch: fresh vectors
+// throughout. They are the reference the pooled versions must equal.
+func plainExpandSorted(values, weights []float64) []float64 {
+	var out []float64
+	for i, v := range values {
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
+		for c := 0.0; c < w; c++ {
+			out = append(out, v)
+		}
+	}
+	sort.Float64s(out)
+	return out
+}
+
+var plainUDFs = map[string]func(values, weights []float64) float64{
+	"trimmed_mean_5": func(values, weights []float64) float64 {
+		xs := plainExpandSorted(values, weights)
+		if len(xs) == 0 {
+			return math.NaN()
+		}
+		cut := int(0.05 * float64(len(xs)))
+		return stats.Mean(xs[cut : len(xs)-cut])
+	},
+	"median_abs_dev": func(values, weights []float64) float64 {
+		xs := plainExpandSorted(values, weights)
+		if len(xs) == 0 {
+			return math.NaN()
+		}
+		med := stats.QuantileSorted(xs, 0.5)
+		devs := make([]float64, len(xs))
+		for i, v := range xs {
+			devs[i] = math.Abs(v - med)
+		}
+		return stats.Quantile(devs, 0.5)
+	},
+	"top_decile_mean": func(values, weights []float64) float64 {
+		xs := plainExpandSorted(values, weights)
+		if len(xs) == 0 {
+			return math.NaN()
+		}
+		k := int(0.10 * float64(len(xs)))
+		if k < 1 {
+			k = 1
+		}
+		return stats.Mean(xs[len(xs)-k:])
+	},
+}
+
+// TestUDFPooledScratchMatchesPlain: the pooled order-statistic UDFs return
+// the plain versions' bits whatever a previous call left in the pool (sizes
+// are interleaved, goroutines share the pool), and neither path — weighted
+// or the nil-weights one the benchmark's oracle calls — changes its inputs.
+func TestUDFPooledScratchMatchesPlain(t *testing.T) {
+	src := rng.New(77)
+	type input struct{ values, weights []float64 }
+	var inputs []input
+	for _, n := range []int{0, 1, 7, 250, 3000, 64} {
+		values := GenerateColumn(src, LogNormalMild, n)
+		weights := make([]float64, n)
+		for i := range weights {
+			weights[i] = float64(src.Poisson(1))
+		}
+		inputs = append(inputs, input{values, nil}, input{values, weights},
+			input{values, make([]float64, n)}) // every row absent
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for name, plain := range plainUDFs {
+				fn := UDFByName(name).Fn
+				for round := 0; round < 3; round++ {
+					for _, in := range inputs {
+						values := append([]float64(nil), in.values...)
+						weights := append([]float64(nil), in.weights...)
+						got, want := fn(in.values, in.weights), plain(values, in.weights)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("%s over %d rows (weights nil: %v): %v, want %v",
+								name, len(values), in.weights == nil, got, want)
+						}
+						if !slices.Equal(in.values, values) || !slices.Equal(in.weights, weights) {
+							t.Errorf("%s changed its input", name)
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
