@@ -16,15 +16,23 @@
 // return bit-identical answers for the same SQL.
 //
 // Data comes from -csv (with -coltypes) or, by default, a synthetic
-// Sessions demo table. On SIGINT/SIGTERM the daemon drains: listeners stop
-// accepting, queued queries are refused with a retryable error, in-flight
-// queries finish (bounded by -drain), and the process exits 0.
+// Sessions demo table. With -store FILE the table is served from a block
+// store file instead of the heap: the first run ingests as above and writes
+// FILE, every later run maps it — and, because a stored table has an
+// identity, so does its sample, which the first run saves beside FILE and
+// later runs open instead of rebuilding. On SIGINT/SIGTERM the daemon drains:
+// listeners stop accepting, queued queries are refused with a retryable
+// error, in-flight queries finish (bounded by -drain), and the process exits
+// 0.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"log/slog"
 	"net"
 	"net/http"
@@ -53,7 +61,8 @@ func main() {
 		metrics   = flag.String("metrics", "", "serve /metrics and /debug endpoints on this address")
 
 		csvPath  = flag.String("csv", "", "load this CSV file instead of the synthetic demo table")
-		tblName  = flag.String("table", "Data", "table name for -csv")
+		tblName  = flag.String("table", "", "table name ('' = Data with -csv, Sessions otherwise)")
+		store    = flag.String("store", "", "serve the table from this block store file, creating it from -csv/-gen if absent; its sample is kept beside it")
 		colTypes = flag.String("coltypes", "", "comma-separated column types for -csv: float|int|string")
 		genRows  = flag.Int("gen", 200000, "rows in the synthetic Sessions demo table (ignored with -csv)")
 		sample   = flag.Int("sample", 0, "sample size to build (0 = rows/10)")
@@ -84,10 +93,16 @@ func main() {
 		auditFrac    = flag.Float64("audit-fraction", 0, "fraction of approximate queries the calibration watchdog re-executes exactly (0 = watchdog off)")
 	)
 	flag.Parse()
+	if *tblName == "" {
+		*tblName = "Sessions"
+		if *csvPath != "" {
+			*tblName = "Data"
+		}
+	}
 
 	if err := run(daemonConfig{
 		httpAddr: *httpAddr, mysqlAddr: *mysqlAddr, metricsAddr: *metrics,
-		csvPath: *csvPath, tblName: *tblName, colTypes: *colTypes,
+		csvPath: *csvPath, tblName: *tblName, colTypes: *colTypes, storePath: *store,
 		genRows: *genRows, sample: *sample, seed: *seed, workers: *workers,
 		cacheMB: *cacheMB, cacheTTL: *cacheTTL,
 		maxInFlight: *maxInFlight, maxQueue: *maxQueue, timeout: *timeout,
@@ -105,6 +120,7 @@ func main() {
 type daemonConfig struct {
 	httpAddr, mysqlAddr, metricsAddr string
 	csvPath, tblName, colTypes       string
+	storePath                        string
 	genRows, sample                  int
 	seed                             uint64
 	workers                          int
@@ -190,8 +206,26 @@ func run(cfg daemonConfig) error {
 		History:     hist,
 		Alerts:      bus,
 	})
-	defer engine.Close()
-	if err := loadData(engine, cfg); err != nil {
+	store, err := loadData(engine, cfg)
+	// With -store the table and its sample are file mappings, and reading an
+	// unmapped page is a fault, not an error. They are released only once
+	// nothing can read them: no listener was started, or the drain below saw
+	// the last query out, and the watchdog has run the audits it still had
+	// queued (exact scans of the table). After a drain that ran out of budget,
+	// or a listener that failed beside one already serving, process exit
+	// releases them instead.
+	quiet := true
+	defer func() {
+		if !quiet {
+			return
+		}
+		wd.Close()
+		engine.Close() // samples before the table they were drawn from
+		if store != nil {
+			store.Close()
+		}
+	}()
+	if err != nil {
 		return err
 	}
 	if addr, err := engine.MetricsEndpoint(); err != nil {
@@ -216,6 +250,8 @@ func run(cfg daemonConfig) error {
 	if err != nil {
 		return err
 	}
+
+	quiet = false // from here on queries may be running
 
 	// MySQL wire listener.
 	var wl *wire.Listener
@@ -275,29 +311,81 @@ func run(cfg daemonConfig) error {
 	if wl != nil {
 		wl.Drain()
 	}
+	quiet = true
 	if err := srv.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "aqpd: serve drain:", err)
+		quiet = false
 	}
 	if hs != nil {
 		if err := hs.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "aqpd: http drain:", err)
+			quiet = false
 		}
 	}
 	if wl != nil {
 		if err := wl.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "aqpd: wire drain:", err)
+			quiet = false
 		}
 	}
 	fmt.Println("aqpd: drained")
 	return nil
 }
 
-// loadData registers the serving table: a CSV file, or the synthetic
-// Sessions demo (same distributions as aqpshell's demo, sized by -gen).
-func loadData(engine *core.Engine, cfg daemonConfig) error {
+// loadData registers the serving table under cfg.tblName and samples it.
+// The table is ingested (a CSV file, or the synthetic Sessions demo) unless
+// -store names a file that exists; with -store it is served from that file,
+// written first if need be, and the returned closer unmaps it.
+func loadData(engine *core.Engine, cfg daemonConfig) (io.Closer, error) {
+	var (
+		tbl   *table.Table
+		store io.Closer
+		err   error
+	)
+	if cfg.storePath == "" {
+		tbl, err = ingest(cfg)
+	} else {
+		tbl, store, err = openOrCreateStore(cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := engine.RegisterTable(cfg.tblName, tbl); err != nil {
+		return store, err
+	}
+	return store, buildSample(engine, cfg.tblName, tbl.NumRows(), cfg.sample)
+}
+
+// openOrCreateStore maps the -store file, after ingesting and writing it if
+// it does not exist yet, so that the first and every later run of one command
+// line serve the same bytes.
+func openOrCreateStore(cfg daemonConfig) (*table.Table, io.Closer, error) {
+	if _, err := os.Stat(cfg.storePath); errors.Is(err, fs.ErrNotExist) {
+		tbl, err := ingest(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := table.WriteStore(cfg.storePath, tbl); err != nil {
+			return nil, nil, err
+		}
+		fmt.Printf("aqpd: wrote %s to %s\n", cfg.tblName, cfg.storePath)
+	}
+	tbl, store, err := table.OpenStore(cfg.storePath)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Printf("aqpd: table %s(%s), %d rows, opened from %s\n",
+		cfg.tblName, tbl.Schema(), tbl.NumRows(), cfg.storePath)
+	return tbl, store, nil
+}
+
+// ingest builds the serving table on the heap: the -csv file, or the
+// synthetic Sessions demo (same distributions as aqpshell's demo, sized by
+// -gen).
+func ingest(cfg daemonConfig) (*table.Table, error) {
 	if cfg.csvPath != "" {
 		if cfg.colTypes == "" {
-			return fmt.Errorf("-csv requires -coltypes")
+			return nil, fmt.Errorf("-csv requires -coltypes")
 		}
 		var types []table.Type
 		for _, tname := range strings.Split(cfg.colTypes, ",") {
@@ -309,22 +397,15 @@ func loadData(engine *core.Engine, cfg daemonConfig) error {
 			case "string", "str":
 				types = append(types, table.String)
 			default:
-				return fmt.Errorf("unknown column type %q", tname)
+				return nil, fmt.Errorf("unknown column type %q", tname)
 			}
 		}
 		f, err := os.Open(cfg.csvPath)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer f.Close()
-		tbl, err := table.ReadCSV(f, types)
-		if err != nil {
-			return err
-		}
-		if err := engine.RegisterTable(cfg.tblName, tbl); err != nil {
-			return err
-		}
-		return buildSample(engine, cfg.tblName, tbl.NumRows(), cfg.sample)
+		return table.ReadCSV(f, types)
 	}
 
 	rows := cfg.genRows
@@ -342,18 +423,16 @@ func loadData(engine *core.Engine, cfg daemonConfig) error {
 		times[i] = src.LogNormal(4, 0.6)
 		kb[i] = src.Pareto(10000, 1.3) / 1000
 	}
-	tbl := table.MustNew(table.Schema{
+	fmt.Printf("aqpd: demo table %s(Time FLOAT64, City STRING, KB FLOAT64), %d rows\n", cfg.tblName, rows)
+	return table.MustNew(table.Schema{
 		{Name: "Time", Type: table.Float64},
 		{Name: "City", Type: table.String},
 		{Name: "KB", Type: table.Float64},
-	}, times, cities, kb)
-	if err := engine.RegisterTable("Sessions", tbl); err != nil {
-		return err
-	}
-	fmt.Printf("aqpd: demo table Sessions(Time FLOAT64, City STRING, KB FLOAT64), %d rows\n", rows)
-	return buildSample(engine, "Sessions", rows, cfg.sample)
+	}, times, cities, kb), nil
 }
 
+// buildSample samples the table and says where each sample came from: a
+// table served from a store file keeps its samples as files beside it.
 func buildSample(engine *core.Engine, name string, rows, sample int) error {
 	if sample == 0 {
 		sample = rows / 10
@@ -362,10 +441,26 @@ func buildSample(engine *core.Engine, name string, rows, sample int) error {
 		fmt.Printf("aqpd: %s unsampled; queries run exactly\n", name)
 		return nil
 	}
-	if err := engine.BuildSamples(name, sample); err != nil {
+	files, err := engine.BuildSamplesReport(name, sample)
+	if err != nil {
 		return err
 	}
-	fmt.Printf("aqpd: sampled %s at %d rows\n", name, sample)
+	if len(files) == 0 {
+		fmt.Printf("aqpd: sampled %s at %d rows\n", name, sample)
+	}
+	for _, f := range files {
+		if f.Rejected != nil {
+			fmt.Printf("aqpd: sample file %s rejected, rebuilding: %v\n", f.Path, f.Rejected)
+		}
+		switch {
+		case f.Opened:
+			fmt.Printf("aqpd: sample of %d rows opened from %s\n", f.Rows, f.Path)
+		case f.SaveErr != nil:
+			fmt.Printf("aqpd: sample of %d rows built (not saved: %v)\n", f.Rows, f.SaveErr)
+		default:
+			fmt.Printf("aqpd: sample of %d rows built and saved to %s\n", f.Rows, f.Path)
+		}
+	}
 	return nil
 }
 

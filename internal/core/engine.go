@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,7 +31,6 @@ import (
 	"repro/internal/obs/history"
 	"repro/internal/plan"
 	"repro/internal/rng"
-	"repro/internal/sample"
 	"repro/internal/sql"
 	"repro/internal/table"
 	"repro/internal/watchdog"
@@ -138,7 +138,8 @@ type Config struct {
 	// empirical coverage against nominal. New binds the engine's exact
 	// path as the watchdog's auditor; when MetricsAddr is also set, the
 	// watchdog's /debug/calibration page is mounted on the same server.
-	// The engine does not own the watchdog — Close it separately.
+	// The engine does not own the watchdog — Close it separately, and before
+	// the engine (see Engine.Close).
 	Watchdog *watchdog.Watchdog
 	// History, when set, receives one durable record per finished query
 	// (and, when a watchdog is also attached, per audit outcome), feeding
@@ -226,6 +227,10 @@ type Engine struct {
 	// Answer-cache keys embed it, so any catalog change invalidates all
 	// cached answers by construction.
 	gen atomic.Uint64
+
+	// sampleMaps, under mu, holds the mappings behind the sample files
+	// BuildSamples opened (samplestore.go); Close releases them.
+	sampleMaps []io.Closer
 }
 
 // New returns an engine with the given configuration.
@@ -354,8 +359,13 @@ func (e *Engine) MetricsEndpoint() (string, error) {
 	return e.obsSrv.Addr, nil
 }
 
-// Close shuts down the metrics endpoint, if one is being served, and
-// flushes and stops the span exporter, if the engine built one.
+// Close shuts down the metrics endpoint, if one is being served, flushes and
+// stops the span exporter, if the engine built one, and unmaps every sample
+// file BuildSamples opened. A read of an unmapped sample is a fault, so
+// nothing may be reading one or start to afterwards: no query, and no
+// watchdog audit — a caller with Config.Watchdog set closes the watchdog,
+// which runs its queued audits, before this. A caller that opened the table's
+// own store closes that after this. It is idempotent.
 func (e *Engine) Close() error {
 	var err error
 	if e.obsSrv != nil {
@@ -364,6 +374,15 @@ func (e *Engine) Close() error {
 	if e.exp != nil {
 		e.obs.SetExporter(nil)
 		if cerr := e.exp.Close(); err == nil {
+			err = cerr
+		}
+	}
+	e.mu.Lock()
+	maps := e.sampleMaps
+	e.sampleMaps = nil
+	e.mu.Unlock()
+	for _, m := range maps {
+		if cerr := m.Close(); err == nil {
 			err = cerr
 		}
 	}
@@ -479,33 +498,57 @@ func upper(s string) string {
 // running while it is in flight. The catalog slice is replaced
 // copy-on-write: queries snapshotted before the publish keep seeing the old
 // catalog.
+//
+// When the table was opened from a store file that records a digest, each
+// sample is a file beside it: opened if an earlier build of the same sample
+// left it there, built and saved if not (uniformSample). The rows, their
+// order and their encoding are the same either way, and so is every answer.
 func (e *Engine) BuildSamples(name string, rowCounts ...int) error {
+	_, err := e.BuildSamplesReport(name, rowCounts...)
+	return err
+}
+
+// BuildSamplesReport is BuildSamples that also reports, for each sample
+// requested of a table with a store identity, where it came from — for a
+// caller with a log to write. Samples of other tables have no file and no
+// entry.
+func (e *Engine) BuildSamplesReport(name string, rowCounts ...int) ([]SampleFile, error) {
 	rt, srcs, err := e.sampleSources(name, rowCounts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	full := rt.full // immutable once registered
 	built := make([]*exec.StoredTable, len(rowCounts))
+	var maps []io.Closer
+	var files []SampleFile
 	for i, n := range rowCounts {
-		idx := sample.RowsWithoutReplacement(srcs[i], full.NumRows(), n)
-		built[i] = e.storeSample(full, idx, e.cfg.SampleBacking)
+		st, m, sf := e.uniformSample(name, full, srcs[i], n)
+		built[i] = st
+		if m != nil {
+			maps = append(maps, m)
+		}
+		if sf != nil {
+			files = append(files, *sf)
+		}
 	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.sampleMaps = append(e.sampleMaps, maps...)
 	samples := append(append([]*exec.StoredTable(nil), rt.samples...), built...)
 	sort.Slice(samples, func(i, j int) bool {
 		return samples[i].Data.NumRows() < samples[j].Data.NumRows()
 	})
 	rt.samples = samples
 	e.gen.Add(1)
-	return nil
+	return files, nil
 }
 
 // sampleSources validates a BuildSamples request and splits one RNG stream
 // per requested sample, in request order, under the engine lock — the only
 // part of a build whose order against other registrations decides which rows
-// are drawn.
+// are drawn. A sample that turns out to be opened from its file has taken its
+// Split all the same, so what is built after it draws what it would have.
 func (e *Engine) sampleSources(name string, rowCounts []int) (*registeredTable, []*rng.Source, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

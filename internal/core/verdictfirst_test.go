@@ -11,11 +11,9 @@ import (
 	"repro/internal/table"
 )
 
-// verdictEngine registers T(g, p, City) — g Gaussian (the diagnostic accepts
-// its percentiles), p Pareto with a tail index near 1 (it rejects MAX and
-// AVG) — and builds one uniform sample.
-func verdictEngine(t *testing.T, cfg Config) *Engine {
-	t.Helper()
+// verdictTable is T(g, p, City): g Gaussian (the diagnostic accepts its
+// percentiles), p Pareto with a tail index near 1 (it rejects MAX and AVG).
+func verdictTable() *table.Table {
 	src := rng.New(4242)
 	n := 60000
 	g := make(table.Float64Col, n)
@@ -27,12 +25,23 @@ func verdictEngine(t *testing.T, cfg Config) *Engine {
 		p[i] = src.Pareto(1, 1.05)
 		city[i] = names[src.Intn(len(names))]
 	}
-	e := New(cfg)
-	if err := e.RegisterTable("T", table.MustNew(table.Schema{
+	return table.MustNew(table.Schema{
 		{Name: "g", Type: table.Float64},
 		{Name: "p", Type: table.Float64},
 		{Name: "City", Type: table.String},
-	}, g, p, city)); err != nil {
+	}, g, p, city)
+}
+
+// verdictEngine registers verdictTable and builds one uniform sample.
+func verdictEngine(t *testing.T, cfg Config) *Engine {
+	t.Helper()
+	return verdictEngineOn(t, cfg, verdictTable())
+}
+
+func verdictEngineOn(t *testing.T, cfg Config, tbl *table.Table) *Engine {
+	t.Helper()
+	e := New(cfg)
+	if err := e.RegisterTable("T", tbl); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.BuildSamples("T", 24000); err != nil {

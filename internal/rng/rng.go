@@ -80,6 +80,12 @@ func (s *Source) Split() *Source {
 	return &Source{state: seed, gamma: gamma}
 }
 
+// State returns the two words that determine every output the stream has
+// yet to produce (a Gaussian variate cached by NormFloat64 aside). Two
+// Sources with equal State draw the same values, which makes it the name of
+// what a deterministic consumer is about to compute from the stream.
+func (s *Source) State() (state, gamma uint64) { return s.state, s.gamma }
+
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) * (1.0 / (1 << 53))

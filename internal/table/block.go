@@ -203,8 +203,10 @@ func (c *F64BlockCol) slice(i, j int) Column {
 
 func (c *F64BlockCol) gather(p *gatherPlan) Column { return c.gatherAt(p, 0) }
 
+// zoneEnvelope adopts the envelopes captured at encoding time; a column
+// opened from a store that recorded none has none.
 func (c *F64BlockCol) zoneEnvelope() (ColumnZones, bool) {
-	return ColumnZones{Mins: c.mins, Maxs: c.maxs}, true
+	return ColumnZones{Mins: c.mins, Maxs: c.maxs}, c.mins != nil
 }
 
 type f64BlockView struct {
@@ -315,7 +317,7 @@ func (c *I64BlockCol) slice(i, j int) Column {
 func (c *I64BlockCol) gather(p *gatherPlan) Column { return c.gatherAt(p, 0) }
 
 func (c *I64BlockCol) zoneEnvelope() (ColumnZones, bool) {
-	return ColumnZones{Mins: c.mins, Maxs: c.maxs}, true
+	return ColumnZones{Mins: c.mins, Maxs: c.maxs}, c.mins != nil
 }
 
 type i64BlockView struct {

@@ -26,14 +26,5 @@ func (nopCloser) Close() error { return nil }
 // regardless of platform. Tests use it to cover the !unix build's
 // behaviour from unix CI runners.
 func openStoreFallback(path string) (*Table, io.Closer, error) {
-	data, closer, err := readFileFallback(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	t, err := storeFromBytes(data)
-	if err != nil {
-		closer.Close()
-		return nil, nil, err
-	}
-	return t, closer, nil
+	return openStore(path, readFileFallback, false)
 }

@@ -164,7 +164,32 @@ type Table struct {
 	// Slice/Partition, WithColumn); Gather views and unaligned slices leave
 	// it nil, which simply disables skipping.
 	zones *Zones
+	// storeDigest and storeDir are set by OpenStore on the table it returns
+	// (never on a view of it): the digest its store file records and the
+	// directory that file is in. See StoreIdentity.
+	storeDigest, storeDir string
+	// tag is set by OpenStore from the file's metadata. See Tag.
+	tag string
 }
+
+// StoreIdentity reports, for a table that OpenStore returned from a file
+// carrying a digest, that digest (hex SHA-256 of the file's content, see
+// store.go) and the file's directory. Equal digests mean equal tables
+// whatever the files are called, which is what lets something derived from
+// the table — a sample — be stored beside it under a name made from the
+// digest and found again by any process that opens the same content. Tables
+// built in memory, views, and stores written before digests existed report
+// "", "".
+func (t *Table) StoreIdentity() (digest, dir string) {
+	if t.storeDigest == "" {
+		return "", ""
+	}
+	return t.storeDigest, t.storeDir
+}
+
+// Tag returns the text the store file the table was opened from records: what
+// its writer (WriteStoreTagged) said the file holds. "" for any other table.
+func (t *Table) Tag() string { return t.tag }
 
 // New assembles a table from a schema and matching columns. All columns
 // must have equal length and types matching the schema.
