@@ -10,37 +10,90 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkDiagnosticLadder measures one diagnosis whose ξ is the bootstrap
-// (K = 100) for the aggregates without a closed form — what the serving
-// path pays before every MIN, MAX, PERCENTILE and UDF answer: 300 subsamples
-// (62/125/250 rows of a 50,000-row lognormal sample), each resampled 100
-// times. BenchmarkDiagnosticParallel covers AVG, whose ξ runs on the fused
-// kernel; these run θ on a weight vector per resample.
-func BenchmarkDiagnosticLadder(b *testing.B) {
+// ladderSample is what BenchmarkDiagnosticLadder diagnoses: 50,000 rows, so
+// the ladder's subsamples are 62/125/250 rows — lognormal, on which the
+// bootstrap is rejected for the order statistics, or Gaussian, on which the
+// diagnostic accepts (nearly) every seed and so runs the whole ladder.
+func ladderSample(accepting bool) []float64 {
 	src := rng.New(61)
 	s := make([]float64, 50000)
 	for i := range s {
-		s[i] = src.LogNormal(4, 0.6)
+		if accepting {
+			s[i] = 100 + 15*src.NormFloat64()
+		} else {
+			s[i] = src.LogNormal(4, 0.6)
+		}
 	}
+	return s
+}
+
+// BenchmarkDiagnosticLadder measures one diagnosis — what the serving path
+// pays before every answer. ξ is the bootstrap (K = 100) for the aggregates
+// without a closed form: up to 300 subsamples, each resampled 100 times with
+// θ on a weight vector per resample (BenchmarkDiagnosticParallel covers AVG
+// under the bootstrap, whose ξ runs on the fused kernel). On the lognormal
+// column the diagnostic rejects, and how early is the cost: xi-evals/op
+// counts the subsamples ξ ran on, a number that repeats exactly. The
+// accepting cases pin the path that must evaluate all 300 — AVG/closed-form
+// with one fold per subsample and no batching.
+func BenchmarkDiagnosticLadder(b *testing.B) {
+	rejecting, accepting := ladderSample(false), ladderSample(true)
+	boot := estimator.Bootstrap{K: 100}
+	mad := estimator.Query{Kind: estimator.UDF, FnName: "median_abs_dev",
+		Fn: workload.UDFByName("median_abs_dev").Fn}
 	for _, c := range []struct {
 		name string
+		s    []float64
 		q    estimator.Query
+		xi   estimator.Estimator
 	}{
-		{"MIN", estimator.Query{Kind: estimator.Min}},
-		{"PERCENTILE95", estimator.Query{Kind: estimator.Percentile, Pct: 0.95}},
-		{"median_abs_dev", estimator.Query{Kind: estimator.UDF, FnName: "median_abs_dev",
-			Fn: workload.UDFByName("median_abs_dev").Fn}},
+		{"MIN", rejecting, estimator.Query{Kind: estimator.Min}, boot},
+		{"PERCENTILE95", rejecting, estimator.Query{Kind: estimator.Percentile, Pct: 0.95}, boot},
+		{"median_abs_dev", rejecting, mad, boot},
+		{"median_abs_dev/accepting", accepting, mad, boot},
+		{"AVG/closed-form", accepting, estimator.Query{Kind: estimator.Avg}, estimator.ClosedForm{UseStudentT: true}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			s := c.s
 			cfg := diagnostic.DefaultConfig(len(s))
 			b.ReportAllocs()
+			evals := 0
 			for i := 0; i < b.N; i++ {
-				res, err := diagnostic.Run(context.Background(), rng.New(uint64(i)), s, c.q,
-					estimator.Bootstrap{K: 100}, cfg)
-				if err != nil || len(res.PerSize) != 3 {
-					b.Fatalf("per-size stats %d, err %v", len(res.PerSize), err)
+				res, err := diagnostic.Run(context.Background(), rng.New(uint64(i)), s, c.q, c.xi, cfg)
+				if err != nil || res.RungsRun == 0 {
+					b.Fatalf("%+v, err %v", res, err)
 				}
+				evals += res.XiEvaluations(cfg.P)
 			}
+			b.ReportMetric(float64(evals)/float64(b.N), "xi-evals/op")
 		})
+	}
+}
+
+// TestDiagnosticLadderDecidesEarly gates, as a count and not a time, what
+// BenchmarkDiagnosticLadder/MIN measures: rejecting the bootstrap for MIN on
+// the benchmark's sample takes at most 32 of the ladder's 300 ξ evaluations,
+// and an aggregate the diagnostic accepts still gets all 300.
+func TestDiagnosticLadderDecidesEarly(t *testing.T) {
+	rejecting, accepting := ladderSample(false), ladderSample(true)
+	cfg := diagnostic.DefaultConfig(len(rejecting))
+	cfg.Workers = 2
+	for seed := uint64(0); seed < 5; seed++ {
+		res, err := diagnostic.Run(context.Background(), rng.New(seed), rejecting, estimator.Query{Kind: estimator.Min},
+			estimator.Bootstrap{K: 100}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.XiEvaluations(cfg.P); res.OK || n > 32 {
+			t.Errorf("seed %d: MIN took %d ξ evaluations (want <= 32): %+v", seed, n, res)
+		}
+		res, err = diagnostic.Run(context.Background(), rng.New(seed), accepting, estimator.Query{Kind: estimator.Avg},
+			estimator.ClosedForm{UseStudentT: true}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.XiEvaluations(cfg.P); !res.OK || n != 300 || len(res.PerSize) != 3 {
+			t.Errorf("seed %d: AVG closed-form took %d ξ evaluations (want all 300): %+v", seed, n, res)
+		}
 	}
 }

@@ -219,11 +219,13 @@ func TestCancellationNoLeaks(t *testing.T) {
 	// Large sample + large K so an uncancelled run takes far longer than
 	// the latency bound we assert (roughly seconds, not minutes — the
 	// calibration run below executes once uncancelled).
-	e, _ := buildSessions(t, Config{Seed: 6, BootstrapK: 1200, Workers: 4}, 20000)
-	if err := e.BuildSamples("Sessions", 8000); err != nil {
+	e, _ := buildSessions(t, Config{Seed: 6, BootstrapK: 1200, Workers: 4}, 100000)
+	if err := e.BuildSamples("Sessions", 60000); err != nil {
 		t.Fatal(err)
 	}
-	const q = "SELECT PERCENTILE(Time, 0.9) FROM Sessions"
+	// A median the diagnostic accepts: a rejected aggregate is decided in a
+	// few subsamples and skips its bootstrap, which leaves nothing to cancel.
+	const q = "SELECT PERCENTILE(Time, 0.5) FROM Sessions"
 
 	// Calibrate: the uncancelled query must be slow enough that an early
 	// return could only come from cancellation.

@@ -597,7 +597,11 @@ type AggAnswer struct {
 	// DiagnosticOK reports the runtime diagnostic's verdict (true when
 	// diagnostics are disabled or the answer is exact).
 	DiagnosticOK bool
-	// DiagnosticReason explains a rejection.
+	// DiagnosticCause types a rejection — the diagnostic.Cause that decided
+	// it, as the aqp_diagnostic_rejects_total counter labels it ("" when
+	// accepted).
+	DiagnosticCause string
+	// DiagnosticReason explains a rejection: the cause with its evidence.
 	DiagnosticReason string
 	// Exact marks an answer computed on the full dataset.
 	Exact bool

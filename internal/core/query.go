@@ -345,6 +345,7 @@ func (e *Engine) answerFromResult(qt *obs.QueryTrace, query string, def *plan.Qu
 			estSpan.AddInt("technique_"+technique, 1)
 			if out.Diag != nil {
 				aa.DiagnosticOK = out.Diag.OK
+				aa.DiagnosticCause = out.Diag.Cause.String()
 				aa.DiagnosticReason = out.Diag.Reason
 			}
 			ga.Aggs = append(ga.Aggs, aa)
@@ -464,10 +465,11 @@ func (e *Engine) applyFallback(ctx context.Context, qt *obs.QueryTrace, ans *Ans
 			if ans.Groups[gi].Aggs[ai].DiagnosticOK {
 				continue
 			}
-			reason := ans.Groups[gi].Aggs[ai].DiagnosticReason
+			rejected := ans.Groups[gi].Aggs[ai]
 			ans.Groups[gi].Aggs[ai] = exAggs[ai]
 			ans.Groups[gi].Aggs[ai].DiagnosticOK = false
-			ans.Groups[gi].Aggs[ai].DiagnosticReason = reason
+			ans.Groups[gi].Aggs[ai].DiagnosticCause = rejected.DiagnosticCause
+			ans.Groups[gi].Aggs[ai].DiagnosticReason = rejected.DiagnosticReason
 		}
 	}
 	ans.Counters.Scans += exact.Counters.Scans

@@ -166,17 +166,17 @@ func hashSamples(t *testing.T, e *Engine, name string) uint64 {
 	return h.Sum64()
 }
 
-func hashQueries(t *testing.T, e *Engine, queries []string) uint64 {
+func hashQueries(t *testing.T, e *Engine, queries []string) answerHashes {
 	t.Helper()
-	h := fnv.New64a()
+	h := newAnswerHasher()
 	for _, q := range queries {
 		ans, err := e.Query(q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
-		hashAnswer(h, ans)
+		h.add(ans)
 	}
-	return h.Sum64()
+	return h.sum()
 }
 
 // TestPersistedSampleIdentity: an engine that finds its samples on disk
@@ -256,7 +256,7 @@ func TestPersistedSampleIdentity(t *testing.T) {
 func TestPersistedSampleSharedAcrossBackings(t *testing.T) {
 	dir := t.TempDir()
 	full := storedTable(t, dir, "events.store", goldenTable(6*table.BlockRows))
-	var hashes []uint64
+	var hashes []answerHashes
 	for i, cfg := range []Config{
 		{Seed: 3, Workers: 2, SampleBacking: table.BackingCompressed},
 		{Seed: 3, Workers: 1},
@@ -303,7 +303,6 @@ func TestPersistedSampleSharedAcrossBackings(t *testing.T) {
 // TestVerdictFirstAnswersGolden's answers — with the block and answer caches
 // on or off, first time and replayed.
 func TestPersistedSampleAnswersGolden(t *testing.T) {
-	const golden = uint64(0x4c6e3c25ee8ba1a6)
 	dir := t.TempDir()
 	full := storedTable(t, dir, "t.store", verdictTable())
 	for i, cfg := range []Config{
@@ -323,8 +322,8 @@ func TestPersistedSampleAnswersGolden(t *testing.T) {
 			t.Fatalf("engine %d: sample file %s, want %s", i, got, want)
 		}
 		for round := 0; round < 2; round++ {
-			if got := hashQueries(t, e, verdictQueries); got != golden {
-				t.Errorf("engine %d round %d: answer hash %#x, want %#x", i, round, got, golden)
+			if got := hashQueries(t, e, verdictQueries); got != verdictGolden {
+				t.Errorf("engine %d round %d: answer hashes %#x, want %#x", i, round, got, verdictGolden)
 			}
 		}
 		if cfg.CacheBytes > 0 {
@@ -554,7 +553,7 @@ func TestPersistedSampleConcurrentEngines(t *testing.T) {
 	full := storedTable(t, dir, "events.store", goldenTable(12*table.BlockRows))
 	const engines = 8
 	var wg sync.WaitGroup
-	hashes := make([]uint64, engines)
+	hashes := make([]answerHashes, engines)
 	for i := 0; i < engines; i++ {
 		backing := table.BackingRaw
 		if i%2 == 1 {
@@ -568,14 +567,14 @@ func TestPersistedSampleConcurrentEngines(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			h := fnv.New64a()
+			h := newAnswerHasher()
 			ans, err := e.Query("SELECT Device, AVG(Gauss), SUM(Cents) FROM Events GROUP BY Device")
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			hashAnswer(h, ans)
-			hashes[i] = h.Sum64()
+			h.add(ans)
+			hashes[i] = h.sum()
 		}(i)
 	}
 	wg.Wait()

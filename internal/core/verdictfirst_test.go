@@ -3,6 +3,7 @@ package core
 import (
 	"hash"
 	"hash/fnv"
+	"io"
 	"math"
 	"testing"
 
@@ -62,16 +63,33 @@ var verdictQueries = []string{
 	"SELECT AVG(p), AVG(g) FROM T",
 }
 
-func hashAnswer(h hash.Hash64, ans *Answer) {
+// answerHashes is what the answer goldens pin. answers folds every estimate,
+// interval, technique and verdict; full folds the diagnostic's cause and reason
+// text as well, so it moves when a reject is reworded or found by another condition
+// and answers does not.
+type answerHashes struct{ full, answers uint64 }
+
+type answerHasher struct{ full, answers hash.Hash64 }
+
+func newAnswerHasher() answerHasher { return answerHasher{fnv.New64a(), fnv.New64a()} }
+
+func (h answerHasher) sum() answerHashes {
+	return answerHashes{full: h.full.Sum64(), answers: h.answers.Sum64()}
+}
+
+func (h answerHasher) add(ans *Answer) {
+	both := io.MultiWriter(h.full, h.answers)
+	u64 := func(v uint64) { hashU64(h.full, v); hashU64(h.answers, v) }
 	for _, g := range ans.Groups {
-		h.Write([]byte(g.Key))
+		both.Write([]byte(g.Key))
 		for _, a := range g.Aggs {
-			h.Write([]byte(a.Name))
-			hashU64(h, math.Float64bits(a.Estimate))
-			hashU64(h, math.Float64bits(a.ErrorBar.Lo()))
-			hashU64(h, math.Float64bits(a.ErrorBar.Hi()))
-			h.Write([]byte(a.Technique))
-			h.Write([]byte(a.DiagnosticReason))
+			both.Write([]byte(a.Name))
+			for _, f := range []float64{a.Estimate, a.ErrorBar.Lo(), a.ErrorBar.Hi()} {
+				u64(math.Float64bits(f))
+			}
+			both.Write([]byte(a.Technique))
+			h.full.Write([]byte(a.DiagnosticCause))
+			h.full.Write([]byte(a.DiagnosticReason))
 			flags := uint64(0)
 			if a.DiagnosticOK {
 				flags |= 1
@@ -79,27 +97,33 @@ func hashAnswer(h hash.Hash64, ans *Answer) {
 			if a.Exact {
 				flags |= 2
 			}
-			hashU64(h, flags)
+			u64(flags)
 		}
 	}
 }
+
+// verdictGolden is the hash pair of verdictQueries on verdictEngine at Seed 7,
+// BootstrapK 40. answers is the value the commit before the decide-first
+// diagnostic produces: no estimate, interval, technique or verdict moved. full
+// was re-recorded with that change on purpose — a reject now names the
+// condition the ladder met first, largest rung first.
+var verdictGolden = answerHashes{full: 0x0d82d197d5365845, answers: 0xf81554743f533c96}
 
 // TestVerdictFirstAnswersGolden pins every estimate, interval, technique and
 // verdict of the mixed query set to the hash recorded from the commit before
 // verdict-first error estimation (PR 13), solo and shared-scan, at 1, 2 and
 // 8 workers: skipping the bootstrap of rejected aggregates changes no answer.
 func TestVerdictFirstAnswersGolden(t *testing.T) {
-	const golden = uint64(0x4c6e3c25ee8ba1a6)
 	for _, workers := range []int{1, 2, 8} {
 		e := verdictEngine(t, Config{Seed: 7, Workers: workers, BootstrapK: 40})
-		solo, batch := fnv.New64a(), fnv.New64a()
+		solo, batch := newAnswerHasher(), newAnswerHasher()
 		var acceptedBoot, rejectedBoot int
 		for _, q := range verdictQueries {
 			ans, err := e.Query(q)
 			if err != nil {
 				t.Fatalf("%q: %v", q, err)
 			}
-			hashAnswer(solo, ans)
+			solo.add(ans)
 			for _, g := range ans.Groups {
 				for _, a := range g.Aggs {
 					switch {
@@ -123,13 +147,13 @@ func TestVerdictFirstAnswersGolden(t *testing.T) {
 			if r.Err != nil {
 				t.Fatalf("batch %q: %v", verdictQueries[i], r.Err)
 			}
-			hashAnswer(batch, r.Ans)
+			batch.add(r.Ans)
 		}
-		if got := solo.Sum64(); got != golden {
-			t.Errorf("Workers=%d solo: answer hash %#x, want %#x", workers, got, golden)
+		if got := solo.sum(); got != verdictGolden {
+			t.Errorf("Workers=%d solo: answer hashes %#x, want %#x", workers, got, verdictGolden)
 		}
-		if got := batch.Sum64(); got != golden {
-			t.Errorf("Workers=%d RunSharedBatch: answer hash %#x, want %#x", workers, got, golden)
+		if got := batch.sum(); got != verdictGolden {
+			t.Errorf("Workers=%d RunSharedBatch: answer hashes %#x, want %#x", workers, got, verdictGolden)
 		}
 	}
 }

@@ -146,28 +146,112 @@ type SizeStats struct {
 	Pi float64
 }
 
-// Result is the diagnostic's verdict plus its per-size evidence.
+// Cause says why a diagnosis rejected: the first failing condition the
+// ladder met, in the order it looks (largest rung first), or what kept the
+// ladder from running at all.
+type Cause int
+
+// Reject causes. CauseNone is an accept.
+const (
+	CauseNone Cause = iota
+	// CauseNotApplicable: ξ does not cover the query.
+	CauseNotApplicable
+	// CauseTooFewRows: the filtered sample cannot supply p disjoint
+	// subsamples of a size worth diagnosing (decided by the caller, see
+	// Config.Rejected).
+	CauseTooFewRows
+	// CauseEstimatorFailed: ξ returned an error on a subsample.
+	CauseEstimatorFailed
+	// CauseDegenerateTruth: Δ is undefined at some size — no usable true
+	// half-width, or ξ's widths are not numbers.
+	CauseDegenerateTruth
+	// CauseDelta: the average deviation Δ neither shrank from one size to
+	// the next nor sits under c₁.
+	CauseDelta
+	// CauseSigma: the spread σ neither shrank nor sits under c₂.
+	CauseSigma
+	// CausePi: fewer than ρ of ξ's intervals at the largest size are close
+	// to the truth.
+	CausePi
+)
+
+func (c Cause) String() string {
+	switch c {
+	case CauseNone:
+		return ""
+	case CauseNotApplicable:
+		return "not_applicable"
+	case CauseTooFewRows:
+		return "too_few_rows"
+	case CauseEstimatorFailed:
+		return "estimator_failed"
+	case CauseDegenerateTruth:
+		return "degenerate_truth"
+	case CauseDelta:
+		return "delta"
+	case CauseSigma:
+		return "sigma"
+	case CausePi:
+		return "pi"
+	default:
+		return fmt.Sprintf("Cause(%d)", int(c))
+	}
+}
+
+// Result is the diagnostic's verdict plus the evidence it was decided on.
+//
+// The ladder runs from the largest size down and stops at the first
+// condition that fails, so a reject's evidence is partial: PerSize holds
+// only the sizes whose p subsamples were all evaluated (none, when the
+// largest size's π condition failed early), and RungsRun and DecidedAfter
+// say where the ladder stopped. An accept has evaluated everything.
 type Result struct {
 	// OK reports whether ξ's error estimates can be trusted for this
 	// query on this sample.
 	OK bool
+	// Cause types a rejection (CauseNone when OK).
+	Cause Cause
 	// Reason explains a rejection ("" when OK).
 	Reason string
-	// PerSize holds the ladder statistics, smallest size first.
+	// PerSize holds the statistics of the completed sizes, smallest first —
+	// a suffix of the ladder.
 	PerSize []SizeStats
-	// SubsampleQueries counts how many times θ was evaluated — the
-	// quantity the paper's systems optimizations exist to make cheap.
+	// RungsRun counts the sizes ξ was run at, the deciding one included.
+	RungsRun int
+	// DecidedAfter is how many of the deciding size's p subsamples ξ had
+	// been run on when the verdict was settled (p for an accept).
+	DecidedAfter int
+	// SubsampleQueries is Algorithm 1's cost in evaluations of θ's scale —
+	// the quantity the paper's systems optimizations exist to make cheap:
+	// one per subsample for the truth and one per subsample ξ was run on.
 	SubsampleQueries int
+}
+
+// XiEvaluations is how many subsamples ξ was run on — p per size on a full
+// ladder.
+func (r Result) XiEvaluations(p int) int {
+	if r.RungsRun == 0 {
+		return 0
+	}
+	return (r.RungsRun-1)*p + r.DecidedAfter
 }
 
 // Run executes Algorithm 1: it checks whether the error-estimation
 // procedure est can be trusted for query q on the given sample.
 //
-// At each ladder size the P subsample evaluations (the true estimate θ on
-// the subsample plus ξ's interval) fan out across cfg.Workers goroutines.
-// Each (size, subsample) pair owns an RNG stream derived from a single
-// draw off src, so the verdict and every per-size statistic are
-// bit-identical at any worker count.
+// The verdict is Algorithm 1's — reject when any condition fails — taken on
+// the least evidence that settles it. Sizes run from the largest down. At
+// each, θ is evaluated on all P subsamples to fix the true half-width, then
+// ξ runs over the subsamples in index order, xiBatch at a time; at the
+// largest size the run ends as soon as more intervals are far from the truth
+// than π ≥ ρ allows, and after every further size the Δ and σ conditions of
+// the pair just completed are checked. Only an accept evaluates everything.
+//
+// Each batch (and each size's θ pass) fans out across cfg.Workers
+// goroutines. Each (size, subsample) pair owns an RNG stream derived from a
+// single draw off src, and every decision reads a prefix of the subsamples
+// fixed by index, never by which goroutine finished first, so the whole
+// Result is bit-identical at any worker count.
 //
 // Cancellation is checked before every subsample evaluation, and ξ itself
 // is cancelled mid-resampling when it implements estimator.ContextEstimator
@@ -181,6 +265,14 @@ func Run(ctx context.Context, src *rng.Source, values []float64, q estimator.Que
 	return res, err
 }
 
+// Rejected returns a reject decided without running the ladder, recorded on
+// cfg.Span as Run records its own.
+func (cfg Config) Rejected(cause Cause, reason string) Result {
+	res := Result{Cause: cause, Reason: reason}
+	cfg.record(&res)
+	return res
+}
+
 // record publishes the verdict and ladder evidence to the configured span
 // and metrics registry.
 func (cfg Config) record(res *Result) {
@@ -188,15 +280,16 @@ func (cfg Config) record(res *Result) {
 	if s == nil {
 		return
 	}
-	verdict := "accept"
+	verdict, cause := "accept", res.Cause.String()
 	if !res.OK {
 		verdict = "reject"
-	}
-	s.SetAttr("verdict", verdict)
-	if res.Reason != "" {
+		s.SetAttr("cause", cause)
 		s.SetAttr("reason", res.Reason)
 	}
+	s.SetAttr("verdict", verdict)
 	s.AddInt("subsample_queries", int64(res.SubsampleQueries))
+	s.AddInt("rungs_run", int64(res.RungsRun))
+	s.AddInt("decided_after", int64(res.DecidedAfter))
 	for _, st := range res.PerSize {
 		s.SetAttr(fmt.Sprintf("delta_b%d", st.Size), st.Delta)
 		s.SetAttr(fmt.Sprintf("sigma_b%d", st.Size), st.Sigma)
@@ -204,6 +297,101 @@ func (cfg Config) record(res *Result) {
 	}
 	s.Metrics().Counter("aqp_diagnostic_verdicts_total",
 		"Diagnostic verdicts, by outcome.", "verdict", verdict).Inc()
+	if !res.OK {
+		s.Metrics().Counter("aqp_diagnostic_rejects_total",
+			"Diagnostic rejections, by the condition that decided them.", "cause", cause).Inc()
+	}
+}
+
+// xiBatch is how many subsamples ξ runs on between two looks at the
+// evidence. It is a constant, not a function of Workers, so where the ladder
+// stops — and with it every field of Result — is the same at any worker
+// count. Six far-off intervals settle the paper's π condition (p = 100,
+// ρ = 0.95), so one batch usually does; 16 keeps that many workers busy.
+const xiBatch = 16
+
+// near reports whether ξ's half-width w counts towards π against the true
+// half-width x. A zero-width truth — every subsample estimate coincides with
+// θ(S), common for MIN/MAX over columns with atoms at the extremes — is
+// matched only by (numerically) zero-width intervals; an undefined truth is
+// matched by nothing.
+func (cfg Config) near(w, x float64) bool {
+	if x == 0 {
+		return w <= 1e-12
+	}
+	return math.Abs(w-x)/x <= cfg.C3
+}
+
+// maxFar is the largest number of far-off intervals at the top size that
+// still leaves π ≥ ρ reachable: p − ⌈ρp⌉, with the ceiling taken by the
+// comparison the verdict itself makes, so the early exit and the full count
+// cannot disagree by a rounding.
+func (cfg Config) maxFar() int {
+	need := 0
+	for need <= cfg.P && !(float64(need)/float64(cfg.P) >= cfg.Rho) {
+		need++
+	}
+	return cfg.P - need
+}
+
+// sizeStats summarises one completed size: the true half-width x against
+// ξ's p half-widths.
+func (cfg Config) sizeStats(b int, x float64, widths []float64) SizeStats {
+	var m stats.Moments
+	near := 0
+	for _, w := range widths {
+		m.Add(w)
+		if cfg.near(w, x) {
+			near++
+		}
+	}
+	st := SizeStats{Size: b, TrueHalfWidth: x, Pi: float64(near) / float64(cfg.P)}
+	switch {
+	case math.IsNaN(x):
+		// Truly uninformative truth at this size.
+		st.Delta, st.Sigma, st.Pi = math.NaN(), math.NaN(), math.NaN()
+	case x == 0:
+		// ξ agrees with a zero-width truth exactly when its intervals are
+		// zero-width too; anything wider disagrees.
+		if !(m.Mean() <= 1e-12) {
+			st.Delta, st.Sigma = math.Inf(1), math.Inf(1)
+		}
+	default:
+		st.Delta = math.Abs(m.Mean()-x) / x
+		st.Sigma = m.Stddev() / x
+	}
+	return st
+}
+
+// each runs fn(j) for every j in [lo, hi) on up to cfg.Workers goroutines,
+// one contiguous chunk apiece, and returns when all have finished. Once done
+// is closed the remaining indices are skipped.
+func (cfg Config) each(done <-chan struct{}, lo, hi int, fn func(j int)) {
+	chunkOf := func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			fn(j)
+		}
+	}
+	w := min(cfg.workers(), hi-lo)
+	if w <= 1 {
+		chunkOf(lo, hi)
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (hi - lo + w - 1) / w
+	for ; lo < hi; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			chunkOf(lo, hi)
+		}(lo, min(lo+chunk, hi))
+	}
+	wg.Wait()
 }
 
 func run(ctx context.Context, src *rng.Source, values []float64, q estimator.Query, est estimator.Estimator, cfg Config) (Result, error) {
@@ -211,9 +399,18 @@ func run(ctx context.Context, src *rng.Source, values []float64, q estimator.Que
 		return Result{}, err
 	}
 	if !est.AppliesTo(q) {
-		return Result{OK: false, Reason: "estimator not applicable"}, nil
+		return Result{Cause: CauseNotApplicable, Reason: "estimator not applicable"}, nil
 	}
 	ce, _ := est.(estimator.ContextEstimator)
+	// The closed forms return θ on the subsample as their interval's center,
+	// out of the fold that gives σ̂ (same bits as q.Eval): the truth comes
+	// with ξ and there is no separate θ pass. A fold is too cheap to be worth
+	// a look at the evidence every xiBatch of them, so a size is one batch.
+	_, oneFold := est.(estimator.ClosedForm)
+	batch := xiBatch
+	if oneFold {
+		batch = cfg.P
+	}
 	done := ctx.Done()
 
 	s := values
@@ -225,150 +422,103 @@ func run(ctx context.Context, src *rng.Source, values []float64, q estimator.Que
 	// Base seed for the per-(size, subsample) streams.
 	base := src.Uint64()
 
-	res := Result{PerSize: make([]SizeStats, 0, len(cfg.SubsampleSizes))}
-	// θ and ξ on each subsample, fanned across the worker pool. ests is the
-	// truth ladder; widths is ξ's per-subsample half-width. Every size
-	// overwrites all P entries, and a non-nil errs entry ends the run.
+	k := len(cfg.SubsampleSizes)
+	maxFar := cfg.maxFar()
+	rungs := make([]SizeStats, k)
+	var res Result
+	reject := func(cause Cause, format string, args ...any) (Result, error) {
+		res.Cause, res.Reason = cause, fmt.Sprintf(format, args...)
+		return res, nil
+	}
+	// θ and ξ's half-width on each subsample. Every size overwrites the
+	// entries it reads; a non-nil errs entry ends the run.
 	ests := make([]float64, cfg.P)
 	widths := make([]float64, cfg.P)
 	errs := make([]error, cfg.P)
-	for si, b := range cfg.SubsampleSizes {
+	for si := k - 1; si >= 0; si-- {
+		b := cfg.SubsampleSizes[si]
 		subs, err := sample.DisjointSubsamples(s, b, cfg.P)
 		if err != nil {
 			return Result{}, err
 		}
-		evalRange := func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				if done != nil {
-					select {
-					case <-done:
-						return
-					default:
-					}
-				}
-				sub := subs[j]
-				ests[j] = q.Eval(sub)
-				sr := rng.NewWithStream(base, subStream(si, j))
-				var iv estimator.Interval
-				var err error
-				if ce != nil {
-					iv, err = ce.IntervalContext(ctx, sr, sub, q, cfg.Alpha)
-				} else {
-					iv, err = est.Interval(sr, sub, q, cfg.Alpha)
-				}
-				if err != nil {
-					errs[j] = err
-					continue
-				}
-				widths[j] = iv.HalfWidth
+		top := si == k-1
+		var x float64 // the true half-width, once ests is complete
+		if !oneFold {
+			cfg.each(done, 0, cfg.P, func(j int) { ests[j] = q.Eval(subs[j]) })
+			if err := ctx.Err(); err != nil {
+				return Result{}, err
 			}
-		}
-		w := cfg.workers()
-		if w > cfg.P {
-			w = cfg.P
-		}
-		if w <= 1 {
-			evalRange(0, cfg.P)
-		} else {
-			var wg sync.WaitGroup
-			chunk := (cfg.P + w - 1) / w
-			for wi := 0; wi < w; wi++ {
-				lo, hi := wi*chunk, (wi+1)*chunk
-				if hi > cfg.P {
-					hi = cfg.P
-				}
-				if lo >= hi {
-					continue
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					evalRange(lo, hi)
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return Result{OK: false, Reason: "estimator failed: " + err.Error()}, nil
-			}
+			// ests is rewritten by the next size and not read again at this one.
+			x = stats.SymmetricHalfWidthInPlace(ests, t, cfg.Alpha)
 		}
 		res.SubsampleQueries += cfg.P // truth: one θ per subsample
-		// ests is rewritten by the next size and not read again at this one.
-		x := stats.SymmetricHalfWidthInPlace(ests, t, cfg.Alpha)
-		res.SubsampleQueries += cfg.P // ξ costs at least one θ-scale pass per subsample
-
-		st := SizeStats{Size: b, TrueHalfWidth: x}
-		switch {
-		case math.IsNaN(x):
-			// Truly uninformative truth at this size.
-			st.Delta = math.NaN()
-			st.Sigma = math.NaN()
-			st.Pi = math.NaN()
-		case x == 0:
-			// Zero-width truth: every subsample estimate coincides with
-			// θ(S) — common for MIN/MAX over columns with atoms at the
-			// extremes. ξ agrees exactly when its intervals are also
-			// (numerically) zero-width; anything wider disagrees.
-			var m stats.Moments
-			close := 0
-			for _, w := range widths {
-				m.Add(w)
-				if w <= 1e-12 {
-					close++
+		res.RungsRun++
+		far := 0
+		for lo := 0; lo < cfg.P; lo += batch {
+			hi := min(lo+batch, cfg.P)
+			cfg.each(done, lo, hi, func(j int) {
+				sr := rng.NewWithStream(base, subStream(si, j))
+				var iv estimator.Interval
+				if ce != nil {
+					iv, errs[j] = ce.IntervalContext(ctx, sr, subs[j], q, cfg.Alpha)
+				} else {
+					iv, errs[j] = est.Interval(sr, subs[j], q, cfg.Alpha)
+				}
+				widths[j] = iv.HalfWidth
+				if oneFold {
+					ests[j] = iv.Center
+				}
+			})
+			if err := ctx.Err(); err != nil {
+				return Result{}, err
+			}
+			res.SubsampleQueries += hi - lo // ξ costs at least one θ-scale pass per subsample
+			res.DecidedAfter = hi
+			for _, err := range errs[lo:hi] {
+				if err != nil {
+					return reject(CauseEstimatorFailed, "estimator failed: %v", err)
 				}
 			}
-			if m.Mean() <= 1e-12 {
-				st.Delta, st.Sigma = 0, 0
-			} else {
-				st.Delta, st.Sigma = math.Inf(1), math.Inf(1)
-			}
-			st.Pi = float64(close) / float64(cfg.P)
-		default:
-			var m stats.Moments
-			close := 0
-			for _, w := range widths {
-				m.Add(w)
-				if math.Abs(w-x)/x <= cfg.C3 {
-					close++
+			if top && !oneFold {
+				for _, w := range widths[lo:hi] {
+					if !cfg.near(w, x) {
+						far++
+					}
+				}
+				if far > maxFar {
+					return reject(CausePi, "π below ρ=%.2f at size %d: %d of first %d far off",
+						cfg.Rho, b, far, hi)
 				}
 			}
-			st.Delta = math.Abs(m.Mean()-x) / x
-			st.Sigma = m.Stddev() / x
-			st.Pi = float64(close) / float64(cfg.P)
 		}
-		res.PerSize = append(res.PerSize, st)
-	}
+		if oneFold {
+			x = stats.SymmetricHalfWidthInPlace(ests, t, cfg.Alpha)
+		}
+		rungs[si] = cfg.sizeStats(b, x, widths)
+		res.PerSize = rungs[si:]
 
-	// Acceptance criteria.
-	for i := 1; i < len(res.PerSize); i++ {
-		cur, prev := res.PerSize[i], res.PerSize[i-1]
-		if math.IsNaN(cur.Delta) || math.IsNaN(prev.Delta) {
-			res.Reason = fmt.Sprintf("degenerate truth interval at size %d", cur.Size)
-			return res, nil
+		// Acceptance criteria, as far as this size settles them.
+		if math.IsNaN(rungs[si].Delta) {
+			return reject(CauseDegenerateTruth, "degenerate truth interval at size %d", b)
 		}
+		if top {
+			if pi := rungs[si].Pi; !(pi >= cfg.Rho) {
+				return reject(CausePi, "π=%.3f below ρ=%.2f at size %d", pi, cfg.Rho, b)
+			}
+			continue
+		}
+		// This size completes a pair with the one above it.
+		cur, prev := rungs[si+1], rungs[si]
 		if !(cur.Delta < prev.Delta || cur.Delta < cfg.C1) {
-			res.Reason = fmt.Sprintf(
+			return reject(CauseDelta,
 				"average deviation not improving at size %d (Δ=%.3f, prev %.3f, c1=%.2f)",
 				cur.Size, cur.Delta, prev.Delta, cfg.C1)
-			return res, nil
 		}
 		if !(cur.Sigma < prev.Sigma || cur.Sigma < cfg.C2) {
-			res.Reason = fmt.Sprintf(
+			return reject(CauseSigma,
 				"spread not improving at size %d (σ=%.3f, prev %.3f, c2=%.2f)",
 				cur.Size, cur.Sigma, prev.Sigma, cfg.C2)
-			return res, nil
 		}
-	}
-	last := res.PerSize[len(res.PerSize)-1]
-	if !(last.Pi >= cfg.Rho) {
-		res.Reason = fmt.Sprintf(
-			"final proportion acceptable π=%.3f below ρ=%.2f at size %d",
-			last.Pi, cfg.Rho, last.Size)
-		return res, nil
 	}
 	res.OK = true
 	return res, nil

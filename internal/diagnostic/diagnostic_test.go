@@ -2,10 +2,17 @@ package diagnostic
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/estimator"
 	"repro/internal/kernel"
@@ -418,17 +425,424 @@ func TestDiagnosticLadderMatchesGenericPath(t *testing.T) {
 						t.Fatalf("%s %s workers=%d: %+v, want %+v", name, q.Name(), workers, got, want)
 					}
 					for i, g := range got.PerSize {
-						w := want.PerSize[i]
-						for f, pair := range [][2]float64{{g.TrueHalfWidth, w.TrueHalfWidth},
-							{g.Delta, w.Delta}, {g.Sigma, w.Sigma}, {g.Pi, w.Pi}} {
-							if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-								t.Errorf("%s %s workers=%d size %d field %d: %v, want %v",
-									name, q.Name(), workers, g.Size, f, pair[0], pair[1])
-							}
+						if w := want.PerSize[i]; !sameStats(g, w) {
+							t.Errorf("%s %s workers=%d size %d: %+v, want %+v", name, q.Name(), workers, g.Size, g, w)
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// runFullLadder is the diagnostic as it ran before it decided first: every
+// size, smallest first, all p subsamples of each — a separate θ pass and ξ on
+// every one — and only then Algorithm 1's conditions, in the paper's order.
+// It is the reference the decide-first ladder is held to: same verdict, and
+// the same statistics for every size the new ladder completes. (Its reject
+// reasons are the old texts; it sets Cause only where it returns early.)
+func runFullLadder(ctx context.Context, src *rng.Source, values []float64, q estimator.Query, est estimator.Estimator, cfg Config) (Result, error) {
+	if err := cfg.Validate(len(values)); err != nil {
+		return Result{}, err
+	}
+	if !est.AppliesTo(q) {
+		return Result{OK: false, Cause: CauseNotApplicable, Reason: "estimator not applicable"}, nil
+	}
+	ce, _ := est.(estimator.ContextEstimator)
+	done := ctx.Done()
+
+	s := values
+	if cfg.Shuffle {
+		s = sample.Shuffled(src, values)
+	}
+	// Best available estimate of θ(D).
+	t := q.Eval(s)
+	// Base seed for the per-(size, subsample) streams.
+	base := src.Uint64()
+
+	res := Result{PerSize: make([]SizeStats, 0, len(cfg.SubsampleSizes))}
+	// θ and ξ on each subsample, fanned across the worker pool. ests is the
+	// truth ladder; widths is ξ's per-subsample half-width. Every size
+	// overwrites all P entries, and a non-nil errs entry ends the run.
+	ests := make([]float64, cfg.P)
+	widths := make([]float64, cfg.P)
+	errs := make([]error, cfg.P)
+	for si, b := range cfg.SubsampleSizes {
+		subs, err := sample.DisjointSubsamples(s, b, cfg.P)
+		if err != nil {
+			return Result{}, err
+		}
+		evalRange := func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				if done != nil {
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+				sub := subs[j]
+				ests[j] = q.Eval(sub)
+				sr := rng.NewWithStream(base, subStream(si, j))
+				var iv estimator.Interval
+				var err error
+				if ce != nil {
+					iv, err = ce.IntervalContext(ctx, sr, sub, q, cfg.Alpha)
+				} else {
+					iv, err = est.Interval(sr, sub, q, cfg.Alpha)
+				}
+				if err != nil {
+					errs[j] = err
+					continue
+				}
+				widths[j] = iv.HalfWidth
+			}
+		}
+		w := cfg.workers()
+		if w > cfg.P {
+			w = cfg.P
+		}
+		if w <= 1 {
+			evalRange(0, cfg.P)
+		} else {
+			var wg sync.WaitGroup
+			chunk := (cfg.P + w - 1) / w
+			for wi := 0; wi < w; wi++ {
+				lo, hi := wi*chunk, (wi+1)*chunk
+				if hi > cfg.P {
+					hi = cfg.P
+				}
+				if lo >= hi {
+					continue
+				}
+				wg.Add(1)
+				go func(lo, hi int) {
+					defer wg.Done()
+					evalRange(lo, hi)
+				}(lo, hi)
+			}
+			wg.Wait()
+		}
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
+		for _, err := range errs {
+			if err != nil {
+				return Result{OK: false, Cause: CauseEstimatorFailed, Reason: "estimator failed: " + err.Error()}, nil
+			}
+		}
+		res.SubsampleQueries += cfg.P // truth: one θ per subsample
+		// ests is rewritten by the next size and not read again at this one.
+		x := stats.SymmetricHalfWidthInPlace(ests, t, cfg.Alpha)
+		res.SubsampleQueries += cfg.P // ξ costs at least one θ-scale pass per subsample
+
+		st := SizeStats{Size: b, TrueHalfWidth: x}
+		switch {
+		case math.IsNaN(x):
+			// Truly uninformative truth at this size.
+			st.Delta = math.NaN()
+			st.Sigma = math.NaN()
+			st.Pi = math.NaN()
+		case x == 0:
+			// Zero-width truth: every subsample estimate coincides with
+			// θ(S) — common for MIN/MAX over columns with atoms at the
+			// extremes. ξ agrees exactly when its intervals are also
+			// (numerically) zero-width; anything wider disagrees.
+			var m stats.Moments
+			close := 0
+			for _, w := range widths {
+				m.Add(w)
+				if w <= 1e-12 {
+					close++
+				}
+			}
+			if m.Mean() <= 1e-12 {
+				st.Delta, st.Sigma = 0, 0
+			} else {
+				st.Delta, st.Sigma = math.Inf(1), math.Inf(1)
+			}
+			st.Pi = float64(close) / float64(cfg.P)
+		default:
+			var m stats.Moments
+			close := 0
+			for _, w := range widths {
+				m.Add(w)
+				if math.Abs(w-x)/x <= cfg.C3 {
+					close++
+				}
+			}
+			st.Delta = math.Abs(m.Mean()-x) / x
+			st.Sigma = m.Stddev() / x
+			st.Pi = float64(close) / float64(cfg.P)
+		}
+		res.PerSize = append(res.PerSize, st)
+	}
+
+	// Acceptance criteria.
+	for i := 1; i < len(res.PerSize); i++ {
+		cur, prev := res.PerSize[i], res.PerSize[i-1]
+		if math.IsNaN(cur.Delta) || math.IsNaN(prev.Delta) {
+			res.Reason = fmt.Sprintf("degenerate truth interval at size %d", cur.Size)
+			return res, nil
+		}
+		if !(cur.Delta < prev.Delta || cur.Delta < cfg.C1) {
+			res.Reason = fmt.Sprintf(
+				"average deviation not improving at size %d (Δ=%.3f, prev %.3f, c1=%.2f)",
+				cur.Size, cur.Delta, prev.Delta, cfg.C1)
+			return res, nil
+		}
+		if !(cur.Sigma < prev.Sigma || cur.Sigma < cfg.C2) {
+			res.Reason = fmt.Sprintf(
+				"spread not improving at size %d (σ=%.3f, prev %.3f, c2=%.2f)",
+				cur.Size, cur.Sigma, prev.Sigma, cfg.C2)
+			return res, nil
+		}
+	}
+	last := res.PerSize[len(res.PerSize)-1]
+	if !(last.Pi >= cfg.Rho) {
+		res.Reason = fmt.Sprintf(
+			"final proportion acceptable π=%.3f below ρ=%.2f at size %d",
+			last.Pi, cfg.Rho, last.Size)
+		return res, nil
+	}
+	res.OK = true
+	return res, nil
+}
+
+// failingConditions lists every Algorithm 1 condition a full ladder's
+// evidence fails, not just the first the paper's order meets.
+func failingConditions(per []SizeStats, cfg Config) map[Cause]bool {
+	failing := map[Cause]bool{}
+	for i, cur := range per {
+		if math.IsNaN(cur.Delta) {
+			failing[CauseDegenerateTruth] = true
+		}
+		if i == 0 {
+			continue
+		}
+		prev := per[i-1]
+		if !(cur.Delta < prev.Delta || cur.Delta < cfg.C1) {
+			failing[CauseDelta] = true
+		}
+		if !(cur.Sigma < prev.Sigma || cur.Sigma < cfg.C2) {
+			failing[CauseSigma] = true
+		}
+	}
+	if !(per[len(per)-1].Pi >= cfg.Rho) {
+		failing[CausePi] = true
+	}
+	return failing
+}
+
+// sameStats compares two sizes' statistics as bits: the ladder's NaN and ±0
+// cases are equal to themselves.
+func sameStats(a, b SizeStats) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.Size == b.Size && same(a.TrueHalfWidth, b.TrueHalfWidth) &&
+		same(a.Delta, b.Delta) && same(a.Sigma, b.Sigma) && same(a.Pi, b.Pi)
+}
+
+// sameResult is reflect.DeepEqual with floats compared as bits.
+func sameResult(a, b Result) bool {
+	if a.OK != b.OK || a.Cause != b.Cause || a.Reason != b.Reason || a.RungsRun != b.RungsRun ||
+		a.DecidedAfter != b.DecidedAfter || a.SubsampleQueries != b.SubsampleQueries ||
+		len(a.PerSize) != len(b.PerSize) {
+		return false
+	}
+	for i := range a.PerSize {
+		if !sameStats(a.PerSize[i], b.PerSize[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDecideFirstMatchesFullLadder holds the decide-first ladder to the full
+// one over aggregates × distributions × seeds × ξ: the verdict is always the
+// full ladder's; a reject names a condition the full evidence does fail;
+// every size the new ladder completes carries the full ladder's statistics
+// bit for bit — all of them whenever it ran to the bottom; and the whole
+// Result, where it stopped included, is the same at 1, 2 and 8 workers.
+func TestDecideFirstMatchesFullLadder(t *testing.T) {
+	udf := func(name string) estimator.Query {
+		return estimator.Query{Kind: estimator.UDF, FnName: name, Fn: workload.UDFByName(name).Fn}
+	}
+	queries := []estimator.Query{
+		{Kind: estimator.Avg}, {Kind: estimator.Sum, PopN: 1_000_000},
+		{Kind: estimator.Min}, {Kind: estimator.Max},
+		{Kind: estimator.Percentile, Pct: 0.5}, {Kind: estimator.Percentile, Pct: 0.95},
+		udf("median_abs_dev"), udf("trimmed_mean_5"), udf("frac_above_median_x2"),
+	}
+	dists := []workload.DataDist{workload.Gaussian, workload.LogNormalMild, workload.ParetoTail, workload.Spiky}
+	xis := []estimator.Estimator{estimator.ClosedForm{UseStudentT: true}, estimator.Bootstrap{K: 40}}
+	seeds := 20
+	if testing.Short() {
+		seeds = 3
+	}
+	ctx := context.Background()
+	var accepts, early, byCause = 0, 0, map[Cause]int{}
+	for _, dist := range dists {
+		for seed := 0; seed < seeds; seed++ {
+			s := workload.GenerateColumn(rng.New(uint64(1000*int(dist)+seed)), dist, 8000)
+			for _, q := range queries {
+				for _, xi := range xis {
+					cfg := DefaultConfig(len(s))
+					id := dist.String() + " " + q.Name() + " " + xi.Name()
+					want, err := runFullLadder(ctx, rng.New(uint64(seed)), s, q, xi, cfg)
+					if err != nil {
+						t.Fatalf("%s seed %d: reference: %v", id, seed, err)
+					}
+					var first Result
+					for _, workers := range []int{1, 2, 8} {
+						cfg.Workers = workers
+						got, err := Run(ctx, rng.New(uint64(seed)), s, q, xi, cfg)
+						if err != nil {
+							t.Fatalf("%s seed %d workers %d: %v", id, seed, workers, err)
+						}
+						if workers == 1 {
+							first = got
+						} else if !sameResult(got, first) {
+							t.Fatalf("%s seed %d: workers %d gives %+v, serial %+v", id, seed, workers, got, first)
+						}
+					}
+					got := first
+					if got.OK != want.OK {
+						t.Fatalf("%s seed %d: verdict %v (%s), full ladder %v (%s)",
+							id, seed, got.OK, got.Reason, want.OK, want.Reason)
+					}
+					if (got.Cause == CauseNone) != got.OK || (got.Reason == "") != got.OK {
+						t.Fatalf("%s seed %d: OK=%v with cause %q, reason %q", id, seed, got.OK, got.Cause, got.Reason)
+					}
+					if len(want.PerSize) == 0 { // ξ does not apply: no ladder to compare
+						if got.Cause != want.Cause || got.RungsRun != 0 || len(got.PerSize) != 0 {
+							t.Fatalf("%s seed %d: %+v, full ladder %+v", id, seed, got, want)
+						}
+						byCause[got.Cause]++
+						continue
+					}
+					if !got.OK && !failingConditions(want.PerSize, cfg)[got.Cause] {
+						t.Fatalf("%s seed %d: rejected on %s, which the full evidence passes: %+v",
+							id, seed, got.Cause, want.PerSize)
+					}
+					// Completed sizes are a suffix of the ladder.
+					skipped := len(want.PerSize) - len(got.PerSize)
+					for i, st := range got.PerSize {
+						if !sameStats(st, want.PerSize[skipped+i]) {
+							t.Fatalf("%s seed %d: size %d: %+v, full ladder %+v",
+								id, seed, st.Size, st, want.PerSize[skipped+i])
+						}
+					}
+					ranAll := got.XiEvaluations(cfg.P) == len(cfg.SubsampleSizes)*cfg.P
+					if ranAll != (skipped == 0) || (ranAll && got.SubsampleQueries != want.SubsampleQueries) {
+						t.Fatalf("%s seed %d: %d ξ evaluations, %d sizes complete, %d subsample queries (full ladder %d)",
+							id, seed, got.XiEvaluations(cfg.P), len(got.PerSize), got.SubsampleQueries, want.SubsampleQueries)
+					}
+					if got.OK && !ranAll {
+						t.Fatalf("%s seed %d: accepted on partial evidence: %+v", id, seed, got)
+					}
+					if got.OK {
+						accepts++
+					} else {
+						byCause[got.Cause]++
+						if !ranAll {
+							early++
+						}
+					}
+				}
+			}
+		}
+	}
+	// The matrix must keep exercising both verdicts, the early exits and
+	// each of Algorithm 1's conditions (the short matrix has no σ reject).
+	if accepts == 0 || early == 0 || byCause[CausePi] == 0 || byCause[CauseDelta] == 0 ||
+		byCause[CauseSigma] == 0 && !testing.Short() || byCause[CauseNotApplicable] == 0 {
+		t.Errorf("matrix lost its coverage: %d accepts, %d early rejects, by cause %v", accepts, early, byCause)
+	}
+	t.Logf("%d accepts, %d early rejects, rejects by cause %v", accepts, early, byCause)
+}
+
+// failingAt is a ξ that errors on subsamples holding a marked value.
+type failingAt struct{ estimator.Bootstrap }
+
+func (f failingAt) IntervalContext(ctx context.Context, src *rng.Source, values []float64, q estimator.Query, alpha float64) (estimator.Interval, error) {
+	if slices.Contains(values, -12345) {
+		return estimator.Interval{}, errors.New("poisoned subsample")
+	}
+	return f.Bootstrap.IntervalContext(ctx, src, values, q, alpha)
+}
+
+// TestDecideFirstEstimatorFailure: a ξ error rejects, as it always did, when
+// it falls in the prefix the ladder evaluates — wherever it is on an
+// otherwise accepted query.
+func TestDecideFirstEstimatorFailure(t *testing.T) {
+	s := gaussianSample(3, 40000, 100, 15)
+	cfg := smallConfig(len(s))
+	cfg.Shuffle = false
+	q := estimator.Query{Kind: estimator.Avg}
+	if res, err := Run(context.Background(), rng.New(71), s, q, failingAt{estimator.Bootstrap{K: 50}}, cfg); err != nil || !res.OK {
+		t.Fatalf("clean sample: %+v, %v", res, err)
+	}
+	for _, at := range []int{0, 40 * cfg.SubsampleSizes[2], len(s)/2 - 1} {
+		poisoned := append([]float64(nil), s...)
+		poisoned[at] = -12345
+		want, err := runFullLadder(context.Background(), rng.New(71), poisoned, q, failingAt{estimator.Bootstrap{K: 50}}, cfg)
+		if err != nil || want.Cause != CauseEstimatorFailed {
+			t.Fatalf("row %d: reference %+v, %v", at, want, err)
+		}
+		for _, workers := range []int{1, 8} {
+			cfg.Workers = workers
+			got, err := Run(context.Background(), rng.New(71), poisoned, q, failingAt{estimator.Bootstrap{K: 50}}, cfg)
+			if err != nil || got.OK || got.Cause != CauseEstimatorFailed || got.Reason != want.Reason {
+				t.Errorf("row %d workers %d: %+v, %v; full ladder %+v", at, workers, got, err, want)
+			}
+		}
+	}
+}
+
+// cancelling is a bootstrap ξ that cancels the run's context on its n-th
+// call and carries on, as a client hanging up mid-diagnosis would.
+type cancelling struct {
+	estimator.Bootstrap
+	calls  *atomic.Int32
+	on     int32
+	cancel context.CancelFunc
+}
+
+func (c cancelling) IntervalContext(ctx context.Context, src *rng.Source, values []float64, q estimator.Query, alpha float64) (estimator.Interval, error) {
+	if c.calls.Add(1) == c.on {
+		c.cancel()
+	}
+	return c.Bootstrap.IntervalContext(ctx, src, values, q, alpha)
+}
+
+// TestDecideFirstCancellation: a context cancelled in the middle of a batch
+// — the first one, a later one, one at a lower size — ends the run with the
+// context's error, within that batch, and with no worker goroutine left.
+func TestDecideFirstCancellation(t *testing.T) {
+	s := gaussianSample(3, 40000, 100, 15) // accepted: the ladder reaches every size
+	q := estimator.Query{Kind: estimator.Avg}
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 8} {
+		for _, on := range []int32{5, xiBatch + 3, 100 + xiBatch + 1} {
+			ctx, cancel := context.WithCancel(context.Background())
+			cfg := smallConfig(len(s))
+			cfg.Workers = workers
+			xi := cancelling{estimator.Bootstrap{K: 50}, new(atomic.Int32), on, cancel}
+			res, err := Run(ctx, rng.New(4), s, q, xi, cfg)
+			cancel()
+			if !errors.Is(err, context.Canceled) || res.OK || res.PerSize != nil {
+				t.Errorf("workers %d, cancelled on call %d: %+v, %v", workers, on, res, err)
+			}
+			if calls, limit := xi.calls.Load(), (on+xiBatch-1)/xiBatch*xiBatch; calls > limit {
+				t.Errorf("workers %d, cancelled on call %d: ξ ran %d times, want <= %d", workers, on, calls, limit)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("goroutines leaked: %d before, %d after", base, n)
 	}
 }

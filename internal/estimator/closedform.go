@@ -27,7 +27,8 @@ func (ClosedForm) AppliesTo(q Query) bool { return q.ClosedFormApplicable() }
 
 // Interval implements Estimator. The returned interval is centered on the
 // sample estimate θ(S) with half-width z·σ̂, where σ̂ is the closed-form
-// standard error for the aggregate.
+// standard error for the aggregate. Both come out of one pass over values,
+// and Center holds the bits q.Eval(values) returns.
 func (cf ClosedForm) Interval(_ *rng.Source, values []float64, q Query, alpha float64) (Interval, error) {
 	if !cf.AppliesTo(q) {
 		return Interval{}, fmt.Errorf("%w: %s has no closed form", ErrNotApplicable, q.Name())
@@ -36,12 +37,12 @@ func (cf ClosedForm) Interval(_ *rng.Source, values []float64, q Query, alpha fl
 	if n == 0 {
 		return Interval{}, fmt.Errorf("estimator: empty sample")
 	}
-	se, err := closedFormStdErr(values, q)
+	theta, se, err := closedFormEstimate(values, q)
 	if err != nil {
 		return Interval{}, err
 	}
 	crit := critValue(alpha, float64(n-1), cf.UseStudentT)
-	return Interval{Center: q.Eval(values), HalfWidth: crit * se}, nil
+	return Interval{Center: theta, HalfWidth: crit * se}, nil
 }
 
 func critValue(alpha, df float64, useT bool) float64 {
@@ -52,13 +53,18 @@ func critValue(alpha, df float64, useT bool) float64 {
 	return stats.StdNormalQuantile(p)
 }
 
-// closedFormStdErr returns σ̂, the estimated standard deviation of the
-// sampling distribution of θ(S), for the closed-form aggregates.
-func closedFormStdErr(values []float64, q Query) (float64, error) {
+// closedFormEstimate returns θ(S) and σ̂, the estimated standard deviation of
+// the sampling distribution of θ(S), for the closed-form aggregates. θ is what
+// Query.EvalWeighted computes on unweighted values, from the same additions
+// in the same order: the Welford fold σ̂ needs anyway answers AVG, VARIANCE
+// and STDEV, and SUM and COUNT keep their plain running sum beside it.
+func closedFormEstimate(values []float64, q Query) (theta, se float64, err error) {
 	n := float64(len(values))
 	var m stats.Moments
+	sum := 0.0
 	for _, v := range values {
 		m.Add(v)
+		sum += v
 	}
 	s2 := m.SampleVariance()
 	if math.IsNaN(s2) {
@@ -67,10 +73,10 @@ func closedFormStdErr(values []float64, q Query) (float64, error) {
 	switch q.Kind {
 	case Avg:
 		// Var(x̄) = s²/n.
-		return math.Sqrt(s2 / n), nil
+		return m.Mean(), math.Sqrt(s2 / n), nil
 	case Sum, Count:
 		// θ̂ = scale·Σx = scale·n·x̄, so σ̂ = scale·n·s/√n = scale·s·√n.
-		return q.scale(len(values)) * math.Sqrt(s2*n), nil
+		return q.FinalizeFused(sum, n, len(values)), q.scale(len(values)) * math.Sqrt(s2*n), nil
 	case Variance:
 		// Var(s²) ≈ (μ₄ − σ⁴)/n (asymptotic; e.g. Rice §6).
 		mu4 := centralMoment4(values, m.Mean())
@@ -78,7 +84,7 @@ func closedFormStdErr(values []float64, q Query) (float64, error) {
 		if v < 0 {
 			v = 0
 		}
-		return math.Sqrt(v), nil
+		return m.Variance(), math.Sqrt(v), nil
 	case Stdev:
 		// Delta method: Var(s) ≈ Var(s²) / (4σ²).
 		mu4 := centralMoment4(values, m.Mean())
@@ -87,11 +93,11 @@ func closedFormStdErr(values []float64, q Query) (float64, error) {
 			v = 0
 		}
 		if s2 == 0 {
-			return 0, nil
+			return m.Stddev(), 0, nil
 		}
-		return math.Sqrt(v / (4 * s2)), nil
+		return m.Stddev(), math.Sqrt(v / (4 * s2)), nil
 	default:
-		return 0, fmt.Errorf("%w: %s", ErrNotApplicable, q.Name())
+		return 0, 0, fmt.Errorf("%w: %s", ErrNotApplicable, q.Name())
 	}
 }
 

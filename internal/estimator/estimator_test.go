@@ -74,6 +74,44 @@ func TestQueryEvalWeighted(t *testing.T) {
 	}
 }
 
+// TestMinMaxMatchMoments: MIN and MAX read off a compare-only loop return the
+// bits stats.Moments' Welford fold reports for the same rows — over vectors
+// with NaNs (leading and not), both zeros, runs of equal extremes, negative,
+// zero and NaN weights, no weights and no present row.
+func TestMinMaxMatchMoments(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pool := []float64{math.NaN(), negZero, 0, 1, 1, -3, -3, 7, 7, math.Inf(1), math.Inf(-1)}
+	wpool := []float64{0, 0, 1, 2, 3, -1, math.NaN()}
+	src := rng.New(91)
+	check := func(values, weights []float64) {
+		t.Helper()
+		var m stats.Moments
+		foldWeighted(&m, values, weights)
+		for _, c := range []struct {
+			q    Query
+			want float64
+		}{{Query{Kind: Min}, m.Min()}, {Query{Kind: Max}, m.Max()}} {
+			if got := c.q.EvalWeighted(values, weights); math.Float64bits(got) != math.Float64bits(c.want) {
+				t.Fatalf("%s(%v, %v) = %v (%#x), Moments says %v (%#x)", c.q.Name(), values, weights,
+					got, math.Float64bits(got), c.want, math.Float64bits(c.want))
+			}
+		}
+	}
+	for trial := 0; trial < 5000; trial++ {
+		n := 1 + src.Intn(8)
+		values := make([]float64, n)
+		weights := make([]float64, n)
+		for i := range values {
+			values[i] = pool[src.Intn(len(pool))]
+			if trial%7 != 6 { // every seventh trial: every row absent
+				weights[i] = wpool[src.Intn(len(wpool))]
+			}
+		}
+		check(values, weights)
+		check(values, nil)
+	}
+}
+
 func TestQuerySumScaledWeighted(t *testing.T) {
 	// Scaled SUM on a resample: scale = PopN/n regardless of Σw.
 	q := Query{Kind: Sum, PopN: 100}
@@ -270,6 +308,33 @@ func TestClosedFormVarianceAndStdev(t *testing.T) {
 	gotRatio := ivV.HalfWidth / ivS.HalfWidth
 	if math.Abs(gotRatio-wantRatio)/wantRatio > 0.05 {
 		t.Errorf("VAR/STDEV width ratio = %v, want ~%v", gotRatio, wantRatio)
+	}
+}
+
+// TestClosedFormCenterIsEval: the interval's center, read off the fold that
+// gives σ̂, is bit for bit what Query.Eval computes in its own pass — the
+// diagnostic takes θ on a subsample from it.
+func TestClosedFormCenterIsEval(t *testing.T) {
+	src := rng.New(93)
+	for trial := 0; trial < 300; trial++ {
+		values := make([]float64, 1+src.Intn(260))
+		for i := range values {
+			if trial%2 == 0 {
+				values[i] = src.LogNormal(4, 0.6)
+			} else {
+				values[i] = float64(src.Intn(2)) // a COUNT's indicator column
+			}
+		}
+		for _, q := range []Query{{Kind: Avg}, {Kind: Sum}, {Kind: Sum, PopN: 1_000_000},
+			{Kind: Count, PopN: 77}, {Kind: Variance}, {Kind: Stdev}} {
+			iv, err := ClosedForm{UseStudentT: trial%3 == 0}.Interval(nil, values, q, 0.95)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := q.Eval(values); math.Float64bits(iv.Center) != math.Float64bits(want) {
+				t.Fatalf("%s PopN=%d n=%d: center %v, Eval %v", q.Name(), q.PopN, len(values), iv.Center, want)
+			}
+		}
 	}
 }
 

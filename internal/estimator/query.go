@@ -142,13 +142,9 @@ func (q Query) EvalWeighted(values, weights []float64) float64 {
 		}
 		return sum
 	case Min:
-		var m stats.Moments
-		foldWeighted(&m, values, weights)
-		return m.Min()
+		return extreme(values, weights, false)
 	case Max:
-		var m stats.Moments
-		foldWeighted(&m, values, weights)
-		return m.Max()
+		return extreme(values, weights, true)
 	case Variance:
 		var m stats.Moments
 		foldWeighted(&m, values, weights)
@@ -190,6 +186,34 @@ func foldWeighted(m *stats.Moments, values, weights []float64) {
 	for i, v := range values {
 		m.AddWeighted(v, weights[i])
 	}
+}
+
+// extreme is MIN or MAX over the rows present in a weighted dataset, as
+// stats.Moments reports them but without its Welford update: a row is absent
+// when its weight is <= 0, the first present row starts the running extreme
+// (so a leading NaN stays and a later one is never taken), only a strictly
+// smaller or larger value replaces it (the first of equal extremes, −0 and
+// +0 included, is the one returned), and no present row gives NaN.
+func extreme(values, weights []float64, wantMax bool) float64 {
+	i := 0
+	if weights != nil {
+		for i < len(values) && weights[i] <= 0 {
+			i++
+		}
+	}
+	if i == len(values) {
+		return math.NaN()
+	}
+	ext := values[i]
+	for i++; i < len(values); i++ {
+		if weights != nil && weights[i] <= 0 {
+			continue
+		}
+		if x := values[i]; (wantMax && x > ext) || (!wantMax && x < ext) {
+			ext = x
+		}
+	}
+	return ext
 }
 
 // FusedApplicable reports whether the blocked multi-resample kernel has a

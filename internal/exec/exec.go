@@ -1041,18 +1041,9 @@ func runDiagnostic(ctx context.Context, nodes nodeSet, values []float64, q estim
 		// so reject conservatively instead.
 		b3 := len(values) / (2 * dcfg.P)
 		if b3 < 16 {
-			res := &diagnostic.Result{
-				OK:     false,
-				Reason: "too few rows after filtering for a meaningful diagnosis",
-			}
-			if verdictSpan != nil {
-				verdictSpan.SetAttr("verdict", "reject")
-				verdictSpan.SetAttr("reason", res.Reason)
-				verdictSpan.End()
-				verdictSpan.Metrics().Counter("aqp_diagnostic_verdicts_total",
-					"Diagnostic verdicts, by outcome.", "verdict", "reject").Inc()
-			}
-			return res, c, nil
+			res := dcfg.Rejected(diagnostic.CauseTooFewRows, "too few rows after filtering for a diagnosis")
+			verdictSpan.End()
+			return &res, c, nil
 		}
 		dcfg.SubsampleSizes = []int{b3 / 4, b3 / 2, b3}
 	}

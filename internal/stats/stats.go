@@ -5,9 +5,12 @@
 package stats
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // ErrEmpty is returned by operations that need at least one observation.
@@ -233,6 +236,18 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
+// weightedValue is one present row of a weighted dataset.
+type weightedValue struct{ x, w float64 }
+
+// weightedScratch recycles WeightedQuantile's row vector: a bootstrap calls
+// it once per resample on vectors of one length. Vectors past
+// maxPooledWeighted rows are left to the collector — that is a whole table
+// answered exactly, one call, and a pool would keep its megabytes live for
+// two more collections.
+var weightedScratch = sync.Pool{New: func() any { return new([]weightedValue) }}
+
+const maxPooledWeighted = 1 << 16
+
 // WeightedQuantile returns the q-quantile of (xs, ws) where ws are
 // non-negative weights (e.g. Poissonized resample multiplicities). Rows
 // with zero weight are ignored. Returns NaN when total weight is zero.
@@ -240,19 +255,30 @@ func WeightedQuantile(xs, ws []float64, q float64) float64 {
 	if len(xs) != len(ws) || len(xs) == 0 || q < 0 || q > 1 {
 		return math.NaN()
 	}
-	type wx struct{ x, w float64 }
-	items := make([]wx, 0, len(xs))
+	var items []weightedValue
+	if len(xs) > maxPooledWeighted {
+		items = make([]weightedValue, 0, len(xs))
+	} else {
+		scratch := weightedScratch.Get().(*[]weightedValue)
+		defer weightedScratch.Put(scratch)
+		if cap(*scratch) < len(xs) {
+			*scratch = make([]weightedValue, 0, len(xs))
+		}
+		items = (*scratch)[:0]
+	}
 	total := 0.0
 	for i, x := range xs {
 		if ws[i] > 0 {
-			items = append(items, wx{x, ws[i]})
+			items = append(items, weightedValue{x, ws[i]})
 			total += ws[i]
 		}
 	}
 	if total == 0 {
 		return math.NaN()
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].x < items[j].x })
+	// The order among equal values is left to the sort: the value at which
+	// the running weight crosses the target is the same whichever comes first.
+	slices.SortFunc(items, func(a, b weightedValue) int { return cmp.Compare(a.x, b.x) })
 	target := q * total
 	cum := 0.0
 	for _, it := range items {

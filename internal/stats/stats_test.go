@@ -198,6 +198,86 @@ func TestWeightedQuantile(t *testing.T) {
 	}
 }
 
+// weightedQuantileAllocating is WeightedQuantile as it was before the pooled
+// scratch: a fresh pair vector per call, ordered by sort.Slice.
+func weightedQuantileAllocating(xs, ws []float64, q float64) float64 {
+	if len(xs) != len(ws) || len(xs) == 0 || q < 0 || q > 1 {
+		return math.NaN()
+	}
+	type wx struct{ x, w float64 }
+	items := make([]wx, 0, len(xs))
+	total := 0.0
+	for i, x := range xs {
+		if ws[i] > 0 {
+			items = append(items, wx{x, ws[i]})
+			total += ws[i]
+		}
+	}
+	if total == 0 {
+		return math.NaN()
+	}
+	sort.Slice(items, func(i, j int) bool { return items[i].x < items[j].x })
+	target := q * total
+	cum := 0.0
+	for _, it := range items {
+		cum += it.w
+		if cum >= target {
+			return it.x
+		}
+	}
+	return items[len(items)-1].x
+}
+
+// TestWeightedQuantileMatchesAllocatingBody: the pooled, slices-sorted
+// WeightedQuantile returns the old body's bits on resample-shaped input —
+// integer multiplicities with zeros, values with ties — at the quantiles
+// the engine asks for and at both ends, whatever length the pooled scratch
+// last held.
+func TestWeightedQuantileMatchesAllocatingBody(t *testing.T) {
+	src := rng.New(77)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + src.Intn(300)
+		if trial == 1000 {
+			n = maxPooledWeighted + 5 // a table-sized call, whose scratch is not kept
+		}
+		xs := make([]float64, n)
+		ws := make([]float64, n)
+		for i := range xs {
+			switch trial % 3 {
+			case 0:
+				xs[i] = src.NormFloat64()
+			case 1:
+				xs[i] = float64(src.Intn(7)) // heavy ties
+			default:
+				xs[i] = math.Floor(src.LogNormal(2, 1))
+			}
+			if trial%10 != 9 { // every tenth trial: all rows absent
+				ws[i] = float64(src.Poisson(1))
+			}
+		}
+		for _, q := range []float64{0, 0.5, 0.95, 1} {
+			got, want := WeightedQuantile(xs, ws, q), weightedQuantileAllocating(xs, ws, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d n=%d q=%v: %v, want %v", trial, n, q, got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkWeightedQuantile(b *testing.B) {
+	src := rng.New(78)
+	xs := make([]float64, 250)
+	ws := make([]float64, len(xs))
+	for i := range xs {
+		xs[i] = src.NormFloat64()
+		ws[i] = float64(src.Poisson(1))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		WeightedQuantile(xs, ws, 0.5)
+	}
+}
+
 func TestSymmetricHalfWidth(t *testing.T) {
 	xs := []float64{-3, -1, 0, 1, 3}
 	// Around 0 with alpha=0.6: need 3 of 5 values; |devs| sorted = 0,1,1,3,3.
