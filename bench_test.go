@@ -194,7 +194,7 @@ func BenchmarkEnginePipelineOptimized(b *testing.B) {
 	e := benchEngine(b, core.Config{Seed: 1, Workers: 8})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Query("SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'"); err != nil {
+		if _, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +207,7 @@ func BenchmarkEnginePipelineNaive(b *testing.B) {
 		DisableScanConsolidation: true, DisableOperatorPushdown: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Query("SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'"); err != nil {
+		if _, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -159,7 +160,7 @@ func runCacheRounds(eng *core.Engine, qs []string, rounds int, refs [][]uint64) 
 	for r := 1; r <= rounds; r++ {
 		start := time.Now()
 		for qi, q := range qs {
-			ans, err := eng.Query(q)
+			ans, err := eng.Run(context.Background(), q)
 			if err != nil {
 				panic("aqpbench: " + err.Error())
 			}
@@ -226,7 +227,7 @@ func cacheBench(rows, sampleRows, rounds, seed int) *cacheBenchResult {
 	offEng := cacheEngine(base, sampleRows, seed, 0, false)
 	refs := make([][]uint64, len(qs))
 	for qi, q := range qs {
-		ans, err := offEng.Query(q)
+		ans, err := offEng.Run(context.Background(), q)
 		if err != nil {
 			panic("aqpbench: " + err.Error())
 		}

@@ -8,8 +8,7 @@
 //	aqpbench -fig all -csv out/  # also write plot-ready CSV per figure
 //
 // Figures: 1, 3 (includes the §3 table), 4b, 4c, 7, 8ab, 8c, 8d, 8ef, 9,
-// ablation, stages (the traced per-stage latency breakdown, which writes
-// machine-readable BENCH_stages.json), obs-overhead (per-query latency
+// ablation, obs-overhead (per-query latency
 // with telemetry off vs spans vs spans+event-log vs spans+watchdog vs
 // spans+history vs spans+export — the last posting OTLP batches to a
 // local stub collector — interleaved round-robin after a shared warmup
@@ -55,7 +54,7 @@ type result interface {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 3, 4b, 4c, 7, 8ab, 8c, 8d, 8ef, 9, ablation, stages, kernel, concurrency, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 1, 3, 4b, 4c, 7, 8ab, 8c, 8d, 8ef, 9, ablation, kernel, concurrency, all")
 	full := flag.Bool("full", false, "run at paper-faithful scale (slow)")
 	seed := flag.Uint64("seed", 2014, "random seed")
 	queries := flag.Int("queries", 0, "override queries per set")
@@ -88,7 +87,6 @@ func main() {
 		"8ef":          func() result { return experiments.Fig8ef(cfg) },
 		"9":            func() result { return experiments.Fig9(cfg) },
 		"ablation":     func() result { return experiments.DiagnosticAblation(cfg) },
-		"stages":       func() result { return experiments.Stages(cfg) },
 		"obs-overhead": func() result { return experiments.ObsOverhead(cfg) },
 		"history":      func() result { return experiments.HistoryBench(cfg) },
 		"kernel": func() result {
@@ -145,7 +143,7 @@ func main() {
 			return serveBench(rows, sample, perConn, connCounts, int(cfg.Seed))
 		},
 	}
-	order := []string{"1", "3", "4b", "4c", "7", "8ab", "8c", "8d", "8ef", "9", "ablation", "stages", "obs-overhead", "history", "kernel", "concurrency", "shared-scan", "storage", "cache", "serve-e2e"}
+	order := []string{"1", "3", "4b", "4c", "7", "8ab", "8c", "8d", "8ef", "9", "ablation", "obs-overhead", "history", "kernel", "concurrency", "shared-scan", "storage", "cache", "serve-e2e"}
 
 	var selected []string
 	switch strings.ToLower(*fig) {

@@ -192,7 +192,7 @@ func skipSweep(res *sharedBenchResult, n, seed int) {
 		var ans *core.Answer
 		for rep := 0; rep < 4; rep++ {
 			start := time.Now()
-			a, err := eng.Query(q)
+			a, err := eng.Run(context.Background(), q)
 			if err != nil {
 				panic("aqpbench: " + err.Error())
 			}

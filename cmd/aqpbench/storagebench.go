@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -145,7 +146,7 @@ func storageBench(rows, sampleRows, seed int) *storageBenchResult {
 			panic("aqpbench: " + err.Error())
 		}
 		ms, ans := bestOf(5, func() *core.Answer {
-			a, err := eng.Query(scanQ)
+			a, err := eng.Run(context.Background(), scanQ)
 			if err != nil {
 				panic("aqpbench: " + err.Error())
 			}
@@ -181,7 +182,7 @@ func storageBench(rows, sampleRows, seed int) *storageBenchResult {
 				panic("aqpbench: " + err.Error())
 			}
 			ms, _ := bestOf(5, func() *core.Answer {
-				a, err := eng.Query(sampleQ)
+				a, err := eng.Run(context.Background(), sampleQ)
 				if err != nil {
 					panic("aqpbench: " + err.Error())
 				}

@@ -235,6 +235,13 @@ func main() {
 		}
 	}
 
+	run := func(sql string, opts core.RunOptions) {
+		ctx, cancel := queryCtx()
+		ans, err := engine.RunWithOptions(ctx, sql, opts)
+		cancel()
+		show(ans, err)
+	}
+
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
@@ -286,10 +293,7 @@ func main() {
 			out, err := engine.Explain(strings.TrimPrefix(line, `\explain `))
 			report(out, err)
 		case strings.HasPrefix(line, `\exact `):
-			ctx, cancel := queryCtx()
-			ans, err := engine.RunExact(ctx, strings.TrimPrefix(line, `\exact `))
-			cancel()
-			show(ans, err)
+			run(strings.TrimPrefix(line, `\exact `), core.RunOptions{Exact: true})
 		case strings.HasPrefix(line, `\time `):
 			rest := strings.TrimPrefix(line, `\time `)
 			fields := strings.SplitN(rest, " ", 2)
@@ -302,11 +306,7 @@ func main() {
 				fmt.Println("bad time budget:", fields[0])
 				continue
 			}
-			ctx, cancel := queryCtx()
-			ans, err := engine.RunWithTimeBudget(ctx, fields[1],
-				time.Duration(secs*float64(time.Second)))
-			cancel()
-			show(ans, err)
+			run(fields[1], core.RunOptions{TimeBudget: time.Duration(secs * float64(time.Second))})
 		case strings.HasPrefix(line, `\bound `):
 			rest := strings.TrimPrefix(line, `\bound `)
 			fields := strings.SplitN(rest, " ", 2)
@@ -315,19 +315,13 @@ func main() {
 				continue
 			}
 			bound, err := strconv.ParseFloat(fields[0], 64)
-			if err != nil {
-				fmt.Println("bad bound:", err)
+			if err != nil || !(bound > 0) {
+				fmt.Println("bad bound:", fields[0])
 				continue
 			}
-			ctx, cancel := queryCtx()
-			ans, err := engine.RunWithErrorBound(ctx, fields[1], bound)
-			cancel()
-			show(ans, err)
+			run(fields[1], core.RunOptions{ErrorBound: bound})
 		default:
-			ctx, cancel := queryCtx()
-			ans, err := engine.Run(ctx, line)
-			cancel()
-			show(ans, err)
+			run(line, core.RunOptions{})
 		}
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -85,7 +86,7 @@ func main() {
 	approximated, fellBack := 0, 0
 	start := time.Now()
 	for _, q := range dashboard {
-		ans, err := engine.Query(q)
+		ans, err := engine.Run(context.Background(), q)
 		if err != nil {
 			log.Fatalf("%s: %v", q, err)
 		}

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,8 +39,8 @@ func main() {
 	// 3. Ask for the answer within 2% relative error at 95% confidence.
 	// The engine tries the 5k-row sample first (≈4.4% error — too loose),
 	// escalates to the 50k-row sample (≈1.4% — good) and stops there.
-	ans, err := engine.QueryWithErrorBound(
-		"SELECT AVG(amount) FROM orders WHERE region = 'eu'", 0.02)
+	ans, err := engine.RunWithOptions(context.Background(),
+		"SELECT AVG(amount) FROM orders WHERE region = 'eu'", core.RunOptions{ErrorBound: 0.02})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func main() {
 		ans.SampleRows, orders.NumRows(), a.DiagnosticOK, ans.Elapsed.Round(1000))
 
 	// 4. Compare with the exact answer.
-	exact, err := engine.QueryExact("SELECT AVG(amount) FROM orders WHERE region = 'eu'")
+	exact, err := engine.RunExact(context.Background(), "SELECT AVG(amount) FROM orders WHERE region = 'eu'")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/obs"
@@ -28,11 +29,11 @@ func TestEngineBackingBitEquality(t *testing.T) {
 	raw := build(table.BackingRaw)
 	comp := build(table.BackingCompressed)
 	for _, q := range queries {
-		a, err := raw.Query(q)
+		a, err := raw.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("raw %q: %v", q, err)
 		}
-		b, err := comp.Query(q)
+		b, err := comp.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("compressed %q: %v", q, err)
 		}
@@ -105,11 +106,11 @@ func TestStratifiedSampleOverCompressed(t *testing.T) {
 		}
 	}
 	q := "SELECT City, AVG(Time), COUNT(*) FROM Sessions GROUP BY City"
-	a, err := raw.Query(q)
+	a, err := raw.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := comp.Query(q)
+	b, err := comp.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

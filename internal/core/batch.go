@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -48,154 +47,75 @@ func (e *Engine) BatchKey(query string) (string, bool) {
 	return fmt.Sprintf("%s/%p", def.Table, st.Data), true
 }
 
-// cloneAnswer copies a memoized answer for a deduped batch member: same
-// groups, error bars and techniques (the inputs are byte-identical), but
-// the member's own plan, counter share and wall-clock. Groups are
-// deep-copied so a later per-member exact fallback cannot leak into a
-// batchmate's answer.
-func cloneAnswer(lead *Answer, p *plan.Plan, counters exec.Counters, start time.Time) *Answer {
-	ans := *lead
-	ans.Plan = p
-	ans.Counters = counters
-	ans.Groups = append([]GroupAnswer(nil), lead.Groups...)
-	for gi := range ans.Groups {
-		ans.Groups[gi].Aggs = append([]AggAnswer(nil), lead.Groups[gi].Aggs...)
-	}
-	if lead.Simulated != nil {
-		sim := *lead.Simulated
-		ans.Simulated = &sim
-	}
-	ans.Elapsed = time.Since(start)
-	return &ans
-}
-
 // RunSharedBatch answers a batch of queries with one shared physical pass
-// (exec.RunShared) where possible. Members are grouped on the sample the
-// engine would pick for them solo; members picking a different sample, or
-// no sample at all (exact execution), run individually and concurrently —
-// the batch former upstream groups by BatchKey, so in the common case
-// every member shares the scan. Each member keeps its own trace, event-log
-// record, watchdog observation, per-member context and rejected-diagnostic
-// fallback, and its answer is bit-identical to what RunWithOptions would
-// have produced, because scans contribute no randomness.
+// (exec.RunShared) where possible. Every member goes through the same begin
+// and finish as RunWithOptions. Plain requests are grouped on the sample the
+// engine would pick for them solo; a member picking a different sample, or no
+// sample at all, or naming a mode (exact, error bound, time budget), goes
+// through the same execute, individually and concurrently — the batch former
+// upstream groups by BatchKey, so in the common case every member shares the
+// scan. Each member keeps its own trace, event-log record, watchdog
+// observation, per-member context and rejected-diagnostic fallback, and its
+// answer is bit-identical to what RunWithOptions would have produced,
+// because scans contribute no randomness.
 func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 	out := make([]BatchResponse, len(reqs))
-	if len(reqs) == 0 {
-		return out
+	done := func(i int, q *request, ans *Answer, err error) {
+		out[i].Ans, out[i].Err = e.finish(q, ans, err)
 	}
-	gen := e.gen.Load()
-
-	type memberState struct {
-		ctx   context.Context
-		qt    *obs.QueryTrace
-		def   *plan.QueryDef
-		rt    *registeredTable
-		st    *exec.StoredTable
-		p     *plan.Plan
-		opt   plan.Options
-		start time.Time
+	type sharedMember struct {
+		i int
+		q *request
+		p *plan.Plan
 	}
-	states := make([]*memberState, len(reqs))
-	var shared, solo []int
+	var shared []sharedMember
 	var batchST *exec.StoredTable
+	var solo sync.WaitGroup
 	for i, r := range reqs {
-		ms := &memberState{ctx: r.Ctx, start: time.Now()}
-		if ms.ctx == nil {
-			ms.ctx = context.Background()
+		ctx := r.Ctx
+		if ctx == nil {
+			ctx = context.Background()
 		}
-		var tc obs.TraceContext
-		ms.ctx, tc = obs.EnsureTrace(ms.ctx)
-		ms.qt = e.obs.StartQuery(r.Query)
-		ms.qt.SetTraceContext(tc)
-		if r.Opts.QueueWait > 0 {
-			ms.qt.SetQueueWait(r.Opts.QueueWait)
-		}
-		states[i] = ms
 		// Answer reuse applies to batch members too: a replay costs no slot
-		// in the shared pass. Replays are answer-neutral because re-execution
-		// would be bit-identical anyway (randomness is (seed, stream) derived).
-		if hit := e.answerCacheGet(gen, r.Query, r.Opts.BootstrapK); hit != nil {
-			hit.Elapsed = time.Since(ms.start)
-			ms.qt.Root().SetAttr("answer_cached", true)
-			out[i] = BatchResponse{Ans: hit}
-			e.finishQuery(ms.ctx, ms.qt, r.Query, hit, nil, true)
+		// in the shared pass.
+		req, ans, err := e.begin(ctx, r.Query, r.Opts, false)
+		q := &req
+		if ans != nil || err != nil {
+			done(i, q, ans, err)
 			continue
 		}
-		def, rt, err := e.analyze(ms.qt, r.Query)
-		if err != nil {
-			out[i].Err = err
-			e.finishQuery(ms.ctx, ms.qt, r.Query, nil, err, true)
-			continue
-		}
-		ms.def, ms.rt = def, rt
-		ms.st = e.pickSample(def, rt)
-		if ms.st == nil {
-			solo = append(solo, i)
-			continue
+		var st *exec.StoredTable
+		if r.Opts.plain() {
+			st = e.pickSample(q.def, q.rt)
 		}
 		if batchST == nil {
-			batchST = ms.st
+			batchST = st
 		}
-		if ms.st != batchST {
-			// Different sample than the batch's: still answered, just not
-			// from the shared pass.
-			solo = append(solo, i)
+		if st == nil || st != batchST {
+			// Still answered, just not from the shared pass: individually,
+			// concurrent with it.
+			solo.Add(1)
+			go func() {
+				defer solo.Done()
+				ans, err := e.execute(q)
+				done(i, q, ans, err)
+			}()
 			continue
 		}
-		p, opt, err := e.buildApproxPlan(ms.qt, r.Query, def, ms.st, r.Opts.BootstrapK,
-			!e.cfg.DisableFallback)
+		p, err := e.buildApproxPlan(q, st, e.exactOnReject(r.Opts))
 		if err != nil {
-			out[i].Err = err
-			e.finishQuery(ms.ctx, ms.qt, r.Query, nil, err, true)
+			done(i, q, nil, err)
 			continue
 		}
-		ms.p, ms.opt = p, opt
-		shared = append(shared, i)
-	}
-
-	// Mismatched and exact members run individually, concurrent with the
-	// shared pass.
-	var wg sync.WaitGroup
-	for _, i := range solo {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ms := states[i]
-			q := reqs[i].Query
-			var ans *Answer
-			var err error
-			if ms.st == nil {
-				ans, err = e.runExact(ms.ctx, ms.qt, ms.qt.Root(), q, ms.def, ms.rt)
-			} else {
-				ans, err = e.runApproximate(ms.ctx, ms.qt, q, ms.def, ms.rt, ms.st,
-					reqs[i].Opts.BootstrapK, !e.cfg.DisableFallback)
-				if err == nil && !e.cfg.DisableFallback {
-					err = e.applyFallback(ms.ctx, ms.qt, ans, ms.def, ms.rt)
-				}
-			}
-			if err != nil {
-				out[i].Err = err
-				e.finishQuery(ms.ctx, ms.qt, q, nil, err, true)
-				return
-			}
-			e.answerCachePut(gen, q, reqs[i].Opts.BootstrapK, ans)
-			out[i] = BatchResponse{Ans: ans}
-			e.finishQuery(ms.ctx, ms.qt, q, ans, nil, true)
-		}(i)
+		shared = append(shared, sharedMember{i, q, p})
 	}
 
 	if len(shared) > 0 {
 		items := make([]exec.SharedItem, len(shared))
-		for si, i := range shared {
-			ms := states[i]
-			items[si] = exec.SharedItem{
-				Ctx:  ms.ctx,
-				Plan: ms.p,
-				Cfg:  e.execConfig(ms.qt.Root()),
-			}
+		for si, m := range shared {
+			items[si] = exec.SharedItem{Ctx: m.q.ctx, Plan: m.p, Cfg: e.execConfig(m.q.qt.Root())}
 		}
-		first := states[shared[0]]
-		tables := map[string]*exec.StoredTable{first.def.Table: batchST}
+		tables := map[string]*exec.StoredTable{shared[0].q.def.Table: batchST}
 		results, errs := exec.RunShared(context.Background(), items, tables, e.udfRegistry())
 		// Answer assembly is memoized alongside the executor's whole-plan
 		// dedup: closed-form error bars walk the full projected column, so
@@ -203,42 +123,31 @@ func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 		// Explain rendering under one engine seed ⇒ identical Result) would
 		// rebuild byte-identical answers the slow way.
 		assembled := map[string]*Answer{}
-		for si, i := range shared {
-			ms := states[i]
-			q := reqs[i].Query
-			err := errs[si]
+		for si, m := range shared {
 			var ans *Answer
-			if err == nil {
-				sig := ms.p.Explain()
-				if lead, ok := assembled[sig]; ok {
-					ans = cloneAnswer(lead, ms.p, results[si].Counters, ms.start)
-				} else {
-					ans, err = e.answerFromResult(ms.qt, q, ms.def, ms.opt, ms.p,
-						results[si], ms.st, ms.start)
-					if err == nil {
-						assembled[sig] = ans
-					}
+			err, sig := errs[si], m.p.Explain()
+			switch lead := assembled[sig]; {
+			case err != nil:
+				err = fmt.Errorf("core: %s: approximate execution: %w", e.queryID(m.q.qt, m.q.sql), err)
+			case lead != nil:
+				// Same groups, error bars and techniques (the inputs are
+				// byte-identical), but the member's own plan, counter share
+				// and wall-clock; deep-copied, so a later per-member exact
+				// fallback cannot leak into a batchmate's answer.
+				ans = lead.clone()
+				ans.Plan, ans.Counters, ans.Elapsed = m.p, results[si].Counters, time.Since(m.q.start)
+			default:
+				if ans, err = e.answerFromResult(m.q, m.p, results[si], batchST, m.q.start); err == nil {
+					assembled[sig] = ans
 				}
-			} else {
-				err = fmt.Errorf("core: %s: approximate execution: %w",
-					e.queryID(ms.qt, q), err)
 			}
 			if err == nil {
 				ans.SharedScan = true
-				if !e.cfg.DisableFallback {
-					err = e.applyFallback(ms.ctx, ms.qt, ans, ms.def, ms.rt)
-				}
+				err = e.applyFallback(m.q, ans)
 			}
-			if err != nil {
-				out[i].Err = err
-				e.finishQuery(ms.ctx, ms.qt, q, nil, err, true)
-				continue
-			}
-			e.answerCachePut(gen, q, reqs[i].Opts.BootstrapK, ans)
-			out[i] = BatchResponse{Ans: ans}
-			e.finishQuery(ms.ctx, ms.qt, q, ans, nil, true)
+			done(m.i, m.q, ans, err)
 		}
 	}
-	wg.Wait()
+	solo.Wait()
 	return out
 }

@@ -193,7 +193,7 @@ func TestRunSharedBatchExactMembersRunSolo(t *testing.T) {
 		if out[i].Err != nil {
 			t.Fatalf("member %d: %v", i, out[i].Err)
 		}
-		want, err := e.Query(reqs[i].Query)
+		want, err := e.Run(context.Background(), reqs[i].Query)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sample"
 )
 
@@ -31,7 +29,8 @@ func (e *Engine) EstimateRequiredRows(query string, relErr float64) (int, error)
 		return 0, fmt.Errorf("core: required-rows estimation needs a single closed-form aggregate")
 	}
 	pilot := rt.samples[0]
-	ans, err := e.runApproximate(context.Background(), nil, query, def, rt, pilot, 0, false)
+	// The pilot is read as it comes: no aggregate of it is re-answered exactly.
+	ans, err := e.runApproximate(&request{ctx: context.Background(), sql: query, def: def, rt: rt}, pilot, false)
 	if err != nil {
 		return 0, fmt.Errorf("core: pilot for required-rows estimate: %w", err)
 	}
@@ -48,57 +47,6 @@ func (e *Engine) EstimateRequiredRows(query string, relErr float64) (int, error)
 		return math.MaxInt32, nil
 	}
 	return int(math.Ceil(n)), nil
-}
-
-// QueryWithTimeBudget answers the query on the largest sample whose
-// predicted execution time fits the budget (BlinkDB's response-time
-// constrained queries). Prediction calibrates per-row cost on the
-// smallest sample, so the first budgeted query on a table pays one pilot
-// execution.
-func (e *Engine) QueryWithTimeBudget(query string, budget time.Duration) (*Answer, error) {
-	return e.RunWithTimeBudget(context.Background(), query, budget)
-}
-
-// RunWithTimeBudget is QueryWithTimeBudget honouring cancellation.
-func (e *Engine) RunWithTimeBudget(ctx context.Context, query string, budget time.Duration) (ans *Answer, err error) {
-	if budget <= 0 {
-		return nil, fmt.Errorf("core: time budget must be positive")
-	}
-	ctx, tc := obs.EnsureTrace(ctx)
-	qt := e.obs.StartQuery(query)
-	qt.SetTraceContext(tc)
-	defer func() { e.finishQuery(ctx, qt, query, ans, err, true) }()
-	def, rt, err := e.analyze(qt, query)
-	if err != nil {
-		return nil, err
-	}
-	if len(rt.samples) == 0 {
-		return e.runExact(ctx, qt, qt.Root(), query, def, rt)
-	}
-	pilot := rt.samples[0]
-	// Budgeted answers are returned as they come, rejected aggregates with
-	// their bootstrap error bars included, so the plans keep every bootstrap.
-	pilotAns, err := e.runApproximate(ctx, qt, query, def, rt, pilot, 0, false)
-	if err != nil {
-		return nil, fmt.Errorf("core: budget pilot: %w", err)
-	}
-	if pilotAns.Elapsed >= budget {
-		// Even the smallest sample blows the budget; it is still the best
-		// we can do.
-		return pilotAns, nil
-	}
-	perRow := float64(pilotAns.Elapsed) / float64(pilot.Data.NumRows())
-	maxRows := int(float64(budget) / perRow * 0.8) // 20% headroom
-	best := pilot
-	for _, st := range rt.samples {
-		if st.Data.NumRows() <= maxRows {
-			best = st
-		}
-	}
-	if best == pilot {
-		return pilotAns, nil
-	}
-	return e.runApproximate(ctx, qt, query, def, rt, best, 0, false)
 }
 
 // RequiredSampleSizeForError is a convenience re-export of the Fig. 1

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -49,13 +50,13 @@ func TestEstimateRequiredRowsErrors(t *testing.T) {
 	}
 }
 
-func TestQueryWithTimeBudget(t *testing.T) {
+func TestTimeBudget(t *testing.T) {
 	e, _ := buildSessions(t, Config{Seed: 22, SkipDiagnostics: true}, 400000)
 	if err := e.BuildSamples("Sessions", 2000, 20000, 200000); err != nil {
 		t.Fatal(err)
 	}
 	// A generous budget should pick a large sample.
-	generous, err := e.QueryWithTimeBudget("SELECT AVG(Time) FROM Sessions", 5*time.Second)
+	generous, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", RunOptions{TimeBudget: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,21 +64,23 @@ func TestQueryWithTimeBudget(t *testing.T) {
 		t.Errorf("generous budget used only %d rows", generous.SampleRows)
 	}
 	// A microscopic budget sticks with the pilot sample.
-	tiny, err := e.QueryWithTimeBudget("SELECT AVG(Time) FROM Sessions", time.Nanosecond)
+	tiny, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", RunOptions{TimeBudget: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tiny.SampleRows != 2000 {
 		t.Errorf("tiny budget used %d rows, want pilot 2000", tiny.SampleRows)
 	}
-	if _, err := e.QueryWithTimeBudget("SELECT AVG(Time) FROM Sessions", 0); err == nil {
-		t.Error("zero budget accepted")
+	// Zero is "no budget" now that the budget is a field of the request; the
+	// value the request rejects is a negative one.
+	if _, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", RunOptions{TimeBudget: -time.Second}); err == nil {
+		t.Error("negative budget accepted")
 	}
 }
 
-func TestQueryWithTimeBudgetNoSamples(t *testing.T) {
+func TestTimeBudgetNoSamples(t *testing.T) {
 	e, _ := buildSessions(t, Config{Seed: 23}, 10000)
-	ans, err := e.QueryWithTimeBudget("SELECT AVG(Time) FROM Sessions", time.Second)
+	ans, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", RunOptions{TimeBudget: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/exec"
@@ -47,39 +46,19 @@ func (e *Engine) answerCacheGet(gen uint64, query string, kCap int) *Answer {
 	if !ok {
 		return nil
 	}
-	src := v.(*Answer)
-	ans := *src
-	ans.Groups = append([]GroupAnswer(nil), src.Groups...)
-	for gi := range ans.Groups {
-		ans.Groups[gi].Aggs = append([]AggAnswer(nil), src.Groups[gi].Aggs...)
-	}
-	if src.Simulated != nil {
-		sim := *src.Simulated
-		ans.Simulated = &sim
-	}
+	ans := v.(*Answer).clone()
 	ans.Counters = exec.Counters{}
 	ans.Cached = true
-	return &ans
+	return ans
 }
 
-// answerCachePut stores a deep clone of a finished answer under the
-// generation the query STARTED at — if the catalog changed mid-flight the
-// entry lands under the old generation and is never served again, rather
-// than poisoning the new one.
+// answerCachePut stores a deep clone of a finished answer under (gen, query,
+// kCap). A replay is not stored again.
 func (e *Engine) answerCachePut(gen uint64, query string, kCap int, ans *Answer) {
 	if e.answers == nil || ans == nil || ans.Cached {
 		return
 	}
-	cp := *ans
-	cp.Groups = append([]GroupAnswer(nil), ans.Groups...)
-	for gi := range cp.Groups {
-		cp.Groups[gi].Aggs = append([]AggAnswer(nil), ans.Groups[gi].Aggs...)
-	}
-	if ans.Simulated != nil {
-		sim := *ans.Simulated
-		cp.Simulated = &sim
-	}
-	e.answers.Put(answerCacheKey(gen, kCap, query), &cp)
+	e.answers.Put(answerCacheKey(gen, kCap, query), ans.clone())
 }
 
 // CachedAnswer returns a replay of a finished answer for the exact same
@@ -89,23 +68,13 @@ func (e *Engine) answerCachePut(gen uint64, query string, kCap int, ans *Answer)
 // admission slot. The replayed answer still gets a query trace, event-log
 // record and history entry (marked cached); the watchdog is NOT
 // re-observed, since no new statistical work happened. ok=false when the
-// answer cache is disabled or has no entry.
+// answer cache is disabled or has no entry — a miss starts no trace.
 func (e *Engine) CachedAnswer(ctx context.Context, query string, kCap int) (*Answer, bool) {
-	if e.answers == nil {
-		return nil, false
-	}
-	gen := e.gen.Load()
-	start := time.Now()
-	ans := e.answerCacheGet(gen, query, kCap)
+	q, ans, _ := e.begin(ctx, query, RunOptions{BootstrapK: kCap}, true)
 	if ans == nil {
 		return nil, false
 	}
-	ctx, tc := obs.EnsureTrace(ctx)
-	qt := e.obs.StartQuery(query)
-	qt.SetTraceContext(tc)
-	qt.Root().SetAttr("answer_cached", true)
-	ans.Elapsed = time.Since(start)
-	e.finishQuery(ctx, qt, query, ans, nil, true)
+	e.finish(&q, ans, nil)
 	return ans, true
 }
 

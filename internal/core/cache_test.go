@@ -84,12 +84,12 @@ func TestCacheBitIdentityAcrossBackings(t *testing.T) {
 			on := buildCachedSessions(t, cfgOn, n, sampleRows)
 
 			for _, q := range cacheTestQueries {
-				ref, err := off.Query(q)
+				ref, err := off.Run(context.Background(), q)
 				if err != nil {
 					t.Fatalf("cache-off %q: %v", q, err)
 				}
 				for round := 0; round < 3; round++ {
-					got, err := on.Query(q)
+					got, err := on.Run(context.Background(), q)
 					if err != nil {
 						t.Fatalf("cache-on %q round %d: %v", q, round, err)
 					}
@@ -161,12 +161,12 @@ func TestCacheBitIdentityMmapStore(t *testing.T) {
 	off := build(0)
 	on := build(4 << 20)
 	for _, q := range cacheTestQueries {
-		ref, err := off.Query(q)
+		ref, err := off.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("cache-off %q: %v", q, err)
 		}
 		for round := 0; round < 2; round++ {
-			got, err := on.Query(q)
+			got, err := on.Run(context.Background(), q)
 			if err != nil {
 				t.Fatalf("cache-on %q: %v", q, err)
 			}
@@ -185,11 +185,11 @@ func TestCacheDisabledByDefault(t *testing.T) {
 	if st := e.CacheStatsSnapshot(4); st.Enabled {
 		t.Fatal("default engine reports caching enabled")
 	}
-	a1, err := e.Query(cacheTestQueries[0])
+	a1, err := e.Run(context.Background(), cacheTestQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := e.Query(cacheTestQueries[0])
+	a2, err := e.Run(context.Background(), cacheTestQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +211,14 @@ func TestAnswerCacheReplayAndInvalidation(t *testing.T) {
 	defer e.Close()
 	q := "SELECT City, AVG(Time) FROM Sessions GROUP BY City"
 
-	cold, err := e.Query(q)
+	cold, err := e.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Cached {
 		t.Fatal("first execution marked Cached")
 	}
-	warm, err := e.Query("  SELECT   City, AVG(Time) FROM Sessions GROUP BY City ")
+	warm, err := e.Run(context.Background(), "  SELECT   City, AVG(Time) FROM Sessions GROUP BY City ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestAnswerCacheReplayAndInvalidation(t *testing.T) {
 	if e.CatalogGeneration() == gen {
 		t.Fatal("RegisterTable did not bump the catalog generation")
 	}
-	after, err := e.Query(q)
+	after, err := e.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestAnswerCacheReplayAndInvalidation(t *testing.T) {
 	if e.CatalogGeneration() == gen {
 		t.Fatal("BuildSamples did not bump the catalog generation")
 	}
-	if ans, err := e.Query(q); err != nil {
+	if ans, err := e.Run(context.Background(), q); err != nil {
 		t.Fatal(err)
 	} else if ans.Cached {
 		t.Fatal("stale answer served across a sample rebuild")
@@ -283,14 +283,14 @@ func TestAnswerCacheTTLExpiry(t *testing.T) {
 		CacheTTL: 30 * time.Millisecond}, 10000, 2000)
 	defer e.Close()
 	q := cacheTestQueries[0]
-	if _, err := e.Query(q); err != nil {
+	if _, err := e.Run(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	if ans, err := e.Query(q); err != nil || !ans.Cached {
+	if ans, err := e.Run(context.Background(), q); err != nil || !ans.Cached {
 		t.Fatalf("fresh repeat not replayed: %v, cached=%v", err, ans != nil && ans.Cached)
 	}
 	time.Sleep(60 * time.Millisecond)
-	if ans, err := e.Query(q); err != nil {
+	if ans, err := e.Run(context.Background(), q); err != nil {
 		t.Fatal(err)
 	} else if ans.Cached {
 		t.Fatal("expired answer replayed past its TTL")
@@ -313,7 +313,7 @@ func TestCacheChurnRace(t *testing.T) {
 	defer off.Close()
 	refs := make(map[string][]uint64, len(cacheTestQueries))
 	for _, q := range cacheTestQueries {
-		ans, err := off.Query(q)
+		ans, err := off.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,23 +402,23 @@ func TestExecPoolNoLeak(t *testing.T) {
 			SampleBacking: table.BackingCompressed}, 20000, 3000)
 		for round := 0; round < 2; round++ { // round 2 replays from the answer cache
 			for _, q := range cacheTestQueries {
-				if _, err := e.Query(q); err != nil {
+				if _, err := e.Run(context.Background(), q); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		if _, err := e.QueryExact("SELECT AVG(Time) FROM Sessions"); err != nil {
+		if _, err := e.RunExact(context.Background(), "SELECT AVG(Time) FROM Sessions"); err != nil {
 			t.Fatal(err)
 		}
 		// The streamed exact operator: grouped with a vector sink, an
 		// evaluation error, and a cancelled scan.
-		if _, err := e.QueryExact("SELECT City, MIN(Time), PERCENTILE(Time, 0.5) FROM Sessions WHERE City != 'SF' GROUP BY City"); err != nil {
+		if _, err := e.RunExact(context.Background(), "SELECT City, MIN(Time), PERCENTILE(Time, 0.5) FROM Sessions WHERE City != 'SF' GROUP BY City"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.QueryExact("SELECT AVG(Time + City) FROM Sessions WHERE Time > 0"); err == nil {
+		if _, err := e.RunExact(context.Background(), "SELECT AVG(Time + City) FROM Sessions WHERE Time > 0"); err == nil {
 			t.Fatal("string arithmetic accepted")
 		}
-		if _, err := e.Query("SELECT AVG(nope) FROM Sessions"); err == nil {
+		if _, err := e.Run(context.Background(), "SELECT AVG(nope) FROM Sessions"); err == nil {
 			t.Fatal("bad query accepted")
 		}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -478,7 +478,7 @@ func TestExactScansLeaveBlockCacheToSample(t *testing.T) {
 
 	// Two approximate runs over every column bring the whole sample in.
 	for _, lit := range []string{"0", "1"} {
-		if _, err := on.Query("SELECT AVG(Time), AVG(Heavy) FROM T WHERE Shard > " + lit + " AND City != 'zz'"); err != nil {
+		if _, err := on.Run(context.Background(), "SELECT AVG(Time), AVG(Heavy) FROM T WHERE Shard > "+lit+" AND City != 'zz'"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -500,11 +500,11 @@ func TestExactScansLeaveBlockCacheToSample(t *testing.T) {
 		"SELECT Shard, AVG(Time), MAX(Heavy) FROM T GROUP BY Shard",
 		"SELECT City, SUM(Time), PERCENTILE(Heavy, 0.5) FROM T WHERE Time > 50 GROUP BY City",
 	} {
-		ref, err := off.Query(q)
+		ref, err := off.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := on.Query(q)
+		got, err := on.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -526,12 +526,12 @@ func TestExactScansLeaveBlockCacheToSample(t *testing.T) {
 		"SELECT Shard, COUNT(*), MIN(Time) FROM T WHERE Shard > 5 GROUP BY Shard",
 		"SELECT City, AVG(Heavy), SUM(Shard) FROM T GROUP BY City",
 	} {
-		ref, err := off.QueryExact(q)
+		ref, err := off.RunExact(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for round := 0; round < 2; round++ {
-			got, err := on.QueryExact(q)
+			got, err := on.RunExact(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/table"
@@ -72,7 +72,7 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestExactQueryWithoutSamples(t *testing.T) {
 	e, tbl := buildSessions(t, Config{Seed: 2}, 20000)
-	ans, err := e.Query("SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")
+	ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestApproximateQueryWithErrorBars(t *testing.T) {
 	if err := e.BuildSamples("Sessions", 20000); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Query("SELECT AVG(Time) FROM Sessions")
+	ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestScaledCountEstimatesPopulation(t *testing.T) {
 	if err := e.BuildSamples("Sessions", 8000); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Query("SELECT COUNT(*) FROM Sessions WHERE City = 'NYC'")
+	ans, err := e.Run(context.Background(), "SELECT COUNT(*) FROM Sessions WHERE City = 'NYC'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := e.QueryExact("SELECT COUNT(*) FROM Sessions WHERE City = 'NYC'")
+	exact, err := e.RunExact(context.Background(), "SELECT COUNT(*) FROM Sessions WHERE City = 'NYC'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestBootstrapTechniqueForComplexAggregates(t *testing.T) {
 	if err := e.BuildSamples("Sessions", 20000); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Query("SELECT PERCENTILE(Time, 0.9) FROM Sessions")
+	ans, err := e.Run(context.Background(), "SELECT PERCENTILE(Time, 0.9) FROM Sessions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestUDFQueryEndToEnd(t *testing.T) {
 		}
 		return m.Mean()
 	})
-	ans, err := e.Query("SELECT TRIMMED(Time) FROM Sessions WHERE City = 'SF'")
+	ans, err := e.Run(context.Background(), "SELECT TRIMMED(Time) FROM Sessions WHERE City = 'SF'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestDiagnosticRejectionTriggersExactFallback(t *testing.T) {
 	if err := e.BuildSamples("T", 40000); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Query("SELECT MAX(v) FROM T")
+	ans, err := e.Run(context.Background(), "SELECT MAX(v) FROM T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestDiagnosticRejectionTriggersExactFallback(t *testing.T) {
 		t.Error("FellBack() should report the fallback")
 	}
 	// The exact answer is the true maximum.
-	exact, _ := e.QueryExact("SELECT MAX(v) FROM T")
+	exact, _ := e.RunExact(context.Background(), "SELECT MAX(v) FROM T")
 	if agg.Estimate != exact.Groups[0].Aggs[0].Estimate {
 		t.Error("fallback answer does not match exact execution")
 	}
@@ -243,7 +243,7 @@ func TestDisableFallbackKeepsApproximation(t *testing.T) {
 	if err := e.BuildSamples("T", 40000); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Query("SELECT MAX(v) FROM T")
+	ans, err := e.Run(context.Background(), "SELECT MAX(v) FROM T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +256,13 @@ func TestDisableFallbackKeepsApproximation(t *testing.T) {
 	}
 }
 
-func TestQueryWithErrorBoundEscalates(t *testing.T) {
+func TestErrorBoundEscalates(t *testing.T) {
 	e, _ := buildSessions(t, Config{Seed: 9, SkipDiagnostics: true}, 200000)
 	if err := e.BuildSamples("Sessions", 2000, 20000, 100000); err != nil {
 		t.Fatal(err)
 	}
 	// A loose bound is satisfied by the smallest sample.
-	loose, err := e.QueryWithErrorBound("SELECT AVG(Time) FROM Sessions", 0.05)
+	loose, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", RunOptions{ErrorBound: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestQueryWithErrorBoundEscalates(t *testing.T) {
 		t.Errorf("loose bound used %d rows, want smallest (2000)", loose.SampleRows)
 	}
 	// A tight bound needs a bigger sample.
-	tight, err := e.QueryWithErrorBound("SELECT AVG(Time) FROM Sessions", 0.002)
+	tight, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", RunOptions{ErrorBound: 0.002})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +281,14 @@ func TestQueryWithErrorBoundEscalates(t *testing.T) {
 		t.Errorf("tight bound missed: relErr %v", tight.Groups[0].Aggs[0].RelErr)
 	}
 	// An impossible bound falls back to exact.
-	impossible, err := e.QueryWithErrorBound("SELECT AVG(Time) FROM Sessions", 1e-9)
+	impossible, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", RunOptions{ErrorBound: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !impossible.Groups[0].Aggs[0].Exact {
 		t.Error("impossible bound should fall back to exact execution")
 	}
-	if _, err := e.QueryWithErrorBound("SELECT AVG(Time) FROM Sessions", -1); err == nil {
+	if _, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", RunOptions{ErrorBound: -1}); err == nil {
 		t.Error("negative bound accepted")
 	}
 }
@@ -298,14 +298,14 @@ func TestGroupByAnswers(t *testing.T) {
 	if err := e.BuildSamples("Sessions", 40000); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Query("SELECT City, AVG(Time) FROM Sessions GROUP BY City")
+	ans, err := e.Run(context.Background(), "SELECT City, AVG(Time) FROM Sessions GROUP BY City")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ans.Groups) != 4 {
 		t.Fatalf("groups = %d", len(ans.Groups))
 	}
-	exact, err := e.QueryExact("SELECT City, AVG(Time) FROM Sessions GROUP BY City")
+	exact, err := e.RunExact(context.Background(), "SELECT City, AVG(Time) FROM Sessions GROUP BY City")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,30 +346,9 @@ func TestQueryErrors(t *testing.T) {
 		"SELECT AVG(Time) FROM Sessions UNION ALL SELECT AVG(Time) FROM Sessions",
 	}
 	for _, q := range cases {
-		if _, err := e.Query(q); err == nil {
+		if _, err := e.Run(context.Background(), q); err == nil {
 			t.Errorf("Query(%q) unexpectedly succeeded", q)
 		}
-	}
-}
-
-func TestSimulatedBreakdownAttached(t *testing.T) {
-	cl, err := cluster.New(cluster.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := buildSessions(t, Config{Seed: 13, Cluster: cl, LogicalSampleMB: 20000}, 100000)
-	if err := e.BuildSamples("Sessions", 20000); err != nil {
-		t.Fatal(err)
-	}
-	ans, err := e.Query("SELECT AVG(Time) FROM Sessions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Simulated == nil {
-		t.Fatal("simulated breakdown missing")
-	}
-	if ans.Simulated.Total() <= 0 || ans.Simulated.Total() > 60 {
-		t.Errorf("simulated total = %v s, want interactive-scale", ans.Simulated.Total())
 	}
 }
 
@@ -378,7 +357,7 @@ func TestCountersExposedOnAnswer(t *testing.T) {
 	if err := e.BuildSamples("Sessions", 10000); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Query("SELECT AVG(Time) FROM Sessions")
+	ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +375,7 @@ func TestMixedAggregateQuery(t *testing.T) {
 	if err := e.BuildSamples("Sessions", 20000); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Query("SELECT AVG(Time), MAX(Time) FROM Sessions")
+	ans, err := e.Run(context.Background(), "SELECT AVG(Time), MAX(Time) FROM Sessions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,14 +397,14 @@ func TestCountColumnEqualsCountStar(t *testing.T) {
 	}, table.Float64Col{10, 20, 30, 40}, table.StringCol{"a", "a", "b", "b"})); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := tiny.Query("SELECT COUNT(X) FROM T")
+	ans, err := tiny.Run(context.Background(), "SELECT COUNT(X) FROM T")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := ans.Groups[0].Aggs[0].Estimate; got != 4 {
 		t.Errorf("COUNT(X) over {10,20,30,40} = %v, want 4", got)
 	}
-	ans, err = tiny.Query("SELECT G, COUNT(X) FROM T GROUP BY G")
+	ans, err = tiny.Run(context.Background(), "SELECT G, COUNT(X) FROM T GROUP BY G")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +413,7 @@ func TestCountColumnEqualsCountStar(t *testing.T) {
 			t.Errorf("COUNT(X) of group %q = %v, want 2", g.Key, got)
 		}
 	}
-	if _, err := tiny.Query("SELECT COUNT(nosuch) FROM T"); err == nil {
+	if _, err := tiny.Run(context.Background(), "SELECT COUNT(nosuch) FROM T"); err == nil {
 		t.Error("COUNT of an unknown column accepted")
 	}
 
@@ -450,12 +429,12 @@ func TestCountColumnEqualsCountStar(t *testing.T) {
 			"FROM Sessions GROUP BY City",
 			"FROM Sessions WHERE Time > 55 GROUP BY City",
 		} {
-			star, err := e.Query("SELECT COUNT(*) " + tail)
+			star, err := e.Run(context.Background(), "SELECT COUNT(*) "+tail)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, arg := range []string{"Time", "Time * 2", "City"} {
-				col, err := e.Query("SELECT COUNT(" + arg + ") " + tail)
+				col, err := e.Run(context.Background(), "SELECT COUNT("+arg+") "+tail)
 				if err != nil {
 					t.Fatalf("%s COUNT(%s) %s: %v", name, arg, tail, err)
 				}

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/cluster"
 	"repro/internal/estimator"
 	"repro/internal/exec"
 	"repro/internal/obs"
@@ -107,11 +106,6 @@ type Config struct {
 	// FallbackToExact re-runs rejected or out-of-bound queries on the
 	// full dataset (default on; disable for pure-approximation mode).
 	DisableFallback bool
-	// Cluster, when set, attaches simulated production-scale latencies to
-	// every answer. LogicalSampleMB scales the local sample to the
-	// simulated deployment's sample size (0 = actual local bytes).
-	Cluster         *cluster.Cluster
-	LogicalSampleMB float64
 	// Obs, when set, records a per-stage trace and aggregate metrics for
 	// every query (see internal/obs). Nil disables telemetry; answers are
 	// bit-identical either way.
@@ -188,8 +182,8 @@ type registeredTable struct {
 // Engine is an approximate query processing engine.
 //
 // An Engine is safe for concurrent use: any number of goroutines may call
-// the query methods (Run, Query, QueryExact, ...) simultaneously, and each
-// call's answer is bit-identical to what a serial execution of the same
+// the query methods (Run, RunWithOptions, RunSharedBatch, ...) simultaneously,
+// and each call's answer is bit-identical to what a serial execution of the same
 // query would produce — all randomness derives from (Config.Seed, query
 // content), never from shared mutable state or execution order.
 // Registration methods (RegisterTable, RegisterUDF, BuildSamples,
@@ -646,9 +640,18 @@ type Answer struct {
 	Cached bool
 	// Elapsed is the local wall-clock execution time.
 	Elapsed time.Duration
-	// Simulated, when the engine has a cluster model attached, is the
-	// production-scale latency breakdown.
-	Simulated *cluster.Breakdown
+}
+
+// clone returns a deep copy of the answer: its own Groups and Aggs, so
+// neither side sees the other's later exact fallback. The plan, immutable once
+// built, is shared.
+func (a *Answer) clone() *Answer {
+	cp := *a
+	cp.Groups = append([]GroupAnswer(nil), a.Groups...)
+	for gi := range cp.Groups {
+		cp.Groups[gi].Aggs = append([]AggAnswer(nil), a.Groups[gi].Aggs...)
+	}
+	return &cp
 }
 
 // FellBack reports whether any aggregate fell back to exact execution.
@@ -695,20 +698,20 @@ func (e *Engine) planOptions(n int, needBootstrap bool, kCap int) plan.Options {
 	return opt
 }
 
-// Explain parses and plans the query and returns the plan tree rendering.
+// Explain parses and plans the query as Run would — the same sample choice,
+// the same plan construction — and returns the plan tree rendering.
 func (e *Engine) Explain(query string) (string, error) {
 	def, rt, err := e.analyze(nil, query)
 	if err != nil {
 		return "", err
 	}
-	n := rt.full.NumRows()
-	needBootstrap := !def.ClosedFormOK()
-	if len(rt.samples) > 0 {
-		n = rt.samples[len(rt.samples)-1].Data.NumRows()
+	q := &request{sql: query, def: def, rt: rt}
+	var p *plan.Plan
+	if st := e.pickSample(def, rt); st != nil {
+		p, err = e.buildApproxPlan(q, st, e.exactOnReject(q.opts))
+	} else {
+		p, err = e.buildExactPlan(q, nil)
 	}
-	opt := e.planOptions(n, needBootstrap, 0)
-	opt.VerdictFirst = !e.cfg.DisableFallback // what Run plans
-	p, err := plan.Build(def, opt)
 	if err != nil {
 		return "", err
 	}

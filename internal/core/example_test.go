@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -29,7 +30,7 @@ func ExampleEngine() {
 		panic(err)
 	}
 
-	ans, err := engine.Query("SELECT AVG(Time) FROM Sessions")
+	ans, err := engine.Run(context.Background(), "SELECT AVG(Time) FROM Sessions")
 	if err != nil {
 		panic(err)
 	}
@@ -38,7 +39,7 @@ func ExampleEngine() {
 	fmt.Printf("diagnostic ok: %v\n", a.DiagnosticOK)
 	fmt.Printf("relative error under 1%%: %v\n", a.RelErr < 0.01)
 
-	exact, _ := engine.QueryExact("SELECT AVG(Time) FROM Sessions")
+	exact, _ := engine.RunExact(context.Background(), "SELECT AVG(Time) FROM Sessions")
 	fmt.Printf("error bar brackets the exact answer: %v\n",
 		a.ErrorBar.Contains(exact.Groups[0].Aggs[0].Estimate))
 	// Output:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -34,11 +35,11 @@ func TestExportAndAlertsDoNotPerturbAnswers(t *testing.T) {
 	defer plain.Close() //nolint:errcheck
 
 	for _, q := range obsTestQueries {
-		a, err := wired.Query(q)
+		a, err := wired.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := plain.Query(q)
+		b, err := plain.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -45,7 +46,7 @@ func TestObsHTTPHammer(t *testing.T) {
 			defer running.Add(-1)
 			for i := 0; i < queriesPer; i++ {
 				q := fmt.Sprintf("SELECT AVG(Time), COUNT(*) FROM Sessions WHERE Time > %d", 40+w*10+i)
-				if _, err := e.Query(q); err != nil {
+				if _, err := e.Run(context.Background(), q); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}

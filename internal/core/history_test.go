@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -48,11 +49,11 @@ func TestHistoryDoesNotPerturbAnswers(t *testing.T) {
 	}
 	loaded, plain := mk(true), mk(false)
 	for _, q := range obsTestQueries {
-		a, err := loaded.Query(q)
+		a, err := loaded.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := plain.Query(q)
+		b, err := plain.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func TestHistoryWriteThrough(t *testing.T) {
 	const n = 6
 	for i := 0; i < n; i++ {
 		q := fmt.Sprintf("SELECT AVG(Time) FROM Sessions WHERE Time > %d", 30+i)
-		if _, err := e.Query(q); err != nil {
+		if _, err := e.Run(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,36 +1,29 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/table"
 )
 
-// TestEndToEndNaiveVsOptimizedSimulation drives the same query through
-// both plan modes with the cluster model attached and checks that the
-// simulated production-scale latencies reproduce the paper's headline:
-// naive minutes vs. optimized seconds — through the engine, not just the
-// simulator.
-func TestEndToEndNaiveVsOptimizedSimulation(t *testing.T) {
-	cl, err := cluster.New(cluster.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestEndToEndNaiveVsOptimizedCounters drives the same query through both
+// plan modes: the counters must reflect the physical difference. (What the
+// cluster simulator makes of the two answers is checked where the simulator is
+// used, in internal/experiments.)
+func TestEndToEndNaiveVsOptimizedCounters(t *testing.T) {
 	build := func(cfg Config) *Answer {
 		t.Helper()
-		cfg.Cluster = cl
-		cfg.LogicalSampleMB = 20000
 		cfg.BootstrapK = 30
 		e, _ := buildSessions(t, cfg, 100000)
 		if err := e.BuildSamples("Sessions", 40000); err != nil {
 			t.Fatal(err)
 		}
 		// PERCENTILE forces the bootstrap path (QSet-2 flavour).
-		ans, err := e.Query("SELECT PERCENTILE(Time, 0.9) FROM Sessions WHERE City = 'NYC'")
+		ans, err := e.Run(context.Background(), "SELECT PERCENTILE(Time, 0.9) FROM Sessions WHERE City = 'NYC'")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,18 +33,6 @@ func TestEndToEndNaiveVsOptimizedSimulation(t *testing.T) {
 	opt := build(Config{Seed: 30, DisableFallback: true})
 	naive := build(Config{Seed: 30, DisableFallback: true,
 		DisableScanConsolidation: true, DisableOperatorPushdown: true})
-
-	if opt.Simulated == nil || naive.Simulated == nil {
-		t.Fatal("simulated breakdowns missing")
-	}
-	if opt.Simulated.Total() > 20 {
-		t.Errorf("optimized simulated total = %.1fs, want interactive", opt.Simulated.Total())
-	}
-	if naive.Simulated.Total() < 5*opt.Simulated.Total() {
-		t.Errorf("naive (%.1fs) not clearly slower than optimized (%.1fs)",
-			naive.Simulated.Total(), opt.Simulated.Total())
-	}
-	// The counters must also reflect the physical difference.
 	if naive.Counters.Scans <= opt.Counters.Scans {
 		t.Errorf("naive scans (%d) should exceed optimized (%d)",
 			naive.Counters.Scans, opt.Counters.Scans)
@@ -81,7 +62,7 @@ func TestEndToEndAnswerQuality(t *testing.T) {
 		if err := e.BuildSamples("t", 8000); err != nil {
 			t.Fatal(err)
 		}
-		ans, err := e.Query("SELECT AVG(Time) FROM t")
+		ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM t")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +86,7 @@ func TestDisableScanConsolidationCounters(t *testing.T) {
 		if err := e.BuildSamples("Sessions", 20000); err != nil {
 			t.Fatal(err)
 		}
-		ans, err := e.Query("SELECT PERCENTILE(Time, 0.5) FROM Sessions")
+		ans, err := e.Run(context.Background(), "SELECT PERCENTILE(Time, 0.5) FROM Sessions")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +119,7 @@ func TestSkipDiagnosticsPath(t *testing.T) {
 	if err := e.BuildSamples("T", 30000); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Query("SELECT MAX(v) FROM T")
+	ans, err := e.Run(context.Background(), "SELECT MAX(v) FROM T")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,401 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/watchdog"
+)
+
+// boundQueries are the three shapes an error-bound escalation treats
+// differently: closed-form (the 0.8·ratio² skip applies), bootstrap-only, and
+// grouped with an aggregate the diagnostic rejects on every sample.
+var boundQueries = []string{
+	"SELECT AVG(g - 40) FROM T",
+	"SELECT PERCENTILE(g, 0.5) FROM T",
+	"SELECT City, AVG(g - 40), MAX(p) FROM T GROUP BY City",
+}
+
+// boundGolden was recorded from the error-bound entry point of the commit before the
+// bound became a field of the request (PR 18): answers is the
+// verdictGolden.answers recipe over boundQueries × {0.5, 0.02, 1e-6}; shape is
+// the FNV-1a of every trace's Structure() — which samples ran, in what order,
+// and whether a whole-query exact fallback ended the escalation; trail is the
+// sample each answer came from (0 = exact) and how many plans it took, for a
+// failure one can read. At 0.02 the closed-form query runs 6400 and 48000 rows
+// and skips 7000.
+var boundGolden = map[bool]struct {
+	answers, shape uint64
+	trail          string
+}{
+	false: {0xd0de9c711575eda6, 0xb643003dca4d77e7, "7000/2 48000/2 0/2 48000/3 48000/3 0/4 0/4 0/4 0/4"},
+	true:  {0xa7669a0f1635eb7b, 0xced435e55cbda8a0, "7000/2 48000/2 6400/1 48000/3 48000/3 48000/3 48000/3 48000/3 48000/3"},
+}
+
+func TestErrorBoundGolden(t *testing.T) {
+	for noFallback, want := range boundGolden {
+		tr := obs.NewTracer(obs.Options{})
+		e := New(Config{Seed: 7, Workers: 2, BootstrapK: 40, DisableFallback: noFallback, Obs: tr})
+		if err := e.RegisterTable("T", verdictTable()); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.BuildSamples("T", 6400, 7000, 48000); err != nil {
+			t.Fatal(err)
+		}
+		answers, shape := newAnswerHasher(), fnv.New64a()
+		var trail []string
+		for _, q := range boundQueries {
+			for _, bound := range []float64{0.5, 0.02, 1e-6} {
+				ans, err := e.RunWithOptions(context.Background(), q, RunOptions{ErrorBound: bound})
+				if err != nil {
+					t.Fatalf("%q at %g: %v", q, bound, err)
+				}
+				answers.add(ans)
+				snap, _ := tr.Last()
+				shape.Write([]byte(snap.Structure()))
+				trail = append(trail, fmt.Sprintf("%d/%d", ans.SampleRows, strings.Count(snap.Structure(), " plan(")))
+			}
+		}
+		if got := strings.Join(trail, " "); got != want.trail {
+			t.Errorf("DisableFallback=%v: trail %s, want %s", noFallback, got, want.trail)
+		}
+		if got := answers.sum().answers; got != want.answers {
+			t.Errorf("DisableFallback=%v: answers hash %#x, want %#x", noFallback, got, want.answers)
+		}
+		if got := shape.Sum64(); got != want.shape {
+			t.Errorf("DisableFallback=%v: trace shape hash %#x, want %#x", noFallback, got, want.shape)
+		}
+	}
+}
+
+// lifecycleRig is an engine with every observer attached and the answer cache
+// on: Sessions has two uniform samples and a stratified one on City, Raw has
+// none.
+type lifecycleRig struct {
+	e      *Engine
+	tr     *obs.Tracer
+	wd     *watchdog.Watchdog
+	events *bytes.Buffer
+}
+
+func newLifecycleRig(t *testing.T) lifecycleRig {
+	t.Helper()
+	r := lifecycleRig{tr: obs.NewTracer(obs.Options{}), events: &bytes.Buffer{},
+		wd: watchdog.New(watchdog.Config{Synchronous: true})}
+	h := openTestHistory(t, t.TempDir())
+	t.Cleanup(func() { h.Close() })
+	tbl := verdictTable()
+	r.e = New(Config{Seed: 5, Workers: 2, BootstrapK: 20, CacheBytes: 1 << 20,
+		Obs: r.tr, EventLog: obs.NewEventLog(r.events, obs.EventLogOptions{}), Watchdog: r.wd, History: h})
+	for _, name := range []string{"Sessions", "Raw"} {
+		if err := r.e.RegisterTable(name, tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.e.BuildSamples("Sessions", 8000, 20000); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.e.BuildStratifiedSample("Sessions", "City", 3000); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// counts is everything a finished query leaves behind.
+type counts struct {
+	traces, events, history, watched, probes, entries int64
+}
+
+func (r lifecycleRig) counts() counts {
+	cs := r.e.CacheStatsSnapshot(0).Answer
+	return counts{
+		traces:  int64(len(r.tr.Recent())),
+		events:  int64(strings.Count(r.events.String(), "\n")),
+		history: r.e.hist.Stats().Records["query"],
+		watched: int64(r.wd.Status().Observations),
+		probes:  cs.Hits + cs.Misses,
+		entries: int64(cs.Entries),
+	}
+}
+
+// TestOneLifecycle holds every way into the engine to the invariants of the
+// one lifecycle: a request, whatever its mode and however it arrives, leaves
+// exactly one trace with the caller's trace identity, one event-log record and
+// one history record; its queue wait reaches the snapshot; the watchdog sees it
+// iff it ran on a sample and is not a replay; and only plain requests touch the
+// answer cache.
+func TestOneLifecycle(t *testing.T) {
+	const (
+		onUniform = "SELECT AVG(g) FROM Sessions WHERE City = 'NYC'"
+		wait      = 3 * time.Millisecond
+	)
+	solo := func(opts RunOptions) func(lifecycleRig, context.Context, string) (*Answer, error) {
+		return func(r lifecycleRig, ctx context.Context, sql string) (*Answer, error) {
+			opts.QueueWait = wait
+			return r.e.RunWithOptions(ctx, sql, opts)
+		}
+	}
+	// batched runs sql as the second member of a batch led by onUniform.
+	batched := func(r lifecycleRig, ctx context.Context, sql string) (*Answer, error) {
+		out := r.e.RunSharedBatch([]BatchRequest{
+			{Query: onUniform, Opts: RunOptions{QueueWait: wait}},
+			{Ctx: ctx, Query: sql, Opts: RunOptions{QueueWait: wait}},
+		})
+		if out[0].Err != nil {
+			return nil, fmt.Errorf("batch lead: %w", out[0].Err)
+		}
+		return out[1].Ans, out[1].Err
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name string
+		sql  string
+		warm bool // answer sql once first, so the request under test is a replay
+		ctx  context.Context
+		run  func(lifecycleRig, context.Context, string) (*Answer, error)
+		// members is how many requests run goes through (2 when batched); the
+		// others count per request that is not the batch's lead.
+		members                  int64
+		watched, probes, entries int64
+		noWait                   bool   // the entry point has no queue wait to carry
+		outcome                  string // "ok" when empty
+		check                    func(*testing.T, *Answer)
+	}{
+		{name: "plain", sql: "SELECT AVG(g) FROM Sessions", run: solo(RunOptions{}),
+			watched: 1, probes: 1, entries: 1},
+		{name: "capped K", sql: "SELECT PERCENTILE(g, 0.5) FROM Sessions", run: solo(RunOptions{BootstrapK: 8}),
+			watched: 1, probes: 1, entries: 1,
+			check: func(t *testing.T, a *Answer) {
+				if a.Plan.Opt.BootstrapK != 8 {
+					t.Errorf("BootstrapK = %d, want the cap 8", a.Plan.Opt.BootstrapK)
+				}
+			}},
+		{name: "exact", sql: "SELECT AVG(g) FROM Sessions", run: solo(RunOptions{Exact: true}),
+			check: func(t *testing.T, a *Answer) {
+				if a.SampleRows != 0 || !a.Groups[0].Aggs[0].Exact {
+					t.Errorf("not an exact answer: %d sample rows", a.SampleRows)
+				}
+			}},
+		{name: "error bound", sql: "SELECT AVG(g) FROM Sessions", run: solo(RunOptions{ErrorBound: 0.5}),
+			watched: 1,
+			check: func(t *testing.T, a *Answer) {
+				if a.SampleRows != 8000 {
+					t.Errorf("loose bound answered on %d rows, want the smallest sample", a.SampleRows)
+				}
+			}},
+		{name: "time budget", sql: "SELECT AVG(g) FROM Sessions", run: solo(RunOptions{TimeBudget: time.Nanosecond}),
+			watched: 1,
+			check: func(t *testing.T, a *Answer) {
+				if a.SampleRows != 8000 {
+					t.Errorf("tiny budget answered on %d rows, want the pilot", a.SampleRows)
+				}
+			}},
+		{name: "batch member on the shared pass", sql: "SELECT AVG(g) FROM Sessions WHERE City = 'SF'", run: batched,
+			members: 2, watched: 1, probes: 1, entries: 1,
+			check: func(t *testing.T, a *Answer) {
+				if !a.SharedScan || a.SampleRows != 20000 {
+					t.Errorf("SharedScan=%v on %d rows, want the shared pass over 20000", a.SharedScan, a.SampleRows)
+				}
+			}},
+		{name: "batch member on another sample", sql: "SELECT City, AVG(g) FROM Sessions GROUP BY City", run: batched,
+			members: 2, watched: 1, probes: 1, entries: 1,
+			check: func(t *testing.T, a *Answer) {
+				if a.SharedScan || a.SampleRows == 0 || a.SampleRows == 20000 {
+					t.Errorf("SharedScan=%v on %d rows, want the stratified sample, solo", a.SharedScan, a.SampleRows)
+				}
+			}},
+		{name: "batch member answered exactly", sql: "SELECT AVG(g) FROM Raw", run: batched,
+			members: 2, probes: 1, entries: 1,
+			check: func(t *testing.T, a *Answer) {
+				if a.SharedScan || a.SampleRows != 0 {
+					t.Errorf("SharedScan=%v on %d rows, want an exact answer", a.SharedScan, a.SampleRows)
+				}
+			}},
+		{name: "replay via CachedAnswer", sql: "SELECT AVG(g) FROM Sessions", warm: true, noWait: true,
+			run: func(r lifecycleRig, ctx context.Context, sql string) (*Answer, error) {
+				ans, ok := r.e.CachedAnswer(ctx, sql, 0)
+				if !ok {
+					return nil, errors.New("no cached answer")
+				}
+				return ans, nil
+			},
+			probes: 1,
+			check: func(t *testing.T, a *Answer) {
+				if !a.Cached {
+					t.Error("not marked Cached")
+				}
+			}},
+		{name: "replay inside RunWithOptions", sql: "SELECT AVG(g) FROM Sessions", warm: true, run: solo(RunOptions{}),
+			probes: 1,
+			check: func(t *testing.T, a *Answer) {
+				if !a.Cached {
+					t.Error("not marked Cached")
+				}
+			}},
+		{name: "parse error", sql: "SELECT FROM WHERE", run: solo(RunOptions{}), probes: 1, outcome: "error"},
+		{name: "unknown table", sql: "SELECT AVG(g) FROM NoSuch", run: solo(RunOptions{}), probes: 1, outcome: "error"},
+		{name: "pre-cancelled ctx", sql: "SELECT AVG(g) FROM Sessions", ctx: cancelled, run: solo(RunOptions{}),
+			probes: 1, outcome: "cancelled"},
+	}
+	qid := regexp.MustCompile(`q\d+ \(SELECT`)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newLifecycleRig(t)
+			if tc.warm {
+				if _, err := r.e.Run(context.Background(), tc.sql); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.members == 0 {
+				tc.members = 1
+			}
+			if tc.outcome == "" {
+				tc.outcome = "ok"
+			}
+			parent, _ := obs.ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			before := r.counts()
+			r.events.Reset()
+			ans, err := tc.run(r, obs.ContextWithTrace(ctx, parent), tc.sql)
+			after := r.counts()
+
+			if (err == nil) != (tc.outcome == "ok") {
+				t.Fatalf("err = %v, want outcome %s", err, tc.outcome)
+			}
+			if tc.outcome == "cancelled" && !(errors.Is(err, context.Canceled) && qid.MatchString(err.Error())) {
+				t.Errorf("cancelled request's error %q does not wrap ctx.Err() with the query id", err)
+			}
+			if err == nil && tc.check != nil {
+				tc.check(t, ans)
+			}
+			lead := tc.members - 1 // a plain request on a sample: watched, probed, stored
+			want := counts{
+				traces:  before.traces + tc.members,
+				events:  tc.members,
+				history: before.history + tc.members,
+				watched: before.watched + lead + tc.watched,
+				probes:  before.probes + lead + tc.probes,
+				entries: before.entries + lead + tc.entries,
+			}
+			if after != want {
+				t.Errorf("left behind %+v, want %+v", after, want)
+			}
+
+			// The request's own trace: once in the ring, under the caller's
+			// identity, with its queue wait and outcome.
+			var mine []obs.TraceSnapshot
+			for _, s := range r.tr.Recent()[:tc.members] {
+				if s.SQL == tc.sql {
+					mine = append(mine, s)
+				}
+			}
+			if len(mine) != 1 {
+				t.Fatalf("%d new traces for %q, want 1", len(mine), tc.sql)
+			}
+			s := mine[0]
+			if s.TraceID != parent.TraceIDString() || s.SpanID != parent.SpanIDString() || s.ParentSpanID != parent.ParentString() {
+				t.Errorf("trace identity %s/%s/%s is not the caller's %s", s.TraceID, s.SpanID, s.ParentSpanID, parent.Traceparent())
+			}
+			if s.Outcome != tc.outcome {
+				t.Errorf("trace outcome %q, want %q", s.Outcome, tc.outcome)
+			}
+			if wantMs := float64(wait) / float64(time.Millisecond); !tc.noWait && s.QueueWaitMs != wantMs {
+				t.Errorf("QueueWaitMs = %v, want %v", s.QueueWaitMs, wantMs)
+			}
+			var rec struct {
+				Kind, SQL, Outcome string
+				TraceID            string `json:"trace_id"`
+			}
+			for _, line := range strings.Split(strings.TrimSpace(r.events.String()), "\n") {
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("event line %q: %v", line, err)
+				}
+				if rec.SQL == tc.sql {
+					break
+				}
+			}
+			if rec.SQL != tc.sql || rec.Kind != "query" || rec.Outcome != tc.outcome || rec.TraceID != s.TraceID {
+				t.Errorf("event-log record %+v does not describe the request", rec)
+			}
+		})
+	}
+}
+
+// TestRunOptionsValidation: a request that names an impossible mode is refused
+// — and is still a finished request, with a trace that says why.
+func TestRunOptionsValidation(t *testing.T) {
+	tr := obs.NewTracer(obs.Options{})
+	e, _ := buildSessions(t, Config{Seed: 3, Obs: tr}, 20000)
+	if err := e.BuildSamples("Sessions", 5000); err != nil {
+		t.Fatal(err)
+	}
+	for i, opts := range []RunOptions{
+		{ErrorBound: -0.1},
+		{TimeBudget: -time.Second},
+		{Exact: true, ErrorBound: 0.1},
+		{Exact: true, TimeBudget: time.Second},
+		{ErrorBound: 0.1, TimeBudget: time.Second},
+	} {
+		ans, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", opts)
+		if err == nil || ans != nil {
+			t.Errorf("%+v accepted", opts)
+			continue
+		}
+		snap, _ := tr.Last()
+		if got := len(tr.Recent()); got != i+1 || snap.Outcome != "error" || snap.Err != err.Error() {
+			t.Errorf("%+v: %d traces, last %+v; want a finished trace carrying %q", opts, got, snap, err)
+		}
+	}
+}
+
+// TestExplainRendersThePlanRunExecutes: Explain goes through the same sample
+// choice and plan construction as Run.
+func TestExplainRendersThePlanRunExecutes(t *testing.T) {
+	e, tbl := buildSessions(t, Config{Seed: 11}, 100000)
+	if err := e.RegisterTable("Raw", tbl); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.BuildSamples("Sessions", 50000); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.BuildStratifiedSample("Sessions", "City", 4500); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		q          string
+		stratified bool
+	}{
+		{"SELECT City, AVG(Time) FROM Sessions GROUP BY City", true},
+		// A population-scaled SUM must not run on the stratified sample.
+		{"SELECT City, SUM(Time) FROM Sessions GROUP BY City", false},
+		{"SELECT AVG(Time) FROM Raw", false},
+	} {
+		ans, err := e.Run(context.Background(), tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if onStratified := ans.SampleRows == 4*4500; onStratified != tc.stratified {
+			t.Errorf("%s ran on %d sample rows; stratified = %v, want %v", tc.q, ans.SampleRows, onStratified, tc.stratified)
+		}
+		got, err := e.Explain(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ans.Plan.Explain(); got != want {
+			t.Errorf("%s\nExplain:\n%s\nthe plan Run executed:\n%s", tc.q, got, want)
+		}
+	}
+}

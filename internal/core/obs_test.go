@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -42,11 +43,11 @@ func tracedPair(t *testing.T, mutate func(*Config)) (traced, plain *Engine) {
 func TestTracingDoesNotPerturbAnswers(t *testing.T) {
 	traced, plain := tracedPair(t, nil)
 	for _, q := range obsTestQueries {
-		a, err := traced.Query(q)
+		a, err := traced.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := plain.Query(q)
+		b, err := plain.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func TestSpanStructureDeterminism(t *testing.T) {
 		e, _ := tracedPair(t, nil)
 		var out []string
 		for _, q := range obsTestQueries {
-			if _, err := e.Query(q); err != nil {
+			if _, err := e.Run(context.Background(), q); err != nil {
 				t.Fatal(err)
 			}
 			tr, ok := e.Tracer().Last()
@@ -127,9 +128,9 @@ func TestSpanCountersMatchResultCounters(t *testing.T) {
 				var ans *Answer
 				var err error
 				if mode.exact {
-					ans, err = e.QueryExact(q)
+					ans, err = e.RunExact(context.Background(), q)
 				} else {
-					ans, err = e.Query(q)
+					ans, err = e.Run(context.Background(), q)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -182,12 +183,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if e.Tracer() != tr {
 		t.Fatal("engine did not adopt the provided tracer")
 	}
-	if _, err := e.Query("SELECT AVG(Time) FROM Sessions"); err != nil {
+	if _, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions"); err != nil {
 		t.Fatal(err)
 	}
 	// The percentile query exercises the bootstrap, so resample accounting
 	// shows up in the registry.
-	if _, err := e.Query("SELECT PERCENTILE(Time, 0.9) FROM Sessions"); err != nil {
+	if _, err := e.Run(context.Background(), "SELECT PERCENTILE(Time, 0.9) FROM Sessions"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -231,7 +232,7 @@ func TestDefaultTracerFromMetricsAddr(t *testing.T) {
 	if e.Tracer() == nil {
 		t.Fatal("MetricsAddr without Obs should create a tracer")
 	}
-	if _, err := e.Query("SELECT AVG(Time) FROM Sessions"); err != nil {
+	if _, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions"); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := e.Tracer().Last(); !ok {
@@ -243,14 +244,14 @@ func TestDefaultTracerFromMetricsAddr(t *testing.T) {
 // query and preserve the underlying error for errors.Unwrap.
 func TestQueryErrorsCarryIdentifier(t *testing.T) {
 	e, _ := buildSessions(t, Config{Seed: 2}, 100)
-	_, err := e.Query("SELECT AVG(Time) FROM Nowhere")
+	_, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Nowhere")
 	if err == nil {
 		t.Fatal("unknown table should error")
 	}
 	if !strings.Contains(err.Error(), "q1") || !strings.Contains(err.Error(), "Nowhere") {
 		t.Fatalf("error lacks query identifier: %v", err)
 	}
-	_, err = e.Query("SELECT MYSTERY(Time) FROM Sessions")
+	_, err = e.Run(context.Background(), "SELECT MYSTERY(Time) FROM Sessions")
 	if err == nil {
 		t.Fatal("unregistered UDF should error")
 	}
@@ -261,7 +262,7 @@ func TestQueryErrorsCarryIdentifier(t *testing.T) {
 		t.Fatalf("error not wrapped with %%w: %v", err)
 	}
 	long := "SELECT AVG(Time) FROM Nowhere WHERE City = 'somewhere far beyond'"
-	_, err = e.Query(long)
+	_, err = e.Run(context.Background(), long)
 	if err == nil || !strings.Contains(err.Error(), "...") {
 		t.Fatalf("long SQL should be truncated in the identifier: %v", err)
 	}

@@ -6,18 +6,18 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/estimator"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
-// RunOptions tunes a single Run call without mutating engine configuration,
-// so a serving layer can cap per-query work while other queries run
-// concurrently with the engine defaults.
+// RunOptions is one query's request: what to answer it with and how far to
+// go. The zero value is a plain request — the §5 pipeline on the sample
+// pickSample chooses, each aggregate the diagnostic rejects re-answered
+// exactly. At most one of Exact, ErrorBound and TimeBudget may be set; the
+// answer cache serves and stores plain requests only.
 type RunOptions struct {
 	// BootstrapK, when positive, caps the resample count for this query
 	// below the engine's configured K (it never raises it). The serving
@@ -28,121 +28,196 @@ type RunOptions struct {
 	// trace snapshot (queue_wait_ms), /debug/queries, the event log and
 	// aqpshell -explain; it does not affect execution.
 	QueueWait time.Duration
+	// Exact answers the query on the full dataset, with no sampling
+	// pipeline.
+	Exact bool
+	// ErrorBound, when positive, answers on the smallest sample whose error
+	// bars satisfy this relative error at the engine's confidence level
+	// (BlinkDB's error-constrained queries): it escalates through the
+	// uniform samples, ctx checked between them, and finally to exact
+	// execution when the bound cannot be met approximately or the diagnostic
+	// rejects error estimation.
+	ErrorBound float64
+	// TimeBudget, when positive, answers on the largest sample whose
+	// predicted execution time fits it (BlinkDB's response-time constrained
+	// queries). The prediction calibrates per-row cost on the smallest
+	// sample, so a budgeted query pays one pilot execution. The answer is
+	// returned as it comes: an aggregate the diagnostic rejects keeps its
+	// error bar and is not re-answered exactly.
+	TimeBudget time.Duration
 }
 
-// Query answers the SQL query approximately on the table's largest sample,
-// with error bars and a diagnostic verdict per aggregate. Tables without
-// samples are answered exactly. Aggregates whose diagnostic rejects error
-// estimation fall back to exact execution (unless disabled).
-func (e *Engine) Query(query string) (*Answer, error) {
-	return e.Run(context.Background(), query)
+// plain reports whether the request sets none of the three modes.
+func (o RunOptions) plain() bool {
+	return !o.Exact && o.ErrorBound == 0 && o.TimeBudget == 0
 }
 
-// Run is Query honouring cancellation: ctx is threaded through planning,
-// scan, bootstrap resampling (checked once per 8 KiB kernel block), the
-// adaptive-K loop, and the diagnostic worker pool. A cancelled query
-// returns an error wrapping ctx.Err() (so errors.Is(err, context.Canceled)
-// and errors.Is(err, context.DeadlineExceeded) hold) that carries the qN
-// query identifier, and all goroutines it spawned exit before Run returns.
-// Engines are safe for concurrent Run calls; answers are bit-identical to
-// serial execution because all randomness derives from (seed, stream) pairs
-// owned by the query, never from shared mutable state.
+func (o RunOptions) validate() error {
+	modes := 0
+	for _, set := range []bool{o.Exact, o.ErrorBound != 0, o.TimeBudget != 0} {
+		if set {
+			modes++
+		}
+	}
+	switch {
+	case o.ErrorBound < 0 || math.IsNaN(o.ErrorBound):
+		return fmt.Errorf("core: relative error bound must be positive")
+	case o.TimeBudget < 0:
+		return fmt.Errorf("core: time budget must be positive")
+	case modes > 1:
+		return fmt.Errorf("core: at most one of Exact, ErrorBound and TimeBudget may be set")
+	}
+	return nil
+}
+
+// request is one query between begin and finish.
+type request struct {
+	ctx   context.Context
+	qt    *obs.QueryTrace
+	sql   string
+	opts  RunOptions
+	gen   uint64 // catalog generation at begin: what the answer cache is keyed by
+	start time.Time
+	def   *plan.QueryDef
+	rt    *registeredTable
+}
+
+// Run answers the query with the zero RunOptions.
 func (e *Engine) Run(ctx context.Context, query string) (*Answer, error) {
 	return e.RunWithOptions(ctx, query, RunOptions{})
 }
 
-// RunWithOptions is Run with per-query overrides.
-func (e *Engine) RunWithOptions(ctx context.Context, query string, opts RunOptions) (ans *Answer, err error) {
-	var start time.Time
-	gen := e.gen.Load()
-	if e.answers != nil {
-		start = time.Now()
+// RunExact answers the query exactly on the full dataset.
+func (e *Engine) RunExact(ctx context.Context, query string) (*Answer, error) {
+	return e.RunWithOptions(ctx, query, RunOptions{Exact: true})
+}
+
+// RunWithOptions answers one query: begin, execute, finish. Tables without
+// samples are answered exactly. ctx is threaded through planning, scan,
+// bootstrap resampling (checked once per 8 KiB kernel block), the adaptive-K
+// loop, and the diagnostic worker pool. A cancelled query returns an error
+// wrapping ctx.Err() (so errors.Is(err, context.Canceled) and
+// errors.Is(err, context.DeadlineExceeded) hold) that carries the qN query
+// identifier, and all goroutines it spawned exit before the call returns.
+// Engines are safe for concurrent calls; answers are bit-identical to
+// serial execution because all randomness derives from (seed, stream) pairs
+// owned by the query, never from shared mutable state.
+func (e *Engine) RunWithOptions(ctx context.Context, query string, opts RunOptions) (*Answer, error) {
+	q, ans, err := e.begin(ctx, query, opts, false)
+	if err == nil && ans == nil {
+		ans, err = e.execute(&q)
 	}
-	ctx, tc := obs.EnsureTrace(ctx)
-	qt := e.obs.StartQuery(query)
-	qt.SetTraceContext(tc)
+	return e.finish(&q, ans, err)
+}
+
+// begin opens a request: it captures the catalog generation, probes the
+// answer cache, starts the trace, and parses and resolves the query. It
+// returns a replayed answer, or an error, or neither — then the request is
+// ready for execute — and in all three cases a request that finish must close.
+// With replayOnly a miss returns no answer and no error either, but it has
+// started no trace and there is nothing to finish.
+//
+// Answer reuse: a finished answer for the same canonical SQL, resample cap and
+// catalog generation replays without executing. Re-execution would be
+// bit-identical anyway (all randomness is (seed, stream) derived), so reuse is
+// answer-neutral; the generation in the key makes RegisterTable/BuildSamples
+// invalidate instantly.
+func (e *Engine) begin(ctx context.Context, sql string, opts RunOptions, replayOnly bool) (request, *Answer, error) {
+	q := request{sql: sql, opts: opts, gen: e.gen.Load(), start: time.Now()}
+	invalid := opts.validate()
+	var replay *Answer
+	if invalid == nil && opts.plain() {
+		replay = e.answerCacheGet(q.gen, sql, opts.BootstrapK)
+	}
+	if replay == nil && replayOnly {
+		return q, nil, nil
+	}
+	var tc obs.TraceContext
+	q.ctx, tc = obs.EnsureTrace(ctx)
+	q.qt = e.obs.StartQuery(sql)
+	q.qt.SetTraceContext(tc)
 	if opts.QueueWait > 0 {
-		qt.SetQueueWait(opts.QueueWait)
+		q.qt.SetQueueWait(opts.QueueWait)
 	}
-	defer func() { e.finishQuery(ctx, qt, query, ans, err, true) }()
-	// Answer reuse: a finished answer for the same canonical SQL, resample
-	// cap and catalog generation replays without executing. Re-execution
-	// would be bit-identical anyway (all randomness is (seed, stream)
-	// derived), so reuse is answer-neutral; the generation in the key makes
-	// RegisterTable/BuildSamples invalidate instantly.
-	if hit := e.answerCacheGet(gen, query, opts.BootstrapK); hit != nil {
-		hit.Elapsed = time.Since(start)
-		qt.Root().SetAttr("answer_cached", true)
-		return hit, nil
+	if replay != nil {
+		replay.Elapsed = time.Since(q.start)
+		q.qt.Root().SetAttr("answer_cached", true)
+		return q, replay, nil
 	}
-	def, rt, err := e.analyze(qt, query)
-	if err != nil {
-		return nil, err
+	if invalid != nil {
+		return q, nil, invalid
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", e.queryID(qt, query), err)
+	var err error
+	if q.def, q.rt, err = e.analyze(q.qt, sql); err != nil {
+		return q, nil, err
 	}
-	st := e.pickSample(def, rt)
-	if st == nil {
-		ans, err = e.runExact(ctx, qt, qt.Root(), query, def, rt)
-		if err != nil {
-			return nil, err
-		}
-		e.answerCachePut(gen, query, opts.BootstrapK, ans)
-		return ans, nil
+	if err := q.ctx.Err(); err != nil {
+		return q, nil, fmt.Errorf("core: %s: %w", e.queryID(q.qt, sql), err)
 	}
-	ans, err = e.runApproximate(ctx, qt, query, def, rt, st, opts.BootstrapK, !e.cfg.DisableFallback)
-	if err != nil {
-		return nil, err
-	}
-	if !e.cfg.DisableFallback {
-		if err := e.applyFallback(ctx, qt, ans, def, rt); err != nil {
-			return nil, err
-		}
-	}
-	e.answerCachePut(gen, query, opts.BootstrapK, ans)
-	return ans, nil
+	return q, nil, nil
 }
 
-// QueryWithErrorBound answers the query using the smallest sample whose
-// error bars satisfy the relative error bound at the engine's confidence
-// level (BlinkDB's error-constrained queries). It escalates through the
-// sample catalog and finally to exact execution when the bound cannot be
-// met approximately or the diagnostic rejects error estimation.
-func (e *Engine) QueryWithErrorBound(query string, relErr float64) (*Answer, error) {
-	return e.RunWithErrorBound(context.Background(), query, relErr)
+// execute answers a request begin found no replay for, by the mode it names:
+// exactly when that is what it asks for, or when the table has no sample the
+// mode could run on.
+func (e *Engine) execute(q *request) (*Answer, error) {
+	switch uniform := len(q.rt.samples) > 0; {
+	case q.opts.ErrorBound > 0 && uniform:
+		return e.runErrorBound(q)
+	case q.opts.TimeBudget > 0 && uniform:
+		return e.runTimeBudget(q)
+	case q.opts.plain():
+		if st := e.pickSample(q.def, q.rt); st != nil {
+			ans, err := e.runApproximate(q, st, e.exactOnReject(q.opts))
+			if err != nil {
+				return nil, err
+			}
+			return ans, e.applyFallback(q, ans)
+		}
+	}
+	return e.runExact(q, q.qt.Root())
 }
 
-// RunWithErrorBound is QueryWithErrorBound honouring cancellation; ctx is
-// checked between sample escalations and inside each execution.
-func (e *Engine) RunWithErrorBound(ctx context.Context, query string, relErr float64) (out *Answer, err error) {
-	if relErr <= 0 {
-		return nil, fmt.Errorf("core: relative error bound must be positive")
-	}
-	ctx, tc := obs.EnsureTrace(ctx)
-	qt := e.obs.StartQuery(query)
-	qt.SetTraceContext(tc)
-	defer func() { e.finishQuery(ctx, qt, query, out, err, true) }()
-	def, rt, err := e.analyze(qt, query)
+// finish closes a request begin opened: a plain request's answer goes to the
+// answer cache under the generation the query STARTED at — if the catalog
+// changed mid-flight the entry lands under the old generation and is never
+// served again, rather than poisoning the new one — and the trace and the
+// answer go to the observers. A failed request has no answer.
+func (e *Engine) finish(q *request, ans *Answer, err error) (*Answer, error) {
 	if err != nil {
-		return nil, err
+		ans = nil
+	} else if q.opts.plain() {
+		e.answerCachePut(q.gen, q.sql, q.opts.BootstrapK, ans)
 	}
-	if len(rt.samples) == 0 {
-		return e.runExact(ctx, qt, qt.Root(), query, def, rt)
-	}
+	e.finishQuery(q, ans, err)
+	return ans, err
+}
+
+// exactOnReject is the fallback policy, and the one reader of
+// Config.DisableFallback: whether an aggregate the diagnostic rejects is
+// replaced by an exact answer (applyFallback, or the whole-query fallback that
+// ends an error-bound escalation). When it is, the rejected aggregate's
+// bootstrap is never read, so the plan may run verdict-first
+// (plan.Options.VerdictFirst). A time-budgeted answer is returned as it comes,
+// rejected aggregates with their bootstrap error bars included.
+func (e *Engine) exactOnReject(opts RunOptions) bool {
+	return !e.cfg.DisableFallback && opts.TimeBudget == 0
+}
+
+// runErrorBound escalates through the uniform samples — execute has checked
+// there is one — smallest first, until one meets q.opts.ErrorBound.
+func (e *Engine) runErrorBound(q *request) (*Answer, error) {
+	relErr, fallback := q.opts.ErrorBound, e.exactOnReject(q.opts)
 	var last *Answer
 	minRows := 0 // samples smaller than this are provably insufficient
-	for _, st := range rt.samples {
+	for _, st := range q.rt.samples {
 		if st.Data.NumRows() < minRows {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", e.queryID(qt, query), err)
+		if err := q.ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", e.queryID(q.qt, q.sql), err)
 		}
-		// With fallback on, a rejected aggregate sends the loop to the next
-		// sample and finally to exact execution, so its bootstrap is never
-		// read: the plan may run verdict-first.
-		ans, err := e.runApproximate(ctx, qt, query, def, rt, st, 0, !e.cfg.DisableFallback)
+		ans, err := e.runApproximate(q, st, fallback)
 		if err != nil {
 			return nil, err
 		}
@@ -165,15 +240,43 @@ func (e *Engine) RunWithErrorBound(ctx context.Context, query string, relErr flo
 		// For closed-form queries the error shrinks as 1/√n: project the
 		// required size from this run and skip samples that cannot
 		// possibly satisfy the bound (BlinkDB's sample-selection jump).
-		if def.ClosedFormOK() && worstRel > relErr && !math.IsInf(worstRel, 0) {
+		if q.def.ClosedFormOK() && worstRel > relErr && !math.IsInf(worstRel, 0) {
 			ratio := worstRel / relErr
 			minRows = int(float64(st.Data.NumRows()) * ratio * ratio * 0.8)
 		}
 	}
-	if e.cfg.DisableFallback {
+	if !fallback {
 		return last, nil
 	}
-	return e.fallbackExact(ctx, qt, query, def, rt, "error bound unmet on all samples")
+	return e.fallbackExact(q, "error bound unmet on all samples")
+}
+
+// runTimeBudget pilots on the smallest uniform sample — execute has checked
+// there is one — and answers on the largest one the pilot's per-row cost
+// predicts will fit q.opts.TimeBudget.
+func (e *Engine) runTimeBudget(q *request) (*Answer, error) {
+	pilot := q.rt.samples[0]
+	pilotAns, err := e.runApproximate(q, pilot, e.exactOnReject(q.opts))
+	if err != nil {
+		return nil, fmt.Errorf("core: budget pilot: %w", err)
+	}
+	if pilotAns.Elapsed >= q.opts.TimeBudget {
+		// Even the smallest sample blows the budget; it is still the best
+		// we can do.
+		return pilotAns, nil
+	}
+	perRow := float64(pilotAns.Elapsed) / float64(pilot.Data.NumRows())
+	maxRows := int(float64(q.opts.TimeBudget) / perRow * 0.8) // 20% headroom
+	best := pilot
+	for _, st := range q.rt.samples {
+		if st.Data.NumRows() <= maxRows {
+			best = st
+		}
+	}
+	if best == pilot {
+		return pilotAns, nil
+	}
+	return e.runApproximate(q, best, e.exactOnReject(q.opts))
 }
 
 // pickSample chooses the sample for an unconstrained query: a stratified
@@ -202,47 +305,26 @@ func scaleInvariant(def *plan.QueryDef) bool {
 	return true
 }
 
-// QueryExact answers the query exactly on the full dataset.
-func (e *Engine) QueryExact(query string) (*Answer, error) {
-	return e.RunExact(context.Background(), query)
-}
-
-// RunExact is QueryExact honouring cancellation.
-func (e *Engine) RunExact(ctx context.Context, query string) (ans *Answer, err error) {
-	ctx, tc := obs.EnsureTrace(ctx)
-	qt := e.obs.StartQuery(query)
-	qt.SetTraceContext(tc)
-	defer func() { e.finishQuery(ctx, qt, query, ans, err, false) }()
-	def, rt, err := e.analyze(qt, query)
-	if err != nil {
-		return nil, err
-	}
-	return e.runExact(ctx, qt, qt.Root(), query, def, rt)
-}
-
 // runExact executes the query on the full table with no sampling pipeline.
 // Stage spans attach under parent so fallback executions nest inside their
 // fallback span rather than appearing as a second top-level pipeline.
-func (e *Engine) runExact(ctx context.Context, qt *obs.QueryTrace, parent *obs.Span, query string, def *plan.QueryDef, rt *registeredTable) (*Answer, error) {
+func (e *Engine) runExact(q *request, parent *obs.Span) (*Answer, error) {
 	start := time.Now()
-	planSpan := parent.StartSpan(obs.StagePlan)
-	p, err := plan.Build(def, plan.Options{Alpha: e.cfg.alpha()})
-	planSpan.SetAttr("mode", "exact")
-	planSpan.End()
+	p, err := e.buildExactPlan(q, parent)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: plan: %w", e.queryID(qt, query), err)
+		return nil, err
 	}
-	res, err := exec.Run(ctx, p, map[string]*exec.StoredTable{
-		def.Table: {Data: rt.full},
+	res, err := exec.Run(q.ctx, p, map[string]*exec.StoredTable{
+		q.def.Table: {Data: q.rt.full},
 	}, e.udfRegistry(), e.execConfig(parent))
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: exact execution: %w", e.queryID(qt, query), err)
+		return nil, fmt.Errorf("core: %s: exact execution: %w", e.queryID(q.qt, q.sql), err)
 	}
 	ans := &Answer{
-		SQL:            query,
+		SQL:            q.sql,
 		Plan:           p,
 		Counters:       res.Counters,
-		PopulationRows: rt.full.NumRows(),
+		PopulationRows: q.rt.full.NumRows(),
 		Selectivity:    scanSelectivity(res.Counters),
 		Elapsed:        time.Since(start),
 	}
@@ -264,34 +346,46 @@ func (e *Engine) runExact(ctx context.Context, qt *obs.QueryTrace, parent *obs.S
 	return ans, nil
 }
 
-// runApproximate executes the full §5 pipeline on the given sample. kCap,
-// when positive, bounds the resample count for this query only.
-// exactOnReject promises that the caller replaces every aggregate the
-// diagnostic rejects with an exact answer (applyFallback, or a whole-query
-// exact fallback), which lets the plan skip those aggregates' bootstrap.
-func (e *Engine) runApproximate(ctx context.Context, qt *obs.QueryTrace, query string, def *plan.QueryDef, rt *registeredTable, st *exec.StoredTable, kCap int, exactOnReject bool) (*Answer, error) {
+// runApproximate executes the full §5 pipeline on the given sample.
+// verdictFirst (see exactOnReject) promises that the caller replaces every
+// aggregate the diagnostic rejects with an exact answer, which lets the plan
+// skip those aggregates' bootstrap.
+func (e *Engine) runApproximate(q *request, st *exec.StoredTable, verdictFirst bool) (*Answer, error) {
 	start := time.Now()
-	p, opt, err := e.buildApproxPlan(qt, query, def, st, kCap, exactOnReject)
+	p, err := e.buildApproxPlan(q, st, verdictFirst)
 	if err != nil {
 		return nil, err
 	}
-	res, err := exec.Run(ctx, p, map[string]*exec.StoredTable{def.Table: st},
-		e.udfRegistry(), e.execConfig(qt.Root()))
+	res, err := exec.Run(q.ctx, p, map[string]*exec.StoredTable{q.def.Table: st},
+		e.udfRegistry(), e.execConfig(q.qt.Root()))
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: approximate execution: %w", e.queryID(qt, query), err)
+		return nil, fmt.Errorf("core: %s: approximate execution: %w", e.queryID(q.qt, q.sql), err)
 	}
-	return e.answerFromResult(qt, query, def, opt, p, res, st, start)
+	return e.answerFromResult(q, p, res, st, start)
+}
+
+// buildExactPlan builds the plan of an exact execution, emitting the plan
+// stage span under parent.
+func (e *Engine) buildExactPlan(q *request, parent *obs.Span) (*plan.Plan, error) {
+	planSpan := parent.StartSpan(obs.StagePlan)
+	p, err := plan.Build(q.def, plan.Options{Alpha: e.cfg.alpha()})
+	planSpan.SetAttr("mode", "exact")
+	planSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: plan: %w", e.queryID(q.qt, q.sql), err)
+	}
+	return p, nil
 }
 
 // buildApproxPlan builds the §5 approximate plan for one query on one
 // sample, emitting the plan stage span. It is shared by the solo path
-// (runApproximate) and the shared-scan batch path (RunSharedBatch).
-func (e *Engine) buildApproxPlan(qt *obs.QueryTrace, query string, def *plan.QueryDef, st *exec.StoredTable, kCap int, exactOnReject bool) (*plan.Plan, plan.Options, error) {
+// (runApproximate), the shared-scan batch path (RunSharedBatch) and Explain.
+func (e *Engine) buildApproxPlan(q *request, st *exec.StoredTable, verdictFirst bool) (*plan.Plan, error) {
 	n := st.Data.NumRows()
-	opt := e.planOptions(n, !def.ClosedFormOK(), kCap)
-	opt.VerdictFirst = exactOnReject
-	planSpan := qt.StartSpan(obs.StagePlan)
-	p, err := plan.Build(def, opt)
+	opt := e.planOptions(n, !q.def.ClosedFormOK(), q.opts.BootstrapK)
+	opt.VerdictFirst = verdictFirst
+	planSpan := q.qt.StartSpan(obs.StagePlan)
+	p, err := plan.Build(q.def, opt)
 	planSpan.SetAttr("mode", "approximate")
 	planSpan.AddInt("sample_rows", int64(n))
 	planSpan.AddInt("bootstrap_k", int64(opt.BootstrapK))
@@ -299,17 +393,16 @@ func (e *Engine) buildApproxPlan(qt *obs.QueryTrace, query string, def *plan.Que
 	planSpan.SetAttr("diagnostics", opt.Diagnostics)
 	planSpan.End()
 	if err != nil {
-		return nil, opt, fmt.Errorf("core: %s: plan: %w", e.queryID(qt, query), err)
+		return nil, fmt.Errorf("core: %s: plan: %w", e.queryID(q.qt, q.sql), err)
 	}
-	return p, opt, nil
+	return p, nil
 }
 
 // answerFromResult turns an executor result into an Answer: error bars per
-// aggregate (estimate stage span), diagnostic verdicts, and the optional
-// cluster simulation.
-func (e *Engine) answerFromResult(qt *obs.QueryTrace, query string, def *plan.QueryDef, opt plan.Options, p *plan.Plan, res *exec.Result, st *exec.StoredTable, start time.Time) (*Answer, error) {
+// aggregate (estimate stage span) and diagnostic verdicts.
+func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st *exec.StoredTable, start time.Time) (*Answer, error) {
 	ans := &Answer{
-		SQL:            query,
+		SQL:            q.sql,
 		SampleRows:     res.SampleRows,
 		Plan:           p,
 		Counters:       res.Counters,
@@ -317,7 +410,7 @@ func (e *Engine) answerFromResult(qt *obs.QueryTrace, query string, def *plan.Qu
 		Selectivity:    scanSelectivity(res.Counters),
 	}
 	alpha := e.cfg.alpha()
-	estSpan := qt.StartSpan(obs.StageEstimate)
+	estSpan := q.qt.StartSpan(obs.StageEstimate)
 	maxRel := 0.0
 	for _, g := range res.Groups {
 		ga := GroupAnswer{Key: g.Key}
@@ -331,7 +424,7 @@ func (e *Engine) answerFromResult(qt *obs.QueryTrace, query string, def *plan.Qu
 			if err != nil {
 				estSpan.End()
 				return nil, fmt.Errorf("core: %s: error bar for %s: %w",
-					e.queryID(qt, query), out.Spec.Alias, err)
+					e.queryID(q.qt, q.sql), out.Spec.Alias, err)
 			}
 			aa.ErrorBar = iv
 			aa.Technique = technique
@@ -355,10 +448,6 @@ func (e *Engine) answerFromResult(qt *obs.QueryTrace, query string, def *plan.Qu
 	estSpan.SetAttr("max_rel_err", maxRel)
 	estSpan.End()
 	ans.Elapsed = time.Since(start)
-	if e.cfg.Cluster != nil {
-		b := e.simulate(qt, def, opt, res, st)
-		ans.Simulated = &b
-	}
 	return ans, nil
 }
 
@@ -423,20 +512,21 @@ func closedFormScaledSum(out exec.AggOutput, alpha float64) (estimator.Interval,
 
 // fallbackExact runs the query exactly under a fallback span, recording the
 // fallback in the metrics registry.
-func (e *Engine) fallbackExact(ctx context.Context, qt *obs.QueryTrace, query string, def *plan.QueryDef, rt *registeredTable, reason string) (*Answer, error) {
-	span := qt.StartSpan(obs.StageFallback)
+func (e *Engine) fallbackExact(q *request, reason string) (*Answer, error) {
+	span := q.qt.StartSpan(obs.StageFallback)
 	span.SetAttr("reason", reason)
-	qt.Metrics().Counter("aqp_fallbacks_total",
+	q.qt.Metrics().Counter("aqp_fallbacks_total",
 		"Queries (or aggregates) re-answered exactly after the approximate path failed.",
 		"reason", reason).Inc()
-	ans, err := e.runExact(ctx, qt, span, query, def, rt)
+	ans, err := e.runExact(q, span)
 	span.End()
 	return ans, err
 }
 
 // applyFallback re-answers exactly any aggregate whose diagnostic rejected
-// error estimation, replacing its entry in the answer.
-func (e *Engine) applyFallback(ctx context.Context, qt *obs.QueryTrace, ans *Answer, def *plan.QueryDef, rt *registeredTable) error {
+// error estimation, replacing its entry in the answer — when the fallback
+// policy says rejects are replaced at all.
+func (e *Engine) applyFallback(q *request, ans *Answer) error {
 	needed := false
 	for _, g := range ans.Groups {
 		for _, a := range g.Aggs {
@@ -445,10 +535,10 @@ func (e *Engine) applyFallback(ctx context.Context, qt *obs.QueryTrace, ans *Ans
 			}
 		}
 	}
-	if !needed {
+	if !needed || !e.exactOnReject(q.opts) {
 		return nil
 	}
-	exact, err := e.fallbackExact(ctx, qt, ans.SQL, def, rt, "diagnostic rejected")
+	exact, err := e.fallbackExact(q, "diagnostic rejected")
 	if err != nil {
 		return err
 	}
@@ -481,62 +571,4 @@ func (e *Engine) applyFallback(ctx context.Context, qt *obs.QueryTrace, ans *Ans
 	ans.Counters.DecodeNanos += exact.Counters.DecodeNanos
 	ans.Elapsed += exact.Elapsed
 	return nil
-}
-
-// simulate derives the production-scale latency breakdown for the executed
-// pipeline from the measured counters.
-func (e *Engine) simulate(qt *obs.QueryTrace, def *plan.QueryDef, opt plan.Options, res *exec.Result, st *exec.StoredTable) cluster.Breakdown {
-	span := qt.StartSpan(obs.StageClusterSim)
-	simStart := time.Now()
-	defer span.End()
-	actualMB := float64(st.Data.SizeBytes()) / 1e6
-	logicalMB := actualMB
-	if e.cfg.LogicalSampleMB > 0 {
-		logicalMB = e.cfg.LogicalSampleMB
-	}
-	// Production rows are wider than our lean columnar test rows; size
-	// the logical row count by a production bytes-per-row so the CPU and
-	// memory terms stay realistic.
-	const logicalBytesPerRow = 200
-	logicalRows := logicalMB * 1e6 / logicalBytesPerRow
-	rowScale := 1.0
-	if res.SampleRows > 0 {
-		rowScale = logicalRows / float64(res.SampleRows)
-	}
-	sel := 1.0
-	if res.Counters.RowsScanned > 0 {
-		sel = float64(res.Counters.RowsAfterFilter) / float64(res.Counters.RowsScanned)
-	}
-	sizes := make([]int, len(opt.DiagSizes))
-	for i, b := range opt.DiagSizes {
-		sizes[i] = int(float64(b) * rowScale)
-	}
-	k := opt.BootstrapK
-	if def.ClosedFormOK() {
-		k = 0
-	}
-	shape := cluster.QueryShape{
-		SampleMB:     logicalMB,
-		SampleRows:   int64(logicalRows),
-		Selectivity:  sel,
-		BootstrapK:   k,
-		DiagSizes:    sizes,
-		DiagP:        opt.DiagP,
-		ClosedForm:   def.ClosedFormOK(),
-		Consolidated: opt.ScanConsolidation,
-		Pushdown:     opt.OperatorPushdown,
-		Fanout:       len(res.Groups),
-	}
-	if !opt.Diagnostics {
-		shape.DiagSizes = nil
-		shape.DiagP = 0
-	}
-	src := rng.NewWithStream(e.cfg.Seed, 0xC105)
-	b := e.cfg.Cluster.SimulateBreakdown(src, shape)
-	span.SetAttr("sim_query_sec", b.QuerySec)
-	span.SetAttr("sim_error_sec", b.ErrorSec)
-	span.SetAttr("sim_diag_sec", b.DiagSec)
-	span.SetAttr("sim_total_sec", b.Total())
-	b.Observe(qt.Metrics(), time.Since(simStart))
-	return b
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -228,7 +229,7 @@ func TestQueriesRunDuringSampleBuild(t *testing.T) {
 	go func() { built <- e.BuildSamples("Sessions", sizes...) }()
 	during := 0
 	for done := false; !done; {
-		ans, err := e.Query("SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")
+		ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +253,7 @@ func TestQueriesRunDuringSampleBuild(t *testing.T) {
 	if got := e.CatalogGeneration(); got != genBefore+1 {
 		t.Errorf("catalog generation %d after one build, want %d", got, genBefore+1)
 	}
-	ans, err := e.Query("SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")
+	ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")
 	if err != nil {
 		t.Fatal(err)
 	}

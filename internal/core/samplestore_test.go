@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -170,7 +171,7 @@ func hashQueries(t *testing.T, e *Engine, queries []string) answerHashes {
 	t.Helper()
 	h := newAnswerHasher()
 	for _, q := range queries {
-		ans, err := e.Query(q)
+		ans, err := e.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -568,7 +569,7 @@ func TestPersistedSampleConcurrentEngines(t *testing.T) {
 				return
 			}
 			h := newAnswerHasher()
-			ans, err := e.Query("SELECT Device, AVG(Gauss), SUM(Cents) FROM Events GROUP BY Device")
+			ans, err := e.Run(context.Background(), "SELECT Device, AVG(Gauss), SUM(Cents) FROM Events GROUP BY Device")
 			if err != nil {
 				t.Error(err)
 				return
@@ -623,7 +624,7 @@ func TestQueriesRunDuringPersistedOpen(t *testing.T) {
 	e, done := boot()
 	during := 0
 	for finished := false; !finished; {
-		ans, err := e.Query("SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")
+		ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")
 		if err != nil {
 			t.Fatal(err)
 		}

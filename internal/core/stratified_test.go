@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestStratifiedSampleKeepsRareGroups(t *testing.T) {
 	if err := e.BuildStratifiedSample("Sessions", "City", 1500); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Query("SELECT City, AVG(Time) FROM Sessions GROUP BY City")
+	ans, err := e.Run(context.Background(), "SELECT City, AVG(Time) FROM Sessions GROUP BY City")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestStratifiedNotUsedForScaledAggregates(t *testing.T) {
 	}
 	// COUNT per group is biased under stratification; the engine must fall
 	// back to the uniform sample.
-	ans, err := e.Query("SELECT City, COUNT(*) FROM Sessions GROUP BY City")
+	ans, err := e.Run(context.Background(), "SELECT City, COUNT(*) FROM Sessions GROUP BY City")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestStratifiedNotUsedForScaledAggregates(t *testing.T) {
 			ans.SampleRows)
 	}
 	// And an ungrouped query must not pick the stratified sample either.
-	ans2, err := e.Query("SELECT AVG(Time) FROM Sessions")
+	ans2, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestStratifiedGroupMeansUnbiased(t *testing.T) {
 	if err := e.BuildStratifiedSample("Sessions", "City", 800); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Query("SELECT City, AVG(Time) FROM Sessions GROUP BY City")
+	ans, err := e.Run(context.Background(), "SELECT City, AVG(Time) FROM Sessions GROUP BY City")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,18 +19,19 @@ import (
 // so answers stay bit-identical with observers on or off (asserted by
 // TestTelemetryDoesNotPerturbAnswers).
 //
-// observeWatchdog is false on the exact paths: an exact answer carries no
-// estimated interval to hold to account, and the watchdog's own audits
-// run through runExact.
+// Who the watchdog watches is a property of the answer: it ran on a sample
+// (SampleRows > 0 — an aggregate rejected and then re-answered exactly still
+// counts towards the reject-drift window) and is not a replay, which did no
+// new statistical work. An exact answer carries no estimated interval to hold
+// to account, whichever request produced it.
 //
-// ctx supplies the query's trace context when the tracer is disabled (the
+// q.ctx supplies the query's trace context when the tracer is disabled (the
 // tracer-built snapshot already carries it via SetTraceContext), so the
 // trace id reaches history and watchdog records either way.
-func (e *Engine) finishQuery(ctx context.Context, qt *obs.QueryTrace, query string, ans *Answer, err error, observeWatchdog bool) {
+func (e *Engine) finishQuery(q *request, ans *Answer, err error) {
+	qt, query := q.qt, q.sql
 	qt.Finish(err)
-	// Cached replays performed no new statistical work, so the watchdog
-	// (which audits interval calibration) must not count them again.
-	watch := observeWatchdog && e.wd != nil && err == nil && ans != nil && !ans.Cached
+	watch := e.wd != nil && ans != nil && ans.SampleRows > 0 && !ans.Cached
 	if e.elog == nil && !watch && e.hist == nil {
 		return
 	}
@@ -39,7 +40,7 @@ func (e *Engine) finishQuery(ctx context.Context, qt *obs.QueryTrace, query stri
 		// Tracer disabled but an observer is attached: synthesize the
 		// identity fields the observers need.
 		snap = obs.TraceSnapshot{SQL: query, Outcome: obs.Outcome(err)}
-		if tc, tok := obs.TraceFromContext(ctx); tok {
+		if tc, tok := obs.TraceFromContext(q.ctx); tok {
 			snap.TraceID = tc.TraceIDString()
 			snap.SpanID = tc.SpanIDString()
 			snap.ParentSpanID = tc.ParentString()
@@ -234,7 +235,7 @@ func (e *Engine) auditExact(ctx context.Context, query string) (map[watchdog.Agg
 		return nil, err
 	}
 	start := time.Now()
-	ans, err := e.runExact(ctx, nil, nil, query, def, rt)
+	ans, err := e.runExact(&request{ctx: ctx, sql: query, def: def, rt: rt}, nil)
 	if e.elog != nil {
 		snap := obs.TraceSnapshot{
 			SQL:     query,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -39,7 +40,7 @@ func TestTraceQueriesThroughEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := spec.SQL(tblName, "v")
-		ans, err := e.Query(q)
+		ans, err := e.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}

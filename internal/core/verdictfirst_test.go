@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"hash"
 	"hash/fnv"
 	"io"
@@ -119,7 +120,7 @@ func TestVerdictFirstAnswersGolden(t *testing.T) {
 		solo, batch := newAnswerHasher(), newAnswerHasher()
 		var acceptedBoot, rejectedBoot int
 		for _, q := range verdictQueries {
-			ans, err := e.Query(q)
+			ans, err := e.Run(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%q: %v", q, err)
 			}
@@ -164,7 +165,7 @@ func TestVerdictFirstAnswersGolden(t *testing.T) {
 func TestVerdictFirstOffWithoutFallback(t *testing.T) {
 	const k = 40
 	e := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, DisableFallback: true})
-	ans, err := e.Query("SELECT MAX(p) FROM T")
+	ans, err := e.Run(context.Background(), "SELECT MAX(p) FROM T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestVerdictFirstSkipsRejectedWork(t *testing.T) {
 	on := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, Obs: tr})
 	off := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, DisableFallback: true})
 
-	ans, err := on.Query("SELECT MAX(p) FROM T")
+	ans, err := on.Run(context.Background(), "SELECT MAX(p) FROM T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +220,11 @@ func TestVerdictFirstSkipsRejectedWork(t *testing.T) {
 	// verdict, so the engine that skips must report exactly 2/3 of the
 	// other's draws.
 	q := "SELECT PERCENTILE(g, 0.5), MAX(p), AVG(g) FROM T"
-	a, err := on.Query(q)
+	a, err := on.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := off.Query(q)
+	b, err := off.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -61,11 +62,11 @@ func TestWatchdogFlagsMiscalibratedMax(t *testing.T) {
 
 	// Self-check the miscalibration premise: the sample's MAX undershoots
 	// the population's, and the bootstrap interval cannot reach it.
-	approx, err := e.Query("SELECT MAX(v) FROM T")
+	approx, err := e.Run(context.Background(), "SELECT MAX(v) FROM T")
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := e.QueryExact("SELECT MAX(v) FROM T")
+	exact, err := e.RunExact(context.Background(), "SELECT MAX(v) FROM T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestWatchdogFlagsMiscalibratedMax(t *testing.T) {
 	// soon as MinAudits accrue — well within the 64-query window.
 	for i := 0; i < 12; i++ {
 		q := fmt.Sprintf("SELECT MAX(v) FROM T WHERE v > 0.%d", i)
-		if _, err := e.Query(q); err != nil {
+		if _, err := e.Run(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,7 +132,7 @@ func TestWatchdogQuietOnCalibratedQueries(t *testing.T) {
 	}
 	for i := 0; i < 210; i++ {
 		q := fmt.Sprintf("SELECT AVG(Time) FROM Sessions WHERE B = 'b%d'", i)
-		if _, err := e.Query(q); err != nil {
+		if _, err := e.Run(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,11 +179,11 @@ func TestTelemetryDoesNotPerturbAnswers(t *testing.T) {
 	}
 	loaded, plain := mk(true), mk(false)
 	for _, q := range obsTestQueries {
-		a, err := loaded.Query(q)
+		a, err := loaded.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := plain.Query(q)
+		b, err := plain.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,13 +219,13 @@ func TestEventLogRecordsQueriesAndAudits(t *testing.T) {
 	if err := e.BuildSamples("Sessions", 5000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query("SELECT AVG(Time) FROM Sessions"); err != nil {
+	if _, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.QueryExact("SELECT COUNT(*) FROM Sessions"); err != nil {
+	if _, err := e.RunExact(context.Background(), "SELECT COUNT(*) FROM Sessions"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Query("SELECT FROM nonsense"); err == nil {
+	if _, err := e.Run(context.Background(), "SELECT FROM nonsense"); err == nil {
 		t.Fatal("parse error expected")
 	}
 
@@ -257,7 +258,7 @@ func TestEventLogRecordsQueriesAndAudits(t *testing.T) {
 	}
 	// Re-run to inspect one full query record's fields.
 	buf.Reset()
-	if _, err := e.Query("SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'"); err != nil {
+	if _, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'"); err != nil {
 		t.Fatal(err)
 	}
 	// The query record comes first; its audit record follows.
@@ -275,5 +276,75 @@ func TestEventLogRecordsQueriesAndAudits(t *testing.T) {
 	agg := aggs[0].(map[string]any)
 	if agg["verdict"] != "accept" && agg["verdict"] != "reject" {
 		t.Fatalf("agg verdict = %v", agg["verdict"])
+	}
+}
+
+// countAudits rebinds the watchdog's auditor to the engine's own, counted.
+func countAudits(e *Engine, wd *watchdog.Watchdog) *int {
+	calls := new(int)
+	wd.Bind(func(ctx context.Context, sql string) (map[watchdog.AggInstance]float64, error) {
+		*calls++
+		return e.auditExact(ctx, sql)
+	})
+	return calls
+}
+
+// TestWatchdogIgnoresExactAnswers: who the watchdog watches is a property of
+// the answer, not of the entry point. A table without samples is answered
+// exactly whichever way the query comes in, so it is neither observed nor
+// audited — through Run as through RunExact. (Run used to observe it under
+// avg@exact and, at AuditFraction 1, pay a second exact scan per query for an
+// audit that then skipped every aggregate.)
+func TestWatchdogIgnoresExactAnswers(t *testing.T) {
+	wd := watchdog.New(watchdog.Config{AuditFraction: 1, Synchronous: true})
+	e, _ := buildSessions(t, Config{Seed: 25, Watchdog: wd}, 20000)
+	audits := countAudits(e, wd)
+	for i := 0; i < 3; i++ {
+		for _, opts := range []RunOptions{{}, {Exact: true}} {
+			ans, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ans.Groups[0].Aggs[0].Exact {
+				t.Fatal("sample-less table not answered exactly")
+			}
+		}
+	}
+	if st := wd.Status(); st.Observations != 0 || *audits != 0 {
+		t.Errorf("exact answers: %d observations (%+v), %d audits; want none", st.Observations, st.Keys, *audits)
+	}
+}
+
+// TestWatchdogDoesNotAuditFullyFallenBackAnswers: an answer whose every
+// aggregate the diagnostic rejected, and the fallback re-answered exactly,
+// still lands in the reject-drift window — it ran on a sample — but starts no
+// audit: there is no estimated interval left in it to hold to account.
+func TestWatchdogDoesNotAuditFullyFallenBackAnswers(t *testing.T) {
+	wd := watchdog.New(watchdog.Config{AuditFraction: 1, Synchronous: true})
+	e := heavyTailTable(t, Config{Seed: 26, BootstrapK: 30, Watchdog: wd}, 80000)
+	if err := e.BuildSamples("T", 24000); err != nil {
+		t.Fatal(err)
+	}
+	audits := countAudits(e, wd)
+	ans, err := e.Run(context.Background(), "SELECT MAX(v) FROM T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := ans.Groups[0].Aggs[0]; a.DiagnosticOK || !a.Exact || ans.SampleRows != 24000 {
+		t.Fatalf("want MAX rejected on the sample and re-answered exactly, got %+v on %d rows", a, ans.SampleRows)
+	}
+	st := wd.Status()
+	if st.Observations != 1 || len(st.Keys) != 1 || st.Keys[0].RejectWindow != 1 || st.Keys[0].RejectRate != 1 {
+		t.Errorf("the reject did not reach the drift window: %+v", st)
+	}
+	if *audits != 0 {
+		t.Errorf("%d audits of an answer with nothing to audit", *audits)
+	}
+	// An accepted closed-form aggregate is still audited.
+	if _, err := e.Run(context.Background(), "SELECT COUNT(*) FROM T WHERE v < 2"); err != nil {
+		t.Fatal(err)
+	}
+	if *audits != 1 {
+		t.Errorf("%d audits after an accountable answer, want 1", *audits)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -156,14 +157,14 @@ func historyEngineOverhead(cfg Config) (pct float64, queries int) {
 			panic(err)
 		}
 		for _, q := range obsOverheadQueries {
-			if _, err := e.Query(q); err != nil {
+			if _, err := e.Run(context.Background(), q); err != nil {
 				panic(fmt.Sprintf("history overhead warmup: %v", err))
 			}
 		}
 		start := time.Now()
 		for r := 0; r < reps; r++ {
 			for _, q := range obsOverheadQueries {
-				if _, err := e.Query(q); err != nil {
+				if _, err := e.Run(context.Background(), q); err != nil {
 					panic(fmt.Sprintf("history overhead: %v", err))
 				}
 				count++

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -175,7 +176,7 @@ func ObsOverhead(cfg Config) *ObsOverheadResult {
 	// after every engine exists, before any clock starts.
 	for _, m := range modes {
 		for _, q := range obsOverheadQueries {
-			if _, err := m.eng.Query(q); err != nil {
+			if _, err := m.eng.Run(context.Background(), q); err != nil {
 				panic(fmt.Sprintf("obs-overhead %s warmup: %v", m.name, err))
 			}
 		}
@@ -186,7 +187,7 @@ func ObsOverhead(cfg Config) *ObsOverheadResult {
 		for _, m := range modes {
 			start := time.Now()
 			for _, q := range obsOverheadQueries {
-				if _, err := m.eng.Query(q); err != nil {
+				if _, err := m.eng.Run(context.Background(), q); err != nil {
 					panic(fmt.Sprintf("obs-overhead %s: %v", m.name, err))
 				}
 				m.count++

@@ -35,7 +35,6 @@ const (
 	StageDiagnostic = "diagnostic"
 	StageEstimate   = "estimate"
 	StageFallback   = "fallback"
-	StageClusterSim = "cluster-sim"
 )
 
 // SpanExporter receives finished traces for out-of-process export (see

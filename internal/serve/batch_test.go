@@ -22,7 +22,7 @@ func TestBatchedSubmitMatchesDirect(t *testing.T) {
 	}
 	want := make([]*core.Answer, len(queries))
 	for i, q := range queries {
-		ans, err := direct.Query(q)
+		ans, err := direct.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

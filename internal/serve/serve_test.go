@@ -58,7 +58,7 @@ func TestSubmitMatchesDirectQuery(t *testing.T) {
 	eng := testEngine(t, core.Config{Seed: 7})
 	s := New(eng, Config{})
 	const q = "SELECT AVG(Price) FROM Orders GROUP BY Region"
-	want, err := eng.Query(q)
+	want, err := eng.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

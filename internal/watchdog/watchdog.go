@@ -509,11 +509,19 @@ func (w *Watchdog) Close() {
 	}
 }
 
+// accountable reports whether the aggregate carries an estimated interval an
+// audit can hold to account.
+func (a AggRecord) accountable() bool {
+	return !a.Exact && !math.IsNaN(a.Interval.HalfWidth)
+}
+
 // Observe records one served query: verdicts, CI widths and technique
 // counts enter the rolling windows immediately; if the deterministic
 // audit cadence selects this query, it is re-executed exactly (inline
 // when Synchronous, otherwise on the background worker) and its coverage
-// outcome enters the window when the audit completes.
+// outcome enters the window when the audit completes. A query in which no
+// aggregate is accountable — every one fell back to exact — is never
+// audited: the re-execution would be thrown away whole.
 func (w *Watchdog) Observe(rec Record) {
 	if w == nil {
 		return
@@ -525,7 +533,9 @@ func (w *Watchdog) Observe(rec Record) {
 	}
 	w.seq++
 	seq := w.seq
+	auditable := false
 	for _, a := range rec.Aggs {
+		auditable = auditable || a.accountable()
 		k := Key{Agg: a.Agg, Sample: rec.Sample}
 		st := w.key(k)
 		st.verdicts.push(a.Rejected)
@@ -539,7 +549,7 @@ func (w *Watchdog) Observe(rec Record) {
 		w.checkRejectDriftLocked(k, st, seq)
 	}
 	stride := w.cfg.stride()
-	doAudit := stride > 0 && seq%stride == 0
+	doAudit := auditable && stride > 0 && seq%stride == 0
 	w.mu.Unlock()
 	w.drainAlerts()
 	w.mObs.Inc()
@@ -603,8 +613,8 @@ func (w *Watchdog) runAudit(job auditJob) {
 	w.mu.Lock()
 	observer := w.observer
 	for _, a := range job.aggs {
-		if a.Exact || math.IsNaN(a.Interval.HalfWidth) {
-			continue // no estimated interval to hold to account
+		if !a.accountable() {
+			continue
 		}
 		truth, ok := truths[AggInstance{Group: a.Group, Agg: a.Agg}]
 		if !ok {

@@ -164,7 +164,7 @@ func TestTransportEquality(t *testing.T) {
 		"SELECT AVG(Price) FROM Orders GROUP BY Region",
 	}
 	for _, q := range queries {
-		want, err := eng.Query(q)
+		want, err := eng.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: direct: %v", q, err)
 		}
