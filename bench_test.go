@@ -12,9 +12,13 @@ package repro
 import (
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/cluster"
@@ -24,11 +28,14 @@ import (
 	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/kernel"
+	"repro/internal/obs"
+	"repro/internal/obs/history"
 	"repro/internal/plan"
 	"repro/internal/resample"
 	"repro/internal/rng"
 	"repro/internal/sql"
 	"repro/internal/table"
+	"repro/internal/watchdog"
 	"repro/internal/workload"
 )
 
@@ -550,6 +557,90 @@ func BenchmarkDiagnosticParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTelemetryOverhead holds the "cheap enough to leave on" budget
+// (ROADMAP aim 4): the same four-query mix on the same data and seed under
+// six telemetry modes. Answers are bit-identical across modes, so a
+// latency difference is telemetry cost. Every engine is built and warmed
+// before the clock starts and each iteration visits every mode once, so
+// slow drift (frequency scaling, allocator warm-up) cannot land on one
+// mode. Reports spans over off and every other mode over spans, in
+// percent; from 16 iterations up, the event log, the durable history write
+// path or the OTLP exporter (posting to a local stub collector) adding 5%
+// or more over spans fails. CI runs it at -benchtime 16x.
+func BenchmarkTelemetryOverhead(b *testing.B) {
+	queries := []string{
+		"SELECT AVG(Time) FROM Sessions",
+		"SELECT SUM(Time) FROM Sessions WHERE City = 'NYC'",
+		"SELECT PERCENTILE(Time, 0.9) FROM Sessions",
+		"SELECT AVG(Time) FROM Sessions GROUP BY City",
+	}
+	collector := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) //nolint:errcheck
+	}))
+	b.Cleanup(collector.Close)
+
+	modes := []string{"off", "spans", "eventlog", "watchdog", "history", "export"}
+	const off, spans = 0, 1
+	engines := make([]*core.Engine, len(modes))
+	for i, mode := range modes {
+		cfg := core.Config{Seed: 1, Workers: 8}
+		if mode != "off" {
+			cfg.Obs = obs.NewTracer(obs.Config{})
+		}
+		stop := func() {}
+		switch mode {
+		case "eventlog":
+			cfg.EventLog = obs.NewEventLog(io.Discard, obs.Config{})
+		case "watchdog":
+			wd := watchdog.New(watchdog.Config{AuditFraction: 1.0 / 16, Metrics: cfg.Obs.Registry()})
+			cfg.Watchdog, stop = wd, wd.Close
+		case "history":
+			hist, err := history.Open(b.TempDir(), history.Options{SampleInterval: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg.History, stop = hist, func() { hist.Close() } //nolint:errcheck
+		case "export":
+			cfg.ObsConfig = obs.Config{ExportURL: collector.URL + "/v1/traces"}
+		}
+		e := benchEngine(b, cfg)
+		// Queued audits read the engine's samples: the watchdog drains first.
+		b.Cleanup(func() { stop(); e.Close() }) //nolint:errcheck
+		engines[i] = e
+	}
+	round := func(e *core.Engine) time.Duration {
+		start := time.Now()
+		for _, q := range queries {
+			if _, err := e.Run(context.Background(), q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	for _, e := range engines {
+		round(e)
+	}
+	total := make([]time.Duration, len(modes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for m, e := range engines {
+			total[m] += round(e)
+		}
+	}
+	b.StopTimer()
+	over := func(m, base int) float64 { return (float64(total[m])/float64(total[base]) - 1) * 100 }
+	b.ReportMetric(over(spans, off), "spans-%/off")
+	for m := spans + 1; m < len(modes); m++ {
+		pct := over(m, spans)
+		b.ReportMetric(pct, modes[m]+"-%/spans")
+		// The watchdog's audits are exact re-executions on a background
+		// worker, under every mode's clock: reported, not budgeted.
+		if b.N >= 16 && pct >= 5 && modes[m] != "watchdog" {
+			b.Errorf("%s adds %.2f%% over spans (budget 5%%)", modes[m], pct)
+		}
 	}
 }
 

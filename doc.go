@@ -9,5 +9,5 @@
 // See README.md for a tour, DESIGN.md for the system inventory and
 // experiment index, and EXPERIMENTS.md for paper-vs-measured results. The
 // benchmarks in bench_test.go regenerate every figure; cmd/aqpbench prints
-// them as tables.
+// them as tables, and does nothing else: bench/run.sh measures serving.
 package repro

@@ -57,12 +57,6 @@ type Config struct {
 	// (default on; set the Disable flags for ablations).
 	DisableScanConsolidation bool
 	DisableOperatorPushdown  bool
-	// DisableZoneMaps skips building per-block min/max zone maps at table
-	// registration and sample-build time (default on: built once, consulted
-	// by the executor to prune blocks that provably cannot satisfy a
-	// filter). Pruning never changes answers — this flag exists for
-	// ablations and benchmarks.
-	DisableZoneMaps bool
 	// Backing selects the storage backing applied to tables at
 	// registration time (default BackingRaw). BackingCompressed re-encodes
 	// each registered table into block-compressed columns (dictionary,
@@ -97,12 +91,6 @@ type Config struct {
 	// BuildSamples, RegisterUDF) invalidate immediately regardless, via
 	// the engine's catalog generation counter baked into cache keys.
 	CacheTTL time.Duration
-	// DisableAnswerCache and DisablePredMemo turn off the answer-reuse and
-	// predicate-memo layers individually while CacheBytes keeps the block
-	// layer on (ablations; the block layer has no flag — CacheBytes=0 is
-	// its off switch).
-	DisableAnswerCache bool
-	DisablePredMemo    bool
 	// FallbackToExact re-runs rejected or out-of-bound queries on the
 	// full dataset (default on; disable for pure-approximation mode).
 	DisableFallback bool
@@ -258,12 +246,8 @@ func New(cfg Config) *Engine {
 			reg = e.obs.Registry()
 		}
 		e.blocks = cache.NewBlockCache(cache.BlockConfig{Bytes: cfg.CacheBytes, Metrics: reg})
-		if !cfg.DisablePredMemo {
-			e.preds = cache.NewPredMemo(reg)
-		}
-		if !cfg.DisableAnswerCache {
-			e.answers = cache.NewAnswerCache(cache.AnswerConfig{TTL: cfg.CacheTTL, Metrics: reg})
-		}
+		e.preds = cache.NewPredMemo(reg)
+		e.answers = cache.NewAnswerCache(cache.AnswerConfig{TTL: cfg.CacheTTL, Metrics: reg})
 	}
 	if e.obs != nil &&
 		(cfg.ObsConfig.ExportURL != "" || cfg.ObsConfig.ExportPath != "") {
@@ -396,17 +380,9 @@ func (e *Engine) RegisterTable(name string, t *table.Table) error {
 		return fmt.Errorf("core: table %q already registered", name)
 	}
 	if e.cfg.Backing != table.BackingRaw && !t.Lazy() {
-		// Compress attaches zones as a side effect (the encoder computes
-		// per-block envelopes anyway), so the DisableZoneMaps ablation
-		// clears them afterwards rather than skipping the build.
 		t = table.Compress(t)
-		if e.cfg.DisableZoneMaps {
-			t.DropZones()
-		}
 	}
-	if !e.cfg.DisableZoneMaps {
-		t.BuildZones()
-	}
+	t.BuildZones()
 	e.tables[name] = &registeredTable{full: t}
 	e.gen.Add(1)
 	e.recordStorage(name, t)
@@ -562,14 +538,8 @@ func (e *Engine) sampleSources(name string, rowCounts []int) (*registeredTable, 
 }
 
 // storeSample materializes the rows at idx of full as a stored sample.
-// GatherStored attaches zone maps as a by-product of the build (the encoder
-// computes per-block envelopes anyway), so the DisableZoneMaps ablation
-// clears them afterwards rather than skipping them.
 func (e *Engine) storeSample(full *table.Table, idx []int, backing table.Backing) *exec.StoredTable {
 	s := full.GatherStored(idx, backing, e.cfg.workers())
-	if e.cfg.DisableZoneMaps {
-		s.DropZones()
-	}
 	return &exec.StoredTable{Data: s, PopRows: full.NumRows(), Cached: true}
 }
 

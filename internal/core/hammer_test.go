@@ -23,7 +23,7 @@ func TestObsHTTPHammer(t *testing.T) {
 	e, _ := buildSessions(t, Config{
 		Seed: 26, Workers: 2, BootstrapK: 20,
 		MetricsAddr: "127.0.0.1:0",
-		EventLog:    obs.NewEventLog(io.Discard, obs.EventLogOptions{}),
+		EventLog:    obs.NewEventLog(io.Discard, obs.Config{}),
 		Watchdog:    wd,
 	}, 10000)
 	defer e.Close()

@@ -95,7 +95,7 @@ func newLifecycleRig(t *testing.T) lifecycleRig {
 	t.Cleanup(func() { h.Close() })
 	tbl := verdictTable()
 	r.e = New(Config{Seed: 5, Workers: 2, BootstrapK: 20, CacheBytes: 1 << 20,
-		Obs: r.tr, EventLog: obs.NewEventLog(r.events, obs.EventLogOptions{}), Watchdog: r.wd, History: h})
+		Obs: r.tr, EventLog: obs.NewEventLog(r.events, obs.Config{}), Watchdog: r.wd, History: h})
 	for _, name := range []string{"Sessions", "Raw"} {
 		if err := r.e.RegisterTable(name, tbl); err != nil {
 			t.Fatal(err)

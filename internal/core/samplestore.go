@@ -126,8 +126,5 @@ func (e *Engine) openSample(path, tag string, n int) (*table.Table, io.Closer, e
 		closer.Close()
 		closer = nil
 	}
-	if e.cfg.DisableZoneMaps {
-		s.DropZones()
-	}
 	return s, closer, nil
 }

@@ -252,8 +252,8 @@ func TestPersistedSampleIdentity(t *testing.T) {
 
 // TestPersistedSampleSharedAcrossBackings: the file is WriteStore of the
 // sample whatever backing the engine keeps it in, so engines that differ in
-// SampleBacking (or Workers, or DisableZoneMaps) share it; a raw-backed
-// engine holds no mapping afterwards, and the ablation still sees no zones.
+// SampleBacking (or Workers) share it; a raw-backed engine holds no mapping
+// afterwards.
 func TestPersistedSampleSharedAcrossBackings(t *testing.T) {
 	dir := t.TempDir()
 	full := storedTable(t, dir, "events.store", goldenTable(6*table.BlockRows))
@@ -261,8 +261,8 @@ func TestPersistedSampleSharedAcrossBackings(t *testing.T) {
 	for i, cfg := range []Config{
 		{Seed: 3, Workers: 2, SampleBacking: table.BackingCompressed},
 		{Seed: 3, Workers: 1},
-		{Seed: 3, Workers: 8, SampleBacking: table.BackingCompressed, DisableZoneMaps: true},
-		{Seed: 3, DisableZoneMaps: true},
+		{Seed: 3, Workers: 8, SampleBacking: table.BackingCompressed},
+		{Seed: 3},
 	} {
 		e := storeEngine(t, cfg, "Events", full)
 		want := "[opened]"
@@ -273,9 +273,6 @@ func TestPersistedSampleSharedAcrossBackings(t *testing.T) {
 			t.Errorf("engine %d: sample file %s, want %s", i, got, want)
 		}
 		s := e.tables["Events"].samples[0].Data
-		if cfg.DisableZoneMaps != (s.Zones() == nil) {
-			t.Errorf("engine %d: DisableZoneMaps=%v but zones nil=%v", i, cfg.DisableZoneMaps, s.Zones() == nil)
-		}
 		if mapped := len(e.sampleMaps) > 0; mapped != (i > 0 && s.Lazy()) {
 			t.Errorf("engine %d: holds a mapping=%v for a lazy=%v sample", i, mapped, s.Lazy())
 		}

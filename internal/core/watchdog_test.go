@@ -165,7 +165,7 @@ func TestTelemetryDoesNotPerturbAnswers(t *testing.T) {
 		cfg := Config{Seed: 23, Workers: 3, BootstrapK: 30}
 		if full {
 			cfg.Obs = obs.NewTracer(obs.Options{})
-			cfg.EventLog = obs.NewEventLog(io.Discard, obs.EventLogOptions{})
+			cfg.EventLog = obs.NewEventLog(io.Discard, obs.Config{})
 			cfg.Watchdog = watchdog.New(watchdog.Config{
 				AuditFraction: 1, Synchronous: true,
 				Metrics: cfg.Obs.Registry(),
@@ -213,7 +213,7 @@ func TestEventLogRecordsQueriesAndAudits(t *testing.T) {
 	e, _ := buildSessions(t, Config{
 		Seed: 24, BootstrapK: 30,
 		Obs:      obs.NewTracer(obs.Options{}),
-		EventLog: obs.NewEventLog(&buf, obs.EventLogOptions{}),
+		EventLog: obs.NewEventLog(&buf, obs.Config{}),
 		Watchdog: wd,
 	}, 20000)
 	if err := e.BuildSamples("Sessions", 5000); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/obs"
-	"repro/internal/resample"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -47,15 +46,11 @@ func (m IntervalMethod) String() string {
 
 // Bootstrap is Efron's nonparametric bootstrap (§2.3.1): it approximates
 // the sampling distribution of θ(S) by the distribution of θ over K
-// resamples of S, produced by the configured resampling strategy
-// (Poissonized by default). It applies to every aggregate, including
+// Poissonized resamples of S. It applies to every aggregate, including
 // black-box UDFs.
 type Bootstrap struct {
 	// K is the number of resamples; zero means DefaultBootstrapK.
 	K int
-	// Strategy selects the resampling implementation; the zero value is
-	// resample.Poissonized, the production path.
-	Strategy resample.Strategy
 	// Method selects the interval construction; the zero value is the
 	// paper's symmetric centered interval.
 	Method IntervalMethod
@@ -126,20 +121,17 @@ func (b Bootstrap) Distribution(src *rng.Source, values []float64, q Query) []fl
 	return b.estimatesContext(context.Background(), src, values, q, k)
 }
 
-// estimatesContext produces the K resample estimates. The Poissonized
-// production path runs on the blocked multi-resample kernel: fused
-// Σw·x / Σw accumulators for the closed-form family (no weight vectors
-// materialized), the generic weighted-θ fallback otherwise. Both consume
-// the same two draws from src and the same per-(resample, block) streams,
-// so fused and generic agree on identical weights for identical queries.
+// estimatesContext produces the K resample estimates on the blocked
+// multi-resample kernel: fused Σw·x / Σw accumulators for the closed-form
+// family (no weight vectors materialized), the generic weighted-θ
+// fallback otherwise. Both consume the same two draws from src and the
+// same per-(resample, block) streams, so fused and generic agree on
+// identical weights for identical queries.
 // Cancellation aborts the kernel mid-column; the partial estimates are
 // meaningless and callers must check ctx.Err() before using them.
 func (b Bootstrap) estimatesContext(ctx context.Context, src *rng.Source, values []float64, q Query, k int) []float64 {
 	b.Obs.Counter("aqp_bootstrap_resamples_total",
 		"Bootstrap resample estimates drawn by ξ.").Add(int64(k))
-	if b.Strategy != resample.Poissonized {
-		return resample.Estimates(src, values, k, q.EvalWeighted, b.Strategy)
-	}
 	if !q.FusedApplicable() {
 		seed, stream := src.Uint64(), src.Uint64()
 		theta, release := q.ResampleTheta(values)

@@ -1,10 +1,8 @@
 package obs
 
 // Config collects the telemetry knobs shared by the tracer and the event
-// log. The zero value means "defaults everywhere", so existing call sites
-// that construct Options or EventLogOptions literals keep working — both
-// names are aliases of Config and the tracer and event log each read only
-// the fields they care about.
+// log. The zero value means "defaults everywhere"; the tracer and the
+// event log each read only the fields they care about.
 type Config struct {
 	// RingSize bounds the in-memory ring of recent query traces
 	// (0 = 64). Read by NewTracer.
@@ -28,13 +26,9 @@ type Config struct {
 	ExportPath string
 }
 
-// Options configures a Tracer. It is an alias of Config: a tracer reads
-// only RingSize.
+// Options is an alias of Config, kept only because bench/harness/trace.go
+// names it and bench/ is frozen outside a [benchmark] PR.
 type Options = Config
-
-// EventLogOptions tunes an EventLog. It is an alias of Config: an event
-// log reads only SlowQueryMs and MaxRelErr.
-type EventLogOptions = Config
 
 func (o Config) slowMs() float64 {
 	if o.SlowQueryMs <= 0 {

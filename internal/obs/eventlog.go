@@ -19,7 +19,7 @@ import (
 // engine randomness and cannot perturb results.
 type EventLog struct {
 	log *slog.Logger
-	opt EventLogOptions
+	opt Config
 }
 
 // lockedWriter serializes Write calls: slog handlers issue one Write per
@@ -36,7 +36,7 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 }
 
 // NewEventLog returns an event log writing JSON lines to w.
-func NewEventLog(w io.Writer, opt EventLogOptions) *EventLog {
+func NewEventLog(w io.Writer, opt Config) *EventLog {
 	h := slog.NewJSONHandler(&lockedWriter{w: w}, nil)
 	return &EventLog{log: slog.New(h), opt: opt}
 }

@@ -13,7 +13,7 @@ import (
 
 // emitOne round-trips a single event through a fresh log and returns the
 // decoded record.
-func emitOne(t *testing.T, opt EventLogOptions, ev QueryEvent) map[string]any {
+func emitOne(t *testing.T, opt Config, ev QueryEvent) map[string]any {
 	t.Helper()
 	var buf bytes.Buffer
 	NewEventLog(&buf, opt).Emit(ev)
@@ -41,7 +41,7 @@ func TestEventLogJSONRoundTrip(t *testing.T) {
 			Technique: "closed-form", Verdict: "accept",
 		}},
 	}
-	rec := emitOne(t, EventLogOptions{}, ev)
+	rec := emitOne(t, Config{}, ev)
 
 	if rec["level"] != "INFO" {
 		t.Fatalf("healthy query level = %v, want INFO", rec["level"])
@@ -73,7 +73,7 @@ func TestEventLogJSONRoundTrip(t *testing.T) {
 
 	// Zero queue wait is omitted, not emitted as 0.
 	ev.Trace.QueueWaitMs = 0
-	if rec := emitOne(t, EventLogOptions{}, ev); rec["queue_wait_ms"] != nil {
+	if rec := emitOne(t, Config{}, ev); rec["queue_wait_ms"] != nil {
 		t.Fatalf("zero queue wait emitted: %v", rec)
 	}
 }
@@ -83,21 +83,21 @@ func TestEventLogWarnLevels(t *testing.T) {
 
 	slow := base
 	slow.Trace.TotalMs = 250
-	rec := emitOne(t, EventLogOptions{SlowQueryMs: 200}, slow)
+	rec := emitOne(t, Config{SlowQueryMs: 200}, slow)
 	if rec["level"] != "WARN" || rec["slow"] != true {
 		t.Fatalf("slow query not flagged at Warn: %v", rec)
 	}
 
 	rejected := base
 	rejected.Aggs = []AggEvent{{Name: "max(x)", Verdict: "reject"}}
-	rec = emitOne(t, EventLogOptions{}, rejected)
+	rec = emitOne(t, Config{}, rejected)
 	if rec["level"] != "WARN" || rec["miscalibrated"] != true {
 		t.Fatalf("rejected verdict not flagged at Warn: %v", rec)
 	}
 
 	wide := base
 	wide.Aggs = []AggEvent{{Name: "avg(x)", Verdict: "accept", RelErr: 0.5}}
-	rec = emitOne(t, EventLogOptions{MaxRelErr: 0.1}, wide)
+	rec = emitOne(t, Config{MaxRelErr: 0.1}, wide)
 	if rec["level"] != "WARN" || rec["miscalibrated"] != true {
 		t.Fatalf("rel-err past MaxRelErr not flagged at Warn: %v", rec)
 	}
@@ -105,7 +105,7 @@ func TestEventLogWarnLevels(t *testing.T) {
 	failed := base
 	failed.Trace.Outcome = "error"
 	failed.Trace.Err = "exec blew up"
-	rec = emitOne(t, EventLogOptions{}, failed)
+	rec = emitOne(t, Config{}, failed)
 	if rec["level"] != "WARN" || rec["error"] != "exec blew up" {
 		t.Fatalf("failed query not flagged at Warn: %v", rec)
 	}
@@ -120,7 +120,7 @@ func TestEventLogNilIsNoop(t *testing.T) {
 // locked writer must keep every record an intact JSON line.
 func TestEventLogConcurrentEmits(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewEventLog(&buf, EventLogOptions{})
+	l := NewEventLog(&buf, Config{})
 	const workers, per = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -2,6 +2,7 @@ package history
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -282,6 +283,29 @@ func TestProfilerFold(t *testing.T) {
 	}
 	if len(p.accs) != 1 {
 		t.Fatalf("%d profile keys, want 1 (bad records must not fold)", len(p.accs))
+	}
+}
+
+// TestProfilerConverges: the profile's sketch median lands on the
+// generating distribution's. Selectivity u² for uniform u has median 0.25
+// and mean 1/3, so reading the wrong summary misses the tolerance.
+func TestProfilerConverges(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{SampleInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	src := rand.New(rand.NewSource(1))
+	for i := 0; i < 4096; i++ {
+		u := src.Float64()
+		s.AppendQuery(testQueryRecord(uint64(i), u*u))
+	}
+	prof, ok := s.Profile(testKey())
+	if !ok {
+		t.Fatal("profile missing after appends")
+	}
+	if got := prof.Selectivity.P50; math.Abs(got-0.25) >= 0.05 {
+		t.Fatalf("selectivity p50 = %v after %d queries, want within 0.05 of 0.25", got, prof.Queries)
 	}
 }
 

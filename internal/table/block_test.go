@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -209,6 +210,47 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if got.SizeBytes() != raw.SizeBytes() {
 		t.Errorf("store logical size %d, want %d", got.SizeBytes(), raw.SizeBytes())
+	}
+}
+
+// TestCompressedFootprintHalved: on a sessions-shaped table (lognormal
+// float, integral float, small-range int, six-value string) the block
+// codecs at least halve the footprint, resident and on disk.
+func TestCompressedFootprintHalved(t *testing.T) {
+	const n = 64 * BlockRows
+	rng := rand.New(rand.NewSource(11))
+	times := make(Float64Col, n)
+	bytesF := make(Float64Col, n)
+	users := make(Int64Col, n)
+	city := make(StringCol, n)
+	cities := []string{"NYC", "SF", "LA", "CHI", "LDN", "TYO"}
+	for i := 0; i < n; i++ {
+		times[i] = math.Exp(4 + 0.6*rng.NormFloat64())
+		bytesF[i] = float64(rng.Intn(1 << 20))
+		users[i] = int64(rng.Intn(1000))
+		city[i] = cities[rng.Intn(len(cities))]
+	}
+	raw := MustNew(Schema{
+		{Name: "Time", Type: Float64},
+		{Name: "bytes", Type: Float64},
+		{Name: "user", Type: Int64},
+		{Name: "City", Type: String},
+	}, times, bytesF, users, city)
+
+	ct := Compress(raw)
+	if r := float64(ct.SizeBytes()) / float64(ct.PhysicalSizeBytes()); r < 2 {
+		t.Errorf("Compress: logical/physical = %.2f, want >= 2", r)
+	}
+	path := filepath.Join(t.TempDir(), "t.aqps")
+	if err := WriteStore(path, raw); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := float64(raw.SizeBytes()) / float64(fi.Size()); r < 2 {
+		t.Errorf("WriteStore: logical/file = %.2f, want >= 2", r)
 	}
 }
 

@@ -134,10 +134,10 @@ func envelopeFor(col Column, nb int) (ColumnZones, bool) {
 // and unregistered tables).
 func (t *Table) Zones() *Zones { return t.zones }
 
-// DropZones detaches the table's zone maps (the DisableZoneMaps ablation:
-// Compress attaches envelopes as an encoding by-product, and the ablation
-// must observe a table without them). Call before sharing the table across
-// queries — Tables are treated as immutable once published.
+// DropZones detaches the table's zone maps: Compress attaches envelopes
+// as an encoding by-product, and a test that needs a compressed table
+// without them calls this. Call before sharing the table across queries —
+// Tables are treated as immutable once published.
 func (t *Table) DropZones() { t.zones = nil }
 
 func buildZonesF64(c Float64Col, nb int) ColumnZones {

@@ -9,7 +9,7 @@ import (
 
 // A minimal MySQL text-protocol client: enough to handshake, authenticate
 // with mysql_native_password, and run COM_QUERY / COM_PING against any
-// 4.1+ server. It exists so the end-to-end tests and the aqpbench load
+// 4.1+ server. It exists so the end-to-end tests and the bench/ load
 // generator can hold the daemon to the protocol from the outside without
 // pulling in a driver dependency; it is not a general-purpose client.
 

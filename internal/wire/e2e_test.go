@@ -407,6 +407,88 @@ func TestConnChurn(t *testing.T) {
 	t.Logf("churn: %d clean queries, %d aborted connections", queries.Load(), aborted.Load())
 }
 
+// TestManySockets is the ≥100-connection gate: 64 MySQL-wire and 64
+// keep-alive HTTP sockets, all connected before any is released, each
+// sending 4 queries through 8 execution slots. The queue is sized to the
+// offered load, so every query is answered and none is rejected; the
+// admission timeout turns a blown deadline into a client error.
+func TestManySockets(t *testing.T) {
+	const perTransport, perConn = 64, 4
+	eng := testEngine(t, core.Config{Seed: 7})
+	st := startStack(t, eng,
+		serve.Config{MaxInFlight: 8, MaxQueue: 2 * perTransport, Timeout: 30 * time.Second},
+		wire.Config{MaxConns: 2*perTransport + 8})
+	queries := []string{
+		"SELECT AVG(Price) FROM Orders",
+		"SELECT AVG(Price) FROM Orders WHERE Region = 'east'",
+		"SELECT SUM(Price), COUNT(Price) FROM Orders WHERE Region = 'west'",
+		"SELECT AVG(Price) FROM Orders GROUP BY Region",
+	}
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	var answers atomic.Int64
+	client := func(i int, query func(sql string) error) {
+		defer wg.Done()
+		<-start
+		for q := 0; q < perConn; q++ {
+			if err := query(queries[(i+q)%len(queries)]); err != nil {
+				t.Errorf("client %d query %d: %v", i, q, err)
+				continue
+			}
+			answers.Add(1)
+		}
+	}
+	for i := 0; i < perTransport; i++ {
+		cli, err := wire.Dial(st.addr, wire.ClientOptions{User: "load", Timeout: 40 * time.Second})
+		if err != nil {
+			t.Fatalf("wire dial %d: %v", i, err)
+		}
+		defer cli.Close()
+		// A transport per HTTP client pins one socket to it; the health
+		// probe opens that socket before the start barrier.
+		tr := &http.Transport{MaxIdleConnsPerHost: 1}
+		defer tr.CloseIdleConnections()
+		hc := &http.Client{Transport: tr, Timeout: 40 * time.Second}
+		post := func(sql string) error {
+			body, _ := json.Marshal(serve.QueryRequest{SQL: sql})
+			resp, err := hc.Post(st.hs.URL+"/query", "application/json", bytes.NewReader(body))
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("http status %d", resp.StatusCode)
+			}
+			return nil
+		}
+		if resp, err := hc.Get(st.hs.URL + "/healthz"); err != nil {
+			t.Fatalf("http connect %d: %v", i, err)
+		} else {
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+			resp.Body.Close()
+		}
+		wg.Add(2)
+		go client(i, func(sql string) error { _, err := cli.Query(sql); return err })
+		go client(i, post)
+	}
+	if n := st.wl.Open(); n != perTransport {
+		t.Errorf("%d wire connections open before release, want %d", n, perTransport)
+	}
+	close(start)
+	wg.Wait()
+
+	if got, want := answers.Load(), int64(2*perTransport*perConn); got != want {
+		t.Errorf("%d answers, want %d", got, want)
+	}
+	for _, c := range st.reg.CounterSamples() {
+		if (c.Name == "aqp_serve_rejected_total" || c.Name == "aqp_conn_rejected_total") && c.Value != 0 {
+			t.Errorf("%s = %d, want 0", c.Name, c.Value)
+		}
+	}
+}
+
 // blockingEngine wires a gate UDF into a test engine: every SLOW()
 // invocation blocks until release is closed, so a test can hold the
 // single execution slot deterministically.
