@@ -39,8 +39,9 @@ func ladderSample(accepting bool) []float64 {
 func BenchmarkDiagnosticLadder(b *testing.B) {
 	rejecting, accepting := ladderSample(false), ladderSample(true)
 	boot := estimator.Bootstrap{K: 100}
-	mad := estimator.Query{Kind: estimator.UDF, FnName: "median_abs_dev",
-		Fn: workload.UDFByName("median_abs_dev").Fn}
+	udf := func(name string) estimator.Query {
+		return estimator.Query{Kind: estimator.UDF, FnName: name, Fn: workload.UDFByName(name).Fn}
+	}
 	for _, c := range []struct {
 		name string
 		s    []float64
@@ -49,8 +50,11 @@ func BenchmarkDiagnosticLadder(b *testing.B) {
 	}{
 		{"MIN", rejecting, estimator.Query{Kind: estimator.Min}, boot},
 		{"PERCENTILE95", rejecting, estimator.Query{Kind: estimator.Percentile, Pct: 0.95}, boot},
-		{"median_abs_dev", rejecting, mad, boot},
-		{"median_abs_dev/accepting", accepting, mad, boot},
+		{"median_abs_dev", rejecting, udf("median_abs_dev"), boot},
+		{"median_abs_dev/accepting", accepting, udf("median_abs_dev"), boot},
+		{"trimmed_mean_5", rejecting, udf("trimmed_mean_5"), boot},
+		{"top_decile_mean", rejecting, udf("top_decile_mean"), boot},
+		{"frac_above_median_x2", rejecting, udf("frac_above_median_x2"), boot},
 		{"AVG/closed-form", accepting, estimator.Query{Kind: estimator.Avg}, estimator.ClosedForm{UseStudentT: true}},
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -275,6 +275,34 @@ func BenchmarkExactFallback(b *testing.B) {
 			}
 		})
 	}
+	// /udf: the holistic sink — an ungrouped frac_above_median_x2 over 256k
+	// rows keeps every value, once; B/op is that vector plus the order the
+	// UDF reads (12 B/row), not copies of it.
+	b.Run("udf", func(b *testing.B) {
+		x := make(table.Float64Col, 1<<18)
+		for i := range x {
+			x[i] = src.LogNormal(4, 0.6)
+		}
+		tables := map[string]*exec.StoredTable{"Events": {Data: table.Compress(table.MustNew(
+			table.Schema{{Name: "V", Type: table.Float64}}, x))}}
+		udfs := exec.Registry{"FRAC_ABOVE_MEDIAN_X2": workload.UDFByName("frac_above_median_x2").Fn}
+		def, err := plan.Analyze(sql.MustParse("SELECT frac_above_median_x2(V) FROM Events").(*sql.Select),
+			func(name string) bool { return udfs[name] != nil })
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := plan.Build(def, plan.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res, err := exec.Run(context.Background(), p, tables, udfs, exec.Config{Workers: 2}); err != nil || len(res.Groups) != 1 {
+				b.Fatalf("%v, err %v", res, err)
+			}
+		}
+	})
 }
 
 // BenchmarkBuildSamples measures what an aqpd start pays for its sample

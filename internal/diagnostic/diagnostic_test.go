@@ -373,7 +373,8 @@ var _ = sample.Shuffled // documents the dependency exercised above
 
 // genericBootstrap is the bootstrap ξ as it ran before the sort-once walk and
 // the reused scratch: the same two draws off src, every θ through
-// Query.EvalWeighted, a fresh deviation vector per interval.
+// Query.EvalWeighted with nothing offered (a UDF is a black box), a fresh
+// deviation vector per interval.
 type genericBootstrap struct{ k int }
 
 func (genericBootstrap) Name() string                   { return "generic-bootstrap" }
@@ -381,15 +382,16 @@ func (genericBootstrap) AppliesTo(estimator.Query) bool { return true }
 func (g genericBootstrap) Interval(src *rng.Source, values []float64, q estimator.Query, alpha float64) (estimator.Interval, error) {
 	seed, stream := src.Uint64(), src.Uint64()
 	ests, _ := kernel.Generic(context.Background(), values, g.k, seed, stream, 1, q.EvalWeighted)
-	center := q.Eval(values)
+	center := q.EvalWeighted(values, nil)
 	return estimator.Interval{Center: center, HalfWidth: stats.SymmetricHalfWidth(ests, center, alpha)}, nil
 }
 
 // TestDiagnosticLadderMatchesGenericPath pins the ladder's fast paths —
-// sort-once order statistics inside ξ, pooled UDF scratch, the per-run
-// estimate vectors overwritten in place — to the plain implementation:
-// verdict, reason and every per-size statistic bit-identical, at every
-// worker count, with the pools warm (second round) or cold.
+// sort-once order statistics inside ξ, UDFs walking the offered order, the
+// per-run estimate vectors overwritten in place — to the plain
+// implementation: verdict, reason and every per-size statistic
+// bit-identical, at every worker count, with the pools warm (second round)
+// or cold.
 func TestDiagnosticLadderMatchesGenericPath(t *testing.T) {
 	samples := map[string][]float64{
 		"gaussian": gaussianSample(50, 20000, 100, 15),
@@ -403,6 +405,8 @@ func TestDiagnosticLadderMatchesGenericPath(t *testing.T) {
 		{Kind: estimator.Percentile, Pct: 0.5}, {Kind: estimator.Percentile, Pct: 0.95},
 		{Kind: estimator.UDF, FnName: "median_abs_dev", Fn: workload.UDFByName("median_abs_dev").Fn},
 		{Kind: estimator.UDF, FnName: "trimmed_mean_5", Fn: workload.UDFByName("trimmed_mean_5").Fn},
+		{Kind: estimator.UDF, FnName: "top_decile_mean", Fn: workload.UDFByName("top_decile_mean").Fn},
+		{Kind: estimator.UDF, FnName: "frac_above_median_x2", Fn: workload.UDFByName("frac_above_median_x2").Fn},
 	}
 	for name, s := range samples {
 		for _, q := range queries {

@@ -90,6 +90,10 @@ func (b Bootstrap) IntervalContext(ctx context.Context, src *rng.Source, values 
 	if k <= 0 {
 		k = DefaultBootstrapK
 	}
+	if q.Kind == UDF {
+		// One offer spans θ(S) and the resamples, so they share one order.
+		defer offerOrder(values).release()
+	}
 	center := q.Eval(values)
 	ests := b.estimatesContext(ctx, src, values, q, k)
 	if err := ctx.Err(); err != nil {

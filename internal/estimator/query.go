@@ -99,8 +99,14 @@ func (q Query) Name() string {
 	}
 }
 
-// Eval computes θ on unweighted values.
-func (q Query) Eval(values []float64) float64 { return q.EvalWeighted(values, nil) }
+// Eval computes θ on unweighted values. A UDF is evaluated with values on
+// offer, so it may read their order through OrderOf.
+func (q Query) Eval(values []float64) float64 {
+	if q.Kind == UDF {
+		defer offerOrder(values).release()
+	}
+	return q.EvalWeighted(values, nil)
+}
 
 // EvalWeighted computes θ on a weighted dataset. weights may be nil (all
 // ones). A weight of zero means the row is absent; fractional weights are

@@ -1,9 +1,13 @@
 package estimator
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/kernel"
@@ -118,6 +122,91 @@ func TestResampleThetaEdgeWeights(t *testing.T) {
 			}
 		}
 		release()
+	}
+}
+
+// TestOrderOfScopes: the order is there for exactly the offered vector while
+// it is offered — not outside an offer, not for a sub-slice, not after
+// release, not for a vector holding a NaN — and concurrent offers of
+// distinct vectors, and nested offers of one, each see their own order.
+func TestOrderOfScopes(t *testing.T) {
+	values := sortOnceColumns(250)["random"]
+	want := make([]int32, len(values))
+	for i := range want {
+		want[i] = int32(i)
+	}
+	slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(values[a], values[b]) })
+
+	if OrderOf(values) != nil {
+		t.Fatal("order outside an offer")
+	}
+	release := offerOrder(values).release
+	if got := OrderOf(values); !slices.Equal(got, want) {
+		t.Fatalf("offered order %v, want %v", got, want)
+	}
+	if OrderOf(values[:len(values)-1]) != nil || OrderOf(values[1:]) != nil {
+		t.Error("order for a sub-slice of the offered vector")
+	}
+	offerOrder(values).release() // nested: shares the order, outlives nothing
+	if got := OrderOf(values); !slices.Equal(got, want) {
+		t.Error("releasing a nested offer withdrew the outer one")
+	}
+	release()
+	if OrderOf(values) != nil {
+		t.Error("order after release")
+	}
+
+	withNaN := slices.Clone(values)
+	withNaN[17] = math.NaN()
+	release = offerOrder(withNaN).release
+	if OrderOf(withNaN) != nil {
+		t.Error("order for a vector holding a NaN")
+	}
+	release()
+
+	// A UDF sees the order under Eval, and in every resample of
+	// ResampleTheta's θ with four workers sharing it.
+	var seen atomic.Int64
+	probe := Query{Kind: UDF, Fn: func(v, w []float64) float64 {
+		if slices.Equal(OrderOf(v), want) {
+			seen.Add(1)
+		}
+		return 0
+	}}
+	probe.Eval(values)
+	theta, release := probe.ResampleTheta(values)
+	kernel.Generic(context.Background(), values, 16, 1, 2, 4, theta)
+	release()
+	if got := seen.Load(); got != 17 {
+		t.Errorf("the UDF saw the order in %d of 17 calls", got)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := sortOnceColumns(100 + g)["ties"]
+			for round := 0; round < 20; round++ {
+				o := offerOrder(v)
+				order := OrderOf(v)
+				if len(order) != len(v) || !slices.IsSortedFunc(order, func(a, b int32) int {
+					if c := cmp.Compare(v[a], v[b]); c != 0 {
+						return c
+					}
+					return cmp.Compare(a, b)
+				}) {
+					t.Errorf("goroutine %d: not the ascending order of its own vector", g)
+				}
+				o.release()
+			}
+		}()
+	}
+	wg.Wait()
+	offers.mu.Lock()
+	defer offers.mu.Unlock()
+	if len(offers.m) != 0 {
+		t.Errorf("%d offers left behind", len(offers.m))
 	}
 }
 

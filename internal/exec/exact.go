@@ -135,6 +135,9 @@ func runExact(ctx context.Context, nodes nodeSet, st *StoredTable, udfs Registry
 		}
 		queries[ai] = q
 	}
+	if !grouped {
+		s.reserveVectors(admittedRows(tbl.NumRows(), skip))
+	}
 
 	meter, err := s.scan(ctx, skip)
 	if err != nil {
@@ -254,6 +257,30 @@ func (s *exactScan) planKey(agg *plan.Aggregate) error {
 		s.keyInInputs = s.keyInInputs || names(in.expr)
 	}
 	return nil
+}
+
+// reserveVectors sizes the single group's vector sinks for rows values, once.
+// Grown by append instead, a vector of a whole table allocates about five
+// times its final size (Go grows large slices by 1.25×), and the last two
+// arrays are live together.
+func (s *exactScan) reserveVectors(rows int) {
+	for ii, in := range s.inputs {
+		if in.vec {
+			s.groups[0].sinks[ii].vec = make([]float64, 0, rows)
+		}
+	}
+}
+
+// admittedRows is the number of rows in the blocks a scan of n rows visits
+// when skip marks the blocks zone maps rule out.
+func admittedRows(n int, skip []bool) int {
+	rows := n
+	for block, skipped := range skip {
+		if skipped {
+			rows -= min(table.ZoneBlockRows, n-block*table.ZoneBlockRows)
+		}
+	}
+	return rows
 }
 
 // scan walks the admitted blocks in row order on the calling goroutine,

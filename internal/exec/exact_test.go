@@ -15,6 +15,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sql"
 	"repro/internal/table"
+	"repro/internal/workload"
 )
 
 // exactCorpus is the differential test's table: five full blocks and a
@@ -431,6 +432,47 @@ func TestExactGroupedAllocationsDoNotScaleWithRows(t *testing.T) {
 	if large/small >= 1.5 {
 		t.Errorf("allocation grew %.2fx with 4x the rows (%.0f -> %.0f bytes): not O(groups)",
 			large/small, small, large)
+	}
+}
+
+// TestExactHolisticSinkSizedOnce: an ungrouped PERCENTILE, and a UDF that
+// reads the offered order, over 256k rows each allocate their value vector
+// once — not the ~5× of growing it by append — and the UDF adds only the
+// order, not copies of the vector.
+func TestExactHolisticSinkSizedOnce(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const rows = 256 << 10
+	tables := map[string]*StoredTable{"Sessions": {Data: table.Compress(sessionsTable(rows, 7))}}
+	udfs := Registry{"FRAC_ABOVE_MEDIAN_X2": workload.UDFByName("frac_above_median_x2").Fn}
+	vector, order := float64(rows*8), float64(rows*4)
+	for _, c := range []struct {
+		q      string
+		budget float64
+	}{
+		{"SELECT PERCENTILE(Time, 0.5) FROM Sessions", 1.1 * vector},
+		{"SELECT frac_above_median_x2(Time) FROM Sessions", 1.1*vector + order},
+	} {
+		p := mustPlan(t, c.q, plan.Options{}, "FRAC_ABOVE_MEDIAN_X2")
+		run := func() {
+			if _, err := Run(context.Background(), p, tables, udfs, Config{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the scratch pools
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const reps = 3
+		for i := 0; i < reps; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / reps
+		t.Logf("%s: %.0f bytes allocated per query (budget %.0f)", c.q, got, c.budget)
+		if got > c.budget {
+			t.Errorf("%s allocated %.0f bytes per query, over %.0f", c.q, got, c.budget)
+		}
 	}
 }
 

@@ -290,6 +290,53 @@ func WeightedQuantile(xs, ws []float64, q float64) float64 {
 	return items[len(items)-1].x
 }
 
+// WeightedQuantileOrdered is WeightedQuantile for callers holding the
+// ascending order of xs (order[p] is the row with the p-th smallest value):
+// it walks the order against ws instead of collecting and sorting the present
+// rows, and allocates nothing. Absent rows are added rather than branched
+// around — adding zero changes no sum — so the two loops carry no
+// unpredictable branch.
+//
+// It returns WeightedQuantile's bits when ws holds integer multiplicities:
+// the total is the same sum in the same row order, and the running weight is
+// accumulated in an order that can differ from WeightedQuantile's only among
+// equal values, where exact integer partial sums cannot see it. (Among equal
+// values whose bits differ — a column holding both −0 and +0 — the two may
+// pick different ones, as two runs of WeightedQuantile's own sort may.) A
+// negative or NaN weight takes WeightedQuantile itself.
+func WeightedQuantileOrdered(xs, ws []float64, order []int32, q float64) float64 {
+	if len(xs) != len(ws) || len(xs) == 0 || q < 0 || q > 1 {
+		return math.NaN()
+	}
+	total := 0.0
+	for _, w := range ws {
+		if !(w >= 0) {
+			return WeightedQuantile(xs, ws, q)
+		}
+		total += w
+	}
+	if total == 0 {
+		return math.NaN()
+	}
+	target := q * total
+	cum := 0.0
+	for _, row := range order {
+		w := ws[row]
+		cum += w
+		if cum >= target && w > 0 {
+			return xs[row]
+		}
+	}
+	// Rounding left the running sum short of the target: the largest present
+	// value, as WeightedQuantile answers.
+	for p := len(order) - 1; p >= 0; p-- {
+		if row := order[p]; ws[row] > 0 {
+			return xs[row]
+		}
+	}
+	return math.NaN()
+}
+
 // SymmetricHalfWidth returns the half-width a of the smallest interval
 // [center-a, center+a] that covers at least ceil(alpha * len(xs)) of the
 // values xs. This is the "smallest symmetric interval around θ(S) that

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/estimator"
 	"repro/internal/stats"
 )
 
@@ -64,16 +65,33 @@ func UDFByName(name string) *UDFSpec {
 	return nil
 }
 
-// scratchPool recycles the order-statistic UDFs' working vectors: a bootstrap
-// calls one θ thousands of times over inputs of one size, and the expansion
-// is dead when θ returns.
+// The order-statistic UDFs — trimmed_mean_5, top_decile_mean,
+// median_abs_dev, frac_above_median_x2 — read the weighted multiset in
+// ascending order. When the engine offers the order of the values
+// (estimator.OrderOf: every resample, θ(S), an exact sink) they walk it
+// against the weights; otherwise they expand and sort, as a black box must.
+// Both ways return the same bits (DESIGN.md §18).
+
+// scratchPool recycles the expand-and-sort path's working vectors: a
+// bootstrap with nothing offered calls one θ thousands of times over inputs
+// of one size, and the expansion is dead when θ returns. A vector longer
+// than maxPooledScratch rows is a whole table answered exactly, one call: it
+// is left to the collector, as stats.WeightedQuantile leaves its pairs —
+// pooled, every later Get would hand it out and keep its megabytes live.
 var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
+const maxPooledScratch = 1 << 16
+
+func putScratch(p *[]float64) {
+	if cap(*p) <= maxPooledScratch {
+		scratchPool.Put(p)
+	}
+}
+
 // expandSorted materializes the weighted multiset as sorted values in a
-// pooled vector, which the caller returns to scratchPool when done with it.
-// Order statistics (quantile-style UDFs) need this; weights are expected to
-// be small non-negative integers (Poisson multiplicities). The inputs are
-// neither modified nor retained.
+// pooled vector, which the caller returns with putScratch when done with
+// it. Weights are expected to be small non-negative integers (Poisson
+// multiplicities). The inputs are neither modified nor retained.
 func expandSorted(values, weights []float64) *[]float64 {
 	p := scratchPool.Get().(*[]float64)
 	out := (*p)[:0]
@@ -91,22 +109,199 @@ func expandSorted(values, weights []float64) *[]float64 {
 	return p
 }
 
+// sortedView is expandSorted's vector read through an offered order instead
+// of built: row order[p] fills copiesOf(order[p]) consecutive positions.
+// Values equal under < are the same bits except −0 and +0, which the
+// expansion and the order may place differently; every reader below is blind
+// to that (sums start at +0, so adding −0 or +0 changes nothing, and a
+// median of ±0 is only ever subtracted from or doubled and compared).
+type sortedView struct {
+	values, weights []float64
+	order           []int32
+	n               int // the expansion's length
+}
+
+// viewOf returns the view of (values, weights), or false when no order is
+// offered.
+func viewOf(values, weights []float64) (sortedView, bool) {
+	order := estimator.OrderOf(values)
+	if order == nil || (weights != nil && len(weights) != len(values)) {
+		return sortedView{}, false
+	}
+	s := sortedView{values: values, weights: weights, order: order, n: len(values)}
+	if weights != nil {
+		s.n = 0
+		for _, w := range weights {
+			s.n += copies(w)
+		}
+	}
+	return s, true
+}
+
+// copies is how many times expandSorted repeats a row of weight w: once for
+// each c = 0, 1, 2, … below a finite w: ⌈w⌉, and none for w <= 0. Written
+// without a branch on w's sign: a third of Poisson(1) weights are zero, and
+// the walks call this once per row.
+func copies(w float64) int {
+	c := int(w)
+	if float64(c) < w {
+		c++
+	}
+	return max(c, 0)
+}
+
+func (s *sortedView) copiesOf(row int32) int {
+	if s.weights == nil {
+		return 1
+	}
+	return copies(s.weights[row])
+}
+
+// seek returns the index into order of the row holding position pos of the
+// expansion (0 <= pos < n) and how many of that row's copies precede pos,
+// walking in from the nearer end.
+func (s *sortedView) seek(pos int) (p, off int) {
+	if pos < s.n/2 {
+		at := 0
+		for p = 0; ; p++ {
+			c := s.copiesOf(s.order[p])
+			if pos < at+c {
+				return p, pos - at
+			}
+			at += c
+		}
+	}
+	at := s.n
+	for p = len(s.order) - 1; ; p-- {
+		if at -= s.copiesOf(s.order[p]); pos >= at {
+			return p, pos - at
+		}
+	}
+}
+
+// mean is stats.Mean of positions [lo, hi) of the expansion: one addition
+// per position, in ascending order, from 0.
+func (s *sortedView) mean(lo, hi int) float64 {
+	sum := 0.0
+	p, off := s.seek(lo)
+	for left := hi - lo; left > 0; p++ {
+		row := s.order[p]
+		v := s.values[row]
+		for c := s.copiesOf(row) - off; c > 0 && left > 0; c-- {
+			sum += v
+			left--
+		}
+		off = 0
+	}
+	return sum / float64(hi-lo)
+}
+
+// median is stats.QuantileSorted(expansion, 0.5) for n > 0: position
+// (n−1)/2, interpolated with the next one when n is even.
+func (s *sortedView) median() float64 {
+	pos := 0.5 * float64(s.n-1)
+	lo := int(math.Floor(pos))
+	p, off := s.seek(lo)
+	a := s.values[s.order[p]]
+	if float64(lo) == pos {
+		return a
+	}
+	// Position lo+1: the same row's next copy, or the next present row.
+	b := a
+	if off+1 == s.copiesOf(s.order[p]) {
+		for p++; s.copiesOf(s.order[p]) == 0; p++ {
+		}
+		b = s.values[s.order[p]]
+	}
+	frac := pos - float64(lo)
+	return a*(1-frac) + b*frac
+}
+
+// deviationMedian is the median of the expansion's |x − med|, which the
+// expand-and-sort path computes by sorting the deviations. Floating-point
+// subtraction is monotone, so over the rows below med the deviation falls as
+// x rises, and from med up it rises: the two runs of the order, merged — the
+// first walked down, the second up — give the deviations in ascending order.
+// med must be finite: then no deviation is NaN, and math.Abs leaves no −0,
+// so the merge's order among equal deviations cannot show in the bits.
+func (s *sortedView) deviationMedian(med float64) float64 {
+	pos := 0.5 * float64(s.n-1)
+	lo := int(math.Floor(pos))
+	n := len(s.order)
+	dev := func(p int) float64 { return math.Abs(s.values[s.order[p]] - med) }
+	up := sort.Search(n, func(p int) bool { return s.values[s.order[p]] >= med })
+	down := up - 1
+	var dDown, dUp float64 // the deviations at down and up, while in range
+	if down >= 0 {
+		dDown = dev(down)
+	}
+	if up < n {
+		dUp = dev(up)
+	}
+	var a float64
+	for at := 0; ; {
+		var p int
+		var d float64
+		if up == n || (down >= 0 && dDown <= dUp) {
+			p, d = down, dDown
+			if down--; down >= 0 {
+				dDown = dev(down)
+			}
+		} else {
+			p, d = up, dUp
+			if up++; up < n {
+				dUp = dev(up)
+			}
+		}
+		c := s.copiesOf(s.order[p])
+		if at+c <= lo {
+			at += c
+			continue
+		}
+		if at <= lo {
+			a = d
+			if float64(lo) == pos {
+				return a
+			}
+		}
+		if at+c > lo+1 {
+			frac := pos - float64(lo)
+			return a*(1-frac) + d*frac
+		}
+		at += c
+	}
+}
+
 func trimmedMean(frac float64) func(values, weights []float64) float64 {
 	return func(values, weights []float64) float64 {
-		p := expandSorted(values, weights)
-		defer scratchPool.Put(p)
-		xs := *p
-		n := len(xs)
-		if n == 0 {
+		return sortedMean(values, weights, func(n int) (lo, hi int) {
+			cut := int(frac * float64(n))
+			if n-cut > cut {
+				return cut, n - cut
+			}
+			return 0, n
+		})
+	}
+}
+
+// sortedMean is the mean of positions [lo, hi) of the weighted multiset in
+// ascending order, span choosing them from its size n > 0; NaN when it is
+// empty.
+func sortedMean(values, weights []float64, span func(n int) (lo, hi int)) float64 {
+	if s, ok := viewOf(values, weights); ok {
+		if s.n == 0 {
 			return math.NaN()
 		}
-		cut := int(frac * float64(n))
-		trimmed := xs[cut : n-cut]
-		if len(trimmed) == 0 {
-			trimmed = xs
-		}
-		return stats.Mean(trimmed)
+		return s.mean(span(s.n))
 	}
+	p := expandSorted(values, weights)
+	defer putScratch(p)
+	xs := *p
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	lo, hi := span(len(xs))
+	return stats.Mean(xs[lo:hi])
 }
 
 // logMean is the geometric mean via mean of logs; requires positive data
@@ -130,8 +325,7 @@ func logMean(values, weights []float64) float64 {
 // fracAbove reports the weighted fraction of rows exceeding twice the
 // weighted median — a smooth ratio statistic.
 func fracAbove(values, weights []float64) float64 {
-	med := stats.WeightedQuantile(values, allOnes(weights, len(values)), 0.5)
-	threshold := 2 * med
+	threshold := 2 * weightedMedian(values, weights)
 	var above, total float64
 	for i, v := range values {
 		w := 1.0
@@ -149,15 +343,26 @@ func fracAbove(values, weights []float64) float64 {
 	return above / total
 }
 
-func allOnes(weights []float64, n int) []float64 {
-	if weights != nil {
-		return weights
+// weightedMedian is stats.WeightedQuantile(values, weights, 0.5), nil
+// weights counting one each: the nearest-rank walk over the offered order,
+// or over one sorted copy. With unit weights the running weight first
+// reaches n/2 at position ⌈n/2⌉ − 1 = (n−1)/2.
+func weightedMedian(values, weights []float64) float64 {
+	if len(values) == 0 {
+		return math.NaN()
 	}
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
+	order := estimator.OrderOf(values)
+	switch {
+	case weights == nil && order != nil:
+		return values[order[(len(values)-1)/2]]
+	case weights == nil:
+		p := expandSorted(values, nil)
+		defer putScratch(p)
+		return (*p)[(len(values)-1)/2]
+	case order != nil:
+		return stats.WeightedQuantileOrdered(values, weights, order, 0.5)
 	}
-	return w
+	return stats.WeightedQuantile(values, weights, 0.5)
 }
 
 // clampedMean averages values clamped into [0, 1000] — a bounded, smooth
@@ -180,9 +385,19 @@ func clampedMean(values, weights []float64) float64 {
 }
 
 // medianAbsDev is the median absolute deviation from the median — robust.
+// An infinite median (x − med is NaN for x = med) is left to the
+// expand-and-sort path, where sort.Float64s places those NaNs.
 func medianAbsDev(values, weights []float64) float64 {
+	if s, ok := viewOf(values, weights); ok {
+		if s.n == 0 {
+			return math.NaN()
+		}
+		if med := s.median(); !math.IsInf(med, 0) && !math.IsNaN(med) {
+			return s.deviationMedian(med)
+		}
+	}
 	p := expandSorted(values, weights)
-	defer scratchPool.Put(p)
+	defer putScratch(p)
 	xs := *p
 	if len(xs) == 0 {
 		return math.NaN()
@@ -200,18 +415,9 @@ func medianAbsDev(values, weights []float64) float64 {
 // inherits MAX-like fragility on heavy-tailed columns.
 func topFracMean(frac float64) func(values, weights []float64) float64 {
 	return func(values, weights []float64) float64 {
-		p := expandSorted(values, weights)
-		defer scratchPool.Put(p)
-		xs := *p
-		n := len(xs)
-		if n == 0 {
-			return math.NaN()
-		}
-		k := int(frac * float64(n))
-		if k < 1 {
-			k = 1
-		}
-		return stats.Mean(xs[n-k:])
+		return sortedMean(values, weights, func(n int) (lo, hi int) {
+			return n - max(int(frac*float64(n)), 1), n
+		})
 	}
 }
 
