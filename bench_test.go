@@ -207,19 +207,6 @@ func BenchmarkEnginePipelineOptimized(b *testing.B) {
 	}
 }
 
-// BenchmarkEnginePipelineNaive measures the same query with both §5.3
-// rewrites disabled (the UNION-ALL-style execution path).
-func BenchmarkEnginePipelineNaive(b *testing.B) {
-	e := benchEngine(b, core.Config{Seed: 1, Workers: 8,
-		DisableScanConsolidation: true, DisableOperatorPushdown: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExactFallback measures what a rejected diagnostic costs: the
 // exact re-execution of a grouped AVG+MIN with a Day window over a 250k-row
 // compressed table, through exec.Run's block-streamed exact operator.
@@ -389,62 +376,6 @@ func BenchmarkBuildSamples(b *testing.B) {
 }
 
 // --- Ablations ---
-
-// BenchmarkAblationPlanRewrites measures the 2x2 grid of §5.3 rewrites on
-// real local execution of a bootstrap-heavy query.
-func BenchmarkAblationPlanRewrites(b *testing.B) {
-	src := rng.New(2)
-	n := 100000
-	vals := make(table.Float64Col, n)
-	keys := make(table.StringCol, n)
-	for i := range vals {
-		vals[i] = src.LogNormal(3, 1)
-		if src.Float64() < 0.25 {
-			keys[i] = "keep"
-		} else {
-			keys[i] = "drop"
-		}
-	}
-	tables := map[string]*exec.StoredTable{"t": {
-		Data: table.MustNew(table.Schema{
-			{Name: "v", Type: table.Float64},
-			{Name: "k", Type: table.String},
-		}, vals, keys),
-		PopRows: n * 10,
-	}}
-	def, err := plan.Analyze(
-		sql.MustParse("SELECT PERCENTILE(v, 0.9) FROM t WHERE k = 'keep'").(*sql.Select), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	grid := []struct {
-		name                  string
-		consolidate, pushdown bool
-	}{
-		{"naive", false, false},
-		{"consolidate-only", true, false},
-		{"pushdown-only", false, true},
-		{"consolidate+pushdown", true, true},
-	}
-	for _, g := range grid {
-		b.Run(g.name, func(b *testing.B) {
-			opt := plan.DefaultOptions(n)
-			opt.BootstrapK = 40
-			opt.Diagnostics = false
-			opt.ScanConsolidation = g.consolidate
-			opt.OperatorPushdown = g.pushdown
-			p, err := plan.Build(def, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := exec.Run(context.Background(), p, tables, nil, exec.Config{Workers: 8, Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblationDiagnosticP shows the accuracy-vs-cost effect of the
 // diagnostic's p parameter (the paper's "tens of thousands of subsample

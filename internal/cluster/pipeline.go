@@ -30,7 +30,9 @@ type QueryShape struct {
 	// estimate per subsample) versus bootstrap (K+1 evaluations per
 	// subsample).
 	ClosedForm bool
-	// Consolidated and Pushdown mirror the plan flags.
+	// Consolidated and Pushdown select the §5.3.1 and §5.3.2 rewrites;
+	// both false is the §5.2 UNION ALL plan. The engine runs only the
+	// plan with both set; Figs. 7–9 compare it with the others here.
 	Consolidated bool
 	Pushdown     bool
 	// Fanout is the GROUP BY result width.

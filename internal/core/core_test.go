@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/sql"
 	"repro/internal/stats"
 	"repro/internal/table"
 )
@@ -343,11 +345,28 @@ func TestQueryErrors(t *testing.T) {
 		"not sql",
 		"SELECT AVG(Time) FROM NoSuch",
 		"SELECT NOSUCHUDF(Time) FROM Sessions",
-		"SELECT AVG(Time) FROM Sessions UNION ALL SELECT AVG(Time) FROM Sessions",
 	}
 	for _, q := range cases {
 		if _, err := e.Run(context.Background(), q); err == nil {
 			t.Errorf("Query(%q) unexpectedly succeeded", q)
+		}
+	}
+	// The §5.2 rewrite surface is not grammar: approximate and exact
+	// execution both refuse it as a parse error instead of answering it.
+	if err := e.BuildSamples("Sessions", 500); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT AVG(Time) FROM Sessions UNION ALL SELECT AVG(Time) FROM Sessions",
+		"SELECT AVG(Time) FROM Sessions TABLESAMPLE POISSONIZED (100)",
+	} {
+		for name, run := range map[string]func(context.Context, string) (*Answer, error){
+			"Run": e.Run, "RunExact": e.RunExact,
+		} {
+			var perr *sql.Error
+			if _, err := run(context.Background(), q); !errors.As(err, &perr) {
+				t.Errorf("%s(%q) = %v, want a *sql.Error", name, q, err)
+			}
 		}
 	}
 }

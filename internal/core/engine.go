@@ -53,10 +53,6 @@ type Config struct {
 	// Diagnostics toggles the runtime diagnostic (default on; set
 	// SkipDiagnostics to disable).
 	SkipDiagnostics bool
-	// ScanConsolidation / OperatorPushdown control the §5.3 rewrites
-	// (default on; set the Disable flags for ablations).
-	DisableScanConsolidation bool
-	DisableOperatorPushdown  bool
 	// Backing selects the storage backing applied to tables at
 	// registration time (default BackingRaw). BackingCompressed re-encodes
 	// each registered table into block-compressed columns (dictionary,
@@ -663,8 +659,6 @@ func (e *Engine) planOptions(n int, needBootstrap bool, kCap int) plan.Options {
 			opt.DiagSizes = []int{b3 / 4, b3 / 2, b3}
 		}
 	}
-	opt.ScanConsolidation = !e.cfg.DisableScanConsolidation
-	opt.OperatorPushdown = !e.cfg.DisableOperatorPushdown
 	return opt
 }
 
@@ -712,12 +706,8 @@ func (e *Engine) analyze(qt *obs.QueryTrace, query string) (*plan.QueryDef, *reg
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s: parse: %w", e.queryID(qt, query), err)
 	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return nil, nil, fmt.Errorf("core: %s: only single SELECT statements are accepted at the API (UNION ALL is an internal rewrite)", e.queryID(qt, query))
-	}
 	udfs := e.udfRegistry()
-	def, err := plan.Analyze(sel, func(name string) bool {
+	def, err := plan.Analyze(stmt.(*sql.Select), func(name string) bool {
 		_, ok := udfs[name]
 		return ok
 	})

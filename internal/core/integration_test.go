@@ -2,42 +2,12 @@ package core
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/table"
 )
-
-// TestEndToEndNaiveVsOptimizedCounters drives the same query through both
-// plan modes: the counters must reflect the physical difference. (What the
-// cluster simulator makes of the two answers is checked where the simulator is
-// used, in internal/experiments.)
-func TestEndToEndNaiveVsOptimizedCounters(t *testing.T) {
-	build := func(cfg Config) *Answer {
-		t.Helper()
-		cfg.BootstrapK = 30
-		e, _ := buildSessions(t, cfg, 100000)
-		if err := e.BuildSamples("Sessions", 40000); err != nil {
-			t.Fatal(err)
-		}
-		// PERCENTILE forces the bootstrap path (QSet-2 flavour).
-		ans, err := e.Run(context.Background(), "SELECT PERCENTILE(Time, 0.9) FROM Sessions WHERE City = 'NYC'")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ans
-	}
-
-	opt := build(Config{Seed: 30, DisableFallback: true})
-	naive := build(Config{Seed: 30, DisableFallback: true,
-		DisableScanConsolidation: true, DisableOperatorPushdown: true})
-	if naive.Counters.Scans <= opt.Counters.Scans {
-		t.Errorf("naive scans (%d) should exceed optimized (%d)",
-			naive.Counters.Scans, opt.Counters.Scans)
-	}
-}
 
 // TestEndToEndAnswerQuality checks the statistical contract across many
 // engine answers: 95% error bars over repeated engine runs should bracket
@@ -72,43 +42,6 @@ func TestEndToEndAnswerQuality(t *testing.T) {
 	}
 	if covered < trials*85/100 {
 		t.Errorf("error bars covered truth %d/%d times, want ≥ 85%%", covered, trials)
-	}
-}
-
-// TestDisableScanConsolidationCounters verifies the ablation flag changes
-// the physical execution (rescans per resample) without changing the
-// statistical outputs beyond resampling noise.
-func TestDisableScanConsolidationCounters(t *testing.T) {
-	run := func(disable bool) *Answer {
-		t.Helper()
-		e, _ := buildSessions(t, Config{Seed: 32, BootstrapK: 20,
-			SkipDiagnostics: true, DisableScanConsolidation: disable}, 60000)
-		if err := e.BuildSamples("Sessions", 20000); err != nil {
-			t.Fatal(err)
-		}
-		ans, err := e.Run(context.Background(), "SELECT PERCENTILE(Time, 0.5) FROM Sessions")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ans
-	}
-	consolidated := run(false)
-	naive := run(true)
-	if naive.Counters.Scans != consolidated.Counters.Scans+20 {
-		t.Errorf("naive scans = %d, consolidated = %d, want +K=20 difference",
-			naive.Counters.Scans, consolidated.Counters.Scans)
-	}
-	// Same sample and seed: the point estimates must agree exactly.
-	a := consolidated.Groups[0].Aggs[0].Estimate
-	b := naive.Groups[0].Aggs[0].Estimate
-	if a != b {
-		t.Errorf("estimates diverge across plan modes: %v vs %v", a, b)
-	}
-	// Interval widths agree up to bootstrap noise.
-	wa := consolidated.Groups[0].Aggs[0].ErrorBar.HalfWidth
-	wb := naive.Groups[0].Aggs[0].ErrorBar.HalfWidth
-	if math.Abs(wa-wb) > 0.5*math.Max(wa, wb) {
-		t.Errorf("interval widths implausibly far: %v vs %v", wa, wb)
 	}
 }
 

@@ -37,8 +37,8 @@ var boundGolden = map[bool]struct {
 	answers, shape uint64
 	trail          string
 }{
-	false: {0xd0de9c711575eda6, 0xb643003dca4d77e7, "7000/2 48000/2 0/2 48000/3 48000/3 0/4 0/4 0/4 0/4"},
-	true:  {0xa7669a0f1635eb7b, 0xced435e55cbda8a0, "7000/2 48000/2 6400/1 48000/3 48000/3 48000/3 48000/3 48000/3 48000/3"},
+	false: {0xd0de9c711575eda6, 0xce76851643fa67b9, "7000/2 48000/2 0/2 48000/3 48000/3 0/4 0/4 0/4 0/4"},
+	true:  {0xa7669a0f1635eb7b, 0x050f3f208a6076ce, "7000/2 48000/2 6400/1 48000/3 48000/3 48000/3 48000/3 48000/3 48000/3"},
 }
 
 func TestErrorBoundGolden(t *testing.T) {

@@ -109,9 +109,9 @@ func counterAttrSums(spans []obs.SpanSnapshot, into map[string]int64) {
 
 // TestSpanCountersMatchResultCounters asserts the invariant that summing
 // the per-span counter attributes over the whole trace reproduces
-// Result.Counters, for the consolidated pipeline, the naive rewrite, and
-// exact execution. Fallback is disabled because it merges only the
-// scan-side counters into the answer by design.
+// Result.Counters, for the consolidated pipeline and exact execution.
+// Fallback is disabled because it merges only the scan-side counters into
+// the answer by design.
 func TestSpanCountersMatchResultCounters(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
@@ -119,7 +119,6 @@ func TestSpanCountersMatchResultCounters(t *testing.T) {
 		exact  bool
 	}{
 		{"consolidated", func(c *Config) { c.DisableFallback = true }, false},
-		{"naive", func(c *Config) { c.DisableFallback = true; c.DisableScanConsolidation = true }, false},
 		{"exact", func(c *Config) { c.DisableFallback = true }, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

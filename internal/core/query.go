@@ -389,7 +389,6 @@ func (e *Engine) buildApproxPlan(q *request, st *exec.StoredTable, verdictFirst 
 	planSpan.SetAttr("mode", "approximate")
 	planSpan.AddInt("sample_rows", int64(n))
 	planSpan.AddInt("bootstrap_k", int64(opt.BootstrapK))
-	planSpan.SetAttr("consolidated", opt.ScanConsolidation)
 	planSpan.SetAttr("diagnostics", opt.Diagnostics)
 	planSpan.End()
 	if err != nil {

@@ -40,8 +40,7 @@ var backingQueries = []string{
 
 func backingOpts() plan.Options {
 	return plan.Options{BootstrapK: 40, Alpha: 0.95, Diagnostics: true,
-		DiagSizes: []int{40, 80, 160}, DiagP: 20,
-		ScanConsolidation: true, OperatorPushdown: true}
+		DiagSizes: []int{40, 80, 160}, DiagP: 20}
 }
 
 // TestRunBackingBitEquality is the tentpole's core invariant: answers,
@@ -113,8 +112,7 @@ func TestSkippedBlocksAreNeverDecoded(t *testing.T) {
 			ct.DropZones()
 		}
 		tables := map[string]*StoredTable{"Sessions": {Data: ct, PopRows: n * 10}}
-		p := mustPlan(t, q, plan.Options{BootstrapK: 20, Alpha: 0.95,
-			ScanConsolidation: true, OperatorPushdown: true})
+		p := mustPlan(t, q, plan.Options{BootstrapK: 20, Alpha: 0.95})
 		res, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 9})
 		if err != nil {
 			t.Fatal(err)

@@ -192,11 +192,11 @@ func referenceExact(p *plan.Plan, tbl *table.Table, udfs Registry) ([]GroupOutpu
 func materializedExact(t *testing.T, p *plan.Plan, st *StoredTable, udfs Registry) []GroupOutput {
 	t.Helper()
 	nodes := collect(p.Root)
-	base, err := scanFilterProject(context.Background(), nodes, st.Data, st, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	bases, errs := scanFilterProjectMulti(context.Background(), []nodeSet{nodes}, st.Data, st, Config{Workers: 2})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
 	}
-	groups, err := splitGroups(nodes.agg, st.Data, base)
+	groups, err := splitGroups(nodes.agg, st.Data, bases[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,10 +320,11 @@ func TestExactOperatorCounters(t *testing.T) {
 		p := mustPlan(t, tc.q, plan.Options{})
 		nodes := collect(p.Root)
 		st := &StoredTable{Data: raw}
-		old, err := scanFilterProject(context.Background(), nodes, raw, st, Config{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
+		olds, errs := scanFilterProjectMulti(context.Background(), []nodeSet{nodes}, raw, st, Config{Workers: 2})
+		if errs[0] != nil {
+			t.Fatal(errs[0])
 		}
+		old := olds[0]
 		for name, data := range variants {
 			for _, workers := range []int{1, 3} {
 				res, err := Run(context.Background(), p, map[string]*StoredTable{"T": {Data: data}},

@@ -72,12 +72,10 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-// Counters meters the work a plan performed. The naive (§5.2) and
-// consolidated (§5.3) pipelines produce radically different counters for
-// the same query; the cluster cost model turns them into simulated time.
+// Counters meters the work a plan performed.
 type Counters struct {
-	// Subqueries is the number of logical subqueries run against the
-	// stored sample (each one a separate scan in the naive rewrite).
+	// Subqueries is the number of logical queries run against the stored
+	// sample: one per plan, however many resamples it evaluates.
 	Subqueries int
 	// Scans is the number of physical passes over the sample this
 	// process actually performed.
@@ -108,8 +106,8 @@ type Counters struct {
 	// count. Always zero when no cache is attached.
 	CacheHits  int64
 	CacheBytes int64
-	// WeightDraws is the number of Poisson weight draws the plan's
-	// resample placement implies (pushdown reduces this).
+	// WeightDraws is the number of Poisson bootstrap weight draws: K per
+	// value surviving the filter.
 	WeightDraws int64
 	// DiagSubqueries counts the diagnostic's subsample query executions.
 	DiagSubqueries int
@@ -165,19 +163,12 @@ type Result struct {
 	SampleRows int
 }
 
-// Run executes the plan against the given tables. Execution is faithful to
-// the plan's §5.3 flags:
-//
-//   - Consolidated resampling computes the plain answer and all resample
-//     aggregates in a single pass; the naive form physically re-executes
-//     scan → filter → project once per resample.
-//   - Pushdown controls whether Poisson weights are drawn for all scanned
-//     rows or only for rows surviving the filter.
-//   - The naive diagnostic is *accounted* at its full logical cost
-//     (sizes × p × (K+1) subqueries, each a separate scan of the sample)
-//     while the subsample mathematics is computed once — physically
-//     re-scanning tens of thousands of times would only reproduce, slowly,
-//     the same per-subsample inputs.
+// Run executes the plan against the given tables. Execution is the §5.3
+// plan: one physical pass computes the plain answer, and every bootstrap
+// resample and diagnostic subsample is evaluated over the filtered,
+// projected values that pass produced — Poisson weights are drawn only for
+// rows surviving the filter. A sampled plan runs as a RunShared batch of
+// one.
 //
 // A plan with no Resample, Bootstrap or Diagnostic node over a table that is
 // the full dataset (PopRows == 0) is exact execution and runs on the
@@ -185,11 +176,11 @@ type Result struct {
 // described above; its answers are bit-identical to that pipeline's.
 //
 // Execution honours ctx: cancellation is checked at every stage boundary,
-// between naive rescans, between (group, aggregate) work units, inside the
-// diagnostic's subsample loop and inside the kernel's block loop, so a
-// cancelled query aborts within one block (8 KiB of values) of resampling
-// work. A cancelled Run returns an error wrapping ctx.Err() after all its
-// worker goroutines have exited.
+// between (group, aggregate) work units, inside the diagnostic's subsample
+// loop and inside the kernel's block loop, so a cancelled query aborts
+// within one block (8 KiB of values) of resampling work. A cancelled Run
+// returns an error wrapping ctx.Err() after all its worker goroutines have
+// exited.
 func Run(ctx context.Context, p *plan.Plan, tables map[string]*StoredTable, udfs Registry, cfg Config) (*Result, error) {
 	nodes := collect(p.Root)
 	if nodes.scan == nil || nodes.agg == nil {
@@ -205,33 +196,15 @@ func Run(ctx context.Context, p *plan.Plan, tables map[string]*StoredTable, udfs
 	if isExact(nodes, st) {
 		return runExact(ctx, nodes, st, udfs, cfg)
 	}
-	tbl := st.Data
-	res := &Result{SampleRows: tbl.NumRows()}
-
-	// --- Scan, filter, project (one physical pass, parallel). ---
-	scanSpan := cfg.Span.StartSpan(obs.StageScan)
-	base, err := scanFilterProject(ctx, nodes, tbl, st, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("exec: scan of table %q: %w", nodes.scan.Table, err)
-	}
-	scanSpan.End()
-	addCounterAttrs(scanSpan, base.counters)
-	res.Counters.add(base.counters)
-
-	if err := runDownstream(ctx, nodes, st, tbl, base, udfs, cfg, scanSpan, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	results, errs := RunShared(ctx, []SharedItem{{Ctx: ctx, Plan: p, Cfg: cfg}}, tables, udfs)
+	return results[0], errs[0]
 }
 
 // runDownstream drives everything after the physical pass — group
-// partitioning, naive rescans, bootstrap, diagnostics — and finalizes the
-// result's counters. It is shared between Run (one query, one scan) and
-// RunShared (many queries fanned out of one scan): base carries whichever
-// scan produced this query's inputs, and res.Counters already holds that
-// scan's share. scanSpan receives the user-rate weight draws, which are
-// base-answer cost.
-func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *table.Table, base *scanResult, udfs Registry, cfg Config, scanSpan *obs.Span, res *Result) error {
+// partitioning, bootstrap, diagnostics — and finalizes the result's
+// counters: base carries the shared scan's output for this query, and
+// res.Counters already holds that scan's share.
+func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *table.Table, base *scanResult, udfs Registry, cfg Config, res *Result) error {
 	traced := cfg.Span != nil
 
 	// --- Group partitioning. ---
@@ -253,53 +226,10 @@ func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *tab
 		if traced && bootSpan == nil {
 			bootSpan = cfg.Span.StartSpan(obs.StageBootstrap)
 			bootSpan.SetAttr("k", k)
-			bootSpan.SetAttr("consolidated",
-				nodes.resample != nil && nodes.resample.Consolidated)
 		}
 	}
 	if traced && nodes.diag != nil {
 		diagSpan = cfg.Span.StartSpan(obs.StageDiagnostic)
-	}
-
-	// The naive (§5.2) plan executes each bootstrap resample as its own
-	// subquery: physically re-run scan → filter → project once per
-	// resample. The per-resample weights themselves are drawn in
-	// bootstrapEstimates below; this loop performs (and meters) the
-	// repeated scans the UNION ALL rewrite pays for. The rescans belong
-	// to the bootstrap stage — they are error-estimation cost, not base
-	// answer cost.
-	if k > 0 && (nodes.resample == nil || !nodes.resample.Consolidated) {
-		openBootSpan()
-		start := now(traced)
-		var naive Counters
-		for r := 0; r < k; r++ {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("exec: naive resample scan %d of table %q: %w",
-					r, nodes.scan.Table, err)
-			}
-			rescan, err := scanFilterProject(ctx, nodes, tbl, st, cfg)
-			if err != nil {
-				return fmt.Errorf("exec: naive resample scan %d of table %q: %w",
-					r, nodes.scan.Table, err)
-			}
-			naive.add(Counters{
-				Subqueries:    1,
-				Scans:         1,
-				RowsScanned:   rescan.counters.RowsScanned,
-				BytesScanned:  rescan.counters.BytesScanned,
-				BlocksSkipped: rescan.counters.BlocksSkipped,
-				BlocksDecoded: rescan.counters.BlocksDecoded,
-				DecodeNanos:   rescan.counters.DecodeNanos,
-				CacheHits:     rescan.counters.CacheHits,
-				CacheBytes:    rescan.counters.CacheBytes,
-				Tasks:         rescan.counters.Tasks,
-			})
-		}
-		res.Counters.add(naive)
-		if traced {
-			bootSpan.AddDuration(time.Since(start))
-			addCounterAttrs(bootSpan, naive)
-		}
 	}
 
 	for _, g := range groups {
@@ -314,20 +244,6 @@ func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *tab
 			}
 			values := g.values[ai]
 			out := AggOutput{Spec: spec, Query: q, Value: q.Eval(values), Values: values}
-			if nodes.resample != nil && nodes.resample.UserRate > 0 {
-				// Explicit TABLESAMPLE POISSONIZED (rate): the base
-				// answer itself is one Poissonized resample (§5.2's SQL
-				// building block). Its weight draws are base-scan work.
-				src := rng.NewWithStream(cfg.Seed,
-					hashStream("usersample", g.key, ai, 0))
-				w := make([]float64, len(values))
-				for i := range w {
-					w[i] = float64(src.Poisson(nodes.resample.UserRate))
-				}
-				out.Value = q.EvalWeighted(values, w)
-				res.Counters.WeightDraws += int64(len(values))
-				scanSpan.AddInt("weight_draws", int64(len(values)))
-			}
 
 			// The diagnostic runs before error estimation. Its verdict does
 			// not depend on the bootstrap below (the "diag" and "boot" RNG
@@ -336,7 +252,7 @@ func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *tab
 			// K resample estimates would never be read: skip them.
 			if nodes.diag != nil {
 				start := now(traced)
-				dres, c, err := runDiagnostic(ctx, nodes, values, q, k, cfg, diagSpan, g.key, ai)
+				dres, c, err := runDiagnostic(ctx, nodes.diag, values, q, k, cfg, diagSpan, g.key, ai)
 				if err != nil {
 					return fmt.Errorf("exec: diagnostic for group %q aggregate %d: %w",
 						g.key, ai, err)
@@ -357,8 +273,7 @@ func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *tab
 			if k > 0 && !replaced {
 				openBootSpan()
 				start := now(traced)
-				ests, c, err := bootstrapEstimates(ctx, nodes, values, q, k, cfg,
-					tbl.NumRows(), g.key, ai)
+				ests, c, err := bootstrapEstimates(ctx, values, q, k, cfg, g.key, ai)
 				if err != nil {
 					return fmt.Errorf("exec: bootstrap for group %q aggregate %d: %w",
 						g.key, ai, err)
@@ -473,16 +388,6 @@ type scanResult struct {
 	sel      []int       // filtered row indices into the table
 	cols     [][]float64 // one value column per aggregate input expression
 	counters Counters
-}
-
-// scanFilterProject performs the single physical pass for one query. It is
-// the one-member case of scanFilterProjectMulti.
-func scanFilterProject(ctx context.Context, nodes nodeSet, tbl *table.Table, st *StoredTable, cfg Config) (*scanResult, error) {
-	outs, errs := scanFilterProjectMulti(ctx, []nodeSet{nodes}, tbl, st, cfg)
-	if errs[0] != nil {
-		return nil, errs[0]
-	}
-	return outs[0], nil
 }
 
 // predWork is one distinct filter predicate appearing in a member batch,
@@ -974,10 +879,9 @@ func queryFor(spec plan.AggSpec, st *StoredTable, sampleRows int, grouped bool, 
 // block-major once, with fused Σw·x / Σw accumulators for the closed-form
 // family and the generic weighted-θ fallback (pooled weight buffers) for
 // quantiles and UDFs. Per-(resample, block) RNG streams make the result
-// bit-identical at every worker count. Naive mode charges one full
-// subquery per resample elsewhere; scannedRows is the pre-filter row
-// count, charged for weight draws when pushdown is off.
-func bootstrapEstimates(ctx context.Context, nodes nodeSet, values []float64, q estimator.Query, k int, cfg Config, scannedRows int, groupKey string, aggIdx int) ([]float64, Counters, error) {
+// bit-identical at every worker count. Weights are drawn for the filtered
+// values only (§5.3.2), K per value.
+func bootstrapEstimates(ctx context.Context, values []float64, q estimator.Query, k int, cfg Config, groupKey string, aggIdx int) ([]float64, Counters, error) {
 	var c Counters
 	stream := hashStream("boot", groupKey, aggIdx, 0)
 	var ests []float64
@@ -1001,12 +905,7 @@ func bootstrapEstimates(ctx context.Context, nodes nodeSet, values []float64, q 
 		}
 		c.Tasks += tasks
 	}
-	pushed := nodes.resample == nil || nodes.resample.Pushed
-	if pushed {
-		c.WeightDraws += int64(k) * int64(len(values))
-	} else {
-		c.WeightDraws += int64(k) * int64(scannedRows)
-	}
+	c.WeightDraws += int64(k) * int64(len(values))
 	return ests, c, nil
 }
 
@@ -1014,7 +913,7 @@ func bootstrapEstimates(ctx context.Context, nodes nodeSet, values []float64, q 
 // tracing, each (group, aggregate) verdict becomes a child span of the
 // diagnostic stage span, and ξ's resample draws are counted through the
 // estimator's own accounting hook.
-func runDiagnostic(ctx context.Context, nodes nodeSet, values []float64, q estimator.Query, k int, cfg Config, diagSpan *obs.Span, groupKey string, aggIdx int) (*diagnostic.Result, Counters, error) {
+func runDiagnostic(ctx context.Context, diag *plan.Diagnostic, values []float64, q estimator.Query, k int, cfg Config, diagSpan *obs.Span, groupKey string, aggIdx int) (*diagnostic.Result, Counters, error) {
 	var c Counters
 	verdictSpan := diagSpan.StartSpan("verdict")
 	if verdictSpan != nil {
@@ -1024,8 +923,8 @@ func runDiagnostic(ctx context.Context, nodes nodeSet, values []float64, q estim
 		verdictSpan.SetAttr("agg", aggIdx)
 	}
 	dcfg := diagnostic.Config{
-		SubsampleSizes: nodes.diag.Sizes,
-		P:              nodes.diag.P,
+		SubsampleSizes: diag.Sizes,
+		P:              diag.P,
 		C1:             0.2, C2: 0.2, C3: 0.5,
 		Rho:     0.95,
 		Alpha:   0.95,
@@ -1067,21 +966,6 @@ func runDiagnostic(ctx context.Context, nodes nodeSet, values []float64, q estim
 		return nil, c, err
 	}
 	c.DiagSubqueries += dres.SubsampleQueries
-	if !nodes.diag.Consolidated {
-		// Naive accounting: every subsample query — including the K
-		// bootstrap replications per subsample when ξ is the bootstrap —
-		// is a separate subquery against the stored sample.
-		per := 1
-		if !q.ClosedFormApplicable() {
-			per = k + 1
-			if k <= 0 {
-				per = estimator.DefaultBootstrapK + 1
-			}
-		}
-		n := len(dcfg.SubsampleSizes) * dcfg.P * per
-		c.Subqueries += n
-		c.Scans += n
-	}
 	return &dres, c, nil
 }
 

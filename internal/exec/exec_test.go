@@ -3,11 +3,11 @@ package exec
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/estimator"
 	"repro/internal/plan"
+	"repro/internal/resample"
 	"repro/internal/rng"
 	"repro/internal/sql"
 	"repro/internal/stats"
@@ -298,8 +298,7 @@ func TestRunGroupBy(t *testing.T) {
 
 func TestRunBootstrapProducesSaneDistribution(t *testing.T) {
 	tables := storedSessions(20000, 10)
-	opt := plan.Options{BootstrapK: 80, Alpha: 0.95,
-		ScanConsolidation: true, OperatorPushdown: true}
+	opt := plan.Options{BootstrapK: 80, Alpha: 0.95}
 	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions", opt)
 	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 6})
 	if err != nil {
@@ -316,9 +315,9 @@ func TestRunBootstrapProducesSaneDistribution(t *testing.T) {
 	if se < 0.5*wantSE || se > 2*wantSE {
 		t.Errorf("bootstrap SE = %v, want ~%v", se, wantSE)
 	}
-	// Consolidated: still one scan, one subquery.
+	// Still one scan, one subquery.
 	if res.Counters.Scans != 1 || res.Counters.Subqueries != 1 {
-		t.Errorf("consolidated counters: %+v", res.Counters)
+		t.Errorf("counters: %+v", res.Counters)
 	}
 	if res.Counters.WeightDraws != 80*20000 {
 		t.Errorf("weight draws = %d, want %d", res.Counters.WeightDraws, 80*20000)
@@ -327,8 +326,7 @@ func TestRunBootstrapProducesSaneDistribution(t *testing.T) {
 
 func TestRunBootstrapDeterministicAcrossWorkerCounts(t *testing.T) {
 	tables := storedSessions(5000, 11)
-	opt := plan.Options{BootstrapK: 40, Alpha: 0.95,
-		ScanConsolidation: true, OperatorPushdown: true}
+	opt := plan.Options{BootstrapK: 40, Alpha: 0.95}
 	var ref []float64
 	for _, workers := range []int{1, 3, 7} {
 		p := mustPlan(t, "SELECT AVG(Time) FROM Sessions", opt)
@@ -347,45 +345,6 @@ func TestRunBootstrapDeterministicAcrossWorkerCounts(t *testing.T) {
 					workers, i, b[i], ref[i])
 			}
 		}
-	}
-}
-
-func TestRunNaiveCountersChargeSubqueries(t *testing.T) {
-	tables := storedSessions(20000, 12)
-	naive := plan.Options{BootstrapK: 50, Alpha: 0.95,
-		ScanConsolidation: false, OperatorPushdown: false}
-	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'", naive)
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := res.Counters
-	if c.Subqueries != 1+50 {
-		t.Errorf("naive subqueries = %d, want 51", c.Subqueries)
-	}
-	if c.Scans != 1+50 {
-		t.Errorf("naive scans = %d, want 51", c.Scans)
-	}
-	// Unpushed resampling draws weights for every scanned row.
-	if c.WeightDraws != 50*20000 {
-		t.Errorf("unpushed weight draws = %d, want %d", c.WeightDraws, 50*20000)
-	}
-
-	pushed := plan.Options{BootstrapK: 50, Alpha: 0.95,
-		ScanConsolidation: true, OperatorPushdown: true}
-	p2 := mustPlan(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'", pushed)
-	res2, err := Run(context.Background(), p2, tables, nil, Config{Workers: 4, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Counters.WeightDraws >= c.WeightDraws {
-		t.Errorf("pushdown did not reduce weight draws: %d vs %d",
-			res2.Counters.WeightDraws, c.WeightDraws)
-	}
-	// ~1/4 of rows are NYC.
-	ratio := float64(res2.Counters.WeightDraws) / float64(c.WeightDraws)
-	if ratio > 0.35 {
-		t.Errorf("pushdown ratio = %v, want ~0.25", ratio)
 	}
 }
 
@@ -408,27 +367,9 @@ func TestRunDiagnosticOperator(t *testing.T) {
 	if res.Counters.DiagSubqueries == 0 {
 		t.Error("diagnostic subquery count not recorded")
 	}
-	// Consolidated diagnostic: no extra logical subqueries.
+	// The diagnostic rides in the same scan: no extra logical subqueries.
 	if res.Counters.Subqueries != 1 {
-		t.Errorf("consolidated pipeline subqueries = %d, want 1", res.Counters.Subqueries)
-	}
-}
-
-func TestRunNaiveDiagnosticCost(t *testing.T) {
-	tables := storedSessions(60000, 14)
-	opt := plan.DefaultOptions(60000)
-	opt.BootstrapK = 20
-	opt.ScanConsolidation = false
-	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions", opt)
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Closed-form ξ for AVG: 3 sizes × 100 subsamples = 300 extra
-	// subqueries, plus 1 + K bootstrap.
-	want := 1 + 20 + 3*100
-	if res.Counters.Subqueries != want {
-		t.Errorf("naive subqueries = %d, want %d", res.Counters.Subqueries, want)
+		t.Errorf("pipeline subqueries = %d, want 1", res.Counters.Subqueries)
 	}
 }
 
@@ -464,8 +405,7 @@ func TestRunUDF(t *testing.T) {
 		}
 		return m.Mean()
 	}}
-	opt := plan.Options{BootstrapK: 30, Alpha: 0.95,
-		ScanConsolidation: true, OperatorPushdown: true}
+	opt := plan.Options{BootstrapK: 30, Alpha: 0.95}
 	p := mustPlan(t, "SELECT CLAMPEDMEAN(Time) FROM Sessions", opt, "CLAMPEDMEAN")
 	res, err := Run(context.Background(), p, tables, udfs, Config{Workers: 2, Seed: 12})
 	if err != nil {
@@ -553,137 +493,46 @@ func BenchmarkRunConsolidatedPipeline(b *testing.B) {
 	}
 }
 
-func BenchmarkRunNaivePipeline(b *testing.B) {
-	tables := storedSessions(100000, 21)
-	opt := plan.DefaultOptions(100000)
-	opt.ScanConsolidation = false
-	opt.OperatorPushdown = false
-	def, _ := plan.Analyze(sql.MustParse(
-		"SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'").(*sql.Select), nil)
-	p, _ := plan.Build(def, opt)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), p, tables, nil, Config{Workers: 8, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestRunUserTableSample(t *testing.T) {
-	tables := storedSessions(20000, 30)
-	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions TABLESAMPLE POISSONIZED (100)",
-		plan.Options{})
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2, Seed: 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Groups[0].Aggs[0].Value
-	times, _ := tables["Sessions"].Data.Float64ColumnByName("Time")
-	plain := stats.Mean(times)
-	// A Poissonized resample mean is a perturbation of the plain mean,
-	// not equal to it, but close (n = 20000 → SE ~ s/sqrt(n)).
-	se := math.Sqrt(stats.SampleVariance(times) / 20000)
-	if got == plain {
-		t.Error("TABLESAMPLE clause ignored: value equals plain mean exactly")
-	}
-	if math.Abs(got-plain) > 6*se {
-		t.Errorf("resampled mean %v implausibly far from %v", got, plain)
-	}
-	if res.Counters.WeightDraws == 0 {
-		t.Error("no weight draws recorded for the user sample")
-	}
-	// A rate of 400 (Poisson(4) weights) still estimates the same mean.
-	p4 := mustPlan(t, "SELECT AVG(Time) FROM Sessions TABLESAMPLE POISSONIZED (400)",
-		plan.Options{})
-	res4, err := Run(context.Background(), p4, tables, nil, Config{Workers: 2, Seed: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res4.Groups[0].Aggs[0].Value-plain) > 6*se {
-		t.Errorf("rate-4 resampled mean %v far from %v", res4.Groups[0].Aggs[0].Value, plain)
-	}
-}
-
-func TestRunUserTableSampleDeterministic(t *testing.T) {
-	tables := storedSessions(5000, 31)
-	p := mustPlan(t, "SELECT SUM(Time) FROM Sessions TABLESAMPLE POISSONIZED (100)",
-		plan.Options{})
-	a, err := Run(context.Background(), p, tables, nil, Config{Workers: 3, Seed: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(context.Background(), p, tables, nil, Config{Workers: 1, Seed: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Groups[0].Aggs[0].Value != b.Groups[0].Aggs[0].Value {
-		t.Error("user-sample evaluation not deterministic across worker counts")
-	}
-}
-
-// TestNaiveUnionRewriteExecutes runs the literal §5.2 UNION ALL rewrite
-// through the engine's own SQL surface: each subquery draws its own
-// Poissonized resample, and the collected resample answers form a
-// bootstrap distribution statistically equivalent to the consolidated
-// Bootstrap operator's.
-func TestNaiveUnionRewriteExecutes(t *testing.T) {
+// TestBootstrapMatchesIndependentPoissonResamples holds the consolidated
+// bootstrap to the §5.2 baseline it replaces: K independent Poissonized
+// resamples of the filtered column, each evaluated as its own weighted query
+// (what one UNION ALL subquery computed), form a distribution statistically
+// equivalent to the one the single scan produces. Weights are drawn for the
+// filtered rows only (§5.3.2).
+func TestBootstrapMatchesIndependentPoissonResamples(t *testing.T) {
 	tables := storedSessions(10000, 32)
-	def, err := plan.Analyze(sql.MustParse(
-		"SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'").(*sql.Select), nil)
+	const q, k = "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'", 60
+	res, err := Run(context.Background(), mustPlan(t, q, plan.Options{BootstrapK: k, Alpha: 0.95}),
+		tables, nil, Config{Workers: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const k = 60
-	text := plan.NaiveRewriteSQL(def, k)
-	inner := text[strings.Index(text, "FROM (")+len("FROM (") : strings.LastIndex(text, ") AS resamples")]
-	union, ok := sql.MustParse(inner).(*sql.UnionAll)
-	if !ok {
-		t.Fatalf("rewrite did not parse as UNION ALL: %s", inner)
+	out := res.Groups[0].Aggs[0]
+	consolidated := out.Bootstrap
+	if want := int64(k) * res.Counters.RowsAfterFilter; res.Counters.WeightDraws != want {
+		t.Errorf("weight draws = %d, want K × filtered rows = %d", res.Counters.WeightDraws, want)
 	}
-	if len(union.Selects) != k {
-		t.Fatalf("subqueries = %d", len(union.Selects))
+
+	resampleAnswers := make([]float64, k)
+	for i := range resampleAnswers {
+		w := resample.PoissonWeights(rng.New(uint64(100+i)), len(out.Values))
+		resampleAnswers[i] = out.Query.EvalWeighted(out.Values, w)
 	}
-	var resampleAnswers []float64
-	for i, sub := range union.Selects {
-		subDef, err := plan.Analyze(sub, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := plan.Build(subDef, plan.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2, Seed: uint64(100 + i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resampleAnswers = append(resampleAnswers, res.Groups[0].Aggs[0].Value)
-	}
-	// Compare against the consolidated bootstrap distribution.
-	opt := plan.Options{BootstrapK: k, Alpha: 0.95,
-		ScanConsolidation: true, OperatorPushdown: true}
-	p, _ := plan.Build(def, opt)
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	consolidated := res.Groups[0].Aggs[0].Bootstrap
 
 	mUnion, mCons := stats.Mean(resampleAnswers), stats.Mean(consolidated)
 	seUnion, seCons := stats.Stddev(resampleAnswers), stats.Stddev(consolidated)
 	if math.Abs(mUnion-mCons) > 4*(seUnion+seCons)/math.Sqrt(k) {
-		t.Errorf("union-rewrite mean %v vs consolidated %v", mUnion, mCons)
+		t.Errorf("independent-resample mean %v vs consolidated %v", mUnion, mCons)
 	}
 	if r := seUnion / seCons; r < 0.6 || r > 1.7 {
-		t.Errorf("bootstrap spread mismatch: union %v vs consolidated %v", seUnion, seCons)
+		t.Errorf("bootstrap spread mismatch: independent %v vs consolidated %v", seUnion, seCons)
 	}
 }
 
 func TestRunEmptyFilterResult(t *testing.T) {
 	tables := storedSessions(1000, 33)
 	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NOWHERE'",
-		plan.Options{BootstrapK: 10, Alpha: 0.95,
-			ScanConsolidation: true, OperatorPushdown: true})
+		plan.Options{BootstrapK: 10, Alpha: 0.95})
 	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2, Seed: 17})
 	if err != nil {
 		t.Fatal(err)

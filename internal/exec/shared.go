@@ -25,9 +25,10 @@ type SharedItem struct {
 // evaluated once per partition, and each query's bootstrap/diagnostic
 // pipeline then runs over its share of the pass, in parallel, under its own
 // context. Results and confidence intervals are bit-identical to running
-// each plan through Run serially: scans contribute no randomness, and all
-// resampling randomness derives from per-(seed, stream) RNGs that do not
-// depend on how the scan was performed.
+// each plan alone (a batch of one, which is what Run does for a sampled
+// plan): scans contribute no randomness, and all resampling randomness
+// derives from per-(seed, stream) RNGs that do not depend on how the scan
+// was performed.
 //
 // Plans that are byte-identical (same Explain rendering and seed) are
 // executed once; followers receive the leader's groups with zeroed
@@ -124,8 +125,7 @@ func RunShared(ctx context.Context, items []SharedItem, tables map[string]*Store
 			if ictx == nil {
 				ictx = ctx
 			}
-			if err := runDownstream(ictx, d.nodes, st, tbl, base, udfs, it.Cfg,
-				scanSpans[di], res); err != nil {
+			if err := runDownstream(ictx, d.nodes, st, tbl, base, udfs, it.Cfg, res); err != nil {
 				errs[d.item] = err
 				return
 			}

@@ -59,8 +59,7 @@ func TestRunSharedMatchesSerial(t *testing.T) {
 	tables := storedSessions(16*1024, 31)
 	tables["Sessions"].Data.BuildZones()
 	full := plan.Options{BootstrapK: 40, Alpha: 0.95, Diagnostics: true,
-		DiagSizes: []int{40, 80, 160}, DiagP: 20,
-		ScanConsolidation: true, OperatorPushdown: true}
+		DiagSizes: []int{40, 80, 160}, DiagP: 20}
 	queries := []struct {
 		q   string
 		opt plan.Options
@@ -116,8 +115,7 @@ func TestRunSharedMatchesSerial(t *testing.T) {
 
 func TestRunSharedDedupsIdenticalPlans(t *testing.T) {
 	tables := storedSessions(8000, 32)
-	opt := plan.Options{BootstrapK: 30, Alpha: 0.95,
-		ScanConsolidation: true, OperatorPushdown: true}
+	opt := plan.Options{BootstrapK: 30, Alpha: 0.95}
 	q := "SELECT AVG(Time) FROM Sessions WHERE City = 'SF'"
 
 	items := make([]SharedItem, 4)
@@ -201,8 +199,7 @@ func TestRunSharedPerItemErrors(t *testing.T) {
 func TestRunSharedWorkerCountInvariance(t *testing.T) {
 	tables := storedSessions(10000, 34)
 	tables["Sessions"].Data.BuildZones()
-	opt := plan.Options{BootstrapK: 25, Alpha: 0.95,
-		ScanConsolidation: true, OperatorPushdown: true}
+	opt := plan.Options{BootstrapK: 25, Alpha: 0.95}
 	qs := []string{
 		"SELECT AVG(Time) FROM Sessions WHERE Time > 70",
 		"SELECT City, COUNT(*) FROM Sessions GROUP BY City",

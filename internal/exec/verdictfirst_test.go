@@ -63,7 +63,6 @@ func TestVerdictFirstSkipsOnlyRejectedBootstrap(t *testing.T) {
 			}
 			resultsEqual(t, label+" shared vs solo", shared[0], skip)
 
-			nodes := collect(skipPlan.Root)
 			want := keep.Counters
 			for gi, kg := range keep.Groups {
 				for ai, ka := range kg.Aggs {
@@ -93,7 +92,7 @@ func TestVerdictFirstSkipsOnlyRejectedBootstrap(t *testing.T) {
 					if sa.Bootstrap != nil {
 						t.Errorf("%s group %q agg %d: rejected aggregate was still bootstrapped", label, kg.Key, ai)
 					}
-					_, c, err := bootstrapEstimates(ctx, nodes, ka.Values, ka.Query, k, cfg, n, kg.Key, ai)
+					_, c, err := bootstrapEstimates(ctx, ka.Values, ka.Query, k, cfg, kg.Key, ai)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -43,8 +43,9 @@ func systemShape(cfg Config, spec workload.QuerySpec, consolidated, pushed bool)
 // SimulateAnswer is the bridge from the local engine to the simulator: the
 // production-scale latency breakdown of a query the engine answered on a
 // sample, had that sample been sampleMB large. The pipeline's shape — resample
-// count, diagnostic ladder, the §5.3 rewrites — is the executed plan's, and the
-// selectivity and fan-out are the ones the local run measured.
+// count, diagnostic ladder — is the executed plan's, with both §5.3 rewrites
+// (the engine's only plan), and the selectivity and fan-out are the ones the
+// local run measured.
 func SimulateAnswer(cl *cluster.Cluster, seed uint64, ans *core.Answer, sampleMB float64) cluster.Breakdown {
 	// Production rows are wider than our lean columnar test rows; size
 	// the logical row count by a production bytes-per-row so the CPU and
@@ -62,8 +63,8 @@ func SimulateAnswer(cl *cluster.Cluster, seed uint64, ans *core.Answer, sampleMB
 		Selectivity:  ans.Selectivity, // -1, nothing scanned, reads as 1
 		BootstrapK:   opt.BootstrapK,
 		ClosedForm:   closedForm,
-		Consolidated: opt.ScanConsolidation,
-		Pushdown:     opt.OperatorPushdown,
+		Consolidated: true,
+		Pushdown:     true,
 		Fanout:       len(ans.Groups),
 	}
 	if closedForm {

@@ -1,22 +1,23 @@
 // Package plan builds and rewrites logical query plans for the error
 // estimation pipeline of §5. A plan is a small operator tree:
 //
-//	Scan → [Resample] → Filter/Project → [Resample] → Aggregate
+//	Scan → Filter/Project → [Resample] → Aggregate
 //	     → [Bootstrap] → [Diagnostic]
 //
-// Two §5.3 rewrites are modelled as explicit, independently switchable
-// transformations so the Fig. 8 experiments can attribute speedups:
+// Both §5.3 rewrites are always applied:
 //
 //   - Scan consolidation (§5.3.1): one scan computes the plain answer, all
 //     K bootstrap resample aggregates and all diagnostic subsample
 //     aggregates, by augmenting each tuple with multiple weight columns.
-//     Without it, every resample and every diagnostic subsample query is a
-//     separate subquery with its own scan (the §5.2 UNION ALL rewrite).
 //
 //   - Operator pushdown (§5.3.2): the Poissonized resampling operator is
 //     inserted after the longest prefix of pass-through operators (filters,
 //     projections) rather than directly above the scan, so weights are
 //     never generated for rows a filter will discard.
+//
+// The §5.2 baseline they replace — one UNION ALL subquery, with its own
+// scan, per resample — exists only as the cluster simulator's cost model
+// (internal/cluster), where the Fig. 7–9 experiments compare the two.
 package plan
 
 import (
@@ -80,28 +81,15 @@ func (p *Project) Label() string {
 
 // Resample is the Poissonized resampling operator: it augments each tuple
 // with weight columns — K bootstrap weights, plus P weights per diagnostic
-// subsample size when the diagnostic is consolidated into the same scan
-// (Fig. 6(a)).
+// subsample size (Fig. 6(a)).
 type Resample struct {
 	Input Node
 	// K is the number of bootstrap resamples (weight columns).
 	K int
-	// UserRate, when positive, is an explicit TABLESAMPLE POISSONIZED
-	// rate from the query text: the *base answer itself* is evaluated on
-	// one Poisson(UserRate) resample, the §5.2 building block.
-	UserRate float64
 	// DiagSizes and DiagP describe the diagnostic weight groups: for each
-	// size, P subsample-resample weight sets. Empty when the diagnostic
-	// is not consolidated into this scan.
+	// size, P subsample-resample weight sets. Empty without a diagnostic.
 	DiagSizes []int
 	DiagP     int
-	// Consolidated marks the §5.3.1 multi-weight form. When false the
-	// operator represents the naive one-weight-set-per-subquery form and
-	// the executor charges one scan per resample.
-	Consolidated bool
-	// Pushed marks that the §5.3.2 rewrite placed this operator after
-	// the pass-through prefix (directly before the aggregate).
-	Pushed bool
 }
 
 // Child implements Node.
@@ -109,20 +97,11 @@ func (r *Resample) Child() Node { return r.Input }
 
 // Label implements Node.
 func (r *Resample) Label() string {
-	attrs := []string{fmt.Sprintf("K=%d", r.K)}
-	if r.UserRate > 0 {
-		attrs = append(attrs, fmt.Sprintf("rate=%g", r.UserRate))
-	}
+	label := fmt.Sprintf("PoissonizedResample(K=%d", r.K)
 	if len(r.DiagSizes) > 0 {
-		attrs = append(attrs, fmt.Sprintf("diag=%v×%d", r.DiagSizes, r.DiagP))
+		label += fmt.Sprintf(", diag=%v×%d", r.DiagSizes, r.DiagP)
 	}
-	if r.Consolidated {
-		attrs = append(attrs, "consolidated")
-	}
-	if r.Pushed {
-		attrs = append(attrs, "pushed")
-	}
-	return "PoissonizedResample(" + strings.Join(attrs, ", ") + ")"
+	return label + ")"
 }
 
 // WeightColumns returns the total number of weight columns this operator
@@ -213,9 +192,6 @@ type Diagnostic struct {
 	Input Node
 	Sizes []int
 	P     int
-	// Consolidated marks single-scan execution; when false the executor
-	// charges Sizes×P×(K+1) separate subqueries (the naive §5.2 cost).
-	Consolidated bool
 	// VerdictFirst tells the executor that the caller re-answers every
 	// rejected aggregate exactly, so it skips the bootstrap of an
 	// aggregate this operator rejects (see Options.VerdictFirst).
@@ -227,14 +203,11 @@ func (d *Diagnostic) Child() Node { return d.Input }
 
 // Label implements Node.
 func (d *Diagnostic) Label() string {
-	mode := "naive"
-	if d.Consolidated {
-		mode = "consolidated"
-	}
+	label := fmt.Sprintf("Diagnostic(sizes=%v, p=%d", d.Sizes, d.P)
 	if d.VerdictFirst {
-		mode += ", verdict-first"
+		label += ", verdict-first"
 	}
-	return fmt.Sprintf("Diagnostic(sizes=%v, p=%d, %s)", d.Sizes, d.P, mode)
+	return label + ")"
 }
 
 // Explain renders the plan as an indented tree, root first.

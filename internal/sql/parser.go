@@ -2,14 +2,14 @@ package sql
 
 import "strings"
 
-// Parse parses one SQL statement (SELECT or a UNION ALL chain).
+// Parse parses one SELECT statement.
 func Parse(src string) (Statement, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	stmt, err := p.parseStatement()
+	stmt, err := p.parseSelect()
 	if err != nil {
 		return nil, err
 	}
@@ -74,28 +74,6 @@ func (p *parser) expectSymbol(sym string) error {
 	return nil
 }
 
-func (p *parser) parseStatement() (Statement, error) {
-	first, err := p.parseSelect()
-	if err != nil {
-		return nil, err
-	}
-	if !(p.cur().kind == tokKeyword && p.cur().text == "UNION") {
-		return first, nil
-	}
-	union := &UnionAll{Selects: []*Select{first}}
-	for p.acceptKeyword("UNION") {
-		if err := p.expectKeyword("ALL"); err != nil {
-			return nil, err
-		}
-		next, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		union.Selects = append(union.Selects, next)
-	}
-	return union, nil
-}
-
 func (p *parser) parseSelect() (*Select, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
@@ -114,11 +92,10 @@ func (p *parser) parseSelect() (*Select, error) {
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	from, err := p.parseTableRef()
-	if err != nil {
-		return nil, err
+	if p.cur().kind != tokIdent {
+		return nil, errf(p.cur().pos, "expected table name, found %s", p.cur())
 	}
-	sel.From = from
+	sel.From = p.advance().text
 	if p.acceptKeyword("WHERE") {
 		w, err := p.parseExpr()
 		if err != nil {
@@ -159,53 +136,6 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 		item.Alias = p.advance().text
 	}
 	return item, nil
-}
-
-func (p *parser) parseTableRef() (TableRef, error) {
-	if p.acceptSymbol("(") {
-		stmt, err := p.parseStatement()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		sq := &SubQuery{Stmt: stmt}
-		if p.acceptKeyword("AS") {
-			if p.cur().kind != tokIdent {
-				return nil, errf(p.cur().pos, "expected alias after AS, found %s", p.cur())
-			}
-			sq.Alias = p.advance().text
-		} else if p.cur().kind == tokIdent {
-			sq.Alias = p.advance().text
-		}
-		return sq, nil
-	}
-	if p.cur().kind != tokIdent {
-		return nil, errf(p.cur().pos, "expected table name, found %s", p.cur())
-	}
-	name := p.advance().text
-	ref := &TableName{Name: name}
-	if p.acceptKeyword("TABLESAMPLE") {
-		if err := p.expectKeyword("POISSONIZED"); err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		if p.cur().kind != tokNumber {
-			return nil, errf(p.cur().pos, "expected sampling rate, found %s", p.cur())
-		}
-		rate := p.advance().num
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		if rate <= 0 {
-			return nil, errf(p.cur().pos, "POISSONIZED rate must be positive, got %g", rate)
-		}
-		ref.Sample = &PoissonSample{RatePercent: rate}
-	}
-	return ref, nil
 }
 
 // Expression grammar, lowest to highest precedence:

@@ -34,9 +34,9 @@ func TestParseMutatedQueries(t *testing.T) {
 	seeds := []string{
 		"SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'",
 		"SELECT city, COUNT(*) FROM s GROUP BY city",
-		"SELECT SUM(x) FROM s TABLESAMPLE POISSONIZED (100)",
+		"SELECT SUM(x * 2 - -3) AS total FROM s WHERE x / 4 >= 2.5e1",
 		"SELECT PERCENTILE(x, 0.99), MAX(y) FROM t WHERE a > 1 AND b < 2 OR NOT c = 3",
-		"SELECT AVG(a) FROM (SELECT SUM(v) AS a FROM s UNION ALL SELECT SUM(v) AS a FROM s) AS q",
+		"SELECT region, MIN(price) lo, COUNT(*) FROM orders WHERE (region <> 'east') GROUP BY region",
 	}
 	src := rng.New(7)
 	for _, q := range seeds {

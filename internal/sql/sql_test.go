@@ -21,9 +21,8 @@ func TestParseSimpleSelect(t *testing.T) {
 	if !ok || call.Name != "AVG" {
 		t.Fatalf("item = %v", sel.Items[0].Expr)
 	}
-	tn, ok := sel.From.(*TableName)
-	if !ok || tn.Name != "Sessions" || tn.Sample != nil {
-		t.Fatalf("from = %v", sel.From)
+	if sel.From != "Sessions" {
+		t.Fatalf("from = %q", sel.From)
 	}
 	cmp, ok := sel.Where.(*Binary)
 	if !ok || cmp.Op != "=" {
@@ -35,15 +34,24 @@ func TestParseSimpleSelect(t *testing.T) {
 	}
 }
 
+// refusedAt asserts that q fails to parse with a positioned *Error pointing
+// at the first occurrence of token.
+func refusedAt(t *testing.T, q, token string) {
+	t.Helper()
+	_, err := Parse(q)
+	var perr *Error
+	if !errorsAs(err, &perr) {
+		t.Fatalf("Parse(%q) = %v, want *Error", q, err)
+	}
+	if want := strings.Index(q, token); perr.Pos != want {
+		t.Errorf("Parse(%q) refused at offset %d (%v), want %d (%q)", q, perr.Pos, err, want, token)
+	}
+}
+
+// TestParseTableSample: the engine draws every resample itself, so the
+// §5.2 TABLESAMPLE POISSONIZED clause is refused at the clause.
 func TestParseTableSample(t *testing.T) {
-	stmt := MustParse("SELECT SUM(x) FROM s TABLESAMPLE POISSONIZED (100)")
-	tn := stmt.(*Select).From.(*TableName)
-	if tn.Sample == nil || tn.Sample.RatePercent != 100 {
-		t.Fatalf("sample = %+v", tn.Sample)
-	}
-	if tn.Sample.Rate() != 1 {
-		t.Fatalf("rate = %v", tn.Sample.Rate())
-	}
+	refusedAt(t, "SELECT SUM(x) FROM s TABLESAMPLE POISSONIZED (100)", "TABLESAMPLE")
 }
 
 func TestParseGroupByAndAliases(t *testing.T) {
@@ -63,35 +71,16 @@ func TestParseGroupByAndAliases(t *testing.T) {
 	}
 }
 
+// TestParseUnionAll: a statement is one SELECT; the §5.2 UNION ALL of
+// resample subqueries is refused at UNION.
 func TestParseUnionAll(t *testing.T) {
-	q := "SELECT AVG(x) FROM s TABLESAMPLE POISSONIZED (100)" +
-		" UNION ALL SELECT AVG(x) FROM s TABLESAMPLE POISSONIZED (100)" +
-		" UNION ALL SELECT AVG(x) FROM s TABLESAMPLE POISSONIZED (100)"
-	stmt := MustParse(q)
-	u, ok := stmt.(*UnionAll)
-	if !ok {
-		t.Fatalf("type %T", stmt)
-	}
-	if len(u.Selects) != 3 {
-		t.Fatalf("selects = %d", len(u.Selects))
-	}
+	refusedAt(t, "SELECT AVG(x) FROM s UNION ALL SELECT AVG(x) FROM s", "UNION")
 }
 
+// TestParseNestedSubquery: FROM names a stored table; a subquery is
+// refused at its opening parenthesis.
 func TestParseNestedSubquery(t *testing.T) {
-	q := "SELECT AVG(resample_answer) FROM (SELECT SUM(v) AS resample_answer FROM s) AS inner_q"
-	stmt := MustParse(q)
-	sel := stmt.(*Select)
-	sq, ok := sel.From.(*SubQuery)
-	if !ok {
-		t.Fatalf("from type %T", sel.From)
-	}
-	if sq.Alias != "inner_q" {
-		t.Fatalf("alias = %q", sq.Alias)
-	}
-	inner, ok := sq.Stmt.(*Select)
-	if !ok || inner.Items[0].Alias != "resample_answer" {
-		t.Fatal("inner select not parsed")
-	}
+	refusedAt(t, "SELECT AVG(a) FROM (SELECT SUM(v) AS a FROM s) AS q", "(SELECT")
 }
 
 func TestParseExpressionPrecedence(t *testing.T) {
@@ -157,7 +146,7 @@ func TestParseStringEscapes(t *testing.T) {
 
 func TestParseComments(t *testing.T) {
 	sel := MustParse("SELECT x -- the column\nFROM t").(*Select)
-	if sel.From.(*TableName).Name != "t" {
+	if sel.From != "t" {
 		t.Fatal("comment not skipped")
 	}
 }
@@ -194,19 +183,20 @@ func TestParseErrors(t *testing.T) {
 		"SELECT x FROM t GROUP",
 		"SELECT x FROM t GROUP BY",
 		"SELECT x FROM t extra garbage (",
-		"SELECT x FROM t TABLESAMPLE (100)",
-		"SELECT x FROM t TABLESAMPLE POISSONIZED 100",
-		"SELECT x FROM t TABLESAMPLE POISSONIZED (-5)",
 		"SELECT x FROM t WHERE name = 'unterminated",
-		"SELECT x FROM t UNION SELECT x FROM t", // bare UNION unsupported
+		"SELECT x FROM t UNION SELECT x FROM t",
+		"SELECT x FROM t UNION ALL SELECT x FROM t",
+		"SELECT AVG(a) FROM (SELECT SUM(v) AS a FROM s) AS q",
+		"SELECT x FROM t TABLESAMPLE POISSONIZED (100)",
 		"SELECT f(x FROM t",
 		"SELECT (x FROM t",
 		"SELECT x FROM t WHERE a ! b",
 		"SELECT 1.2.3 FROM t",
 	}
 	for _, q := range cases {
-		if _, err := Parse(q); err == nil {
-			t.Errorf("Parse(%q) unexpectedly succeeded", q)
+		var perr *Error
+		if _, err := Parse(q); !errorsAs(err, &perr) {
+			t.Errorf("Parse(%q) = %v, want a positioned *Error", q, err)
 		}
 	}
 }
@@ -240,9 +230,9 @@ func errorsAs(err error, target **Error) bool {
 func TestRoundTripStrings(t *testing.T) {
 	queries := []string{
 		"SELECT AVG(Time) FROM Sessions WHERE (City = 'NYC')",
-		"SELECT SUM(x) AS total FROM s TABLESAMPLE POISSONIZED (100)",
+		"SELECT SUM(x) AS total FROM s WHERE NOT (x < -1)",
 		"SELECT city, COUNT(*) FROM s GROUP BY city",
-		"SELECT AVG(a) FROM (SELECT SUM(v) AS a FROM s) AS q",
+		"SELECT PERCENTILE(v, 0.9) AS p90, MAX(v / 2) FROM s WHERE a <> 'b' GROUP BY a",
 	}
 	for _, q := range queries {
 		stmt := MustParse(q)

@@ -1,8 +1,8 @@
-// Package sql implements the SQL subset the engine accepts: single-table
-// SELECT statements with aggregate expressions, arithmetic, WHERE filters,
-// GROUP BY, nested subqueries in FROM, UNION ALL (used by the naive
-// bootstrap rewrite of §5.2) and the paper's TABLESAMPLE POISSONIZED
-// sampling clause.
+// Package sql implements the SQL subset the engine accepts: one SELECT over
+// one stored table, with aggregate expressions, arithmetic, WHERE filters
+// and GROUP BY. The engine draws every resample itself (§5.3), so the
+// paper's §5.2 rewrite surface — UNION ALL, subqueries in FROM and
+// TABLESAMPLE POISSONIZED — is not part of the grammar.
 package sql
 
 import "fmt"
@@ -16,7 +16,7 @@ const (
 	tokNumber
 	tokString
 	tokSymbol  // ( ) , * + - / = < > <= >= != <>
-	tokKeyword // SELECT FROM WHERE GROUP BY AS AND OR NOT UNION ALL TABLESAMPLE POISSONIZED
+	tokKeyword // SELECT FROM WHERE GROUP BY AS AND OR NOT
 )
 
 func (k tokKind) String() string {
@@ -56,8 +56,7 @@ func (t token) String() string {
 // keywords recognized by the lexer (case-insensitive in input).
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"AS": true, "AND": true, "OR": true, "NOT": true, "UNION": true,
-	"ALL": true, "TABLESAMPLE": true, "POISSONIZED": true,
+	"AS": true, "AND": true, "OR": true, "NOT": true,
 }
 
 // Error is a parse or lex error with a byte position into the query text.

@@ -280,6 +280,39 @@ func TestWireBadQuery(t *testing.T) {
 	}
 }
 
+// TestTableSampleRefused: the engine draws every resample itself, so the
+// paper's §5.2 TABLESAMPLE POISSONIZED clause is not grammar. Both
+// transports refuse it as a bad query — wire ERR 1064, HTTP 400 bad_query —
+// and neither answers it.
+func TestTableSampleRefused(t *testing.T) {
+	const q = "SELECT AVG(Price) FROM Orders TABLESAMPLE POISSONIZED (100)"
+	st := startStack(t, testEngine(t, core.Config{Seed: 7}), serve.Config{}, wire.Config{})
+	cli, err := wire.Dial(st.addr, wire.ClientOptions{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	rs, err := cli.Query(q)
+	var se *wire.ServerError
+	if !errors.As(err, &se) || se.Code != 1064 {
+		t.Fatalf("wire: want ERR 1064, got %v (result %v)", err, rs)
+	}
+
+	body, _ := json.Marshal(serve.QueryRequest{SQL: q})
+	resp, err := http.Post(st.hs.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e serve.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || e.Code != "bad_query" {
+		t.Fatalf("http: status %d code %q (%s), want 400 bad_query", resp.StatusCode, e.Code, e.Error)
+	}
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
