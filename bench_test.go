@@ -292,6 +292,59 @@ func BenchmarkExactFallback(b *testing.B) {
 	})
 }
 
+// BenchmarkSampleScan measures the approximate path's scan and split alone:
+// plain queries (no error estimation) over a 50,000-row compressed sample of
+// a 500,000-row table, so each op is the sample scan, the GROUP BY split and
+// one θ per group. /masked_sum reads one column of every row (zeros where no
+// filter applies), /filtered_avg a quarter of them, /grouped_avg every row
+// split over 40 devices. B/op is the per-row vectors the scan builds.
+func BenchmarkSampleScan(b *testing.B) {
+	src := rng.New(3)
+	n := 50000
+	v := make(table.Float64Col, n)
+	device := make(table.StringCol, n)
+	hour := make(table.Int64Col, n)
+	for i := 0; i < n; i++ {
+		v[i] = src.LogNormal(4, 0.6)
+		device[i] = fmt.Sprintf("dev%02d", src.Intn(40))
+		hour[i] = int64(i % 24)
+	}
+	raw := table.MustNew(table.Schema{
+		{Name: "V", Type: table.Float64},
+		{Name: "Device", Type: table.String},
+		{Name: "Hour", Type: table.Int64},
+	}, v, device, hour)
+	raw.BuildZones()
+	tables := map[string]*exec.StoredTable{"Events": {Data: table.Compress(raw), PopRows: 10 * n}}
+	for _, c := range []struct {
+		name, q string
+		groups  int
+	}{
+		{"masked_sum", "SELECT SUM(V) FROM Events", 1},
+		{"filtered_avg", "SELECT AVG(V) FROM Events WHERE Hour < 6", 1},
+		{"grouped_avg", "SELECT Device, AVG(V) FROM Events GROUP BY Device", 40},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			def, err := plan.Analyze(sql.MustParse(c.q).(*sql.Select), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := plan.Build(def, plan.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := exec.Run(context.Background(), p, tables, nil, exec.Config{Workers: 2})
+				if err != nil || len(res.Groups) != c.groups {
+					b.Fatalf("%v, err %v", res, err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkBuildSamples measures what an aqpd start pays for its sample
 // before its first answer: a 50,000-row uniform sample of a 250k-row
 // compressed table shaped like the serving benchmark's (an ascending int64,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -84,9 +83,7 @@ type exactScan struct {
 	keyInPred, keyInInputs bool
 
 	groups []exactGroup
-	byStr  map[string]int32
-	byI64  map[int64]int32
-	byBits map[uint64]int32
+	keys   groupKeys
 	// rowPos/rowGroup list the current block's surviving rows and their
 	// groups during a fold.
 	rowPos, rowGroup []int32
@@ -135,11 +132,12 @@ func runExact(ctx context.Context, nodes nodeSet, st *StoredTable, udfs Registry
 		}
 		queries[ai] = q
 	}
-	if !grouped {
-		s.reserveVectors(admittedRows(tbl.NumRows(), skip))
+	meter, err := s.reserveVectors(ctx, skip)
+	if err == nil {
+		var m decodeMeter
+		m, err = s.scan(ctx, skip, false)
+		meter.blocks, meter.nanos = meter.blocks+m.blocks, meter.nanos+m.nanos
 	}
-
-	meter, err := s.scan(ctx, skip)
 	if err != nil {
 		return nil, fmt.Errorf("exec: scan of table %q: %w", nodes.scan.Table, err)
 	}
@@ -177,25 +175,24 @@ func runExact(ctx context.Context, nodes nodeSet, st *StoredTable, udfs Registry
 // when zone maps or the filter leave no block to evaluate it on.
 func (s *exactScan) plan(agg *plan.Aggregate) error {
 	if s.pred != nil {
-		if v, err := typeCheck(s.pred, s.tbl); err != nil {
+		if err := checkPredicate(s.pred, s.tbl); err != nil {
 			return err
-		} else if v.bools == nil {
-			return fmt.Errorf("exec: WHERE expression %s is not boolean", s.pred)
 		}
 	}
 	byText := map[string]int{}
 	for ai, spec := range agg.Aggs {
 		in := aggInput(spec)
-		if spec.Input != nil {
-			if v, err := typeCheck(spec.Input, s.tbl); err != nil {
-				return err
-			} else if in != nil && (v.isStr || v.bools != nil) {
-				return fmt.Errorf("exec: expression %s is not numeric", in)
-			}
-		}
 		if in == nil {
+			if spec.Input != nil {
+				if _, err := typeCheck(spec.Input, s.tbl); err != nil {
+					return err
+				}
+			}
 			s.aggInput[ai] = -1
 			continue
+		}
+		if err := checkNumeric(in, s.tbl); err != nil {
+			return err
 		}
 		text := in.String()
 		ii, ok := byText[text]
@@ -237,13 +234,6 @@ func (s *exactScan) planKey(agg *plan.Aggregate) error {
 	}
 	s.keyRef = &sql.ColumnRef{Name: name}
 	s.keyType = s.tbl.Schema()[s.keyIdx].Type
-	s.byStr = map[string]int32{}
-	switch s.keyType {
-	case table.Int64:
-		s.byI64 = map[int64]int32{}
-	case table.Float64:
-		s.byBits = map[uint64]int32{}
-	}
 	names := func(e sql.Expr) bool {
 		for _, c := range sql.Columns(e) {
 			if strings.EqualFold(c, name) {
@@ -259,16 +249,40 @@ func (s *exactScan) planKey(agg *plan.Aggregate) error {
 	return nil
 }
 
-// reserveVectors sizes the single group's vector sinks for rows values, once.
+// reserveVectors sizes every vector sink once, before the folding walk.
 // Grown by append instead, a vector of a whole table allocates about five
 // times its final size (Go grows large slices by 1.25×), and the last two
-// arrays are live together.
-func (s *exactScan) reserveVectors(rows int) {
-	for ii, in := range s.inputs {
-		if in.vec {
-			s.groups[0].sinks[ii].vec = make([]float64, 0, rows)
+// arrays are live together. The single ungrouped group reserves the
+// admitted row count; grouped plans first run a counting walk over
+// predicate and key, which creates the groups and fixes each one's length.
+// It returns the counting walk's decode work.
+func (s *exactScan) reserveVectors(ctx context.Context, skip []bool) (decodeMeter, error) {
+	var meter decodeMeter
+	vec := false
+	for _, in := range s.inputs {
+		vec = vec || in.vec
+	}
+	if !vec {
+		return meter, nil
+	}
+	if s.keyIdx < 0 {
+		s.groups[0].rows = int64(admittedRows(s.tbl.NumRows(), skip))
+	} else {
+		var err error
+		if meter, err = s.scan(ctx, skip, true); err != nil {
+			return meter, err
 		}
 	}
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		for ii, in := range s.inputs {
+			if in.vec {
+				g.sinks[ii].vec = make([]float64, 0, g.rows)
+			}
+		}
+		g.rows = 0
+	}
+	return meter, nil
 }
 
 // admittedRows is the number of rows in the blocks a scan of n rows visits
@@ -285,8 +299,9 @@ func admittedRows(n int, skip []bool) int {
 
 // scan walks the admitted blocks in row order on the calling goroutine,
 // evaluating and folding one block at a time. Cancellation is checked every
-// 64 blocks. It returns the decode work done.
-func (s *exactScan) scan(ctx context.Context, skip []bool) (decodeMeter, error) {
+// 64 blocks. It returns the decode work done. A counting walk evaluates only
+// predicate and key and folds nothing but each group's row count.
+func (s *exactScan) scan(ctx context.Context, skip []bool, counting bool) (decodeMeter, error) {
 	const ctxCheckBlocks = 64
 	be := blockEval{vals: make([]value, len(s.inputs))}
 	be.sc = scratch{m: &be.meter, memo: make([]value, s.tbl.NumCols())}
@@ -308,9 +323,9 @@ func (s *exactScan) scan(ctx context.Context, skip []bool) (decodeMeter, error) 
 			}
 		}
 		visited++
-		err := s.evalBlock(&be, row, end)
+		err := s.evalBlock(&be, row, end, counting)
 		if err == nil && be.kept > 0 {
-			s.fold(&be)
+			s.fold(&be, counting)
 		}
 		be.sc.release()
 		if err != nil {
@@ -322,9 +337,10 @@ func (s *exactScan) scan(ctx context.Context, skip []bool) (decodeMeter, error) 
 }
 
 // evalBlock evaluates the predicate over rows [row, end) and, when any row
-// survives, the aggregate inputs and the GROUP BY key. The scratch memo
-// makes every referenced column decode at most once for the block.
-func (s *exactScan) evalBlock(be *blockEval, row, end int) error {
+// survives, the aggregate inputs (unless counting) and the GROUP BY key. The
+// scratch memo makes every referenced column decode at most once for the
+// block.
+func (s *exactScan) evalBlock(be *blockEval, row, end int, counting bool) error {
 	n := end - row
 	be.sc.off = row
 	be.n, be.keep, be.kept = n, nil, n
@@ -350,8 +366,8 @@ func (s *exactScan) evalBlock(be *blockEval, row, end int) error {
 	if nativeKey && !s.keyInPred {
 		s.readKeyI64(be, row)
 	}
-	for ii, in := range s.inputs {
-		v, err := evalExpr(in.expr, s.tbl, nil, n, &be.sc)
+	for ii := 0; ii < len(s.inputs) && !counting; ii++ {
+		v, err := evalExpr(s.inputs[ii].expr, s.tbl, nil, n, &be.sc)
 		if err != nil {
 			return err
 		}
@@ -394,8 +410,9 @@ func (s *exactScan) readKeyI64(be *blockEval, row int) {
 	}
 }
 
-// fold adds the block's surviving rows to their groups' sinks, in row order.
-func (s *exactScan) fold(be *blockEval) {
+// fold adds the block's surviving rows to their groups' sinks, in row order;
+// a counting fold only counts them.
+func (s *exactScan) fold(be *blockEval, counting bool) {
 	s.rowPos, s.rowGroup = s.rowPos[:0], s.rowGroup[:0]
 	for i := 0; i < be.n; i++ {
 		if be.keep != nil && !be.keep[i] {
@@ -408,6 +425,9 @@ func (s *exactScan) fold(be *blockEval) {
 		s.groups[gi].rows++
 		s.rowPos = append(s.rowPos, int32(i))
 		s.rowGroup = append(s.rowGroup, gi)
+	}
+	if counting {
+		return
 	}
 	for ii, in := range s.inputs {
 		v := &be.vals[ii]
@@ -428,38 +448,19 @@ func (s *exactScan) fold(be *blockEval) {
 }
 
 // groupOf returns row i's group, creating it on first sight. Keys render
-// exactly as the materializing path's do (FormatInt, FormatFloat 'g'), and
-// a group is identified by its rendered key, so float keys whose bits
-// differ but render alike (NaN payloads) still share a group; the typed
-// maps only spare the per-row formatting.
+// exactly as the materializing path's do (groupKeys).
 func (s *exactScan) groupOf(be *blockEval, i int) int32 {
+	var gi int32
 	switch s.keyType {
 	case table.Int64:
-		k := be.keyI[i]
-		gi, ok := s.byI64[k]
-		if !ok {
-			gi = s.groupNamed(strconv.FormatInt(k, 10))
-			s.byI64[k] = gi
-		}
-		return gi
+		gi = s.keys.i64(be.keyI[i])
 	case table.Float64:
-		k := math.Float64bits(be.keyF[i])
-		gi, ok := s.byBits[k]
-		if !ok {
-			gi = s.groupNamed(strconv.FormatFloat(be.keyF[i], 'g', -1, 64))
-			s.byBits[k] = gi
-		}
-		return gi
+		gi = s.keys.f64(be.keyF[i])
+	default:
+		gi = s.keys.str(be.keyS[i])
 	}
-	return s.groupNamed(be.keyS[i])
-}
-
-func (s *exactScan) groupNamed(key string) int32 {
-	gi, ok := s.byStr[key]
-	if !ok {
-		gi = int32(len(s.groups))
-		s.byStr[key] = gi
-		s.groups = append(s.groups, exactGroup{key: key, sinks: make([]inputSink, len(s.inputs))})
+	if int(gi) == len(s.groups) {
+		s.groups = append(s.groups, exactGroup{key: s.keys.names[gi], sinks: make([]inputSink, len(s.inputs))})
 	}
 	return gi
 }
@@ -528,4 +529,24 @@ func aggInput(spec plan.AggSpec) sql.Expr {
 // decoded.
 func typeCheck(e sql.Expr, tbl *table.Table) (value, error) {
 	return evalExpr(e, tbl, nil, 0, nil)
+}
+
+// checkPredicate type-checks a WHERE expression: it must resolve and be
+// boolean.
+func checkPredicate(e sql.Expr, tbl *table.Table) error {
+	v, err := typeCheck(e, tbl)
+	if err == nil && v.bools == nil {
+		err = fmt.Errorf("exec: WHERE expression %s is not boolean", e)
+	}
+	return err
+}
+
+// checkNumeric type-checks an aggregate input: it must resolve and be
+// numeric.
+func checkNumeric(e sql.Expr, tbl *table.Table) error {
+	v, err := typeCheck(e, tbl)
+	if err == nil && (v.isStr || v.bools != nil) {
+		err = fmt.Errorf("exec: expression %s is not numeric", e)
+	}
+	return err
 }

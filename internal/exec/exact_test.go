@@ -192,7 +192,7 @@ func referenceExact(p *plan.Plan, tbl *table.Table, udfs Registry) ([]GroupOutpu
 func materializedExact(t *testing.T, p *plan.Plan, st *StoredTable, udfs Registry) []GroupOutput {
 	t.Helper()
 	nodes := collect(p.Root)
-	bases, errs := scanFilterProjectMulti(context.Background(), []nodeSet{nodes}, st.Data, st, Config{Workers: 2})
+	bases, errs := scanFilterProjectMulti(context.Background(), []nodeSet{nodes}, st.Data, Config{Workers: 2})
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
@@ -319,8 +319,7 @@ func TestExactOperatorCounters(t *testing.T) {
 	for _, tc := range cases {
 		p := mustPlan(t, tc.q, plan.Options{})
 		nodes := collect(p.Root)
-		st := &StoredTable{Data: raw}
-		olds, errs := scanFilterProjectMulti(context.Background(), []nodeSet{nodes}, raw, st, Config{Workers: 2})
+		olds, errs := scanFilterProjectMulti(context.Background(), []nodeSet{nodes}, raw, Config{Workers: 2})
 		if errs[0] != nil {
 			t.Fatal(errs[0])
 		}
@@ -390,7 +389,8 @@ func TestExactOperatorScratchDiscipline(t *testing.T) {
 	}
 	check("evaluation error")
 
-	// The plan decodes two columns per block; cancel twenty blocks in.
+	// The plan's counting walk decodes one column per block, its folding walk
+	// two; cancel forty decodes in, inside the counting walk.
 	before := table.DecodedBlocks()
 	ctx := decodeCountCtx{Context: context.Background(), cancelAt: before + 2*20}
 	if _, err := Run(ctx, ok, tables, nil, Config{Workers: 4}); !errors.Is(err, context.Canceled) {
@@ -474,6 +474,45 @@ func TestExactHolisticSinkSizedOnce(t *testing.T) {
 		if got > c.budget {
 			t.Errorf("%s allocated %.0f bytes per query, over %.0f", c.q, got, c.budget)
 		}
+	}
+}
+
+// TestExactGroupedHolisticAllocatesOnce: a grouped PERCENTILE over 256k
+// rows sizes each group's vector once, from a counting walk over predicate
+// and key, instead of growing it by append — within 1.25× of the final
+// vectors plus 64 KiB. The counting walk's decodes are metered.
+func TestExactGroupedHolisticAllocatesOnce(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const rows = 256 << 10
+	tables := map[string]*StoredTable{"Sessions": {Data: table.Compress(sessionsTable(rows, 7))}}
+	p := mustPlan(t, "SELECT City, PERCENTILE(Time, 0.5) FROM Sessions WHERE user < 900 GROUP BY City", plan.Options{})
+	var res *Result
+	run := func() {
+		var err error
+		if res, err = Run(context.Background(), p, tables, nil, Config{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the scratch pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const reps = 3
+	for i := 0; i < reps; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / reps
+	vectors := 8 * float64(res.Counters.RowsAfterFilter)
+	budget := 1.25*vectors + 64<<10
+	t.Logf("%.0f bytes allocated per query (vectors %.0f, budget %.0f)", got, vectors, budget)
+	if got > budget {
+		t.Errorf("allocated %.0f bytes per query, over %.0f", got, budget)
+	}
+	// Predicate and key columns in all 256 blocks, twice; Time in all once.
+	if want := int64(2*2*256 + 256); res.Counters.BlocksDecoded != want {
+		t.Errorf("%d blocks decoded, want %d", res.Counters.BlocksDecoded, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -383,9 +384,13 @@ func collect(root plan.Node) nodeSet {
 	return ns
 }
 
-// scanResult is the outcome of the scan→filter→project pass.
+// scanResult is one member's share of the scan→filter→project pass.
 type scanResult struct {
-	sel      []int       // filtered row indices into the table
+	// sel lists the rows the member's WHERE kept, ascending. Only a member
+	// that groups reads it, so only then is it built; nil means every row
+	// survived or that nothing reads it.
+	sel      []int
+	rows     int         // rows surviving the filter
 	cols     [][]float64 // one value column per aggregate input expression
 	counters Counters
 }
@@ -393,23 +398,35 @@ type scanResult struct {
 // predWork is one distinct filter predicate appearing in a member batch,
 // with its precomputed zone-map skip list. With a predicate memo
 // attached, sig carries the literal-normalized shape signature and hint a
-// remembered selectivity in [0,1] (-1 = unknown).
+// remembered selectivity in [0,1] (-1 = unknown). Phase 1 fills local; the
+// barrier derives starts, rows and sel from it.
 type predWork struct {
-	pred    sql.Expr
+	pred    sql.Expr // nil: no WHERE, every row survives
 	skip    []bool
 	skipped int64
 	sig     string
 	hint    float64
+	err     error
+	grouped bool // some member reading it groups, so sel is built
+	// local holds each partition's surviving partition-relative rows: nil
+	// without a WHERE (every row), never nil with one (evalPredicateSkipping
+	// always allocates), which is how fill tells the two apart.
+	local  [][]int
+	starts []int // per partition: rank of its first survivor overall
+	rows   int
+	sel    []int
 }
 
 // colWork describes how one distinct projected column is computed: which
 // predicate selects its rows, which expression produces its values (nil =
 // indicator), and whether it is the full-length masked form scaled sums
-// need.
+// need. out is allocated once, at its exact length, at the barrier.
 type colWork struct {
-	predKey string
-	input   sql.Expr
-	masked  bool
+	pred   *predWork
+	input  sql.Expr
+	masked bool
+	err    error
+	out    []float64
 }
 
 // colKeyFor derives the dedup key for one aggregate's input column. Keys
@@ -430,12 +447,12 @@ func colKeyFor(spec plan.AggSpec, predKey string, masked bool) (string, colWork)
 		if input != nil {
 			key += input.String()
 		}
-		return key, colWork{predKey: predKey, input: input, masked: true}
+		return key, colWork{input: input, masked: true}
 	case input == nil:
 		// COUNT under GROUP BY: indicator 1 per surviving row.
-		return "1|" + predKey, colWork{predKey: predKey}
+		return "1|" + predKey, colWork{}
 	default:
-		return "o|" + predKey + "|" + input.String(), colWork{predKey: predKey, input: input}
+		return "o|" + predKey + "|" + input.String(), colWork{input: input}
 	}
 }
 
@@ -447,239 +464,233 @@ func colKeyFor(spec plan.AggSpec, predKey string, masked bool) (string, colWork)
 // This is §5.3.1's scan consolidation applied across queries instead of
 // across one query's bootstrap subqueries.
 //
+// The pass has two phases over the same block-aligned partitions (DESIGN.md
+// §22). Phase 1 evaluates the predicates. At the barrier their survivor
+// counts fix every output's exact length and each partition's offset in it,
+// so phase 2 allocates each column once and every partition writes its
+// share in place, evaluating the inputs one zone block at a time in pooled
+// scratch, over the blocks with a survivor only. Row order is the table's,
+// so answers are identical at any partition count.
+//
 // Errors are per-member: a bad predicate or projection in one member
-// yields errs[m] without failing the rest of the batch. Cancellation is
-// global and fails every member. Physical-scan counters (Scans,
-// RowsScanned, BytesScanned, Tasks) are charged to the first successful
-// member; every member is charged its own Subqueries/RowsAfterFilter, and
-// each distinct predicate's BlocksSkipped goes to the first successful
-// member using it — so summing members' counters meters the physical work
-// exactly once regardless of batch size or worker count.
-func scanFilterProjectMulti(ctx context.Context, members []nodeSet, tbl *table.Table, st *StoredTable, cfg Config) ([]*scanResult, []error) {
+// yields errs[m] without failing the rest of the batch. Expressions are
+// type-checked before the pass, so an error during it is the context's,
+// and it fails every member. Physical-scan counters (Scans, RowsScanned,
+// BytesScanned, Tasks) are charged to the first successful member; every
+// member is charged its own Subqueries/RowsAfterFilter, and each distinct
+// predicate's BlocksSkipped goes to the first successful member using it —
+// so summing members' counters meters the physical work exactly once
+// regardless of batch size or worker count.
+func scanFilterProjectMulti(ctx context.Context, members []nodeSet, tbl *table.Table, cfg Config) ([]*scanResult, []error) {
 	errs := make([]error, len(members))
 	results := make([]*scanResult, len(members))
 
 	// --- Plan the shared work: distinct predicates and projections. ---
-	preds := map[string]*predWork{}
-	colWorks := map[string]colWork{}
-	memberPred := make([]string, len(members))
-	memberCols := make([][]string, len(members))
+	var preds []*predWork
+	var cols []*colWork
+	predByKey := map[string]*predWork{}
+	colByKey := map[string]*colWork{}
+	memberPred := make([]*predWork, len(members))
+	memberCols := make([][]*colWork, len(members))
 	for m, nodes := range members {
 		pk := ""
 		if nodes.filter != nil {
 			pk = nodes.filter.Pred.String()
-			if _, ok := preds[pk]; !ok {
+		}
+		pw, ok := predByKey[pk]
+		if !ok {
+			pw = &predWork{hint: -1}
+			if nodes.filter != nil {
+				pw.pred = nodes.filter.Pred
+				pw.err = checkPredicate(pw.pred, tbl)
 				// Skip lists are exact-keyed — literals decide which blocks
 				// are admissible — while the selectivity hint below shares
 				// one estimate across all literals of the same shape.
-				pw := &predWork{pred: nodes.filter.Pred, hint: -1}
-				pw.skip, pw.skipped = zoneSkip(cfg.Preds, tbl, nodes.filter.Pred)
+				pw.skip, pw.skipped = zoneSkip(cfg.Preds, tbl, pw.pred)
 				if cfg.Preds != nil {
-					pw.sig = history.PredicateSignature(nodes.filter.Pred)
+					pw.sig = history.PredicateSignature(pw.pred)
 					if h, ok := cfg.Preds.Hint(tbl, pw.sig); ok {
 						pw.hint = h
 					}
 				}
-				preds[pk] = pw
 			}
-		} else if _, ok := preds[pk]; !ok {
-			preds[pk] = &predWork{hint: -1}
+			predByKey[pk] = pw
+			preds = append(preds, pw)
 		}
-		memberPred[m] = pk
-		keys := make([]string, len(nodes.agg.Aggs))
-		masked := len(nodes.agg.GroupBy) == 0
+		grouped := len(nodes.agg.GroupBy) > 0
+		pw.grouped = pw.grouped || grouped
+		memberPred[m] = pw
+		memberCols[m] = make([]*colWork, len(nodes.agg.Aggs))
 		for ai, spec := range nodes.agg.Aggs {
 			if spec.Kind == estimator.Count && spec.Input != nil && errs[m] == nil {
 				// COUNT never evaluates its argument, but a COUNT of
 				// something that does not resolve is still an error.
 				_, errs[m] = typeCheck(spec.Input, tbl)
 			}
-			key, w := colKeyFor(spec, pk, masked)
-			if _, ok := colWorks[key]; !ok {
-				colWorks[key] = w
+			key, w := colKeyFor(spec, pk, !grouped)
+			cw, ok := colByKey[key]
+			if !ok {
+				cw = &w
+				cw.pred = pw
+				if cw.input != nil {
+					cw.err = checkNumeric(cw.input, tbl)
+				}
+				colByKey[key] = cw
+				cols = append(cols, cw)
 			}
-			keys[ai] = key
+			memberCols[m][ai] = cw
 		}
-		memberCols[m] = keys
 	}
 
-	// --- One parallel pass over the partitions. ---
+	// --- Phase 1: every distinct predicate, once per partition. ---
 	// Partitions are block-aligned so each one decodes (and zone-checks)
-	// whole storage blocks; the merge below concatenates partition outputs
-	// in row order, so answers are identical to any other split.
-	done := ctx.Done()
+	// whole storage blocks.
 	parts := tbl.PartitionAligned(cfg.workers())
-	offsets := make([]int, len(parts))
-	off := 0
+	offsets := make([]int, len(parts)+1)
 	for i, p := range parts {
-		offsets[i] = off
-		off += p.NumRows()
+		offsets[i+1] = offsets[i] + p.NumRows()
 	}
-	type partOut struct {
-		sels   map[string][]int     // predKey -> absolute surviving indices
-		cols   map[string][]float64 // colKey -> values
-		errs   map[string]error     // predKey / colKey -> evaluation error
-		meter  decodeMeter          // lazy-decode work this partition performed
-		ctxErr error
+	meters := make([]decodeMeter, len(parts))
+	partErrs := make([]error, len(parts))
+	eachPart := func(work func(i int, part *table.Table) error) error {
+		var wg sync.WaitGroup
+		for i, part := range parts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if partErrs[i] = ctx.Err(); partErrs[i] == nil {
+					partErrs[i] = work(i, part)
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range partErrs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	outs := make([]partOut, len(parts))
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		wg.Add(1)
-		go func(i int, part *table.Table) {
-			defer wg.Done()
-			o := &outs[i]
-			o.sels = map[string][]int{}
-			o.cols = map[string][]float64{}
-			o.errs = map[string]error{}
-			if done != nil {
-				select {
-				case <-done:
-					o.ctxErr = ctx.Err()
-					return
-				default:
-				}
-			}
-			n0 := part.NumRows()
-			// Distinct predicates first: every projection selects by one.
-			localSel := map[string][]int{} // partition-relative; nil = all rows
-			for pk, pw := range preds {
-				if pw.pred == nil {
-					localSel[pk] = nil
-					abs := make([]int, n0)
-					for j := range abs {
-						abs[j] = offsets[i] + j
-					}
-					o.sels[pk] = abs
-					continue
-				}
-				sel, err := evalPredicateSkipping(ctx, pw.pred, part, offsets[i], pw.skip, &o.meter, cfg.Blocks, pw.hint)
-				if err != nil {
-					o.errs[pk] = err
-					continue
-				}
-				localSel[pk] = sel
-				abs := make([]int, len(sel))
-				for j, r := range sel {
-					abs[j] = offsets[i] + r
-				}
-				o.sels[pk] = abs
-			}
-			// Then every distinct projection column, each evaluated once.
-			for key, cw := range colWorks {
-				if _, bad := o.errs[cw.predKey]; bad {
-					continue
-				}
-				sel := localSel[cw.predKey]
-				n := n0
-				if sel != nil {
-					n = len(sel)
-				}
-				var vals []float64
-				var err error
-				switch {
-				case cw.masked:
-					vals, err = maskedColumn(cw.input, part, sel, &o.meter, cfg.Blocks)
-				case cw.input == nil:
-					vals = make([]float64, n)
-					for j := range vals {
-						vals[j] = 1
-					}
-				default:
-					vals, err = evalNumericMetered(cw.input, part, sel, &o.meter, cfg.Blocks)
-				}
-				if err != nil {
-					o.errs[key] = err
-					continue
-				}
-				o.cols[key] = vals
-			}
-		}(i, part)
+	for _, pw := range preds {
+		pw.local = make([][]int, len(parts))
 	}
-	wg.Wait()
+	err := eachPart(func(i int, part *table.Table) error {
+		for _, pw := range preds {
+			if pw.pred == nil || pw.err != nil {
+				continue
+			}
+			sel, err := evalPredicateSkipping(ctx, pw.pred, part, offsets[i], pw.skip, &meters[i], cfg.Blocks, pw.hint)
+			if err != nil {
+				return err
+			}
+			pw.local[i] = sel
+		}
+		return nil
+	})
 
-	// --- Merge partition outputs per distinct key. ---
-	var ctxErr error
-	var decode decodeMeter
-	keyErrs := map[string]error{}
-	for _, o := range outs {
-		if o.ctxErr != nil {
-			ctxErr = o.ctxErr
-		}
-		decode.blocks += o.meter.blocks
-		decode.nanos += o.meter.nanos
-		decode.hits += o.meter.hits
-		decode.hitBytes += o.meter.hitBytes
-		for k, e := range o.errs {
-			if keyErrs[k] == nil {
-				keyErrs[k] = e
+	// --- Barrier: survivor counts size every output exactly. ---
+	if err == nil {
+		for _, pw := range preds {
+			if pw.err != nil {
+				continue
+			}
+			pw.starts = make([]int, len(parts))
+			for i, part := range parts {
+				pw.starts[i] = pw.rows
+				if pw.pred == nil {
+					pw.rows += part.NumRows()
+				} else {
+					pw.rows += len(pw.local[i])
+				}
+			}
+			if pw.pred == nil {
+				continue
+			}
+			if pw.grouped {
+				pw.sel = make([]int, pw.rows)
+			}
+			// Feed the measured selectivity back into the memo so the NEXT
+			// scan of this predicate shape pre-sizes its selection vectors.
+			if cfg.Preds != nil && tbl.NumRows() > 0 {
+				cfg.Preds.ObserveSelectivity(tbl, pw.sig, float64(pw.rows)/float64(tbl.NumRows()))
 			}
 		}
+		for _, cw := range cols {
+			if cw.err == nil && cw.pred.err == nil {
+				n := cw.pred.rows
+				if cw.masked {
+					n = tbl.NumRows()
+				}
+				cw.out = make([]float64, n)
+			}
+		}
+
+		// --- Phase 2: each partition writes its share in place. ---
+		err = eachPart(func(i int, part *table.Table) error {
+			for _, pw := range preds {
+				if pw.sel != nil {
+					dst := pw.sel[pw.starts[i]:]
+					for j, r := range pw.local[i] {
+						dst[j] = offsets[i] + r
+					}
+				}
+			}
+			sc := &scratch{m: &meters[i], blocks: cfg.Blocks}
+			defer sc.release()
+			for _, cw := range cols {
+				if cw.out == nil {
+					continue
+				}
+				local := cw.pred.local[i]
+				var dst []float64
+				if cw.masked || local == nil {
+					dst = cw.out[offsets[i]:offsets[i+1]]
+				} else {
+					dst = cw.out[cw.pred.starts[i] : cw.pred.starts[i]+len(local)]
+				}
+				if err := cw.fill(ctx, part, offsets[i], local, dst, sc); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}
-	if ctxErr != nil {
+	if err != nil {
 		for m := range errs {
-			errs[m] = ctxErr
+			errs[m] = err
 		}
 		return results, errs
 	}
-	selByPred := map[string][]int{}
-	for pk := range preds {
-		if keyErrs[pk] != nil {
-			continue
-		}
-		var sel []int
-		for _, o := range outs {
-			sel = append(sel, o.sels[pk]...)
-		}
-		selByPred[pk] = sel
-		// Feed the measured selectivity back into the memo so the NEXT scan
-		// of this predicate shape pre-sizes its selection vectors correctly.
-		if pw := preds[pk]; cfg.Preds != nil && pw.pred != nil && tbl.NumRows() > 0 {
-			cfg.Preds.ObserveSelectivity(tbl, pw.sig,
-				float64(len(sel))/float64(tbl.NumRows()))
-		}
-	}
-	colByKey := map[string][]float64{}
-	for key, cw := range colWorks {
-		if keyErrs[key] != nil || keyErrs[cw.predKey] != nil {
-			continue
-		}
-		var vals []float64
-		for _, o := range outs {
-			vals = append(vals, o.cols[key]...)
-		}
-		colByKey[key] = vals
-	}
 
 	// --- Fan out: alias the shared columns into per-member results. ---
+	var decode decodeMeter
+	for _, mt := range meters {
+		decode.blocks += mt.blocks
+		decode.nanos += mt.nanos
+		decode.hits += mt.hits
+		decode.hitBytes += mt.hitBytes
+	}
 	physCharged := false
-	skipCharged := map[string]bool{}
+	skipCharged := map[*predWork]bool{}
 	for m := range members {
+		pw := memberPred[m]
+		if errs[m] == nil {
+			errs[m] = pw.err
+		}
+		cols := make([][]float64, len(memberCols[m]))
+		for ai, cw := range memberCols[m] {
+			if errs[m] == nil {
+				errs[m] = cw.err
+			}
+			cols[ai] = cw.out
+		}
 		if errs[m] != nil {
 			continue
 		}
-		pk := memberPred[m]
-		if err := keyErrs[pk]; err != nil {
-			errs[m] = err
-			continue
-		}
-		cols := make([][]float64, len(memberCols[m]))
-		var memberErr error
-		for ai, key := range memberCols[m] {
-			if err := keyErrs[key]; err != nil {
-				memberErr = err
-				break
-			}
-			cols[ai] = colByKey[key]
-		}
-		if memberErr != nil {
-			errs[m] = memberErr
-			continue
-		}
-		r := &scanResult{sel: selByPred[pk], cols: cols}
+		r := &scanResult{sel: pw.sel, rows: pw.rows, cols: cols}
 		r.counters = Counters{
 			Subqueries:      1,
-			RowsAfterFilter: int64(len(r.sel)),
+			RowsAfterFilter: int64(pw.rows),
 		}
 		if !physCharged {
 			physCharged = true
@@ -692,13 +703,78 @@ func scanFilterProjectMulti(ctx context.Context, members []nodeSet, tbl *table.T
 			r.counters.CacheBytes = decode.hitBytes
 			r.counters.Tasks = len(parts)
 		}
-		if !skipCharged[pk] {
-			skipCharged[pk] = true
-			r.counters.BlocksSkipped = preds[pk].skipped
+		if !skipCharged[pw] {
+			skipCharged[pw] = true
+			r.counters.BlocksSkipped = pw.skipped
 		}
 		results[m] = r
 	}
 	return results, errs
+}
+
+// fill writes one partition's share of the column into dst: a value per
+// partition row when masked (rows the filter rejected stay 0), a value per
+// survivor otherwise. local lists the partition's survivors (nil: every
+// row). The input is evaluated one zone block at a time in sc's pooled
+// scratch — the exact operator's walk — and only over blocks with a
+// survivor. Cancellation is checked every 64 evaluated blocks.
+func (cw *colWork) fill(ctx context.Context, part *table.Table, absOffset int, local []int, dst []float64, sc *scratch) error {
+	if cw.input == nil {
+		if cw.masked && local != nil {
+			for _, r := range local {
+				dst[r] = 1
+			}
+		} else {
+			for j := range dst {
+				dst[j] = 1
+			}
+		}
+		return nil
+	}
+	const ctxCheckBlocks = 64
+	n := part.NumRows()
+	k, visited := 0, 0 // k: the next survivor in local
+	for row := 0; row < n; {
+		end := min(((absOffset+row)/table.ZoneBlockRows+1)*table.ZoneBlockRows-absOffset, n)
+		k0 := k
+		for local != nil && k < len(local) && local[k] < end {
+			k++
+		}
+		if local != nil && k == k0 {
+			row = end
+			continue
+		}
+		if visited%ctxCheckBlocks == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		visited++
+		sc.off = row
+		v, err := evalExpr(cw.input, part, nil, end-row, sc)
+		if err != nil {
+			return err
+		}
+		switch {
+		case local != nil:
+			for t, r := range local[k0:k] {
+				pos := k0 + t
+				if cw.masked {
+					pos = r
+				}
+				dst[pos] = v.numAt(r - row)
+			}
+		case v.scalar:
+			for j := row; j < end; j++ {
+				dst[j] = v.numS
+			}
+		default:
+			copy(dst[row:end], v.nums)
+		}
+		sc.release()
+		row = end
+	}
+	return nil
 }
 
 // zoneSkip returns pred's zone-map skip list over tbl. The list is a pure
@@ -714,43 +790,16 @@ func zoneSkip(memo *cache.PredMemo, tbl *table.Table, pred sql.Expr) ([]bool, in
 	return skip, skipped
 }
 
-// maskedColumn evaluates the aggregation input over ALL rows of the part,
-// zeroing rows the filter rejected. A nil input is COUNT(*)'s indicator.
-func maskedColumn(input sql.Expr, part *table.Table, sel []int, m *decodeMeter, cc *cache.BlockCache) ([]float64, error) {
-	n := part.NumRows()
-	out := make([]float64, n)
-	if input == nil {
-		if sel == nil {
-			for i := range out {
-				out[i] = 1
-			}
-		} else {
-			for _, j := range sel {
-				out[j] = 1
-			}
-		}
-		return out, nil
-	}
-	vals, err := evalNumericMetered(input, part, nil, m, cc)
-	if err != nil {
-		return nil, err
-	}
-	if sel == nil {
-		copy(out, vals)
-	} else {
-		for _, j := range sel {
-			out[j] = vals[j]
-		}
-	}
-	return out, nil
-}
-
 // group is one GROUP BY bucket with per-aggregate value columns.
 type group struct {
 	key    string
 	values [][]float64
 }
 
+// splitGroups partitions a member's columns by its GROUP BY key, count
+// first, then fill: one pass gives every surviving row its group, each
+// group's vectors are allocated at their counts, and a second pass over the
+// ids copies the values in row order. Groups come out sorted by key.
 func splitGroups(agg *plan.Aggregate, tbl *table.Table, base *scanResult) ([]group, error) {
 	if len(agg.GroupBy) == 0 {
 		return []group{{key: "", values: base.cols}}, nil
@@ -763,69 +812,128 @@ func splitGroups(agg *plan.Aggregate, tbl *table.Table, base *scanResult) ([]gro
 	if col == nil {
 		return nil, fmt.Errorf("exec: unknown GROUP BY column %q", agg.GroupBy[0])
 	}
-	// Raw columns index directly; block-backed columns go through a
-	// block-buffered cursor (base.sel is ascending, so each touched block
-	// decodes once).
-	var keyOf func(row int) string
-	switch c := col.(type) {
-	case table.StringCol:
-		keyOf = func(row int) string { return c[row] }
-	case table.Int64Col:
-		keyOf = func(row int) string { return strconv.FormatInt(c[row], 10) }
-	case table.Float64Col:
-		keyOf = func(row int) string {
-			return strconv.FormatFloat(c[row], 'g', -1, 64)
-		}
-	default:
-		switch col.Type() {
-		case table.String:
-			cu, err := table.NewStrCursor(col)
-			if err != nil {
-				return nil, fmt.Errorf("exec: GROUP BY column %q: %w", agg.GroupBy[0], err)
-			}
-			keyOf = cu.At
-		case table.Int64:
-			cu, err := table.NewI64Cursor(col)
-			if err != nil {
-				return nil, fmt.Errorf("exec: GROUP BY column %q: %w", agg.GroupBy[0], err)
-			}
-			keyOf = func(row int) string { return strconv.FormatInt(cu.At(row), 10) }
-		case table.Float64:
-			cu, err := table.NewF64Cursor(col)
-			if err != nil {
-				return nil, fmt.Errorf("exec: GROUP BY column %q: %w", agg.GroupBy[0], err)
-			}
-			keyOf = func(row int) string {
-				return strconv.FormatFloat(cu.At(row), 'g', -1, 64)
-			}
-		default:
-			keyOf = func(int) string { return "" }
+	var keys groupKeys
+	ids, err := keys.assign(col, base.sel, base.rows)
+	if err != nil {
+		return nil, fmt.Errorf("exec: GROUP BY column %q: %w", agg.GroupBy[0], err)
+	}
+	counts := make([]int, len(keys.names))
+	for _, g := range ids {
+		counts[g]++
+	}
+	order := make([]int32, len(keys.names))
+	for g := range order {
+		order[g] = int32(g)
+	}
+	sort.Slice(order, func(a, b int) bool { return keys.names[order[a]] < keys.names[order[b]] })
+	out := make([]group, len(order))
+	slot := make([]int32, len(order)) // group id -> index in out
+	for i, g := range order {
+		slot[g] = int32(i)
+		out[i] = group{key: keys.names[g], values: make([][]float64, len(base.cols))}
+		for ai := range base.cols {
+			out[i].values[ai] = make([]float64, 0, counts[g])
 		}
 	}
-	idxByKey := map[string][]int{}
-	for pos, row := range base.sel {
-		k := keyOf(row)
-		idxByKey[k] = append(idxByKey[k], pos)
+	for pos, g := range ids {
+		ids[pos] = slot[g]
 	}
-	keys := make([]string, 0, len(idxByKey))
-	for k := range idxByKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]group, 0, len(keys))
-	for _, k := range keys {
-		positions := idxByKey[k]
-		vals := make([][]float64, len(base.cols))
-		for ai, colVals := range base.cols {
-			sub := make([]float64, len(positions))
-			for j, pos := range positions {
-				sub[j] = colVals[pos]
-			}
-			vals[ai] = sub
+	for ai, colVals := range base.cols {
+		for pos, g := range ids {
+			out[g].values[ai] = append(out[g].values[ai], colVals[pos])
 		}
-		out = append(out, group{key: k, values: vals})
 	}
 	return out, nil
+}
+
+// groupKeys numbers GROUP BY keys densely, in order of first sight. A group
+// is identified by its rendered key (FormatInt, FormatFloat 'g'), so float
+// keys whose bits differ but render alike (NaN payloads) share one; the
+// typed maps in front only spare the per-row formatting.
+type groupKeys struct {
+	names  []string
+	byStr  map[string]int32
+	byI64  map[int64]int32
+	byBits map[uint64]int32
+}
+
+func (k *groupKeys) str(s string) int32 {
+	g, ok := k.byStr[s]
+	if !ok {
+		if k.byStr == nil {
+			k.byStr = map[string]int32{}
+		}
+		g = int32(len(k.names))
+		k.byStr[s] = g
+		k.names = append(k.names, s)
+	}
+	return g
+}
+
+func (k *groupKeys) i64(v int64) int32 {
+	g, ok := k.byI64[v]
+	if !ok {
+		if k.byI64 == nil {
+			k.byI64 = map[int64]int32{}
+		}
+		g = k.str(strconv.FormatInt(v, 10))
+		k.byI64[v] = g
+	}
+	return g
+}
+
+func (k *groupKeys) f64(v float64) int32 {
+	bits := math.Float64bits(v)
+	g, ok := k.byBits[bits]
+	if !ok {
+		if k.byBits == nil {
+			k.byBits = map[uint64]int32{}
+		}
+		g = k.str(strconv.FormatFloat(v, 'g', -1, 64))
+		k.byBits[bits] = g
+	}
+	return g
+}
+
+// assign returns the group of each of rows surviving rows of col: rows
+// sel[0..rows) when sel is non-nil, else rows 0..rows-1. Block-backed
+// columns are read through a block-buffered cursor (sel ascends, so each
+// touched block decodes once).
+func (k *groupKeys) assign(col table.Column, sel []int, rows int) ([]int32, error) {
+	ids := make([]int32, rows)
+	row := func(pos int) int {
+		if sel == nil {
+			return pos
+		}
+		return sel[pos]
+	}
+	switch col.Type() {
+	case table.String:
+		cu, err := table.NewStrCursor(col)
+		if err != nil {
+			return nil, err
+		}
+		for pos := range ids {
+			ids[pos] = k.str(cu.At(row(pos)))
+		}
+	case table.Int64:
+		cu, err := table.NewI64Cursor(col)
+		if err != nil {
+			return nil, err
+		}
+		for pos := range ids {
+			ids[pos] = k.i64(cu.At(row(pos)))
+		}
+	default:
+		cu, err := table.NewF64Cursor(col)
+		if err != nil {
+			return nil, err
+		}
+		for pos := range ids {
+			ids[pos] = k.f64(cu.At(row(pos)))
+		}
+	}
+	return ids, nil
 }
 
 // queryFor translates an AggSpec into an estimator.Query, resolving scaling
@@ -987,6 +1095,3 @@ func hashStream(kind, groupKey string, aggIdx, r int) uint64 {
 	h *= 1099511628211
 	return h
 }
-
-// Ensure sql import is used even if expression helpers move.
-var _ sql.Expr = (*sql.Literal)(nil)

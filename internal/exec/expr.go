@@ -25,12 +25,13 @@ import (
 // vectors (gathered columns, arithmetic intermediates, boolean masks) per
 // partition per query, which at serving rates dominates the allocator. A
 // scratch tracks every pooled slice handed out during one evaluation so
-// the caller can return them all at once. Two callers use one: predicate
+// the caller can return them all at once. Three callers use one: predicate
 // evaluation, whose intermediates are provably dead once the selection
-// vector (freshly allocated, never pooled) is built, and the exact
-// operator, which folds a block's values into its sinks before releasing
-// them. EvalNumeric passes nil — its result vectors are retained by
-// aggregation — and a nil scratch degrades every get to a plain make.
+// vector (freshly allocated, never pooled) is built, the sample scan, which
+// copies a block's input values into the column it owns, and the exact
+// operator, which folds them into its sinks, before releasing them.
+// EvalNumeric passes nil — its result vectors are retained by the caller —
+// and a nil scratch degrades every get to a plain make.
 //
 // The pools hold *[]T rather than []T so Put doesn't allocate (staticcheck
 // SA6002).
@@ -83,10 +84,6 @@ type scratch struct {
 	f64s  []*[]float64
 	bools []*[]bool
 	strs  []*[]string
-	// noPool makes every get a fresh allocation that release ignores — for
-	// projection paths whose outputs are retained by aggregation but that
-	// still want decode metering through m.
-	noPool bool
 	// m, when non-nil, receives decode work performed during evaluation.
 	m *decodeMeter
 	// blocks, when non-nil, is the cross-query decoded-block cache; reader
@@ -127,7 +124,7 @@ func (sc *scratch) window() int {
 }
 
 func (sc *scratch) getF64(n int) []float64 {
-	if sc == nil || sc.noPool {
+	if sc == nil {
 		return make([]float64, n)
 	}
 	p := f64Pool.Get().(*[]float64)
@@ -140,7 +137,7 @@ func (sc *scratch) getF64(n int) []float64 {
 }
 
 func (sc *scratch) getBool(n int) []bool {
-	if sc == nil || sc.noPool {
+	if sc == nil {
 		return make([]bool, n)
 	}
 	p := boolPool.Get().(*[]bool)
@@ -153,7 +150,7 @@ func (sc *scratch) getBool(n int) []bool {
 }
 
 func (sc *scratch) getStr(n int) []string {
-	if sc == nil || sc.noPool {
+	if sc == nil {
 		return make([]string, n)
 	}
 	p := strPool.Get().(*[]string)
@@ -167,7 +164,7 @@ func (sc *scratch) getStr(n int) []string {
 
 // release returns every slice handed out by this scratch to the pools. The
 // caller must not retain any value produced during the evaluation. It is
-// safe (and a no-op) on nil and noPool scratches, and callers run it via
+// safe (and a no-op) on a nil scratch, and callers run it via
 // defer so every return branch — including mid-gather errors and context
 // cancellation — hands its buffers back to the pool instead of leaking
 // them to the GC.
@@ -397,38 +394,6 @@ func gatherReaderF64(r table.F64Reader, sel []int, off, n int, sc *scratch) []fl
 				blocks++
 			}
 		}
-	case cc != nil && cacheable && boff%table.BlockRows == 0:
-		// Selection over a block-aligned view (partitions and the skipping
-		// block walk are both zone-aligned): selections ascend, so each
-		// touched base block is fetched from the cache exactly once.
-		baseLen := base.Len()
-		rows := r.Len()
-		var vals []float64
-		lo, hi := 0, 0 // empty window
-		for i, j := range sel {
-			if j < lo || j >= hi {
-				lo = j - j%table.BlockRows
-				hi = lo + table.BlockRows
-				if hi > rows {
-					hi = rows
-				}
-				b := (boff + lo) / table.BlockRows
-				bStart := b * table.BlockRows
-				bLen := baseLen - bStart
-				if bLen > table.BlockRows {
-					bLen = table.BlockRows
-				}
-				var hit bool
-				vals, hit = cc.GetF64(base, b, bLen, func(dst []float64) { br.ReadF64(dst, bStart) })
-				if hit {
-					hits++
-					hitBytes += int64(bLen) * 8
-				} else {
-					blocks++
-				}
-			}
-			out[i] = vals[j-lo]
-		}
 	case sel == nil:
 		r.ReadF64(out, off)
 		blocks = blocksSpanned(off, n)
@@ -498,35 +463,6 @@ func gatherReaderStr(r table.StrReader, sel []int, off, n int, sc *scratch) []st
 			} else {
 				blocks++
 			}
-		}
-	case cc != nil && cacheable && boff%table.BlockRows == 0:
-		baseLen := base.Len()
-		rows := r.Len()
-		var vals []string
-		lo, hi := 0, 0
-		for i, j := range sel {
-			if j < lo || j >= hi {
-				lo = j - j%table.BlockRows
-				hi = lo + table.BlockRows
-				if hi > rows {
-					hi = rows
-				}
-				b := (boff + lo) / table.BlockRows
-				bStart := b * table.BlockRows
-				bLen := baseLen - bStart
-				if bLen > table.BlockRows {
-					bLen = table.BlockRows
-				}
-				var hit bool
-				vals, hit = cc.GetStr(base, b, bLen, func(dst []string) { br.ReadStr(dst, bStart) })
-				if hit {
-					hits++
-					hitBytes += int64(bLen) * 16
-				} else {
-					blocks++
-				}
-			}
-			out[i] = vals[j-lo]
 		}
 	case sel == nil:
 		r.ReadStr(out, off)
@@ -667,25 +603,14 @@ func applyStrCmp(op string, a, b string) bool {
 
 // EvalNumeric evaluates a numeric row expression over the selected rows of
 // tbl, returning one float64 per selected row. sel == nil means all rows.
-// Results are retained by aggregation, so no scratch pooling is used here.
+// The result may share the table's storage and must be treated as
+// read-only.
 func EvalNumeric(e sql.Expr, tbl *table.Table, sel []int) ([]float64, error) {
-	return evalNumericMetered(e, tbl, sel, nil, nil)
-}
-
-// evalNumericMetered is EvalNumeric with decode metering: allocations stay
-// fresh (outputs are retained), but block decodes performed on lazy columns
-// are charged to m, and cc (when non-nil) serves decoded blocks across
-// queries.
-func evalNumericMetered(e sql.Expr, tbl *table.Table, sel []int, m *decodeMeter, cc *cache.BlockCache) ([]float64, error) {
 	n := tbl.NumRows()
 	if sel != nil {
 		n = len(sel)
 	}
-	var sc *scratch
-	if m != nil || cc != nil {
-		sc = &scratch{noPool: true, m: m, blocks: cc}
-	}
-	v, err := evalExpr(e, tbl, sel, n, sc)
+	v, err := evalExpr(e, tbl, sel, n, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,430 @@
+package exec
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"sort"
+	"strconv"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/estimator"
+	"repro/internal/plan"
+	"repro/internal/rng"
+	"repro/internal/sql"
+	"repro/internal/table"
+)
+
+// referenceScan is the sample scan done the plain way: one selection vector
+// from EvalPredicate, one column per aggregate from EvalNumeric (an
+// ungrouped SUM/COUNT scattered over a zero column of every row), and a map
+// from rendered key to row positions for GROUP BY. It returns the groups
+// and the selection.
+func referenceScan(nodes nodeSet, tbl *table.Table) ([]group, []int, error) {
+	sel := make([]int, tbl.NumRows())
+	for i := range sel {
+		sel[i] = i
+	}
+	if nodes.filter != nil {
+		var err error
+		if sel, err = EvalPredicate(nodes.filter.Pred, tbl); err != nil {
+			return nil, nil, err
+		}
+	}
+	grouped := len(nodes.agg.GroupBy) > 0
+	cols := make([][]float64, len(nodes.agg.Aggs))
+	for ai, spec := range nodes.agg.Aggs {
+		var vals []float64
+		if spec.Kind == estimator.Count {
+			for _, c := range sql.Columns(spec.Input) {
+				if tbl.ColumnByName(c) == nil {
+					return nil, nil, errors.New("unknown column " + c)
+				}
+			}
+			vals = make([]float64, len(sel))
+			for i := range vals {
+				vals[i] = 1
+			}
+		} else {
+			var err error
+			if vals, err = EvalNumeric(spec.Input, tbl, sel); err != nil {
+				return nil, nil, err
+			}
+		}
+		if !grouped && (spec.Kind == estimator.Sum || spec.Kind == estimator.Count) {
+			full := make([]float64, tbl.NumRows())
+			for j, r := range sel {
+				full[r] = vals[j]
+			}
+			vals = full
+		}
+		cols[ai] = vals
+	}
+	if !grouped {
+		return []group{{values: cols}}, sel, nil
+	}
+	col := tbl.ColumnByName(nodes.agg.GroupBy[0])
+	if col == nil {
+		return nil, nil, errors.New("unknown GROUP BY column")
+	}
+	byKey := map[string][]int{}
+	for pos, r := range sel {
+		var k string
+		switch c := col.(type) {
+		case table.StringCol:
+			k = c[r]
+		case table.Int64Col:
+			k = strconv.FormatInt(c[r], 10)
+		case table.Float64Col:
+			k = strconv.FormatFloat(c[r], 'g', -1, 64)
+		}
+		byKey[k] = append(byKey[k], pos)
+	}
+	keys := make([]string, 0, len(byKey))
+	for k := range byKey {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var out []group
+	for _, k := range keys {
+		g := group{key: k, values: make([][]float64, len(cols))}
+		for ai, c := range cols {
+			for _, pos := range byKey[k] {
+				g.values[ai] = append(g.values[ai], c[pos])
+			}
+		}
+		out = append(out, g)
+	}
+	return out, sel, nil
+}
+
+// scanWheres covers every way a filter meets the blocks: no WHERE, a
+// selective one some blocks are zone-skipped for, one survivor (every other
+// admitted block holds none), every block skipped, and nothing skipped with
+// nothing surviving.
+var scanWheres = []string{
+	"",
+	" WHERE day >= 2 AND day < 5 AND city != 'SF'",
+	" WHERE city = 'SOLO'",
+	" WHERE day > 1000",
+	" WHERE y > 1e300",
+}
+
+// sampleScanQueries crosses scanWheres with an ungrouped member — masked
+// SUM/COUNT over a column, arithmetic and a literal, filtered columns — and
+// members grouped on a string, an int64 (beyond 2^53) and a float64 key
+// (NaN, -0 and a subnormal among its values) reading the indicator, a
+// literal and arithmetic.
+func sampleScanQueries() []string {
+	var qs []string
+	for _, w := range scanWheres {
+		qs = append(qs, "SELECT SUM(x), COUNT(*), SUM(y * 2 + day), SUM(3), AVG(x), MIN(big), AVG(3), AVG(y / 3 - day), MAX(fkey) FROM T"+w)
+		for _, key := range []string{"city", "big", "fkey"} {
+			qs = append(qs, "SELECT "+key+", SUM(x), COUNT(*), AVG(y / 3 - day), SUM(2), MIN(big), MAX(fkey) FROM T"+w+" GROUP BY "+key)
+		}
+	}
+	return qs
+}
+
+// columnRefs counts the column references evaluating e reads: each decodes
+// its column once per block it is evaluated over.
+func columnRefs(e sql.Expr) int64 {
+	switch v := e.(type) {
+	case *sql.ColumnRef:
+		return 1
+	case *sql.Binary:
+		return columnRefs(v.L) + columnRefs(v.R)
+	case *sql.Unary:
+		return columnRefs(v.E)
+	}
+	return 0
+}
+
+// decodeBounds returns the blocks a member's scan decodes on a lazy
+// backing — predicate columns in every admitted block, inputs in every
+// block with a survivor — and what the materializing scan before it
+// decoded, which read a masked input in every block of the table.
+func decodeBounds(nodes nodeSet, tbl *table.Table, sel []int) (want, parent int64) {
+	nb := int64((tbl.NumRows() + table.ZoneBlockRows - 1) / table.ZoneBlockRows)
+	withSurvivor := map[int]bool{}
+	for _, r := range sel {
+		withSurvivor[r/table.ZoneBlockRows] = true
+	}
+	if nodes.filter != nil {
+		_, skipped := blockSkip(tbl, nodes.filter.Pred)
+		want = columnRefs(nodes.filter.Pred) * (nb - skipped)
+		parent = want
+	}
+	grouped := len(nodes.agg.GroupBy) > 0
+	seen := map[string]bool{}
+	for _, spec := range nodes.agg.Aggs {
+		in := aggInput(spec)
+		masked := !grouped && (spec.Kind == estimator.Sum || spec.Kind == estimator.Count)
+		key := fmt.Sprint(masked, in)
+		if in == nil || seen[key] {
+			continue
+		}
+		seen[key] = true
+		want += columnRefs(in) * int64(len(withSurvivor))
+		if masked {
+			parent += columnRefs(in) * nb
+		} else {
+			parent += columnRefs(in) * int64(len(withSurvivor))
+		}
+	}
+	return want, parent
+}
+
+// scanMatches splits one member's scan and compares it with the reference:
+// the same groups in the same order, every vector Float64bits-equal.
+func scanMatches(t *testing.T, label string, nodes nodeSet, tbl *table.Table, got *scanResult, want []group, sel []int) {
+	t.Helper()
+	if got.rows != len(sel) {
+		t.Fatalf("%s: %d rows survive, want %d", label, got.rows, len(sel))
+	}
+	groups, err := splitGroups(nodes.agg, tbl, got)
+	if err != nil {
+		t.Fatalf("%s: split: %v", label, err)
+	}
+	if len(groups) != len(want) {
+		t.Fatalf("%s: %d groups, want %d", label, len(groups), len(want))
+	}
+	for gi, w := range want {
+		g := groups[gi]
+		if g.key != w.key {
+			t.Fatalf("%s: group %d is %q, want %q", label, gi, g.key, w.key)
+		}
+		for ai := range w.values {
+			if len(g.values[ai]) != len(w.values[ai]) {
+				t.Fatalf("%s: group %q agg %d has %d values, want %d", label, g.key, ai,
+					len(g.values[ai]), len(w.values[ai]))
+			}
+			for j, v := range w.values[ai] {
+				if math.Float64bits(g.values[ai][j]) != math.Float64bits(v) {
+					t.Fatalf("%s: group %q agg %d value %d = %v, want %v", label, g.key, ai, j,
+						g.values[ai][j], v)
+				}
+			}
+		}
+	}
+}
+
+// TestSampleScanDifferential pins the two-phase sample scan and the
+// count-then-fill split to a plain reference over raw/compressed/mmap
+// backings × block cache and predicate memo on/off × Workers 1/2/8, solo and
+// with every member in one batch (columns aliased across members): the same
+// vectors to the bit, the same group order, and the same counters, with
+// BlocksDecoded exactly "predicate columns in admitted blocks, inputs in
+// blocks with a survivor" — never more than the scan before it — and every
+// cached read either a hit or a decode. Type errors fail their member even
+// when no row survives, and pooled scratch comes back after success, error
+// and a cancellation in either phase.
+func TestSampleScanDifferential(t *testing.T) {
+	ctx := context.Background()
+	raw := exactCorpus()
+	variants := backingVariants(t, raw)
+	qs := sampleScanQueries()
+	members := make([]nodeSet, len(qs))
+	wants := make([][]group, len(qs))
+	sels := make([][]int, len(qs))
+	for i, q := range qs {
+		members[i] = collect(mustPlan(t, q, plan.Options{}).Root)
+		var err error
+		if wants[i], sels[i], err = referenceScan(members[i], raw); err != nil {
+			t.Fatalf("reference %q: %v", q, err)
+		}
+	}
+	pooled := PoolOutstanding()
+	for name, data := range variants {
+		for _, workers := range []int{1, 2, 8} {
+			uncached := make([]Counters, len(qs))
+			for _, cached := range []bool{false, true} {
+				cfg, passes := Config{Workers: workers}, 1
+				if cached {
+					cfg.Blocks = cache.NewBlockCache(cache.BlockConfig{Bytes: 1 << 20})
+					cfg.Preds = cache.NewPredMemo(nil)
+					passes = 2 // the second reads a warm cache and a remembered selectivity
+				}
+				for pass := 0; pass < passes; pass++ {
+					for i, nodes := range members {
+						label := fmt.Sprintf("%s workers=%d cached=%v pass=%d %q", name, workers, cached, pass, qs[i])
+						res, errs := scanFilterProjectMulti(ctx, []nodeSet{nodes}, data, cfg)
+						if errs[0] != nil {
+							t.Fatalf("%s: %v", label, errs[0])
+						}
+						scanMatches(t, label, nodes, data, res[0], wants[i], sels[i])
+						c := res[0].counters
+						var skipped int64
+						if nodes.filter != nil {
+							_, skipped = blockSkip(data, nodes.filter.Pred)
+						}
+						if c.Subqueries != 1 || c.Scans != 1 || c.Tasks != workers ||
+							c.RowsScanned != int64(data.NumRows()) || c.BytesScanned != data.SizeBytes() ||
+							c.RowsAfterFilter != int64(len(sels[i])) || c.BlocksSkipped != skipped {
+							t.Fatalf("%s: counters %+v", label, c)
+						}
+						if !cached {
+							want, parent := decodeBounds(nodes, data, sels[i])
+							if name == "raw" {
+								want = 0
+							}
+							if c.BlocksDecoded != want || c.BlocksDecoded > parent || c.CacheHits != 0 {
+								t.Fatalf("%s: %d blocks decoded, %d cache hits; want %d decoded (the materializing scan: %d)",
+									label, c.BlocksDecoded, c.CacheHits, want, parent)
+							}
+							uncached[i] = c
+							continue
+						}
+						if c.CacheHits+c.BlocksDecoded != uncached[i].BlocksDecoded || (pass == 1 && c.BlocksDecoded != 0) {
+							t.Fatalf("%s: %d hits + %d decodes, want %d reads (all hits when warm)",
+								label, c.CacheHits, c.BlocksDecoded, uncached[i].BlocksDecoded)
+						}
+					}
+					res, errs := scanFilterProjectMulti(ctx, members, data, cfg)
+					var scans int
+					for i, nodes := range members {
+						if errs[i] != nil {
+							t.Fatalf("%s batched %q: %v", name, qs[i], errs[i])
+						}
+						scanMatches(t, fmt.Sprintf("%s workers=%d batched %q", name, workers, qs[i]),
+							nodes, data, res[i], wants[i], sels[i])
+						scans += res[i].counters.Scans
+					}
+					if scans != 1 {
+						t.Fatalf("%s workers=%d: batch performed %d scans", name, workers, scans)
+					}
+				}
+			}
+		}
+	}
+	if d := PoolOutstanding() - pooled; d != 0 {
+		t.Fatalf("success: %d pooled buffers outstanding", d)
+	}
+
+	good := collect(mustPlan(t, "SELECT AVG(y) FROM T WHERE day > 1000", plan.Options{}).Root)
+	for _, q := range []string{
+		"SELECT SUM(city) FROM T WHERE day > 1000",
+		"SELECT AVG(nosuch) FROM T WHERE y > 1e300",
+		"SELECT city, AVG(city) FROM T WHERE day > 1000 GROUP BY city",
+		"SELECT COUNT(nosuch) FROM T WHERE day > 1000",
+		"SELECT AVG(y) FROM T WHERE nosuch > 1 AND day > 1000",
+		"SELECT AVG(y) FROM T WHERE y AND day > 1000",
+	} {
+		bad := collect(mustPlan(t, q, plan.Options{}).Root)
+		if _, _, err := referenceScan(bad, raw); err == nil {
+			t.Fatalf("reference accepted %q", q)
+		}
+		for name, data := range variants {
+			_, errs := scanFilterProjectMulti(ctx, []nodeSet{good, bad}, data, Config{Workers: 2})
+			if errs[0] != nil || errs[1] == nil {
+				t.Errorf("%s %q: batchmate error %v, own error %v", name, q, errs[0], errs[1])
+			}
+		}
+	}
+	if d := PoolOutstanding() - pooled; d != 0 {
+		t.Fatalf("errors: %d pooled buffers outstanding", d)
+	}
+
+	// Cancellation twenty decodes into each phase: phase 1 decodes City once
+	// per block, phase 2 Time once per block.
+	comp := table.Compress(clusteredSessions(200*table.BlockRows, 29))
+	nodes := collect(mustPlan(t, "SELECT City, AVG(Time) FROM Sessions WHERE City != 'SF' GROUP BY City", plan.Options{}).Root)
+	for _, into := range []int64{20, 200 + 20} {
+		const workers = 4
+		cctx := decodeCountCtx{Context: ctx, cancelAt: table.DecodedBlocks() + into}
+		_, errs := scanFilterProjectMulti(cctx, []nodeSet{nodes}, comp, Config{Workers: workers})
+		if !errors.Is(errs[0], context.Canceled) {
+			t.Fatalf("cancelled %d decodes in: %v", into, errs[0])
+		}
+		if past := table.DecodedBlocks() - cctx.cancelAt; past > 64*workers {
+			t.Errorf("cancelled %d decodes in: the scan decoded %d blocks past it", into, past)
+		}
+		if d := PoolOutstanding() - pooled; d != 0 {
+			t.Fatalf("cancelled %d decodes in: %d pooled buffers outstanding", into, d)
+		}
+	}
+}
+
+// allocScanTable is a 50k-row compressed sample: a measure, 40 devices, and
+// an hour column that cycles so that Hour < 6 keeps a quarter of every
+// block.
+func allocScanTable() *table.Table {
+	const n = 50000
+	src := rng.New(3)
+	tm := make(table.Float64Col, n)
+	dev := make(table.StringCol, n)
+	hour := make(table.Int64Col, n)
+	for i := 0; i < n; i++ {
+		tm[i] = 60 + 20*src.NormFloat64()
+		dev[i] = fmt.Sprintf("dev%02d", src.Intn(40))
+		hour[i] = int64(i % 24)
+	}
+	raw := table.MustNew(table.Schema{
+		{Name: "Time", Type: table.Float64},
+		{Name: "Device", Type: table.String},
+		{Name: "Hour", Type: table.Int64},
+	}, tm, dev, hour)
+	raw.BuildZones()
+	return table.Compress(raw)
+}
+
+// TestSampleScanAllocatesOnce: the scan and split of three plain shapes
+// allocate each per-row vector once. The budget is 1.15× the vectors the
+// stage must build — the filter's selection (8 B per survivor), each value
+// column, and for GROUP BY the group ids (4 B per row) and the per-group
+// vectors — plus 64 KiB. Building them by merge appends, absolute-index
+// copies and a full-length temporary per masked column costs 3.5–6×. A
+// predicate memo is attached, as on every engine with caching on, so the
+// selection is reserved at the remembered selectivity.
+func TestSampleScanAllocatesOnce(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tbl := allocScanTable()
+	for _, q := range []string{
+		"SELECT SUM(Time) FROM S",
+		"SELECT AVG(Time) FROM S WHERE Hour < 6",
+		"SELECT Device, AVG(Time) FROM S GROUP BY Device",
+	} {
+		nodes := collect(mustPlan(t, q, plan.Options{}).Root)
+		cfg := Config{Workers: 2, Preds: cache.NewPredMemo(nil)}
+		var must int
+		run := func() {
+			res, errs := scanFilterProjectMulti(context.Background(), []nodeSet{nodes}, tbl, cfg)
+			if errs[0] != nil {
+				t.Fatal(errs[0])
+			}
+			groups, err := splitGroups(nodes.agg, tbl, res[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			must = 8 * len(res[0].cols[0])
+			if nodes.filter != nil {
+				must += 8 * res[0].rows
+			}
+			if len(nodes.agg.GroupBy) > 0 {
+				must += 4*res[0].rows + 8*res[0].rows
+				if len(groups) != 40 {
+					t.Fatalf("%d groups", len(groups))
+				}
+			}
+		}
+		run() // warm the scratch pools and the memo's selectivity
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const reps = 5
+		for i := 0; i < reps; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / reps
+		budget := 1.15*float64(must) + 64<<10
+		t.Logf("%s: %.0f bytes allocated per scan (must build %d, budget %.0f)", q, got, must, budget)
+		if got > budget {
+			t.Errorf("%s allocated %.0f bytes per scan, over %.0f", q, got, budget)
+		}
+	}
+}

@@ -99,7 +99,7 @@ func RunShared(ctx context.Context, items []SharedItem, tables map[string]*Store
 	}
 	scanCfg := items[distincts[0].item].Cfg
 	scanCfg.Span = nil
-	bases, scanErrs := scanFilterProjectMulti(ctx, members, tbl, st, scanCfg)
+	bases, scanErrs := scanFilterProjectMulti(ctx, members, tbl, scanCfg)
 	for di := range distincts {
 		scanSpans[di].End()
 	}
