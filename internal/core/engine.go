@@ -227,7 +227,7 @@ func New(cfg Config) *Engine {
 	if e.wd != nil {
 		e.wd.Bind(e.auditExact)
 		if e.hist != nil {
-			e.wd.SetAuditObserver(e.observeAudit)
+			e.wd.SetAuditObserver(e.hist.AppendAudit)
 		}
 		if e.alerts != nil {
 			e.wd.SetAlertNotifier(e.notifyWatchdogAlert)

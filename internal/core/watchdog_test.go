@@ -230,6 +230,7 @@ func TestEventLogRecordsQueriesAndAudits(t *testing.T) {
 	}
 
 	var kinds []string
+	var last map[string]any // the latest query line
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
 		var rec map[string]any
@@ -246,7 +247,14 @@ func TestEventLogRecordsQueriesAndAudits(t *testing.T) {
 			if _, ok := rec["outcome"].(string); !ok {
 				t.Fatalf("query event without outcome: %v", rec)
 			}
+			last = rec
 		case "audit":
+			// The audit line joins back to the query it audited.
+			if last == nil || rec["qid"] != last["qid"] || rec["qid"] == float64(0) ||
+				rec["trace_id"] != last["trace_id"] || rec["trace_id"] == nil ||
+				rec["sql"] != last["sql"] {
+				t.Fatalf("audit line %v does not name the query before it: %v", rec, last)
+			}
 		default:
 			t.Fatalf("unexpected event kind %q", kind)
 		}
@@ -282,9 +290,9 @@ func TestEventLogRecordsQueriesAndAudits(t *testing.T) {
 // countAudits rebinds the watchdog's auditor to the engine's own, counted.
 func countAudits(e *Engine, wd *watchdog.Watchdog) *int {
 	calls := new(int)
-	wd.Bind(func(ctx context.Context, sql string) (map[watchdog.AggInstance]float64, error) {
+	wd.Bind(func(ctx context.Context, rec *obs.QueryRecord) (map[watchdog.AggInstance]float64, error) {
 		*calls++
-		return e.auditExact(ctx, sql)
+		return e.auditExact(ctx, rec)
 	})
 	return calls
 }

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/estimator"
+	"repro/internal/obs"
 	"repro/internal/obs/alert"
 	"repro/internal/watchdog"
 )
@@ -56,18 +56,17 @@ func TestAlertPipelineEndToEnd(t *testing.T) {
 		})
 	})
 	// Truth misses the interval for "miss" queries, covers it otherwise.
-	wd.Bind(func(_ context.Context, sql string) (map[watchdog.AggInstance]float64, error) {
+	wd.Bind(func(_ context.Context, rec *obs.QueryRecord) (map[watchdog.AggInstance]float64, error) {
 		truth := 0.0
-		if strings.Contains(sql, "miss") {
+		if strings.Contains(rec.SQL, "miss") {
 			truth = 10
 		}
 		return map[watchdog.AggInstance]float64{{Agg: "A"}: truth}, nil
 	})
 
-	rec := func(sql string) watchdog.Record {
-		return watchdog.Record{SQL: sql, Sample: "1000", Aggs: []watchdog.AggRecord{{
-			Agg: "A", Interval: estimator.Interval{Center: 0, HalfWidth: 1},
-			Technique: "closed-form",
+	rec := func(sql string) *obs.QueryRecord {
+		return &obs.QueryRecord{SQL: sql, Sample: "1000", Aggs: []obs.AggRecord{{
+			Name: "A", Center: 0, HalfWidth: 1, Technique: "closed-form",
 		}}}
 	}
 

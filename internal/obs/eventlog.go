@@ -15,8 +15,8 @@ import (
 //
 // A nil *EventLog is a no-op, mirroring the rest of the obs package:
 // instrumented paths pay one pointer comparison when logging is off. The
-// log only reads finished answers and trace snapshots — it consumes no
-// engine randomness and cannot perturb results.
+// log only reads finished QueryRecords — it consumes no engine randomness
+// and cannot perturb results.
 type EventLog struct {
 	log *slog.Logger
 	opt Config
@@ -41,10 +41,12 @@ func NewEventLog(w io.Writer, opt Config) *EventLog {
 	return &EventLog{log: slog.New(h), opt: opt}
 }
 
-// AggEvent is one aggregate's outcome inside a query event.
-type AggEvent struct {
+// eventAgg is an aggregate as the event log renders it: the interval as
+// its endpoints, the diagnostic's decision as a verdict string.
+type eventAgg struct {
 	Group     string  `json:"group,omitempty"`
 	Name      string  `json:"name"`
+	Kind      string  `json:"kind,omitempty"`
 	Estimate  float64 `json:"estimate"`
 	Lo        float64 `json:"lo"`
 	Hi        float64 `json:"hi"`
@@ -52,104 +54,87 @@ type AggEvent struct {
 	Technique string  `json:"technique"`
 	// Verdict is the runtime diagnostic's decision: "accept" or "reject".
 	Verdict string `json:"verdict"`
-	// Exact marks an answer computed on the full dataset (fallback or
-	// exact execution).
-	Exact bool `json:"exact,omitempty"`
-}
-
-// QueryEvent is the one-record-per-query payload handed to Emit. Trace
-// supplies identity, outcome, queue wait and per-stage latencies; the
-// rest comes from the answer.
-type QueryEvent struct {
-	Trace      TraceSnapshot
-	Kind       string // "query" (default) or "audit"
-	SampleRows int
-	BootstrapK int
-	FellBack   bool
-	// BlocksSkipped counts zone-map blocks the scan pruned for this query.
-	BlocksSkipped int64
-	// BlocksDecoded counts compressed blocks the scan actually decoded
-	// (zero on raw backings; skipped blocks are never decoded).
-	BlocksDecoded int64
-	// DecodeNs is the wall time spent decoding compressed blocks.
-	DecodeNs int64
-	// SharedScan marks a query answered from a shared-scan batch rather
-	// than its own physical pass.
-	SharedScan bool
-	// Cached marks an answer replayed from the answer cache — no scan,
-	// decode, or resampling happened for this record.
-	Cached bool
-	// CacheHits counts decoded blocks served from the block cache.
-	CacheHits int64
-	// CacheBytes is the decoded bytes those hits avoided re-decoding.
-	CacheBytes int64
-	Aggs       []AggEvent
+	Cause   string `json:"cause,omitempty"`
+	Exact   bool   `json:"exact,omitempty"`
 }
 
 // Emit writes one record. Slow queries (total latency past the threshold),
-// miscalibrated queries (a rejected verdict, or relative error past
+// miscalibrated queries (a rejected aggregate, or relative error past
 // MaxRelErr) and failed queries log at Warn; everything else at Info.
-func (l *EventLog) Emit(ev QueryEvent) {
+func (l *EventLog) Emit(rec *QueryRecord) {
 	if l == nil {
 		return
 	}
-	t := ev.Trace
-	slow := t.TotalMs >= l.opt.slowMs()
+	slow := rec.TotalMs >= l.opt.slowMs()
 	miscal := false
-	for _, a := range ev.Aggs {
-		if a.Verdict == "reject" {
+	var aggs []eventAgg
+	for _, a := range rec.Aggs {
+		if a.Rejected || l.opt.MaxRelErr > 0 && a.RelErr > l.opt.MaxRelErr {
 			miscal = true
 		}
-		if l.opt.MaxRelErr > 0 && a.RelErr > l.opt.MaxRelErr {
-			miscal = true
+		verdict := "accept"
+		if a.Rejected {
+			verdict = "reject"
 		}
+		aggs = append(aggs, eventAgg{Group: a.Group, Name: a.Name, Kind: a.Kind,
+			Estimate: a.Estimate, Lo: a.Lo(), Hi: a.Hi(), RelErr: a.RelErr,
+			Technique: a.Technique, Verdict: verdict, Cause: a.Cause, Exact: a.Exact})
 	}
-	kind := ev.Kind
+	kind := rec.Kind
 	if kind == "" {
 		kind = "query"
 	}
 	attrs := []slog.Attr{
 		slog.String("kind", kind),
-		slog.Uint64("qid", t.ID),
-		slog.String("sql", t.SQL),
-		slog.String("outcome", t.Outcome),
-		slog.Float64("total_ms", t.TotalMs),
+		slog.Uint64("qid", rec.QID),
+		slog.String("sql", rec.SQL),
+		slog.String("outcome", rec.Outcome),
+		slog.Float64("total_ms", rec.TotalMs),
 	}
-	if t.TraceID != "" {
-		attrs = append(attrs, slog.String("trace_id", t.TraceID))
+	if rec.TraceID != "" {
+		attrs = append(attrs, slog.String("trace_id", rec.TraceID))
 	}
-	if t.QueueWaitMs > 0 {
-		attrs = append(attrs, slog.Float64("queue_wait_ms", t.QueueWaitMs))
+	if rec.Table != "" {
+		attrs = append(attrs, slog.String("table", rec.Table))
 	}
-	if ev.SampleRows > 0 {
-		attrs = append(attrs, slog.Int("sample_rows", ev.SampleRows))
+	if rec.Sample != "" {
+		attrs = append(attrs, slog.String("sample", rec.Sample))
 	}
-	if ev.BootstrapK > 0 {
-		attrs = append(attrs, slog.Int("bootstrap_k", ev.BootstrapK))
+	if rec.Predicate != "" {
+		attrs = append(attrs, slog.String("predicate", rec.Predicate))
 	}
-	if ev.FellBack {
+	if rec.QueueWaitMs > 0 {
+		attrs = append(attrs, slog.Float64("queue_wait_ms", rec.QueueWaitMs))
+	}
+	if rec.SampleRows > 0 {
+		attrs = append(attrs, slog.Int("sample_rows", rec.SampleRows))
+	}
+	if rec.KBudget > 0 {
+		attrs = append(attrs, slog.Int("bootstrap_k", rec.KBudget))
+	}
+	if rec.FellBack {
 		attrs = append(attrs, slog.Bool("fell_back", true))
 	}
-	if ev.BlocksSkipped > 0 {
-		attrs = append(attrs, slog.Int64("blocks_skipped", ev.BlocksSkipped))
+	if rec.BlocksSkipped > 0 {
+		attrs = append(attrs, slog.Int64("blocks_skipped", rec.BlocksSkipped))
 	}
-	if ev.BlocksDecoded > 0 {
-		attrs = append(attrs, slog.Int64("blocks_decoded", ev.BlocksDecoded))
+	if rec.BlocksDecoded > 0 {
+		attrs = append(attrs, slog.Int64("blocks_decoded", rec.BlocksDecoded))
 	}
-	if ev.DecodeNs > 0 {
-		attrs = append(attrs, slog.Int64("decode_ns", ev.DecodeNs))
+	if rec.DecodeNs > 0 {
+		attrs = append(attrs, slog.Int64("decode_ns", rec.DecodeNs))
 	}
-	if ev.SharedScan {
+	if rec.SharedScan {
 		attrs = append(attrs, slog.Bool("shared_scan", true))
 	}
-	if ev.Cached {
+	if rec.Cached {
 		attrs = append(attrs, slog.Bool("cached", true))
 	}
-	if ev.CacheHits > 0 {
-		attrs = append(attrs, slog.Int64("cache_hits", ev.CacheHits))
+	if rec.CacheHits > 0 {
+		attrs = append(attrs, slog.Int64("cache_hits", rec.CacheHits))
 	}
-	if ev.CacheBytes > 0 {
-		attrs = append(attrs, slog.Int64("cache_bytes", ev.CacheBytes))
+	if rec.CacheBytes > 0 {
+		attrs = append(attrs, slog.Int64("cache_bytes", rec.CacheBytes))
 	}
 	if slow {
 		attrs = append(attrs, slog.Bool("slow", true))
@@ -157,17 +142,17 @@ func (l *EventLog) Emit(ev QueryEvent) {
 	if miscal {
 		attrs = append(attrs, slog.Bool("miscalibrated", true))
 	}
-	if t.Err != "" {
-		attrs = append(attrs, slog.String("error", t.Err))
+	if rec.Err != "" {
+		attrs = append(attrs, slog.String("error", rec.Err))
 	}
-	if stages := StageLatencies(t.Spans); len(stages) > 0 {
-		attrs = append(attrs, slog.Any("stages_ms", stages))
+	if len(rec.StagesMs) > 0 {
+		attrs = append(attrs, slog.Any("stages_ms", rec.StagesMs))
 	}
-	if len(ev.Aggs) > 0 {
-		attrs = append(attrs, slog.Any("aggs", ev.Aggs))
+	if len(aggs) > 0 {
+		attrs = append(attrs, slog.Any("aggs", aggs))
 	}
 	level := slog.LevelInfo
-	if slow || miscal || t.Outcome == "error" {
+	if slow || miscal || rec.Outcome == "error" {
 		level = slog.LevelWarn
 	}
 	l.log.LogAttrs(context.Background(), level, "query", attrs...)
@@ -238,7 +223,7 @@ func (l *EventLog) EmitConn(ev ConnEvent) {
 
 // StageLatencies flattens the top-level stage spans to a name→ms map;
 // repeated stages (e.g. two diagnostics in a GROUP BY fan-out) accumulate.
-// The event log and the history store share this breakdown.
+// It is QueryRecord.StagesMs.
 func StageLatencies(spans []SpanSnapshot) map[string]float64 {
 	if len(spans) == 0 {
 		return nil

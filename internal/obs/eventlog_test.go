@@ -13,10 +13,10 @@ import (
 
 // emitOne round-trips a single event through a fresh log and returns the
 // decoded record.
-func emitOne(t *testing.T, opt Config, ev QueryEvent) map[string]any {
+func emitOne(t *testing.T, opt Config, ev QueryRecord) map[string]any {
 	t.Helper()
 	var buf bytes.Buffer
-	NewEventLog(&buf, opt).Emit(ev)
+	NewEventLog(&buf, opt).Emit(&ev)
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatalf("event is not one JSON line: %v\n%s", err, buf.String())
@@ -25,20 +25,18 @@ func emitOne(t *testing.T, opt Config, ev QueryEvent) map[string]any {
 }
 
 func TestEventLogJSONRoundTrip(t *testing.T) {
-	ev := QueryEvent{
-		Trace: TraceSnapshot{
-			ID: 7, SQL: "SELECT AVG(x) FROM t", Outcome: "ok",
-			TotalMs: 12.5, QueueWaitMs: 3.25,
-			Spans: []SpanSnapshot{
-				{Stage: "scan", Ms: 8},
-				{Stage: "estimate", Ms: 2},
-				{Stage: "estimate", Ms: 1}, // repeated stages accumulate
-			},
-		},
-		SampleRows: 1000, BootstrapK: 100, FellBack: true,
-		Aggs: []AggEvent{{
-			Name: "avg(x)", Estimate: 5, Lo: 4, Hi: 6, RelErr: 0.2,
-			Technique: "closed-form", Verdict: "accept",
+	ev := QueryRecord{
+		QID: 7, SQL: "SELECT AVG(x) FROM t", Outcome: "ok",
+		TotalMs: 12.5, QueueWaitMs: 3.25,
+		StagesMs: StageLatencies([]SpanSnapshot{
+			{Stage: "scan", Ms: 8},
+			{Stage: "estimate", Ms: 2},
+			{Stage: "estimate", Ms: 1}, // repeated stages accumulate
+		}),
+		SampleRows: 1000, KBudget: 100, FellBack: true,
+		Aggs: []AggRecord{{
+			Name: "avg(x)", Estimate: 5, Center: 5, HalfWidth: 1, RelErr: 0.2,
+			Technique: "closed-form",
 		}},
 	}
 	rec := emitOne(t, Config{}, ev)
@@ -72,39 +70,42 @@ func TestEventLogJSONRoundTrip(t *testing.T) {
 	}
 
 	// Zero queue wait is omitted, not emitted as 0.
-	ev.Trace.QueueWaitMs = 0
+	ev.QueueWaitMs = 0
 	if rec := emitOne(t, Config{}, ev); rec["queue_wait_ms"] != nil {
 		t.Fatalf("zero queue wait emitted: %v", rec)
 	}
 }
 
 func TestEventLogWarnLevels(t *testing.T) {
-	base := QueryEvent{Trace: TraceSnapshot{SQL: "q", Outcome: "ok", TotalMs: 1}}
+	base := QueryRecord{SQL: "q", Outcome: "ok", TotalMs: 1}
 
 	slow := base
-	slow.Trace.TotalMs = 250
+	slow.TotalMs = 250
 	rec := emitOne(t, Config{SlowQueryMs: 200}, slow)
 	if rec["level"] != "WARN" || rec["slow"] != true {
 		t.Fatalf("slow query not flagged at Warn: %v", rec)
 	}
 
 	rejected := base
-	rejected.Aggs = []AggEvent{{Name: "max(x)", Verdict: "reject"}}
+	rejected.Aggs = []AggRecord{{Name: "max(x)", Rejected: true, Cause: "pi"}}
 	rec = emitOne(t, Config{}, rejected)
 	if rec["level"] != "WARN" || rec["miscalibrated"] != true {
 		t.Fatalf("rejected verdict not flagged at Warn: %v", rec)
 	}
+	if agg := rec["aggs"].([]any)[0].(map[string]any); agg["verdict"] != "reject" || agg["cause"] != "pi" {
+		t.Fatalf("rejected agg rendered %v, want verdict reject with its cause", agg)
+	}
 
 	wide := base
-	wide.Aggs = []AggEvent{{Name: "avg(x)", Verdict: "accept", RelErr: 0.5}}
+	wide.Aggs = []AggRecord{{Name: "avg(x)", RelErr: 0.5}}
 	rec = emitOne(t, Config{MaxRelErr: 0.1}, wide)
 	if rec["level"] != "WARN" || rec["miscalibrated"] != true {
 		t.Fatalf("rel-err past MaxRelErr not flagged at Warn: %v", rec)
 	}
 
 	failed := base
-	failed.Trace.Outcome = "error"
-	failed.Trace.Err = "exec blew up"
+	failed.Outcome = "error"
+	failed.Err = "exec blew up"
 	rec = emitOne(t, Config{}, failed)
 	if rec["level"] != "WARN" || rec["error"] != "exec blew up" {
 		t.Fatalf("failed query not flagged at Warn: %v", rec)
@@ -113,7 +114,7 @@ func TestEventLogWarnLevels(t *testing.T) {
 
 func TestEventLogNilIsNoop(t *testing.T) {
 	var l *EventLog
-	l.Emit(QueryEvent{Trace: TraceSnapshot{SQL: "q"}}) // must not panic
+	l.Emit(&QueryRecord{SQL: "q"}) // must not panic
 }
 
 // TestEventLogConcurrentEmits drives one log from many goroutines; the
@@ -128,10 +129,10 @@ func TestEventLogConcurrentEmits(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				l.Emit(QueryEvent{Trace: TraceSnapshot{
-					ID: uint64(w*per + i), SQL: fmt.Sprintf("SELECT %d", w),
+				l.Emit(&QueryRecord{
+					QID: uint64(w*per + i), SQL: fmt.Sprintf("SELECT %d", w),
 					Outcome: "ok", TotalMs: 1,
-				}})
+				})
 			}
 		}(w)
 	}

@@ -132,7 +132,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	segStats, err := ReplayDir(dir, func(rec *Record) {
 		s.replayed[rec.Kind]++
 		s.replay.Records++
-		s.foldReplayed(rec, nowSec)
+		s.fold(rec, nowSec)
 	})
 	if err != nil {
 		return nil, err
@@ -161,29 +161,25 @@ func Open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// foldReplayed feeds a replayed record into the in-memory state. Profiles
-// and lifetime counters accept any age; the sliding-window monitor only
-// sees records still inside its retention, stamped at their recorded
+// fold feeds a record, appended now or replayed, into the in-memory state.
+// Profiles and lifetime counters accept any age; the sliding-window monitor
+// only sees records still inside its retention, stamped at their recorded
 // time, so "coverage over the last N minutes" genuinely survives a quick
 // restart.
-func (s *Store) foldReplayed(rec *Record, nowSec int64) {
+func (s *Store) fold(rec *Record, nowSec int64) {
 	sec := rec.TS / int64(time.Second)
 	inWindow := sec > nowSec-maxRetentionSec && sec <= nowSec
+	s.prof.fold(rec)
+	if !inWindow {
+		return
+	}
 	switch {
 	case rec.Query != nil:
-		s.prof.foldQuery(rec.Query)
-		if inWindow {
-			s.mon.recordQuery(sec, rec.Query.TotalMs, rec.Query.Outcome)
-		}
+		s.mon.recordQuery(sec, rec.Query.TotalMs, rec.Query.Outcome)
 	case rec.Audit != nil:
-		s.prof.foldAudit(rec.Audit)
-		if inWindow {
-			s.mon.recordAudit(sec, rec.Audit.Table, rec.Audit.Covered)
-		}
+		s.mon.recordAudit(sec, rec.Audit.Table, rec.Audit.Covered)
 	case rec.Reject != nil:
-		if inWindow {
-			s.mon.recordReject(sec)
-		}
+		s.mon.recordReject(sec)
 	}
 }
 
@@ -203,39 +199,38 @@ func (s *Store) openSegmentLocked() error {
 	return nil
 }
 
-// AppendQuery records one finished query.
-func (s *Store) AppendQuery(q QueryRecord) {
+// AppendQuery records one finished query. rec is only read.
+func (s *Store) AppendQuery(rec *obs.QueryRecord) {
 	if s == nil {
-		return
+		return // before sanitizeQuery copies the record
 	}
-	now := time.Now()
-	q.sanitize()
-	s.prof.foldQuery(&q)
-	s.mon.recordQuery(now.Unix(), q.TotalMs, q.Outcome)
-	s.append(&Record{Kind: KindQuery, TS: now.UnixNano(), Query: &q})
+	s.add(&Record{Kind: KindQuery, Query: sanitizeQuery(rec)})
 }
 
-// AppendAudit records one watchdog audit outcome.
-func (s *Store) AppendAudit(a AuditRecord) {
-	if s == nil {
-		return
-	}
-	now := time.Now()
-	a.sanitize()
-	s.prof.foldAudit(&a)
-	s.mon.recordAudit(now.Unix(), a.Table, a.Covered)
-	s.append(&Record{Kind: KindAudit, TS: now.UnixNano(), Audit: &a})
+// AppendAudit records one watchdog audit outcome; it is the watchdog's
+// audit observer when a history store is attached.
+func (s *Store) AppendAudit(a obs.AuditRecord) {
+	a.Truth = finite(a.Truth)
+	a.Lo = finite(a.Lo)
+	a.Hi = finite(a.Hi)
+	s.add(&Record{Kind: KindAudit, Audit: &a})
 }
 
 // AppendReject records one admission rejection.
 func (s *Store) AppendReject(reason string) {
+	s.add(&Record{Kind: KindReject, Reject: &RejectRecord{Reason: reason}})
+}
+
+// add stamps one new record, folds it exactly as a replayed one, and
+// persists it.
+func (s *Store) add(rec *Record) {
 	if s == nil {
 		return
 	}
 	now := time.Now()
-	s.mon.recordReject(now.Unix())
-	s.append(&Record{Kind: KindReject, TS: now.UnixNano(),
-		Reject: &RejectRecord{Reason: reason}})
+	rec.TS = now.UnixNano()
+	s.fold(rec, now.Unix())
+	s.append(rec)
 }
 
 // append frames and persists one record. Write failures are counted and
@@ -425,20 +420,12 @@ func Replay(path string) ([]Profile, []SegmentStats, error) {
 		return nil, nil, err
 	}
 	prof := newProfiler(0)
-	fold := func(rec *Record) {
-		switch {
-		case rec.Query != nil:
-			prof.foldQuery(rec.Query)
-		case rec.Audit != nil:
-			prof.foldAudit(rec.Audit)
-		}
-	}
 	var stats []SegmentStats
 	if info.IsDir() {
-		stats, err = ReplayDir(path, fold)
+		stats, err = ReplayDir(path, prof.fold)
 	} else {
 		var st SegmentStats
-		st, err = ReplaySegment(path, fold)
+		st, err = ReplaySegment(path, prof.fold)
 		stats = []SegmentStats{st}
 	}
 	if err != nil {

@@ -7,11 +7,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sql"
 )
 
-func testQueryRecord(qid uint64, sel float64) QueryRecord {
-	return QueryRecord{
+func testQueryRecord(qid uint64, sel float64) *obs.QueryRecord {
+	return &obs.QueryRecord{
 		QID:            qid,
 		SQL:            "SELECT AVG(X) FROM T WHERE X < 10",
 		Table:          "T",
@@ -24,7 +25,7 @@ func testQueryRecord(qid uint64, sel float64) QueryRecord {
 		SampleFraction: 0.1,
 		KBudget:        100,
 		KUsed:          40,
-		Aggs:           []AggSample{{Kind: "AVG", RelErr: 0.02, Technique: "closed-form"}},
+		Aggs:           []obs.AggRecord{{Kind: "AVG", RelErr: 0.02, Technique: "closed-form"}},
 	}
 }
 
@@ -39,7 +40,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.AppendQuery(testQueryRecord(1, 0.5))
-	s.AppendAudit(AuditRecord{QID: 1, Table: "T", Sample: "1000",
+	s.AppendAudit(obs.AuditRecord{QID: 1, Table: "T", Sample: "1000",
 		Predicate: "(x < ?)", Kind: "AVG", Agg: "AVG(X)",
 		Covered: true, Truth: 5, Lo: 4, Hi: 6})
 	s.AppendReject("queue_full")
@@ -192,7 +193,7 @@ func TestKillAndReopen(t *testing.T) {
 		s1.AppendQuery(testQueryRecord(uint64(i), 0.3))
 	}
 	for i := 0; i < 4; i++ {
-		s1.AppendAudit(AuditRecord{QID: uint64(i), Table: "T", Sample: "1000",
+		s1.AppendAudit(obs.AuditRecord{QID: uint64(i), Table: "T", Sample: "1000",
 			Predicate: "(x < ?)", Kind: "AVG", Agg: "AVG(X)",
 			Covered: i != 0, Truth: 5, Lo: 4, Hi: 6})
 	}
@@ -243,15 +244,15 @@ func TestProfilerFold(t *testing.T) {
 	for i, sel := range sels {
 		q := testQueryRecord(uint64(i), sel)
 		q.FellBack = i == 0
-		p.foldQuery(&q)
+		p.foldQuery(q)
 	}
 	// Non-ok and table-less records must not fold.
 	bad := testQueryRecord(99, 0.9)
 	bad.Outcome = "error"
-	p.foldQuery(&bad)
+	p.foldQuery(bad)
 	anon := testQueryRecord(100, 0.9)
 	anon.Table = ""
-	p.foldQuery(&anon)
+	p.foldQuery(anon)
 
 	prof, ok := p.profile(testKey())
 	if !ok {
@@ -466,8 +467,8 @@ func TestStoreWriteErrorsAreSwallowed(t *testing.T) {
 
 func TestNilStoreIsNoOp(t *testing.T) {
 	var s *Store
-	s.AppendQuery(QueryRecord{})
-	s.AppendAudit(AuditRecord{})
+	s.AppendQuery(&obs.QueryRecord{})
+	s.AppendAudit(obs.AuditRecord{})
 	s.AppendReject("x")
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -157,15 +158,25 @@ func (p *profiler) acc(k Key) *profAcc {
 	return a
 }
 
+// fold folds one record into its profile; rejections carry no profile key.
+func (p *profiler) fold(rec *Record) {
+	switch {
+	case rec.Query != nil:
+		p.foldQuery(rec.Query)
+	case rec.Audit != nil:
+		p.foldAudit(rec.Audit)
+	}
+}
+
 // foldQuery folds one finished query. Queries with several aggregate
 // kinds contribute to several keys: query-level facts (selectivity,
 // stage latencies, sample fraction, K) fold once per distinct kind,
 // aggregate-level facts once per aggregate.
-func (p *profiler) foldQuery(q *QueryRecord) {
+func (p *profiler) foldQuery(q *obs.QueryRecord) {
 	if q.Outcome != "ok" || q.Table == "" {
 		return // failed queries carry no calibrated shape to learn from
 	}
-	byKind := map[string][]*AggSample{}
+	byKind := map[string][]*obs.AggRecord{}
 	order := []string{}
 	for i := range q.Aggs {
 		a := &q.Aggs[i]
@@ -230,7 +241,7 @@ func (p *profiler) foldQuery(q *QueryRecord) {
 }
 
 // foldAudit folds one watchdog audit outcome.
-func (p *profiler) foldAudit(a *AuditRecord) {
+func (p *profiler) foldAudit(a *obs.AuditRecord) {
 	if a.Table == "" {
 		return
 	}

@@ -1,6 +1,10 @@
 package history
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/obs"
+)
 
 // Record kinds. Every record in a segment is exactly one of these.
 const (
@@ -10,87 +14,23 @@ const (
 )
 
 // Record is the unit of the history log: a kind tag, a wall-clock
-// timestamp, and exactly one populated payload. All float fields are
-// sanitized to finite values before appending because the payload is
-// JSON — NaN half-widths become the -1 "undefined" sentinel (RelErr) or
-// zero (everything else).
+// timestamp, and exactly one populated payload. The query and audit
+// payloads are the records the event log and the watchdog read too; their
+// JSON tags are this log's schema. All float fields are sanitized to
+// finite values before appending because the payload is JSON — NaN
+// half-widths become the -1 "undefined" sentinel (RelErr) or zero
+// (everything else).
 type Record struct {
 	Kind string `json:"kind"`
 	// TS is the record's wall-clock time in Unix nanoseconds.
-	TS     int64         `json:"ts"`
-	Query  *QueryRecord  `json:"query,omitempty"`
-	Audit  *AuditRecord  `json:"audit,omitempty"`
-	Reject *RejectRecord `json:"reject,omitempty"`
-}
-
-// QueryRecord is the durable residue of one finished query: identity,
-// plan shape (table, sample, canonical predicate), outcome, latency
-// breakdown, and per-aggregate error behaviour — everything the workload
-// profiler and a future constraint planner need, nothing more (group
-// values and estimates stay in the event log; the history store is about
-// shapes, not answers).
-type QueryRecord struct {
-	QID uint64 `json:"qid"`
-	// TraceID is the query's distributed-trace id (32 hex chars, "" when
-	// tracing is off) — the join key back to the span ring, event log and
-	// any exported OTLP spans.
-	TraceID     string             `json:"trace_id,omitempty"`
-	SQL         string             `json:"sql"`
-	Table       string             `json:"table,omitempty"`
-	Sample      string             `json:"sample,omitempty"`    // sample row count, or "exact"
-	Predicate   string             `json:"predicate,omitempty"` // canonical predicate signature
-	Outcome     string             `json:"outcome"`             // "ok" | "cancelled" | "error"
-	TotalMs     float64            `json:"total_ms"`
-	QueueWaitMs float64            `json:"queue_wait_ms,omitempty"`
-	StagesMs    map[string]float64 `json:"stages_ms,omitempty"`
-	// Selectivity is rows passing the predicate over rows inspected
-	// (-1 when the query scanned nothing).
-	Selectivity float64 `json:"selectivity"`
-	// SampleFraction is sample rows over population rows (1 for exact
-	// execution, 0 when the population size is unknown).
-	SampleFraction float64 `json:"sample_fraction,omitempty"`
-	// KBudget is the bootstrap replicate budget the plan allowed; KUsed is
-	// the largest replicate count the adaptive stopping rule actually ran.
-	KBudget    int         `json:"k_budget,omitempty"`
-	KUsed      int         `json:"k_used,omitempty"`
-	SharedScan bool        `json:"shared_scan,omitempty"`
-	FellBack   bool        `json:"fell_back,omitempty"`
-	Aggs       []AggSample `json:"aggs,omitempty"`
-}
-
-// AggSample is one aggregate's error outcome inside a QueryRecord.
-type AggSample struct {
-	// Kind is the aggregate kind ("AVG", "SUM", ..., or the UDF name).
-	Kind string `json:"kind"`
-	// RelErr is the half-width over |estimate| (-1 when undefined: exact
-	// answers and zero-centered estimates).
-	RelErr    float64 `json:"rel_err"`
-	Technique string  `json:"technique,omitempty"`
-	Rejected  bool    `json:"rejected,omitempty"`
-	Exact     bool    `json:"exact,omitempty"`
-}
-
-// AuditRecord is one audited aggregate: the watchdog re-ran the query
-// exactly and compared the approximate CI against ground truth.
-type AuditRecord struct {
-	QID uint64 `json:"qid"`
-	// TraceID joins the audit back to the audited query's trace.
-	TraceID   string `json:"trace_id,omitempty"`
-	Table     string `json:"table,omitempty"`
-	Sample    string `json:"sample,omitempty"`
-	Predicate string `json:"predicate,omitempty"`
-	// Kind is the aggregate kind; Agg the full label (e.g. "AVG(Time)").
-	Kind    string  `json:"kind"`
-	Agg     string  `json:"agg"`
-	Group   string  `json:"group,omitempty"`
-	Covered bool    `json:"covered"`
-	Truth   float64 `json:"truth"`
-	Lo      float64 `json:"lo"`
-	Hi      float64 `json:"hi"`
+	TS     int64            `json:"ts"`
+	Query  *obs.QueryRecord `json:"query,omitempty"`
+	Audit  *obs.AuditRecord `json:"audit,omitempty"`
+	Reject *RejectRecord    `json:"reject,omitempty"`
 }
 
 // RejectRecord is one admission rejection: the query never reached the
-// engine, so no QueryRecord exists — but availability SLOs must still see
+// engine, so no query record exists — but availability SLOs must still see
 // it.
 type RejectRecord struct {
 	Reason string `json:"reason"`
@@ -112,21 +52,26 @@ func finiteRel(v float64) float64 {
 	return v
 }
 
-func (q *QueryRecord) sanitize() {
-	q.TotalMs = finite(q.TotalMs)
-	q.QueueWaitMs = finite(q.QueueWaitMs)
-	q.Selectivity = finite(q.Selectivity)
-	q.SampleFraction = finite(q.SampleFraction)
-	for k, v := range q.StagesMs {
-		q.StagesMs[k] = finite(v)
+// sanitizeQuery returns a JSON-safe copy of q. The caller's record is
+// shared with the other sinks, so nothing it points at is written.
+func sanitizeQuery(q *obs.QueryRecord) *obs.QueryRecord {
+	c := *q
+	c.TotalMs = finite(c.TotalMs)
+	c.QueueWaitMs = finite(c.QueueWaitMs)
+	c.Selectivity = finite(c.Selectivity)
+	c.SampleFraction = finite(c.SampleFraction)
+	if len(c.StagesMs) > 0 {
+		c.StagesMs = make(map[string]float64, len(q.StagesMs))
+		for k, v := range q.StagesMs {
+			c.StagesMs[k] = finite(v)
+		}
 	}
-	for i := range q.Aggs {
-		q.Aggs[i].RelErr = finiteRel(q.Aggs[i].RelErr)
+	c.Aggs = append([]obs.AggRecord(nil), q.Aggs...)
+	for i := range c.Aggs {
+		a := &c.Aggs[i]
+		a.Center = finite(a.Center)
+		a.HalfWidth = finite(a.HalfWidth)
+		a.RelErr = finiteRel(a.RelErr)
 	}
-}
-
-func (a *AuditRecord) sanitize() {
-	a.Truth = finite(a.Truth)
-	a.Lo = finite(a.Lo)
-	a.Hi = finite(a.Hi)
+	return &c
 }

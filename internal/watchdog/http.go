@@ -89,13 +89,7 @@ func (w *Watchdog) Status() Status {
 			Techniques:         tech,
 		})
 	}
-	for _, k := range w.keyOrder {
-		for _, kind := range []AlertKind{Undercoverage, Overcoverage, RejectDrift} {
-			if a, ok := w.active[alertID{kind, k}]; ok {
-				st.ActiveAlerts = append(st.ActiveAlerts, a)
-			}
-		}
-	}
+	st.ActiveAlerts = w.activeLocked()
 	st.History = append(st.History, w.history...)
 	return st
 }

@@ -41,47 +41,6 @@ type Key struct {
 
 func (k Key) String() string { return k.Agg + "@" + k.Sample }
 
-// AggRecord is one aggregate's calibration-relevant outcome in a served
-// query.
-type AggRecord struct {
-	// Group is the GROUP BY key ("" for ungrouped queries); audits match
-	// on (Group, Agg).
-	Group string
-	// Agg is the output alias.
-	Agg string
-	// Kind is the aggregate kind ("AVG", "SUM", ...) — an opaque
-	// pass-through to the audit observer, like Record.Table.
-	Kind string
-	// Interval is the reported confidence interval.
-	Interval estimator.Interval
-	// Technique names the error-estimation method used.
-	Technique string
-	// Rejected reports a diagnostic rejection for this aggregate.
-	Rejected bool
-	// Exact marks an answer computed on the full dataset (fallback);
-	// exact answers are excluded from coverage audits — their intervals
-	// cover trivially.
-	Exact bool
-}
-
-// Record is one served query as the watchdog sees it. Table and
-// Predicate are opaque pass-throughs: the watchdog keys its own windows
-// by (aggregate, sample) only, but hands both to the audit observer so
-// downstream consumers (the history store's workload profiles) can file
-// coverage outcomes under richer keys.
-type Record struct {
-	QID uint64
-	// TraceID is the query's distributed-trace id (32 hex chars, "" when
-	// tracing is off) — an opaque pass-through, stamped onto audit
-	// outcomes so an operator can join an audit back to the client call.
-	TraceID   string
-	SQL       string
-	Sample    string // sample label: row count, or "exact"
-	Table     string
-	Predicate string
-	Aggs      []AggRecord
-}
-
 // AggInstance identifies one aggregate output within a query for audit
 // matching: the exact re-execution returns one truth value per instance.
 type AggInstance struct {
@@ -89,32 +48,15 @@ type AggInstance struct {
 	Agg   string
 }
 
-// AuditFunc re-executes sql exactly and returns the ground-truth value of
-// every aggregate output. The engine binds its exact execution path here;
-// tests bind synthetic truths.
-type AuditFunc func(ctx context.Context, sql string) (map[AggInstance]float64, error)
-
-// AuditOutcome is one audited aggregate's ground-truth comparison, as
-// handed to the audit observer the moment the coverage window absorbs it.
-type AuditOutcome struct {
-	QID       uint64
-	TraceID   string // audited query's trace id ("" when tracing is off)
-	SQL       string
-	Table     string
-	Sample    string
-	Predicate string
-	Group     string
-	Agg       string // output alias, e.g. "AVG(Time)"
-	Kind      string // aggregate kind, e.g. "AVG"
-	Covered   bool
-	Truth     float64
-	Interval  estimator.Interval
-}
+// AuditFunc re-executes the query rec records exactly and returns the
+// ground-truth value of every aggregate output. The engine binds its exact
+// execution path here; tests bind synthetic truths.
+type AuditFunc func(ctx context.Context, rec *obs.QueryRecord) (map[AggInstance]float64, error)
 
 // AuditObserver receives every audit outcome. It runs outside the
 // watchdog's lock, after the outcome has entered the coverage windows; a
 // slow observer delays subsequent audits, never the serving path.
-type AuditObserver func(AuditOutcome)
+type AuditObserver func(obs.AuditRecord)
 
 // AlertKind types the watchdog's alerts.
 type AlertKind string
@@ -348,17 +290,10 @@ type keyState struct {
 	techniques      map[string]int64
 }
 
-// auditJob carries one query's reported intervals to the audit worker.
+// auditJob carries one observed query to the audit worker.
 type auditJob struct {
-	sql       string
-	seq       uint64
-	qid       uint64
-	traceID   string
-	table     string
-	sample    string
-	predicate string
-	key       func(g AggRecord) Key
-	aggs      []AggRecord
+	rec *obs.QueryRecord
+	seq uint64
 }
 
 // AlertNotifier receives alert lifecycle transitions: firing=true the
@@ -509,10 +444,15 @@ func (w *Watchdog) Close() {
 	}
 }
 
+// interval is the aggregate's reported confidence interval.
+func interval(a *obs.AggRecord) estimator.Interval {
+	return estimator.Interval{Center: a.Center, HalfWidth: a.HalfWidth}
+}
+
 // accountable reports whether the aggregate carries an estimated interval an
 // audit can hold to account.
-func (a AggRecord) accountable() bool {
-	return !a.Exact && !math.IsNaN(a.Interval.HalfWidth)
+func accountable(a *obs.AggRecord) bool {
+	return !a.Exact && !math.IsNaN(a.HalfWidth)
 }
 
 // Observe records one served query: verdicts, CI widths and technique
@@ -521,8 +461,9 @@ func (a AggRecord) accountable() bool {
 // when Synchronous, otherwise on the background worker) and its coverage
 // outcome enters the window when the audit completes. A query in which no
 // aggregate is accountable — every one fell back to exact — is never
-// audited: the re-execution would be thrown away whole.
-func (w *Watchdog) Observe(rec Record) {
+// audited: the re-execution would be thrown away whole. rec is only read,
+// and may be held until its audit completes.
+func (w *Watchdog) Observe(rec *obs.QueryRecord) {
 	if w == nil {
 		return
 	}
@@ -534,13 +475,14 @@ func (w *Watchdog) Observe(rec Record) {
 	w.seq++
 	seq := w.seq
 	auditable := false
-	for _, a := range rec.Aggs {
-		auditable = auditable || a.accountable()
-		k := Key{Agg: a.Agg, Sample: rec.Sample}
+	for i := range rec.Aggs {
+		a := &rec.Aggs[i]
+		auditable = auditable || accountable(a)
+		k := Key{Agg: a.Name, Sample: rec.Sample}
 		st := w.key(k)
 		st.verdicts.push(a.Rejected)
-		if !math.IsNaN(a.Interval.RelativeError()) && !math.IsInf(a.Interval.RelativeError(), 0) {
-			st.relWidth.push(a.Interval.RelativeError())
+		if rel := interval(a).RelativeError(); !math.IsNaN(rel) && !math.IsInf(rel, 0) {
+			st.relWidth.push(rel)
 		}
 		st.techniques[a.Technique]++
 		rate, _ := st.verdicts.rate()
@@ -557,9 +499,7 @@ func (w *Watchdog) Observe(rec Record) {
 	if !doAudit {
 		return
 	}
-	job := auditJob{sql: rec.SQL, seq: seq, qid: rec.QID, traceID: rec.TraceID,
-		table: rec.Table, sample: rec.Sample, predicate: rec.Predicate, aggs: rec.Aggs,
-		key: func(a AggRecord) Key { return Key{Agg: a.Agg, Sample: rec.Sample} }}
+	job := auditJob{rec: rec, seq: seq}
 	if w.cfg.Synchronous || w.auditCh == nil {
 		w.runAudit(job)
 		return
@@ -604,24 +544,27 @@ func (w *Watchdog) runAudit(job auditJob) {
 		w.mAudits("error").Inc()
 		return
 	}
-	truths, err := w.audit(context.Background(), job.sql)
+	rec := job.rec
+	truths, err := w.audit(context.Background(), rec)
 	if err != nil {
 		w.mAudits("error").Inc()
 		return
 	}
-	var outcomes []AuditOutcome
+	var outcomes []obs.AuditRecord
 	w.mu.Lock()
 	observer := w.observer
-	for _, a := range job.aggs {
-		if !a.accountable() {
+	for i := range rec.Aggs {
+		a := &rec.Aggs[i]
+		if !accountable(a) {
 			continue
 		}
-		truth, ok := truths[AggInstance{Group: a.Group, Agg: a.Agg}]
+		truth, ok := truths[AggInstance{Group: a.Group, Agg: a.Name}]
 		if !ok {
 			continue
 		}
-		covered := a.Interval.Contains(truth)
-		k := job.key(a)
+		iv := interval(a)
+		covered := iv.Contains(truth)
+		k := Key{Agg: a.Name, Sample: rec.Sample}
 		st := w.key(k)
 		st.coverage.push(covered)
 		if covered {
@@ -633,11 +576,11 @@ func (w *Watchdog) runAudit(job auditJob) {
 		w.mCoverage(k).Set(cov)
 		w.checkCoverageLocked(k, st, job.seq)
 		if observer != nil {
-			outcomes = append(outcomes, AuditOutcome{
-				QID: job.qid, TraceID: job.traceID, SQL: job.sql,
-				Table: job.table, Sample: job.sample, Predicate: job.predicate,
-				Group: a.Group, Agg: a.Agg, Kind: a.Kind,
-				Covered: covered, Truth: truth, Interval: a.Interval,
+			outcomes = append(outcomes, obs.AuditRecord{
+				QID: rec.QID, TraceID: rec.TraceID,
+				Table: rec.Table, Sample: rec.Sample, Predicate: rec.Predicate,
+				Kind: a.Kind, Agg: a.Name, Group: a.Group,
+				Covered: covered, Truth: truth, Lo: iv.Lo(), Hi: iv.Hi(),
 			})
 		}
 	}
@@ -770,7 +713,13 @@ func (w *Watchdog) ActiveAlerts() []Alert {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]Alert, 0, len(w.active))
+	return w.activeLocked()
+}
+
+// activeLocked lists the firing alerts, ordered by key registration then
+// kind; caller holds mu.
+func (w *Watchdog) activeLocked() []Alert {
+	var out []Alert
 	for _, k := range w.keyOrder {
 		for _, kind := range []AlertKind{Undercoverage, Overcoverage, RejectDrift} {
 			if a, ok := w.active[alertID{kind, k}]; ok {

@@ -11,19 +11,20 @@ import (
 	"repro/internal/obs"
 )
 
-// rec builds a one-aggregate Record; the truth map key is {"", "A"}.
-func rec(sql string, rejected bool, iv estimator.Interval) Record {
-	return Record{SQL: sql, Sample: "1000", Aggs: []AggRecord{{
-		Agg: "A", Interval: iv, Technique: "closed-form", Rejected: rejected,
+// rec builds a one-aggregate record; the truth map key is {"", "A"}.
+func rec(sql string, rejected bool, iv estimator.Interval) *obs.QueryRecord {
+	return &obs.QueryRecord{SQL: sql, Sample: "1000", Aggs: []obs.AggRecord{{
+		Name: "A", Center: iv.Center, HalfWidth: iv.HalfWidth,
+		Technique: "closed-form", Rejected: rejected,
 	}}}
 }
 
 // coverAudit returns an AuditFunc whose truth covers the unit interval
 // around zero for SQL containing "cover" and misses it otherwise.
 func coverAudit() AuditFunc {
-	return func(_ context.Context, sql string) (map[AggInstance]float64, error) {
+	return func(_ context.Context, rec *obs.QueryRecord) (map[AggInstance]float64, error) {
 		truth := 10.0
-		if strings.Contains(sql, "cover") {
+		if strings.Contains(rec.SQL, "cover") {
 			truth = 0
 		}
 		return map[AggInstance]float64{{Agg: "A"}: truth}, nil
@@ -141,7 +142,7 @@ func TestRejectDriftFloorEdge(t *testing.T) {
 func TestAuditStrideDeterministic(t *testing.T) {
 	var calls atomic.Int64
 	w := New(Config{Window: 100, AuditFraction: 0.25, Synchronous: true})
-	w.Bind(func(context.Context, string) (map[AggInstance]float64, error) {
+	w.Bind(func(context.Context, *obs.QueryRecord) (map[AggInstance]float64, error) {
 		calls.Add(1)
 		return map[AggInstance]float64{{Agg: "A"}: 0}, nil
 	})
@@ -157,15 +158,15 @@ func TestAuditStrideDeterministic(t *testing.T) {
 func TestExactAndNaNAggsSkipCoverage(t *testing.T) {
 	var calls atomic.Int64
 	w := New(Config{Window: 10, MinAudits: 1, AuditFraction: 1, Synchronous: true})
-	w.Bind(func(context.Context, string) (map[AggInstance]float64, error) {
+	w.Bind(func(context.Context, *obs.QueryRecord) (map[AggInstance]float64, error) {
 		calls.Add(1)
 		return map[AggInstance]float64{{Agg: "A"}: 1e9}, nil
 	})
-	w.Observe(Record{SQL: "q", Sample: "exact", Aggs: []AggRecord{{
-		Agg: "A", Exact: true, Interval: estimator.Interval{Center: 1},
+	w.Observe(&obs.QueryRecord{SQL: "q", Sample: "exact", Aggs: []obs.AggRecord{{
+		Name: "A", Exact: true, Center: 1,
 	}}})
-	w.Observe(Record{SQL: "q", Sample: "1000", Aggs: []AggRecord{{
-		Agg: "A", Interval: estimator.Interval{Center: 1, HalfWidth: math.NaN()},
+	w.Observe(&obs.QueryRecord{SQL: "q", Sample: "1000", Aggs: []obs.AggRecord{{
+		Name: "A", Center: 1, HalfWidth: math.NaN(),
 	}}})
 	st := w.Status()
 	for _, k := range st.Keys {
@@ -181,7 +182,7 @@ func TestExactAndNaNAggsSkipCoverage(t *testing.T) {
 func TestBackgroundAuditsDrainOnClose(t *testing.T) {
 	var calls atomic.Int64
 	w := New(Config{Window: 100, AuditFraction: 1, AuditQueue: 64})
-	w.Bind(func(context.Context, string) (map[AggInstance]float64, error) {
+	w.Bind(func(context.Context, *obs.QueryRecord) (map[AggInstance]float64, error) {
 		calls.Add(1)
 		return map[AggInstance]float64{{Agg: "A"}: 0}, nil
 	})
