@@ -563,6 +563,10 @@ type AggAnswer struct {
 	DiagnosticCause string
 	// DiagnosticReason explains a rejection: the cause with its evidence.
 	DiagnosticReason string
+	// DiagnosticRungsRun and DiagnosticDecidedAfter say where the
+	// diagnostic's ladder stopped (diagnostic.Result.RungsRun and
+	// DecidedAfter; 0 when it did not run).
+	DiagnosticRungsRun, DiagnosticDecidedAfter int
 	// Exact marks an answer computed on the full dataset.
 	Exact bool
 }

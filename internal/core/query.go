@@ -439,6 +439,8 @@ func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st
 				aa.DiagnosticOK = out.Diag.OK
 				aa.DiagnosticCause = out.Diag.Cause.String()
 				aa.DiagnosticReason = out.Diag.Reason
+				aa.DiagnosticRungsRun = out.Diag.RungsRun
+				aa.DiagnosticDecidedAfter = out.Diag.DecidedAfter
 			}
 			ga.Aggs = append(ga.Aggs, aa)
 		}
@@ -555,10 +557,13 @@ func (e *Engine) applyFallback(q *request, ans *Answer) error {
 				continue
 			}
 			rejected := ans.Groups[gi].Aggs[ai]
-			ans.Groups[gi].Aggs[ai] = exAggs[ai]
-			ans.Groups[gi].Aggs[ai].DiagnosticOK = false
-			ans.Groups[gi].Aggs[ai].DiagnosticCause = rejected.DiagnosticCause
-			ans.Groups[gi].Aggs[ai].DiagnosticReason = rejected.DiagnosticReason
+			a := &ans.Groups[gi].Aggs[ai]
+			*a = exAggs[ai]
+			a.DiagnosticOK = false
+			a.DiagnosticCause = rejected.DiagnosticCause
+			a.DiagnosticReason = rejected.DiagnosticReason
+			a.DiagnosticRungsRun = rejected.DiagnosticRungsRun
+			a.DiagnosticDecidedAfter = rejected.DiagnosticDecidedAfter
 		}
 	}
 	ans.Counters.Scans += exact.Counters.Scans

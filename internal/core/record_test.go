@@ -28,6 +28,7 @@ type sinkAgg struct {
 	Technique         string
 	Rejected          bool
 	Cause             string
+	RungsRun, Decided int
 	Exact             bool
 }
 
@@ -37,7 +38,8 @@ func viewOf(r *obs.QueryRecord) sinkView {
 	for _, a := range r.Aggs {
 		v.Aggs = append(v.Aggs, sinkAgg{Group: a.Group, Name: a.Name, Kind: a.Kind,
 			Lo: a.Lo(), Hi: a.Hi(), RelErr: a.RelErr, Technique: a.Technique,
-			Rejected: a.Rejected, Cause: a.Cause, Exact: a.Exact})
+			Rejected: a.Rejected, Cause: a.Cause, RungsRun: a.RungsRun,
+			Decided: a.DecidedAfter, Exact: a.Exact})
 	}
 	return v
 }
@@ -62,6 +64,8 @@ type eventLine struct {
 		Technique string  `json:"technique"`
 		Verdict   string  `json:"verdict"`
 		Cause     string  `json:"cause"`
+		RungsRun  int     `json:"rungs_run"`
+		Decided   int     `json:"decided_after"`
 		Exact     bool    `json:"exact"`
 	} `json:"aggs"`
 }
@@ -72,7 +76,8 @@ func (l eventLine) view() sinkView {
 	for _, a := range l.Aggs {
 		v.Aggs = append(v.Aggs, sinkAgg{Group: a.Group, Name: a.Name, Kind: a.Kind,
 			Lo: a.Lo, Hi: a.Hi, RelErr: a.RelErr, Technique: a.Technique,
-			Rejected: a.Verdict == "reject", Cause: a.Cause, Exact: a.Exact})
+			Rejected: a.Verdict == "reject", Cause: a.Cause, RungsRun: a.RungsRun,
+			Decided: a.Decided, Exact: a.Exact})
 	}
 	return v
 }
@@ -180,9 +185,17 @@ func TestOneRecordFeedsEverySink(t *testing.T) {
 		t.Errorf("grouped query's shape = %+v", first)
 	}
 	causes := 0
-	for _, a := range first.Aggs {
+	for i, a := range first.Aggs {
 		if a.Rejected && a.Cause != "" {
 			causes++
+		}
+		// Every aggregate of the sampled answer was diagnosed, so each says
+		// where the ladder stopped: within its 3 rungs of p = 100.
+		if a.RungsRun < 1 || a.RungsRun > 3 || a.Decided < 1 || a.Decided > 100 {
+			t.Errorf("aggregate %d: ladder stopped at rung %d after %d subsamples", i, a.RungsRun, a.Decided)
+		}
+		if !a.Rejected && (a.RungsRun != 3 || a.Decided != 100) {
+			t.Errorf("aggregate %d: accepted at rung %d after %d subsamples, want the full ladder", i, a.RungsRun, a.Decided)
 		}
 	}
 	if causes != rejected {

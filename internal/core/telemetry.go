@@ -97,17 +97,19 @@ func outcomeRecord(q *request, ans *Answer, err error) *obs.QueryRecord {
 	for _, g := range ans.Groups {
 		for ai, a := range g.Aggs {
 			rec.Aggs = append(rec.Aggs, obs.AggRecord{
-				Group:     g.Key,
-				Name:      a.Name,
-				Kind:      aggKindLabel(def, ai),
-				Estimate:  a.Estimate,
-				Center:    a.ErrorBar.Center,
-				HalfWidth: a.ErrorBar.HalfWidth,
-				RelErr:    a.RelErr,
-				Technique: a.Technique,
-				Rejected:  !a.DiagnosticOK,
-				Cause:     a.DiagnosticCause,
-				Exact:     a.Exact,
+				Group:        g.Key,
+				Name:         a.Name,
+				Kind:         aggKindLabel(def, ai),
+				Estimate:     a.Estimate,
+				Center:       a.ErrorBar.Center,
+				HalfWidth:    a.ErrorBar.HalfWidth,
+				RelErr:       a.RelErr,
+				Technique:    a.Technique,
+				Rejected:     !a.DiagnosticOK,
+				Cause:        a.DiagnosticCause,
+				RungsRun:     a.DiagnosticRungsRun,
+				DecidedAfter: a.DiagnosticDecidedAfter,
+				Exact:        a.Exact,
 			})
 		}
 	}

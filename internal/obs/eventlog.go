@@ -53,9 +53,11 @@ type eventAgg struct {
 	RelErr    float64 `json:"rel_err"`
 	Technique string  `json:"technique"`
 	// Verdict is the runtime diagnostic's decision: "accept" or "reject".
-	Verdict string `json:"verdict"`
-	Cause   string `json:"cause,omitempty"`
-	Exact   bool   `json:"exact,omitempty"`
+	Verdict      string `json:"verdict"`
+	Cause        string `json:"cause,omitempty"`
+	RungsRun     int    `json:"rungs_run,omitempty"`
+	DecidedAfter int    `json:"decided_after,omitempty"`
+	Exact        bool   `json:"exact,omitempty"`
 }
 
 // Emit writes one record. Slow queries (total latency past the threshold),
@@ -78,7 +80,8 @@ func (l *EventLog) Emit(rec *QueryRecord) {
 		}
 		aggs = append(aggs, eventAgg{Group: a.Group, Name: a.Name, Kind: a.Kind,
 			Estimate: a.Estimate, Lo: a.Lo(), Hi: a.Hi(), RelErr: a.RelErr,
-			Technique: a.Technique, Verdict: verdict, Cause: a.Cause, Exact: a.Exact})
+			Technique: a.Technique, Verdict: verdict, Cause: a.Cause,
+			RungsRun: a.RungsRun, DecidedAfter: a.DecidedAfter, Exact: a.Exact})
 	}
 	kind := rec.Kind
 	if kind == "" {

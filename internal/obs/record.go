@@ -83,6 +83,11 @@ type AggRecord struct {
 	// (a diagnostic.Cause name, "" when accepted).
 	Rejected bool   `json:"rejected,omitempty"`
 	Cause    string `json:"cause,omitempty"`
+	// RungsRun and DecidedAfter say where the diagnostic's ladder stopped:
+	// the sizes it ran ξ at, and how many of the deciding size's subsamples
+	// it had evaluated (0 when no diagnostic ran).
+	RungsRun     int `json:"rungs_run,omitempty"`
+	DecidedAfter int `json:"decided_after,omitempty"`
 	// Exact marks an answer computed on the full dataset (fallback or
 	// exact execution); its interval covers trivially.
 	Exact bool `json:"exact,omitempty"`

@@ -70,17 +70,80 @@ func Verdict(a core.AggAnswer) string {
 
 // AggResult is one aggregate of a query response: the estimate, its α
 // confidence interval, the relative error bound, the estimation technique
-// and the diagnostic verdict.
+// and the diagnostic verdict. The struct is always complete; its JSON form
+// (MarshalJSON) leaves out the values a reader restores by rule.
 type AggResult struct {
+	Name      string
+	Estimate  F64
+	Lo, Hi    F64
+	RelErr    F64
+	Technique string
+	Verdict   string
+	// Cause types a rejection with a diagnostic.Cause name ("too_few_rows",
+	// "pi", "delta", ...; "" when accepted). The prose explanation stays on
+	// core.AggAnswer.DiagnosticReason and the verdict span.
+	Cause string
+	Exact bool
+}
+
+// aggJSON is AggResult's JSON schema. The interval ends and the relative
+// error are pointers so that decoding can tell an absent key from a sent one.
+type aggJSON struct {
 	Name      string `json:"name"`
 	Estimate  F64    `json:"estimate"`
-	Lo        F64    `json:"lo"`
-	Hi        F64    `json:"hi"`
-	RelErr    F64    `json:"rel_err"`
+	Lo        *F64   `json:"lo,omitempty"`
+	Hi        *F64   `json:"hi,omitempty"`
+	RelErr    *F64   `json:"rel_err,omitempty"`
 	Technique string `json:"technique"`
 	Verdict   string `json:"verdict"`
-	Reason    string `json:"reason,omitempty"`
+	Cause     string `json:"cause,omitempty"`
 	Exact     bool   `json:"exact,omitempty"`
+}
+
+// sameBits reports whether two floats have identical bit patterns.
+func sameBits(a, b F64) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+}
+
+// MarshalJSON leaves out defaults: lo and hi when their bits equal the
+// estimate's (every exact answer, any zero-width interval), rel_err when its
+// bits are +0. Bits decide, not ==, so −0, NaN and ±Inf are sent whenever
+// they differ from the default's bits, and UnmarshalJSON restores exactly
+// the bits left out.
+func (a AggResult) MarshalJSON() ([]byte, error) {
+	w := aggJSON{Name: a.Name, Estimate: a.Estimate, Technique: a.Technique,
+		Verdict: a.Verdict, Cause: a.Cause, Exact: a.Exact}
+	if !sameBits(a.Lo, a.Estimate) {
+		w.Lo = &a.Lo
+	}
+	if !sameBits(a.Hi, a.Estimate) {
+		w.Hi = &a.Hi
+	}
+	if !sameBits(a.RelErr, 0) {
+		w.RelErr = &a.RelErr
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON implements json.Unmarshaler: an absent lo or hi is the
+// estimate, an absent rel_err is +0.
+func (a *AggResult) UnmarshalJSON(b []byte) error {
+	var w aggJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*a = AggResult{Name: w.Name, Estimate: w.Estimate, Lo: w.Estimate, Hi: w.Estimate,
+		Technique: w.Technique, Verdict: w.Verdict, Cause: w.Cause, Exact: w.Exact}
+	if w.Lo != nil {
+		a.Lo = *w.Lo
+	}
+	if w.Hi != nil {
+		a.Hi = *w.Hi
+	}
+	if w.RelErr != nil {
+		a.RelErr = *w.RelErr
+	}
+	return nil
 }
 
 // GroupResult is one group's aggregates.
@@ -128,7 +191,7 @@ func EncodeAnswer(ans *core.Answer) *QueryResponse {
 				RelErr:    F64(a.RelErr),
 				Technique: a.Technique,
 				Verdict:   Verdict(a),
-				Reason:    a.DiagnosticReason,
+				Cause:     a.DiagnosticCause,
 				Exact:     a.Exact,
 			})
 		}

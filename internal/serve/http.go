@@ -106,9 +106,18 @@ func (a *httpAPI) fail(w http.ResponseWriter, route string, status int, code, ms
 		w.Header().Set("Retry-After", "1")
 	}
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(ErrorResponse{ //nolint:errcheck // best effort to a dying client
+	newEncoder(w).Encode(ErrorResponse{ //nolint:errcheck // best effort to a dying client
 		Error: msg, Code: code, Retryable: retryable,
 	})
+}
+
+// newEncoder returns the JSON encoder of every /query body. HTML escaping
+// is off: the bodies are not HTML, and SQL echoed back keeps its < and >
+// instead of growing them into six-byte unicode escapes.
+func newEncoder(w io.Writer) *json.Encoder {
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	return enc
 }
 
 // httpStatus maps a Classify code to its HTTP status.
@@ -199,7 +208,7 @@ func (a *httpAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	resp := EncodeAnswer(ans)
 	resp.TraceID = tc.TraceIDString()
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
+	if err := newEncoder(w).Encode(resp); err != nil {
 		// Too late for a status change; the client sees a truncated body.
 		return
 	}

@@ -148,8 +148,40 @@ func parseCell(t *testing.T, what, cell string) float64 {
 // core.Engine.Query, POST /query, and a MySQL wire client returns
 // bit-identical estimates, interval endpoints, relative errors, and
 // identical technique/verdict strings.
+//
+// Beside Orders, whose 1000-row sample is too small for the diagnostic,
+// the engine holds Events, sampled large enough to be diagnosed: its "big"
+// kind fills the ladder and is accepted, its "rare" kind is rejected for
+// too few rows and re-answered exactly. Ledger has no sample, so the engine
+// answers it in exact mode. Across all of them the HTTP answer's typed
+// cause must be the engine's.
 func TestTransportEquality(t *testing.T) {
 	eng := testEngine(t, core.Config{Seed: 7})
+	const n = 16000
+	src := rng.New(654)
+	v := make(table.Float64Col, n)
+	kind := make(table.StringCol, n)
+	for i := range v {
+		v[i] = 50 + 10*src.NormFloat64()
+		kind[i] = "big"
+		if src.Float64() < 0.3 {
+			kind[i] = "rare"
+		}
+	}
+	events := table.MustNew(table.Schema{
+		{Name: "V", Type: table.Float64},
+		{Name: "Kind", Type: table.String},
+	}, v, kind)
+	ledger := table.MustNew(table.Schema{{Name: "Amount", Type: table.Float64}},
+		table.Float64Col{1, 2, 3, 4.5})
+	for name, tbl := range map[string]*table.Table{"Events": events, "Ledger": ledger} {
+		if err := eng.RegisterTable(name, tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.BuildSamples("Events", 8000); err != nil {
+		t.Fatal(err)
+	}
 	st := startStack(t, eng, serve.Config{MaxInFlight: 4}, wire.Config{})
 
 	cli, err := wire.Dial(st.addr, wire.ClientOptions{User: "root", Timeout: 5 * time.Second})
@@ -158,15 +190,48 @@ func TestTransportEquality(t *testing.T) {
 	}
 	defer cli.Close()
 
+	const (
+		rejectedGroups = "SELECT AVG(V) FROM Events GROUP BY Kind"
+		exactMode      = "SELECT AVG(Amount), SUM(Amount) FROM Ledger WHERE Amount >= 2"
+		// Nothing passes the filter: NaN estimate, interval and rel_err.
+		noRows = "SELECT MAX(Price) FROM Orders WHERE Price > 1000"
+	)
 	queries := []string{
 		"SELECT AVG(Price) FROM Orders",
 		"SELECT SUM(Price), COUNT(Price) FROM Orders WHERE Region = 'east'",
 		"SELECT AVG(Price) FROM Orders GROUP BY Region",
+		rejectedGroups, exactMode, noRows,
 	}
 	for _, q := range queries {
 		want, err := eng.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: direct: %v", q, err)
+		}
+		first := want.Groups[0].Aggs[0]
+		switch q {
+		case rejectedGroups:
+			var accepted, fellBack int
+			for _, g := range want.Groups {
+				for _, a := range g.Aggs {
+					if a.DiagnosticOK && !a.Exact {
+						accepted++
+					}
+					if !a.DiagnosticOK && a.Exact && a.DiagnosticCause == "too_few_rows" {
+						fellBack++
+					}
+				}
+			}
+			if accepted == 0 || fellBack == 0 {
+				t.Fatalf("premise: %s: %d accepted, %d rejected and re-answered exactly", q, accepted, fellBack)
+			}
+		case exactMode:
+			if !first.Exact || want.SampleRows != 0 {
+				t.Fatalf("premise: %s is not answered in exact mode: %+v", q, first)
+			}
+		case noRows:
+			if !math.IsNaN(first.RelErr) || !math.IsNaN(first.Estimate) {
+				t.Fatalf("premise: %s: rel_err %v estimate %v, want NaN", q, first.RelErr, first.Estimate)
+			}
 		}
 
 		// HTTP path.
@@ -191,6 +256,12 @@ func TestTransportEquality(t *testing.T) {
 				}
 				if ha.Verdict != serve.Verdict(a) {
 					t.Errorf("%s verdict %q want %q", pre, ha.Verdict, serve.Verdict(a))
+				}
+				if ha.Cause != a.DiagnosticCause {
+					t.Errorf("%s cause %q want %q", pre, ha.Cause, a.DiagnosticCause)
+				}
+				if ha.Exact != a.Exact {
+					t.Errorf("%s exact %v want %v", pre, ha.Exact, a.Exact)
 				}
 			}
 		}
