@@ -120,22 +120,24 @@ func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 		// Answer assembly is memoized alongside the executor's whole-plan
 		// dedup: closed-form error bars walk the full projected column, so
 		// recomputing them for members whose plans were deduped (identical
-		// Explain rendering under one engine seed ⇒ identical Result) would
+		// plan.Identity under one engine seed ⇒ identical Result) would
 		// rebuild byte-identical answers the slow way.
 		assembled := map[string]*Answer{}
 		for si, m := range shared {
 			var ans *Answer
-			err, sig := errs[si], m.p.Explain()
+			err, sig := errs[si], m.p.Identity()
 			switch lead := assembled[sig]; {
 			case err != nil:
 				err = fmt.Errorf("core: %s: approximate execution: %w", e.queryID(m.q.qt, m.q.sql), err)
 			case lead != nil:
 				// Same groups, error bars and techniques (the inputs are
-				// byte-identical), but the member's own plan, counter share
-				// and wall-clock; deep-copied, so a later per-member exact
-				// fallback cannot leak into a batchmate's answer.
+				// byte-identical), but the member's own SQL text, plan,
+				// counter share and wall-clock; deep-copied, so a later
+				// per-member exact fallback cannot leak into a batchmate's
+				// answer.
 				ans = lead.clone()
-				ans.Plan, ans.Counters, ans.Elapsed = m.p, results[si].Counters, time.Since(m.q.start)
+				ans.SQL, ans.Plan = m.q.sql, m.p
+				ans.Counters, ans.Elapsed = results[si].Counters, time.Since(m.q.start)
 			default:
 				if ans, err = e.answerFromResult(m.q, m.p, results[si], batchST, m.q.start); err == nil {
 					assembled[sig] = ans

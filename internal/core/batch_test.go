@@ -110,6 +110,57 @@ func TestRunSharedBatchMatchesSolo(t *testing.T) {
 	}
 }
 
+// TestRunSharedBatchKeepsAliases: batchmates that differ only in their AS
+// aliases share one scan but not one plan — each answer carries its own
+// column names, exactly as solo, and the answer cache replays each under
+// its own SQL. The repeated member takes the shared pass's follower path.
+func TestRunSharedBatchKeepsAliases(t *testing.T) {
+	mk := func() *Engine {
+		return sampledSessions(t, Config{Seed: 43, BootstrapK: 30, CacheBytes: 4 << 20}, 60000, 20000)
+	}
+	queries := []string{
+		"SELECT AVG(Time) AS a FROM Sessions",
+		"SELECT AVG(Time) AS b FROM Sessions",
+		"SELECT AVG(Time) AS a FROM Sessions",
+		"SELECT AVG(Time) AS a, COUNT(*) AS n FROM Sessions",
+		"SELECT AVG(Time) AS b, COUNT(*) AS m FROM Sessions",
+	}
+	soloEng := mk()
+	solo := make([]*Answer, len(queries))
+	for i, q := range queries {
+		ans, err := soloEng.RunWithOptions(context.Background(), q, RunOptions{})
+		if err != nil {
+			t.Fatalf("solo %q: %v", q, err)
+		}
+		solo[i] = ans
+	}
+	reqs := make([]BatchRequest, len(queries))
+	for i, q := range queries {
+		reqs[i] = BatchRequest{Query: q}
+	}
+	e := mk()
+	out := e.RunSharedBatch(reqs)
+	for i, q := range queries {
+		if out[i].Err != nil {
+			t.Fatalf("batched %q: %v", q, out[i].Err)
+		}
+		answersEqual(t, q, out[i].Ans, solo[i])
+		if out[i].Ans.SQL != q {
+			t.Errorf("batched %q answers for %q", q, out[i].Ans.SQL)
+		}
+	}
+	for i, q := range queries {
+		replay, err := e.Run(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !replay.Cached {
+			t.Fatalf("%q missed the answer cache", q)
+		}
+		answersEqual(t, q+" (replayed)", replay, solo[i])
+	}
+}
+
 // TestRunSharedBatchScansOnce pins the tentpole acceptance criterion: a
 // batch of 16 same-sample queries performs exactly ONE physical pass —
 // summing Counters.Scans across all 16 answers gives 1.

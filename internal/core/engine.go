@@ -554,8 +554,17 @@ type AggAnswer struct {
 	RelErr float64
 	// Technique names the error-estimation method used.
 	Technique string
-	// DiagnosticOK reports the runtime diagnostic's verdict (true when
-	// diagnostics are disabled or the answer is exact).
+	// Diagnosis is the diagnostic's verdict. An exact fallback replaces
+	// everything above but keeps the verdict that caused it.
+	Diagnosis
+	// Exact marks an answer computed on the full dataset.
+	Exact bool
+}
+
+// Diagnosis is the runtime diagnostic's verdict on one aggregate.
+type Diagnosis struct {
+	// DiagnosticOK reports the verdict (true when diagnostics are disabled
+	// or the answer is exact).
 	DiagnosticOK bool
 	// DiagnosticCause types a rejection — the diagnostic.Cause that decided
 	// it, as the aqp_diagnostic_rejects_total counter labels it ("" when
@@ -567,8 +576,6 @@ type AggAnswer struct {
 	// diagnostic's ladder stopped (diagnostic.Result.RungsRun and
 	// DecidedAfter; 0 when it did not run).
 	DiagnosticRungsRun, DiagnosticDecidedAfter int
-	// Exact marks an answer computed on the full dataset.
-	Exact bool
 }
 
 // GroupAnswer is a group's aggregates.

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
@@ -107,11 +108,40 @@ func counterAttrSums(spans []obs.SpanSnapshot, into map[string]int64) {
 	}
 }
 
+// spanSumsMatchCounters asserts that summing the per-span counter
+// attributes over the whole trace reproduces the answer's Counters.
+func spanSumsMatchCounters(t *testing.T, label string, tr obs.TraceSnapshot, c exec.Counters) {
+	t.Helper()
+	sums := map[string]int64{}
+	counterAttrSums(tr.Spans, sums)
+	for _, check := range []struct {
+		key  string
+		want int64
+	}{
+		{"subqueries", int64(c.Subqueries)},
+		{"scans", int64(c.Scans)},
+		{"rows_scanned", c.RowsScanned},
+		{"bytes_scanned", c.BytesScanned},
+		{"rows_after_filter", c.RowsAfterFilter},
+		{"blocks_skipped", c.BlocksSkipped},
+		{"blocks_decoded", c.BlocksDecoded},
+		{"decode_ns", c.DecodeNanos},
+		{"cache_hits", c.CacheHits},
+		{"cache_bytes", c.CacheBytes},
+		{"weight_draws", c.WeightDraws},
+		{"diag_subqueries", int64(c.DiagSubqueries)},
+		{"tasks", int64(c.Tasks)},
+	} {
+		if sums[check.key] != check.want {
+			t.Errorf("%s: span attr %s sums to %d, counters say %d\ntrace:\n%s",
+				label, check.key, sums[check.key], check.want, tr.Structure())
+		}
+	}
+}
+
 // TestSpanCountersMatchResultCounters asserts the invariant that summing
 // the per-span counter attributes over the whole trace reproduces
 // Result.Counters, for the consolidated pipeline and exact execution.
-// Fallback is disabled because it merges only the scan-side counters into
-// the answer by design.
 func TestSpanCountersMatchResultCounters(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
@@ -138,30 +168,36 @@ func TestSpanCountersMatchResultCounters(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s: no trace", q)
 				}
-				sums := map[string]int64{}
-				counterAttrSums(tr.Spans, sums)
-				c := ans.Counters
-				for _, check := range []struct {
-					key  string
-					want int64
-				}{
-					{"subqueries", int64(c.Subqueries)},
-					{"scans", int64(c.Scans)},
-					{"rows_scanned", c.RowsScanned},
-					{"bytes_scanned", c.BytesScanned},
-					{"rows_after_filter", c.RowsAfterFilter},
-					{"blocks_skipped", c.BlocksSkipped},
-					{"weight_draws", c.WeightDraws},
-					{"diag_subqueries", int64(c.DiagSubqueries)},
-					{"tasks", int64(c.Tasks)},
-				} {
-					if sums[check.key] != check.want {
-						t.Errorf("%s: span attr %s sums to %d, counters say %d\ntrace:\n%s",
-							q, check.key, sums[check.key], check.want, tr.Structure())
-					}
-				}
+				spanSumsMatchCounters(t, q, tr, ans.Counters)
 			}
 		})
+	}
+}
+
+// TestFallbackCountersMatchSpans: an answer whose rejected aggregate was
+// re-answered exactly reports the approximate pass's work plus all of the
+// fallback's, every counter — the sums of its trace's span attributes —
+// while its selectivity stays the approximate pass's.
+func TestFallbackCountersMatchSpans(t *testing.T) {
+	e := heavyTailTable(t, Config{Seed: 45, BootstrapK: 40, Obs: obs.NewTracer(obs.Options{})}, 120000)
+	if err := e.BuildSamples("T", 40000); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT MAX(v) FROM T"
+	ans, err := e.Run(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ans.FellBack() {
+		t.Fatal("MAX on Pareto data did not fall back; test premise broken")
+	}
+	tr, ok := e.Tracer().Last()
+	if !ok {
+		t.Fatal("no trace")
+	}
+	spanSumsMatchCounters(t, q, tr, ans.Counters)
+	if ans.Selectivity != 1 {
+		t.Errorf("selectivity %v, want the approximate pass's 1", ans.Selectivity)
 	}
 }
 

@@ -332,13 +332,13 @@ func (e *Engine) runExact(q *request, parent *obs.Span) (*Answer, error) {
 		ga := GroupAnswer{Key: g.Key}
 		for _, out := range g.Aggs {
 			ga.Aggs = append(ga.Aggs, AggAnswer{
-				Name:         out.Spec.Alias,
-				Estimate:     out.Value,
-				ErrorBar:     estimator.Interval{Center: out.Value},
-				RelErr:       0,
-				Technique:    "exact",
-				DiagnosticOK: true,
-				Exact:        true,
+				Name:      out.Spec.Alias,
+				Estimate:  out.Value,
+				ErrorBar:  estimator.Interval{Center: out.Value},
+				RelErr:    0,
+				Technique: "exact",
+				Diagnosis: Diagnosis{DiagnosticOK: true},
+				Exact:     true,
 			})
 		}
 		ans.Groups = append(ans.Groups, ga)
@@ -415,9 +415,9 @@ func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st
 		ga := GroupAnswer{Key: g.Key}
 		for _, out := range g.Aggs {
 			aa := AggAnswer{
-				Name:         out.Spec.Alias,
-				Estimate:     out.Value,
-				DiagnosticOK: true,
+				Name:      out.Spec.Alias,
+				Estimate:  out.Value,
+				Diagnosis: Diagnosis{DiagnosticOK: true},
 			}
 			iv, technique, err := e.errorBar(out, alpha)
 			if err != nil {
@@ -435,12 +435,8 @@ func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st
 				maxRel = aa.RelErr
 			}
 			estSpan.AddInt("technique_"+technique, 1)
-			if out.Diag != nil {
-				aa.DiagnosticOK = out.Diag.OK
-				aa.DiagnosticCause = out.Diag.Cause.String()
-				aa.DiagnosticReason = out.Diag.Reason
-				aa.DiagnosticRungsRun = out.Diag.RungsRun
-				aa.DiagnosticDecidedAfter = out.Diag.DecidedAfter
+			if d := out.Diag; d != nil {
+				aa.Diagnosis = Diagnosis{d.OK, d.Cause.String(), d.Reason, d.RungsRun, d.DecidedAfter}
 			}
 			ga.Aggs = append(ga.Aggs, aa)
 		}
@@ -553,26 +549,18 @@ func (e *Engine) applyFallback(q *request, ans *Answer) error {
 			continue
 		}
 		for ai := range ans.Groups[gi].Aggs {
-			if ans.Groups[gi].Aggs[ai].DiagnosticOK {
+			a := &ans.Groups[gi].Aggs[ai]
+			if a.DiagnosticOK {
 				continue
 			}
-			rejected := ans.Groups[gi].Aggs[ai]
-			a := &ans.Groups[gi].Aggs[ai]
+			rejected := a.Diagnosis
 			*a = exAggs[ai]
-			a.DiagnosticOK = false
-			a.DiagnosticCause = rejected.DiagnosticCause
-			a.DiagnosticReason = rejected.DiagnosticReason
-			a.DiagnosticRungsRun = rejected.DiagnosticRungsRun
-			a.DiagnosticDecidedAfter = rejected.DiagnosticDecidedAfter
+			a.Diagnosis = rejected
 		}
 	}
-	ans.Counters.Scans += exact.Counters.Scans
-	ans.Counters.Subqueries += exact.Counters.Subqueries
-	ans.Counters.RowsScanned += exact.Counters.RowsScanned
-	ans.Counters.BytesScanned += exact.Counters.BytesScanned
-	ans.Counters.BlocksSkipped += exact.Counters.BlocksSkipped
-	ans.Counters.BlocksDecoded += exact.Counters.BlocksDecoded
-	ans.Counters.DecodeNanos += exact.Counters.DecodeNanos
+	// Selectivity stays the approximate pass's: the fallback's rows say
+	// nothing about the sample the answer was planned on.
+	ans.Counters.Add(exact.Counters)
 	ans.Elapsed += exact.Elapsed
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -17,9 +18,6 @@ import (
 type stratifiedSample struct {
 	keyColumn string
 	st        *exec.StoredTable
-	// groupFraction maps each key to the sampling fraction its stratum
-	// received, needed to scale per-group SUM/COUNT estimates.
-	groupFraction map[string]float64
 }
 
 // BuildStratifiedSample builds a stratified sample over the named key
@@ -47,7 +45,6 @@ func (e *Engine) BuildStratifiedSample(name, keyColumn string, capPerGroup int) 
 	sort.Strings(groupNames)
 
 	var idx []int
-	fractions := make(map[string]float64, len(groupNames))
 	for _, k := range groupNames {
 		rows := byKey[k]
 		take := len(rows)
@@ -56,16 +53,14 @@ func (e *Engine) BuildStratifiedSample(name, keyColumn string, capPerGroup int) 
 		}
 		src.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 		idx = append(idx, rows[:take]...)
-		fractions[k] = float64(take) / float64(len(rows))
 	}
 	// Shuffle the assembled sample so contiguous subsets stay random
 	// within strata interleaving.
 	src.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 
 	built := &stratifiedSample{
-		keyColumn:     keyColumn,
-		st:            e.storeSample(rt.full, idx, table.BackingRaw),
-		groupFraction: fractions,
+		keyColumn: keyColumn,
+		st:        e.storeSample(rt.full, idx, table.BackingRaw),
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -116,28 +111,9 @@ func (rt *registeredTable) stratifiedFor(def *plan.QueryDef) *stratifiedSample {
 		return nil
 	}
 	for _, s := range rt.stratified {
-		if equalFold(s.keyColumn, def.GroupBy[0]) {
+		if strings.EqualFold(s.keyColumn, def.GroupBy[0]) {
 			return s
 		}
 	}
 	return nil
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }

@@ -16,8 +16,8 @@ import (
 	"repro/internal/table"
 )
 
-// Exact path: block-streamed sinks. A plan with no Resample, Bootstrap or
-// Diagnostic node over a table that is the whole dataset needs nothing but
+// Exact path: block-streamed sinks. A plan with no bootstrap and no
+// diagnostic over a table that is the whole dataset needs nothing but
 // θ per group, so it never gathers: runExact walks the zone-map-admitted
 // blocks once, evaluates predicate, aggregate inputs and GROUP BY key per
 // block in pooled scratch, and folds each surviving row straight into its
@@ -37,8 +37,8 @@ import (
 // serves the zone-map skip list.
 
 // isExact reports whether the plan asks for exact execution on st.
-func isExact(nodes nodeSet, st *StoredTable) bool {
-	return nodes.resample == nil && nodes.boot == nil && nodes.diag == nil && st.PopRows <= 0
+func isExact(p *plan.Plan, st *StoredTable) bool {
+	return p.Opt.BootstrapK == 0 && !p.Opt.Diagnostics && st.PopRows <= 0
 }
 
 // exactInput is one distinct aggregate input expression and the sink kinds
@@ -106,26 +106,26 @@ type blockEval struct {
 }
 
 // runExact executes an exact plan with the block-streamed operator.
-func runExact(ctx context.Context, nodes nodeSet, st *StoredTable, udfs Registry, cfg Config) (*Result, error) {
+func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Registry, cfg Config) (*Result, error) {
 	tbl := st.Data
-	grouped := len(nodes.agg.GroupBy) > 0
+	grouped := len(def.GroupBy) > 0
 	scanSpan := cfg.Span.StartSpan(obs.StageScan)
 
-	s := &exactScan{tbl: tbl, keyIdx: -1, aggInput: make([]int, len(nodes.agg.Aggs))}
+	s := &exactScan{tbl: tbl, keyIdx: -1, aggInput: make([]int, len(def.Aggs))}
 	var skip []bool
 	var c Counters
-	if nodes.filter != nil {
-		s.pred = nodes.filter.Pred
+	if def.Where != nil {
+		s.pred = def.Where
 		skip, c.BlocksSkipped = zoneSkip(cfg.Preds, tbl, s.pred)
 	}
-	if err := s.plan(nodes.agg); err != nil {
-		return nil, fmt.Errorf("exec: scan of table %q: %w", nodes.scan.Table, err)
+	if err := s.plan(def.Aggs); err != nil {
+		return nil, fmt.Errorf("exec: scan of table %q: %w", def.Table, err)
 	}
-	if err := s.planKey(nodes.agg); err != nil {
-		return nil, fmt.Errorf("exec: grouping on table %q: %w", nodes.scan.Table, err)
+	if err := s.planKey(def.GroupBy); err != nil {
+		return nil, fmt.Errorf("exec: grouping on table %q: %w", def.Table, err)
 	}
-	queries := make([]estimator.Query, len(nodes.agg.Aggs))
-	for ai, spec := range nodes.agg.Aggs {
+	queries := make([]estimator.Query, len(def.Aggs))
+	for ai, spec := range def.Aggs {
 		q, err := queryFor(spec, st, tbl.NumRows(), grouped, udfs)
 		if err != nil {
 			return nil, fmt.Errorf("exec: aggregate %d: %w", ai, err)
@@ -139,7 +139,7 @@ func runExact(ctx context.Context, nodes nodeSet, st *StoredTable, udfs Registry
 		meter.blocks, meter.nanos = meter.blocks+m.blocks, meter.nanos+m.nanos
 	}
 	if err != nil {
-		return nil, fmt.Errorf("exec: scan of table %q: %w", nodes.scan.Table, err)
+		return nil, fmt.Errorf("exec: scan of table %q: %w", def.Table, err)
 	}
 	scanSpan.End()
 
@@ -158,7 +158,7 @@ func runExact(ctx context.Context, nodes nodeSet, st *StoredTable, udfs Registry
 	for gi := range s.groups {
 		g := &s.groups[gi]
 		gout := GroupOutput{Key: g.key, Aggs: make([]AggOutput, len(queries))}
-		for ai, spec := range nodes.agg.Aggs {
+		for ai, spec := range def.Aggs {
 			gout.Aggs[ai] = AggOutput{Spec: spec, Query: queries[ai],
 				Value: s.finalize(g, ai, spec.Kind, queries[ai], grouped)}
 		}
@@ -173,14 +173,14 @@ func runExact(ctx context.Context, nodes nodeSet, st *StoredTable, udfs Registry
 // plan dedups the aggregates' input expressions and type-checks predicate
 // and inputs against the schema, so a bad expression fails the query even
 // when zone maps or the filter leave no block to evaluate it on.
-func (s *exactScan) plan(agg *plan.Aggregate) error {
+func (s *exactScan) plan(aggs []plan.AggSpec) error {
 	if s.pred != nil {
 		if err := checkPredicate(s.pred, s.tbl); err != nil {
 			return err
 		}
 	}
 	byText := map[string]int{}
-	for ai, spec := range agg.Aggs {
+	for ai, spec := range aggs {
 		in := aggInput(spec)
 		if in == nil {
 			if spec.Input != nil {
@@ -218,16 +218,16 @@ func (s *exactScan) plan(agg *plan.Aggregate) error {
 
 // planKey resolves the GROUP BY column, or installs the single ungrouped
 // group.
-func (s *exactScan) planKey(agg *plan.Aggregate) error {
-	if len(agg.GroupBy) == 0 {
+func (s *exactScan) planKey(groupBy []string) error {
+	if len(groupBy) == 0 {
 		s.groups = []exactGroup{{sinks: make([]inputSink, len(s.inputs))}}
 		return nil
 	}
-	if len(agg.GroupBy) > 1 {
+	if len(groupBy) > 1 {
 		return fmt.Errorf("exec: multi-column GROUP BY not supported (got %d columns)",
-			len(agg.GroupBy))
+			len(groupBy))
 	}
-	name := agg.GroupBy[0]
+	name := groupBy[0]
 	s.keyIdx = s.tbl.Schema().Index(name)
 	if s.keyIdx < 0 {
 		return fmt.Errorf("exec: unknown GROUP BY column %q", name)

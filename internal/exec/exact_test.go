@@ -103,11 +103,11 @@ var exactBadQueries = []string{
 // referenceExact answers p the plain way: one selection vector, one value
 // column per aggregate, one index list per group, Query.Eval over each.
 func referenceExact(p *plan.Plan, tbl *table.Table, udfs Registry) ([]GroupOutput, error) {
-	nodes := collect(p.Root)
+	def := p.Def
 	var sel []int
-	if nodes.filter != nil {
+	if def.Where != nil {
 		var err error
-		if sel, err = EvalPredicate(nodes.filter.Pred, tbl); err != nil {
+		if sel, err = EvalPredicate(def.Where, tbl); err != nil {
 			return nil, err
 		}
 	} else {
@@ -116,8 +116,8 @@ func referenceExact(p *plan.Plan, tbl *table.Table, udfs Registry) ([]GroupOutpu
 			sel[i] = i
 		}
 	}
-	cols := make([][]float64, len(nodes.agg.Aggs))
-	for ai, spec := range nodes.agg.Aggs {
+	cols := make([][]float64, len(def.Aggs))
+	for ai, spec := range def.Aggs {
 		if spec.Kind == estimator.Count { // one per row, whatever (resolvable) thing is counted
 			for _, c := range sql.Columns(spec.Input) {
 				if tbl.ColumnByName(c) == nil {
@@ -135,11 +135,11 @@ func referenceExact(p *plan.Plan, tbl *table.Table, udfs Registry) ([]GroupOutpu
 			return nil, err
 		}
 	}
-	grouped := len(nodes.agg.GroupBy) > 0
+	grouped := len(def.GroupBy) > 0
 	byKey := map[string][]int{"": nil}
 	if grouped {
 		delete(byKey, "")
-		col := tbl.ColumnByName(nodes.agg.GroupBy[0])
+		col := tbl.ColumnByName(def.GroupBy[0])
 		if col == nil {
 			return nil, errors.New("unknown GROUP BY column")
 		}
@@ -168,7 +168,7 @@ func referenceExact(p *plan.Plan, tbl *table.Table, udfs Registry) ([]GroupOutpu
 	var out []GroupOutput
 	for _, k := range keys {
 		g := GroupOutput{Key: k}
-		for ai, spec := range nodes.agg.Aggs {
+		for ai, spec := range def.Aggs {
 			vals := make([]float64, len(byKey[k]))
 			for j, pos := range byKey[k] {
 				vals[j] = cols[ai][pos]
@@ -191,20 +191,20 @@ func referenceExact(p *plan.Plan, tbl *table.Table, udfs Registry) ([]GroupOutpu
 // before the streamed operator.
 func materializedExact(t *testing.T, p *plan.Plan, st *StoredTable, udfs Registry) []GroupOutput {
 	t.Helper()
-	nodes := collect(p.Root)
-	bases, errs := scanFilterProjectMulti(context.Background(), []nodeSet{nodes}, st.Data, Config{Workers: 2})
+	def := p.Def
+	bases, errs := scanFilterProjectMulti(context.Background(), []*plan.QueryDef{def}, st.Data, Config{Workers: 2})
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
-	groups, err := splitGroups(nodes.agg, st.Data, bases[0])
+	groups, err := splitGroups(def.GroupBy, st.Data, bases[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []GroupOutput
 	for _, g := range groups {
 		gout := GroupOutput{Key: g.key}
-		for ai, spec := range nodes.agg.Aggs {
-			q, err := queryFor(spec, st, st.Data.NumRows(), len(nodes.agg.GroupBy) > 0, udfs)
+		for ai, spec := range def.Aggs {
+			q, err := queryFor(spec, st, st.Data.NumRows(), len(def.GroupBy) > 0, udfs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,8 +318,8 @@ func TestExactOperatorCounters(t *testing.T) {
 	}
 	for _, tc := range cases {
 		p := mustPlan(t, tc.q, plan.Options{})
-		nodes := collect(p.Root)
-		olds, errs := scanFilterProjectMulti(context.Background(), []nodeSet{nodes}, raw, Config{Workers: 2})
+		def := p.Def
+		olds, errs := scanFilterProjectMulti(context.Background(), []*plan.QueryDef{def}, raw, Config{Workers: 2})
 		if errs[0] != nil {
 			t.Fatal(errs[0])
 		}

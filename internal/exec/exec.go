@@ -116,8 +116,8 @@ type Counters struct {
 	Tasks int
 }
 
-// add accumulates o into c.
-func (c *Counters) add(o Counters) {
+// Add accumulates o into c.
+func (c *Counters) Add(o Counters) {
 	c.Subqueries += o.Subqueries
 	c.Scans += o.Scans
 	c.RowsScanned += o.RowsScanned
@@ -171,10 +171,10 @@ type Result struct {
 // rows surviving the filter. A sampled plan runs as a RunShared batch of
 // one.
 //
-// A plan with no Resample, Bootstrap or Diagnostic node over a table that is
-// the full dataset (PopRows == 0) is exact execution and runs on the
-// block-streamed operator in exact.go instead of the materializing pipeline
-// described above; its answers are bit-identical to that pipeline's.
+// A plan with no bootstrap and no diagnostic over a table that is the full
+// dataset (PopRows == 0) is exact execution and runs on the block-streamed
+// operator in exact.go instead of the materializing pipeline described
+// above; its answers are bit-identical to that pipeline's.
 //
 // Execution honours ctx: cancellation is checked at every stage boundary,
 // between (group, aggregate) work units, inside the diagnostic's subsample
@@ -183,19 +183,15 @@ type Result struct {
 // returns an error wrapping ctx.Err() after all its worker goroutines have
 // exited.
 func Run(ctx context.Context, p *plan.Plan, tables map[string]*StoredTable, udfs Registry, cfg Config) (*Result, error) {
-	nodes := collect(p.Root)
-	if nodes.scan == nil || nodes.agg == nil {
-		return nil, fmt.Errorf("exec: plan lacks scan or aggregate")
-	}
-	st, ok := tables[nodes.scan.Table]
+	st, ok := tables[p.Def.Table]
 	if !ok {
-		return nil, fmt.Errorf("exec: unknown table %q", nodes.scan.Table)
+		return nil, fmt.Errorf("exec: unknown table %q", p.Def.Table)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("exec: before scan: %w", err)
 	}
-	if isExact(nodes, st) {
-		return runExact(ctx, nodes, st, udfs, cfg)
+	if isExact(p, st) {
+		return runExact(ctx, p.Def, st, udfs, cfg)
 	}
 	results, errs := RunShared(ctx, []SharedItem{{Ctx: ctx, Plan: p, Cfg: cfg}}, tables, udfs)
 	return results[0], errs[0]
@@ -205,19 +201,16 @@ func Run(ctx context.Context, p *plan.Plan, tables map[string]*StoredTable, udfs
 // partitioning, bootstrap, diagnostics — and finalizes the result's
 // counters: base carries the shared scan's output for this query, and
 // res.Counters already holds that scan's share.
-func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *table.Table, base *scanResult, udfs Registry, cfg Config, res *Result) error {
+func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, tbl *table.Table, base *scanResult, udfs Registry, cfg Config, res *Result) error {
 	traced := cfg.Span != nil
 
 	// --- Group partitioning. ---
-	groups, err := splitGroups(nodes.agg, tbl, base)
+	groups, err := splitGroups(p.Def.GroupBy, tbl, base)
 	if err != nil {
-		return fmt.Errorf("exec: grouping on table %q: %w", nodes.scan.Table, err)
+		return fmt.Errorf("exec: grouping on table %q: %w", p.Def.Table, err)
 	}
 
-	k := 0
-	if nodes.boot != nil {
-		k = nodes.boot.K
-	}
+	k := p.Opt.BootstrapK
 	// The bootstrap span opens with the first bootstrap work rather than up
 	// front: under verdict-first a query whose every aggregate is rejected
 	// does none, and a span that never accumulates time would be rendered
@@ -229,17 +222,17 @@ func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *tab
 			bootSpan.SetAttr("k", k)
 		}
 	}
-	if traced && nodes.diag != nil {
+	if traced && p.Opt.Diagnostics {
 		diagSpan = cfg.Span.StartSpan(obs.StageDiagnostic)
 	}
 
 	for _, g := range groups {
 		gout := GroupOutput{Key: g.key}
-		for ai, spec := range nodes.agg.Aggs {
+		for ai, spec := range p.Def.Aggs {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("exec: group %q aggregate %d: %w", g.key, ai, err)
 			}
-			q, err := queryFor(spec, st, tbl.NumRows(), len(nodes.agg.GroupBy) > 0, udfs)
+			q, err := queryFor(spec, st, tbl.NumRows(), len(p.Def.GroupBy) > 0, udfs)
 			if err != nil {
 				return fmt.Errorf("exec: group %q aggregate %d: %w", g.key, ai, err)
 			}
@@ -251,15 +244,15 @@ func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *tab
 			// streams are independent), and under a verdict-first plan a
 			// rejected aggregate is re-answered exactly by the caller, so its
 			// K resample estimates would never be read: skip them.
-			if nodes.diag != nil {
+			if p.Opt.Diagnostics {
 				start := now(traced)
-				dres, c, err := runDiagnostic(ctx, nodes.diag, values, q, k, cfg, diagSpan, g.key, ai)
+				dres, c, err := runDiagnostic(ctx, p.Opt, values, q, cfg, diagSpan, g.key, ai)
 				if err != nil {
 					return fmt.Errorf("exec: diagnostic for group %q aggregate %d: %w",
 						g.key, ai, err)
 				}
 				out.Diag = dres
-				res.Counters.add(c)
+				res.Counters.Add(c)
 				if traced {
 					diagSpan.AddDuration(time.Since(start))
 					addCounterAttrs(diagSpan, c)
@@ -270,7 +263,7 @@ func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *tab
 					}
 				}
 			}
-			replaced := out.Diag != nil && !out.Diag.OK && nodes.diag.VerdictFirst
+			replaced := out.Diag != nil && !out.Diag.OK && p.Opt.VerdictFirst
 			if k > 0 && !replaced {
 				openBootSpan()
 				start := now(traced)
@@ -280,7 +273,7 @@ func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *tab
 						g.key, ai, err)
 				}
 				out.Bootstrap = ests
-				res.Counters.add(c)
+				res.Counters.Add(c)
 				if traced {
 					d := time.Since(start)
 					bootSpan.AddDuration(d)
@@ -348,40 +341,6 @@ func recordCounters(reg *obs.Registry, c Counters) {
 	reg.Counter("aqp_exec_weight_draws_total", "Poisson resampling weight draws.").Add(c.WeightDraws)
 	reg.Counter("aqp_exec_diag_subqueries_total", "Diagnostic subsample query executions.").Add(int64(c.DiagSubqueries))
 	reg.Counter("aqp_exec_tasks_total", "Parallel tasks launched locally.").Add(int64(c.Tasks))
-}
-
-// nodeSet is the flattened plan chain.
-type nodeSet struct {
-	scan     *plan.Scan
-	filter   *plan.Filter
-	project  *plan.Project
-	resample *plan.Resample
-	agg      *plan.Aggregate
-	boot     *plan.Bootstrap
-	diag     *plan.Diagnostic
-}
-
-func collect(root plan.Node) nodeSet {
-	var ns nodeSet
-	plan.Walk(root, func(n plan.Node) {
-		switch v := n.(type) {
-		case *plan.Scan:
-			ns.scan = v
-		case *plan.Filter:
-			ns.filter = v
-		case *plan.Project:
-			ns.project = v
-		case *plan.Resample:
-			ns.resample = v
-		case *plan.Aggregate:
-			ns.agg = v
-		case *plan.Bootstrap:
-			ns.boot = v
-		case *plan.Diagnostic:
-			ns.diag = v
-		}
-	})
-	return ns
 }
 
 // scanResult is one member's share of the scan→filter→project pass.
@@ -481,7 +440,7 @@ func colKeyFor(spec plan.AggSpec, predKey string, masked bool) (string, colWork)
 // predicate's BlocksSkipped goes to the first successful member using it —
 // so summing members' counters meters the physical work exactly once
 // regardless of batch size or worker count.
-func scanFilterProjectMulti(ctx context.Context, members []nodeSet, tbl *table.Table, cfg Config) ([]*scanResult, []error) {
+func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, tbl *table.Table, cfg Config) ([]*scanResult, []error) {
 	errs := make([]error, len(members))
 	results := make([]*scanResult, len(members))
 
@@ -492,16 +451,16 @@ func scanFilterProjectMulti(ctx context.Context, members []nodeSet, tbl *table.T
 	colByKey := map[string]*colWork{}
 	memberPred := make([]*predWork, len(members))
 	memberCols := make([][]*colWork, len(members))
-	for m, nodes := range members {
+	for m, def := range members {
 		pk := ""
-		if nodes.filter != nil {
-			pk = nodes.filter.Pred.String()
+		if def.Where != nil {
+			pk = def.Where.String()
 		}
 		pw, ok := predByKey[pk]
 		if !ok {
 			pw = &predWork{hint: -1}
-			if nodes.filter != nil {
-				pw.pred = nodes.filter.Pred
+			if def.Where != nil {
+				pw.pred = def.Where
 				pw.err = checkPredicate(pw.pred, tbl)
 				// Skip lists are exact-keyed — literals decide which blocks
 				// are admissible — while the selectivity hint below shares
@@ -517,11 +476,11 @@ func scanFilterProjectMulti(ctx context.Context, members []nodeSet, tbl *table.T
 			predByKey[pk] = pw
 			preds = append(preds, pw)
 		}
-		grouped := len(nodes.agg.GroupBy) > 0
+		grouped := len(def.GroupBy) > 0
 		pw.grouped = pw.grouped || grouped
 		memberPred[m] = pw
-		memberCols[m] = make([]*colWork, len(nodes.agg.Aggs))
-		for ai, spec := range nodes.agg.Aggs {
+		memberCols[m] = make([]*colWork, len(def.Aggs))
+		for ai, spec := range def.Aggs {
 			if spec.Kind == estimator.Count && spec.Input != nil && errs[m] == nil {
 				// COUNT never evaluates its argument, but a COUNT of
 				// something that does not resolve is still an error.
@@ -800,22 +759,22 @@ type group struct {
 // first, then fill: one pass gives every surviving row its group, each
 // group's vectors are allocated at their counts, and a second pass over the
 // ids copies the values in row order. Groups come out sorted by key.
-func splitGroups(agg *plan.Aggregate, tbl *table.Table, base *scanResult) ([]group, error) {
-	if len(agg.GroupBy) == 0 {
+func splitGroups(groupBy []string, tbl *table.Table, base *scanResult) ([]group, error) {
+	if len(groupBy) == 0 {
 		return []group{{key: "", values: base.cols}}, nil
 	}
-	if len(agg.GroupBy) > 1 {
+	if len(groupBy) > 1 {
 		return nil, fmt.Errorf("exec: multi-column GROUP BY not supported (got %d columns)",
-			len(agg.GroupBy))
+			len(groupBy))
 	}
-	col := tbl.ColumnByName(agg.GroupBy[0])
+	col := tbl.ColumnByName(groupBy[0])
 	if col == nil {
-		return nil, fmt.Errorf("exec: unknown GROUP BY column %q", agg.GroupBy[0])
+		return nil, fmt.Errorf("exec: unknown GROUP BY column %q", groupBy[0])
 	}
 	var keys groupKeys
 	ids, err := keys.assign(col, base.sel, base.rows)
 	if err != nil {
-		return nil, fmt.Errorf("exec: GROUP BY column %q: %w", agg.GroupBy[0], err)
+		return nil, fmt.Errorf("exec: GROUP BY column %q: %w", groupBy[0], err)
 	}
 	counts := make([]int, len(keys.names))
 	for _, g := range ids {
@@ -1021,7 +980,7 @@ func bootstrapEstimates(ctx context.Context, values []float64, q estimator.Query
 // tracing, each (group, aggregate) verdict becomes a child span of the
 // diagnostic stage span, and ξ's resample draws are counted through the
 // estimator's own accounting hook.
-func runDiagnostic(ctx context.Context, diag *plan.Diagnostic, values []float64, q estimator.Query, k int, cfg Config, diagSpan *obs.Span, groupKey string, aggIdx int) (*diagnostic.Result, Counters, error) {
+func runDiagnostic(ctx context.Context, opt plan.Options, values []float64, q estimator.Query, cfg Config, diagSpan *obs.Span, groupKey string, aggIdx int) (*diagnostic.Result, Counters, error) {
 	var c Counters
 	verdictSpan := diagSpan.StartSpan("verdict")
 	if verdictSpan != nil {
@@ -1031,8 +990,8 @@ func runDiagnostic(ctx context.Context, diag *plan.Diagnostic, values []float64,
 		verdictSpan.SetAttr("agg", aggIdx)
 	}
 	dcfg := diagnostic.Config{
-		SubsampleSizes: diag.Sizes,
-		P:              diag.P,
+		SubsampleSizes: opt.DiagSizes,
+		P:              opt.DiagP,
 		C1:             0.2, C2: 0.2, C3: 0.5,
 		Rho:     0.95,
 		Alpha:   0.95,
@@ -1061,7 +1020,7 @@ func runDiagnostic(ctx context.Context, diag *plan.Diagnostic, values []float64,
 		// biased slightly narrow at every ladder size.
 		xi = estimator.ClosedForm{UseStudentT: true}
 	} else {
-		kk := k
+		kk := opt.BootstrapK
 		if kk <= 0 {
 			kk = estimator.DefaultBootstrapK
 		}

@@ -23,20 +23,20 @@ import (
 // ungrouped SUM/COUNT scattered over a zero column of every row), and a map
 // from rendered key to row positions for GROUP BY. It returns the groups
 // and the selection.
-func referenceScan(nodes nodeSet, tbl *table.Table) ([]group, []int, error) {
+func referenceScan(def *plan.QueryDef, tbl *table.Table) ([]group, []int, error) {
 	sel := make([]int, tbl.NumRows())
 	for i := range sel {
 		sel[i] = i
 	}
-	if nodes.filter != nil {
+	if def.Where != nil {
 		var err error
-		if sel, err = EvalPredicate(nodes.filter.Pred, tbl); err != nil {
+		if sel, err = EvalPredicate(def.Where, tbl); err != nil {
 			return nil, nil, err
 		}
 	}
-	grouped := len(nodes.agg.GroupBy) > 0
-	cols := make([][]float64, len(nodes.agg.Aggs))
-	for ai, spec := range nodes.agg.Aggs {
+	grouped := len(def.GroupBy) > 0
+	cols := make([][]float64, len(def.Aggs))
+	for ai, spec := range def.Aggs {
 		var vals []float64
 		if spec.Kind == estimator.Count {
 			for _, c := range sql.Columns(spec.Input) {
@@ -66,7 +66,7 @@ func referenceScan(nodes nodeSet, tbl *table.Table) ([]group, []int, error) {
 	if !grouped {
 		return []group{{values: cols}}, sel, nil
 	}
-	col := tbl.ColumnByName(nodes.agg.GroupBy[0])
+	col := tbl.ColumnByName(def.GroupBy[0])
 	if col == nil {
 		return nil, nil, errors.New("unknown GROUP BY column")
 	}
@@ -147,20 +147,20 @@ func columnRefs(e sql.Expr) int64 {
 // backing — predicate columns in every admitted block, inputs in every
 // block with a survivor — and what the materializing scan before it
 // decoded, which read a masked input in every block of the table.
-func decodeBounds(nodes nodeSet, tbl *table.Table, sel []int) (want, parent int64) {
+func decodeBounds(def *plan.QueryDef, tbl *table.Table, sel []int) (want, parent int64) {
 	nb := int64((tbl.NumRows() + table.ZoneBlockRows - 1) / table.ZoneBlockRows)
 	withSurvivor := map[int]bool{}
 	for _, r := range sel {
 		withSurvivor[r/table.ZoneBlockRows] = true
 	}
-	if nodes.filter != nil {
-		_, skipped := blockSkip(tbl, nodes.filter.Pred)
-		want = columnRefs(nodes.filter.Pred) * (nb - skipped)
+	if def.Where != nil {
+		_, skipped := blockSkip(tbl, def.Where)
+		want = columnRefs(def.Where) * (nb - skipped)
 		parent = want
 	}
-	grouped := len(nodes.agg.GroupBy) > 0
+	grouped := len(def.GroupBy) > 0
 	seen := map[string]bool{}
-	for _, spec := range nodes.agg.Aggs {
+	for _, spec := range def.Aggs {
 		in := aggInput(spec)
 		masked := !grouped && (spec.Kind == estimator.Sum || spec.Kind == estimator.Count)
 		key := fmt.Sprint(masked, in)
@@ -180,12 +180,12 @@ func decodeBounds(nodes nodeSet, tbl *table.Table, sel []int) (want, parent int6
 
 // scanMatches splits one member's scan and compares it with the reference:
 // the same groups in the same order, every vector Float64bits-equal.
-func scanMatches(t *testing.T, label string, nodes nodeSet, tbl *table.Table, got *scanResult, want []group, sel []int) {
+func scanMatches(t *testing.T, label string, def *plan.QueryDef, tbl *table.Table, got *scanResult, want []group, sel []int) {
 	t.Helper()
 	if got.rows != len(sel) {
 		t.Fatalf("%s: %d rows survive, want %d", label, got.rows, len(sel))
 	}
-	groups, err := splitGroups(nodes.agg, tbl, got)
+	groups, err := splitGroups(def.GroupBy, tbl, got)
 	if err != nil {
 		t.Fatalf("%s: split: %v", label, err)
 	}
@@ -227,11 +227,11 @@ func TestSampleScanDifferential(t *testing.T) {
 	raw := exactCorpus()
 	variants := backingVariants(t, raw)
 	qs := sampleScanQueries()
-	members := make([]nodeSet, len(qs))
+	members := make([]*plan.QueryDef, len(qs))
 	wants := make([][]group, len(qs))
 	sels := make([][]int, len(qs))
 	for i, q := range qs {
-		members[i] = collect(mustPlan(t, q, plan.Options{}).Root)
+		members[i] = mustPlan(t, q, plan.Options{}).Def
 		var err error
 		if wants[i], sels[i], err = referenceScan(members[i], raw); err != nil {
 			t.Fatalf("reference %q: %v", q, err)
@@ -249,17 +249,17 @@ func TestSampleScanDifferential(t *testing.T) {
 					passes = 2 // the second reads a warm cache and a remembered selectivity
 				}
 				for pass := 0; pass < passes; pass++ {
-					for i, nodes := range members {
+					for i, def := range members {
 						label := fmt.Sprintf("%s workers=%d cached=%v pass=%d %q", name, workers, cached, pass, qs[i])
-						res, errs := scanFilterProjectMulti(ctx, []nodeSet{nodes}, data, cfg)
+						res, errs := scanFilterProjectMulti(ctx, []*plan.QueryDef{def}, data, cfg)
 						if errs[0] != nil {
 							t.Fatalf("%s: %v", label, errs[0])
 						}
-						scanMatches(t, label, nodes, data, res[0], wants[i], sels[i])
+						scanMatches(t, label, def, data, res[0], wants[i], sels[i])
 						c := res[0].counters
 						var skipped int64
-						if nodes.filter != nil {
-							_, skipped = blockSkip(data, nodes.filter.Pred)
+						if def.Where != nil {
+							_, skipped = blockSkip(data, def.Where)
 						}
 						if c.Subqueries != 1 || c.Scans != 1 || c.Tasks != workers ||
 							c.RowsScanned != int64(data.NumRows()) || c.BytesScanned != data.SizeBytes() ||
@@ -267,7 +267,7 @@ func TestSampleScanDifferential(t *testing.T) {
 							t.Fatalf("%s: counters %+v", label, c)
 						}
 						if !cached {
-							want, parent := decodeBounds(nodes, data, sels[i])
+							want, parent := decodeBounds(def, data, sels[i])
 							if name == "raw" {
 								want = 0
 							}
@@ -285,12 +285,12 @@ func TestSampleScanDifferential(t *testing.T) {
 					}
 					res, errs := scanFilterProjectMulti(ctx, members, data, cfg)
 					var scans int
-					for i, nodes := range members {
+					for i, def := range members {
 						if errs[i] != nil {
 							t.Fatalf("%s batched %q: %v", name, qs[i], errs[i])
 						}
 						scanMatches(t, fmt.Sprintf("%s workers=%d batched %q", name, workers, qs[i]),
-							nodes, data, res[i], wants[i], sels[i])
+							def, data, res[i], wants[i], sels[i])
 						scans += res[i].counters.Scans
 					}
 					if scans != 1 {
@@ -304,7 +304,7 @@ func TestSampleScanDifferential(t *testing.T) {
 		t.Fatalf("success: %d pooled buffers outstanding", d)
 	}
 
-	good := collect(mustPlan(t, "SELECT AVG(y) FROM T WHERE day > 1000", plan.Options{}).Root)
+	good := mustPlan(t, "SELECT AVG(y) FROM T WHERE day > 1000", plan.Options{}).Def
 	for _, q := range []string{
 		"SELECT SUM(city) FROM T WHERE day > 1000",
 		"SELECT AVG(nosuch) FROM T WHERE y > 1e300",
@@ -313,12 +313,12 @@ func TestSampleScanDifferential(t *testing.T) {
 		"SELECT AVG(y) FROM T WHERE nosuch > 1 AND day > 1000",
 		"SELECT AVG(y) FROM T WHERE y AND day > 1000",
 	} {
-		bad := collect(mustPlan(t, q, plan.Options{}).Root)
+		bad := mustPlan(t, q, plan.Options{}).Def
 		if _, _, err := referenceScan(bad, raw); err == nil {
 			t.Fatalf("reference accepted %q", q)
 		}
 		for name, data := range variants {
-			_, errs := scanFilterProjectMulti(ctx, []nodeSet{good, bad}, data, Config{Workers: 2})
+			_, errs := scanFilterProjectMulti(ctx, []*plan.QueryDef{good, bad}, data, Config{Workers: 2})
 			if errs[0] != nil || errs[1] == nil {
 				t.Errorf("%s %q: batchmate error %v, own error %v", name, q, errs[0], errs[1])
 			}
@@ -331,11 +331,11 @@ func TestSampleScanDifferential(t *testing.T) {
 	// Cancellation twenty decodes into each phase: phase 1 decodes City once
 	// per block, phase 2 Time once per block.
 	comp := table.Compress(clusteredSessions(200*table.BlockRows, 29))
-	nodes := collect(mustPlan(t, "SELECT City, AVG(Time) FROM Sessions WHERE City != 'SF' GROUP BY City", plan.Options{}).Root)
+	def := mustPlan(t, "SELECT City, AVG(Time) FROM Sessions WHERE City != 'SF' GROUP BY City", plan.Options{}).Def
 	for _, into := range []int64{20, 200 + 20} {
 		const workers = 4
 		cctx := decodeCountCtx{Context: ctx, cancelAt: table.DecodedBlocks() + into}
-		_, errs := scanFilterProjectMulti(cctx, []nodeSet{nodes}, comp, Config{Workers: workers})
+		_, errs := scanFilterProjectMulti(cctx, []*plan.QueryDef{def}, comp, Config{Workers: workers})
 		if !errors.Is(errs[0], context.Canceled) {
 			t.Fatalf("cancelled %d decodes in: %v", into, errs[0])
 		}
@@ -389,23 +389,23 @@ func TestSampleScanAllocatesOnce(t *testing.T) {
 		"SELECT AVG(Time) FROM S WHERE Hour < 6",
 		"SELECT Device, AVG(Time) FROM S GROUP BY Device",
 	} {
-		nodes := collect(mustPlan(t, q, plan.Options{}).Root)
+		def := mustPlan(t, q, plan.Options{}).Def
 		cfg := Config{Workers: 2, Preds: cache.NewPredMemo(nil)}
 		var must int
 		run := func() {
-			res, errs := scanFilterProjectMulti(context.Background(), []nodeSet{nodes}, tbl, cfg)
+			res, errs := scanFilterProjectMulti(context.Background(), []*plan.QueryDef{def}, tbl, cfg)
 			if errs[0] != nil {
 				t.Fatal(errs[0])
 			}
-			groups, err := splitGroups(nodes.agg, tbl, res[0])
+			groups, err := splitGroups(def.GroupBy, tbl, res[0])
 			if err != nil {
 				t.Fatal(err)
 			}
 			must = 8 * len(res[0].cols[0])
-			if nodes.filter != nil {
+			if def.Where != nil {
 				must += 8 * res[0].rows
 			}
-			if len(nodes.agg.GroupBy) > 0 {
+			if len(def.GroupBy) > 0 {
 				must += 4*res[0].rows + 8*res[0].rows
 				if len(groups) != 40 {
 					t.Fatalf("%d groups", len(groups))

@@ -30,7 +30,7 @@ type SharedItem struct {
 // derives from per-(seed, stream) RNGs that do not depend on how the scan
 // was performed.
 //
-// Plans that are byte-identical (same Explain rendering and seed) are
+// Plans that are identical (same Identity, aliases included, and seed) are
 // executed once; followers receive the leader's groups with zeroed
 // counters, so summing Counters across the batch still meters the physical
 // work exactly once.
@@ -51,35 +51,31 @@ func RunShared(ctx context.Context, items []SharedItem, tables map[string]*Store
 	type distinct struct {
 		item  int   // leader item index
 		dupes []int // follower items with identical plans
-		nodes nodeSet
+		plan  *plan.Plan
 	}
 	var st *StoredTable
 	var distincts []*distinct
 	bySig := map[string]*distinct{}
 	for i, it := range items {
-		nodes := collect(it.Plan.Root)
-		if nodes.scan == nil || nodes.agg == nil {
-			errs[i] = fmt.Errorf("exec: plan lacks scan or aggregate")
-			continue
-		}
-		ist, ok := tables[nodes.scan.Table]
+		table := it.Plan.Def.Table
+		ist, ok := tables[table]
 		if !ok {
-			errs[i] = fmt.Errorf("exec: unknown table %q", nodes.scan.Table)
+			errs[i] = fmt.Errorf("exec: unknown table %q", table)
 			continue
 		}
 		if st == nil {
 			st = ist
 		} else if ist != st {
 			errs[i] = fmt.Errorf("exec: shared batch mixes stored tables (%q is not the batch's table)",
-				nodes.scan.Table)
+				table)
 			continue
 		}
-		sig := fmt.Sprintf("%d|%s", it.Cfg.Seed, it.Plan.Explain())
+		sig := fmt.Sprintf("%d|%s", it.Cfg.Seed, it.Plan.Identity())
 		if d, ok := bySig[sig]; ok {
 			d.dupes = append(d.dupes, i)
 			continue
 		}
-		d := &distinct{item: i, nodes: nodes}
+		d := &distinct{item: i, plan: it.Plan}
 		bySig[sig] = d
 		distincts = append(distincts, d)
 	}
@@ -91,10 +87,10 @@ func RunShared(ctx context.Context, items []SharedItem, tables map[string]*Store
 	// One physical pass for all distinct plans. Each member gets its own
 	// scan span (on its own trace) bracketing the shared pass, carrying
 	// that member's counter share.
-	members := make([]nodeSet, len(distincts))
+	members := make([]*plan.QueryDef, len(distincts))
 	scanSpans := make([]*obs.Span, len(distincts))
 	for di, d := range distincts {
-		members[di] = d.nodes
+		members[di] = d.plan.Def
 		scanSpans[di] = items[d.item].Cfg.Span.StartSpan(obs.StageScan)
 	}
 	scanCfg := items[distincts[0].item].Cfg
@@ -110,7 +106,7 @@ func RunShared(ctx context.Context, items []SharedItem, tables map[string]*Store
 	for di, d := range distincts {
 		if scanErrs[di] != nil {
 			errs[d.item] = fmt.Errorf("exec: scan of table %q: %w",
-				d.nodes.scan.Table, scanErrs[di])
+				d.plan.Def.Table, scanErrs[di])
 			continue
 		}
 		wg.Add(1)
@@ -120,12 +116,12 @@ func RunShared(ctx context.Context, items []SharedItem, tables map[string]*Store
 			base := bases[di]
 			addCounterAttrs(scanSpans[di], base.counters)
 			res := &Result{SampleRows: tbl.NumRows()}
-			res.Counters.add(base.counters)
+			res.Counters.Add(base.counters)
 			ictx := it.Ctx
 			if ictx == nil {
 				ictx = ctx
 			}
-			if err := runDownstream(ictx, d.nodes, st, tbl, base, udfs, it.Cfg, res); err != nil {
+			if err := runDownstream(ictx, d.plan, st, tbl, base, udfs, it.Cfg, res); err != nil {
 				errs[d.item] = err
 				return
 			}

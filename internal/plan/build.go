@@ -17,6 +17,35 @@ type QueryDef struct {
 	GroupBy []string
 }
 
+// AggSpec describes one aggregate output of a query.
+type AggSpec struct {
+	Kind estimator.AggKind
+	// Pct is the percentile level for Kind == Percentile.
+	Pct float64
+	// UDFName names the registered UDF for Kind == UDF.
+	UDFName string
+	// Input is the argument expression (nil for COUNT(*)).
+	Input sql.Expr
+	// Alias is the output column name.
+	Alias string
+}
+
+// Label renders the aggregate for EXPLAIN. It omits the alias.
+func (a AggSpec) Label() string {
+	arg := "*"
+	if a.Input != nil {
+		arg = a.Input.String()
+	}
+	name := a.Kind.String()
+	if a.Kind == estimator.UDF {
+		name = a.UDFName
+	}
+	if a.Kind == estimator.Percentile {
+		return fmt.Sprintf("%s(%s, %g)", name, arg, a.Pct)
+	}
+	return name + "(" + arg + ")"
+}
+
 // Analyze validates a parsed SELECT against the engine's supported shape
 // and extracts a QueryDef. isUDF reports whether a function name is a
 // registered user-defined aggregate.

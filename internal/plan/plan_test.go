@@ -108,25 +108,18 @@ func TestBuildFullyOptimizedShape(t *testing.T) {
 	}
 	// Expected chain root → leaf:
 	// Diagnostic → Bootstrap → Aggregate → Resample → Project → Filter → Scan.
-	var labels []string
-	Walk(p.Root, func(n Node) { labels = append(labels, n.Label()) })
+	// Consolidated: the diagnostic's weight groups ride in the same scan as
+	// the K bootstrap weights.
+	lines := strings.Split(strings.TrimRight(p.Explain(), "\n"), "\n")
 	wantOrder := []string{"Diagnostic", "Bootstrap", "Aggregate",
-		"PoissonizedResample", "Project", "Filter", "Scan"}
-	if len(labels) != len(wantOrder) {
-		t.Fatalf("chain length %d: %v", len(labels), labels)
+		"PoissonizedResample(K=100, diag=[125 250 500]×100)", "Project", "Filter", "Scan(Sessions)"}
+	if len(lines) != len(wantOrder) {
+		t.Fatalf("chain length %d: %v", len(lines), lines)
 	}
 	for i, w := range wantOrder {
-		if !strings.HasPrefix(labels[i], w) {
-			t.Errorf("position %d = %q, want prefix %q", i, labels[i], w)
+		if !strings.HasPrefix(strings.TrimLeft(lines[i], " "), w) {
+			t.Errorf("position %d = %q, want prefix %q", i, lines[i], w)
 		}
-	}
-	// Consolidated: the diagnostic's weight groups ride in the same scan.
-	r := FindResample(p.Root)
-	if r.WeightColumns() != 100+3*100 {
-		t.Errorf("weight columns = %d, want 400", r.WeightColumns())
-	}
-	if FindScan(p.Root).Table != "Sessions" {
-		t.Error("scan table wrong")
 	}
 }
 
@@ -136,11 +129,12 @@ func TestBuildPlainAnswerOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.Root.(*Aggregate); !ok {
-		t.Errorf("root = %T, want bare Aggregate", p.Root)
+	out := p.Explain()
+	if !strings.HasPrefix(out, "Aggregate(AVG(x))\n") {
+		t.Errorf("root is not a bare Aggregate:\n%s", out)
 	}
-	if FindResample(p.Root) != nil {
-		t.Error("no resample expected without error estimation")
+	if strings.Contains(out, "Resample") {
+		t.Errorf("no resample expected without error estimation:\n%s", out)
 	}
 }
 
@@ -171,6 +165,89 @@ func TestExplainRendersTree(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) < 3 || !strings.HasPrefix(lines[1], "  ") {
 		t.Errorf("Explain lacks indentation:\n%s", out)
+	}
+}
+
+// TestExplainGolden pins the EXPLAIN rendering byte for byte across the
+// plan shapes Build emits: exact, bootstrap only, bootstrap + diagnostic,
+// verdict-first, closed-form diagnostic (K = 0), with and without WHERE,
+// without a projection (COUNT(*)), grouped, and PERCENTILE/UDF labels.
+// Aliases never render.
+func TestExplainGolden(t *testing.T) {
+	vf := DefaultOptions(10000)
+	vf.VerdictFirst = true
+	closedForm := Options{Alpha: 0.95, Diagnostics: true, DiagSizes: []int{12, 25, 50}, DiagP: 100}
+	cases := []struct {
+		q    string
+		opt  Options
+		want string
+	}{
+		{"SELECT AVG(x) FROM t", Options{},
+			"Aggregate(AVG(x))\n  Project(x)\n    Scan(t)\n"},
+		{"SELECT AVG(x) FROM t WHERE x > 1", Options{Alpha: 0.9},
+			"Aggregate(AVG(x))\n  Project(x)\n    Filter((x > 1))\n      Scan(t)\n"},
+		{"SELECT COUNT(*) FROM t", Options{},
+			"Aggregate(COUNT(*))\n  Scan(t)\n"},
+		{"SELECT COUNT(*) FROM t WHERE city = 'NYC'", DefaultOptions(10000),
+			"Diagnostic(sizes=[12 25 50], p=100)\n  Bootstrap(K=100, α=0.95)\n    Aggregate(COUNT(*) [weighted])\n      PoissonizedResample(K=100, diag=[12 25 50]×100)\n        Filter((city = 'NYC'))\n          Scan(t)\n"},
+		{"SELECT SUM(x) FROM t", Options{BootstrapK: 50},
+			"Bootstrap(K=50, α=0.95)\n  Aggregate(SUM(x) [weighted])\n    PoissonizedResample(K=50)\n      Project(x)\n        Scan(t)\n"},
+		{"SELECT MAX(x) FROM t WHERE x > 1 AND y < 2", Options{BootstrapK: 50, Alpha: 0.9},
+			"Bootstrap(K=50, α=0.9)\n  Aggregate(MAX(x) [weighted])\n    PoissonizedResample(K=50)\n      Project(x)\n        Filter(((x > 1) AND (y < 2)))\n          Scan(t)\n"},
+		{"SELECT AVG(x) FROM t", Options{BootstrapK: 20, DiagSizes: []int{1, 2}, DiagP: 3},
+			"Bootstrap(K=20, α=0.95)\n  Aggregate(AVG(x) [weighted])\n    PoissonizedResample(K=20)\n      Project(x)\n        Scan(t)\n"},
+		{"SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'", DefaultOptions(100000),
+			"Diagnostic(sizes=[125 250 500], p=100)\n  Bootstrap(K=100, α=0.95)\n    Aggregate(AVG(Time) [weighted])\n      PoissonizedResample(K=100, diag=[125 250 500]×100)\n        Project(Time)\n          Filter((City = 'NYC'))\n            Scan(Sessions)\n"},
+		{"SELECT AVG(x), SUM(x * 2) FROM t WHERE y > 1", vf,
+			"Diagnostic(sizes=[12 25 50], p=100, verdict-first)\n  Bootstrap(K=100, α=0.95)\n    Aggregate(AVG(x), SUM((x * 2)) [weighted])\n      PoissonizedResample(K=100, diag=[12 25 50]×100)\n        Project(x, (x * 2))\n          Filter((y > 1))\n            Scan(t)\n"},
+		{"SELECT AVG(x) FROM t", closedForm,
+			"Diagnostic(sizes=[12 25 50], p=100)\n  Aggregate(AVG(x) [weighted])\n    PoissonizedResample(K=0, diag=[12 25 50]×100)\n      Project(x)\n        Scan(t)\n"},
+		{"SELECT city, AVG(x), COUNT(*) FROM t GROUP BY city", DefaultOptions(10000),
+			"Diagnostic(sizes=[12 25 50], p=100)\n  Bootstrap(K=100, α=0.95)\n    Aggregate(AVG(x), COUNT(*) GROUP BY city [weighted])\n      PoissonizedResample(K=100, diag=[12 25 50]×100)\n        Project(x)\n          Scan(t)\n"},
+		{"SELECT city, MAX(x) FROM t WHERE x > 0 GROUP BY city", Options{},
+			"Aggregate(MAX(x) GROUP BY city)\n  Project(x)\n    Filter((x > 0))\n      Scan(t)\n"},
+		{"SELECT PERCENTILE(x, 0.95), MYUDF(y) AS u FROM t", DefaultOptions(10000),
+			"Diagnostic(sizes=[12 25 50], p=100)\n  Bootstrap(K=100, α=0.95)\n    Aggregate(PERCENTILE(x, 0.95), MYUDF(y) [weighted])\n      PoissonizedResample(K=100, diag=[12 25 50]×100)\n        Project(x, y)\n          Scan(t)\n"},
+		{"SELECT PERCENTILE(x, 0.5) AS med FROM t WHERE x >= 3", Options{},
+			"Aggregate(PERCENTILE(x, 0.5))\n  Project(x)\n    Filter((x >= 3))\n      Scan(t)\n"},
+	}
+	for _, c := range cases {
+		p, err := Build(analyze(t, c.q), c.opt)
+		if err != nil {
+			t.Fatalf("Build(%s): %v", c.q, err)
+		}
+		if got := p.Explain(); got != c.want {
+			t.Errorf("%s\ngot:\n%s\nwant:\n%s", c.q, got, c.want)
+		}
+	}
+}
+
+// TestIdentity: two plans share an identity exactly when they would produce
+// the same answer — EXPLAIN alone cannot tell aliases apart.
+func TestIdentity(t *testing.T) {
+	id := func(q string, opt Options) string {
+		p, err := Build(analyze(t, q), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Identity()
+	}
+	base := id("SELECT AVG(x) AS a FROM t", Options{BootstrapK: 10})
+	if got := id("select avg(x) as a from t", Options{BootstrapK: 10}); got != base {
+		t.Errorf("same plan, different identities:\n%s\n%s", base, got)
+	}
+	for _, c := range []struct {
+		q   string
+		opt Options
+	}{
+		{"SELECT AVG(x) AS b FROM t", Options{BootstrapK: 10}},
+		{"SELECT AVG(x) FROM t", Options{BootstrapK: 10}},
+		{"SELECT AVG(x) AS a FROM t", Options{BootstrapK: 11}},
+		{"SELECT AVG(x) AS a FROM t WHERE x > 0", Options{BootstrapK: 10}},
+	} {
+		if got := id(c.q, c.opt); got == base {
+			t.Errorf("%s %+v shares the identity of the base plan", c.q, c.opt)
+		}
 	}
 }
 
