@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/alert"
 	"repro/internal/obs/history"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -60,10 +61,13 @@ func buildDemo(metricsAddr string, elog *obs.EventLog, audit float64, obsCfg obs
 
 	tracer := obs.NewTracer(obsCfg)
 	var wd *watchdog.Watchdog
+	var bus *alert.Bus
 	if audit > 0 {
+		bus = alert.New(alert.Config{Metrics: tracer.Registry()})
 		wd = watchdog.New(watchdog.Config{
 			AuditFraction: audit,
 			Metrics:       tracer.Registry(),
+			Alerts:        bus,
 		})
 	}
 	var hist *history.Store
@@ -92,6 +96,7 @@ func buildDemo(metricsAddr string, elog *obs.EventLog, audit float64, obsCfg obs
 		EventLog:    elog,
 		Watchdog:    wd,
 		History:     hist,
+		Alerts:      bus,
 	}
 	if cacheMB > 0 {
 		// Give the block layer something to do: compressed samples are
@@ -143,7 +148,7 @@ func main() {
 	logFormat := flag.String("log", "",
 		"structured query event log: 'json' writes one JSON record per query to stderr")
 	audit := flag.Float64("audit", 0,
-		"calibration watchdog: audit this fraction of queries exactly (e.g. 0.1; with -metrics, serves /debug/calibration)")
+		"calibration watchdog: audit this fraction of queries exactly (e.g. 0.1; with -metrics, serves /debug/calibration and /debug/alerts)")
 	profileDir := flag.String("profile", "",
 		"persist query history to this directory and enable the \\profile workload summary (with -metrics, serves /debug/workload, /debug/slo, /debug/history)")
 	historyPath := flag.String("history", "",
@@ -201,7 +206,7 @@ func main() {
 	} else if addr != "" {
 		fmt.Printf("metrics: http://%s/metrics  traces: http://%s/debug/queries\n", addr, addr)
 		if wd != nil {
-			fmt.Printf("calibration: http://%s/debug/calibration\n", addr)
+			fmt.Printf("calibration: http://%s/debug/calibration  alerts: http://%s/debug/alerts\n", addr, addr)
 		}
 		if hist != nil {
 			fmt.Printf("workload: http://%s/debug/workload  slo: http://%s/debug/slo  history: http://%s/debug/history\n",

@@ -127,11 +127,11 @@ type Config struct {
 	// on the same server. The engine does not own the store — Close it
 	// separately.
 	History *history.Store
-	// Alerts, when set, is the unified alert bus the engine bridges the
-	// watchdog's raise/clear lifecycle onto (source="watchdog"); when
-	// MetricsAddr is set, /debug/alerts is mounted on the same server.
-	// Provably inert like the rest of the obs tree. The engine does not
-	// own the bus — close its sinks separately.
+	// Alerts, when set and MetricsAddr is too, mounts the unified alert
+	// bus on the same server as /debug/alerts. The producers raise on the
+	// bus themselves (watchdog.Config.Alerts, history.Options.Alerts,
+	// serve.Config.Alerts). The engine does not own the bus — close its
+	// sinks separately.
 	Alerts *alert.Bus
 }
 
@@ -192,7 +192,6 @@ type Engine struct {
 	elog   *obs.EventLog
 	wd     *watchdog.Watchdog
 	hist   *history.Store
-	alerts *alert.Bus
 	exp    *export.Exporter
 	qid    atomic.Uint64 // untraced query ids for error wrapping
 
@@ -222,15 +221,11 @@ func New(cfg Config) *Engine {
 		elog:   cfg.EventLog,
 		wd:     cfg.Watchdog,
 		hist:   cfg.History,
-		alerts: cfg.Alerts,
 	}
 	if e.wd != nil {
 		e.wd.Bind(e.auditExact)
 		if e.hist != nil {
 			e.wd.SetAuditObserver(e.hist.AppendAudit)
-		}
-		if e.alerts != nil {
-			e.wd.SetAlertNotifier(e.notifyWatchdogAlert)
 		}
 	}
 	if cfg.MetricsAddr != "" && e.obs == nil {
@@ -273,9 +268,9 @@ func New(cfg Config) *Engine {
 				obs.Route{Pattern: "/debug/history", Handler: e.hist.StatsHandler()},
 			)
 		}
-		if e.alerts != nil {
+		if cfg.Alerts != nil {
 			extra = append(extra, obs.Route{
-				Pattern: "/debug/alerts", Handler: e.alerts.Handler(),
+				Pattern: "/debug/alerts", Handler: cfg.Alerts.Handler(),
 			})
 		}
 		if e.blocks != nil {
@@ -290,31 +285,6 @@ func New(cfg Config) *Engine {
 		}
 	}
 	return e
-}
-
-// notifyWatchdogAlert bridges the watchdog's raise/clear lifecycle onto
-// the unified alert bus. Undercoverage is the dangerous direction (the
-// paper's "optimistic and incorrect" intervals) and grades critical;
-// overcoverage and reject drift are warnings.
-func (e *Engine) notifyWatchdogAlert(a watchdog.Alert, firing bool) {
-	kind := string(a.Kind)
-	key := a.Key.String()
-	if !firing {
-		e.alerts.Resolve("watchdog", kind, key)
-		return
-	}
-	sev := alert.SeverityWarning
-	if a.Kind == watchdog.Undercoverage {
-		sev = alert.SeverityCritical
-	}
-	e.alerts.Raise(alert.Alert{
-		Source: "watchdog", Kind: kind, Key: key, Severity: sev,
-		Observed: a.Observed, Expected: a.Expected, Message: a.Message,
-		Labels: map[string]string{
-			"agg":    a.Key.Agg,
-			"sample": a.Key.Sample,
-		},
-	})
 }
 
 // Tracer returns the engine's tracer (nil when telemetry is disabled).

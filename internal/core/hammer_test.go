@@ -58,7 +58,6 @@ func TestObsHTTPHammer(t *testing.T) {
 		"/metrics",
 		"/debug/queries",
 		"/debug/queries/1/trace",
-		"/debug/histograms",
 		"/debug/calibration",
 		"/debug/pprof/cmdline",
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/alert"
 	"repro/internal/rng"
 	"repro/internal/table"
 	"repro/internal/watchdog"
@@ -48,8 +49,9 @@ func bucketTable(t *testing.T, cfg Config, n, buckets int) *Engine {
 // cadence is a counter, the sample is fixed, and exact re-execution
 // consumes no randomness.
 func TestWatchdogFlagsMiscalibratedMax(t *testing.T) {
+	bus := alert.New(alert.Config{})
 	wd := watchdog.New(watchdog.Config{
-		Window: 64, MinAudits: 8, AuditFraction: 1, Synchronous: true,
+		Window: 64, MinAudits: 8, AuditFraction: 1, Synchronous: true, Alerts: bus,
 	})
 	e := heavyTailTable(t, Config{
 		Seed: 21, BootstrapK: 40,
@@ -84,23 +86,26 @@ func TestWatchdogFlagsMiscalibratedMax(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	alerts := wd.ActiveAlerts()
-	var under *watchdog.Alert
-	for i := range alerts {
-		if alerts[i].Kind == watchdog.Undercoverage {
-			under = &alerts[i]
+	var under *alert.Event
+	for _, ev := range bus.Active() {
+		if ev.Kind == string(watchdog.Undercoverage) {
+			under = &ev
 		}
 	}
 	if under == nil {
 		t.Fatalf("no undercoverage alert after a window of missed intervals; status: %+v",
 			wd.Status())
 	}
-	if under.Window > 64 {
-		t.Fatalf("alert needed %d audits, more than one rolling window", under.Window)
+	if under.Severity != alert.SeverityCritical || under.Labels["agg"] != "max" {
+		t.Fatalf("undercoverage alert = %+v, want critical on max", under)
 	}
-	if under.Observed >= under.Lo {
+	k := wd.Status().Keys[0]
+	if k.CoverageWindow > 64 {
+		t.Fatalf("alert needed %d audits, more than one rolling window", k.CoverageWindow)
+	}
+	if under.Observed >= k.CoverageLo {
 		t.Fatalf("alert inconsistent: observed %v within band [%v,%v]",
-			under.Observed, under.Lo, under.Hi)
+			under.Observed, k.CoverageLo, k.CoverageHi)
 	}
 }
 
@@ -118,8 +123,9 @@ func TestWatchdogQuietOnCalibratedQueries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200 audited queries; skipped under -short")
 	}
+	bus := alert.New(alert.Config{})
 	wd := watchdog.New(watchdog.Config{
-		Window: 200, MinAudits: 20, AuditFraction: 1, Synchronous: true,
+		Window: 200, MinAudits: 20, AuditFraction: 1, Synchronous: true, Alerts: bus,
 	})
 	// Diagnostics are skipped: their subsample ladder sees ~1/256 of each
 	// subsample after the bucket filter and rejects on junk verdicts,
@@ -136,11 +142,8 @@ func TestWatchdogQuietOnCalibratedQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if alerts := wd.ActiveAlerts(); len(alerts) != 0 {
-		t.Fatalf("calibrated estimator raised alerts: %+v", alerts)
-	}
-	if h := wd.History(); len(h) != 0 {
-		t.Fatalf("calibrated estimator has alert history: %+v", h)
+	if h := bus.History(); len(h) != 0 {
+		t.Fatalf("calibrated estimator raised alerts: %+v", h)
 	}
 	// The quiet verdict must rest on real audits, not an empty window.
 	st := wd.Status()

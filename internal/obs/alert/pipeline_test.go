@@ -34,27 +34,12 @@ func TestAlertPipelineEndToEnd(t *testing.T) {
 	defer webhook.Close()
 	bus := alert.New(alert.Config{Sinks: []alert.Sink{webhook}})
 
-	// The same watchdog→bus bridge core.New installs.
+	// The watchdog raises on the bus directly, as aqpd wires it.
 	wd := watchdog.New(watchdog.Config{
 		Window: 16, MinAudits: 16, AuditFraction: 1,
-		Nominal: 0.5, Tolerance: 1, Synchronous: true,
+		Nominal: 0.5, Tolerance: 1, Synchronous: true, Alerts: bus,
 	})
 	defer wd.Close()
-	wd.SetAlertNotifier(func(a watchdog.Alert, firing bool) {
-		if !firing {
-			bus.Resolve("watchdog", string(a.Kind), a.Key.String())
-			return
-		}
-		bus.Raise(alert.Alert{
-			Source:   "watchdog",
-			Kind:     string(a.Kind),
-			Key:      a.Key.String(),
-			Severity: alert.SeverityCritical,
-			Message:  a.Message,
-			Observed: a.Observed,
-			Expected: a.Expected,
-		})
-	})
 	// Truth misses the interval for "miss" queries, covers it otherwise.
 	wd.Bind(func(_ context.Context, rec *obs.QueryRecord) (map[watchdog.AggInstance]float64, error) {
 		truth := 0.0
@@ -86,7 +71,8 @@ func TestAlertPipelineEndToEnd(t *testing.T) {
 		t.Fatal("webhook never received the firing alert")
 	}
 	if firing.State != alert.StateFiring || firing.Source != "watchdog" ||
-		firing.Kind != "undercoverage" || firing.Key != "A@1000" {
+		firing.Kind != "undercoverage" || firing.Key != "A@1000" ||
+		firing.Severity != alert.SeverityCritical {
 		t.Fatalf("firing event = %+v", firing)
 	}
 	if len(bus.Active()) != 1 {

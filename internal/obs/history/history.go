@@ -33,12 +33,11 @@ type Options struct {
 	FsyncEvery int
 	// SLOs declares the objectives the monitor evaluates.
 	SLOs []SLOSpec
-	// Registry, when set, receives aqp_history_* and aqp_slo_* metrics
-	// and is the source the time-series rollups sample.
+	// Registry, when set, receives aqp_history_* and aqp_slo_* metrics.
 	Registry *obs.Registry
-	// SampleInterval is the background tick for registry rollups and SLO
-	// evaluation (0 = 1s; negative disables the background goroutine —
-	// evaluation then only happens on demand).
+	// SampleInterval is the background tick for SLO evaluation (0 = 1s;
+	// negative disables the background goroutine — evaluation then only
+	// happens on demand).
 	SampleInterval time.Duration
 	// ProfileEpsilon is the GK-sketch rank error for profile quantiles
 	// (0 = 0.02).
@@ -82,7 +81,7 @@ type Stats struct {
 }
 
 // Store is the persistent history log plus its in-memory derivations
-// (profiler, SLO monitor, rollups). All methods are nil-safe no-ops, so
+// (profiler, SLO monitor). All methods are nil-safe no-ops, so
 // callers thread an optional *Store through hot paths unconditionally.
 type Store struct {
 	dir string
@@ -346,7 +345,7 @@ func (s *Store) Close() error {
 	return err
 }
 
-// sampler is the background tick: registry rollups plus SLO evaluation.
+// sampler is the background tick for SLO evaluation.
 func (s *Store) sampler() {
 	defer close(s.done)
 	iv := s.opt.SampleInterval
@@ -360,9 +359,7 @@ func (s *Store) sampler() {
 		case <-s.tick:
 			return
 		case now := <-t.C:
-			sec := now.Unix()
-			s.mon.rollup.sample(sec, s.opt.Registry)
-			s.mon.evaluate(sec)
+			s.mon.evaluate(now.Unix())
 		}
 	}
 }
@@ -401,14 +398,6 @@ func (s *Store) SLOStatuses() []SLOStatus {
 		return nil
 	}
 	return s.mon.evaluate(time.Now().Unix())
-}
-
-// Rates returns windowed deltas of every rolled-up metric series.
-func (s *Store) Rates(windowSec int) []SeriesRate {
-	if s == nil {
-		return nil
-	}
-	return s.mon.rollup.rates(time.Now().Unix(), int64(windowSec))
 }
 
 // Replay folds every record under path — a single segment file or a

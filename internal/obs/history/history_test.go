@@ -476,7 +476,7 @@ func TestNilStoreIsNoOp(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Profiles() != nil || s.SLOStatuses() != nil || s.Rates(60) != nil {
+	if s.Profiles() != nil || s.SLOStatuses() != nil {
 		t.Fatal("nil store returned data")
 	}
 	if _, ok := s.Profile(Key{}); ok {

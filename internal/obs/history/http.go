@@ -3,7 +3,6 @@ package history
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
 )
 
 // The three debug surfaces. They render JSON (pretty-printed: these are
@@ -38,20 +37,12 @@ func (s *Store) SLOHandler() http.Handler {
 	})
 }
 
-// StatsHandler serves the store's bookkeeping plus windowed metric rates
-// (?window=SECONDS, default 60).
+// StatsHandler serves the store's bookkeeping. Metric rates are the
+// scraper's to compute from /metrics.
 func (s *Store) StatsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		window := 60
-		if v := r.URL.Query().Get("window"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil && n > 0 {
-				window = n
-			}
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, struct {
-			Stats     Stats        `json:"stats"`
-			WindowSec int          `json:"window_sec"`
-			Rates     []SeriesRate `json:"rates"`
-		}{s.Stats(), window, s.Rates(window)})
+			Stats Stats `json:"stats"`
+		}{s.Stats()})
 	})
 }

@@ -181,7 +181,6 @@ type monitor struct {
 	breached map[string]bool
 	reg      *obs.Registry
 	alerts   *alert.Bus
-	rollup   *rollup
 }
 
 func newMonitor(specs []SLOSpec, reg *obs.Registry, alerts *alert.Bus) *monitor {
@@ -192,7 +191,6 @@ func newMonitor(specs []SLOSpec, reg *obs.Registry, alerts *alert.Bus) *monitor 
 		breached: map[string]bool{},
 		reg:      reg,
 		alerts:   alerts,
-		rollup:   newRollup(),
 	}
 	for i := range m.specs {
 		if m.specs[i].Objective <= 0 || m.specs[i].Objective >= 1 {

@@ -64,7 +64,6 @@ type Route struct {
 //	                           (the shared LimitParam clamp).
 //	/debug/queries/{id}/trace  one query as Chrome trace-event JSON, for
 //	                           chrome://tracing or ui.perfetto.dev
-//	/debug/histograms          registered histograms with p50/p90/p99
 //	/debug/pprof/...           the standard net/http/pprof surface
 //
 // Extra routes are mounted verbatim after the built-ins.
@@ -122,14 +121,6 @@ func (t *Tracer) Handler(extra ...Route) http.Handler {
 			}
 		}
 		http.Error(w, fmt.Sprintf("query %d not in the trace ring", id), http.StatusNotFound)
-	})
-	mux.HandleFunc("/debug/histograms", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(t.Registry().HistogramStats()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

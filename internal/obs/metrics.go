@@ -145,44 +145,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket counts
-// using Prometheus's histogram_quantile interpolation: linear within the
-// containing bucket, with the +Inf bucket reported as its lower bound.
-// Returns NaN for an empty histogram or q outside [0,1]. Concurrent
-// Observe calls may skew the estimate by the in-flight observations; the
-// buckets themselves are read atomically.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i, bound := range h.bounds {
-		c := h.counts[i].Load()
-		if float64(cum+c) >= rank && c > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (bound-lo)*frac
-		}
-		cum += c
-	}
-	// Tail bucket: no finite upper bound to interpolate toward.
-	if len(h.bounds) > 0 {
-		return h.bounds[len(h.bounds)-1]
-	}
-	return math.NaN()
-}
-
 // Default bucket layouts for the repo's metric families.
 var (
 	// LatencyBuckets spans 100µs local stages to minute-scale fallbacks.
@@ -401,9 +363,7 @@ type CounterSample struct {
 }
 
 // CounterSamples snapshots every registered counter series, sorted by name
-// then label registration order. The history subsystem's time-series
-// rollups sample this periodically to turn cumulative counters into
-// windowed rates.
+// then label registration order.
 func (r *Registry) CounterSamples() []CounterSample {
 	if r == nil {
 		return nil
@@ -421,58 +381,6 @@ func (r *Registry) CounterSamples() []CounterSample {
 				continue
 			}
 			out = append(out, CounterSample{Name: f.name, Labels: key, Value: c.Value()})
-		}
-	}
-	return out
-}
-
-// HistogramStat is one histogram series with its derived quantiles, as
-// rendered by /debug/histograms.
-type HistogramStat struct {
-	Name   string  `json:"name"`
-	Labels string  `json:"labels,omitempty"`
-	Count  int64   `json:"count"`
-	Sum    float64 `json:"sum"`
-	P50    float64 `json:"p50"`
-	P90    float64 `json:"p90"`
-	P99    float64 `json:"p99"`
-}
-
-// HistogramStats snapshots every registered histogram series with
-// interpolated p50/p90/p99, sorted by name then label registration order.
-// Non-finite quantiles (empty series) are reported as zero so the result
-// always JSON-encodes.
-func (r *Registry) HistogramStats() []HistogramStat {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := append([]string(nil), r.order...)
-	sort.Strings(names)
-	var out []HistogramStat
-	finite := func(v float64) float64 {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0
-		}
-		return v
-	}
-	for _, name := range names {
-		f := r.fams[name]
-		for _, key := range f.order {
-			h, ok := f.series[key].(*Histogram)
-			if !ok {
-				continue
-			}
-			out = append(out, HistogramStat{
-				Name:   f.name,
-				Labels: key,
-				Count:  h.Count(),
-				Sum:    finite(h.Sum()),
-				P50:    finite(h.Quantile(0.50)),
-				P90:    finite(h.Quantile(0.90)),
-				P99:    finite(h.Quantile(0.99)),
-			})
 		}
 	}
 	return out

@@ -94,20 +94,21 @@ type Config struct {
 	History *history.Store
 	// Alerts, when non-nil, receives admission-health alerts: a
 	// reject-spike alert (source "serve", kind "reject_spike", key =
-	// rejection reason) when RejectSpikeThreshold rejections of one reason
-	// land inside RejectSpikeWindow, and a queue-saturation alert (kind
-	// "queue_saturation") whenever an arrival is turned away because the
-	// wait queue is full. Alerts resolve as admissions resume and the
-	// reject windows drain. The server never blocks on the bus.
+	// rejection reason) when rejectSpikeThreshold (8) rejections of one
+	// reason land inside rejectSpikeWindow (10 s), and a queue-saturation
+	// alert (kind "queue_saturation") whenever an arrival is turned away
+	// because the wait queue is full. Alerts resolve as admissions resume
+	// and the reject windows drain. The server never blocks on the bus.
 	Alerts *alert.Bus
-	// RejectSpikeWindow is the sliding window for reject-spike detection
-	// (0 = 10s).
-	RejectSpikeWindow time.Duration
-	// RejectSpikeThreshold is how many same-reason rejections inside the
-	// window raise the alert (0 = 8). The alert resolves when the window
-	// drains below half the threshold.
-	RejectSpikeThreshold int
 }
+
+// Reject-spike detection: rejectSpikeThreshold same-reason rejections
+// inside the sliding rejectSpikeWindow raise the alert, and it resolves
+// once the window drains to half the threshold.
+const (
+	rejectSpikeWindow    = 10 * time.Second
+	rejectSpikeThreshold = 8
+)
 
 func (c Config) maxInFlight() int {
 	if c.MaxInFlight <= 0 {
@@ -131,20 +132,6 @@ func (c Config) batchHold() time.Duration {
 		return 500 * time.Microsecond
 	}
 	return c.BatchHold
-}
-
-func (c Config) rejectSpikeWindow() time.Duration {
-	if c.RejectSpikeWindow <= 0 {
-		return 10 * time.Second
-	}
-	return c.RejectSpikeWindow
-}
-
-func (c Config) rejectSpikeThreshold() int {
-	if c.RejectSpikeThreshold <= 0 {
-		return 8
-	}
-	return c.RejectSpikeThreshold
 }
 
 // Server serializes admission to a shared engine. The zero value is not
@@ -226,23 +213,22 @@ func (s *Server) noteReject(reason string) {
 		return
 	}
 	now := time.Now()
-	threshold := s.cfg.rejectSpikeThreshold()
 	s.amu.Lock()
 	w := append(s.rejects[reason], now)
-	w = pruneBefore(w, now.Add(-s.cfg.rejectSpikeWindow()))
+	w = pruneBefore(w, now.Add(-rejectSpikeWindow))
 	s.rejects[reason] = w
 	n := len(w)
 	s.amu.Unlock()
-	if n >= threshold {
+	if n >= rejectSpikeThreshold {
 		s.cfg.Alerts.Raise(alert.Alert{
 			Source:   "serve",
 			Kind:     "reject_spike",
 			Key:      reason,
 			Severity: alert.SeverityWarning,
 			Message: fmt.Sprintf("admission rejected %d queries (%s) within %s",
-				n, reason, s.cfg.rejectSpikeWindow()),
+				n, reason, rejectSpikeWindow),
 			Observed: float64(n),
-			Expected: float64(threshold),
+			Expected: rejectSpikeThreshold,
 		})
 	}
 	if reason == "queue_full" {
@@ -267,14 +253,13 @@ func (s *Server) noteAdmit() {
 	if s.cfg.Alerts == nil {
 		return
 	}
-	cut := time.Now().Add(-s.cfg.rejectSpikeWindow())
-	half := s.cfg.rejectSpikeThreshold() / 2
+	cut := time.Now().Add(-rejectSpikeWindow)
 	var calm []string
 	s.amu.Lock()
 	for reason, w := range s.rejects {
 		w = pruneBefore(w, cut)
 		s.rejects[reason] = w
-		if len(w) <= half {
+		if len(w) <= rejectSpikeThreshold/2 {
 			calm = append(calm, reason)
 		}
 	}

@@ -16,9 +16,12 @@ type KeyStatus struct {
 	RejectRate   float64 `json:"reject_rate"`
 	RejectWindow int     `json:"reject_window"`
 	// BaselineRejectRate is the frozen first-window reject rate drift is
-	// measured against; meaningful once BaselineSet.
+	// measured against, and RejectLo/Hi the drift band around it; all
+	// three are meaningful once BaselineSet.
 	BaselineRejectRate float64 `json:"baseline_reject_rate"`
 	BaselineSet        bool    `json:"baseline_set"`
+	RejectLo           float64 `json:"reject_lo"`
+	RejectHi           float64 `json:"reject_hi"`
 	// Coverage is the rolling empirical coverage over audited queries,
 	// CoverageWindow the audited-trial count, and CoverageLo/Hi the
 	// binomial tolerance band currently in force.
@@ -43,12 +46,11 @@ type Status struct {
 	AuditFraction float64     `json:"audit_fraction"`
 	Observations  uint64      `json:"observations"`
 	Keys          []KeyStatus `json:"keys"`
-	ActiveAlerts  []Alert     `json:"active_alerts"`
-	History       []Alert     `json:"history"`
 }
 
 // Status snapshots the watchdog's rolling state: every key's coverage,
-// reject rate and band, plus active alerts and history.
+// reject rate and bands. The alerts they raise live on the alert bus
+// (/debug/alerts).
 func (w *Watchdog) Status() Status {
 	if w == nil {
 		return Status{}
@@ -69,6 +71,10 @@ func (w *Watchdog) Status() Status {
 		rej, rejN := ks.verdicts.rate()
 		cov, covN := ks.coverage.rate()
 		lo, hi := Band(w.cfg.nominal(), covN, w.cfg.tolerance())
+		var rejLo, rejHi float64
+		if ks.baselineSet {
+			rejLo, rejHi = driftBand(ks.baselineRejects, rejN, w.cfg.tolerance())
+		}
 		tech := make(map[string]int64, len(ks.techniques))
 		for t, n := range ks.techniques {
 			tech[t] = n
@@ -80,6 +86,8 @@ func (w *Watchdog) Status() Status {
 			RejectWindow:       rejN,
 			BaselineRejectRate: ks.baselineRejects,
 			BaselineSet:        ks.baselineSet,
+			RejectLo:           rejLo,
+			RejectHi:           rejHi,
 			Coverage:           cov,
 			CoverageWindow:     covN,
 			CoverageLo:         lo,
@@ -89,8 +97,6 @@ func (w *Watchdog) Status() Status {
 			Techniques:         tech,
 		})
 	}
-	st.ActiveAlerts = w.activeLocked()
-	st.History = append(st.History, w.history...)
 	return st
 }
 
