@@ -29,6 +29,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/kernel"
 	"repro/internal/obs"
+	"repro/internal/obs/alert"
 	"repro/internal/obs/history"
 	"repro/internal/plan"
 	"repro/internal/resample"
@@ -607,8 +608,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		case "eventlog":
 			cfg.EventLog = obs.NewEventLog(io.Discard, obs.Config{})
 		case "watchdog":
-			wd := watchdog.New(watchdog.Config{AuditFraction: 1.0 / 16, Metrics: cfg.Obs.Registry()})
-			cfg.Watchdog, stop = wd, wd.Close
+			// Wired as aqpd wires it: every window check sends to the bus.
+			bus := alert.New(alert.Config{Metrics: cfg.Obs.Registry()})
+			wd := watchdog.New(watchdog.Config{AuditFraction: 1.0 / 16, Metrics: cfg.Obs.Registry(), Alerts: bus})
+			cfg.Watchdog, cfg.Alerts, stop = wd, bus, wd.Close
 		case "history":
 			hist, err := history.Open(b.TempDir(), history.Options{SampleInterval: -1})
 			if err != nil {

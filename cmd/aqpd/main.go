@@ -140,71 +140,24 @@ type daemonConfig struct {
 }
 
 func run(cfg daemonConfig) error {
-	obsCfg := obs.Config{ExportURL: cfg.otlpURL, ExportPath: cfg.otlpFile}
-	var elog *obs.EventLog
-	switch cfg.logFormat {
-	case "":
-	case "json":
-		elog = obs.NewEventLog(os.Stderr, obsCfg)
-	default:
-		return fmt.Errorf("unknown -log format %q (only 'json')", cfg.logFormat)
+	tel, err := newTelemetry(cfg)
+	if err != nil {
+		return err
 	}
-	tracer := obs.NewTracer(obsCfg)
-
-	// Unified alert pipeline: watchdog calibration breaches, SLO burn, and
-	// admission spikes all land on one bus, fanning out to the configured
-	// sinks and /debug/alerts (mounted by the engine when -metrics is set).
-	bus := alert.New(alert.Config{Metrics: tracer.Registry()})
-	if cfg.logFormat == "json" {
-		bus.AddSink(alert.NewLogSink(slog.New(slog.NewJSONHandler(os.Stderr, nil))))
-	}
-	if cfg.alertWebhook != "" {
-		webhook := alert.NewWebhookSink(cfg.alertWebhook, alert.WebhookOptions{
-			Metrics: tracer.Registry(),
-		})
-		defer webhook.Close()
-		bus.AddSink(webhook)
-	}
-
-	var hist *history.Store
-	if cfg.historyDir != "" {
-		var err error
-		hist, err = history.Open(cfg.historyDir, history.Options{
-			Registry: tracer.Registry(),
-			Alerts:   bus,
-			SLOs: []history.SLOSpec{
-				{Name: "latency-p99", Kind: history.SLOLatency,
-					Objective: 0.99, ThresholdMs: 1000},
-				{Name: "availability", Kind: history.SLOAvailability, Objective: 0.999},
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer hist.Close()
-	}
-
-	var wd *watchdog.Watchdog
-	if cfg.auditFraction > 0 {
-		wd = watchdog.New(watchdog.Config{
-			AuditFraction: cfg.auditFraction,
-			Metrics:       tracer.Registry(),
-		})
-		defer wd.Close()
-	}
+	defer tel.close()
 
 	engine := core.New(core.Config{
 		Seed:        cfg.seed,
 		Workers:     cfg.workers,
 		CacheBytes:  int64(cfg.cacheMB) << 20,
 		CacheTTL:    cfg.cacheTTL,
-		Obs:         tracer,
-		ObsConfig:   obsCfg,
+		Obs:         tel.tracer,
+		ObsConfig:   tel.obsCfg,
 		MetricsAddr: cfg.metricsAddr,
-		EventLog:    elog,
-		Watchdog:    wd,
-		History:     hist,
-		Alerts:      bus,
+		EventLog:    tel.elog,
+		Watchdog:    tel.wd,
+		History:     tel.hist,
+		Alerts:      tel.bus,
 	})
 	store, err := loadData(engine, cfg)
 	// With -store the table and its sample are file mappings, and reading an
@@ -219,7 +172,7 @@ func run(cfg daemonConfig) error {
 		if !quiet {
 			return
 		}
-		wd.Close()
+		tel.wd.Close()
 		engine.Close() // samples before the table they were drawn from
 		if store != nil {
 			store.Close()
@@ -241,9 +194,9 @@ func run(cfg daemonConfig) error {
 		MaxBootstrapK: cfg.maxK,
 		MaxBatch:      cfg.maxBatch,
 		BatchHold:     cfg.batchHold,
-		Metrics:       tracer.Registry(),
-		History:       hist,
-		Alerts:        bus,
+		Metrics:       tel.tracer.Registry(),
+		History:       tel.hist,
+		Alerts:        tel.bus,
 	})
 
 	userTable, err := parseUsers(cfg.users)
@@ -263,8 +216,8 @@ func run(cfg daemonConfig) error {
 		wcfg := wire.Config{
 			MaxConns:  cfg.maxConns,
 			MaxPacket: cfg.maxPacket,
-			Metrics:   tracer.Registry(),
-			EventLog:  elog,
+			Metrics:   tel.tracer.Registry(),
+			EventLog:  tel.elog,
 		}
 		if userTable != nil {
 			wcfg.Auth = wire.NativePassword(userTable)
@@ -280,7 +233,7 @@ func run(cfg daemonConfig) error {
 		if err != nil {
 			return fmt.Errorf("http listener: %w", err)
 		}
-		opt := serve.HTTPOptions{EventLog: elog}
+		opt := serve.HTTPOptions{EventLog: tel.elog}
 		if userTable != nil {
 			opt.Authorize = basicAuth(userTable)
 		}
@@ -330,6 +283,79 @@ func run(cfg daemonConfig) error {
 	}
 	fmt.Println("aqpd: drained")
 	return nil
+}
+
+// telemetry is the daemon's observability wiring: the tracer, the event log
+// and one alert bus with its sinks and every producer that raises on it but
+// the admission layer (serve.Config.Alerts, set in run) — the history
+// store's SLO monitor and the calibration watchdog.
+type telemetry struct {
+	obsCfg  obs.Config
+	tracer  *obs.Tracer
+	elog    *obs.EventLog
+	bus     *alert.Bus
+	webhook *alert.WebhookSink
+	hist    *history.Store
+	wd      *watchdog.Watchdog
+}
+
+func newTelemetry(cfg daemonConfig) (*telemetry, error) {
+	t := &telemetry{obsCfg: obs.Config{ExportURL: cfg.otlpURL, ExportPath: cfg.otlpFile}}
+	switch cfg.logFormat {
+	case "":
+	case "json":
+		t.elog = obs.NewEventLog(os.Stderr, t.obsCfg)
+	default:
+		return nil, fmt.Errorf("unknown -log format %q (only 'json')", cfg.logFormat)
+	}
+	t.tracer = obs.NewTracer(t.obsCfg)
+	reg := t.tracer.Registry()
+
+	// Unified alert pipeline: watchdog calibration breaches, SLO burn, and
+	// admission spikes all land on one bus, fanning out to the configured
+	// sinks and /debug/alerts (mounted by the engine when -metrics is set).
+	t.bus = alert.New(alert.Config{Metrics: reg})
+	if cfg.logFormat == "json" {
+		t.bus.AddSink(alert.NewLogSink(slog.New(slog.NewJSONHandler(os.Stderr, nil))))
+	}
+	if cfg.alertWebhook != "" {
+		t.webhook = alert.NewWebhookSink(cfg.alertWebhook, alert.WebhookOptions{Metrics: reg})
+		t.bus.AddSink(t.webhook)
+	}
+
+	if cfg.historyDir != "" {
+		var err error
+		t.hist, err = history.Open(cfg.historyDir, history.Options{
+			Registry: reg,
+			Alerts:   t.bus,
+			SLOs: []history.SLOSpec{
+				{Name: "latency-p99", Kind: history.SLOLatency,
+					Objective: 0.99, ThresholdMs: 1000},
+				{Name: "availability", Kind: history.SLOAvailability, Objective: 0.999},
+			},
+		})
+		if err != nil {
+			t.close()
+			return nil, err
+		}
+	}
+
+	if cfg.auditFraction > 0 {
+		t.wd = watchdog.New(watchdog.Config{
+			AuditFraction: cfg.auditFraction,
+			Metrics:       reg,
+			Alerts:        t.bus,
+		})
+	}
+	return t, nil
+}
+
+// close stops the watchdog, draining its queued audits, then the history
+// store, then the webhook.
+func (t *telemetry) close() {
+	t.wd.Close()
+	t.hist.Close() //nolint:errcheck
+	t.webhook.Close()
 }
 
 // loadData registers the serving table under cfg.tblName and samples it.
