@@ -266,7 +266,7 @@ func (s *exactScan) reserveVectors(ctx context.Context, skip []bool) (decodeMete
 		return meter, nil
 	}
 	if s.keyIdx < 0 {
-		s.groups[0].rows = int64(admittedRows(s.tbl.NumRows(), skip))
+		s.groups[0].rows = int64(admittedRows(s.tbl.NumRows(), 0, skip))
 	} else {
 		var err error
 		if meter, err = s.scan(ctx, skip, true); err != nil {
@@ -285,13 +285,14 @@ func (s *exactScan) reserveVectors(ctx context.Context, skip []bool) (decodeMete
 	return meter, nil
 }
 
-// admittedRows is the number of rows in the blocks a scan of n rows visits
-// when skip marks the blocks zone maps rule out.
-func admittedRows(n int, skip []bool) int {
+// admittedRows is the number of rows in the blocks a scan visits when skip
+// marks the blocks zone maps rule out: the scan covers n rows from absolute
+// row absOffset of the base table, and skip is indexed by absolute block.
+func admittedRows(n, absOffset int, skip []bool) int {
 	rows := n
-	for block, skipped := range skip {
-		if skipped {
-			rows -= min(table.ZoneBlockRows, n-block*table.ZoneBlockRows)
+	for block := absOffset / table.ZoneBlockRows; block < len(skip) && block*table.ZoneBlockRows < absOffset+n; block++ {
+		if skip[block] {
+			rows -= min((block+1)*table.ZoneBlockRows, absOffset+n) - max(block*table.ZoneBlockRows, absOffset)
 		}
 	}
 	return rows

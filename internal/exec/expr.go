@@ -668,7 +668,8 @@ func EvalPredicate(e sql.Expr, tbl *table.Table) ([]int, error) {
 // selHint, when in [0,1], is a remembered selectivity for this predicate
 // shape from the predicate memo; it pre-sizes the selection vector so a
 // repeated shape neither over-allocates (a 1% filter reserving n/2) nor
-// regrows repeatedly (a 90% filter starting at n/2). Capacity only —
+// regrows repeatedly (a 90% filter starting at n/2). Either way the
+// reservation is capped at the rows in blocks skip admits. Capacity only —
 // never affects which rows match.
 func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, absOffset int, skip []bool, m *decodeMeter, cc *cache.BlockCache, selHint float64) ([]int, error) {
 	if skip == nil && !tbl.Lazy() {
@@ -683,6 +684,7 @@ func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, ab
 			selCap = n
 		}
 	}
+	selCap = min(selCap, admittedRows(n, absOffset, skip))
 	sel := make([]int, 0, selCap)
 	sc := &scratch{m: m, blocks: cc}
 	defer sc.release()

@@ -158,6 +158,39 @@ func TestZoneSkipPreservesSelection(t *testing.T) {
 	}
 }
 
+// TestZoneSkipSizesSelection: with no memo hint, the selection vector
+// reserves no more than the rows in blocks the skip list admits, and still
+// selects every matching row there.
+func TestZoneSkipSizesSelection(t *testing.T) {
+	const blocks, admitted = 10, 3
+	tbl := clusteredSessions(blocks*table.ZoneBlockRows, 24)
+	tbl.BuildZones()
+	skip := make([]bool, blocks)
+	for b := range skip {
+		skip[b] = b != admitted
+	}
+	sel, err := evalPredicateSkipping(context.Background(), wherePred(t, "Time >= 0"), tbl, 0, skip, nil, nil, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(sel) > table.ZoneBlockRows {
+		t.Errorf("cap(sel) = %d, want at most the %d admitted rows", cap(sel), table.ZoneBlockRows)
+	}
+	if len(sel) != table.ZoneBlockRows || sel[0] != admitted*table.ZoneBlockRows {
+		t.Errorf("selected %d rows from %v, want block %d's %d", len(sel), sel[:min(len(sel), 1)], admitted, table.ZoneBlockRows)
+	}
+	for _, workers := range []int{1, 3, 7} {
+		rows, offset := 0, 0
+		for _, part := range tbl.Partition(workers) {
+			rows += admittedRows(part.NumRows(), offset, skip)
+			offset += part.NumRows()
+		}
+		if rows != table.ZoneBlockRows {
+			t.Errorf("workers=%d: partitions admit %d rows, want %d", workers, rows, table.ZoneBlockRows)
+		}
+	}
+}
+
 func TestZoneSkipAcrossPartitions(t *testing.T) {
 	// The partitioned scan path hands evalPredicateSkipping a view plus the
 	// view's absolute offset; block alignment is relative to the base table.

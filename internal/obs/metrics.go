@@ -354,38 +354,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 }
 
-// CounterSample is one counter series' current value, as returned by
-// CounterSamples.
-type CounterSample struct {
-	Name   string `json:"name"`
-	Labels string `json:"labels,omitempty"`
-	Value  int64  `json:"value"`
-}
-
-// CounterSamples snapshots every registered counter series, sorted by name
-// then label registration order.
-func (r *Registry) CounterSamples() []CounterSample {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := append([]string(nil), r.order...)
-	sort.Strings(names)
-	var out []CounterSample
-	for _, name := range names {
-		f := r.fams[name]
-		for _, key := range f.order {
-			c, ok := f.series[key].(*Counter)
-			if !ok {
-				continue
-			}
-			out = append(out, CounterSample{Name: f.name, Labels: key, Value: c.Value()})
-		}
-	}
-	return out
-}
-
 func wrapLabels(key string) string {
 	if key == "" {
 		return ""

@@ -70,8 +70,9 @@ func Verdict(a core.AggAnswer) string {
 
 // AggResult is one aggregate of a query response: the estimate, its α
 // confidence interval, the relative error bound, the estimation technique
-// and the diagnostic verdict. The struct is always complete; its JSON form
-// (MarshalJSON) leaves out the values a reader restores by rule.
+// and the diagnostic verdict. The struct is always complete; the JSON form
+// of the QueryResponse holding it leaves out the values a reader restores
+// by rule.
 type AggResult struct {
 	Name      string
 	Estimate  F64
@@ -86,18 +87,72 @@ type AggResult struct {
 	Exact bool
 }
 
-// aggJSON is AggResult's JSON schema. The interval ends and the relative
-// error are pointers so that decoding can tell an absent key from a sent one.
+// GroupResult is one group's aggregates.
+type GroupResult struct {
+	Key  string
+	Aggs []AggResult
+}
+
+// QueryResponse is the HTTP API's answer body. The struct is always
+// complete; its JSON form (MarshalJSON, UnmarshalJSON) leaves out what a
+// reader restores by rule, and the float fields round-trip bit-exactly (see
+// F64).
+type QueryResponse struct {
+	SQL            string
+	Groups         []GroupResult
+	SampleRows     int
+	PopulationRows int
+	BootstrapKUsed int
+	SharedScan     bool
+	FellBack       bool
+	ElapsedMs      float64
+	// TraceID is the query's W3C trace ID, set by the transport (not by
+	// EncodeAnswer): the join key into /debug/queries, the event log, the
+	// durable history, and any exported spans.
+	TraceID string
+}
+
+// answerJSON is QueryResponse's JSON schema and the one home of its JSON
+// rule: schema fills it, UnmarshalJSON reads it back. A left-out aggregate
+// field is a nil pointer, so a sent value that happens to be a zero
+// ("cause":"", "exact":false) is still sent. What an aggregate leaves out:
+//
+//   - Interval: lo and hi are left out when their bits equal the estimate's
+//     (every exact answer, any zero-width interval), rel_err when its bits
+//     are +0. Bits decide, not ==, so −0, NaN and ±Inf are sent whenever
+//     they differ from the default's bits.
+//   - Descriptor: name, technique, verdict, cause and exact are left out
+//     when they equal the same-position aggregate of the first group. The
+//     first group is compared with the zero descriptor, so an ungrouped
+//     answer sends every non-zero descriptor field. Any group decodes from
+//     itself and groups[0] alone, in any order.
+type answerJSON struct {
+	SQL            string      `json:"sql"`
+	Groups         []groupJSON `json:"groups"`
+	SampleRows     int         `json:"sample_rows,omitempty"`
+	PopulationRows int         `json:"population_rows,omitempty"`
+	BootstrapKUsed int         `json:"bootstrap_k_used,omitempty"`
+	SharedScan     bool        `json:"shared_scan,omitempty"`
+	FellBack       bool        `json:"fell_back,omitempty"`
+	ElapsedMs      float64     `json:"elapsed_ms"`
+	TraceID        string      `json:"trace_id,omitempty"`
+}
+
+type groupJSON struct {
+	Key  string    `json:"key,omitempty"`
+	Aggs []aggJSON `json:"aggs"`
+}
+
 type aggJSON struct {
-	Name      string `json:"name"`
-	Estimate  F64    `json:"estimate"`
-	Lo        *F64   `json:"lo,omitempty"`
-	Hi        *F64   `json:"hi,omitempty"`
-	RelErr    *F64   `json:"rel_err,omitempty"`
-	Technique string `json:"technique"`
-	Verdict   string `json:"verdict"`
-	Cause     string `json:"cause,omitempty"`
-	Exact     bool   `json:"exact,omitempty"`
+	Name      *string `json:"name,omitempty"`
+	Estimate  F64     `json:"estimate"`
+	Lo        *F64    `json:"lo,omitempty"`
+	Hi        *F64    `json:"hi,omitempty"`
+	RelErr    *F64    `json:"rel_err,omitempty"`
+	Technique *string `json:"technique,omitempty"`
+	Verdict   *string `json:"verdict,omitempty"`
+	Cause     *string `json:"cause,omitempty"`
+	Exact     *bool   `json:"exact,omitempty"`
 }
 
 // sameBits reports whether two floats have identical bit patterns.
@@ -105,68 +160,104 @@ func sameBits(a, b F64) bool {
 	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
 }
 
-// MarshalJSON leaves out defaults: lo and hi when their bits equal the
-// estimate's (every exact answer, any zero-width interval), rel_err when its
-// bits are +0. Bits decide, not ==, so −0, NaN and ±Inf are sent whenever
-// they differ from the default's bits, and UnmarshalJSON restores exactly
-// the bits left out.
-func (a AggResult) MarshalJSON() ([]byte, error) {
-	w := aggJSON{Name: a.Name, Estimate: a.Estimate, Technique: a.Technique,
-		Verdict: a.Verdict, Cause: a.Cause, Exact: a.Exact}
-	if !sameBits(a.Lo, a.Estimate) {
-		w.Lo = &a.Lo
+// sent is v, or nil when the reader restores it by rule.
+func sent[T any](v *T, restored bool) *T {
+	if restored {
+		return nil
 	}
-	if !sameBits(a.Hi, a.Estimate) {
-		w.Hi = &a.Hi
-	}
-	if !sameBits(a.RelErr, 0) {
-		w.RelErr = &a.RelErr
-	}
-	return json.Marshal(w)
+	return v
 }
 
-// UnmarshalJSON implements json.Unmarshaler: an absent lo or hi is the
-// estimate, an absent rel_err is +0.
-func (a *AggResult) UnmarshalJSON(b []byte) error {
-	var w aggJSON
+// or is the sent value, or the one the rule restores.
+func or[T any](v *T, restored T) T {
+	if v == nil {
+		return restored
+	}
+	return *v
+}
+
+// descriptorRef is the aggregate whose descriptor the i-th aggregate of
+// group g is compared with: the first group's, or the zero descriptor.
+func descriptorRef(groups []GroupResult, g, i int) AggResult {
+	if g > 0 && i < len(groups[0].Aggs) {
+		return groups[0].Aggs[i]
+	}
+	return AggResult{}
+}
+
+// schema applies the JSON rule. The pointers it sends point into r.
+func (r *QueryResponse) schema() answerJSON {
+	w := answerJSON{SQL: r.SQL, SampleRows: r.SampleRows, PopulationRows: r.PopulationRows,
+		BootstrapKUsed: r.BootstrapKUsed, SharedScan: r.SharedScan, FellBack: r.FellBack,
+		ElapsedMs: r.ElapsedMs, TraceID: r.TraceID}
+	if r.Groups != nil {
+		w.Groups = make([]groupJSON, len(r.Groups))
+	}
+	for g := range r.Groups {
+		gr := &r.Groups[g]
+		gw := &w.Groups[g]
+		gw.Key = gr.Key
+		if gr.Aggs != nil {
+			gw.Aggs = make([]aggJSON, len(gr.Aggs))
+		}
+		for i := range gr.Aggs {
+			a, ref := &gr.Aggs[i], descriptorRef(r.Groups, g, i)
+			gw.Aggs[i] = aggJSON{
+				Name:      sent(&a.Name, a.Name == ref.Name),
+				Estimate:  a.Estimate,
+				Lo:        sent(&a.Lo, sameBits(a.Lo, a.Estimate)),
+				Hi:        sent(&a.Hi, sameBits(a.Hi, a.Estimate)),
+				RelErr:    sent(&a.RelErr, sameBits(a.RelErr, 0)),
+				Technique: sent(&a.Technique, a.Technique == ref.Technique),
+				Verdict:   sent(&a.Verdict, a.Verdict == ref.Verdict),
+				Cause:     sent(&a.Cause, a.Cause == ref.Cause),
+				Exact:     sent(&a.Exact, a.Exact == ref.Exact),
+			}
+		}
+	}
+	return w
+}
+
+// MarshalJSON implements json.Marshaler with the rule on answerJSON.
+func (r QueryResponse) MarshalJSON() ([]byte, error) {
+	return json.Marshal(r.schema())
+}
+
+// UnmarshalJSON implements json.Unmarshaler: it restores every field the
+// rule on answerJSON left out.
+func (r *QueryResponse) UnmarshalJSON(b []byte) error {
+	var w answerJSON
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
-	*a = AggResult{Name: w.Name, Estimate: w.Estimate, Lo: w.Estimate, Hi: w.Estimate,
-		Technique: w.Technique, Verdict: w.Verdict, Cause: w.Cause, Exact: w.Exact}
-	if w.Lo != nil {
-		a.Lo = *w.Lo
+	*r = QueryResponse{SQL: w.SQL, SampleRows: w.SampleRows, PopulationRows: w.PopulationRows,
+		BootstrapKUsed: w.BootstrapKUsed, SharedScan: w.SharedScan, FellBack: w.FellBack,
+		ElapsedMs: w.ElapsedMs, TraceID: w.TraceID}
+	if w.Groups != nil {
+		r.Groups = make([]GroupResult, len(w.Groups))
 	}
-	if w.Hi != nil {
-		a.Hi = *w.Hi
-	}
-	if w.RelErr != nil {
-		a.RelErr = *w.RelErr
+	for g, gw := range w.Groups {
+		gr := &r.Groups[g]
+		gr.Key = gw.Key
+		if gw.Aggs != nil {
+			gr.Aggs = make([]AggResult, len(gw.Aggs))
+		}
+		for i, a := range gw.Aggs {
+			ref := descriptorRef(r.Groups, g, i)
+			gr.Aggs[i] = AggResult{
+				Name:      or(a.Name, ref.Name),
+				Estimate:  a.Estimate,
+				Lo:        or(a.Lo, a.Estimate),
+				Hi:        or(a.Hi, a.Estimate),
+				RelErr:    or(a.RelErr, 0),
+				Technique: or(a.Technique, ref.Technique),
+				Verdict:   or(a.Verdict, ref.Verdict),
+				Cause:     or(a.Cause, ref.Cause),
+				Exact:     or(a.Exact, ref.Exact),
+			}
+		}
 	}
 	return nil
-}
-
-// GroupResult is one group's aggregates.
-type GroupResult struct {
-	Key  string      `json:"key,omitempty"`
-	Aggs []AggResult `json:"aggs"`
-}
-
-// QueryResponse is the HTTP API's answer body. The float fields round-trip
-// bit-exactly (see F64).
-type QueryResponse struct {
-	SQL            string        `json:"sql"`
-	Groups         []GroupResult `json:"groups"`
-	SampleRows     int           `json:"sample_rows,omitempty"`
-	PopulationRows int           `json:"population_rows,omitempty"`
-	BootstrapKUsed int           `json:"bootstrap_k_used,omitempty"`
-	SharedScan     bool          `json:"shared_scan,omitempty"`
-	FellBack       bool          `json:"fell_back,omitempty"`
-	ElapsedMs      float64       `json:"elapsed_ms"`
-	// TraceID is the query's W3C trace ID, set by the transport (not by
-	// EncodeAnswer): the join key into /debug/queries, the event log, the
-	// durable history, and any exported spans.
-	TraceID string `json:"trace_id,omitempty"`
 }
 
 // EncodeAnswer flattens an engine answer into its transport form.

@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -19,15 +23,83 @@ func sameF64(got, want F64) bool {
 	return sameBits(got, want) || math.IsNaN(g) && math.IsNaN(w)
 }
 
-// FuzzAggResultJSON: whatever the float bits, decoding an encoded aggregate
-// restores estimate, lo, hi and rel_err bit for bit (NaN as NaN) — whether
-// the encoder sent a value or left it to the default rule — and the string
-// and bool fields unchanged.
-func FuzzAggResultJSON(f *testing.F) {
+// responseDiff describes the first field in which a decoded response differs
+// from the one encoded, or returns "".
+func responseDiff(got, want *QueryResponse) string {
+	if got.SQL != want.SQL || got.SampleRows != want.SampleRows ||
+		got.PopulationRows != want.PopulationRows || got.BootstrapKUsed != want.BootstrapKUsed ||
+		got.SharedScan != want.SharedScan || got.FellBack != want.FellBack ||
+		got.ElapsedMs != want.ElapsedMs || got.TraceID != want.TraceID {
+		return fmt.Sprintf("header: got %+v want %+v", *got, *want)
+	}
+	if len(got.Groups) != len(want.Groups) {
+		return fmt.Sprintf("%d groups, want %d", len(got.Groups), len(want.Groups))
+	}
+	for g := range want.Groups {
+		gg, wg := got.Groups[g], want.Groups[g]
+		if gg.Key != wg.Key || len(gg.Aggs) != len(wg.Aggs) {
+			return fmt.Sprintf("group %d: got %+v want %+v", g, gg, wg)
+		}
+		for i, w := range wg.Aggs {
+			a := gg.Aggs[i]
+			for _, f := range []struct {
+				what      string
+				got, want F64
+			}{
+				{"estimate", a.Estimate, w.Estimate}, {"lo", a.Lo, w.Lo},
+				{"hi", a.Hi, w.Hi}, {"rel_err", a.RelErr, w.RelErr},
+			} {
+				if !sameF64(f.got, f.want) {
+					return fmt.Sprintf("group %d agg %d %s: got %x want %x", g, i, f.what,
+						math.Float64bits(float64(f.got)), math.Float64bits(float64(f.want)))
+				}
+			}
+			if a.Name != w.Name || a.Technique != w.Technique || a.Verdict != w.Verdict ||
+				a.Cause != w.Cause || a.Exact != w.Exact {
+				return fmt.Sprintf("group %d agg %d: got %+v want %+v", g, i, a, w)
+			}
+		}
+	}
+	return ""
+}
+
+// fuzzBits hands out a fuzz input's bits n at a time, stretching them with
+// an LCG step once they run out.
+type fuzzBits struct {
+	v    uint64
+	left int
+}
+
+func (b *fuzzBits) next(n int) uint64 {
+	if b.left < n {
+		b.v = b.v*6364136223846793005 + 1442695040888963407
+		b.left = 64
+	}
+	out := b.v & (1<<n - 1)
+	b.v >>= n
+	b.left -= n
+	return out
+}
+
+// FuzzAnswerJSON: whatever the float bits and strings, an answer of 1–3
+// groups × 1–2 aggregates decodes back to its own bits (NaN as NaN) and
+// strings, whether the encoder sent a value or left it to the rule; and
+// every group also decodes from a body holding only groups[0] and itself.
+func FuzzAnswerJSON(f *testing.F) {
 	bits := math.Float64bits
+	f64s := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
+	}
 	negZero := bits(math.Copysign(0, -1))
 	nan, inf, ninf := bits(math.NaN()), bits(math.Inf(1)), bits(math.Inf(-1))
-	for _, c := range []struct {
+	// Each seed's first aggregate carries name, technique and verdict s1,
+	// cause s2, and the floats as given; the shape (seed index mod 6) adds
+	// groups and aggregates that reuse the floats and name s1 throughout.
+	for i, c := range []struct {
 		est, lo, hi, rel uint64
 		name, cause      string
 		exact            bool
@@ -46,71 +118,148 @@ func FuzzAggResultJSON(f *testing.F) {
 		{bits(1e300), bits(-1e300), bits(1e300), bits(2), "big", "", false}, // extremes
 		{bits(1), bits(1), bits(1), 0, "q\"\\<&>\n\u2028é", "x", false},     // escaped strings
 	} {
-		f.Add(c.est, c.lo, c.hi, c.rel, c.name, "closed-form", "accept", c.cause, c.exact)
+		pick := uint64(1) << 8 // cause from s2, every other string s1
+		if c.exact {
+			pick |= 1 << 10
+		}
+		f.Add(uint8(i%6), pick, f64s(c.est, c.lo, c.hi, c.rel), c.name, c.cause)
 	}
-	f.Fuzz(func(t *testing.T, est, lo, hi, rel uint64, name, technique, verdict, cause string, exact bool) {
-		for _, s := range []string{name, technique, verdict, cause} {
-			if !utf8.ValidString(s) {
-				t.Skip("JSON strings are UTF-8; encoding/json replaces invalid bytes")
+	f.Fuzz(func(t *testing.T, shape uint8, pick uint64, floats []byte, s1, s2 string) {
+		if !utf8.ValidString(s1) || !utf8.ValidString(s2) {
+			t.Skip("JSON strings are UTF-8; encoding/json replaces invalid bytes")
+		}
+		word := 0
+		float := func() F64 {
+			var b [8]byte
+			for j := range b {
+				if len(floats) > 0 {
+					b[j] = floats[(8*word+j)%len(floats)]
+				}
 			}
+			word++
+			return F64(math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
 		}
-		a := AggResult{
-			Name: name, Estimate: F64(math.Float64frombits(est)),
-			Lo: F64(math.Float64frombits(lo)), Hi: F64(math.Float64frombits(hi)),
-			RelErr:    F64(math.Float64frombits(rel)),
-			Technique: technique, Verdict: verdict, Cause: cause, Exact: exact,
+		src := fuzzBits{v: pick, left: 64}
+		pool := [...]string{s1, s2, ""}
+		str := func() string { return pool[src.next(2)%3] }
+		resp := &QueryResponse{SQL: s1, TraceID: s2, ElapsedMs: 1.5}
+		for range 1 + int(shape%3) {
+			g := GroupResult{Key: str()}
+			for range 1 + int(shape/3%2) {
+				a := AggResult{Estimate: float(), Lo: float(), Hi: float(), RelErr: float(),
+					Name: str(), Technique: str(), Verdict: str(), Cause: str(), Exact: src.next(1) == 1}
+				if src.next(1) == 1 {
+					a.Lo = a.Estimate
+				}
+				if src.next(1) == 1 {
+					a.Hi = a.Estimate
+				}
+				if src.next(1) == 1 {
+					a.RelErr = 0
+				}
+				g.Aggs = append(g.Aggs, a)
+			}
+			resp.Groups = append(resp.Groups, g)
 		}
-		b, err := json.Marshal(a)
+		b, err := json.Marshal(resp)
 		if err != nil {
-			t.Fatalf("marshal %+v: %v", a, err)
+			t.Fatalf("marshal %+v: %v", resp, err)
 		}
-		var back AggResult
+		var back QueryResponse
 		if err := json.Unmarshal(b, &back); err != nil {
 			t.Fatalf("unmarshal %s: %v", b, err)
 		}
-		for _, f := range []struct {
-			what      string
-			got, want F64
-		}{
-			{"estimate", back.Estimate, a.Estimate}, {"lo", back.Lo, a.Lo},
-			{"hi", back.Hi, a.Hi}, {"rel_err", back.RelErr, a.RelErr},
-		} {
-			if !sameF64(f.got, f.want) {
-				t.Errorf("%s: got %x want %x (body %s)", f.what,
-					math.Float64bits(float64(f.got)), math.Float64bits(float64(f.want)), b)
-			}
+		if d := responseDiff(&back, resp); d != "" {
+			t.Fatalf("%s (body %s)", d, b)
 		}
-		if back.Name != a.Name || back.Technique != a.Technique || back.Verdict != a.Verdict ||
-			back.Cause != a.Cause || back.Exact != a.Exact {
-			t.Errorf("fields: got %+v want %+v (body %s)", back, a, b)
+		var raw struct {
+			Groups []json.RawMessage `json:"groups"`
+		}
+		if err := json.Unmarshal(b, &raw); err != nil {
+			t.Fatal(err)
+		}
+		for g := 1; g < len(raw.Groups); g++ {
+			pair := fmt.Sprintf(`{"groups":[%s,%s]}`, raw.Groups[0], raw.Groups[g])
+			var two QueryResponse
+			if err := json.Unmarshal([]byte(pair), &two); err != nil {
+				t.Fatalf("unmarshal %s: %v", pair, err)
+			}
+			want := &QueryResponse{Groups: []GroupResult{resp.Groups[0], resp.Groups[g]}}
+			if d := responseDiff(&two, want); d != "" {
+				t.Fatalf("group %d read beside group 0: %s (body %s)", g, d, pair)
+			}
 		}
 	})
 }
 
-// TestAggResultOmitsDefaults pins the default rule on the encoded form: a
-// key is left out exactly when its bits equal the default's.
-func TestAggResultOmitsDefaults(t *testing.T) {
+// TestAnswerJSON pins the rule on whole bodies: an ungrouped answer is sent
+// as it was before the descriptor rule existed (the first four bodies), and a
+// later group sends only the descriptor fields that differ from the first
+// group's, zeros included. Each body decodes back to its response.
+func TestAnswerJSON(t *testing.T) {
 	negZero := F64(math.Copysign(0, -1))
+	nan := F64(math.NaN())
+	one := func(a AggResult) []GroupResult { return []GroupResult{{Aggs: []AggResult{a}}} }
+	exactReject := AggResult{Name: "avg", Estimate: 1, Lo: 1, Hi: 1, Technique: "exact",
+		Verdict: "reject", Cause: "too_few_rows", Exact: true}
 	for _, c := range []struct {
-		a    AggResult
-		want string
+		name   string
+		groups []GroupResult
+		want   string
 	}{
-		{AggResult{Name: "a", Estimate: 2, Lo: 2, Hi: 2, Technique: "exact", Verdict: "accept", Exact: true},
-			`{"name":"a","estimate":2,"technique":"exact","verdict":"accept","exact":true}`},
-		{AggResult{Name: "a", Estimate: 2, Lo: 2, Hi: 3, RelErr: 0.5, Technique: "bootstrap", Verdict: "reject", Cause: "pi"},
-			`{"name":"a","estimate":2,"hi":3,"rel_err":0.5,"technique":"bootstrap","verdict":"reject","cause":"pi"}`},
-		{AggResult{Name: "a", Estimate: negZero, Lo: negZero, Hi: 0, RelErr: negZero, Technique: "exact", Verdict: "accept"},
-			`{"name":"a","estimate":-0,"hi":0,"rel_err":-0,"technique":"exact","verdict":"accept"}`},
-		{AggResult{Name: "s", Estimate: 0, Lo: F64(math.NaN()), Hi: F64(math.NaN()), RelErr: F64(math.NaN()), Technique: "none", Verdict: "accept"},
-			`{"name":"s","estimate":0,"lo":"NaN","hi":"NaN","rel_err":"NaN","technique":"none","verdict":"accept"}`},
+		{"exact", one(AggResult{Name: "a", Estimate: 2, Lo: 2, Hi: 2, Technique: "exact", Verdict: "accept", Exact: true}),
+			`{"sql":"q","groups":[{"aggs":[{"name":"a","estimate":2,"technique":"exact","verdict":"accept","exact":true}]}],"elapsed_ms":0.5}`},
+		{"lo at estimate", one(AggResult{Name: "a", Estimate: 2, Lo: 2, Hi: 3, RelErr: 0.5, Technique: "bootstrap", Verdict: "reject", Cause: "pi"}),
+			`{"sql":"q","groups":[{"aggs":[{"name":"a","estimate":2,"hi":3,"rel_err":0.5,"technique":"bootstrap","verdict":"reject","cause":"pi"}]}],"elapsed_ms":0.5}`},
+		{"signed zeros", one(AggResult{Name: "a", Estimate: negZero, Lo: negZero, Hi: 0, RelErr: negZero, Technique: "exact", Verdict: "accept"}),
+			`{"sql":"q","groups":[{"aggs":[{"name":"a","estimate":-0,"hi":0,"rel_err":-0,"technique":"exact","verdict":"accept"}]}],"elapsed_ms":0.5}`},
+		{"no interval", one(AggResult{Name: "s", Estimate: 0, Lo: nan, Hi: nan, RelErr: nan, Technique: "none", Verdict: "accept"}),
+			`{"sql":"q","groups":[{"aggs":[{"name":"s","estimate":0,"lo":"NaN","hi":"NaN","rel_err":"NaN","technique":"none","verdict":"accept"}]}],"elapsed_ms":0.5}`},
+		{"zero descriptor fields after a rejected exact group", []GroupResult{
+			{Key: "a", Aggs: []AggResult{exactReject}},
+			{Key: "b", Aggs: []AggResult{{Name: "avg", Estimate: 2, Lo: 1.5, Hi: 2.5, RelErr: 0.25,
+				Technique: "closed-form", Verdict: "accept"}}},
+			{Key: "c", Aggs: []AggResult{{Name: "avg", Estimate: 3, Lo: 3, Hi: 3, Technique: "exact",
+				Verdict: "reject", Cause: "too_few_rows", Exact: true}}},
+		}, `{"sql":"q","groups":[` +
+			`{"key":"a","aggs":[{"name":"avg","estimate":1,"technique":"exact","verdict":"reject","cause":"too_few_rows","exact":true}]},` +
+			`{"key":"b","aggs":[{"estimate":2,"lo":1.5,"hi":2.5,"rel_err":0.25,"technique":"closed-form","verdict":"accept","cause":"","exact":false}]},` +
+			`{"key":"c","aggs":[{"estimate":3}]}],"elapsed_ms":0.5}`},
+		{"two aggregates", []GroupResult{
+			{Key: "x", Aggs: []AggResult{exactReject, {Name: "max", Estimate: 9, Lo: 8, Hi: 10, RelErr: 0.1,
+				Technique: "bootstrap", Verdict: "accept"}}},
+			{Key: "y", Aggs: []AggResult{{Name: "avg", Estimate: 4, Lo: 4, Hi: 4, Technique: "exact",
+				Verdict: "reject", Cause: "too_few_rows", Exact: true}, {Name: "max", Estimate: 7, Lo: 7, Hi: 7,
+				Technique: "exact", Verdict: "reject", Cause: "delta", Exact: true}}},
+		}, `{"sql":"q","groups":[` +
+			`{"key":"x","aggs":[{"name":"avg","estimate":1,"technique":"exact","verdict":"reject","cause":"too_few_rows","exact":true},` +
+			`{"name":"max","estimate":9,"lo":8,"hi":10,"rel_err":0.1,"technique":"bootstrap","verdict":"accept"}]},` +
+			`{"key":"y","aggs":[{"estimate":4},{"estimate":7,"technique":"exact","verdict":"reject","cause":"delta","exact":true}]}],"elapsed_ms":0.5}`},
 	} {
-		b, err := json.Marshal(c.a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(b) != c.want {
-			t.Errorf("encoded %+v as\n %s\nwant\n %s", c.a, b, c.want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			resp := &QueryResponse{SQL: "q", Groups: c.groups, ElapsedMs: 0.5}
+			b, err := json.Marshal(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(b) != c.want {
+				t.Errorf("json.Marshal:\n %s\nwant\n %s", b, c.want)
+			}
+			var body bytes.Buffer
+			if err := writeAnswer(&body, resp); err != nil {
+				t.Fatal(err)
+			}
+			if body.String() != c.want+"\n" {
+				t.Errorf("HTTP body:\n %s\nwant\n %s", body.String(), c.want)
+			}
+			var back QueryResponse
+			if err := json.Unmarshal(b, &back); err != nil {
+				t.Fatal(err)
+			}
+			if d := responseDiff(&back, resp); d != "" {
+				t.Error(d)
+			}
+		})
 	}
 }
 
@@ -179,5 +328,44 @@ func TestHTTPErrorEchoesOperators(t *testing.T) {
 	}
 	if raw := rec.Body.String(); !strings.Contains(raw, "P > 3 AND P < 9") {
 		t.Errorf("error body does not carry the operators verbatim: %s", raw)
+	}
+}
+
+// BenchmarkAnswerEncode encodes a group_fanout-shaped answer (23 groups of
+// one exact aggregate rejected for too few rows) and a dashboard-shaped one
+// (one accepted closed-form aggregate), as the /query handler writes them
+// and through json.Marshal, which compacts a Marshaler's output once more.
+func BenchmarkAnswerEncode(b *testing.B) {
+	fanout := &QueryResponse{SQL: "SELECT MAX(Latency) FROM Events WHERE Day >= 12 AND Day < 19 GROUP BY Device",
+		SampleRows: 50000, PopulationRows: 250000, ElapsedMs: 3.217, TraceID: "0af7651916cd43dd8448eb211c80319c"}
+	for g := range 23 {
+		v := F64(1234.5 + 7.25*float64(g))
+		fanout.Groups = append(fanout.Groups, GroupResult{Key: fmt.Sprintf("device-%02d", g), Aggs: []AggResult{{
+			Name: "max", Estimate: v, Lo: v, Hi: v, Technique: "exact", Verdict: "reject", Cause: "too_few_rows", Exact: true}}})
+	}
+	dashboard := &QueryResponse{SQL: "SELECT AVG(Latency) FROM Events WHERE Day >= 3 AND Day < 10 AND Region = 'eu-west'",
+		SampleRows: 50000, PopulationRows: 250000, ElapsedMs: 1.25, TraceID: "0af7651916cd43dd8448eb211c80319c",
+		Groups: []GroupResult{{Aggs: []AggResult{{Name: "avg", Estimate: 101.23456789, Lo: 99.8765432, Hi: 102.5925925,
+			RelErr: 0.01342, Technique: "closed-form", Verdict: "accept"}}}}}
+	for _, c := range []struct {
+		name string
+		resp *QueryResponse
+	}{{"group_fanout", fanout}, {"dashboard", dashboard}} {
+		b.Run(c.name+"/handler", func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if err := writeAnswer(io.Discard, c.resp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/json.Marshal", func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := json.Marshal(c.resp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -120,6 +120,12 @@ func newEncoder(w io.Writer) *json.Encoder {
 	return enc
 }
 
+// writeAnswer writes one /query answer body. It encodes resp's schema, not
+// resp: the output of resp's json.Marshaler would be compacted a second time.
+func writeAnswer(w io.Writer, resp *QueryResponse) error {
+	return newEncoder(w).Encode(resp.schema())
+}
+
 // httpStatus maps a Classify code to its HTTP status.
 func httpStatus(code string) int {
 	switch code {
@@ -208,7 +214,7 @@ func (a *httpAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	resp := EncodeAnswer(ans)
 	resp.TraceID = tc.TraceIDString()
-	if err := newEncoder(w).Encode(resp); err != nil {
+	if err := writeAnswer(w, resp); err != nil {
 		// Too late for a status change; the client sees a truncated body.
 		return
 	}

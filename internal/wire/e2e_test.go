@@ -154,7 +154,9 @@ func parseCell(t *testing.T, what, cell string) float64 {
 // kind fills the ladder and is accepted, its "rare" kind is rejected for
 // too few rows and re-answered exactly. Ledger has no sample, so the engine
 // answers it in exact mode. Across all of them the HTTP answer's typed
-// cause must be the engine's.
+// cause must be the engine's. A two-aggregate GROUP BY over Events has
+// descriptors that differ across groups position by position, which the
+// HTTP body names only where they differ from the first group's.
 func TestTransportEquality(t *testing.T) {
 	eng := testEngine(t, core.Config{Seed: 7})
 	const n = 16000
@@ -192,6 +194,7 @@ func TestTransportEquality(t *testing.T) {
 
 	const (
 		rejectedGroups = "SELECT AVG(V) FROM Events GROUP BY Kind"
+		twoAggGroups   = "SELECT AVG(V), MAX(V) FROM Events GROUP BY Kind"
 		exactMode      = "SELECT AVG(Amount), SUM(Amount) FROM Ledger WHERE Amount >= 2"
 		// Nothing passes the filter: NaN estimate, interval and rel_err.
 		noRows = "SELECT MAX(Price) FROM Orders WHERE Price > 1000"
@@ -200,7 +203,7 @@ func TestTransportEquality(t *testing.T) {
 		"SELECT AVG(Price) FROM Orders",
 		"SELECT SUM(Price), COUNT(Price) FROM Orders WHERE Region = 'east'",
 		"SELECT AVG(Price) FROM Orders GROUP BY Region",
-		rejectedGroups, exactMode, noRows,
+		rejectedGroups, twoAggGroups, exactMode, noRows,
 	}
 	for _, q := range queries {
 		want, err := eng.Run(context.Background(), q)
@@ -223,6 +226,21 @@ func TestTransportEquality(t *testing.T) {
 			}
 			if accepted == 0 || fellBack == 0 {
 				t.Fatalf("premise: %s: %d accepted, %d rejected and re-answered exactly", q, accepted, fellBack)
+			}
+		case twoAggGroups:
+			differs := 0
+			for _, g := range want.Groups[1:] {
+				for j, a := range g.Aggs {
+					f := want.Groups[0].Aggs[j]
+					if a.Technique != f.Technique || a.DiagnosticOK != f.DiagnosticOK ||
+						a.DiagnosticCause != f.DiagnosticCause || a.Exact != f.Exact {
+						differs++
+					}
+				}
+			}
+			if len(want.Groups) < 2 || differs == 0 {
+				t.Fatalf("premise: %s: %d groups, %d aggregates whose descriptor differs from the first group's",
+					q, len(want.Groups), differs)
 			}
 		case exactMode:
 			if !first.Exact || want.SampleRows != 0 {
@@ -247,6 +265,9 @@ func TestTransportEquality(t *testing.T) {
 			for j, a := range g.Aggs {
 				ha := hg.Aggs[j]
 				pre := fmt.Sprintf("%s: http group %d agg %s", q, i, a.Name)
+				if ha.Name != a.Name {
+					t.Errorf("%s name %q", pre, ha.Name)
+				}
 				sameBits(t, pre+" estimate", float64(ha.Estimate), a.Estimate)
 				sameBits(t, pre+" lo", float64(ha.Lo), a.ErrorBar.Lo())
 				sameBits(t, pre+" hi", float64(ha.Hi), a.ErrorBar.Hi())
@@ -586,9 +607,9 @@ func TestManySockets(t *testing.T) {
 	if got, want := answers.Load(), int64(2*perTransport*perConn); got != want {
 		t.Errorf("%d answers, want %d", got, want)
 	}
-	for _, c := range st.reg.CounterSamples() {
-		if (c.Name == "aqp_serve_rejected_total" || c.Name == "aqp_conn_rejected_total") && c.Value != 0 {
-			t.Errorf("%s = %d, want 0", c.Name, c.Value)
+	for _, name := range []string{"aqp_serve_rejected_total", "aqp_conn_rejected_total"} {
+		if n := counterValue(st.reg, name, ""); n != 0 {
+			t.Errorf("%s = %d, want 0", name, n)
 		}
 	}
 }
@@ -680,13 +701,7 @@ func TestDrainRejectsQueuedWire(t *testing.T) {
 	if n := hist.Stats().Records["reject"]; n < 1 {
 		t.Fatalf("want >= 1 durable RejectRecord, got %d", n)
 	}
-	found := false
-	for _, c := range reg.CounterSamples() {
-		if c.Name == "aqp_serve_rejected_total" && c.Value > 0 {
-			found = true
-		}
-	}
-	if !found {
+	if counterValue(reg, "aqp_serve_rejected_total", "") == 0 {
 		t.Fatal("aqp_serve_rejected_total not incremented")
 	}
 }

@@ -2,8 +2,10 @@ package wire_test
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,13 +17,25 @@ import (
 )
 
 // counterValue sums one counter family's series, optionally filtered by a
-// label substring.
+// label substring, as the registry's Prometheus exposition reports them.
 func counterValue(reg *obs.Registry, name, labelSub string) int64 {
+	var text strings.Builder
+	reg.WritePrometheus(&text)
 	var total int64
-	for _, c := range reg.CounterSamples() {
-		if c.Name == name && (labelSub == "" || strings.Contains(c.Labels, labelSub)) {
-			total += c.Value
+	for _, line := range strings.Split(text.String(), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
 		}
+		family, labels, _ := strings.Cut(series, "{")
+		if family != name || !strings.Contains(labels, labelSub) {
+			continue
+		}
+		v, err := strconv.ParseInt(value, 10, 64)
+		if err != nil {
+			panic(fmt.Sprintf("counter %s: value %q: %v", series, value, err))
+		}
+		total += v
 	}
 	return total
 }
