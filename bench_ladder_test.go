@@ -67,7 +67,7 @@ func BenchmarkDiagnosticLadder(b *testing.B) {
 				if err != nil || res.RungsRun == 0 {
 					b.Fatalf("%+v, err %v", res, err)
 				}
-				evals += res.XiEvaluations(cfg.P)
+				evals += xiEvaluations(res, cfg.P)
 			}
 			b.ReportMetric(float64(evals)/float64(b.N), "xi-evals/op")
 		})
@@ -88,7 +88,7 @@ func TestDiagnosticLadderDecidesEarly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := res.XiEvaluations(cfg.P); res.OK || n > 32 {
+		if n := xiEvaluations(res, cfg.P); res.OK || n > 32 {
 			t.Errorf("seed %d: MIN took %d ξ evaluations (want <= 32): %+v", seed, n, res)
 		}
 		res, err = diagnostic.Run(context.Background(), rng.New(seed), accepting, estimator.Query{Kind: estimator.Avg},
@@ -96,8 +96,17 @@ func TestDiagnosticLadderDecidesEarly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := res.XiEvaluations(cfg.P); !res.OK || n != 300 || len(res.PerSize) != 3 {
+		if n := xiEvaluations(res, cfg.P); !res.OK || n != 300 || len(res.PerSize) != 3 {
 			t.Errorf("seed %d: AVG closed-form took %d ξ evaluations (want all 300): %+v", seed, n, res)
 		}
 	}
+}
+
+// xiEvaluations is how many subsamples ξ was run on — p per size on a full
+// ladder.
+func xiEvaluations(r diagnostic.Result, p int) int {
+	if r.RungsRun == 0 {
+		return 0
+	}
+	return (r.RungsRun-1)*p + r.DecidedAfter
 }

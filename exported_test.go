@@ -1,0 +1,410 @@
+package repro
+
+// The exported-name guard: every exported name declared under internal/
+// has a caller outside _test.go files, in the root module, bench/ or
+// examples/. An exported symbol that only tests call is code the engine
+// maintains for no traffic; DESIGN.md §27 has the rule and the inventory
+// it deleted. The guard uses go/parser and go/types only, so it needs no
+// module download.
+
+import (
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// exportAllowList names what the guard keeps without a non-test caller,
+// each with its reason. A key is a package path under internal/, then a
+// name: "table.DecodedBlocks", "obs/history.Store.Sync"; a bare package
+// path keeps the whole package. An entry whose name is gone, or has gained
+// a non-test caller, is stale and fails the guard.
+var exportAllowList = map[string]string{
+	"table.DecodedBlocks":         "test seam: exec, core and root benchmarks count block decodes through it",
+	"table.Table.DropZones":       "test seam: exec tests and root benchmarks compare zone-skipped scans with unpruned ones",
+	"exec.PoolOutstanding":        "test seam: core tests and root benchmarks check the scratch pool drains",
+	"obs.TraceSnapshot.Structure": "test seam: core's lifecycle test hashes every trace's span tree",
+	"sql.MustParse":               "test seam: plan, exec and root tests build queries from literals",
+	"workload.QuerySpec.SQL":      "test seam: core's trace integration test runs every generated query through the engine",
+
+	"resample": "the §5.1 reproduction package that only tests use; it moves under ROADMAP item 8",
+
+	"obs/history.Store.Sync": "durability: forces the history file to disk",
+
+	"core.Engine.BuildStratifiedSample": "wired by ROADMAP item 2 (the sample catalog)",
+	"core.Engine.EstimateRequiredRows":  "wired by ROADMAP item 2 (the sample catalog)",
+	"core.RequiredSampleSizeForError":   "wired by ROADMAP item 2 (the sample catalog)",
+	"stats.Moments.Merge":               "wired by ROADMAP item 5 (mergeable weighted sinks)",
+}
+
+func TestEveryExportedNameHasACaller(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole tree")
+	}
+	exports, err := checkExports([]module{{".", "repro"}, {"bench", "repro/bench"}}, "repro/internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unused, stale := auditExports(exports, exportAllowList)
+	for _, key := range stale {
+		t.Errorf("stale allow-list entry %s: it is gone or has a non-test caller", key)
+	}
+	if len(unused) > 0 {
+		t.Errorf("%d exported names have no caller outside _test.go files; delete them, make them test helpers, or allow-list them with a reason:\n%s",
+			len(unused), strings.Join(unused, "\n"))
+	}
+}
+
+// TestExportGuardOnFixture runs the checker over a module in testdata whose
+// names cover each rule once, then audits it against an allow-list with one
+// live entry and two stale ones.
+func TestExportGuardOnFixture(t *testing.T) {
+	exports, err := checkExports([]module{{filepath.Join("testdata", "exportguard"), "guard"}}, "guard/internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, e := range exports {
+		got[e.key] = e.used
+	}
+	want := map[string]bool{
+		"lib.Orphan":          false, // no caller at all
+		"lib.TestedOnly":      false, // its only caller is lib_test.go
+		"lib.Recursive":       false, // it calls only itself
+		"lib.Receiver":        false, // only its own method's receiver names it
+		"lib.Receiver.Method": false, // no caller
+		"lib.Greeter":         true,  // the app names it
+		"lib.Greeter.String":  true,  // reached only through fmt.Stringer
+		"lib.Greeter.Greet":   true,  // reached only through the package's own interface
+		"lib.Hello":           true,  // the app calls it
+		"lib.Internal":        true,  // used only inside its own package
+		"lib.Limit":           true,  // a constant the app reads
+		"lib.Max":             true,  // generic, called only through an inferred instantiation
+		"lib.Pair":            true,  // generic type, named only as Pair[string]
+		"lib.Pair.First":      true,  // a method of an instantiated generic type
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("used by name:\n got %v\nwant %v", got, want)
+	}
+
+	unused, stale := auditExports(exports, map[string]string{
+		"lib.Orphan": "kept",
+		"lib.Hello":  "stale: the app calls it",
+		"lib.Gone":   "stale: no such name",
+	})
+	if len(unused) != 4 {
+		t.Errorf("unused = %q, want the 4 unreferenced names but Orphan", unused)
+	}
+	if !slices.Equal(stale, []string{"lib.Gone", "lib.Hello"}) {
+		t.Errorf("stale = %q, want [lib.Gone lib.Hello]", stale)
+	}
+}
+
+// auditExports returns the unreferenced names allow neither names nor
+// covers by package, as "file:line key", and allow's stale keys, sorted.
+func auditExports(exports []export, allow map[string]string) (unused, stale []string) {
+	needed := map[string]bool{} // allow-list key → some name it keeps has no caller
+	for _, e := range exports {
+		pkg, _, _ := strings.Cut(e.key, ".")
+		if _, ok := allow[e.key]; ok {
+			needed[e.key] = !e.used
+		} else if _, ok := allow[pkg]; ok {
+			needed[pkg] = needed[pkg] || !e.used
+		} else if !e.used {
+			unused = append(unused, fmt.Sprintf("%s:%d %s", e.pos.Filename, e.pos.Line, e.key))
+		}
+	}
+	for key := range allow {
+		if !needed[key] {
+			stale = append(stale, key)
+		}
+	}
+	sort.Strings(stale)
+	return unused, stale
+}
+
+// A module is a directory tree of packages and the import path of its root.
+type module struct{ dir, path string }
+
+// An export is one exported name declared under the checked prefix.
+type export struct {
+	key  string // package path under the prefix, then the name
+	pos  token.Position
+	used bool // some non-test file references it outside its own declaration
+}
+
+// checkExports type-checks the non-test files of every package in mods and
+// reports each exported package-level func, type, var, const and method
+// declared in a package whose import path starts with prefix.
+func checkExports(mods []module, prefix string) ([]export, error) {
+	l := &loader{
+		fset:  token.NewFileSet(),
+		dirs:  map[string]string{},
+		pkgs:  map[string]*types.Package{},
+		std:   importer.Default(),
+		files: map[string][]*ast.File{},
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+	}
+	for _, m := range mods {
+		if err := l.walk(m); err != nil {
+			return nil, err
+		}
+	}
+	paths := make([]string, 0, len(l.dirs))
+	for path := range l.dirs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := l.Import(path); err != nil {
+			return nil, err
+		}
+	}
+
+	// Every exported declaration under prefix, with its extent.
+	type decl struct {
+		export
+		obj      types.Object
+		from, to token.Pos
+	}
+	var decls []*decl
+	byObj := map[types.Object]*decl{}
+	receivers := map[*ast.Ident]bool{} // receiver type names: a method does not keep its type alive
+	add := func(path string, id *ast.Ident, name string, from, to token.Pos) {
+		obj := l.info.Defs[id] // nil for the blank identifier
+		if obj == nil || !ast.IsExported(obj.Name()) {
+			return
+		}
+		d := &decl{export{key: strings.TrimPrefix(path, prefix) + "." + name, pos: l.fset.Position(obj.Pos())}, obj, from, to}
+		decls = append(decls, d)
+		byObj[obj] = d
+	}
+	for _, path := range paths {
+		if !strings.HasPrefix(path, prefix) {
+			continue
+		}
+		for _, f := range l.files[path] {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					name := d.Name.Name
+					if d.Recv != nil {
+						ast.Inspect(d.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								receivers[id] = true
+							}
+							return true
+						})
+						recv := receiverNamed(l.info.Defs[d.Name].Type().(*types.Signature).Recv().Type()).Obj().Name()
+						if !ast.IsExported(recv) {
+							continue
+						}
+						name = recv + "." + name
+					}
+					add(path, d.Name, name, d.Pos(), d.End())
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							add(path, s.Name, s.Name.Name, s.Pos(), s.End())
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								add(path, n, n.Name, s.Pos(), s.End())
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	for id, obj := range l.info.Uses {
+		if receivers[id] {
+			continue
+		}
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if d, ok := byObj[obj]; ok && (id.Pos() < d.from || id.Pos() >= d.to) {
+			d.used = true
+		}
+	}
+
+	// A method that implements a method of some interface is reached
+	// through it: fmt.Stringer, http.Handler, or one of the tree's own.
+	ifaces := l.interfaces()
+	for _, d := range decls {
+		m, ok := d.obj.(*types.Func)
+		if !ok || d.used {
+			continue
+		}
+		recv := m.Type().(*types.Signature).Recv()
+		if recv == nil {
+			continue
+		}
+		named := receiverNamed(recv.Type())
+		if named == nil || named.TypeParams().Len() > 0 {
+			continue
+		}
+		for _, iface := range ifaces {
+			if !hasMethod(iface, m.Name()) {
+				continue
+			}
+			if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
+				d.used = true
+				break
+			}
+		}
+	}
+
+	out := make([]export, len(decls))
+	for i, d := range decls {
+		out[i] = d.export
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out, nil
+}
+
+// A loader type-checks a tree's packages from source and the standard
+// library from export data.
+type loader struct {
+	fset  *token.FileSet
+	dirs  map[string]string // import path → directory
+	pkgs  map[string]*types.Package
+	files map[string][]*ast.File
+	std   types.Importer
+	info  *types.Info // shared by every package of the tree
+}
+
+// walk records the directory of every package under m, skipping nested
+// modules, testdata and hidden directories.
+func (l *loader) walk(m module) error {
+	return filepath.WalkDir(m.dir, func(dir string, e fs.DirEntry, err error) error {
+		if err != nil || !e.IsDir() {
+			return err
+		}
+		if dir != m.dir {
+			name := e.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		rel, err := filepath.Rel(m.dir, dir)
+		if err != nil {
+			return err
+		}
+		path := m.path
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		l.dirs[path] = dir
+		return nil
+	})
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir, ok := l.dirs[path]
+	if !ok {
+		return l.std.Import(path)
+	}
+	bp, err := build.Default.ImportDir(dir, 0)
+	var none *build.NoGoError
+	if errors.As(err, &none) {
+		return types.NewPackage(path, filepath.Base(dir)), nil
+	} else if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path], l.files[path] = pkg, files
+	return pkg, nil
+}
+
+// interfaces returns every interface with methods that the tree declares or
+// spells out, and every one declared by a package it imports, directly or not.
+func (l *loader) interfaces() []*types.Interface {
+	var out []*types.Interface
+	seen := map[*types.Package]bool{}
+	var visit func(*types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() == 0 {
+					if iface, ok := named.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+						out = append(out, iface)
+					}
+				}
+			}
+		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, p := range l.pkgs {
+		visit(p)
+	}
+	for _, tv := range l.info.Types {
+		if iface, ok := tv.Type.(*types.Interface); ok && iface.NumMethods() > 0 {
+			out = append(out, iface)
+		}
+	}
+	out = append(out, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	return out
+}
+
+func hasMethod(iface *types.Interface, name string) bool {
+	for i := 0; i < iface.NumMethods(); i++ {
+		if iface.Method(i).Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+func receiverNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}

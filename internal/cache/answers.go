@@ -70,14 +70,6 @@ func NewAnswerCache(cfg AnswerConfig) *AnswerCache {
 	return c
 }
 
-// TTL returns the configured reuse bound.
-func (c *AnswerCache) TTL() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.ttl
-}
-
 // Get returns the cached value for key if present and younger than the
 // TTL. Expired entries are dropped on the way out.
 func (c *AnswerCache) Get(key string) (any, bool) {
@@ -129,16 +121,6 @@ func (c *AnswerCache) Put(key string, val any) {
 	}
 	c.m[key] = &ansEntry{val: val, stored: now, lastUsed: now}
 	c.mu.Unlock()
-}
-
-// Len returns the number of resident answers.
-func (c *AnswerCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }
 
 // AnswerStats is a point-in-time summary of the answer layer.

@@ -286,23 +286,6 @@ func (c *BlockCache) evictOneLocked() {
 	}
 }
 
-// Bytes returns the resident payload bytes (including per-entry
-// accounting overhead).
-func (c *BlockCache) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.bytes.Load()
-}
-
-// Budget returns the configured byte budget.
-func (c *BlockCache) Budget() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.budget
-}
-
 // BytesFor returns the resident bytes attributable to one column
 // identity — the per-table "hot fraction" numerator.
 func (c *BlockCache) BytesFor(col any) int64 {

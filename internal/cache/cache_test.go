@@ -66,7 +66,7 @@ func TestBlockCacheBudgetNeverExceeded(t *testing.T) {
 	var d atomic.Int64
 	for b := 0; b < 64; b++ {
 		c.GetF64(col, b, blockVals, fillN(b, &d))
-		if got := c.Bytes(); got > budget {
+		if got := c.bytes.Load(); got > budget {
 			t.Fatalf("resident %d exceeds budget %d after block %d", got, budget, b)
 		}
 	}
@@ -92,8 +92,8 @@ func TestBlockCacheOversizedBlockStillAdmitted(t *testing.T) {
 	if _, hit := c.GetF64(col, 0, 512, fillN(0, &d)); !hit {
 		t.Fatal("oversized block was not resident after insert")
 	}
-	if c.Bytes() > 512*8+entryOverhead {
-		t.Fatalf("resident %d exceeds the single oversized block", c.Bytes())
+	if c.bytes.Load() > 512*8+entryOverhead {
+		t.Fatalf("resident %d exceeds the single oversized block", c.bytes.Load())
 	}
 }
 
@@ -170,8 +170,8 @@ func TestBlockCacheStrSizing(t *testing.T) {
 	if hit || v[2] != "value-2" {
 		t.Fatalf("string fill failed: hit=%v v=%v", hit, v)
 	}
-	if c.Bytes() <= entryOverhead {
-		t.Fatalf("string block accounted %d bytes", c.Bytes())
+	if c.bytes.Load() <= entryOverhead {
+		t.Fatalf("string block accounted %d bytes", c.bytes.Load())
 	}
 	if _, hit := c.GetStr(col, 0, 4, func([]string) { t.Fatal("refilled") }); !hit {
 		t.Fatal("string block not resident")
@@ -199,7 +199,7 @@ func TestBytesForTracksColumns(t *testing.T) {
 
 func TestNilBlockCacheSafe(t *testing.T) {
 	var c *BlockCache
-	if c.Bytes() != 0 || c.Budget() != 0 || c.BytesFor(nil) != 0 {
+	if c.BytesFor(nil) != 0 {
 		t.Fatal("nil cache accessors not zero")
 	}
 	if st := c.Stats(); st != (BlockStats{}) {
@@ -220,8 +220,8 @@ func TestAnswerCacheTTL(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("entry survived past its TTL")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("expired entry still resident: len=%d", c.Len())
+	if len(c.m) != 0 {
+		t.Fatalf("expired entry still resident: len=%d", len(c.m))
 	}
 	st := c.Stats()
 	if st.Evictions != 1 || st.Hits != 1 || st.Misses != 1 {
@@ -239,8 +239,8 @@ func TestAnswerCacheCapEvictsOldest(t *testing.T) {
 		t.Fatal("k0 missing before overflow")
 	}
 	c.Put("overflow", "v")
-	if c.Len() != answerCap {
-		t.Fatalf("len = %d, want %d", c.Len(), answerCap)
+	if len(c.m) != answerCap {
+		t.Fatalf("len = %d, want %d", len(c.m), answerCap)
 	}
 	if _, ok := c.Get("k0"); !ok {
 		t.Fatal("recently used k0 was evicted")
@@ -251,7 +251,7 @@ func TestAnswerCacheCapEvictsOldest(t *testing.T) {
 }
 
 func TestAnswerCacheDefaultTTL(t *testing.T) {
-	if got := NewAnswerCache(AnswerConfig{}).TTL(); got != DefaultAnswerTTL {
+	if got := NewAnswerCache(AnswerConfig{}).ttl; got != DefaultAnswerTTL {
 		t.Fatalf("default TTL = %v, want %v", got, DefaultAnswerTTL)
 	}
 	var nilC *AnswerCache

@@ -152,9 +152,6 @@ func New(cfg Config) (*Cluster, error) {
 	return &Cluster{cfg: cfg}, nil
 }
 
-// Config returns the cluster's configuration.
-func (cl *Cluster) Config() Config { return cl.cfg }
-
 func (cl *Cluster) slots() int { return cl.cfg.Machines * cl.cfg.SlotsPerMachine }
 
 // tasksFor returns how many tasks a scan of mb input splits into: one per

@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"time"
-
-	"repro/internal/obs"
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // QueryShape summarizes one query pipeline for the cost model: the sample
 // it scans, the estimation work it carries, and which §5/§6 optimizations
@@ -196,27 +191,3 @@ type Breakdown struct {
 // total is their sum: the base scan plus each component's incremental
 // cost.
 func (b Breakdown) Total() float64 { return b.QuerySec + b.ErrorSec + b.DiagSec }
-
-// Observe publishes the breakdown into a metrics registry: per-component
-// simulated seconds (aqp_cluster_sim_seconds) and, when the wall-clock time
-// spent simulating is known, the simulated-vs-wall ratio — how many seconds
-// of cluster time one second of simulation covers. Nil registry is a no-op.
-func (b Breakdown) Observe(reg *obs.Registry, wall time.Duration) {
-	if reg == nil {
-		return
-	}
-	const help = "Simulated cluster seconds per query, by pipeline component."
-	reg.Histogram("aqp_cluster_sim_seconds", help, obs.SimSecondsBuckets,
-		"component", "query").Observe(b.QuerySec)
-	reg.Histogram("aqp_cluster_sim_seconds", help, obs.SimSecondsBuckets,
-		"component", "error").Observe(b.ErrorSec)
-	reg.Histogram("aqp_cluster_sim_seconds", help, obs.SimSecondsBuckets,
-		"component", "diag").Observe(b.DiagSec)
-	reg.Histogram("aqp_cluster_sim_seconds", help, obs.SimSecondsBuckets,
-		"component", "total").Observe(b.Total())
-	if secs := wall.Seconds(); secs > 0 {
-		reg.Histogram("aqp_cluster_sim_wall_ratio",
-			"Simulated cluster seconds per wall-clock second of simulation.",
-			obs.RatioBuckets).Observe(b.Total() / secs)
-	}
-}

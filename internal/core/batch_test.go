@@ -167,7 +167,7 @@ func TestRunSharedBatchKeepsAliases(t *testing.T) {
 func TestRunSharedBatchScansOnce(t *testing.T) {
 	// Diagnostics off: a marginal rejection would trigger an exact-fallback
 	// rescan and muddy the count this test exists to pin.
-	e := sampledSessions(t, Config{Seed: 44, BootstrapK: 25, SkipDiagnostics: true},
+	e := sampledSessions(t, Config{Seed: 44, BootstrapK: 25, skipDiagnostics: true},
 		60000, 20000)
 	reqs := make([]BatchRequest, 16)
 	for i := range reqs {

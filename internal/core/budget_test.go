@@ -7,7 +7,7 @@ import (
 )
 
 func TestEstimateRequiredRows(t *testing.T) {
-	e, _ := buildSessions(t, Config{Seed: 20, SkipDiagnostics: true}, 200000)
+	e, _ := buildSessions(t, Config{Seed: 20, skipDiagnostics: true}, 200000)
 	if err := e.BuildSamples("Sessions", 2000, 50000); err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestEstimateRequiredRows(t *testing.T) {
 }
 
 func TestEstimateRequiredRowsErrors(t *testing.T) {
-	e, _ := buildSessions(t, Config{Seed: 21, SkipDiagnostics: true}, 50000)
+	e, _ := buildSessions(t, Config{Seed: 21, skipDiagnostics: true}, 50000)
 	if _, err := e.EstimateRequiredRows("SELECT AVG(Time) FROM Sessions", -1); err == nil {
 		t.Error("negative bound accepted")
 	}
@@ -51,7 +51,7 @@ func TestEstimateRequiredRowsErrors(t *testing.T) {
 }
 
 func TestTimeBudget(t *testing.T) {
-	e, _ := buildSessions(t, Config{Seed: 22, SkipDiagnostics: true}, 400000)
+	e, _ := buildSessions(t, Config{Seed: 22, skipDiagnostics: true}, 400000)
 	if err := e.BuildSamples("Sessions", 2000, 20000, 200000); err != nil {
 		t.Fatal(err)
 	}

@@ -241,13 +241,13 @@ func TestAnswerCacheReplayAndInvalidation(t *testing.T) {
 		t.Fatal("k-capped run replayed a full-k answer")
 	}
 
-	gen := e.CatalogGeneration()
+	gen := e.gen.Load()
 	other := table.MustNew(table.Schema{{Name: "x", Type: table.Float64}},
 		table.Float64Col{1, 2, 3})
 	if err := e.RegisterTable("Other", other); err != nil {
 		t.Fatal(err)
 	}
-	if e.CatalogGeneration() == gen {
+	if e.gen.Load() == gen {
 		t.Fatal("RegisterTable did not bump the catalog generation")
 	}
 	after, err := e.Run(context.Background(), q)
@@ -262,11 +262,11 @@ func TestAnswerCacheReplayAndInvalidation(t *testing.T) {
 	}
 
 	// Sample rebuilds invalidate too.
-	gen = e.CatalogGeneration()
+	gen = e.gen.Load()
 	if err := e.BuildSamples("Sessions", 3000); err != nil {
 		t.Fatal(err)
 	}
-	if e.CatalogGeneration() == gen {
+	if e.gen.Load() == gen {
 		t.Fatal("BuildSamples did not bump the catalog generation")
 	}
 	if ans, err := e.Run(context.Background(), q); err != nil {

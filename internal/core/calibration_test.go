@@ -58,7 +58,7 @@ func TestCalibrationCoverage(t *testing.T) {
 			covered, degenerate := 0, 0
 			for trial := 0; trial < trials; trial++ {
 				e := New(Config{Seed: uint64(9000 + trial), BootstrapK: 120,
-					SkipDiagnostics: true, DisableFallback: true, Obs: tr})
+					skipDiagnostics: true, noFallback: true, Obs: tr})
 				tbl := table.MustNew(table.Schema{{Name: "Time", Type: table.Float64}}, times)
 				if err := e.RegisterTable("Sessions", tbl); err != nil {
 					t.Fatal(err)

@@ -120,7 +120,7 @@ func TestApproximateQueryWithErrorBars(t *testing.T) {
 	}
 	// The error bar must bracket the true answer (95% CI; seed chosen to
 	// pass).
-	times, _ := tbl.Float64ColumnByName("Time")
+	times := tbl.ColumnByName("Time").(table.Float64Col)
 	truth := stats.Mean(times)
 	if !agg.ErrorBar.Contains(truth) {
 		t.Errorf("error bar %v misses truth %v", agg.ErrorBar, truth)
@@ -160,7 +160,7 @@ func TestScaledCountEstimatesPopulation(t *testing.T) {
 func TestBootstrapTechniqueForComplexAggregates(t *testing.T) {
 	// Percentiles at small diagnostic subsample sizes are legitimately
 	// noisy; this test is about technique selection, so skip diagnostics.
-	e, _ := buildSessions(t, Config{Seed: 5, BootstrapK: 50, SkipDiagnostics: true}, 60000)
+	e, _ := buildSessions(t, Config{Seed: 5, BootstrapK: 50, skipDiagnostics: true}, 60000)
 	if err := e.BuildSamples("Sessions", 20000); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestDiagnosticRejectionTriggersExactFallback(t *testing.T) {
 }
 
 func TestDisableFallbackKeepsApproximation(t *testing.T) {
-	e := heavyTailTable(t, Config{Seed: 8, BootstrapK: 40, DisableFallback: true}, 120000)
+	e := heavyTailTable(t, Config{Seed: 8, BootstrapK: 40, noFallback: true}, 120000)
 	if err := e.BuildSamples("T", 40000); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestDisableFallbackKeepsApproximation(t *testing.T) {
 }
 
 func TestErrorBoundEscalates(t *testing.T) {
-	e, _ := buildSessions(t, Config{Seed: 9, SkipDiagnostics: true}, 200000)
+	e, _ := buildSessions(t, Config{Seed: 9, skipDiagnostics: true}, 200000)
 	if err := e.BuildSamples("Sessions", 2000, 20000, 100000); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestErrorBoundEscalates(t *testing.T) {
 }
 
 func TestGroupByAnswers(t *testing.T) {
-	e, _ := buildSessions(t, Config{Seed: 10, SkipDiagnostics: true}, 100000)
+	e, _ := buildSessions(t, Config{Seed: 10, skipDiagnostics: true}, 100000)
 	if err := e.BuildSamples("Sessions", 40000); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestQueryErrors(t *testing.T) {
 }
 
 func TestCountersExposedOnAnswer(t *testing.T) {
-	e, _ := buildSessions(t, Config{Seed: 14, SkipDiagnostics: true}, 50000)
+	e, _ := buildSessions(t, Config{Seed: 14, skipDiagnostics: true}, 50000)
 	if err := e.BuildSamples("Sessions", 10000); err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestCountersExposedOnAnswer(t *testing.T) {
 
 func TestMixedAggregateQuery(t *testing.T) {
 	// AVG uses closed form while MAX uses the bootstrap, in one query.
-	e, _ := buildSessions(t, Config{Seed: 15, BootstrapK: 40, SkipDiagnostics: true}, 60000)
+	e, _ := buildSessions(t, Config{Seed: 15, BootstrapK: 40, skipDiagnostics: true}, 60000)
 	if err := e.BuildSamples("Sessions", 20000); err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestCountColumnEqualsCountStar(t *testing.T) {
 	}
 
 	exact, _ := buildSessions(t, Config{Seed: 17}, 20000)
-	approx, _ := buildSessions(t, Config{Seed: 17, DisableFallback: true}, 60000)
+	approx, _ := buildSessions(t, Config{Seed: 17, noFallback: true}, 60000)
 	if err := approx.BuildSamples("Sessions", 20000); err != nil {
 		t.Fatal(err)
 	}

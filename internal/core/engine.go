@@ -50,9 +50,6 @@ type Config struct {
 	BootstrapK int
 	// Alpha is the confidence level for error bars (0 = 0.95).
 	Alpha float64
-	// Diagnostics toggles the runtime diagnostic (default on; set
-	// SkipDiagnostics to disable).
-	SkipDiagnostics bool
 	// Backing selects the storage backing applied to tables at
 	// registration time (default BackingRaw). BackingCompressed re-encodes
 	// each registered table into block-compressed columns (dictionary,
@@ -61,10 +58,9 @@ type Config struct {
 	// BuildSamples are always materialized raw — they are small by
 	// construction, and keeping them raw is what holds sample-query
 	// latency flat while the base table grows. Answers are bit-identical
-	// across backings. BackingMmap is accepted for parity with
-	// table.ParseBacking but tables registered through RegisterTable are
-	// in-memory; use table.OpenStore to get a disk-backed table and
-	// register that.
+	// across backings. Tables registered through RegisterTable are
+	// in-memory under BackingMmap too; use table.OpenStore to get a
+	// disk-backed table and register that.
 	Backing table.Backing
 	// SampleBacking selects the storage backing for samples drawn by
 	// BuildSamples (default BackingRaw, PR-6 behavior: small samples stay
@@ -87,9 +83,6 @@ type Config struct {
 	// BuildSamples, RegisterUDF) invalidate immediately regardless, via
 	// the engine's catalog generation counter baked into cache keys.
 	CacheTTL time.Duration
-	// FallbackToExact re-runs rejected or out-of-bound queries on the
-	// full dataset (default on; disable for pure-approximation mode).
-	DisableFallback bool
 	// Obs, when set, records a per-stage trace and aggregate metrics for
 	// every query (see internal/obs). Nil disables telemetry; answers are
 	// bit-identical either way.
@@ -133,6 +126,12 @@ type Config struct {
 	// serve.Config.Alerts). The engine does not own the bus — close its
 	// sinks separately.
 	Alerts *alert.Bus
+
+	// skipDiagnostics answers without running the diagnostic, and
+	// noFallback returns a rejected aggregate's approximate answer instead
+	// of re-running it exactly. Only this package's tests set them: every
+	// other caller gets diagnosed answers backed by the exact fallback.
+	skipDiagnostics, noFallback bool
 }
 
 func (c Config) workers() int {
@@ -354,12 +353,6 @@ func (e *Engine) RegisterTable(name string, t *table.Table) error {
 	e.recordStorage(name, t)
 	return nil
 }
-
-// CatalogGeneration returns the catalog generation counter: it increases
-// on every registration mutation and never otherwise. Cached answers are
-// keyed by it, so a reader holding a generation can tell whether any
-// answer computed under it is still current.
-func (e *Engine) CatalogGeneration() uint64 { return e.gen.Load() }
 
 // recordStorage publishes per-table storage gauges: the logical
 // (backing-invariant) size and the resident physical size. Called under
@@ -628,7 +621,7 @@ func (e *Engine) planOptions(n int, needBootstrap bool, kCap int) plan.Options {
 		// diagnostic's ξ both come from closed forms (QSet-1 behaviour).
 		opt.BootstrapK = 0
 	}
-	opt.Diagnostics = !e.cfg.SkipDiagnostics
+	opt.Diagnostics = !e.cfg.skipDiagnostics
 	if opt.Diagnostics {
 		// Ladder must fit the sample AND be statistically meaningful:
 		// sub-32-row subsamples produce junk verdicts, so diagnostics are

@@ -25,7 +25,7 @@ func TestEndToEndAnswerQuality(t *testing.T) {
 	covered := 0
 	const trials = 40
 	for trial := 0; trial < trials; trial++ {
-		e := New(Config{Seed: uint64(1000 + trial), Workers: 4, SkipDiagnostics: true})
+		e := New(Config{Seed: uint64(1000 + trial), Workers: 4, skipDiagnostics: true})
 		if err := e.RegisterTable("t", tbl); err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestEndToEndAnswerQuality(t *testing.T) {
 // TestSkipDiagnosticsPath ensures the diagnostics-off configuration never
 // runs the diagnostic operator and never falls back.
 func TestSkipDiagnosticsPath(t *testing.T) {
-	e := heavyTailTable(t, Config{Seed: 33, BootstrapK: 20, SkipDiagnostics: true}, 60000)
+	e := heavyTailTable(t, Config{Seed: 33, BootstrapK: 20, skipDiagnostics: true}, 60000)
 	if err := e.BuildSamples("T", 30000); err != nil {
 		t.Fatal(err)
 	}

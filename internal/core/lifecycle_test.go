@@ -44,7 +44,7 @@ var boundGolden = map[bool]struct {
 func TestErrorBoundGolden(t *testing.T) {
 	for noFallback, want := range boundGolden {
 		tr := obs.NewTracer(obs.Options{})
-		e := New(Config{Seed: 7, Workers: 2, BootstrapK: 40, DisableFallback: noFallback, Obs: tr})
+		e := New(Config{Seed: 7, Workers: 2, BootstrapK: 40, noFallback: noFallback, Obs: tr})
 		if err := e.RegisterTable("T", verdictTable()); err != nil {
 			t.Fatal(err)
 		}
@@ -66,13 +66,13 @@ func TestErrorBoundGolden(t *testing.T) {
 			}
 		}
 		if got := strings.Join(trail, " "); got != want.trail {
-			t.Errorf("DisableFallback=%v: trail %s, want %s", noFallback, got, want.trail)
+			t.Errorf("noFallback=%v: trail %s, want %s", noFallback, got, want.trail)
 		}
 		if got := answers.sum().answers; got != want.answers {
-			t.Errorf("DisableFallback=%v: answers hash %#x, want %#x", noFallback, got, want.answers)
+			t.Errorf("noFallback=%v: answers hash %#x, want %#x", noFallback, got, want.answers)
 		}
 		if got := shape.Sum64(); got != want.shape {
-			t.Errorf("DisableFallback=%v: trace shape hash %#x, want %#x", noFallback, got, want.shape)
+			t.Errorf("noFallback=%v: trace shape hash %#x, want %#x", noFallback, got, want.shape)
 		}
 	}
 }

@@ -148,8 +148,8 @@ func TestSpanCountersMatchResultCounters(t *testing.T) {
 		mutate func(*Config)
 		exact  bool
 	}{
-		{"consolidated", func(c *Config) { c.DisableFallback = true }, false},
-		{"exact", func(c *Config) { c.DisableFallback = true }, true},
+		{"consolidated", func(c *Config) { c.noFallback = true }, false},
+		{"exact", func(c *Config) { c.noFallback = true }, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			e, _ := tracedPair(t, mode.mutate)

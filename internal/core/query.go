@@ -194,14 +194,14 @@ func (e *Engine) finish(q *request, ans *Answer, err error) (*Answer, error) {
 }
 
 // exactOnReject is the fallback policy, and the one reader of
-// Config.DisableFallback: whether an aggregate the diagnostic rejects is
+// Config.noFallback: whether an aggregate the diagnostic rejects is
 // replaced by an exact answer (applyFallback, or the whole-query fallback that
 // ends an error-bound escalation). When it is, the rejected aggregate's
 // bootstrap is never read, so the plan may run verdict-first
 // (plan.Options.VerdictFirst). A time-budgeted answer is returned as it comes,
 // rejected aggregates with their bootstrap error bars included.
 func (e *Engine) exactOnReject(opts RunOptions) bool {
-	return !e.cfg.DisableFallback && opts.TimeBudget == 0
+	return !e.cfg.noFallback && opts.TimeBudget == 0
 }
 
 // runErrorBound escalates through the uniform samples — execute has checked

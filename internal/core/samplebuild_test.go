@@ -224,7 +224,7 @@ func TestQueriesRunDuringSampleBuild(t *testing.T) {
 	for i := range sizes {
 		sizes[i] = 50000
 	}
-	genBefore := e.CatalogGeneration()
+	genBefore := e.gen.Load()
 	built := make(chan error, 1)
 	go func() { built <- e.BuildSamples("Sessions", sizes...) }()
 	during := 0
@@ -250,7 +250,7 @@ func TestQueriesRunDuringSampleBuild(t *testing.T) {
 	if during < 10 {
 		t.Errorf("%d queries completed while the build was in flight, want >= 10", during)
 	}
-	if got := e.CatalogGeneration(); got != genBefore+1 {
+	if got := e.gen.Load(); got != genBefore+1 {
 		t.Errorf("catalog generation %d after one build, want %d", got, genBefore+1)
 	}
 	ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")

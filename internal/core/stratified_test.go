@@ -62,7 +62,7 @@ func TestBuildStratifiedSampleValidation(t *testing.T) {
 }
 
 func TestStratifiedSampleKeepsRareGroups(t *testing.T) {
-	e, tbl := skewedCities(t, Config{Seed: 2, SkipDiagnostics: true, BootstrapK: 30}, 200000)
+	e, tbl := skewedCities(t, Config{Seed: 2, skipDiagnostics: true, BootstrapK: 30}, 200000)
 	// Uniform sample of 2000 rows: RARE (~0.5%) gets ~10 rows.
 	if err := e.BuildSamples("Sessions", 2000); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestStratifiedSampleKeepsRareGroups(t *testing.T) {
 }
 
 func TestStratifiedNotUsedForScaledAggregates(t *testing.T) {
-	e, _ := skewedCities(t, Config{Seed: 3, SkipDiagnostics: true}, 50000)
+	e, _ := skewedCities(t, Config{Seed: 3, skipDiagnostics: true}, 50000)
 	if err := e.BuildSamples("Sessions", 10000); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestStratifiedNotUsedForScaledAggregates(t *testing.T) {
 }
 
 func TestStratifiedGroupMeansUnbiased(t *testing.T) {
-	e, tbl := skewedCities(t, Config{Seed: 4, SkipDiagnostics: true, BootstrapK: 20}, 100000)
+	e, tbl := skewedCities(t, Config{Seed: 4, skipDiagnostics: true, BootstrapK: 20}, 100000)
 	if err := e.BuildStratifiedSample("Sessions", "City", 800); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestTraceQueriesThroughEngine(t *testing.T) {
 		Seed:                909,
 		AdversarialFraction: 0, // benign data: estimates should be tight
 	})
-	e := New(Config{Seed: 909, Workers: 2, SkipDiagnostics: true, BootstrapK: 30})
+	e := New(Config{Seed: 909, Workers: 2, skipDiagnostics: true, BootstrapK: 30})
 	for _, u := range workload.UDFLibrary {
 		e.RegisterUDF(u.Name, u.Fn)
 	}

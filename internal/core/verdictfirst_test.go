@@ -164,7 +164,7 @@ func TestVerdictFirstAnswersGolden(t *testing.T) {
 // aggregate still carries its bootstrap interval and the full K ran.
 func TestVerdictFirstOffWithoutFallback(t *testing.T) {
 	const k = 40
-	e := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, DisableFallback: true})
+	e := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, noFallback: true})
 	ans, err := e.Run(context.Background(), "SELECT MAX(p) FROM T")
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestVerdictFirstSkipsRejectedWork(t *testing.T) {
 	const k = 40
 	tr := obs.NewTracer(obs.Options{})
 	on := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, Obs: tr})
-	off := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, DisableFallback: true})
+	off := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, noFallback: true})
 
 	ans, err := on.Run(context.Background(), "SELECT MAX(p) FROM T")
 	if err != nil {

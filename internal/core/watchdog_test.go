@@ -55,7 +55,7 @@ func TestWatchdogFlagsMiscalibratedMax(t *testing.T) {
 	})
 	e := heavyTailTable(t, Config{
 		Seed: 21, BootstrapK: 40,
-		SkipDiagnostics: true, DisableFallback: true,
+		skipDiagnostics: true, noFallback: true,
 		Watchdog: wd,
 	}, 50000)
 	if err := e.BuildSamples("T", 1000); err != nil {
@@ -132,7 +132,7 @@ func TestWatchdogQuietOnCalibratedQueries(t *testing.T) {
 	// which would fall every query back to exact and leave no intervals
 	// to audit. The subject here is interval calibration, not the
 	// per-query diagnostic.
-	e := bucketTable(t, Config{Seed: 22, SkipDiagnostics: true, Watchdog: wd}, 80000, 256)
+	e := bucketTable(t, Config{Seed: 22, skipDiagnostics: true, Watchdog: wd}, 80000, 256)
 	if err := e.BuildSamples("Sessions", 20000); err != nil {
 		t.Fatal(err)
 	}

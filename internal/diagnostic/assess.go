@@ -62,9 +62,6 @@ func (t *Tally) Add(o Outcome) {
 	t.total++
 }
 
-// Total returns the number of recorded outcomes.
-func (t *Tally) Total() int { return t.total }
-
 // Frac returns the fraction of outcomes of the given kind.
 func (t *Tally) Frac(o Outcome) float64 {
 	if t.total == 0 {

@@ -227,15 +227,6 @@ type Result struct {
 	SubsampleQueries int
 }
 
-// XiEvaluations is how many subsamples ξ was run on — p per size on a full
-// ladder.
-func (r Result) XiEvaluations(p int) int {
-	if r.RungsRun == 0 {
-		return 0
-	}
-	return (r.RungsRun-1)*p + r.DecidedAfter
-}
-
 // Run executes Algorithm 1: it checks whether the error-estimation
 // procedure est can be trusted for query q on the given sample.
 //

@@ -279,8 +279,8 @@ func TestTally(t *testing.T) {
 	tl.Add(TrueAccept)
 	tl.Add(TrueReject)
 	tl.Add(FalsePositive)
-	if tl.Total() != 4 {
-		t.Errorf("Total = %d", tl.Total())
+	if tl.total != 4 {
+		t.Errorf("Total = %d", tl.total)
 	}
 	if got := tl.Frac(TrueAccept); got != 0.5 {
 		t.Errorf("Frac(TrueAccept) = %v", got)
@@ -339,7 +339,7 @@ func TestDiagnosticAccuracySmoke(t *testing.T) {
 	}
 	if tally.AccurateFrac() < 0.6 {
 		t.Errorf("diagnostic accuracy = %v over %d cases; want >= 0.6",
-			tally.AccurateFrac(), tally.Total())
+			tally.AccurateFrac(), tally.total)
 	}
 }
 
@@ -736,10 +736,10 @@ func TestDecideFirstMatchesFullLadder(t *testing.T) {
 								id, seed, st.Size, st, want.PerSize[skipped+i])
 						}
 					}
-					ranAll := got.XiEvaluations(cfg.P) == len(cfg.SubsampleSizes)*cfg.P
+					ranAll := xiEvaluations(got, cfg.P) == len(cfg.SubsampleSizes)*cfg.P
 					if ranAll != (skipped == 0) || (ranAll && got.SubsampleQueries != want.SubsampleQueries) {
 						t.Fatalf("%s seed %d: %d ξ evaluations, %d sizes complete, %d subsample queries (full ladder %d)",
-							id, seed, got.XiEvaluations(cfg.P), len(got.PerSize), got.SubsampleQueries, want.SubsampleQueries)
+							id, seed, xiEvaluations(got, cfg.P), len(got.PerSize), got.SubsampleQueries, want.SubsampleQueries)
 					}
 					if got.OK && !ranAll {
 						t.Fatalf("%s seed %d: accepted on partial evidence: %+v", id, seed, got)
@@ -849,4 +849,13 @@ func TestDecideFirstCancellation(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("goroutines leaked: %d before, %d after", base, n)
 	}
+}
+
+// xiEvaluations is how many subsamples ξ was run on — p per size on a full
+// ladder.
+func xiEvaluations(r Result, p int) int {
+	if r.RungsRun == 0 {
+		return 0
+	}
+	return (r.RungsRun-1)*p + r.DecidedAfter
 }

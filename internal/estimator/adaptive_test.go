@@ -1,12 +1,136 @@
 package estimator
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
+
+// AdaptiveBootstrap is test-only until the query-level bootstrap adopts its
+// stopping rule (ROADMAP item 4(a)); these tests keep it correct meanwhile.
+//
+// AdaptiveBootstrap is a bootstrap whose resample count K is tuned
+// automatically (the paper's §2.3.1 notes K "can be tuned automatically",
+// citing Efron & Tibshirani): it starts at MinK and doubles until the
+// confidence interval's half-width stabilizes to within Tolerance, or
+// MaxK is reached. On easy queries this saves half or more of the
+// resampling work; on hard ones it converges to the fixed-K answer.
+type AdaptiveBootstrap struct {
+	// MinK is the starting resample count (0 = 25).
+	MinK int
+	// MaxK caps the total resamples (0 = 400).
+	MaxK int
+	// Tolerance is the acceptable relative half-width change per doubling
+	// (0 = 0.05).
+	Tolerance float64
+	// Obs, when non-nil, counts drawn resamples exactly as Bootstrap.Obs
+	// does; the adaptive schedule makes the counter reflect the savings.
+	Obs *obs.Registry
+}
+
+func (ab AdaptiveBootstrap) minK() int {
+	if ab.MinK <= 0 {
+		return 25
+	}
+	return ab.MinK
+}
+
+func (ab AdaptiveBootstrap) maxK() int {
+	if ab.MaxK <= 0 {
+		return 400
+	}
+	return ab.MaxK
+}
+
+func (ab AdaptiveBootstrap) tolerance() float64 {
+	if ab.Tolerance <= 0 {
+		return 0.05
+	}
+	return ab.Tolerance
+}
+
+// Name implements Estimator.
+func (AdaptiveBootstrap) Name() string { return "adaptive-bootstrap" }
+
+// AppliesTo implements Estimator.
+func (AdaptiveBootstrap) AppliesTo(q Query) bool { return (Bootstrap{}).AppliesTo(q) }
+
+// Interval implements Estimator.
+func (ab AdaptiveBootstrap) Interval(src *rng.Source, values []float64, q Query, alpha float64) (Interval, error) {
+	iv, _, err := ab.IntervalK(src, values, q, alpha)
+	return iv, err
+}
+
+// IntervalContext implements ContextEstimator: the adaptive doubling loop
+// checks ctx between batches, so a cancelled query stops growing K.
+func (ab AdaptiveBootstrap) IntervalContext(ctx context.Context, src *rng.Source, values []float64, q Query, alpha float64) (Interval, error) {
+	iv, _, err := ab.IntervalKContext(ctx, src, values, q, alpha)
+	return iv, err
+}
+
+// IntervalK is Interval but also reports the number of resamples drawn.
+func (ab AdaptiveBootstrap) IntervalK(src *rng.Source, values []float64, q Query, alpha float64) (Interval, int, error) {
+	return ab.IntervalKContext(context.Background(), src, values, q, alpha)
+}
+
+// IntervalKContext is IntervalK honouring cancellation: ctx is checked
+// before every resample batch (and inside the kernel per block), so the
+// abort latency is bounded by one batch of the smallest size MinK.
+func (ab AdaptiveBootstrap) IntervalKContext(ctx context.Context, src *rng.Source, values []float64, q Query, alpha float64) (Interval, int, error) {
+	if len(values) == 0 {
+		return Interval{}, 0, fmt.Errorf("estimator: empty sample")
+	}
+	if !ab.AppliesTo(q) {
+		return Interval{}, 0, fmt.Errorf("%w: UDF without function body", ErrNotApplicable)
+	}
+	center := q.Eval(values)
+	var ests []float64
+	draw := func(k int) {
+		b := Bootstrap{K: k, Obs: ab.Obs}
+		ests = append(ests, b.estimatesContext(ctx, src, values, q, k)...)
+	}
+	if err := ctx.Err(); err != nil {
+		return Interval{}, 0, err
+	}
+	// The stopping rule tracks the pooled bootstrap standard deviation
+	// rather than the reported half-width: the symmetric centered
+	// half-width is an extreme order statistic of the pool and fluctuates
+	// far more than Tolerance between doublings even when the underlying
+	// spread has long stabilized. The stddev has the same scale (so the
+	// relative-change test is equivalent in expectation) but concentrates
+	// at the usual 1/√K rate.
+	draw(ab.minK())
+	prev := stats.Stddev(ests)
+	for len(ests) < ab.maxK() {
+		if err := ctx.Err(); err != nil {
+			return Interval{}, len(ests), err
+		}
+		grow := len(ests)
+		if len(ests)+grow > ab.maxK() {
+			grow = ab.maxK() - len(ests)
+		}
+		draw(grow)
+		if err := ctx.Err(); err != nil {
+			return Interval{}, len(ests), err
+		}
+		cur := stats.Stddev(ests)
+		if prev > 0 && math.Abs(cur-prev)/prev < ab.tolerance() {
+			half := stats.SymmetricHalfWidth(ests, center, alpha)
+			return Interval{Center: center, HalfWidth: half}, len(ests), nil
+		}
+		prev = cur
+	}
+	if err := ctx.Err(); err != nil {
+		return Interval{}, len(ests), err
+	}
+	half := stats.SymmetricHalfWidth(ests, center, alpha)
+	return Interval{Center: center, HalfWidth: half}, len(ests), nil
+}
 
 func TestAdaptiveBootstrapConvergesOnEasyQuery(t *testing.T) {
 	xs := gaussianData(100, 5000, 50, 5)

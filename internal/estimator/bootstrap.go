@@ -114,17 +114,6 @@ func (b Bootstrap) IntervalContext(ctx context.Context, src *rng.Source, values 
 	return Interval{Center: center, HalfWidth: half}, nil
 }
 
-// Distribution returns the raw bootstrap distribution (the K resample
-// estimates) for callers that need more than an interval, such as the
-// diagnostic's spread statistics.
-func (b Bootstrap) Distribution(src *rng.Source, values []float64, q Query) []float64 {
-	k := b.K
-	if k <= 0 {
-		k = DefaultBootstrapK
-	}
-	return b.estimatesContext(context.Background(), src, values, q, k)
-}
-
 // estimatesContext produces the K resample estimates on the blocked
 // multi-resample kernel: fused Σw·x / Σw accumulators for the closed-form
 // family (no weight vectors materialized), the generic weighted-θ

@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -429,13 +430,11 @@ func TestBootstrapDeterministicUnderSeed(t *testing.T) {
 
 func TestBootstrapDistributionLength(t *testing.T) {
 	xs := gaussianData(12, 50, 0, 1)
-	d := Bootstrap{K: 37}.Distribution(rng.New(1), xs, Query{Kind: Avg})
-	if len(d) != 37 {
-		t.Errorf("distribution length = %d", len(d))
-	}
-	d = Bootstrap{}.Distribution(rng.New(1), xs, Query{Kind: Avg})
-	if len(d) != DefaultBootstrapK {
-		t.Errorf("default distribution length = %d", len(d))
+	for _, k := range []int{37, DefaultBootstrapK} {
+		d := Bootstrap{K: k}.estimatesContext(context.Background(), rng.New(1), xs, Query{Kind: Avg}, k)
+		if len(d) != k {
+			t.Errorf("K = %d: distribution length = %d", k, len(d))
+		}
 	}
 }
 
@@ -580,9 +579,10 @@ func TestComputeTruth(t *testing.T) {
 	if truth.Interval.HalfWidth < 0.5*want || truth.Interval.HalfWidth > 1.8*want {
 		t.Errorf("true half-width = %v, want ~%v", truth.Interval.HalfWidth, want)
 	}
-	errs := truth.SamplingError()
-	if len(errs) != 200 {
-		t.Error("sampling error length wrong")
+	// The realized sampling errors θ(Sᵢ) − θ(D) (§2.1's ε) center on zero.
+	errs := make([]float64, len(truth.Estimates))
+	for i, e := range truth.Estimates {
+		errs[i] = e - truth.Answer
 	}
 	if m := stats.Mean(errs); math.Abs(m) > 4*want {
 		t.Errorf("sampling errors not centered: %v", m)
@@ -592,7 +592,7 @@ func TestComputeTruth(t *testing.T) {
 func TestEvaluateClosedFormCorrectOnGaussianMean(t *testing.T) {
 	src := rng.New(20)
 	pop := gaussianData(21, 100000, 100, 10)
-	cfg := DefaultEvalConfig(1000)
+	cfg := paperEvalConfig(1000)
 	res := Evaluate(src, pop, Query{Kind: Avg}, ClosedForm{}, cfg)
 	if res.Verdict != Correct {
 		t.Errorf("closed form on Gaussian AVG: %v (opt=%v pess=%v)",
@@ -635,7 +635,7 @@ func TestEvaluateHoeffdingPessimistic(t *testing.T) {
 func TestEvaluateNotApplicable(t *testing.T) {
 	src := rng.New(26)
 	pop := gaussianData(27, 1000, 0, 1)
-	res := Evaluate(src, pop, Query{Kind: Max}, ClosedForm{}, DefaultEvalConfig(100))
+	res := Evaluate(src, pop, Query{Kind: Max}, ClosedForm{}, paperEvalConfig(100))
 	if res.Verdict != NotApplicable {
 		t.Errorf("verdict = %v, want not-applicable", res.Verdict)
 	}
@@ -830,4 +830,10 @@ func TestChernoffDegenerateFallsBack(t *testing.T) {
 	if ch.HalfWidth != ho.HalfWidth {
 		t.Errorf("degenerate Chernoff %v != Hoeffding %v", ch.HalfWidth, ho.HalfWidth)
 	}
+}
+
+// paperEvalConfig is §3's protocol: 100 samples, δ tolerance 0.2, failure
+// when ≥5% of samples deviate, 95% confidence intervals.
+func paperEvalConfig(sampleSize int) EvalConfig {
+	return EvalConfig{SampleSize: sampleSize, Trials: 100, TruthP: 100, Alpha: 0.95, DeltaTol: 0.2, FailFrac: 0.05}
 }

@@ -40,8 +40,9 @@ func (v Verdict) String() string {
 	}
 }
 
-// EvalConfig carries the §3 evaluation protocol's parameters. The zero
-// value is invalid; use DefaultEvalConfig.
+// EvalConfig carries the §3 evaluation protocol's parameters: the paper
+// draws 100 samples, tolerates |δ| ≤ 0.2, calls a technique failed when ≥5%
+// of samples deviate, and uses 95% intervals. The zero value is invalid.
 type EvalConfig struct {
 	SampleSize int     // n: rows per trial sample
 	Trials     int     // number of trial samples (paper: 100)
@@ -49,19 +50,6 @@ type EvalConfig struct {
 	Alpha      float64 // confidence level (paper: 0.95)
 	DeltaTol   float64 // acceptable |δ| (paper: 0.2)
 	FailFrac   float64 // fraction of trials outside tol ⇒ failure (paper: 0.05)
-}
-
-// DefaultEvalConfig mirrors §3: 100 samples, δ tolerance 0.2, failure when
-// ≥5% of samples deviate, 95% confidence intervals.
-func DefaultEvalConfig(sampleSize int) EvalConfig {
-	return EvalConfig{
-		SampleSize: sampleSize,
-		Trials:     100,
-		TruthP:     100,
-		Alpha:      0.95,
-		DeltaTol:   0.2,
-		FailFrac:   0.05,
-	}
 }
 
 // EvalResult reports the outcome of evaluating one technique on one query.

@@ -34,13 +34,3 @@ func ComputeTruth(src *rng.Source, population []float64, q Query, n, p int, alph
 		Estimates: ests,
 	}
 }
-
-// SamplingError returns the realized sampling errors θ(Sᵢ) − θ(D) of the
-// truth's estimates (the ε distribution of §2.1).
-func (t Truth) SamplingError() []float64 {
-	out := make([]float64, len(t.Estimates))
-	for i, e := range t.Estimates {
-		out[i] = e - t.Answer
-	}
-	return out
-}

@@ -131,7 +131,7 @@ func referenceExact(p *plan.Plan, tbl *table.Table, udfs Registry) ([]GroupOutpu
 			continue
 		}
 		var err error
-		if cols[ai], err = EvalNumeric(spec.Input, tbl, sel); err != nil {
+		if cols[ai], err = evalNumeric(spec.Input, tbl, sel); err != nil {
 			return nil, err
 		}
 	}

@@ -30,8 +30,8 @@ import (
 // vector (freshly allocated, never pooled) is built, the sample scan, which
 // copies a block's input values into the column it owns, and the exact
 // operator, which folds them into its sinks, before releasing them.
-// EvalNumeric passes nil — its result vectors are retained by the caller —
-// and a nil scratch degrades every get to a plain make.
+// A nil scratch degrades every get to a plain make; the exact operator's
+// zero-row type check passes one.
 //
 // The pools hold *[]T rather than []T so Put doesn't allocate (staticcheck
 // SA6002).
@@ -599,32 +599,6 @@ func applyStrCmp(op string, a, b string) bool {
 	default: // ">="
 		return c >= 0
 	}
-}
-
-// EvalNumeric evaluates a numeric row expression over the selected rows of
-// tbl, returning one float64 per selected row. sel == nil means all rows.
-// The result may share the table's storage and must be treated as
-// read-only.
-func EvalNumeric(e sql.Expr, tbl *table.Table, sel []int) ([]float64, error) {
-	n := tbl.NumRows()
-	if sel != nil {
-		n = len(sel)
-	}
-	v, err := evalExpr(e, tbl, sel, n, nil)
-	if err != nil {
-		return nil, err
-	}
-	if v.isStr || v.bools != nil {
-		return nil, fmt.Errorf("exec: expression %s is not numeric", e)
-	}
-	if v.scalar {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = v.numS
-		}
-		return out, nil
-	}
-	return v.nums, nil
 }
 
 // EvalPredicate evaluates a boolean predicate over all rows of tbl and

@@ -19,7 +19,7 @@ import (
 )
 
 // referenceScan is the sample scan done the plain way: one selection vector
-// from EvalPredicate, one column per aggregate from EvalNumeric (an
+// from EvalPredicate, one column per aggregate from evalNumeric (an
 // ungrouped SUM/COUNT scattered over a zero column of every row), and a map
 // from rendered key to row positions for GROUP BY. It returns the groups
 // and the selection.
@@ -50,7 +50,7 @@ func referenceScan(def *plan.QueryDef, tbl *table.Table) ([]group, []int, error)
 			}
 		} else {
 			var err error
-			if vals, err = EvalNumeric(spec.Input, tbl, sel); err != nil {
+			if vals, err = evalNumeric(spec.Input, tbl, sel); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -38,45 +36,6 @@ func systemShape(cfg Config, spec workload.QuerySpec, consolidated, pushed bool)
 		Pushdown:     pushed,
 		Fanout:       spec.GroupFanout,
 	}
-}
-
-// SimulateAnswer is the bridge from the local engine to the simulator: the
-// production-scale latency breakdown of a query the engine answered on a
-// sample, had that sample been sampleMB large. The pipeline's shape — resample
-// count, diagnostic ladder — is the executed plan's, with both §5.3 rewrites
-// (the engine's only plan), and the selectivity and fan-out are the ones the
-// local run measured.
-func SimulateAnswer(cl *cluster.Cluster, seed uint64, ans *core.Answer, sampleMB float64) cluster.Breakdown {
-	// Production rows are wider than our lean columnar test rows; size
-	// the logical row count by a production bytes-per-row so the CPU and
-	// memory terms stay realistic.
-	const logicalBytesPerRow = 200
-	logicalRows := sampleMB * 1e6 / logicalBytesPerRow
-	rowScale := 1.0
-	if ans.SampleRows > 0 {
-		rowScale = logicalRows / float64(ans.SampleRows)
-	}
-	opt, closedForm := ans.Plan.Opt, ans.Plan.Def.ClosedFormOK()
-	shape := cluster.QueryShape{
-		SampleMB:     sampleMB,
-		SampleRows:   int64(logicalRows),
-		Selectivity:  ans.Selectivity, // -1, nothing scanned, reads as 1
-		BootstrapK:   opt.BootstrapK,
-		ClosedForm:   closedForm,
-		Consolidated: true,
-		Pushdown:     true,
-		Fanout:       len(ans.Groups),
-	}
-	if closedForm {
-		shape.BootstrapK = 0
-	}
-	if opt.Diagnostics {
-		shape.DiagP = opt.DiagP
-		for _, b := range opt.DiagSizes {
-			shape.DiagSizes = append(shape.DiagSizes, int(float64(b)*rowScale))
-		}
-	}
-	return cl.SimulateBreakdown(rng.NewWithStream(seed, 0xC105), shape)
 }
 
 // qsets returns the Conviva QSet-1 and QSet-2 used by the §7 experiments.

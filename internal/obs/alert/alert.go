@@ -27,7 +27,6 @@ import (
 type Severity string
 
 const (
-	SeverityInfo     Severity = "info"
 	SeverityWarning  Severity = "warning"
 	SeverityCritical Severity = "critical"
 )

@@ -106,7 +106,7 @@ func TestBusConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := keys[(g+i)%len(keys)]
 				b.Raise(Alert{Source: "test", Kind: "load", Key: k,
-					Severity: SeverityInfo, Observed: float64(i)})
+					Severity: SeverityWarning, Observed: float64(i)})
 				if i%3 == 0 {
 					b.Resolve("test", "load", k)
 				}

@@ -376,14 +376,6 @@ func (s *Store) registerMetrics() {
 		Add(int64(s.replay.SkippedTails))
 }
 
-// Profile returns the profile for one key.
-func (s *Store) Profile(k Key) (Profile, bool) {
-	if s == nil {
-		return Profile{}, false
-	}
-	return s.prof.profile(k)
-}
-
 // Profiles returns every workload profile, busiest first.
 func (s *Store) Profiles() []Profile {
 	if s == nil {

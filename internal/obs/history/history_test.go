@@ -212,7 +212,7 @@ func TestKillAndReopen(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d (no loss before the fsync point)",
 			got, n+4)
 	}
-	prof, ok := s2.Profile(testKey())
+	prof, ok := profileIn(s2.Profiles(), testKey())
 	if !ok {
 		t.Fatal("profile did not survive the restart")
 	}
@@ -254,7 +254,7 @@ func TestProfilerFold(t *testing.T) {
 	anon.Table = ""
 	p.foldQuery(anon)
 
-	prof, ok := p.profile(testKey())
+	prof, ok := profileIn(p.snapshot(), testKey())
 	if !ok {
 		t.Fatal("profile missing after folds")
 	}
@@ -301,7 +301,7 @@ func TestProfilerConverges(t *testing.T) {
 		u := src.Float64()
 		s.AppendQuery(testQueryRecord(uint64(i), u*u))
 	}
-	prof, ok := s.Profile(testKey())
+	prof, ok := profileIn(s.Profiles(), testKey())
 	if !ok {
 		t.Fatal("profile missing after appends")
 	}
@@ -456,7 +456,7 @@ func TestStoreWriteErrorsAreSwallowed(t *testing.T) {
 		t.Fatalf("stats = %+v, want the write failure counted", st)
 	}
 	// The in-memory fold still happened: telemetry degrades, profiles don't.
-	if _, ok := s.Profile(testKey()); !ok {
+	if _, ok := profileIn(s.Profiles(), testKey()); !ok {
 		t.Fatal("profile fold skipped on write error")
 	}
 	s.mu.Lock()
@@ -479,7 +479,7 @@ func TestNilStoreIsNoOp(t *testing.T) {
 	if s.Profiles() != nil || s.SLOStatuses() != nil {
 		t.Fatal("nil store returned data")
 	}
-	if _, ok := s.Profile(Key{}); ok {
+	if _, ok := profileIn(s.Profiles(), Key{}); ok {
 		t.Fatal("nil store returned a profile")
 	}
 	if st := s.Stats(); st.Records != nil {
@@ -522,4 +522,14 @@ func TestReplayRecentWindowResumes(t *testing.T) {
 	if len(sts) != 1 || sts[0].Events != 1 {
 		t.Fatalf("post-restart SLO window = %+v, want the replayed event", sts)
 	}
+}
+
+// profileIn finds one key's profile.
+func profileIn(profiles []Profile, k Key) (Profile, bool) {
+	for _, p := range profiles {
+		if p.Key == k {
+			return p, true
+		}
+	}
+	return Profile{}, false
 }

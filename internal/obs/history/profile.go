@@ -313,16 +313,6 @@ func (p *profiler) snapshot() []Profile {
 	return out
 }
 
-func (p *profiler) profile(k Key) (Profile, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	a, ok := p.accs[k]
-	if !ok {
-		return Profile{}, false
-	}
-	return a.snapshot(k), true
-}
-
 // FormatWorkload renders profiles as the text table shown by aqpshell's
 // \profile command and -history mode — the same data /debug/workload
 // serves as JSON.

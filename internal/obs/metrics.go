@@ -156,13 +156,6 @@ var (
 	ThroughputBuckets = []float64{
 		1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8, 3e8, 1e9,
 	}
-	// SimSecondsBuckets extends the latency layout to the cost model's
-	// minutes-long naive pipelines.
-	SimSecondsBuckets = []float64{
-		0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600,
-	}
-	// RatioBuckets covers the simulated-vs-wall inflation factor.
-	RatioBuckets = []float64{0.1, 0.3, 1, 3, 10, 30, 100, 300, 1e3, 3e3, 1e4, 1e5, 1e6}
 )
 
 // family is one metric name with its help text, type and label series.

@@ -150,17 +150,6 @@ func (q *QueryTrace) SetTraceContext(tc TraceContext) {
 	q.mu.Unlock()
 }
 
-// TraceContext returns the identity bound by SetTraceContext (zero value
-// if none was bound).
-func (q *QueryTrace) TraceContext() TraceContext {
-	if q == nil {
-		return TraceContext{}
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.tc
-}
-
 // ID returns the tracer-scoped query id (0 for a nil trace).
 func (q *QueryTrace) ID() uint64 {
 	if q == nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/table"
 )
 
 func seq(n int) []float64 {
@@ -42,19 +41,17 @@ func TestWithReplacementMeanConverges(t *testing.T) {
 }
 
 func TestWithoutReplacementNoDuplicates(t *testing.T) {
-	xs := seq(500)
-	for _, n := range []int{10, 100, 400, 500} { // exercises Floyd and shuffle paths
-		src := rng.New(uint64(n))
-		s := WithoutReplacement(src, xs, n)
-		if len(s) != n {
-			t.Fatalf("n=%d: len = %d", n, len(s))
+	for _, n := range []int{10, 100, 400, 500} {
+		ids := RowsWithoutReplacement(rng.New(uint64(n)), 500, n)
+		if len(ids) != n {
+			t.Fatalf("n=%d: len = %d", n, len(ids))
 		}
-		seen := map[float64]bool{}
-		for _, v := range s {
-			if seen[v] {
-				t.Fatalf("n=%d: duplicate value %v", n, v)
+		seen := map[int]bool{}
+		for _, id := range ids {
+			if id < 0 || id >= 500 || seen[id] {
+				t.Fatalf("n=%d: row id %d out of range or repeated", n, id)
 			}
-			seen[v] = true
+			seen[id] = true
 		}
 	}
 }
@@ -65,29 +62,21 @@ func TestWithoutReplacementPanicsWhenOverdrawn(t *testing.T) {
 			t.Fatal("overdraw did not panic")
 		}
 	}()
-	WithoutReplacement(rng.New(1), seq(5), 6)
+	RowsWithoutReplacement(rng.New(1), 5, 6)
 }
 
 func TestTableSampling(t *testing.T) {
-	tbl := table.MustNew(
-		table.Schema{{Name: "x", Type: table.Float64}},
-		table.Float64Col(seq(50)),
-	)
+	// A stored sample's row ids are a uniform draw: over many draws of 1
+	// row out of 4, each row comes up about a quarter of the time.
+	counts := make([]int, 4)
 	src := rng.New(3)
-	wr := TableWithReplacement(src, tbl, 200)
-	if wr.NumRows() != 200 {
-		t.Fatalf("with-replacement rows = %d", wr.NumRows())
+	for i := 0; i < 4000; i++ {
+		counts[RowsWithoutReplacement(src, 4, 1)[0]]++
 	}
-	wor := TableWithoutReplacement(src, tbl, 20)
-	if wor.NumRows() != 20 {
-		t.Fatalf("without-replacement rows = %d", wor.NumRows())
-	}
-	seen := map[float64]bool{}
-	for _, v := range wor.Column(0).(table.Float64Col) {
-		if seen[v] {
-			t.Fatal("table without-replacement produced duplicates")
+	for id, c := range counts {
+		if c < 850 || c > 1150 {
+			t.Errorf("row %d drawn %d times in 4000, want ~1000", id, c)
 		}
-		seen[v] = true
 	}
 }
 
@@ -176,71 +165,6 @@ func TestQuickDisjointSubsamplesDisjoint(t *testing.T) {
 	}
 }
 
-func TestStratifiedCapsGroups(t *testing.T) {
-	src := rng.New(5)
-	keys := make([]string, 0, 110)
-	xs := make([]float64, 0, 110)
-	for i := 0; i < 100; i++ { // big group
-		keys = append(keys, "big")
-		xs = append(xs, float64(i))
-	}
-	for i := 0; i < 3; i++ { // rare group
-		keys = append(keys, "rare")
-		xs = append(xs, float64(1000+i))
-	}
-	outKeys, outXs := Stratified(src, keys, xs, 10)
-	counts := map[string]int{}
-	for _, k := range outKeys {
-		counts[k]++
-	}
-	if counts["big"] != 10 {
-		t.Errorf("big group sampled %d, want cap 10", counts["big"])
-	}
-	if counts["rare"] != 3 {
-		t.Errorf("rare group sampled %d, want all 3", counts["rare"])
-	}
-	if len(outKeys) != len(outXs) {
-		t.Error("stratified outputs not parallel")
-	}
-}
-
-func TestCatalogConstructionAndSelect(t *testing.T) {
-	src := rng.New(6)
-	data := seq(100000)
-	cat, err := NewCatalog(src, data, []int{1000, 10000, 50000}, "t")
-	if err != nil {
-		t.Fatalf("NewCatalog: %v", err)
-	}
-	if len(cat.Samples()) != 3 {
-		t.Fatalf("catalog has %d samples", len(cat.Samples()))
-	}
-	if got := cat.Select(500); len(got.Rows) != 1000 {
-		t.Errorf("Select(500) picked %d-row sample", len(got.Rows))
-	}
-	if got := cat.Select(5000); len(got.Rows) != 10000 {
-		t.Errorf("Select(5000) picked %d-row sample", len(got.Rows))
-	}
-	if got := cat.Select(99999999); len(got.Rows) != 50000 {
-		t.Errorf("oversized Select should return largest, got %d", len(got.Rows))
-	}
-	if lg := cat.Largest(); len(lg.Rows) != 50000 {
-		t.Errorf("Largest = %d rows", len(lg.Rows))
-	}
-	if f := cat.Samples()[0].SamplingFraction(); math.Abs(f-0.01) > 1e-9 {
-		t.Errorf("sampling fraction = %v", f)
-	}
-}
-
-func TestCatalogRejectsBadSizes(t *testing.T) {
-	src := rng.New(7)
-	if _, err := NewCatalog(src, seq(10), []int{100}, "t"); err == nil {
-		t.Error("oversized catalog sample not rejected")
-	}
-	if _, err := NewCatalog(src, seq(10), []int{0}, "t"); err == nil {
-		t.Error("zero catalog sample not rejected")
-	}
-}
-
 func TestRequiredSampleSizeScaling(t *testing.T) {
 	// Quadrupling precision requirement (halving relErr) should 4x n.
 	n1 := RequiredSampleSize(10, 5, 0.1, 0.95)
@@ -259,33 +183,5 @@ func TestRequiredSampleSizeScaling(t *testing.T) {
 	}
 	if RequiredSampleSize(10, 5, 0, 0.95) < 1<<61 {
 		t.Error("zero relErr should be unsatisfiable")
-	}
-}
-
-func TestSelectForError(t *testing.T) {
-	src := rng.New(8)
-	// Low-variance data: small samples suffice.
-	data := make([]float64, 100000)
-	for i := range data {
-		data[i] = 100 + src.NormFloat64()
-	}
-	cat, err := NewCatalog(src, data, []int{100, 1000, 10000}, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := cat.SelectForError(0.01, 0.95)
-	if !ok {
-		t.Error("1% error on sigma/mu=0.01 data should be satisfiable")
-	}
-	if len(s.Rows) > 1000 {
-		t.Errorf("picked %d-row sample for an easy bound", len(s.Rows))
-	}
-	// Impossibly tight bound: returns largest, ok=false.
-	s, ok = cat.SelectForError(1e-9, 0.95)
-	if ok {
-		t.Error("1e-9 relative error should not be satisfiable")
-	}
-	if len(s.Rows) != 10000 {
-		t.Error("unsatisfiable bound should fall back to largest sample")
 	}
 }

@@ -44,19 +44,13 @@ type HTTPOptions struct {
 	// (check a bearer token, map to a tenant, ...). A non-nil error
 	// rejects with 401 and the error text.
 	Authorize func(*http.Request) error
-	// MaxBodyBytes bounds the request body (0 = 1 MiB).
-	MaxBodyBytes int64
 	// EventLog, when set, receives one conn-kind record per request
 	// outcome class transition worth flagging (auth failures).
 	EventLog *obs.EventLog
 }
 
-func (o HTTPOptions) maxBody() int64 {
-	if o.MaxBodyBytes <= 0 {
-		return 1 << 20
-	}
-	return o.MaxBodyBytes
-}
+// maxBodyBytes bounds a /query request body: 1 MiB.
+const maxBodyBytes = 1 << 20
 
 // httpAPI is the handler state: the admission server plus cached metrics.
 type httpAPI struct {
@@ -171,15 +165,15 @@ func (a *httpAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, a.opt.maxBody()+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		a.fail(w, route, http.StatusBadRequest, "bad_request",
 			"reading body: "+err.Error(), false)
 		return
 	}
-	if int64(len(body)) > a.opt.maxBody() {
+	if len(body) > maxBodyBytes {
 		a.fail(w, route, http.StatusRequestEntityTooLarge, "bad_request",
-			fmt.Sprintf("body exceeds %d bytes", a.opt.maxBody()), false)
+			fmt.Sprintf("body exceeds %d bytes", maxBodyBytes), false)
 		return
 	}
 	var req QueryRequest

@@ -70,7 +70,7 @@ func TestHTTPRequestErrors(t *testing.T) {
 	eng := testEngine(t, core.Config{Seed: 7})
 	defer eng.Close()
 	s := New(eng, Config{})
-	h := NewHTTPHandler(s, HTTPOptions{MaxBodyBytes: 256})
+	h := NewHTTPHandler(s, HTTPOptions{})
 
 	cases := []struct {
 		name, method, body string
@@ -80,7 +80,7 @@ func TestHTTPRequestErrors(t *testing.T) {
 		{"bad json", http.MethodPost, "{not json", http.StatusBadRequest},
 		{"missing sql", http.MethodPost, "{}", http.StatusBadRequest},
 		{"oversize body", http.MethodPost,
-			fmt.Sprintf(`{"sql":%q}`, strings.Repeat("x", 512)), http.StatusRequestEntityTooLarge},
+			fmt.Sprintf(`{"sql":%q}`, strings.Repeat("x", maxBodyBytes)), http.StatusRequestEntityTooLarge},
 		{"parse error", http.MethodPost, `{"sql":"SELECT FROM WHERE"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -457,13 +457,6 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// InFlight returns the number of currently executing queries.
-func (s *Server) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inflight
-}
-
 // Queued returns the number of queries waiting for a slot.
 func (s *Server) Queued() int {
 	s.mu.Lock()

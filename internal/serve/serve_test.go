@@ -118,8 +118,8 @@ func TestFIFOGrantOrder(t *testing.T) {
 			t.Fatalf("grant order %v is not FIFO", order)
 		}
 	}
-	if s.InFlight() != 0 || s.Queued() != 0 {
-		t.Errorf("leaked admission state: inflight=%d queued=%d", s.InFlight(), s.Queued())
+	if inFlight(s) != 0 || s.Queued() != 0 {
+		t.Errorf("leaked admission state: inflight=%d queued=%d", inFlight(s), s.Queued())
 	}
 }
 
@@ -145,7 +145,7 @@ func TestQueueFullRejection(t *testing.T) {
 	if err := <-queued; err != nil {
 		t.Fatalf("queued waiter: %v", err)
 	}
-	waitFor(t, "drain", func() bool { return s.InFlight() == 0 })
+	waitFor(t, "drain", func() bool { return inFlight(s) == 0 })
 
 	var b strings.Builder
 	reg.WritePrometheus(&b)
@@ -330,10 +330,17 @@ func TestConcurrentSubmit(t *testing.T) {
 	if ok+rejected != clients {
 		t.Fatalf("accounting: ok=%d rejected=%d of %d", ok, rejected, clients)
 	}
-	if s.InFlight() != 0 || s.Queued() != 0 {
-		t.Errorf("not quiescent: inflight=%d queued=%d", s.InFlight(), s.Queued())
+	if inFlight(s) != 0 || s.Queued() != 0 {
+		t.Errorf("not quiescent: inflight=%d queued=%d", inFlight(s), s.Queued())
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown after quiesce: %v", err)
 	}
+}
+
+// inFlight returns the number of currently executing queries.
+func inFlight(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inflight
 }

@@ -140,38 +140,6 @@ func (f *FuncCall) String() string {
 	return f.Name + "(" + strings.Join(args, ", ") + ")"
 }
 
-// AggregateNames are the built-in aggregate functions the planner
-// recognizes; any other FuncCall is treated as a registered UDF (aggregate)
-// or scalar function.
-var AggregateNames = map[string]bool{
-	"AVG": true, "SUM": true, "COUNT": true, "MIN": true, "MAX": true,
-	"VARIANCE": true, "STDEV": true, "PERCENTILE": true,
-}
-
-// IsAggregate reports whether the expression tree contains an aggregate
-// function call (built-in or any function call, since the engine's UDFs are
-// aggregates).
-func IsAggregate(e Expr, isUDF func(name string) bool) bool {
-	switch v := e.(type) {
-	case *FuncCall:
-		if AggregateNames[v.Name] || (isUDF != nil && isUDF(v.Name)) {
-			return true
-		}
-		for _, a := range v.Args {
-			if IsAggregate(a, isUDF) {
-				return true
-			}
-		}
-		return false
-	case *Binary:
-		return IsAggregate(v.L, isUDF) || IsAggregate(v.R, isUDF)
-	case *Unary:
-		return IsAggregate(v.E, isUDF)
-	default:
-		return false
-	}
-}
-
 // Columns returns the distinct column names referenced by the expression,
 // in first-appearance order.
 func Columns(e Expr) []string {

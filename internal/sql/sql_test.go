@@ -248,27 +248,6 @@ func TestRoundTripStrings(t *testing.T) {
 	}
 }
 
-func TestIsAggregate(t *testing.T) {
-	udf := func(name string) bool { return name == "MYUDF" }
-	cases := []struct {
-		q    string
-		want bool
-	}{
-		{"SELECT AVG(x) FROM t", true},
-		{"SELECT x + 1 FROM t", false},
-		{"SELECT 2 * SUM(x) FROM t", true},
-		{"SELECT MYUDF(x) FROM t", true},
-		{"SELECT OTHERFN(x) FROM t", false},
-		{"SELECT -MIN(x) FROM t", true},
-	}
-	for _, c := range cases {
-		sel := MustParse(c.q).(*Select)
-		if got := IsAggregate(sel.Items[0].Expr, udf); got != c.want {
-			t.Errorf("IsAggregate(%s) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
 func TestColumns(t *testing.T) {
 	sel := MustParse("SELECT a + b * a FROM t WHERE c > 0").(*Select)
 	cols := Columns(sel.Items[0].Expr)

@@ -47,9 +47,6 @@ func (s *GKSketch) bufCap() int {
 	return c
 }
 
-// Count returns the number of values observed.
-func (s *GKSketch) Count() int { return s.n + len(s.buf) }
-
 func (s *GKSketch) flush() {
 	if len(s.buf) == 0 {
 		return
@@ -132,48 +129,4 @@ func (s *GKSketch) Quantile(q float64) float64 {
 		}
 	}
 	return s.entries[len(s.entries)-1].v
-}
-
-// Size returns the number of stored tuples (a test hook for the space
-// bound).
-func (s *GKSketch) Size() int { return len(s.entries) }
-
-// Merge folds another sketch into this one (parallel percentile
-// reduction). The merged rank error is bounded by the sum of the two
-// sketches' errors; both sketches should be built with the same eps. The
-// other sketch is flushed but otherwise unmodified.
-func (s *GKSketch) Merge(o *GKSketch) {
-	s.flush()
-	o.flush()
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		s.n = o.n
-		s.entries = append(s.entries[:0], o.entries...)
-		return
-	}
-	// Merge the two sorted entry lists; deltas grow by the counterpart's
-	// local uncertainty, per Greenwald–Khanna merge semantics.
-	merged := make([]gkEntry, 0, len(s.entries)+len(o.entries))
-	i, j := 0, 0
-	for i < len(s.entries) || j < len(o.entries) {
-		switch {
-		case j >= len(o.entries):
-			merged = append(merged, s.entries[i])
-			i++
-		case i >= len(s.entries):
-			merged = append(merged, o.entries[j])
-			j++
-		case s.entries[i].v <= o.entries[j].v:
-			merged = append(merged, s.entries[i])
-			i++
-		default:
-			merged = append(merged, o.entries[j])
-			j++
-		}
-	}
-	s.entries = merged
-	s.n += o.n
-	s.compress()
 }

@@ -2,17 +2,6 @@ package stats
 
 import "math"
 
-// NormalPDF returns the density of N(mu, sigma^2) at x.
-func NormalPDF(x, mu, sigma float64) float64 {
-	z := (x - mu) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
-}
-
-// NormalCDF returns P(N(mu, sigma^2) <= x).
-func NormalCDF(x, mu, sigma float64) float64 {
-	return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
-}
-
 // StdNormalCDF returns P(N(0,1) <= z).
 func StdNormalCDF(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
 
@@ -66,11 +55,6 @@ func StdNormalQuantile(p float64) float64 {
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
 	x = x - u/(1+x*u/2)
 	return x
-}
-
-// NormalQuantile returns the p-quantile of N(mu, sigma^2).
-func NormalQuantile(p, mu, sigma float64) float64 {
-	return mu + sigma*StdNormalQuantile(p)
 }
 
 // StudentTQuantile returns the p-quantile of Student's t distribution with

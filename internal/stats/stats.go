@@ -6,15 +6,11 @@ package stats
 
 import (
 	"cmp"
-	"errors"
 	"math"
 	"slices"
 	"sort"
 	"sync"
 )
-
-// ErrEmpty is returned by operations that need at least one observation.
-var ErrEmpty = errors.New("stats: empty input")
 
 // Moments accumulates count, mean, variance, min and max in one pass using
 // Welford's numerically stable update. The zero value is an empty
@@ -79,9 +75,6 @@ func (m *Moments) Merge(o *Moments) {
 	m.n = n
 }
 
-// Count returns the total weight folded in so far.
-func (m *Moments) Count() float64 { return m.n }
-
 // Mean returns the weighted mean, or NaN when empty.
 func (m *Moments) Mean() float64 {
 	if !m.seen {
@@ -124,14 +117,6 @@ func (m *Moments) Max() float64 {
 		return math.NaN()
 	}
 	return m.max
-}
-
-// Sum returns the weighted sum of observations.
-func (m *Moments) Sum() float64 {
-	if !m.seen {
-		return 0
-	}
-	return m.mean * m.n
 }
 
 // Mean returns the arithmetic mean of xs, or NaN when empty.
@@ -368,67 +353,4 @@ func SymmetricHalfWidthInPlace(xs []float64, center, alpha float64) float64 {
 		k = n
 	}
 	return xs[k-1]
-}
-
-// Histogram is a fixed-width bucket histogram over [lo, hi); values outside
-// the range land in clamped edge buckets. It supports the latency and
-// speedup CDF plots in the benchmark harness.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	count   int
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}
-}
-
-// Add records a value.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Buckets)
-	idx := int(float64(n) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	h.Buckets[idx]++
-	h.count++
-}
-
-// Count returns the number of recorded values.
-func (h *Histogram) Count() int { return h.count }
-
-// CDF returns, for each bucket upper edge, the fraction of recorded values
-// at or below it.
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.Buckets))
-	cum := 0
-	for i, c := range h.Buckets {
-		cum += c
-		if h.count > 0 {
-			out[i] = float64(cum) / float64(h.count)
-		}
-	}
-	return out
-}
-
-// ECDF returns an empirical CDF evaluator for xs. The returned function
-// reports the fraction of observations <= x.
-func ECDF(xs []float64) func(float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	n := float64(len(sorted))
-	return func(x float64) float64 {
-		if len(sorted) == 0 {
-			return math.NaN()
-		}
-		idx := sort.SearchFloat64s(sorted, math.Nextafter(x, math.Inf(1)))
-		return float64(idx) / n
-	}
 }

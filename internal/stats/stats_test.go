@@ -36,11 +36,11 @@ func TestMomentsBasic(t *testing.T) {
 	if got := m.Max(); got != 5 {
 		t.Errorf("Max = %v, want 5", got)
 	}
-	if got := m.Sum(); got != 15 {
-		t.Errorf("Sum = %v, want 15", got)
+	if got := m.mean * m.n; got != 15 {
+		t.Errorf("sum = %v, want 15", got)
 	}
-	if got := m.Count(); got != 5 {
-		t.Errorf("Count = %v, want 5", got)
+	if m.n != 5 {
+		t.Errorf("weight = %v, want 5", m.n)
 	}
 }
 
@@ -50,8 +50,8 @@ func TestMomentsEmpty(t *testing.T) {
 		!math.IsNaN(m.Min()) || !math.IsNaN(m.Max()) {
 		t.Error("empty Moments should report NaN statistics")
 	}
-	if m.Sum() != 0 || m.Count() != 0 {
-		t.Error("empty Moments should report zero Sum and Count")
+	if m.mean != 0 || m.n != 0 {
+		t.Error("empty Moments should hold zero mean and weight")
 	}
 }
 
@@ -120,7 +120,7 @@ func TestMomentsMergeWithEmpty(t *testing.T) {
 		t.Error("merging empty accumulator changed state")
 	}
 	b.Merge(&a) // merging into empty copies
-	if b.Mean() != before || b.Count() != 2 {
+	if b.Mean() != before || b.n != 2 {
 		t.Error("merging into empty accumulator did not copy state")
 	}
 }
@@ -369,10 +369,14 @@ func TestStdNormalQuantileEdges(t *testing.T) {
 }
 
 func TestNormalQuantileScaling(t *testing.T) {
-	got := NormalQuantile(0.975, 10, 2)
-	want := 10 + 2*1.959963984540054
-	if !almostEqual(got, want, 1e-9) {
-		t.Errorf("NormalQuantile = %v, want %v", got, want)
+	// The p-quantile of N(μ, σ²) is μ + σ·z_p: the closed-form intervals
+	// scale StdNormalQuantile by the standard error this way.
+	x := 10 + 2*StdNormalQuantile(0.975)
+	if got := StdNormalCDF((x - 10) / 2); !almostEqual(got, 0.975, 1e-12) {
+		t.Errorf("P(N(10, 4) <= %v) = %v, want 0.975", x, got)
+	}
+	if want := 10 + 2*1.959963984540054; !almostEqual(x, want, 1e-9) {
+		t.Errorf("0.975-quantile of N(10, 4) = %v, want %v", x, want)
 	}
 }
 
@@ -478,8 +482,8 @@ func TestGKSketchSpaceBound(t *testing.T) {
 	sk.flush()
 	// The GK bound is O((1/eps) log(eps n)); allow a lenient constant.
 	limit := int(20.0 / 0.01)
-	if sk.Size() > limit {
-		t.Errorf("sketch holds %d tuples, want <= %d", sk.Size(), limit)
+	if len(sk.entries) > limit {
+		t.Errorf("sketch holds %d tuples, want <= %d", len(sk.entries), limit)
 	}
 }
 
@@ -495,8 +499,8 @@ func TestGKSketchEmptyAndEdge(t *testing.T) {
 	if !math.IsNaN(sk.Quantile(1.5)) {
 		t.Error("q>1 should be NaN")
 	}
-	if sk.Count() != 1 {
-		t.Errorf("Count = %d", sk.Count())
+	if sk.n+len(sk.buf) != 1 {
+		t.Errorf("Count = %d", sk.n+len(sk.buf))
 	}
 }
 
@@ -559,8 +563,8 @@ func TestGKSketchMerge(t *testing.T) {
 		all = append(all, va, vb)
 	}
 	a.Merge(b)
-	if a.Count() != 2*n {
-		t.Fatalf("merged count = %d", a.Count())
+	if a.n+len(a.buf) != 2*n {
+		t.Fatalf("merged count = %d", a.n+len(a.buf))
 	}
 	sort.Float64s(all)
 	for _, q := range []float64{0.1, 0.5, 0.9} {
@@ -578,13 +582,13 @@ func TestGKSketchMergeEdges(t *testing.T) {
 	a := NewGKSketch(0.05)
 	b := NewGKSketch(0.05)
 	a.Merge(b) // both empty: no-op
-	if a.Count() != 0 {
+	if a.n+len(a.buf) != 0 {
 		t.Error("merging empties changed count")
 	}
 	b.Add(1)
 	b.Add(2)
 	a.Merge(b) // into empty: copies
-	if a.Count() != 2 {
+	if a.n+len(a.buf) != 2 {
 		t.Error("merge into empty failed")
 	}
 	if q := a.Quantile(0.5); q != 1 && q != 2 {
@@ -592,7 +596,7 @@ func TestGKSketchMergeEdges(t *testing.T) {
 	}
 	c := NewGKSketch(0.05)
 	a.Merge(c) // empty other: no-op
-	if a.Count() != 2 {
+	if a.n+len(a.buf) != 2 {
 		t.Error("merging an empty sketch changed count")
 	}
 }

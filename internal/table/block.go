@@ -46,20 +46,6 @@ func (b Backing) String() string {
 	}
 }
 
-// ParseBacking converts a knob string ("raw", "compressed", "mmap") to a
-// Backing.
-func ParseBacking(s string) (Backing, error) {
-	switch s {
-	case "", "raw":
-		return BackingRaw, nil
-	case "compressed":
-		return BackingCompressed, nil
-	case "mmap":
-		return BackingMmap, nil
-	}
-	return BackingRaw, fmt.Errorf("table: unknown backing %q", s)
-}
-
 // BlockRows is the row count per storage block. It deliberately equals
 // ZoneBlockRows: one zone-map envelope governs exactly one decodable unit,
 // so a skipped block avoids its decode entirely.
@@ -97,10 +83,6 @@ type StrReader interface {
 	ReadStr(dst []string, off int)
 }
 
-// Lazy reports whether the column decodes on access (block-compressed or
-// mmap-backed) rather than living as a raw slice.
-func Lazy(c Column) bool { return c.lazy() }
-
 // Raw column reader implementations: trivial copies, so the generic decode
 // path works uniformly. Hot paths still type-switch to the raw slices first
 // and never come through here.
@@ -111,8 +93,7 @@ func (c Float64Col) ReadF64(dst []float64, off int) { copy(dst, c[off:]) }
 // ReadI64 copies rows [off, off+len(dst)) into dst.
 func (c Int64Col) ReadI64(dst []int64, off int) { copy(dst, c[off:]) }
 
-// ReadF64 widens rows [off, off+len(dst)) into dst, mirroring the widening
-// Float64ColumnByName has always performed for int64 columns.
+// ReadF64 widens rows [off, off+len(dst)) into dst.
 func (c Int64Col) ReadF64(dst []float64, off int) {
 	for i := range dst {
 		dst[i] = float64(c[off+i])
@@ -687,9 +668,6 @@ func (b *BlockBuilder) AppendRow(vals ...any) {
 	}
 	b.rows++
 }
-
-// NumRows returns the number of rows appended so far.
-func (b *BlockBuilder) NumRows() int { return b.rows }
 
 // Build finalizes the builder into a compressed table with zone maps. The
 // builder must not be used afterwards.

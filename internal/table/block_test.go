@@ -324,16 +324,16 @@ func TestReadCSVBackedMatchesRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backed, err := ReadCSVBacked(bytes.NewReader(buf.Bytes()), types, BackingCompressed)
+	backed, err := readCSV(bytes.NewReader(buf.Bytes()), types, BackingCompressed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertTablesEqual(t, rawIn, backed)
 	if !backed.Lazy() {
-		t.Error("ReadCSVBacked(compressed) returned a raw table")
+		t.Error("readCSV(compressed) returned a raw table")
 	}
 	if backed.Zones() == nil {
-		t.Error("ReadCSVBacked(compressed) did not attach zones")
+		t.Error("readCSV(compressed) did not attach zones")
 	}
 	// WriteCSV over a compressed table must emit identical bytes.
 	var buf2 bytes.Buffer

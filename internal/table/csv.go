@@ -16,15 +16,6 @@ func ReadCSV(r io.Reader, types []Type) (*Table, error) {
 	return readCSV(r, types, BackingRaw)
 }
 
-// ReadCSVBacked is ReadCSV with a storage backing choice. BackingCompressed
-// (and BackingMmap, whose ingest side is identical — persistence happens
-// via WriteStore) streams rows through a BlockBuilder, encoding each
-// numeric block as it fills, so ingestion never materializes full raw
-// columns.
-func ReadCSVBacked(r io.Reader, types []Type, backing Backing) (*Table, error) {
-	return readCSV(r, types, backing)
-}
-
 // rowAppender abstracts Builder/BlockBuilder for ingestion.
 type rowAppender interface {
 	AppendRow(vals ...any)
@@ -84,68 +75,4 @@ func readCSV(r io.Reader, types []Type, backing Backing) (*Table, error) {
 		b.AppendRow(row...)
 	}
 	return b.Build(), nil
-}
-
-// WriteCSV writes the table as CSV with a header row.
-func WriteCSV(w io.Writer, t *Table) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, t.NumCols())
-	for i, f := range t.Schema() {
-		header[i] = f.Name
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	// Cursor per column: raw columns read directly, block columns decode
-	// one block at a time as the row loop sweeps forward.
-	type colWriter func(r int) string
-	writers := make([]colWriter, t.NumCols())
-	for c := 0; c < t.NumCols(); c++ {
-		switch col := t.Column(c).(type) {
-		case Float64Col:
-			writers[c] = func(r int) string {
-				return strconv.FormatFloat(col[r], 'g', -1, 64)
-			}
-		case Int64Col:
-			writers[c] = func(r int) string { return strconv.FormatInt(col[r], 10) }
-		case StringCol:
-			writers[c] = func(r int) string { return col[r] }
-		default:
-			switch t.Schema()[c].Type {
-			case Float64:
-				cu, err := NewF64Cursor(col)
-				if err != nil {
-					return err
-				}
-				writers[c] = func(r int) string {
-					return strconv.FormatFloat(cu.At(r), 'g', -1, 64)
-				}
-			case Int64:
-				cu, err := NewI64Cursor(col)
-				if err != nil {
-					return err
-				}
-				writers[c] = func(r int) string {
-					return strconv.FormatInt(cu.At(r), 10)
-				}
-			case String:
-				cu, err := NewStrCursor(col)
-				if err != nil {
-					return err
-				}
-				writers[c] = func(r int) string { return cu.At(r) }
-			}
-		}
-	}
-	rec := make([]string, t.NumCols())
-	for r := 0; r < t.NumRows(); r++ {
-		for c := range writers {
-			rec[c] = writers[c](r)
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -1,7 +1,7 @@
 package table
 
-// Row gathering: Gather and GatherStored copy the rows at idx into a new
-// table, in idx order. For block-backed sources the cost that matters is
+// Row gathering: GatherStored copies the rows at idx into a new table, in
+// idx order. For block-backed sources the cost that matters is
 // decoding, so the visiting order — positions of idx bucketed by the source
 // block their row lives in — is planned once per call by an O(n + blocks)
 // counting sort and shared by every column; each column then decodes every
@@ -95,16 +95,8 @@ func (c *StrBlockCol) gatherAt(p *gatherPlan, off int) Column {
 	return StringCol(gatherBlocks(p, off, make([]string, BlockRows), c.blockLen, c.decodeBlock))
 }
 
-// Gather returns a new raw table containing the rows at idx, in order.
-// Indices may repeat (sampling with replacement). The result carries no
-// zone maps.
-func (t *Table) Gather(idx []int) *Table {
-	cols := t.gatherColumns(idx, 1, func(_ int, raw Column) Column { return raw })
-	return &Table{schema: t.schema, cols: cols, rows: len(idx)}
-}
-
-// GatherStored is Gather for a table that is about to be stored and queried
-// — a sample: the result's columns are block-compressed unless backing is
+// GatherStored gathers a table that is about to be stored and queried — a
+// sample: the result's columns are block-compressed unless backing is
 // BackingRaw, and its zone maps are attached. Up to workers goroutines each
 // take one column at a time through gather → encode → envelope, so the build
 // holds at most that many raw columns beside the finished ones. Rows, row

@@ -161,8 +161,9 @@ type Table struct {
 	// zones holds per-block min/max envelopes for numeric columns, built
 	// once via BuildZones on stored tables. Views inherit them when their
 	// row numbering still lines up with block boundaries (block-aligned
-	// Slice/Partition, WithColumn); Gather views and unaligned slices leave
-	// it nil, which simply disables skipping.
+	// Slice and PartitionAligned views); gathered tables without a rebuilt
+	// envelope and unaligned slices leave it nil, which simply disables
+	// skipping.
 	zones *Zones
 	// storeDigest and storeDir are set by OpenStore on the table it returns
 	// (never on a view of it): the digest its store file records and the
@@ -245,32 +246,6 @@ func (t *Table) ColumnByName(name string) Column {
 	return t.cols[i]
 }
 
-// Float64ColumnByName returns the named column coerced to float64 values.
-// Int64 columns are converted (copied); Float64 columns are returned
-// directly. It returns an error for string columns or missing names.
-func (t *Table) Float64ColumnByName(name string) ([]float64, error) {
-	c := t.ColumnByName(name)
-	if c == nil {
-		return nil, fmt.Errorf("table: no column %q", name)
-	}
-	switch col := c.(type) {
-	case Float64Col:
-		return col, nil
-	case Int64Col:
-		out := make([]float64, len(col))
-		for i, v := range col {
-			out[i] = float64(v)
-		}
-		return out, nil
-	}
-	if r, ok := c.(F64Reader); ok {
-		out := make([]float64, r.Len())
-		r.ReadF64(out, 0)
-		return out, nil
-	}
-	return nil, fmt.Errorf("table: column %q is %v, not numeric", name, c.Type())
-}
-
 // Slice returns a zero-copy view of rows [i, j). When i falls on a zone
 // block boundary the view inherits the base table's zone maps (sliced to
 // the covered blocks): the view's row b*ZoneBlockRows is exactly row
@@ -292,34 +267,12 @@ func (t *Table) Slice(i, j int) *Table {
 	return out
 }
 
-// Partition splits the table into k contiguous, zero-copy views of
-// near-equal size. Remainder rows are spread across the leading
-// partitions. k must be >= 1; partitions beyond the row count are empty.
-func (t *Table) Partition(k int) []*Table {
-	if k < 1 {
-		panic("table: Partition with k < 1")
-	}
-	parts := make([]*Table, k)
-	base := t.rows / k
-	rem := t.rows % k
-	start := 0
-	for i := 0; i < k; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		parts[i] = t.Slice(start, start+size)
-		start += size
-	}
-	return parts
-}
-
 // PartitionAligned splits the table into k contiguous views whose
 // boundaries fall on zone-block multiples (except the final row). Aligned
-// partitions inherit zone maps and decode whole blocks, so the executor
-// prefers this over Partition for scan scheduling. Row order across the
-// concatenated partitions is identical to Partition's input order, which is
-// what keeps answers bit-identical regardless of the split. Trailing
+// partitions inherit zone maps and decode whole blocks, which is why the
+// executor schedules its scans on them. Row order across the concatenated
+// partitions is the table's own, which is what keeps answers bit-identical
+// regardless of the split. Trailing
 // partitions may be empty when the table has fewer blocks than k.
 func (t *Table) PartitionAligned(k int) []*Table {
 	if k < 1 {
@@ -346,29 +299,6 @@ func (t *Table) PartitionAligned(k int) []*Table {
 		start = end
 	}
 	return parts
-}
-
-// WithColumn returns a new table view with an extra column appended. The
-// column must match the table's row count.
-func (t *Table) WithColumn(f Field, c Column) (*Table, error) {
-	if c.Len() != t.rows {
-		return nil, fmt.Errorf("table: new column %q has %d rows, want %d",
-			f.Name, c.Len(), t.rows)
-	}
-	if c.Type() != f.Type {
-		return nil, fmt.Errorf("table: new column %q type mismatch", f.Name)
-	}
-	schema := make(Schema, 0, len(t.schema)+1)
-	schema = append(schema, t.schema...)
-	schema = append(schema, f)
-	cols := make([]Column, 0, len(t.cols)+1)
-	cols = append(cols, t.cols...)
-	cols = append(cols, c)
-	out := &Table{schema: schema, cols: cols, rows: t.rows}
-	// Row numbering is unchanged, so existing envelopes stay valid; extend
-	// them with an envelope for the new column when it is numeric.
-	out.zones = t.zones.withColumn(len(t.cols), c)
-	return out, nil
 }
 
 // SizeBytes estimates the LOGICAL in-memory footprint of the table's data —
@@ -455,9 +385,6 @@ func (b *Builder) AppendRow(vals ...any) {
 	}
 	b.rows++
 }
-
-// NumRows returns the number of rows appended so far.
-func (b *Builder) NumRows() int { return b.rows }
 
 // Build finalizes the builder into a Table. The builder must not be used
 // afterwards.

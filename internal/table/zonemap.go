@@ -11,11 +11,9 @@ package table
 // range for some column, so skipping never changes which rows survive the
 // filter (pinned by TestZoneSkipPreservesSelection). Views inherit zone
 // maps when their row numbering still lines up with the base table's
-// blocks: block-aligned Slice/Partition views get the covered sub-range of
-// envelopes, and WithColumn keeps the base envelopes (row numbering is
-// unchanged) plus a freshly computed one for the new column. Gather views
-// and unaligned slices do not inherit — which degrades them to "never
-// skip", not to wrong answers.
+// blocks: block-aligned Slice and PartitionAligned views get the covered
+// sub-range of envelopes. Unaligned slices do not inherit — which degrades
+// them to "never skip", not to wrong answers.
 //
 // Block columns (block.go) capture per-block min/max during encoding, so
 // BuildZones on a compressed or mmap-backed table adopts the stored
@@ -70,22 +68,6 @@ func (z *Zones) slice(i, j int) *Zones {
 	out := &Zones{rows: j - i, byCol: make(map[int]ColumnZones, len(z.byCol))}
 	for ci, cz := range z.byCol {
 		out.byCol[ci] = ColumnZones{Mins: cz.Mins[lo:hi], Maxs: cz.Maxs[lo:hi]}
-	}
-	return out
-}
-
-// withColumn extends the zones with an envelope for a newly appended
-// column at index ci (numeric columns only). Nil receiver stays nil.
-func (z *Zones) withColumn(ci int, c Column) *Zones {
-	if z == nil {
-		return nil
-	}
-	out := &Zones{rows: z.rows, byCol: make(map[int]ColumnZones, len(z.byCol)+1)}
-	for k, v := range z.byCol {
-		out.byCol[k] = v
-	}
-	if cz, ok := envelopeFor(c, z.NumBlocks()); ok {
-		out.byCol[ci] = cz
 	}
 	return out
 }

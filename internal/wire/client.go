@@ -144,23 +144,6 @@ func parseGreeting(p []byte) ([]byte, error) {
 	return append(salt, rest[:n]...), nil
 }
 
-// Ping round-trips COM_PING.
-func (c *Client) Ping() error {
-	c.deadline()
-	seq := uint8(0)
-	if err := writePacket(c.nc, &seq, []byte{0x0e}); err != nil {
-		return err
-	}
-	p, err := readPacket(c.br, &seq, c.opt.maxPacket())
-	if err != nil {
-		return err
-	}
-	if len(p) > 0 && p[0] == 0xff {
-		return parseErrPayload(p)
-	}
-	return nil
-}
-
 // Query runs one COM_QUERY and decodes the text-protocol response.
 func (c *Client) Query(sql string) (*Resultset, error) {
 	c.deadline()
@@ -256,11 +239,5 @@ func columnName(def []byte) (string, error) {
 func (c *Client) Close() error {
 	seq := uint8(0)
 	writePacket(c.nc, &seq, []byte{0x01}) //nolint:errcheck
-	return c.nc.Close()
-}
-
-// CloseAbruptly severs the TCP connection with no COM_QUIT — the churn
-// tests use it to model clients dying mid-exchange.
-func (c *Client) CloseAbruptly() error {
 	return c.nc.Close()
 }

@@ -497,10 +497,3 @@ func (l *Listener) Shutdown(ctx context.Context) error {
 	}
 	return ctx.Err()
 }
-
-// Open returns the number of currently open connections.
-func (l *Listener) Open() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.conns)
-}

@@ -77,17 +77,6 @@ func (d DataDist) String() string {
 	}
 }
 
-// HeavyTailed reports whether the distribution has tails heavy enough to
-// endanger error estimation for tail-sensitive aggregates.
-func (d DataDist) HeavyTailed() bool {
-	switch d {
-	case ParetoTail, ParetoExtreme, Spiky, LogNormalHeavy:
-		return true
-	default:
-		return false
-	}
-}
-
 // GenerateColumn produces n values from the distribution.
 func GenerateColumn(src *rng.Source, d DataDist, n int) []float64 {
 	xs := make([]float64, n)

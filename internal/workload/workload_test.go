@@ -45,12 +45,6 @@ func TestGenerateColumnDistinctShapes(t *testing.T) {
 }
 
 func TestDataDistPredicatesAndNames(t *testing.T) {
-	if !ParetoExtreme.HeavyTailed() || !Spiky.HeavyTailed() {
-		t.Error("heavy tails not flagged")
-	}
-	if Gaussian.HeavyTailed() || Uniform.HeavyTailed() {
-		t.Error("light tails flagged as heavy")
-	}
 	if Gaussian.String() != "gaussian" || Spiky.String() != "spiky" {
 		t.Error("distribution names wrong")
 	}

@@ -1,0 +1,13 @@
+// Command app is the fixture's only caller outside lib.
+package main
+
+import (
+	"fmt"
+
+	"guard/internal/lib"
+)
+
+func main() {
+	var p lib.Pair[string]
+	fmt.Println(lib.Greeter{}, lib.Hello(lib.Greeter{}), lib.Max(1, 2), p.First(), lib.Limit)
+}
