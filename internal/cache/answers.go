@@ -9,9 +9,9 @@ import (
 	"repro/internal/obs"
 )
 
-// answerCap bounds the number of resident answers; beyond it the entry
-// with the oldest last use is dropped. Answers are small (group rows and
-// interval floats), so a count bound is sufficient.
+// answerCap bounds the number of resident answers, answerCap/8 of them
+// probationary (see slru). Answers are small (group rows and interval
+// floats), so a count bound is sufficient.
 const answerCap = 1024
 
 // DefaultAnswerTTL bounds reuse of a finished answer when the engine
@@ -22,9 +22,8 @@ const answerCap = 1024
 const DefaultAnswerTTL = 60 * time.Second
 
 type ansEntry struct {
-	val      any
-	stored   time.Time
-	lastUsed time.Time
+	val    any
+	stored time.Time
 }
 
 // AnswerConfig tunes an AnswerCache.
@@ -39,10 +38,13 @@ type AnswerConfig struct {
 // AnswerCache reuses finished answers for exact-match canonical SQL.
 // Values are opaque (the engine stores deep-cloned *core.Answer); keys
 // embed the engine's catalog generation so RegisterTable and sample
-// rebuilds invalidate by construction. Safe for concurrent use.
+// rebuilds invalidate by construction. An answer that has never been
+// replayed is probationary: a stream of one-off queries keeps at most
+// answerCap/8 of them and never evicts a replayed one. Safe for concurrent
+// use.
 type AnswerCache struct {
 	mu  sync.Mutex
-	m   map[string]*ansEntry
+	lru *slru[string, ansEntry]
 	ttl time.Duration
 
 	hits      atomic.Int64
@@ -58,7 +60,7 @@ func NewAnswerCache(cfg AnswerConfig) *AnswerCache {
 	if ttl <= 0 {
 		ttl = DefaultAnswerTTL
 	}
-	c := &AnswerCache{m: map[string]*ansEntry{}, ttl: ttl}
+	c := &AnswerCache{lru: newSLRU[string, ansEntry](answerCap), ttl: ttl}
 	if reg := cfg.Metrics; reg != nil {
 		c.mHits = reg.Counter("aqp_cache_hits_total",
 			"Cache hits, by layer.", "layer", "answer")
@@ -71,56 +73,52 @@ func NewAnswerCache(cfg AnswerConfig) *AnswerCache {
 }
 
 // Get returns the cached value for key if present and younger than the
-// TTL. Expired entries are dropped on the way out.
+// TTL, promoting it on its first hit. Expired entries are dropped on the
+// way out.
 func (c *AnswerCache) Get(key string) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
 	now := time.Now()
+	var val any
+	evicted := 0
 	c.mu.Lock()
-	e, ok := c.m[key]
-	if ok && now.Sub(e.stored) > c.ttl {
-		delete(c.m, key)
-		c.evictions.Add(1)
-		c.mEvicted.Inc()
-		ok = false
-	}
-	if ok {
-		e.lastUsed = now
+	it := c.lru.get(key)
+	if it != nil && now.Sub(it.val.stored) > c.ttl {
+		c.lru.remove(it)
+		evicted, it = 1, nil
+	} else if it != nil {
+		evicted = c.lru.hit(it)
+		val = it.val.val
 	}
 	c.mu.Unlock()
-	if !ok {
+	c.evicted(evicted)
+	if it == nil {
 		c.misses.Add(1)
 		c.mMisses.Inc()
 		return nil, false
 	}
 	c.hits.Add(1)
 	c.mHits.Inc()
-	return e.val, true
+	return val, true
 }
 
-// Put stores a finished answer under key, evicting the least-recently
-// used entry when the cache is full.
+// Put stores a finished answer under key as a probationary entry (an
+// existing entry takes the new answer and keeps its standing).
 func (c *AnswerCache) Put(key string, val any) {
 	if c == nil {
 		return
 	}
 	now := time.Now()
 	c.mu.Lock()
-	if _, ok := c.m[key]; !ok && len(c.m) >= answerCap {
-		var oldest string
-		var oldestT time.Time
-		for k, e := range c.m {
-			if oldest == "" || e.lastUsed.Before(oldestT) {
-				oldest, oldestT = k, e.lastUsed
-			}
-		}
-		delete(c.m, oldest)
-		c.evictions.Add(1)
-		c.mEvicted.Inc()
-	}
-	c.m[key] = &ansEntry{val: val, stored: now, lastUsed: now}
+	evicted := c.lru.put(key, ansEntry{val: val, stored: now})
 	c.mu.Unlock()
+	c.evicted(evicted)
+}
+
+func (c *AnswerCache) evicted(n int) {
+	c.evictions.Add(int64(n))
+	c.mEvicted.Add(int64(n))
 }
 
 // AnswerStats is a point-in-time summary of the answer layer.
@@ -138,7 +136,7 @@ func (c *AnswerCache) Stats() AnswerStats {
 		return AnswerStats{}
 	}
 	c.mu.Lock()
-	entries := len(c.m)
+	entries := c.lru.len()
 	c.mu.Unlock()
 	return AnswerStats{
 		Hits:      c.hits.Load(),

@@ -12,6 +12,13 @@
 // bit-identical on re-execution because all engine randomness derives
 // from (seed, stream) pairs. Caching therefore changes latency, never
 // answers — pinned by the bit-identity tests in internal/core.
+//
+// Each layer keeps only what saves work. The executor offers the block
+// layer only blocks whose codec transforms values (table.CacheableBlock);
+// a block whose decode is a copy out of storage, or one dictionary index
+// per row, is read from storage every time. Answers and skip lists enter
+// on probation and stay resident past a stream of one-off queries only
+// once they have been reused (slru).
 package cache
 
 import (
@@ -66,25 +73,19 @@ type blockShard struct {
 	flight map[blockKey]*inflight
 }
 
+// blockShards is the lookup-shard count. Sharding bounds hit-path lock
+// contention; the byte budget and eviction clock stay global so the budget
+// is never exceeded by more than one block.
+const blockShards = 16
+
 // BlockConfig tunes a BlockCache.
 type BlockConfig struct {
 	// Bytes is the global byte budget. Must be positive; the engine keeps
 	// the cache nil (= off) otherwise.
 	Bytes int64
-	// Shards is the lookup-shard count (0 = 16). Sharding bounds hit-path
-	// lock contention; the byte budget and eviction clock stay global so
-	// the budget is never exceeded by more than one block.
-	Shards int
 	// Metrics, when non-nil, receives aqp_cache_* counters and gauges for
 	// the block layer.
 	Metrics *obs.Registry
-}
-
-func (c BlockConfig) shards() int {
-	if c.Shards <= 0 {
-		return 16
-	}
-	return c.Shards
 }
 
 // BlockCache is a sharded, byte-budgeted cache of decoded storage blocks
@@ -121,7 +122,7 @@ func NewBlockCache(cfg BlockConfig) *BlockCache {
 	}
 	c := &BlockCache{
 		budget:   cfg.Bytes,
-		shards:   make([]blockShard, cfg.shards()),
+		shards:   make([]blockShard, blockShards),
 		colBytes: map[any]int64{},
 	}
 	for i := range c.shards {

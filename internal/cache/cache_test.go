@@ -220,8 +220,8 @@ func TestAnswerCacheTTL(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("entry survived past its TTL")
 	}
-	if len(c.m) != 0 {
-		t.Fatalf("expired entry still resident: len=%d", len(c.m))
+	if n := c.lru.len(); n != 0 {
+		t.Fatalf("expired entry still resident: len=%d", n)
 	}
 	st := c.Stats()
 	if st.Evictions != 1 || st.Hits != 1 || st.Misses != 1 {
@@ -229,24 +229,73 @@ func TestAnswerCacheTTL(t *testing.T) {
 	}
 }
 
-func TestAnswerCacheCapEvictsOldest(t *testing.T) {
+// TestAnswerCacheOneHitKeysStayProbationary: answers stored once and never
+// replayed cycle through the probationary segment, oldest first.
+func TestAnswerCacheOneHitKeysStayProbationary(t *testing.T) {
 	c := NewAnswerCache(AnswerConfig{})
 	for i := 0; i < answerCap; i++ {
 		c.Put(fmt.Sprintf("k%d", i), i)
 	}
-	// Refresh k0 so k1 becomes the LRU victim.
+	if st := c.Stats(); st.Entries != answerCap/8 {
+		t.Fatalf("%d one-hit keys leave %d resident, want %d", answerCap, st.Entries, answerCap/8)
+	}
+	if st := c.Stats(); st.Evictions != answerCap-answerCap/8 {
+		t.Fatalf("evictions = %d, want %d", st.Evictions, answerCap-answerCap/8)
+	}
+	if _, ok := c.Get(fmt.Sprintf("k%d", answerCap-answerCap/8-1)); ok {
+		t.Fatal("the newest dropped key is still resident")
+	}
+	if _, ok := c.Get(fmt.Sprintf("k%d", answerCap-answerCap/8)); !ok {
+		t.Fatal("the oldest surviving key was dropped")
+	}
+}
+
+// TestAnswerCacheHitKeySurvivesChurn: one replay promotes an answer out of
+// reach of any number of one-off puts.
+func TestAnswerCacheHitKeySurvivesChurn(t *testing.T) {
+	c := NewAnswerCache(AnswerConfig{})
+	c.Put("panel", "v")
+	if _, ok := c.Get("panel"); !ok {
+		t.Fatal("panel missing before churn")
+	}
+	for i := 0; i < answerCap; i++ {
+		c.Put(fmt.Sprintf("k%d", i), i)
+	}
+	if v, ok := c.Get("panel"); !ok || v != "v" {
+		t.Fatalf("hit key evicted by %d one-hit puts: %v, %v", answerCap, v, ok)
+	}
+	if st := c.Stats(); st.Entries != answerCap/8+1 {
+		t.Fatalf("entries = %d, want %d probationary + the panel", st.Entries, answerCap/8)
+	}
+}
+
+// TestAnswerCacheProtectedEvictsLRU: the protected segment is an LRU of
+// answerCap - answerCap/8 entries.
+func TestAnswerCacheProtectedEvictsLRU(t *testing.T) {
+	c := NewAnswerCache(AnswerConfig{})
+	const protected = answerCap - answerCap/8
+	for i := 0; i < protected; i++ {
+		k := fmt.Sprintf("k%d", i)
+		c.Put(k, i)
+		c.Get(k)
+	}
+	// Refresh k0 so k1 becomes the least recently used.
 	if _, ok := c.Get("k0"); !ok {
 		t.Fatal("k0 missing before overflow")
 	}
+	evictions := c.Stats().Evictions
 	c.Put("overflow", "v")
-	if len(c.m) != answerCap {
-		t.Fatalf("len = %d, want %d", len(c.m), answerCap)
+	c.Get("overflow")
+	if st := c.Stats(); st.Entries != protected || st.Evictions != evictions+1 {
+		t.Fatalf("entries = %d, evictions = %d; want %d, %d", st.Entries, st.Evictions, protected, evictions+1)
 	}
-	if _, ok := c.Get("k0"); !ok {
-		t.Fatal("recently used k0 was evicted")
+	if _, ok := c.Get("k1"); ok {
+		t.Fatal("least recently used k1 survived the overflow")
 	}
-	if _, ok := c.Get("overflow"); !ok {
-		t.Fatal("new entry missing after overflow")
+	for _, k := range []string{"k0", "k2", "overflow"} {
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("%s was evicted instead of the least recently used", k)
+		}
 	}
 }
 
@@ -298,6 +347,27 @@ func TestPredMemoSkipLists(t *testing.T) {
 	m.Store(store, "y > 0", nil, 0)
 	if skip, _, ok := m.Lookup(store, "y > 0"); !ok || skip != nil {
 		t.Fatalf("nil skip list not memoized: %v, %v", skip, ok)
+	}
+}
+
+// TestPredMemoSkipListsStayProbationary: skip lists of one-off predicates
+// keep at most predMemoCap/8 entries, and a skip list read once survives
+// them.
+func TestPredMemoSkipListsStayProbationary(t *testing.T) {
+	m := NewPredMemo(nil)
+	store := new(int)
+	m.Store(store, "x < 5", []bool{true}, 1)
+	if _, _, ok := m.Lookup(store, "x < 5"); !ok {
+		t.Fatal("skip list missing before churn")
+	}
+	for i := 0; i < 2*predMemoCap; i++ {
+		m.Store(store, fmt.Sprintf("x < %d", 100+i), nil, 0)
+	}
+	if st := m.Stats(); st.SkipLists != predMemoCap/8+1 {
+		t.Fatalf("%d skip lists resident, want %d probationary + the reused one", st.SkipLists, predMemoCap/8)
+	}
+	if _, _, ok := m.Lookup(store, "x < 5"); !ok {
+		t.Fatal("a reused skip list was evicted by one-off predicates")
 	}
 }
 

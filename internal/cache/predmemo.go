@@ -40,8 +40,10 @@ type selEntry struct {
 	n   int64
 }
 
-// predMemoCap bounds each memo map; admission decisions are small but a
-// hostile workload could mint unbounded distinct literals.
+// predMemoCap bounds each memo: skip lists are small but a hostile
+// workload could mint unbounded distinct literals, so at most predMemoCap/8
+// of them are probationary (see slru), and the shape map starts over at
+// predMemoCap shapes.
 const predMemoCap = 4096
 
 // PredMemo caches zone-map admission decisions (exact-keyed) and measured
@@ -49,7 +51,7 @@ const predMemoCap = 4096
 // concurrent use.
 type PredMemo struct {
 	mu    sync.RWMutex
-	skips map[skipKey]skipEntry
+	skips *slru[skipKey, skipEntry]
 	sels  map[selKey]selEntry
 
 	hits   atomic.Int64
@@ -62,7 +64,7 @@ type PredMemo struct {
 // metrics for the "predicate" layer when reg is non-nil.
 func NewPredMemo(reg *obs.Registry) *PredMemo {
 	m := &PredMemo{
-		skips: map[skipKey]skipEntry{},
+		skips: newSLRU[skipKey, skipEntry](predMemoCap),
 		sels:  map[selKey]selEntry{},
 	}
 	if reg != nil {
@@ -75,37 +77,39 @@ func NewPredMemo(reg *obs.Registry) *PredMemo {
 }
 
 // Lookup returns a memoized zone-map skip list for (store, exact
-// predicate text), or ok=false when the analyzer walk must run. The
-// returned slice is shared read-only.
+// predicate text), promoting it on its first hit, or ok=false when the
+// analyzer walk must run. The returned slice is shared read-only.
 func (m *PredMemo) Lookup(store any, pred string) (skip []bool, skipped int64, ok bool) {
 	if m == nil {
 		return nil, 0, false
 	}
-	m.mu.RLock()
-	e, ok := m.skips[skipKey{store, pred}]
-	m.mu.RUnlock()
-	if ok {
+	m.mu.Lock()
+	it := m.skips.get(skipKey{store, pred})
+	if it != nil {
+		m.skips.hit(it)
+		skip, skipped = it.val.skip, it.val.skipped
+	}
+	m.mu.Unlock()
+	if it != nil {
 		m.hits.Add(1)
 		m.mHits.Inc()
-		return e.skip, e.skipped, true
+		return skip, skipped, true
 	}
 	m.misses.Add(1)
 	m.mMisses.Inc()
 	return nil, 0, false
 }
 
-// Store memoizes a freshly computed skip list. A nil skip list (nothing
-// skippable, or zones absent) is memoized too — recomputing "nothing to
-// skip" is exactly the walk this layer exists to avoid.
+// Store memoizes a freshly computed skip list as a probationary entry. A
+// nil skip list (nothing skippable, or zones absent) is memoized too —
+// recomputing "nothing to skip" is exactly the walk this layer exists to
+// avoid.
 func (m *PredMemo) Store(store any, pred string, skip []bool, skipped int64) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	if len(m.skips) >= predMemoCap {
-		m.skips = map[skipKey]skipEntry{}
-	}
-	m.skips[skipKey{store, pred}] = skipEntry{skip: skip, skipped: skipped}
+	m.skips.put(skipKey{store, pred}, skipEntry{skip: skip, skipped: skipped})
 	m.mu.Unlock()
 }
 
@@ -162,7 +166,7 @@ func (m *PredMemo) Stats() PredStats {
 		return PredStats{}
 	}
 	m.mu.RLock()
-	skips, shapes := len(m.skips), len(m.sels)
+	skips, shapes := m.skips.len(), len(m.sels)
 	m.mu.RUnlock()
 	return PredStats{
 		Hits:      m.hits.Load(),

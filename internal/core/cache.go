@@ -102,7 +102,9 @@ type TableCacheStats struct {
 	PhysicalBytes int64 `json:"physical_bytes"`
 	// LogicalBytes is the decoded size of the whole table; HotFraction is
 	// ResidentBytes/LogicalBytes — how much of the table's decoded form is
-	// being kept hot.
+	// being kept hot. Only blocks the cache admits (table.CacheableBlock)
+	// can be hot, so a sample of raw floats and dictionary strings never
+	// gets past 0 and is not listed.
 	LogicalBytes int64   `json:"logical_bytes"`
 	HotFraction  float64 `json:"hot_fraction"`
 }

@@ -297,22 +297,44 @@ func TestAnswerCacheTTLExpiry(t *testing.T) {
 	}
 }
 
-// TestCacheChurnRace is the ISSUE's -race stress: concurrent queries fill
-// and evict a deliberately tight block budget while catalog changes
-// (RegisterTable) invalidate the answer layer mid-flight. Every answer
-// must stay bit-identical to the cache-off reference, and the block layer
-// must never exceed its budget by more than one block.
+// TestCacheChurnRace is the -race stress: concurrent queries fill and evict
+// a deliberately tight block budget while catalog changes (RegisterTable)
+// invalidate the answer layer mid-flight. Every answer must stay
+// bit-identical to the cache-off reference, and the block layer must never
+// exceed its budget by more than one block. Sessions' sample is raw floats
+// and dictionary strings, which the block cache turns away, so the workers
+// also query Counts, whose integral column is int-coded and admitted.
 func TestCacheChurnRace(t *testing.T) {
 	const n, sampleRows = 30000, 6000
 	workers, rounds := 6, 8
 	if testing.Short() {
 		workers, rounds = 4, 3
 	}
+	build := func(cfg Config) *Engine {
+		e := buildCachedSessions(t, cfg, n, sampleRows)
+		src := rng.New(761)
+		clicks := make(table.Float64Col, n)
+		for i := range clicks {
+			clicks[i] = float64(src.Intn(1000))
+		}
+		if err := e.RegisterTable("Counts", table.MustNew(
+			table.Schema{{Name: "Clicks", Type: table.Float64}}, clicks)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.BuildSamples("Counts", sampleRows); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	queries := append([]string{
+		"SELECT AVG(Clicks) FROM Counts",
+		"SELECT SUM(Clicks), COUNT(*) FROM Counts WHERE Clicks < 500",
+	}, cacheTestQueries...)
 	base := Config{Seed: 76, SampleBacking: table.BackingCompressed, Workers: 2}
-	off := buildCachedSessions(t, base, n, sampleRows)
+	off := build(base)
 	defer off.Close()
-	refs := make(map[string][]uint64, len(cacheTestQueries))
-	for _, q := range cacheTestQueries {
+	refs := make(map[string][]uint64, len(queries))
+	for _, q := range queries {
 		ans, err := off.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
@@ -324,17 +346,17 @@ func TestCacheChurnRace(t *testing.T) {
 	// A budget of a few blocks forces constant eviction under load.
 	budget := int64(3 * (table.BlockRows*8 + 96))
 	cfg.CacheBytes = budget
-	on := buildCachedSessions(t, cfg, n, sampleRows)
+	on := build(cfg)
 	defer on.Close()
 
 	var wg sync.WaitGroup
-	errs := make(chan error, workers*rounds*len(cacheTestQueries)+rounds)
+	errs := make(chan error, workers*rounds*len(queries)+rounds)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				for qi, q := range cacheTestQueries {
+				for qi, q := range queries {
 					ans, err := on.Run(context.Background(), q)
 					if err != nil {
 						errs <- fmt.Errorf("worker %d round %d %q: %w", w, r, q, err)
@@ -371,8 +393,8 @@ func TestCacheChurnRace(t *testing.T) {
 
 	st := on.CacheStatsSnapshot(0)
 	// Eviction happens before insert, so residency can exceed the budget
-	// by at most one block (here: one string block, whose payload size is
-	// data-dependent — allow a generous single-block bound).
+	// by at most one block (allow a generous single-block bound, the size
+	// of a string block, whose payload size is data-dependent).
 	maxBlock := int64(table.BlockRows*24 + 96)
 	if st.Block.Bytes > budget+maxBlock {
 		t.Errorf("resident %d exceeds budget %d by more than one block", st.Block.Bytes, budget)
@@ -553,5 +575,49 @@ func TestExactScansLeaveBlockCacheToSample(t *testing.T) {
 	if after.Block.Bytes != warm.Block.Bytes || sampleResidency(after) != warmSample {
 		t.Errorf("residency moved: %d B (sample %d) -> %d B (sample %d)",
 			warm.Block.Bytes, warmSample, after.Block.Bytes, sampleResidency(after))
+	}
+}
+
+// TestLiteralChurnStaysProbationary: a client that sends a fresh literal
+// with every query — 2,000 of them, each run once, beside one repeated
+// panel — leaves at most answerCap/8 = 128 answers and predMemoCap/8 = 512
+// skip lists resident beyond what the panel had made resident, and the
+// panel still replays.
+func TestLiteralChurnStaysProbationary(t *testing.T) {
+	const probationAnswers, probationSkipLists = 128, 512
+	e := buildCachedSessions(t, Config{Seed: 78, CacheBytes: 4 << 20,
+		SampleBacking: table.BackingCompressed, Workers: 1}, 10000, 2000)
+	defer e.Close()
+	run := func(q string) *Answer {
+		t.Helper()
+		ans, err := e.Run(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		return ans
+	}
+	const panel = "SELECT City, AVG(Time) FROM Sessions WHERE Time > 50 GROUP BY City"
+	run(panel)
+	if !run(panel).Cached {
+		t.Fatal("the panel's repeat was not replayed")
+	}
+	before := e.CacheStatsSnapshot(0)
+	for i := 0; i < 2000; i++ {
+		run(fmt.Sprintf("SELECT AVG(Time) FROM Sessions WHERE Time > %g", 30+0.01*float64(i)))
+		if i%50 == 49 && !run(panel).Cached {
+			t.Fatalf("the panel was not replayed after %d one-off queries", i+1)
+		}
+	}
+	st := e.CacheStatsSnapshot(0)
+	if st.Answer.Entries > probationAnswers+before.Answer.Entries {
+		t.Errorf("%d answers resident after literal churn, want at most %d + the panel's %d",
+			st.Answer.Entries, probationAnswers, before.Answer.Entries)
+	}
+	if st.Predicate.SkipLists > probationSkipLists+before.Predicate.SkipLists {
+		t.Errorf("%d skip lists resident after literal churn, want at most %d + the panel's %d",
+			st.Predicate.SkipLists, probationSkipLists, before.Predicate.SkipLists)
+	}
+	if !run(panel).Cached {
+		t.Error("the panel was not replayed after the churn")
 	}
 }

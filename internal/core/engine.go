@@ -55,28 +55,34 @@ type Config struct {
 	// each registered table into block-compressed columns (dictionary,
 	// run-length, bit-packed, and XOR codecs chosen per block); queries
 	// decode blocks lazily after zone-map admission. Samples drawn by
-	// BuildSamples are always materialized raw — they are small by
-	// construction, and keeping them raw is what holds sample-query
-	// latency flat while the base table grows. Answers are bit-identical
-	// across backings. Tables registered through RegisterTable are
-	// in-memory under BackingMmap too; use table.OpenStore to get a
-	// disk-backed table and register that.
+	// BuildSamples take SampleBacking, not this backing. Answers are
+	// bit-identical across backings. Tables registered through
+	// RegisterTable are in-memory under BackingMmap too; use
+	// table.OpenStore to get a disk-backed table and register that.
 	Backing table.Backing
 	// SampleBacking selects the storage backing for samples drawn by
-	// BuildSamples (default BackingRaw, PR-6 behavior: small samples stay
-	// raw and decode-free). BackingCompressed block-compresses each sample
-	// like registered tables; that makes sampled queries decode-bound,
-	// which is exactly the workload the decoded-block cache (CacheBytes)
-	// accelerates. Answers are bit-identical across sample backings.
+	// BuildSamples (default BackingRaw: samples stay raw and decode-free).
+	// Any other backing block-compresses each sample like registered
+	// tables. Whatever the backing, a sample of a table opened from a
+	// store file is persisted beside that file; a later engine opens it
+	// from there and, unless SampleBacking is raw, serves it from the
+	// mapping. A compressed sample makes sampled queries pay a decode per
+	// block, which the decoded-block cache (CacheBytes) saves where the
+	// block's codec transforms values. Answers are bit-identical across
+	// sample backings.
 	SampleBacking table.Backing
-	// CacheBytes, when positive, enables the cross-query decoded-block
-	// cache with this global byte budget: blocks decoded from compressed
-	// or mmap-backed columns are kept resident (scan-resistant CLOCK
-	// eviction, per-block singleflight) and served to later queries
-	// without re-decoding. 0 disables all three cache layers — behavior
-	// and answers are then byte-identical to an engine without this
-	// feature; with any budget, answers are bit-identical to cache-off
-	// (decodes are deterministic, pinned by tests).
+	// CacheBytes, when positive, enables the three cross-query reuse
+	// layers. The decoded-block cache gets this global byte budget: blocks
+	// of compressed or mmap-backed sample columns whose codec transforms
+	// values (table.CacheableBlock) are kept resident (scan-resistant
+	// CLOCK eviction, per-block singleflight) and served to later queries
+	// without re-decoding; raw, constant and dictionary-string blocks are
+	// read from storage every time. The predicate memo and the answer
+	// cache keep a never-reused entry on probation, a fixed eighth of
+	// their capacity. 0 disables all three layers — behavior and answers
+	// are then byte-identical to an engine without this feature; with any
+	// budget, answers are bit-identical to cache-off (decodes are
+	// deterministic, pinned by tests).
 	CacheBytes int64
 	// CacheTTL bounds answer-cache reuse of a finished answer
 	// (0 = cache.DefaultAnswerTTL, 60s). Catalog changes (RegisterTable,

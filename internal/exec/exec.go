@@ -56,9 +56,11 @@ type Config struct {
 	// way (tracing consumes no randomness).
 	Span *obs.Span
 	// Blocks, when non-nil, is the cross-query decoded-block cache: reader
-	// gathers consult it before paying a codec decode. Hits are metered in
-	// Counters.CacheHits/CacheBytes. Nil reproduces decode-every-time
-	// behavior exactly. Exact plans stream past it (exact.go).
+	// gathers consult it before paying a codec decode, for the blocks
+	// table.CacheableBlock admits; the rest are read from storage and
+	// counted as decodes. Hits are metered in Counters.CacheHits/CacheBytes.
+	// Nil reproduces decode-every-time behavior exactly. Exact plans stream
+	// past it (exact.go).
 	Blocks *cache.BlockCache
 	// Preds, when non-nil, memoizes zone-map skip lists per (table,
 	// predicate text) and feeds measured-selectivity hints back into the

@@ -371,18 +371,22 @@ func gatherReaderF64(r table.F64Reader, sel []int, off, n int, sc *scratch) []fl
 	switch {
 	case cc != nil && cacheable && sel == nil:
 		// Cross-query cache, full-range read: walk the base column's
-		// blocks, copying each block's cached decode (filling on a miss).
-		// A hit replaces the codec decode with a memcpy; the decoded values
-		// are bit-identical either way, since block decodes are
-		// deterministic.
+		// blocks, copying each cacheable block's cached decode (filling on a
+		// miss) and reading the rest from storage, as a decode. A hit
+		// replaces the codec decode with a memcpy; the decoded values are
+		// bit-identical either way, since block decodes are deterministic.
 		baseLen := base.Len()
 		for covered := 0; covered < n; {
 			abs := boff + off + covered
 			b := abs / table.BlockRows
 			bStart := b * table.BlockRows
-			bLen := baseLen - bStart
-			if bLen > table.BlockRows {
-				bLen = table.BlockRows
+			bLen := min(baseLen-bStart, table.BlockRows)
+			if !table.CacheableBlock(base, b) {
+				k := min(bStart+bLen-abs, n-covered)
+				br.ReadF64(out[covered:covered+k], abs)
+				covered += k
+				blocks++
+				continue
 			}
 			vals, hit := cc.GetF64(base, b, bLen, func(dst []float64) { br.ReadF64(dst, bStart) })
 			k := copy(out[covered:], vals[abs-bStart:])
@@ -450,9 +454,13 @@ func gatherReaderStr(r table.StrReader, sel []int, off, n int, sc *scratch) []st
 			abs := boff + off + covered
 			b := abs / table.BlockRows
 			bStart := b * table.BlockRows
-			bLen := baseLen - bStart
-			if bLen > table.BlockRows {
-				bLen = table.BlockRows
+			bLen := min(baseLen-bStart, table.BlockRows)
+			if !table.CacheableBlock(base, b) {
+				k := min(bStart+bLen-abs, n-covered)
+				br.ReadStr(out[covered:covered+k], abs)
+				covered += k
+				blocks++
+				continue
 			}
 			vals, hit := cc.GetStr(base, b, bLen, func(dst []string) { br.ReadStr(dst, bStart) })
 			k := copy(out[covered:], vals[abs-bStart:])

@@ -369,14 +369,22 @@ func (c *StrBlockCol) blockLen(b int) int {
 func (c *StrBlockCol) decodeBlock(b int, dst []string) {
 	payload := c.data[c.offs[b]:c.offs[b+1]]
 	if c.dict != nil {
-		width := uint(c.widths[b])
-		for i := range dst {
-			dst[i] = c.dict[readPackedCode(payload, i, width)]
-		}
+		decodeDictBlock(c.dict, payload, uint(c.widths[b]), dst)
 	} else {
 		decodeRawStrBlock(payload, dst)
 	}
 	decodedBlocksTotal.Add(1)
+}
+
+// decodeDictBlock expands one dictionary-coded block in two passes: unpack
+// the codes a 64-bit word at a time into a stack array (strDictMax is 2^16,
+// so every code fits a uint16), then index the dictionary.
+func decodeDictBlock(dict []string, payload []byte, width uint, dst []string) {
+	var codes [BlockRows]uint16
+	unpackCodes(payload, width, codes[:len(dst)])
+	for i, code := range codes[:len(dst)] {
+		dst[i] = dict[code]
+	}
 }
 
 // ReadStr fills dst with rows [off, off+len(dst)), decoding each touched
@@ -592,13 +600,8 @@ func (e *strBlockEnc) switchToRaw(cur []string) {
 	offs := []uint32{0}
 	buf := make([]string, BlockRows)
 	for b := 0; b+1 < len(e.offs); b++ {
-		n := old.blockLen(b)
-		payload := old.data[old.offs[b]:old.offs[b+1]]
-		width := uint(old.widths[b])
-		blk := buf[:n]
-		for i := range blk {
-			blk[i] = old.dict[readPackedCode(payload, i, width)]
-		}
+		blk := buf[:old.blockLen(b)]
+		decodeDictBlock(old.dict, old.data[old.offs[b]:old.offs[b+1]], uint(old.widths[b]), blk)
 		data = appendRawStrBlock(data, blk)
 		offs = append(offs, uint32(len(data)))
 	}
@@ -974,6 +977,26 @@ func BlockBase(c Column) (base Column, off int) {
 		return v.c, v.off
 	}
 	return nil, 0
+}
+
+// CacheableBlock reports whether block b of a block column returned by
+// BlockBase is worth keeping decoded across queries: whether its codec
+// transforms values. Int-coded and XOR float blocks, frame-of-reference,
+// run-length and dictionary int blocks, and raw-payload string blocks are.
+// Raw and constant blocks are not, because their decode is a copy out of
+// storage, and neither are dictionary-coded string blocks, whose decode is
+// one dictionary index per row: a cached copy costs memory (for strings,
+// 8-16x the encoded codes) and saves little or no work.
+func CacheableBlock(base Column, b int) bool {
+	switch c := base.(type) {
+	case *F64BlockCol:
+		return c.codecs[b] == codecIntF64 || c.codecs[b] == codecXorF64
+	case *I64BlockCol:
+		return c.codecs[b] != codecRawI64 && c.codecs[b] != codecConstI64
+	case *StrBlockCol:
+		return c.dict == nil
+	}
+	return false
 }
 
 // ensure interfaces are satisfied (compile-time checks).

@@ -179,6 +179,111 @@ func TestStrDictOverflowFallsBackRaw(t *testing.T) {
 	}
 }
 
+// TestCacheableBlockByCodec pins the block cache's admission rule to the
+// codecs: blocks whose decode transforms values are cacheable, blocks whose
+// decode is a copy or a dictionary index per row are not.
+func TestCacheableBlockByCodec(t *testing.T) {
+	src := rand.New(rand.NewSource(6))
+	const n = 3*BlockRows + 317 // a short last block too
+	floats := func(gen func(i int) float64) Column {
+		c := make(Float64Col, n)
+		for i := range c {
+			c[i] = gen(i)
+		}
+		return compressColumn(c)
+	}
+	ints := func(gen func(i int) int64) Column {
+		c := make(Int64Col, n)
+		for i := range c {
+			c[i] = gen(i)
+		}
+		return compressColumn(c)
+	}
+	for _, tc := range []struct {
+		name      string
+		col       Column
+		codec     byte
+		cacheable bool
+	}{
+		{"raw float", floats(func(int) float64 { return src.NormFloat64() }), codecRawF64, false},
+		{"constant float", floats(func(int) float64 { return 7.25 }), codecConstF64, false},
+		{"int-coded float", floats(func(int) float64 { return float64(src.Intn(1000)) }), codecIntF64, true},
+		{"xor float", floats(func(int) float64 { return 1024.25 + float64(src.Intn(512)) }), codecXorF64, true},
+		{"raw int", ints(func(int) int64 { return int64(src.Uint64()) }), codecRawI64, false},
+		{"constant int", ints(func(int) int64 { return 42 }), codecConstI64, false},
+		{"for int", ints(func(int) int64 { return int64(src.Intn(100000)) }), codecForI64, true},
+		{"rle int", ints(func(i int) int64 { return int64(i / 64) }), codecRleI64, true},
+		{"dict int", ints(func(int) int64 { return 1<<40 + int64(src.Intn(7))<<32 }), codecDictI64, true},
+	} {
+		var codecs []byte
+		switch c := tc.col.(type) {
+		case *F64BlockCol:
+			codecs = c.codecs
+		case *I64BlockCol:
+			codecs = c.codecs
+		}
+		for b, codec := range codecs {
+			if codec != tc.codec {
+				t.Fatalf("%s: block %d has codec %d, want %d", tc.name, b, codec, tc.codec)
+			}
+			if got := CacheableBlock(tc.col, b); got != tc.cacheable {
+				t.Errorf("%s: CacheableBlock = %v, want %v", tc.name, got, tc.cacheable)
+			}
+		}
+	}
+
+	dict := make(StringCol, n)
+	rawPayload := make(StringCol, strDictMax+BlockRows)
+	for i := range dict {
+		dict[i] = []string{"NYC", "SF", "LA"}[src.Intn(3)]
+	}
+	for i := range rawPayload {
+		rawPayload[i] = "s" + strconv.Itoa(i)
+	}
+	for _, tc := range []struct {
+		name      string
+		col       *StrBlockCol
+		cacheable bool
+	}{
+		{"dictionary string", compressStr(dict), false},
+		{"raw-payload string", compressStr(rawPayload), true},
+	} {
+		if (tc.col.dict == nil) != tc.cacheable {
+			t.Fatalf("%s: dictionary present = %v", tc.name, tc.col.dict != nil)
+		}
+		for b := 0; b < numBlocksFor(tc.col.rows); b++ {
+			if got := CacheableBlock(tc.col, b); got != tc.cacheable {
+				t.Fatalf("%s: block %d CacheableBlock = %v, want %v", tc.name, b, got, tc.cacheable)
+			}
+		}
+	}
+	if CacheableBlock(Float64Col{1, 2}, 0) || CacheableBlock(nil, 0) {
+		t.Error("a raw column is cacheable")
+	}
+}
+
+// BenchmarkStrBlockDecode decodes dictionary-coded string blocks over a
+// 6-value dictionary (3-bit codes) and a 40-value one (6-bit codes), the
+// shapes of a City and a Device column.
+func BenchmarkStrBlockDecode(b *testing.B) {
+	for _, distinct := range []int{6, 40} {
+		b.Run("dict"+strconv.Itoa(distinct), func(b *testing.B) {
+			src := rand.New(rand.NewSource(7))
+			vals := make(StringCol, 64*BlockRows)
+			for i := range vals {
+				vals[i] = "value" + strconv.Itoa(src.Intn(distinct))
+			}
+			col := compressStr(vals)
+			dst := make([]string, BlockRows)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				col.decodeBlock(i%64, dst)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*BlockRows), "ns/row")
+		})
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	raw := blockTestTable(3*BlockRows + 137)
 	raw.BuildZones()

@@ -514,20 +514,39 @@ func packCodes(dst []byte, codes []uint32, width uint) []byte {
 	return w.finish()
 }
 
-// readPackedCode extracts the idx-th width-bit code from a packed buffer.
-// width <= 32, so the value spans at most five bytes.
-func readPackedCode(buf []byte, idx int, width uint) uint32 {
+// unpackCodes decodes len(dst) width-bit codes (width <= 16) packed by
+// packCodes, reading the payload a 64-bit little-endian word at a time.
+// Bits past the end of buf read as zero.
+func unpackCodes(buf []byte, width uint, dst []uint16) {
 	if width == 0 {
-		return 0
+		clear(dst)
+		return
 	}
-	bitPos := uint64(idx) * uint64(width)
-	byteOff := bitPos >> 3
-	shift := uint(bitPos & 7)
-	var v uint64
-	for i := uint(0); i*8 < shift+width; i++ {
-		if int(byteOff)+int(i) < len(buf) {
-			v |= uint64(buf[byteOff+uint64(i)]) << (8 * i)
+	mask := uint64(1)<<width - 1
+	var acc uint64 // the next n unread bits, LSB first
+	var n uint
+	for i := range dst {
+		if n >= width {
+			dst[i] = uint16(acc & mask)
+			acc >>= width
+			n -= width
+			continue
 		}
+		// Refill: the code's low n bits are in acc, the rest start the next word.
+		var w uint64
+		got := uint(64)
+		if len(buf) >= 8 {
+			w = binary.LittleEndian.Uint64(buf)
+			buf = buf[8:]
+		} else {
+			for j, c := range buf {
+				w |= uint64(c) << (8 * j)
+			}
+			got, buf = uint(8*len(buf)), nil
+		}
+		dst[i] = uint16((acc | w<<n) & mask)
+		used := width - n
+		acc = w >> used
+		n = got - min(used, got)
 	}
-	return uint32((v >> shift) & ((1 << width) - 1))
 }

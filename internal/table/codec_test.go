@@ -175,6 +175,58 @@ func TestPackedCodes(t *testing.T) {
 	}
 }
 
+// readPackedCode extracts the idx-th width-bit code from a packed buffer,
+// one code at a time: the reference unpackCodes must match. width <= 32, so
+// the value spans at most five bytes.
+func readPackedCode(buf []byte, idx int, width uint) uint32 {
+	if width == 0 {
+		return 0
+	}
+	bitPos := uint64(idx) * uint64(width)
+	byteOff := bitPos >> 3
+	shift := uint(bitPos & 7)
+	var v uint64
+	for i := uint(0); i*8 < shift+width; i++ {
+		if int(byteOff)+int(i) < len(buf) {
+			v |= uint64(buf[byteOff+uint64(i)]) << (8 * i)
+		}
+	}
+	return uint32((v >> shift) & ((1 << width) - 1))
+}
+
+// TestUnpackCodesMatchesReadPackedCode: the word-at-a-time unpack of a
+// dictionary block equals the one-code-at-a-time reference for every width
+// a string dictionary can use, on full blocks and short last blocks.
+func TestUnpackCodesMatchesReadPackedCode(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for width := uint(0); width <= 16; width++ {
+		for _, n := range []int{BlockRows, BlockRows - 1, 317, 63, 9, 1} {
+			codes := make([]uint32, n)
+			for i := range codes {
+				codes[i] = rng.Uint32() & (1<<width - 1)
+			}
+			buf := packCodes(nil, codes, width)
+			got := make([]uint16, n)
+			unpackCodes(buf, width, got)
+			for i := range codes {
+				if want := readPackedCode(buf, i, width); uint32(got[i]) != want || want != codes[i] {
+					t.Fatalf("width %d n %d code %d = %d, reference %d, packed %d",
+						width, n, i, got[i], want, codes[i])
+				}
+			}
+		}
+	}
+	// A truncated payload reads zeros past its end, like the reference.
+	buf := packCodes(nil, []uint32{5, 6, 7, 8, 9, 10, 11, 12, 13}, 11)[:5]
+	got := make([]uint16, 9)
+	unpackCodes(buf, 11, got)
+	for i := range got {
+		if want := readPackedCode(buf, i, 11); uint32(got[i]) != want {
+			t.Fatalf("truncated code %d = %d, reference %d", i, got[i], want)
+		}
+	}
+}
+
 // FuzzI64Codec round-trips arbitrary int64 blocks through the chooser.
 func FuzzI64Codec(f *testing.F) {
 	for _, vals := range adversarialI64() {
