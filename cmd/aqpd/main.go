@@ -3,8 +3,10 @@
 //
 //   - HTTP/JSON: POST /query {"sql": "...", "timeout_ms": 0} returns
 //     per-aggregate estimates, confidence intervals, relative errors and
-//     diagnostic verdicts; GET /healthz reports readiness (503 while
-//     draining).
+//     diagnostic verdicts, and nothing the client already holds: the SQL
+//     is not echoed, and the trace ID is in the traceparent response
+//     header, which every /query response carries; GET /healthz reports
+//     readiness (503 while draining).
 //   - MySQL wire: a text-protocol subset (handshake, mysql_native_password,
 //     COM_QUERY/COM_PING/COM_INIT_DB/COM_QUIT) so any stock MySQL client
 //     or driver can issue approximate queries and read error bars out of

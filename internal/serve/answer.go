@@ -84,6 +84,9 @@ type AggResult struct {
 	// "pi", "delta", ...; "" when accepted). The prose explanation stays on
 	// core.AggAnswer.DiagnosticReason and the verdict span.
 	Cause string
+	// Exact is true when the aggregate was computed over the whole table.
+	// The engine sets it exactly when Technique is "exact", so JSON sends
+	// it only when it disagrees with that.
 	Exact bool
 }
 
@@ -93,23 +96,19 @@ type GroupResult struct {
 	Aggs []AggResult
 }
 
-// QueryResponse is the HTTP API's answer body. The struct is always
-// complete; its JSON form (MarshalJSON, UnmarshalJSON) leaves out what a
-// reader restores by rule, and the float fields round-trip bit-exactly (see
-// F64).
+// QueryResponse is the HTTP API's answer body: the answer and nothing the
+// client already holds. The request's SQL is not echoed, the trace ID
+// travels in the traceparent response header, and "fell back" is any
+// aggregate whose Technique is "exact". The struct is always complete; its
+// JSON form (MarshalJSON, UnmarshalJSON) leaves out what a reader restores
+// by rule, and the float fields round-trip bit-exactly (see F64).
 type QueryResponse struct {
-	SQL            string
 	Groups         []GroupResult
 	SampleRows     int
 	PopulationRows int
 	BootstrapKUsed int
 	SharedScan     bool
-	FellBack       bool
 	ElapsedMs      float64
-	// TraceID is the query's W3C trace ID, set by the transport (not by
-	// EncodeAnswer): the join key into /debug/queries, the event log, the
-	// durable history, and any exported spans.
-	TraceID string
 }
 
 // answerJSON is QueryResponse's JSON schema and the one home of its JSON
@@ -121,21 +120,21 @@ type QueryResponse struct {
 //     (every exact answer, any zero-width interval), rel_err when its bits
 //     are +0. Bits decide, not ==, so −0, NaN and ±Inf are sent whenever
 //     they differ from the default's bits.
-//   - Descriptor: name, technique, verdict, cause and exact are left out
-//     when they equal the same-position aggregate of the first group. The
-//     first group is compared with the zero descriptor, so an ungrouped
-//     answer sends every non-zero descriptor field. Any group decodes from
-//     itself and groups[0] alone, in any order.
+//   - Descriptor: name, technique, verdict and cause are left out when
+//     they equal the same-position aggregate of the first group. The first
+//     group is compared with the zero descriptor, so an ungrouped answer
+//     sends every non-zero descriptor field. Any group decodes from itself
+//     and groups[0] alone, in any order.
+//   - Exactness: exact is left out when it equals technique == "exact",
+//     as it does in every answer the engine gives. The rule reads the
+//     aggregate's own technique, not the first group's exact.
 type answerJSON struct {
-	SQL            string      `json:"sql"`
 	Groups         []groupJSON `json:"groups"`
 	SampleRows     int         `json:"sample_rows,omitempty"`
 	PopulationRows int         `json:"population_rows,omitempty"`
 	BootstrapKUsed int         `json:"bootstrap_k_used,omitempty"`
 	SharedScan     bool        `json:"shared_scan,omitempty"`
-	FellBack       bool        `json:"fell_back,omitempty"`
 	ElapsedMs      float64     `json:"elapsed_ms"`
-	TraceID        string      `json:"trace_id,omitempty"`
 }
 
 type groupJSON struct {
@@ -176,6 +175,10 @@ func or[T any](v *T, restored T) T {
 	return *v
 }
 
+// exactTechnique is the technique of an aggregate computed over the whole
+// table: AggResult.Exact is restored as Technique == exactTechnique.
+const exactTechnique = "exact"
+
 // descriptorRef is the aggregate whose descriptor the i-th aggregate of
 // group g is compared with: the first group's, or the zero descriptor.
 func descriptorRef(groups []GroupResult, g, i int) AggResult {
@@ -187,9 +190,8 @@ func descriptorRef(groups []GroupResult, g, i int) AggResult {
 
 // schema applies the JSON rule. The pointers it sends point into r.
 func (r *QueryResponse) schema() answerJSON {
-	w := answerJSON{SQL: r.SQL, SampleRows: r.SampleRows, PopulationRows: r.PopulationRows,
-		BootstrapKUsed: r.BootstrapKUsed, SharedScan: r.SharedScan, FellBack: r.FellBack,
-		ElapsedMs: r.ElapsedMs, TraceID: r.TraceID}
+	w := answerJSON{SampleRows: r.SampleRows, PopulationRows: r.PopulationRows,
+		BootstrapKUsed: r.BootstrapKUsed, SharedScan: r.SharedScan, ElapsedMs: r.ElapsedMs}
 	if r.Groups != nil {
 		w.Groups = make([]groupJSON, len(r.Groups))
 	}
@@ -211,7 +213,7 @@ func (r *QueryResponse) schema() answerJSON {
 				Technique: sent(&a.Technique, a.Technique == ref.Technique),
 				Verdict:   sent(&a.Verdict, a.Verdict == ref.Verdict),
 				Cause:     sent(&a.Cause, a.Cause == ref.Cause),
-				Exact:     sent(&a.Exact, a.Exact == ref.Exact),
+				Exact:     sent(&a.Exact, a.Exact == (a.Technique == exactTechnique)),
 			}
 		}
 	}
@@ -230,9 +232,8 @@ func (r *QueryResponse) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
-	*r = QueryResponse{SQL: w.SQL, SampleRows: w.SampleRows, PopulationRows: w.PopulationRows,
-		BootstrapKUsed: w.BootstrapKUsed, SharedScan: w.SharedScan, FellBack: w.FellBack,
-		ElapsedMs: w.ElapsedMs, TraceID: w.TraceID}
+	*r = QueryResponse{SampleRows: w.SampleRows, PopulationRows: w.PopulationRows,
+		BootstrapKUsed: w.BootstrapKUsed, SharedScan: w.SharedScan, ElapsedMs: w.ElapsedMs}
 	if w.Groups != nil {
 		r.Groups = make([]GroupResult, len(w.Groups))
 	}
@@ -244,16 +245,17 @@ func (r *QueryResponse) UnmarshalJSON(b []byte) error {
 		}
 		for i, a := range gw.Aggs {
 			ref := descriptorRef(r.Groups, g, i)
+			technique := or(a.Technique, ref.Technique)
 			gr.Aggs[i] = AggResult{
 				Name:      or(a.Name, ref.Name),
 				Estimate:  a.Estimate,
 				Lo:        or(a.Lo, a.Estimate),
 				Hi:        or(a.Hi, a.Estimate),
 				RelErr:    or(a.RelErr, 0),
-				Technique: or(a.Technique, ref.Technique),
+				Technique: technique,
 				Verdict:   or(a.Verdict, ref.Verdict),
 				Cause:     or(a.Cause, ref.Cause),
-				Exact:     or(a.Exact, ref.Exact),
+				Exact:     or(a.Exact, technique == exactTechnique),
 			}
 		}
 	}
@@ -263,12 +265,10 @@ func (r *QueryResponse) UnmarshalJSON(b []byte) error {
 // EncodeAnswer flattens an engine answer into its transport form.
 func EncodeAnswer(ans *core.Answer) *QueryResponse {
 	resp := &QueryResponse{
-		SQL:            ans.SQL,
 		SampleRows:     ans.SampleRows,
 		PopulationRows: ans.PopulationRows,
 		BootstrapKUsed: ans.BootstrapKUsed,
 		SharedScan:     ans.SharedScan,
-		FellBack:       ans.FellBack(),
 		ElapsedMs:      float64(ans.Elapsed) / 1e6,
 	}
 	for _, g := range ans.Groups {

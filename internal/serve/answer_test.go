@@ -26,10 +26,9 @@ func sameF64(got, want F64) bool {
 // responseDiff describes the first field in which a decoded response differs
 // from the one encoded, or returns "".
 func responseDiff(got, want *QueryResponse) string {
-	if got.SQL != want.SQL || got.SampleRows != want.SampleRows ||
-		got.PopulationRows != want.PopulationRows || got.BootstrapKUsed != want.BootstrapKUsed ||
-		got.SharedScan != want.SharedScan || got.FellBack != want.FellBack ||
-		got.ElapsedMs != want.ElapsedMs || got.TraceID != want.TraceID {
+	if got.SampleRows != want.SampleRows || got.PopulationRows != want.PopulationRows ||
+		got.BootstrapKUsed != want.BootstrapKUsed || got.SharedScan != want.SharedScan ||
+		got.ElapsedMs != want.ElapsedMs {
 		return fmt.Sprintf("header: got %+v want %+v", *got, *want)
 	}
 	if len(got.Groups) != len(want.Groups) {
@@ -85,6 +84,9 @@ func (b *fuzzBits) next(n int) uint64 {
 // groups × 1–2 aggregates decodes back to its own bits (NaN as NaN) and
 // strings, whether the encoder sent a value or left it to the rule; and
 // every group also decodes from a body holding only groups[0] and itself.
+// Exact is drawn apart from Technique, which is "exact" a quarter of the
+// time, so the exact flag is fuzzed both where the rule restores it and
+// where it disagrees with the technique and must be sent.
 func FuzzAnswerJSON(f *testing.F) {
 	bits := math.Float64bits
 	f64s := func(vs ...uint64) []byte {
@@ -96,35 +98,46 @@ func FuzzAnswerJSON(f *testing.F) {
 	}
 	negZero := bits(math.Copysign(0, -1))
 	nan, inf, ninf := bits(math.NaN()), bits(math.Inf(1)), bits(math.Inf(-1))
-	// Each seed's first aggregate carries name, technique and verdict s1,
-	// cause s2, and the floats as given; the shape (seed index mod 6) adds
-	// groups and aggregates that reuse the floats and name s1 throughout.
+	// Each seed's first group has key s1 and its first aggregate carries
+	// name and verdict s1, cause s2, technique "exact" (techExact) or s1,
+	// the exact flag and the floats as given. The shape (seed index mod 6)
+	// adds groups and aggregates that reuse the floats; a one-aggregate
+	// group repeats the first group's picks, so a later group inherits an
+	// exact technique that decides its exact flag.
 	for i, c := range []struct {
 		est, lo, hi, rel uint64
 		name, cause      string
-		exact            bool
+		techExact, exact bool
 	}{
-		{bits(2.5), bits(2.5), bits(2.5), 0, "avg", "", true},               // exact answer
-		{bits(2.5), bits(2), bits(3), bits(0.2), "avg", "", false},          // accepted estimate
-		{bits(2.5), bits(2.5), bits(3), bits(0.2), "a", "pi", false},        // lo == estimate, hi not
-		{bits(2.5), bits(2), bits(2.5), 0, "a", "delta", true},              // hi == estimate, lo not
-		{bits(1), nan, nan, nan, "sum", "", false},                          // technique none
-		{0, nan, nan, nan, "sum", "too_few_rows", false},                    // zero estimate, no interval
-		{negZero, negZero, 0, 0, "m", "", true},                             // −0 estimate: hi is +0
-		{0, negZero, negZero, negZero, "m", "", true},                       // −0 around a +0 estimate
-		{nan, nan, nan, nan, "p", "sigma", false},                           // all NaN
-		{inf, ninf, inf, inf, "max", "degenerate_truth", false},             // infinities
-		{1, 2, 3, 4, "tiny", "", false},                                     // subnormals
-		{bits(1e300), bits(-1e300), bits(1e300), bits(2), "big", "", false}, // extremes
-		{bits(1), bits(1), bits(1), 0, "q\"\\<&>\n\u2028é", "x", false},     // escaped strings
+		{bits(2.5), bits(2.5), bits(2.5), 0, "avg", "", true, true},                // exact answer
+		{bits(2.5), bits(2), bits(3), bits(0.2), "avg", "", false, false},          // accepted estimate
+		{bits(2.5), bits(2.5), bits(3), bits(0.2), "a", "pi", false, false},        // lo == estimate, hi not
+		{bits(2.5), bits(2), bits(2.5), 0, "a", "delta", false, true},              // exact without the technique
+		{bits(1), nan, nan, nan, "sum", "", false, false},                          // technique none
+		{0, nan, nan, nan, "sum", "too_few_rows", true, false},                     // the technique without exact
+		{negZero, negZero, 0, 0, "m", "", true, true},                              // −0 estimate: hi is +0
+		{0, negZero, negZero, negZero, "m", "", true, true},                        // −0 around a +0 estimate
+		{nan, nan, nan, nan, "p", "sigma", false, false},                           // all NaN
+		{inf, ninf, inf, inf, "max", "degenerate_truth", false, false},             // infinities
+		{1, 2, 3, 4, "tiny", "", false, false},                                     // subnormals
+		{bits(1e300), bits(-1e300), bits(1e300), bits(2), "big", "", false, false}, // extremes
+		{bits(1), bits(1), bits(1), 0, "q\"\\<&>\n\u2028é", "x", true, true},       // escaped strings
 	} {
-		pick := uint64(1) << 8 // cause from s2, every other string s1
+		// Bits 0–1 key, 2–3 name, 4–5 technique, 6–7 verdict, 8–9 cause,
+		// 10 exact, 11–13 interval defaults; the next group starts at 14.
+		pick := uint64(1) << 8
+		if c.techExact {
+			pick |= 3 << 4
+		}
 		if c.exact {
 			pick |= 1 << 10
 		}
-		f.Add(uint8(i%6), pick, f64s(c.est, c.lo, c.hi, c.rel), c.name, c.cause)
+		pick |= pick<<14 | pick<<28
+		f.Add(uint8(i%6), f64s(pick), f64s(c.est, c.lo, c.hi, c.rel), c.name, c.cause)
 	}
-	f.Fuzz(func(t *testing.T, shape uint8, pick uint64, floats []byte, s1, s2 string) {
+	// pick is bytes, not a uint64: the fuzzer moves an integer by at most
+	// 100, which never reaches the bits of a later group.
+	f.Fuzz(func(t *testing.T, shape uint8, pick []byte, floats []byte, s1, s2 string) {
 		if !utf8.ValidString(s1) || !utf8.ValidString(s2) {
 			t.Skip("JSON strings are UTF-8; encoding/json replaces invalid bytes")
 		}
@@ -139,15 +152,18 @@ func FuzzAnswerJSON(f *testing.F) {
 			word++
 			return F64(math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
 		}
-		src := fuzzBits{v: pick, left: 64}
-		pool := [...]string{s1, s2, ""}
+		var p [8]byte
+		copy(p[:], pick)
+		src := fuzzBits{v: binary.LittleEndian.Uint64(p[:]), left: 64}
+		pool := [...]string{s1, s2, "", exactTechnique}
 		str := func() string { return pool[src.next(2)%3] }
-		resp := &QueryResponse{SQL: s1, TraceID: s2, ElapsedMs: 1.5}
+		resp := &QueryResponse{ElapsedMs: 1.5}
 		for range 1 + int(shape%3) {
 			g := GroupResult{Key: str()}
 			for range 1 + int(shape/3%2) {
 				a := AggResult{Estimate: float(), Lo: float(), Hi: float(), RelErr: float(),
-					Name: str(), Technique: str(), Verdict: str(), Cause: str(), Exact: src.next(1) == 1}
+					Name: str(), Technique: pool[src.next(2)], Verdict: str(), Cause: str(),
+					Exact: src.next(1) == 1}
 				if src.next(1) == 1 {
 					a.Lo = a.Estimate
 				}
@@ -192,10 +208,12 @@ func FuzzAnswerJSON(f *testing.F) {
 	})
 }
 
-// TestAnswerJSON pins the rule on whole bodies: an ungrouped answer is sent
-// as it was before the descriptor rule existed (the first four bodies), and a
-// later group sends only the descriptor fields that differ from the first
-// group's, zeros included. Each body decodes back to its response.
+// TestAnswerJSON pins the rule on whole bodies: an ungrouped answer sends
+// every descriptor field but exact (the first four bodies), a later group
+// sends only the descriptor fields that differ from the first group's, zeros
+// included, and exact is sent only where it disagrees with the technique. No
+// body carries the SQL, a trace ID or a fell-back flag. Each body decodes
+// back to its response.
 func TestAnswerJSON(t *testing.T) {
 	negZero := F64(math.Copysign(0, -1))
 	nan := F64(math.NaN())
@@ -208,22 +226,27 @@ func TestAnswerJSON(t *testing.T) {
 		want   string
 	}{
 		{"exact", one(AggResult{Name: "a", Estimate: 2, Lo: 2, Hi: 2, Technique: "exact", Verdict: "accept", Exact: true}),
-			`{"sql":"q","groups":[{"aggs":[{"name":"a","estimate":2,"technique":"exact","verdict":"accept","exact":true}]}],"elapsed_ms":0.5}`},
+			`{"groups":[{"aggs":[{"name":"a","estimate":2,"technique":"exact","verdict":"accept"}]}],"elapsed_ms":0.5}`},
 		{"lo at estimate", one(AggResult{Name: "a", Estimate: 2, Lo: 2, Hi: 3, RelErr: 0.5, Technique: "bootstrap", Verdict: "reject", Cause: "pi"}),
-			`{"sql":"q","groups":[{"aggs":[{"name":"a","estimate":2,"hi":3,"rel_err":0.5,"technique":"bootstrap","verdict":"reject","cause":"pi"}]}],"elapsed_ms":0.5}`},
-		{"signed zeros", one(AggResult{Name: "a", Estimate: negZero, Lo: negZero, Hi: 0, RelErr: negZero, Technique: "exact", Verdict: "accept"}),
-			`{"sql":"q","groups":[{"aggs":[{"name":"a","estimate":-0,"hi":0,"rel_err":-0,"technique":"exact","verdict":"accept"}]}],"elapsed_ms":0.5}`},
+			`{"groups":[{"aggs":[{"name":"a","estimate":2,"hi":3,"rel_err":0.5,"technique":"bootstrap","verdict":"reject","cause":"pi"}]}],"elapsed_ms":0.5}`},
+		{"signed zeros", one(AggResult{Name: "a", Estimate: negZero, Lo: negZero, Hi: 0, RelErr: negZero, Technique: "exact", Verdict: "accept", Exact: true}),
+			`{"groups":[{"aggs":[{"name":"a","estimate":-0,"hi":0,"rel_err":-0,"technique":"exact","verdict":"accept"}]}],"elapsed_ms":0.5}`},
 		{"no interval", one(AggResult{Name: "s", Estimate: 0, Lo: nan, Hi: nan, RelErr: nan, Technique: "none", Verdict: "accept"}),
-			`{"sql":"q","groups":[{"aggs":[{"name":"s","estimate":0,"lo":"NaN","hi":"NaN","rel_err":"NaN","technique":"none","verdict":"accept"}]}],"elapsed_ms":0.5}`},
+			`{"groups":[{"aggs":[{"name":"s","estimate":0,"lo":"NaN","hi":"NaN","rel_err":"NaN","technique":"none","verdict":"accept"}]}],"elapsed_ms":0.5}`},
+		{"exact disagrees with the technique", []GroupResult{{Aggs: []AggResult{
+			{Name: "a", Estimate: 2, Lo: 2, Hi: 2, Technique: "exact", Verdict: "accept"},
+			{Name: "b", Estimate: 3, Lo: 3, Hi: 3, Technique: "bootstrap", Verdict: "accept", Exact: true},
+		}}}, `{"groups":[{"aggs":[{"name":"a","estimate":2,"technique":"exact","verdict":"accept","exact":false},` +
+			`{"name":"b","estimate":3,"technique":"bootstrap","verdict":"accept","exact":true}]}],"elapsed_ms":0.5}`},
 		{"zero descriptor fields after a rejected exact group", []GroupResult{
 			{Key: "a", Aggs: []AggResult{exactReject}},
 			{Key: "b", Aggs: []AggResult{{Name: "avg", Estimate: 2, Lo: 1.5, Hi: 2.5, RelErr: 0.25,
 				Technique: "closed-form", Verdict: "accept"}}},
 			{Key: "c", Aggs: []AggResult{{Name: "avg", Estimate: 3, Lo: 3, Hi: 3, Technique: "exact",
 				Verdict: "reject", Cause: "too_few_rows", Exact: true}}},
-		}, `{"sql":"q","groups":[` +
-			`{"key":"a","aggs":[{"name":"avg","estimate":1,"technique":"exact","verdict":"reject","cause":"too_few_rows","exact":true}]},` +
-			`{"key":"b","aggs":[{"estimate":2,"lo":1.5,"hi":2.5,"rel_err":0.25,"technique":"closed-form","verdict":"accept","cause":"","exact":false}]},` +
+		}, `{"groups":[` +
+			`{"key":"a","aggs":[{"name":"avg","estimate":1,"technique":"exact","verdict":"reject","cause":"too_few_rows"}]},` +
+			`{"key":"b","aggs":[{"estimate":2,"lo":1.5,"hi":2.5,"rel_err":0.25,"technique":"closed-form","verdict":"accept","cause":""}]},` +
 			`{"key":"c","aggs":[{"estimate":3}]}],"elapsed_ms":0.5}`},
 		{"two aggregates", []GroupResult{
 			{Key: "x", Aggs: []AggResult{exactReject, {Name: "max", Estimate: 9, Lo: 8, Hi: 10, RelErr: 0.1,
@@ -231,13 +254,13 @@ func TestAnswerJSON(t *testing.T) {
 			{Key: "y", Aggs: []AggResult{{Name: "avg", Estimate: 4, Lo: 4, Hi: 4, Technique: "exact",
 				Verdict: "reject", Cause: "too_few_rows", Exact: true}, {Name: "max", Estimate: 7, Lo: 7, Hi: 7,
 				Technique: "exact", Verdict: "reject", Cause: "delta", Exact: true}}},
-		}, `{"sql":"q","groups":[` +
-			`{"key":"x","aggs":[{"name":"avg","estimate":1,"technique":"exact","verdict":"reject","cause":"too_few_rows","exact":true},` +
+		}, `{"groups":[` +
+			`{"key":"x","aggs":[{"name":"avg","estimate":1,"technique":"exact","verdict":"reject","cause":"too_few_rows"},` +
 			`{"name":"max","estimate":9,"lo":8,"hi":10,"rel_err":0.1,"technique":"bootstrap","verdict":"accept"}]},` +
-			`{"key":"y","aggs":[{"estimate":4},{"estimate":7,"technique":"exact","verdict":"reject","cause":"delta","exact":true}]}],"elapsed_ms":0.5}`},
+			`{"key":"y","aggs":[{"estimate":4},{"estimate":7,"technique":"exact","verdict":"reject","cause":"delta"}]}],"elapsed_ms":0.5}`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			resp := &QueryResponse{SQL: "q", Groups: c.groups, ElapsedMs: 0.5}
+			resp := &QueryResponse{Groups: c.groups, ElapsedMs: 0.5}
 			b, err := json.Marshal(resp)
 			if err != nil {
 				t.Fatal(err)
@@ -264,8 +287,9 @@ func TestAnswerJSON(t *testing.T) {
 }
 
 // TestHTTPExactAnswerShape: an exact aggregate's JSON object carries no
-// lo, hi, rel_err or reason key — the reader restores the first three from
-// the estimate and zero — and SQL is echoed without HTML escaping.
+// lo, hi, rel_err, reason, cause or exact key — the reader restores the
+// interval from the estimate and zero, and exact from the technique — and
+// the body does not echo the SQL.
 func TestHTTPExactAnswerShape(t *testing.T) {
 	eng := testEngine(t, core.Config{Seed: 7})
 	defer eng.Close()
@@ -282,8 +306,8 @@ func TestHTTPExactAnswerShape(t *testing.T) {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
 	raw := rec.Body.String()
-	if !strings.Contains(raw, q) {
-		t.Errorf("body does not echo %q verbatim: %s", q, raw)
+	if strings.Contains(raw, "Ledger") {
+		t.Errorf("body echoes the SQL: %s", raw)
 	}
 	var shape struct {
 		Groups []struct {
@@ -297,12 +321,12 @@ func TestHTTPExactAnswerShape(t *testing.T) {
 		t.Fatalf("shape: %s", raw)
 	}
 	obj := shape.Groups[0].Aggs[0]
-	for _, key := range []string{"lo", "hi", "rel_err", "reason", "cause"} {
+	for _, key := range []string{"lo", "hi", "rel_err", "reason", "cause", "exact"} {
 		if _, ok := obj[key]; ok {
 			t.Errorf("exact aggregate carries %q: %s", key, raw)
 		}
 	}
-	if string(obj["estimate"]) != "9.5" || string(obj["exact"]) != "true" {
+	if string(obj["estimate"]) != "9.5" || string(obj["technique"]) != `"exact"` {
 		t.Errorf("exact aggregate: %s", raw)
 	}
 	var out QueryResponse
@@ -336,15 +360,13 @@ func TestHTTPErrorEchoesOperators(t *testing.T) {
 // (one accepted closed-form aggregate), as the /query handler writes them
 // and through json.Marshal, which compacts a Marshaler's output once more.
 func BenchmarkAnswerEncode(b *testing.B) {
-	fanout := &QueryResponse{SQL: "SELECT MAX(Latency) FROM Events WHERE Day >= 12 AND Day < 19 GROUP BY Device",
-		SampleRows: 50000, PopulationRows: 250000, ElapsedMs: 3.217, TraceID: "0af7651916cd43dd8448eb211c80319c"}
+	fanout := &QueryResponse{SampleRows: 50000, PopulationRows: 250000, ElapsedMs: 3.217}
 	for g := range 23 {
 		v := F64(1234.5 + 7.25*float64(g))
 		fanout.Groups = append(fanout.Groups, GroupResult{Key: fmt.Sprintf("device-%02d", g), Aggs: []AggResult{{
 			Name: "max", Estimate: v, Lo: v, Hi: v, Technique: "exact", Verdict: "reject", Cause: "too_few_rows", Exact: true}}})
 	}
-	dashboard := &QueryResponse{SQL: "SELECT AVG(Latency) FROM Events WHERE Day >= 3 AND Day < 10 AND Region = 'eu-west'",
-		SampleRows: 50000, PopulationRows: 250000, ElapsedMs: 1.25, TraceID: "0af7651916cd43dd8448eb211c80319c",
+	dashboard := &QueryResponse{SampleRows: 50000, PopulationRows: 250000, ElapsedMs: 1.25,
 		Groups: []GroupResult{{Aggs: []AggResult{{Name: "avg", Estimate: 101.23456789, Lo: 99.8765432, Hi: 102.5925925,
 			RelErr: 0.01342, Technique: "closed-form", Verdict: "accept"}}}}}
 	for _, c := range []struct {

@@ -66,6 +66,10 @@ type httpAPI struct {
 //	POST /query    {"sql": "...", "timeout_ms": 0}  →  QueryResponse
 //	GET  /healthz  {"status":"ok"} or 503 {"status":"draining"}
 //
+// Every /query response, error or answer, carries a traceparent header, the
+// one place the client reads the query's trace ID; the answer body does not
+// repeat it, nor the SQL.
+//
 // Metrics (on the server's Config.Metrics registry): aqp_http_inflight,
 // aqp_http_requests_total{route,code}, aqp_http_request_seconds.
 func NewHTTPHandler(s *Server, opt HTTPOptions) http.Handler {
@@ -106,8 +110,8 @@ func (a *httpAPI) fail(w http.ResponseWriter, route string, status int, code, ms
 }
 
 // newEncoder returns the JSON encoder of every /query body. HTML escaping
-// is off: the bodies are not HTML, and SQL echoed back keeps its < and >
-// instead of growing them into six-byte unicode escapes.
+// is off: the bodies are not HTML, and SQL quoted in a bad_query error keeps
+// its < and > instead of growing them into six-byte unicode escapes.
 func newEncoder(w io.Writer) *json.Encoder {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -140,20 +144,21 @@ func httpStatus(code string) int {
 
 func (a *httpAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 	const route = "/query"
-	if r.Method != http.MethodPost {
-		a.fail(w, route, http.StatusMethodNotAllowed, "bad_request",
-			"POST a JSON body to /query", false)
-		return
-	}
 	// Trace propagation: honour an incoming W3C traceparent (the caller's
 	// span becomes our parent), mint a root otherwise, and echo the
-	// server-side context on every response — success or failure — so the
-	// client can join its records to ours.
+	// server-side context on every response — success or failure, the 405
+	// included — so the client can join its records to ours. The header is
+	// the only carrier of the trace ID.
 	tc, ok := obs.ParseTraceparent(r.Header.Get("traceparent"))
 	if !ok {
 		tc = obs.NewTraceContext()
 	}
 	w.Header().Set("traceparent", tc.Traceparent())
+	if r.Method != http.MethodPost {
+		a.fail(w, route, http.StatusMethodNotAllowed, "bad_request",
+			"POST a JSON body to /query", false)
+		return
+	}
 	if a.opt.Authorize != nil {
 		if err := a.opt.Authorize(r); err != nil {
 			a.opt.EventLog.EmitConn(obs.ConnEvent{
@@ -206,9 +211,7 @@ func (a *httpAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	a.count(route, http.StatusOK)
 	w.Header().Set("Content-Type", "application/json")
-	resp := EncodeAnswer(ans)
-	resp.TraceID = tc.TraceIDString()
-	if err := writeAnswer(w, resp); err != nil {
+	if err := writeAnswer(w, EncodeAnswer(ans)); err != nil {
 		// Too late for a status change; the client sees a truncated body.
 		return
 	}

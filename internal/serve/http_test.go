@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/table"
 )
 
 // doJSON posts a body to the handler and decodes the error envelope when
@@ -28,6 +29,18 @@ func doJSON(t *testing.T, h http.Handler, method, path, body string) (*httptest.
 		t.Fatalf("%s %s: status %d with non-JSON body %q", method, path, rec.Code, rec.Body.String())
 	}
 	return rec, &e
+}
+
+// traceparentOf parses a response's traceparent header, failing the test
+// when it is missing or malformed. The returned context's Parent is the
+// span the server owns for the request.
+func traceparentOf(t *testing.T, what string, h http.Header) obs.TraceContext {
+	t.Helper()
+	tc, ok := obs.ParseTraceparent(h.Get("traceparent"))
+	if !ok {
+		t.Errorf("%s: traceparent header %q is not a valid W3C trace context", what, h.Get("traceparent"))
+	}
+	return tc
 }
 
 func TestHTTPQueryOK(t *testing.T) {
@@ -79,6 +92,7 @@ func TestHTTPRequestErrors(t *testing.T) {
 		{"method", http.MethodGet, "", http.StatusMethodNotAllowed},
 		{"bad json", http.MethodPost, "{not json", http.StatusBadRequest},
 		{"missing sql", http.MethodPost, "{}", http.StatusBadRequest},
+		{"method", http.MethodPut, `{"sql":"SELECT AVG(Price) FROM Orders"}`, http.StatusMethodNotAllowed},
 		{"oversize body", http.MethodPost,
 			fmt.Sprintf(`{"sql":%q}`, strings.Repeat("x", maxBodyBytes)), http.StatusRequestEntityTooLarge},
 		{"parse error", http.MethodPost, `{"sql":"SELECT FROM WHERE"}`, http.StatusBadRequest},
@@ -89,6 +103,7 @@ func TestHTTPRequestErrors(t *testing.T) {
 			t.Errorf("%s: status %d want %d (%s)", tc.name, rec.Code, tc.status, rec.Body.String())
 			continue
 		}
+		traceparentOf(t, tc.name, rec.Header())
 		if e.Code == "" {
 			t.Errorf("%s: error envelope missing code", tc.name)
 		}
@@ -118,6 +133,7 @@ func TestHTTPAuthorize(t *testing.T) {
 	if rec.Code != http.StatusUnauthorized {
 		t.Fatalf("no token: status %d want 401", rec.Code)
 	}
+	traceparentOf(t, "401", rec.Header())
 	var e ErrorResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != "unauthorized" {
 		t.Fatalf("401 envelope: %s (%v)", rec.Body.String(), err)
@@ -198,5 +214,80 @@ func TestHTTPPerRequestTimeout(t *testing.T) {
 	}
 	if e.Code != "deadline" {
 		t.Fatalf("envelope: %+v", e)
+	}
+}
+
+// TestHTTPAnswerCarriesOnlyTheAnswer: exact, accepted, grouped and replayed
+// answers carry no sql, trace_id, fell_back or exact key, and the
+// traceparent header names the trace and span the span ring recorded for
+// the query.
+func TestHTTPAnswerCarriesOnlyTheAnswer(t *testing.T) {
+	tracer := obs.NewTracer(obs.Config{})
+	eng := testEngine(t, core.Config{Seed: 7, Obs: tracer, CacheBytes: 4 << 20})
+	defer eng.Close()
+	ledger := table.MustNew(table.Schema{{Name: "Amount", Type: table.Float64}},
+		table.Float64Col{1, 2, 3, 4.5})
+	if err := eng.RegisterTable("Ledger", ledger); err != nil { // no sample: exact
+		t.Fatal(err)
+	}
+	reg := tracer.Registry()
+	h := NewHTTPHandler(New(eng, Config{Metrics: reg}), HTTPOptions{})
+	const grouped = "SELECT AVG(Price) FROM Orders GROUP BY Region"
+	for _, c := range []struct{ name, sql, technique string }{
+		{"exact", "SELECT SUM(Amount) FROM Ledger", "exact"},
+		{"accepted", "SELECT AVG(Price) FROM Orders", "closed-form"},
+		{"grouped", grouped, "closed-form"},
+		{"replayed", grouped, "closed-form"},
+	} {
+		body, _ := json.Marshal(QueryRequest{SQL: c.sql})
+		rec, _ := doJSON(t, h, http.MethodPost, "/query", string(body))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.name, rec.Code, rec.Body.String())
+		}
+		raw := rec.Body.String()
+		var top map[string]json.RawMessage
+		var shape struct {
+			Groups []struct {
+				Aggs []map[string]json.RawMessage `json:"aggs"`
+			} `json:"groups"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &shape); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"sql", "trace_id", "fell_back"} {
+			if _, ok := top[key]; ok {
+				t.Errorf("%s: body carries %q: %s", c.name, key, raw)
+			}
+		}
+		for _, g := range shape.Groups {
+			for _, a := range g.Aggs {
+				if _, ok := a["exact"]; ok {
+					t.Errorf("%s: aggregate carries \"exact\": %s", c.name, raw)
+				}
+			}
+		}
+		var out QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range out.Groups {
+			for _, a := range g.Aggs {
+				if a.Technique != c.technique || a.Exact != (c.technique == "exact") {
+					t.Errorf("%s: decoded %+v, want technique %s", c.name, a, c.technique)
+				}
+			}
+		}
+		tc := traceparentOf(t, c.name, rec.Header())
+		last, ok := tracer.Last()
+		if !ok || last.TraceID != tc.TraceIDString() || last.SpanID != tc.ParentString() {
+			t.Errorf("%s: header %q, span ring's last trace %s/%s", c.name,
+				rec.Header().Get("traceparent"), last.TraceID, last.SpanID)
+		}
+	}
+	if n := reg.Counter("aqp_serve_answer_cache_total", "").Value(); n != 1 {
+		t.Errorf("aqp_serve_answer_cache_total = %d, want 1 (the replayed answer)", n)
 	}
 }

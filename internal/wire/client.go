@@ -15,23 +15,19 @@ import (
 
 // ClientOptions configures Dial.
 type ClientOptions struct {
-	User     string
-	Password string
-	Database string
-	// MaxPacket bounds one response payload (0 = 16 MiB: resultsets are
-	// bigger than commands).
-	MaxPacket int
+	User string
 	// Timeout applies to the dial and each subsequent command round trip
 	// (0 = none).
 	Timeout time.Duration
+
+	// password and database are set only by tests (DialAuth): the
+	// mysql_native_password secret and the initial database.
+	password, database string
 }
 
-func (o ClientOptions) maxPacket() int {
-	if o.MaxPacket <= 0 {
-		return 16 << 20
-	}
-	return o.MaxPacket
-}
+// clientMaxPacket bounds one response payload: 16 MiB, because resultsets
+// are bigger than commands.
+const clientMaxPacket = 16 << 20
 
 // Client is one wire connection.
 type Client struct {
@@ -70,7 +66,7 @@ func (c *Client) deadline() {
 func (c *Client) handshake() error {
 	c.deadline()
 	seq := uint8(0)
-	greeting, err := readPacket(c.br, &seq, c.opt.maxPacket())
+	greeting, err := readPacket(c.br, &seq, clientMaxPacket)
 	if err != nil {
 		return fmt.Errorf("wire: reading greeting: %w", err)
 	}
@@ -82,10 +78,10 @@ func (c *Client) handshake() error {
 		return err
 	}
 	caps := uint32(capProtocol41 | capSecureConnection | capPluginAuth | capLongPassword)
-	if c.opt.Database != "" {
+	if c.opt.database != "" {
 		caps |= capConnectWithDB
 	}
-	auth := nativeScramble(salt, c.opt.Password)
+	auth := nativeScramble(salt, c.opt.password)
 	resp := make([]byte, 0, 64)
 	resp = append(resp, byte(caps), byte(caps>>8), byte(caps>>16), byte(caps>>24))
 	resp = append(resp, 0x00, 0x00, 0x00, 0x01) // max packet 1<<24
@@ -95,8 +91,8 @@ func (c *Client) handshake() error {
 	resp = append(resp, 0)
 	resp = append(resp, byte(len(auth)))
 	resp = append(resp, auth...)
-	if c.opt.Database != "" {
-		resp = append(resp, c.opt.Database...)
+	if c.opt.database != "" {
+		resp = append(resp, c.opt.database...)
 		resp = append(resp, 0)
 	}
 	resp = append(resp, authPluginName...)
@@ -104,7 +100,7 @@ func (c *Client) handshake() error {
 	if err := writePacket(c.nc, &seq, resp); err != nil {
 		return fmt.Errorf("wire: sending handshake response: %w", err)
 	}
-	verdict, err := readPacket(c.br, &seq, c.opt.maxPacket())
+	verdict, err := readPacket(c.br, &seq, clientMaxPacket)
 	if err != nil {
 		return fmt.Errorf("wire: reading auth verdict: %w", err)
 	}
@@ -151,7 +147,7 @@ func (c *Client) Query(sql string) (*Resultset, error) {
 	if err := writePacket(c.nc, &seq, append([]byte{0x03}, sql...)); err != nil {
 		return nil, err
 	}
-	first, err := readPacket(c.br, &seq, c.opt.maxPacket())
+	first, err := readPacket(c.br, &seq, clientMaxPacket)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +166,7 @@ func (c *Client) Query(sql string) (*Resultset, error) {
 	}
 	rs := &Resultset{}
 	for i := uint64(0); i < ncols; i++ {
-		def, err := readPacket(c.br, &seq, c.opt.maxPacket())
+		def, err := readPacket(c.br, &seq, clientMaxPacket)
 		if err != nil {
 			return nil, err
 		}
@@ -181,13 +177,13 @@ func (c *Client) Query(sql string) (*Resultset, error) {
 		rs.Columns = append(rs.Columns, name)
 	}
 	// EOF after column definitions.
-	if p, err := readPacket(c.br, &seq, c.opt.maxPacket()); err != nil {
+	if p, err := readPacket(c.br, &seq, clientMaxPacket); err != nil {
 		return nil, err
 	} else if len(p) == 0 || p[0] != 0xfe {
 		return nil, fmt.Errorf("%w: missing column EOF", ErrMalformed)
 	}
 	for {
-		p, err := readPacket(c.br, &seq, c.opt.maxPacket())
+		p, err := readPacket(c.br, &seq, clientMaxPacket)
 		if err != nil {
 			return nil, err
 		}

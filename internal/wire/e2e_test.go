@@ -342,7 +342,7 @@ func TestTransportEquality(t *testing.T) {
 func TestWirePing(t *testing.T) {
 	eng := testEngine(t, core.Config{Seed: 7})
 	st := startStack(t, eng, serve.Config{}, wire.Config{})
-	cli, err := wire.Dial(st.addr, wire.ClientOptions{User: "anyone", Database: "aqp", Timeout: 5 * time.Second})
+	cli, err := wire.DialAuth(st.addr, wire.ClientOptions{User: "anyone", Timeout: 5 * time.Second}, "", "aqp")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,15 @@
 package wire
 
 // Test-only client and listener calls for the wire_test package: no front
-// end pings, drops a connection without COM_QUIT, or counts open
-// connections.
+// end logs in with a password or an initial database, pings, drops a
+// connection without COM_QUIT, or counts open connections.
+
+// DialAuth is Dial sending a mysql_native_password secret and an initial
+// database ("" for none).
+func DialAuth(addr string, opt ClientOptions, password, database string) (*Client, error) {
+	opt.password, opt.database = password, database
+	return Dial(addr, opt)
+}
 
 // Ping round-trips COM_PING.
 func (c *Client) Ping() error {
@@ -11,7 +18,7 @@ func (c *Client) Ping() error {
 	if err := writePacket(c.nc, &seq, []byte{0x0e}); err != nil {
 		return err
 	}
-	p, err := readPacket(c.br, &seq, c.opt.maxPacket())
+	p, err := readPacket(c.br, &seq, clientMaxPacket)
 	if err != nil {
 		return err
 	}

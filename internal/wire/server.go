@@ -34,10 +34,6 @@ type Config struct {
 	// MaxPacket bounds one command payload (0 = 1 MiB). Oversized
 	// payloads are a metered protocol error that closes the connection.
 	MaxPacket int
-	// Version is the server version string in the handshake
-	// (0 = "8.0.0-aqpd"). Stock clients parse it for feature gating, so
-	// it should look like a MySQL version.
-	Version string
 	// Metrics, when non-nil, receives the aqp_conn_* gauges and counters.
 	Metrics *obs.Registry
 	// EventLog, when non-nil, receives kind=conn lifecycle records.
@@ -58,12 +54,9 @@ func (c Config) maxPacket() int {
 	return c.MaxPacket
 }
 
-func (c Config) version() string {
-	if c.Version == "" {
-		return "8.0.0-aqpd"
-	}
-	return c.Version
-}
+// serverVersion is the server version string in the handshake. Stock
+// clients parse it for feature gating, so it looks like a MySQL version.
+const serverVersion = "8.0.0-aqpd"
 
 // Listener accepts MySQL-wire connections and routes their queries into
 // the admission layer. Construct with Serve.
@@ -236,7 +229,7 @@ func (l *Listener) handleConn(c *conn) {
 func (l *Listener) handshake(c *conn) bool {
 	salt := newSalt()
 	seq := uint8(0)
-	if err := writePacket(c.nc, &seq, handshakeV10(uint32(c.id), salt, l.cfg.version())); err != nil {
+	if err := writePacket(c.nc, &seq, handshakeV10(uint32(c.id), salt, serverVersion)); err != nil {
 		l.connError("io")
 		return false
 	}

@@ -80,8 +80,8 @@ func TestAuthHook(t *testing.T) {
 	st := startStack(t, eng, serve.Config{},
 		wire.Config{Auth: wire.NativePassword(map[string]string{"alice": "sesame"})})
 
-	if _, err := wire.Dial(st.addr, wire.ClientOptions{
-		User: "alice", Password: "wrong", Timeout: 5 * time.Second}); err == nil {
+	if _, err := wire.DialAuth(st.addr, wire.ClientOptions{
+		User: "alice", Timeout: 5 * time.Second}, "wrong", ""); err == nil {
 		t.Fatal("bad password admitted")
 	} else {
 		var se *wire.ServerError
@@ -89,12 +89,12 @@ func TestAuthHook(t *testing.T) {
 			t.Fatalf("want ERR 1045, got %v", err)
 		}
 	}
-	if _, err := wire.Dial(st.addr, wire.ClientOptions{
-		User: "mallory", Password: "sesame", Timeout: 5 * time.Second}); err == nil {
+	if _, err := wire.DialAuth(st.addr, wire.ClientOptions{
+		User: "mallory", Timeout: 5 * time.Second}, "sesame", ""); err == nil {
 		t.Fatal("unknown user admitted")
 	}
-	cli, err := wire.Dial(st.addr, wire.ClientOptions{
-		User: "alice", Password: "sesame", Timeout: 5 * time.Second})
+	cli, err := wire.DialAuth(st.addr, wire.ClientOptions{
+		User: "alice", Timeout: 5 * time.Second}, "sesame", "")
 	if err != nil {
 		t.Fatalf("valid credentials refused: %v", err)
 	}

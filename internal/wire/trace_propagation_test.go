@@ -4,11 +4,13 @@ package wire_test
 // over HTTP (header) and over the MySQL wire protocol (leading
 // /*traceparent=...*/ comment) must land the caller's trace ID in every
 // observer — the span ring, the event log, and the durable history
-// record — and be echoed back to the caller on both transports.
+// record — and be echoed back to the caller on both transports: in the
+// traceparent response header over HTTP, in a trace_id column over wire.
 
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -44,8 +46,8 @@ func TestTracePropagationAcrossTransports(t *testing.T) {
 
 	const sql = "SELECT AVG(Price) FROM Orders"
 
-	// HTTP: traceparent request header in, trace ID echoed in both the
-	// response header and the trace_id JSON field.
+	// HTTP: traceparent request header in, trace ID echoed in the response
+	// header, and only there.
 	body, _ := json.Marshal(serve.QueryRequest{SQL: sql})
 	req, err := http.NewRequest("POST", st.hs.URL+"/query", bytes.NewReader(body))
 	if err != nil {
@@ -60,16 +62,17 @@ func TestTracePropagationAcrossTransports(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("HTTP status %d", resp.StatusCode)
 	}
-	echo := resp.Header.Get("traceparent")
-	if !strings.Contains(echo, httpTID) {
-		t.Errorf("response traceparent %q does not carry trace ID %s", echo, httpTID)
+	echo, ok := obs.ParseTraceparent(resp.Header.Get("traceparent"))
+	if !ok || echo.TraceIDString() != httpTID {
+		t.Errorf("response traceparent %q does not carry trace ID %s",
+			resp.Header.Get("traceparent"), httpTID)
 	}
-	var qr serve.QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if qr.TraceID != httpTID {
-		t.Errorf("response trace_id = %q, want %s", qr.TraceID, httpTID)
+	if bytes.Contains(raw, []byte(httpTID)) {
+		t.Errorf("answer body repeats the trace ID: %s", raw)
 	}
 
 	// Wire: traceparent comment prefix in, trace ID echoed as the
@@ -141,13 +144,14 @@ func TestTracePropagationMintsRoot(t *testing.T) {
 	eng := testEngine(t, core.Config{Obs: tracer})
 	st := startStack(t, eng, serve.Config{Metrics: tracer.Registry()}, wire.Config{})
 
-	ans, resp := httpQuery(t, st.hs.URL, "SELECT AVG(Price) FROM Orders")
-	if len(ans.TraceID) != 32 {
-		t.Errorf("minted trace_id = %q, want 32 hex chars", ans.TraceID)
+	_, resp := httpQuery(t, st.hs.URL, "SELECT AVG(Price) FROM Orders")
+	minted, ok := obs.ParseTraceparent(resp.Header.Get("traceparent"))
+	if !ok {
+		t.Fatalf("header %q is not a valid traceparent", resp.Header.Get("traceparent"))
 	}
-	if !strings.Contains(resp.Header.Get("traceparent"), ans.TraceID) {
-		t.Errorf("header %q does not carry minted trace %s",
-			resp.Header.Get("traceparent"), ans.TraceID)
+	httpTID := minted.TraceIDString()
+	if last, _ := tracer.Last(); last.TraceID != httpTID {
+		t.Errorf("header carries trace %s, span ring's last trace is %s", httpTID, last.TraceID)
 	}
 
 	cli, err := wire.Dial(st.addr, wire.ClientOptions{User: "root", Timeout: 5 * time.Second})
@@ -164,8 +168,8 @@ func TestTracePropagationMintsRoot(t *testing.T) {
 		t.Fatalf("wire resultset missing trace_id column: %v", rs.Columns)
 	}
 	wireTID := rs.Rows[0][last]
-	if len(wireTID) != 32 || wireTID == ans.TraceID {
+	if len(wireTID) != 32 || wireTID == httpTID {
 		t.Errorf("wire minted trace_id = %q (http %q), want a fresh 32-hex id",
-			wireTID, ans.TraceID)
+			wireTID, httpTID)
 	}
 }
