@@ -59,7 +59,7 @@ func BenchmarkDiagnosticLadder(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			s := c.s
-			cfg := diagnostic.DefaultConfig(len(s))
+			cfg := diagnostic.DefaultConfig(len(s), diagnostic.P)
 			b.ReportAllocs()
 			evals := 0
 			for i := 0; i < b.N; i++ {
@@ -80,7 +80,7 @@ func BenchmarkDiagnosticLadder(b *testing.B) {
 // and an aggregate the diagnostic accepts still gets all 300.
 func TestDiagnosticLadderDecidesEarly(t *testing.T) {
 	rejecting, accepting := ladderSample(false), ladderSample(true)
-	cfg := diagnostic.DefaultConfig(len(rejecting))
+	cfg := diagnostic.DefaultConfig(len(rejecting), diagnostic.P)
 	cfg.Workers = 2
 	for seed := uint64(0); seed < 5; seed++ {
 		res, err := diagnostic.Run(context.Background(), rng.New(seed), rejecting, estimator.Query{Kind: estimator.Min},

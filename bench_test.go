@@ -443,10 +443,7 @@ func BenchmarkAblationDiagnosticP(b *testing.B) {
 	q := estimator.Query{Kind: estimator.Avg}
 	for _, p := range []int{25, 50, 100} {
 		b.Run(map[int]string{25: "p25", 50: "p50", 100: "p100"}[p], func(b *testing.B) {
-			cfg := diagnostic.DefaultConfig(len(s))
-			cfg.P = p
-			b3 := len(s) / (2 * p)
-			cfg.SubsampleSizes = []int{b3 / 4, b3 / 2, b3}
+			cfg := diagnostic.DefaultConfig(len(s), p)
 			for i := 0; i < b.N; i++ {
 				if _, err := diagnostic.Run(context.Background(), rng.New(uint64(i)), s, q,
 					estimator.ClosedForm{}, cfg); err != nil {
@@ -557,7 +554,7 @@ func BenchmarkDiagnosticParallel(b *testing.B) {
 	q := estimator.Query{Kind: estimator.Avg}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			cfg := diagnostic.DefaultConfig(len(s))
+			cfg := diagnostic.DefaultConfig(len(s), diagnostic.P)
 			cfg.Workers = workers
 			for i := 0; i < b.N; i++ {
 				res, err := diagnostic.Run(context.Background(), rng.New(uint64(i)), s, q,

@@ -32,7 +32,7 @@ func main() {
 		{Kind: estimator.Max},
 	} {
 		fmt.Printf("== θ = %s(Time), sample n = %d ==\n", q.Name(), n)
-		truth := estimator.ComputeTruth(src, population, q, n, 200, 0.95)
+		truth := estimator.ComputeTruth(src, population, q, n, 200, estimator.ConfidenceLevel)
 		fmt.Printf("θ(D) = %.4g; true 95%% interval half-width = %.4g\n",
 			truth.Answer, truth.Interval.HalfWidth)
 
@@ -44,7 +44,7 @@ func main() {
 			estimator.LargeDeviation{Bound: estimator.Bernstein},
 		}
 		for _, est := range techniques {
-			iv, err := est.Interval(src, s, q, 0.95)
+			iv, err := est.Interval(src, s, q, estimator.ConfidenceLevel)
 			if err != nil {
 				fmt.Printf("  %-28s not applicable (%v)\n", est.Name(), err)
 				continue
@@ -60,7 +60,7 @@ func main() {
 			fmt.Printf("  %-28s %s  δ=%+.2f  %s\n", est.Name(), iv, delta, verdict)
 
 			// Would the runtime diagnostic have caught this?
-			dres, err := diagnostic.Run(context.Background(), src, s, q, est, diagnostic.DefaultConfig(n))
+			dres, err := diagnostic.Run(context.Background(), src, s, q, est, diagnostic.DefaultConfig(n, diagnostic.P))
 			if err == nil {
 				mark := "diagnostic: TRUSTED"
 				if !dres.OK {

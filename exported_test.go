@@ -67,6 +67,41 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 	}
 }
 
+// optionFieldAllowList names the exported option fields the guard keeps
+// though no non-test file sets them, each with its reason, keyed as
+// "watchdog.Config.Window". A stale entry fails the guard.
+var optionFieldAllowList = map[string]string{
+	"watchdog.Config.Window":             "test seam: core and alert tests size the window to a handful of audits",
+	"watchdog.Config.MinAudits":          "test seam: core and alert tests let alerting engage after a handful of audits",
+	"watchdog.Config.Tolerance":          "test seam: the alert pipeline test narrows the band its induced undercoverage leaves",
+	"watchdog.Config.Synchronous":        "test seam: core and alert tests run audits inline to assert on their outcome",
+	"obs/history.Options.SampleInterval": "test seam: core, wire and root tests stop the SLO sampler goroutine",
+}
+
+// TestEveryOptionFieldIsSet is the exported-name guard for option structs:
+// every exported field of an exported *Config or *Options struct under
+// internal/ is set by some non-test file of the root module, bench/ or
+// examples/. A field nothing sets is a knob every deployment leaves at its
+// default: make it a constant, or an unexported field its package's tests
+// set.
+func TestEveryOptionFieldIsSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole tree")
+	}
+	fields, err := checkOptionFields([]module{{".", "repro"}, {"bench", "repro/bench"}}, "repro/internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	unset, stale := auditExports(fields, optionFieldAllowList)
+	for _, key := range stale {
+		t.Errorf("stale allow-list entry %s: it is gone or some non-test file sets it", key)
+	}
+	if len(unset) > 0 {
+		t.Errorf("%d exported option fields are set by no non-test file; make them constants or unexported test fields, or allow-list them with a reason:\n%s",
+			len(unset), strings.Join(unset, "\n"))
+	}
+}
+
 // TestExportGuardOnFixture runs the checker over a module in testdata whose
 // names cover each rule once, then audits it against an allow-list with one
 // live entry and two stale ones.
@@ -80,20 +115,23 @@ func TestExportGuardOnFixture(t *testing.T) {
 		got[e.key] = e.used
 	}
 	want := map[string]bool{
-		"lib.Orphan":          false, // no caller at all
-		"lib.TestedOnly":      false, // its only caller is lib_test.go
-		"lib.Recursive":       false, // it calls only itself
-		"lib.Receiver":        false, // only its own method's receiver names it
-		"lib.Receiver.Method": false, // no caller
-		"lib.Greeter":         true,  // the app names it
-		"lib.Greeter.String":  true,  // reached only through fmt.Stringer
-		"lib.Greeter.Greet":   true,  // reached only through the package's own interface
-		"lib.Hello":           true,  // the app calls it
-		"lib.Internal":        true,  // used only inside its own package
-		"lib.Limit":           true,  // a constant the app reads
-		"lib.Max":             true,  // generic, called only through an inferred instantiation
-		"lib.Pair":            true,  // generic type, named only as Pair[string]
-		"lib.Pair.First":      true,  // a method of an instantiated generic type
+		"lib.Orphan":           false, // no caller at all
+		"lib.TestedOnly":       false, // its only caller is lib_test.go
+		"lib.Recursive":        false, // it calls only itself
+		"lib.Receiver":         false, // only its own method's receiver names it
+		"lib.Receiver.Method":  false, // no caller
+		"lib.Greeter":          true,  // the app names it
+		"lib.Greeter.String":   true,  // reached only through fmt.Stringer
+		"lib.Greeter.Greet":    true,  // reached only through the package's own interface
+		"lib.Hello":            true,  // the app calls it
+		"lib.Internal":         true,  // used only inside its own package
+		"lib.Limit":            true,  // a constant the app reads
+		"lib.Max":              true,  // generic, called only through an inferred instantiation
+		"lib.Pair":             true,  // generic type, named only as Pair[string]
+		"lib.Pair.First":       true,  // a method of an instantiated generic type
+		"lib.Options":          true,  // the app sets its fields
+		"lib.PositionalConfig": true,  // the app builds one
+		"lib.Settings":         true,  // the app builds one
 	}
 	if !maps.Equal(got, want) {
 		t.Errorf("used by name:\n got %v\nwant %v", got, want)
@@ -109,6 +147,31 @@ func TestExportGuardOnFixture(t *testing.T) {
 	}
 	if !slices.Equal(stale, []string{"lib.Gone", "lib.Hello"}) {
 		t.Errorf("stale = %q, want [lib.Gone lib.Hello]", stale)
+	}
+}
+
+// TestOptionFieldGuardOnFixture runs the option-field checker over the same
+// fixture, whose option structs cover each way of setting a field once.
+func TestOptionFieldGuardOnFixture(t *testing.T) {
+	fields, err := checkOptionFields([]module{{filepath.Join("testdata", "exportguard"), "guard"}}, "guard/internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, f := range fields {
+		got[f.key] = f.used
+	}
+	want := map[string]bool{
+		"lib.Options.Keyed":       true,  // a composite-literal key
+		"lib.Options.Assigned":    true,  // the left of an assignment
+		"lib.Options.Incremented": true,  // an increment
+		"lib.Options.Unset":       false, // nothing sets it
+		"lib.Options.TestSet":     false, // only lib_test.go sets it
+		"lib.PositionalConfig.A":  true,  // a literal without keys
+		"lib.PositionalConfig.B":  true,
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("set by non-test code:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -149,32 +212,9 @@ type export struct {
 // reports each exported package-level func, type, var, const and method
 // declared in a package whose import path starts with prefix.
 func checkExports(mods []module, prefix string) ([]export, error) {
-	l := &loader{
-		fset:  token.NewFileSet(),
-		dirs:  map[string]string{},
-		pkgs:  map[string]*types.Package{},
-		std:   importer.Default(),
-		files: map[string][]*ast.File{},
-		info: &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
-		},
-	}
-	for _, m := range mods {
-		if err := l.walk(m); err != nil {
-			return nil, err
-		}
-	}
-	paths := make([]string, 0, len(l.dirs))
-	for path := range l.dirs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if _, err := l.Import(path); err != nil {
-			return nil, err
-		}
+	l, paths, err := loadTree(mods)
+	if err != nil {
+		return nil, err
 	}
 
 	// Every exported declaration under prefix, with its extent.
@@ -282,6 +322,118 @@ func checkExports(mods []module, prefix string) ([]export, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out, nil
+}
+
+// checkOptionFields reports each exported field of every exported struct
+// type named *Config or *Options declared in a package whose import path
+// starts with prefix. A field is used when some non-test file sets it: as a
+// composite-literal key, by position, or on the left of an assignment or
+// an increment.
+func checkOptionFields(mods []module, prefix string) ([]export, error) {
+	l, paths, err := loadTree(mods)
+	if err != nil {
+		return nil, err
+	}
+	var out []*export
+	fields := map[*types.Var]*export{}
+	for _, path := range paths {
+		if !strings.HasPrefix(path, prefix) {
+			continue
+		}
+		scope := l.pkgs[path].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() ||
+				!strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					e := &export{key: strings.TrimPrefix(path, prefix) + "." + name + "." + f.Name(), pos: l.fset.Position(f.Pos())}
+					out = append(out, e)
+					fields[f] = e
+				}
+			}
+		}
+	}
+	set := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok && fields[v.Origin()] != nil {
+			fields[v.Origin()].used = true
+		}
+	}
+	setSelected := func(x ast.Expr) {
+		if sel, ok := x.(*ast.SelectorExpr); ok {
+			set(l.info.Uses[sel.Sel])
+		}
+	}
+	for _, path := range paths {
+		for _, f := range l.files[path] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := l.info.Types[n].Type.Underlying().(*types.Struct)
+					for i, elt := range n.Elts {
+						if kv, isKV := elt.(*ast.KeyValueExpr); isKV {
+							if id, isID := kv.Key.(*ast.Ident); isID {
+								set(l.info.Uses[id])
+							}
+						} else if ok {
+							set(st.Field(i))
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						setSelected(lhs)
+					}
+				case *ast.IncDecStmt:
+					setSelected(n.X)
+				}
+				return true
+			})
+		}
+	}
+	res := make([]export, len(out))
+	for i, e := range out {
+		res[i] = *e
+	}
+	return res, nil
+}
+
+// loadTree type-checks the non-test files of every package in mods and
+// returns the loader and the packages' import paths, sorted.
+func loadTree(mods []module) (*loader, []string, error) {
+	l := &loader{
+		fset:  token.NewFileSet(),
+		dirs:  map[string]string{},
+		pkgs:  map[string]*types.Package{},
+		std:   importer.Default(),
+		files: map[string][]*ast.File{},
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+	}
+	for _, m := range mods {
+		if err := l.walk(m); err != nil {
+			return nil, nil, err
+		}
+	}
+	paths := make([]string, 0, len(l.dirs))
+	for path := range l.dirs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := l.Import(path); err != nil {
+			return nil, nil, err
+		}
+	}
+	return l, paths, nil
 }
 
 // A loader type-checks a tree's packages from source and the standard

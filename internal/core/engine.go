@@ -48,8 +48,6 @@ type Config struct {
 	Seed uint64
 	// BootstrapK is the bootstrap resample count (0 = 100).
 	BootstrapK int
-	// Alpha is the confidence level for error bars (0 = 0.95).
-	Alpha float64
 	// Backing selects the storage backing applied to tables at
 	// registration time (default BackingRaw). BackingCompressed re-encodes
 	// each registered table into block-compressed columns (dictionary,
@@ -152,13 +150,6 @@ func (c Config) bootstrapK() int {
 		return 100
 	}
 	return c.BootstrapK
-}
-
-func (c Config) alpha() float64 {
-	if c.Alpha <= 0 {
-		return 0.95
-	}
-	return c.Alpha
 }
 
 // registeredTable is one dataset with its sample catalog.
@@ -617,7 +608,6 @@ func (a *Answer) FellBack() bool {
 // the engine default (the serving layer's per-query resample budget).
 func (e *Engine) planOptions(n int, needBootstrap bool, kCap int) plan.Options {
 	opt := plan.DefaultOptions(n)
-	opt.Alpha = e.cfg.alpha()
 	opt.BootstrapK = e.cfg.bootstrapK()
 	if kCap > 0 && kCap < opt.BootstrapK {
 		opt.BootstrapK = kCap
@@ -627,18 +617,7 @@ func (e *Engine) planOptions(n int, needBootstrap bool, kCap int) plan.Options {
 		// diagnostic's ξ both come from closed forms (QSet-1 behaviour).
 		opt.BootstrapK = 0
 	}
-	opt.Diagnostics = !e.cfg.skipDiagnostics
-	if opt.Diagnostics {
-		// Ladder must fit the sample AND be statistically meaningful:
-		// sub-32-row subsamples produce junk verdicts, so diagnostics are
-		// skipped (answers still carry error bars) for tiny samples.
-		b3 := n / (2 * opt.DiagP)
-		if b3 < 32 {
-			opt.Diagnostics = false
-		} else {
-			opt.DiagSizes = []int{b3 / 4, b3 / 2, b3}
-		}
-	}
+	opt.Diagnostics = opt.Diagnostics && !e.cfg.skipDiagnostics
 	return opt
 }
 

@@ -368,7 +368,7 @@ func (e *Engine) runApproximate(q *request, st *exec.StoredTable, verdictFirst b
 // stage span under parent.
 func (e *Engine) buildExactPlan(q *request, parent *obs.Span) (*plan.Plan, error) {
 	planSpan := parent.StartSpan(obs.StagePlan)
-	p, err := plan.Build(q.def, plan.Options{Alpha: e.cfg.alpha()})
+	p, err := plan.Build(q.def, plan.Options{})
 	planSpan.SetAttr("mode", "exact")
 	planSpan.End()
 	if err != nil {
@@ -408,7 +408,6 @@ func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st
 		PopulationRows: st.PopRows,
 		Selectivity:    scanSelectivity(res.Counters),
 	}
-	alpha := e.cfg.alpha()
 	estSpan := q.qt.StartSpan(obs.StageEstimate)
 	maxRel := 0.0
 	for _, g := range res.Groups {
@@ -419,7 +418,7 @@ func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st
 				Estimate:  out.Value,
 				Diagnosis: Diagnosis{DiagnosticOK: true},
 			}
-			iv, technique, err := e.errorBar(out, alpha)
+			iv, technique, err := e.errorBar(out)
 			if err != nil {
 				estSpan.End()
 				return nil, fmt.Errorf("core: %s: error bar for %s: %w",
@@ -460,7 +459,8 @@ func scanSelectivity(c exec.Counters) float64 {
 // errorBar computes the confidence interval for one aggregate output using
 // the cheapest applicable technique: closed forms when known, otherwise
 // the bootstrap distribution the executor already produced.
-func (e *Engine) errorBar(out exec.AggOutput, alpha float64) (estimator.Interval, string, error) {
+func (e *Engine) errorBar(out exec.AggOutput) (estimator.Interval, string, error) {
+	const alpha = estimator.ConfidenceLevel
 	spec := estimator.Query{Kind: out.Spec.Kind, Pct: out.Spec.Pct}
 	if spec.ClosedFormApplicable() && out.Spec.Kind != estimator.Sum &&
 		out.Spec.Kind != estimator.Count {

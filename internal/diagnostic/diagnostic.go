@@ -33,29 +33,73 @@ func subStream(si, j int) uint64 {
 	return uint64(si)<<32 | uint64(uint32(j))
 }
 
-// Config carries Algorithm 1's parameters. The paper's experiments use
-// p=100, k=3, c1=c2=0.2, c3=0.5 and ρ=0.95, with subsample sizes equivalent
-// to 50, 100 and 200 MB of rows.
+// Algorithm 1's constants, as the paper runs it (appendix): p disjoint
+// subsamples per ladder size, the bounds c₁ on the relative deviation Δᵢ and
+// c₂ on the relative spread σᵢ, the closeness threshold c₃ entering πᵢ, and
+// ρ, the least πₖ accepted at the largest size. ξ's intervals and the true
+// ones are taken at estimator.ConfidenceLevel, the level the engine serves.
+const (
+	P   = 100
+	c1  = 0.2
+	c2  = 0.2
+	c3  = 0.5
+	rho = 0.95
+)
+
+// Floors on the ladder's largest size b₃, in rows per subsample.
+const (
+	// planFloor: a sample whose own ladder tops out under 32 rows (under
+	// 6,400 rows at p = P) is not diagnosed; its answers carry undiagnosed
+	// error bars.
+	planFloor = 32
+	// filterFloor: a filter that leaves too few rows for b₃ ≥ 16 (under
+	// 3,200 at p = P) makes the verdict CauseTooFewRows.
+	filterFloor = 16
+	// figureFloor: the paper figures diagnose any sample that fills rungs of
+	// 1, 2 and 4 rows.
+	figureFloor = 4
+)
+
+// ladder is the paper's k = 3 ladder in the ratio 1:2:4 (its 50, 100 and
+// 200 MB rungs), sized so that p disjoint subsamples of the largest size use
+// half of rows; nil when that size is under floor.
+func ladder(rows, p, floor int) []int {
+	b3 := rows / (2 * p)
+	if b3 < floor {
+		return nil
+	}
+	return []int{b3 / 4, b3 / 2, b3}
+}
+
+// Ladder returns the subsample sizes Algorithm 1 runs at, p = P, for a query
+// over a sample of sampleRows rows of which filteredRows reach the aggregate
+// (sampleRows when nothing filters them out), and whether the query is
+// diagnosed at all:
+//
+//   - a sample under 6,400 rows is not diagnosed (nil, false);
+//   - the sample's own ladder, sampleRows/2P at the top, is kept while P
+//     subsamples of its largest size fit in the filtered rows — while at
+//     least half the sample survives;
+//   - otherwise the ladder shrinks to filteredRows/2P at the top, and under
+//     3,200 filtered rows there is none (nil, true): CauseTooFewRows.
+func Ladder(sampleRows, filteredRows int) (sizes []int, diagnosed bool) {
+	planned := ladder(sampleRows, P, planFloor)
+	switch {
+	case planned == nil:
+		return nil, false
+	case planned[len(planned)-1]*P <= filteredRows:
+		return planned, true
+	}
+	return ladder(filteredRows, P, filterFloor), true
+}
+
+// Config is one run of Algorithm 1: its ladder and p, which the paper
+// figures vary, and how the run is carried out.
 type Config struct {
 	// SubsampleSizes is the increasing ladder b₁ < … < b_k.
 	SubsampleSizes []int
 	// P is the number of disjoint subsamples drawn at each size.
 	P int
-	// C1 bounds an acceptable relative deviation Δᵢ.
-	C1 float64
-	// C2 bounds an acceptable relative spread σᵢ.
-	C2 float64
-	// C3 is the per-subsample closeness threshold entering πᵢ.
-	C3 float64
-	// Rho is the minimum acceptable πₖ at the largest subsample size.
-	Rho float64
-	// Alpha is the confidence level handed to ξ and used for the true
-	// intervals.
-	Alpha float64
-	// Shuffle controls whether Run re-shuffles the sample before
-	// partitioning. Leave true unless the caller guarantees the sample
-	// is already in random order.
-	Shuffle bool
 	// Workers bounds the parallelism of the per-size subsample queries:
 	// at each ladder size the P (truth + ξ) evaluations fan out across at
 	// most Workers goroutines. <= 1 runs serially. Every subsample owns
@@ -68,6 +112,11 @@ type Config struct {
 	// (aqp_diagnostic_verdicts_total). Nil disables telemetry; the
 	// verdict is unaffected either way.
 	Span *obs.Span
+
+	// noShuffle partitions the sample in the order given instead of
+	// re-shuffling it first. Only this package's tests set it, to place
+	// rows in chosen subsamples.
+	noShuffle bool
 }
 
 func (c Config) workers() int {
@@ -77,26 +126,12 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-// DefaultConfig returns the paper's settings scaled to a sample of n rows:
-// k=3 sizes in the ratio 1:2:4 (the 50/100/200 MB ladder), sized so that
-// p disjoint subsamples of the largest size fit in n.
-func DefaultConfig(n int) Config {
-	p := 100
-	// Largest size uses half the sample: b3 = n/(2p), b2 = b3/2, b1 = b3/4.
-	b3 := n / (2 * p)
-	if b3 < 4 {
-		b3 = 4
-	}
-	return Config{
-		SubsampleSizes: []int{b3 / 4, b3 / 2, b3},
-		P:              p,
-		C1:             0.2,
-		C2:             0.2,
-		C3:             0.5,
-		Rho:            0.95,
-		Alpha:          0.95,
-		Shuffle:        true,
-	}
+// DefaultConfig returns Algorithm 1 with p subsamples per size on a sample
+// of n rows that all reach the aggregate, at the paper figures' floor: the
+// ladder is nil, and Run fails validation, when the largest size would hold
+// fewer than 4 rows.
+func DefaultConfig(n, p int) Config {
+	return Config{SubsampleSizes: ladder(n, p, figureFloor), P: p}
 }
 
 // Validate reports whether the configuration is internally consistent and
@@ -121,12 +156,6 @@ func (c Config) Validate(n int) error {
 	if bk*c.P > n {
 		return fmt.Errorf("diagnostic: largest size %d × p %d exceeds sample size %d",
 			bk, c.P, n)
-	}
-	if c.Alpha <= 0 || c.Alpha >= 1 {
-		return fmt.Errorf("diagnostic: alpha %v outside (0,1)", c.Alpha)
-	}
-	if c.Rho < 0 || c.Rho > 1 {
-		return fmt.Errorf("diagnostic: rho %v outside [0,1]", c.Rho)
 	}
 	return nil
 }
@@ -310,7 +339,7 @@ func (cfg Config) near(w, x float64) bool {
 	if x == 0 {
 		return w <= 1e-12
 	}
-	return math.Abs(w-x)/x <= cfg.C3
+	return math.Abs(w-x)/x <= c3
 }
 
 // maxFar is the largest number of far-off intervals at the top size that
@@ -319,7 +348,7 @@ func (cfg Config) near(w, x float64) bool {
 // cannot disagree by a rounding.
 func (cfg Config) maxFar() int {
 	need := 0
-	for need <= cfg.P && !(float64(need)/float64(cfg.P) >= cfg.Rho) {
+	for need <= cfg.P && !(float64(need)/float64(cfg.P) >= rho) {
 		need++
 	}
 	return cfg.P - need
@@ -405,7 +434,7 @@ func run(ctx context.Context, src *rng.Source, values []float64, q estimator.Que
 	done := ctx.Done()
 
 	s := values
-	if cfg.Shuffle {
+	if !cfg.noShuffle {
 		s = sample.Shuffled(src, values)
 	}
 	// Best available estimate of θ(D).
@@ -440,7 +469,7 @@ func run(ctx context.Context, src *rng.Source, values []float64, q estimator.Que
 				return Result{}, err
 			}
 			// ests is rewritten by the next size and not read again at this one.
-			x = stats.SymmetricHalfWidthInPlace(ests, t, cfg.Alpha)
+			x = stats.SymmetricHalfWidthInPlace(ests, t, estimator.ConfidenceLevel)
 		}
 		res.SubsampleQueries += cfg.P // truth: one θ per subsample
 		res.RungsRun++
@@ -451,9 +480,9 @@ func run(ctx context.Context, src *rng.Source, values []float64, q estimator.Que
 				sr := rng.NewWithStream(base, subStream(si, j))
 				var iv estimator.Interval
 				if ce != nil {
-					iv, errs[j] = ce.IntervalContext(ctx, sr, subs[j], q, cfg.Alpha)
+					iv, errs[j] = ce.IntervalContext(ctx, sr, subs[j], q, estimator.ConfidenceLevel)
 				} else {
-					iv, errs[j] = est.Interval(sr, subs[j], q, cfg.Alpha)
+					iv, errs[j] = est.Interval(sr, subs[j], q, estimator.ConfidenceLevel)
 				}
 				widths[j] = iv.HalfWidth
 				if oneFold {
@@ -478,12 +507,12 @@ func run(ctx context.Context, src *rng.Source, values []float64, q estimator.Que
 				}
 				if far > maxFar {
 					return reject(CausePi, "π below ρ=%.2f at size %d: %d of first %d far off",
-						cfg.Rho, b, far, hi)
+						rho, b, far, hi)
 				}
 			}
 		}
 		if oneFold {
-			x = stats.SymmetricHalfWidthInPlace(ests, t, cfg.Alpha)
+			x = stats.SymmetricHalfWidthInPlace(ests, t, estimator.ConfidenceLevel)
 		}
 		rungs[si] = cfg.sizeStats(b, x, widths)
 		res.PerSize = rungs[si:]
@@ -493,22 +522,22 @@ func run(ctx context.Context, src *rng.Source, values []float64, q estimator.Que
 			return reject(CauseDegenerateTruth, "degenerate truth interval at size %d", b)
 		}
 		if top {
-			if pi := rungs[si].Pi; !(pi >= cfg.Rho) {
-				return reject(CausePi, "π=%.3f below ρ=%.2f at size %d", pi, cfg.Rho, b)
+			if pi := rungs[si].Pi; !(pi >= rho) {
+				return reject(CausePi, "π=%.3f below ρ=%.2f at size %d", pi, rho, b)
 			}
 			continue
 		}
 		// This size completes a pair with the one above it.
 		cur, prev := rungs[si+1], rungs[si]
-		if !(cur.Delta < prev.Delta || cur.Delta < cfg.C1) {
+		if !(cur.Delta < prev.Delta || cur.Delta < c1) {
 			return reject(CauseDelta,
 				"average deviation not improving at size %d (Δ=%.3f, prev %.3f, c1=%.2f)",
-				cur.Size, cur.Delta, prev.Delta, cfg.C1)
+				cur.Size, cur.Delta, prev.Delta, c1)
 		}
-		if !(cur.Sigma < prev.Sigma || cur.Sigma < cfg.C2) {
+		if !(cur.Sigma < prev.Sigma || cur.Sigma < c2) {
 			return reject(CauseSigma,
 				"spread not improving at size %d (σ=%.3f, prev %.3f, c2=%.2f)",
-				cur.Size, cur.Sigma, prev.Sigma, cfg.C2)
+				cur.Size, cur.Sigma, prev.Sigma, c2)
 		}
 	}
 	res.OK = true

@@ -42,20 +42,100 @@ func paretoSample(seed uint64, n int, alpha float64) []float64 {
 
 func smallConfig(n int) Config {
 	// The paper's p=100; subsample ladder scaled to the test sample size.
-	return DefaultConfig(n)
+	return DefaultConfig(n, P)
 }
 
 func TestDefaultConfigFeasible(t *testing.T) {
 	for _, n := range []int{10000, 100000, 1000000} {
-		cfg := DefaultConfig(n)
+		cfg := DefaultConfig(n, P)
 		if err := cfg.Validate(n); err != nil {
-			t.Errorf("DefaultConfig(%d) infeasible: %v", n, err)
+			t.Errorf("DefaultConfig(%d, P) infeasible: %v", n, err)
+		}
+	}
+}
+
+// refLadder is the serving ladder as it was computed before Ladder gave it
+// one home: plan.DefaultOptions, then core.planOptions at planning time, then
+// exec.runDiagnostic on the filtered rows, each with its own copy.
+func refLadder(sampleRows, filteredRows int) (sizes []int, diagnosed bool) {
+	// plan.DefaultOptions: floor 4, p = 100.
+	b3 := sampleRows / 200
+	if b3 < 4 {
+		b3 = 4
+	}
+	sizes = []int{b3 / 4, b3 / 2, b3}
+	// core.planOptions: no diagnostic under 32 rows per largest subsample.
+	b3 = sampleRows / (2 * 100)
+	if b3 < 32 {
+		return nil, false
+	}
+	sizes = []int{b3 / 4, b3 / 2, b3}
+	// exec.runDiagnostic: shrink to the filtered rows; too few under 16.
+	if sizes[len(sizes)-1]*100 > filteredRows {
+		b3 := filteredRows / (2 * 100)
+		if b3 < 16 {
+			return nil, true
+		}
+		sizes = []int{b3 / 4, b3 / 2, b3}
+	}
+	return sizes, true
+}
+
+// TestLadderMatchesReference pins Ladder to the arithmetic it replaced, at
+// the edges it decides and over a grid of (sample rows, filtered rows).
+func TestLadderMatchesReference(t *testing.T) {
+	cases := []struct {
+		name             string
+		sample, filtered int
+		wantSizes        []int
+		wantDiagnosed    bool
+	}{
+		{"sample under 6,400: undiagnosed", 6399, 6399, nil, false},
+		{"sample at 6,400", 6400, 6400, []int{8, 16, 32}, true},
+		{"filter leaves 3,199: too few rows", 50000, 3199, nil, true},
+		{"filter leaves 3,200: smallest ladder", 50000, 3200, []int{4, 8, 16}, true},
+		{"full-length masked SUM/COUNT column", 50000, 50000, []int{62, 125, 250}, true},
+		{"half survives: sample's ladder kept", 50000, 25000, []int{62, 125, 250}, true},
+		{"under half survives: ladder shrinks", 50000, 24999, []int{31, 62, 124}, true},
+		{"EXPLAIN's golden ladder", 100000, 100000, []int{125, 250, 500}, true},
+	}
+	for _, c := range cases {
+		sizes, diagnosed := Ladder(c.sample, c.filtered)
+		if !slices.Equal(sizes, c.wantSizes) || diagnosed != c.wantDiagnosed {
+			t.Errorf("%s: Ladder(%d, %d) = %v, %v; want %v, %v",
+				c.name, c.sample, c.filtered, sizes, diagnosed, c.wantSizes, c.wantDiagnosed)
+		}
+	}
+	for _, sample := range []int{0, 1, 799, 800, 3200, 6399, 6400, 6599, 6600, 10000, 50000, 100000, 1_000_001} {
+		for _, filtered := range []int{0, 1, 3199, 3200, 3399, 3400, 6399, 6400, sample/2 - 1, sample / 2, sample/2 + 1, sample - 1, sample} {
+			if filtered < 0 || filtered > sample {
+				continue
+			}
+			sizes, diagnosed := Ladder(sample, filtered)
+			wantSizes, wantDiagnosed := refLadder(sample, filtered)
+			if !slices.Equal(sizes, wantSizes) || diagnosed != wantDiagnosed {
+				t.Errorf("Ladder(%d, %d) = %v, %v; reference %v, %v",
+					sample, filtered, sizes, diagnosed, wantSizes, wantDiagnosed)
+			}
+		}
+	}
+	// The paper figures' ladder: b₃ = n/2p with no floor but Validate's,
+	// which fails every ladder under 4 rows at the top.
+	for _, p := range []int{25, 50, 100} {
+		for _, n := range []int{0, 3*2*p - 1, 4*2*p - 1, 4 * 2 * p, 6000, 20000} {
+			b3 := n / (2 * p)
+			ref := Config{SubsampleSizes: []int{b3 / 4, b3 / 2, b3}, P: p}
+			got := DefaultConfig(n, p)
+			if refOK := ref.Validate(n) == nil; refOK != (got.Validate(n) == nil) ||
+				refOK && !reflect.DeepEqual(got, ref) {
+				t.Errorf("DefaultConfig(%d, %d) = %+v, reference %+v", n, p, got, ref)
+			}
 		}
 	}
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	good := DefaultConfig(100000)
+	good := DefaultConfig(100000, P)
 	cases := []struct {
 		name   string
 		mutate func(*Config)
@@ -64,8 +144,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"non-increasing", func(c *Config) { c.SubsampleSizes = []int{100, 100, 200} }},
 		{"p too small", func(c *Config) { c.P = 1 }},
 		{"overdrawn", func(c *Config) { c.SubsampleSizes = []int{100, 200, 5000} }},
-		{"bad alpha", func(c *Config) { c.Alpha = 1.5 }},
-		{"bad rho", func(c *Config) { c.Rho = -0.1 }},
 	}
 	for _, c := range cases {
 		cfg := good
@@ -218,7 +296,7 @@ func TestDiagnosticPerSizeStatsShrinkOnNiceData(t *testing.T) {
 
 func TestDiagnosticValidatesConfig(t *testing.T) {
 	s := gaussianSample(13, 100, 0, 1)
-	cfg := DefaultConfig(1000000) // far too big for 100 rows
+	cfg := DefaultConfig(1000000, P) // far too big for 100 rows
 	if _, err := Run(context.Background(), rng.New(14), s, estimator.Query{Kind: estimator.Avg},
 		estimator.ClosedForm{}, cfg); err == nil {
 		t.Error("oversized config not rejected")
@@ -227,8 +305,8 @@ func TestDiagnosticValidatesConfig(t *testing.T) {
 
 func TestDiagnosticNoShuffleUsesGivenOrder(t *testing.T) {
 	// A pathologically sorted sample violates the random-order assumption;
-	// with Shuffle=false the subsamples are biased and the diagnostic
-	// should notice (reject), while Shuffle=true repairs it.
+	// left unshuffled the subsamples are biased and the diagnostic should
+	// notice (reject), while Run's shuffle repairs it.
 	src := rng.New(15)
 	s := make([]float64, 40000)
 	for i := range s {
@@ -236,7 +314,7 @@ func TestDiagnosticNoShuffleUsesGivenOrder(t *testing.T) {
 	}
 	_ = src
 	cfg := smallConfig(len(s))
-	cfg.Shuffle = false
+	cfg.noShuffle = true
 	resSorted, err := Run(context.Background(), rng.New(16), s, estimator.Query{Kind: estimator.Avg},
 		estimator.ClosedForm{}, cfg)
 	if err != nil {
@@ -245,7 +323,7 @@ func TestDiagnosticNoShuffleUsesGivenOrder(t *testing.T) {
 	if resSorted.OK {
 		t.Error("diagnostic accepted estimation on adversarially ordered subsamples")
 	}
-	cfg.Shuffle = true
+	cfg.noShuffle = false
 	resShuffled, err := Run(context.Background(), rng.New(18), s, estimator.Query{Kind: estimator.Avg},
 		estimator.ClosedForm{}, cfg)
 	if err != nil {
@@ -345,7 +423,7 @@ func TestDiagnosticAccuracySmoke(t *testing.T) {
 
 func BenchmarkDiagnosticClosedForm(b *testing.B) {
 	s := gaussianSample(30, 100000, 10, 3)
-	cfg := DefaultConfig(len(s))
+	cfg := DefaultConfig(len(s), P)
 	q := estimator.Query{Kind: estimator.Avg}
 	src := rng.New(31)
 	b.ResetTimer()
@@ -358,7 +436,7 @@ func BenchmarkDiagnosticClosedForm(b *testing.B) {
 
 func BenchmarkDiagnosticBootstrap(b *testing.B) {
 	s := gaussianSample(32, 100000, 10, 3)
-	cfg := DefaultConfig(len(s))
+	cfg := DefaultConfig(len(s), P)
 	q := estimator.Query{Kind: estimator.Avg}
 	src := rng.New(33)
 	b.ResetTimer()
@@ -456,7 +534,7 @@ func runFullLadder(ctx context.Context, src *rng.Source, values []float64, q est
 	done := ctx.Done()
 
 	s := values
-	if cfg.Shuffle {
+	if !cfg.noShuffle {
 		s = sample.Shuffled(src, values)
 	}
 	// Best available estimate of θ(D).
@@ -491,9 +569,9 @@ func runFullLadder(ctx context.Context, src *rng.Source, values []float64, q est
 				var iv estimator.Interval
 				var err error
 				if ce != nil {
-					iv, err = ce.IntervalContext(ctx, sr, sub, q, cfg.Alpha)
+					iv, err = ce.IntervalContext(ctx, sr, sub, q, estimator.ConfidenceLevel)
 				} else {
-					iv, err = est.Interval(sr, sub, q, cfg.Alpha)
+					iv, err = est.Interval(sr, sub, q, estimator.ConfidenceLevel)
 				}
 				if err != nil {
 					errs[j] = err
@@ -537,7 +615,7 @@ func runFullLadder(ctx context.Context, src *rng.Source, values []float64, q est
 		}
 		res.SubsampleQueries += cfg.P // truth: one θ per subsample
 		// ests is rewritten by the next size and not read again at this one.
-		x := stats.SymmetricHalfWidthInPlace(ests, t, cfg.Alpha)
+		x := stats.SymmetricHalfWidthInPlace(ests, t, estimator.ConfidenceLevel)
 		res.SubsampleQueries += cfg.P // ξ costs at least one θ-scale pass per subsample
 
 		st := SizeStats{Size: b, TrueHalfWidth: x}
@@ -571,7 +649,7 @@ func runFullLadder(ctx context.Context, src *rng.Source, values []float64, q est
 			close := 0
 			for _, w := range widths {
 				m.Add(w)
-				if math.Abs(w-x)/x <= cfg.C3 {
+				if math.Abs(w-x)/x <= c3 {
 					close++
 				}
 			}
@@ -589,24 +667,24 @@ func runFullLadder(ctx context.Context, src *rng.Source, values []float64, q est
 			res.Reason = fmt.Sprintf("degenerate truth interval at size %d", cur.Size)
 			return res, nil
 		}
-		if !(cur.Delta < prev.Delta || cur.Delta < cfg.C1) {
+		if !(cur.Delta < prev.Delta || cur.Delta < c1) {
 			res.Reason = fmt.Sprintf(
 				"average deviation not improving at size %d (Δ=%.3f, prev %.3f, c1=%.2f)",
-				cur.Size, cur.Delta, prev.Delta, cfg.C1)
+				cur.Size, cur.Delta, prev.Delta, c1)
 			return res, nil
 		}
-		if !(cur.Sigma < prev.Sigma || cur.Sigma < cfg.C2) {
+		if !(cur.Sigma < prev.Sigma || cur.Sigma < c2) {
 			res.Reason = fmt.Sprintf(
 				"spread not improving at size %d (σ=%.3f, prev %.3f, c2=%.2f)",
-				cur.Size, cur.Sigma, prev.Sigma, cfg.C2)
+				cur.Size, cur.Sigma, prev.Sigma, c2)
 			return res, nil
 		}
 	}
 	last := res.PerSize[len(res.PerSize)-1]
-	if !(last.Pi >= cfg.Rho) {
+	if !(last.Pi >= rho) {
 		res.Reason = fmt.Sprintf(
 			"final proportion acceptable π=%.3f below ρ=%.2f at size %d",
-			last.Pi, cfg.Rho, last.Size)
+			last.Pi, rho, last.Size)
 		return res, nil
 	}
 	res.OK = true
@@ -625,14 +703,14 @@ func failingConditions(per []SizeStats, cfg Config) map[Cause]bool {
 			continue
 		}
 		prev := per[i-1]
-		if !(cur.Delta < prev.Delta || cur.Delta < cfg.C1) {
+		if !(cur.Delta < prev.Delta || cur.Delta < c1) {
 			failing[CauseDelta] = true
 		}
-		if !(cur.Sigma < prev.Sigma || cur.Sigma < cfg.C2) {
+		if !(cur.Sigma < prev.Sigma || cur.Sigma < c2) {
 			failing[CauseSigma] = true
 		}
 	}
-	if !(per[len(per)-1].Pi >= cfg.Rho) {
+	if !(per[len(per)-1].Pi >= rho) {
 		failing[CausePi] = true
 	}
 	return failing
@@ -690,7 +768,7 @@ func TestDecideFirstMatchesFullLadder(t *testing.T) {
 			s := workload.GenerateColumn(rng.New(uint64(1000*int(dist)+seed)), dist, 8000)
 			for _, q := range queries {
 				for _, xi := range xis {
-					cfg := DefaultConfig(len(s))
+					cfg := DefaultConfig(len(s), P)
 					id := dist.String() + " " + q.Name() + " " + xi.Name()
 					want, err := runFullLadder(ctx, rng.New(uint64(seed)), s, q, xi, cfg)
 					if err != nil {
@@ -781,7 +859,7 @@ func (f failingAt) IntervalContext(ctx context.Context, src *rng.Source, values 
 func TestDecideFirstEstimatorFailure(t *testing.T) {
 	s := gaussianSample(3, 40000, 100, 15)
 	cfg := smallConfig(len(s))
-	cfg.Shuffle = false
+	cfg.noShuffle = true
 	q := estimator.Query{Kind: estimator.Avg}
 	if res, err := Run(context.Background(), rng.New(71), s, q, failingAt{estimator.Bootstrap{K: 50}}, cfg); err != nil || !res.OK {
 		t.Fatalf("clean sample: %+v, %v", res, err)

@@ -11,6 +11,11 @@ import (
 // cover the given query (e.g. closed forms for MIN).
 var ErrNotApplicable = errors.New("estimator: technique not applicable to this query")
 
+// ConfidenceLevel is the α of every error bar the engine serves (the
+// paper's 95%). The diagnostic tests ξ's intervals at it and the watchdog
+// holds audited coverage to it, so the three cannot disagree.
+const ConfidenceLevel = 0.95
+
 // Estimator produces an α-confidence interval for θ(D) from a single
 // sample. This is the ξ of Algorithm 1: the diagnostic validates any
 // implementation of this interface at runtime.

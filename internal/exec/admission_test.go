@@ -92,7 +92,7 @@ func TestBlockCacheAdmitsTransformingCodecs(t *testing.T) {
 		"SELECT SUM(iraw), AVG(iconst), AVG(ifor), AVG(irle), AVG(idict) FROM T WHERE sdict != 'none'",
 		"SELECT sdict, AVG(fxor), COUNT(*) FROM T WHERE ifor < 50000 GROUP BY sdict",
 	} {
-		plans = append(plans, mustPlan(t, q, backingOpts()))
+		plans = append(plans, mustPlan(t, q, backingOpts(tbl.NumRows())))
 	}
 	off := Config{Workers: 2, Seed: 11}
 	want := make([]*Result, len(plans))

@@ -38,9 +38,9 @@ var backingQueries = []string{
 	"SELECT AVG(Time * 2 + user) FROM Sessions WHERE user < 500 AND Time > 30",
 }
 
-func backingOpts() plan.Options {
-	return plan.Options{BootstrapK: 40, Alpha: 0.95, Diagnostics: true,
-		DiagSizes: []int{40, 80, 160}, DiagP: 20}
+// backingOpts diagnoses a sample of rows rows with Algorithm 1's ladder.
+func backingOpts(rows int) plan.Options {
+	return plan.Options{BootstrapK: 40, Diagnostics: true, SampleRows: rows}
 }
 
 // TestRunBackingBitEquality is the tentpole's core invariant: answers,
@@ -48,9 +48,11 @@ func backingOpts() plan.Options {
 // table is raw, block-compressed in memory, or decoded lazily out of an
 // mmap store — at every worker count.
 func TestRunBackingBitEquality(t *testing.T) {
-	variants := backingVariants(t, sessionsTable(8*table.BlockRows+613, 41))
+	const rows = 8*table.BlockRows + 613
+	variants := backingVariants(t, sessionsTable(rows, 41))
+	verdicts := map[bool]int{}
 	for qi, q := range backingQueries {
-		p := mustPlan(t, q, backingOpts())
+		p := mustPlan(t, q, backingOpts(rows))
 		var want *Result
 		for _, name := range []string{"raw", "compressed", "mmap"} {
 			for _, workers := range []int{1, 4} {
@@ -64,6 +66,11 @@ func TestRunBackingBitEquality(t *testing.T) {
 				}
 				if want == nil {
 					want = got
+					for _, g := range got.Groups {
+						for _, a := range g.Aggs {
+							verdicts[a.Diag.OK]++
+						}
+					}
 					continue
 				}
 				resultsEqual(t, name+": "+q, got, want)
@@ -76,13 +83,17 @@ func TestRunBackingBitEquality(t *testing.T) {
 			}
 		}
 	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Errorf("verdicts %v: the queries must keep both an accept and a reject", verdicts)
+	}
 }
 
 // TestRunBackingDecodeCounters pins the decode accounting: lazy backings
 // report decoded blocks and decode time, raw backings report zero.
 func TestRunBackingDecodeCounters(t *testing.T) {
-	variants := backingVariants(t, sessionsTable(4*table.BlockRows, 42))
-	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'", backingOpts())
+	const rows = 8 * table.BlockRows
+	variants := backingVariants(t, sessionsTable(rows, 42))
+	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'", backingOpts(rows))
 	run := func(data *table.Table) Counters {
 		tables := map[string]*StoredTable{"Sessions": {Data: data, PopRows: 1 << 20}}
 		res, err := Run(context.Background(), p, tables, nil, Config{Workers: 3, Seed: 7})
@@ -112,7 +123,7 @@ func TestSkippedBlocksAreNeverDecoded(t *testing.T) {
 			ct.DropZones()
 		}
 		tables := map[string]*StoredTable{"Sessions": {Data: ct, PopRows: n * 10}}
-		p := mustPlan(t, q, plan.Options{BootstrapK: 20, Alpha: 0.95})
+		p := mustPlan(t, q, plan.Options{BootstrapK: 20})
 		res, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
@@ -143,13 +154,14 @@ func TestSkippedBlocksAreNeverDecoded(t *testing.T) {
 // backing and asserts the batch answers match the raw-backing batch
 // bit-for-bit, with the physical pass still shared.
 func TestRunSharedBackingBitEquality(t *testing.T) {
-	variants := backingVariants(t, sessionsTable(6*table.BlockRows+100, 43))
+	const rows = 7*table.BlockRows + 100
+	variants := backingVariants(t, sessionsTable(rows, 43))
 	build := func(data *table.Table) ([]*Result, []error) {
 		tables := map[string]*StoredTable{"Sessions": {Data: data, PopRows: 1 << 20}}
 		items := make([]SharedItem, len(backingQueries))
 		for i, q := range backingQueries {
 			items[i] = SharedItem{
-				Plan: mustPlan(t, q, backingOpts()),
+				Plan: mustPlan(t, q, backingOpts(rows)),
 				Cfg:  Config{Workers: 4, Seed: uint64(500 + i)},
 			}
 		}
@@ -184,7 +196,8 @@ func TestRunSharedBackingBitEquality(t *testing.T) {
 // queries would have decoded run solo — never double-charged across the
 // fan-out on top of the per-evaluation decode cost.
 func TestRunSharedDecodeChargedOnce(t *testing.T) {
-	variants := backingVariants(t, sessionsTable(6*table.BlockRows+100, 45))
+	const rows = 7*table.BlockRows + 100
+	variants := backingVariants(t, sessionsTable(rows, 45))
 	queries := make([]string, 8)
 	for i := range queries {
 		queries[i] = fmt.Sprintf(
@@ -195,7 +208,7 @@ func TestRunSharedDecodeChargedOnce(t *testing.T) {
 			"Sessions": {Data: variants[name], PopRows: 1 << 20},
 		}
 		solo, err := Run(context.Background(),
-			mustPlan(t, queries[0], backingOpts()), tables, nil,
+			mustPlan(t, queries[0], backingOpts(rows)), tables, nil,
 			Config{Workers: 4, Seed: 600})
 		if err != nil {
 			t.Fatal(err)
@@ -207,7 +220,7 @@ func TestRunSharedDecodeChargedOnce(t *testing.T) {
 		items := make([]SharedItem, len(queries))
 		for i, q := range queries {
 			items[i] = SharedItem{
-				Plan: mustPlan(t, q, backingOpts()),
+				Plan: mustPlan(t, q, backingOpts(rows)),
 				Cfg:  Config{Workers: 4, Seed: uint64(600 + i)},
 			}
 		}
@@ -254,10 +267,11 @@ func TestRunSharedDecodeChargedOnce(t *testing.T) {
 // goroutines; run with -race this pins that lazy decode paths share no
 // mutable state beyond the atomics that meter them.
 func TestConcurrentCompressedQueries(t *testing.T) {
-	ct := table.Compress(sessionsTable(4*table.BlockRows, 44))
+	const rows = 7 * table.BlockRows
+	ct := table.Compress(sessionsTable(rows, 44))
 	tables := map[string]*StoredTable{"Sessions": {Data: ct, PopRows: 1 << 20}}
 	p := mustPlan(t, "SELECT City, AVG(Time) FROM Sessions WHERE Time > 40 GROUP BY City",
-		backingOpts())
+		backingOpts(rows))
 	ref, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)

@@ -991,29 +991,19 @@ func runDiagnostic(ctx context.Context, opt plan.Options, values []float64, q es
 		}
 		verdictSpan.SetAttr("agg", aggIdx)
 	}
+	sizes, _ := diagnostic.Ladder(opt.SampleRows, len(values))
 	dcfg := diagnostic.Config{
-		SubsampleSizes: opt.DiagSizes,
-		P:              opt.DiagP,
-		C1:             0.2, C2: 0.2, C3: 0.5,
-		Rho:     0.95,
-		Alpha:   0.95,
-		Shuffle: true,
+		SubsampleSizes: sizes,
+		P:              diagnostic.P,
 		// Fan the per-size subsample queries across the executor's worker
 		// pool; verdicts are worker-count-invariant (per-subsample streams).
 		Workers: cfg.workers(),
 		Span:    verdictSpan,
 	}
-	if dcfg.SubsampleSizes[len(dcfg.SubsampleSizes)-1]*dcfg.P > len(values) {
-		// Not enough filtered rows for the configured ladder: shrink it.
-		// Below 16 rows per largest subsample the verdict would be noise,
-		// so reject conservatively instead.
-		b3 := len(values) / (2 * dcfg.P)
-		if b3 < 16 {
-			res := dcfg.Rejected(diagnostic.CauseTooFewRows, "too few rows after filtering for a diagnosis")
-			verdictSpan.End()
-			return &res, c, nil
-		}
-		dcfg.SubsampleSizes = []int{b3 / 4, b3 / 2, b3}
+	if sizes == nil {
+		res := dcfg.Rejected(diagnostic.CauseTooFewRows, "too few rows after filtering for a diagnosis")
+		verdictSpan.End()
+		return &res, c, nil
 	}
 	var xi estimator.Estimator
 	if q.ClosedFormApplicable() {

@@ -299,7 +299,7 @@ func TestRunGroupBy(t *testing.T) {
 
 func TestRunBootstrapProducesSaneDistribution(t *testing.T) {
 	tables := storedSessions(20000, 10)
-	opt := plan.Options{BootstrapK: 80, Alpha: 0.95}
+	opt := plan.Options{BootstrapK: 80}
 	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions", opt)
 	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 6})
 	if err != nil {
@@ -327,7 +327,7 @@ func TestRunBootstrapProducesSaneDistribution(t *testing.T) {
 
 func TestRunBootstrapDeterministicAcrossWorkerCounts(t *testing.T) {
 	tables := storedSessions(5000, 11)
-	opt := plan.Options{BootstrapK: 40, Alpha: 0.95}
+	opt := plan.Options{BootstrapK: 40}
 	var ref []float64
 	for _, workers := range []int{1, 3, 7} {
 		p := mustPlan(t, "SELECT AVG(Time) FROM Sessions", opt)
@@ -406,7 +406,7 @@ func TestRunUDF(t *testing.T) {
 		}
 		return m.Mean()
 	}}
-	opt := plan.Options{BootstrapK: 30, Alpha: 0.95}
+	opt := plan.Options{BootstrapK: 30}
 	p := mustPlan(t, "SELECT CLAMPEDMEAN(Time) FROM Sessions", opt, "CLAMPEDMEAN")
 	res, err := Run(context.Background(), p, tables, udfs, Config{Workers: 2, Seed: 12})
 	if err != nil {
@@ -503,7 +503,7 @@ func BenchmarkRunConsolidatedPipeline(b *testing.B) {
 func TestBootstrapMatchesIndependentPoissonResamples(t *testing.T) {
 	tables := storedSessions(10000, 32)
 	const q, k = "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'", 60
-	res, err := Run(context.Background(), mustPlan(t, q, plan.Options{BootstrapK: k, Alpha: 0.95}),
+	res, err := Run(context.Background(), mustPlan(t, q, plan.Options{BootstrapK: k}),
 		tables, nil, Config{Workers: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -533,7 +533,7 @@ func TestBootstrapMatchesIndependentPoissonResamples(t *testing.T) {
 func TestRunEmptyFilterResult(t *testing.T) {
 	tables := storedSessions(1000, 33)
 	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NOWHERE'",
-		plan.Options{BootstrapK: 10, Alpha: 0.95})
+		plan.Options{BootstrapK: 10})
 	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
@@ -677,8 +677,8 @@ func TestEvalExprErrorPaths(t *testing.T) {
 }
 
 func TestRunDiagnosticTooFewRows(t *testing.T) {
-	tables := storedSessions(5000, 41)
-	opt := plan.DefaultOptions(5000)
+	tables := storedSessions(6400, 41)
+	opt := plan.DefaultOptions(6400) // the smallest sample Algorithm 1 diagnoses
 	opt.BootstrapK = 10
 	// Selectivity ~0: a filter matching almost nothing leaves too few rows
 	// for any diagnostic ladder; the operator must report an explicit

@@ -58,8 +58,7 @@ func resultsEqual(t *testing.T, label string, got, want *Result) {
 func TestRunSharedMatchesSerial(t *testing.T) {
 	tables := storedSessions(16*1024, 31)
 	tables["Sessions"].Data.BuildZones()
-	full := plan.Options{BootstrapK: 40, Alpha: 0.95, Diagnostics: true,
-		DiagSizes: []int{40, 80, 160}, DiagP: 20}
+	full := backingOpts(16 * 1024)
 	queries := []struct {
 		q   string
 		opt plan.Options
@@ -115,7 +114,7 @@ func TestRunSharedMatchesSerial(t *testing.T) {
 
 func TestRunSharedDedupsIdenticalPlans(t *testing.T) {
 	tables := storedSessions(8000, 32)
-	opt := plan.Options{BootstrapK: 30, Alpha: 0.95}
+	opt := plan.Options{BootstrapK: 30}
 	q := "SELECT AVG(Time) FROM Sessions WHERE City = 'SF'"
 
 	items := make([]SharedItem, 4)
@@ -199,7 +198,7 @@ func TestRunSharedPerItemErrors(t *testing.T) {
 func TestRunSharedWorkerCountInvariance(t *testing.T) {
 	tables := storedSessions(10000, 34)
 	tables["Sessions"].Data.BuildZones()
-	opt := plan.Options{BootstrapK: 25, Alpha: 0.95}
+	opt := plan.Options{BootstrapK: 25}
 	qs := []string{
 		"SELECT AVG(Time) FROM Sessions WHERE Time > 70",
 		"SELECT City, COUNT(*) FROM Sessions GROUP BY City",

@@ -244,7 +244,7 @@ func TestRunZoneMapSkipping(t *testing.T) {
 		tables := map[string]*StoredTable{
 			"Sessions": {Data: tbl, PopRows: n * 10},
 		}
-		p := mustPlan(t, q, plan.Options{BootstrapK: 20, Alpha: 0.95})
+		p := mustPlan(t, q, plan.Options{BootstrapK: 20})
 		res, err := Run(context.Background(), p, tables, nil,
 			Config{Workers: workers, Seed: 9})
 		if err != nil {

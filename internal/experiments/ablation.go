@@ -71,7 +71,7 @@ func DiagnosticAblation(cfg Config) *DiagAblationResult {
 						SampleSize: cfg.SampleSize,
 						Trials:     cfg.Trials,
 						TruthP:     cfg.truthP(),
-						Alpha:      0.95, DeltaTol: 0.2, FailFrac: 0.05,
+						Alpha:      estimator.ConfidenceLevel, DeltaTol: 0.2, FailFrac: 0.05,
 					})
 				truths[qi] = truthRec{xi: xi, works: works, ok: true}
 			}
@@ -94,14 +94,8 @@ func DiagnosticAblation(cfg Config) *DiagAblationResult {
 			}
 			src := cfg.stream("ablation-diag", qi*1000+p)
 			s := sample.WithReplacement(src, spec.Population, cfg.SampleSize)
-			dcfg := diagnostic.DefaultConfig(len(s))
-			dcfg.P = p
-			b3 := len(s) / (2 * p)
-			if b3 < 4 {
-				continue
-			}
-			dcfg.SubsampleSizes = []int{b3 / 4, b3 / 2, b3}
-			dres, err := diagnostic.Run(context.Background(), src, s, spec.Query, truths[qi].xi, dcfg)
+			dres, err := diagnostic.Run(context.Background(), src, s, spec.Query, truths[qi].xi,
+				diagnostic.DefaultConfig(len(s), p))
 			if err != nil {
 				continue
 			}

@@ -37,7 +37,7 @@ func Fig1(cfg Config) *Fig1Result {
 		perTech[t] = make([][]float64, len(Fig1RelErrs))
 	}
 
-	const alpha = 0.95
+	const alpha = estimator.ConfidenceLevel
 	z := stats.StdNormalQuantile(0.5 + alpha/2)
 	hoeff := math.Sqrt(math.Log(2/(1-alpha)) / 2)
 

@@ -74,7 +74,7 @@ func Fig3(cfg Config) *Fig3Result {
 			SampleSize: cfg.SampleSize,
 			Trials:     cfg.Trials,
 			TruthP:     cfg.truthP(),
-			Alpha:      0.95,
+			Alpha:      estimator.ConfidenceLevel,
 			DeltaTol:   0.2,
 			FailFrac:   0.05,
 		}

@@ -91,11 +91,8 @@ func assessQueries(cfg Config, kind workload.Kind, queries []workload.QuerySpec,
 					continue
 				}
 				s := sample.WithReplacement(src, spec.Population, cfg.SampleSize)
-				dcfg := diagnostic.DefaultConfig(len(s))
-				dcfg.P = cfg.DiagP
-				b3 := len(s) / (2 * dcfg.P)
-				dcfg.SubsampleSizes = []int{b3 / 4, b3 / 2, b3}
-				dres, err := diagnostic.Run(context.Background(), src, s, spec.Query, xi, dcfg)
+				dres, err := diagnostic.Run(context.Background(), src, s, spec.Query, xi,
+					diagnostic.DefaultConfig(len(s), cfg.DiagP))
 				if err != nil {
 					continue
 				}
@@ -104,7 +101,7 @@ func assessQueries(cfg Config, kind workload.Kind, queries []workload.QuerySpec,
 						SampleSize: cfg.SampleSize,
 						Trials:     cfg.Trials,
 						TruthP:     cfg.truthP(),
-						Alpha:      0.95,
+						Alpha:      estimator.ConfidenceLevel,
 						DeltaTol:   0.2,
 						FailFrac:   0.05,
 					})

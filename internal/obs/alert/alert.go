@@ -88,13 +88,18 @@ func (f SinkFunc) Notify(ev Event) { f(ev) }
 
 // Config tunes a Bus.
 type Config struct {
-	// History bounds the in-memory ring of past transitions (0 = 128).
-	History int
 	// Metrics receives aqp_alert_* series (nil = unmetered).
 	Metrics *obs.Registry
 	// Sinks receive every firing/resolved transition.
 	Sinks []Sink
+
+	// history, when positive, replaces historySize. Only this package's
+	// tests set it.
+	history int
 }
+
+// historySize bounds the in-memory ring of past transitions.
+const historySize = 128
 
 type busKey struct {
 	source, kind, key string
@@ -118,17 +123,17 @@ type Bus struct {
 // New builds a bus.
 func New(cfg Config) *Bus {
 	b := &Bus{cfg: cfg, active: make(map[busKey]*Event)}
-	b.history = make([]Event, 0, cfg.historySize())
+	b.history = make([]Event, 0, cfg.historyCap())
 	b.mActive = cfg.Metrics.Gauge("aqp_alerts_active",
 		"Alert episodes currently firing.")
 	return b
 }
 
-func (c Config) historySize() int {
-	if c.History <= 0 {
-		return 128
+func (c Config) historyCap() int {
+	if c.history > 0 {
+		return c.history
 	}
-	return c.History
+	return historySize
 }
 
 // AddSink registers an additional sink. Not safe to call concurrently
@@ -220,7 +225,7 @@ func (b *Bus) Resolve(source, kind, key string) {
 }
 
 func (b *Bus) pushHistoryLocked(ev Event) {
-	max := b.cfg.historySize()
+	max := b.cfg.historyCap()
 	if len(b.history) < max {
 		b.history = append(b.history, ev)
 		return

@@ -95,7 +95,7 @@ func TestBusLifecycle(t *testing.T) {
 // ends empty.
 func TestBusConcurrent(t *testing.T) {
 	sink := &countingSink{}
-	b := New(Config{History: 4096, Sinks: []Sink{sink}})
+	b := New(Config{Sinks: []Sink{sink}, history: 4096})
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 
 	var wg sync.WaitGroup
@@ -138,7 +138,7 @@ func TestBusConcurrent(t *testing.T) {
 }
 
 func TestBusHistoryRing(t *testing.T) {
-	b := New(Config{History: 4})
+	b := New(Config{history: 4})
 	for i := 0; i < 6; i++ {
 		b.Raise(Alert{Source: "s", Kind: "k", Key: string(rune('a' + i))})
 	}

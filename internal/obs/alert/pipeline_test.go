@@ -37,7 +37,7 @@ func TestAlertPipelineEndToEnd(t *testing.T) {
 	// The watchdog raises on the bus directly, as aqpd wires it.
 	wd := watchdog.New(watchdog.Config{
 		Window: 16, MinAudits: 16, AuditFraction: 1,
-		Nominal: 0.5, Tolerance: 1, Synchronous: true, Alerts: bus,
+		Tolerance: 1, Synchronous: true, Alerts: bus,
 	})
 	defer wd.Close()
 	// Truth misses the interval for "miss" queries, covers it otherwise.
@@ -55,8 +55,8 @@ func TestAlertPipelineEndToEnd(t *testing.T) {
 		}}}
 	}
 
-	// 6 covered + 11 missed: coverage 5/16 < Band(0.5,16,1).lo = 0.375 →
-	// undercoverage fires (same arithmetic the watchdog edge test pins).
+	// 6 covered + 11 missed: coverage 5/16, far under the 95% intervals'
+	// band (Band(0.95,16,1).lo ≈ 0.896) → undercoverage fires.
 	for i := 0; i < 6; i++ {
 		wd.Observe(rec("cover"))
 	}
@@ -79,10 +79,10 @@ func TestAlertPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("bus active = %+v, want the one undercoverage episode", bus.Active())
 	}
 
-	// Recover at the nominal rate until the window re-enters the band.
-	for i := 0; i < 8; i++ {
+	// Covered audits push the misses out until the window re-enters the
+	// band.
+	for i := 0; i < 16; i++ {
 		wd.Observe(rec("cover"))
-		wd.Observe(rec("miss"))
 	}
 
 	var resolved alert.Event

@@ -46,45 +46,40 @@ func NewLogSink(logger *slog.Logger) Sink {
 
 // WebhookOptions tunes a webhook sink.
 type WebhookOptions struct {
-	// QueueSize bounds pending deliveries (0 = 64); overflow drops.
-	QueueSize int
-	// MaxRetries is extra attempts per delivery after the first (0 = 3).
-	MaxRetries int
-	// RetryBackoff is the base inter-attempt delay, scaled linearly
-	// (0 = 250ms).
-	RetryBackoff time.Duration
-	// Timeout bounds each POST (0 = 5s).
-	Timeout time.Duration
 	// Metrics receives aqp_alert_webhook_* series.
 	Metrics *obs.Registry
+
+	// queueSize and retryBackoff, when positive, replace the constants of
+	// the same names. Only this package's tests set them.
+	queueSize    int
+	retryBackoff time.Duration
 }
 
-func (o WebhookOptions) queueSize() int {
-	if o.QueueSize <= 0 {
-		return 64
+// Delivery settings. The span exporter (internal/obs/export) retries, backs
+// off and times out the same way.
+const (
+	// queueSize bounds pending deliveries; overflow drops.
+	queueSize = 64
+	// maxRetries is the extra attempts per delivery after the first.
+	maxRetries = 3
+	// retryBackoff is the base inter-attempt delay, scaled linearly.
+	retryBackoff = 250 * time.Millisecond
+	// postTimeout bounds each POST.
+	postTimeout = 5 * time.Second
+)
+
+func (o WebhookOptions) queue() int {
+	if o.queueSize > 0 {
+		return o.queueSize
 	}
-	return o.QueueSize
+	return queueSize
 }
 
-func (o WebhookOptions) maxRetries() int {
-	if o.MaxRetries <= 0 {
-		return 3
+func (o WebhookOptions) backoff() time.Duration {
+	if o.retryBackoff > 0 {
+		return o.retryBackoff
 	}
-	return o.MaxRetries
-}
-
-func (o WebhookOptions) retryBackoff() time.Duration {
-	if o.RetryBackoff <= 0 {
-		return 250 * time.Millisecond
-	}
-	return o.RetryBackoff
-}
-
-func (o WebhookOptions) timeout() time.Duration {
-	if o.Timeout <= 0 {
-		return 5 * time.Second
-	}
-	return o.Timeout
+	return retryBackoff
 }
 
 // WebhookSink POSTs each transition as a JSON document to a generic
@@ -110,8 +105,8 @@ func NewWebhookSink(url string, opt WebhookOptions) *WebhookSink {
 	s := &WebhookSink{
 		url:    url,
 		opt:    opt,
-		client: &http.Client{Timeout: opt.timeout()},
-		ch:     make(chan Event, opt.queueSize()),
+		client: &http.Client{Timeout: postTimeout},
+		ch:     make(chan Event, opt.queue()),
 	}
 	reg := opt.Metrics
 	s.mSent = reg.Counter("aqp_alert_webhook_total",
@@ -175,11 +170,11 @@ func (s *WebhookSink) deliver(ev Event) bool {
 	if err != nil {
 		return false
 	}
-	attempts := 1 + s.opt.maxRetries()
+	attempts := 1 + maxRetries
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			s.mRetries.Inc()
-			time.Sleep(time.Duration(i) * s.opt.retryBackoff())
+			time.Sleep(time.Duration(i) * s.opt.backoff())
 		}
 		resp, err := s.client.Post(s.url, "application/json", bytes.NewReader(body))
 		if err != nil {

@@ -62,9 +62,7 @@ func TestWebhookSinkRetries(t *testing.T) {
 	defer srv.Close()
 
 	reg := obs.NewRegistry()
-	sink := NewWebhookSink(srv.URL, WebhookOptions{
-		MaxRetries: 3, RetryBackoff: time.Millisecond, Metrics: reg,
-	})
+	sink := NewWebhookSink(srv.URL, WebhookOptions{Metrics: reg, retryBackoff: time.Millisecond})
 	sink.Notify(Event{Alert: Alert{Source: "s", Kind: "k", Key: "x"}, State: StateFiring})
 	sink.Close()
 
@@ -92,7 +90,7 @@ func TestWebhookSinkNeverBlocks(t *testing.T) {
 	defer srv.Close()
 
 	reg := obs.NewRegistry()
-	sink := NewWebhookSink(srv.URL, WebhookOptions{QueueSize: 2, Metrics: reg})
+	sink := NewWebhookSink(srv.URL, WebhookOptions{Metrics: reg, queueSize: 2})
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 20; i++ {

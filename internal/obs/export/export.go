@@ -27,7 +27,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Config tunes the exporter. Zero values take the documented defaults.
+// Config tunes the exporter.
 type Config struct {
 	// URL is the OTLP/HTTP traces endpoint (e.g.
 	// "http://collector:4318/v1/traces"). Empty disables HTTP posting.
@@ -36,74 +36,48 @@ type Config struct {
 	// per flushed batch) to a file — the filesink fallback. Empty
 	// disables it. At least one of URL and Path must be set.
 	Path string
-	// ServiceName becomes the OTLP resource's service.name ("aqp").
-	ServiceName string
-	// MaxBatch flushes when this many traces are buffered (0 = 64).
-	MaxBatch int
-	// FlushInterval flushes a partial batch this often (0 = 2s).
-	FlushInterval time.Duration
-	// QueueSize bounds the handoff queue between the query path and the
-	// worker (0 = 256); overflow drops, never blocks.
-	QueueSize int
-	// MaxRetries is how many additional attempts a failed POST gets
-	// before its batch is dropped (0 = 3).
-	MaxRetries int
-	// RetryBackoff is the base delay between attempts, scaled linearly
-	// (0 = 250ms).
-	RetryBackoff time.Duration
-	// Timeout bounds each POST (0 = 5s).
-	Timeout time.Duration
 	// Metrics receives aqp_export_* series (nil = unmetered).
 	Metrics *obs.Registry
+
+	// queueSize and maxBatch, when positive, replace the constants of the
+	// same names. Only this package's tests set them, to wedge the worker
+	// behind a small queue.
+	queueSize, maxBatch int
 }
 
-func (c Config) maxBatch() int {
-	if c.MaxBatch <= 0 {
-		return 64
+// Delivery settings. The alert webhook (internal/obs/alert) retries, backs
+// off and times out the same way.
+const (
+	// serviceName is the OTLP resource's service.name.
+	serviceName = "aqp"
+	// maxBatch flushes once this many traces are buffered.
+	maxBatch = 64
+	// flushInterval flushes a partial batch this often.
+	flushInterval = 2 * time.Second
+	// queueSize bounds the handoff queue between the query path and the
+	// worker; overflow drops, never blocks.
+	queueSize = 256
+	// maxRetries is how many additional attempts a failed POST gets before
+	// its batch is dropped.
+	maxRetries = 3
+	// retryBackoff is the base delay between attempts, scaled linearly.
+	retryBackoff = 250 * time.Millisecond
+	// postTimeout bounds each POST.
+	postTimeout = 5 * time.Second
+)
+
+func (c Config) queue() int {
+	if c.queueSize > 0 {
+		return c.queueSize
 	}
-	return c.MaxBatch
+	return queueSize
 }
 
-func (c Config) flushInterval() time.Duration {
-	if c.FlushInterval <= 0 {
-		return 2 * time.Second
+func (c Config) batch() int {
+	if c.maxBatch > 0 {
+		return c.maxBatch
 	}
-	return c.FlushInterval
-}
-
-func (c Config) queueSize() int {
-	if c.QueueSize <= 0 {
-		return 256
-	}
-	return c.QueueSize
-}
-
-func (c Config) maxRetries() int {
-	if c.MaxRetries <= 0 {
-		return 3
-	}
-	return c.MaxRetries
-}
-
-func (c Config) retryBackoff() time.Duration {
-	if c.RetryBackoff <= 0 {
-		return 250 * time.Millisecond
-	}
-	return c.RetryBackoff
-}
-
-func (c Config) timeout() time.Duration {
-	if c.Timeout <= 0 {
-		return 5 * time.Second
-	}
-	return c.Timeout
-}
-
-func (c Config) serviceName() string {
-	if c.ServiceName == "" {
-		return "aqp"
-	}
-	return c.ServiceName
+	return maxBatch
 }
 
 // Exporter implements obs.SpanExporter. Construct with New, attach via
@@ -137,7 +111,7 @@ func New(cfg Config) (*Exporter, error) {
 	}
 	e := &Exporter{
 		cfg:   cfg,
-		ch:    make(chan obs.TraceSnapshot, cfg.queueSize()),
+		ch:    make(chan obs.TraceSnapshot, cfg.queue()),
 		flush: make(chan chan struct{}),
 	}
 	if cfg.Path != "" {
@@ -148,7 +122,7 @@ func New(cfg Config) (*Exporter, error) {
 		e.file = f
 	}
 	if cfg.URL != "" {
-		e.client = &http.Client{Timeout: cfg.timeout()}
+		e.client = &http.Client{Timeout: postTimeout}
 	}
 	reg := cfg.Metrics
 	e.mTraces = reg.Counter("aqp_export_traces_total",
@@ -235,7 +209,7 @@ func (e *Exporter) Close() error {
 
 func (e *Exporter) worker() {
 	defer e.wg.Done()
-	ticker := time.NewTicker(e.cfg.flushInterval())
+	ticker := time.NewTicker(flushInterval)
 	defer ticker.Stop()
 	var batch []obs.TraceSnapshot
 	send := func() {
@@ -253,7 +227,7 @@ func (e *Exporter) worker() {
 			}
 			e.mQueue.Set(int64(len(e.ch)))
 			batch = append(batch, t)
-			if len(batch) >= e.cfg.maxBatch() {
+			if len(batch) >= e.cfg.batch() {
 				send()
 			}
 		case <-ticker.C:
@@ -280,7 +254,7 @@ func (e *Exporter) worker() {
 }
 
 func (e *Exporter) send(batch []obs.TraceSnapshot) {
-	body, err := json.Marshal(otlpRequest(e.cfg.serviceName(), batch))
+	body, err := json.Marshal(otlpRequest(serviceName, batch))
 	if err != nil {
 		e.mDropS.Add(int64(len(batch)))
 		e.mBatchNG.Inc()
@@ -307,11 +281,11 @@ func (e *Exporter) send(batch []obs.TraceSnapshot) {
 // post attempts the OTLP POST with linear-backoff retries; it reports
 // whether the collector eventually accepted the batch.
 func (e *Exporter) post(body []byte) bool {
-	attempts := 1 + e.cfg.maxRetries()
+	attempts := 1 + maxRetries
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			e.mRetries.Inc()
-			time.Sleep(time.Duration(i) * e.cfg.retryBackoff())
+			time.Sleep(time.Duration(i) * retryBackoff)
 		}
 		resp, err := e.client.Post(e.cfg.URL, "application/json", bytes.NewReader(body))
 		if err != nil {

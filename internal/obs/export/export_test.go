@@ -50,7 +50,7 @@ func TestExporterPostsOTLP(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	exp, err := New(Config{URL: srv.URL, ServiceName: "aqp-test", Metrics: obs.NewRegistry()})
+	exp, err := New(Config{URL: srv.URL, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +98,12 @@ func TestExporterPostsOTLP(t *testing.T) {
 	res := req.ResourceSpans[0]
 	foundService := false
 	for _, kv := range res.Resource.Attributes {
-		if kv.Key == "service.name" && kv.Value.StringValue == "aqp-test" {
+		if kv.Key == "service.name" && kv.Value.StringValue == "aqp" {
 			foundService = true
 		}
 	}
 	if !foundService {
-		t.Error("resource is missing service.name=aqp-test")
+		t.Error("resource is missing service.name=aqp")
 	}
 	spans := res.ScopeSpans[0].Spans
 	if len(spans) != 4 { // root + analyze + scan + estimate
@@ -155,9 +155,9 @@ func TestExporterOverflowDropsNotBlocks(t *testing.T) {
 	reg := obs.NewRegistry()
 	exp, err := New(Config{
 		URL:       srv.URL,
-		QueueSize: 4,
-		MaxBatch:  1, // every trace is its own batch → worker wedges on the first
 		Metrics:   reg,
+		queueSize: 4,
+		maxBatch:  1, // every trace is its own batch → worker wedges on the first
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,13 +24,6 @@ import (
 
 // Options configures a Store.
 type Options struct {
-	// MaxSegmentBytes rotates the active segment once it would exceed
-	// this size (0 = 8 MiB).
-	MaxSegmentBytes int64
-	// FsyncEvery is the durability knob: 1 fsyncs after every record,
-	// N > 1 after every Nth record, 0 never fsyncs explicitly (the OS
-	// flushes; rotation and Close always sync).
-	FsyncEvery int
 	// SLOs declares the objectives the monitor evaluates.
 	SLOs []SLOSpec
 	// Registry, when set, receives aqp_history_* and aqp_slo_* metrics.
@@ -39,20 +32,28 @@ type Options struct {
 	// negative disables the background goroutine — evaluation then only
 	// happens on demand).
 	SampleInterval time.Duration
-	// ProfileEpsilon is the GK-sketch rank error for profile quantiles
-	// (0 = 0.02).
-	ProfileEpsilon float64
 	// Alerts, when set, receives SLO burn alerts on the unified bus: a
 	// spec transitioning into breach raises a (source="slo", kind="burn",
 	// key=spec name) episode; leaving breach resolves it.
 	Alerts *alert.Bus
+
+	// maxSegmentBytes, when positive, replaces the constant of the same
+	// name, and fsyncEvery, when positive, fsyncs after every that many
+	// records. Only this package's tests set them; otherwise the OS
+	// flushes, and rotation and Close always sync.
+	maxSegmentBytes int64
+	fsyncEvery      int
 }
 
-func (o Options) maxSegmentBytes() int64 {
-	if o.MaxSegmentBytes <= 0 {
-		return 8 << 20
+// maxSegmentBytes rotates the active segment once it would exceed this
+// size.
+const maxSegmentBytes = 8 << 20
+
+func (o Options) segmentCap() int64 {
+	if o.maxSegmentBytes > 0 {
+		return o.maxSegmentBytes
 	}
-	return o.MaxSegmentBytes
+	return maxSegmentBytes
 }
 
 // ReplayStats summarizes the startup replay.
@@ -122,7 +123,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		opt:      opt,
 		counts:   map[string]int64{},
 		replayed: map[string]int64{},
-		prof:     newProfiler(opt.ProfileEpsilon),
+		prof:     newProfiler(),
 		mon:      newMonitor(opt.SLOs, opt.Registry, opt.Alerts),
 	}
 	start := time.Now()
@@ -247,7 +248,7 @@ func (s *Store) append(rec *Record) {
 	if s.closed || s.f == nil {
 		return
 	}
-	if s.segBytes+int64(len(frame)) > s.opt.maxSegmentBytes() &&
+	if s.segBytes+int64(len(frame)) > s.opt.segmentCap() &&
 		s.segBytes > segHeaderLen {
 		s.rotateLocked()
 	}
@@ -259,9 +260,9 @@ func (s *Store) append(rec *Record) {
 	s.segBytes += int64(len(frame))
 	s.bytes += int64(len(frame))
 	s.counts[rec.Kind]++
-	if s.opt.FsyncEvery > 0 {
+	if s.opt.fsyncEvery > 0 {
 		s.sinceSync++
-		if s.sinceSync >= s.opt.FsyncEvery {
+		if s.sinceSync >= s.opt.fsyncEvery {
 			if err := s.f.Sync(); err != nil {
 				s.werrs++
 				s.lastErr = err
@@ -400,7 +401,7 @@ func Replay(path string) ([]Profile, []SegmentStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	prof := newProfiler(0)
+	prof := newProfiler()
 	var stats []SegmentStats
 	if info.IsDir() {
 		stats, err = ReplayDir(path, prof.fold)
@@ -431,7 +432,7 @@ func (s *Store) Stats() Stats {
 		Bytes:         s.bytes,
 		Fsyncs:        s.fsyncs,
 		WriteErrors:   s.werrs,
-		FsyncEvery:    s.opt.FsyncEvery,
+		FsyncEvery:    s.opt.fsyncEvery,
 		Replay:        s.replay,
 	}
 	for k, v := range s.counts {

@@ -74,7 +74,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxSegmentBytes: 2048, SampleInterval: -1})
+	s, err := Open(dir, Options{SampleInterval: -1, maxSegmentBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestCorruptTailSkipped(t *testing.T) {
 // lifetime counters, and coverage with no record loss before the fsync.
 func TestKillAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := Open(dir, Options{FsyncEvery: 1, SampleInterval: -1})
+	s1, err := Open(dir, Options{SampleInterval: -1, fsyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestKillAndReopen(t *testing.T) {
 }
 
 func TestProfilerFold(t *testing.T) {
-	p := newProfiler(0)
+	p := newProfiler()
 	sels := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
 	for i, sel := range sels {
 		q := testQueryRecord(uint64(i), sel)

@@ -85,8 +85,11 @@ type distAcc struct {
 	gk  *stats.GKSketch
 }
 
-func newDistAcc(eps float64) *distAcc {
-	return &distAcc{gk: stats.NewGKSketch(eps)}
+// profileEpsilon is the GK-sketch rank error of profile quantiles.
+const profileEpsilon = 0.02
+
+func newDistAcc() *distAcc {
+	return &distAcc{gk: stats.NewGKSketch(profileEpsilon)}
 }
 
 func (d *distAcc) add(v float64) {
@@ -133,23 +136,19 @@ type profAcc struct {
 // read.
 type profiler struct {
 	mu   sync.Mutex
-	eps  float64
 	accs map[Key]*profAcc
 }
 
-func newProfiler(eps float64) *profiler {
-	if eps <= 0 || eps >= 1 {
-		eps = 0.02
-	}
-	return &profiler{eps: eps, accs: map[Key]*profAcc{}}
+func newProfiler() *profiler {
+	return &profiler{accs: map[Key]*profAcc{}}
 }
 
 func (p *profiler) acc(k Key) *profAcc {
 	a, ok := p.accs[k]
 	if !ok {
 		a = &profAcc{
-			sel:        newDistAcc(p.eps),
-			rel:        newDistAcc(p.eps),
+			sel:        newDistAcc(),
+			rel:        newDistAcc(),
 			stages:     map[string]*distAcc{},
 			techniques: map[string]int64{},
 		}
@@ -215,7 +214,7 @@ func (p *profiler) foldQuery(q *obs.QueryRecord) {
 		for stage, ms := range q.StagesMs {
 			d, ok := acc.stages[stage]
 			if !ok {
-				d = newDistAcc(p.eps)
+				d = newDistAcc()
 				acc.stages[stage] = d
 			}
 			d.add(ms)

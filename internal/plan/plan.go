@@ -27,6 +27,9 @@ package plan
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/diagnostic"
+	"repro/internal/estimator"
 )
 
 // Options selects which pipeline stages a plan uses.
@@ -34,13 +37,12 @@ type Options struct {
 	// BootstrapK is the number of bootstrap resamples (0 disables error
 	// estimation entirely: plain approximate answer only).
 	BootstrapK int
-	// Alpha is the confidence level for error bars.
-	Alpha float64
 	// Diagnostics enables the diagnostic operator.
 	Diagnostics bool
-	// DiagSizes and DiagP configure the diagnostic ladder.
-	DiagSizes []int
-	DiagP     int
+	// SampleRows is the row count of the sample the plan runs on. The
+	// diagnostic's ladder is a function of it (diagnostic.Ladder), so a
+	// diagnosed plan needs it.
+	SampleRows int
 	// VerdictFirst declares that whoever runs the plan replaces each
 	// aggregate the diagnostic rejects with an exact answer. The executor
 	// then does not bootstrap a rejected aggregate — its K estimates would
@@ -50,19 +52,15 @@ type Options struct {
 	VerdictFirst bool
 }
 
-// DefaultOptions returns the pipeline with the paper's parameters (K=100
-// resamples, p=100 subsamples at 3 sizes, α=0.95).
+// DefaultOptions returns the pipeline with the paper's parameters on a
+// sample of sampleRows rows: K=100 resamples and, when the sample is large
+// enough to diagnose, Algorithm 1's ladder.
 func DefaultOptions(sampleRows int) Options {
-	b3 := sampleRows / 200
-	if b3 < 4 {
-		b3 = 4
-	}
+	_, diagnosed := diagnostic.Ladder(sampleRows, sampleRows)
 	return Options{
-		BootstrapK:  100,
-		Alpha:       0.95,
-		Diagnostics: true,
-		DiagSizes:   []int{b3 / 4, b3 / 2, b3},
-		DiagP:       100,
+		BootstrapK:  estimator.DefaultBootstrapK,
+		Diagnostics: diagnosed,
+		SampleRows:  sampleRows,
 	}
 }
 
@@ -76,7 +74,7 @@ type Plan struct {
 	Opt Options
 }
 
-// Build validates and normalizes the options and plans the query.
+// Build validates the options and plans the query.
 func Build(def *QueryDef, opt Options) (*Plan, error) {
 	if len(def.Aggs) == 0 {
 		return nil, fmt.Errorf("plan: query has no aggregates")
@@ -84,33 +82,34 @@ func Build(def *QueryDef, opt Options) (*Plan, error) {
 	if opt.BootstrapK < 0 {
 		return nil, fmt.Errorf("plan: negative bootstrap K")
 	}
-	if opt.Alpha == 0 {
-		opt.Alpha = 0.95
+	if opt.Diagnostics {
+		if _, diagnosed := diagnostic.Ladder(opt.SampleRows, opt.SampleRows); !diagnosed {
+			return nil, fmt.Errorf("plan: diagnostics enabled on a sample of %d rows, too few to diagnose", opt.SampleRows)
+		}
 	}
-	if opt.Diagnostics && (len(opt.DiagSizes) == 0 || opt.DiagP <= 0) {
-		return nil, fmt.Errorf("plan: diagnostics enabled without sizes/p")
-	}
-	opt.DiagSizes = append([]int(nil), opt.DiagSizes...)
 	return &Plan{Def: def, Opt: opt}, nil
 }
 
 // Explain renders the operator chain as an indented tree, root first. The
 // Resample carries the diagnostic's weight groups alongside the K bootstrap
 // weights (scan consolidation) and sits above the Filter and Project
-// (operator pushdown).
+// (operator pushdown). The diagnostic's ladder shown is the sample's own,
+// the one a query runs when at least half the sample survives its filter;
+// a tighter filter runs a smaller one (diagnostic.Ladder).
 func (p *Plan) Explain() string {
 	d, o := p.Def, p.Opt
 	weighted := o.BootstrapK > 0 || o.Diagnostics
+	sizes, _ := diagnostic.Ladder(o.SampleRows, o.SampleRows)
 	var ops []string
 	if o.Diagnostics {
-		op := fmt.Sprintf("Diagnostic(sizes=%v, p=%d", o.DiagSizes, o.DiagP)
+		op := fmt.Sprintf("Diagnostic(sizes=%v, p=%d", sizes, diagnostic.P)
 		if o.VerdictFirst {
 			op += ", verdict-first"
 		}
 		ops = append(ops, op+")")
 	}
 	if o.BootstrapK > 0 {
-		ops = append(ops, fmt.Sprintf("Bootstrap(K=%d, α=%g)", o.BootstrapK, o.Alpha))
+		ops = append(ops, fmt.Sprintf("Bootstrap(K=%d, α=%g)", o.BootstrapK, estimator.ConfidenceLevel))
 	}
 	aggs := make([]string, len(d.Aggs))
 	var inputs []string
@@ -131,7 +130,7 @@ func (p *Plan) Explain() string {
 	if weighted {
 		op = fmt.Sprintf("PoissonizedResample(K=%d", o.BootstrapK)
 		if o.Diagnostics {
-			op += fmt.Sprintf(", diag=%v×%d", o.DiagSizes, o.DiagP)
+			op += fmt.Sprintf(", diag=%v×%d", sizes, diagnostic.P)
 		}
 		ops = append(ops, op+")")
 	}

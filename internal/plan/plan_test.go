@@ -143,8 +143,8 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(def, Options{BootstrapK: -1}); err == nil {
 		t.Error("negative K accepted")
 	}
-	if _, err := Build(def, Options{Diagnostics: true}); err == nil {
-		t.Error("diagnostics without sizes accepted")
+	if _, err := Build(def, Options{Diagnostics: true, SampleRows: 6399}); err == nil {
+		t.Error("diagnostics on a sample too small to diagnose accepted")
 	}
 	if _, err := Build(&QueryDef{Table: "t"}, Options{}); err == nil {
 		t.Error("no aggregates accepted")
@@ -176,7 +176,7 @@ func TestExplainRendersTree(t *testing.T) {
 func TestExplainGolden(t *testing.T) {
 	vf := DefaultOptions(10000)
 	vf.VerdictFirst = true
-	closedForm := Options{Alpha: 0.95, Diagnostics: true, DiagSizes: []int{12, 25, 50}, DiagP: 100}
+	closedForm := Options{Diagnostics: true, SampleRows: 10000}
 	cases := []struct {
 		q    string
 		opt  Options
@@ -184,7 +184,7 @@ func TestExplainGolden(t *testing.T) {
 	}{
 		{"SELECT AVG(x) FROM t", Options{},
 			"Aggregate(AVG(x))\n  Project(x)\n    Scan(t)\n"},
-		{"SELECT AVG(x) FROM t WHERE x > 1", Options{Alpha: 0.9},
+		{"SELECT AVG(x) FROM t WHERE x > 1", Options{},
 			"Aggregate(AVG(x))\n  Project(x)\n    Filter((x > 1))\n      Scan(t)\n"},
 		{"SELECT COUNT(*) FROM t", Options{},
 			"Aggregate(COUNT(*))\n  Scan(t)\n"},
@@ -192,9 +192,9 @@ func TestExplainGolden(t *testing.T) {
 			"Diagnostic(sizes=[12 25 50], p=100)\n  Bootstrap(K=100, α=0.95)\n    Aggregate(COUNT(*) [weighted])\n      PoissonizedResample(K=100, diag=[12 25 50]×100)\n        Filter((city = 'NYC'))\n          Scan(t)\n"},
 		{"SELECT SUM(x) FROM t", Options{BootstrapK: 50},
 			"Bootstrap(K=50, α=0.95)\n  Aggregate(SUM(x) [weighted])\n    PoissonizedResample(K=50)\n      Project(x)\n        Scan(t)\n"},
-		{"SELECT MAX(x) FROM t WHERE x > 1 AND y < 2", Options{BootstrapK: 50, Alpha: 0.9},
-			"Bootstrap(K=50, α=0.9)\n  Aggregate(MAX(x) [weighted])\n    PoissonizedResample(K=50)\n      Project(x)\n        Filter(((x > 1) AND (y < 2)))\n          Scan(t)\n"},
-		{"SELECT AVG(x) FROM t", Options{BootstrapK: 20, DiagSizes: []int{1, 2}, DiagP: 3},
+		{"SELECT MAX(x) FROM t WHERE x > 1 AND y < 2", Options{BootstrapK: 50},
+			"Bootstrap(K=50, α=0.95)\n  Aggregate(MAX(x) [weighted])\n    PoissonizedResample(K=50)\n      Project(x)\n        Filter(((x > 1) AND (y < 2)))\n          Scan(t)\n"},
+		{"SELECT AVG(x) FROM t", Options{BootstrapK: 20, SampleRows: 10000},
 			"Bootstrap(K=20, α=0.95)\n  Aggregate(AVG(x) [weighted])\n    PoissonizedResample(K=20)\n      Project(x)\n        Scan(t)\n"},
 		{"SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'", DefaultOptions(100000),
 			"Diagnostic(sizes=[125 250 500], p=100)\n  Bootstrap(K=100, α=0.95)\n    Aggregate(AVG(Time) [weighted])\n      PoissonizedResample(K=100, diag=[125 250 500]×100)\n        Project(Time)\n          Filter((City = 'NYC'))\n            Scan(Sessions)\n"},

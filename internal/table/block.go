@@ -532,10 +532,10 @@ func compressStr(c StringCol) *StrBlockCol {
 	return enc.finish()
 }
 
-// strBlockEnc incrementally encodes a string column block by block; shared
-// between Compress and the streaming BlockBuilder. It starts in dictionary
-// mode and rewrites itself to raw payloads if the distinct count exceeds
-// strDictMax (the dictionary still decodes the already-written blocks).
+// strBlockEnc incrementally encodes a string column block by block for
+// Compress. It starts in dictionary mode and rewrites itself to raw payloads
+// if the distinct count exceeds strDictMax (the dictionary still decodes the
+// already-written blocks).
 type strBlockEnc struct {
 	dict    []string
 	index   map[string]uint32
@@ -617,80 +617,6 @@ func (e *strBlockEnc) finish() *StrBlockCol {
 		offs: e.offs, rows: e.rows, logical: e.logical}
 }
 
-// --- streaming block builder. ---
-
-// BlockBuilder accumulates rows and encodes full blocks as they fill, so
-// ingesting into a compressed backing never materializes whole raw columns
-// for numeric types. (String columns buffer only the current block plus the
-// dictionary.) The result is a compressed table with zone maps attached.
-type BlockBuilder struct {
-	schema Schema
-	f64s   map[int]*f64BlockEnc
-	i64s   map[int]*i64BlockEnc
-	strs   map[int]*strStreamEnc
-	rows   int
-}
-
-// NewBlockBuilder returns a streaming builder for the given schema.
-func NewBlockBuilder(schema Schema) *BlockBuilder {
-	b := &BlockBuilder{
-		schema: schema,
-		f64s:   map[int]*f64BlockEnc{},
-		i64s:   map[int]*i64BlockEnc{},
-		strs:   map[int]*strStreamEnc{},
-	}
-	for i, f := range schema {
-		switch f.Type {
-		case Float64:
-			b.f64s[i] = &f64BlockEnc{col: &F64BlockCol{offs: []uint32{0}}}
-		case Int64:
-			b.i64s[i] = &i64BlockEnc{col: &I64BlockCol{offs: []uint32{0}}}
-		case String:
-			b.strs[i] = &strStreamEnc{enc: newStrBlockEnc()}
-		}
-	}
-	return b
-}
-
-// AppendRow appends one row; vals must match the schema (float64, int64 or
-// string per field). Panics on mismatch, like Builder.AppendRow.
-func (b *BlockBuilder) AppendRow(vals ...any) {
-	if len(vals) != len(b.schema) {
-		panic(fmt.Sprintf("table: AppendRow got %d values for %d fields",
-			len(vals), len(b.schema)))
-	}
-	for i, v := range vals {
-		switch b.schema[i].Type {
-		case Float64:
-			b.f64s[i].append(v.(float64))
-		case Int64:
-			b.i64s[i].append(v.(int64))
-		case String:
-			b.strs[i].append(v.(string))
-		}
-	}
-	b.rows++
-}
-
-// Build finalizes the builder into a compressed table with zone maps. The
-// builder must not be used afterwards.
-func (b *BlockBuilder) Build() *Table {
-	cols := make([]Column, len(b.schema))
-	for i, f := range b.schema {
-		switch f.Type {
-		case Float64:
-			cols[i] = b.f64s[i].finish()
-		case Int64:
-			cols[i] = b.i64s[i].finish()
-		case String:
-			cols[i] = b.strs[i].finish()
-		}
-	}
-	t := MustNew(b.schema, cols...)
-	t.BuildZones()
-	return t
-}
-
 // reserveRaw grows data, in one step, to hold rest more raw 8-byte values.
 // A block falls back to the raw codec when its values are high-entropy, and
 // then the rest of the column almost always does too — reserving their exact
@@ -703,18 +629,15 @@ func reserveRaw(data []byte, rest int) []byte {
 	return append(make([]byte, 0, len(data)+8*rest), data...)
 }
 
-// f64BlockEnc encodes a float64 column block by block; shared between
-// Compress (whole blocks of a raw column) and the streaming BlockBuilder
-// (rows buffered into buf).
+// f64BlockEnc encodes a float64 column block by block for Compress.
 type f64BlockEnc struct {
 	col     *F64BlockCol
-	buf     []float64
 	scratch encScratch
 }
 
 // appendBlock encodes vals (non-empty, at most BlockRows) as the column's
 // next block and records its codec, payload offset and min/max envelope.
-// rest is the number of rows known to follow, or 0 when unknown.
+// rest is the number of rows that follow.
 func (e *f64BlockEnc) appendBlock(vals []float64, rest int) {
 	c := e.col
 	codec, data := e.scratch.encodeF64Block(c.data, vals)
@@ -738,25 +661,9 @@ func (e *f64BlockEnc) appendBlock(vals []float64, rest int) {
 	c.rows += len(vals)
 }
 
-func (e *f64BlockEnc) append(v float64) {
-	e.buf = append(e.buf, v)
-	if len(e.buf) == BlockRows {
-		e.appendBlock(e.buf, 0)
-		e.buf = e.buf[:0]
-	}
-}
-
-func (e *f64BlockEnc) finish() *F64BlockCol {
-	if len(e.buf) > 0 {
-		e.appendBlock(e.buf, 0)
-	}
-	return e.col
-}
-
 // i64BlockEnc is f64BlockEnc's int64 counterpart.
 type i64BlockEnc struct {
 	col     *I64BlockCol
-	buf     []int64
 	scratch encScratch
 }
 
@@ -781,41 +688,6 @@ func (e *i64BlockEnc) appendBlock(vals []int64, rest int) {
 	c.mins = append(c.mins, float64(mn))
 	c.maxs = append(c.maxs, float64(mx))
 	c.rows += len(vals)
-}
-
-func (e *i64BlockEnc) append(v int64) {
-	e.buf = append(e.buf, v)
-	if len(e.buf) == BlockRows {
-		e.appendBlock(e.buf, 0)
-		e.buf = e.buf[:0]
-	}
-}
-
-func (e *i64BlockEnc) finish() *I64BlockCol {
-	if len(e.buf) > 0 {
-		e.appendBlock(e.buf, 0)
-	}
-	return e.col
-}
-
-type strStreamEnc struct {
-	enc *strBlockEnc
-	buf []string
-}
-
-func (e *strStreamEnc) append(s string) {
-	e.buf = append(e.buf, s)
-	if len(e.buf) == BlockRows {
-		e.enc.appendBlock(e.buf)
-		e.buf = e.buf[:0]
-	}
-}
-
-func (e *strStreamEnc) finish() *StrBlockCol {
-	if len(e.buf) > 0 {
-		e.enc.appendBlock(e.buf)
-	}
-	return e.enc.finish()
 }
 
 // --- block-buffered cursors. ---

@@ -1,7 +1,6 @@
 package table
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"os"
@@ -140,23 +139,6 @@ func TestBlockSliceViews(t *testing.T) {
 	assertTablesEqual(t,
 		raw.Slice(10, 2*BlockRows).Slice(50, 900),
 		ct.Slice(10, 2*BlockRows).Slice(50, 900))
-}
-
-func TestBlockBuilderMatchesCompress(t *testing.T) {
-	raw := blockTestTable(2*BlockRows + 321)
-	bb := NewBlockBuilder(raw.Schema())
-	lat := raw.Column(0).(Float64Col)
-	byt := raw.Column(1).(Float64Col)
-	id := raw.Column(2).(Int64Col)
-	city := raw.Column(3).(StringCol)
-	for i := 0; i < raw.NumRows(); i++ {
-		bb.AppendRow(lat[i], byt[i], id[i], city[i])
-	}
-	got := bb.Build()
-	assertTablesEqual(t, raw, got)
-	if got.Zones() == nil {
-		t.Error("BlockBuilder did not attach zones")
-	}
 }
 
 func TestStrDictOverflowFallsBackRaw(t *testing.T) {
@@ -415,38 +397,6 @@ func TestCursors(t *testing.T) {
 		if wc.At(5) != float64(id[5]) {
 			t.Fatal("widening F64Cursor over int64 column wrong")
 		}
-	}
-}
-
-func TestReadCSVBackedMatchesRaw(t *testing.T) {
-	raw := blockTestTable(BlockRows + 400)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, raw); err != nil {
-		t.Fatal(err)
-	}
-	types := []Type{Float64, Float64, Int64, String}
-	rawIn, err := ReadCSV(bytes.NewReader(buf.Bytes()), types)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backed, err := readCSV(bytes.NewReader(buf.Bytes()), types, BackingCompressed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTablesEqual(t, rawIn, backed)
-	if !backed.Lazy() {
-		t.Error("readCSV(compressed) returned a raw table")
-	}
-	if backed.Zones() == nil {
-		t.Error("readCSV(compressed) did not attach zones")
-	}
-	// WriteCSV over a compressed table must emit identical bytes.
-	var buf2 bytes.Buffer
-	if err := WriteCSV(&buf2, backed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("WriteCSV over compressed table differs from raw")
 	}
 }
 

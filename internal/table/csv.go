@@ -13,16 +13,6 @@ import (
 // with a row/column-addressed error. It round-trips the files cmd/aqpgen
 // writes.
 func ReadCSV(r io.Reader, types []Type) (*Table, error) {
-	return readCSV(r, types, BackingRaw)
-}
-
-// rowAppender abstracts Builder/BlockBuilder for ingestion.
-type rowAppender interface {
-	AppendRow(vals ...any)
-	Build() *Table
-}
-
-func readCSV(r io.Reader, types []Type, backing Backing) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
 	header, err := cr.Read()
@@ -37,12 +27,7 @@ func readCSV(r io.Reader, types []Type, backing Backing) (*Table, error) {
 	for i, name := range header {
 		schema[i] = Field{Name: strings.TrimSpace(name), Type: types[i]}
 	}
-	var b rowAppender
-	if backing == BackingRaw {
-		b = NewBuilder(schema)
-	} else {
-		b = NewBlockBuilder(schema)
-	}
+	b := NewBuilder(schema)
 	row := make([]any, len(header))
 	for line := 2; ; line++ {
 		rec, err := cr.Read()

@@ -3,6 +3,8 @@ package watchdog
 import (
 	"encoding/json"
 	"net/http"
+
+	"repro/internal/estimator"
 )
 
 // KeyStatus is one (aggregate, sample) population's rolling summary as
@@ -58,7 +60,7 @@ func (w *Watchdog) Status() Status {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	st := Status{
-		Nominal:       w.cfg.nominal(),
+		Nominal:       estimator.ConfidenceLevel,
 		Tolerance:     w.cfg.tolerance(),
 		Window:        w.cfg.window(),
 		MinAudits:     w.cfg.minAudits(),
@@ -70,7 +72,7 @@ func (w *Watchdog) Status() Status {
 		ks := w.keys[k]
 		rej, rejN := ks.verdicts.rate()
 		cov, covN := ks.coverage.rate()
-		lo, hi := Band(w.cfg.nominal(), covN, w.cfg.tolerance())
+		lo, hi := Band(estimator.ConfidenceLevel, covN, w.cfg.tolerance())
 		var rejLo, rejHi float64
 		if ks.baselineSet {
 			rejLo, rejHi = driftBand(ks.baselineRejects, rejN, w.cfg.tolerance())

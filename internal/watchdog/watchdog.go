@@ -86,9 +86,6 @@ type Config struct {
 	// deterministic cadence that consumes no randomness (0 = no audits;
 	// cap 1 = every query).
 	AuditFraction float64
-	// Nominal is the confidence level the reported intervals claim
-	// (0 = 0.95). Empirical coverage is compared against it.
-	Nominal float64
 	// Tolerance is the z-multiplier of the binomial standard error that
 	// widths the acceptance band (0 = 3, a three-sigma band).
 	Tolerance float64
@@ -124,13 +121,6 @@ func (c Config) minAudits() int {
 		return 20
 	}
 	return c.MinAudits
-}
-
-func (c Config) nominal() float64 {
-	if c.Nominal <= 0 {
-		return 0.95
-	}
-	return c.Nominal
 }
 
 func (c Config) tolerance() float64 {
@@ -361,7 +351,7 @@ func New(cfg Config) *Watchdog {
 			"Background audits waiting to run."),
 	}
 	reg.GaugeFloat("aqp_calibration_nominal",
-		"Nominal coverage level the watchdog holds intervals to.").Set(cfg.nominal())
+		"Nominal coverage level the watchdog holds intervals to.").Set(estimator.ConfidenceLevel)
 	if !cfg.Synchronous && cfg.stride() > 0 {
 		w.auditCh = make(chan *obs.QueryRecord, auditQueue)
 		w.wg.Add(1)
@@ -565,7 +555,7 @@ func (w *Watchdog) checkCoverageLocked(vs []verdict, k Key, st *keyState) []verd
 	if n < w.cfg.minAudits() || w.cfg.Alerts == nil {
 		return vs
 	}
-	nominal := w.cfg.nominal()
+	const nominal = estimator.ConfidenceLevel
 	lo, hi := Band(nominal, n, w.cfg.tolerance())
 	under, over := inBand(Undercoverage, st), inBand(Overcoverage, st)
 	switch {

@@ -62,31 +62,38 @@ func TestBand(t *testing.T) {
 	}
 }
 
+// edgeTolerance returns the tolerance whose band around the nominal level
+// over n audits has an edge exactly on k/n.
+func edgeTolerance(k, n int) float64 {
+	const p = estimator.ConfidenceLevel
+	return math.Abs(p-float64(k)/float64(n)) / math.Sqrt(p*(1-p)/float64(n))
+}
+
 // TestUndercoverageStrictEdge pins the no-flaky-boundaries contract: a
 // coverage landing exactly on the band edge does not alert; one more
 // missed audit pushes it strictly outside and does.
 func TestUndercoverageStrictEdge(t *testing.T) {
 	w, bus := withBus(Config{
 		Window: 16, MinAudits: 16, AuditFraction: 1,
-		Nominal: 0.5, Tolerance: 1, Synchronous: true,
+		Tolerance: edgeTolerance(14, 16), Synchronous: true,
 	})
 	w.Bind(coverAudit())
 	iv := estimator.Interval{Center: 0, HalfWidth: 1}
-	// 6 covered then 10 missed: at the 16th audit coverage is 6/16 =
-	// 0.375, exactly the band's lower edge for Band(0.5, 16, 1).
-	for i := 0; i < 6; i++ {
+	// 14 covered then 2 missed: at the 16th audit coverage is 14/16 =
+	// 0.875, exactly the band's lower edge.
+	for i := 0; i < 14; i++ {
 		w.Observe(rec("cover", false, iv))
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 2; i++ {
 		w.Observe(rec("miss", false, iv))
 	}
-	if k := w.Status().Keys[0]; k.CoverageLo != 0.375 || k.Coverage != k.CoverageLo {
+	if k := w.Status().Keys[0]; k.CoverageLo != 0.875 || k.Coverage != k.CoverageLo {
 		t.Fatalf("coverage %v not on the band's lower edge %v", k.Coverage, k.CoverageLo)
 	}
 	if alerts := bus.Active(); len(alerts) != 0 {
 		t.Fatalf("coverage exactly on the band edge alerted: %+v", alerts)
 	}
-	// One more miss evicts a covered trial: 5/16 = 0.3125 < 0.375.
+	// One more miss evicts a covered trial: 13/16 < 0.875.
 	w.Observe(rec("miss", false, iv))
 	alerts := bus.Active()
 	if len(alerts) != 1 || alerts[0].Kind != string(Undercoverage) {
@@ -97,14 +104,14 @@ func TestUndercoverageStrictEdge(t *testing.T) {
 		a.Labels["agg"] != "A" || a.Labels["sample"] != "1000" {
 		t.Fatalf("alert identity off: %+v", a)
 	}
-	if k.CoverageWindow != 16 || a.Observed != k.Coverage || a.Observed >= k.CoverageLo || a.Expected != 0.5 {
+	if k.CoverageWindow != 16 || a.Observed != k.Coverage || a.Observed >= k.CoverageLo ||
+		a.Expected != estimator.ConfidenceLevel {
 		t.Fatalf("alert %+v does not match status %+v", a, k)
 	}
-	// Refill at the nominal 50% rate until the window re-enters the band;
-	// the alert must clear and the episode have fired exactly once.
-	for i := 0; i < 8; i++ {
+	// Covered audits push the misses out until the window re-enters the
+	// band; the alert must clear and the episode have fired exactly once.
+	for i := 0; i < 16; i++ {
 		w.Observe(rec("cover", false, iv))
-		w.Observe(rec("miss", false, iv))
 	}
 	if alerts := bus.Active(); len(alerts) != 0 {
 		t.Fatalf("alert did not clear after recovery: %+v", alerts)
@@ -116,25 +123,23 @@ func TestUndercoverageStrictEdge(t *testing.T) {
 
 func TestOvercoverageStrictEdge(t *testing.T) {
 	w, bus := withBus(Config{
-		Window: 16, MinAudits: 16, AuditFraction: 1,
-		Nominal: 0.5, Tolerance: 1, Synchronous: true,
+		Window: 40, MinAudits: 40, AuditFraction: 1,
+		Tolerance: edgeTolerance(39, 40), Synchronous: true,
 	})
 	w.Bind(coverAudit())
 	iv := estimator.Interval{Center: 0, HalfWidth: 1}
-	// 6 missed then 10 covered: 10/16 = 0.625, exactly the upper edge.
-	for i := 0; i < 6; i++ {
-		w.Observe(rec("miss", false, iv))
-	}
-	for i := 0; i < 10; i++ {
+	// 1 missed then 39 covered: 39/40 = 0.975, exactly the upper edge.
+	w.Observe(rec("miss", false, iv))
+	for i := 0; i < 39; i++ {
 		w.Observe(rec("cover", false, iv))
 	}
-	if k := w.Status().Keys[0]; k.CoverageHi != 0.625 || k.Coverage != k.CoverageHi {
+	if k := w.Status().Keys[0]; k.CoverageHi != 0.975 || k.Coverage != k.CoverageHi {
 		t.Fatalf("coverage %v not on the band's upper edge %v", k.Coverage, k.CoverageHi)
 	}
 	if alerts := bus.Active(); len(alerts) != 0 {
 		t.Fatalf("coverage exactly on the band edge alerted: %+v", alerts)
 	}
-	// One more covered evicts a miss: 11/16 > 0.625.
+	// One more covered evicts the miss: 40/40 > 0.975.
 	w.Observe(rec("cover", false, iv))
 	alerts := bus.Active()
 	if len(alerts) != 1 || alerts[0].Kind != string(Overcoverage) ||
@@ -297,7 +302,7 @@ func TestMetricsRendered(t *testing.T) {
 	reg := obs.NewRegistry()
 	w := New(Config{
 		Window: 4, MinAudits: 1, AuditFraction: 1,
-		Nominal: 0.5, Tolerance: 1, Synchronous: true, Metrics: reg,
+		Tolerance: 1, Synchronous: true, Metrics: reg,
 	})
 	w.Bind(coverAudit())
 	iv := estimator.Interval{Center: 0, HalfWidth: 1}
@@ -310,7 +315,7 @@ func TestMetricsRendered(t *testing.T) {
 		"aqp_calibration_observations_total 2",
 		`aqp_calibration_coverage{agg="A",sample="1000"} 0.5`,
 		`aqp_calibration_reject_rate{agg="A",sample="1000"} 0.5`,
-		"aqp_calibration_nominal 0.5",
+		"aqp_calibration_nominal 0.95",
 		`aqp_calibration_audits_total{result="covered"} 1`,
 		`aqp_calibration_audits_total{result="missed"} 1`,
 	} {

@@ -56,3 +56,19 @@ type Pair[T any] struct{ a, b T }
 
 // First is called only on an instantiated Pair.
 func (p Pair[T]) First() T { return p.a }
+
+// Options holds one field per rule of the option-field guard.
+type Options struct {
+	Keyed       int // the app sets it in a composite literal
+	Assigned    int // the app assigns it
+	Incremented int // the app increments it
+	Unset       int // nothing sets it
+	TestSet     int // only lib_test.go sets it
+	unexported  int // not an option anyone outside lib can set
+}
+
+// PositionalConfig is set only through a literal without keys.
+type PositionalConfig struct{ A, B int }
+
+// Settings is not an option struct by name: its field is not checked.
+type Settings struct{ Ignored int }

@@ -7,3 +7,9 @@ func TestTestedOnly(t *testing.T) {
 		t.Fatal("TestedOnly")
 	}
 }
+
+func TestOptions(t *testing.T) {
+	if (Options{TestSet: 1}).TestSet != 1 {
+		t.Fatal("TestSet")
+	}
+}
