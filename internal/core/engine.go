@@ -496,7 +496,7 @@ func (e *Engine) sampleSources(name string, rowCounts []int) (*registeredTable, 
 // storeSample materializes the rows at idx of full as a stored sample.
 func (e *Engine) storeSample(full *table.Table, idx []int, backing table.Backing) *exec.StoredTable {
 	s := full.GatherStored(idx, backing, e.cfg.workers())
-	return &exec.StoredTable{Data: s, PopRows: full.NumRows(), Cached: true}
+	return &exec.StoredTable{Data: s, PopRows: full.NumRows()}
 }
 
 // AggAnswer is one aggregate's answer with its error bar and diagnostic

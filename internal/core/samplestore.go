@@ -87,7 +87,7 @@ func (e *Engine) uniformSample(name string, full *table.Table, src *rng.Source, 
 	if err == nil {
 		sf.Opened = true
 		e.countSampleStore(name, "opened")
-		return &exec.StoredTable{Data: s, PopRows: full.NumRows(), Cached: true}, closer, sf
+		return &exec.StoredTable{Data: s, PopRows: full.NumRows()}, closer, sf
 	}
 	if !errors.Is(err, fs.ErrNotExist) {
 		sf.Rejected = err

@@ -114,29 +114,36 @@ func (b Bootstrap) IntervalContext(ctx context.Context, src *rng.Source, values 
 	return Interval{Center: center, HalfWidth: half}, nil
 }
 
-// estimatesContext produces the K resample estimates on the blocked
-// multi-resample kernel: fused Σw·x / Σw accumulators for the closed-form
-// family (no weight vectors materialized), the generic weighted-θ
-// fallback otherwise. Both consume the same two draws from src and the
-// same per-(resample, block) streams, so fused and generic agree on
-// identical weights for identical queries.
-// Cancellation aborts the kernel mid-column; the partial estimates are
-// meaningless and callers must check ctx.Err() before using them.
+// estimatesContext draws the kernel's seed and stream from src and
+// produces the K resample estimates (ResampleEstimates) on one worker.
 func (b Bootstrap) estimatesContext(ctx context.Context, src *rng.Source, values []float64, q Query, k int) []float64 {
 	b.Obs.Counter("aqp_bootstrap_resamples_total",
 		"Bootstrap resample estimates drawn by ξ.").Add(int64(k))
+	seed, stream := src.Uint64(), src.Uint64()
+	out, _ := q.ResampleEstimates(ctx, values, k, seed, stream, 1)
+	return out
+}
+
+// ResampleEstimates produces q's K resample estimates over values on the
+// blocked multi-resample kernel (internal/kernel), and the number of
+// parallel tasks it ran: fused Σw·x / Σw accumulators for the closed-form
+// family (no weight vectors materialized), the generic weighted-θ fallback
+// (pooled weight buffers) otherwise. Both draw the same per-(resample,
+// block) weight streams from (seed, stream), so fused and generic agree on
+// identical weights for identical queries, and the estimates are
+// bit-identical at every worker count. Cancellation aborts the kernel
+// mid-column; the partial estimates are meaningless and callers must check
+// ctx.Err() before using them.
+func (q Query) ResampleEstimates(ctx context.Context, values []float64, k int, seed, stream uint64, workers int) ([]float64, int) {
 	if !q.FusedApplicable() {
-		seed, stream := src.Uint64(), src.Uint64()
 		theta, release := q.ResampleTheta(values)
 		defer release()
-		out, _ := kernel.Generic(ctx, values, k, seed, stream, 1, theta)
-		return out
+		return kernel.Generic(ctx, values, k, seed, stream, workers, theta)
 	}
-	seed, stream := src.Uint64(), src.Uint64()
-	sums := kernel.FusedSums(ctx, values, k, seed, stream, 1)
+	sums := kernel.FusedSums(ctx, values, k, seed, stream, workers)
 	out := make([]float64, k)
 	for r := range out {
 		out[r] = q.FinalizeFused(sums.WX[r], sums.W[r], len(values))
 	}
-	return out
+	return out, sums.Tasks
 }

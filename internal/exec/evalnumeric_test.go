@@ -32,3 +32,26 @@ func evalNumeric(e sql.Expr, tbl *table.Table, sel []int) ([]float64, error) {
 	}
 	return v.nums, nil
 }
+
+// EvalPredicate evaluates a boolean predicate over all rows of tbl in one
+// pass and returns the selection vector of matching row indices: the plain
+// reference the block-walking scans are compared against.
+func EvalPredicate(e sql.Expr, tbl *table.Table) ([]int, error) {
+	n := tbl.NumRows()
+	sc := &scratch{}
+	defer sc.release()
+	v, err := evalExpr(e, tbl, nil, n, sc)
+	if err != nil {
+		return nil, err
+	}
+	if v.bools == nil {
+		return nil, fmt.Errorf("exec: WHERE expression %s is not boolean", e)
+	}
+	sel := make([]int, 0, n/2)
+	for i, keep := range v.bools {
+		if keep {
+			sel = append(sel, i)
+		}
+	}
+	return sel, nil
+}

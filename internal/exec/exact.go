@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/estimator"
 	"repro/internal/obs"
@@ -73,17 +72,13 @@ type exactScan struct {
 	// indicator COUNT reads).
 	aggInput []int
 
-	// GROUP BY key: keyIdx is its schema index (-1 when ungrouped). An
-	// int64 key is read natively — float64 cannot carry every int64 — and
-	// keyInPred/keyInInputs say which other expressions name the column, so
-	// the one decode serves them too.
-	keyIdx                 int
-	keyRef                 *sql.ColumnRef
-	keyType                table.Type
-	keyInPred, keyInInputs bool
+	// key reads the GROUP BY column (nil when ungrouped). keyInPred says the
+	// predicate names it too: an int64 key is then read before the
+	// predicate, so that its one decode serves both.
+	key       *keyReader
+	keyInPred bool
 
 	groups []exactGroup
-	keys   groupKeys
 	// rowPos/rowGroup list the current block's surviving rows and their
 	// groups during a fold.
 	rowPos, rowGroup []int32
@@ -98,11 +93,6 @@ type blockEval struct {
 	keep  []bool // nil: no predicate, every row survives
 	kept  int
 	vals  []value
-	keyS  []string
-	keyI  []int64
-	keyF  []float64
-	// i64buf backs keyI for lazily decoded keys.
-	i64buf []int64
 }
 
 // runExact executes an exact plan with the block-streamed operator.
@@ -111,7 +101,7 @@ func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Reg
 	grouped := len(def.GroupBy) > 0
 	scanSpan := cfg.Span.StartSpan(obs.StageScan)
 
-	s := &exactScan{tbl: tbl, keyIdx: -1, aggInput: make([]int, len(def.Aggs))}
+	s := &exactScan{tbl: tbl, aggInput: make([]int, len(def.Aggs))}
 	var skip []bool
 	var c Counters
 	if def.Where != nil {
@@ -223,29 +213,24 @@ func (s *exactScan) planKey(groupBy []string) error {
 		s.groups = []exactGroup{{sinks: make([]inputSink, len(s.inputs))}}
 		return nil
 	}
-	if len(groupBy) > 1 {
-		return fmt.Errorf("exec: multi-column GROUP BY not supported (got %d columns)",
-			len(groupBy))
+	key, err := newKeyReader(s.tbl, groupBy)
+	if err != nil {
+		return err
 	}
-	name := groupBy[0]
-	s.keyIdx = s.tbl.Schema().Index(name)
-	if s.keyIdx < 0 {
-		return fmt.Errorf("exec: unknown GROUP BY column %q", name)
-	}
-	s.keyRef = &sql.ColumnRef{Name: name}
-	s.keyType = s.tbl.Schema()[s.keyIdx].Type
 	names := func(e sql.Expr) bool {
 		for _, c := range sql.Columns(e) {
-			if strings.EqualFold(c, name) {
+			if strings.EqualFold(c, groupBy[0]) {
 				return true
 			}
 		}
 		return false
 	}
 	s.keyInPred = s.pred != nil && names(s.pred)
+	key.memoF64 = s.keyInPred
 	for _, in := range s.inputs {
-		s.keyInInputs = s.keyInInputs || names(in.expr)
+		key.memoF64 = key.memoF64 || names(in.expr)
 	}
+	s.key = key
 	return nil
 }
 
@@ -265,7 +250,7 @@ func (s *exactScan) reserveVectors(ctx context.Context, skip []bool) (decodeMete
 	if !vec {
 		return meter, nil
 	}
-	if s.keyIdx < 0 {
+	if s.key == nil {
 		s.groups[0].rows = int64(admittedRows(s.tbl.NumRows(), 0, skip))
 	} else {
 		var err error
@@ -299,55 +284,33 @@ func admittedRows(n, absOffset int, skip []bool) int {
 }
 
 // scan walks the admitted blocks in row order on the calling goroutine,
-// evaluating and folding one block at a time. Cancellation is checked every
-// 64 blocks. It returns the decode work done. A counting walk evaluates only
-// predicate and key and folds nothing but each group's row count.
+// evaluating and folding one block at a time. It returns the decode work
+// done. A counting walk evaluates only predicate and key and folds nothing
+// but each group's row count.
 func (s *exactScan) scan(ctx context.Context, skip []bool, counting bool) (decodeMeter, error) {
-	const ctxCheckBlocks = 64
 	be := blockEval{vals: make([]value, len(s.inputs))}
 	be.sc = scratch{m: &be.meter, memo: make([]value, s.tbl.NumCols())}
-	n := s.tbl.NumRows()
-	visited := 0
-	for row := 0; row < n; {
-		block := row / table.ZoneBlockRows
-		end := (block + 1) * table.ZoneBlockRows
-		if end > n {
-			end = n
-		}
-		if block < len(skip) && skip[block] {
-			row = end
-			continue
-		}
-		if visited%ctxCheckBlocks == 0 {
-			if err := ctx.Err(); err != nil {
-				return be.meter, err
-			}
-		}
-		visited++
-		err := s.evalBlock(&be, row, end, counting)
+	err := walkBlocks(ctx, s.tbl.NumRows(), 0, skip, &be.sc, func(row, end int) error {
+		err := s.evalBlock(&be, end-row, counting)
 		if err == nil && be.kept > 0 {
 			s.fold(&be, counting)
 		}
-		be.sc.release()
-		if err != nil {
-			return be.meter, err
-		}
-		row = end
-	}
-	return be.meter, nil
+		return err
+	})
+	return be.meter, err
 }
 
-// evalBlock evaluates the predicate over rows [row, end) and, when any row
-// survives, the aggregate inputs (unless counting) and the GROUP BY key. The
-// scratch memo makes every referenced column decode at most once for the
-// block.
-func (s *exactScan) evalBlock(be *blockEval, row, end int, counting bool) error {
-	n := end - row
-	be.sc.off = row
+// evalBlock evaluates the predicate over the n rows at the scratch's window
+// and, when any row survives, the GROUP BY key and (unless counting) the
+// aggregate inputs. The scratch memo makes every referenced column decode
+// at most once for the block.
+func (s *exactScan) evalBlock(be *blockEval, n int, counting bool) error {
 	be.n, be.keep, be.kept = n, nil, n
-	nativeKey := s.keyIdx >= 0 && s.keyType == table.Int64
-	if nativeKey && s.keyInPred {
-		s.readKeyI64(be, row)
+	keyFirst := s.key != nil && s.key.typ == table.Int64 && s.keyInPred
+	if keyFirst {
+		if err := s.key.read(s.tbl, n, &be.sc); err != nil {
+			return err
+		}
 	}
 	if s.pred != nil {
 		v, err := evalExpr(s.pred, s.tbl, nil, n, &be.sc)
@@ -364,8 +327,10 @@ func (s *exactScan) evalBlock(be *blockEval, row, end int, counting bool) error 
 			return nil
 		}
 	}
-	if nativeKey && !s.keyInPred {
-		s.readKeyI64(be, row)
+	if s.key != nil && !keyFirst {
+		if err := s.key.read(s.tbl, n, &be.sc); err != nil {
+			return err
+		}
 	}
 	for ii := 0; ii < len(s.inputs) && !counting; ii++ {
 		v, err := evalExpr(s.inputs[ii].expr, s.tbl, nil, n, &be.sc)
@@ -374,58 +339,29 @@ func (s *exactScan) evalBlock(be *blockEval, row, end int, counting bool) error 
 		}
 		be.vals[ii] = v
 	}
-	if s.keyIdx >= 0 && !nativeKey {
-		v, err := evalExpr(s.keyRef, s.tbl, nil, n, &be.sc)
-		if err != nil {
-			return err
-		}
-		be.keyS, be.keyF = v.strs, v.nums
-	}
 	return nil
 }
 
-// readKeyI64 reads the int64 GROUP BY key of the block starting at row
-// natively: raw columns by reference, lazy ones with one metered decode. When
-// the predicate or an input names the column too, the float64 form they
-// evaluate over is derived here and memoized, not decoded a second time.
-func (s *exactScan) readKeyI64(be *blockEval, row int) {
-	col := s.tbl.Column(s.keyIdx)
-	if c, ok := col.(table.Int64Col); ok {
-		be.keyI = c[row : row+be.n]
-		return
-	}
-	start := time.Now()
-	if be.i64buf == nil {
-		be.i64buf = make([]int64, table.ZoneBlockRows)
-	}
-	be.keyI = be.i64buf[:be.n]
-	col.(table.I64Reader).ReadI64(be.keyI, row)
-	be.meter.blocks++
-	be.meter.nanos += time.Since(start).Nanoseconds()
-	if s.keyInPred || s.keyInInputs {
-		nums := be.sc.getF64(be.n)
-		for i, v := range be.keyI {
-			nums[i] = float64(v)
-		}
-		be.sc.memo[s.keyIdx] = value{nums: nums}
-	}
-}
-
-// fold adds the block's surviving rows to their groups' sinks, in row order;
-// a counting fold only counts them.
+// fold adds the block's surviving rows to their groups' sinks, in row order,
+// creating each group on its key's first sight; a counting fold only counts
+// them.
 func (s *exactScan) fold(be *blockEval, counting bool) {
 	s.rowPos, s.rowGroup = s.rowPos[:0], s.rowGroup[:0]
+	if s.key != nil {
+		s.rowGroup = s.key.number(be.keep, s.rowGroup)
+		for names := s.key.keys.names; len(s.groups) < len(names); {
+			s.groups = append(s.groups, exactGroup{key: names[len(s.groups)], sinks: make([]inputSink, len(s.inputs))})
+		}
+	}
 	for i := 0; i < be.n; i++ {
 		if be.keep != nil && !be.keep[i] {
 			continue
 		}
-		gi := int32(0)
-		if s.keyIdx >= 0 {
-			gi = s.groupOf(be, i)
+		if s.key == nil {
+			s.rowGroup = append(s.rowGroup, 0)
 		}
-		s.groups[gi].rows++
+		s.groups[s.rowGroup[len(s.rowPos)]].rows++
 		s.rowPos = append(s.rowPos, int32(i))
-		s.rowGroup = append(s.rowGroup, gi)
 	}
 	if counting {
 		return
@@ -446,24 +382,6 @@ func (s *exactScan) fold(be *blockEval, counting bool) {
 			}
 		}
 	}
-}
-
-// groupOf returns row i's group, creating it on first sight. Keys render
-// exactly as the materializing path's do (groupKeys).
-func (s *exactScan) groupOf(be *blockEval, i int) int32 {
-	var gi int32
-	switch s.keyType {
-	case table.Int64:
-		gi = s.keys.i64(be.keyI[i])
-	case table.Float64:
-		gi = s.keys.f64(be.keyF[i])
-	default:
-		gi = s.keys.str(be.keyS[i])
-	}
-	if int(gi) == len(s.groups) {
-		s.groups = append(s.groups, exactGroup{key: s.keys.names[gi], sinks: make([]inputSink, len(s.inputs))})
-	}
-	return gi
 }
 
 // finalize reads one aggregate's answer off its group's sink. Each case

@@ -187,8 +187,8 @@ func referenceExact(p *plan.Plan, tbl *table.Table, udfs Registry) ([]GroupOutpu
 }
 
 // materializedExact answers p through the vector pipeline approximate plans
-// use (scanFilterProjectMulti + splitGroups) — what exact plans ran on
-// before the streamed operator.
+// use (scanFilterProjectMulti's groups) — what exact plans ran on before
+// the streamed operator.
 func materializedExact(t *testing.T, p *plan.Plan, st *StoredTable, udfs Registry) []GroupOutput {
 	t.Helper()
 	def := p.Def
@@ -196,12 +196,8 @@ func materializedExact(t *testing.T, p *plan.Plan, st *StoredTable, udfs Registr
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
-	groups, err := splitGroups(def.GroupBy, st.Data, bases[0])
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []GroupOutput
-	for _, g := range groups {
+	for _, g := range bases[0].groups {
 		gout := GroupOutput{Key: g.key}
 		for ai, spec := range def.Aggs {
 			q, err := queryFor(spec, st, st.Data.NumRows(), len(def.GroupBy) > 0, udfs)

@@ -4,15 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/diagnostic"
 	"repro/internal/estimator"
-	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/obs/history"
 	"repro/internal/plan"
@@ -28,17 +29,13 @@ type UDF func(values, weights []float64) float64
 // Registry maps upper-cased UDF names to implementations.
 type Registry map[string]UDF
 
-// StoredTable is a stored sample plus the bookkeeping the executor needs:
-// the size of the population it was drawn from (for scaled SUM/COUNT) and
-// whether the storage layer considers it memory-resident (for the cost
-// model).
+// StoredTable is a stored sample plus the size of the population it was
+// drawn from, which scaled SUM/COUNT need.
 type StoredTable struct {
 	Data *table.Table
 	// PopRows is |D|, the row count of the dataset the sample represents.
 	// Zero means the table IS the full dataset.
 	PopRows int
-	// Cached marks the sample as resident in cluster memory.
-	Cached bool
 }
 
 // Config controls physical execution.
@@ -199,19 +196,12 @@ func Run(ctx context.Context, p *plan.Plan, tables map[string]*StoredTable, udfs
 	return results[0], errs[0]
 }
 
-// runDownstream drives everything after the physical pass — group
-// partitioning, bootstrap, diagnostics — and finalizes the result's
-// counters: base carries the shared scan's output for this query, and
-// res.Counters already holds that scan's share.
+// runDownstream drives everything after the physical pass — bootstrap and
+// diagnostics over each group — and finalizes the result's counters: base
+// carries the shared scan's output for this query, and res.Counters
+// already holds that scan's share.
 func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, tbl *table.Table, base *scanResult, udfs Registry, cfg Config, res *Result) error {
 	traced := cfg.Span != nil
-
-	// --- Group partitioning. ---
-	groups, err := splitGroups(p.Def.GroupBy, tbl, base)
-	if err != nil {
-		return fmt.Errorf("exec: grouping on table %q: %w", p.Def.Table, err)
-	}
-
 	k := p.Opt.BootstrapK
 	// The bootstrap span opens with the first bootstrap work rather than up
 	// front: under verdict-first a query whose every aggregate is rejected
@@ -228,7 +218,7 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, tbl *tabl
 		diagSpan = cfg.Span.StartSpan(obs.StageDiagnostic)
 	}
 
-	for _, g := range groups {
+	for _, g := range base.groups {
 		gout := GroupOutput{Key: g.key}
 		for ai, spec := range p.Def.Aggs {
 			if err := ctx.Err(); err != nil {
@@ -345,22 +335,27 @@ func recordCounters(reg *obs.Registry, c Counters) {
 	reg.Counter("aqp_exec_tasks_total", "Parallel tasks launched locally.").Add(int64(c.Tasks))
 }
 
-// scanResult is one member's share of the scan→filter→project pass.
+// scanResult is one member's share of the scan→filter→project pass: its
+// groups in key order, each holding one value vector per aggregate. An
+// ungrouped member has the one group "".
 type scanResult struct {
-	// sel lists the rows the member's WHERE kept, ascending. Only a member
-	// that groups reads it, so only then is it built; nil means every row
-	// survived or that nothing reads it.
-	sel      []int
-	rows     int         // rows surviving the filter
-	cols     [][]float64 // one value column per aggregate input expression
+	rows     int // rows surviving the filter
+	groups   []group
 	counters Counters
+}
+
+// group is one GROUP BY bucket with per-aggregate value columns.
+type group struct {
+	key    string
+	values [][]float64
 }
 
 // predWork is one distinct filter predicate appearing in a member batch,
 // with its precomputed zone-map skip list. With a predicate memo
 // attached, sig carries the literal-normalized shape signature and hint a
-// remembered selectivity in [0,1] (-1 = unknown). Phase 1 fills local; the
-// barrier derives starts, rows and sel from it.
+// remembered selectivity in [0,1] (-1 = unknown). keys are the groupings
+// read under it. Phase 1 fills local and the groupings' ids; the barrier
+// derives starts and rows from local.
 type predWork struct {
 	pred    sql.Expr // nil: no WHERE, every row survives
 	skip    []bool
@@ -368,22 +363,38 @@ type predWork struct {
 	sig     string
 	hint    float64
 	err     error
-	grouped bool // some member reading it groups, so sel is built
+	keys    []*keyWork
 	// local holds each partition's surviving partition-relative rows: nil
 	// without a WHERE (every row), never nil with one (evalPredicateSkipping
 	// always allocates), which is how fill tells the two apart.
 	local  [][]int
 	starts []int // per partition: rank of its first survivor overall
 	rows   int
-	sel    []int
+}
+
+// keyWork is one distinct (predicate, GROUP BY column) pair in a member
+// batch. In phase 1, partition i's reader numbers that partition's
+// survivors by key. The barrier merges the partitions' keys into names,
+// sorted, renumbers every survivor's group to its index there, and lays
+// every column of the grouping out as its groups' vectors back to back:
+// group g holds slots [bounds[g], bounds[g+1]), and partition i's survivors
+// in group g start at slot at[i*len(names)+g].
+type keyWork struct {
+	err     error
+	readers []*keyReader
+	names   []string
+	bounds  []int
+	at      []int
 }
 
 // colWork describes how one distinct projected column is computed: which
 // predicate selects its rows, which expression produces its values (nil =
-// indicator), and whether it is the full-length masked form scaled sums
-// need. out is allocated once, at its exact length, at the barrier.
+// indicator), whether it is the full-length masked form scaled sums need,
+// and which grouping's group vectors it fills (nil: one vector in row
+// order). out is allocated once, at its exact length, at the barrier.
 type colWork struct {
 	pred   *predWork
+	keys   *keyWork
 	input  sql.Expr
 	masked bool
 	err    error
@@ -393,7 +404,8 @@ type colWork struct {
 // colKeyFor derives the dedup key for one aggregate's input column. Keys
 // combine the evaluation mode, the predicate and the expression text, so
 // two aggregates — in the same query or different batched queries — share
-// one evaluation exactly when they would compute identical vectors.
+// one evaluation exactly when they would compute identical vectors (given
+// the same grouping, which the caller keys on beside it).
 func colKeyFor(spec plan.AggSpec, predKey string, masked bool) (string, colWork) {
 	isSum := spec.Kind == estimator.Sum || spec.Kind == estimator.Count
 	input := aggInput(spec)
@@ -420,38 +432,58 @@ func colKeyFor(spec plan.AggSpec, predKey string, masked bool) (string, colWork)
 // scanFilterProjectMulti performs ONE physical pass over tbl on behalf of
 // every member query: each partition is visited once, every distinct
 // filter predicate is evaluated once per partition (with zone-map block
-// skipping), and every distinct (predicate, expression, mode) projection
-// column is materialized once and aliased into each member's scanResult.
-// This is §5.3.1's scan consolidation applied across queries instead of
-// across one query's bootstrap subqueries.
+// skipping), every distinct (predicate, GROUP BY column) pair is keyed in
+// that same walk, and every distinct (predicate, grouping, expression,
+// mode) projection column is materialized once and aliased into each
+// member's scanResult. This is §5.3.1's scan consolidation applied across
+// queries instead of across one query's bootstrap subqueries.
 //
 // The pass has two phases over the same block-aligned partitions (DESIGN.md
-// §22). Phase 1 evaluates the predicates. At the barrier their survivor
-// counts fix every output's exact length and each partition's offset in it,
-// so phase 2 allocates each column once and every partition writes its
-// share in place, evaluating the inputs one zone block at a time in pooled
-// scratch, over the blocks with a survivor only. Row order is the table's,
-// so answers are identical at any partition count.
+// §22). Phase 1 evaluates the predicates and numbers each survivor's group.
+// At the barrier the survivor counts, per group for a grouping, fix every
+// output's exact length and each partition's offset in it, so phase 2
+// allocates each column once and every partition writes its share in place
+// — a grouped column straight into its groups' vectors — evaluating the
+// inputs one zone block at a time in pooled scratch, over the blocks with a
+// survivor only. Row order is the table's within every vector, so answers
+// are identical at any partition count.
 //
-// Errors are per-member: a bad predicate or projection in one member
-// yields errs[m] without failing the rest of the batch. Expressions are
-// type-checked before the pass, so an error during it is the context's,
-// and it fails every member. Physical-scan counters (Scans, RowsScanned,
-// BytesScanned, Tasks) are charged to the first successful member; every
-// member is charged its own Subqueries/RowsAfterFilter, and each distinct
-// predicate's BlocksSkipped goes to the first successful member using it —
-// so summing members' counters meters the physical work exactly once
-// regardless of batch size or worker count.
+// Errors are per-member: a bad predicate, projection or GROUP BY column in
+// one member yields errs[m] without failing the rest of the batch.
+// Expressions are type-checked before the pass, so an error during it is
+// the context's, and it fails every member. Physical-scan counters (Scans,
+// RowsScanned, BytesScanned, Tasks) are charged to the first successful
+// member; every member is charged its own Subqueries/RowsAfterFilter, and
+// each distinct predicate's BlocksSkipped goes to the first successful
+// member using it — so summing members' counters meters the physical work
+// exactly once regardless of batch size or worker count.
 func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, tbl *table.Table, cfg Config) ([]*scanResult, []error) {
 	errs := make([]error, len(members))
 	results := make([]*scanResult, len(members))
+	// Partitions are block-aligned so each one decodes (and zone-checks)
+	// whole storage blocks.
+	parts := tbl.PartitionAligned(cfg.workers())
+	offsets := make([]int, len(parts)+1)
+	for i, p := range parts {
+		offsets[i+1] = offsets[i] + p.NumRows()
+	}
 
-	// --- Plan the shared work: distinct predicates and projections. ---
+	// --- Plan the shared work: distinct predicates, groupings and columns. ---
+	type keyKey struct {
+		pred *predWork
+		by   string
+	}
+	type colKey struct {
+		keys *keyWork
+		text string
+	}
 	var preds []*predWork
 	var cols []*colWork
 	predByKey := map[string]*predWork{}
-	colByKey := map[string]*colWork{}
+	keyByKey := map[keyKey]*keyWork{}
+	colByKey := map[colKey]*colWork{}
 	memberPred := make([]*predWork, len(members))
+	memberKeys := make([]*keyWork, len(members))
 	memberCols := make([][]*colWork, len(members))
 	for m, def := range members {
 		pk := ""
@@ -478,9 +510,25 @@ func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, tbl *
 			predByKey[pk] = pw
 			preds = append(preds, pw)
 		}
-		grouped := len(def.GroupBy) > 0
-		pw.grouped = pw.grouped || grouped
 		memberPred[m] = pw
+		grouped := len(def.GroupBy) > 0
+		if grouped {
+			kk := keyKey{pw, strings.Join(def.GroupBy, ",")}
+			kw, ok := keyByKey[kk]
+			if !ok {
+				kw = &keyWork{}
+				var r *keyReader
+				if r, kw.err = newKeyReader(tbl, def.GroupBy); kw.err == nil {
+					for range parts {
+						c := *r
+						kw.readers = append(kw.readers, &c)
+					}
+					pw.keys = append(pw.keys, kw)
+				}
+				keyByKey[kk] = kw
+			}
+			memberKeys[m] = kw
+		}
 		memberCols[m] = make([]*colWork, len(def.Aggs))
 		for ai, spec := range def.Aggs {
 			if spec.Kind == estimator.Count && spec.Input != nil && errs[m] == nil {
@@ -488,29 +536,23 @@ func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, tbl *
 				// something that does not resolve is still an error.
 				_, errs[m] = typeCheck(spec.Input, tbl)
 			}
-			key, w := colKeyFor(spec, pk, !grouped)
-			cw, ok := colByKey[key]
+			text, w := colKeyFor(spec, pk, !grouped)
+			ck := colKey{memberKeys[m], text}
+			cw, ok := colByKey[ck]
 			if !ok {
 				cw = &w
-				cw.pred = pw
+				cw.pred, cw.keys = pw, memberKeys[m]
 				if cw.input != nil {
 					cw.err = checkNumeric(cw.input, tbl)
 				}
-				colByKey[key] = cw
+				colByKey[ck] = cw
 				cols = append(cols, cw)
 			}
 			memberCols[m][ai] = cw
 		}
 	}
 
-	// --- Phase 1: every distinct predicate, once per partition. ---
-	// Partitions are block-aligned so each one decodes (and zone-checks)
-	// whole storage blocks.
-	parts := tbl.PartitionAligned(cfg.workers())
-	offsets := make([]int, len(parts)+1)
-	for i, p := range parts {
-		offsets[i+1] = offsets[i] + p.NumRows()
-	}
+	// --- Phase 1: every distinct predicate, and its groupings, once per partition. ---
 	meters := make([]decodeMeter, len(parts))
 	partErrs := make([]error, len(parts))
 	eachPart := func(work func(i int, part *table.Table) error) error {
@@ -537,10 +579,14 @@ func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, tbl *
 	}
 	err := eachPart(func(i int, part *table.Table) error {
 		for _, pw := range preds {
-			if pw.pred == nil || pw.err != nil {
+			if pw.err != nil || (pw.pred == nil && len(pw.keys) == 0) {
 				continue
 			}
-			sel, err := evalPredicateSkipping(ctx, pw.pred, part, offsets[i], pw.skip, &meters[i], cfg.Blocks, pw.hint)
+			readers := make([]*keyReader, len(pw.keys))
+			for j, kw := range pw.keys {
+				readers[j] = kw.readers[i]
+			}
+			sel, err := evalPredicateSkipping(ctx, pw.pred, part, offsets[i], pw.skip, &meters[i], cfg.Blocks, pw.hint, readers...)
 			if err != nil {
 				return err
 			}
@@ -564,20 +610,17 @@ func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, tbl *
 					pw.rows += len(pw.local[i])
 				}
 			}
-			if pw.pred == nil {
-				continue
-			}
-			if pw.grouped {
-				pw.sel = make([]int, pw.rows)
+			for _, kw := range pw.keys {
+				kw.layout()
 			}
 			// Feed the measured selectivity back into the memo so the NEXT
 			// scan of this predicate shape pre-sizes its selection vectors.
-			if cfg.Preds != nil && tbl.NumRows() > 0 {
+			if pw.pred != nil && cfg.Preds != nil && tbl.NumRows() > 0 {
 				cfg.Preds.ObserveSelectivity(tbl, pw.sig, float64(pw.rows)/float64(tbl.NumRows()))
 			}
 		}
 		for _, cw := range cols {
-			if cw.err == nil && cw.pred.err == nil {
+			if cw.err == nil && cw.pred.err == nil && (cw.keys == nil || cw.keys.err == nil) {
 				n := cw.pred.rows
 				if cw.masked {
 					n = tbl.NumRows()
@@ -588,28 +631,12 @@ func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, tbl *
 
 		// --- Phase 2: each partition writes its share in place. ---
 		err = eachPart(func(i int, part *table.Table) error {
-			for _, pw := range preds {
-				if pw.sel != nil {
-					dst := pw.sel[pw.starts[i]:]
-					for j, r := range pw.local[i] {
-						dst[j] = offsets[i] + r
-					}
-				}
-			}
 			sc := &scratch{m: &meters[i], blocks: cfg.Blocks}
-			defer sc.release()
 			for _, cw := range cols {
 				if cw.out == nil {
 					continue
 				}
-				local := cw.pred.local[i]
-				var dst []float64
-				if cw.masked || local == nil {
-					dst = cw.out[offsets[i]:offsets[i+1]]
-				} else {
-					dst = cw.out[cw.pred.starts[i] : cw.pred.starts[i]+len(local)]
-				}
-				if err := cw.fill(ctx, part, offsets[i], local, dst, sc); err != nil {
+				if err := cw.fill(ctx, part, i, offsets[i], sc); err != nil {
 					return err
 				}
 			}
@@ -617,8 +644,8 @@ func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, tbl *
 		})
 	}
 	if err != nil {
-		for m := range errs {
-			errs[m] = err
+		for m, def := range members {
+			errs[m] = fmt.Errorf("exec: scan of table %q: %w", def.Table, err)
 		}
 		return results, errs
 	}
@@ -633,22 +660,25 @@ func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, tbl *
 	}
 	physCharged := false
 	skipCharged := map[*predWork]bool{}
-	for m := range members {
-		pw := memberPred[m]
+	for m, def := range members {
+		pw, kw := memberPred[m], memberKeys[m]
 		if errs[m] == nil {
 			errs[m] = pw.err
 		}
-		cols := make([][]float64, len(memberCols[m]))
-		for ai, cw := range memberCols[m] {
+		for _, cw := range memberCols[m] {
 			if errs[m] == nil {
 				errs[m] = cw.err
 			}
-			cols[ai] = cw.out
 		}
 		if errs[m] != nil {
+			errs[m] = fmt.Errorf("exec: scan of table %q: %w", def.Table, errs[m])
 			continue
 		}
-		r := &scanResult{sel: pw.sel, rows: pw.rows, cols: cols}
+		if kw != nil && kw.err != nil {
+			errs[m] = fmt.Errorf("exec: grouping on table %q: %w", def.Table, kw.err)
+			continue
+		}
+		r := &scanResult{rows: pw.rows, groups: kw.groups(memberCols[m])}
 		r.counters = Counters{
 			Subqueries:      1,
 			RowsAfterFilter: int64(pw.rows),
@@ -673,50 +703,120 @@ func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, tbl *
 	return results, errs
 }
 
-// fill writes one partition's share of the column into dst: a value per
-// partition row when masked (rows the filter rejected stay 0), a value per
-// survivor otherwise. local lists the partition's survivors (nil: every
-// row). The input is evaluated one zone block at a time in sc's pooled
-// scratch — the exact operator's walk — and only over blocks with a
-// survivor. Cancellation is checked every 64 evaluated blocks.
-func (cw *colWork) fill(ctx context.Context, part *table.Table, absOffset int, local []int, dst []float64, sc *scratch) error {
-	if cw.input == nil {
-		if cw.masked && local != nil {
-			for _, r := range local {
-				dst[r] = 1
-			}
-		} else {
-			for j := range dst {
-				dst[j] = 1
+// layout merges the partitions' keys, renumbers their survivors' groups
+// and places every partition's share of every group (see keyWork).
+func (kw *keyWork) layout() {
+	slot := map[string]int32{}
+	for _, r := range kw.readers {
+		for _, name := range r.keys.names {
+			if _, ok := slot[name]; !ok {
+				slot[name] = 0
+				kw.names = append(kw.names, name)
 			}
 		}
-		return nil
 	}
-	const ctxCheckBlocks = 64
-	n := part.NumRows()
-	k, visited := 0, 0 // k: the next survivor in local
-	for row := 0; row < n; {
-		end := min(((absOffset+row)/table.ZoneBlockRows+1)*table.ZoneBlockRows-absOffset, n)
+	sort.Strings(kw.names)
+	for g, name := range kw.names {
+		slot[name] = int32(g)
+	}
+	groups := len(kw.names)
+	kw.at = make([]int, len(kw.readers)*groups) // counts until the walk below
+	for i, r := range kw.readers {
+		remap := make([]int32, len(r.keys.names))
+		for id, name := range r.keys.names {
+			remap[id] = slot[name]
+		}
+		for t, id := range r.ids {
+			r.ids[t] = remap[id]
+			kw.at[i*groups+int(remap[id])]++
+		}
+	}
+	kw.bounds = make([]int, groups+1)
+	pos := 0
+	for g := range kw.names {
+		kw.bounds[g] = pos
+		for i := range kw.readers {
+			n := kw.at[i*groups+g]
+			kw.at[i*groups+g] = pos
+			pos += n
+		}
+	}
+	kw.bounds[groups] = pos
+}
+
+// groups hands a member its columns' vectors group by group; a nil keyWork
+// (an ungrouped member) gives the one group "" of whole columns.
+func (kw *keyWork) groups(cols []*colWork) []group {
+	if kw == nil {
+		values := make([][]float64, len(cols))
+		for ai, cw := range cols {
+			values[ai] = cw.out
+		}
+		return []group{{values: values}}
+	}
+	out := make([]group, len(kw.names))
+	values := make([][]float64, len(kw.names)*len(cols))
+	for g, name := range kw.names {
+		lo, hi := kw.bounds[g], kw.bounds[g+1]
+		out[g] = group{key: name, values: values[g*len(cols) : (g+1)*len(cols) : (g+1)*len(cols)]}
+		for ai, cw := range cols {
+			out[g].values[ai] = cw.out[lo:hi:hi]
+		}
+	}
+	return out
+}
+
+// fill writes partition i's share of the column: a value per partition row
+// when masked (rows the filter rejected stay 0), otherwise a value per
+// survivor, at its rank in the column or, grouped, at the next free slot of
+// its group's vector. The input is evaluated one zone block at a time in
+// sc's pooled scratch — the exact operator's walk — and only over blocks
+// with a survivor.
+func (cw *colWork) fill(ctx context.Context, part *table.Table, i, absOffset int, sc *scratch) error {
+	local := cw.pred.local[i] // nil: every row survives
+	var ids []int32           // grouped: each survivor's group
+	var next []int            // grouped: each group's next free slot
+	dst := cw.out
+	switch {
+	case cw.masked:
+		dst = dst[absOffset:]
+	case cw.keys != nil:
+		groups := len(cw.keys.names)
+		ids, next = cw.keys.readers[i].ids, slices.Clone(cw.keys.at[i*groups:(i+1)*groups])
+	default:
+		dst = dst[cw.pred.starts[i]:]
+	}
+	k := 0 // the next survivor
+	return walkBlocks(ctx, part.NumRows(), absOffset, cw.pred.skip, sc, func(row, end int) error {
 		k0 := k
-		for local != nil && k < len(local) && local[k] < end {
-			k++
+		if local == nil {
+			k = end
+		} else {
+			for k < len(local) && local[k] < end {
+				k++
+			}
+			if k == k0 {
+				return nil
+			}
 		}
-		if local != nil && k == k0 {
-			row = end
-			continue
-		}
-		if visited%ctxCheckBlocks == 0 {
-			if err := ctx.Err(); err != nil {
+		v := value{scalar: true, numS: 1}
+		if cw.input != nil {
+			var err error
+			if v, err = evalExpr(cw.input, part, nil, end-row, sc); err != nil {
 				return err
 			}
 		}
-		visited++
-		sc.off = row
-		v, err := evalExpr(cw.input, part, nil, end-row, sc)
-		if err != nil {
-			return err
-		}
 		switch {
+		case ids != nil:
+			for t := k0; t < k; t++ {
+				r := t
+				if local != nil {
+					r = local[t]
+				}
+				g := ids[t]
+				dst[next[g]] = v.numAt(r - row)
+				next[g]++
+			}
 		case local != nil:
 			for t, r := range local[k0:k] {
 				pos := k0 + t
@@ -732,10 +832,8 @@ func (cw *colWork) fill(ctx context.Context, part *table.Table, absOffset int, l
 		default:
 			copy(dst[row:end], v.nums)
 		}
-		sc.release()
-		row = end
-	}
-	return nil
+		return nil
+	})
 }
 
 // zoneSkip returns pred's zone-map skip list over tbl. The list is a pure
@@ -751,60 +849,102 @@ func zoneSkip(memo *cache.PredMemo, tbl *table.Table, pred sql.Expr) ([]bool, in
 	return skip, skipped
 }
 
-// group is one GROUP BY bucket with per-aggregate value columns.
-type group struct {
-	key    string
-	values [][]float64
+// keyReader reads a GROUP BY column one zone block at a time and numbers
+// its keys; the exact operator and the sample scan both key through it. An
+// int64 key is read natively — float64 cannot carry every int64 — raw
+// columns by reference and block columns with one metered decode. A string
+// or float64 key is gathered like any column reference, so a scratch with a
+// block cache serves it from there.
+type keyReader struct {
+	idx  int
+	ref  *sql.ColumnRef
+	typ  table.Type
+	keys groupKeys
+	// memoF64 asks read to leave the float64 form of an int64 key in the
+	// scratch memo, for a predicate or input that names the column.
+	memoF64 bool
+	buf     []int64 // backs a decoded int64 block
+	// The block read last: ints for an int64 key, v otherwise.
+	ints []int64
+	v    value
+	// ids collects the sample scan's numbering of one partition's
+	// survivors, in row order.
+	ids []int32
 }
 
-// splitGroups partitions a member's columns by its GROUP BY key, count
-// first, then fill: one pass gives every surviving row its group, each
-// group's vectors are allocated at their counts, and a second pass over the
-// ids copies the values in row order. Groups come out sorted by key.
-func splitGroups(groupBy []string, tbl *table.Table, base *scanResult) ([]group, error) {
-	if len(groupBy) == 0 {
-		return []group{{key: "", values: base.cols}}, nil
-	}
+// newKeyReader resolves a GROUP BY clause over tbl's schema.
+func newKeyReader(tbl *table.Table, groupBy []string) (*keyReader, error) {
 	if len(groupBy) > 1 {
 		return nil, fmt.Errorf("exec: multi-column GROUP BY not supported (got %d columns)",
 			len(groupBy))
 	}
-	col := tbl.ColumnByName(groupBy[0])
-	if col == nil {
+	idx := tbl.Schema().Index(groupBy[0])
+	if idx < 0 {
 		return nil, fmt.Errorf("exec: unknown GROUP BY column %q", groupBy[0])
 	}
-	var keys groupKeys
-	ids, err := keys.assign(col, base.sel, base.rows)
-	if err != nil {
-		return nil, fmt.Errorf("exec: GROUP BY column %q: %w", groupBy[0], err)
+	return &keyReader{idx: idx, ref: &sql.ColumnRef{Name: groupBy[0]}, typ: tbl.Schema()[idx].Type}, nil
+}
+
+// read reads the key of the n rows of tbl at sc's window.
+func (k *keyReader) read(tbl *table.Table, n int, sc *scratch) error {
+	if k.typ != table.Int64 {
+		var err error
+		k.v, err = evalExpr(k.ref, tbl, nil, n, sc)
+		return err
 	}
-	counts := make([]int, len(keys.names))
-	for _, g := range ids {
-		counts[g]++
-	}
-	order := make([]int32, len(keys.names))
-	for g := range order {
-		order[g] = int32(g)
-	}
-	sort.Slice(order, func(a, b int) bool { return keys.names[order[a]] < keys.names[order[b]] })
-	out := make([]group, len(order))
-	slot := make([]int32, len(order)) // group id -> index in out
-	for i, g := range order {
-		slot[g] = int32(i)
-		out[i] = group{key: keys.names[g], values: make([][]float64, len(base.cols))}
-		for ai := range base.cols {
-			out[i].values[ai] = make([]float64, 0, counts[g])
+	col := tbl.Column(k.idx)
+	if c, ok := col.(table.Int64Col); ok {
+		k.ints = c[sc.off : sc.off+n]
+	} else {
+		m := sc.meter()
+		var start time.Time
+		if m != nil {
+			start = time.Now()
+		}
+		if k.buf == nil {
+			k.buf = make([]int64, table.ZoneBlockRows)
+		}
+		k.ints = k.buf[:n]
+		col.(table.I64Reader).ReadI64(k.ints, sc.off)
+		if m != nil {
+			m.blocks++
+			m.nanos += time.Since(start).Nanoseconds()
 		}
 	}
-	for pos, g := range ids {
-		ids[pos] = slot[g]
+	if k.memoF64 && sc.memo != nil {
+		nums := sc.getF64(n)
+		for i, v := range k.ints {
+			nums[i] = float64(v)
+		}
+		sc.memo[k.idx] = value{nums: nums}
 	}
-	for ai, colVals := range base.cols {
-		for pos, g := range ids {
-			out[g].values[ai] = append(out[g].values[ai], colVals[pos])
+	return nil
+}
+
+// number appends to dst the group of every row of the block read last that
+// keep marks (keep nil: every row), numbering keys on first sight.
+func (k *keyReader) number(keep []bool, dst []int32) []int32 {
+	switch {
+	case k.typ == table.Int64:
+		for i, v := range k.ints {
+			if keep == nil || keep[i] {
+				dst = append(dst, k.keys.i64(v))
+			}
+		}
+	case k.v.isStr:
+		for i, s := range k.v.strs {
+			if keep == nil || keep[i] {
+				dst = append(dst, k.keys.str(s))
+			}
+		}
+	default:
+		for i, f := range k.v.nums {
+			if keep == nil || keep[i] {
+				dst = append(dst, k.keys.f64(f))
+			}
 		}
 	}
-	return out, nil
+	return dst
 }
 
 // groupKeys numbers GROUP BY keys densely, in order of first sight. A group
@@ -856,47 +996,6 @@ func (k *groupKeys) f64(v float64) int32 {
 	return g
 }
 
-// assign returns the group of each of rows surviving rows of col: rows
-// sel[0..rows) when sel is non-nil, else rows 0..rows-1. Block-backed
-// columns are read through a block-buffered cursor (sel ascends, so each
-// touched block decodes once).
-func (k *groupKeys) assign(col table.Column, sel []int, rows int) ([]int32, error) {
-	ids := make([]int32, rows)
-	row := func(pos int) int {
-		if sel == nil {
-			return pos
-		}
-		return sel[pos]
-	}
-	switch col.Type() {
-	case table.String:
-		cu, err := table.NewStrCursor(col)
-		if err != nil {
-			return nil, err
-		}
-		for pos := range ids {
-			ids[pos] = k.str(cu.At(row(pos)))
-		}
-	case table.Int64:
-		cu, err := table.NewI64Cursor(col)
-		if err != nil {
-			return nil, err
-		}
-		for pos := range ids {
-			ids[pos] = k.i64(cu.At(row(pos)))
-		}
-	default:
-		cu, err := table.NewF64Cursor(col)
-		if err != nil {
-			return nil, err
-		}
-		for pos := range ids {
-			ids[pos] = k.f64(cu.At(row(pos)))
-		}
-	}
-	return ids, nil
-}
-
 // queryFor translates an AggSpec into an estimator.Query, resolving scaling
 // and UDF bodies.
 func queryFor(spec plan.AggSpec, st *StoredTable, sampleRows int, grouped bool, udfs Registry) (estimator.Query, error) {
@@ -943,37 +1042,17 @@ func queryFor(spec plan.AggSpec, st *StoredTable, sampleRows int, grouped bool, 
 	}
 }
 
-// bootstrapEstimates computes the K resample estimates on the blocked
-// multi-resample kernel (internal/kernel): the value column is streamed
-// block-major once, with fused Σw·x / Σw accumulators for the closed-form
-// family and the generic weighted-θ fallback (pooled weight buffers) for
-// quantiles and UDFs. Per-(resample, block) RNG streams make the result
-// bit-identical at every worker count. Weights are drawn for the filtered
+// bootstrapEstimates computes the K resample estimates
+// (estimator.Query.ResampleEstimates) on the executor's workers, from the
+// (group, aggregate)'s own RNG stream. Weights are drawn for the filtered
 // values only (§5.3.2), K per value.
 func bootstrapEstimates(ctx context.Context, values []float64, q estimator.Query, k int, cfg Config, groupKey string, aggIdx int) ([]float64, Counters, error) {
 	var c Counters
-	stream := hashStream("boot", groupKey, aggIdx, 0)
-	var ests []float64
-	if q.FusedApplicable() {
-		sums := kernel.FusedSums(ctx, values, k, cfg.Seed, stream, cfg.workers())
-		if err := ctx.Err(); err != nil {
-			return nil, c, err
-		}
-		ests = make([]float64, k)
-		for r := range ests {
-			ests[r] = q.FinalizeFused(sums.WX[r], sums.W[r], len(values))
-		}
-		c.Tasks += sums.Tasks
-	} else {
-		theta, release := q.ResampleTheta(values)
-		var tasks int
-		ests, tasks = kernel.Generic(ctx, values, k, cfg.Seed, stream, cfg.workers(), theta)
-		release()
-		if err := ctx.Err(); err != nil {
-			return nil, c, err
-		}
-		c.Tasks += tasks
+	ests, tasks := q.ResampleEstimates(ctx, values, k, cfg.Seed, hashStream("boot", groupKey, aggIdx, 0), cfg.workers())
+	if err := ctx.Err(); err != nil {
+		return nil, c, err
 	}
+	c.Tasks += tasks
 	c.WeightDraws += int64(k) * int64(len(values))
 	return ests, c, nil
 }

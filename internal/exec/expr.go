@@ -3,9 +3,7 @@
 // column slices, runs scans in parallel over table partitions, applies
 // Poissonized resampling weights, computes plain and weighted aggregates,
 // and drives the bootstrap and diagnostic operators. It also meters the
-// work performed (scans, rows, weight draws, subqueries) so the cluster
-// cost model can translate a plan's execution into simulated wall-clock
-// time at production scale.
+// work performed (scans, rows, decoded blocks, weight draws, subqueries).
 package exec
 
 import (
@@ -26,10 +24,11 @@ import (
 // partition per query, which at serving rates dominates the allocator. A
 // scratch tracks every pooled slice handed out during one evaluation so
 // the caller can return them all at once. Three callers use one: predicate
-// evaluation, whose intermediates are provably dead once the selection
-// vector (freshly allocated, never pooled) is built, the sample scan, which
-// copies a block's input values into the column it owns, and the exact
-// operator, which folds them into its sinks, before releasing them.
+// evaluation and key reading, whose intermediates are dead once the
+// selection vector and the group ids (freshly allocated, never pooled) are
+// built, the sample scan, which copies a block's input values into the
+// columns it owns, and the exact operator, which folds them into its sinks,
+// before releasing them.
 // A nil scratch degrades every get to a plain make; the exact operator's
 // zero-row type check passes one.
 //
@@ -609,102 +608,103 @@ func applyStrCmp(op string, a, b string) bool {
 	}
 }
 
-// EvalPredicate evaluates a boolean predicate over all rows of tbl and
-// returns the selection vector of matching row indices. Every intermediate
-// vector is pooled: only the freshly built selection escapes.
-func EvalPredicate(e sql.Expr, tbl *table.Table) ([]int, error) {
-	n := tbl.NumRows()
-	sc := &scratch{}
-	defer sc.release()
-	v, err := evalExpr(e, tbl, nil, n, sc)
-	if err != nil {
-		return nil, err
-	}
-	if v.bools == nil {
-		return nil, fmt.Errorf("exec: WHERE expression %s is not boolean", e)
-	}
-	sel := make([]int, 0, n/2)
-	for i, keep := range v.bools {
-		if keep {
-			sel = append(sel, i)
+// walkBlocks steps the n rows of a table that starts at row absOffset of its
+// base table one zone block at a time, in row order; the first block is
+// short when the table starts mid-block. It passes over the blocks skip
+// marks (indexed by absolute block: rows there provably cannot match, so on
+// block-backed tables they are never decoded), points sc's window at each
+// other block, calls visit with the block's rows [row, end) and then
+// releases sc's scratch, on the error path too. Cancellation is checked
+// every 64 visited blocks.
+func walkBlocks(ctx context.Context, n, absOffset int, skip []bool, sc *scratch, visit func(row, end int) error) error {
+	const ctxCheckBlocks = 64
+	visited := 0
+	for row := 0; row < n; {
+		block := (absOffset + row) / table.ZoneBlockRows
+		end := min((block+1)*table.ZoneBlockRows-absOffset, n)
+		if block < len(skip) && skip[block] {
+			row = end
+			continue
 		}
+		if visited%ctxCheckBlocks == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		visited++
+		sc.off = row
+		err := visit(row, end)
+		sc.release()
+		if err != nil {
+			return err
+		}
+		row = end
 	}
-	return sel, nil
+	return nil
 }
 
-// evalPredicateSkipping is EvalPredicate with zone-map pruning and lazy
-// decode: blocks marked in skip (indexed by absolute block number, i.e.
-// (absOffset+row) / table.ZoneBlockRows) are omitted from evaluation
-// entirely — their rows provably cannot match, so on block-backed tables
-// they are never decoded (and on mmap stores never faulted in). absOffset
-// is the partition's starting row in the base table. Returned indices are
-// partition-relative, matching EvalPredicate.
+// evalPredicateSkipping evaluates predicate e over the blocks of tbl that
+// skip admits (walkBlocks) and returns the matching rows, relative to tbl.
+// absOffset is tbl's first row in the base table. A nil e keeps every row
+// and returns a nil selection. Each reader in keys reads the GROUP BY key of
+// every block with a survivor and appends the survivors' group ids to its
+// ids, so grouping costs no pass of its own.
 //
-// The block walk also runs, skip list or not, whenever the table decodes
-// lazily: evaluating one block at a time keeps decode output in pooled
-// block-sized scratch instead of materializing whole partition columns.
-// Only a nil skip over a raw table degrades to the single-pass path.
-//
-// Cancellation is checked between blocks (every ctxCheckBlocks); the
-// deferred release hands all pooled buffers back on that return path too.
 // selHint, when in [0,1], is a remembered selectivity for this predicate
 // shape from the predicate memo; it pre-sizes the selection vector so a
 // repeated shape neither over-allocates (a 1% filter reserving n/2) nor
 // regrows repeatedly (a 90% filter starting at n/2). Either way the
 // reservation is capped at the rows in blocks skip admits. Capacity only —
 // never affects which rows match.
-func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, absOffset int, skip []bool, m *decodeMeter, cc *cache.BlockCache, selHint float64) ([]int, error) {
-	if skip == nil && !tbl.Lazy() {
-		return EvalPredicate(e, tbl)
-	}
-	const ctxCheckBlocks = 64
+func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, absOffset int, skip []bool, m *decodeMeter, cc *cache.BlockCache, selHint float64, keys ...*keyReader) ([]int, error) {
 	n := tbl.NumRows()
-	selCap := n / 2
-	if selHint >= 0 && selHint <= 1 {
-		selCap = int(selHint*float64(n)) + 16
-		if selCap > n {
-			selCap = n
+	selCap := n
+	if e != nil {
+		selCap = n / 2
+		if selHint >= 0 && selHint <= 1 {
+			selCap = min(int(selHint*float64(n))+16, n)
 		}
 	}
 	selCap = min(selCap, admittedRows(n, absOffset, skip))
-	sel := make([]int, 0, selCap)
+	var sel []int
+	if e != nil {
+		sel = make([]int, 0, selCap)
+	}
+	for _, k := range keys {
+		k.ids = make([]int32, 0, selCap)
+	}
 	sc := &scratch{m: m, blocks: cc}
-	defer sc.release()
-	// Walk the partition in runs aligned to the base table's zone blocks.
-	// The first run may be short when the partition starts mid-block.
-	visited := 0
-	for row := 0; row < n; {
-		abs := absOffset + row
-		block := abs / table.ZoneBlockRows
-		end := (block+1)*table.ZoneBlockRows - absOffset
-		if end > n {
-			end = n
-		}
-		if block < len(skip) && skip[block] {
-			row = end
-			continue
-		}
-		if visited%ctxCheckBlocks == 0 && ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	err := walkBlocks(ctx, n, absOffset, skip, sc, func(row, end int) error {
+		var keep []bool
+		if e != nil {
+			v, err := evalExpr(e, tbl, nil, end-row, sc)
+			if err != nil {
+				return err
 			}
-		}
-		visited++
-		sc.off = row
-		v, err := evalExpr(e, tbl, nil, end-row, sc)
-		if err != nil {
-			return nil, err
-		}
-		if v.bools == nil {
-			return nil, fmt.Errorf("exec: WHERE expression %s is not boolean", e)
-		}
-		for i, keep := range v.bools {
-			if keep {
-				sel = append(sel, row+i)
+			if v.bools == nil {
+				return fmt.Errorf("exec: WHERE expression %s is not boolean", e)
 			}
+			before := len(sel)
+			for i, ok := range v.bools {
+				if ok {
+					sel = append(sel, row+i)
+				}
+			}
+			if len(sel) == before {
+				return nil
+			}
+			keep = v.bools
 		}
-		sc.release()
-		row = end
+		for _, k := range keys {
+			if err := k.read(tbl, end-row, sc); err != nil {
+				return err
+			}
+			k.ids = k.number(keep, k.ids)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return sel, nil
 }

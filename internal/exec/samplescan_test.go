@@ -168,10 +168,13 @@ func blockReads(e sql.Expr, tbl *table.Table, blocks []int) (reads, uncacheable 
 }
 
 // decodeBounds returns the blocks a member's scan decodes on a lazy
-// backing — predicate columns in every admitted block, inputs in every
-// block with a survivor — how many of those reads a warm block cache still
-// decodes, and what the materializing scan before it decoded, which read a
-// masked input in every block of the table.
+// backing — predicate columns in every admitted block, inputs and the
+// GROUP BY key in every block with a survivor — how many of those reads a
+// warm block cache still decodes, and what the materializing scan before it
+// decoded, which read a masked input in every block of the table. A string
+// or float64 key is gathered like any column reference, so the cache serves
+// it where it admits the block; an int64 key is read natively, past the
+// cache, and decodes every time.
 func decodeBounds(def *plan.QueryDef, tbl *table.Table, sel []int) (want, uncacheable, parent int64) {
 	nb := (tbl.NumRows() + table.ZoneBlockRows - 1) / table.ZoneBlockRows
 	var withSurvivor []int
@@ -210,20 +213,27 @@ func decodeBounds(def *plan.QueryDef, tbl *table.Table, sel []int) (want, uncach
 			parent += reads
 		}
 	}
+	if grouped {
+		key := &sql.ColumnRef{Name: def.GroupBy[0]}
+		reads, u := blockReads(key, tbl, withSurvivor)
+		if tbl.ColumnByName(key.Name).Type() == table.Int64 {
+			u = reads
+		}
+		want += reads
+		uncacheable += u
+		parent += reads // it keyed the same blocks, unmetered
+	}
 	return want, uncacheable, parent
 }
 
-// scanMatches splits one member's scan and compares it with the reference:
-// the same groups in the same order, every vector Float64bits-equal.
-func scanMatches(t *testing.T, label string, def *plan.QueryDef, tbl *table.Table, got *scanResult, want []group, sel []int) {
+// scanMatches compares one member's scan with the reference: the same
+// groups in the same order, every vector Float64bits-equal.
+func scanMatches(t *testing.T, label string, got *scanResult, want []group, sel []int) {
 	t.Helper()
 	if got.rows != len(sel) {
 		t.Fatalf("%s: %d rows survive, want %d", label, got.rows, len(sel))
 	}
-	groups, err := splitGroups(def.GroupBy, tbl, got)
-	if err != nil {
-		t.Fatalf("%s: split: %v", label, err)
-	}
+	groups := got.groups
 	if len(groups) != len(want) {
 		t.Fatalf("%s: %d groups, want %d", label, len(groups), len(want))
 	}
@@ -292,7 +302,7 @@ func TestSampleScanDifferential(t *testing.T) {
 						if errs[0] != nil {
 							t.Fatalf("%s: %v", label, errs[0])
 						}
-						scanMatches(t, label, def, data, res[0], wants[i], sels[i])
+						scanMatches(t, label, res[0], wants[i], sels[i])
 						c := res[0].counters
 						var skipped int64
 						if def.Where != nil {
@@ -330,12 +340,12 @@ func TestSampleScanDifferential(t *testing.T) {
 					}
 					res, errs := scanFilterProjectMulti(ctx, members, data, cfg)
 					var scans int
-					for i, def := range members {
+					for i := range members {
 						if errs[i] != nil {
 							t.Fatalf("%s batched %q: %v", name, qs[i], errs[i])
 						}
 						scanMatches(t, fmt.Sprintf("%s workers=%d batched %q", name, workers, qs[i]),
-							def, data, res[i], wants[i], sels[i])
+							res[i], wants[i], sels[i])
 						scans += res[i].counters.Scans
 					}
 					if scans != 1 {
@@ -376,18 +386,21 @@ func TestSampleScanDifferential(t *testing.T) {
 		t.Fatalf("errors: %d pooled buffers outstanding", d)
 	}
 
-	// Cancellation twenty decodes into each phase: phase 1 decodes City once
-	// per block, phase 2 Time once per block.
+	// Cancellation twenty blocks into each phase: phase 1 decodes City twice
+	// per block, for the predicate and the key, phase 2 Time once per block.
+	// Each of the two partitions walks 100 blocks, so it checks the context
+	// again after its 64th whichever goroutine starts first.
 	comp := table.Compress(clusteredSessions(200*table.BlockRows, 29))
 	def := mustPlan(t, "SELECT City, AVG(Time) FROM Sessions WHERE City != 'SF' GROUP BY City", plan.Options{}).Def
-	for _, into := range []int64{20, 200 + 20} {
-		const workers = 4
+	for _, phase := range []struct{ into, perBlock int64 }{{2 * 20, 2}, {2*200 + 20, 1}} {
+		const workers = 2
+		into := phase.into
 		cctx := decodeCountCtx{Context: ctx, cancelAt: table.DecodedBlocks() + into}
 		_, errs := scanFilterProjectMulti(cctx, []*plan.QueryDef{def}, comp, Config{Workers: workers})
 		if !errors.Is(errs[0], context.Canceled) {
 			t.Fatalf("cancelled %d decodes in: %v", into, errs[0])
 		}
-		if past := table.DecodedBlocks() - cctx.cancelAt; past > 64*workers {
+		if past := (table.DecodedBlocks() - cctx.cancelAt) / phase.perBlock; past > 64*workers {
 			t.Errorf("cancelled %d decodes in: the scan decoded %d blocks past it", into, past)
 		}
 		if d := PoolOutstanding() - pooled; d != 0 {
@@ -419,14 +432,14 @@ func allocScanTable() *table.Table {
 	return table.Compress(raw)
 }
 
-// TestSampleScanAllocatesOnce: the scan and split of three plain shapes
-// allocate each per-row vector once. The budget is 1.15× the vectors the
-// stage must build — the filter's selection (8 B per survivor), each value
-// column, and for GROUP BY the group ids (4 B per row) and the per-group
-// vectors — plus 64 KiB. Building them by merge appends, absolute-index
-// copies and a full-length temporary per masked column costs 3.5–6×. A
-// predicate memo is attached, as on every engine with caching on, so the
-// selection is reserved at the remembered selectivity.
+// TestSampleScanAllocatesOnce: the scan of three plain shapes allocates
+// each per-row vector once. The budget is 1.15× the vectors the stage must
+// build — the filter's selection (8 B per survivor), each value column, or
+// for GROUP BY the group ids (4 B per row) and the group vectors, which are
+// the value column — plus 64 KiB. Building them by merge appends,
+// absolute-index copies and a full-length temporary per masked column costs
+// 3.5–6×. A predicate memo is attached, as on every engine with caching on,
+// so the selection is reserved at the remembered selectivity.
 func TestSampleScanAllocatesOnce(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -445,16 +458,16 @@ func TestSampleScanAllocatesOnce(t *testing.T) {
 			if errs[0] != nil {
 				t.Fatal(errs[0])
 			}
-			groups, err := splitGroups(def.GroupBy, tbl, res[0])
-			if err != nil {
-				t.Fatal(err)
+			groups := res[0].groups
+			must = 0
+			for _, g := range groups {
+				must += 8 * len(g.values[0])
 			}
-			must = 8 * len(res[0].cols[0])
 			if def.Where != nil {
 				must += 8 * res[0].rows
 			}
 			if len(def.GroupBy) > 0 {
-				must += 4*res[0].rows + 8*res[0].rows
+				must += 4 * res[0].rows
 				if len(groups) != 40 {
 					t.Fatalf("%d groups", len(groups))
 				}

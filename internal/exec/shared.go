@@ -100,13 +100,12 @@ func RunShared(ctx context.Context, items []SharedItem, tables map[string]*Store
 		scanSpans[di].End()
 	}
 
-	// Fan back out: every distinct plan's downstream pipeline (grouping,
-	// bootstrap, diagnostic) runs concurrently under its own context.
+	// Fan back out: every distinct plan's downstream pipeline (bootstrap,
+	// diagnostic) runs concurrently under its own context.
 	var wg sync.WaitGroup
 	for di, d := range distincts {
 		if scanErrs[di] != nil {
-			errs[d.item] = fmt.Errorf("exec: scan of table %q: %w",
-				d.plan.Def.Table, scanErrs[di])
+			errs[d.item] = scanErrs[di]
 			continue
 		}
 		wg.Add(1)

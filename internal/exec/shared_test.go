@@ -179,6 +179,10 @@ func TestRunSharedPerItemErrors(t *testing.T) {
 			Cfg: Config{Workers: 2, Seed: 2}},
 		{Plan: mustPlan(t, "SELECT AVG(Time) FROM Elsewhere", plan.Options{}),
 			Cfg: Config{Workers: 2, Seed: 3}},
+		{Plan: mustPlan(t, "SELECT nope, AVG(Time) FROM Sessions GROUP BY nope", plan.Options{}),
+			Cfg: Config{Workers: 2, Seed: 4}},
+		{Plan: mustPlan(t, "SELECT City, AVG(Time) FROM Sessions GROUP BY City", plan.Options{}),
+			Cfg: Config{Workers: 2, Seed: 5}},
 	}
 	results, errs := RunShared(context.Background(), items, tables, nil)
 	if errs[0] != nil || results[0] == nil {
@@ -189,6 +193,13 @@ func TestRunSharedPerItemErrors(t *testing.T) {
 	}
 	if errs[2] == nil {
 		t.Error("unknown table did not error")
+	}
+	want := `exec: grouping on table "Sessions": exec: unknown GROUP BY column "nope"`
+	if errs[3] == nil || errs[3].Error() != want {
+		t.Errorf("bad GROUP BY column: %v, want %s", errs[3], want)
+	}
+	if errs[4] != nil || len(results[4].Groups) == 0 {
+		t.Errorf("grouped batchmate of a bad GROUP BY failed: %v", errs[4])
 	}
 	if results[0].Counters.Scans != 1 {
 		t.Errorf("survivor counters: %+v", results[0].Counters)

@@ -690,141 +690,6 @@ func (e *i64BlockEnc) appendBlock(vals []int64, rest int) {
 	c.rows += len(vals)
 }
 
-// --- block-buffered cursors. ---
-
-// F64Cursor provides random access over any float64-readable column with a
-// one-block decode buffer; raw columns are accessed directly. Not safe for
-// concurrent use.
-type F64Cursor struct {
-	raw    []float64
-	rawI   []int64
-	r      F64Reader
-	buf    []float64
-	lo, hi int
-}
-
-// NewF64Cursor returns a cursor over c, which must be numeric (int64
-// columns are widened).
-func NewF64Cursor(c Column) (*F64Cursor, error) {
-	switch col := c.(type) {
-	case Float64Col:
-		return &F64Cursor{raw: col}, nil
-	case Int64Col:
-		return &F64Cursor{rawI: col}, nil
-	}
-	if r, ok := c.(F64Reader); ok {
-		return &F64Cursor{r: r, lo: -1, hi: -1}, nil
-	}
-	return nil, fmt.Errorf("table: column type %v is not float64-readable", c.Type())
-}
-
-// At returns the value at row i.
-func (cu *F64Cursor) At(i int) float64 {
-	if cu.raw != nil {
-		return cu.raw[i]
-	}
-	if cu.rawI != nil {
-		return float64(cu.rawI[i])
-	}
-	if i < cu.lo || i >= cu.hi {
-		cu.fill(i)
-	}
-	return cu.buf[i-cu.lo]
-}
-
-func (cu *F64Cursor) fill(i int) {
-	lo := i - i%BlockRows
-	hi := lo + BlockRows
-	if n := cu.r.Len(); hi > n {
-		hi = n
-	}
-	if cu.buf == nil {
-		cu.buf = make([]float64, BlockRows)
-	}
-	cu.r.ReadF64(cu.buf[:hi-lo], lo)
-	cu.lo, cu.hi = lo, hi
-}
-
-// I64Cursor is F64Cursor's int64 counterpart.
-type I64Cursor struct {
-	raw    []int64
-	r      I64Reader
-	buf    []int64
-	lo, hi int
-}
-
-// NewI64Cursor returns a cursor over c, which must be an int64 column.
-func NewI64Cursor(c Column) (*I64Cursor, error) {
-	switch col := c.(type) {
-	case Int64Col:
-		return &I64Cursor{raw: col}, nil
-	}
-	if r, ok := c.(I64Reader); ok {
-		return &I64Cursor{r: r, lo: -1, hi: -1}, nil
-	}
-	return nil, fmt.Errorf("table: column type %v is not int64-readable", c.Type())
-}
-
-// At returns the value at row i.
-func (cu *I64Cursor) At(i int) int64 {
-	if cu.raw != nil {
-		return cu.raw[i]
-	}
-	if i < cu.lo || i >= cu.hi {
-		lo := i - i%BlockRows
-		hi := lo + BlockRows
-		if n := cu.r.Len(); hi > n {
-			hi = n
-		}
-		if cu.buf == nil {
-			cu.buf = make([]int64, BlockRows)
-		}
-		cu.r.ReadI64(cu.buf[:hi-lo], lo)
-		cu.lo, cu.hi = lo, hi
-	}
-	return cu.buf[i-cu.lo]
-}
-
-// StrCursor is F64Cursor's string counterpart.
-type StrCursor struct {
-	raw    []string
-	r      StrReader
-	buf    []string
-	lo, hi int
-}
-
-// NewStrCursor returns a cursor over c, which must be a string column.
-func NewStrCursor(c Column) (*StrCursor, error) {
-	switch col := c.(type) {
-	case StringCol:
-		return &StrCursor{raw: col}, nil
-	}
-	if r, ok := c.(StrReader); ok {
-		return &StrCursor{r: r, lo: -1, hi: -1}, nil
-	}
-	return nil, fmt.Errorf("table: column type %v is not string-readable", c.Type())
-}
-
-// At returns the value at row i.
-func (cu *StrCursor) At(i int) string {
-	if cu.raw != nil {
-		return cu.raw[i]
-	}
-	if i < cu.lo || i >= cu.hi {
-		lo := i - i%BlockRows
-		hi := lo + BlockRows
-		if n := cu.r.Len(); hi > n {
-			hi = n
-		}
-		if cu.buf == nil {
-			cu.buf = make([]string, BlockRows)
-		}
-		cu.r.ReadStr(cu.buf[:hi-lo], lo)
-		cu.lo, cu.hi = lo, hi
-	}
-	return cu.buf[i-cu.lo]
-}
-
 // BlockBase unwraps a column (or a row-range view of one) to its
 // underlying block column and the view's row offset within it. The base
 // column's identity is stable across queries and views — a registered

@@ -357,49 +357,6 @@ func TestStoreSpecialFloats(t *testing.T) {
 	assertTablesEqual(t, raw, got)
 }
 
-func TestCursors(t *testing.T) {
-	raw := blockTestTable(BlockRows + 77)
-	ct := Compress(raw)
-	for _, tbl := range []*Table{raw, ct} {
-		fc, err := NewF64Cursor(tbl.ColumnByName("lat"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ic, err := NewI64Cursor(tbl.ColumnByName("id"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := NewStrCursor(tbl.ColumnByName("city"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lat := raw.Column(0).(Float64Col)
-		id := raw.Column(2).(Int64Col)
-		city := raw.Column(3).(StringCol)
-		// Access pattern mixes forward, backward, and cross-block jumps.
-		order := []int{0, BlockRows + 5, 3, BlockRows - 1, BlockRows, 7, BlockRows + 76}
-		for _, i := range order {
-			if fc.At(i) != lat[i] {
-				t.Fatalf("F64Cursor.At(%d) = %v, want %v", i, fc.At(i), lat[i])
-			}
-			if ic.At(i) != id[i] {
-				t.Fatalf("I64Cursor.At(%d) = %v, want %v", i, ic.At(i), id[i])
-			}
-			if sc.At(i) != city[i] {
-				t.Fatalf("StrCursor.At(%d) = %q, want %q", i, sc.At(i), city[i])
-			}
-		}
-		// Int64 widening cursor.
-		wc, err := NewF64Cursor(tbl.ColumnByName("id"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wc.At(5) != float64(id[5]) {
-			t.Fatal("widening F64Cursor over int64 column wrong")
-		}
-	}
-}
-
 func TestParseBacking(t *testing.T) {
 	for s, want := range map[string]Backing{
 		"": BackingRaw, "raw": BackingRaw,

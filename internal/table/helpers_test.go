@@ -104,8 +104,7 @@ func WriteCSV(w io.Writer, t *Table) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	// Cursor per column: raw columns read directly, block columns decode
-	// one block at a time as the row loop sweeps forward.
+	// Raw columns only: the round-trip test is its one caller.
 	type colWriter func(r int) string
 	writers := make([]colWriter, t.NumCols())
 	for c := 0; c < t.NumCols(); c++ {
@@ -119,30 +118,7 @@ func WriteCSV(w io.Writer, t *Table) error {
 		case StringCol:
 			writers[c] = func(r int) string { return col[r] }
 		default:
-			switch t.Schema()[c].Type {
-			case Float64:
-				cu, err := NewF64Cursor(col)
-				if err != nil {
-					return err
-				}
-				writers[c] = func(r int) string {
-					return strconv.FormatFloat(cu.At(r), 'g', -1, 64)
-				}
-			case Int64:
-				cu, err := NewI64Cursor(col)
-				if err != nil {
-					return err
-				}
-				writers[c] = func(r int) string {
-					return strconv.FormatInt(cu.At(r), 10)
-				}
-			case String:
-				cu, err := NewStrCursor(col)
-				if err != nil {
-					return err
-				}
-				writers[c] = func(r int) string { return cu.At(r) }
-			}
+			return fmt.Errorf("table: WriteCSV of a %T column", col)
 		}
 	}
 	rec := make([]string, t.NumCols())
