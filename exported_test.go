@@ -44,8 +44,6 @@ var exportAllowList = map[string]string{
 	"obs/history.Store.Sync": "durability: forces the history file to disk",
 
 	"core.Engine.BuildStratifiedSample": "wired by ROADMAP item 2 (the sample catalog)",
-	"core.Engine.EstimateRequiredRows":  "wired by ROADMAP item 2 (the sample catalog)",
-	"core.RequiredSampleSizeForError":   "wired by ROADMAP item 2 (the sample catalog)",
 	"stats.Moments.Merge":               "wired by ROADMAP item 5 (mergeable weighted sinks)",
 }
 

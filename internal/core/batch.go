@@ -40,7 +40,7 @@ func (e *Engine) BatchKey(query string) (string, bool) {
 	if err != nil {
 		return "", false
 	}
-	st := e.pickSample(def, rt)
+	st := (&request{def: def, rt: rt}).nextSample(nil, nil)
 	if st == nil {
 		return "", false
 	}
@@ -86,7 +86,7 @@ func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 		}
 		var st *exec.StoredTable
 		if r.Opts.plain() {
-			st = e.pickSample(q.def, q.rt)
+			st = q.nextSample(nil, nil)
 		}
 		if batchST == nil {
 			batchST = st

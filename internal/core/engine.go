@@ -630,7 +630,7 @@ func (e *Engine) Explain(query string) (string, error) {
 	}
 	q := &request{sql: query, def: def, rt: rt}
 	var p *plan.Plan
-	if st := e.pickSample(def, rt); st != nil {
+	if st := q.nextSample(nil, nil); st != nil {
 		p, err = e.buildApproxPlan(q, st, e.exactOnReject(q.opts))
 	} else {
 		p, err = e.buildExactPlan(q, nil)

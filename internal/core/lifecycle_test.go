@@ -155,6 +155,11 @@ func TestOneLifecycle(t *testing.T) {
 		}
 		return out[1].Ans, out[1].Err
 	}
+	wantExact := func(t *testing.T, a *Answer) {
+		if a.SampleRows != 0 || !a.Groups[0].Aggs[0].Exact {
+			t.Errorf("not an exact answer: %d sample rows", a.SampleRows)
+		}
+	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	cases := []struct {
@@ -200,6 +205,10 @@ func TestOneLifecycle(t *testing.T) {
 					t.Errorf("tiny budget answered on %d rows, want the pilot", a.SampleRows)
 				}
 			}},
+		{name: "error bound, no sample", sql: "SELECT AVG(g) FROM Raw", run: solo(RunOptions{ErrorBound: 0.5}),
+			check: wantExact},
+		{name: "time budget, no sample", sql: "SELECT AVG(g) FROM Raw", run: solo(RunOptions{TimeBudget: time.Second}),
+			check: wantExact},
 		{name: "batch member on the shared pass", sql: "SELECT AVG(g) FROM Sessions WHERE City = 'SF'", run: batched,
 			members: 2, watched: 1, probes: 1, entries: 1,
 			check: func(t *testing.T, a *Answer) {

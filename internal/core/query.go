@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/estimator"
@@ -15,7 +17,7 @@ import (
 
 // RunOptions is one query's request: what to answer it with and how far to
 // go. The zero value is a plain request — the §5 pipeline on the sample
-// pickSample chooses, each aggregate the diagnostic rejects re-answered
+// nextSample chooses, each aggregate the diagnostic rejects re-answered
 // exactly. At most one of Exact, ErrorBound and TimeBudget may be set; the
 // answer cache serves and stores plain requests only.
 type RunOptions struct {
@@ -157,25 +159,34 @@ func (e *Engine) begin(ctx context.Context, sql string, opts RunOptions, replayO
 	return q, nil, nil
 }
 
-// execute answers a request begin found no replay for, by the mode it names:
-// exactly when that is what it asks for, or when the table has no sample the
-// mode could run on.
+// execute answers a request begin found no replay for: it runs the request on
+// each sample nextSample names, then ends it by the mode it names. A request
+// that never ran on a sample — an exact one, or one on a table with no sample
+// its mode could run on — runs the exact plan.
 func (e *Engine) execute(q *request) (*Answer, error) {
-	switch uniform := len(q.rt.samples) > 0; {
-	case q.opts.ErrorBound > 0 && uniform:
-		return e.runErrorBound(q)
-	case q.opts.TimeBudget > 0 && uniform:
-		return e.runTimeBudget(q)
+	var ran *exec.StoredTable
+	var ans *Answer
+	for st := q.nextSample(nil, nil); st != nil; st = q.nextSample(ran, ans) {
+		if err := q.ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", e.queryID(q.qt, q.sql), err)
+		}
+		var err error
+		if ans, err = e.runApproximate(q, st, e.exactOnReject(q.opts)); err != nil {
+			return nil, err
+		}
+		ran = st
+	}
+	switch {
+	case ans == nil:
+		return e.runExact(q, q.qt.Root())
 	case q.opts.plain():
-		if st := e.pickSample(q.def, q.rt); st != nil {
-			ans, err := e.runApproximate(q, st, e.exactOnReject(q.opts))
-			if err != nil {
-				return nil, err
-			}
-			return ans, e.applyFallback(q, ans)
+		return ans, e.applyFallback(q, ans)
+	case q.opts.ErrorBound > 0 && e.exactOnReject(q.opts):
+		if met, _ := meetsBound(ans, q.opts.ErrorBound); !met {
+			return e.fallbackExact(q, "error bound unmet on all samples")
 		}
 	}
-	return e.runExact(q, q.qt.Root())
+	return ans, nil
 }
 
 // finish closes a request begin opened: a plain request's answer goes to the
@@ -204,93 +215,125 @@ func (e *Engine) exactOnReject(opts RunOptions) bool {
 	return !e.cfg.noFallback && opts.TimeBudget == 0
 }
 
-// runErrorBound escalates through the uniform samples — execute has checked
-// there is one — smallest first, until one meets q.opts.ErrorBound.
-func (e *Engine) runErrorBound(q *request) (*Answer, error) {
-	relErr, fallback := q.opts.ErrorBound, e.exactOnReject(q.opts)
-	var last *Answer
-	minRows := 0 // samples smaller than this are provably insufficient
-	for _, st := range q.rt.samples {
-		if st.Data.NumRows() < minRows {
-			continue
+// nextSample is the sample-choice policy, and the one reader of the catalog's
+// samples for routing: given the sample the request just ran on and its answer
+// (both nil before the first run), it names the sample to run next, or nil to
+// stop.
+//
+//   - A plain request runs once: on a stratified sample matching its GROUP BY
+//     when every aggregate is scale-invariant (stratification biases
+//     population-scaled SUM/COUNT), otherwise on the largest uniform sample.
+//   - An error bound starts on the smallest uniform sample and stops once
+//     every aggregate is accepted and within the bound. Otherwise it moves up
+//     to the next sample the closed-form projection does not rule out
+//     (BlinkDB's sample-selection jump).
+//   - A time budget pilots on the smallest uniform sample, then runs the
+//     largest one the pilot's per-row cost predicts will fit, if that is
+//     another sample.
+//
+// An exact request, or one with no sample its mode can run on, gets nil at
+// once and runs the exact plan.
+func (q *request) nextSample(ran *exec.StoredTable, ans *Answer) *exec.StoredTable {
+	samples := q.rt.samples
+	switch {
+	case q.opts.Exact:
+		return nil
+	case q.opts.plain():
+		if ran != nil {
+			return nil
 		}
-		if err := q.ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", e.queryID(q.qt, q.sql), err)
-		}
-		ans, err := e.runApproximate(q, st, fallback)
-		if err != nil {
-			return nil, err
-		}
-		last = ans
-		ok := true
-		worstRel := 0.0
-		for _, g := range ans.Groups {
-			for _, a := range g.Aggs {
-				if !a.DiagnosticOK || math.IsNaN(a.RelErr) || a.RelErr > relErr {
-					ok = false
-				}
-				if !math.IsNaN(a.RelErr) && a.RelErr > worstRel {
-					worstRel = a.RelErr
+		if len(q.def.GroupBy) == 1 && scaleInvariant(q.def) {
+			for _, s := range q.rt.stratified {
+				if strings.EqualFold(s.keyColumn, q.def.GroupBy[0]) {
+					return s.st
 				}
 			}
 		}
-		if ok {
-			return ans, nil
+		if len(samples) == 0 {
+			return nil
 		}
-		// For closed-form queries the error shrinks as 1/√n: project the
-		// required size from this run and skip samples that cannot
-		// possibly satisfy the bound (BlinkDB's sample-selection jump).
-		if q.def.ClosedFormOK() && worstRel > relErr && !math.IsInf(worstRel, 0) {
-			ratio := worstRel / relErr
-			minRows = int(float64(st.Data.NumRows()) * ratio * ratio * 0.8)
-		}
-	}
-	if !fallback {
-		return last, nil
-	}
-	return e.fallbackExact(q, "error bound unmet on all samples")
-}
-
-// runTimeBudget pilots on the smallest uniform sample — execute has checked
-// there is one — and answers on the largest one the pilot's per-row cost
-// predicts will fit q.opts.TimeBudget.
-func (e *Engine) runTimeBudget(q *request) (*Answer, error) {
-	pilot := q.rt.samples[0]
-	pilotAns, err := e.runApproximate(q, pilot, e.exactOnReject(q.opts))
-	if err != nil {
-		return nil, fmt.Errorf("core: budget pilot: %w", err)
-	}
-	if pilotAns.Elapsed >= q.opts.TimeBudget {
-		// Even the smallest sample blows the budget; it is still the best
-		// we can do.
-		return pilotAns, nil
-	}
-	perRow := float64(pilotAns.Elapsed) / float64(pilot.Data.NumRows())
-	maxRows := int(float64(q.opts.TimeBudget) / perRow * 0.8) // 20% headroom
-	best := pilot
-	for _, st := range q.rt.samples {
-		if st.Data.NumRows() <= maxRows {
-			best = st
-		}
-	}
-	if best == pilot {
-		return pilotAns, nil
-	}
-	return e.runApproximate(q, best, e.exactOnReject(q.opts))
-}
-
-// pickSample chooses the sample for an unconstrained query: a stratified
-// sample matching the GROUP BY key when one exists and every aggregate is
-// scale-invariant (stratification biases population-scaled SUM/COUNT),
-// otherwise the largest uniform sample. Nil means "run exactly".
-func (e *Engine) pickSample(def *plan.QueryDef, rt *registeredTable) *exec.StoredTable {
-	if s := rt.stratifiedFor(def); s != nil && scaleInvariant(def) {
-		return s.st
-	}
-	if len(rt.samples) == 0 {
+		return samples[len(samples)-1]
+	case len(samples) == 0:
 		return nil
+	case ran == nil:
+		return samples[0]
+	case q.opts.ErrorBound > 0:
+		bound := q.opts.ErrorBound
+		met, worst := meetsBound(ans, bound)
+		if met {
+			return nil
+		}
+		minRows := 0 // samples smaller than this are provably insufficient
+		if q.def.ClosedFormOK() && worst > bound && !math.IsInf(worst, 0) {
+			minRows = rowsForBound(ran.Data.NumRows(), worst, bound)
+		}
+		for _, st := range samples[slices.Index(samples, ran)+1:] {
+			if st.Data.NumRows() >= minRows {
+				return st
+			}
+		}
+		return nil
+	default: // q.opts.TimeBudget > 0
+		// Even when the pilot alone blows the budget, it is the best answer
+		// there is.
+		if ran != samples[0] || ans.Elapsed >= q.opts.TimeBudget {
+			return nil
+		}
+		perRow := float64(ans.Elapsed) / float64(ran.Data.NumRows())
+		maxRows := withHeadroom(float64(q.opts.TimeBudget) / perRow)
+		best := ran
+		for _, st := range samples {
+			if st.Data.NumRows() <= maxRows {
+				best = st
+			}
+		}
+		if best == ran {
+			return nil
+		}
+		return best
 	}
-	return rt.samples[len(rt.samples)-1]
+}
+
+// meetsBound reports whether every aggregate of ans is accepted by the
+// diagnostic with a relative error within bound, and the largest relative
+// error it has.
+func meetsBound(ans *Answer, bound float64) (met bool, worst float64) {
+	met = true
+	for _, g := range ans.Groups {
+		for _, a := range g.Aggs {
+			if !a.DiagnosticOK || math.IsNaN(a.RelErr) || a.RelErr > bound {
+				met = false
+			}
+			if !math.IsNaN(a.RelErr) && a.RelErr > worst {
+				worst = a.RelErr
+			}
+		}
+	}
+	return met, worst
+}
+
+// headroom discounts every projected row count by 20%, because a projection
+// from one run is noisy: the error-bound skip rules out only samples under
+// 80% of the rows it projects, and a time budget runs only samples within 80%
+// of the rows it projects will fit.
+const headroom = 0.8
+
+// rowsForBound is the 1/√n rule: a closed-form error bar that measured a
+// relative error rel on n rows narrows to bound on n·(rel/bound)² rows. The
+// count is taken with headroom.
+func rowsForBound(n int, rel, bound float64) int {
+	ratio := rel / bound
+	return withHeadroom(float64(n) * ratio * ratio)
+}
+
+// withHeadroom takes a projected row count with headroom, as an int. A
+// projection past the int range saturates at math.MaxInt rather than wrap.
+func withHeadroom(rows float64) int {
+	rows *= headroom
+	if !(rows < math.MaxInt) {
+		return math.MaxInt
+	}
+	return int(rows)
 }
 
 // scaleInvariant reports whether every aggregate is unaffected by

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/exec"
-	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/table"
 )
@@ -102,18 +100,4 @@ func stringKeys(col table.StrReader) []string {
 	out := make([]string, col.Len())
 	col.ReadStr(out, 0)
 	return out
-}
-
-// stratifiedFor returns a stratified sample matching the query's GROUP BY
-// column, or nil.
-func (rt *registeredTable) stratifiedFor(def *plan.QueryDef) *stratifiedSample {
-	if len(def.GroupBy) != 1 {
-		return nil
-	}
-	for _, s := range rt.stratified {
-		if strings.EqualFold(s.keyColumn, def.GroupBy[0]) {
-			return s
-		}
-	}
-	return nil
 }

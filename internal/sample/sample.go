@@ -1,14 +1,13 @@
 // Package sample implements the sampling layer of the AQP system: simple
-// random samples (values with replacement, row ids without), the disjoint
-// subsample partitioning the diagnostic relies on, and the sample size an
-// error bound needs. The engine's catalog of built samples is core's.
+// random samples (values with replacement, row ids without) and the disjoint
+// subsample partitioning the diagnostic relies on. The engine's catalog of
+// built samples, and the choice of which one a query runs on, are core's.
 package sample
 
 import (
 	"fmt"
 
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 // WithReplacement draws n rows uniformly at random from xs with
@@ -61,32 +60,4 @@ func DisjointSubsamples(s []float64, size, p int) ([][]float64, error) {
 		out[i] = s[i*size : (i+1)*size]
 	}
 	return out, nil
-}
-
-// RequiredSampleSize estimates the sample size needed for a CLT-style mean
-// estimate to reach the target relative error at confidence alpha, given
-// pilot estimates of the data's mean and standard deviation:
-//
-//	n ≈ (z · σ / (ε · |μ|))²
-//
-// This is the calculation behind Fig. 1's "sample size suggested by an
-// error estimation technique" and behind the engine's sample budget.
-func RequiredSampleSize(mean, stddev, relErr, alpha float64) int {
-	if relErr <= 0 || mean == 0 {
-		return 1 << 62 // unsatisfiable
-	}
-	z := stats.StdNormalQuantile(0.5 + alpha/2)
-	n := z * stddev / (relErr * abs(mean))
-	size := int(n*n) + 1
-	if size < 1 {
-		size = 1
-	}
-	return size
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
