@@ -558,9 +558,10 @@ type Answer struct {
 	// predicate in the main execution pass, before any fallback re-run
 	// (-1 when nothing was scanned).
 	Selectivity float64
-	// BootstrapKUsed is the largest bootstrap replicate count the adaptive
-	// stopping rule actually ran across the query's aggregates (0 when no
-	// bootstrap ran). It is at most Plan.Opt.BootstrapK, the budget.
+	// BootstrapKUsed is the largest bootstrap replicate count any of the
+	// query's aggregates ran: Plan.Opt.BootstrapK, or 0 when no aggregate
+	// was resampled (every bar has a closed form, or verdict-first skipped
+	// the rejected ones).
 	BootstrapKUsed int
 	// Plan is the executed logical plan.
 	Plan *plan.Plan
@@ -601,24 +602,6 @@ func (a *Answer) FellBack() bool {
 		}
 	}
 	return false
-}
-
-// planOptions assembles plan.Options from the engine config for a sample
-// of n rows. kCap, when positive, caps the bootstrap resample count below
-// the engine default (the serving layer's per-query resample budget).
-func (e *Engine) planOptions(n int, needBootstrap bool, kCap int) plan.Options {
-	opt := plan.DefaultOptions(n)
-	opt.BootstrapK = e.cfg.bootstrapK()
-	if kCap > 0 && kCap < opt.BootstrapK {
-		opt.BootstrapK = kCap
-	}
-	if !needBootstrap {
-		// Closed-form-only queries need no resamples: error bars and the
-		// diagnostic's ξ both come from closed forms (QSet-1 behaviour).
-		opt.BootstrapK = 0
-	}
-	opt.Diagnostics = opt.Diagnostics && !e.cfg.skipDiagnostics
-	return opt
 }
 
 // Explain parses and plans the query as Run would — the same sample choice,

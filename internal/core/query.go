@@ -96,8 +96,8 @@ func (e *Engine) RunExact(ctx context.Context, query string) (*Answer, error) {
 
 // RunWithOptions answers one query: begin, execute, finish. Tables without
 // samples are answered exactly. ctx is threaded through planning, scan,
-// bootstrap resampling (checked once per 8 KiB kernel block), the adaptive-K
-// loop, and the diagnostic worker pool. A cancelled query returns an error
+// bootstrap resampling (checked once per 8 KiB kernel block) and the
+// diagnostic worker pool. A cancelled query returns an error
 // wrapping ctx.Err() (so errors.Is(err, context.Canceled) and
 // errors.Is(err, context.DeadlineExceeded) hold) that carries the qN query
 // identifier, and all goroutines it spawned exit before the call returns.
@@ -264,7 +264,7 @@ func (q *request) nextSample(ran *exec.StoredTable, ans *Answer) *exec.StoredTab
 			return nil
 		}
 		minRows := 0 // samples smaller than this are provably insufficient
-		if q.def.ClosedFormOK() && worst > bound && !math.IsInf(worst, 0) {
+		if !q.def.NeedsResamples(ran.PopRows, ran.Data.NumRows()) && worst > bound && !math.IsInf(worst, 0) {
 			minRows = rowsForBound(ran.Data.NumRows(), worst, bound)
 		}
 		for _, st := range samples[slices.Index(samples, ran)+1:] {
@@ -425,7 +425,15 @@ func (e *Engine) buildExactPlan(q *request, parent *obs.Span) (*plan.Plan, error
 // (runApproximate), the shared-scan batch path (RunSharedBatch) and Explain.
 func (e *Engine) buildApproxPlan(q *request, st *exec.StoredTable, verdictFirst bool) (*plan.Plan, error) {
 	n := st.Data.NumRows()
-	opt := e.planOptions(n, !q.def.ClosedFormOK(), q.opts.BootstrapK)
+	opt := plan.DefaultOptions(n)
+	opt.BootstrapK = 0 // stays 0 when every bar has a closed form: nothing reads resamples
+	if q.def.NeedsResamples(st.PopRows, n) {
+		opt.BootstrapK = e.cfg.bootstrapK()
+		if k := q.opts.BootstrapK; k > 0 { // the per-query cap
+			opt.BootstrapK = min(opt.BootstrapK, k)
+		}
+	}
+	opt.Diagnostics = opt.Diagnostics && !e.cfg.skipDiagnostics
 	opt.VerdictFirst = verdictFirst
 	planSpan := q.qt.StartSpan(obs.StagePlan)
 	p, err := plan.Build(q.def, opt)
@@ -461,7 +469,7 @@ func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st
 				Estimate:  out.Value,
 				Diagnosis: Diagnosis{DiagnosticOK: true},
 			}
-			iv, technique, err := e.errorBar(out)
+			iv, technique, err := errorBar(out)
 			if err != nil {
 				estSpan.End()
 				return nil, fmt.Errorf("core: %s: error bar for %s: %w",
@@ -499,27 +507,15 @@ func scanSelectivity(c exec.Counters) float64 {
 	return float64(c.RowsAfterFilter) / float64(c.RowsScanned)
 }
 
-// errorBar computes the confidence interval for one aggregate output using
-// the cheapest applicable technique: closed forms when known, otherwise
-// the bootstrap distribution the executor already produced.
-func (e *Engine) errorBar(out exec.AggOutput) (estimator.Interval, string, error) {
+// errorBar serves one aggregate's confidence interval from the estimator
+// its θ admits (DESIGN.md §32): the closed form when out.Query has one,
+// otherwise the bootstrap distribution the executor drew. Either way it is
+// the ξ the diagnostic validated for that θ.
+func errorBar(out exec.AggOutput) (estimator.Interval, string, error) {
 	const alpha = estimator.ConfidenceLevel
-	spec := estimator.Query{Kind: out.Spec.Kind, Pct: out.Spec.Pct}
-	if spec.ClosedFormApplicable() && out.Spec.Kind != estimator.Sum &&
-		out.Spec.Kind != estimator.Count {
-		iv, err := (estimator.ClosedForm{}).Interval(nil, out.Values, spec, alpha)
-		if err != nil {
-			return estimator.Interval{}, "", err
-		}
-		return iv, "closed-form", nil
-	}
-	if out.Spec.Kind == estimator.Sum || out.Spec.Kind == estimator.Count {
-		// Scaled sums: closed form on the scaled query the executor built.
-		iv, err := closedFormScaledSum(out, alpha)
-		if err == nil {
-			return iv, "closed-form", nil
-		}
-		// Fall through to the bootstrap on error.
+	if out.Query.ClosedFormApplicable() {
+		iv, err := (estimator.ClosedForm{}).Interval(nil, out.Values, out.Query, alpha)
+		return iv, "closed-form", err
 	}
 	if len(out.Bootstrap) == 0 {
 		return estimator.Interval{Center: out.Value, HalfWidth: math.NaN()},
@@ -527,27 +523,6 @@ func (e *Engine) errorBar(out exec.AggOutput) (estimator.Interval, string, error
 	}
 	half := stats.SymmetricHalfWidth(out.Bootstrap, out.Value, alpha)
 	return estimator.Interval{Center: out.Value, HalfWidth: half}, "bootstrap", nil
-}
-
-// closedFormScaledSum computes the CLT interval for a population-scaled
-// SUM/COUNT: θ̂ = c·Σx with c = |D|/|S|, so σ̂ = c·s·√n_filtered.
-func closedFormScaledSum(out exec.AggOutput, alpha float64) (estimator.Interval, error) {
-	n := len(out.Values)
-	if n == 0 {
-		return estimator.Interval{}, fmt.Errorf("core: empty aggregation input")
-	}
-	sum := stats.Sum(out.Values)
-	scale := 1.0
-	if sum != 0 {
-		scale = out.Value / sum
-	}
-	s2 := stats.SampleVariance(out.Values)
-	if math.IsNaN(s2) {
-		s2 = 0
-	}
-	z := stats.StdNormalQuantile(0.5 + alpha/2)
-	half := math.Abs(scale) * z * math.Sqrt(s2*float64(n))
-	return estimator.Interval{Center: out.Value, HalfWidth: half}, nil
 }
 
 // fallbackExact runs the query exactly under a fallback span, recording the

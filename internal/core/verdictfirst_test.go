@@ -215,10 +215,10 @@ func TestVerdictFirstSkipsRejectedWork(t *testing.T) {
 		}
 	}
 
-	// Mixed: MAX(p) is rejected, PERCENTILE(g) and AVG(g) are kept. Each
-	// bootstrapped aggregate costs K draws per filtered row whatever its
-	// verdict, so the engine that skips must report exactly 2/3 of the
-	// other's draws.
+	// Mixed: MAX(p) is rejected, PERCENTILE(g) and AVG(g) are kept. AVG's
+	// bar is its closed form, so neither engine resamples it. Each of the
+	// other two costs K draws per filtered row whatever its verdict, so the
+	// engine that skips must report exactly 1/2 of the other's draws.
 	q := "SELECT PERCENTILE(g, 0.5), MAX(p), AVG(g) FROM T"
 	a, err := on.Run(context.Background(), q)
 	if err != nil {
@@ -238,11 +238,11 @@ func TestVerdictFirstSkipsRejectedWork(t *testing.T) {
 		t.Fatalf("want exactly MAX(p) rejected, got %d rejections", rejected)
 	}
 	rows := b.Counters.RowsAfterFilter
-	if want := 3 * int64(k) * rows; b.Counters.WeightDraws != want {
-		t.Errorf("without verdict-first: WeightDraws = %d, want 3·K·rows = %d", b.Counters.WeightDraws, want)
+	if want := 2 * int64(k) * rows; b.Counters.WeightDraws != want {
+		t.Errorf("without verdict-first: WeightDraws = %d, want 2·K·rows = %d", b.Counters.WeightDraws, want)
 	}
-	if want := 2 * int64(k) * rows; a.Counters.WeightDraws != want {
-		t.Errorf("verdict-first: WeightDraws = %d, want 2·K·rows = %d", a.Counters.WeightDraws, want)
+	if want := int64(k) * rows; a.Counters.WeightDraws != want {
+		t.Errorf("verdict-first: WeightDraws = %d, want K·rows = %d", a.Counters.WeightDraws, want)
 	}
 	if a.BootstrapKUsed != k {
 		t.Errorf("mixed query BootstrapKUsed = %d, want %d", a.BootstrapKUsed, k)

@@ -71,6 +71,14 @@ type Query struct {
 	// sample aggregate".
 	PopN int
 
+	// Scale, when nonzero, makes a Sum or Count the fixed-scale sum
+	// θ = Scale·Σw·x, with Scale = |D|/|S| for the whole sample. This is a
+	// GROUP BY group's sum: its values are only the group's rows, so a
+	// resample varies how many of them there are as well as which, and
+	// the closed form, which holds that count at the sample's, does not
+	// apply (ClosedFormApplicable). It takes precedence over PopN.
+	Scale float64
+
 	// Bounds, when non-nil, give known population bounds [lo, hi] of the
 	// aggregation column. Large-deviation estimators require them; the
 	// paper notes this sensitivity quantity must be precomputed per θ.
@@ -127,7 +135,8 @@ func (q Query) EvalWeighted(values, weights []float64) float64 {
 		// resample's random size leak into the estimate, inflating the
 		// bootstrap's variance for any sum whose values don't center on
 		// zero (most COUNTs and SUMs) — the estimator would look
-		// systematically pessimistic.
+		// systematically pessimistic. A group's fixed-scale sum (Scale)
+		// wants that variation: how many rows the group has is random.
 		var sum, wsum float64
 		if weights == nil {
 			for _, v := range values {
@@ -140,7 +149,10 @@ func (q Query) EvalWeighted(values, weights []float64) float64 {
 				wsum += weights[i]
 			}
 		}
-		if q.PopN > 0 {
+		switch {
+		case q.Scale != 0:
+			return q.Scale * sum
+		case q.PopN > 0:
 			if wsum == 0 {
 				return math.NaN()
 			}
@@ -224,8 +236,8 @@ func extreme(values, weights []float64, wantMax bool) float64 {
 
 // FusedApplicable reports whether the blocked multi-resample kernel has a
 // fused closed-form accumulator for q: the Σw·x / Σw family (AVG, and
-// population-scaled or plain SUM/COUNT). For these the kernel never
-// materializes a weight vector; everything else takes the generic
+// population-scaled, fixed-scale or plain SUM/COUNT). For these the kernel
+// never materializes a weight vector; everything else takes the generic
 // weighted-θ fallback.
 func (q Query) FusedApplicable() bool {
 	switch q.Kind {
@@ -251,7 +263,10 @@ func (q Query) FinalizeFused(wx, w float64, n int) float64 {
 		}
 		return wx / w
 	case Sum, Count:
-		if q.PopN > 0 {
+		switch {
+		case q.Scale != 0:
+			return q.Scale * wx
+		case q.PopN > 0:
 			if w == 0 {
 				return math.NaN()
 			}
@@ -266,11 +281,16 @@ func (q Query) FinalizeFused(wx, w float64, n int) float64 {
 // ClosedFormApplicable reports whether a closed-form CLT variance estimate
 // is known for the query. Per the paper, this covers COUNT, SUM, AVG,
 // VARIANCE and STDEV; MIN, MAX, percentiles and black-box UDFs have no
-// known closed form.
+// known closed form, and neither has a fixed-scale sum (Scale). It is the
+// one predicate that decides an aggregate's error estimate: where it holds,
+// ClosedForm serves the bar and validates it in the diagnostic; elsewhere
+// the bootstrap does both.
 func (q Query) ClosedFormApplicable() bool {
 	switch q.Kind {
-	case Avg, Sum, Count, Variance, Stdev:
+	case Avg, Variance, Stdev:
 		return true
+	case Sum, Count:
+		return q.Scale == 0
 	default:
 		return false
 	}

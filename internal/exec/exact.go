@@ -114,13 +114,9 @@ func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Reg
 	if err := s.planKey(def.GroupBy); err != nil {
 		return nil, fmt.Errorf("exec: grouping on table %q: %w", def.Table, err)
 	}
-	queries := make([]estimator.Query, len(def.Aggs))
-	for ai, spec := range def.Aggs {
-		q, err := queryFor(spec, st, tbl.NumRows(), grouped, udfs)
-		if err != nil {
-			return nil, fmt.Errorf("exec: aggregate %d: %w", ai, err)
-		}
-		queries[ai] = q
+	queries, err := queriesFor(def, st, udfs)
+	if err != nil {
+		return nil, err
 	}
 	meter, err := s.reserveVectors(ctx, skip)
 	if err == nil {

@@ -196,15 +196,15 @@ func materializedExact(t *testing.T, p *plan.Plan, st *StoredTable, udfs Registr
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
+	queries, err := queriesFor(def, st, udfs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []GroupOutput
 	for _, g := range bases[0].groups {
 		gout := GroupOutput{Key: g.key}
 		for ai, spec := range def.Aggs {
-			q, err := queryFor(spec, st, st.Data.NumRows(), len(def.GroupBy) > 0, udfs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gout.Aggs = append(gout.Aggs, AggOutput{Spec: spec, Value: q.Eval(g.values[ai])})
+			gout.Aggs = append(gout.Aggs, AggOutput{Spec: spec, Value: queries[ai].Eval(g.values[ai])})
 		}
 		out = append(out, gout)
 	}

@@ -144,7 +144,10 @@ type AggOutput struct {
 	// closed-form variance estimates without a second scan. Exact plans
 	// stream rows into per-group sinks and leave it nil (see exact.go).
 	Values []float64
-	// Bootstrap holds the K resample estimates when error estimation ran.
+	// Bootstrap holds the K resample estimates of an aggregate whose error
+	// bar is the bootstrap's (Query has no closed form), when the plan
+	// resamples (K > 0) and a verdict-first plan did not reject it; nil
+	// otherwise.
 	Bootstrap []float64
 	// Diag is the diagnostic verdict when the diagnostic operator ran.
 	Diag *diagnostic.Result
@@ -200,7 +203,7 @@ func Run(ctx context.Context, p *plan.Plan, tables map[string]*StoredTable, udfs
 // diagnostics over each group — and finalizes the result's counters: base
 // carries the shared scan's output for this query, and res.Counters
 // already holds that scan's share.
-func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, tbl *table.Table, base *scanResult, udfs Registry, cfg Config, res *Result) error {
+func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *scanResult, udfs Registry, cfg Config, res *Result) error {
 	traced := cfg.Span != nil
 	k := p.Opt.BootstrapK
 	// The bootstrap span opens with the first bootstrap work rather than up
@@ -218,16 +221,17 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, tbl *tabl
 		diagSpan = cfg.Span.StartSpan(obs.StageDiagnostic)
 	}
 
+	queries, err := queriesFor(p.Def, st, udfs)
+	if err != nil {
+		return err
+	}
 	for _, g := range base.groups {
 		gout := GroupOutput{Key: g.key}
 		for ai, spec := range p.Def.Aggs {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("exec: group %q aggregate %d: %w", g.key, ai, err)
 			}
-			q, err := queryFor(spec, st, tbl.NumRows(), len(p.Def.GroupBy) > 0, udfs)
-			if err != nil {
-				return fmt.Errorf("exec: group %q aggregate %d: %w", g.key, ai, err)
-			}
+			q := queries[ai]
 			values := g.values[ai]
 			out := AggOutput{Spec: spec, Query: q, Value: q.Eval(values), Values: values}
 
@@ -235,7 +239,8 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, tbl *tabl
 			// not depend on the bootstrap below (the "diag" and "boot" RNG
 			// streams are independent), and under a verdict-first plan a
 			// rejected aggregate is re-answered exactly by the caller, so its
-			// K resample estimates would never be read: skip them.
+			// K resample estimates would never be read: skip them. Nothing
+			// reads them for an aggregate with a closed form either.
 			if p.Opt.Diagnostics {
 				start := now(traced)
 				dres, c, err := runDiagnostic(ctx, p.Opt, values, q, cfg, diagSpan, g.key, ai)
@@ -256,7 +261,7 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, tbl *tabl
 				}
 			}
 			replaced := out.Diag != nil && !out.Diag.OK && p.Opt.VerdictFirst
-			if k > 0 && !replaced {
+			if k > 0 && !replaced && !q.ClosedFormApplicable() {
 				openBootSpan()
 				start := now(traced)
 				ests, c, err := bootstrapEstimates(ctx, values, q, k, cfg, g.key, ai)
@@ -996,50 +1001,18 @@ func (k *groupKeys) f64(v float64) int32 {
 	return g
 }
 
-// queryFor translates an AggSpec into an estimator.Query, resolving scaling
-// and UDF bodies.
-func queryFor(spec plan.AggSpec, st *StoredTable, sampleRows int, grouped bool, udfs Registry) (estimator.Query, error) {
-	switch spec.Kind {
-	case estimator.UDF:
+// queriesFor resolves the θ of each of def's aggregates on st's rows
+// (plan.AggSpec.Query), taking a UDF's body from udfs.
+func queriesFor(def *plan.QueryDef, st *StoredTable, udfs Registry) ([]estimator.Query, error) {
+	qs := make([]estimator.Query, len(def.Aggs))
+	for ai, spec := range def.Aggs {
 		fn, ok := udfs[spec.UDFName]
-		if !ok {
-			return estimator.Query{}, fmt.Errorf("exec: unregistered UDF %q", spec.UDFName)
+		if spec.Kind == estimator.UDF && !ok {
+			return nil, fmt.Errorf("exec: aggregate %d: unregistered UDF %q", ai, spec.UDFName)
 		}
-		return estimator.Query{Kind: estimator.UDF, Fn: fn, FnName: spec.UDFName}, nil
-	case estimator.Sum, estimator.Count:
-		if st.PopRows <= 0 {
-			return estimator.Query{Kind: spec.Kind}, nil
-		}
-		if !grouped {
-			// Ungrouped scaled sums evaluate over the full-sample masked
-			// column (zeros where the filter fails), so Query's
-			// self-normalized |D|·Σwx/Σw form applies directly.
-			return estimator.Query{Kind: spec.Kind, PopN: st.PopRows}, nil
-		}
-		// Grouped sums see only their group's rows; scale by the fixed
-		// |D|/|S| factor. (The resample-size noise this admits is the
-		// price of treating each group as a separate query, §2.1.)
-		scale := float64(st.PopRows) / float64(sampleRows)
-		return estimator.Query{
-			Kind:   estimator.UDF,
-			FnName: spec.Kind.String() + "_scaled",
-			Fn: func(values, weights []float64) float64 {
-				sum := 0.0
-				if weights == nil {
-					for _, v := range values {
-						sum += v
-					}
-				} else {
-					for i, v := range values {
-						sum += v * weights[i]
-					}
-				}
-				return scale * sum
-			},
-		}, nil
-	default:
-		return estimator.Query{Kind: spec.Kind, Pct: spec.Pct}, nil
+		qs[ai] = spec.Query(st.PopRows, st.Data.NumRows(), len(def.GroupBy) > 0, fn)
 	}
+	return qs, nil
 }
 
 // bootstrapEstimates computes the K resample estimates
@@ -1091,11 +1064,7 @@ func runDiagnostic(ctx context.Context, opt plan.Options, values []float64, q es
 		// biased slightly narrow at every ladder size.
 		xi = estimator.ClosedForm{UseStudentT: true}
 	} else {
-		kk := opt.BootstrapK
-		if kk <= 0 {
-			kk = estimator.DefaultBootstrapK
-		}
-		xi = estimator.Bootstrap{K: kk, Obs: verdictSpan.Metrics()}
+		xi = estimator.Bootstrap{K: opt.BootstrapK, Obs: verdictSpan.Metrics()}
 	}
 	src := rng.NewWithStream(cfg.Seed, hashStream("diag", groupKey, aggIdx, 0))
 	dres, err := diagnostic.Run(ctx, src, values, q, xi, dcfg)

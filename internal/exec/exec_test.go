@@ -2,10 +2,10 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
-	"repro/internal/estimator"
 	"repro/internal/plan"
 	"repro/internal/resample"
 	"repro/internal/rng"
@@ -264,7 +264,7 @@ func TestRunScaledSumAndCount(t *testing.T) {
 		t.Errorf("scaled COUNT = %v, want 50000", count)
 	}
 	times := tables["Sessions"].Data.ColumnByName("Time").(table.Float64Col)
-	wantSum := 10 * stats.Sum(times)
+	wantSum := 10 * stats.Mean(times) * float64(len(times))
 	if math.Abs(res.Groups[0].Aggs[1].Value-wantSum)/wantSum > 1e-9 {
 		t.Errorf("scaled SUM = %v, want %v", res.Groups[0].Aggs[1].Value, wantSum)
 	}
@@ -300,7 +300,7 @@ func TestRunGroupBy(t *testing.T) {
 func TestRunBootstrapProducesSaneDistribution(t *testing.T) {
 	tables := storedSessions(20000, 10)
 	opt := plan.Options{BootstrapK: 80}
-	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions", opt)
+	p := mustPlan(t, "SELECT PERCENTILE(Time, 0.5) FROM Sessions", opt)
 	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -309,9 +309,10 @@ func TestRunBootstrapProducesSaneDistribution(t *testing.T) {
 	if len(out.Bootstrap) != 80 {
 		t.Fatalf("bootstrap estimates = %d", len(out.Bootstrap))
 	}
-	// Bootstrap SE should approximate s/sqrt(n).
+	// The bootstrap SE of a normal sample's median should approximate
+	// √(π/2)·s/√n.
 	times := tables["Sessions"].Data.ColumnByName("Time").(table.Float64Col)
-	wantSE := math.Sqrt(stats.SampleVariance(times) / 20000)
+	wantSE := math.Sqrt(math.Pi / 2 * stats.SampleVariance(times) / 20000)
 	se := stats.Stddev(out.Bootstrap)
 	if se < 0.5*wantSE || se > 2*wantSE {
 		t.Errorf("bootstrap SE = %v, want ~%v", se, wantSE)
@@ -325,27 +326,33 @@ func TestRunBootstrapProducesSaneDistribution(t *testing.T) {
 	}
 }
 
+// TestRunBootstrapDeterministicAcrossWorkerCounts covers both resample
+// kernels: a group's SUM runs on kernel.FusedSums, a median on
+// kernel.Generic.
 func TestRunBootstrapDeterministicAcrossWorkerCounts(t *testing.T) {
 	tables := storedSessions(5000, 11)
-	opt := plan.Options{BootstrapK: 40}
-	var ref []float64
+	const k = 40
+	opt := plan.Options{BootstrapK: k}
+	var ref *Result
 	for _, workers := range []int{1, 3, 7} {
-		p := mustPlan(t, "SELECT AVG(Time) FROM Sessions", opt)
+		p := mustPlan(t, "SELECT City, SUM(Time), PERCENTILE(Time, 0.5) FROM Sessions GROUP BY City", opt)
 		res, err := Run(context.Background(), p, tables, nil, Config{Workers: workers, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := res.Groups[0].Aggs[0].Bootstrap
-		if ref == nil {
-			ref = b
-			continue
-		}
-		for i := range ref {
-			if b[i] != ref[i] {
-				t.Fatalf("workers=%d: resample %d differs (%v vs %v)",
-					workers, i, b[i], ref[i])
+		for _, g := range res.Groups {
+			for ai, a := range g.Aggs {
+				if len(a.Bootstrap) != k {
+					t.Fatalf("workers=%d: group %q agg %d has %d resamples, want %d",
+						workers, g.Key, ai, len(a.Bootstrap), k)
+				}
 			}
 		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		resultsEqual(t, fmt.Sprintf("workers=%d", workers), res, ref)
 	}
 }
 
@@ -451,41 +458,19 @@ func TestRunPercentile(t *testing.T) {
 	}
 }
 
-func TestQueryForScaledCountSemantics(t *testing.T) {
-	st := &StoredTable{PopRows: 1000}
-	q, err := queryFor(plan.AggSpec{Kind: estimator.Count}, st, 100, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ungrouped COUNT sees the full masked column: 20 ones among 100 rows
-	// of a sample representing 1000 population rows → estimate 200.
-	masked := make([]float64, 100)
-	for i := 0; i < 20; i++ {
-		masked[i] = 1
-	}
-	if got := q.Eval(masked); got != 200 {
-		t.Errorf("scaled COUNT = %v, want 200", got)
-	}
-	// Grouped COUNT uses the fixed-scale closure over its group's rows.
-	qg, err := queryFor(plan.AggSpec{Kind: estimator.Count}, st, 100, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ones := make([]float64, 20)
-	for i := range ones {
-		ones[i] = 1
-	}
-	if got := qg.Eval(ones); got != 200 {
-		t.Errorf("grouped scaled COUNT = %v, want 200", got)
-	}
-}
-
 func BenchmarkRunConsolidatedPipeline(b *testing.B) {
 	tables := storedSessions(100000, 20)
 	opt := plan.DefaultOptions(100000)
 	def, _ := plan.Analyze(sql.MustParse(
-		"SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'").(*sql.Select), nil)
+		"SELECT City, SUM(Time) FROM Sessions WHERE City = 'NYC' GROUP BY City").(*sql.Select), nil)
 	p, _ := plan.Build(def, opt)
+	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got := len(res.Groups[0].Aggs[0].Bootstrap); got != opt.BootstrapK {
+		b.Fatalf("%d resamples, want %d", got, opt.BootstrapK)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(context.Background(), p, tables, nil, Config{Workers: 8, Seed: 1}); err != nil {
@@ -499,10 +484,11 @@ func BenchmarkRunConsolidatedPipeline(b *testing.B) {
 // resamples of the filtered column, each evaluated as its own weighted query
 // (what one UNION ALL subquery computed), form a distribution statistically
 // equivalent to the one the single scan produces. Weights are drawn for the
-// filtered rows only (§5.3.2).
+// filtered rows only (§5.3.2). A group's SUM is the fixed-scale sum, whose
+// bar is the bootstrap's.
 func TestBootstrapMatchesIndependentPoissonResamples(t *testing.T) {
 	tables := storedSessions(10000, 32)
-	const q, k = "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'", 60
+	const q, k = "SELECT City, SUM(Time) FROM Sessions WHERE City = 'NYC' GROUP BY City", 60
 	res, err := Run(context.Background(), mustPlan(t, q, plan.Options{BootstrapK: k}),
 		tables, nil, Config{Workers: 2, Seed: 7})
 	if err != nil {

@@ -120,7 +120,7 @@ func RunShared(ctx context.Context, items []SharedItem, tables map[string]*Store
 			if ictx == nil {
 				ictx = ctx
 			}
-			if err := runDownstream(ictx, d.plan, st, tbl, base, udfs, it.Cfg, res); err != nil {
+			if err := runDownstream(ictx, d.plan, st, base, udfs, it.Cfg, res); err != nil {
 				errs[d.item] = err
 				return
 			}

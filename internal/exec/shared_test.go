@@ -115,7 +115,7 @@ func TestRunSharedMatchesSerial(t *testing.T) {
 func TestRunSharedDedupsIdenticalPlans(t *testing.T) {
 	tables := storedSessions(8000, 32)
 	opt := plan.Options{BootstrapK: 30}
-	q := "SELECT AVG(Time) FROM Sessions WHERE City = 'SF'"
+	q := "SELECT PERCENTILE(Time, 0.5) FROM Sessions WHERE City = 'SF'"
 
 	items := make([]SharedItem, 4)
 	for i := range items {

@@ -29,8 +29,8 @@ func relDiff(a, b float64) float64 {
 }
 
 // The fused Σw·x / Σw accumulators must agree with the generic weighted-θ
-// path on identical RNG streams for every closed-form kind, up to
-// floating-point summation order.
+// path on identical RNG streams for every kind they cover, the fixed-scale
+// sums of a group included, up to floating-point summation order.
 func TestFusedMatchesGenericWeightedTheta(t *testing.T) {
 	xs := testData(1, 5000)
 	const k = 50
@@ -40,6 +40,8 @@ func TestFusedMatchesGenericWeightedTheta(t *testing.T) {
 		{Kind: estimator.Sum},
 		{Kind: estimator.Sum, PopN: 100000},
 		{Kind: estimator.Count, PopN: 100000},
+		{Kind: estimator.Sum, Scale: 20},
+		{Kind: estimator.Count, Scale: 20},
 	}
 	for _, q := range queries {
 		if !q.FusedApplicable() {

@@ -3,12 +3,12 @@ package history
 // The online workload profiler. Every finished query folds into one
 // profile per (table, sample, aggregate-kind, predicate-signature) key;
 // every watchdog audit folds its coverage outcome into the same key.
-// Profiles are exactly the priors a constraint planner needs: "for AVG
+// Profiles are exactly the priors a constraint planner needs: "for a median
 // over Sessions' 1%-sample with predicate shape (time > ?), selectivity
 // is ~0.3 (p99 0.5), relative CI width ~1.2% at sample fraction 0.01,
-// the adaptive bootstrap stops after ~40 replicates, and audited coverage
-// is 94%". Distributions are tracked as mean + Greenwald–Khanna sketch
-// quantiles, so memory per profile is bounded regardless of query count.
+// the bootstrap ran 100 replicates, and audited coverage is 94%".
+// Distributions are tracked as mean + Greenwald–Khanna sketch quantiles,
+// so memory per profile is bounded regardless of query count.
 
 import (
 	"fmt"
@@ -58,8 +58,8 @@ type Profile struct {
 	// SampleFraction is the mean sample-rows/population-rows ratio, the
 	// x-axis against which RelWidth is the y.
 	SampleFraction float64 `json:"sample_fraction"`
-	// KBudgetMean/KUsedMean/KUsedMax track the bootstrap replicate budget
-	// versus what the adaptive stopping rule actually needed.
+	// KBudgetMean/KUsedMean/KUsedMax track the bootstrap replicate count
+	// plans allowed versus the count their aggregates ran.
 	KBudgetMean float64 `json:"k_budget_mean"`
 	KUsedMean   float64 `json:"k_used_mean"`
 	KUsedMax    int     `json:"k_used_max"`

@@ -36,8 +36,9 @@ type QueryRecord struct {
 	// SampleFraction is sample rows over population rows (1 for exact
 	// execution, 0 when the population size is unknown).
 	SampleFraction float64 `json:"sample_fraction,omitempty"`
-	// KBudget is the bootstrap replicate budget the plan allowed; KUsed is
-	// the largest replicate count the adaptive stopping rule actually ran.
+	// KBudget is the bootstrap replicate count the plan allowed; KUsed is
+	// the largest count any aggregate ran: KBudget, or 0 when none was
+	// resampled.
 	KBudget    int  `json:"k_budget,omitempty"`
 	KUsed      int  `json:"k_used,omitempty"`
 	SharedScan bool `json:"shared_scan,omitempty"`

@@ -150,14 +150,39 @@ func analyzeAggregate(call *sql.FuncCall, alias string, isUDF func(string) bool)
 	}
 }
 
-// ClosedFormOK reports whether every aggregate in the query admits a
-// closed-form error estimate (QSet-1 membership at the SQL level).
-func (d *QueryDef) ClosedFormOK() bool {
+// Query is the one translation of an aggregate into the θ its answer and
+// its error estimate are made for (DESIGN.md §32), on a sample of sampleRows
+// rows drawn from a table of popRows rows (popRows 0: the rows are the whole
+// table). fn is the body of a UDF aggregate. Every error decision reads the
+// result's ClosedFormApplicable: the planner's resample count, the bar the
+// engine serves and the ξ the diagnostic validates.
+//
+// SUM and COUNT scale to the population. Ungrouped, they run over the whole
+// sample with zeros where the filter fails and self-normalize (PopN).
+// Grouped, each group sees only its own rows, so they scale by the fixed
+// |D|/|S| (Scale), the same for every group.
+func (a AggSpec) Query(popRows, sampleRows int, grouped bool, fn func(values, weights []float64) float64) estimator.Query {
+	switch {
+	case a.Kind == estimator.UDF:
+		return estimator.Query{Kind: estimator.UDF, Fn: fn, FnName: a.UDFName}
+	case (a.Kind == estimator.Sum || a.Kind == estimator.Count) && popRows > 0:
+		if grouped {
+			return estimator.Query{Kind: a.Kind, Scale: float64(popRows) / float64(sampleRows)}
+		}
+		return estimator.Query{Kind: a.Kind, PopN: popRows}
+	default:
+		return estimator.Query{Kind: a.Kind, Pct: a.Pct}
+	}
+}
+
+// NeedsResamples reports whether some aggregate's error bar, on a sample of
+// sampleRows rows drawn from popRows, is the bootstrap's: whether a plan
+// for it needs K > 0.
+func (d *QueryDef) NeedsResamples(popRows, sampleRows int) bool {
 	for _, a := range d.Aggs {
-		q := estimator.Query{Kind: a.Kind}
-		if !q.ClosedFormApplicable() {
-			return false
+		if !a.Query(popRows, sampleRows, len(d.GroupBy) > 0, nil).ClosedFormApplicable() {
+			return true
 		}
 	}
-	return true
+	return false
 }

@@ -34,8 +34,13 @@ import (
 
 // Options selects which pipeline stages a plan uses.
 type Options struct {
-	// BootstrapK is the number of bootstrap resamples (0 disables error
-	// estimation entirely: plain approximate answer only).
+	// BootstrapK is the number of bootstrap resamples drawn for each
+	// aggregate whose error bar is the bootstrap's, one without a closed
+	// form (estimator.Query.ClosedFormApplicable), and for each of the
+	// diagnostic's bootstrap ξ intervals. 0 draws none for the bar, which a
+	// plan whose every aggregate has a closed form needs
+	// (QueryDef.NeedsResamples); any other aggregate then gets no bar, and
+	// its ξ draws estimator.DefaultBootstrapK.
 	BootstrapK int
 	// Diagnostics enables the diagnostic operator.
 	Diagnostics bool

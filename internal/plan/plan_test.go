@@ -91,12 +91,60 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
-func TestClosedFormOK(t *testing.T) {
-	if !analyze(t, "SELECT AVG(x), SUM(y) FROM t").ClosedFormOK() {
-		t.Error("AVG+SUM should be closed-form OK")
+func TestNeedsResamples(t *testing.T) {
+	for _, c := range []struct {
+		query   string
+		popRows int
+		want    bool
+	}{
+		{"SELECT AVG(x), SUM(y) FROM t", 1000, false},
+		{"SELECT AVG(x), MAX(y) FROM t", 1000, true},
+		// A group's SUM/COUNT is a fixed-scale sum: its bar is the bootstrap's.
+		{"SELECT g, COUNT(*) FROM t GROUP BY g", 1000, true},
+		{"SELECT g, AVG(x) FROM t GROUP BY g", 1000, false},
+		// Rows that are the whole table have plain sums, grouped or not.
+		{"SELECT g, SUM(y) FROM t GROUP BY g", 0, false},
+	} {
+		if got := analyze(t, c.query).NeedsResamples(c.popRows, 100); got != c.want {
+			t.Errorf("%s on %d rows: NeedsResamples = %v, want %v", c.query, c.popRows, got, c.want)
+		}
 	}
-	if analyze(t, "SELECT AVG(x), MAX(y) FROM t").ClosedFormOK() {
-		t.Error("MAX should break closed-form applicability")
+}
+
+// TestAggSpecQuery pins how SUM and COUNT scale to the population.
+func TestAggSpecQuery(t *testing.T) {
+	count := AggSpec{Kind: estimator.Count}
+	// Ungrouped COUNT sees the full masked column: 20 ones among 100 rows
+	// of a sample representing 1000 population rows → estimate 200.
+	masked := make([]float64, 100)
+	for i := 0; i < 20; i++ {
+		masked[i] = 1
+	}
+	q := count.Query(1000, 100, false, nil)
+	if got := q.Eval(masked); got != 200 {
+		t.Errorf("scaled COUNT = %v, want 200", got)
+	}
+	if !q.ClosedFormApplicable() {
+		t.Error("ungrouped scaled COUNT has no closed form")
+	}
+	// Grouped COUNT is the fixed-scale sum over its group's rows; a resample
+	// of weight 2 on every row doubles it, rather than self-normalizing.
+	qg := count.Query(1000, 100, true, nil)
+	if got := qg.Eval(masked[:20]); got != 200 {
+		t.Errorf("grouped scaled COUNT = %v, want 200", got)
+	}
+	twos := make([]float64, 20)
+	for i := range twos {
+		twos[i] = 2
+	}
+	if got := qg.EvalWeighted(masked[:20], twos); got != 400 {
+		t.Errorf("grouped scaled COUNT under weight 2 = %v, want 400", got)
+	}
+	if got := qg.FinalizeFused(40, 40, 20); got != 400 {
+		t.Errorf("grouped scaled COUNT from fused sums = %v, want 400", got)
+	}
+	if qg.ClosedFormApplicable() {
+		t.Error("grouped scaled COUNT has a closed form")
 	}
 }
 

@@ -60,12 +60,12 @@ func TestFillPoissonWeightsReusesStorage(t *testing.T) {
 	src := rng.New(3)
 	w := make([]float64, 1000)
 	FillPoissonWeights(src, w)
-	sum := stats.Sum(w)
-	if sum == 0 {
+	mean := stats.Mean(w)
+	if mean == 0 {
 		t.Fatal("weights all zero")
 	}
 	FillPoissonWeights(src, w)
-	if stats.Sum(w) == sum {
+	if stats.Mean(w) == mean {
 		t.Fatal("refill produced identical weights; RNG not advancing")
 	}
 }
@@ -98,8 +98,9 @@ func TestExactMultinomialWeightsSumExactly(t *testing.T) {
 	src := rng.New(5)
 	for _, n := range []int{1, 10, 1000, 20000} {
 		w := ExactMultinomialWeights(src, n)
-		if got := stats.Sum(w); got != float64(n) {
-			t.Fatalf("n=%d: weights sum to %v", n, got)
+		// Integer weights summing to n average exactly 1.
+		if got := stats.Mean(w); got != 1 {
+			t.Fatalf("n=%d: weights average %v, want 1", n, got)
 		}
 	}
 }

@@ -131,15 +131,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
 // Variance returns the population variance of xs, or NaN when empty.
 func Variance(xs []float64) float64 {
 	var m Moments

@@ -130,9 +130,6 @@ func TestDescriptiveHelpers(t *testing.T) {
 	if Mean(xs) != 2.5 {
 		t.Errorf("Mean = %v", Mean(xs))
 	}
-	if Sum(xs) != 10 {
-		t.Errorf("Sum = %v", Sum(xs))
-	}
 	if Min(xs) != 1 || Max(xs) != 4 {
 		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
 	}
