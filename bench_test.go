@@ -346,16 +346,10 @@ func BenchmarkSampleScan(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildSamples measures what an aqpd start pays for its sample
-// before its first answer: a 50,000-row uniform sample of a 250k-row
-// compressed table shaped like the serving benchmark's (an ascending int64,
-// two dictionary strings, six float64 measures), kept compressed. /cold draws
-// and encodes it, which is every start of a table without a store identity
-// and the first start of one with; /persisted is every later start — the
-// table is a store file, the sample file is beside it, and BuildSamples reads
-// it once to check its digest and serves it from the mapping. B/op is the
-// boot's allocation volume, mapped-B/op what it maps instead.
-func BenchmarkBuildSamples(b *testing.B) {
+// bootTable is the 250k-row compressed table BenchmarkBuildSamples and
+// BenchmarkOpenStore boot on, shaped like the serving benchmark's: an
+// ascending int64, two dictionary strings, six float64 measures.
+func bootTable() *table.Table {
 	src := rng.New(3)
 	n := 250000
 	day := make(table.Int64Col, n)
@@ -378,7 +372,44 @@ func BenchmarkBuildSamples(b *testing.B) {
 		schema = append(schema, table.Field{Name: d.String(), Type: table.Float64})
 		cols = append(cols, table.Float64Col(workload.GenerateColumn(src.Split(), d, n)))
 	}
-	full := table.Compress(table.MustNew(schema, cols...))
+	return table.Compress(table.MustNew(schema, cols...))
+}
+
+// BenchmarkOpenStore measures what an aqpd start on a store file pays to map
+// its table: OpenStore of bootTable's store, which reads the header, the
+// block tables and the JSON metadata and attaches zone maps, and no payload
+// byte. mapped-B/op is the file's size.
+func BenchmarkOpenStore(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "events.store")
+	if err := table.WriteStore(path, bootTable()); err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, closer, err := table.OpenStore(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		closer.Close()
+	}
+	b.ReportMetric(float64(fi.Size()), "mapped-B/op")
+}
+
+// BenchmarkBuildSamples measures what an aqpd start pays for its sample
+// before its first answer: a 50,000-row uniform sample of bootTable, kept
+// compressed. /cold draws and encodes it, which is every start of a table
+// without a store identity and the first start of one with; /persisted is
+// every later start — the table is a store file, the sample file is beside
+// it, and BuildSamples reads it once to check its digest and serves it from
+// the mapping. B/op is the boot's allocation volume, mapped-B/op what it maps
+// instead.
+func BenchmarkBuildSamples(b *testing.B) {
+	full := bootTable()
 	boot := func(b *testing.B, full *table.Table) (*core.Engine, []core.SampleFile) {
 		e := core.New(core.Config{Seed: 20140622, Workers: 2,
 			Backing: table.BackingCompressed, SampleBacking: table.BackingCompressed})

@@ -508,20 +508,18 @@ func scanSelectivity(c exec.Counters) float64 {
 }
 
 // errorBar serves one aggregate's confidence interval from the estimator
-// its θ admits (DESIGN.md §32): the closed form when out.Query has one,
-// otherwise the bootstrap distribution the executor drew. Either way it is
-// the ξ the diagnostic validated for that θ.
+// its θ admits (DESIGN.md §32): the closed form the executor computed when
+// out.Query has one, otherwise the bootstrap distribution the executor drew.
+// Either way it is the ξ the diagnostic validated for that θ.
 func errorBar(out exec.AggOutput) (estimator.Interval, string, error) {
-	const alpha = estimator.ConfidenceLevel
 	if out.Query.ClosedFormApplicable() {
-		iv, err := (estimator.ClosedForm{}).Interval(nil, out.Values, out.Query, alpha)
-		return iv, "closed-form", err
+		return out.ClosedForm, "closed-form", out.ClosedFormErr
 	}
 	if len(out.Bootstrap) == 0 {
 		return estimator.Interval{Center: out.Value, HalfWidth: math.NaN()},
 			"none", nil
 	}
-	half := stats.SymmetricHalfWidth(out.Bootstrap, out.Value, alpha)
+	half := stats.SymmetricHalfWidth(out.Bootstrap, out.Value, estimator.ConfidenceLevel)
 	return estimator.Interval{Center: out.Value, HalfWidth: half}, "bootstrap", nil
 }
 

@@ -25,10 +25,12 @@ import (
 // sampleFormat versions everything that decides a persisted sample's bytes
 // besides the table's content and the RNG stream: the draw
 // (sample.RowsWithoutReplacement), the gather-and-encode pipeline
-// (table.GatherStored) and the block codecs. TestSampleIdentityGolden pins
-// exactly those, so a change that has to re-record its hashes also bumps this
-// and thereby stops finding the files the old code wrote.
-const sampleFormat = 1
+// (table.GatherStored), the block codecs and the store layout.
+// TestSampleIdentityGolden pins the first three, so a change that has to
+// re-record its hashes also bumps this and thereby stops finding the files
+// the old code wrote. A new store layout bumps it too: a sample file of the
+// old one is then never looked for, rather than found and refused.
+const sampleFormat = 2
 
 // SampleFile says what BuildSamplesReport did about one sample's file.
 type SampleFile struct {

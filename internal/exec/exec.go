@@ -144,6 +144,11 @@ type AggOutput struct {
 	// closed-form variance estimates without a second scan. Exact plans
 	// stream rows into per-group sinks and leave it nil (see exact.go).
 	Values []float64
+	// ClosedForm is the closed-form interval of an aggregate whose Query
+	// has one, from the one fold over Values that also gives Value (its
+	// Center); ClosedFormErr is why there is none (no rows).
+	ClosedForm    estimator.Interval
+	ClosedFormErr error
 	// Bootstrap holds the K resample estimates of an aggregate whose error
 	// bar is the bootstrap's (Query has no closed form), when the plan
 	// resamples (K > 0) and a verdict-first plan did not reject it; nil
@@ -233,7 +238,15 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *sca
 			}
 			q := queries[ai]
 			values := g.values[ai]
-			out := AggOutput{Spec: spec, Query: q, Value: q.Eval(values), Values: values}
+			out := AggOutput{Spec: spec, Query: q, Values: values}
+			if q.ClosedFormApplicable() {
+				out.ClosedForm, out.ClosedFormErr = (estimator.ClosedForm{}).Interval(nil, values, q, estimator.ConfidenceLevel)
+			}
+			if q.ClosedFormApplicable() && out.ClosedFormErr == nil {
+				out.Value = out.ClosedForm.Center // q.Eval's bits, from the fold that gave the bar
+			} else {
+				out.Value = q.Eval(values)
+			}
 
 			// The diagnostic runs before error estimation. Its verdict does
 			// not depend on the bootstrap below (the "diag" and "boot" RNG

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/estimator"
 	"repro/internal/plan"
 	"repro/internal/resample"
 	"repro/internal/rng"
@@ -513,6 +514,45 @@ func TestBootstrapMatchesIndependentPoissonResamples(t *testing.T) {
 	}
 	if r := seUnion / seCons; r < 0.6 || r > 1.7 {
 		t.Errorf("bootstrap spread mismatch: independent %v vs consolidated %v", seUnion, seCons)
+	}
+}
+
+// TestRunClosedFormFoldsOnce: an aggregate with a closed form gets its
+// interval from the executor, and its Value is that interval's Center with
+// the bits q.Eval gives; one without a closed form gets neither. With no rows
+// there is no interval, and why is kept for the error bar to report.
+func TestRunClosedFormFoldsOnce(t *testing.T) {
+	tables := storedSessions(3000, 35)
+	p := mustPlan(t, "SELECT AVG(Time), SUM(Time), COUNT(*), PERCENTILE(Time, 0.5) FROM Sessions WHERE City = 'NYC'",
+		plan.Options{BootstrapK: 10})
+	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range res.Groups[0].Aggs {
+		want := math.Float64bits(out.Query.Eval(out.Values))
+		if got := math.Float64bits(out.Value); got != want {
+			t.Errorf("%s: Value bits %x, q.Eval gives %x", out.Spec.Alias, got, want)
+		}
+		if !out.Query.ClosedFormApplicable() {
+			if out.ClosedForm != (estimator.Interval{}) || out.ClosedFormErr != nil {
+				t.Errorf("%s: closed form %+v, %v on an aggregate without one", out.Spec.Alias, out.ClosedForm, out.ClosedFormErr)
+			}
+			continue
+		}
+		iv, err := (estimator.ClosedForm{}).Interval(nil, out.Values, out.Query, estimator.ConfidenceLevel)
+		if err != nil || out.ClosedFormErr != nil || out.ClosedForm != iv || math.Float64bits(iv.Center) != want {
+			t.Errorf("%s: closed form %+v, %v; want %+v centered on Value", out.Spec.Alias, out.ClosedForm, out.ClosedFormErr, iv)
+		}
+	}
+
+	empty := mustPlan(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NOWHERE'", plan.Options{})
+	res, err = Run(context.Background(), empty, tables, nil, Config{Workers: 2, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := res.Groups[0].Aggs[0]; !math.IsNaN(out.Value) || out.ClosedFormErr == nil {
+		t.Errorf("AVG over zero rows: Value %v, closed-form error %v; want NaN and an error", out.Value, out.ClosedFormErr)
 	}
 }
 

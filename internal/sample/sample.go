@@ -37,7 +37,11 @@ func RowsWithoutReplacement(src *rng.Source, popRows, n int) []int {
 // partitions require no further randomization.
 func Shuffled(src *rng.Source, xs []float64) []float64 {
 	out := append([]float64(nil), xs...)
-	src.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	// rng.Source.Shuffle's draws, without its per-swap closure call.
+	for i := len(out) - 1; i > 0; i-- {
+		j := src.Intn(i + 1)
+		out[i], out[j] = out[j], out[i]
+	}
 	return out
 }
 

@@ -110,6 +110,26 @@ func TestShuffledIsPermutation(t *testing.T) {
 	}
 }
 
+// TestShuffledIsSourceShuffle: Shuffled draws what rng.Source.Shuffle draws,
+// so the permutation is the one the diagnostic has always used, and leaves
+// the source where Shuffle leaves it.
+func TestShuffledIsSourceShuffle(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 5000} {
+		a, b := rng.New(uint64(n)+9), rng.New(uint64(n)+9)
+		want := seq(n)
+		a.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+		got := Shuffled(b, seq(n))
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: element %d is %v, Source.Shuffle put %v there", n, i, got[i], want[i])
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d: the sources diverge after the shuffle", n)
+		}
+	}
+}
+
 func TestDisjointSubsamples(t *testing.T) {
 	s := seq(100)
 	subs, err := DisjointSubsamples(s, 10, 5)

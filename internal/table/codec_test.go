@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -299,6 +302,40 @@ func FuzzStrBlock(f *testing.F) {
 		for i := range vals {
 			if got[i] != vals[i] {
 				t.Fatalf("value %d = %q, want %q", i, got[i], vals[i])
+			}
+		}
+	})
+}
+
+// FuzzStoreOpen puts arbitrary bytes over a small valid store image, and
+// may cut it short, then opens it with and without digest verification. The
+// image must open or be refused as a corrupt store; nothing may panic.
+func FuzzStoreOpen(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "t.store")
+	if err := WriteStore(path, blockTestTable(2*BlockRows+5)); err != nil {
+		f.Fatal(err)
+	}
+	base, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	metaOff := uint32(binary.LittleEndian.Uint64(base[8:16]))
+	whole := uint32(len(base))
+	f.Add(uint32(0), []byte(storeMagicV1), whole)
+	f.Add(uint32(8), []byte{0xff, 0xff, 0xff, 0xff}, whole)
+	f.Add(metaOff-40, []byte{0xff, 0xff, 0xff, 0x7f}, whole) // a count in the last block table
+	f.Add(metaOff+9, []byte("-1"), whole)                    // the row count
+	outside := []byte(`{"rows":1,"columns":[{"data_off":16,"table_off":99999999,"table_len":16}]}`)
+	f.Add(metaOff, outside, metaOff+uint32(len(outside)))
+	f.Add(uint32(100), []byte{}, metaOff/2)
+	f.Fuzz(func(t *testing.T, at uint32, patch []byte, keep uint32) {
+		img := append([]byte(nil), base[:min(keep, whole)]...)
+		if len(img) > 0 {
+			copy(img[int(at)%len(img):], patch)
+		}
+		for _, verify := range []bool{false, true} {
+			if _, err := storeFromBytes(img, verify); err != nil && !strings.Contains(err.Error(), "corrupt store") {
+				t.Fatalf("verify=%v: error %q does not say corrupt store", verify, err)
 			}
 		}
 	})

@@ -2,26 +2,38 @@ package table
 
 // On-disk block store. A store file is the compressed backing made durable:
 //
-//	[8]  magic "AQPSTOR1"
+//	[8]  magic "AQPSTOR2"
 //	[8]  little-endian uint64 offset of the metadata section
 //	[..] column data payloads, back to back (each column's encoded blocks)
+//	[..] block tables, one per column, back to back (below)
 //	[..] metadata: JSON, from the recorded offset to EOF
 //
-// All block metadata — codec ids, payload offsets and the zone-map min/max
-// envelopes — lives in the JSON section, so OpenStore can attach zone maps
-// without touching a single data byte: a query whose predicate excludes a
-// block never faults its pages in, which is what turns zone-map skipping
-// into an I/O win rather than just a CPU win. Envelopes are persisted as
-// IEEE-754 bit patterns (uint64) because JSON cannot represent NaN/±Inf.
+// A column's block table is little-endian binary:
 //
-// The metadata's last member, "digest", is the SHA-256 of every other byte
-// of the file: header, payloads and the metadata as it reads with that member
-// removed. It is the store's identity — two files with one digest hold the
-// same table — and OpenStore hands it to the Table without recomputing it, so
-// opening stays O(metadata). OpenStoreVerified recomputes it; that is for
-// files small enough to read whole and cheap enough to rebuild, which is to
-// say persisted samples (see core.BuildSamples). Files written before the
-// digest existed open as before and have no identity.
+//	[16] four uint32 counts: payload offsets, codecs, min envelopes, max envelopes
+//	[..] the payload offsets, uint32 each (nb+1 for nb blocks)
+//	[..] the codecs, a byte each: codec ids for numeric columns, code bit
+//	     widths for dictionary string columns (nb, or none for raw strings)
+//	[..] the min envelopes, then the max envelopes, float64 bit patterns
+//	     (nb each, or none)
+//
+// The JSON keeps what is small — each column's name, type, payload and
+// block-table ranges, dictionary and logical size; the row count, tag and
+// digest — so opening a store decodes a few hundred bytes of JSON and copies
+// the block tables at memory speed. OpenStore attaches zone maps without
+// touching a single data byte: a query whose predicate excludes a block never
+// faults its pages in, which is what turns zone-map skipping into an I/O win
+// rather than just a CPU win. A file of the previous layout ("AQPSTOR1",
+// block tables inside the JSON) is refused: it is regenerated, not read.
+//
+// The metadata's last member, "digest", is the store digest (storeDigest) of
+// every other byte of the file: header, payloads, block tables and the
+// metadata as it reads with that member removed. It is the store's identity —
+// two files with one digest hold the same table — and OpenStore hands it to
+// the Table without recomputing it, so opening stays O(metadata).
+// OpenStoreVerified recomputes it; that is for files small enough to read
+// whole and cheap enough to rebuild, which is to say persisted samples (see
+// core.BuildSamples). A file without the member opens with no identity.
 //
 // On unix the data section is served from a read-only memory mapping; other
 // platforms fall back to reading the file into memory (store_fallback).
@@ -40,26 +52,41 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 )
 
-const storeMagic = "AQPSTOR1"
+const (
+	storeMagic = "AQPSTOR2"
+	// storeMagicV1 is the layout that kept the block tables in the JSON.
+	storeMagicV1 = "AQPSTOR1"
+	// digestChunk is the span the store digest hashes on its own. It is part
+	// of the format, not a knob: the digest of a file does not depend on how
+	// many goroutines computed it.
+	digestChunk = 256 << 10
+)
 
 type storeColumn struct {
-	Name    string   `json:"name"`
-	Type    Type     `json:"type"`
-	DataOff uint64   `json:"data_off"`
-	DataLen uint64   `json:"data_len"`
-	Offs    []uint32 `json:"offs"`
-	// Codecs holds per-block codec ids for numeric columns and per-block
-	// code bit widths for dictionary string columns.
-	Codecs []byte `json:"codecs,omitempty"`
-	// MinBits/MaxBits are zone envelopes as float64 bit patterns.
-	MinBits []uint64 `json:"min_bits,omitempty"`
-	MaxBits []uint64 `json:"max_bits,omitempty"`
+	Name    string `json:"name"`
+	Type    Type   `json:"type"`
+	DataOff uint64 `json:"data_off"`
+	DataLen uint64 `json:"data_len"`
+	// TableOff and TableLen locate the column's binary block table.
+	TableOff uint64 `json:"table_off"`
+	TableLen uint64 `json:"table_len"`
 	// Dict is the column-wide string dictionary; nil with Type==String
 	// means raw per-block string payloads.
 	Dict    []string `json:"dict,omitempty"`
 	Logical int64    `json:"logical,omitempty"`
+
+	// The block table.
+	Offs []uint32 `json:"-"`
+	// Codecs holds per-block codec ids for numeric columns and per-block
+	// code bit widths for dictionary string columns.
+	Codecs []byte `json:"-"`
+	// Mins/Maxs are the zone envelopes; nil when the store recorded none.
+	Mins []float64 `json:"-"`
+	Maxs []float64 `json:"-"`
 }
 
 type storeMeta struct {
@@ -82,20 +109,125 @@ func digestMember(sum []byte) string {
 
 var digestMemberLen = len(digestMember(make([]byte, sha256.Size)))
 
-func f64sToBits(vals []float64) []uint64 {
-	out := make([]uint64, len(vals))
-	for i, v := range vals {
-		out[i] = math.Float64bits(v)
+// storeDigest is the store digest of the concatenation of parts: the SHA-256
+// of its length (a little-endian uint64) followed by the SHA-256 of each of
+// its digestChunk-byte chunks in order, the last one possibly shorter. Every
+// byte is hashed at full strength once; the chunks are hashed on up to
+// workers goroutines.
+func storeDigest(parts [][]byte, workers int) []byte {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
 	}
-	return out
+	chunks := (total + digestChunk - 1) / digestChunk
+	sums := make([]byte, 8+chunks*sha256.Size)
+	binary.LittleEndian.PutUint64(sums, uint64(total))
+	hashChunk := func(c int) {
+		lo, hi := c*digestChunk, min((c+1)*digestChunk, total)
+		h := sha256.New()
+		at := 0 // where the current part starts
+		for _, p := range parts {
+			if from, to := max(lo-at, 0), min(hi-at, len(p)); from < to {
+				h.Write(p[from:to])
+			}
+			if at += len(p); at >= hi {
+				break
+			}
+		}
+		copy(sums[8+c*sha256.Size:], h.Sum(nil))
+	}
+	workers = min(workers, chunks)
+	if workers <= 1 {
+		for c := 0; c < chunks; c++ {
+			hashChunk(c)
+		}
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for c := w; c < chunks; c += workers {
+					hashChunk(c)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	sum := sha256.Sum256(sums)
+	return sum[:]
 }
 
-func bitsToF64s(bits []uint64) []float64 {
-	out := make([]float64, len(bits))
-	for i, b := range bits {
-		out[i] = math.Float64frombits(b)
+// appendTable appends sc's block table to b.
+func appendTable(b []byte, sc *storeColumn) []byte {
+	for _, n := range []int{len(sc.Offs), len(sc.Codecs), len(sc.Mins), len(sc.Maxs)} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(n))
 	}
-	return out
+	for _, o := range sc.Offs {
+		b = binary.LittleEndian.AppendUint32(b, o)
+	}
+	b = append(b, sc.Codecs...)
+	for _, env := range [][]float64{sc.Mins, sc.Maxs} {
+		for _, v := range env {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b
+}
+
+// decodeTable reads sc's block table from tab, which must hold exactly what
+// its counts say. Codecs alias tab; offsets and envelopes are copied.
+func (sc *storeColumn) decodeTable(tab []byte) error {
+	if len(tab) < 16 {
+		return fmt.Errorf("block table of %d bytes", len(tab))
+	}
+	var n [4]uint64
+	for i := range n {
+		n[i] = uint64(binary.LittleEndian.Uint32(tab[4*i:]))
+	}
+	if want := 16 + 4*n[0] + n[1] + 8*n[2] + 8*n[3]; uint64(len(tab)) != want {
+		return fmt.Errorf("block table of %d bytes, its counts say %d", len(tab), want)
+	}
+	p := tab[16:]
+	sc.Offs = make([]uint32, n[0])
+	for i := range sc.Offs {
+		sc.Offs[i] = binary.LittleEndian.Uint32(p[4*i:])
+	}
+	p = p[4*n[0]:]
+	sc.Codecs, p = p[:n[1]:n[1]], p[n[1]:]
+	envelopes := func(n uint64) []float64 {
+		if n == 0 {
+			return nil
+		}
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+		}
+		p = p[8*n:]
+		return out
+	}
+	sc.Mins = envelopes(n[2])
+	sc.Maxs = envelopes(n[3])
+	return nil
+}
+
+// encodeTail lays out the block tables of meta's columns from file offset off
+// on, recording each one's range, and the JSON metadata after them. It
+// returns the two, back to back, and the offset the metadata starts at.
+func encodeTail(meta *storeMeta, off uint64) ([]byte, uint64, error) {
+	var tail []byte
+	for i := range meta.Columns {
+		sc := &meta.Columns[i]
+		start := len(tail)
+		tail = appendTable(tail, sc)
+		sc.TableOff, sc.TableLen = off+uint64(start), uint64(len(tail)-start)
+	}
+	metaOff := off + uint64(len(tail))
+	blob, err := json.Marshal(meta)
+	if err != nil {
+		return nil, 0, fmt.Errorf("table: encoding store metadata: %w", err)
+	}
+	return append(tail, blob...), metaOff, nil
 }
 
 // WriteStore persists t to path in block-store format. Raw columns are
@@ -124,7 +256,7 @@ func WriteStoreTagged(path string, t *Table, tag string) (err error) {
 	}
 	meta := storeMeta{Rows: ct.rows, Tag: tag}
 	var header [16]byte
-	parts := [][]byte{header[:]} // the file, in order: header, payloads, metadata
+	parts := [][]byte{header[:]} // the file, in order: header, payloads, tables and metadata
 	dataOff := uint64(len(header))
 	for i, col := range ct.cols {
 		sc := storeColumn{Name: ct.schema[i].Name, Type: ct.schema[i].Type}
@@ -132,12 +264,10 @@ func WriteStoreTagged(path string, t *Table, tag string) (err error) {
 		switch c := col.(type) {
 		case *F64BlockCol:
 			data = c.data
-			sc.Offs, sc.Codecs = c.offs, c.codecs
-			sc.MinBits, sc.MaxBits = f64sToBits(c.mins), f64sToBits(c.maxs)
+			sc.Offs, sc.Codecs, sc.Mins, sc.Maxs = c.offs, c.codecs, c.mins, c.maxs
 		case *I64BlockCol:
 			data = c.data
-			sc.Offs, sc.Codecs = c.offs, c.codecs
-			sc.MinBits, sc.MaxBits = f64sToBits(c.mins), f64sToBits(c.maxs)
+			sc.Offs, sc.Codecs, sc.Mins, sc.Maxs = c.offs, c.codecs, c.mins, c.maxs
 		case *StrBlockCol:
 			data = c.data
 			sc.Offs, sc.Codecs = c.offs, c.widths
@@ -151,17 +281,15 @@ func WriteStoreTagged(path string, t *Table, tag string) (err error) {
 		dataOff += uint64(len(data))
 		meta.Columns = append(meta.Columns, sc)
 	}
-	copy(header[:8], storeMagic)
-	binary.LittleEndian.PutUint64(header[8:], dataOff)
-	blob, err := json.Marshal(meta)
+	tail, metaOff, err := encodeTail(&meta, dataOff)
 	if err != nil {
-		return fmt.Errorf("table: encoding store metadata: %w", err)
+		return err
 	}
-	h := sha256.New()
-	for _, part := range append(parts, blob) {
-		h.Write(part)
-	}
-	parts = append(parts, append(blob[:len(blob)-1], digestMember(h.Sum(nil))...))
+	copy(header[:8], storeMagic)
+	binary.LittleEndian.PutUint64(header[8:], metaOff)
+	parts = append(parts, tail)
+	sum := storeDigest(parts, runtime.GOMAXPROCS(0))
+	parts[len(parts)-1] = append(tail[:len(tail)-1], digestMember(sum)...)
 
 	f, err := createBeside(path)
 	if err != nil {
@@ -246,9 +374,16 @@ func openStore(path string, mapper func(string) ([]byte, io.Closer, error), veri
 	return t, closer, nil
 }
 
+// storeFromBytes reconstructs the table a store image holds. Every refusal
+// says "corrupt store": whatever the bytes are, they are not a store this
+// code can serve.
 func storeFromBytes(data []byte, verify bool) (*Table, error) {
+	if len(data) >= 8 && string(data[:8]) == storeMagicV1 {
+		return nil, fmt.Errorf("table: corrupt store (%s, a layout no longer read: "+
+			"remove the file and regenerate it with aqpd -store and -gen or -csv)", storeMagicV1)
+	}
 	if len(data) < 16 || string(data[:8]) != storeMagic {
-		return nil, fmt.Errorf("table: not a block store (bad magic)")
+		return nil, fmt.Errorf("table: corrupt store (bad magic: not a block store)")
 	}
 	metaOff := binary.LittleEndian.Uint64(data[8:16])
 	if metaOff < 16 || metaOff > uint64(len(data)) {
@@ -262,7 +397,7 @@ func storeFromBytes(data []byte, verify bool) (*Table, error) {
 	}
 	var meta storeMeta
 	if err := json.Unmarshal(data[metaOff:], &meta); err != nil {
-		return nil, fmt.Errorf("table: decoding store metadata: %w", err)
+		return nil, fmt.Errorf("table: corrupt store (metadata: %w)", err)
 	}
 	if meta.Rows < 0 {
 		return nil, fmt.Errorf("table: corrupt store (%d rows)", meta.Rows)
@@ -273,26 +408,28 @@ func storeFromBytes(data []byte, verify bool) (*Table, error) {
 	for i := range meta.Columns {
 		sc := &meta.Columns[i]
 		schema[i] = Field{Name: sc.Name, Type: sc.Type}
-		end := sc.DataOff + sc.DataLen
-		if sc.DataOff < 16 || end < sc.DataOff || end > metaOff {
+		if !inside(sc.DataOff, sc.DataLen, metaOff) {
 			return nil, fmt.Errorf("table: corrupt store (column %q data range)",
 				sc.Name)
+		}
+		if !inside(sc.TableOff, sc.TableLen, metaOff) {
+			return nil, fmt.Errorf("table: corrupt store (column %q block table range)",
+				sc.Name)
+		}
+		if err := sc.decodeTable(data[sc.TableOff : sc.TableOff+sc.TableLen]); err != nil {
+			return nil, fmt.Errorf("table: corrupt store (column %q: %w)", sc.Name, err)
 		}
 		if err := sc.validate(meta.Rows, nb); err != nil {
 			return nil, fmt.Errorf("table: corrupt store (column %q: %w)", sc.Name, err)
 		}
-		payload := data[sc.DataOff:end]
-		var mins, maxs []float64 // stay nil when the store recorded no envelopes
-		if sc.MinBits != nil {
-			mins, maxs = bitsToF64s(sc.MinBits), bitsToF64s(sc.MaxBits)
-		}
+		payload := data[sc.DataOff : sc.DataOff+sc.DataLen]
 		switch sc.Type {
 		case Float64:
 			cols[i] = &F64BlockCol{data: payload, offs: sc.Offs, codecs: sc.Codecs,
-				mins: mins, maxs: maxs, rows: meta.Rows}
+				mins: sc.Mins, maxs: sc.Maxs, rows: meta.Rows}
 		case Int64:
 			cols[i] = &I64BlockCol{data: payload, offs: sc.Offs, codecs: sc.Codecs,
-				mins: mins, maxs: maxs, rows: meta.Rows}
+				mins: sc.Mins, maxs: sc.Maxs, rows: meta.Rows}
 		case String:
 			cols[i] = &StrBlockCol{data: payload, offs: sc.Offs, widths: sc.Codecs,
 				dict: sc.Dict, rows: meta.Rows, logical: sc.Logical}
@@ -300,7 +437,7 @@ func storeFromBytes(data []byte, verify bool) (*Table, error) {
 	}
 	t, err := New(schema, cols...)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("table: corrupt store (%w)", err)
 	}
 	t.rows = meta.Rows
 	t.tag = meta.Tag
@@ -309,6 +446,12 @@ func storeFromBytes(data []byte, verify bool) (*Table, error) {
 	}
 	t.BuildZones()
 	return t, nil
+}
+
+// inside reports whether the n bytes at off lie after the 16-byte header and
+// before end.
+func inside(off, n, end uint64) bool {
+	return off >= 16 && off+n >= off && off+n <= end
 }
 
 func isHexDigest(s string) bool {
@@ -323,10 +466,8 @@ func verifyDigest(data []byte, metaOff uint64) error {
 	if cut < 0 || uint64(cut) < metaOff {
 		return fmt.Errorf("table: corrupt store (no digest)")
 	}
-	h := sha256.New()
-	h.Write(data[:cut])
-	h.Write([]byte{'}'})
-	if !bytes.Equal(data[cut:], []byte(digestMember(h.Sum(nil)))) {
+	sum := storeDigest([][]byte{data[:cut], []byte("}")}, runtime.GOMAXPROCS(0))
+	if !bytes.Equal(data[cut:], []byte(digestMember(sum))) {
 		return fmt.Errorf("table: corrupt store (digest mismatch)")
 	}
 	return nil
@@ -368,8 +509,8 @@ func (sc *storeColumn) validate(rows, nb int) error {
 			return fmt.Errorf("block %d has codec %d", b, codec)
 		}
 	}
-	if len(sc.MinBits) != len(sc.MaxBits) || (sc.MinBits != nil && len(sc.MinBits) != nb) {
-		return fmt.Errorf("%d/%d envelopes, want %d or none", len(sc.MinBits), len(sc.MaxBits), nb)
+	if len(sc.Mins) != len(sc.Maxs) || (sc.Mins != nil && len(sc.Mins) != nb) {
+		return fmt.Errorf("%d/%d envelopes, want %d or none", len(sc.Mins), len(sc.Maxs), nb)
 	}
 	return nil
 }

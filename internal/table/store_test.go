@@ -1,9 +1,11 @@
 package table
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,28 +22,43 @@ func writeTestStore(t *testing.T, dir, name string, rows int) string {
 	return path
 }
 
-// rewriteMeta rewrites the store at path with its metadata passed through
-// mutate: header and payloads stay, the metadata (digest included, now
-// stale — OpenStore does not recompute it) is re-encoded.
+// rewriteMeta rewrites the store at path with its metadata, block tables
+// included, passed through mutate: header and payloads stay, the block tables
+// and the JSON are re-encoded after the payloads. The digest goes along stale;
+// OpenStore does not recompute it.
 func rewriteMeta(t *testing.T, path string, mutate func(*storeMeta)) {
 	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metaOff := binary.LittleEndian.Uint64(data[8:16])
-	var meta storeMeta
-	if err := json.Unmarshal(data[metaOff:], &meta); err != nil {
-		t.Fatal(err)
+	data := mustRead(t, path)
+	meta := readJSON(t, data)
+	tablesOff := binary.LittleEndian.Uint64(data[8:16])
+	for i := range meta.Columns {
+		sc := &meta.Columns[i]
+		if err := sc.decodeTable(data[sc.TableOff : sc.TableOff+sc.TableLen]); err != nil {
+			t.Fatal(err)
+		}
+		tablesOff = min(tablesOff, sc.TableOff)
 	}
 	mutate(&meta)
-	blob, err := json.Marshal(meta)
+	tail, metaOff, err := encodeTail(&meta, tablesOff)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(data[:metaOff:metaOff], blob...), 0o644); err != nil {
+	out := append(data[:tablesOff:tablesOff], tail...)
+	binary.LittleEndian.PutUint64(out[8:16], metaOff)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readJSON decodes the JSON metadata of a store image: everything but the
+// block tables.
+func readJSON(t *testing.T, data []byte) storeMeta {
+	t.Helper()
+	var meta storeMeta
+	if err := json.Unmarshal(data[binary.LittleEndian.Uint64(data[8:16]):], &meta); err != nil {
+		t.Fatal(err)
+	}
+	return meta
 }
 
 // TestOpenStoreRejectsCorruptMetadata: block metadata that would send a
@@ -72,8 +89,8 @@ func TestOpenStoreRejectsCorruptMetadata(t *testing.T) {
 		{"payload longer than the offsets cover", func(m *storeMeta) {
 			m.Columns[0].DataLen-- // still inside the file, no longer what offs[nb] says
 		}},
-		{"one envelope missing", func(m *storeMeta) { m.Columns[0].MinBits = m.Columns[0].MinBits[:3] }},
-		{"max envelopes without min", func(m *storeMeta) { m.Columns[2].MinBits = nil }},
+		{"one envelope missing", func(m *storeMeta) { m.Columns[0].Mins = m.Columns[0].Mins[:3] }},
+		{"max envelopes without min", func(m *storeMeta) { m.Columns[2].Mins = nil }},
 		{"unknown float64 codec", func(m *storeMeta) { m.Columns[0].Codecs[1] = 99 }},
 		{"int64 codec on a float64 column", func(m *storeMeta) { m.Columns[1].Codecs[0] = codecForI64 }},
 		{"float64 codec on an int64 column", func(m *storeMeta) { m.Columns[2].Codecs[3] = codecXorF64 }},
@@ -101,6 +118,67 @@ func TestOpenStoreRejectsCorruptMetadata(t *testing.T) {
 	}
 }
 
+// TestOpenStoreRejectsBadTableRanges: a block table recorded outside the
+// file, inside the header or reaching into the metadata is refused by its
+// range, before a byte of it is read.
+func TestOpenStoreRejectsBadTableRanges(t *testing.T) {
+	cases := map[string]func(sc *storeColumn){
+		"outside the file":          func(sc *storeColumn) { sc.TableOff = 1 << 40 },
+		"length wrapping past 2^64": func(sc *storeColumn) { sc.TableLen = math.MaxUint64 },
+		"inside the header":         func(sc *storeColumn) { sc.TableOff = 8 },
+		"overlapping the metadata":  func(sc *storeColumn) { sc.TableLen++ },
+	}
+	for name, move := range cases {
+		t.Run(name, func(t *testing.T) {
+			path := writeTestStore(t, t.TempDir(), "t.store", 3*BlockRows+17)
+			data := mustRead(t, path)
+			meta := readJSON(t, data)
+			move(&meta.Columns[len(meta.Columns)-1]) // its table ends where the metadata starts
+			blob, err := json.Marshal(meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			metaOff := binary.LittleEndian.Uint64(data[8:16])
+			if err := os.WriteFile(path, append(data[:metaOff:metaOff], blob...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, open := range []func(string) (*Table, io.Closer, error){OpenStore, openStoreFallback} {
+				tbl, closer, err := open(path)
+				if err == nil {
+					closer.Close()
+					t.Fatalf("store opened (%d rows); want a corrupt-store error", tbl.NumRows())
+				}
+				if !strings.Contains(err.Error(), "corrupt store") || !strings.Contains(err.Error(), "block table range") {
+					t.Fatalf("error %q does not say corrupt store and block table range", err)
+				}
+			}
+		})
+	}
+}
+
+// TestOpenStoreRefusesFormat1: a store of the layout that kept its block
+// tables in the JSON is not read; the error says how to get a current one.
+func TestOpenStoreRefusesFormat1(t *testing.T) {
+	path := writeTestStore(t, t.TempDir(), "t.store", BlockRows+3)
+	data := mustRead(t, path)
+	copy(data, storeMagicV1)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, open := range []func(string) (*Table, io.Closer, error){OpenStore, OpenStoreVerified, openStoreFallback} {
+		tbl, closer, err := open(path)
+		if err == nil {
+			closer.Close()
+			t.Fatalf("an %s store opened (%d rows)", storeMagicV1, tbl.NumRows())
+		}
+		for _, want := range []string{"corrupt store", storeMagicV1, "regenerate"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not say %q", err, want)
+			}
+		}
+	}
+}
+
 // TestOpenStoreWithoutEnvelopes: envelopes are optional. A store that records
 // none opens, reads back the same values and simply has no zone map for those
 // columns (before the validation its zone maps held empty envelopes, which the
@@ -109,7 +187,7 @@ func TestOpenStoreWithoutEnvelopes(t *testing.T) {
 	raw := blockTestTable(2*BlockRows + 5)
 	path := writeTestStore(t, t.TempDir(), "t.store", raw.NumRows())
 	rewriteMeta(t, path, func(m *storeMeta) {
-		m.Columns[0].MinBits, m.Columns[0].MaxBits = nil, nil
+		m.Columns[0].Mins, m.Columns[0].Maxs = nil, nil
 	})
 	got, closer, err := OpenStore(path)
 	if err != nil {
@@ -286,7 +364,7 @@ func TestOpenStoreVerified(t *testing.T) {
 		"digest flip":        flip(len(good) - 10),
 		"no digest":          append(append([]byte(nil), good[:len(good)-digestMemberLen]...), '}'),
 		"trailing byte":      append(append([]byte(nil), good...), '\n'),
-		"not a store at all": []byte("AQPSTOR1 but short"),
+		"not a store at all": []byte("AQPSTOR2 but short"),
 	}
 	for name, data := range refused {
 		if tbl, closer, err := OpenStoreVerified(variant(name, data)); err == nil {
@@ -304,5 +382,74 @@ func TestOpenStoreVerified(t *testing.T) {
 			t.Error("a store without a digest has a store identity")
 		}
 		closer.Close()
+	}
+}
+
+// TestStoreDigestChunks: the digest is the SHA-256 of the length and the
+// chunks' SHA-256 sums, the same at any number of hashing goroutines, and
+// OpenStoreVerified refuses a flipped byte in the first, a middle or the last
+// chunk and in the block tables or the metadata, which the plain open, not
+// reading payloads, does not see in the payloads.
+func TestStoreDigestChunks(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTestStore(t, dir, "t.store", 80*BlockRows+7)
+	good := mustRead(t, path)
+	chunks := (len(good) + digestChunk - 1) / digestChunk
+	if chunks < 3 {
+		t.Fatalf("store of %d bytes spans %d digest chunks; the test needs a middle one", len(good), chunks)
+	}
+
+	// The definition, written out serially over one contiguous stream.
+	cut := len(good) - digestMemberLen
+	stream := append(append([]byte(nil), good[:cut]...), '}')
+	want := binary.LittleEndian.AppendUint64(nil, uint64(len(stream)))
+	for lo := 0; lo < len(stream); lo += digestChunk {
+		sum := sha256.Sum256(stream[lo:min(lo+digestChunk, len(stream))])
+		want = append(want, sum[:]...)
+	}
+	ref := sha256.Sum256(want)
+	if got := good[cut:]; string(got) != digestMember(ref[:]) {
+		t.Fatalf("file ends in %s, want %s", got, digestMember(ref[:]))
+	}
+	// Parts cut across chunk boundaries, at 1 to 8 goroutines.
+	parts := [][]byte{stream[:7], stream[7 : digestChunk+1], {}, stream[digestChunk+1 : 2*digestChunk], stream[2*digestChunk:]}
+	for _, workers := range []int{1, 2, 3, 8} {
+		if got := storeDigest(parts, workers); string(got) != string(ref[:]) {
+			t.Errorf("%d goroutines: digest %x, want %x", workers, got, ref)
+		}
+	}
+
+	metaOff := int(binary.LittleEndian.Uint64(good[8:16]))
+	meta := readJSON(t, good)
+	last := meta.Columns[len(meta.Columns)-1]
+	flips := map[string]int{
+		"first chunk":  100,
+		"middle chunk": digestChunk + 3,
+		"last chunk":   (chunks-1)*digestChunk + 1,
+		"block table":  int(last.TableOff) + 20,
+		"metadata":     metaOff + 20,
+	}
+	for name, at := range flips {
+		bad := append([]byte(nil), good...)
+		bad[at] ^= 0x01
+		p := filepath.Join(dir, "flipped.store")
+		if err := os.WriteFile(p, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tbl, closer, err := OpenStoreVerified(p)
+		if err == nil {
+			closer.Close()
+			t.Errorf("%s (byte %d of %d): verified open succeeded (%d rows)", name, at, len(good), tbl.NumRows())
+		} else if !strings.Contains(err.Error(), "digest mismatch") {
+			t.Errorf("%s: error %q, want a digest mismatch", name, err)
+		}
+		if at < int(meta.Columns[0].TableOff) {
+			_, closer, err := OpenStore(p)
+			if err != nil {
+				t.Errorf("%s: plain open of a payload flip failed: %v", name, err)
+				continue
+			}
+			closer.Close()
+		}
 	}
 }
