@@ -36,15 +36,15 @@ type BatchResponse struct {
 // BuildSamples call between two BatchKey calls naturally separates old and
 // new submissions.
 func (e *Engine) BatchKey(query string) (string, bool) {
-	def, rt, err := e.analyze(nil, query)
-	if err != nil {
+	q := &request{sql: query}
+	if e.analyze(q) != nil {
 		return "", false
 	}
-	st := (&request{def: def, rt: rt}).nextSample(nil, nil)
+	st := q.nextSample(nil, nil)
 	if st == nil {
 		return "", false
 	}
-	return fmt.Sprintf("%s/%p", def.Table, st.Data), true
+	return fmt.Sprintf("%s/%p", q.def.Table, st.Data), true
 }
 
 // RunSharedBatch answers a batch of queries with one shared physical pass
@@ -113,7 +113,7 @@ func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 	if len(shared) > 0 {
 		items := make([]exec.SharedItem, len(shared))
 		for si, m := range shared {
-			items[si] = exec.SharedItem{Ctx: m.q.ctx, Plan: m.p, Cfg: e.execConfig(m.q.qt.Root())}
+			items[si] = exec.SharedItem{Ctx: m.q.ctx, Plan: m.p, Cfg: e.execConfig()}
 		}
 		tables := map[string]*exec.StoredTable{shared[0].q.def.Table: batchST}
 		results, errs := exec.RunShared(context.Background(), items, tables, e.udfRegistry())
@@ -126,9 +126,12 @@ func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 		for si, m := range shared {
 			var ans *Answer
 			err, sig := errs[si], m.p.Identity()
+			if err == nil {
+				m.q.execStages(results[si], m.p.Opt.BootstrapK, false)
+			}
 			switch lead := assembled[sig]; {
 			case err != nil:
-				err = fmt.Errorf("core: %s: approximate execution: %w", e.queryID(m.q.qt, m.q.sql), err)
+				err = fmt.Errorf("core: %s: approximate execution: %w", m.q.label(), err)
 			case lead != nil:
 				// Same groups, error bars and techniques (the inputs are
 				// byte-identical), but the member's own SQL text, plan,

@@ -3,12 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
 // answersEqual asserts two Answers agree on everything a client reads:
 // group keys and every per-aggregate field (estimate, error bar, technique,
-// diagnostic verdict, exactness). Counters are compared by the caller where
+// diagnostic verdict and evidence, exactness). Counters are compared by the caller where
 // meaningful — a shared-scan member carries only its share of the pass.
 func answersEqual(t *testing.T, label string, got, want *Answer) {
 	t.Helper()
@@ -30,7 +31,7 @@ func answersEqual(t *testing.T, label string, got, want *Answer) {
 			t.Fatalf("%s: group %q: %d aggs, want %d", label, g.Key, len(g.Aggs), len(w.Aggs))
 		}
 		for ai := range w.Aggs {
-			if g.Aggs[ai] != w.Aggs[ai] {
+			if !reflect.DeepEqual(g.Aggs[ai], w.Aggs[ai]) {
 				t.Errorf("%s: group %q agg %d:\n  got  %+v\n  want %+v",
 					label, g.Key, ai, g.Aggs[ai], w.Aggs[ai])
 			}

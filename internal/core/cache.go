@@ -14,14 +14,13 @@ import (
 	"repro/internal/table"
 )
 
-// execConfig assembles the executor configuration for one stage span,
-// attaching the engine's cross-query cache layers (nil when caching is
-// off, which reproduces decode-every-time execution exactly).
-func (e *Engine) execConfig(span *obs.Span) exec.Config {
+// execConfig assembles the executor configuration, attaching the engine's
+// cross-query cache layers (nil when caching is off, which reproduces
+// decode-every-time execution exactly).
+func (e *Engine) execConfig() exec.Config {
 	return exec.Config{
 		Workers: e.cfg.workers(),
 		Seed:    e.cfg.Seed,
-		Span:    span,
 		Blocks:  e.blocks,
 		Preds:   e.preds,
 	}

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/diagnostic"
 	"repro/internal/estimator"
 	"repro/internal/exec"
 	"repro/internal/obs"
@@ -87,9 +88,9 @@ type Config struct {
 	// BuildSamples, RegisterUDF) invalidate immediately regardless, via
 	// the engine's catalog generation counter baked into cache keys.
 	CacheTTL time.Duration
-	// Obs, when set, records a per-stage trace and aggregate metrics for
-	// every query (see internal/obs). Nil disables telemetry; answers are
-	// bit-identical either way.
+	// Obs, when set, keeps every finished query's record in a trace ring,
+	// renders its span tree on request and aggregates metrics from it (see
+	// internal/obs). Nil disables both; answers are bit-identical either way.
 	Obs *obs.Tracer
 	// ObsConfig tunes the tracer the engine auto-creates when MetricsAddr
 	// is set without Obs (trace ring size; the event-log thresholds are
@@ -189,7 +190,12 @@ type Engine struct {
 	wd     *watchdog.Watchdog
 	hist   *history.Store
 	exp    *export.Exporter
-	qid    atomic.Uint64 // untraced query ids for error wrapping
+	// qid numbers the queries: the qN of their errors and the QID of their
+	// records, traced or not.
+	qid atomic.Uint64
+	// recorded, when set, receives every finished query's record after the
+	// sinks. Only this package's tests set it.
+	recorded func(*obs.QueryRecord)
 
 	// Cross-query reuse layers (all nil when Config.CacheBytes == 0).
 	blocks  *cache.BlockCache
@@ -514,14 +520,16 @@ type AggAnswer struct {
 	RelErr float64
 	// Technique names the error-estimation method used.
 	Technique string
-	// Diagnosis is the diagnostic's verdict. An exact fallback replaces
-	// everything above but keeps the verdict that caused it.
+	// Diagnosis is the diagnostic's verdict and its evidence. An exact
+	// fallback replaces everything above but keeps the verdict that caused
+	// it.
 	Diagnosis
 	// Exact marks an answer computed on the full dataset.
 	Exact bool
 }
 
-// Diagnosis is the runtime diagnostic's verdict on one aggregate.
+// Diagnosis is the runtime diagnostic's verdict on one aggregate, with the
+// evidence it was decided on.
 type Diagnosis struct {
 	// DiagnosticOK reports the verdict (true when diagnostics are disabled
 	// or the answer is exact).
@@ -536,6 +544,11 @@ type Diagnosis struct {
 	// diagnostic's ladder stopped (diagnostic.Result.RungsRun and
 	// DecidedAfter; 0 when it did not run).
 	DiagnosticRungsRun, DiagnosticDecidedAfter int
+	// DiagnosticSubsampleQueries is the diagnostic's cost in subsample
+	// queries, and DiagnosticRungs the Δᵢ, σᵢ, πᵢ of the sizes it completed,
+	// smallest first (diagnostic.Result.SubsampleQueries and PerSize).
+	DiagnosticSubsampleQueries int
+	DiagnosticRungs            []diagnostic.SizeStats
 }
 
 // GroupAnswer is a group's aggregates.
@@ -607,16 +620,16 @@ func (a *Answer) FellBack() bool {
 // Explain parses and plans the query as Run would — the same sample choice,
 // the same plan construction — and returns the plan tree rendering.
 func (e *Engine) Explain(query string) (string, error) {
-	def, rt, err := e.analyze(nil, query)
-	if err != nil {
+	q := &request{sql: query}
+	if err := e.analyze(q); err != nil {
 		return "", err
 	}
-	q := &request{sql: query, def: def, rt: rt}
 	var p *plan.Plan
+	var err error
 	if st := q.nextSample(nil, nil); st != nil {
 		p, err = e.buildApproxPlan(q, st, e.exactOnReject(q.opts))
 	} else {
-		p, err = e.buildExactPlan(q, nil)
+		p, err = e.buildExactPlan(q, false)
 	}
 	if err != nil {
 		return "", err
@@ -624,29 +637,13 @@ func (e *Engine) Explain(query string) (string, error) {
 	return p.Explain(), nil
 }
 
-// queryID returns a stable identifier for error wrapping: the trace's id
-// when telemetry is on, an engine-local counter otherwise, plus a prefix of
-// the SQL so errors are attributable without a trace ring at hand.
-func (e *Engine) queryID(qt *obs.QueryTrace, query string) string {
-	id := qt.ID()
-	if id == 0 {
-		id = e.qid.Add(1)
-	}
-	if len(query) > 48 {
-		query = query[:48] + "..."
-	}
-	return fmt.Sprintf("q%d (%s)", id, query)
-}
-
-// analyze parses and resolves the query against a point-in-time catalog
-// snapshot: the returned *registeredTable is a private copy whose slices
-// are never mutated, so the rest of the query runs lock-free.
-func (e *Engine) analyze(qt *obs.QueryTrace, query string) (*plan.QueryDef, *registeredTable, error) {
-	span := qt.StartSpan(obs.StageParse)
-	defer span.End()
-	stmt, err := sql.Parse(query)
+// analyze parses q.sql and resolves it against a point-in-time catalog
+// snapshot, setting q.def and q.rt: the *registeredTable is a private copy
+// whose slices are never mutated, so the rest of the query runs lock-free.
+func (e *Engine) analyze(q *request) error {
+	stmt, err := sql.Parse(q.sql)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: %s: parse: %w", e.queryID(qt, query), err)
+		return fmt.Errorf("core: %s: parse: %w", q.label(), err)
 	}
 	udfs := e.udfRegistry()
 	def, err := plan.Analyze(stmt.(*sql.Select), func(name string) bool {
@@ -654,13 +651,12 @@ func (e *Engine) analyze(qt *obs.QueryTrace, query string) (*plan.QueryDef, *reg
 		return ok
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: %s: analyze: %w", e.queryID(qt, query), err)
+		return fmt.Errorf("core: %s: analyze: %w", q.label(), err)
 	}
 	rt, ok := e.snapshotTable(def.Table)
 	if !ok {
-		return nil, nil, fmt.Errorf("core: %s: unknown table %q", e.queryID(qt, query), def.Table)
+		return fmt.Errorf("core: %s: unknown table %q", q.label(), def.Table)
 	}
-	span.SetAttr("table", def.Table)
-	span.AddInt("aggregates", int64(len(def.Aggs)))
-	return def, rt, nil
+	q.def, q.rt = def, rt
+	return nil
 }

@@ -4,13 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
-	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
@@ -39,21 +42,83 @@ func tracedPair(t *testing.T, mutate func(*Config)) (traced, plain *Engine) {
 	return mk(obs.NewTracer(obs.Options{})), mk(nil)
 }
 
-// TestTracingDoesNotPerturbAnswers asserts the determinism guarantee:
-// telemetry on or off, answers, error bars and verdicts are bit-identical.
-func TestTracingDoesNotPerturbAnswers(t *testing.T) {
-	traced, plain := tracedPair(t, nil)
+// recordQueries are the ways a query can finish, each once: solo answers
+// (closed form, a diagnostic fallback, a bootstrap reject that falls back, a
+// GROUP BY), a shared-scan batch whose repeated member is a deduplicated
+// follower, a cached replay and a failed query.
+func recordQueries(t *testing.T, e *Engine) []*Answer {
+	t.Helper()
+	var out []*Answer
 	for _, q := range obsTestQueries {
-		a, err := traced.Run(context.Background(), q)
+		ans, err := e.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := plain.Run(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
+		out = append(out, ans)
+	}
+	const sf = "SELECT AVG(Time) FROM Sessions WHERE City = 'SF'"
+	for _, r := range e.RunSharedBatch([]BatchRequest{{Query: sf}, {Query: sf},
+		{Query: "SELECT MAX(Time) FROM Sessions GROUP BY City"}}) {
+		if r.Err != nil || !r.Ans.SharedScan {
+			t.Fatalf("premise: every batch member shares the scan (err %v)", r.Err)
+		}
+		out = append(out, r.Ans)
+	}
+	ans, err := e.Run(context.Background(), obsTestQueries[0])
+	if err != nil || !ans.Cached {
+		t.Fatalf("premise: the repeat replays from the answer cache (err %v)", err)
+	}
+	out = append(out, ans)
+	if _, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Nowhere"); err == nil {
+		t.Fatal("premise: a query on an unknown table fails")
+	}
+	return append(out, nil)
+}
+
+// recorded collects every record the engine finishes.
+func recorded(e *Engine) *[]*obs.QueryRecord {
+	var mu sync.Mutex
+	var recs []*obs.QueryRecord
+	e.recorded = func(r *obs.QueryRecord) {
+		mu.Lock()
+		recs = append(recs, r)
+		mu.Unlock()
+	}
+	return &recs
+}
+
+// untimed renders a record without what the clock and the trace-id mint
+// decide: its start, total, stage offsets and durations, decode time and
+// trace identity. NaNs render as NaN, so equal records render equal.
+func untimed(r *obs.QueryRecord) string {
+	c := *r
+	c.Start, c.TotalMs, c.TraceID, c.TraceContext = time.Time{}, 0, "", obs.TraceContext{}
+	c.Stages = append([]obs.StageRecord(nil), r.Stages...)
+	for i := range c.Stages {
+		c.Stages[i].StartMs, c.Stages[i].Ms, c.Stages[i].Work.DecodeNanos = 0, 0, 0
+	}
+	c.StagesMs = map[string]float64{}
+	for k := range r.StagesMs {
+		c.StagesMs[k] = 0
+	}
+	return fmt.Sprintf("%+v", c)
+}
+
+// TestTracingDoesNotPerturbAnswers asserts the determinism guarantee:
+// telemetry on or off, answers, error bars and verdicts are bit-identical —
+// and so is each query's record, timing apart: the same id, outcome, stages,
+// work and verdict evidence, for every way a query finishes.
+func TestTracingDoesNotPerturbAnswers(t *testing.T) {
+	traced, plain := tracedPair(t, func(c *Config) { c.CacheBytes = 1 << 20 })
+	tracedRecs, plainRecs := recorded(traced), recorded(plain)
+	as, bs := recordQueries(t, traced), recordQueries(t, plain)
+	for qi := range as {
+		a, b := as[qi], bs[qi]
+		if a == nil || b == nil {
+			continue
 		}
 		if len(a.Groups) != len(b.Groups) {
-			t.Fatalf("%s: group counts differ", q)
+			t.Fatalf("%s: group counts differ", a.SQL)
 		}
 		for gi := range a.Groups {
 			for ai := range a.Groups[gi].Aggs {
@@ -62,9 +127,33 @@ func TestTracingDoesNotPerturbAnswers(t *testing.T) {
 					x.ErrorBar.HalfWidth != y.ErrorBar.HalfWidth ||
 					x.DiagnosticOK != y.DiagnosticOK ||
 					x.Technique != y.Technique {
-					t.Fatalf("%s: traced %+v != untraced %+v", q, x, y)
+					t.Fatalf("%s: traced %+v != untraced %+v", a.SQL, x, y)
 				}
 			}
+		}
+	}
+	if len(*tracedRecs) != len(as) || len(*plainRecs) != len(bs) {
+		t.Fatalf("%d traced and %d untraced records for %d queries", len(*tracedRecs), len(*plainRecs), len(as))
+	}
+	byID := func(recs []*obs.QueryRecord) map[uint64]*obs.QueryRecord {
+		m := map[uint64]*obs.QueryRecord{}
+		for _, r := range recs {
+			m[r.QID] = r
+		}
+		return m
+	}
+	plainByID := byID(*plainRecs)
+	for _, x := range *tracedRecs {
+		y := plainByID[x.QID]
+		if x.QID == 0 || y == nil {
+			t.Fatalf("record %q has id %d, and the untraced engine has no record with it", x.SQL, x.QID)
+		}
+		if x.TotalMs <= 0 || y.TotalMs <= 0 || x.TraceID == "" || y.TraceID == "" {
+			t.Errorf("q%d %q: total_ms %v traced, %v untraced; trace ids %q, %q",
+				x.QID, x.SQL, x.TotalMs, y.TotalMs, x.TraceID, y.TraceID)
+		}
+		if ux, uy := untimed(x), untimed(y); ux != uy {
+			t.Errorf("q%d: traced and untraced records differ:\n traced   %s\n untraced %s", x.QID, ux, uy)
 		}
 	}
 }
@@ -95,110 +184,84 @@ func TestSpanStructureDeterminism(t *testing.T) {
 	}
 }
 
-// counterAttrSums walks a span tree accumulating the executor counter
-// attributes.
-func counterAttrSums(spans []obs.SpanSnapshot, into map[string]int64) {
-	for _, s := range spans {
-		for k, v := range s.Attrs {
-			if n, ok := v.(int64); ok {
-				into[k] += n
+// TestStageCountersMatchAnswerCounters asserts the invariant that the
+// record's per-stage work sums to the answer's Counters — for the
+// consolidated pipeline, exact execution, an answer whose rejected aggregate
+// was re-answered exactly (approximate pass plus all of the fallback's
+// work), the members of a shared-scan batch (a deduplicated follower did
+// none) and a cached replay (nothing) — and that StagesMs sums the top-level
+// stages by name.
+func TestStageCountersMatchAnswerCounters(t *testing.T) {
+	check := func(t *testing.T, e *Engine, run func() []*Answer) {
+		t.Helper()
+		recs := recorded(e)
+		answers := run()
+		if len(*recs) != len(answers) {
+			t.Fatalf("%d records for %d answers", len(*recs), len(answers))
+		}
+		for i, ans := range answers {
+			rec := (*recs)[i]
+			if ans == nil { // the failed query: no answer to hold it to
+				continue
+			}
+			if got, want := rec.Work(), ans.Counters; got != want {
+				t.Errorf("%s: stage work sums to %+v, counters say %+v", ans.SQL, got, want)
+			}
+			sums := map[string]float64{}
+			for _, s := range rec.Stages {
+				if !s.Nested {
+					sums[s.Stage] += s.Ms
+				}
+			}
+			if len(rec.Stages) > 0 && !reflect.DeepEqual(sums, rec.StagesMs) {
+				t.Errorf("%s: stages_ms %v, stages sum to %v", ans.SQL, rec.StagesMs, sums)
 			}
 		}
-		counterAttrSums(s.Children, into)
 	}
-}
-
-// spanSumsMatchCounters asserts that summing the per-span counter
-// attributes over the whole trace reproduces the answer's Counters.
-func spanSumsMatchCounters(t *testing.T, label string, tr obs.TraceSnapshot, c exec.Counters) {
-	t.Helper()
-	sums := map[string]int64{}
-	counterAttrSums(tr.Spans, sums)
-	for _, check := range []struct {
-		key  string
-		want int64
-	}{
-		{"subqueries", int64(c.Subqueries)},
-		{"scans", int64(c.Scans)},
-		{"rows_scanned", c.RowsScanned},
-		{"bytes_scanned", c.BytesScanned},
-		{"rows_after_filter", c.RowsAfterFilter},
-		{"blocks_skipped", c.BlocksSkipped},
-		{"blocks_decoded", c.BlocksDecoded},
-		{"decode_ns", c.DecodeNanos},
-		{"cache_hits", c.CacheHits},
-		{"cache_bytes", c.CacheBytes},
-		{"weight_draws", c.WeightDraws},
-		{"diag_subqueries", int64(c.DiagSubqueries)},
-		{"tasks", int64(c.Tasks)},
-	} {
-		if sums[check.key] != check.want {
-			t.Errorf("%s: span attr %s sums to %d, counters say %d\ntrace:\n%s",
-				label, check.key, sums[check.key], check.want, tr.Structure())
-		}
-	}
-}
-
-// TestSpanCountersMatchResultCounters asserts the invariant that summing
-// the per-span counter attributes over the whole trace reproduces
-// Result.Counters, for the consolidated pipeline and exact execution.
-func TestSpanCountersMatchResultCounters(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		mutate func(*Config)
-		exact  bool
-	}{
-		{"consolidated", func(c *Config) { c.noFallback = true }, false},
-		{"exact", func(c *Config) { c.noFallback = true }, true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			e, _ := tracedPair(t, mode.mutate)
+	runAll := func(e *Engine, exact bool) func() []*Answer {
+		return func() []*Answer {
+			var out []*Answer
 			for _, q := range obsTestQueries {
-				var ans *Answer
-				var err error
-				if mode.exact {
-					ans, err = e.RunExact(context.Background(), q)
-				} else {
-					ans, err = e.Run(context.Background(), q)
-				}
+				ans, err := e.RunWithOptions(context.Background(), q, RunOptions{Exact: exact})
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr, ok := e.Tracer().Last()
-				if !ok {
-					t.Fatalf("%s: no trace", q)
-				}
-				spanSumsMatchCounters(t, q, tr, ans.Counters)
+				out = append(out, ans)
 			}
+			return out
+		}
+	}
+	t.Run("consolidated", func(t *testing.T) {
+		e, _ := tracedPair(t, func(c *Config) { c.noFallback = true })
+		check(t, e, runAll(e, false))
+	})
+	t.Run("exact", func(t *testing.T) {
+		e, _ := tracedPair(t, nil)
+		check(t, e, runAll(e, true))
+	})
+	t.Run("fallback", func(t *testing.T) {
+		e := heavyTailTable(t, Config{Seed: 45, BootstrapK: 40}, 120000)
+		if err := e.BuildSamples("T", 40000); err != nil {
+			t.Fatal(err)
+		}
+		check(t, e, func() []*Answer {
+			ans, err := e.Run(context.Background(), "SELECT MAX(v) FROM T")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ans.FellBack() {
+				t.Fatal("MAX on Pareto data did not fall back; test premise broken")
+			}
+			if ans.Selectivity != 1 {
+				t.Errorf("selectivity %v, want the approximate pass's 1", ans.Selectivity)
+			}
+			return []*Answer{ans}
 		})
-	}
-}
-
-// TestFallbackCountersMatchSpans: an answer whose rejected aggregate was
-// re-answered exactly reports the approximate pass's work plus all of the
-// fallback's, every counter — the sums of its trace's span attributes —
-// while its selectivity stays the approximate pass's.
-func TestFallbackCountersMatchSpans(t *testing.T) {
-	e := heavyTailTable(t, Config{Seed: 45, BootstrapK: 40, Obs: obs.NewTracer(obs.Options{})}, 120000)
-	if err := e.BuildSamples("T", 40000); err != nil {
-		t.Fatal(err)
-	}
-	const q = "SELECT MAX(v) FROM T"
-	ans, err := e.Run(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ans.FellBack() {
-		t.Fatal("MAX on Pareto data did not fall back; test premise broken")
-	}
-	tr, ok := e.Tracer().Last()
-	if !ok {
-		t.Fatal("no trace")
-	}
-	spanSumsMatchCounters(t, q, tr, ans.Counters)
-	if ans.Selectivity != 1 {
-		t.Errorf("selectivity %v, want the approximate pass's 1", ans.Selectivity)
-	}
+	})
+	t.Run("every finish", func(t *testing.T) {
+		e, _ := tracedPair(t, func(c *Config) { c.CacheBytes = 1 << 20 })
+		check(t, e, func() []*Answer { return recordQueries(t, e) })
+	})
 }
 
 // TestMetricsEndpoint boots an engine with a live metrics endpoint and
@@ -307,9 +370,8 @@ func TestQueryErrorsCarryIdentifier(t *testing.T) {
 // (e.g. rel_err on a zero estimate) still serializes.
 func TestNaNRelErrSurvivesJSON(t *testing.T) {
 	tr := obs.NewTracer(obs.Options{})
-	qt := tr.StartQuery("synthetic")
-	qt.Root().StartSpan(obs.StageEstimate).SetAttr("max_rel_err", math.Inf(1))
-	qt.Finish(nil)
+	tr.Finish(&obs.QueryRecord{SQL: "synthetic", Outcome: "ok",
+		Stages: []obs.StageRecord{{Stage: obs.StageEstimate, MaxRelErr: math.Inf(1)}}})
 	last, _ := tr.Last()
 	if _, err := json.Marshal(last); err != nil {
 		t.Fatalf("trace with +Inf attr not JSON-encodable: %v", err)

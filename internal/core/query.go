@@ -75,13 +75,29 @@ func (o RunOptions) validate() error {
 // request is one query between begin and finish.
 type request struct {
 	ctx   context.Context
-	qt    *obs.QueryTrace
+	id    uint64 // Engine.qid's number for the query; 0 outside begin
+	tc    obs.TraceContext
 	sql   string
 	opts  RunOptions
 	gen   uint64 // catalog generation at begin: what the answer cache is keyed by
 	start time.Time
 	def   *plan.QueryDef
 	rt    *registeredTable
+	// stages are the stages run so far, in the order they began: the
+	// record's.
+	stages []obs.StageRecord
+}
+
+// label names the request in errors: its id and a prefix of its SQL.
+func (q *request) label() string {
+	sql := q.sql
+	if len(sql) > 48 {
+		sql = sql[:48] + "..."
+	}
+	if q.id == 0 {
+		return "(" + sql + ")"
+	}
+	return fmt.Sprintf("q%d (%s)", q.id, sql)
 }
 
 // Run answers the query with the zero RunOptions.
@@ -113,11 +129,11 @@ func (e *Engine) RunWithOptions(ctx context.Context, query string, opts RunOptio
 }
 
 // begin opens a request: it captures the catalog generation, probes the
-// answer cache, starts the trace, and parses and resolves the query. It
-// returns a replayed answer, or an error, or neither — then the request is
-// ready for execute — and in all three cases a request that finish must close.
-// With replayOnly a miss returns no answer and no error either, but it has
-// started no trace and there is nothing to finish.
+// answer cache, numbers the query, binds its trace context, and parses and
+// resolves it. It returns a replayed answer, or an error, or neither — then
+// the request is ready for execute — and in all three cases a request that
+// finish must close. With replayOnly a miss returns no answer and no error
+// either, but the request is not numbered and there is nothing to finish.
 //
 // Answer reuse: a finished answer for the same canonical SQL, resample cap and
 // catalog generation replays without executing. Re-execution would be
@@ -134,27 +150,28 @@ func (e *Engine) begin(ctx context.Context, sql string, opts RunOptions, replayO
 	if replay == nil && replayOnly {
 		return q, nil, nil
 	}
-	var tc obs.TraceContext
-	q.ctx, tc = obs.EnsureTrace(ctx)
-	q.qt = e.obs.StartQuery(sql)
-	q.qt.SetTraceContext(tc)
-	if opts.QueueWait > 0 {
-		q.qt.SetQueueWait(opts.QueueWait)
-	}
+	q.id = e.qid.Add(1)
+	q.ctx, q.tc = obs.EnsureTrace(ctx)
 	if replay != nil {
 		replay.Elapsed = time.Since(q.start)
-		q.qt.Root().SetAttr("answer_cached", true)
 		return q, replay, nil
 	}
 	if invalid != nil {
 		return q, nil, invalid
 	}
-	var err error
-	if q.def, q.rt, err = e.analyze(q.qt, sql); err != nil {
+	q.stages = make([]obs.StageRecord, 0, 8)
+	start := time.Now()
+	err := e.analyze(&q)
+	parse := obs.StageRecord{Stage: obs.StageParse}
+	if q.def != nil {
+		parse.Table, parse.Aggregates = q.def.Table, len(q.def.Aggs)
+	}
+	q.stage(parse, start)
+	if err != nil {
 		return q, nil, err
 	}
 	if err := q.ctx.Err(); err != nil {
-		return q, nil, fmt.Errorf("core: %s: %w", e.queryID(q.qt, sql), err)
+		return q, nil, fmt.Errorf("core: %s: %w", q.label(), err)
 	}
 	return q, nil, nil
 }
@@ -168,7 +185,7 @@ func (e *Engine) execute(q *request) (*Answer, error) {
 	var ans *Answer
 	for st := q.nextSample(nil, nil); st != nil; st = q.nextSample(ran, ans) {
 		if err := q.ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", e.queryID(q.qt, q.sql), err)
+			return nil, fmt.Errorf("core: %s: %w", q.label(), err)
 		}
 		var err error
 		if ans, err = e.runApproximate(q, st, e.exactOnReject(q.opts)); err != nil {
@@ -178,7 +195,7 @@ func (e *Engine) execute(q *request) (*Answer, error) {
 	}
 	switch {
 	case ans == nil:
-		return e.runExact(q, q.qt.Root())
+		return e.runExact(q, false)
 	case q.opts.plain():
 		return ans, e.applyFallback(q, ans)
 	case q.opts.ErrorBound > 0 && e.exactOnReject(q.opts):
@@ -192,8 +209,8 @@ func (e *Engine) execute(q *request) (*Answer, error) {
 // finish closes a request begin opened: a plain request's answer goes to the
 // answer cache under the generation the query STARTED at — if the catalog
 // changed mid-flight the entry lands under the old generation and is never
-// served again, rather than poisoning the new one — and the trace and the
-// answer go to the observers. A failed request has no answer.
+// served again, rather than poisoning the new one — and the query's record
+// goes to the observers. A failed request has no answer.
 func (e *Engine) finish(q *request, ans *Answer, err error) (*Answer, error) {
 	if err != nil {
 		ans = nil
@@ -349,20 +366,21 @@ func scaleInvariant(def *plan.QueryDef) bool {
 }
 
 // runExact executes the query on the full table with no sampling pipeline.
-// Stage spans attach under parent so fallback executions nest inside their
-// fallback span rather than appearing as a second top-level pipeline.
-func (e *Engine) runExact(q *request, parent *obs.Span) (*Answer, error) {
+// A fallback's run is nested: its stages belong to the fallback stage rather
+// than forming a second top-level pipeline.
+func (e *Engine) runExact(q *request, nested bool) (*Answer, error) {
 	start := time.Now()
-	p, err := e.buildExactPlan(q, parent)
+	p, err := e.buildExactPlan(q, nested)
 	if err != nil {
 		return nil, err
 	}
 	res, err := exec.Run(q.ctx, p, map[string]*exec.StoredTable{
 		q.def.Table: {Data: q.rt.full},
-	}, e.udfRegistry(), e.execConfig(parent))
+	}, e.udfRegistry(), e.execConfig())
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: exact execution: %w", e.queryID(q.qt, q.sql), err)
+		return nil, fmt.Errorf("core: %s: exact execution: %w", q.label(), err)
 	}
+	q.execStages(res, 0, nested)
 	ans := &Answer{
 		SQL:            q.sql,
 		Plan:           p,
@@ -372,7 +390,7 @@ func (e *Engine) runExact(q *request, parent *obs.Span) (*Answer, error) {
 		Elapsed:        time.Since(start),
 	}
 	for _, g := range res.Groups {
-		ga := GroupAnswer{Key: g.Key}
+		ga := GroupAnswer{Key: g.Key, Aggs: make([]AggAnswer, 0, len(g.Aggs))}
 		for _, out := range g.Aggs {
 			ga.Aggs = append(ga.Aggs, AggAnswer{
 				Name:      out.Spec.Alias,
@@ -400,28 +418,28 @@ func (e *Engine) runApproximate(q *request, st *exec.StoredTable, verdictFirst b
 		return nil, err
 	}
 	res, err := exec.Run(q.ctx, p, map[string]*exec.StoredTable{q.def.Table: st},
-		e.udfRegistry(), e.execConfig(q.qt.Root()))
+		e.udfRegistry(), e.execConfig())
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: approximate execution: %w", e.queryID(q.qt, q.sql), err)
+		return nil, fmt.Errorf("core: %s: approximate execution: %w", q.label(), err)
 	}
+	q.execStages(res, p.Opt.BootstrapK, false)
 	return e.answerFromResult(q, p, res, st, start)
 }
 
-// buildExactPlan builds the plan of an exact execution, emitting the plan
-// stage span under parent.
-func (e *Engine) buildExactPlan(q *request, parent *obs.Span) (*plan.Plan, error) {
-	planSpan := parent.StartSpan(obs.StagePlan)
+// buildExactPlan builds the plan of an exact execution and records its plan
+// stage, nested under a fallback when the run is one.
+func (e *Engine) buildExactPlan(q *request, nested bool) (*plan.Plan, error) {
+	start := time.Now()
 	p, err := plan.Build(q.def, plan.Options{})
-	planSpan.SetAttr("mode", "exact")
-	planSpan.End()
+	q.stage(obs.StageRecord{Stage: obs.StagePlan, Nested: nested}, start)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: plan: %w", e.queryID(q.qt, q.sql), err)
+		return nil, fmt.Errorf("core: %s: plan: %w", q.label(), err)
 	}
 	return p, nil
 }
 
 // buildApproxPlan builds the §5 approximate plan for one query on one
-// sample, emitting the plan stage span. It is shared by the solo path
+// sample and records its plan stage. It is shared by the solo path
 // (runApproximate), the shared-scan batch path (RunSharedBatch) and Explain.
 func (e *Engine) buildApproxPlan(q *request, st *exec.StoredTable, verdictFirst bool) (*plan.Plan, error) {
 	n := st.Data.NumRows()
@@ -435,21 +453,18 @@ func (e *Engine) buildApproxPlan(q *request, st *exec.StoredTable, verdictFirst 
 	}
 	opt.Diagnostics = opt.Diagnostics && !e.cfg.skipDiagnostics
 	opt.VerdictFirst = verdictFirst
-	planSpan := q.qt.StartSpan(obs.StagePlan)
+	start := time.Now()
 	p, err := plan.Build(q.def, opt)
-	planSpan.SetAttr("mode", "approximate")
-	planSpan.AddInt("sample_rows", int64(n))
-	planSpan.AddInt("bootstrap_k", int64(opt.BootstrapK))
-	planSpan.SetAttr("diagnostics", opt.Diagnostics)
-	planSpan.End()
+	q.stage(obs.StageRecord{Stage: obs.StagePlan, SampleRows: n, K: opt.BootstrapK,
+		Diagnostics: opt.Diagnostics}, start)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: plan: %w", e.queryID(q.qt, q.sql), err)
+		return nil, fmt.Errorf("core: %s: plan: %w", q.label(), err)
 	}
 	return p, nil
 }
 
 // answerFromResult turns an executor result into an Answer: error bars per
-// aggregate (estimate stage span) and diagnostic verdicts.
+// aggregate (the estimate stage) and diagnostic verdicts.
 func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st *exec.StoredTable, start time.Time) (*Answer, error) {
 	ans := &Answer{
 		SQL:            q.sql,
@@ -459,10 +474,10 @@ func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st
 		PopulationRows: st.PopRows,
 		Selectivity:    scanSelectivity(res.Counters),
 	}
-	estSpan := q.qt.StartSpan(obs.StageEstimate)
-	maxRel := 0.0
+	estStart := time.Now()
+	est := obs.StageRecord{Stage: obs.StageEstimate}
 	for _, g := range res.Groups {
-		ga := GroupAnswer{Key: g.Key}
+		ga := GroupAnswer{Key: g.Key, Aggs: make([]AggAnswer, 0, len(g.Aggs))}
 		for _, out := range g.Aggs {
 			aa := AggAnswer{
 				Name:      out.Spec.Alias,
@@ -471,9 +486,9 @@ func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st
 			}
 			iv, technique, err := errorBar(out)
 			if err != nil {
-				estSpan.End()
+				q.stage(est, estStart)
 				return nil, fmt.Errorf("core: %s: error bar for %s: %w",
-					e.queryID(q.qt, q.sql), out.Spec.Alias, err)
+					q.label(), out.Spec.Alias, err)
 			}
 			aa.ErrorBar = iv
 			aa.Technique = technique
@@ -481,19 +496,28 @@ func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st
 			if len(out.Bootstrap) > ans.BootstrapKUsed {
 				ans.BootstrapKUsed = len(out.Bootstrap)
 			}
-			if !math.IsNaN(aa.RelErr) && aa.RelErr > maxRel {
-				maxRel = aa.RelErr
+			if !math.IsNaN(aa.RelErr) && aa.RelErr > est.MaxRelErr {
+				est.MaxRelErr = aa.RelErr
 			}
-			estSpan.AddInt("technique_"+technique, 1)
+			switch technique {
+			case "closed-form":
+				est.ClosedForm++
+			case "bootstrap":
+				est.Bootstrapped++
+			default:
+				est.Unbarred++
+			}
 			if d := out.Diag; d != nil {
-				aa.Diagnosis = Diagnosis{d.OK, d.Cause.String(), d.Reason, d.RungsRun, d.DecidedAfter}
+				aa.Diagnosis = Diagnosis{DiagnosticOK: d.OK, DiagnosticCause: d.Cause.String(),
+					DiagnosticReason: d.Reason, DiagnosticRungsRun: d.RungsRun,
+					DiagnosticDecidedAfter:     d.DecidedAfter,
+					DiagnosticSubsampleQueries: d.SubsampleQueries, DiagnosticRungs: d.PerSize}
 			}
 			ga.Aggs = append(ga.Aggs, aa)
 		}
 		ans.Groups = append(ans.Groups, ga)
 	}
-	estSpan.SetAttr("max_rel_err", maxRel)
-	estSpan.End()
+	q.stage(est, estStart)
 	ans.Elapsed = time.Since(start)
 	return ans, nil
 }
@@ -523,16 +547,13 @@ func errorBar(out exec.AggOutput) (estimator.Interval, string, error) {
 	return estimator.Interval{Center: out.Value, HalfWidth: half}, "bootstrap", nil
 }
 
-// fallbackExact runs the query exactly under a fallback span, recording the
-// fallback in the metrics registry.
+// fallbackExact runs the query exactly as a fallback stage, which holds the
+// exact run's stages and lasts until it ends.
 func (e *Engine) fallbackExact(q *request, reason string) (*Answer, error) {
-	span := q.qt.StartSpan(obs.StageFallback)
-	span.SetAttr("reason", reason)
-	q.qt.Metrics().Counter("aqp_fallbacks_total",
-		"Queries (or aggregates) re-answered exactly after the approximate path failed.",
-		"reason", reason).Inc()
-	ans, err := e.runExact(q, span)
-	span.End()
+	start := time.Now()
+	i := q.stage(obs.StageRecord{Stage: obs.StageFallback, Reason: reason}, start)
+	ans, err := e.runExact(q, true)
+	q.stages[i].Ms = ms(time.Since(start))
 	return ans, err
 }
 

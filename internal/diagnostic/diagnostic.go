@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"repro/internal/estimator"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sample"
 	"repro/internal/stats"
@@ -106,12 +105,6 @@ type Config struct {
 	// its own RNG stream, so the verdict and every per-size statistic are
 	// identical at any worker count.
 	Workers int
-	// Span, when non-nil, receives the verdict, rejection reason,
-	// subsample-query count and per-size ladder statistics as span
-	// attributes, and counts the verdict into the span's metrics registry
-	// (aqp_diagnostic_verdicts_total). Nil disables telemetry; the
-	// verdict is unaffected either way.
-	Span *obs.Span
 
 	// noShuffle partitions the sample in the order given instead of
 	// re-shuffling it first. Only this package's tests set it, to place
@@ -187,7 +180,7 @@ const (
 	CauseNotApplicable
 	// CauseTooFewRows: the filtered sample cannot supply p disjoint
 	// subsamples of a size worth diagnosing (decided by the caller, see
-	// Config.Rejected).
+	// Ladder).
 	CauseTooFewRows
 	// CauseEstimatorFailed: ξ returned an error on a subsample.
 	CauseEstimatorFailed
@@ -254,73 +247,8 @@ type Result struct {
 	// the quantity the paper's systems optimizations exist to make cheap:
 	// one per subsample for the truth and one per subsample ξ was run on.
 	SubsampleQueries int
-}
-
-// Run executes Algorithm 1: it checks whether the error-estimation
-// procedure est can be trusted for query q on the given sample.
-//
-// The verdict is Algorithm 1's — reject when any condition fails — taken on
-// the least evidence that settles it. Sizes run from the largest down. At
-// each, θ is evaluated on all P subsamples to fix the true half-width, then
-// ξ runs over the subsamples in index order, xiBatch at a time; at the
-// largest size the run ends as soon as more intervals are far from the truth
-// than π ≥ ρ allows, and after every further size the Δ and σ conditions of
-// the pair just completed are checked. Only an accept evaluates everything.
-//
-// Each batch (and each size's θ pass) fans out across cfg.Workers
-// goroutines. Each (size, subsample) pair owns an RNG stream derived from a
-// single draw off src, and every decision reads a prefix of the subsamples
-// fixed by index, never by which goroutine finished first, so the whole
-// Result is bit-identical at any worker count.
-//
-// Cancellation is checked before every subsample evaluation, and ξ itself
-// is cancelled mid-resampling when it implements estimator.ContextEstimator
-// (the bootstrap family does). A cancelled run returns ctx's error; all
-// worker goroutines exit before Run returns.
-func Run(ctx context.Context, src *rng.Source, values []float64, q estimator.Query, est estimator.Estimator, cfg Config) (Result, error) {
-	res, err := run(ctx, src, values, q, est, cfg)
-	if err == nil {
-		cfg.record(&res)
-	}
-	return res, err
-}
-
-// Rejected returns a reject decided without running the ladder, recorded on
-// cfg.Span as Run records its own.
-func (cfg Config) Rejected(cause Cause, reason string) Result {
-	res := Result{Cause: cause, Reason: reason}
-	cfg.record(&res)
-	return res
-}
-
-// record publishes the verdict and ladder evidence to the configured span
-// and metrics registry.
-func (cfg Config) record(res *Result) {
-	s := cfg.Span
-	if s == nil {
-		return
-	}
-	verdict, cause := "accept", res.Cause.String()
-	if !res.OK {
-		verdict = "reject"
-		s.SetAttr("cause", cause)
-		s.SetAttr("reason", res.Reason)
-	}
-	s.SetAttr("verdict", verdict)
-	s.AddInt("subsample_queries", int64(res.SubsampleQueries))
-	s.AddInt("rungs_run", int64(res.RungsRun))
-	s.AddInt("decided_after", int64(res.DecidedAfter))
-	for _, st := range res.PerSize {
-		s.SetAttr(fmt.Sprintf("delta_b%d", st.Size), st.Delta)
-		s.SetAttr(fmt.Sprintf("sigma_b%d", st.Size), st.Sigma)
-		s.SetAttr(fmt.Sprintf("pi_b%d", st.Size), st.Pi)
-	}
-	s.Metrics().Counter("aqp_diagnostic_verdicts_total",
-		"Diagnostic verdicts, by outcome.", "verdict", verdict).Inc()
-	if !res.OK {
-		s.Metrics().Counter("aqp_diagnostic_rejects_total",
-			"Diagnostic rejections, by the condition that decided them.", "cause", cause).Inc()
-	}
+	// XiRuns counts the subsamples ξ was run on, across every size.
+	XiRuns int
 }
 
 // xiBatch is how many subsamples ξ runs on between two looks at the
@@ -414,7 +342,28 @@ func (cfg Config) each(done <-chan struct{}, lo, hi int, fn func(j int)) {
 	wg.Wait()
 }
 
-func run(ctx context.Context, src *rng.Source, values []float64, q estimator.Query, est estimator.Estimator, cfg Config) (Result, error) {
+// Run executes Algorithm 1: it checks whether the error-estimation
+// procedure est can be trusted for query q on the given sample.
+//
+// The verdict is Algorithm 1's — reject when any condition fails — taken on
+// the least evidence that settles it. Sizes run from the largest down. At
+// each, θ is evaluated on all P subsamples to fix the true half-width, then
+// ξ runs over the subsamples in index order, xiBatch at a time; at the
+// largest size the run ends as soon as more intervals are far from the truth
+// than π ≥ ρ allows, and after every further size the Δ and σ conditions of
+// the pair just completed are checked. Only an accept evaluates everything.
+//
+// Each batch (and each size's θ pass) fans out across cfg.Workers
+// goroutines. Each (size, subsample) pair owns an RNG stream derived from a
+// single draw off src, and every decision reads a prefix of the subsamples
+// fixed by index, never by which goroutine finished first, so the whole
+// Result is bit-identical at any worker count.
+//
+// Cancellation is checked before every subsample evaluation, and ξ itself
+// is cancelled mid-resampling when it implements estimator.ContextEstimator
+// (the bootstrap family does). A cancelled run returns ctx's error; all
+// worker goroutines exit before Run returns.
+func Run(ctx context.Context, src *rng.Source, values []float64, q estimator.Query, est estimator.Estimator, cfg Config) (Result, error) {
 	if err := cfg.Validate(len(values)); err != nil {
 		return Result{}, err
 	}
@@ -493,6 +442,7 @@ func run(ctx context.Context, src *rng.Source, values []float64, q estimator.Que
 				return Result{}, err
 			}
 			res.SubsampleQueries += hi - lo // ξ costs at least one θ-scale pass per subsample
+			res.XiRuns += hi - lo
 			res.DecidedAfter = hi
 			for _, err := range errs[lo:hi] {
 				if err != nil {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -28,9 +27,6 @@ type AdaptiveBootstrap struct {
 	// Tolerance is the acceptable relative half-width change per doubling
 	// (0 = 0.05).
 	Tolerance float64
-	// Obs, when non-nil, counts drawn resamples exactly as Bootstrap.Obs
-	// does; the adaptive schedule makes the counter reflect the savings.
-	Obs *obs.Registry
 }
 
 func (ab AdaptiveBootstrap) minK() int {
@@ -91,7 +87,7 @@ func (ab AdaptiveBootstrap) IntervalKContext(ctx context.Context, src *rng.Sourc
 	center := q.Eval(values)
 	var ests []float64
 	draw := func(k int) {
-		b := Bootstrap{K: k, Obs: ab.Obs}
+		b := Bootstrap{K: k}
 		ests = append(ests, b.estimatesContext(ctx, src, values, q, k)...)
 	}
 	if err := ctx.Err(); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -54,11 +53,14 @@ type Bootstrap struct {
 	// Method selects the interval construction; the zero value is the
 	// paper's symmetric centered interval.
 	Method IntervalMethod
-	// Obs, when non-nil, counts the resample estimates this estimator
-	// draws (aqp_bootstrap_resamples_total) — the quantity the paper's
-	// systems optimizations exist to make cheap. Nil disables accounting;
-	// intervals are identical either way.
-	Obs *obs.Registry
+}
+
+// Resamples is the number of resample estimates each interval draws.
+func (b Bootstrap) Resamples() int {
+	if b.K <= 0 {
+		return DefaultBootstrapK
+	}
+	return b.K
 }
 
 // Name implements Estimator.
@@ -86,10 +88,7 @@ func (b Bootstrap) IntervalContext(ctx context.Context, src *rng.Source, values 
 	if !b.AppliesTo(q) {
 		return Interval{}, fmt.Errorf("%w: UDF without function body", ErrNotApplicable)
 	}
-	k := b.K
-	if k <= 0 {
-		k = DefaultBootstrapK
-	}
+	k := b.Resamples()
 	if q.Kind == UDF {
 		// One offer spans θ(S) and the resamples, so they share one order.
 		defer offerOrder(values).release()
@@ -117,8 +116,6 @@ func (b Bootstrap) IntervalContext(ctx context.Context, src *rng.Source, values 
 // estimatesContext draws the kernel's seed and stream from src and
 // produces the K resample estimates (ResampleEstimates) on one worker.
 func (b Bootstrap) estimatesContext(ctx context.Context, src *rng.Source, values []float64, q Query, k int) []float64 {
-	b.Obs.Counter("aqp_bootstrap_resamples_total",
-		"Bootstrap resample estimates drawn by ξ.").Add(int64(k))
 	seed, stream := src.Uint64(), src.Uint64()
 	out, _ := q.ResampleEstimates(ctx, values, k, seed, stream, 1)
 	return out

@@ -7,30 +7,34 @@ import (
 	"repro/internal/table"
 )
 
-// evalNumeric evaluates a numeric row expression over the selected rows of
-// tbl, returning one float64 per selected row. sel == nil means all rows.
-// The result may share the table's storage and must be treated as
-// read-only.
+// evalNumeric evaluates a numeric row expression over every row of tbl and
+// returns the values of the selected rows, one float64 per row of sel
+// (sel == nil: every row). Without a selection the result may share the
+// table's storage and must be treated as read-only.
 func evalNumeric(e sql.Expr, tbl *table.Table, sel []int) ([]float64, error) {
 	n := tbl.NumRows()
-	if sel != nil {
-		n = len(sel)
-	}
-	v, err := evalExpr(e, tbl, sel, n, nil)
+	v, err := evalExpr(e, tbl, n, nil)
 	if err != nil {
 		return nil, err
 	}
 	if v.isStr || v.bools != nil {
 		return nil, fmt.Errorf("exec: expression %s is not numeric", e)
 	}
+	all := v.nums
 	if v.scalar {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = v.numS
+		all = make([]float64, n)
+		for i := range all {
+			all[i] = v.numS
 		}
-		return out, nil
 	}
-	return v.nums, nil
+	if sel == nil {
+		return all, nil
+	}
+	out := make([]float64, len(sel))
+	for i, r := range sel {
+		out[i] = all[r]
+	}
+	return out, nil
 }
 
 // EvalPredicate evaluates a boolean predicate over all rows of tbl in one
@@ -40,7 +44,7 @@ func EvalPredicate(e sql.Expr, tbl *table.Table) ([]int, error) {
 	n := tbl.NumRows()
 	sc := &scratch{}
 	defer sc.release()
-	v, err := evalExpr(e, tbl, nil, n, sc)
+	v, err := evalExpr(e, tbl, n, sc)
 	if err != nil {
 		return nil, err
 	}

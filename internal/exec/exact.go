@@ -6,9 +6,9 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/estimator"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/stats"
@@ -99,7 +99,7 @@ type blockEval struct {
 func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Registry, cfg Config) (*Result, error) {
 	tbl := st.Data
 	grouped := len(def.GroupBy) > 0
-	scanSpan := cfg.Span.StartSpan(obs.StageScan)
+	start := time.Now()
 
 	s := &exactScan{tbl: tbl, aggInput: make([]int, len(def.Aggs))}
 	var skip []bool
@@ -127,7 +127,7 @@ func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Reg
 	if err != nil {
 		return nil, fmt.Errorf("exec: scan of table %q: %w", def.Table, err)
 	}
-	scanSpan.End()
+	dur := time.Since(start)
 
 	c.Subqueries, c.Scans, c.Tasks = 1, 1, 1
 	c.RowsScanned, c.BytesScanned = int64(tbl.NumRows()), tbl.SizeBytes()
@@ -135,9 +135,8 @@ func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Reg
 	for i := range s.groups {
 		c.RowsAfterFilter += s.groups[i].rows
 	}
-	addCounterAttrs(scanSpan, c)
-
-	res := &Result{SampleRows: tbl.NumRows(), Counters: c}
+	res := &Result{SampleRows: tbl.NumRows(), Counters: c,
+		Scan: StageTime{Start: start, Dur: dur, Counters: c}}
 	if grouped {
 		sort.Slice(s.groups, func(i, j int) bool { return s.groups[i].key < s.groups[j].key })
 	}
@@ -149,9 +148,6 @@ func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Reg
 				Value: s.finalize(g, ai, spec.Kind, queries[ai], grouped)}
 		}
 		res.Groups = append(res.Groups, gout)
-	}
-	if cfg.Span != nil {
-		recordCounters(cfg.Span.Metrics(), res.Counters)
 	}
 	return res, nil
 }
@@ -309,7 +305,7 @@ func (s *exactScan) evalBlock(be *blockEval, n int, counting bool) error {
 		}
 	}
 	if s.pred != nil {
-		v, err := evalExpr(s.pred, s.tbl, nil, n, &be.sc)
+		v, err := evalExpr(s.pred, s.tbl, n, &be.sc)
 		if err != nil {
 			return err
 		}
@@ -329,7 +325,7 @@ func (s *exactScan) evalBlock(be *blockEval, n int, counting bool) error {
 		}
 	}
 	for ii := 0; ii < len(s.inputs) && !counting; ii++ {
-		v, err := evalExpr(s.inputs[ii].expr, s.tbl, nil, n, &be.sc)
+		v, err := evalExpr(s.inputs[ii].expr, s.tbl, n, &be.sc)
 		if err != nil {
 			return err
 		}
@@ -443,7 +439,7 @@ func aggInput(spec plan.AggSpec) sql.Expr {
 // operand-type errors surface, the result carries e's type, and nothing is
 // decoded.
 func typeCheck(e sql.Expr, tbl *table.Table) (value, error) {
-	return evalExpr(e, tbl, nil, 0, nil)
+	return evalExpr(e, tbl, 0, nil)
 }
 
 // checkPredicate type-checks a WHERE expression: it must resolve and be

@@ -14,12 +14,12 @@ import (
 	"repro/internal/cache"
 	"repro/internal/diagnostic"
 	"repro/internal/estimator"
-	"repro/internal/obs"
 	"repro/internal/obs/history"
 	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/sql"
 	"repro/internal/table"
+	"repro/internal/work"
 )
 
 // UDF is a user-defined aggregate over weighted data (nil weights = all
@@ -45,13 +45,6 @@ type Config struct {
 	Workers int
 	// Seed drives all randomness (resampling weights, diagnostics).
 	Seed uint64
-	// Span, when non-nil, receives per-stage child spans (scan,
-	// bootstrap-kernel, diagnostic) carrying the stage's share of the
-	// work counters as attributes, and feeds Counters plus kernel
-	// throughput into the span's metrics registry. Nil disables telemetry
-	// at the cost of one branch; execution results are identical either
-	// way (tracing consumes no randomness).
-	Span *obs.Span
 	// Blocks, when non-nil, is the cross-query decoded-block cache: reader
 	// gathers consult it before paying a codec decode, for the blocks
 	// table.CacheableBlock admits; the rest are read from storage and
@@ -73,64 +66,7 @@ func (c Config) workers() int {
 }
 
 // Counters meters the work a plan performed.
-type Counters struct {
-	// Subqueries is the number of logical queries run against the stored
-	// sample: one per plan, however many resamples it evaluates.
-	Subqueries int
-	// Scans is the number of physical passes over the sample this
-	// process actually performed.
-	Scans int
-	// RowsScanned and BytesScanned total the base-table rows/bytes read
-	// across all physical scans.
-	RowsScanned  int64
-	BytesScanned int64
-	// RowsAfterFilter is the number of rows surviving the filter in one
-	// pass.
-	RowsAfterFilter int64
-	// BlocksSkipped is the number of zone-map blocks the scan proved empty
-	// and never evaluated the predicate over. Skipping is pure saving: it
-	// does not reduce RowsScanned/BytesScanned (which meter the logical
-	// pass the cost model prices) and never changes RowsAfterFilter.
-	BlocksSkipped int64
-	// BlocksDecoded counts storage blocks decoded from block-compressed or
-	// mmap-backed columns during this execution; raw tables report zero.
-	// DecodeNanos is the wall time spent inside those decodes. Together
-	// with BlocksSkipped they make the decode-after-admission invariant
-	// observable: skipped blocks never appear in BlocksDecoded.
-	BlocksDecoded int64
-	DecodeNanos   int64
-	// CacheHits counts storage blocks served from the cross-query decoded-
-	// block cache instead of being decoded; CacheBytes totals the bytes
-	// those hits copied out of the cache. A cached block appears in
-	// CacheHits, a decoded one in BlocksDecoded — the two never double
-	// count. Always zero when no cache is attached.
-	CacheHits  int64
-	CacheBytes int64
-	// WeightDraws is the number of Poisson bootstrap weight draws: K per
-	// value surviving the filter.
-	WeightDraws int64
-	// DiagSubqueries counts the diagnostic's subsample query executions.
-	DiagSubqueries int
-	// Tasks is the number of parallel tasks launched locally.
-	Tasks int
-}
-
-// Add accumulates o into c.
-func (c *Counters) Add(o Counters) {
-	c.Subqueries += o.Subqueries
-	c.Scans += o.Scans
-	c.RowsScanned += o.RowsScanned
-	c.BytesScanned += o.BytesScanned
-	c.RowsAfterFilter += o.RowsAfterFilter
-	c.BlocksSkipped += o.BlocksSkipped
-	c.BlocksDecoded += o.BlocksDecoded
-	c.DecodeNanos += o.DecodeNanos
-	c.CacheHits += o.CacheHits
-	c.CacheBytes += o.CacheBytes
-	c.WeightDraws += o.WeightDraws
-	c.DiagSubqueries += o.DiagSubqueries
-	c.Tasks += o.Tasks
-}
+type Counters = work.Counters
 
 // AggOutput is one aggregate's result for one group.
 type AggOutput struct {
@@ -169,6 +105,36 @@ type Result struct {
 	Groups     []GroupOutput
 	Counters   Counters
 	SampleRows int
+	// Scan, Diagnostic and Bootstrap are the execution's stages; their
+	// Counters sum to Counters. An exact plan only scans, and a follower of a
+	// deduplicated plan (RunShared) ran no stage at all.
+	Scan, Diagnostic, Bootstrap StageTime
+}
+
+// StageTime is one stage of an execution: when it began, how long it ran
+// and its share of the work. A stage spread over the (group, aggregate) loop
+// begins with its first piece and runs for the sum of its pieces. A stage
+// that did not run has a zero Start.
+type StageTime struct {
+	Start    time.Time
+	Dur      time.Duration
+	Counters Counters
+	// Resamples counts the resample estimates the stage drew: the bootstrap
+	// kernel's, or those of the diagnostic's bootstrap ξ.
+	Resamples int64
+	// Accepted counts the diagnostic's accepts; Rejects holds the cause of
+	// each of its rejections, in the order they were decided.
+	Accepted int
+	Rejects  []string
+}
+
+// add accounts one piece of the stage that began at start and did c.
+func (s *StageTime) add(start time.Time, c Counters) {
+	if s.Start.IsZero() {
+		s.Start = start
+	}
+	s.Dur += time.Since(start)
+	s.Counters.Add(c)
 }
 
 // Run executes the plan against the given tables. Execution is the §5.3
@@ -209,23 +175,7 @@ func Run(ctx context.Context, p *plan.Plan, tables map[string]*StoredTable, udfs
 // carries the shared scan's output for this query, and res.Counters
 // already holds that scan's share.
 func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *scanResult, udfs Registry, cfg Config, res *Result) error {
-	traced := cfg.Span != nil
 	k := p.Opt.BootstrapK
-	// The bootstrap span opens with the first bootstrap work rather than up
-	// front: under verdict-first a query whose every aggregate is rejected
-	// does none, and a span that never accumulates time would be rendered
-	// as running until the trace ends.
-	var bootSpan, diagSpan *obs.Span
-	openBootSpan := func() {
-		if traced && bootSpan == nil {
-			bootSpan = cfg.Span.StartSpan(obs.StageBootstrap)
-			bootSpan.SetAttr("k", k)
-		}
-	}
-	if traced && p.Opt.Diagnostics {
-		diagSpan = cfg.Span.StartSpan(obs.StageDiagnostic)
-	}
-
 	queries, err := queriesFor(p.Def, st, udfs)
 	if err != nil {
 		return err
@@ -255,28 +205,25 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *sca
 			// K resample estimates would never be read: skip them. Nothing
 			// reads them for an aggregate with a closed form either.
 			if p.Opt.Diagnostics {
-				start := now(traced)
-				dres, c, err := runDiagnostic(ctx, p.Opt, values, q, cfg, diagSpan, g.key, ai)
+				start := time.Now()
+				dres, c, drawn, err := runDiagnostic(ctx, p.Opt, values, q, cfg, g.key, ai)
 				if err != nil {
 					return fmt.Errorf("exec: diagnostic for group %q aggregate %d: %w",
 						g.key, ai, err)
 				}
 				out.Diag = dres
 				res.Counters.Add(c)
-				if traced {
-					diagSpan.AddDuration(time.Since(start))
-					addCounterAttrs(diagSpan, c)
-					if dres.OK {
-						diagSpan.AddInt("accepted", 1)
-					} else {
-						diagSpan.AddInt("rejected", 1)
-					}
+				res.Diagnostic.add(start, c)
+				res.Diagnostic.Resamples += drawn
+				if dres.OK {
+					res.Diagnostic.Accepted++
+				} else {
+					res.Diagnostic.Rejects = append(res.Diagnostic.Rejects, dres.Cause.String())
 				}
 			}
 			replaced := out.Diag != nil && !out.Diag.OK && p.Opt.VerdictFirst
 			if k > 0 && !replaced && !q.ClosedFormApplicable() {
-				openBootSpan()
-				start := now(traced)
+				start := time.Now()
 				ests, c, err := bootstrapEstimates(ctx, values, q, k, cfg, g.key, ai)
 				if err != nil {
 					return fmt.Errorf("exec: bootstrap for group %q aggregate %d: %w",
@@ -284,73 +231,14 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *sca
 				}
 				out.Bootstrap = ests
 				res.Counters.Add(c)
-				if traced {
-					d := time.Since(start)
-					bootSpan.AddDuration(d)
-					addCounterAttrs(bootSpan, c)
-					bootSpan.AddInt("resamples", int64(k))
-					if secs := d.Seconds(); secs > 0 {
-						cfg.Span.Metrics().Histogram("aqp_kernel_rows_per_second",
-							"Multi-resample kernel throughput (resamples × rows / wall time).",
-							obs.ThroughputBuckets).
-							Observe(float64(k) * float64(len(values)) / secs)
-					}
-				}
+				res.Bootstrap.add(start, c)
+				res.Bootstrap.Resamples += int64(len(ests))
 			}
 			gout.Aggs = append(gout.Aggs, out)
 		}
 		res.Groups = append(res.Groups, gout)
 	}
-	if traced {
-		recordCounters(cfg.Span.Metrics(), res.Counters)
-	}
 	return nil
-}
-
-// now avoids the clock syscall on untraced hot paths.
-func now(traced bool) time.Time {
-	if !traced {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// addCounterAttrs attaches a stage's counter share as additive span
-// attributes. Summing each key over every span of a trace reproduces the
-// run's Result.Counters (asserted by TestSpanCountersMatchResultCounters).
-func addCounterAttrs(s *obs.Span, c Counters) {
-	s.AddInt("subqueries", int64(c.Subqueries))
-	s.AddInt("scans", int64(c.Scans))
-	s.AddInt("rows_scanned", c.RowsScanned)
-	s.AddInt("bytes_scanned", c.BytesScanned)
-	s.AddInt("rows_after_filter", c.RowsAfterFilter)
-	s.AddInt("blocks_skipped", c.BlocksSkipped)
-	s.AddInt("blocks_decoded", c.BlocksDecoded)
-	s.AddInt("decode_ns", c.DecodeNanos)
-	s.AddInt("cache_hits", c.CacheHits)
-	s.AddInt("cache_bytes", c.CacheBytes)
-	s.AddInt("weight_draws", c.WeightDraws)
-	s.AddInt("diag_subqueries", int64(c.DiagSubqueries))
-	s.AddInt("tasks", int64(c.Tasks))
-}
-
-// recordCounters feeds one execution's counters into the metrics registry,
-// so aggregate work accounting no longer relies on hand-merging Counters
-// structs alone.
-func recordCounters(reg *obs.Registry, c Counters) {
-	reg.Counter("aqp_exec_subqueries_total", "Logical subqueries executed.").Add(int64(c.Subqueries))
-	reg.Counter("aqp_exec_scans_total", "Physical passes over stored samples.").Add(int64(c.Scans))
-	reg.Counter("aqp_exec_rows_scanned_total", "Base-table rows read.").Add(c.RowsScanned)
-	reg.Counter("aqp_exec_bytes_scanned_total", "Base-table bytes read.").Add(c.BytesScanned)
-	reg.Counter("aqp_exec_blocks_skipped_total", "Zone-map blocks pruned from predicate evaluation.").Add(c.BlocksSkipped)
-	reg.Counter("aqp_storage_blocks_skipped_total", "Storage blocks never decoded thanks to zone-map pruning.").Add(c.BlocksSkipped)
-	reg.Counter("aqp_storage_blocks_decoded_total", "Storage blocks decoded from compressed/mmap columns.").Add(c.BlocksDecoded)
-	reg.Counter("aqp_storage_decode_ns_total", "Wall nanoseconds spent decoding storage blocks.").Add(c.DecodeNanos)
-	reg.Counter("aqp_storage_cache_hits_total", "Storage blocks served from the decoded-block cache.").Add(c.CacheHits)
-	reg.Counter("aqp_storage_cache_bytes_total", "Bytes copied out of the decoded-block cache.").Add(c.CacheBytes)
-	reg.Counter("aqp_exec_weight_draws_total", "Poisson resampling weight draws.").Add(c.WeightDraws)
-	reg.Counter("aqp_exec_diag_subqueries_total", "Diagnostic subsample query executions.").Add(int64(c.DiagSubqueries))
-	reg.Counter("aqp_exec_tasks_total", "Parallel tasks launched locally.").Add(int64(c.Tasks))
 }
 
 // scanResult is one member's share of the scan→filter→project pass: its
@@ -820,7 +708,7 @@ func (cw *colWork) fill(ctx context.Context, part *table.Table, i, absOffset int
 		v := value{scalar: true, numS: 1}
 		if cw.input != nil {
 			var err error
-			if v, err = evalExpr(cw.input, part, nil, end-row, sc); err != nil {
+			if v, err = evalExpr(cw.input, part, end-row, sc); err != nil {
 				return err
 			}
 		}
@@ -907,7 +795,7 @@ func newKeyReader(tbl *table.Table, groupBy []string) (*keyReader, error) {
 func (k *keyReader) read(tbl *table.Table, n int, sc *scratch) error {
 	if k.typ != table.Int64 {
 		var err error
-		k.v, err = evalExpr(k.ref, tbl, nil, n, sc)
+		k.v, err = evalExpr(k.ref, tbl, n, sc)
 		return err
 	}
 	col := tbl.Column(k.idx)
@@ -1043,50 +931,41 @@ func bootstrapEstimates(ctx context.Context, values []float64, q estimator.Query
 	return ests, c, nil
 }
 
-// runDiagnostic executes the diagnostic operator for one aggregate. Under
-// tracing, each (group, aggregate) verdict becomes a child span of the
-// diagnostic stage span, and ξ's resample draws are counted through the
-// estimator's own accounting hook.
-func runDiagnostic(ctx context.Context, opt plan.Options, values []float64, q estimator.Query, cfg Config, diagSpan *obs.Span, groupKey string, aggIdx int) (*diagnostic.Result, Counters, error) {
+// runDiagnostic executes the diagnostic operator for one aggregate, and
+// returns with its verdict the resample estimates its bootstrap ξ drew: the
+// K of the ξ it built, for each subsample ξ was run on.
+func runDiagnostic(ctx context.Context, opt plan.Options, values []float64, q estimator.Query, cfg Config, groupKey string, aggIdx int) (*diagnostic.Result, Counters, int64, error) {
 	var c Counters
-	verdictSpan := diagSpan.StartSpan("verdict")
-	if verdictSpan != nil {
-		if groupKey != "" {
-			verdictSpan.SetAttr("group", groupKey)
-		}
-		verdictSpan.SetAttr("agg", aggIdx)
-	}
 	sizes, _ := diagnostic.Ladder(opt.SampleRows, len(values))
+	if sizes == nil {
+		return &diagnostic.Result{Cause: diagnostic.CauseTooFewRows,
+			Reason: "too few rows after filtering for a diagnosis"}, c, 0, nil
+	}
 	dcfg := diagnostic.Config{
 		SubsampleSizes: sizes,
 		P:              diagnostic.P,
 		// Fan the per-size subsample queries across the executor's worker
 		// pool; verdicts are worker-count-invariant (per-subsample streams).
 		Workers: cfg.workers(),
-		Span:    verdictSpan,
-	}
-	if sizes == nil {
-		res := dcfg.Rejected(diagnostic.CauseTooFewRows, "too few rows after filtering for a diagnosis")
-		verdictSpan.End()
-		return &res, c, nil
 	}
 	var xi estimator.Estimator
+	k := 0 // resamples per ξ interval
 	if q.ClosedFormApplicable() {
 		// Diagnostic subsamples are small (tens to hundreds of rows), so
 		// the Student-t critical value matters; with z the widths would be
 		// biased slightly narrow at every ladder size.
 		xi = estimator.ClosedForm{UseStudentT: true}
 	} else {
-		xi = estimator.Bootstrap{K: opt.BootstrapK, Obs: verdictSpan.Metrics()}
+		b := estimator.Bootstrap{K: opt.BootstrapK}
+		xi, k = b, b.Resamples()
 	}
 	src := rng.NewWithStream(cfg.Seed, hashStream("diag", groupKey, aggIdx, 0))
 	dres, err := diagnostic.Run(ctx, src, values, q, xi, dcfg)
-	verdictSpan.End()
 	if err != nil {
-		return nil, c, err
+		return nil, c, 0, err
 	}
 	c.DiagSubqueries += dres.SubsampleQueries
-	return &dres, c, nil
+	return &dres, c, int64(k) * int64(dres.XiRuns), nil
 }
 
 // hashStream derives a deterministic RNG stream id from execution

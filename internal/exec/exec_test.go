@@ -82,19 +82,6 @@ func TestEvalNumericArithmetic(t *testing.T) {
 	}
 }
 
-func TestEvalNumericWithSelection(t *testing.T) {
-	tbl := table.MustNew(table.Schema{{Name: "x", Type: table.Float64}},
-		table.Float64Col{10, 20, 30, 40})
-	e := &sql.ColumnRef{Name: "x"}
-	vals, err := evalNumeric(e, tbl, []int{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 2 || vals[0] != 40 || vals[1] != 20 {
-		t.Errorf("vals = %v", vals)
-	}
-}
-
 func TestEvalNumericIntCoercionAndScalar(t *testing.T) {
 	tbl := table.MustNew(table.Schema{{Name: "n", Type: table.Int64}},
 		table.Int64Col{1, 2})

@@ -95,8 +95,8 @@ type scratch struct {
 	// by predicate, projection and GROUP BY key is decoded once. release
 	// clears it along with the buffers the values point into.
 	memo []value
-	// off is the first row of the window an evaluation without a selection
-	// vector covers: rows [off, off+n) of the table. Block walks move it
+	// off is the first row of the window an evaluation covers: rows
+	// [off, off+n) of the table. Block walks move it
 	// instead of slicing a per-block table view.
 	off int
 }
@@ -216,11 +216,10 @@ func (v *value) strAt(i int) string {
 	return v.strs[i]
 }
 
-// evalExpr evaluates e over n rows of tbl: rows sel[0..n) when sel is
-// non-nil, otherwise the n rows starting at sc's window offset (row 0 for a
-// nil scratch). sc, when non-nil, supplies pooled scratch for the transient
-// vectors.
-func evalExpr(e sql.Expr, tbl *table.Table, sel []int, n int, sc *scratch) (value, error) {
+// evalExpr evaluates e over the n rows of tbl starting at sc's window offset
+// (row 0 for a nil scratch). sc, when non-nil, supplies pooled scratch for
+// the transient vectors.
+func evalExpr(e sql.Expr, tbl *table.Table, n int, sc *scratch) (value, error) {
 	switch ex := e.(type) {
 	case *sql.Literal:
 		if ex.IsStr {
@@ -238,14 +237,14 @@ func evalExpr(e sql.Expr, tbl *table.Table, sel []int, n int, sc *scratch) (valu
 				return v, nil
 			}
 		}
-		v, err := gatherColumn(tbl.Column(idx), ex.Name, sel, sc.window(), n, sc)
+		v, err := gatherColumn(tbl.Column(idx), ex.Name, sc.window(), n, sc)
 		if err == nil && sc != nil && sc.memo != nil {
 			sc.memo[idx] = v
 		}
 		return v, err
 
 	case *sql.Unary:
-		inner, err := evalExpr(ex.E, tbl, sel, n, sc)
+		inner, err := evalExpr(ex.E, tbl, n, sc)
 		if err != nil {
 			return value{}, err
 		}
@@ -276,7 +275,7 @@ func evalExpr(e sql.Expr, tbl *table.Table, sel []int, n int, sc *scratch) (valu
 		}
 
 	case *sql.Binary:
-		return evalBinary(ex, tbl, sel, n, sc)
+		return evalBinary(ex, tbl, n, sc)
 
 	case *sql.FuncCall:
 		return value{}, fmt.Errorf("exec: nested aggregate %s in row expression", ex.Name)
@@ -289,74 +288,42 @@ func evalExpr(e sql.Expr, tbl *table.Table, sel []int, n int, sc *scratch) (valu
 	}
 }
 
-// gatherColumn materializes one column over the selection (sel == nil: rows
-// [off, off+n)). Raw columns read their slices; block-backed columns decode
-// after admission, through the reader interfaces, metering the decode work.
-// With sel == nil, raw float64 and string columns return their own storage,
-// which callers must treat as read-only.
-func gatherColumn(col table.Column, name string, sel []int, off, n int, sc *scratch) (value, error) {
+// gatherColumn materializes rows [off, off+n) of one column. Raw columns
+// read their slices; block-backed columns decode after admission, through
+// the reader interfaces, metering the decode work. Raw float64 and string
+// columns return their own storage, which callers must treat as read-only.
+func gatherColumn(col table.Column, name string, off, n int, sc *scratch) (value, error) {
 	switch c := col.(type) {
 	case table.Float64Col:
-		return value{nums: gatherF64(c, sel, off, n, sc)}, nil
+		return value{nums: c[off : off+n]}, nil
 	case table.Int64Col:
-		return value{nums: gatherI64(c, sel, off, n, sc)}, nil
+		return value{nums: gatherI64(c, off, n, sc)}, nil
 	case table.StringCol:
-		if sel == nil {
-			return value{strs: c[off : off+n], isStr: true}, nil
-		}
-		out := sc.getStr(n)
-		for i, j := range sel {
-			out[i] = c[j]
-		}
-		return value{strs: out, isStr: true}, nil
+		return value{strs: c[off : off+n], isStr: true}, nil
 	}
 	if r, ok := col.(table.F64Reader); ok {
-		return value{nums: gatherReaderF64(r, sel, off, n, sc)}, nil
+		return value{nums: gatherReaderF64(r, off, n, sc)}, nil
 	}
 	if r, ok := col.(table.StrReader); ok {
-		return value{strs: gatherReaderStr(r, sel, off, n, sc), isStr: true}, nil
+		return value{strs: gatherReaderStr(r, off, n, sc), isStr: true}, nil
 	}
 	return value{}, fmt.Errorf("exec: unsupported column type for %q", name)
 }
 
-// gatherF64 materializes a float64 column over the selection. With sel ==
-// nil it returns the column's own storage — callers must treat the result
-// as read-only, and it is never tracked by the scratch.
-func gatherF64(c table.Float64Col, sel []int, off, n int, sc *scratch) []float64 {
-	if sel == nil {
-		return c[off : off+n]
-	}
+// gatherI64 widens rows [off, off+n) of an int64 column to float64.
+func gatherI64(c table.Int64Col, off, n int, sc *scratch) []float64 {
 	out := sc.getF64(n)
-	for i, j := range sel {
-		out[i] = c[j]
+	for i, v := range c[off : off+n] {
+		out[i] = float64(v)
 	}
 	return out
 }
 
-// gatherI64 widens an int64 column to float64 over the selection, with a
-// branch-free sel == nil fast path mirroring gatherF64.
-func gatherI64(c table.Int64Col, sel []int, off, n int, sc *scratch) []float64 {
-	out := sc.getF64(n)
-	if sel == nil {
-		for i, v := range c[off : off+n] {
-			out[i] = float64(v)
-		}
-		return out
-	}
-	for i, j := range sel {
-		out[i] = float64(c[j])
-	}
-	return out
-}
-
-// gatherReaderF64 materializes a lazily decoded numeric column over the
-// selection. sel == nil decodes rows [off, off+n) straight into scratch; a
-// selection decodes one block at a time into a pooled buffer, refilling
-// whenever the next selected row leaves the current block (selections are
-// produced in ascending row order, so each touched block decodes once).
-// All buffers come from sc, so the caller's deferred release reclaims them
-// on every return path, error and cancellation included.
-func gatherReaderF64(r table.F64Reader, sel []int, off, n int, sc *scratch) []float64 {
+// gatherReaderF64 decodes rows [off, off+n) of a lazily decoded numeric
+// column into scratch, through the block cache where one is attached. The
+// buffer comes from sc, so the caller's deferred release reclaims it on
+// every return path, error and cancellation included.
+func gatherReaderF64(r table.F64Reader, off, n int, sc *scratch) []float64 {
 	out := sc.getF64(n)
 	m := sc.meter()
 	var start time.Time
@@ -368,7 +335,7 @@ func gatherReaderF64(r table.F64Reader, sel []int, off, n int, sc *scratch) []fl
 	br, cacheable := base.(table.F64Reader)
 	cc := sc.cache()
 	switch {
-	case cc != nil && cacheable && sel == nil:
+	case cc != nil && cacheable:
 		// Cross-query cache, full-range read: walk the base column's
 		// blocks, copying each cacheable block's cached decode (filling on a
 		// miss) and reading the rest from storage, as a decode. A hit
@@ -397,25 +364,9 @@ func gatherReaderF64(r table.F64Reader, sel []int, off, n int, sc *scratch) []fl
 				blocks++
 			}
 		}
-	case sel == nil:
+	default:
 		r.ReadF64(out, off)
 		blocks = blocksSpanned(off, n)
-	default:
-		buf := sc.getF64(table.ZoneBlockRows)
-		rows := r.Len()
-		lo, hi := 0, 0 // empty window
-		for i, j := range sel {
-			if j < lo || j >= hi {
-				lo = j - j%table.ZoneBlockRows
-				hi = lo + table.ZoneBlockRows
-				if hi > rows {
-					hi = rows
-				}
-				r.ReadF64(buf[:hi-lo], lo)
-				blocks++
-			}
-			out[i] = buf[j-lo]
-		}
 	}
 	if m != nil {
 		m.blocks += blocks
@@ -435,7 +386,7 @@ func blocksSpanned(off, n int) int64 {
 }
 
 // gatherReaderStr is gatherReaderF64 for string columns.
-func gatherReaderStr(r table.StrReader, sel []int, off, n int, sc *scratch) []string {
+func gatherReaderStr(r table.StrReader, off, n int, sc *scratch) []string {
 	out := sc.getStr(n)
 	m := sc.meter()
 	var start time.Time
@@ -447,7 +398,7 @@ func gatherReaderStr(r table.StrReader, sel []int, off, n int, sc *scratch) []st
 	br, cacheable := base.(table.StrReader)
 	cc := sc.cache()
 	switch {
-	case cc != nil && cacheable && sel == nil:
+	case cc != nil && cacheable:
 		baseLen := base.Len()
 		for covered := 0; covered < n; {
 			abs := boff + off + covered
@@ -471,25 +422,9 @@ func gatherReaderStr(r table.StrReader, sel []int, off, n int, sc *scratch) []st
 				blocks++
 			}
 		}
-	case sel == nil:
+	default:
 		r.ReadStr(out, off)
 		blocks = blocksSpanned(off, n)
-	default:
-		buf := sc.getStr(table.ZoneBlockRows)
-		rows := r.Len()
-		lo, hi := 0, 0
-		for i, j := range sel {
-			if j < lo || j >= hi {
-				lo = j - j%table.ZoneBlockRows
-				hi = lo + table.ZoneBlockRows
-				if hi > rows {
-					hi = rows
-				}
-				r.ReadStr(buf[:hi-lo], lo)
-				blocks++
-			}
-			out[i] = buf[j-lo]
-		}
 	}
 	if m != nil {
 		m.blocks += blocks
@@ -500,12 +435,12 @@ func gatherReaderStr(r table.StrReader, sel []int, off, n int, sc *scratch) []st
 	return out
 }
 
-func evalBinary(ex *sql.Binary, tbl *table.Table, sel []int, n int, sc *scratch) (value, error) {
-	l, err := evalExpr(ex.L, tbl, sel, n, sc)
+func evalBinary(ex *sql.Binary, tbl *table.Table, n int, sc *scratch) (value, error) {
+	l, err := evalExpr(ex.L, tbl, n, sc)
 	if err != nil {
 		return value{}, err
 	}
-	r, err := evalExpr(ex.R, tbl, sel, n, sc)
+	r, err := evalExpr(ex.R, tbl, n, sc)
 	if err != nil {
 		return value{}, err
 	}
@@ -677,7 +612,7 @@ func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, ab
 	err := walkBlocks(ctx, n, absOffset, skip, sc, func(row, end int) error {
 		var keep []bool
 		if e != nil {
-			v, err := evalExpr(e, tbl, nil, end-row, sc)
+			v, err := evalExpr(e, tbl, end-row, sc)
 			if err != nil {
 				return err
 			}

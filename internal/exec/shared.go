@@ -4,15 +4,15 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
 // SharedItem is one query's slot in a shared-scan batch: its plan, its own
 // cancellation context (nil means the batch context) and its own Config —
-// per-query spans land on the query's own trace, and the query's seed
-// drives its bootstrap streams exactly as in solo execution.
+// the query's seed drives its bootstrap streams exactly as in solo
+// execution.
 type SharedItem struct {
 	Ctx  context.Context
 	Plan *plan.Plan
@@ -31,9 +31,9 @@ type SharedItem struct {
 // was performed.
 //
 // Plans that are identical (same Identity, aliases included, and seed) are
-// executed once; followers receive the leader's groups with zeroed
-// counters, so summing Counters across the batch still meters the physical
-// work exactly once.
+// executed once; followers receive the leader's groups with zeroed counters
+// and no stages, so summing Counters across the batch still meters the
+// physical work exactly once.
 //
 // Errors are per-item: one query's bad predicate or cancelled context does
 // not fail its batchmates. Cancelling ctx (the batch context, used for the
@@ -84,21 +84,15 @@ func RunShared(ctx context.Context, items []SharedItem, tables map[string]*Store
 	}
 	tbl := st.Data
 
-	// One physical pass for all distinct plans. Each member gets its own
-	// scan span (on its own trace) bracketing the shared pass, carrying
-	// that member's counter share.
+	// One physical pass for all distinct plans. Each member's scan stage is
+	// the whole shared pass, carrying that member's counter share.
 	members := make([]*plan.QueryDef, len(distincts))
-	scanSpans := make([]*obs.Span, len(distincts))
 	for di, d := range distincts {
 		members[di] = d.plan.Def
-		scanSpans[di] = items[d.item].Cfg.Span.StartSpan(obs.StageScan)
 	}
-	scanCfg := items[distincts[0].item].Cfg
-	scanCfg.Span = nil
-	bases, scanErrs := scanFilterProjectMulti(ctx, members, tbl, scanCfg)
-	for di := range distincts {
-		scanSpans[di].End()
-	}
+	scanStart := time.Now()
+	bases, scanErrs := scanFilterProjectMulti(ctx, members, tbl, items[distincts[0].item].Cfg)
+	scanDur := time.Since(scanStart)
 
 	// Fan back out: every distinct plan's downstream pipeline (bootstrap,
 	// diagnostic) runs concurrently under its own context.
@@ -113,9 +107,8 @@ func RunShared(ctx context.Context, items []SharedItem, tables map[string]*Store
 			defer wg.Done()
 			it := items[d.item]
 			base := bases[di]
-			addCounterAttrs(scanSpans[di], base.counters)
-			res := &Result{SampleRows: tbl.NumRows()}
-			res.Counters.Add(base.counters)
+			res := &Result{SampleRows: tbl.NumRows(), Counters: base.counters,
+				Scan: StageTime{Start: scanStart, Dur: scanDur, Counters: base.counters}}
 			ictx := it.Ctx
 			if ictx == nil {
 				ictx = ctx
@@ -129,18 +122,17 @@ func RunShared(ctx context.Context, items []SharedItem, tables map[string]*Store
 	}
 	wg.Wait()
 
-	// Followers of deduped plans share the leader's groups. Their counters
-	// are zeroed: the physical work happened exactly once, on the leader,
-	// and follower traces carry no exec-stage spans to account for.
+	// Followers of deduped plans share the leader's groups. The physical
+	// work happened exactly once, on the leader: a follower's result carries
+	// no counters and no stages.
 	for _, d := range distincts {
 		for _, f := range d.dupes {
 			if errs[d.item] != nil {
 				errs[f] = errs[d.item]
 				continue
 			}
-			r := *results[d.item]
-			r.Counters = Counters{}
-			results[f] = &r
+			lead := results[d.item]
+			results[f] = &Result{Groups: lead.Groups, SampleRows: lead.SampleRows}
 		}
 	}
 	return results, errs

@@ -79,9 +79,8 @@ func TestWriteChromeTrace(t *testing.T) {
 // a live trace renders, an unknown id is 404, a non-numeric id is 400.
 func TestChromeTraceEndpoint(t *testing.T) {
 	tr := NewTracer(Options{})
-	qt := tr.StartQuery("SELECT COUNT(*) FROM t")
-	qt.StartSpan(StageScan).End()
-	qt.Finish(nil)
+	tr.Finish(&QueryRecord{QID: 1, SQL: "SELECT COUNT(*) FROM t", Outcome: "ok",
+		Stages: []StageRecord{{Stage: StageScan}}})
 	last, _ := tr.Last()
 
 	srv, err := Serve("127.0.0.1:0", tr)

@@ -118,14 +118,15 @@ func (l *EventLog) Emit(rec *QueryRecord) {
 	if rec.FellBack {
 		attrs = append(attrs, slog.Bool("fell_back", true))
 	}
-	if rec.BlocksSkipped > 0 {
-		attrs = append(attrs, slog.Int64("blocks_skipped", rec.BlocksSkipped))
+	work := rec.Work()
+	if work.BlocksSkipped > 0 {
+		attrs = append(attrs, slog.Int64("blocks_skipped", work.BlocksSkipped))
 	}
-	if rec.BlocksDecoded > 0 {
-		attrs = append(attrs, slog.Int64("blocks_decoded", rec.BlocksDecoded))
+	if work.BlocksDecoded > 0 {
+		attrs = append(attrs, slog.Int64("blocks_decoded", work.BlocksDecoded))
 	}
-	if rec.DecodeNs > 0 {
-		attrs = append(attrs, slog.Int64("decode_ns", rec.DecodeNs))
+	if work.DecodeNanos > 0 {
+		attrs = append(attrs, slog.Int64("decode_ns", work.DecodeNanos))
 	}
 	if rec.SharedScan {
 		attrs = append(attrs, slog.Bool("shared_scan", true))
@@ -133,11 +134,11 @@ func (l *EventLog) Emit(rec *QueryRecord) {
 	if rec.Cached {
 		attrs = append(attrs, slog.Bool("cached", true))
 	}
-	if rec.CacheHits > 0 {
-		attrs = append(attrs, slog.Int64("cache_hits", rec.CacheHits))
+	if work.CacheHits > 0 {
+		attrs = append(attrs, slog.Int64("cache_hits", work.CacheHits))
 	}
-	if rec.CacheBytes > 0 {
-		attrs = append(attrs, slog.Int64("cache_bytes", rec.CacheBytes))
+	if work.CacheBytes > 0 {
+		attrs = append(attrs, slog.Int64("cache_bytes", work.CacheBytes))
 	}
 	if slow {
 		attrs = append(attrs, slog.Bool("slow", true))
@@ -222,18 +223,4 @@ func (l *EventLog) EmitConn(ev ConnEvent) {
 		level = slog.LevelWarn
 	}
 	l.log.LogAttrs(context.Background(), level, "conn", attrs...)
-}
-
-// StageLatencies flattens the top-level stage spans to a name→ms map;
-// repeated stages (e.g. two diagnostics in a GROUP BY fan-out) accumulate.
-// It is QueryRecord.StagesMs.
-func StageLatencies(spans []SpanSnapshot) map[string]float64 {
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(spans))
-	for _, s := range spans {
-		out[s.Stage] += s.Ms
-	}
-	return out
 }

@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // emitOne round-trips a single event through a fresh log and returns the
@@ -28,11 +26,7 @@ func TestEventLogJSONRoundTrip(t *testing.T) {
 	ev := QueryRecord{
 		QID: 7, SQL: "SELECT AVG(x) FROM t", Outcome: "ok",
 		TotalMs: 12.5, QueueWaitMs: 3.25,
-		StagesMs: StageLatencies([]SpanSnapshot{
-			{Stage: "scan", Ms: 8},
-			{Stage: "estimate", Ms: 2},
-			{Stage: "estimate", Ms: 1}, // repeated stages accumulate
-		}),
+		StagesMs:   map[string]float64{"scan": 8, "estimate": 3},
 		SampleRows: 1000, KBudget: 100, FellBack: true,
 		Aggs: []AggRecord{{
 			Name: "avg(x)", Estimate: 5, Center: 5, HalfWidth: 1, RelErr: 0.2,
@@ -57,7 +51,7 @@ func TestEventLogJSONRoundTrip(t *testing.T) {
 	}
 	stages := rec["stages_ms"].(map[string]any)
 	if stages["scan"] != float64(8) || stages["estimate"] != float64(3) {
-		t.Fatalf("stages_ms wrong (repeats must accumulate): %v", stages)
+		t.Fatalf("stages_ms wrong: %v", stages)
 	}
 	agg := rec["aggs"].([]any)[0].(map[string]any)
 	if agg["name"] != "avg(x)" || agg["verdict"] != "accept" || agg["lo"] != float64(4) {
@@ -152,18 +146,15 @@ func TestEventLogConcurrentEmits(t *testing.T) {
 }
 
 // TestQueueWaitRoundTrip pins the queue-wait plumbing end to end at the
-// obs layer: SetQueueWait before Finish must surface in the snapshot, the
+// obs layer: the record's queue wait must surface in the rendered trace, its
 // JSON encoding and the human-readable trace.
 func TestQueueWaitRoundTrip(t *testing.T) {
 	tr := NewTracer(Options{})
-	qt := tr.StartQuery("SELECT 1")
-	qt.SetQueueWait(1500 * time.Microsecond)
-	qt.StartSpan(StageScan).End()
-	qt.Finish(nil)
-
-	snap, ok := qt.Snapshot()
+	tr.Finish(&QueryRecord{SQL: "SELECT 1", Outcome: "ok", QueueWaitMs: 1.5,
+		Stages: []StageRecord{{Stage: StageScan}}})
+	snap, ok := tr.Last()
 	if !ok {
-		t.Fatal("Snapshot must report done after Finish")
+		t.Fatal("Last must report the finished query")
 	}
 	if snap.QueueWaitMs != 1.5 {
 		t.Fatalf("QueueWaitMs = %v, want 1.5", snap.QueueWaitMs)
@@ -180,9 +171,8 @@ func TestQueueWaitRoundTrip(t *testing.T) {
 	}
 
 	// An unqueued query omits the field entirely.
-	qt2 := tr.StartQuery("SELECT 2")
-	qt2.Finish(errors.New("nope"))
-	snap2, _ := qt2.Snapshot()
+	tr.Finish(&QueryRecord{SQL: "SELECT 2", Outcome: "error", Err: "nope"})
+	snap2, _ := tr.Last()
 	if js, _ := json.Marshal(snap2); bytes.Contains(js, []byte("queue_wait_ms")) {
 		t.Fatalf("zero queue wait must be omitted: %s", js)
 	}

@@ -4,14 +4,14 @@
 // air-gapped runs.
 //
 // The exporter is deliberately decoupled from the query path: Finish
-// hands a snapshot to ExportTrace, which does one non-blocking send into
-// a bounded queue and returns — on overflow the trace is dropped and
+// hands the query's record to ExportTrace, which does one non-blocking send
+// into a bounded queue and returns — on overflow the trace is dropped and
 // metered (aqp_export_dropped_total) rather than ever delaying a query.
-// A single background worker batches snapshots, flushes by size or
-// interval, retries failed posts with linear backoff, and drops (again
-// metered) when retries are exhausted. Like the rest of internal/obs it
-// consumes no engine randomness, so answers are bit-identical with
-// export enabled or disabled.
+// A single background worker batches records, renders their span trees,
+// flushes by size or interval, retries failed posts with linear backoff,
+// and drops (again metered) when retries are exhausted. Like the rest of
+// internal/obs it consumes no engine randomness, so answers are
+// bit-identical with export enabled or disabled.
 package export
 
 import (
@@ -84,7 +84,7 @@ func (c Config) batch() int {
 // Tracer.SetExporter, and Close on shutdown to flush the tail.
 type Exporter struct {
 	cfg    Config
-	ch     chan obs.TraceSnapshot
+	ch     chan *obs.QueryRecord
 	flush  chan chan struct{}
 	file   *os.File
 	client *http.Client
@@ -111,7 +111,7 @@ func New(cfg Config) (*Exporter, error) {
 	}
 	e := &Exporter{
 		cfg:   cfg,
-		ch:    make(chan obs.TraceSnapshot, cfg.queue()),
+		ch:    make(chan *obs.QueryRecord, cfg.queue()),
 		flush: make(chan chan struct{}),
 	}
 	if cfg.Path != "" {
@@ -146,10 +146,11 @@ func New(cfg Config) (*Exporter, error) {
 	return e, nil
 }
 
-// ExportTrace enqueues a finished trace. It never blocks: when the
-// queue is full (or the exporter is closed) the trace is dropped and
-// aqp_export_dropped_total{reason="queue_full"} is bumped.
-func (e *Exporter) ExportTrace(t obs.TraceSnapshot) {
+// ExportTrace enqueues a finished query's record; the worker renders its
+// span tree. It never blocks: when the queue is full (or the exporter is
+// closed) the trace is dropped and aqp_export_dropped_total{reason="queue_full"}
+// is bumped.
+func (e *Exporter) ExportTrace(t *obs.QueryRecord) {
 	if e == nil {
 		return
 	}
@@ -211,7 +212,7 @@ func (e *Exporter) worker() {
 	defer e.wg.Done()
 	ticker := time.NewTicker(flushInterval)
 	defer ticker.Stop()
-	var batch []obs.TraceSnapshot
+	var batch []*obs.QueryRecord
 	send := func() {
 		if len(batch) > 0 {
 			e.send(batch)
@@ -253,7 +254,7 @@ func (e *Exporter) worker() {
 	}
 }
 
-func (e *Exporter) send(batch []obs.TraceSnapshot) {
+func (e *Exporter) send(batch []*obs.QueryRecord) {
 	body, err := json.Marshal(otlpRequest(serviceName, batch))
 	if err != nil {
 		e.mDropS.Add(int64(len(batch)))

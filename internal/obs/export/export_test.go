@@ -1,6 +1,7 @@
 package export
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,31 +13,40 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/work"
 )
 
-func testSnapshot(traceID, spanID string) obs.TraceSnapshot {
-	return obs.TraceSnapshot{
-		ID:      7,
-		SQL:     "SELECT AVG(X) FROM T",
-		TraceID: traceID,
-		SpanID:  spanID,
-		Start:   time.Unix(1700000000, 0),
-		TotalMs: 12.5,
-		Outcome: "ok",
-		Spans: []obs.SpanSnapshot{
-			{Stage: "analyze", StartMs: 0.1, Ms: 0.4},
-			{Stage: "scan", StartMs: 0.5, Ms: 10,
-				Attrs: map[string]any{"rows": 1000},
-				Children: []obs.SpanSnapshot{
-					{Stage: "estimate", StartMs: 2, Ms: 3},
-				}},
+// testRecord is a finished query whose diagnostic rejected its one
+// aggregate on the Δ condition after two rungs. Empty ids leave the record
+// without a trace identity.
+func testRecord(traceID, spanID string) *obs.QueryRecord {
+	var tc obs.TraceContext
+	hex.Decode(tc.TraceID[:], []byte(traceID)) //nolint:errcheck // empty or valid
+	hex.Decode(tc.SpanID[:], []byte(spanID))   //nolint:errcheck
+	return &obs.QueryRecord{
+		QID:          7,
+		SQL:          "SELECT AVG(X) FROM T",
+		TraceContext: tc,
+		Start:        time.Unix(1700000000, 0),
+		TotalMs:      12.5,
+		Outcome:      "ok",
+		Stages: []obs.StageRecord{
+			{Stage: obs.StageParse, StartMs: 0.1, Ms: 0.4, Table: "T", Aggregates: 1},
+			{Stage: obs.StageScan, StartMs: 0.5, Ms: 10, Work: work.Counters{RowsScanned: 1000}},
+			{Stage: obs.StageDiagnostic, StartMs: 10.5, Ms: 1.5, Work: work.Counters{DiagSubqueries: 400}},
 		},
+		Aggs: []obs.AggRecord{{Name: "avg(x)", Rejected: true, Cause: "delta",
+			Reason: "average deviation not improving", RungsRun: 2, DecidedAfter: 100,
+			SubsampleQueries: 400, Rungs: []obs.Rung{
+				{Size: 20, TrueHalfWidth: 2, Delta: 0.1, Sigma: 0.2, Pi: 0.97},
+				{Size: 40, TrueHalfWidth: 1, Delta: 0.3, Sigma: 0.1, Pi: 0.99}}}},
 	}
 }
 
 // TestExporterPostsOTLP pins the wire shape: one ExportTraceServiceRequest
-// with the service resource, a SERVER root span carrying the snapshot's
-// trace identity, and INTERNAL children parented under it.
+// with the service resource, a SERVER root span carrying the record's
+// trace identity, and INTERNAL children parented under it — the verdict
+// under the diagnostic, carrying its evidence as aqp.* attributes.
 func TestExporterPostsOTLP(t *testing.T) {
 	var mu sync.Mutex
 	var bodies [][]byte
@@ -58,7 +68,7 @@ func TestExporterPostsOTLP(t *testing.T) {
 
 	const traceID = "0af7651916cd43dd8448eb211c80319c"
 	const spanID = "b7ad6b7169203331"
-	exp.ExportTrace(testSnapshot(traceID, spanID))
+	exp.ExportTrace(testRecord(traceID, spanID))
 	exp.Flush()
 
 	mu.Lock()
@@ -85,6 +95,10 @@ func TestExporterPostsOTLP(t *testing.T) {
 					Kind         int    `json:"kind"`
 					Start        string `json:"startTimeUnixNano"`
 					End          string `json:"endTimeUnixNano"`
+					Attributes   []struct {
+						Key   string         `json:"key"`
+						Value map[string]any `json:"value"`
+					} `json:"attributes"`
 				} `json:"spans"`
 			} `json:"scopeSpans"`
 		} `json:"resourceSpans"`
@@ -106,8 +120,8 @@ func TestExporterPostsOTLP(t *testing.T) {
 		t.Error("resource is missing service.name=aqp")
 	}
 	spans := res.ScopeSpans[0].Spans
-	if len(spans) != 4 { // root + analyze + scan + estimate
-		t.Fatalf("exported %d spans, want 4", len(spans))
+	if len(spans) != 5 { // root + parse + scan + diagnostic + verdict
+		t.Fatalf("exported %d spans, want 5", len(spans))
 	}
 	root := spans[0]
 	if root.Name != "query" || root.Kind != 2 {
@@ -132,8 +146,25 @@ func TestExporterPostsOTLP(t *testing.T) {
 	if spans[byName["scan"]].ParentSpanID != spanID {
 		t.Error("scan span not parented under the root")
 	}
-	if spans[byName["estimate"]].ParentSpanID != spans[byName["scan"]].SpanID {
-		t.Error("estimate span not parented under scan")
+	verdict := spans[byName["verdict"]]
+	if verdict.ParentSpanID != spans[byName["diagnostic"]].SpanID {
+		t.Error("verdict span not parented under the diagnostic")
+	}
+	got := map[string]any{}
+	for _, kv := range verdict.Attributes {
+		for _, v := range kv.Value {
+			got[kv.Key] = v
+		}
+	}
+	for key, want := range map[string]any{
+		"aqp.verdict": "reject", "aqp.cause": "delta", "aqp.reason": "average deviation not improving",
+		"aqp.delta_b20": 0.1, "aqp.sigma_b20": 0.2, "aqp.pi_b20": 0.97,
+		"aqp.delta_b40": 0.3, "aqp.sigma_b40": 0.1, "aqp.pi_b40": 0.99,
+		"aqp.rungs_run": "2", "aqp.subsample_queries": "400",
+	} {
+		if got[key] != want {
+			t.Errorf("verdict attribute %s = %v, want %v", key, got[key], want)
+		}
 	}
 }
 
@@ -163,14 +194,14 @@ func TestExporterOverflowDropsNotBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exp.ExportTrace(testSnapshot("", ""))
+	exp.ExportTrace(testRecord("", ""))
 	<-wedgedC // worker is now stuck inside the POST
 
 	// Fill the queue and then some; all calls must return promptly.
 	var done atomic.Bool
 	go func() {
 		for i := 0; i < 50; i++ {
-			exp.ExportTrace(testSnapshot("", ""))
+			exp.ExportTrace(testRecord("", ""))
 		}
 		done.Store(true)
 	}()
@@ -199,7 +230,7 @@ func TestExporterFilesink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp.ExportTrace(testSnapshot("0af7651916cd43dd8448eb211c80319c", "b7ad6b7169203331"))
+	exp.ExportTrace(testRecord("0af7651916cd43dd8448eb211c80319c", "b7ad6b7169203331"))
 	exp.Flush()
 	if err := exp.Close(); err != nil {
 		t.Fatal(err)
@@ -217,10 +248,10 @@ func TestExporterFilesink(t *testing.T) {
 	}
 }
 
-// TestExporterMintsIdentityForLegacySnapshots: traces recorded without a
-// bound trace context still export, with a fresh identity.
+// TestExporterMintsIdentityForLegacySnapshots: records without a trace
+// context still export, with a fresh identity.
 func TestExporterMintsIdentityForLegacySnapshots(t *testing.T) {
-	req := otlpRequest("aqp", []obs.TraceSnapshot{testSnapshot("", "")})
+	req := otlpRequest("aqp", []*obs.QueryRecord{testRecord("", "")})
 	spans := req.ResourceSpans[0].ScopeSpans[0].Spans
 	if len(spans) == 0 {
 		t.Fatal("no spans exported")

@@ -84,9 +84,6 @@ func anyAttr(key string, v any) otlpKeyValue {
 		return strAttr(key, x)
 	case bool:
 		return otlpKeyValue{Key: key, Value: otlpValue{BoolValue: &x}}
-	case int:
-		s := strconv.FormatInt(int64(x), 10)
-		return otlpKeyValue{Key: key, Value: otlpValue{IntValue: &s}}
 	case int64:
 		s := strconv.FormatInt(x, 10)
 		return otlpKeyValue{Key: key, Value: otlpValue{IntValue: &s}}
@@ -120,13 +117,13 @@ func childSpanID(rootSpanID, path string) string {
 	return fmt.Sprintf("%016x", sum)
 }
 
-// otlpRequest renders a batch of finished traces as one
-// ExportTraceServiceRequest. Traces that predate trace-context binding
-// (no TraceID on the snapshot) get a freshly minted identity so they
-// still export.
-func otlpRequest(serviceName string, batch []obs.TraceSnapshot) otlpExportRequest {
+// otlpRequest renders a batch of finished queries' span trees as one
+// ExportTraceServiceRequest. A record without a trace identity gets a
+// freshly minted one so it still exports.
+func otlpRequest(serviceName string, batch []*obs.QueryRecord) otlpExportRequest {
 	spans := make([]otlpSpan, 0, len(batch)*4)
-	for _, t := range batch {
+	for _, rec := range batch {
+		t := rec.Trace()
 		traceID, spanID, parent := t.TraceID, t.SpanID, t.ParentSpanID
 		if traceID == "" || spanID == "" {
 			tc := obs.NewTraceContext()

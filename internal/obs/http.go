@@ -75,28 +75,14 @@ func (t *Tracer) Handler(extra ...Route) http.Handler {
 		WriteRuntimeMetrics(w)
 	})
 	mux.HandleFunc("/debug/queries", func(w http.ResponseWriter, r *http.Request) {
-		traces := t.Recent()
 		q := r.URL.Query()
-		if outcome := q.Get("outcome"); outcome != "" {
-			kept := traces[:0:0]
-			for _, tr := range traces {
-				if tr.Outcome == outcome {
-					kept = append(kept, tr)
-				}
+		outcome, tid := q.Get("outcome"), q.Get("trace_id")
+		n := LimitParam(q, DebugLimitDefault, DebugLimitMax)
+		traces := []TraceSnapshot{}
+		for _, tr := range t.Recent() {
+			if len(traces) < n && (outcome == "" || tr.Outcome == outcome) && (tid == "" || tr.TraceID == tid) {
+				traces = append(traces, tr)
 			}
-			traces = kept
-		}
-		if tid := q.Get("trace_id"); tid != "" {
-			kept := traces[:0:0]
-			for _, tr := range traces {
-				if tr.TraceID == tid {
-					kept = append(kept, tr)
-				}
-			}
-			traces = kept
-		}
-		if n := LimitParam(q, DebugLimitDefault, DebugLimitMax); n < len(traces) {
-			traces = traces[:n]
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -111,10 +97,10 @@ func (t *Tracer) Handler(extra ...Route) http.Handler {
 			http.Error(w, "bad query id", http.StatusBadRequest)
 			return
 		}
-		for _, tr := range t.Recent() {
-			if tr.ID == id {
+		for _, rec := range t.ring.snapshot() {
+			if rec.QID == id {
 				w.Header().Set("Content-Type", "application/json")
-				if err := WriteChromeTrace(w, tr); err != nil {
+				if err := WriteChromeTrace(w, rec.Trace()); err != nil {
 					http.Error(w, err.Error(), http.StatusInternalServerError)
 				}
 				return

@@ -7,16 +7,15 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/work"
 )
 
 func TestServeMetricsAndDebugQueries(t *testing.T) {
 	tr := NewTracer(Options{RingSize: 4})
 	for i := 0; i < 6; i++ {
-		qt := tr.StartQuery(fmt.Sprintf("SELECT %d", i))
-		s := qt.StartSpan(StageScan)
-		s.AddInt("rows_scanned", int64(100*(i+1)))
-		s.End()
-		qt.Finish(nil)
+		tr.Finish(&QueryRecord{QID: uint64(i + 1), SQL: fmt.Sprintf("SELECT %d", i), Outcome: "ok",
+			Stages: []StageRecord{{Stage: StageScan, Work: work.Counters{RowsScanned: int64(100 * (i + 1))}}}})
 	}
 
 	srv, err := Serve("127.0.0.1:0", tr)

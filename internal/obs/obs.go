@@ -1,16 +1,16 @@
-// Package obs is the engine's zero-dependency telemetry subsystem: per-query
-// trace spans mirroring the paper's pipeline stages (parse → plan → scan →
-// bootstrap-kernel → diagnostic → fallback), a bounded ring of recent query
-// traces, and a metrics registry of atomic counters and fixed-bucket
-// histograms rendered in the Prometheus text format.
+// Package obs is the engine's zero-dependency telemetry subsystem: the
+// one record of each finished query (QueryRecord), a bounded ring of recent
+// records with the span tree each renders — the paper's pipeline stages
+// (parse → plan → scan → bootstrap-kernel → diagnostic → fallback) — and a
+// metrics registry of atomic counters and fixed-bucket histograms rendered
+// in the Prometheus text format.
 //
-// Everything is nil-safe: a nil *Tracer (telemetry disabled) propagates nil
-// *QueryTrace, *Span and *Registry values whose methods are no-ops, so
-// instrumented hot paths pay one pointer comparison and nothing else.
-// Tracing never consumes engine randomness — answers, error bars and
-// diagnostic verdicts are bit-identical with telemetry on or off, and two
-// runs with the same seed produce the same span structure (stages and
-// attributes; only durations vary).
+// Everything is nil-safe: a nil *Tracer (telemetry disabled) and a nil
+// *Registry are no-ops. Nothing in this package runs on the query path
+// before the query finishes, and it consumes no engine randomness — answers,
+// error bars and diagnostic verdicts are bit-identical with telemetry on or
+// off, and two runs with the same seed render the same span structure
+// (stages and attributes; only durations vary).
 package obs
 
 import (
@@ -23,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/work"
 )
 
 // Canonical stage names, matching the paper's Figs. 7–9 pipeline
@@ -37,31 +39,32 @@ const (
 	StageFallback   = "fallback"
 )
 
-// SpanExporter receives finished traces for out-of-process export (see
+// SpanExporter receives finished queries for out-of-process export (see
 // internal/obs/export). Implementations must never block: Finish calls
-// ExportTrace synchronously on the query path, so exporters enqueue into
-// a bounded buffer and drop (metered) on overflow.
+// ExportTrace synchronously on the query path, so exporters enqueue into a
+// bounded buffer, drop (metered) on overflow, and render the record's span
+// tree off the query path.
 type SpanExporter interface {
-	ExportTrace(TraceSnapshot)
+	ExportTrace(*QueryRecord)
 }
 
 // exporterBox wraps the interface so Tracer can hold it in an
 // atomic.Pointer (interfaces are not directly atomically storable).
 type exporterBox struct{ exp SpanExporter }
 
-// Tracer records per-query traces into a bounded ring and aggregates
-// metrics into a Registry. Nil disables everything.
+// Tracer keeps the records of recently finished queries in a bounded ring,
+// renders their span trees when read, and aggregates metrics into a
+// Registry. Nil disables everything.
 type Tracer struct {
 	reg  *Registry
 	ring *traceRing
-	qid  atomic.Uint64
 	exp  atomic.Pointer[exporterBox]
 }
 
 // NewTracer returns a tracer with an empty registry and trace ring.
 func NewTracer(opt Options) *Tracer {
 	return &Tracer{reg: NewRegistry(),
-		ring: &traceRing{buf: make([]TraceSnapshot, opt.ringSize())}}
+		ring: &traceRing{buf: make([]*QueryRecord, opt.ringSize())}}
 }
 
 // Registry returns the tracer's metrics registry (nil for a nil tracer).
@@ -73,40 +76,28 @@ func (t *Tracer) Registry() *Registry {
 }
 
 // SetExporter attaches (or, with nil, detaches) a span exporter; every
-// subsequently finished trace is offered to it after the ring push.
+// subsequently finished query is offered to it after the ring push.
 func (t *Tracer) SetExporter(exp SpanExporter) {
-	if t == nil {
-		return
+	if t != nil {
+		t.exp.Store(&exporterBox{exp: exp})
 	}
-	if exp == nil {
-		t.exp.Store(nil)
-		return
-	}
-	t.exp.Store(&exporterBox{exp: exp})
-}
-
-// StartQuery opens a trace for one query. The returned QueryTrace (nil for
-// a nil tracer) collects top-level stage spans and is published to the
-// ring by Finish.
-func (t *Tracer) StartQuery(sql string) *QueryTrace {
-	if t == nil {
-		return nil
-	}
-	now := time.Now()
-	qt := &QueryTrace{tr: t, id: t.qid.Add(1), sql: sql, start: now}
-	qt.root = &Span{qt: qt, stage: "query", start: now}
-	return qt
 }
 
 // Recent returns the ring's traces ordered newest first: Recent()[0] is
 // the most recently finished query, Recent()[1] the one before it, and so
 // on. The ordering is part of the API contract — /debug/queries, Last and
-// the shell's -explain all rely on it — and is covered by tests.
+// the shell's -explain all rely on it — and is covered by tests. Each trace
+// is rendered from its record here, at read time.
 func (t *Tracer) Recent() []TraceSnapshot {
 	if t == nil {
 		return nil
 	}
-	return t.ring.snapshot()
+	recs := t.ring.snapshot()
+	out := make([]TraceSnapshot, len(recs))
+	for i, r := range recs {
+		out[i] = r.Trace()
+	}
+	return out
 }
 
 // Last returns the most recently finished trace.
@@ -114,279 +105,224 @@ func (t *Tracer) Last() (TraceSnapshot, bool) {
 	if t == nil {
 		return TraceSnapshot{}, false
 	}
-	rs := t.ring.snapshot()
-	if len(rs) == 0 {
+	recs := t.ring.snapshot()
+	if len(recs) == 0 {
 		return TraceSnapshot{}, false
 	}
-	return rs[0], true
+	return recs[0].Trace(), true
 }
 
-// QueryTrace is one query's span tree while it is being recorded.
-type QueryTrace struct {
-	tr    *Tracer
-	id    uint64
-	sql   string
-	start time.Time
-
-	mu        sync.Mutex
-	root      *Span
-	tc        TraceContext
-	queueWait time.Duration
-	done      bool
-	snap      TraceSnapshot
-}
-
-// SetTraceContext binds the query's distributed-trace identity; the IDs
-// land on the finished TraceSnapshot and flow to the event log, history
-// and exporter. A no-op after Finish or for an invalid context.
-func (q *QueryTrace) SetTraceContext(tc TraceContext) {
-	if q == nil || !tc.Valid() {
+// Finish publishes one finished query: its record joins the ring, is
+// offered to the exporter, and is observed into the metrics registry. The
+// record must not change afterwards.
+func (t *Tracer) Finish(rec *QueryRecord) {
+	if t == nil {
 		return
 	}
-	q.mu.Lock()
-	if !q.done {
-		q.tc = tc
+	t.ring.push(rec)
+	if box := t.exp.Load(); box != nil && box.exp != nil {
+		box.exp.ExportTrace(rec)
 	}
-	q.mu.Unlock()
+	t.observe(rec)
 }
 
-// ID returns the tracer-scoped query id (0 for a nil trace).
-func (q *QueryTrace) ID() uint64 {
-	if q == nil {
-		return 0
-	}
-	return q.id
-}
-
-// Root returns the trace's root span; top-level stage spans are its
-// children.
-func (q *QueryTrace) Root() *Span {
-	if q == nil {
-		return nil
-	}
-	return q.root
-}
-
-// Metrics returns the owning tracer's registry (nil-safe).
-func (q *QueryTrace) Metrics() *Registry {
-	if q == nil {
-		return nil
-	}
-	return q.tr.Registry()
-}
-
-// StartSpan opens a top-level stage span.
-func (q *QueryTrace) StartSpan(stage string) *Span {
-	if q == nil {
-		return nil
-	}
-	return q.root.StartSpan(stage)
-}
-
-// SetQueueWait records the time the query spent waiting for an execution
-// slot before StartQuery — the admission layer's queue delay, which is
-// otherwise invisible to the span tree because the trace only opens once
-// the query starts executing.
-func (q *QueryTrace) SetQueueWait(d time.Duration) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	q.queueWait = d
-	q.mu.Unlock()
-}
-
-// Snapshot returns the finished trace. It reports false before Finish.
-func (q *QueryTrace) Snapshot() (TraceSnapshot, bool) {
-	if q == nil {
-		return TraceSnapshot{}, false
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.snap, q.done
-}
-
-// Finish closes the trace: total duration is recorded, the snapshot is
-// pushed into the tracer's ring, and per-stage latency plus query outcome
-// metrics are observed. Finishing twice is a no-op.
-func (q *QueryTrace) Finish(err error) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	if q.done {
-		q.mu.Unlock()
-		return
-	}
-	q.done = true
-	q.root.dur = time.Since(q.start)
-	outcome := Outcome(err)
-	snap := TraceSnapshot{
-		ID:          q.id,
-		SQL:         q.sql,
-		Start:       q.start,
-		TotalMs:     float64(q.root.dur) / float64(time.Millisecond),
-		QueueWaitMs: float64(q.queueWait) / float64(time.Millisecond),
-		Outcome:     outcome,
-	}
-	if q.tc.Valid() {
-		snap.TraceID = q.tc.TraceIDString()
-		snap.SpanID = q.tc.SpanIDString()
-		snap.ParentSpanID = q.tc.ParentString()
-	}
-	if err != nil {
-		snap.Err = err.Error()
-	}
-	for _, c := range q.root.children {
-		snap.Spans = append(snap.Spans, c.snapshotLocked())
-	}
-	q.snap = snap
-	q.mu.Unlock()
-
-	q.tr.ring.push(snap)
-	if box := q.tr.exp.Load(); box != nil {
-		box.exp.ExportTrace(snap)
-	}
-	reg := q.tr.Registry()
+// observe feeds one record into the registry: the query's outcome and
+// latency, each top-level stage's latency, the work counters, the kernel's
+// throughput per bootstrap stage, each diagnostic stage's ξ resamples and
+// verdicts, and each fallback.
+func (t *Tracer) observe(rec *QueryRecord) {
+	reg := t.reg
 	reg.Counter("aqp_queries_total",
-		"Queries answered, by outcome.", "outcome", outcome).Inc()
+		"Queries answered, by outcome.", "outcome", rec.Outcome).Inc()
 	reg.Histogram("aqp_query_duration_seconds",
-		"End-to-end local query latency.", LatencyBuckets).
-		Observe(q.root.dur.Seconds())
-	h := func(stage string) *Histogram {
-		return reg.Histogram("aqp_stage_duration_seconds",
-			"Per-stage local latency (the Figs. 7–9 breakdown).",
-			LatencyBuckets, "stage", stage)
-	}
-	for _, s := range snap.Spans {
-		h(s.Stage).Observe(s.Ms / 1e3)
-	}
-}
-
-// Span is one pipeline stage (or sub-stage) of a trace. Methods are
-// nil-safe; spans must only be mutated by the goroutine driving the query
-// pipeline (the executor's internal fan-out does not touch spans).
-type Span struct {
-	qt       *QueryTrace
-	stage    string
-	start    time.Time
-	dur      time.Duration
-	attrs    []Attr
-	children []*Span
-}
-
-// Attr is one key/value attribute on a span. Values are JSON-encodable
-// scalars (string, int64, float64, bool).
-type Attr struct {
-	Key   string
-	Value any
-}
-
-// StartSpan opens a child span.
-func (s *Span) StartSpan(stage string) *Span {
-	if s == nil {
-		return nil
-	}
-	c := &Span{qt: s.qt, stage: stage, start: time.Now()}
-	s.qt.mu.Lock()
-	s.children = append(s.children, c)
-	s.qt.mu.Unlock()
-	return c
-}
-
-// End fixes the span's duration at time-since-start. Spans accumulated
-// with AddDuration need no End; calling End after AddDuration keeps the
-// accumulated total.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.qt.mu.Lock()
-	if s.dur == 0 {
-		s.dur = time.Since(s.start)
-	}
-	s.qt.mu.Unlock()
-}
-
-// AddDuration accumulates execution time into the span — for stages whose
-// work is fragmented across the per-group/per-aggregate loop (the
-// bootstrap kernel and the diagnostic run once per aggregate).
-func (s *Span) AddDuration(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.qt.mu.Lock()
-	s.dur += d
-	s.qt.mu.Unlock()
-}
-
-// Metrics returns the registry of the tracer owning this span (nil-safe).
-func (s *Span) Metrics() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.qt.Metrics()
-}
-
-// SetAttr sets an attribute, replacing an existing value for the key.
-// Non-finite floats are stored as strings so traces stay JSON-encodable.
-func (s *Span) SetAttr(key string, value any) {
-	if s == nil {
-		return
-	}
-	if f, ok := value.(float64); ok && (math.IsNaN(f) || math.IsInf(f, 0)) {
-		value = formatFloat(f)
-	}
-	s.qt.mu.Lock()
-	defer s.qt.mu.Unlock()
-	for i := range s.attrs {
-		if s.attrs[i].Key == key {
-			s.attrs[i].Value = value
-			return
+		"End-to-end local query latency.", LatencyBuckets).Observe(rec.TotalMs / 1e3)
+	for _, s := range rec.Stages {
+		if !s.Nested {
+			reg.Histogram("aqp_stage_duration_seconds",
+				"Per-stage local latency (the Figs. 7–9 breakdown).",
+				LatencyBuckets, "stage", s.Stage).Observe(s.Ms / 1e3)
 		}
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-}
-
-// AddInt accumulates n into an integer attribute. Zero increments do not
-// create the attribute — counter attrs only appear on spans that did the
-// corresponding work.
-func (s *Span) AddInt(key string, n int64) {
-	if s == nil || n == 0 {
-		return
-	}
-	s.qt.mu.Lock()
-	defer s.qt.mu.Unlock()
-	for i := range s.attrs {
-		if s.attrs[i].Key == key {
-			if v, ok := s.attrs[i].Value.(int64); ok {
-				s.attrs[i].Value = v + n
+		switch s.Stage {
+		case StageBootstrap:
+			if s.Ms > 0 {
+				reg.Histogram("aqp_kernel_rows_per_second",
+					"Multi-resample kernel throughput (resamples × rows / wall time).",
+					ThroughputBuckets).Observe(float64(s.Work.WeightDraws) / (s.Ms / 1e3))
 			}
-			return
+		case StageDiagnostic:
+			reg.Counter("aqp_bootstrap_resamples_total",
+				"Bootstrap resample estimates drawn by ξ.").Add(s.Resamples)
+			const verdicts = "Diagnostic verdicts, by outcome."
+			reg.Counter("aqp_diagnostic_verdicts_total", verdicts, "verdict", "accept").Add(int64(s.Accepted))
+			if len(s.Rejects) > 0 {
+				reg.Counter("aqp_diagnostic_verdicts_total", verdicts, "verdict", "reject").Add(int64(len(s.Rejects)))
+			}
+			for _, cause := range s.Rejects {
+				reg.Counter("aqp_diagnostic_rejects_total",
+					"Diagnostic rejections, by the condition that decided them.", "cause", cause).Inc()
+			}
+		case StageFallback:
+			reg.Counter("aqp_fallbacks_total",
+				"Queries (or aggregates) re-answered exactly after the approximate path failed.",
+				"reason", s.Reason).Inc()
 		}
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: n})
+	observeWork(reg, rec.Work())
 }
 
-// snapshotLocked renders the span subtree; the caller holds qt.mu.
-func (s *Span) snapshotLocked() SpanSnapshot {
-	dur := s.dur
-	if dur == 0 {
-		dur = time.Since(s.start)
+// observeWork adds the work to the engine's work counters.
+func observeWork(reg *Registry, w work.Counters) {
+	reg.Counter("aqp_exec_subqueries_total", "Logical subqueries executed.").Add(int64(w.Subqueries))
+	reg.Counter("aqp_exec_scans_total", "Physical passes over stored samples.").Add(int64(w.Scans))
+	reg.Counter("aqp_exec_rows_scanned_total", "Base-table rows read.").Add(w.RowsScanned)
+	reg.Counter("aqp_exec_bytes_scanned_total", "Base-table bytes read.").Add(w.BytesScanned)
+	reg.Counter("aqp_exec_blocks_skipped_total", "Zone-map blocks pruned from predicate evaluation.").Add(w.BlocksSkipped)
+	reg.Counter("aqp_storage_blocks_skipped_total", "Storage blocks never decoded thanks to zone-map pruning.").Add(w.BlocksSkipped)
+	reg.Counter("aqp_storage_blocks_decoded_total", "Storage blocks decoded from compressed/mmap columns.").Add(w.BlocksDecoded)
+	reg.Counter("aqp_storage_decode_ns_total", "Wall nanoseconds spent decoding storage blocks.").Add(w.DecodeNanos)
+	reg.Counter("aqp_storage_cache_hits_total", "Storage blocks served from the decoded-block cache.").Add(w.CacheHits)
+	reg.Counter("aqp_storage_cache_bytes_total", "Bytes copied out of the decoded-block cache.").Add(w.CacheBytes)
+	reg.Counter("aqp_exec_weight_draws_total", "Poisson resampling weight draws.").Add(w.WeightDraws)
+	reg.Counter("aqp_exec_diag_subqueries_total", "Diagnostic subsample query executions.").Add(int64(w.DiagSubqueries))
+	reg.Counter("aqp_exec_tasks_total", "Parallel tasks launched locally.").Add(int64(w.Tasks))
+}
+
+// Trace renders the record as the span tree every trace reader takes — the
+// ring, /debug/queries, the Chrome trace, FormatTrace and the OTLP exporter:
+// one span per top-level stage, a fallback's plan and scan as its children,
+// and under the last diagnostic stage one "verdict" child per aggregate the
+// diagnostic decided, carrying its evidence. Verdicts are not timed on
+// their own: each starts with its stage and has no duration.
+func (r *QueryRecord) Trace() TraceSnapshot {
+	t := TraceSnapshot{ID: r.QID, SQL: r.SQL, Start: r.Start, TotalMs: r.TotalMs,
+		QueueWaitMs: r.QueueWaitMs, Outcome: r.Outcome, Err: r.Err}
+	if tc := r.TraceContext; tc.Valid() {
+		t.TraceID, t.SpanID, t.ParentSpanID = tc.TraceIDString(), tc.SpanIDString(), tc.ParentString()
 	}
-	out := SpanSnapshot{
-		Stage:   s.stage,
-		StartMs: float64(s.start.Sub(s.qt.start)) / float64(time.Millisecond),
-		Ms:      float64(dur) / float64(time.Millisecond),
-	}
-	if len(s.attrs) > 0 {
-		out.Attrs = make(map[string]any, len(s.attrs))
-		for _, a := range s.attrs {
-			out.Attrs[a.Key] = a.Value
+	lastDiag := -1
+	for i, s := range r.Stages {
+		if s.Stage == StageDiagnostic {
+			lastDiag = i
 		}
 	}
-	for _, c := range s.children {
-		out.Children = append(out.Children, c.snapshotLocked())
+	for i, s := range r.Stages {
+		span := r.span(s, i == lastDiag)
+		if n := len(t.Spans); s.Nested && n > 0 {
+			t.Spans[n-1].Children = append(t.Spans[n-1].Children, span)
+			continue
+		}
+		t.Spans = append(t.Spans, span)
+	}
+	return t
+}
+
+// attrs collects one span's attributes. Counts of zero are left out, so a
+// counter only appears on a span that did the work; non-finite floats become
+// strings, so a trace always encodes as JSON.
+type attrs map[string]any
+
+func (a attrs) count(key string, n int64) {
+	if n != 0 {
+		a[key] = n
+	}
+}
+
+func (a attrs) float(key string, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		a[key] = formatFloat(v)
+		return
+	}
+	a[key] = v
+}
+
+// span renders one stage, with the record's verdicts as its children when
+// verdicts is set.
+func (r *QueryRecord) span(s StageRecord, verdicts bool) SpanSnapshot {
+	out := SpanSnapshot{Stage: s.Stage, StartMs: s.StartMs, Ms: s.Ms}
+	a := attrs{}
+	switch s.Stage {
+	case StageParse:
+		if s.Table != "" {
+			a["table"] = s.Table
+		}
+		a.count("aggregates", int64(s.Aggregates))
+	case StagePlan:
+		if s.SampleRows == 0 {
+			a["mode"] = "exact"
+			break
+		}
+		a["mode"] = "approximate"
+		a.count("sample_rows", int64(s.SampleRows))
+		a.count("bootstrap_k", int64(s.K))
+		a["diagnostics"] = s.Diagnostics
+	case StageBootstrap:
+		a["k"] = int64(s.K)
+		a.count("resamples", s.Resamples)
+	case StageEstimate:
+		a.count("technique_closed-form", int64(s.ClosedForm))
+		a.count("technique_bootstrap", int64(s.Bootstrapped))
+		a.count("technique_none", int64(s.Unbarred))
+		a.float("max_rel_err", s.MaxRelErr)
+	case StageFallback:
+		a["reason"] = s.Reason
+	}
+	w := s.Work
+	a.count("subqueries", int64(w.Subqueries))
+	a.count("scans", int64(w.Scans))
+	a.count("rows_scanned", w.RowsScanned)
+	a.count("bytes_scanned", w.BytesScanned)
+	a.count("rows_after_filter", w.RowsAfterFilter)
+	a.count("blocks_skipped", w.BlocksSkipped)
+	a.count("blocks_decoded", w.BlocksDecoded)
+	a.count("decode_ns", w.DecodeNanos)
+	a.count("cache_hits", w.CacheHits)
+	a.count("cache_bytes", w.CacheBytes)
+	a.count("weight_draws", w.WeightDraws)
+	a.count("diag_subqueries", int64(w.DiagSubqueries))
+	a.count("tasks", int64(w.Tasks))
+	if s.Stage == StageDiagnostic {
+		a.count("accepted", int64(s.Accepted))
+		a.count("rejected", int64(len(s.Rejects)))
+	}
+	if verdicts {
+		out.Children = r.verdicts(s.StartMs)
+	}
+	if len(a) > 0 {
+		out.Attrs = a
+	}
+	return out
+}
+
+// verdicts renders one child per aggregate the diagnostic decided, starting
+// at start.
+func (r *QueryRecord) verdicts(start float64) []SpanSnapshot {
+	var out []SpanSnapshot
+	idx := 0 // the aggregate's position in its group
+	for i, ag := range r.Aggs {
+		if i > 0 && ag.Group == r.Aggs[i-1].Group {
+			idx++
+		} else {
+			idx = 0
+		}
+		if !ag.diagnosed() {
+			continue
+		}
+		a := attrs{"agg": int64(idx), "verdict": "accept"}
+		if ag.Group != "" {
+			a["group"] = ag.Group
+		}
+		if ag.Rejected {
+			a["verdict"], a["cause"], a["reason"] = "reject", ag.Cause, ag.Reason
+		}
+		a.count("subsample_queries", int64(ag.SubsampleQueries))
+		a.count("rungs_run", int64(ag.RungsRun))
+		a.count("decided_after", int64(ag.DecidedAfter))
+		for _, st := range ag.Rungs {
+			a.float(fmt.Sprintf("delta_b%d", st.Size), st.Delta)
+			a.float(fmt.Sprintf("sigma_b%d", st.Size), st.Sigma)
+			a.float(fmt.Sprintf("pi_b%d", st.Size), st.Pi)
+		}
+		out = append(out, SpanSnapshot{Stage: "verdict", StartMs: start, Attrs: a})
 	}
 	return out
 }
@@ -447,35 +383,11 @@ type SpanSnapshot struct {
 // two runs with the same seed must produce equal structures.
 func (t TraceSnapshot) Structure() string {
 	var b strings.Builder
-	b.WriteString(t.SQL)
+	b.WriteString(t.SQL + "\n")
 	for _, s := range t.Spans {
-		s.structure(&b, 1)
+		s.write(&b, 1, false)
 	}
-	return b.String()
-}
-
-func (s SpanSnapshot) structure(b *strings.Builder, depth int) {
-	b.WriteByte('\n')
-	b.WriteString(strings.Repeat("  ", depth))
-	b.WriteString(s.Stage)
-	if len(s.Attrs) > 0 {
-		keys := make([]string, 0, len(s.Attrs))
-		for k := range s.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		b.WriteByte('(')
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(b, "%s=%v", k, s.Attrs[k])
-		}
-		b.WriteByte(')')
-	}
-	for _, c := range s.Children {
-		c.structure(b, depth+1)
-	}
+	return strings.TrimSuffix(b.String(), "\n")
 }
 
 // FormatTrace renders a human-readable span tree (the aqpshell -explain
@@ -495,52 +407,69 @@ func FormatTrace(t TraceSnapshot) string {
 	}
 	b.WriteByte('\n')
 	for _, s := range t.Spans {
-		s.format(&b, 1)
+		s.write(&b, 1, true)
 	}
 	return b.String()
 }
 
-func (s SpanSnapshot) format(b *strings.Builder, depth int) {
-	fmt.Fprintf(b, "%s%-18s %9.3fms", strings.Repeat("  ", depth), s.Stage, s.Ms)
-	if len(s.Attrs) > 0 {
-		keys := make([]string, 0, len(s.Attrs))
-		for k := range s.Attrs {
-			keys = append(keys, k)
+// write renders the span subtree one line per span: its stage, its duration
+// when timed, and its attributes sorted by key — as (k=v,...) untimed, as
+// "  k=v" pairs timed.
+func (s SpanSnapshot) write(b *strings.Builder, depth int, timed bool) {
+	b.WriteString(strings.Repeat("  ", depth))
+	if timed {
+		fmt.Fprintf(b, "%-18s %9.3fms", s.Stage, s.Ms)
+	} else {
+		b.WriteString(s.Stage)
+	}
+	keys := make([]string, 0, len(s.Attrs))
+	for k := range s.Attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for i, k := range keys {
+		switch {
+		case timed:
+			b.WriteString("  ")
+		case i == 0:
+			b.WriteByte('(')
+		default:
+			b.WriteByte(',')
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(b, "  %s=%v", k, s.Attrs[k])
-		}
+		fmt.Fprintf(b, "%s=%v", k, s.Attrs[k])
+	}
+	if !timed && len(keys) > 0 {
+		b.WriteByte(')')
 	}
 	b.WriteByte('\n')
 	for _, c := range s.Children {
-		c.format(b, depth+1)
+		c.write(b, depth+1, timed)
 	}
 }
 
-// traceRing is a bounded ring of finished traces.
+// traceRing is a bounded ring of finished query records.
 type traceRing struct {
 	mu   sync.Mutex
-	buf  []TraceSnapshot
+	buf  []*QueryRecord
 	next int
 	n    int
 }
 
-func (r *traceRing) push(t TraceSnapshot) {
+func (r *traceRing) push(rec *QueryRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.buf[r.next] = t
+	r.buf[r.next] = rec
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
 		r.n++
 	}
 }
 
-// snapshot returns the retained traces, newest first.
-func (r *traceRing) snapshot() []TraceSnapshot {
+// snapshot returns the retained records, newest first.
+func (r *traceRing) snapshot() []*QueryRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]TraceSnapshot, 0, r.n)
+	out := make([]*QueryRecord, 0, r.n)
 	for i := 1; i <= r.n; i++ {
 		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
 	}

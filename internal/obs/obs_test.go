@@ -1,35 +1,27 @@
 package obs
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"repro/internal/work"
 )
 
 // TestNilSafety exercises every exported method through nil receivers: a
-// disabled tracer must propagate no-ops through arbitrarily deep chains.
+// disabled tracer and its nil registry are no-ops.
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	if tr.Registry() != nil {
 		t.Fatal("nil tracer should return nil registry")
 	}
-	qt := tr.StartQuery("SELECT 1")
-	if qt != nil {
-		t.Fatal("nil tracer should return nil query trace")
-	}
-	s := qt.Root().StartSpan("scan").StartSpan("child")
-	s.SetAttr("k", 1)
-	s.AddInt("rows", 10)
-	s.AddDuration(time.Millisecond)
-	s.End()
-	s.Metrics().Counter("c", "h").Add(3)
-	s.Metrics().Histogram("hh", "h", LatencyBuckets).Observe(1)
-	qt.Finish(nil)
+	tr.Registry().Counter("c", "h").Add(3)
+	tr.Registry().Histogram("hh", "h", LatencyBuckets).Observe(1)
+	tr.SetExporter(nil)
+	tr.Finish(&QueryRecord{SQL: "SELECT 1", Stages: []StageRecord{{Stage: StageScan}}})
 	if _, ok := tr.Last(); ok {
 		t.Fatal("nil tracer should have no traces")
 	}
@@ -167,9 +159,8 @@ func TestConcurrentMetrics(t *testing.T) {
 func TestTraceRingBound(t *testing.T) {
 	tr := NewTracer(Options{RingSize: 3})
 	for i := 0; i < 5; i++ {
-		qt := tr.StartQuery(fmt.Sprintf("q%d", i))
-		qt.StartSpan(StageScan).End()
-		qt.Finish(nil)
+		tr.Finish(&QueryRecord{QID: uint64(i + 1), SQL: fmt.Sprintf("q%d", i), Outcome: "ok",
+			Stages: []StageRecord{{Stage: StageScan}}})
 	}
 	recent := tr.Recent()
 	if len(recent) != 3 {
@@ -186,76 +177,121 @@ func TestTraceRingBound(t *testing.T) {
 	}
 }
 
+// TestSpanAttrsAndStructure: a record renders as stage spans whose
+// attributes are its typed fields — zero counts left out, non-finite floats
+// as strings — with a fallback's plan and scan as its children and the
+// verdicts, with their per-rung evidence, under the last diagnostic stage.
 func TestSpanAttrsAndStructure(t *testing.T) {
-	mk := func() TraceSnapshot {
-		tr := NewTracer(Options{})
-		qt := tr.StartQuery("SELECT AVG(x) FROM t")
-		s := qt.StartSpan(StageScan)
-		s.AddInt("rows_scanned", 100)
-		s.AddInt("rows_scanned", 50)
-		s.AddInt("zero", 0) // must not create the attribute
-		s.SetAttr("rel_err", math.NaN())
-		c := s.StartSpan("part")
-		c.SetAttr("idx", 1)
-		c.End()
-		s.End()
-		qt.Finish(nil)
-		last, _ := tr.Last()
-		return last
+	rec := &QueryRecord{SQL: "SELECT AVG(x) FROM t", Outcome: "ok",
+		Stages: []StageRecord{
+			{Stage: StageParse, Table: "t", Aggregates: 1},
+			{Stage: StagePlan, SampleRows: 6400, Diagnostics: true},
+			{Stage: StageScan, StartMs: 1, Ms: 2, Work: work.Counters{RowsScanned: 150, Scans: 1}},
+			{Stage: StageDiagnostic, StartMs: 3, Work: work.Counters{DiagSubqueries: 400}, Rejects: []string{"delta"}},
+			{Stage: StageEstimate, ClosedForm: 1, MaxRelErr: math.NaN()},
+			{Stage: StageFallback, Reason: "diagnostic rejected"},
+			{Stage: StagePlan, Nested: true},
+			{Stage: StageScan, Nested: true, Work: work.Counters{RowsScanned: 1000}},
+		},
+		Aggs: []AggRecord{{Name: "avg", Rejected: true, Cause: "delta", Reason: "Δ grew",
+			RungsRun: 2, DecidedAfter: 100, SubsampleQueries: 400,
+			Rungs: []Rung{{Size: 20, Delta: 0.5, Sigma: 0.1, Pi: 1}, {Size: 40, Delta: math.Inf(1), Sigma: 0.1, Pi: 1}}}},
 	}
-	snap := mk()
-	scan := snap.Spans[0]
+	snap := rec.Trace()
+	if len(snap.Spans) != 6 {
+		t.Fatalf("%d top-level spans, want 6: %s", len(snap.Spans), snap.Structure())
+	}
+	scan := snap.Spans[2]
 	if scan.Attrs["rows_scanned"] != int64(150) {
-		t.Fatalf("AddInt accumulation = %v, want 150", scan.Attrs["rows_scanned"])
+		t.Fatalf("rows_scanned = %v, want 150", scan.Attrs["rows_scanned"])
 	}
-	if _, ok := scan.Attrs["zero"]; ok {
-		t.Fatal("zero AddInt must not create an attribute")
+	if _, ok := scan.Attrs["blocks_decoded"]; ok {
+		t.Fatal("a zero counter must not become an attribute")
 	}
-	if scan.Attrs["rel_err"] != "NaN" {
-		t.Fatalf("NaN attr = %v (%T), want JSON-safe string", scan.Attrs["rel_err"], scan.Attrs["rel_err"])
+	if got := snap.Spans[4].Attrs["max_rel_err"]; got != "NaN" {
+		t.Fatalf("NaN attr = %v (%T), want JSON-safe string", got, got)
 	}
-	if len(scan.Children) != 1 || scan.Children[0].Stage != "part" {
-		t.Fatalf("child span lost: %+v", scan.Children)
+	fb := snap.Spans[5]
+	if len(fb.Children) != 2 || fb.Children[0].Stage != StagePlan || fb.Children[1].Stage != StageScan {
+		t.Fatalf("fallback children = %+v", fb.Children)
 	}
-	// Structure is timing-independent: two identical runs agree.
-	if a, b := mk().Structure(), mk().Structure(); a != b {
+	diag := snap.Spans[3]
+	if len(diag.Children) != 1 || diag.Attrs["rejected"] != int64(1) {
+		t.Fatalf("diagnostic span = %+v", diag)
+	}
+	if v := diag.Children[0].Attrs; v["delta_b40"] != "+Inf" || v["pi_b20"] != float64(1) || v["cause"] != "delta" {
+		t.Fatalf("verdict attrs = %v", v)
+	}
+	// Structure is timing-independent: a re-timed record renders the same.
+	retimed := *rec
+	retimed.Stages = append([]StageRecord(nil), rec.Stages...)
+	retimed.Stages[2].Ms = 99
+	if a, b := snap.Structure(), retimed.Trace().Structure(); a != b {
 		t.Fatalf("structures differ:\n%s\nvs\n%s", a, b)
 	}
-	if !strings.Contains(snap.Structure(), "scan(rel_err=NaN,rows_scanned=150)") {
+	if !strings.Contains(snap.Structure(), "scan(rows_scanned=150,scans=1)") {
 		t.Fatalf("structure missing attrs: %s", snap.Structure())
 	}
 }
 
+// TestFinishRecordsMetricsAndOutcome: Finish observes the record once —
+// outcome, stage latency, work, fallbacks and every diagnostic stage's
+// verdicts, a run an escalation moved on from included — and keeps it in the
+// ring with its failure text.
 func TestFinishRecordsMetricsAndOutcome(t *testing.T) {
 	tr := NewTracer(Options{})
-	qt := tr.StartQuery("boom")
-	qt.StartSpan(StageParse).End()
-	qt.Finish(errors.New("parse failed"))
-	qt.Finish(errors.New("twice")) // idempotent
+	tr.Finish(&QueryRecord{QID: 1, SQL: "boom", Outcome: "error", Err: "parse failed",
+		Stages: []StageRecord{{Stage: StageParse}}})
+	tr.Finish(&QueryRecord{QID: 2, SQL: "SELECT MAX(x) FROM t", Outcome: "ok",
+		Stages: []StageRecord{
+			{Stage: StageDiagnostic, Resamples: 60, Accepted: 2},
+			{Stage: StageScan, Work: work.Counters{RowsScanned: 100}},
+			{Stage: StageDiagnostic, Resamples: 40, Accepted: 1, Rejects: []string{"pi"}},
+			{Stage: StageBootstrap, Ms: 1, Work: work.Counters{WeightDraws: 1000}},
+			{Stage: StageFallback, Reason: "diagnostic rejected"},
+			{Stage: StageScan, Nested: true, Work: work.Counters{RowsScanned: 1000}},
+		},
+		Aggs: []AggRecord{{Rejected: true, Cause: "pi"}, {RungsRun: 3}, {}}})
 
-	if got := tr.Registry().Counter("aqp_queries_total", "", "outcome", "error").Value(); got != 1 {
-		t.Fatalf("error outcome counter = %d, want 1", got)
+	reg := tr.Registry()
+	for _, c := range []struct {
+		name   string
+		labels []string
+		want   int64
+	}{
+		{"aqp_queries_total", []string{"outcome", "error"}, 1},
+		{"aqp_queries_total", []string{"outcome", "ok"}, 1},
+		{"aqp_exec_rows_scanned_total", nil, 1100},
+		{"aqp_bootstrap_resamples_total", nil, 100},
+		{"aqp_fallbacks_total", []string{"reason", "diagnostic rejected"}, 1},
+		{"aqp_diagnostic_verdicts_total", []string{"verdict", "accept"}, 3},
+		{"aqp_diagnostic_verdicts_total", []string{"verdict", "reject"}, 1},
+		{"aqp_diagnostic_rejects_total", []string{"cause", "pi"}, 1},
+	} {
+		if got := reg.Counter(c.name, "", c.labels...).Value(); got != c.want {
+			t.Errorf("%s%v = %d, want %d", c.name, c.labels, got, c.want)
+		}
 	}
-	if got := tr.Registry().Histogram("aqp_stage_duration_seconds", "",
-		LatencyBuckets, "stage", StageParse).Count(); got != 1 {
-		t.Fatalf("stage histogram count = %d, want 1", got)
+	stage := func(s string) int64 {
+		return reg.Histogram("aqp_stage_duration_seconds", "", LatencyBuckets, "stage", s).Count()
 	}
-	last, _ := tr.Last()
-	if last.Err != "parse failed" {
-		t.Fatalf("trace error = %q", last.Err)
+	if stage(StageParse) != 1 || stage(StageScan) != 1 {
+		t.Errorf("stage histogram counts parse %d, scan %d; want 1 each (a nested scan is not a stage)",
+			stage(StageParse), stage(StageScan))
 	}
-	if len(tr.Recent()) != 1 {
-		t.Fatal("double Finish must record the trace once")
+	if got := reg.Histogram("aqp_kernel_rows_per_second", "", ThroughputBuckets).Count(); got != 1 {
+		t.Errorf("kernel throughput observed %d times, want once per bootstrap stage", got)
+	}
+	last := tr.Recent()[1]
+	if last.Err != "parse failed" || last.ID != 1 {
+		t.Fatalf("failed trace = %+v", last)
 	}
 }
 
 func TestFormatTrace(t *testing.T) {
 	tr := NewTracer(Options{})
-	qt := tr.StartQuery("SELECT 1")
-	s := qt.StartSpan(StageScan)
-	s.AddInt("rows_scanned", 10)
-	s.End()
-	qt.Finish(nil)
+	tr.Finish(&QueryRecord{SQL: "SELECT 1", Outcome: "ok",
+		Stages: []StageRecord{{Stage: StageScan, Work: work.Counters{RowsScanned: 10}}}})
 	last, _ := tr.Last()
 	out := FormatTrace(last)
 	if !strings.Contains(out, "scan") || !strings.Contains(out, "rows_scanned=10") {

@@ -1,35 +1,48 @@
 package obs
 
-// QueryRecord is one finished query's outcome, built once by the engine
-// and handed unchanged to every per-query sink: the event log renders it as
-// a JSON line (EventLog.Emit), the durable history frames it
+import (
+	"time"
+
+	"repro/internal/work"
+)
+
+// QueryRecord is one finished query's outcome, built once by the engine,
+// tracer or not, and handed unchanged to every per-query sink: the tracer
+// keeps it and renders its span tree (Tracer.Finish), the event log writes it
+// as a JSON line (EventLog.Emit), the durable history frames it
 // (history.Store.AppendQuery) and the calibration watchdog windows and
-// audits it (watchdog.Observe). Sinks read it and never write to it — the
-// watchdog may hold it until a background audit completes.
+// audits it (watchdog.Observe). Sinks never write to it — the watchdog may
+// hold it until a background audit completes.
 //
-// The JSON tags are the history's on-disk schema. Fields tagged "-" are the
-// event log's view of the physical work and the failure text; they never
+// The JSON tags are the history's on-disk schema. Fields tagged "-" never
 // reach a history frame.
 type QueryRecord struct {
 	// Kind is the event-log record kind: "query" (the default) or "audit",
 	// the line an exact audit re-execution emits about the query it
 	// audited. The history carries its kind on the frame instead.
 	Kind string `json:"-"`
-	QID  uint64 `json:"qid"`
-	// TraceID is the query's distributed-trace id (32 hex chars, "" when
-	// none was minted) — the join key back to the span ring, event log,
-	// audits and any exported OTLP spans.
-	TraceID   string `json:"trace_id,omitempty"`
-	SQL       string `json:"sql"`
-	Table     string `json:"table,omitempty"`
-	Sample    string `json:"sample,omitempty"`    // sample row count, or "exact"
-	Predicate string `json:"predicate,omitempty"` // canonical predicate signature
-	Outcome   string `json:"outcome"`             // "ok" | "cancelled" | "error"
+	// QID is the engine's id for the query, the qN its errors carry.
+	QID uint64 `json:"qid"`
+	// TraceID is the query's distributed-trace id (32 hex chars) — the join
+	// key back to the span ring, event log, audits and any exported OTLP
+	// spans. TraceContext is the whole identity, spans included.
+	TraceID      string       `json:"trace_id,omitempty"`
+	TraceContext TraceContext `json:"-"`
+	// Start is when the engine took the query: stages start from it.
+	Start     time.Time `json:"-"`
+	SQL       string    `json:"sql"`
+	Table     string    `json:"table,omitempty"`
+	Sample    string    `json:"sample,omitempty"`    // sample row count, or "exact"
+	Predicate string    `json:"predicate,omitempty"` // canonical predicate signature
+	Outcome   string    `json:"outcome"`             // "ok" | "cancelled" | "error"
 	// Err is the failure message of a query whose Outcome is not "ok".
-	Err         string             `json:"-"`
-	TotalMs     float64            `json:"total_ms"`
-	QueueWaitMs float64            `json:"queue_wait_ms,omitempty"`
-	StagesMs    map[string]float64 `json:"stages_ms,omitempty"`
+	Err         string  `json:"-"`
+	TotalMs     float64 `json:"total_ms"`
+	QueueWaitMs float64 `json:"queue_wait_ms,omitempty"`
+	// Stages are the stages the query ran, in the order they began.
+	// StagesMs sums the top-level ones' durations by stage name.
+	Stages   []StageRecord      `json:"-"`
+	StagesMs map[string]float64 `json:"stages_ms,omitempty"`
 	// Selectivity is rows passing the predicate over rows inspected
 	// (-1 when the query scanned nothing).
 	Selectivity float64 `json:"selectivity"`
@@ -47,17 +60,53 @@ type QueryRecord struct {
 	SampleRows int `json:"-"`
 	// Cached marks an answer replayed from the answer cache — no scan,
 	// decode, or resampling happened for this record.
-	Cached bool `json:"-"`
-	// BlocksSkipped counts zone-map blocks the scan pruned; BlocksDecoded
-	// the compressed blocks it decoded, in DecodeNs; CacheHits the decoded
-	// blocks served from the block cache, CacheBytes the decoded bytes
-	// those hits saved.
-	BlocksSkipped int64       `json:"-"`
-	BlocksDecoded int64       `json:"-"`
-	DecodeNs      int64       `json:"-"`
-	CacheHits     int64       `json:"-"`
-	CacheBytes    int64       `json:"-"`
-	Aggs          []AggRecord `json:"aggs,omitempty"`
+	Cached bool        `json:"-"`
+	Aggs   []AggRecord `json:"aggs,omitempty"`
+}
+
+// Work sums the physical work of every stage: the answer's counters.
+func (r *QueryRecord) Work() work.Counters {
+	var w work.Counters
+	for _, s := range r.Stages {
+		w.Add(s.Work)
+	}
+	return w
+}
+
+// StageRecord is one stage of a query: when it began after the query's
+// start, how long it ran, the work it did and what it decided. The
+// diagnostic and the bootstrap kernel, spread over the (group, aggregate)
+// loop, begin with their first piece and run for the sum of their pieces.
+// Detail fields are zero on the stages they do not describe.
+type StageRecord struct {
+	// Stage is one of the Stage* names.
+	Stage string
+	// Nested marks a fallback's exact plan and scan: they belong to the
+	// fallback stage before them.
+	Nested  bool
+	StartMs float64
+	Ms      float64
+	Work    work.Counters
+	// Parse: the table queried and the number of aggregates.
+	Table      string
+	Aggregates int
+	// Plan: the sample's rows (0 for an exact plan), the bootstrap replicate
+	// count and whether the diagnostic runs. Bootstrap: the replicate count.
+	SampleRows  int
+	K           int
+	Diagnostics bool
+	// Resamples counts the resample estimates the stage drew: the bootstrap
+	// kernel's, or the diagnostic's bootstrap ξ's.
+	Resamples int64
+	// Diagnostic: its accepts, and the cause of each of its rejections.
+	Accepted int
+	Rejects  []string
+	// Estimate: the error bars served by each technique, and the largest
+	// relative error.
+	ClosedForm, Bootstrapped, Unbarred int
+	MaxRelErr                          float64
+	// Fallback: why the query was re-answered exactly.
+	Reason string
 }
 
 // AggRecord is one aggregate output's outcome inside a QueryRecord. The
@@ -89,9 +138,27 @@ type AggRecord struct {
 	// it had evaluated (0 when no diagnostic ran).
 	RungsRun     int `json:"rungs_run,omitempty"`
 	DecidedAfter int `json:"decided_after,omitempty"`
+	// Reason, SubsampleQueries and Rungs are the rest of the diagnostic's
+	// evidence: the rejection's explanation, Algorithm 1's cost in subsample
+	// queries, and the sizes it completed, smallest first.
+	Reason           string `json:"-"`
+	SubsampleQueries int    `json:"-"`
+	Rungs            []Rung `json:"-"`
 	// Exact marks an answer computed on the full dataset (fallback or
 	// exact execution); its interval covers trivially.
 	Exact bool `json:"exact,omitempty"`
+}
+
+// diagnosed reports whether the diagnostic reached a verdict on the
+// aggregate: a reject, or an accept, which runs every rung.
+func (a AggRecord) diagnosed() bool { return a.Rejected || a.RungsRun > 0 }
+
+// Rung is one completed size of the diagnostic's ladder: Algorithm 1's
+// subsample size b, the true half-width x, and Δ, σ and π at that size.
+type Rung struct {
+	Size             int
+	TrueHalfWidth    float64
+	Delta, Sigma, Pi float64
 }
 
 // Lo returns the interval's lower endpoint.

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -61,7 +62,7 @@ func TestBatchedSubmitMatchesDirect(t *testing.T) {
 		for gi := range want[i].Groups {
 			for ai := range want[i].Groups[gi].Aggs {
 				g, w := got[i].Groups[gi].Aggs[ai], want[i].Groups[gi].Aggs[ai]
-				if g != w {
+				if !reflect.DeepEqual(g, w) {
 					t.Errorf("%q: agg %d:\n  got  %+v\n  want %+v", queries[i], ai, g, w)
 				}
 			}
