@@ -18,12 +18,12 @@ type skipKey struct {
 }
 
 type skipEntry struct {
-	skip    []bool
-	skipped int64
+	skip, covered []bool
+	skipped       int64
 }
 
 // selKey identifies a selectivity observation: storage identity plus the
-// literal-normalized predicate signature from internal/obs/history, so
+// literal-normalized predicate signature (sql.PredicateSignature), so
 // repeated query *shapes* (same structure, different literals) share one
 // estimate for planning hints.
 type selKey struct {
@@ -76,40 +76,41 @@ func NewPredMemo(reg *obs.Registry) *PredMemo {
 	return m
 }
 
-// Lookup returns a memoized zone-map skip list for (store, exact
-// predicate text), promoting it on its first hit, or ok=false when the
-// analyzer walk must run. The returned slice is shared read-only.
-func (m *PredMemo) Lookup(store any, pred string) (skip []bool, skipped int64, ok bool) {
+// Lookup returns the memoized zone-map skip and covered lists for (store,
+// exact predicate text), promoting them on their first hit, or ok=false
+// when the analyzer walk must run. The returned slices are shared
+// read-only.
+func (m *PredMemo) Lookup(store any, pred string) (skip, covered []bool, skipped int64, ok bool) {
 	if m == nil {
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	m.mu.Lock()
 	it := m.skips.get(skipKey{store, pred})
 	if it != nil {
 		m.skips.hit(it)
-		skip, skipped = it.val.skip, it.val.skipped
+		skip, covered, skipped = it.val.skip, it.val.covered, it.val.skipped
 	}
 	m.mu.Unlock()
 	if it != nil {
 		m.hits.Add(1)
 		m.mHits.Inc()
-		return skip, skipped, true
+		return skip, covered, skipped, true
 	}
 	m.misses.Add(1)
 	m.mMisses.Inc()
-	return nil, 0, false
+	return nil, nil, 0, false
 }
 
-// Store memoizes a freshly computed skip list as a probationary entry. A
-// nil skip list (nothing skippable, or zones absent) is memoized too —
-// recomputing "nothing to skip" is exactly the walk this layer exists to
-// avoid.
-func (m *PredMemo) Store(store any, pred string, skip []bool, skipped int64) {
+// Store memoizes freshly computed skip and covered lists as a probationary
+// entry. Nil lists (nothing skippable or covered, or zones absent) are
+// memoized too — recomputing "nothing to skip" is exactly the walk this
+// layer exists to avoid.
+func (m *PredMemo) Store(store any, pred string, skip, covered []bool, skipped int64) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	m.skips.put(skipKey{store, pred}, skipEntry{skip: skip, skipped: skipped})
+	m.skips.put(skipKey{store, pred}, skipEntry{skip: skip, covered: covered, skipped: skipped})
 	m.mu.Unlock()
 }
 

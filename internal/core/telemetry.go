@@ -8,8 +8,8 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/obs/history"
 	"repro/internal/plan"
+	"repro/internal/sql"
 	"repro/internal/watchdog"
 )
 
@@ -86,7 +86,7 @@ func outcomeRecord(q *request, ans *Answer, err error) *obs.QueryRecord {
 		def = ans.Plan.Def
 		rec.KBudget = ans.Plan.Opt.BootstrapK
 		rec.Table = def.Table
-		rec.Predicate = history.PredicateSignature(def.Where)
+		rec.Predicate = sql.PredicateSignature(def.Where)
 	}
 	aggs, rungs := 0, 0
 	for _, g := range ans.Groups {

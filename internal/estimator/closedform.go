@@ -3,6 +3,7 @@ package estimator
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -48,9 +49,27 @@ func (cf ClosedForm) Interval(_ *rng.Source, values []float64, q Query, alpha fl
 func critValue(alpha, df float64, useT bool) float64 {
 	p := 0.5 + alpha/2
 	if useT && df >= 1 {
-		return stats.StudentTQuantile(p, df)
+		return studentTCrit(p, df)
 	}
 	return stats.StdNormalQuantile(p)
+}
+
+// critMemo remembers recent Student-t critical values, direct-mapped by df.
+// The diagnostic asks for one per ξ interval — hundreds per diagnosed
+// aggregate — yet only for the few df of its subsample ladder; each is the
+// same stats.StudentTQuantile bits, computed once while its slot holds it.
+var critMemo [64]atomic.Pointer[critEntry]
+
+type critEntry struct{ p, df, v float64 }
+
+func studentTCrit(p, df float64) float64 {
+	slot := &critMemo[uint64(df)%uint64(len(critMemo))]
+	if e := slot.Load(); e != nil && e.p == p && e.df == df {
+		return e.v
+	}
+	v := stats.StudentTQuantile(p, df)
+	slot.Store(&critEntry{p: p, df: df, v: v})
+	return v
 }
 
 // closedFormEstimate returns θ(S) and σ̂, the estimated standard deviation of

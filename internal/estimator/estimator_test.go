@@ -837,3 +837,33 @@ func TestChernoffDegenerateFallsBack(t *testing.T) {
 func paperEvalConfig(sampleSize int) EvalConfig {
 	return EvalConfig{SampleSize: sampleSize, Trials: 100, TruthP: 100, Alpha: 0.95, DeltaTol: 0.2, FailFrac: 0.05}
 }
+
+// TestCritValueMemo: the memoized Student-t critical value has the bits of
+// stats.StudentTQuantile for every (df, level), across slot collisions (df
+// 1 and 65 share a slot) and from concurrent callers.
+func TestCritValueMemo(t *testing.T) {
+	levels := []float64{0.9, 0.95, 0.99}
+	done := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for round := 0; round < 3; round++ {
+				for df := 1.0; df <= 200; df++ {
+					for _, a := range levels {
+						want := stats.StudentTQuantile(0.5+a/2, df)
+						if got := critValue(a, df, true); math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("df=%v alpha=%v: %v, want %v", df, a, got, want)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		<-done
+	}
+	if got, want := critValue(0.95, 0.5, true), stats.StdNormalQuantile(0.975); got != want {
+		t.Errorf("df < 1 takes the normal quantile: %v, want %v", got, want)
+	}
+}

@@ -26,9 +26,18 @@ import (
 //
 // Rows are folded in row order, the order the materializing path hands a
 // group's values to Query.Eval, and the sinks perform the same operations
-// (Moments.Add, sum += v), so answers are bit-identical to it on every
-// backing. The scan runs on the calling goroutine: Config.Workers does not
-// apply, so there is nothing for it to vary.
+// (Moments.Add, sum += v, and for an input only MIN and MAX read, the
+// compare-only fold of estimator.extreme), so answers are bit-identical to
+// it on every backing. The scan runs on the calling goroutine:
+// Config.Workers does not apply, so there is nothing for it to vary.
+//
+// On a block the predicate covers (zonemap.go) the predicate is not
+// evaluated. An ungrouped query whose aggregates are all MIN, MAX and COUNT
+// goes further: a covered block whose inputs' envelopes are its own rows'
+// extrema folds those envelopes and its row count, and decodes nothing.
+// Folding an envelope is folding its block's rows: each was folded from the
+// block's first row by the same strict comparisons, which are associative
+// once NaN is excluded — and a NaN envelope is never folded.
 //
 // The operator reads past the decoded-block cache (Config.Blocks): its
 // blocks are read once, and admitting them would evict the sample blocks
@@ -42,10 +51,10 @@ func isExact(p *plan.Plan, st *StoredTable) bool {
 
 // exactInput is one distinct aggregate input expression and the sink kinds
 // the aggregates reading it need. udf marks a vector a UDF reads, which must
-// reach it in row order.
+// reach it in row order. extreme marks an input MIN or MAX reads.
 type exactInput struct {
-	expr                   sql.Expr
-	sum, moments, vec, udf bool
+	expr                            sql.Expr
+	sum, moments, extreme, vec, udf bool
 }
 
 // inputSink is one (group, input) accumulator; only the members the input's
@@ -53,8 +62,33 @@ type exactInput struct {
 type inputSink struct {
 	sum    float64
 	m      stats.Moments
+	ext    extremes
 	vec    []float64
 	sorted bool
+}
+
+// extremes is a compare-only MIN/MAX fold with the semantics of
+// estimator.extreme and of Moments' min and max: the first value seeds both
+// ends, and a later one replaces an end only when strictly beyond it. So a
+// NaN counts only when it comes first, and of -0 and +0 the first one seen
+// stays.
+type extremes struct {
+	lo, hi float64
+	seen   bool
+}
+
+// add folds a block's envelope [lo, hi], or a single value as [x, x].
+func (e *extremes) add(lo, hi float64) {
+	if !e.seen {
+		e.lo, e.hi, e.seen = lo, hi, true
+		return
+	}
+	if lo < e.lo {
+		e.lo = lo
+	}
+	if hi > e.hi {
+		e.hi = hi
+	}
 }
 
 type exactGroup struct {
@@ -77,6 +111,14 @@ type exactScan struct {
 	// predicate, so that its one decode serves both.
 	key       *keyReader
 	keyInPred bool
+
+	// covered marks the admitted blocks the predicate holds on throughout
+	// (nil: none; with no predicate, every block). envCols, when non-nil,
+	// is each input's column, for a query a covered block can answer from
+	// its envelopes: ungrouped, all MIN, MAX and COUNT, each input a bare
+	// numeric column with zones.
+	covered []bool
+	envCols []int
 
 	groups []exactGroup
 	// rowPos/rowGroup list the current block's surviving rows and their
@@ -106,7 +148,7 @@ func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Reg
 	var c Counters
 	if def.Where != nil {
 		s.pred = def.Where
-		skip, c.BlocksSkipped = zoneSkip(cfg.Preds, tbl, s.pred)
+		skip, s.covered, c.BlocksSkipped = zoneSkip(cfg.Preds, tbl, s.pred)
 	}
 	if err := s.plan(def.Aggs); err != nil {
 		return nil, fmt.Errorf("exec: scan of table %q: %w", def.Table, err)
@@ -114,6 +156,7 @@ func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Reg
 	if err := s.planKey(def.GroupBy); err != nil {
 		return nil, fmt.Errorf("exec: grouping on table %q: %w", def.Table, err)
 	}
+	s.planEnvelopes(def.Aggs)
 	queries, err := queriesFor(def, st, udfs)
 	if err != nil {
 		return nil, err
@@ -187,6 +230,8 @@ func (s *exactScan) plan(aggs []plan.AggSpec) error {
 		switch spec.Kind {
 		case estimator.Sum:
 			s.inputs[ii].sum = true
+		case estimator.Min, estimator.Max:
+			s.inputs[ii].extreme = true
 		case estimator.Percentile:
 			s.inputs[ii].vec = true
 		case estimator.UDF:
@@ -224,6 +269,61 @@ func (s *exactScan) planKey(groupBy []string) error {
 	}
 	s.key = key
 	return nil
+}
+
+// planEnvelopes sets envCols when a covered block can answer the query from
+// its envelopes: ungrouped, every aggregate MIN, MAX or COUNT, and every
+// input a bare column with zone envelopes.
+func (s *exactScan) planEnvelopes(aggs []plan.AggSpec) {
+	z := s.tbl.Zones()
+	if s.key != nil || z == nil {
+		return
+	}
+	for _, spec := range aggs {
+		if spec.Kind != estimator.Min && spec.Kind != estimator.Max && spec.Kind != estimator.Count {
+			return
+		}
+	}
+	cols := make([]int, len(s.inputs))
+	for ii, in := range s.inputs {
+		ref, ok := in.expr.(*sql.ColumnRef)
+		if !ok {
+			return
+		}
+		cols[ii] = s.tbl.Schema().Index(ref.Name)
+		if _, ok := z.Column(cols[ii]); !ok {
+			return
+		}
+	}
+	s.envCols = cols
+}
+
+// foldEnvelopes folds the n rows of covered block b into the ungrouped
+// group from the inputs' envelopes, and reports false, folding nothing,
+// when some envelope cannot stand for its rows: not the block's own (a
+// view's wide last block), NaN, or int64 values past ±2^53.
+func (s *exactScan) foldEnvelopes(b, n int) bool {
+	z := s.tbl.Zones()
+	if !z.Exact(b) {
+		return false
+	}
+	for _, ci := range s.envCols {
+		cz, _ := z.Column(ci)
+		mn, mx := cz.Mins[b], cz.Maxs[b]
+		// A NaN the envelope hides is harmless here: the envelope's fold,
+		// like the row fold, skipped every NaN but a leading one, and that
+		// one the envelope shows.
+		if math.IsNaN(mn) || math.IsNaN(mx) || s.tbl.Column(ci).Type() == table.Int64 && !exactInts(mn, mx) {
+			return false
+		}
+	}
+	g := &s.groups[0]
+	g.rows += int64(n)
+	for ii, ci := range s.envCols {
+		cz, _ := z.Column(ci)
+		g.sinks[ii].ext.add(cz.Mins[b], cz.Maxs[b])
+	}
+	return true
 }
 
 // reserveVectors sizes every vector sink once, before the folding walk.
@@ -283,7 +383,11 @@ func (s *exactScan) scan(ctx context.Context, skip []bool, counting bool) (decod
 	be := blockEval{vals: make([]value, len(s.inputs))}
 	be.sc = scratch{m: &be.meter, memo: make([]value, s.tbl.NumCols())}
 	err := walkBlocks(ctx, s.tbl.NumRows(), 0, skip, &be.sc, func(row, end int) error {
-		err := s.evalBlock(&be, end-row, counting)
+		covered := s.pred == nil || isCovered(s.covered, row)
+		if covered && s.envCols != nil && !counting && s.foldEnvelopes(row/table.ZoneBlockRows, end-row) {
+			return nil
+		}
+		err := s.evalBlock(&be, end-row, counting, covered)
 		if err == nil && be.kept > 0 {
 			s.fold(&be, counting)
 		}
@@ -293,10 +397,10 @@ func (s *exactScan) scan(ctx context.Context, skip []bool, counting bool) (decod
 }
 
 // evalBlock evaluates the predicate over the n rows at the scratch's window
-// and, when any row survives, the GROUP BY key and (unless counting) the
-// aggregate inputs. The scratch memo makes every referenced column decode
-// at most once for the block.
-func (s *exactScan) evalBlock(be *blockEval, n int, counting bool) error {
+// unless the block is covered and, when any row survives, the GROUP BY key
+// and (unless counting) the aggregate inputs. The scratch memo makes every
+// referenced column decode at most once for the block.
+func (s *exactScan) evalBlock(be *blockEval, n int, counting, covered bool) error {
 	be.n, be.keep, be.kept = n, nil, n
 	keyFirst := s.key != nil && s.key.typ == table.Int64 && s.keyInPred
 	if keyFirst {
@@ -304,7 +408,7 @@ func (s *exactScan) evalBlock(be *blockEval, n int, counting bool) error {
 			return err
 		}
 	}
-	if s.pred != nil {
+	if s.pred != nil && !covered {
 		v, err := evalExpr(s.pred, s.tbl, n, &be.sc)
 		if err != nil {
 			return err
@@ -369,6 +473,9 @@ func (s *exactScan) fold(be *blockEval, counting bool) {
 			if in.moments {
 				sink.m.Add(x)
 			}
+			if in.extreme {
+				sink.ext.add(x, x)
+			}
 			if in.vec {
 				sink.vec = append(sink.vec, x)
 			}
@@ -414,9 +521,9 @@ func (s *exactScan) finalize(g *exactGroup, ai int, kind estimator.AggKind, q es
 	case estimator.Avg:
 		return sink.m.Mean()
 	case estimator.Min:
-		return sink.m.Min()
+		return sink.ext.lo
 	case estimator.Max:
-		return sink.m.Max()
+		return sink.ext.hi
 	case estimator.Variance:
 		return sink.m.Variance()
 	case estimator.Stdev:

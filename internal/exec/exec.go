@@ -14,7 +14,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/diagnostic"
 	"repro/internal/estimator"
-	"repro/internal/obs/history"
 	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/sql"
@@ -189,13 +188,20 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *sca
 			q := queries[ai]
 			values := g.values[ai]
 			out := AggOutput{Spec: spec, Query: q, Values: values}
+			// The closed-form fold and the diagnostic only read values, and
+			// the fold draws no randomness: with a second worker the fold
+			// runs beside the diagnostic's shuffle and θ fold.
+			var folded chan struct{}
 			if q.ClosedFormApplicable() {
-				out.ClosedForm, out.ClosedFormErr = (estimator.ClosedForm{}).Interval(nil, values, q, estimator.ConfidenceLevel)
-			}
-			if q.ClosedFormApplicable() && out.ClosedFormErr == nil {
-				out.Value = out.ClosedForm.Center // q.Eval's bits, from the fold that gave the bar
-			} else {
-				out.Value = q.Eval(values)
+				fold := func() {
+					out.ClosedForm, out.ClosedFormErr = (estimator.ClosedForm{}).Interval(nil, values, q, estimator.ConfidenceLevel)
+				}
+				if p.Opt.Diagnostics && cfg.workers() > 1 {
+					folded = make(chan struct{})
+					go func() { defer close(folded); fold() }()
+				} else {
+					fold()
+				}
 			}
 
 			// The diagnostic runs before error estimation. Its verdict does
@@ -207,6 +213,9 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *sca
 			if p.Opt.Diagnostics {
 				start := time.Now()
 				dres, c, drawn, err := runDiagnostic(ctx, p.Opt, values, q, cfg, g.key, ai)
+				if folded != nil {
+					<-folded
+				}
 				if err != nil {
 					return fmt.Errorf("exec: diagnostic for group %q aggregate %d: %w",
 						g.key, ai, err)
@@ -220,6 +229,11 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *sca
 				} else {
 					res.Diagnostic.Rejects = append(res.Diagnostic.Rejects, dres.Cause.String())
 				}
+			}
+			if q.ClosedFormApplicable() && out.ClosedFormErr == nil {
+				out.Value = out.ClosedForm.Center // q.Eval's bits, from the fold that gave the bar
+			} else {
+				out.Value = q.Eval(values)
 			}
 			replaced := out.Diag != nil && !out.Diag.OK && p.Opt.VerdictFirst
 			if k > 0 && !replaced && !q.ClosedFormApplicable() {
@@ -257,14 +271,15 @@ type group struct {
 }
 
 // predWork is one distinct filter predicate appearing in a member batch,
-// with its precomputed zone-map skip list. With a predicate memo
-// attached, sig carries the literal-normalized shape signature and hint a
-// remembered selectivity in [0,1] (-1 = unknown). keys are the groupings
-// read under it. Phase 1 fills local and the groupings' ids; the barrier
+// with its precomputed zone-map skip and covered lists. With a predicate
+// memo attached, sig carries the literal-normalized shape signature and
+// hint a remembered selectivity in [0,1] (-1 = unknown). keys are the
+// groupings read under it. Phase 1 fills local and the groupings' ids; the barrier
 // derives starts and rows from local.
 type predWork struct {
 	pred    sql.Expr // nil: no WHERE, every row survives
 	skip    []bool
+	covered []bool // admitted blocks pred holds on throughout
 	skipped int64
 	sig     string
 	hint    float64
@@ -405,9 +420,9 @@ func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, tbl *
 				// Skip lists are exact-keyed — literals decide which blocks
 				// are admissible — while the selectivity hint below shares
 				// one estimate across all literals of the same shape.
-				pw.skip, pw.skipped = zoneSkip(cfg.Preds, tbl, pw.pred)
+				pw.skip, pw.covered, pw.skipped = zoneSkip(cfg.Preds, tbl, pw.pred)
 				if cfg.Preds != nil {
-					pw.sig = history.PredicateSignature(pw.pred)
+					pw.sig = sql.PredicateSignature(pw.pred)
 					if h, ok := cfg.Preds.Hint(tbl, pw.sig); ok {
 						pw.hint = h
 					}
@@ -492,7 +507,7 @@ func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, tbl *
 			for j, kw := range pw.keys {
 				readers[j] = kw.readers[i]
 			}
-			sel, err := evalPredicateSkipping(ctx, pw.pred, part, offsets[i], pw.skip, &meters[i], cfg.Blocks, pw.hint, readers...)
+			sel, err := evalPredicateSkipping(ctx, pw.pred, part, offsets[i], pw.skip, pw.covered, &meters[i], cfg.Blocks, pw.hint, readers...)
 			if err != nil {
 				return err
 			}
@@ -742,17 +757,19 @@ func (cw *colWork) fill(ctx context.Context, part *table.Table, i, absOffset int
 	})
 }
 
-// zoneSkip returns pred's zone-map skip list over tbl. The list is a pure
-// function of (table zones, predicate text), so the predicate memo replays
-// it for repeated predicates without re-walking the range analyzer.
-func zoneSkip(memo *cache.PredMemo, tbl *table.Table, pred sql.Expr) ([]bool, int64) {
+// zoneSkip returns pred's zone-map skip and covered lists over tbl. Both
+// are pure functions of (table zones, predicate text), so the predicate
+// memo replays them for repeated predicates without re-walking the range
+// analyzer.
+func zoneSkip(memo *cache.PredMemo, tbl *table.Table, pred sql.Expr) (skip, covered []bool, skipped int64) {
 	text := pred.String()
-	if skip, skipped, ok := memo.Lookup(tbl, text); ok {
-		return skip, skipped
+	if skip, covered, skipped, ok := memo.Lookup(tbl, text); ok {
+		return skip, covered, skipped
 	}
-	skip, skipped := blockSkip(tbl, pred)
-	memo.Store(tbl, text, skip, skipped)
-	return skip, skipped
+	skip, skipped = blockSkip(tbl, pred)
+	covered = blockCover(tbl, pred, skip)
+	memo.Store(tbl, text, skip, covered, skipped)
+	return skip, covered, skipped
 }
 
 // keyReader reads a GROUP BY column one zone block at a time and numbers

@@ -578,12 +578,19 @@ func walkBlocks(ctx context.Context, n, absOffset int, skip []bool, sc *scratch,
 	return nil
 }
 
+// isCovered reports whether covered marks the block holding base row abs.
+func isCovered(covered []bool, abs int) bool {
+	b := abs / table.ZoneBlockRows
+	return b < len(covered) && covered[b]
+}
+
 // evalPredicateSkipping evaluates predicate e over the blocks of tbl that
 // skip admits (walkBlocks) and returns the matching rows, relative to tbl.
 // absOffset is tbl's first row in the base table. A nil e keeps every row
-// and returns a nil selection. Each reader in keys reads the GROUP BY key of
-// every block with a survivor and appends the survivors' group ids to its
-// ids, so grouping costs no pass of its own.
+// and returns a nil selection. On a block covered marks (e holds on every
+// row; see blockCover) every row matches without evaluating e. Each reader
+// in keys reads the GROUP BY key of every block with a survivor and appends
+// the survivors' group ids to its ids, so grouping costs no pass of its own.
 //
 // selHint, when in [0,1], is a remembered selectivity for this predicate
 // shape from the predicate memo; it pre-sizes the selection vector so a
@@ -591,7 +598,7 @@ func walkBlocks(ctx context.Context, n, absOffset int, skip []bool, sc *scratch,
 // regrows repeatedly (a 90% filter starting at n/2). Either way the
 // reservation is capped at the rows in blocks skip admits. Capacity only —
 // never affects which rows match.
-func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, absOffset int, skip []bool, m *decodeMeter, cc *cache.BlockCache, selHint float64, keys ...*keyReader) ([]int, error) {
+func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, absOffset int, skip, covered []bool, m *decodeMeter, cc *cache.BlockCache, selHint float64, keys ...*keyReader) ([]int, error) {
 	n := tbl.NumRows()
 	selCap := n
 	if e != nil {
@@ -611,7 +618,11 @@ func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, ab
 	sc := &scratch{m: m, blocks: cc}
 	err := walkBlocks(ctx, n, absOffset, skip, sc, func(row, end int) error {
 		var keep []bool
-		if e != nil {
+		if e != nil && isCovered(covered, absOffset+row) {
+			for r := row; r < end; r++ {
+				sel = append(sel, r)
+			}
+		} else if e != nil {
 			v, err := evalExpr(e, tbl, end-row, sc)
 			if err != nil {
 				return err

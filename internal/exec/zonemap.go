@@ -17,6 +17,17 @@ import (
 // can only skip blocks with zero matching rows and never changes the
 // selection vector (pinned by TestZoneSkipPreservesSelection).
 
+// Covered blocks are the other side of the same analysis: when the
+// predicate is a pure AND of column/literal comparisons, its ranges are
+// exact, and an admitted block whose every constrained column's envelope
+// lies inside that column's range satisfies the predicate on every row. The
+// scans then skip evaluating it there, so its columns are not decoded for
+// it, and the exact operator reads an ungrouped MIN, MAX or COUNT off the
+// envelope and row count (exact.go). An envelope vouches for its block only
+// when no NaN can hide from it and int64 values stay within ±2^53; anything
+// else leaves the block partial, which costs a decode and never an answer
+// bit (pinned by TestCoveredBlocksMatchDecoded).
+
 // colRange is the feasible interval for one column: lo < x < hi with the
 // strictness flags controlling whether the endpoints themselves survive.
 type colRange struct {
@@ -67,6 +78,13 @@ func (r colRange) excludes(mn, mx float64) bool {
 		return true
 	}
 	return false
+}
+
+// holds reports whether every value of a block with envelope [mn, mx] lies
+// in the range. NaN envelopes compare false and never hold.
+func (r colRange) holds(mn, mx float64) bool {
+	return (mn > r.lo || (mn == r.lo && !r.loStrict)) &&
+		(mx < r.hi || (mx == r.hi && !r.hiStrict))
 }
 
 // predRanges derives per-column feasible intervals from a predicate. A nil
@@ -133,6 +151,25 @@ func predRanges(e sql.Expr) map[string]colRange {
 		}
 	}
 	return nil
+}
+
+// pureConjunction reports whether e is an AND of comparisons (=, <, <=, >,
+// >=) between one bare column and one numeric literal. Then predRanges
+// describes e exactly rather than conservatively: a row whose columns lie in
+// their ranges satisfies e.
+func pureConjunction(e sql.Expr) bool {
+	ex, ok := e.(*sql.Binary)
+	if !ok {
+		return false
+	}
+	switch ex.Op {
+	case "AND":
+		return pureConjunction(ex.L) && pureConjunction(ex.R)
+	case "=", "<", "<=", ">", ">=":
+		col, _, _ := splitCmp(ex)
+		return col != ""
+	}
+	return false
 }
 
 // splitCmp extracts (column, literal) from a comparison where one side is a
@@ -205,3 +242,65 @@ func blockSkip(tbl *table.Table, pred sql.Expr) ([]bool, int64) {
 	}
 	return skip, skipped
 }
+
+// blockCover marks the blocks skip admits on which pred holds for every
+// row: pred is a pure conjunction, and each constrained column's envelope
+// vouches for the block and lies inside the column's range. It returns nil
+// when no block is covered.
+func blockCover(tbl *table.Table, pred sql.Expr, skip []bool) []bool {
+	z := tbl.Zones()
+	if z == nil || pred == nil || !pureConjunction(pred) {
+		return nil
+	}
+	type constraint struct {
+		r   colRange
+		col table.Column
+		cz  table.ColumnZones
+	}
+	var cons []constraint
+	for name, r := range predRanges(pred) {
+		idx := tbl.Schema().Index(name)
+		cz, ok := z.Column(idx)
+		if idx < 0 || !ok {
+			return nil
+		}
+		cons = append(cons, constraint{r, tbl.Column(idx), cz})
+	}
+	var covered []bool
+	for b := 0; b < z.NumBlocks(); b++ {
+		if b < len(skip) && skip[b] {
+			continue
+		}
+		holds := true
+		for _, c := range cons {
+			mn, mx := c.cz.Mins[b], c.cz.Maxs[b]
+			if !c.r.holds(mn, mx) || !vouches(c.col, b, mn, mx) {
+				holds = false
+				break
+			}
+		}
+		if holds {
+			if covered == nil {
+				covered = make([]bool, z.NumBlocks())
+			}
+			covered[b] = true
+		}
+	}
+	return covered
+}
+
+// maxExactInt is 2^53: past it, int64 values do not all survive float64.
+const maxExactInt = 1 << 53
+
+// vouches reports whether block b's envelope [mn, mx] of column c bounds
+// every value the block holds: no NaN can hide from it, and an int64
+// column's values stay within ±2^53, where float64 holds each exactly.
+func vouches(c table.Column, b int, mn, mx float64) bool {
+	if c.Type() == table.Int64 {
+		return exactInts(mn, mx)
+	}
+	return !table.HidesNaN(c, b)
+}
+
+// exactInts reports whether an int64 envelope lies within ±2^53.
+func exactInts(mn, mx float64) bool { return mn >= -maxExactInt && mx <= maxExactInt }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/sql"
 )
 
 func testQueryRecord(qid uint64, sel float64) *obs.QueryRecord {
@@ -392,50 +391,6 @@ func TestSLOWindowResolution(t *testing.T) {
 	}
 	if byName["long"].Events != 1 {
 		t.Fatalf("600s window saw %d events, want 1", byName["long"].Events)
-	}
-}
-
-func TestPredicateSignature(t *testing.T) {
-	cases := []struct {
-		expr sql.Expr
-		want string
-	}{
-		{nil, NoPredicate},
-		{
-			&sql.Binary{Op: "=",
-				L: &sql.ColumnRef{Name: "City"},
-				R: &sql.Literal{Str: "NYC", IsStr: true}},
-			"(city = ?)",
-		},
-		{
-			&sql.Binary{Op: "AND",
-				L: &sql.Binary{Op: ">",
-					L: &sql.ColumnRef{Name: "Time"},
-					R: &sql.Literal{Num: 100}},
-				R: &sql.Binary{Op: "=",
-					L: &sql.ColumnRef{Name: "Browser"},
-					R: &sql.Literal{Str: "chrome", IsStr: true}}},
-			"((time > ?) AND (browser = ?))",
-		},
-		{
-			&sql.Unary{Op: "NOT", E: &sql.ColumnRef{Name: "Flag"}},
-			"(NOT flag)",
-		},
-		{
-			&sql.FuncCall{Name: "ABS", Args: []sql.Expr{&sql.ColumnRef{Name: "X"}}},
-			"ABS(x)",
-		},
-	}
-	for _, c := range cases {
-		if got := PredicateSignature(c.expr); got != c.want {
-			t.Errorf("signature = %q, want %q", got, c.want)
-		}
-	}
-	// Literal-only difference must collapse to one signature.
-	a := &sql.Binary{Op: ">", L: &sql.ColumnRef{Name: "T"}, R: &sql.Literal{Num: 1}}
-	b := &sql.Binary{Op: ">", L: &sql.ColumnRef{Name: "t"}, R: &sql.Literal{Num: 999}}
-	if PredicateSignature(a) != PredicateSignature(b) {
-		t.Error("predicates differing only in literals got distinct signatures")
 	}
 }
 

@@ -10,7 +10,10 @@
 // coordination.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic pseudo-random stream. The zero value is not
 // usable; obtain a Source from New or Split.
@@ -107,27 +110,15 @@ func (s *Source) Uint64n(n uint64) uint64 {
 	}
 	// Fast path: multiply-high; reject to remove modulo bias.
 	x := s.Uint64()
-	hi, lo := mulHiLo(x, n)
+	hi, lo := bits.Mul64(x, n)
 	if lo < n {
 		thresh := (-n) % n
 		for lo < thresh {
 			x = s.Uint64()
-			hi, lo = mulHiLo(x, n)
+			hi, lo = bits.Mul64(x, n)
 		}
 	}
 	return hi
-}
-
-func mulHiLo(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	tLo, tHi := t&mask32, t>>32
-	t = aLo*bHi + tLo
-	hi = aHi*bHi + tHi + t>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Perm returns a uniformly random permutation of [0, n).

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -352,6 +353,70 @@ func TestZipfPanicsOnEmptyDomain(t *testing.T) {
 		}
 	}()
 	NewZipf(New(1), 0, 1)
+}
+
+// mulHiLoLimbs is the 32-bit-limb 64×64→128 multiply Uint64n used before
+// math/bits.Mul64: kept as the oracle that the intrinsic gives the same bits.
+func mulHiLoLimbs(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	aLo, aHi := a&mask32, a>>32
+	bLo, bHi := b&mask32, b>>32
+	t := aHi*bLo + (aLo*bLo)>>32
+	tLo, tHi := t&mask32, t>>32
+	t = aLo*bHi + tLo
+	hi = aHi*bHi + tHi + t>>32
+	lo = a * b
+	return hi, lo
+}
+
+// TestMul64MatchesLimbOracle: bits.Mul64 and the limb multiply agree on
+// edge operands and on random ones, and Uint64n draws what the limb version
+// of Lemire's method draws from the same stream.
+func TestMul64MatchesLimbOracle(t *testing.T) {
+	edges := []uint64{0, 1, 2, 3, 1<<31 - 1, 1 << 31, 1<<32 - 1, 1 << 32, 1<<32 + 1,
+		1<<63 - 1, 1 << 63, 1<<63 + 1, math.MaxUint64 - 1, math.MaxUint64}
+	check := func(a, b uint64) {
+		t.Helper()
+		h1, l1 := bits.Mul64(a, b)
+		h2, l2 := mulHiLoLimbs(a, b)
+		if h1 != h2 || l1 != l2 {
+			t.Fatalf("%#x * %#x: Mul64 (%#x, %#x), limbs (%#x, %#x)", a, b, h1, l1, h2, l2)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	s := New(43)
+	for i := 0; i < 200000; i++ {
+		check(s.Uint64(), s.Uint64())
+		check(s.Uint64()>>(i%64), s.Uint64()>>(i%61))
+	}
+
+	limbUint64n := func(s *Source, n uint64) uint64 {
+		hi, lo := mulHiLoLimbs(s.Uint64(), n)
+		if lo < n {
+			thresh := (-n) % n
+			for lo < thresh {
+				hi, lo = mulHiLoLimbs(s.Uint64(), n)
+			}
+		}
+		return hi
+	}
+	a, b := New(44), New(44)
+	for i := 0; i < 100000; i++ {
+		n := uint64(i%1000) + 1
+		switch i % 4 {
+		case 1:
+			n = math.MaxUint64 - uint64(i)
+		case 2:
+			n = 1<<63 + uint64(i) // rejection is likely: lo < thresh often
+		}
+		if x, y := a.Uint64n(n), limbUint64n(b, n); x != y {
+			t.Fatalf("draw %d, n=%d: Uint64n %d, limb oracle %d", i, n, x, y)
+		}
+	}
 }
 
 // Property: Uint64n(n) < n for all n > 0.

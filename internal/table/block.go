@@ -381,7 +381,7 @@ func (c *StrBlockCol) decodeBlock(b int, dst []string) {
 // so every code fits a uint16), then index the dictionary.
 func decodeDictBlock(dict []string, payload []byte, width uint, dst []string) {
 	var codes [BlockRows]uint16
-	unpackCodes(payload, width, codes[:len(dst)])
+	unpack(payload, width, codes[:len(dst)])
 	for i, code := range codes[:len(dst)] {
 		dst[i] = dict[code]
 	}

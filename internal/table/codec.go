@@ -78,44 +78,77 @@ func (w *bitWriter) finish() []byte {
 	return w.buf
 }
 
+// bitReader reads the bitWriter's stream a 64-bit little-endian word per
+// load. Bits past the end of buf read as zero: only a well-formed stream's
+// final padding lies there.
 type bitReader struct {
 	buf []byte
-	pos int
-	acc uint64
+	acc uint64 // the next n unread bits, LSB first; the bits above n are zero
 	n   uint
-}
-
-// read32 returns the next nb bits (nb <= 32).
-func (r *bitReader) read32(nb uint) uint64 {
-	for r.n < nb {
-		if r.pos < len(r.buf) {
-			r.acc |= uint64(r.buf[r.pos]) << r.n
-			r.pos++
-		} else {
-			// Past the end of a well-formed stream only the final partial
-			// byte's padding is read; zero-fill keeps that defined.
-			break
-		}
-		r.n += 8
-	}
-	v := r.acc & ((uint64(1) << nb) - 1)
-	r.acc >>= nb
-	if r.n >= nb {
-		r.n -= nb
-	} else {
-		r.n = 0
-	}
-	return v
 }
 
 // readBits returns the next nb bits (nb <= 64), composed LSB-first.
 func (r *bitReader) readBits(nb uint) uint64 {
-	if nb > 32 {
-		lo := r.read32(32)
-		hi := r.read32(nb - 32)
-		return lo | hi<<32
+	mask := uint64(1)<<nb - 1 // all ones at nb == 64: the shift gives 0
+	if nb <= r.n {
+		v := r.acc & mask
+		r.acc >>= nb
+		r.n -= nb
+		return v
 	}
-	return r.read32(nb)
+	// The value's low n bits are in acc; the rest start the next word.
+	w, got := loadWord(&r.buf)
+	v := (r.acc | w<<r.n) & mask
+	used := nb - r.n
+	r.acc = w >> used
+	r.n = got - min(used, got)
+	return v
+}
+
+// loadWord takes the next little-endian word off *buf, zero-filled past its
+// end, and returns it with the number of bits it got from buf (64 unless
+// buf ran out).
+func loadWord(buf *[]byte) (uint64, uint) {
+	b := *buf
+	if len(b) >= 8 {
+		*buf = b[8:]
+		return binary.LittleEndian.Uint64(b), 64
+	}
+	var w uint64
+	for j, c := range b {
+		w |= uint64(c) << (8 * j)
+	}
+	*buf = nil
+	return w, uint(8 * len(b))
+}
+
+// unpack decodes len(dst) width-bit values (width <= 64) packed LSB-first
+// by bitWriter, reading the payload a 64-bit word at a time. It is the one
+// bit-unpacker of the codecs: frame-of-reference deltas, int dictionary
+// indexes (and so integral-float payloads) and string dictionary codes.
+// Bits past the end of buf read as zero.
+func unpack[T uint16 | int64](buf []byte, width uint, dst []T) {
+	if width == 0 {
+		clear(dst)
+		return
+	}
+	mask := uint64(1)<<width - 1
+	var acc uint64 // the next n unread bits, LSB first
+	var n uint
+	for i := range dst {
+		if n >= width {
+			dst[i] = T(acc & mask)
+			acc >>= width
+			n -= width
+			continue
+		}
+		// Refill: the value's low n bits are in acc, the rest start the next word.
+		w, got := loadWord(&buf)
+		dst[i] = T((acc | w<<n) & mask)
+		used := width - n
+		acc = w >> used
+		n = got - min(used, got)
+	}
 }
 
 // --- Varint / zigzag helpers. ---
@@ -280,10 +313,9 @@ func decodeI64Block(codec byte, payload []byte, dst []int64) {
 	case codecForI64:
 		u, sz := binary.Uvarint(payload)
 		min := unzigzag(u)
-		width := uint(payload[sz])
-		r := bitReader{buf: payload[sz+1:]}
-		for i := 0; i < n; i++ {
-			dst[i] = min + int64(r.readBits(width))
+		unpack(payload[sz+1:], uint(payload[sz]), dst)
+		for i := range dst {
+			dst[i] += min // two's-complement: the encoder's v-min wraps back
 		}
 	case codecRleI64:
 		runs, sz := binary.Uvarint(payload)
@@ -303,16 +335,20 @@ func decodeI64Block(codec byte, payload []byte, dst []int64) {
 	case codecDictI64:
 		ndist, sz := binary.Uvarint(payload)
 		payload = payload[sz:]
-		dict := make([]int64, ndist)
-		for i := range dict {
+		var stack [dictMaxDistinct]int64
+		dict := stack[:0]
+		if ndist > dictMaxDistinct {
+			dict = make([]int64, 0, ndist)
+		}
+		for range ndist {
 			u, sz := binary.Uvarint(payload)
 			payload = payload[sz:]
-			dict[i] = unzigzag(u)
+			dict = append(dict, unzigzag(u))
 		}
-		width := uint(payload[0])
-		r := bitReader{buf: payload[1:]}
-		for i := 0; i < n; i++ {
-			dst[i] = dict[r.readBits(width)]
+		// The indexes unpack into dst, then each is replaced by its value.
+		unpack(payload[1:], uint(payload[0]), dst)
+		for i, code := range dst {
+			dst[i] = dict[code]
 		}
 	default:
 		panic("table: unknown int64 block codec")
@@ -512,41 +548,4 @@ func packCodes(dst []byte, codes []uint32, width uint) []byte {
 		w.writeBits(uint64(c), width)
 	}
 	return w.finish()
-}
-
-// unpackCodes decodes len(dst) width-bit codes (width <= 16) packed by
-// packCodes, reading the payload a 64-bit little-endian word at a time.
-// Bits past the end of buf read as zero.
-func unpackCodes(buf []byte, width uint, dst []uint16) {
-	if width == 0 {
-		clear(dst)
-		return
-	}
-	mask := uint64(1)<<width - 1
-	var acc uint64 // the next n unread bits, LSB first
-	var n uint
-	for i := range dst {
-		if n >= width {
-			dst[i] = uint16(acc & mask)
-			acc >>= width
-			n -= width
-			continue
-		}
-		// Refill: the code's low n bits are in acc, the rest start the next word.
-		var w uint64
-		got := uint(64)
-		if len(buf) >= 8 {
-			w = binary.LittleEndian.Uint64(buf)
-			buf = buf[8:]
-		} else {
-			for j, c := range buf {
-				w |= uint64(c) << (8 * j)
-			}
-			got, buf = uint(8*len(buf)), nil
-		}
-		dst[i] = uint16((acc | w<<n) & mask)
-		used := width - n
-		acc = w >> used
-		n = got - min(used, got)
-	}
 }

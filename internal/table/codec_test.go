@@ -2,6 +2,7 @@ package table
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -179,7 +180,7 @@ func TestPackedCodes(t *testing.T) {
 }
 
 // readPackedCode extracts the idx-th width-bit code from a packed buffer,
-// one code at a time: the reference unpackCodes must match. width <= 32, so
+// one code at a time: the reference unpack must match. width <= 32, so
 // the value spans at most five bytes.
 func readPackedCode(buf []byte, idx int, width uint) uint32 {
 	if width == 0 {
@@ -210,7 +211,7 @@ func TestUnpackCodesMatchesReadPackedCode(t *testing.T) {
 			}
 			buf := packCodes(nil, codes, width)
 			got := make([]uint16, n)
-			unpackCodes(buf, width, got)
+			unpack(buf, width, got)
 			for i := range codes {
 				if want := readPackedCode(buf, i, width); uint32(got[i]) != want || want != codes[i] {
 					t.Fatalf("width %d n %d code %d = %d, reference %d, packed %d",
@@ -222,10 +223,224 @@ func TestUnpackCodesMatchesReadPackedCode(t *testing.T) {
 	// A truncated payload reads zeros past its end, like the reference.
 	buf := packCodes(nil, []uint32{5, 6, 7, 8, 9, 10, 11, 12, 13}, 11)[:5]
 	got := make([]uint16, 9)
-	unpackCodes(buf, 11, got)
+	unpack(buf, 11, got)
 	for i := range got {
 		if want := readPackedCode(buf, i, 11); uint32(got[i]) != want {
 			t.Fatalf("truncated code %d = %d, reference %d", i, got[i], want)
+		}
+	}
+}
+
+// oracleBitReader is the byte-at-a-time reader the codecs used before the
+// word-at-a-time unpacker: it refills one byte per loop and splits reads
+// wider than 32 bits in two. The differential tests below hold the new
+// readers to its output bit for bit.
+type oracleBitReader struct {
+	buf []byte
+	pos int
+	acc uint64
+	n   uint
+}
+
+func (r *oracleBitReader) read32(nb uint) uint64 {
+	for r.n < nb {
+		if r.pos >= len(r.buf) {
+			break
+		}
+		r.acc |= uint64(r.buf[r.pos]) << r.n
+		r.pos++
+		r.n += 8
+	}
+	v := r.acc & ((uint64(1) << nb) - 1)
+	r.acc >>= nb
+	if r.n >= nb {
+		r.n -= nb
+	} else {
+		r.n = 0
+	}
+	return v
+}
+
+func (r *oracleBitReader) readBits(nb uint) uint64 {
+	if nb > 32 {
+		lo := r.read32(32)
+		return lo | r.read32(nb-32)<<32
+	}
+	return r.read32(nb)
+}
+
+// TestUnpackMatchesOracle: for every width 0-64 and block lengths 1-1024,
+// unpack into int64 (and, up to width 16, into uint16) equals the
+// oracle reader's values, on payloads whose final word is short and on
+// payloads cut short inside a value, where missing bits read as zero.
+func TestUnpackMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	vals := make([]uint64, BlockRows)
+	got := make([]int64, BlockRows)
+	got16 := make([]uint16, BlockRows)
+	// Every length up to 130 meets each phase of values against word
+	// boundaries; past that a stride of 7, and the full block.
+	var lengths []int
+	for n := 1; n < BlockRows; n += 1 + 6*min(n/130, 1) {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, BlockRows)
+	for width := uint(0); width <= 64; width++ {
+		var w bitWriter
+		for i := range vals {
+			vals[i] = rng.Uint64() & (uint64(1)<<width - 1)
+			w.writeBits(vals[i], width)
+		}
+		full := w.finish()
+		for _, n := range lengths {
+			whole := (n*int(width) + 7) / 8
+			for _, buf := range [][]byte{full[:whole], full[:whole/2]} {
+				unpack(buf, width, got[:n])
+				if width <= 16 {
+					unpack(buf, width, got16[:n])
+				}
+				r := oracleBitReader{buf: buf}
+				for i := 0; i < n; i++ {
+					want := r.readBits(width)
+					if len(buf) == whole && want != vals[i] {
+						t.Fatalf("width %d n %d: oracle value %d = %#x, packed %#x", width, n, i, want, vals[i])
+					}
+					if uint64(got[i]) != want || (width <= 16 && uint64(got16[i]) != want) {
+						t.Fatalf("width %d n %d (%d of %d bytes): value %d = %#x (uint16 %#x), oracle %#x",
+							width, n, len(buf), whole, i, got[i], got16[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBitReaderMatchesOracle: mixed-width reads — the Gorilla decoder's 1-,
+// 6- and up-to-64-bit fields — return the oracle reader's bits, through the
+// end of the stream and past it.
+func TestBitReaderMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		buf := make([]byte, rng.Intn(200))
+		rng.Read(buf)
+		r, o := bitReader{buf: buf}, oracleBitReader{buf: buf}
+		for read := 0; read*8 < 8*len(buf)+128; {
+			nb := uint(rng.Intn(65))
+			if got, want := r.readBits(nb), o.readBits(nb); got != want {
+				t.Fatalf("trial %d: read of %d bits = %#x, oracle %#x", trial, nb, got, want)
+			}
+			read += int(nb)
+		}
+	}
+}
+
+// TestDecodeMatchesOracle: the frame-of-reference, int dictionary,
+// integral-float and XOR blocks decode to what the oracle reader's
+// per-value loops decoded, on the adversarial blocks and random ones.
+func TestDecodeMatchesOracle(t *testing.T) {
+	oracleI64 := func(codec byte, payload []byte, dst []int64) {
+		switch codec {
+		case codecForI64:
+			u, sz := binary.Uvarint(payload)
+			r := oracleBitReader{buf: payload[sz+1:]}
+			for i := range dst {
+				dst[i] = unzigzag(u) + int64(r.readBits(uint(payload[sz])))
+			}
+		case codecDictI64:
+			ndist, sz := binary.Uvarint(payload)
+			payload = payload[sz:]
+			dict := make([]int64, ndist)
+			for i := range dict {
+				u, sz := binary.Uvarint(payload)
+				payload = payload[sz:]
+				dict[i] = unzigzag(u)
+			}
+			r := oracleBitReader{buf: payload[1:]}
+			for i := range dst {
+				dst[i] = dict[r.readBits(uint(payload[0]))]
+			}
+		default:
+			decodeI64Block(codec, payload, dst)
+		}
+	}
+	oracleXor := func(payload []byte, dst []float64) {
+		r := oracleBitReader{buf: payload}
+		prev := r.readBits(64)
+		dst[0] = math.Float64frombits(prev)
+		var lead, sig, trail uint
+		for i := 1; i < len(dst); i++ {
+			if r.readBits(1) == 0 {
+				dst[i] = math.Float64frombits(prev)
+				continue
+			}
+			if r.readBits(1) == 1 {
+				lead = uint(r.readBits(6))
+				sig = uint(r.readBits(6)) + 1
+				trail = 64 - lead - sig
+			}
+			prev ^= r.readBits(sig) << trail
+			dst[i] = math.Float64frombits(prev)
+		}
+	}
+	rng := rand.New(rand.NewSource(8))
+	i64s := adversarialI64()
+	for k := 0; k < 40; k++ {
+		n := 1 + rng.Intn(BlockRows)
+		vals := make([]int64, n)
+		spread := int64(1) << uint(rng.Intn(63))
+		for i := range vals {
+			vals[i] = rng.Int63n(spread) - spread/2
+			if k%3 == 0 {
+				vals[i] = int64(rng.Intn(1+k)) * 1_000_003 // few distinct: dictionary
+			}
+		}
+		i64s[fmt.Sprintf("random%d", k)] = vals
+	}
+	for name, vals := range i64s {
+		codec, buf := new(encScratch).encodeI64Block(nil, vals)
+		got, want := make([]int64, len(vals)), make([]int64, len(vals))
+		decodeI64Block(codec, buf, got)
+		oracleI64(codec, buf, want)
+		for i := range vals {
+			if got[i] != want[i] || got[i] != vals[i] {
+				t.Fatalf("%s codec %d: value %d = %d, oracle %d, encoded %d", name, codec, i, got[i], want[i], vals[i])
+			}
+		}
+	}
+	f64s := adversarialF64()
+	for k := 0; k < 40; k++ {
+		n := 2 + rng.Intn(BlockRows-1)
+		vals := make([]float64, n)
+		x := rng.NormFloat64()
+		for i := range vals {
+			if rng.Intn(4) > 0 {
+				x += float64(rng.Intn(64)) / 16 // steps that keep XOR windows short
+			}
+			vals[i] = x
+		}
+		f64s[fmt.Sprintf("walk%d", k)] = vals
+	}
+	for name, vals := range f64s {
+		codec, buf := new(encScratch).encodeF64Block(nil, vals)
+		got, want := make([]float64, len(vals)), make([]float64, len(vals))
+		decodeF64Block(codec, buf, got, nil)
+		switch codec {
+		case codecXorF64:
+			oracleXor(buf, want)
+		case codecIntF64:
+			ints := make([]int64, len(vals))
+			oracleI64(buf[0], buf[1:], ints)
+			for i, v := range ints {
+				want[i] = float64(v)
+			}
+		default:
+			decodeF64Block(codec, buf, want, nil)
+		}
+		for i := range vals {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
+				t.Fatalf("%s codec %d: value %d = %x, oracle %x, encoded %x", name, codec, i,
+					math.Float64bits(got[i]), math.Float64bits(want[i]), math.Float64bits(vals[i]))
+			}
 		}
 	}
 }

@@ -76,7 +76,7 @@ func (z *Zones) withColumn(ci int, c Column) *Zones {
 	if z == nil {
 		return nil
 	}
-	out := &Zones{rows: z.rows, byCol: make(map[int]ColumnZones, len(z.byCol)+1)}
+	out := &Zones{rows: z.rows, byCol: make(map[int]ColumnZones, len(z.byCol)+1), wideTail: z.wideTail}
 	for k, v := range z.byCol {
 		out.byCol[k] = v
 	}

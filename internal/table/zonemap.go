@@ -36,6 +36,9 @@ type Zones struct {
 	rows int
 	// byCol maps column index -> envelope; string columns are absent.
 	byCol map[int]ColumnZones
+	// wideTail: the last envelope was inherited by a view that ends inside
+	// its block, so it also covers rows past the view's end.
+	wideTail bool
 }
 
 // NumBlocks returns the number of zone-map blocks covering the table.
@@ -55,6 +58,37 @@ func (z *Zones) Column(i int) (ColumnZones, bool) {
 	return cz, ok
 }
 
+// Exact reports whether block b's envelopes are its own rows' extrema: false
+// only for the last block of a view that ends inside it, whose inherited
+// envelope is a superset (see slice).
+func (z *Zones) Exact(b int) bool {
+	return !z.wideTail || b < z.NumBlocks()-1
+}
+
+// HidesNaN reports whether block b of numeric column c may hold a NaN that
+// the block's zone envelope does not show. An envelope is folded as
+// Moments folds a minimum and maximum: from the block's first value on, a
+// NaN is ignored unless it comes first. That cannot matter for an int64
+// column, a float64 block whose codec admits no NaN (integral values) or
+// shows it (one constant), and it can for any other float64 block — raw
+// columns included — which only a decode could rule out. c is a column of
+// the table whose zones are consulted, so its block b starts on a storage
+// block unless c is an unaligned view, which answers true.
+func HidesNaN(c Column, b int) bool {
+	switch v := c.(type) {
+	case Int64Col, *I64BlockCol, *i64BlockView:
+		return false
+	case *F64BlockCol:
+		return v.codecs[b] != codecIntF64 && v.codecs[b] != codecConstF64
+	case *f64BlockView:
+		if v.off%BlockRows != 0 {
+			return true
+		}
+		return HidesNaN(v.c, v.off/BlockRows+b)
+	}
+	return true
+}
+
 // slice returns the zones covering base rows [i, j), where i is a block
 // multiple. The final inherited envelope may cover rows past j; that keeps
 // it a superset of the view's last block, which is still conservative. Nil
@@ -65,7 +99,8 @@ func (z *Zones) slice(i, j int) *Zones {
 	}
 	lo := i / ZoneBlockRows
 	hi := (j + ZoneBlockRows - 1) / ZoneBlockRows
-	out := &Zones{rows: j - i, byCol: make(map[int]ColumnZones, len(z.byCol))}
+	out := &Zones{rows: j - i, byCol: make(map[int]ColumnZones, len(z.byCol)),
+		wideTail: j%ZoneBlockRows != 0 && (j < z.rows || z.wideTail)}
 	for ci, cz := range z.byCol {
 		out.byCol[ci] = ColumnZones{Mins: cz.Mins[lo:hi], Maxs: cz.Maxs[lo:hi]}
 	}

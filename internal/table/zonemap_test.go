@@ -2,7 +2,12 @@ package table
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/rng"
+	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 func zoneTestTable(n int) *Table {
@@ -178,5 +183,119 @@ func TestBuildZonesEmptyTable(t *testing.T) {
 	tbl.BuildZones()
 	if z := tbl.Zones(); z.NumBlocks() != 0 {
 		t.Errorf("empty table has %d blocks", z.NumBlocks())
+	}
+}
+
+// TestEnvelopesAreBlockExtrema: every block's envelope is, bit for bit,
+// Moments.Min and Moments.Max over the block's decoded values, for every
+// internal/workload generator's column and an int64 column, on the raw,
+// compressed, stored and gathered backings — the identity that lets the
+// executor answer MIN and MAX off a block it does not decode.
+func TestEnvelopesAreBlockExtrema(t *testing.T) {
+	n := 4*BlockRows + 321
+	src := rng.New(11)
+	var schema Schema
+	var cols []Column
+	for d := workload.Gaussian; d <= workload.Bimodal; d++ {
+		schema = append(schema, Field{Name: d.String(), Type: Float64})
+		cols = append(cols, Float64Col(workload.GenerateColumn(src, d, n)))
+	}
+	ids := make(Int64Col, n)
+	for i := range ids {
+		ids[i] = int64(src.Intn(1 << 20))
+	}
+	schema = append(schema, Field{Name: "id", Type: Int64})
+	raw := MustNew(schema, append(cols, ids)...)
+	raw.BuildZones()
+	path := filepath.Join(t.TempDir(), "t.store")
+	if err := WriteStore(path, raw); err != nil {
+		t.Fatal(err)
+	}
+	stored, closer, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	idx := make([]int, n/2)
+	for i := range idx {
+		idx[i] = src.Intn(n)
+	}
+	bits := func(x float64) uint64 { return math.Float64bits(x) }
+	for name, tbl := range map[string]*Table{"raw": raw, "compressed": Compress(raw), "stored": stored,
+		"gathered": raw.GatherStored(idx, BackingCompressed, 2)} {
+		z := tbl.Zones()
+		for ci, f := range tbl.Schema() {
+			cz, ok := z.Column(ci)
+			if !ok {
+				t.Fatalf("%s %s: no envelope", name, f.Name)
+			}
+			vals := make([]float64, tbl.NumRows())
+			tbl.Column(ci).(F64Reader).ReadF64(vals, 0)
+			for b := 0; b < z.NumBlocks(); b++ {
+				var m stats.Moments
+				for _, v := range vals[b*BlockRows : min((b+1)*BlockRows, len(vals))] {
+					m.Add(v)
+				}
+				if !z.Exact(b) || bits(cz.Mins[b]) != bits(m.Min()) || bits(cz.Maxs[b]) != bits(m.Max()) {
+					t.Fatalf("%s %s block %d: envelope [%v, %v], Moments [%v, %v]", name, f.Name, b,
+						cz.Mins[b], cz.Maxs[b], m.Min(), m.Max())
+				}
+			}
+		}
+	}
+}
+
+// TestZonesExactAndHidesNaN: a view ending inside a block inherits a wider
+// last envelope and says so; only int64 columns and integral or constant
+// float64 blocks rule out a NaN their envelope does not show.
+func TestZonesExactAndHidesNaN(t *testing.T) {
+	tbl := zoneTestTable(3*ZoneBlockRows + 10)
+	tbl.BuildZones()
+	for _, tc := range []struct {
+		i, j      int
+		wideBlock int // -1: every envelope exact
+	}{
+		{0, tbl.NumRows(), -1},
+		{ZoneBlockRows, 2*ZoneBlockRows + 5, 1},
+		{0, 2 * ZoneBlockRows, -1},
+		{ZoneBlockRows, tbl.NumRows(), -1},
+	} {
+		v := tbl.Slice(tc.i, tc.j)
+		for b := 0; b < v.Zones().NumBlocks(); b++ {
+			if got, want := v.Zones().Exact(b), b != tc.wideBlock; got != want {
+				t.Errorf("Slice(%d, %d) block %d: Exact %v, want %v", tc.i, tc.j, b, got, want)
+			}
+		}
+	}
+	if v := tbl.Slice(ZoneBlockRows, 2*ZoneBlockRows+5).Slice(0, ZoneBlockRows+5); v.Zones().Exact(1) {
+		t.Error("a view of a view kept its base's wide last envelope as exact")
+	}
+
+	f := make(Float64Col, 3*BlockRows)
+	for i := range f {
+		f[i] = float64(i % 7) // integral: block 0
+	}
+	for i := BlockRows; i < 2*BlockRows; i++ {
+		f[i] = 0.5 + float64(i%7) // fractional: raw or XOR
+	}
+	for i := 2 * BlockRows; i < 3*BlockRows; i++ {
+		f[i] = 2.5 // constant
+	}
+	comp := Compress(MustNew(Schema{{Name: "f", Type: Float64}, {Name: "i", Type: Int64}},
+		f, make(Int64Col, len(f))))
+	fc, ic := comp.Column(0), comp.Column(1)
+	for b, want := range []bool{false, true, false} {
+		if got := HidesNaN(fc, b); got != want {
+			t.Errorf("float block %d: HidesNaN %v, want %v", b, got, want)
+		}
+		if HidesNaN(ic, b) {
+			t.Errorf("int64 block %d may hide a NaN", b)
+		}
+	}
+	if !HidesNaN(f, 0) {
+		t.Error("a raw float64 column rules out a NaN without a decode")
+	}
+	if !HidesNaN(comp.Slice(5, 2*BlockRows).Column(0), 0) || HidesNaN(comp.Slice(BlockRows, 2*BlockRows+9).Column(0), 1) {
+		t.Error("views map their blocks wrong")
 	}
 }
