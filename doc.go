@@ -6,8 +6,9 @@
 // resampling, scan consolidation, operator pushdown, physical-plan tuning)
 // that make the whole pipeline interactive.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-vs-measured results. The
-// benchmarks in bench_test.go regenerate every figure; cmd/aqpbench prints
-// them as tables, and does nothing else: bench/run.sh measures serving.
+// See README.md for a tour and DESIGN.md for the system inventory and
+// experiment index. This module is the serving system; bench/run.sh
+// measures it. The paper's figures are regenerated by paper/, a module of
+// its own: its benchmarks run every figure, its cmd/aqpbench prints them
+// as tables, and paper/EXPERIMENTS.md has paper-vs-measured results.
 package repro

@@ -1,11 +1,11 @@
 package repro
 
 // The exported-name guard: every exported name declared under internal/
-// has a caller outside _test.go files, in the root module, bench/ or
-// examples/. An exported symbol that only tests call is code the engine
-// maintains for no traffic; DESIGN.md §27 has the rule and the inventory
-// it deleted. The guard uses go/parser and go/types only, so it needs no
-// module download.
+// or paper/internal/ has a caller outside _test.go files, in the root module or in one of its
+// nested modules, bench/ and paper/. An exported symbol that only tests
+// call is code the engine maintains for no traffic; DESIGN.md §27 has the
+// rule and the inventory it deleted. The guard uses go/parser and go/types
+// only, so it needs no module download.
 
 import (
 	"errors"
@@ -39,7 +39,7 @@ var exportAllowList = map[string]string{
 	"sql.MustParse":               "test seam: plan, exec and root tests build queries from literals",
 	"workload.QuerySpec.SQL":      "test seam: core's trace integration test runs every generated query through the engine",
 
-	"resample": "the §5.1 reproduction package that only tests use; it moves under ROADMAP item 8",
+	"resample": "the §5.1 resampling strategies, kept as the reference the kernel and exec tests check the fused and generic kernels against",
 
 	"obs/history.Store.Sync": "durability: forces the history file to disk",
 
@@ -47,11 +47,20 @@ var exportAllowList = map[string]string{
 	"stats.Moments.Merge":               "wired by ROADMAP item 5 (mergeable weighted sinks)",
 }
 
+// treeModules are the modules whose non-test files count as callers: the
+// root and the nested modules that import its internal/ packages.
+var treeModules = []module{{".", "repro"}, {"bench", "repro/bench"}, {"paper", "repro/paper"}}
+
+// checkedPrefixes are the package trees the guards check: the root's
+// internal/ and paper/'s own internal/ (the experiments and the cluster
+// cost model). bench/ declares everything in package main.
+var checkedPrefixes = []string{"repro/internal/", "repro/paper/internal/"}
+
 func TestEveryExportedNameHasACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole tree")
 	}
-	exports, err := checkExports([]module{{".", "repro"}, {"bench", "repro/bench"}}, "repro/internal/")
+	exports, err := checkExports(treeModules, checkedPrefixes...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +88,14 @@ var optionFieldAllowList = map[string]string{
 // TestEveryOptionFieldIsSet is the exported-name guard for option structs:
 // every exported field of an exported *Config or *Options struct under
 // internal/ is set by some non-test file of the root module, bench/ or
-// examples/. A field nothing sets is a knob every deployment leaves at its
+// paper/. A field nothing sets is a knob every deployment leaves at its
 // default: make it a constant, or an unexported field its package's tests
 // set.
 func TestEveryOptionFieldIsSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole tree")
 	}
-	fields, err := checkOptionFields([]module{{".", "repro"}, {"bench", "repro/bench"}}, "repro/internal/")
+	fields, err := checkOptionFields(treeModules, checkedPrefixes...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,23 +208,23 @@ func auditExports(exports []export, allow map[string]string) (unused, stale []st
 // A module is a directory tree of packages and the import path of its root.
 type module struct{ dir, path string }
 
-// An export is one exported name declared under the checked prefix.
+// An export is one exported name declared under a checked prefix.
 type export struct {
-	key  string // package path under the prefix, then the name
+	key  string // package path under its prefix, then the name
 	pos  token.Position
 	used bool // some non-test file references it outside its own declaration
 }
 
 // checkExports type-checks the non-test files of every package in mods and
 // reports each exported package-level func, type, var, const and method
-// declared in a package whose import path starts with prefix.
-func checkExports(mods []module, prefix string) ([]export, error) {
+// declared in a package whose import path starts with one of prefixes.
+func checkExports(mods []module, prefixes ...string) ([]export, error) {
 	l, paths, err := loadTree(mods)
 	if err != nil {
 		return nil, err
 	}
 
-	// Every exported declaration under prefix, with its extent.
+	// Every exported declaration under prefixes, with its extent.
 	type decl struct {
 		export
 		obj      types.Object
@@ -224,17 +233,18 @@ func checkExports(mods []module, prefix string) ([]export, error) {
 	var decls []*decl
 	byObj := map[types.Object]*decl{}
 	receivers := map[*ast.Ident]bool{} // receiver type names: a method does not keep its type alive
-	add := func(path string, id *ast.Ident, name string, from, to token.Pos) {
+	add := func(pkg string, id *ast.Ident, name string, from, to token.Pos) {
 		obj := l.info.Defs[id] // nil for the blank identifier
 		if obj == nil || !ast.IsExported(obj.Name()) {
 			return
 		}
-		d := &decl{export{key: strings.TrimPrefix(path, prefix) + "." + name, pos: l.fset.Position(obj.Pos())}, obj, from, to}
+		d := &decl{export{key: pkg + "." + name, pos: l.fset.Position(obj.Pos())}, obj, from, to}
 		decls = append(decls, d)
 		byObj[obj] = d
 	}
 	for _, path := range paths {
-		if !strings.HasPrefix(path, prefix) {
+		pkg, ok := underPrefix(path, prefixes)
+		if !ok {
 			continue
 		}
 		for _, f := range l.files[path] {
@@ -255,15 +265,15 @@ func checkExports(mods []module, prefix string) ([]export, error) {
 						}
 						name = recv + "." + name
 					}
-					add(path, d.Name, name, d.Pos(), d.End())
+					add(pkg, d.Name, name, d.Pos(), d.End())
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						switch s := s.(type) {
 						case *ast.TypeSpec:
-							add(path, s.Name, s.Name.Name, s.Pos(), s.End())
+							add(pkg, s.Name, s.Name.Name, s.Pos(), s.End())
 						case *ast.ValueSpec:
 							for _, n := range s.Names {
-								add(path, n, n.Name, s.Pos(), s.End())
+								add(pkg, n, n.Name, s.Pos(), s.End())
 							}
 						}
 					}
@@ -324,10 +334,10 @@ func checkExports(mods []module, prefix string) ([]export, error) {
 
 // checkOptionFields reports each exported field of every exported struct
 // type named *Config or *Options declared in a package whose import path
-// starts with prefix. A field is used when some non-test file sets it: as a
+// starts with one of prefixes. A field is used when some non-test file sets it: as a
 // composite-literal key, by position, or on the left of an assignment or
 // an increment.
-func checkOptionFields(mods []module, prefix string) ([]export, error) {
+func checkOptionFields(mods []module, prefixes ...string) ([]export, error) {
 	l, paths, err := loadTree(mods)
 	if err != nil {
 		return nil, err
@@ -335,7 +345,8 @@ func checkOptionFields(mods []module, prefix string) ([]export, error) {
 	var out []*export
 	fields := map[*types.Var]*export{}
 	for _, path := range paths {
-		if !strings.HasPrefix(path, prefix) {
+		pkg, ok := underPrefix(path, prefixes)
+		if !ok {
 			continue
 		}
 		scope := l.pkgs[path].Scope()
@@ -351,7 +362,7 @@ func checkOptionFields(mods []module, prefix string) ([]export, error) {
 			}
 			for i := 0; i < st.NumFields(); i++ {
 				if f := st.Field(i); f.Exported() {
-					e := &export{key: strings.TrimPrefix(path, prefix) + "." + name + "." + f.Name(), pos: l.fset.Position(f.Pos())}
+					e := &export{key: pkg + "." + name + "." + f.Name(), pos: l.fset.Position(f.Pos())}
 					out = append(out, e)
 					fields[f] = e
 				}
@@ -399,6 +410,17 @@ func checkOptionFields(mods []module, prefix string) ([]export, error) {
 		res[i] = *e
 	}
 	return res, nil
+}
+
+// underPrefix returns path with the first of prefixes it starts with cut
+// off, and whether it starts with any.
+func underPrefix(path string, prefixes []string) (string, bool) {
+	for _, p := range prefixes {
+		if rel, ok := strings.CutPrefix(path, p); ok {
+			return rel, true
+		}
+	}
+	return "", false
 }
 
 // loadTree type-checks the non-test files of every package in mods and

@@ -206,32 +206,21 @@ func foldWeighted(m *stats.Moments, values, weights []float64) {
 	}
 }
 
-// extreme is MIN or MAX over the rows present in a weighted dataset, as
-// stats.Moments reports them but without its Welford update: a row is absent
-// when its weight is <= 0, the first present row starts the running extreme
-// (so a leading NaN stays and a later one is never taken), only a strictly
-// smaller or larger value replaces it (the first of equal extremes, −0 and
-// +0 included, is the one returned), and no present row gives NaN.
+// extreme is MIN or MAX over the rows present in a weighted dataset, by
+// stats.Extremes' rule. As in stats.Moments, a row is absent when its weight
+// is <= 0 (a NaN weight is not), and no present row gives NaN.
 func extreme(values, weights []float64, wantMax bool) float64 {
-	i := 0
-	if weights != nil {
-		for i < len(values) && weights[i] <= 0 {
-			i++
-		}
-	}
-	if i == len(values) {
-		return math.NaN()
-	}
-	ext := values[i]
-	for i++; i < len(values); i++ {
+	var e stats.Extremes
+	for i, x := range values {
 		if weights != nil && weights[i] <= 0 {
 			continue
 		}
-		if x := values[i]; (wantMax && x > ext) || (!wantMax && x < ext) {
-			ext = x
-		}
+		e.Add(x, x)
 	}
-	return ext
+	if wantMax {
+		return e.Max()
+	}
+	return e.Min()
 }
 
 // FusedApplicable reports whether the blocked multi-resample kernel has a

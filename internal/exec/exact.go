@@ -62,33 +62,9 @@ type exactInput struct {
 type inputSink struct {
 	sum    float64
 	m      stats.Moments
-	ext    extremes
+	ext    stats.Extremes
 	vec    []float64
 	sorted bool
-}
-
-// extremes is a compare-only MIN/MAX fold with the semantics of
-// estimator.extreme and of Moments' min and max: the first value seeds both
-// ends, and a later one replaces an end only when strictly beyond it. So a
-// NaN counts only when it comes first, and of -0 and +0 the first one seen
-// stays.
-type extremes struct {
-	lo, hi float64
-	seen   bool
-}
-
-// add folds a block's envelope [lo, hi], or a single value as [x, x].
-func (e *extremes) add(lo, hi float64) {
-	if !e.seen {
-		e.lo, e.hi, e.seen = lo, hi, true
-		return
-	}
-	if lo < e.lo {
-		e.lo = lo
-	}
-	if hi > e.hi {
-		e.hi = hi
-	}
 }
 
 type exactGroup struct {
@@ -321,7 +297,7 @@ func (s *exactScan) foldEnvelopes(b, n int) bool {
 	g.rows += int64(n)
 	for ii, ci := range s.envCols {
 		cz, _ := z.Column(ci)
-		g.sinks[ii].ext.add(cz.Mins[b], cz.Maxs[b])
+		g.sinks[ii].ext.Add(cz.Mins[b], cz.Maxs[b])
 	}
 	return true
 }
@@ -474,7 +450,7 @@ func (s *exactScan) fold(be *blockEval, counting bool) {
 				sink.m.Add(x)
 			}
 			if in.extreme {
-				sink.ext.add(x, x)
+				sink.ext.Add(x, x)
 			}
 			if in.vec {
 				sink.vec = append(sink.vec, x)
@@ -521,9 +497,9 @@ func (s *exactScan) finalize(g *exactGroup, ai int, kind estimator.AggKind, q es
 	case estimator.Avg:
 		return sink.m.Mean()
 	case estimator.Min:
-		return sink.ext.lo
+		return sink.ext.Min()
 	case estimator.Max:
-		return sink.ext.hi
+		return sink.ext.Max()
 	case estimator.Variance:
 		return sink.m.Variance()
 	case estimator.Stdev:

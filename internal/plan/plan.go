@@ -21,7 +21,7 @@
 //
 // The §5.2 baseline they replace — one UNION ALL subquery, with its own
 // scan, per resample — exists only as the cluster simulator's cost model
-// (internal/cluster), where the Fig. 7–9 experiments compare the two.
+// in the paper/ module, where the Fig. 7–9 experiments compare the two.
 package plan
 
 import (

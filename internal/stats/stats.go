@@ -16,13 +16,51 @@ import (
 // Welford's numerically stable update. The zero value is an empty
 // accumulator ready for use.
 type Moments struct {
-	n     float64 // total weight
-	mean  float64
-	m2    float64 // sum of squared deviations (times weight)
-	min   float64
-	max   float64
-	empty bool // tracks "no observations yet"; inverted so zero value works
-	seen  bool
+	n    float64 // total weight
+	mean float64
+	m2   float64 // sum of squared deviations (times weight)
+	ext  Extremes
+}
+
+// Extremes is MIN and MAX by the one rule every fold of them follows: the
+// first value added seeds both ends, and a later one replaces an end only
+// when strictly beyond it. So a NaN counts only when it comes first, and of
+// equal extremes, -0 and +0 included, the first one seen stays. The zero
+// value has seen nothing.
+type Extremes struct {
+	lo, hi float64
+	seen   bool
+}
+
+// Add folds the range [lo, hi]: a single value x as Add(x, x), or a block's
+// envelope.
+func (e *Extremes) Add(lo, hi float64) {
+	if !e.seen {
+		e.lo, e.hi, e.seen = lo, hi, true
+		return
+	}
+	if lo < e.lo {
+		e.lo = lo
+	}
+	if hi > e.hi {
+		e.hi = hi
+	}
+}
+
+// Min returns the smallest value added, or NaN when none was.
+func (e *Extremes) Min() float64 {
+	if !e.seen {
+		return math.NaN()
+	}
+	return e.lo
+}
+
+// Max returns the largest value added, or NaN when none was.
+func (e *Extremes) Max() float64 {
+	if !e.seen {
+		return math.NaN()
+	}
+	return e.hi
 }
 
 // Add folds a single observation into the accumulator.
@@ -36,17 +74,7 @@ func (m *Moments) AddWeighted(x, w float64) {
 	if w <= 0 {
 		return
 	}
-	if !m.seen {
-		m.min, m.max = x, x
-		m.seen = true
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
+	m.ext.Add(x, x)
 	m.n += w
 	delta := x - m.mean
 	m.mean += delta * w / m.n
@@ -55,19 +83,14 @@ func (m *Moments) AddWeighted(x, w float64) {
 
 // Merge folds another accumulator into this one (parallel reduction).
 func (m *Moments) Merge(o *Moments) {
-	if !o.seen {
+	if !o.ext.seen {
 		return
 	}
-	if !m.seen {
+	if !m.ext.seen {
 		*m = *o
 		return
 	}
-	if o.min < m.min {
-		m.min = o.min
-	}
-	if o.max > m.max {
-		m.max = o.max
-	}
+	m.ext.Add(o.ext.lo, o.ext.hi)
 	n := m.n + o.n
 	delta := o.mean - m.mean
 	m.mean += delta * o.n / n
@@ -77,7 +100,7 @@ func (m *Moments) Merge(o *Moments) {
 
 // Mean returns the weighted mean, or NaN when empty.
 func (m *Moments) Mean() float64 {
-	if !m.seen {
+	if !m.ext.seen {
 		return math.NaN()
 	}
 	return m.mean
@@ -85,7 +108,7 @@ func (m *Moments) Mean() float64 {
 
 // Variance returns the population variance, or NaN when empty.
 func (m *Moments) Variance() float64 {
-	if !m.seen || m.n == 0 {
+	if !m.ext.seen || m.n == 0 {
 		return math.NaN()
 	}
 	return m.m2 / m.n
@@ -94,7 +117,7 @@ func (m *Moments) Variance() float64 {
 // SampleVariance returns the Bessel-corrected sample variance, or NaN when
 // fewer than two units of weight have been observed.
 func (m *Moments) SampleVariance() float64 {
-	if !m.seen || m.n <= 1 {
+	if !m.ext.seen || m.n <= 1 {
 		return math.NaN()
 	}
 	return m.m2 / (m.n - 1)
@@ -104,20 +127,10 @@ func (m *Moments) SampleVariance() float64 {
 func (m *Moments) Stddev() float64 { return math.Sqrt(m.Variance()) }
 
 // Min returns the smallest observation, or NaN when empty.
-func (m *Moments) Min() float64 {
-	if !m.seen {
-		return math.NaN()
-	}
-	return m.min
-}
+func (m *Moments) Min() float64 { return m.ext.Min() }
 
 // Max returns the largest observation, or NaN when empty.
-func (m *Moments) Max() float64 {
-	if !m.seen {
-		return math.NaN()
-	}
-	return m.max
-}
+func (m *Moments) Max() float64 { return m.ext.Max() }
 
 // Mean returns the arithmetic mean of xs, or NaN when empty.
 func Mean(xs []float64) float64 {
@@ -152,32 +165,26 @@ func SampleVariance(xs []float64) float64 {
 // Stddev returns the population standard deviation of xs.
 func Stddev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the smallest element of xs, or NaN when empty.
+// Min returns the smallest element of xs by Extremes' rule, or NaN when
+// empty.
 func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
+	e := extremesOf(xs)
+	return e.Min()
 }
 
-// Max returns the largest element of xs, or NaN when empty.
+// Max returns the largest element of xs by Extremes' rule, or NaN when
+// empty.
 func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
+	e := extremesOf(xs)
+	return e.Max()
+}
+
+func extremesOf(xs []float64) Extremes {
+	var e Extremes
+	for _, x := range xs {
+		e.Add(x, x)
 	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
+	return e
 }
 
 // Quantile returns the q-quantile (q in [0,1]) of xs using linear

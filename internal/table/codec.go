@@ -89,20 +89,26 @@ type bitReader struct {
 
 // readBits returns the next nb bits (nb <= 64), composed LSB-first.
 func (r *bitReader) readBits(nb uint) uint64 {
-	mask := uint64(1)<<nb - 1 // all ones at nb == 64: the shift gives 0
 	if nb <= r.n {
-		v := r.acc & mask
-		r.acc >>= nb
-		r.n -= nb
+		var v uint64
+		v, r.acc, r.n = splitBits(r.acc, r.n, nb)
 		return v
 	}
 	// The value's low n bits are in acc; the rest start the next word.
 	w, got := loadWord(&r.buf)
-	v := (r.acc | w<<r.n) & mask
+	v := (r.acc | w<<r.n) & (uint64(1)<<nb - 1) // all ones at nb == 64: the shift gives 0
 	used := nb - r.n
 	r.acc = w >> used
 	r.n = got - min(used, got)
 	return v
+}
+
+// splitBits splits the low nb bits (nb <= n) off acc, a word of n unread
+// bits: it returns them, then the word and count that remain. It is
+// readBits' path within the loaded word, kept small enough to inline so
+// that decodeXorF64 can run it on a word held in registers.
+func splitBits(acc uint64, n, nb uint) (v, rest uint64, left uint) {
+	return acc & (uint64(1)<<nb - 1), acc >> nb, n - nb
 }
 
 // loadWord takes the next little-endian word off *buf, zero-filled past its
@@ -515,26 +521,44 @@ func decodeF64Block(codec byte, payload []byte, dst []float64, scratch []int64) 
 			dst[i] = float64(v)
 		}
 	case codecXorF64:
-		r := bitReader{buf: payload}
-		prev := r.readBits(64)
-		dst[0] = math.Float64frombits(prev)
-		var lead, sig, trail uint
-		for i := 1; i < n; i++ {
-			if r.readBits(1) == 0 {
-				dst[i] = math.Float64frombits(prev)
-				continue
-			}
-			if r.readBits(1) == 1 {
-				lead = uint(r.readBits(6))
-				sig = uint(r.readBits(6)) + 1
-				trail = 64 - lead - sig
-			}
-			xor := r.readBits(sig) << trail
-			prev ^= xor
-			dst[i] = math.Float64frombits(prev)
-		}
+		decodeXorF64(payload, dst)
 	default:
 		panic("table: unknown float64 block codec")
+	}
+}
+
+// decodeXorF64 decodes encodeXorF64's stream into dst. Its reads are
+// bitReader.readBits on local copies of the reader's word and bit count,
+// so a field the word holds is splitBits in registers; only a read that
+// crosses into the next word hands the copies back to readBits.
+func decodeXorF64(payload []byte, dst []float64) {
+	r := bitReader{buf: payload}
+	prev := r.readBits(64)
+	dst[0] = math.Float64frombits(prev)
+	acc, n := r.acc, r.n
+	read := func(nb uint) (v uint64) {
+		if nb <= n {
+			v, acc, n = splitBits(acc, n, nb)
+			return v
+		}
+		r.acc, r.n = acc, n
+		v = r.readBits(nb)
+		acc, n = r.acc, r.n
+		return v
+	}
+	var sig, trail uint
+	for i := 1; i < len(dst); i++ {
+		if read(1) == 0 {
+			dst[i] = math.Float64frombits(prev)
+			continue
+		}
+		if read(1) == 1 {
+			h := uint(read(12)) // a new window: 6 bits of lead, then 6 of sig-1
+			sig = h>>6 + 1
+			trail = 64 - h&63 - sig
+		}
+		prev ^= read(sig) << trail
+		dst[i] = math.Float64frombits(prev)
 	}
 }
 

@@ -587,3 +587,28 @@ func bytesToF64s(raw []byte) []float64 {
 	}
 	return out
 }
+
+// BenchmarkXorBlockDecode decodes a full block of the Gorilla XOR codec: a
+// random walk in sixteenths that holds still a quarter of the time, so the
+// stream mixes 1-bit repeats, reused windows and new 6+6-bit window headers.
+func BenchmarkXorBlockDecode(b *testing.B) {
+	src := rand.New(rand.NewSource(9))
+	vals := make([]float64, BlockRows)
+	x := src.NormFloat64()
+	for i := range vals {
+		if src.Intn(4) > 0 {
+			x += float64(src.Intn(64)) / 16
+		}
+		vals[i] = x
+	}
+	codec, buf := new(encScratch).encodeF64Block(nil, vals)
+	if codec != codecXorF64 {
+		b.Fatalf("codec %d, want the XOR codec", codec)
+	}
+	dst := make([]float64, BlockRows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decodeF64Block(codec, buf, dst, nil)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e3, "us/block")
+}

@@ -20,7 +20,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/experiments"
+	"repro/paper/internal/experiments"
 )
 
 // result is any experiment output: renderable as text and exportable as

@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/cluster"
 	"repro/internal/rng"
+	"repro/paper/internal/cluster"
 )
 
 func main() {

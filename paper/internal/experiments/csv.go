@@ -5,7 +5,7 @@ import (
 	"io"
 	"strconv"
 
-	"repro/internal/cluster"
+	"repro/paper/internal/cluster"
 )
 
 // WriteCSV emits the Fig. 1 series as plot-ready CSV: one row per

@@ -2,8 +2,8 @@
 // evaluation from the synthetic traces and the cluster cost model. Each
 // Fig* function is deterministic under its Config seed, returns a
 // structured result, and renders the same rows/series the paper reports;
-// cmd/aqpbench and the repository-level benchmarks are thin wrappers
-// around this package.
+// cmd/aqpbench and the figure benchmarks (bench_test.go), both in this
+// module, are thin wrappers around this package.
 //
 // Per DESIGN.md, the reproduction targets are shapes — orderings, rough
 // ratios and crossover locations — not the absolute numbers measured on
@@ -15,13 +15,13 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/rng"
+	"repro/paper/internal/cluster"
 )
 
 // Config scales the experiments. Quick() keeps unit tests and benchmarks
-// fast; Full() approaches the paper's settings and is what cmd/aqpbench
-// uses by default.
+// fast and is cmd/aqpbench's default; Full() approaches the paper's
+// settings and is what aqpbench -full runs.
 type Config struct {
 	// Seed drives all randomness.
 	Seed uint64

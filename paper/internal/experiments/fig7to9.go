@@ -4,8 +4,8 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/workload"
+	"repro/paper/internal/cluster"
 )
 
 // systemShape derives a production-scale QueryShape for one trace query:
