@@ -78,7 +78,6 @@ func buildDemo(metricsAddr string, elog *obs.EventLog, audit float64, obsCfg obs
 			SLOs: []history.SLOSpec{
 				{Name: "latency-p99", Kind: history.SLOLatency,
 					Objective: 0.99, ThresholdMs: 1000},
-				{Name: "coverage", Kind: history.SLOCoverage, Objective: 0.93},
 				{Name: "availability", Kind: history.SLOAvailability, Objective: 0.999},
 			},
 		})

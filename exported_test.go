@@ -1,9 +1,10 @@
 package repro
 
 // The exported-name guard: every exported name declared under internal/
-// or paper/internal/ has a caller outside _test.go files, in the root module or in one of its
-// nested modules, bench/ and paper/. An exported symbol that only tests
-// call is code the engine maintains for no traffic; DESIGN.md §27 has the
+// has a caller outside _test.go files in the root module or bench/, and
+// every one under paper/internal/ has one in paper/. An exported symbol
+// that only tests (or only the figures) call is code the engine maintains
+// for no traffic; DESIGN.md §27 has the
 // rule and the inventory it deleted. The guard uses go/parser and go/types
 // only, so it needs no module download.
 
@@ -26,6 +27,10 @@ import (
 	"testing"
 )
 
+// protocolReference is the reason the guards keep the §3 evaluation
+// protocol, which only paper/'s figures call outside tests.
+const protocolReference = "§3 protocol: TestDiagnosticAccuracySmoke's reference, run by the figures"
+
 // exportAllowList names what the guard keeps without a non-test caller,
 // each with its reason. A key is a package path under internal/, then a
 // name: "table.DecodedBlocks", "obs/history.Store.Sync"; a bare package
@@ -39,6 +44,12 @@ var exportAllowList = map[string]string{
 	"sql.MustParse":               "test seam: plan, exec and root tests build queries from literals",
 	"workload.QuerySpec.SQL":      "test seam: core's trace integration test runs every generated query through the engine",
 
+	"diagnostic.Assess":             protocolReference,
+	"diagnostic.Tally":              protocolReference,
+	"diagnostic.Tally.Add":          protocolReference,
+	"diagnostic.Tally.AccurateFrac": protocolReference,
+	"estimator.EstimationWorks":     protocolReference,
+
 	"resample": "the §5.1 resampling strategies, kept as the reference the kernel and exec tests check the fused and generic kernels against",
 
 	"obs/history.Store.Sync": "durability: forces the history file to disk",
@@ -47,20 +58,40 @@ var exportAllowList = map[string]string{
 	"stats.Moments.Merge":               "wired by ROADMAP item 5 (mergeable weighted sinks)",
 }
 
-// treeModules are the modules whose non-test files count as callers: the
-// root and the nested modules that import its internal/ packages.
-var treeModules = []module{{".", "repro"}, {"bench", "repro/bench"}, {"paper", "repro/paper"}}
+// A scope is a package tree the guards check and the modules whose non-test
+// files count as its callers.
+type scope struct {
+	prefix  string
+	callers []module
+}
 
-// checkedPrefixes are the package trees the guards check: the root's
-// internal/ and paper/'s own internal/ (the experiments and the cluster
-// cost model). bench/ declares everything in package main.
-var checkedPrefixes = []string{"repro/internal/", "repro/paper/internal/"}
+// guardScopes are the trees the guards check. A root internal/ name that
+// only paper/'s figures use is figure machinery the serving module carries,
+// so paper/ counts as a caller only of its own internal/ (the experiments
+// and the cluster cost model). bench/ declares everything in package main.
+var guardScopes = []scope{
+	{"repro/internal/", []module{{".", "repro"}, {"bench", "repro/bench"}}},
+	{"repro/paper/internal/", []module{{".", "repro"}, {"paper", "repro/paper"}}},
+}
+
+// inScopes runs check over every scope and joins what it reports.
+func inScopes(check func([]module, ...string) ([]export, error)) ([]export, error) {
+	var out []export
+	for _, sc := range guardScopes {
+		got, err := check(sc.callers, sc.prefix)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, got...)
+	}
+	return out, nil
+}
 
 func TestEveryExportedNameHasACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole tree")
 	}
-	exports, err := checkExports(treeModules, checkedPrefixes...)
+	exports, err := inScopes(checkExports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,19 +114,25 @@ var optionFieldAllowList = map[string]string{
 	"watchdog.Config.Tolerance":          "test seam: the alert pipeline test narrows the band its induced undercoverage leaves",
 	"watchdog.Config.Synchronous":        "test seam: core and alert tests run audits inline to assert on their outcome",
 	"obs/history.Options.SampleInterval": "test seam: core, wire and root tests stop the SLO sampler goroutine",
+
+	"estimator.EvalConfig.SampleSize": protocolReference,
+	"estimator.EvalConfig.Trials":     protocolReference,
+	"estimator.EvalConfig.TruthP":     protocolReference,
+	"estimator.EvalConfig.Alpha":      protocolReference,
+	"estimator.EvalConfig.DeltaTol":   protocolReference,
+	"estimator.EvalConfig.FailFrac":   protocolReference,
 }
 
 // TestEveryOptionFieldIsSet is the exported-name guard for option structs:
-// every exported field of an exported *Config or *Options struct under
-// internal/ is set by some non-test file of the root module, bench/ or
-// paper/. A field nothing sets is a knob every deployment leaves at its
-// default: make it a constant, or an unexported field its package's tests
-// set.
+// every exported field of an exported *Config or *Options struct in a
+// guarded tree is set by some non-test file of that tree's callers. A field
+// nothing sets is a knob every deployment leaves at its default: make it a
+// constant, or an unexported field its package's tests set.
 func TestEveryOptionFieldIsSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole tree")
 	}
-	fields, err := checkOptionFields(treeModules, checkedPrefixes...)
+	fields, err := inScopes(checkOptionFields)
 	if err != nil {
 		t.Fatal(err)
 	}

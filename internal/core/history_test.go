@@ -16,7 +16,6 @@ func openTestHistory(t *testing.T, dir string) *history.Store {
 		SampleInterval: -1,
 		SLOs: []history.SLOSpec{
 			{Name: "lat", Kind: history.SLOLatency, Objective: 0.99, ThresholdMs: 60000},
-			{Name: "cov", Kind: history.SLOCoverage, Objective: 0.93},
 		},
 	})
 	if err != nil {

@@ -31,7 +31,6 @@ const (
 func TestReplayParentSchemaSegment(t *testing.T) {
 	specs := []SLOSpec{
 		{Name: "lat", Kind: SLOLatency, Objective: 0.99, ThresholdMs: 1000},
-		{Name: "cov", Kind: SLOCoverage, Objective: 0.9, Table: "Sessions"},
 		{Name: "avail", Kind: SLOAvailability, Objective: 0.99},
 	}
 	now := time.Now().UnixNano()

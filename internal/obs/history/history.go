@@ -1,9 +1,10 @@
 // Package history is the engine's durable telemetry layer: an append-only
 // segment log of query, audit and admission records; an online workload
 // profiler keyed by (table, sample, aggregate-kind, predicate-signature);
-// and a sliding-window SLO monitor with error-budget burn rates. Open
-// replays existing segments so profiles, lifetime counters and recent
-// coverage windows resume across restarts instead of resetting.
+// and a sliding-window latency/availability SLO monitor with error-budget
+// burn rates. Open replays existing segments so profiles, lifetime
+// counters and the SLO monitor's last five minutes resume across restarts
+// instead of resetting.
 //
 // Like the rest of the obs tree, the layer is inert by construction: it
 // only reads finished answers and trace snapshots, consumes no engine
@@ -111,7 +112,7 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the history directory, replays every
-// existing segment into the profiler and recent-window monitor state, and
+// existing segment into the profiler and the SLO monitor's window, and
 // starts a fresh active segment. Replay is fail-soft: a corrupt segment
 // tail loses only the records after the tear.
 func Open(dir string, opt Options) (*Store, error) {
@@ -162,22 +163,18 @@ func Open(dir string, opt Options) (*Store, error) {
 }
 
 // fold feeds a record, appended now or replayed, into the in-memory state.
-// Profiles and lifetime counters accept any age; the sliding-window monitor
-// only sees records still inside its retention, stamped at their recorded
-// time, so "coverage over the last N minutes" genuinely survives a quick
-// restart.
+// Profiles and lifetime counters accept any age; the SLO monitor only sees
+// records its window can still count, stamped at their recorded time, so
+// the last five minutes survive a quick restart.
 func (s *Store) fold(rec *Record, nowSec int64) {
-	sec := rec.TS / int64(time.Second)
-	inWindow := sec > nowSec-maxRetentionSec && sec <= nowSec
 	s.prof.fold(rec)
-	if !inWindow {
+	sec := rec.TS / int64(time.Second)
+	if sec <= nowSec-windowSec-slotSec || sec > nowSec {
 		return
 	}
 	switch {
 	case rec.Query != nil:
 		s.mon.recordQuery(sec, rec.Query.TotalMs, rec.Query.Outcome)
-	case rec.Audit != nil:
-		s.mon.recordAudit(sec, rec.Audit.Table, rec.Audit.Covered)
 	case rec.Reject != nil:
 		s.mon.recordReject(sec)
 	}

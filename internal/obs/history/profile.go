@@ -66,7 +66,9 @@ type Profile struct {
 	// StagesMs is the per-stage latency distribution in milliseconds.
 	StagesMs map[string]Dist `json:"stages_ms,omitempty"`
 	// Audits/Covered/Coverage are the watchdog's ground-truth verdicts for
-	// this key; Coverage is 0 until the first audit lands.
+	// this key; Coverage is 0 until the first audit lands. It is a count,
+	// held to no target (the watchdog judges coverage), and the only view
+	// of it that Replay can rebuild for a process that is gone.
 	Audits   int64   `json:"audits"`
 	Covered  int64   `json:"covered"`
 	Coverage float64 `json:"coverage"`

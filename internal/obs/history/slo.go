@@ -1,17 +1,16 @@
 package history
 
-// The accuracy/latency SLO monitor. Specs are declarative ("p99 latency
-// ≤ 250ms over 5 minutes", "empirical coverage ≥ 93% on Sessions");
-// evaluation runs over sliding windows on an in-memory multi-resolution
-// ring — 1s slots for short windows, 10s and 60s rollups for long ones —
-// so a 2-hour window costs the same handful of slot reads as a 1-minute
-// one. The exported number is the SRE error-budget burn rate:
+// The latency/availability SLO monitor. Specs are declarative ("p99
+// latency ≤ 250ms", "99.9% of requests served"); each is evaluated over
+// the last five minutes, read from one in-memory ring of 10s slots. The
+// exported number is the SRE error-budget burn rate:
 //
 //	budget    = 1 - Objective            (allowed bad fraction)
 //	burn rate = badFraction / budget
 //
 // burn 1.0 means the window is consuming its budget exactly as fast as
-// the objective allows; above 1.0 the SLO is breaching.
+// the objective allows; above 1.0 the SLO is breaching. Interval coverage
+// is not an SLO: the calibration watchdog holds it to the nominal level.
 
 import (
 	"fmt"
@@ -28,9 +27,6 @@ const (
 	// SLOLatency: a query is good when its end-to-end latency is at most
 	// ThresholdMs. "p99 ≤ X ms" is Objective 0.99 with ThresholdMs X.
 	SLOLatency = "latency"
-	// SLOCoverage: an audit is good when the CI contained ground truth.
-	// "coverage ≥ 93%" is Objective 0.93.
-	SLOCoverage = "coverage"
 	// SLOAvailability: an event is bad when the query failed with an
 	// engine error or was rejected at admission. Cancellations (client
 	// abandoned) count as good.
@@ -40,23 +36,12 @@ const (
 // SLOSpec declares one objective.
 type SLOSpec struct {
 	Name string `json:"name"`
-	Kind string `json:"kind"` // "latency" | "coverage" | "availability"
+	Kind string `json:"kind"` // "latency" | "availability"
 	// Objective is the target good-event fraction in (0,1).
 	Objective float64 `json:"objective"`
 	// ThresholdMs is the latency cut-off (latency SLOs only). It is
 	// effectively rounded up to the nearest latency-bucket bound.
 	ThresholdMs float64 `json:"threshold_ms,omitempty"`
-	// Table scopes a coverage SLO to one table ("" = all tables).
-	Table string `json:"table,omitempty"`
-	// WindowSec is the sliding evaluation window (0 = 300).
-	WindowSec int `json:"window_sec,omitempty"`
-}
-
-func (s SLOSpec) windowSec() int64 {
-	if s.WindowSec <= 0 {
-		return 300
-	}
-	return int64(s.WindowSec)
 }
 
 // SLOStatus is one spec's current evaluation.
@@ -75,81 +60,52 @@ type SLOStatus struct {
 	Breaching       bool    `json:"breaching"`
 }
 
-// Ring geometry: resolutions and slot counts. Retention is the coarsest
-// ring's span: 128 minutes.
-var ringRes = []struct {
-	step  int64 // seconds per slot
-	slots int
-}{
-	{1, 128},
-	{10, 96},
-	{60, 128},
-}
-
-const maxRetentionSec = 60 * 128
+// Ring geometry. Every spec reads the last windowSec seconds: the slots
+// whose start lies in (now-windowSec-slotSec+1, now], at most
+// windowSec/slotSec+1 of them. ringSlots keeps one more, so a slot that a
+// window reads is reused only by an event stamped more than a slot after
+// that window's now.
+const (
+	windowSec = 300
+	slotSec   = 10
+	ringSlots = windowSec/slotSec + 2
+)
 
 // tsSlot is one time slot of event counts. lat is indexed like
-// obs.LatencyBuckets (+Inf tail) and only allocated on the global ring.
+// obs.LatencyBuckets (+Inf tail).
 type tsSlot struct {
-	start     int64 // aligned unix sec; 0 = empty
-	n         int64 // finished queries
-	errs      int64 // outcome "error"
-	rejects   int64 // admission rejections
-	audits    int64
-	uncovered int64
-	lat       []int64
+	start   int64 // aligned unix sec; 0 = empty
+	n       int64 // finished queries
+	errs    int64 // outcome "error"
+	rejects int64 // admission rejections
+	lat     []int64
 }
 
-// tsRing is one event stream at all resolutions.
-type tsRing struct {
-	res [][]tsSlot
-}
+// tsRing is the event stream, one slot per slotSec seconds.
+type tsRing [ringSlots]tsSlot
 
-func newTSRing() *tsRing {
-	r := &tsRing{res: make([][]tsSlot, len(ringRes))}
-	for i, g := range ringRes {
-		r.res[i] = make([]tsSlot, g.slots)
-	}
-	return r
-}
-
-// slotAt returns the (reset-if-stale) slot for sec at resolution i.
-func (r *tsRing) slotAt(i int, sec int64) *tsSlot {
-	step := ringRes[i].step
-	aligned := (sec / step) * step
-	s := &r.res[i][int(aligned/step)%ringRes[i].slots]
+// slotAt returns the (reset-if-stale) slot for sec.
+func (r *tsRing) slotAt(sec int64) *tsSlot {
+	aligned := (sec / slotSec) * slotSec
+	s := &r[int(aligned/slotSec)%ringSlots]
 	if s.start != aligned {
 		*s = tsSlot{start: aligned}
 	}
 	return s
 }
 
-// window sums the slots covering (now-windowSec, now] at the finest
-// resolution that retains the whole window.
-func (r *tsRing) window(now, windowSec int64) tsSlot {
-	if windowSec > maxRetentionSec {
-		windowSec = maxRetentionSec
-	}
-	ri := len(ringRes) - 1
-	for i, g := range ringRes {
-		if windowSec <= g.step*int64(g.slots) {
-			ri = i
-			break
-		}
-	}
-	step := ringRes[ri].step
+// window sums the slots covering (now-windowSec, now].
+func (r *tsRing) window(now int64) tsSlot {
 	var sum tsSlot
 	lo := now - windowSec
-	for j := range r.res[ri] {
-		s := &r.res[ri][j]
-		if s.start == 0 || s.start <= lo-step+1 || s.start > now {
+	for j := range r {
+		s := &r[j]
+		if s.start == 0 || s.start <= lo-slotSec+1 || s.start > now {
 			continue
 		}
 		sum.n += s.n
 		sum.errs += s.errs
 		sum.rejects += s.rejects
-		sum.audits += s.audits
-		sum.uncovered += s.uncovered
 		if s.lat != nil {
 			if sum.lat == nil {
 				sum.lat = make([]int64, len(s.lat))
@@ -173,11 +129,9 @@ var latBoundsMs = func() []float64 {
 
 // monitor is the SLO evaluation state.
 type monitor struct {
-	mu     sync.Mutex
-	specs  []SLOSpec
-	global *tsRing
-	// tables holds per-table audit rings; the "" key aggregates all.
-	tables   map[string]*tsRing
+	mu       sync.Mutex
+	specs    []SLOSpec
+	ring     tsRing
 	breached map[string]bool
 	reg      *obs.Registry
 	alerts   *alert.Bus
@@ -186,8 +140,6 @@ type monitor struct {
 func newMonitor(specs []SLOSpec, reg *obs.Registry, alerts *alert.Bus) *monitor {
 	m := &monitor{
 		specs:    append([]SLOSpec(nil), specs...),
-		global:   newTSRing(),
-		tables:   map[string]*tsRing{},
 		breached: map[string]bool{},
 		reg:      reg,
 		alerts:   alerts,
@@ -204,48 +156,21 @@ func newMonitor(specs []SLOSpec, reg *obs.Registry, alerts *alert.Bus) *monitor 
 func (m *monitor) recordQuery(sec int64, totalMs float64, outcome string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	bi := sort.SearchFloat64s(latBoundsMs, totalMs)
-	for i := range ringRes {
-		s := m.global.slotAt(i, sec)
-		s.n++
-		if outcome == "error" {
-			s.errs++
-		}
-		if s.lat == nil {
-			s.lat = make([]int64, len(latBoundsMs)+1)
-		}
-		s.lat[bi]++
+	s := m.ring.slotAt(sec)
+	s.n++
+	if outcome == "error" {
+		s.errs++
 	}
+	if s.lat == nil {
+		s.lat = make([]int64, len(latBoundsMs)+1)
+	}
+	s.lat[sort.SearchFloat64s(latBoundsMs, totalMs)]++
 }
 
 func (m *monitor) recordReject(sec int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := range ringRes {
-		m.global.slotAt(i, sec).rejects++
-	}
-}
-
-func (m *monitor) recordAudit(sec int64, table string, covered bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, key := range []string{"", table} {
-		r, ok := m.tables[key]
-		if !ok {
-			r = newTSRing()
-			m.tables[key] = r
-		}
-		for i := range ringRes {
-			s := r.slotAt(i, sec)
-			s.audits++
-			if !covered {
-				s.uncovered++
-			}
-		}
-		if table == "" {
-			break
-		}
-	}
+	m.ring.slotAt(sec).rejects++
 }
 
 // goodLatency counts window events with latency ≤ thresholdMs using the
@@ -273,22 +198,13 @@ func (m *monitor) evaluate(now int64) []SLOStatus {
 	m.mu.Lock()
 	out := make([]SLOStatus, 0, len(m.specs))
 	var began, ended []SLOStatus // breach transitions, alerted outside mu
+	sum := m.ring.window(now)
 	for _, spec := range m.specs {
 		st := SLOStatus{Spec: spec, GoodFraction: 1}
-		w := spec.windowSec()
-		switch spec.Kind {
-		case SLOCoverage:
-			if r, ok := m.tables[spec.Table]; ok {
-				sum := r.window(now, w)
-				st.Events = sum.audits
-				st.Bad = sum.uncovered
-			}
-		case SLOAvailability:
-			sum := m.global.window(now, w)
+		if spec.Kind == SLOAvailability {
 			st.Events = sum.n + sum.rejects
 			st.Bad = sum.errs + sum.rejects
-		default: // SLOLatency
-			sum := m.global.window(now, w)
+		} else { // SLOLatency
 			st.Events = sum.n
 			st.Bad = sum.n - goodLatency(sum.lat, spec.ThresholdMs)
 		}
@@ -324,7 +240,7 @@ func (m *monitor) evaluate(now int64) []SLOStatus {
 			Observed: st.BurnRate, Expected: 1,
 			Message: fmt.Sprintf(
 				"SLO %s (%s, objective %.3g): burn rate %.2f over %ds window — error budget consuming faster than the objective allows",
-				st.Spec.Name, st.Spec.Kind, st.Spec.Objective, st.BurnRate, st.Spec.windowSec()),
+				st.Spec.Name, st.Spec.Kind, st.Spec.Objective, st.BurnRate, windowSec),
 		})
 	}
 	for _, st := range ended {
@@ -332,7 +248,6 @@ func (m *monitor) evaluate(now int64) []SLOStatus {
 	}
 	return out
 }
-
 func (m *monitor) exportLocked(st SLOStatus, was bool) {
 	if m.reg == nil {
 		return

@@ -216,54 +216,6 @@ func generateQuery(src *rng.Source, kind Kind, id, popSize int, pAdv float64) Qu
 	return spec
 }
 
-// QSet1 filters a trace down to queries whose error bars admit closed
-// forms (the paper's QSet-1: simple AVG, COUNT, SUM, STDEV, VARIANCE
-// aggregates).
-func QSet1(trace []QuerySpec) []QuerySpec {
-	var out []QuerySpec
-	for _, q := range trace {
-		if q.ClosedFormOK() {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// QSet2 filters a trace down to queries that only the bootstrap can
-// handle (UDFs, percentiles, MIN/MAX — the paper's "multiple aggregate
-// operators, nested subqueries or UDFs" set).
-func QSet2(trace []QuerySpec) []QuerySpec {
-	var out []QuerySpec
-	for _, q := range trace {
-		if !q.ClosedFormOK() {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// GenerateQSets generates a trace and keeps drawing until both query sets
-// contain at least want queries each, then truncates both to exactly want.
-// This mirrors the paper's "two different sets of 100 real-world queries".
-func GenerateQSets(kind Kind, want int, popSize int, seed uint64) (qset1, qset2 []QuerySpec) {
-	batch := want * 4
-	for tries := 0; tries < 8; tries++ {
-		trace := Generate(TraceConfig{
-			Kind:                kind,
-			NumQueries:          batch,
-			PopulationSize:      popSize,
-			Seed:                seed,
-			AdversarialFraction: -1,
-		})
-		qset1, qset2 = QSet1(trace), QSet2(trace)
-		if len(qset1) >= want && len(qset2) >= want {
-			return qset1[:want], qset2[:want]
-		}
-		batch *= 2
-	}
-	return qset1, qset2
-}
-
 // SQL renders the query as engine SQL over a table holding the population
 // in a single numeric column. COUNT queries (whose populations are
 // indicator columns) render as a filtered COUNT(*); UDFs render by their

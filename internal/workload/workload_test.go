@@ -223,32 +223,6 @@ func TestUDFQueriesHaveBodies(t *testing.T) {
 	}
 }
 
-func TestQSetSplit(t *testing.T) {
-	trace := Generate(TraceConfig{Kind: Facebook, NumQueries: 500,
-		PopulationSize: 100, Seed: 15, AdversarialFraction: -1})
-	q1, q2 := QSet1(trace), QSet2(trace)
-	if len(q1)+len(q2) != len(trace) {
-		t.Fatalf("QSet split loses queries: %d + %d != %d", len(q1), len(q2), len(trace))
-	}
-	for _, q := range q1 {
-		if !q.ClosedFormOK() {
-			t.Fatal("QSet1 contains a non-closed-form query")
-		}
-	}
-	for _, q := range q2 {
-		if q.ClosedFormOK() {
-			t.Fatal("QSet2 contains a closed-form query")
-		}
-	}
-}
-
-func TestGenerateQSetsExactCounts(t *testing.T) {
-	q1, q2 := GenerateQSets(Conviva, 50, 1000, 16)
-	if len(q1) != 50 || len(q2) != 50 {
-		t.Fatalf("GenerateQSets sizes = %d, %d", len(q1), len(q2))
-	}
-}
-
 func TestQuerySpecMetadata(t *testing.T) {
 	trace := Generate(TraceConfig{Kind: Facebook, NumQueries: 100,
 		PopulationSize: 100, Seed: 17, AdversarialFraction: -1})

@@ -32,7 +32,7 @@ type DiagAblationResult struct {
 // easy/hard workload, holding the expensive ground truth fixed per query.
 func DiagnosticAblation(cfg Config) *DiagAblationResult {
 	ps := []int{25, 50, 100}
-	q1, q2 := workload.GenerateQSets(workload.Conviva, cfg.QueriesPerSet,
+	q1, q2 := generateQSets(workload.Conviva, cfg.QueriesPerSet,
 		cfg.PopulationSize, cfg.Seed+77)
 	queries := append(append([]workload.QuerySpec{}, q1...), q2...)
 

@@ -46,7 +46,7 @@ func Fig4c(cfg Config) *Fig4Result {
 func fig4(cfg Config, estName string, closedFormSet bool) *Fig4Result {
 	res := &Fig4Result{Estimator: estName, Bars: map[string]Fig4Bars{}}
 	for _, kind := range []workload.Kind{workload.Conviva, workload.Facebook} {
-		qset1, qset2 := workload.GenerateQSets(kind, cfg.QueriesPerSet,
+		qset1, qset2 := generateQSets(kind, cfg.QueriesPerSet,
 			cfg.PopulationSize, cfg.Seed+uint64(kind))
 		queries := qset2
 		if closedFormSet {

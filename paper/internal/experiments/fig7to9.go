@@ -42,7 +42,7 @@ func systemShape(cfg Config, spec workload.QuerySpec, consolidated, pushed bool)
 func qsets(cfg Config) (qset1, qset2 []workload.QuerySpec) {
 	// The systems experiments never touch the populations, so generate
 	// tiny ones.
-	return workload.GenerateQSets(workload.Conviva, cfg.QueriesPerSet, 64, cfg.Seed)
+	return generateQSets(workload.Conviva, cfg.QueriesPerSet, 64, cfg.Seed)
 }
 
 // PipelineResult holds per-query latency breakdowns for both query sets
