@@ -30,9 +30,9 @@ type BatchResponse struct {
 // BatchKey reports whether a query is eligible for shared-scan batching
 // and, if so, an opaque key identifying the (table, sample) it would
 // execute against — two queries are batchable together exactly when their
-// keys are equal. Queries that would run exactly (no usable sample) are
-// not batchable: the exact path is the fallback of last resort and is kept
-// latency-isolated. The key embeds the sample's storage identity, so a
+// keys are equal. Queries that would run exactly (no usable sample, or a
+// plan the block table answers for less) are not batchable: the exact path
+// shares no scan and is kept latency-isolated. The key embeds the sample's storage identity, so a
 // BuildSamples call between two BatchKey calls naturally separates old and
 // new submissions.
 func (e *Engine) BatchKey(query string) (string, bool) {

@@ -201,7 +201,7 @@ func TestRunSharedBatchRejectedDiagnosticFallsBack(t *testing.T) {
 		return e
 	}
 	queries := []string{
-		"SELECT MAX(v) FROM T", // diagnostic rejects MAX on extreme Pareto data
+		"SELECT MAX(v) FROM T WHERE v > 0", // diagnostic rejects MAX on extreme Pareto data
 		"SELECT AVG(v) FROM T",
 	}
 	soloEng := mk()

@@ -618,7 +618,9 @@ func (a *Answer) FellBack() bool {
 }
 
 // Explain parses and plans the query as Run would — the same sample choice,
-// the same plan construction — and returns the plan tree rendering.
+// the same plan construction — and returns the plan tree rendering. A query
+// planned exact from the block table is headed by the line
+// "exact (block table: N blocks)", N the column blocks predicted decoded.
 func (e *Engine) Explain(query string) (string, error) {
 	q := &request{sql: query}
 	if err := e.analyze(q); err != nil {
@@ -633,6 +635,9 @@ func (e *Engine) Explain(query string) (string, error) {
 	}
 	if err != nil {
 		return "", err
+	}
+	if q.planned {
+		return fmt.Sprintf("exact (block table: %d blocks)\n", q.plannedBlocks) + p.Explain(), nil
 	}
 	return p.Explain(), nil
 }
@@ -657,6 +662,6 @@ func (e *Engine) analyze(q *request) error {
 	if !ok {
 		return fmt.Errorf("core: %s: unknown table %q", q.label(), def.Table)
 	}
-	q.def, q.rt = def, rt
+	q.def, q.rt, q.memo = def, rt, e.preds
 	return nil
 }

@@ -52,7 +52,7 @@ func TestSkipDiagnosticsPath(t *testing.T) {
 	if err := e.BuildSamples("T", 30000); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.Run(context.Background(), "SELECT MAX(v) FROM T")
+	ans, err := e.Run(context.Background(), "SELECT MAX(v) FROM T WHERE v > 0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,12 +39,15 @@ var boundQueries = []string{
 // rendering of the query's record: the verdicts hang under the diagnostic
 // stage of the run whose answer is served, so a run an escalation moved on
 // from keeps its diagnostic span, work counters and accepted/rejected counts
-// but no verdict children.
+// but no verdict children. The fallback engine's shapes were re-recorded once
+// more when count-first came in: the grouped query's groups on the 6400-row
+// sample are too small for a diagnosis, so its estimate stage serves no bar
+// (technique_none) where it used to fold closed-form bars nothing read.
 var boundGolden = map[bool]struct {
 	answers, shape uint64
 	trail          string
 }{
-	false: {0xd0de9c711575eda6, 0xa80dcf2af04415e0, "7000/2 48000/2 0/2 48000/3 48000/3 0/4 0/4 0/4 0/4"},
+	false: {0xd0de9c711575eda6, 0x9ef50dc3c061e9f9, "7000/2 48000/2 0/2 48000/3 48000/3 0/4 0/4 0/4 0/4"},
 	true:  {0xa7669a0f1635eb7b, 0x5b1a50f3046394a0, "7000/2 48000/2 6400/1 48000/3 48000/3 48000/3 48000/3 48000/3 48000/3"},
 }
 

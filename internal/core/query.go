@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/estimator"
 	"repro/internal/exec"
 	"repro/internal/obs"
@@ -18,8 +19,10 @@ import (
 // RunOptions is one query's request: what to answer it with and how far to
 // go. The zero value is a plain request — the §5 pipeline on the sample
 // nextSample chooses, each aggregate the diagnostic rejects re-answered
-// exactly. At most one of Exact, ErrorBound and TimeBudget may be set; the
-// answer cache serves and stores plain requests only.
+// exactly, or the exact plan when the block table answers the query for
+// less decode than the sample would cost. At most one of Exact, ErrorBound
+// and TimeBudget may be set; the answer cache serves and stores plain
+// requests only.
 type RunOptions struct {
 	// BootstrapK, when positive, caps the resample count for this query
 	// below the engine's configured K (it never raises it). The serving
@@ -83,6 +86,13 @@ type request struct {
 	start time.Time
 	def   *plan.QueryDef
 	rt    *registeredTable
+	// memo is the engine's predicate memo (nil without a cache): the one
+	// the block-table prediction reads zone-map skips through.
+	memo *cache.PredMemo
+	// planned marks a request nextSample planned exact from the block table,
+	// and plannedBlocks is the decode it predicted for the exact plan.
+	planned       bool
+	plannedBlocks int
 	// stages are the stages run so far, in the order they began: the
 	// record's.
 	stages []obs.StageRecord
@@ -249,31 +259,21 @@ func (e *Engine) exactOnReject(opts RunOptions) bool {
 //     another sample.
 //
 // An exact request, or one with no sample its mode can run on, gets nil at
-// once and runs the exact plan.
+// once and runs the exact plan. So does a request the block table answers
+// for no more decode than its first sample would cost (planExact).
 func (q *request) nextSample(ran *exec.StoredTable, ans *Answer) *exec.StoredTable {
 	samples := q.rt.samples
 	switch {
 	case q.opts.Exact:
 		return nil
-	case q.opts.plain():
-		if ran != nil {
-			return nil
-		}
-		if len(q.def.GroupBy) == 1 && scaleInvariant(q.def) {
-			for _, s := range q.rt.stratified {
-				if strings.EqualFold(s.keyColumn, q.def.GroupBy[0]) {
-					return s.st
-				}
-			}
-		}
-		if len(samples) == 0 {
-			return nil
-		}
-		return samples[len(samples)-1]
-	case len(samples) == 0:
-		return nil
 	case ran == nil:
-		return samples[0]
+		st := q.firstSample()
+		if st != nil && q.planExact(st) {
+			return nil
+		}
+		return st
+	case q.opts.plain():
+		return nil
 	case q.opts.ErrorBound > 0:
 		bound := q.opts.ErrorBound
 		met, worst := meetsBound(ans, bound)
@@ -309,6 +309,46 @@ func (q *request) nextSample(ran *exec.StoredTable, ans *Answer) *exec.StoredTab
 		}
 		return best
 	}
+}
+
+// firstSample is the sample a request's mode runs on first (see nextSample).
+func (q *request) firstSample() *exec.StoredTable {
+	samples := q.rt.samples
+	if q.opts.plain() && len(q.def.GroupBy) == 1 && scaleInvariant(q.def) {
+		for _, s := range q.rt.stratified {
+			if strings.EqualFold(s.keyColumn, q.def.GroupBy[0]) {
+				return s.st
+			}
+		}
+	}
+	switch {
+	case len(samples) == 0:
+		return nil
+	case q.opts.plain():
+		return samples[len(samples)-1]
+	}
+	return samples[0]
+}
+
+// planExact reports whether the exact plan answers the request from the
+// block table for no more decode than a scan of the sample st: the query is
+// ungrouped, every aggregate is a MIN or MAX of a bare numeric column, and
+// exec.ExtremeDecode predicts no more column blocks on the full table than
+// on st. Such an aggregate is the diagnostic's most frequent reject (the
+// paper's Fig. 3), and the exact answer it falls back to then costs a scan
+// of the sample besides. An exact plan meets every error bound and costs
+// less than any pilot, so the rule holds in every mode. It records the
+// prediction on the request, for the plan stage and EXPLAIN.
+func (q *request) planExact(st *exec.StoredTable) bool {
+	exact, ok := exec.ExtremeDecode(q.memo, &exec.StoredTable{Data: q.rt.full}, q.def)
+	if !ok {
+		return false
+	}
+	if sampled, _ := exec.ExtremeDecode(q.memo, st, q.def); exact > sampled {
+		return false
+	}
+	q.planned, q.plannedBlocks = true, exact
+	return true
 }
 
 // meetsBound reports whether every aggregate of ans is accepted by the
@@ -431,7 +471,11 @@ func (e *Engine) runApproximate(q *request, st *exec.StoredTable, verdictFirst b
 func (e *Engine) buildExactPlan(q *request, nested bool) (*plan.Plan, error) {
 	start := time.Now()
 	p, err := plan.Build(q.def, plan.Options{})
-	q.stage(obs.StageRecord{Stage: obs.StagePlan, Nested: nested}, start)
+	rec := obs.StageRecord{Stage: obs.StagePlan, Nested: nested}
+	if q.planned && !nested {
+		rec.Reason, rec.PredictedBlocks = obs.PlanBlockTable, q.plannedBlocks
+	}
+	q.stage(rec, start)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: plan: %w", q.label(), err)
 	}
@@ -534,8 +578,12 @@ func scanSelectivity(c exec.Counters) float64 {
 // errorBar serves one aggregate's confidence interval from the estimator
 // its θ admits (DESIGN.md §32): the closed form the executor computed when
 // out.Query has one, otherwise the bootstrap distribution the executor drew.
-// Either way it is the ξ the diagnostic validated for that θ.
+// Either way it is the ξ the diagnostic validated for that θ. An aggregate
+// count-first rejected has no values and no bar (DESIGN.md §35).
 func errorBar(out exec.AggOutput) (estimator.Interval, string, error) {
+	if out.Values == nil {
+		return estimator.Interval{Center: out.Value, HalfWidth: math.NaN()}, "none", nil
+	}
 	if out.Query.ClosedFormApplicable() {
 		return out.ClosedForm, "closed-form", out.ClosedFormErr
 	}

@@ -57,7 +57,7 @@ func verdictEngineOn(t *testing.T, cfg Config, tbl *table.Table) *Engine {
 // in one query, the same under GROUP BY, and a closed-form-only query.
 var verdictQueries = []string{
 	"SELECT PERCENTILE(g, 0.5) FROM T",
-	"SELECT MAX(p) FROM T",
+	"SELECT MAX(p) FROM T WHERE p > 0",
 	"SELECT PERCENTILE(g, 0.5), MAX(p), AVG(g) FROM T",
 	"SELECT MAX(p), PERCENTILE(g, 0.9), AVG(g) FROM T WHERE g > 50",
 	"SELECT City, MAX(p), PERCENTILE(g, 0.5) FROM T GROUP BY City",
@@ -165,7 +165,7 @@ func TestVerdictFirstAnswersGolden(t *testing.T) {
 func TestVerdictFirstOffWithoutFallback(t *testing.T) {
 	const k = 40
 	e := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, noFallback: true})
-	ans, err := e.Run(context.Background(), "SELECT MAX(p) FROM T")
+	ans, err := e.Run(context.Background(), "SELECT MAX(p) FROM T WHERE p > 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestVerdictFirstSkipsRejectedWork(t *testing.T) {
 	on := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, Obs: tr})
 	off := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, noFallback: true})
 
-	ans, err := on.Run(context.Background(), "SELECT MAX(p) FROM T")
+	ans, err := on.Run(context.Background(), "SELECT MAX(p) FROM T WHERE p > 0")
 	if err != nil {
 		t.Fatal(err)
 	}

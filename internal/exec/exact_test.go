@@ -192,7 +192,7 @@ func referenceExact(p *plan.Plan, tbl *table.Table, udfs Registry) ([]GroupOutpu
 func materializedExact(t *testing.T, p *plan.Plan, st *StoredTable, udfs Registry) []GroupOutput {
 	t.Helper()
 	def := p.Def
-	bases, errs := scanFilterProjectMulti(context.Background(), []*plan.QueryDef{def}, st.Data, Config{Workers: 2})
+	bases, errs := scanFilterProjectMulti(context.Background(), []*plan.QueryDef{def}, nil, st.Data, Config{Workers: 2})
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
@@ -320,7 +320,7 @@ func TestExactOperatorCounters(t *testing.T) {
 	for _, tc := range cases {
 		p := mustPlan(t, tc.q, plan.Options{})
 		def := p.Def
-		olds, errs := scanFilterProjectMulti(context.Background(), []*plan.QueryDef{def}, raw, Config{Workers: 2})
+		olds, errs := scanFilterProjectMulti(context.Background(), []*plan.QueryDef{def}, nil, raw, Config{Workers: 2})
 		if errs[0] != nil {
 			t.Fatal(errs[0])
 		}

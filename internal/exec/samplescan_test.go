@@ -298,7 +298,7 @@ func TestSampleScanDifferential(t *testing.T) {
 				for pass := 0; pass < passes; pass++ {
 					for i, def := range members {
 						label := fmt.Sprintf("%s workers=%d cached=%v pass=%d %q", name, workers, cached, pass, qs[i])
-						res, errs := scanFilterProjectMulti(ctx, []*plan.QueryDef{def}, data, cfg)
+						res, errs := scanFilterProjectMulti(ctx, []*plan.QueryDef{def}, nil, data, cfg)
 						if errs[0] != nil {
 							t.Fatalf("%s: %v", label, errs[0])
 						}
@@ -338,7 +338,7 @@ func TestSampleScanDifferential(t *testing.T) {
 							warmHits += c.CacheHits
 						}
 					}
-					res, errs := scanFilterProjectMulti(ctx, members, data, cfg)
+					res, errs := scanFilterProjectMulti(ctx, members, nil, data, cfg)
 					var scans int
 					for i := range members {
 						if errs[i] != nil {
@@ -376,7 +376,7 @@ func TestSampleScanDifferential(t *testing.T) {
 			t.Fatalf("reference accepted %q", q)
 		}
 		for name, data := range variants {
-			_, errs := scanFilterProjectMulti(ctx, []*plan.QueryDef{good, bad}, data, Config{Workers: 2})
+			_, errs := scanFilterProjectMulti(ctx, []*plan.QueryDef{good, bad}, nil, data, Config{Workers: 2})
 			if errs[0] != nil || errs[1] == nil {
 				t.Errorf("%s %q: batchmate error %v, own error %v", name, q, errs[0], errs[1])
 			}
@@ -396,7 +396,7 @@ func TestSampleScanDifferential(t *testing.T) {
 		const workers = 2
 		into := phase.into
 		cctx := decodeCountCtx{Context: ctx, cancelAt: table.DecodedBlocks() + into}
-		_, errs := scanFilterProjectMulti(cctx, []*plan.QueryDef{def}, comp, Config{Workers: workers})
+		_, errs := scanFilterProjectMulti(cctx, []*plan.QueryDef{def}, nil, comp, Config{Workers: workers})
 		if !errors.Is(errs[0], context.Canceled) {
 			t.Fatalf("cancelled %d decodes in: %v", into, errs[0])
 		}
@@ -454,7 +454,7 @@ func TestSampleScanAllocatesOnce(t *testing.T) {
 		cfg := Config{Workers: 2, Preds: cache.NewPredMemo(nil)}
 		var must int
 		run := func() {
-			res, errs := scanFilterProjectMulti(context.Background(), []*plan.QueryDef{def}, tbl, cfg)
+			res, errs := scanFilterProjectMulti(context.Background(), []*plan.QueryDef{def}, nil, tbl, cfg)
 			if errs[0] != nil {
 				t.Fatal(errs[0])
 			}
@@ -488,4 +488,88 @@ func TestSampleScanAllocatesOnce(t *testing.T) {
 			t.Errorf("%s allocated %.0f bytes per scan, over %.0f", q, got, budget)
 		}
 	}
+}
+
+// TestCountFirstSkipsUnreadColumns: at the barrier, a column whose every
+// group is under the diagnostic's floor and whose every reader runs the
+// diagnostic verdict-first is neither allocated nor filled, and its readers
+// get nil values; a column a reader needs whatever the verdict, a group over
+// the floor, or a masked SUM/COUNT column is filled with the bits it has
+// without count-first. Downstream, the skipped aggregate gets the verdict the
+// diagnostic gives it from its values, and nothing else runs.
+func TestCountFirstSkipsUnreadColumns(t *testing.T) {
+	const rows = 8192 // City's four groups hold ~2,048 rows, under the floor of 3,200
+	data := sessionsTable(rows, 91)
+	opt := plan.DefaultOptions(rows)
+	opt.VerdictFirst = true
+	members := []struct {
+		q       string
+		verdict bool // runs the diagnostic verdict-first
+		counted bool // count-first skips its column
+	}{
+		{"SELECT City, AVG(Time) FROM Sessions GROUP BY City", true, false}, // shares Time with the next
+		{"SELECT City, MAX(Time) FROM Sessions GROUP BY City", false, false},
+		{"SELECT City, MIN(Time + 1) FROM Sessions GROUP BY City", true, true},
+		{"SELECT AVG(Time) FROM Sessions", true, false},
+		{"SELECT PERCENTILE(Time, 0.5) FROM Sessions WHERE Time > 100", true, true},
+		{"SELECT COUNT(*) FROM Sessions WHERE Time > 100", true, false},
+	}
+	defs := make([]*plan.QueryDef, len(members))
+	verdictRows := make([]int, len(members))
+	for i, m := range members {
+		defs[i] = mustPlan(t, m.q, opt).Def
+		if m.verdict {
+			verdictRows[i] = rows
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		cfg := Config{Workers: workers}
+		want, errs := scanFilterProjectMulti(context.Background(), defs, nil, data, cfg)
+		got, gerrs := scanFilterProjectMulti(context.Background(), defs, verdictRows, data, cfg)
+		for i, m := range members {
+			if errs[i] != nil || gerrs[i] != nil {
+				t.Fatalf("%q: %v / %v", m.q, errs[i], gerrs[i])
+			}
+			if len(got[i].groups) != len(want[i].groups) || got[i].rows != want[i].rows {
+				t.Fatalf("%q: %d groups of %d rows, want %d of %d", m.q,
+					len(got[i].groups), got[i].rows, len(want[i].groups), want[i].rows)
+			}
+			for g, wg := range want[i].groups {
+				gv := got[i].groups[g].values[0]
+				switch {
+				case m.counted && gv != nil:
+					t.Errorf("workers=%d %q group %q: filled %d values, want none", workers, m.q, wg.key, len(gv))
+				case !m.counted && !sameF64Bits(gv, wg.values[0]):
+					t.Errorf("workers=%d %q group %q: values differ from the scan without count-first", workers, m.q, wg.key)
+				}
+			}
+		}
+	}
+
+	// Downstream: the same too_few_rows verdict, no value, no bar.
+	p := mustPlan(t, members[2].q, opt)
+	tables := map[string]*StoredTable{"Sessions": {Data: data, PopRows: rows * 10}}
+	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range res.Groups {
+		a := g.Aggs[0]
+		if a.Diag == nil || a.Diag.Cause.String() != "too_few_rows" || a.Values != nil || a.Bootstrap != nil || !math.IsNaN(a.Value) {
+			t.Errorf("group %q: %+v, want a too_few_rows reject with no values, value or bar", g.Key, a)
+		}
+	}
+}
+
+// sameF64Bits reports whether two vectors hold the same bits.
+func sameF64Bits(a, b []float64) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -86,12 +86,17 @@ func RunShared(ctx context.Context, items []SharedItem, tables map[string]*Store
 
 	// One physical pass for all distinct plans. Each member's scan stage is
 	// the whole shared pass, carrying that member's counter share.
+	// A verdict-first plan with the diagnostic on lets the pass count first.
 	members := make([]*plan.QueryDef, len(distincts))
+	verdictRows := make([]int, len(distincts))
 	for di, d := range distincts {
 		members[di] = d.plan.Def
+		if o := d.plan.Opt; o.Diagnostics && o.VerdictFirst {
+			verdictRows[di] = o.SampleRows
+		}
 	}
 	scanStart := time.Now()
-	bases, scanErrs := scanFilterProjectMulti(ctx, members, tbl, items[distincts[0].item].Cfg)
+	bases, scanErrs := scanFilterProjectMulti(ctx, members, verdictRows, tbl, items[distincts[0].item].Cfg)
 	scanDur := time.Since(scanStart)
 
 	// Fan back out: every distinct plan's downstream pipeline (bootstrap,

@@ -3,6 +3,9 @@ package exec
 import (
 	"math"
 
+	"repro/internal/cache"
+	"repro/internal/estimator"
+	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/table"
 )
@@ -287,6 +290,82 @@ func blockCover(tbl *table.Table, pred sql.Expr, skip []bool) []bool {
 		}
 	}
 	return covered
+}
+
+// ExtremeDecode predicts, from st's block table alone, how many column
+// blocks a scan answering def on st decodes. It answers for the queries the
+// exact operator can fold from envelopes — ungrouped, every aggregate MIN or
+// MAX of a bare numeric column, and a predicate that type-checks — and ok is
+// false for any other def. It is the cost the engine compares to choose the
+// exact plan over a sample (DESIGN.md §35).
+//
+// Either way the count is blocks times the columns the query names. On a
+// sample (PopRows > 0) the scan reads them on every block the zone maps
+// admit. On the full table the exact operator reads them at most on the
+// admitted blocks it cannot fold from their envelopes (foldEnvelopes): those
+// the predicate does not cover, and those whose input envelopes cannot stand
+// for their rows. A block counts as covered only when every column the
+// predicate constrains is int64, whose envelope vouches for its block on any
+// codec, where a float64 envelope vouches only as its codec says. So the
+// prediction reads envelopes, never a codec, and is the same on every
+// backing. The skip and covered lists come through zoneSkip's memo.
+func ExtremeDecode(memo *cache.PredMemo, st *StoredTable, def *plan.QueryDef) (blocks int, ok bool) {
+	tbl := st.Data
+	schema := tbl.Schema()
+	if len(def.GroupBy) > 0 {
+		return 0, false
+	}
+	read := map[int]bool{}
+	inputs := make([]int, 0, len(def.Aggs))
+	for _, a := range def.Aggs {
+		ref, isRef := a.Input.(*sql.ColumnRef)
+		if (a.Kind != estimator.Min && a.Kind != estimator.Max) || !isRef {
+			return 0, false
+		}
+		idx := schema.Index(ref.Name)
+		if idx < 0 || schema[idx].Type == table.String {
+			return 0, false
+		}
+		inputs = append(inputs, idx)
+		read[idx] = true
+	}
+	if def.Where != nil && checkPredicate(def.Where, tbl) != nil {
+		return 0, false
+	}
+	var skip, covered []bool
+	intCover := true
+	if def.Where != nil {
+		for _, name := range sql.Columns(def.Where) {
+			read[schema.Index(name)] = true
+		}
+		for name := range predRanges(def.Where) {
+			intCover = intCover && schema[schema.Index(name)].Type == table.Int64
+		}
+		skip, covered, _ = zoneSkip(memo, tbl, def.Where)
+	}
+	z := tbl.Zones()
+	folds := func(b int) bool {
+		if z == nil || !z.Exact(b) || def.Where != nil && !(intCover && isCovered(covered, b*table.ZoneBlockRows)) {
+			return false
+		}
+		for _, ci := range inputs {
+			cz, ok := z.Column(ci)
+			if !ok {
+				return false
+			}
+			mn, mx := cz.Mins[b], cz.Maxs[b]
+			if math.IsNaN(mn) || math.IsNaN(mx) || schema[ci].Type == table.Int64 && !exactInts(mn, mx) {
+				return false
+			}
+		}
+		return true
+	}
+	for b := 0; b*table.ZoneBlockRows < tbl.NumRows(); b++ {
+		if (b >= len(skip) || !skip[b]) && (st.PopRows > 0 || !folds(b)) {
+			blocks++
+		}
+	}
+	return blocks * len(read), true
 }
 
 // maxExactInt is 2^53: past it, int64 values do not all survive float64.

@@ -114,8 +114,16 @@ type Store struct {
 // Open opens (creating if needed) the history directory, replays every
 // existing segment into the profiler and the SLO monitor's window, and
 // starts a fresh active segment. Replay is fail-soft: a corrupt segment
-// tail loses only the records after the tear.
+// tail loses only the records after the tear. A spec whose Kind is neither
+// SLOLatency nor SLOAvailability is refused: the monitor has no rule to
+// judge it by.
 func Open(dir string, opt Options) (*Store, error) {
+	for _, spec := range opt.SLOs {
+		if spec.Kind != SLOLatency && spec.Kind != SLOAvailability {
+			return nil, fmt.Errorf("history: SLO %q: kind %q is neither %q nor %q",
+				spec.Name, spec.Kind, SLOLatency, SLOAvailability)
+		}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("history: creating dir: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -427,6 +428,36 @@ func TestSLOMonitorMath(t *testing.T) {
 			t.Fatalf("idle good fraction = %v, want 1", st.GoodFraction)
 		}
 	}
+}
+
+// TestOpenRefusesUnknownSLOKind: a spec the monitor has no rule for is
+// refused at Open, before the directory is created, rather than judged as a
+// latency objective with no threshold.
+func TestOpenRefusesUnknownSLOKind(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "history")
+	for _, kind := range []string{"", "coverage", "Latency"} {
+		h, err := Open(dir, Options{SampleInterval: -1, SLOs: []SLOSpec{
+			{Name: "lat", Kind: SLOLatency, Objective: 0.99, ThresholdMs: 100},
+			{Name: "odd", Kind: kind, Objective: 0.9},
+		}})
+		if err == nil {
+			h.Close()
+			t.Fatalf("kind %q: Open accepted the spec", kind)
+		}
+		if !strings.Contains(err.Error(), `"odd"`) {
+			t.Errorf("kind %q: error %q does not name the spec", kind, err)
+		}
+		if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
+			t.Fatalf("kind %q: Open created %s before refusing", kind, dir)
+		}
+	}
+	h, err := Open(dir, Options{SampleInterval: -1, SLOs: []SLOSpec{
+		{Name: "avail", Kind: SLOAvailability, Objective: 0.999},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Close()
 }
 
 // TestSLOWindowEdges pins the five-minute window at every alignment of

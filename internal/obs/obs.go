@@ -39,6 +39,15 @@ const (
 	StageFallback   = "fallback"
 )
 
+// PlanBlockTable is the Reason of a plan stage whose query the engine
+// planned exact because the block table answers it for no more decode than a
+// sample would cost; the stage's PredictedBlocks holds the prediction.
+const PlanBlockTable = "block table"
+
+// DecodeRatioBuckets lays out the ratio of the blocks a planned-exact scan
+// decoded to the blocks the block table predicted.
+var DecodeRatioBuckets = []float64{0, 0.25, 0.5, 0.75, 1, 1.25, 1.5, 2, 4, 16}
+
 // SpanExporter receives finished queries for out-of-process export (see
 // internal/obs/export). Implementations must never block: Finish calls
 // ExportTrace synchronously on the query path, so exporters enqueue into a
@@ -136,7 +145,7 @@ func (t *Tracer) observe(rec *QueryRecord) {
 		"Queries answered, by outcome.", "outcome", rec.Outcome).Inc()
 	reg.Histogram("aqp_query_duration_seconds",
 		"End-to-end local query latency.", LatencyBuckets).Observe(rec.TotalMs / 1e3)
-	for _, s := range rec.Stages {
+	for i, s := range rec.Stages {
 		if !s.Nested {
 			reg.Histogram("aqp_stage_duration_seconds",
 				"Per-stage local latency (the Figs. 7–9 breakdown).",
@@ -160,6 +169,21 @@ func (t *Tracer) observe(rec *QueryRecord) {
 			for _, cause := range s.Rejects {
 				reg.Counter("aqp_diagnostic_rejects_total",
 					"Diagnostic rejections, by the condition that decided them.", "cause", cause).Inc()
+			}
+		case StagePlan:
+			if s.Reason != PlanBlockTable {
+				break
+			}
+			// Actual against predicted: the scan the plan ran decoded
+			// Work.BlocksDecoded blocks (none on a raw table, which decodes
+			// nothing), and a prediction of none divides by one.
+			for _, scan := range rec.Stages[i+1:] {
+				if scan.Stage == StageScan {
+					reg.Histogram("aqp_plan_decode_ratio",
+						"Blocks a planned-exact scan decoded per block the block table predicted.",
+						DecodeRatioBuckets).Observe(float64(scan.Work.BlocksDecoded) / float64(max(s.PredictedBlocks, 1)))
+					break
+				}
 			}
 		case StageFallback:
 			reg.Counter("aqp_fallbacks_total",
@@ -249,6 +273,10 @@ func (r *QueryRecord) span(s StageRecord, verdicts bool) SpanSnapshot {
 	case StagePlan:
 		if s.SampleRows == 0 {
 			a["mode"] = "exact"
+			if s.Reason == PlanBlockTable {
+				a["reason"] = s.Reason
+				a["predicted_blocks"] = int64(s.PredictedBlocks)
+			}
 			break
 		}
 		a["mode"] = "approximate"

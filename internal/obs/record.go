@@ -95,6 +95,9 @@ type StageRecord struct {
 	SampleRows  int
 	K           int
 	Diagnostics bool
+	// Plan, when Reason is PlanBlockTable: the column blocks the block table
+	// predicted the exact plan decodes, which the engine chose over a sample.
+	PredictedBlocks int
 	// Resamples counts the resample estimates the stage drew: the bootstrap
 	// kernel's, or the diagnostic's bootstrap ξ's.
 	Resamples int64
@@ -105,7 +108,9 @@ type StageRecord struct {
 	// relative error.
 	ClosedForm, Bootstrapped, Unbarred int
 	MaxRelErr                          float64
-	// Fallback: why the query was re-answered exactly.
+	// Fallback: why the query was re-answered exactly. Plan: PlanBlockTable
+	// when the engine planned exact because the block table answers the
+	// query for no more decode than a sample would cost.
 	Reason string
 }
 

@@ -197,7 +197,7 @@ func TestTransportEquality(t *testing.T) {
 		twoAggGroups   = "SELECT AVG(V), MAX(V) FROM Events GROUP BY Kind"
 		exactMode      = "SELECT AVG(Amount), SUM(Amount) FROM Ledger WHERE Amount >= 2"
 		// Nothing passes the filter: NaN estimate, interval and rel_err.
-		noRows = "SELECT MAX(Price) FROM Orders WHERE Price > 1000"
+		noRows = "SELECT MAX(Price) FROM Orders WHERE Region = 'south'"
 	)
 	queries := []string{
 		"SELECT AVG(Price) FROM Orders",
