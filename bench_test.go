@@ -105,7 +105,7 @@ func BenchmarkExactFallback(b *testing.B) {
 		{Name: "Device", Type: table.String},
 		{Name: "V", Type: table.Float64},
 	}, day, device, v)
-	tables := map[string]*exec.StoredTable{"Events": {Data: table.Compress(raw)}}
+	st := &exec.StoredTable{Data: table.Compress(raw)}
 	def, err := plan.Analyze(sql.MustParse(
 		"SELECT Device, AVG(V), MIN(V) FROM Events WHERE Day >= 20 AND Day < 50 GROUP BY Device").(*sql.Select), nil)
 	if err != nil {
@@ -125,7 +125,7 @@ func BenchmarkExactFallback(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := exec.Run(context.Background(), p, tables, nil, cfg)
+				res, err := exec.Run(context.Background(), p, st, nil, cfg)
 				if err != nil || len(res.Groups) != 40 {
 					b.Fatalf("groups=%v err=%v", res, err)
 				}
@@ -143,8 +143,8 @@ func BenchmarkExactFallback(b *testing.B) {
 		for i := range x {
 			x[i] = src.LogNormal(4, 0.6)
 		}
-		tables := map[string]*exec.StoredTable{"Events": {Data: table.Compress(table.MustNew(
-			table.Schema{{Name: "V", Type: table.Float64}}, x))}}
+		st := &exec.StoredTable{Data: table.Compress(table.MustNew(
+			table.Schema{{Name: "V", Type: table.Float64}}, x))}
 		udfs := exec.Registry{"FRAC_ABOVE_MEDIAN_X2": workload.UDFByName("frac_above_median_x2").Fn}
 		def, err := plan.Analyze(sql.MustParse("SELECT frac_above_median_x2(V) FROM Events").(*sql.Select),
 			func(name string) bool { return udfs[name] != nil })
@@ -158,7 +158,7 @@ func BenchmarkExactFallback(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if res, err := exec.Run(context.Background(), p, tables, udfs, exec.Config{Workers: 2}); err != nil || len(res.Groups) != 1 {
+			if res, err := exec.Run(context.Background(), p, st, udfs, exec.Config{Workers: 2}); err != nil || len(res.Groups) != 1 {
 				b.Fatalf("%v, err %v", res, err)
 			}
 		}
@@ -188,7 +188,7 @@ func BenchmarkSampleScan(b *testing.B) {
 		{Name: "Hour", Type: table.Int64},
 	}, v, device, hour)
 	raw.BuildZones()
-	tables := map[string]*exec.StoredTable{"Events": {Data: table.Compress(raw), PopRows: 10 * n}}
+	st := &exec.StoredTable{Data: table.Compress(raw), PopRows: 10 * n}
 	for _, c := range []struct {
 		name, q string
 		groups  int
@@ -209,7 +209,7 @@ func BenchmarkSampleScan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := exec.Run(context.Background(), p, tables, nil, exec.Config{Workers: 2})
+				res, err := exec.Run(context.Background(), p, st, nil, exec.Config{Workers: 2})
 				if err != nil || len(res.Groups) != c.groups {
 					b.Fatalf("%v, err %v", res, err)
 				}

@@ -13,9 +13,9 @@
 //     ordinary resultset columns.
 //
 // Both listeners route into the same serve.Server, so connection traffic is
-// governed by the same in-flight bounds, FIFO queue, per-query deadlines
-// and shared-scan batching regardless of transport, and both transports
-// return bit-identical answers for the same SQL.
+// governed by the same in-flight bounds, FIFO queue and per-query deadlines
+// regardless of transport, and both transports return bit-identical answers
+// for the same SQL.
 //
 // Data comes from -csv (with -coltypes) or, by default, a synthetic
 // Sessions demo table. With -store FILE the table is served from a block
@@ -78,8 +78,6 @@ func main() {
 		maxQueue    = flag.Int("max-queue", 0, "admission queue depth (0 = 16; negative = reject when saturated)")
 		timeout     = flag.Duration("timeout", 0, "per-query deadline applied on admission (0 = none)")
 		maxK        = flag.Int("max-k", 0, "per-query bootstrap resample cap (0 = engine default)")
-		maxBatch    = flag.Int("max-batch", 0, "shared-scan batch size (0 or 1 = batching off)")
-		batchHold   = flag.Duration("batch-hold", 0, "shared-scan group-commit window (0 = 500µs)")
 
 		maxConns  = flag.Int("max-conns", 0, "concurrently open wire connections (0 = 256)")
 		maxPacket = flag.Int("max-packet", 0, "wire command payload cap in bytes (0 = 1 MiB)")
@@ -107,8 +105,7 @@ func main() {
 		csvPath: *csvPath, tblName: *tblName, colTypes: *colTypes, storePath: *store,
 		genRows: *genRows, sample: *sample, seed: *seed, workers: *workers,
 		cacheMB: *cacheMB, cacheTTL: *cacheTTL,
-		maxInFlight: *maxInFlight, maxQueue: *maxQueue, timeout: *timeout,
-		maxK: *maxK, maxBatch: *maxBatch, batchHold: *batchHold,
+		maxInFlight: *maxInFlight, maxQueue: *maxQueue, timeout: *timeout, maxK: *maxK,
 		maxConns: *maxConns, maxPacket: *maxPacket, users: *users,
 		historyDir: *historyDir, logFormat: *logFormat, drain: *drain,
 		otlpURL: *otlpURL, otlpFile: *otlpFile,
@@ -130,8 +127,7 @@ type daemonConfig struct {
 	cacheTTL                         time.Duration
 	maxInFlight, maxQueue            int
 	timeout                          time.Duration
-	maxK, maxBatch                   int
-	batchHold                        time.Duration
+	maxK                             int
 	maxConns, maxPacket              int
 	users                            string
 	historyDir, logFormat            string
@@ -194,8 +190,6 @@ func run(cfg daemonConfig) error {
 		MaxQueue:      cfg.maxQueue,
 		Timeout:       cfg.timeout,
 		MaxBootstrapK: cfg.maxK,
-		MaxBatch:      cfg.maxBatch,
-		BatchHold:     cfg.batchHold,
 		Metrics:       tel.tracer.Registry(),
 		History:       tel.hist,
 		Alerts:        tel.bus,

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 	"repro/internal/sql"
@@ -255,6 +256,53 @@ func TestDisableFallbackKeepsApproximation(t *testing.T) {
 	}
 	if agg.Exact {
 		t.Error("fallback ran despite being disabled")
+	}
+}
+
+// TestEmptyFilterWithoutCountFirst: where count-first does not run — on a
+// sample too small to diagnose, or under a time budget, whose rejected
+// aggregates are not re-answered — a closed-form aggregate whose filter leaves
+// no sample row is served NaN with no bar, technique none, beside a SUM whose
+// masked column answers 0 ± 0. Once the fold's "empty sample" failed the
+// whole query there.
+func TestEmptyFilterWithoutCountFirst(t *testing.T) {
+	const q = "SELECT AVG(v), SUM(v), MAX(v) FROM T WHERE v < 0"
+	small := heavyTailTable(t, Config{Seed: 48, BootstrapK: 40}, 20000)
+	if err := small.BuildSamples("T", 2000); err != nil {
+		t.Fatal(err)
+	}
+	budgeted := heavyTailTable(t, Config{Seed: 48, BootstrapK: 40}, 120000)
+	if err := budgeted.BuildSamples("T", 40000); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		e         *Engine
+		opts      RunOptions
+		diagnosed bool
+	}{
+		{"undiagnosed small sample", small, RunOptions{}, false},
+		{"time budget", budgeted, RunOptions{TimeBudget: time.Hour}, true},
+	} {
+		ans, err := c.e.RunWithOptions(context.Background(), q, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if ans.SampleRows == 0 {
+			t.Fatalf("%s: answered exactly, want the sample", c.name)
+		}
+		avg, sum := ans.Groups[0].Aggs[0], ans.Groups[0].Aggs[1]
+		if avg.Technique != "none" || avg.Exact || !math.IsNaN(avg.Estimate) ||
+			!math.IsNaN(avg.ErrorBar.Center) || !math.IsNaN(avg.ErrorBar.HalfWidth) {
+			t.Errorf("%s: AVG %+v, want NaN with no bar, technique none", c.name, avg)
+		}
+		if diagnosed := avg.DiagnosticCause != ""; diagnosed != c.diagnosed ||
+			(diagnosed && avg.DiagnosticCause != "too_few_rows") {
+			t.Errorf("%s: AVG's diagnosis %q, want too_few_rows = %v", c.name, avg.DiagnosticCause, c.diagnosed)
+		}
+		if sum.Technique != "closed-form" || sum.Estimate != 0 || sum.ErrorBar.HalfWidth != 0 {
+			t.Errorf("%s: SUM %+v, want 0 ± 0 from the closed form", c.name, sum)
+		}
 	}
 }
 

@@ -163,7 +163,7 @@ type registeredTable struct {
 // Engine is an approximate query processing engine.
 //
 // An Engine is safe for concurrent use: any number of goroutines may call
-// the query methods (Run, RunWithOptions, RunSharedBatch, ...) simultaneously,
+// the query methods (Run, RunWithOptions, ...) simultaneously,
 // and each call's answer is bit-identical to what a serial execution of the same
 // query would produce — all randomness derives from (Config.Seed, query
 // content), never from shared mutable state or execution order.
@@ -580,10 +580,6 @@ type Answer struct {
 	Plan *plan.Plan
 	// Counters meters the physical work.
 	Counters exec.Counters
-	// SharedScan marks an answer produced from a shared-scan batch: the
-	// physical pass was shared with other queries (and Counters carries
-	// only this query's share of it).
-	SharedScan bool
 	// Cached marks an answer replayed from the engine's answer cache
 	// without executing. Its Groups are bit-identical to what re-execution
 	// would produce; Counters are zeroed because no physical work happened,

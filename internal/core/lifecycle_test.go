@@ -144,26 +144,12 @@ func (r lifecycleRig) counts() counts {
 // iff it ran on a sample and is not a replay; and only plain requests touch the
 // answer cache.
 func TestOneLifecycle(t *testing.T) {
-	const (
-		onUniform = "SELECT AVG(g) FROM Sessions WHERE City = 'NYC'"
-		wait      = 3 * time.Millisecond
-	)
+	const wait = 3 * time.Millisecond
 	solo := func(opts RunOptions) func(lifecycleRig, context.Context, string) (*Answer, error) {
 		return func(r lifecycleRig, ctx context.Context, sql string) (*Answer, error) {
 			opts.QueueWait = wait
 			return r.e.RunWithOptions(ctx, sql, opts)
 		}
-	}
-	// batched runs sql as the second member of a batch led by onUniform.
-	batched := func(r lifecycleRig, ctx context.Context, sql string) (*Answer, error) {
-		out := r.e.RunSharedBatch([]BatchRequest{
-			{Query: onUniform, Opts: RunOptions{QueueWait: wait}},
-			{Ctx: ctx, Query: sql, Opts: RunOptions{QueueWait: wait}},
-		})
-		if out[0].Err != nil {
-			return nil, fmt.Errorf("batch lead: %w", out[0].Err)
-		}
-		return out[1].Ans, out[1].Err
 	}
 	wantExact := func(t *testing.T, a *Answer) {
 		if a.SampleRows != 0 || !a.Groups[0].Aggs[0].Exact {
@@ -173,14 +159,11 @@ func TestOneLifecycle(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	cases := []struct {
-		name string
-		sql  string
-		warm bool // answer sql once first, so the request under test is a replay
-		ctx  context.Context
-		run  func(lifecycleRig, context.Context, string) (*Answer, error)
-		// members is how many requests run goes through (2 when batched); the
-		// others count per request that is not the batch's lead.
-		members                  int64
+		name                     string
+		sql                      string
+		warm                     bool // answer sql once first, so the request under test is a replay
+		ctx                      context.Context
+		run                      func(lifecycleRig, context.Context, string) (*Answer, error)
 		watched, probes, entries int64
 		noWait                   bool   // the entry point has no queue wait to carry
 		outcome                  string // "ok" when empty
@@ -219,27 +202,6 @@ func TestOneLifecycle(t *testing.T) {
 			check: wantExact},
 		{name: "time budget, no sample", sql: "SELECT AVG(g) FROM Raw", run: solo(RunOptions{TimeBudget: time.Second}),
 			check: wantExact},
-		{name: "batch member on the shared pass", sql: "SELECT AVG(g) FROM Sessions WHERE City = 'SF'", run: batched,
-			members: 2, watched: 1, probes: 1, entries: 1,
-			check: func(t *testing.T, a *Answer) {
-				if !a.SharedScan || a.SampleRows != 20000 {
-					t.Errorf("SharedScan=%v on %d rows, want the shared pass over 20000", a.SharedScan, a.SampleRows)
-				}
-			}},
-		{name: "batch member on another sample", sql: "SELECT City, AVG(g) FROM Sessions GROUP BY City", run: batched,
-			members: 2, watched: 1, probes: 1, entries: 1,
-			check: func(t *testing.T, a *Answer) {
-				if a.SharedScan || a.SampleRows == 0 || a.SampleRows == 20000 {
-					t.Errorf("SharedScan=%v on %d rows, want the stratified sample, solo", a.SharedScan, a.SampleRows)
-				}
-			}},
-		{name: "batch member answered exactly", sql: "SELECT AVG(g) FROM Raw", run: batched,
-			members: 2, probes: 1, entries: 1,
-			check: func(t *testing.T, a *Answer) {
-				if a.SharedScan || a.SampleRows != 0 {
-					t.Errorf("SharedScan=%v on %d rows, want an exact answer", a.SharedScan, a.SampleRows)
-				}
-			}},
 		{name: "replay via CachedAnswer", sql: "SELECT AVG(g) FROM Sessions", warm: true, noWait: true,
 			run: func(r lifecycleRig, ctx context.Context, sql string) (*Answer, error) {
 				ans, ok := r.e.CachedAnswer(ctx, sql, 0)
@@ -275,9 +237,6 @@ func TestOneLifecycle(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if tc.members == 0 {
-				tc.members = 1
-			}
 			if tc.outcome == "" {
 				tc.outcome = "ok"
 			}
@@ -300,14 +259,13 @@ func TestOneLifecycle(t *testing.T) {
 			if err == nil && tc.check != nil {
 				tc.check(t, ans)
 			}
-			lead := tc.members - 1 // a plain request on a sample: watched, probed, stored
 			want := counts{
-				traces:  before.traces + tc.members,
-				events:  tc.members,
-				history: before.history + tc.members,
-				watched: before.watched + lead + tc.watched,
-				probes:  before.probes + lead + tc.probes,
-				entries: before.entries + lead + tc.entries,
+				traces:  before.traces + 1,
+				events:  1,
+				history: before.history + 1,
+				watched: before.watched + tc.watched,
+				probes:  before.probes + tc.probes,
+				entries: before.entries + tc.entries,
 			}
 			if after != want {
 				t.Errorf("left behind %+v, want %+v", after, want)
@@ -315,16 +273,10 @@ func TestOneLifecycle(t *testing.T) {
 
 			// The request's own trace: once in the ring, under the caller's
 			// identity, with its queue wait and outcome.
-			var mine []obs.TraceSnapshot
-			for _, s := range r.tr.Recent()[:tc.members] {
-				if s.SQL == tc.sql {
-					mine = append(mine, s)
-				}
+			s := r.tr.Recent()[0]
+			if s.SQL != tc.sql {
+				t.Fatalf("the newest trace is of %q, want %q", s.SQL, tc.sql)
 			}
-			if len(mine) != 1 {
-				t.Fatalf("%d new traces for %q, want 1", len(mine), tc.sql)
-			}
-			s := mine[0]
 			if s.TraceID != parent.TraceIDString() || s.SpanID != parent.SpanIDString() || s.ParentSpanID != parent.ParentString() {
 				t.Errorf("trace identity %s/%s/%s is not the caller's %s", s.TraceID, s.SpanID, s.ParentSpanID, parent.Traceparent())
 			}

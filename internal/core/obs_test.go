@@ -42,10 +42,9 @@ func tracedPair(t *testing.T, mutate func(*Config)) (traced, plain *Engine) {
 	return mk(obs.NewTracer(obs.Options{})), mk(nil)
 }
 
-// recordQueries are the ways a query can finish, each once: solo answers
-// (closed form, a diagnostic fallback, a bootstrap reject that falls back, a
-// GROUP BY), a shared-scan batch whose repeated member is a deduplicated
-// follower, a cached replay and a failed query.
+// recordQueries are the ways a query can finish, each once: answers (closed
+// form, a diagnostic fallback, a bootstrap reject that falls back, a GROUP
+// BY), a cached replay and a failed query.
 func recordQueries(t *testing.T, e *Engine) []*Answer {
 	t.Helper()
 	var out []*Answer
@@ -55,14 +54,6 @@ func recordQueries(t *testing.T, e *Engine) []*Answer {
 			t.Fatal(err)
 		}
 		out = append(out, ans)
-	}
-	const sf = "SELECT AVG(Time) FROM Sessions WHERE City = 'SF'"
-	for _, r := range e.RunSharedBatch([]BatchRequest{{Query: sf}, {Query: sf},
-		{Query: "SELECT MAX(Time) FROM Sessions GROUP BY City"}}) {
-		if r.Err != nil || !r.Ans.SharedScan {
-			t.Fatalf("premise: every batch member shares the scan (err %v)", r.Err)
-		}
-		out = append(out, r.Ans)
 	}
 	ans, err := e.Run(context.Background(), obsTestQueries[0])
 	if err != nil || !ans.Cached {
@@ -188,8 +179,7 @@ func TestSpanStructureDeterminism(t *testing.T) {
 // record's per-stage work sums to the answer's Counters — for the
 // consolidated pipeline, exact execution, an answer whose rejected aggregate
 // was re-answered exactly (approximate pass plus all of the fallback's
-// work), the members of a shared-scan batch (a deduplicated follower did
-// none) and a cached replay (nothing) — and that StagesMs sums the top-level
+// work) and a cached replay (nothing) — and that StagesMs sums the top-level
 // stages by name.
 func TestStageCountersMatchAnswerCounters(t *testing.T) {
 	check := func(t *testing.T, e *Engine, run func() []*Answer) {

@@ -49,22 +49,19 @@ type planConfig struct {
 	backing string // raw, compressed or mmap
 	workers int
 	cache   bool
-	batched bool
 }
 
 func (c planConfig) String() string {
-	return fmt.Sprintf("%s/workers=%d/cache=%v/batched=%v", c.backing, c.workers, c.cache, c.batched)
+	return fmt.Sprintf("%s/workers=%d/cache=%v", c.backing, c.workers, c.cache)
 }
 
-// planMatrix is every backing × Workers 1/2/7 × cache on/off × solo/batched.
+// planMatrix is every backing × Workers 1/2/7 × cache on/off.
 func planMatrix() []planConfig {
 	var out []planConfig
 	for _, backing := range []string{"raw", "compressed", "mmap"} {
 		for _, workers := range []int{1, 2, 7} {
 			for _, cache := range []bool{false, true} {
-				for _, batched := range []bool{false, true} {
-					out = append(out, planConfig{backing, workers, cache, batched})
-				}
+				out = append(out, planConfig{backing, workers, cache})
 			}
 		}
 	}
@@ -105,24 +102,10 @@ func planEngine(t *testing.T, c planConfig) *Engine {
 	return e
 }
 
-// runPlanQueries answers the queries on e, one by one or as one shared-scan
-// batch.
-func runPlanQueries(t *testing.T, e *Engine, queries []string, batched bool) []*Answer {
+// runPlanQueries answers the queries on e, one by one.
+func runPlanQueries(t *testing.T, e *Engine, queries []string) []*Answer {
 	t.Helper()
 	out := make([]*Answer, len(queries))
-	if batched {
-		reqs := make([]BatchRequest, len(queries))
-		for i, q := range queries {
-			reqs[i] = BatchRequest{Query: q}
-		}
-		for i, r := range e.RunSharedBatch(reqs) {
-			if r.Err != nil {
-				t.Fatalf("batched %q: %v", queries[i], r.Err)
-			}
-			out[i] = r.Ans
-		}
-		return out
-	}
 	for i, q := range queries {
 		ans, err := e.Run(context.Background(), q)
 		if err != nil {
@@ -146,8 +129,8 @@ func answerHash(ans *Answer) uint64 {
 // no more decode than the sample scan — with no predicate, or a Day window —
 // and stays on the sample under a float or string predicate, or beside an
 // AVG or a COUNT. The decision, its EXPLAIN and every answer bit are the
-// same on every backing, worker count, cache setting and solo or batched,
-// and a routed answer is RunExact's, accepted, to the bit.
+// same on every backing, worker count and cache setting, and a routed
+// answer is RunExact's, accepted, to the bit.
 func TestPlanExactDifferential(t *testing.T) {
 	queries := []struct {
 		sql    string
@@ -170,7 +153,7 @@ func TestPlanExactDifferential(t *testing.T) {
 	wantHash, wantExplain := make([]uint64, len(queries)), make([]string, len(queries))
 	for ci, c := range planMatrix() {
 		e := planEngine(t, c)
-		answers := runPlanQueries(t, e, sqls, c.batched)
+		answers := runPlanQueries(t, e, sqls)
 		for i, q := range queries {
 			ans := answers[i]
 			explain, err := e.Explain(q.sql)
@@ -230,7 +213,7 @@ var countFirstQueries = []string{
 const countFirstGolden = 0xd39c0e58c92c49e9
 
 // TestCountFirstDifferential: count-first moves no answer bit on any
-// backing, worker count, cache setting, solo or batched — the answers are
+// backing, worker count or cache setting — the answers are
 // the parent commit's — and it did decide: the Device query's estimate stage
 // served no bar, where the City query's served one per aggregate.
 func TestCountFirstDifferential(t *testing.T) {
@@ -239,7 +222,7 @@ func TestCountFirstDifferential(t *testing.T) {
 		var recs []*obs.QueryRecord
 		e.recorded = func(r *obs.QueryRecord) { recs = append(recs, r) }
 		h := newAnswerHasher()
-		for _, ans := range runPlanQueries(t, e, countFirstQueries, c.batched) {
+		for _, ans := range runPlanQueries(t, e, countFirstQueries) {
 			h.add(ans)
 		}
 		if got := h.sum().full; got != countFirstGolden {

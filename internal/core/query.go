@@ -414,9 +414,7 @@ func (e *Engine) runExact(q *request, nested bool) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := exec.Run(q.ctx, p, map[string]*exec.StoredTable{
-		q.def.Table: {Data: q.rt.full},
-	}, e.udfRegistry(), e.execConfig())
+	res, err := exec.Run(q.ctx, p, &exec.StoredTable{Data: q.rt.full}, e.udfRegistry(), e.execConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: exact execution: %w", q.label(), err)
 	}
@@ -457,13 +455,12 @@ func (e *Engine) runApproximate(q *request, st *exec.StoredTable, verdictFirst b
 	if err != nil {
 		return nil, err
 	}
-	res, err := exec.Run(q.ctx, p, map[string]*exec.StoredTable{q.def.Table: st},
-		e.udfRegistry(), e.execConfig())
+	res, err := exec.Run(q.ctx, p, st, e.udfRegistry(), e.execConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: approximate execution: %w", q.label(), err)
 	}
 	q.execStages(res, p.Opt.BootstrapK, false)
-	return e.answerFromResult(q, p, res, st, start)
+	return e.answerFromResult(q, p, res, st, start), nil
 }
 
 // buildExactPlan builds the plan of an exact execution and records its plan
@@ -483,8 +480,7 @@ func (e *Engine) buildExactPlan(q *request, nested bool) (*plan.Plan, error) {
 }
 
 // buildApproxPlan builds the §5 approximate plan for one query on one
-// sample and records its plan stage. It is shared by the solo path
-// (runApproximate), the shared-scan batch path (RunSharedBatch) and Explain.
+// sample and records its plan stage, for runApproximate and Explain.
 func (e *Engine) buildApproxPlan(q *request, st *exec.StoredTable, verdictFirst bool) (*plan.Plan, error) {
 	n := st.Data.NumRows()
 	opt := plan.DefaultOptions(n)
@@ -509,7 +505,7 @@ func (e *Engine) buildApproxPlan(q *request, st *exec.StoredTable, verdictFirst 
 
 // answerFromResult turns an executor result into an Answer: error bars per
 // aggregate (the estimate stage) and diagnostic verdicts.
-func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st *exec.StoredTable, start time.Time) (*Answer, error) {
+func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st *exec.StoredTable, start time.Time) *Answer {
 	ans := &Answer{
 		SQL:            q.sql,
 		SampleRows:     res.SampleRows,
@@ -528,12 +524,7 @@ func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st
 				Estimate:  out.Value,
 				Diagnosis: Diagnosis{DiagnosticOK: true},
 			}
-			iv, technique, err := errorBar(out)
-			if err != nil {
-				q.stage(est, estStart)
-				return nil, fmt.Errorf("core: %s: error bar for %s: %w",
-					q.label(), out.Spec.Alias, err)
-			}
+			iv, technique := errorBar(out)
 			aa.ErrorBar = iv
 			aa.Technique = technique
 			aa.RelErr = iv.RelativeError()
@@ -563,7 +554,7 @@ func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st
 	}
 	q.stage(est, estStart)
 	ans.Elapsed = time.Since(start)
-	return ans, nil
+	return ans
 }
 
 // scanSelectivity derives the predicate pass rate from one execution's
@@ -579,20 +570,18 @@ func scanSelectivity(c exec.Counters) float64 {
 // its θ admits (DESIGN.md §32): the closed form the executor computed when
 // out.Query has one, otherwise the bootstrap distribution the executor drew.
 // Either way it is the ξ the diagnostic validated for that θ. An aggregate
-// count-first rejected has no values and no bar (DESIGN.md §35).
-func errorBar(out exec.AggOutput) (estimator.Interval, string, error) {
-	if out.Values == nil {
-		return estimator.Interval{Center: out.Value, HalfWidth: math.NaN()}, "none", nil
-	}
-	if out.Query.ClosedFormApplicable() {
-		return out.ClosedForm, "closed-form", out.ClosedFormErr
-	}
-	if len(out.Bootstrap) == 0 {
-		return estimator.Interval{Center: out.Value, HalfWidth: math.NaN()},
-			"none", nil
+// count-first rejected has no values and no bar (DESIGN.md §35), and a
+// closed-form fold over no rows is the bar Interval{NaN, NaN}, served as none.
+func errorBar(out exec.AggOutput) (estimator.Interval, string) {
+	closedForm := out.Query.ClosedFormApplicable()
+	switch {
+	case closedForm && len(out.Values) > 0:
+		return out.ClosedForm, "closed-form"
+	case out.Values == nil || closedForm || len(out.Bootstrap) == 0:
+		return estimator.Interval{Center: out.Value, HalfWidth: math.NaN()}, "none"
 	}
 	half := stats.SymmetricHalfWidth(out.Bootstrap, out.Value, estimator.ConfidenceLevel)
-	return estimator.Interval{Center: out.Value, HalfWidth: half}, "bootstrap", nil
+	return estimator.Interval{Center: out.Value, HalfWidth: half}, "bootstrap"
 }
 
 // fallbackExact runs the query exactly as a fallback stage, which holds the

@@ -73,7 +73,6 @@ func outcomeRecord(q *request, ans *Answer, err error) *obs.QueryRecord {
 	rec.SampleRows = ans.SampleRows
 	rec.Selectivity = ans.Selectivity
 	rec.KUsed = ans.BootstrapKUsed
-	rec.SharedScan = ans.SharedScan
 	rec.FellBack = ans.FellBack()
 	rec.Cached = ans.Cached
 	if ans.SampleRows > 0 && ans.PopulationRows > 0 {

@@ -112,12 +112,12 @@ var verdictGolden = answerHashes{full: 0x0d82d197d5365845, answers: 0xf81554743f
 
 // TestVerdictFirstAnswersGolden pins every estimate, interval, technique and
 // verdict of the mixed query set to the hash recorded from the commit before
-// verdict-first error estimation (PR 13), solo and shared-scan, at 1, 2 and
-// 8 workers: skipping the bootstrap of rejected aggregates changes no answer.
+// verdict-first error estimation (PR 13), at 1, 2 and 8 workers: skipping the
+// bootstrap of rejected aggregates changes no answer.
 func TestVerdictFirstAnswersGolden(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		e := verdictEngine(t, Config{Seed: 7, Workers: workers, BootstrapK: 40})
-		solo, batch := newAnswerHasher(), newAnswerHasher()
+		solo := newAnswerHasher()
 		var acceptedBoot, rejectedBoot int
 		for _, q := range verdictQueries {
 			ans, err := e.Run(context.Background(), q)
@@ -140,21 +140,8 @@ func TestVerdictFirstAnswersGolden(t *testing.T) {
 			t.Fatalf("query set lost its coverage: %d accepted bootstrap aggregates, %d rejected",
 				acceptedBoot, rejectedBoot)
 		}
-		reqs := make([]BatchRequest, len(verdictQueries))
-		for i, q := range verdictQueries {
-			reqs[i] = BatchRequest{Query: q}
-		}
-		for i, r := range e.RunSharedBatch(reqs) {
-			if r.Err != nil {
-				t.Fatalf("batch %q: %v", verdictQueries[i], r.Err)
-			}
-			batch.add(r.Ans)
-		}
 		if got := solo.sum(); got != verdictGolden {
 			t.Errorf("Workers=%d solo: answer hashes %#x, want %#x", workers, got, verdictGolden)
-		}
-		if got := batch.sum(); got != verdictGolden {
-			t.Errorf("Workers=%d RunSharedBatch: answer hashes %#x, want %#x", workers, got, verdictGolden)
 		}
 	}
 }

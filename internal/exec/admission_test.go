@@ -74,7 +74,7 @@ func codecTable() (*table.Table, map[string]bool) {
 // column of every codec, only the blocks whose decode transforms values
 // (int-coded and XOR floats, FOR/RLE/dictionary ints, raw-payload strings)
 // become resident, and answers are bit-identical with the cache on and
-// off, solo and batched, cold and warm.
+// off, cold and warm.
 func TestBlockCacheAdmitsTransformingCodecs(t *testing.T) {
 	tbl, admitted := codecTable()
 	for i, f := range tbl.Schema() {
@@ -85,7 +85,7 @@ func TestBlockCacheAdmitsTransformingCodecs(t *testing.T) {
 			}
 		}
 	}
-	tables := map[string]*StoredTable{"T": {Data: tbl, PopRows: 1 << 20}}
+	st := &StoredTable{Data: tbl, PopRows: 1 << 20}
 	var plans []*plan.Plan
 	for _, q := range []string{
 		"SELECT AVG(fraw), AVG(fconst), AVG(fint), AVG(fxor) FROM T WHERE sraw != 'none'",
@@ -98,7 +98,7 @@ func TestBlockCacheAdmitsTransformingCodecs(t *testing.T) {
 	want := make([]*Result, len(plans))
 	for i, p := range plans {
 		var err error
-		if want[i], err = Run(context.Background(), p, tables, nil, off); err != nil {
+		if want[i], err = Run(context.Background(), p, st, nil, off); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,22 +108,11 @@ func TestBlockCacheAdmitsTransformingCodecs(t *testing.T) {
 	on.Blocks = cc
 	for round := 0; round < 2; round++ {
 		for i, p := range plans {
-			got, err := Run(context.Background(), p, tables, nil, on)
+			got, err := Run(context.Background(), p, st, nil, on)
 			if err != nil {
 				t.Fatal(err)
 			}
 			resultsEqual(t, fmt.Sprintf("solo round %d plan %d", round, i), got, want[i])
-		}
-		items := make([]SharedItem, len(plans))
-		for i, p := range plans {
-			items[i] = SharedItem{Ctx: context.Background(), Plan: p, Cfg: on}
-		}
-		res, errs := RunShared(context.Background(), items, tables, nil)
-		for i := range plans {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			resultsEqual(t, fmt.Sprintf("batched round %d plan %d", round, i), res[i], want[i])
 		}
 	}
 

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -56,10 +55,8 @@ func TestRunBackingBitEquality(t *testing.T) {
 		var want *Result
 		for _, name := range []string{"raw", "compressed", "mmap"} {
 			for _, workers := range []int{1, 4} {
-				tables := map[string]*StoredTable{
-					"Sessions": {Data: variants[name], PopRows: 1 << 20},
-				}
-				got, err := Run(context.Background(), p, tables, nil,
+				st := &StoredTable{Data: variants[name], PopRows: 1 << 20}
+				got, err := Run(context.Background(), p, st, nil,
 					Config{Workers: workers, Seed: uint64(300 + qi)})
 				if err != nil {
 					t.Fatalf("%s workers=%d %q: %v", name, workers, q, err)
@@ -95,8 +92,8 @@ func TestRunBackingDecodeCounters(t *testing.T) {
 	variants := backingVariants(t, sessionsTable(rows, 42))
 	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'", backingOpts(rows))
 	run := func(data *table.Table) Counters {
-		tables := map[string]*StoredTable{"Sessions": {Data: data, PopRows: 1 << 20}}
-		res, err := Run(context.Background(), p, tables, nil, Config{Workers: 3, Seed: 7})
+		st := &StoredTable{Data: data, PopRows: 1 << 20}
+		res, err := Run(context.Background(), p, st, nil, Config{Workers: 3, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,8 +103,8 @@ func TestRunBackingDecodeCounters(t *testing.T) {
 		t.Errorf("raw backing metered decodes: %+v", c)
 	}
 	for _, name := range []string{"compressed", "mmap"} {
-		if c := run(variants[name]); c.BlocksDecoded == 0 {
-			t.Errorf("%s backing metered no decoded blocks: %+v", name, c)
+		if c := run(variants[name]); c.BlocksDecoded == 0 || c.DecodeNanos == 0 {
+			t.Errorf("%s backing metered no decoded blocks or no decode time: %+v", name, c)
 		}
 	}
 }
@@ -122,9 +119,9 @@ func TestSkippedBlocksAreNeverDecoded(t *testing.T) {
 		if !zones {
 			ct.DropZones()
 		}
-		tables := map[string]*StoredTable{"Sessions": {Data: ct, PopRows: n * 10}}
+		st := &StoredTable{Data: ct, PopRows: n * 10}
 		p := mustPlan(t, q, plan.Options{BootstrapK: 20})
-		res, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 9})
+		res, err := Run(context.Background(), p, st, nil, Config{Workers: 4, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,129 +147,16 @@ func TestSkippedBlocksAreNeverDecoded(t *testing.T) {
 	}
 }
 
-// TestRunSharedBackingBitEquality runs a shared-scan batch over each
-// backing and asserts the batch answers match the raw-backing batch
-// bit-for-bit, with the physical pass still shared.
-func TestRunSharedBackingBitEquality(t *testing.T) {
-	const rows = 7*table.BlockRows + 100
-	variants := backingVariants(t, sessionsTable(rows, 43))
-	build := func(data *table.Table) ([]*Result, []error) {
-		tables := map[string]*StoredTable{"Sessions": {Data: data, PopRows: 1 << 20}}
-		items := make([]SharedItem, len(backingQueries))
-		for i, q := range backingQueries {
-			items[i] = SharedItem{
-				Plan: mustPlan(t, q, backingOpts(rows)),
-				Cfg:  Config{Workers: 4, Seed: uint64(500 + i)},
-			}
-		}
-		return RunShared(context.Background(), items, tables, nil)
-	}
-	want, errs := build(variants["raw"])
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("raw %q: %v", backingQueries[i], err)
-		}
-	}
-	for _, name := range []string{"compressed", "mmap"} {
-		got, errs := build(variants[name])
-		var scans int64
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("%s %q: %v", name, backingQueries[i], err)
-			}
-			resultsEqual(t, name+": "+backingQueries[i], got[i], want[i])
-			scans += int64(got[i].Counters.Scans)
-		}
-		if scans != 1 {
-			t.Errorf("%s: batch-summed Scans = %d, want 1", name, scans)
-		}
-	}
-}
-
-// TestRunSharedDecodeChargedOnce pins the decode accounting of the shared
-// pass over lazy backings: the whole batch's BlocksDecoded/DecodeNanos are
-// charged to exactly one member (the one that also carries Scans=1), every
-// follower reports zero, and the batch total is bounded by what the same
-// queries would have decoded run solo — never double-charged across the
-// fan-out on top of the per-evaluation decode cost.
-func TestRunSharedDecodeChargedOnce(t *testing.T) {
-	const rows = 7*table.BlockRows + 100
-	variants := backingVariants(t, sessionsTable(rows, 45))
-	queries := make([]string, 8)
-	for i := range queries {
-		queries[i] = fmt.Sprintf(
-			"SELECT AVG(Time), COUNT(*) FROM Sessions WHERE Time > %d", 30+2*i)
-	}
-	for _, name := range []string{"compressed", "mmap"} {
-		tables := map[string]*StoredTable{
-			"Sessions": {Data: variants[name], PopRows: 1 << 20},
-		}
-		solo, err := Run(context.Background(),
-			mustPlan(t, queries[0], backingOpts(rows)), tables, nil,
-			Config{Workers: 4, Seed: 600})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if solo.Counters.BlocksDecoded == 0 {
-			t.Fatalf("%s: solo run decoded no blocks; batch assertion would be vacuous", name)
-		}
-
-		items := make([]SharedItem, len(queries))
-		for i, q := range queries {
-			items[i] = SharedItem{
-				Plan: mustPlan(t, q, backingOpts(rows)),
-				Cfg:  Config{Workers: 4, Seed: uint64(600 + i)},
-			}
-		}
-		results, errs := RunShared(context.Background(), items, tables, nil)
-		var decoded, nanos int64
-		scans, carriers := 0, 0
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("%s %q: %v", name, queries[i], err)
-			}
-			c := results[i].Counters
-			decoded += c.BlocksDecoded
-			nanos += c.DecodeNanos
-			scans += c.Scans
-			if c.BlocksDecoded > 0 || c.DecodeNanos > 0 {
-				carriers++
-				if c.Scans != 1 {
-					t.Errorf("%s: member %d carries decode counters but Scans=%d, want the physical-pass member",
-						name, i, c.Scans)
-				}
-			}
-		}
-		if carriers != 1 {
-			t.Errorf("%s: %d members carry decode counters, want exactly 1", name, carriers)
-		}
-		if scans != 1 {
-			t.Errorf("%s: batch summed Scans = %d, want 1", name, scans)
-		}
-		if nanos <= 0 {
-			t.Errorf("%s: batch summed DecodeNanos = 0, want the pass's decode time charged", name)
-		}
-		// The shared pass still evaluates each member's predicate and
-		// projection, so decodes scale with members — but a regression that
-		// re-ran the physical scan per member would at least double this.
-		lo, hi := solo.Counters.BlocksDecoded, int64(len(queries))*solo.Counters.BlocksDecoded
-		if decoded < lo || decoded > hi {
-			t.Errorf("%s: batch summed BlocksDecoded = %d, want within [%d, %d] (solo run decoded %d)",
-				name, decoded, lo, hi, solo.Counters.BlocksDecoded)
-		}
-	}
-}
-
 // TestConcurrentCompressedQueries hammers one compressed table from many
 // goroutines; run with -race this pins that lazy decode paths share no
 // mutable state beyond the atomics that meter them.
 func TestConcurrentCompressedQueries(t *testing.T) {
 	const rows = 7 * table.BlockRows
 	ct := table.Compress(sessionsTable(rows, 44))
-	tables := map[string]*StoredTable{"Sessions": {Data: ct, PopRows: 1 << 20}}
+	st := &StoredTable{Data: ct, PopRows: 1 << 20}
 	p := mustPlan(t, "SELECT City, AVG(Time) FROM Sessions WHERE Time > 40 GROUP BY City",
 		backingOpts(rows))
-	ref, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 11})
+	ref, err := Run(context.Background(), p, st, nil, Config{Workers: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +166,7 @@ func TestConcurrentCompressedQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				res, err := Run(context.Background(), p, tables, nil,
+				res, err := Run(context.Background(), p, st, nil,
 					Config{Workers: 4, Seed: 11})
 				if err != nil {
 					t.Error(err)

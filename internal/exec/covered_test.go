@@ -113,9 +113,9 @@ func TestCoveredBlocksMatchDecoded(t *testing.T) {
 				if memo {
 					cfg.Preds = cache.NewPredMemo(nil)
 				}
-				tables := map[string]*StoredTable{"T": {Data: data}}
+				st := &StoredTable{Data: data}
 				for pass := 0; pass < 2; pass++ { // the second replays the memo
-					got, err := Run(context.Background(), p, tables, nil, cfg)
+					got, err := Run(context.Background(), p, st, nil, cfg)
 					if err != nil {
 						t.Fatalf("%s %q: %v", name, q, err)
 					}
@@ -156,7 +156,7 @@ func TestCoveredBlocksDecodeNothing(t *testing.T) {
 		{"SELECT MIN(u) FROM T WHERE kn >= 10 AND kn <= 13", 6},
 	} {
 		p := mustPlan(t, tc.q, plan.Options{})
-		res, err := Run(context.Background(), p, map[string]*StoredTable{"T": {Data: comp}}, nil, Config{})
+		res, err := Run(context.Background(), p, &StoredTable{Data: comp}, nil, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestCoveredSampleScanSelection(t *testing.T) {
 			offset := 0
 			for _, part := range comp.PartitionAligned(workers) {
 				var m decodeMeter
-				sel, err := evalPredicateSkipping(context.Background(), pred, part, offset, skip, covered, &m, nil, -1)
+				sel, err := evalPredicateSkipping(context.Background(), pred, part, offset, skip, covered, &m, nil, -1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -187,21 +187,21 @@ func referenceExact(p *plan.Plan, tbl *table.Table, udfs Registry) ([]GroupOutpu
 }
 
 // materializedExact answers p through the vector pipeline approximate plans
-// use (scanFilterProjectMulti's groups) — what exact plans ran on before
+// use (scanFilterProject's groups) — what exact plans ran on before
 // the streamed operator.
 func materializedExact(t *testing.T, p *plan.Plan, st *StoredTable, udfs Registry) []GroupOutput {
 	t.Helper()
 	def := p.Def
-	bases, errs := scanFilterProjectMulti(context.Background(), []*plan.QueryDef{def}, nil, st.Data, Config{Workers: 2})
-	if errs[0] != nil {
-		t.Fatal(errs[0])
+	base, err := scanFilterProject(context.Background(), def, 0, st.Data, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
 	queries, err := queriesFor(def, st, udfs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []GroupOutput
-	for _, g := range bases[0].groups {
+	for _, g := range base.groups {
 		gout := GroupOutput{Key: g.key}
 		for ai, spec := range def.Aggs {
 			gout.Aggs = append(gout.Aggs, AggOutput{Spec: spec, Value: queries[ai].Eval(g.values[ai])})
@@ -257,9 +257,9 @@ func TestExactOperatorDifferential(t *testing.T) {
 						cfg.Blocks = cache.NewBlockCache(cache.BlockConfig{Bytes: 1 << 20})
 						cfg.Preds = cache.NewPredMemo(nil)
 					}
-					tables := map[string]*StoredTable{"T": {Data: data}}
+					st := &StoredTable{Data: data}
 					for pass := 0; pass < 2; pass++ { // second pass reads a warm cache
-						got, err := Run(context.Background(), p, tables, exactUDFs, cfg)
+						got, err := Run(context.Background(), p, st, exactUDFs, cfg)
 						if err != nil {
 							t.Fatalf("%s cached=%v workers=%d %q: %v", name, cached, workers, q, err)
 						}
@@ -278,8 +278,8 @@ func TestExactOperatorDifferential(t *testing.T) {
 			t.Fatalf("reference accepted %q", q)
 		}
 		for name, data := range variants {
-			tables := map[string]*StoredTable{"T": {Data: data}}
-			if _, err := Run(context.Background(), p, tables, nil, Config{Workers: 2}); err == nil {
+			st := &StoredTable{Data: data}
+			if _, err := Run(context.Background(), p, st, nil, Config{Workers: 2}); err == nil {
 				t.Errorf("%s: %q accepted", name, q)
 			}
 		}
@@ -320,14 +320,13 @@ func TestExactOperatorCounters(t *testing.T) {
 	for _, tc := range cases {
 		p := mustPlan(t, tc.q, plan.Options{})
 		def := p.Def
-		olds, errs := scanFilterProjectMulti(context.Background(), []*plan.QueryDef{def}, nil, raw, Config{Workers: 2})
-		if errs[0] != nil {
-			t.Fatal(errs[0])
+		old, err := scanFilterProject(context.Background(), def, 0, raw, Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		old := olds[0]
 		for name, data := range variants {
 			for _, workers := range []int{1, 3} {
-				res, err := Run(context.Background(), p, map[string]*StoredTable{"T": {Data: data}},
+				res, err := Run(context.Background(), p, &StoredTable{Data: data},
 					nil, Config{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
@@ -371,7 +370,7 @@ func (c decodeCountCtx) Err() error {
 // scan stops within 64 blocks with an error wrapping ctx.Err().
 func TestExactOperatorScratchDiscipline(t *testing.T) {
 	comp := table.Compress(clusteredSessions(200*table.BlockRows, 29))
-	tables := map[string]*StoredTable{"Sessions": {Data: comp}}
+	st := &StoredTable{Data: comp}
 	base := PoolOutstanding()
 	check := func(label string) {
 		t.Helper()
@@ -380,12 +379,12 @@ func TestExactOperatorScratchDiscipline(t *testing.T) {
 		}
 	}
 	ok := mustPlan(t, "SELECT City, AVG(Time), PERCENTILE(Time, 0.5) FROM Sessions WHERE City != 'SF' GROUP BY City", plan.Options{})
-	if _, err := Run(context.Background(), ok, tables, nil, Config{Workers: 4}); err != nil {
+	if _, err := Run(context.Background(), ok, st, nil, Config{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	check("success")
 	bad := mustPlan(t, "SELECT AVG(Time + City) FROM Sessions WHERE Time > 0", plan.Options{})
-	if _, err := Run(context.Background(), bad, tables, nil, Config{Workers: 4}); err == nil {
+	if _, err := Run(context.Background(), bad, st, nil, Config{Workers: 4}); err == nil {
 		t.Fatal("string arithmetic accepted")
 	}
 	check("evaluation error")
@@ -394,7 +393,7 @@ func TestExactOperatorScratchDiscipline(t *testing.T) {
 	// two; cancel forty decodes in, inside the counting walk.
 	before := table.DecodedBlocks()
 	ctx := decodeCountCtx{Context: context.Background(), cancelAt: before + 2*20}
-	if _, err := Run(ctx, ok, tables, nil, Config{Workers: 4}); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, ok, st, nil, Config{Workers: 4}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled scan returned %v", err)
 	}
 	if after := (table.DecodedBlocks() - ctx.cancelAt) / 2; after > 64 {
@@ -413,9 +412,9 @@ func TestExactGroupedAllocationsDoNotScaleWithRows(t *testing.T) {
 	p := mustPlan(t, "SELECT City, AVG(Time), MIN(Time), COUNT(*) FROM Sessions WHERE Time > 30 GROUP BY City", plan.Options{})
 	bytesFor := func(rows int) float64 {
 		comp := table.Compress(sessionsTable(rows, 7))
-		tables := map[string]*StoredTable{"Sessions": {Data: comp}}
+		st := &StoredTable{Data: comp}
 		run := func() {
-			if _, err := Run(context.Background(), p, tables, nil, Config{Workers: 1}); err != nil {
+			if _, err := Run(context.Background(), p, st, nil, Config{Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -446,7 +445,7 @@ func TestExactHolisticSinkSizedOnce(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const rows = 256 << 10
-	tables := map[string]*StoredTable{"Sessions": {Data: table.Compress(sessionsTable(rows, 7))}}
+	st := &StoredTable{Data: table.Compress(sessionsTable(rows, 7))}
 	udfs := Registry{"FRAC_ABOVE_MEDIAN_X2": workload.UDFByName("frac_above_median_x2").Fn}
 	vector, order := float64(rows*8), float64(rows*4)
 	for _, c := range []struct {
@@ -458,7 +457,7 @@ func TestExactHolisticSinkSizedOnce(t *testing.T) {
 	} {
 		p := mustPlan(t, c.q, plan.Options{}, "FRAC_ABOVE_MEDIAN_X2")
 		run := func() {
-			if _, err := Run(context.Background(), p, tables, udfs, Config{Workers: 1}); err != nil {
+			if _, err := Run(context.Background(), p, st, udfs, Config{Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -487,12 +486,12 @@ func TestExactGroupedHolisticAllocatesOnce(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const rows = 256 << 10
-	tables := map[string]*StoredTable{"Sessions": {Data: table.Compress(sessionsTable(rows, 7))}}
+	st := &StoredTable{Data: table.Compress(sessionsTable(rows, 7))}
 	p := mustPlan(t, "SELECT City, PERCENTILE(Time, 0.5) FROM Sessions WHERE user < 900 GROUP BY City", plan.Options{})
 	var res *Result
 	run := func() {
 		var err error
-		if res, err = Run(context.Background(), p, tables, nil, Config{Workers: 1}); err != nil {
+		if res, err = Run(context.Background(), p, st, nil, Config{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -541,7 +540,7 @@ func TestExactPercentileOwnsItsVector(t *testing.T) {
 			t.Fatalf("reference %q: %v", q, err)
 		}
 		for name, data := range backingVariants(t, raw) {
-			got, err := Run(context.Background(), p, map[string]*StoredTable{"T": {Data: data}}, udfs, Config{})
+			got, err := Run(context.Background(), p, &StoredTable{Data: data}, udfs, Config{})
 			if err != nil {
 				t.Fatalf("%s %q: %v", name, q, err)
 			}
@@ -560,13 +559,13 @@ func TestExactOperatorReadsPastBlockCache(t *testing.T) {
 		if name == "raw" {
 			continue
 		}
-		tables := map[string]*StoredTable{"T": {Data: data}}
+		st := &StoredTable{Data: data}
 		for _, q := range []string{
 			"SELECT big, AVG(y), PERCENTILE(x, 0.5) FROM T WHERE day >= 2 AND big > 0 GROUP BY big",
 			"SELECT city, SUM(y), COUNT(*) FROM T WHERE city != 'SF' GROUP BY city",
 		} {
 			p := mustPlan(t, q, plan.Options{})
-			plain, err := Run(context.Background(), p, tables, nil, Config{})
+			plain, err := Run(context.Background(), p, st, nil, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -575,7 +574,7 @@ func TestExactOperatorReadsPastBlockCache(t *testing.T) {
 				Preds:  cache.NewPredMemo(nil),
 			}
 			for pass := 0; pass < 2; pass++ {
-				got, err := Run(context.Background(), p, tables, nil, cfg)
+				got, err := Run(context.Background(), p, st, nil, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -81,9 +80,8 @@ type AggOutput struct {
 	Values []float64
 	// ClosedForm is the closed-form interval of an aggregate whose Query
 	// has one, from the one fold over Values that also gives Value (its
-	// Center); ClosedFormErr is why there is none (no rows).
-	ClosedForm    estimator.Interval
-	ClosedFormErr error
+	// Center). A fold over no rows is Interval{NaN, NaN}.
+	ClosedForm estimator.Interval
 	// Bootstrap holds the K resample estimates of an aggregate whose error
 	// bar is the bootstrap's (Query has no closed form), when the plan
 	// resamples (K > 0) and a verdict-first plan did not reject it; nil
@@ -105,8 +103,7 @@ type Result struct {
 	Counters   Counters
 	SampleRows int
 	// Scan, Diagnostic and Bootstrap are the execution's stages; their
-	// Counters sum to Counters. An exact plan only scans, and a follower of a
-	// deduplicated plan (RunShared) ran no stage at all.
+	// Counters sum to Counters. An exact plan only scans.
 	Scan, Diagnostic, Bootstrap StageTime
 }
 
@@ -136,12 +133,13 @@ func (s *StageTime) add(start time.Time, c Counters) {
 	s.Counters.Add(c)
 }
 
-// Run executes the plan against the given tables. Execution is the §5.3
-// plan: one physical pass computes the plain answer, and every bootstrap
-// resample and diagnostic subsample is evaluated over the filtered,
-// projected values that pass produced — Poisson weights are drawn only for
-// rows surviving the filter. A sampled plan runs as a RunShared batch of
-// one.
+// Run executes the plan against st. Execution is the §5.3 plan: one
+// physical pass computes the plain answer, and every bootstrap resample and
+// diagnostic subsample is evaluated over the filtered, projected values that
+// pass produced — Poisson weights are drawn only for rows surviving the
+// filter. Scans contribute no randomness: all resampling randomness derives
+// from per-(seed, stream) RNGs that do not depend on how the scan was
+// performed.
 //
 // A plan with no bootstrap and no diagnostic over a table that is the full
 // dataset (PopRows == 0) is exact execution and runs on the block-streamed
@@ -154,25 +152,34 @@ func (s *StageTime) add(start time.Time, c Counters) {
 // within one block (8 KiB of values) of resampling work. A cancelled Run
 // returns an error wrapping ctx.Err() after all its worker goroutines have
 // exited.
-func Run(ctx context.Context, p *plan.Plan, tables map[string]*StoredTable, udfs Registry, cfg Config) (*Result, error) {
-	st, ok := tables[p.Def.Table]
-	if !ok {
-		return nil, fmt.Errorf("exec: unknown table %q", p.Def.Table)
-	}
+func Run(ctx context.Context, p *plan.Plan, st *StoredTable, udfs Registry, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("exec: before scan: %w", err)
 	}
 	if isExact(p, st) {
 		return runExact(ctx, p.Def, st, udfs, cfg)
 	}
-	results, errs := RunShared(ctx, []SharedItem{{Ctx: ctx, Plan: p, Cfg: cfg}}, tables, udfs)
-	return results[0], errs[0]
+	// A verdict-first plan with the diagnostic on lets the pass count first.
+	verdictRows := 0
+	if o := p.Opt; o.Diagnostics && o.VerdictFirst {
+		verdictRows = o.SampleRows
+	}
+	scanStart := time.Now()
+	base, err := scanFilterProject(ctx, p.Def, verdictRows, st.Data, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{SampleRows: st.Data.NumRows(), Counters: base.counters,
+		Scan: StageTime{Start: scanStart, Dur: time.Since(scanStart), Counters: base.counters}}
+	if err := runDownstream(ctx, p, st, base, udfs, cfg, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // runDownstream drives everything after the physical pass — bootstrap and
 // diagnostics over each group — and finalizes the result's counters: base
-// carries the shared scan's output for this query, and res.Counters
-// already holds that scan's share.
+// carries the scan's output, and res.Counters already holds its counters.
 func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *scanResult, udfs Registry, cfg Config, res *Result) error {
 	k := p.Opt.BootstrapK
 	queries, err := queriesFor(p.Def, st, udfs)
@@ -198,9 +205,7 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *sca
 			// runs beside the diagnostic's shuffle and θ fold.
 			var folded chan struct{}
 			if q.ClosedFormApplicable() && !counted {
-				fold := func() {
-					out.ClosedForm, out.ClosedFormErr = (estimator.ClosedForm{}).Interval(nil, values, q, estimator.ConfidenceLevel)
-				}
+				fold := func() { out.ClosedForm = closedForm(values, q) }
 				if p.Opt.Diagnostics && cfg.workers() > 1 {
 					folded = make(chan struct{})
 					go func() { defer close(folded); fold() }()
@@ -238,7 +243,7 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *sca
 			switch {
 			case counted:
 				out.Value = math.NaN()
-			case q.ClosedFormApplicable() && out.ClosedFormErr == nil:
+			case q.ClosedFormApplicable():
 				out.Value = out.ClosedForm.Center // q.Eval's bits, from the fold that gave the bar
 			default:
 				out.Value = q.Eval(values)
@@ -263,9 +268,21 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *sca
 	return nil
 }
 
-// scanResult is one member's share of the scan→filter→project pass: its
-// groups in key order, each holding one value vector per aggregate. An
-// ungrouped member has the one group "".
+// closedForm is q's closed-form interval over values, from the one fold that
+// also gives θ(S). Over no rows there is neither a centre nor a width.
+func closedForm(values []float64, q estimator.Query) estimator.Interval {
+	if len(values) == 0 {
+		return estimator.Interval{Center: math.NaN(), HalfWidth: math.NaN()}
+	}
+	// The fold's only errors are a query without a closed form, which the
+	// caller rules out, and an empty sample, ruled out above.
+	iv, _ := (estimator.ClosedForm{}).Interval(nil, values, q, estimator.ConfidenceLevel)
+	return iv
+}
+
+// scanResult is the output of the scan→filter→project pass: its groups in
+// key order, each holding one value vector per aggregate. An ungrouped query
+// has the one group "".
 type scanResult struct {
 	rows     int // rows surviving the filter
 	groups   []group
@@ -278,12 +295,11 @@ type group struct {
 	values [][]float64
 }
 
-// predWork is one distinct filter predicate appearing in a member batch,
-// with its precomputed zone-map skip and covered lists. With a predicate
-// memo attached, sig carries the literal-normalized shape signature and
-// hint a remembered selectivity in [0,1] (-1 = unknown). keys are the
-// groupings read under it. Phase 1 fills local and the groupings' ids; the barrier
-// derives starts and rows from local.
+// predWork is the query's filter predicate, with its precomputed zone-map
+// skip and covered lists. With a predicate memo attached, sig carries the
+// literal-normalized shape signature and hint a remembered selectivity in
+// [0,1] (-1 = unknown). Phase 1 fills local; the barrier derives starts and
+// rows from local.
 type predWork struct {
 	pred    sql.Expr // nil: no WHERE, every row survives
 	skip    []bool
@@ -291,8 +307,6 @@ type predWork struct {
 	skipped int64
 	sig     string
 	hint    float64
-	err     error
-	keys    []*keyWork
 	// local holds each partition's surviving partition-relative rows: nil
 	// without a WHERE (every row), never nil with one (evalPredicateSkipping
 	// always allocates), which is how fill tells the two apart.
@@ -301,15 +315,14 @@ type predWork struct {
 	rows   int
 }
 
-// keyWork is one distinct (predicate, GROUP BY column) pair in a member
-// batch. In phase 1, partition i's reader numbers that partition's
-// survivors by key. The barrier merges the partitions' keys into names,
-// sorted, renumbers every survivor's group to its index there, and lays
-// every column of the grouping out as its groups' vectors back to back:
-// group g holds slots [bounds[g], bounds[g+1]), and partition i's survivors
-// in group g start at slot at[i*len(names)+g].
+// keyWork is the query's GROUP BY column under its predicate. In phase 1,
+// partition i's reader numbers that partition's survivors by key. The
+// barrier merges the partitions' keys into names, sorted, renumbers every
+// survivor's group to its index there, and lays every column of the
+// grouping out as its groups' vectors back to back: group g holds slots
+// [bounds[g], bounds[g+1]), and partition i's survivors in group g start at
+// slot at[i*len(names)+g].
 type keyWork struct {
-	err     error
 	readers []*keyReader
 	names   []string
 	bounds  []int
@@ -320,29 +333,22 @@ type keyWork struct {
 // predicate selects its rows, which expression produces its values (nil =
 // indicator), whether it is the full-length masked form scaled sums need,
 // and which grouping's group vectors it fills (nil: one vector in row
-// order). out is allocated once, at its exact length, at the barrier.
-//
-// Count-first: rows is the sample rows of the members that read the column
-// when every one of them runs the diagnostic verdict-first, and -1 when some
-// member reads the column's values whatever the verdict. A column without
-// an error whose out stays nil is one the barrier left unfilled, its every
-// group under the diagnostic's floor (see scanFilterProjectMulti).
+// order). out is allocated once, at its exact length, at the barrier; one
+// that stays nil is a column count-first left unfilled, its every group under
+// the diagnostic's floor (see scanFilterProject).
 type colWork struct {
 	pred   *predWork
 	keys   *keyWork
 	input  sql.Expr
 	masked bool
-	err    error
 	out    []float64
-	rows   int
 }
 
 // colKeyFor derives the dedup key for one aggregate's input column. Keys
-// combine the evaluation mode, the predicate and the expression text, so
-// two aggregates — in the same query or different batched queries — share
-// one evaluation exactly when they would compute identical vectors (given
-// the same grouping, which the caller keys on beside it).
-func colKeyFor(spec plan.AggSpec, predKey string, masked bool) (string, colWork) {
+// combine the evaluation mode and the expression text, so two aggregates of
+// the query — which share its predicate and grouping — share one evaluation
+// exactly when they would compute identical vectors (AVG(x) and STDEV(x)).
+func colKeyFor(spec plan.AggSpec, masked bool) (string, colWork) {
 	isSum := spec.Kind == estimator.Sum || spec.Kind == estimator.Count
 	input := aggInput(spec)
 	switch {
@@ -352,30 +358,29 @@ func colKeyFor(spec plan.AggSpec, predKey string, masked bool) (string, colWork)
 		// sees the filter as part of the statistic. (Grouped queries fall
 		// back to conditional per-group columns; each group is treated as
 		// a separate query, per §2.1.)
-		key := "m|" + predKey + "|"
+		key := "m|"
 		if input != nil {
 			key += input.String()
 		}
 		return key, colWork{input: input, masked: true}
 	case input == nil:
 		// COUNT under GROUP BY: indicator 1 per surviving row.
-		return "1|" + predKey, colWork{}
+		return "1", colWork{}
 	default:
-		return "o|" + predKey + "|" + input.String(), colWork{input: input}
+		return "o|" + input.String(), colWork{input: input}
 	}
 }
 
-// scanFilterProjectMulti performs ONE physical pass over tbl on behalf of
-// every member query: each partition is visited once, every distinct
-// filter predicate is evaluated once per partition (with zone-map block
-// skipping), every distinct (predicate, GROUP BY column) pair is keyed in
-// that same walk, and every distinct (predicate, grouping, expression,
-// mode) projection column is materialized once and aliased into each
-// member's scanResult. This is §5.3.1's scan consolidation applied across
-// queries instead of across one query's bootstrap subqueries.
+// scanFilterProject performs the query's ONE physical pass over tbl: each
+// partition is visited once, the filter predicate is evaluated once per
+// partition (with zone-map block skipping), the GROUP BY column is keyed in
+// that same walk, and every distinct (expression, mode) projection column is
+// materialized once and aliased into every aggregate reading it. This is
+// §5.3.1's scan consolidation of one query's bootstrap and diagnostic
+// subqueries.
 //
 // The pass has two phases over the same block-aligned partitions (DESIGN.md
-// §22). Phase 1 evaluates the predicates and numbers each survivor's group.
+// §22). Phase 1 evaluates the predicate and numbers each survivor's group.
 // At the barrier the survivor counts, per group for a grouping, fix every
 // output's exact length and each partition's offset in it, so phase 2
 // allocates each column once and every partition writes its share in place
@@ -384,27 +389,21 @@ func colKeyFor(spec plan.AggSpec, predKey string, masked bool) (string, colWork)
 // survivor only. Row order is the table's within every vector, so answers
 // are identical at any partition count.
 //
-// Count-first: verdictRows[m] is member m's sample rows when it runs the
-// diagnostic verdict-first (plan.Options), and 0 when it does not (nil: no
-// member does). A verdict-first member's aggregate over a group too small
-// for diagnostic.Ladder is rejected too_few_rows and re-answered exactly, so
-// its values are never read. When that holds at the barrier for every group
-// of a column and for every member reading it, phase 2 neither allocates nor
-// fills the column, and those members get nil values for it (runDownstream).
-// A masked column holds every sample row, so it is never under the floor.
+// Count-first: verdictRows is the sample rows when the query runs the
+// diagnostic verdict-first (plan.Options), and 0 when it does not. A
+// verdict-first aggregate over a group too small for diagnostic.Ladder is
+// rejected too_few_rows and re-answered exactly, so its values are never
+// read. When that holds at the barrier for every group of a column, phase 2
+// neither allocates nor fills the column, and its aggregates get nil values
+// (runDownstream). A masked column holds every sample row, so it is never
+// under the floor.
 //
-// Errors are per-member: a bad predicate, projection or GROUP BY column in
-// one member yields errs[m] without failing the rest of the batch.
 // Expressions are type-checked before the pass, so an error during it is
-// the context's, and it fails every member. Physical-scan counters (Scans,
-// RowsScanned, BytesScanned, Tasks) are charged to the first successful
-// member; every member is charged its own Subqueries/RowsAfterFilter, and
-// each distinct predicate's BlocksSkipped goes to the first successful
-// member using it — so summing members' counters meters the physical work
-// exactly once regardless of batch size or worker count.
-func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, verdictRows []int, tbl *table.Table, cfg Config) ([]*scanResult, []error) {
-	errs := make([]error, len(members))
-	results := make([]*scanResult, len(members))
+// the context's.
+func scanFilterProject(ctx context.Context, def *plan.QueryDef, verdictRows int, tbl *table.Table, cfg Config) (*scanResult, error) {
+	fail := func(err error) (*scanResult, error) {
+		return nil, fmt.Errorf("exec: scan of table %q: %w", def.Table, err)
+	}
 	// Partitions are block-aligned so each one decodes (and zone-checks)
 	// whole storage blocks.
 	parts := tbl.PartitionAligned(cfg.workers())
@@ -413,97 +412,67 @@ func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, verdi
 		offsets[i+1] = offsets[i] + p.NumRows()
 	}
 
-	// --- Plan the shared work: distinct predicates, groupings and columns. ---
-	type keyKey struct {
-		pred *predWork
-		by   string
-	}
-	type colKey struct {
-		keys *keyWork
-		text string
-	}
-	var preds []*predWork
-	var cols []*colWork
-	predByKey := map[string]*predWork{}
-	keyByKey := map[keyKey]*keyWork{}
-	colByKey := map[colKey]*colWork{}
-	memberPred := make([]*predWork, len(members))
-	memberKeys := make([]*keyWork, len(members))
-	memberCols := make([][]*colWork, len(members))
-	for m, def := range members {
-		pk := ""
-		if def.Where != nil {
-			pk = def.Where.String()
+	// --- Plan the work: the predicate, the grouping and the distinct columns. ---
+	pw := &predWork{pred: def.Where, hint: -1}
+	if pw.pred != nil {
+		if err := checkPredicate(pw.pred, tbl); err != nil {
+			return fail(err)
 		}
-		pw, ok := predByKey[pk]
+		// Skip lists are exact-keyed — literals decide which blocks are
+		// admissible — while the selectivity hint below shares one estimate
+		// across all literals of the same shape.
+		pw.skip, pw.covered, pw.skipped = zoneSkip(cfg.Preds, tbl, pw.pred)
+		if cfg.Preds != nil {
+			pw.sig = sql.PredicateSignature(pw.pred)
+			if h, ok := cfg.Preds.Hint(tbl, pw.sig); ok {
+				pw.hint = h
+			}
+		}
+	}
+	grouped := len(def.GroupBy) > 0
+	var kw *keyWork
+	cols := make([]*colWork, len(def.Aggs)) // per aggregate, aliased when equal
+	var distinct []*colWork
+	colByKey := map[string]*colWork{}
+	for ai, spec := range def.Aggs {
+		if spec.Kind == estimator.Count && spec.Input != nil {
+			// COUNT never evaluates its argument, but a COUNT of something
+			// that does not resolve is still an error.
+			if _, err := typeCheck(spec.Input, tbl); err != nil {
+				return fail(err)
+			}
+		}
+		text, w := colKeyFor(spec, !grouped)
+		cw, ok := colByKey[text]
 		if !ok {
-			pw = &predWork{hint: -1}
-			if def.Where != nil {
-				pw.pred = def.Where
-				pw.err = checkPredicate(pw.pred, tbl)
-				// Skip lists are exact-keyed — literals decide which blocks
-				// are admissible — while the selectivity hint below shares
-				// one estimate across all literals of the same shape.
-				pw.skip, pw.covered, pw.skipped = zoneSkip(cfg.Preds, tbl, pw.pred)
-				if cfg.Preds != nil {
-					pw.sig = sql.PredicateSignature(pw.pred)
-					if h, ok := cfg.Preds.Hint(tbl, pw.sig); ok {
-						pw.hint = h
-					}
+			cw = &w
+			cw.pred = pw
+			if cw.input != nil {
+				if err := checkNumeric(cw.input, tbl); err != nil {
+					return fail(err)
 				}
 			}
-			predByKey[pk] = pw
-			preds = append(preds, pw)
+			colByKey[text] = cw
+			distinct = append(distinct, cw)
 		}
-		memberPred[m] = pw
-		grouped := len(def.GroupBy) > 0
-		if grouped {
-			kk := keyKey{pw, strings.Join(def.GroupBy, ",")}
-			kw, ok := keyByKey[kk]
-			if !ok {
-				kw = &keyWork{}
-				var r *keyReader
-				if r, kw.err = newKeyReader(tbl, def.GroupBy); kw.err == nil {
-					for range parts {
-						c := *r
-						kw.readers = append(kw.readers, &c)
-					}
-					pw.keys = append(pw.keys, kw)
-				}
-				keyByKey[kk] = kw
-			}
-			memberKeys[m] = kw
+		cols[ai] = cw
+	}
+	if grouped {
+		r, err := newKeyReader(tbl, def.GroupBy)
+		if err != nil {
+			return nil, fmt.Errorf("exec: grouping on table %q: %w", def.Table, err)
 		}
-		memberCols[m] = make([]*colWork, len(def.Aggs))
-		rows := -1 // the member reads its columns' values
-		if m < len(verdictRows) && verdictRows[m] > 0 {
-			rows = verdictRows[m]
+		kw = &keyWork{}
+		for range parts {
+			c := *r
+			kw.readers = append(kw.readers, &c)
 		}
-		for ai, spec := range def.Aggs {
-			if spec.Kind == estimator.Count && spec.Input != nil && errs[m] == nil {
-				// COUNT never evaluates its argument, but a COUNT of
-				// something that does not resolve is still an error.
-				_, errs[m] = typeCheck(spec.Input, tbl)
-			}
-			text, w := colKeyFor(spec, pk, !grouped)
-			ck := colKey{memberKeys[m], text}
-			cw, ok := colByKey[ck]
-			if !ok {
-				cw = &w
-				cw.pred, cw.keys, cw.rows = pw, memberKeys[m], rows
-				if cw.input != nil {
-					cw.err = checkNumeric(cw.input, tbl)
-				}
-				colByKey[ck] = cw
-				cols = append(cols, cw)
-			} else if cw.rows != rows {
-				cw.rows = -1
-			}
-			memberCols[m][ai] = cw
+		for _, cw := range distinct {
+			cw.keys = kw
 		}
 	}
 
-	// --- Phase 1: every distinct predicate, and its groupings, once per partition. ---
+	// --- Phase 1: the predicate, and the grouping, once per partition. ---
 	meters := make([]decodeMeter, len(parts))
 	partErrs := make([]error, len(parts))
 	eachPart := func(work func(i int, part *table.Table) error) error {
@@ -525,68 +494,54 @@ func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, verdi
 		}
 		return nil
 	}
-	for _, pw := range preds {
-		pw.local = make([][]int, len(parts))
-	}
+	pw.local = make([][]int, len(parts))
 	err := eachPart(func(i int, part *table.Table) error {
-		for _, pw := range preds {
-			if pw.err != nil || (pw.pred == nil && len(pw.keys) == 0) {
-				continue
-			}
-			readers := make([]*keyReader, len(pw.keys))
-			for j, kw := range pw.keys {
-				readers[j] = kw.readers[i]
-			}
-			sel, err := evalPredicateSkipping(ctx, pw.pred, part, offsets[i], pw.skip, pw.covered, &meters[i], cfg.Blocks, pw.hint, readers...)
-			if err != nil {
-				return err
-			}
-			pw.local[i] = sel
+		if pw.pred == nil && kw == nil {
+			return nil
 		}
-		return nil
+		var key *keyReader
+		if kw != nil {
+			key = kw.readers[i]
+		}
+		sel, err := evalPredicateSkipping(ctx, pw.pred, part, offsets[i], pw.skip, pw.covered, &meters[i], cfg.Blocks, pw.hint, key)
+		pw.local[i] = sel
+		return err
 	})
 
 	// --- Barrier: survivor counts size every output exactly. ---
 	if err == nil {
-		for _, pw := range preds {
-			if pw.err != nil {
-				continue
-			}
-			pw.starts = make([]int, len(parts))
-			for i, part := range parts {
-				pw.starts[i] = pw.rows
-				if pw.pred == nil {
-					pw.rows += part.NumRows()
-				} else {
-					pw.rows += len(pw.local[i])
-				}
-			}
-			for _, kw := range pw.keys {
-				kw.layout()
-			}
-			// Feed the measured selectivity back into the memo so the NEXT
-			// scan of this predicate shape pre-sizes its selection vectors.
-			if pw.pred != nil && cfg.Preds != nil && tbl.NumRows() > 0 {
-				cfg.Preds.ObserveSelectivity(tbl, pw.sig, float64(pw.rows)/float64(tbl.NumRows()))
+		pw.starts = make([]int, len(parts))
+		for i, part := range parts {
+			pw.starts[i] = pw.rows
+			if pw.pred == nil {
+				pw.rows += part.NumRows()
+			} else {
+				pw.rows += len(pw.local[i])
 			}
 		}
-		for _, cw := range cols {
-			if cw.err == nil && cw.pred.err == nil && (cw.keys == nil || cw.keys.err == nil) {
-				if cw.tooFew() {
-					continue
-				}
-				n := cw.pred.rows
-				if cw.masked {
-					n = tbl.NumRows()
-				}
-				cw.out = make([]float64, n)
+		if kw != nil {
+			kw.layout()
+		}
+		// Feed the measured selectivity back into the memo so the NEXT scan
+		// of this predicate shape pre-sizes its selection vectors.
+		if pw.pred != nil && cfg.Preds != nil && tbl.NumRows() > 0 {
+			cfg.Preds.ObserveSelectivity(tbl, pw.sig, float64(pw.rows)/float64(tbl.NumRows()))
+		}
+		for _, cw := range distinct {
+			if cw.tooFew(verdictRows) {
+				continue
 			}
+			n := pw.rows
+			if cw.masked {
+				n = tbl.NumRows()
+			}
+			cw.out = make([]float64, n)
 		}
 
 		// --- Phase 2: each partition writes its share in place. ---
 		err = eachPart(func(i int, part *table.Table) error {
 			sc := &scratch{m: &meters[i], blocks: cfg.Blocks}
-			for _, cw := range cols {
+			for _, cw := range distinct {
 				if cw.out == nil {
 					continue
 				}
@@ -598,63 +553,26 @@ func scanFilterProjectMulti(ctx context.Context, members []*plan.QueryDef, verdi
 		})
 	}
 	if err != nil {
-		for m, def := range members {
-			errs[m] = fmt.Errorf("exec: scan of table %q: %w", def.Table, err)
-		}
-		return results, errs
+		return fail(err)
 	}
 
-	// --- Fan out: alias the shared columns into per-member results. ---
-	var decode decodeMeter
+	r := &scanResult{rows: pw.rows, groups: kw.groups(cols)}
+	r.counters = Counters{
+		Scans:           1,
+		Subqueries:      1,
+		RowsScanned:     int64(tbl.NumRows()),
+		RowsAfterFilter: int64(pw.rows),
+		BytesScanned:    tbl.SizeBytes(),
+		BlocksSkipped:   pw.skipped,
+		Tasks:           len(parts),
+	}
 	for _, mt := range meters {
-		decode.blocks += mt.blocks
-		decode.nanos += mt.nanos
-		decode.hits += mt.hits
-		decode.hitBytes += mt.hitBytes
+		r.counters.BlocksDecoded += mt.blocks
+		r.counters.DecodeNanos += mt.nanos
+		r.counters.CacheHits += mt.hits
+		r.counters.CacheBytes += mt.hitBytes
 	}
-	physCharged := false
-	skipCharged := map[*predWork]bool{}
-	for m, def := range members {
-		pw, kw := memberPred[m], memberKeys[m]
-		if errs[m] == nil {
-			errs[m] = pw.err
-		}
-		for _, cw := range memberCols[m] {
-			if errs[m] == nil {
-				errs[m] = cw.err
-			}
-		}
-		if errs[m] != nil {
-			errs[m] = fmt.Errorf("exec: scan of table %q: %w", def.Table, errs[m])
-			continue
-		}
-		if kw != nil && kw.err != nil {
-			errs[m] = fmt.Errorf("exec: grouping on table %q: %w", def.Table, kw.err)
-			continue
-		}
-		r := &scanResult{rows: pw.rows, groups: kw.groups(memberCols[m])}
-		r.counters = Counters{
-			Subqueries:      1,
-			RowsAfterFilter: int64(pw.rows),
-		}
-		if !physCharged {
-			physCharged = true
-			r.counters.Scans = 1
-			r.counters.RowsScanned = int64(tbl.NumRows())
-			r.counters.BytesScanned = tbl.SizeBytes()
-			r.counters.BlocksDecoded = decode.blocks
-			r.counters.DecodeNanos = decode.nanos
-			r.counters.CacheHits = decode.hits
-			r.counters.CacheBytes = decode.hitBytes
-			r.counters.Tasks = len(parts)
-		}
-		if !skipCharged[pw] {
-			skipCharged[pw] = true
-			r.counters.BlocksSkipped = pw.skipped
-		}
-		results[m] = r
-	}
-	return results, errs
+	return r, nil
 }
 
 // layout merges the partitions' keys, renumbers their survivors' groups
@@ -698,15 +616,15 @@ func (kw *keyWork) layout() {
 	kw.bounds[groups] = pos
 }
 
-// tooFew is count-first's test at the barrier: the column's readers all run
-// the diagnostic verdict-first on one sample, and every group of the column
-// is too small for diagnostic.Ladder on it.
-func (cw *colWork) tooFew() bool {
-	if cw.rows < 0 || cw.masked {
+// tooFew is count-first's test at the barrier: the query runs the
+// diagnostic verdict-first on a sample of sampleRows rows (0: it does not),
+// and every group of the column is too small for diagnostic.Ladder on it.
+func (cw *colWork) tooFew(sampleRows int) bool {
+	if sampleRows <= 0 || cw.masked {
 		return false
 	}
 	under := func(n int) bool {
-		sizes, _ := diagnostic.Ladder(cw.rows, n)
+		sizes, _ := diagnostic.Ladder(sampleRows, n)
 		return sizes == nil
 	}
 	if cw.keys == nil {
@@ -720,8 +638,8 @@ func (cw *colWork) tooFew() bool {
 	return true
 }
 
-// groups hands a member its columns' vectors group by group; a nil keyWork
-// (an ungrouped member) gives the one group "" of whole columns. A column
+// groups hands the query its columns' vectors group by group; a nil keyWork
+// (an ungrouped query) gives the one group "" of whole columns. A column
 // count-first left unfilled gives every group nil values.
 func (kw *keyWork) groups(cols []*colWork) []group {
 	if kw == nil {

@@ -56,10 +56,8 @@ func mustPlan(t *testing.T, q string, opt plan.Options, udfNames ...string) *pla
 	return p
 }
 
-func storedSessions(n int, seed uint64) map[string]*StoredTable {
-	return map[string]*StoredTable{
-		"Sessions": {Data: sessionsTable(n, seed), PopRows: n * 10},
-	}
+func storedSessions(n int, seed uint64) *StoredTable {
+	return &StoredTable{Data: sessionsTable(n, seed), PopRows: n * 10}
 }
 
 // --- Expression evaluation ---
@@ -166,9 +164,9 @@ func TestEvalPredicateErrors(t *testing.T) {
 // --- End-to-end plan execution ---
 
 func TestRunPlainAggregate(t *testing.T) {
-	tables := storedSessions(10000, 5)
+	st := storedSessions(10000, 5)
 	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions", plan.Options{})
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 1})
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +174,7 @@ func TestRunPlainAggregate(t *testing.T) {
 		t.Fatalf("result shape: %+v", res.Groups)
 	}
 	got := res.Groups[0].Aggs[0].Value
-	want := tables["Sessions"].Data.ColumnByName("Time").(table.Float64Col)
+	want := st.Data.ColumnByName("Time").(table.Float64Col)
 	if math.Abs(got-stats.Mean(want)) > 1e-9 {
 		t.Errorf("AVG = %v, want %v", got, stats.Mean(want))
 	}
@@ -190,13 +188,13 @@ func TestRunPlainAggregate(t *testing.T) {
 }
 
 func TestRunFilteredAggregateMatchesManual(t *testing.T) {
-	tables := storedSessions(20000, 6)
+	st := storedSessions(20000, 6)
 	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'", plan.Options{})
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 3, Seed: 2})
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := tables["Sessions"].Data
+	tbl := st.Data
 	cities := tbl.ColumnByName("City").(table.StringCol)
 	times := tbl.ColumnByName("Time").(table.Float64Col)
 	var m stats.Moments
@@ -216,12 +214,12 @@ func TestRunFilteredAggregateMatchesManual(t *testing.T) {
 }
 
 func TestRunWorkerCountInvariance(t *testing.T) {
-	tables := storedSessions(9973, 7) // prime size exercises partition edges
+	st := storedSessions(9973, 7) // prime size exercises partition edges
 	q := "SELECT SUM(Time), COUNT(*), MIN(Time), MAX(Time) FROM Sessions WHERE Time > 55"
 	var ref *Result
 	for _, workers := range []int{1, 2, 4, 8} {
 		p := mustPlan(t, q, plan.Options{})
-		res, err := Run(context.Background(), p, tables, nil, Config{Workers: workers, Seed: 3})
+		res, err := Run(context.Background(), p, st, nil, Config{Workers: workers, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,9 +239,9 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 func TestRunScaledSumAndCount(t *testing.T) {
 	// PopRows = 10x sample rows: COUNT(*) must estimate ~PopRows, and
 	// SUM must estimate ~10x the sample sum.
-	tables := storedSessions(5000, 8)
+	st := storedSessions(5000, 8)
 	p := mustPlan(t, "SELECT COUNT(*), SUM(Time) FROM Sessions", plan.Options{})
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2, Seed: 4})
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 2, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +249,7 @@ func TestRunScaledSumAndCount(t *testing.T) {
 	if count != 50000 {
 		t.Errorf("scaled COUNT = %v, want 50000", count)
 	}
-	times := tables["Sessions"].Data.ColumnByName("Time").(table.Float64Col)
+	times := st.Data.ColumnByName("Time").(table.Float64Col)
 	wantSum := 10 * stats.Mean(times) * float64(len(times))
 	if math.Abs(res.Groups[0].Aggs[1].Value-wantSum)/wantSum > 1e-9 {
 		t.Errorf("scaled SUM = %v, want %v", res.Groups[0].Aggs[1].Value, wantSum)
@@ -259,9 +257,9 @@ func TestRunScaledSumAndCount(t *testing.T) {
 }
 
 func TestRunGroupBy(t *testing.T) {
-	tables := storedSessions(8000, 9)
+	st := storedSessions(8000, 9)
 	p := mustPlan(t, "SELECT City, AVG(Time) FROM Sessions GROUP BY City", plan.Options{})
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 5})
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +267,7 @@ func TestRunGroupBy(t *testing.T) {
 		t.Fatalf("groups = %d, want 4 cities", len(res.Groups))
 	}
 	// Keys sorted, values match manual computation.
-	tbl := tables["Sessions"].Data
+	tbl := st.Data
 	cities := tbl.ColumnByName("City").(table.StringCol)
 	times := tbl.ColumnByName("Time").(table.Float64Col)
 	for _, g := range res.Groups {
@@ -286,10 +284,10 @@ func TestRunGroupBy(t *testing.T) {
 }
 
 func TestRunBootstrapProducesSaneDistribution(t *testing.T) {
-	tables := storedSessions(20000, 10)
+	st := storedSessions(20000, 10)
 	opt := plan.Options{BootstrapK: 80}
 	p := mustPlan(t, "SELECT PERCENTILE(Time, 0.5) FROM Sessions", opt)
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 6})
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 4, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +297,7 @@ func TestRunBootstrapProducesSaneDistribution(t *testing.T) {
 	}
 	// The bootstrap SE of a normal sample's median should approximate
 	// √(π/2)·s/√n.
-	times := tables["Sessions"].Data.ColumnByName("Time").(table.Float64Col)
+	times := st.Data.ColumnByName("Time").(table.Float64Col)
 	wantSE := math.Sqrt(math.Pi / 2 * stats.SampleVariance(times) / 20000)
 	se := stats.Stddev(out.Bootstrap)
 	if se < 0.5*wantSE || se > 2*wantSE {
@@ -318,13 +316,13 @@ func TestRunBootstrapProducesSaneDistribution(t *testing.T) {
 // kernels: a group's SUM runs on kernel.FusedSums, a median on
 // kernel.Generic.
 func TestRunBootstrapDeterministicAcrossWorkerCounts(t *testing.T) {
-	tables := storedSessions(5000, 11)
+	st := storedSessions(5000, 11)
 	const k = 40
 	opt := plan.Options{BootstrapK: k}
 	var ref *Result
 	for _, workers := range []int{1, 3, 7} {
 		p := mustPlan(t, "SELECT City, SUM(Time), PERCENTILE(Time, 0.5) FROM Sessions GROUP BY City", opt)
-		res, err := Run(context.Background(), p, tables, nil, Config{Workers: workers, Seed: 7})
+		res, err := Run(context.Background(), p, st, nil, Config{Workers: workers, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,11 +343,11 @@ func TestRunBootstrapDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunDiagnosticOperator(t *testing.T) {
-	tables := storedSessions(60000, 13)
+	st := storedSessions(60000, 13)
 	opt := plan.DefaultOptions(60000)
 	opt.BootstrapK = 40
 	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions", opt)
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 4, Seed: 9})
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,13 +368,13 @@ func TestRunDiagnosticOperator(t *testing.T) {
 }
 
 func TestRunDiagnosticShrinksLadderWhenFilterTight(t *testing.T) {
-	tables := storedSessions(20000, 15)
+	st := storedSessions(20000, 15)
 	opt := plan.DefaultOptions(20000) // ladder sized for the full table
 	opt.BootstrapK = 20
 	// ~25% of rows are NYC, so the configured ladder cannot fit and the
 	// executor must shrink it rather than fail.
 	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'", opt)
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2, Seed: 11})
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +384,7 @@ func TestRunDiagnosticShrinksLadderWhenFilterTight(t *testing.T) {
 }
 
 func TestRunUDF(t *testing.T) {
-	tables := storedSessions(10000, 16)
+	st := storedSessions(10000, 16)
 	udfs := Registry{"CLAMPEDMEAN": func(values, weights []float64) float64 {
 		var m stats.Moments
 		for i, v := range values {
@@ -403,7 +401,7 @@ func TestRunUDF(t *testing.T) {
 	}}
 	opt := plan.Options{BootstrapK: 30}
 	p := mustPlan(t, "SELECT CLAMPEDMEAN(Time) FROM Sessions", opt, "CLAMPEDMEAN")
-	res, err := Run(context.Background(), p, tables, udfs, Config{Workers: 2, Seed: 12})
+	res, err := Run(context.Background(), p, st, udfs, Config{Workers: 2, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,29 +415,30 @@ func TestRunUDF(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	tables := storedSessions(100, 17)
-	p := mustPlan(t, "SELECT AVG(Time) FROM NoSuchTable", plan.Options{})
-	if _, err := Run(context.Background(), p, tables, nil, Config{}); err == nil {
-		t.Error("unknown table accepted")
+	st := storedSessions(100, 17)
+	p := mustPlan(t, "SELECT nope, AVG(Time) FROM Sessions GROUP BY nope", plan.Options{})
+	want := `exec: grouping on table "Sessions": exec: unknown GROUP BY column "nope"`
+	if _, err := Run(context.Background(), p, st, nil, Config{}); err == nil || err.Error() != want {
+		t.Errorf("bad GROUP BY column: %v, want %s", err, want)
 	}
 	p2 := mustPlan(t, "SELECT MYUDF(Time) FROM Sessions", plan.Options{}, "MYUDF")
-	if _, err := Run(context.Background(), p2, tables, nil, Config{}); err == nil {
+	if _, err := Run(context.Background(), p2, st, nil, Config{}); err == nil {
 		t.Error("unregistered UDF accepted")
 	}
 	p3 := mustPlan(t, "SELECT AVG(nope) FROM Sessions", plan.Options{})
-	if _, err := Run(context.Background(), p3, tables, nil, Config{}); err == nil {
+	if _, err := Run(context.Background(), p3, st, nil, Config{}); err == nil {
 		t.Error("unknown aggregation column accepted")
 	}
 }
 
 func TestRunPercentile(t *testing.T) {
-	tables := storedSessions(10000, 18)
+	st := storedSessions(10000, 18)
 	p := mustPlan(t, "SELECT PERCENTILE(Time, 0.5) FROM Sessions", plan.Options{})
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2, Seed: 13})
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 2, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := tables["Sessions"].Data.ColumnByName("Time").(table.Float64Col)
+	times := st.Data.ColumnByName("Time").(table.Float64Col)
 	want := stats.Quantile(times, 0.5)
 	if math.Abs(res.Groups[0].Aggs[0].Value-want) > 1e-9 {
 		t.Errorf("median = %v, want %v", res.Groups[0].Aggs[0].Value, want)
@@ -447,12 +446,12 @@ func TestRunPercentile(t *testing.T) {
 }
 
 func BenchmarkRunConsolidatedPipeline(b *testing.B) {
-	tables := storedSessions(100000, 20)
+	st := storedSessions(100000, 20)
 	opt := plan.DefaultOptions(100000)
 	def, _ := plan.Analyze(sql.MustParse(
 		"SELECT City, SUM(Time) FROM Sessions WHERE City = 'NYC' GROUP BY City").(*sql.Select), nil)
 	p, _ := plan.Build(def, opt)
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 8, Seed: 1})
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -461,7 +460,7 @@ func BenchmarkRunConsolidatedPipeline(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), p, tables, nil, Config{Workers: 8, Seed: 1}); err != nil {
+		if _, err := Run(context.Background(), p, st, nil, Config{Workers: 8, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -475,10 +474,10 @@ func BenchmarkRunConsolidatedPipeline(b *testing.B) {
 // filtered rows only (§5.3.2). A group's SUM is the fixed-scale sum, whose
 // bar is the bootstrap's.
 func TestBootstrapMatchesIndependentPoissonResamples(t *testing.T) {
-	tables := storedSessions(10000, 32)
+	st := storedSessions(10000, 32)
 	const q, k = "SELECT City, SUM(Time) FROM Sessions WHERE City = 'NYC' GROUP BY City", 60
 	res, err := Run(context.Background(), mustPlan(t, q, plan.Options{BootstrapK: k}),
-		tables, nil, Config{Workers: 2, Seed: 7})
+		st, nil, Config{Workers: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,13 +505,13 @@ func TestBootstrapMatchesIndependentPoissonResamples(t *testing.T) {
 
 // TestRunClosedFormFoldsOnce: an aggregate with a closed form gets its
 // interval from the executor, and its Value is that interval's Center with
-// the bits q.Eval gives; one without a closed form gets neither. With no rows
-// there is no interval, and why is kept for the error bar to report.
+// the bits q.Eval gives; one without a closed form gets neither. A fold over
+// no rows is Interval{NaN, NaN}, and Value is its NaN.
 func TestRunClosedFormFoldsOnce(t *testing.T) {
-	tables := storedSessions(3000, 35)
+	st := storedSessions(3000, 35)
 	p := mustPlan(t, "SELECT AVG(Time), SUM(Time), COUNT(*), PERCENTILE(Time, 0.5) FROM Sessions WHERE City = 'NYC'",
 		plan.Options{BootstrapK: 10})
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2, Seed: 21})
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 2, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,32 +521,32 @@ func TestRunClosedFormFoldsOnce(t *testing.T) {
 			t.Errorf("%s: Value bits %x, q.Eval gives %x", out.Spec.Alias, got, want)
 		}
 		if !out.Query.ClosedFormApplicable() {
-			if out.ClosedForm != (estimator.Interval{}) || out.ClosedFormErr != nil {
-				t.Errorf("%s: closed form %+v, %v on an aggregate without one", out.Spec.Alias, out.ClosedForm, out.ClosedFormErr)
+			if out.ClosedForm != (estimator.Interval{}) {
+				t.Errorf("%s: closed form %+v on an aggregate without one", out.Spec.Alias, out.ClosedForm)
 			}
 			continue
 		}
 		iv, err := (estimator.ClosedForm{}).Interval(nil, out.Values, out.Query, estimator.ConfidenceLevel)
-		if err != nil || out.ClosedFormErr != nil || out.ClosedForm != iv || math.Float64bits(iv.Center) != want {
-			t.Errorf("%s: closed form %+v, %v; want %+v centered on Value", out.Spec.Alias, out.ClosedForm, out.ClosedFormErr, iv)
+		if err != nil || out.ClosedForm != iv || math.Float64bits(iv.Center) != want {
+			t.Errorf("%s: closed form %+v; want %+v centered on Value", out.Spec.Alias, out.ClosedForm, iv)
 		}
 	}
 
 	empty := mustPlan(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NOWHERE'", plan.Options{})
-	res, err = Run(context.Background(), empty, tables, nil, Config{Workers: 2, Seed: 21})
+	res, err = Run(context.Background(), empty, st, nil, Config{Workers: 2, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := res.Groups[0].Aggs[0]; !math.IsNaN(out.Value) || out.ClosedFormErr == nil {
-		t.Errorf("AVG over zero rows: Value %v, closed-form error %v; want NaN and an error", out.Value, out.ClosedFormErr)
+	if out := res.Groups[0].Aggs[0]; !math.IsNaN(out.Value) || !math.IsNaN(out.ClosedForm.Center) || !math.IsNaN(out.ClosedForm.HalfWidth) {
+		t.Errorf("AVG over zero rows: Value %v, closed form %+v; want NaN and Interval{NaN, NaN}", out.Value, out.ClosedForm)
 	}
 }
 
 func TestRunEmptyFilterResult(t *testing.T) {
-	tables := storedSessions(1000, 33)
+	st := storedSessions(1000, 33)
 	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions WHERE City = 'NOWHERE'",
 		plan.Options{BootstrapK: 10})
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2, Seed: 17})
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 2, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +560,7 @@ func TestRunEmptyFilterResult(t *testing.T) {
 	// zeros, scaled).
 	p2 := mustPlan(t, "SELECT COUNT(*) FROM Sessions WHERE City = 'NOWHERE'",
 		plan.Options{})
-	res2, err := Run(context.Background(), p2, tables, nil, Config{Workers: 2, Seed: 18})
+	res2, err := Run(context.Background(), p2, st, nil, Config{Workers: 2, Seed: 18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,10 +570,10 @@ func TestRunEmptyFilterResult(t *testing.T) {
 }
 
 func TestRunEmptyGroupByResult(t *testing.T) {
-	tables := storedSessions(1000, 34)
+	st := storedSessions(1000, 34)
 	p := mustPlan(t, "SELECT City, AVG(Time) FROM Sessions WHERE Time > 1e12 GROUP BY City",
 		plan.Options{})
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2, Seed: 19})
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 2, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,14 +689,14 @@ func TestEvalExprErrorPaths(t *testing.T) {
 }
 
 func TestRunDiagnosticTooFewRows(t *testing.T) {
-	tables := storedSessions(6400, 41)
+	st := storedSessions(6400, 41)
 	opt := plan.DefaultOptions(6400) // the smallest sample Algorithm 1 diagnoses
 	opt.BootstrapK = 10
 	// Selectivity ~0: a filter matching almost nothing leaves too few rows
 	// for any diagnostic ladder; the operator must report an explicit
 	// rejection rather than failing.
 	p := mustPlan(t, "SELECT AVG(Time) FROM Sessions WHERE Time > 1e9", opt)
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2, Seed: 20})
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 2, Seed: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,5 +709,53 @@ func TestRunDiagnosticTooFewRows(t *testing.T) {
 	}
 	if d.Reason == "" {
 		t.Error("rejection must carry a reason")
+	}
+}
+
+// resultsEqual asserts two Results are bit-identical in everything a query
+// answer is built from: group keys, values, resample estimates and
+// diagnostic verdicts.
+func resultsEqual(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if got == nil || want == nil {
+		t.Fatalf("%s: nil result (got=%v want=%v)", label, got == nil, want == nil)
+	}
+	if len(got.Groups) != len(want.Groups) {
+		t.Fatalf("%s: %d groups, want %d", label, len(got.Groups), len(want.Groups))
+	}
+	if got.SampleRows != want.SampleRows {
+		t.Errorf("%s: sample rows %d != %d", label, got.SampleRows, want.SampleRows)
+	}
+	for gi := range want.Groups {
+		g, w := got.Groups[gi], want.Groups[gi]
+		if g.Key != w.Key {
+			t.Fatalf("%s: group %d key %q != %q", label, gi, g.Key, w.Key)
+		}
+		if len(g.Aggs) != len(w.Aggs) {
+			t.Fatalf("%s: group %q has %d aggs, want %d", label, g.Key, len(g.Aggs), len(w.Aggs))
+		}
+		for ai := range w.Aggs {
+			a, b := g.Aggs[ai], w.Aggs[ai]
+			if a.Value != b.Value {
+				t.Errorf("%s: group %q agg %d value %v != %v", label, g.Key, ai, a.Value, b.Value)
+			}
+			if len(a.Bootstrap) != len(b.Bootstrap) {
+				t.Fatalf("%s: group %q agg %d has %d resamples, want %d",
+					label, g.Key, ai, len(a.Bootstrap), len(b.Bootstrap))
+			}
+			for k := range b.Bootstrap {
+				if a.Bootstrap[k] != b.Bootstrap[k] {
+					t.Fatalf("%s: group %q agg %d resample %d: %v != %v",
+						label, g.Key, ai, k, a.Bootstrap[k], b.Bootstrap[k])
+				}
+			}
+			if (a.Diag == nil) != (b.Diag == nil) {
+				t.Fatalf("%s: group %q agg %d diagnostic presence differs", label, g.Key, ai)
+			}
+			if a.Diag != nil && (a.Diag.OK != b.Diag.OK || a.Diag.Reason != b.Diag.Reason) {
+				t.Errorf("%s: group %q agg %d diagnostic %+v != %+v",
+					label, g.Key, ai, a.Diag, b.Diag)
+			}
+		}
 	}
 }

@@ -60,7 +60,7 @@ var (
 )
 
 // PoolOutstanding reports pooled scratch slices currently checked out
-// (gets minus puts). Between queries — once Run/RunShared has returned —
+// (gets minus puts). Between queries — once Run has returned —
 // the value must be unchanged from before the query; the leak regression
 // test pins this across success, error, cancellation and cache-hit
 // paths.
@@ -588,9 +588,9 @@ func isCovered(covered []bool, abs int) bool {
 // skip admits (walkBlocks) and returns the matching rows, relative to tbl.
 // absOffset is tbl's first row in the base table. A nil e keeps every row
 // and returns a nil selection. On a block covered marks (e holds on every
-// row; see blockCover) every row matches without evaluating e. Each reader
-// in keys reads the GROUP BY key of every block with a survivor and appends
-// the survivors' group ids to its ids, so grouping costs no pass of its own.
+// row; see blockCover) every row matches without evaluating e. A non-nil key
+// reads the GROUP BY key of every block with a survivor and appends the
+// survivors' group ids to its ids, so grouping costs no pass of its own.
 //
 // selHint, when in [0,1], is a remembered selectivity for this predicate
 // shape from the predicate memo; it pre-sizes the selection vector so a
@@ -598,7 +598,7 @@ func isCovered(covered []bool, abs int) bool {
 // regrows repeatedly (a 90% filter starting at n/2). Either way the
 // reservation is capped at the rows in blocks skip admits. Capacity only —
 // never affects which rows match.
-func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, absOffset int, skip, covered []bool, m *decodeMeter, cc *cache.BlockCache, selHint float64, keys ...*keyReader) ([]int, error) {
+func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, absOffset int, skip, covered []bool, m *decodeMeter, cc *cache.BlockCache, selHint float64, key *keyReader) ([]int, error) {
 	n := tbl.NumRows()
 	selCap := n
 	if e != nil {
@@ -612,8 +612,8 @@ func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, ab
 	if e != nil {
 		sel = make([]int, 0, selCap)
 	}
-	for _, k := range keys {
-		k.ids = make([]int32, 0, selCap)
+	if key != nil {
+		key.ids = make([]int32, 0, selCap)
 	}
 	sc := &scratch{m: m, blocks: cc}
 	err := walkBlocks(ctx, n, absOffset, skip, sc, func(row, end int) error {
@@ -641,11 +641,11 @@ func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, ab
 			}
 			keep = v.bools
 		}
-		for _, k := range keys {
-			if err := k.read(tbl, end-row, sc); err != nil {
+		if key != nil {
+			if err := key.read(tbl, end-row, sc); err != nil {
 				return err
 			}
-			k.ids = k.number(keep, k.ids)
+			key.ids = key.number(keep, key.ids)
 		}
 		return nil
 	})

@@ -113,9 +113,9 @@ var scanWheres = []string{
 	" WHERE y > 1e300",
 }
 
-// sampleScanQueries crosses scanWheres with an ungrouped member — masked
+// sampleScanQueries crosses scanWheres with an ungrouped query — masked
 // SUM/COUNT over a column, arithmetic and a literal, filtered columns — and
-// members grouped on a string, an int64 (beyond 2^53) and a float64 key
+// queries grouped on a string, an int64 (beyond 2^53) and a float64 key
 // (NaN, -0 and a subnormal among its values) reading the indicator, a
 // literal and arithmetic.
 func sampleScanQueries() []string {
@@ -167,7 +167,7 @@ func blockReads(e sql.Expr, tbl *table.Table, blocks []int) (reads, uncacheable 
 	return reads, uncacheable
 }
 
-// decodeBounds returns the blocks a member's scan decodes on a lazy
+// decodeBounds returns the blocks a query's scan decodes on a lazy
 // backing — predicate columns in every admitted block, inputs and the
 // GROUP BY key in every block with a survivor — how many of those reads a
 // warm block cache still decodes, and what the materializing scan before it
@@ -226,7 +226,7 @@ func decodeBounds(def *plan.QueryDef, tbl *table.Table, sel []int) (want, uncach
 	return want, uncacheable, parent
 }
 
-// scanMatches compares one member's scan with the reference: the same
+// scanMatches compares one query's scan with the reference: the same
 // groups in the same order, every vector Float64bits-equal.
 func scanMatches(t *testing.T, label string, got *scanResult, want []group, sel []int) {
 	t.Helper()
@@ -259,13 +259,12 @@ func scanMatches(t *testing.T, label string, got *scanResult, want []group, sel 
 
 // TestSampleScanDifferential pins the two-phase sample scan and the
 // count-then-fill split to a plain reference over raw/compressed/mmap
-// backings × block cache and predicate memo on/off × Workers 1/2/8, solo and
-// with every member in one batch (columns aliased across members): the same
+// backings × block cache and predicate memo on/off × Workers 1/2/8: the same
 // vectors to the bit, the same group order, and the same counters, with
 // BlocksDecoded exactly "predicate columns in admitted blocks, inputs in
 // blocks with a survivor" — never more than the scan before it — and every
 // cached read either a hit or a decode: on a warm cache, a decode exactly
-// when the block's codec is one the cache turns away. Type errors fail their member even
+// when the block's codec is one the cache turns away. Type errors fail the query even
 // when no row survives, and pooled scratch comes back after success, error
 // and a cancellation in either phase.
 func TestSampleScanDifferential(t *testing.T) {
@@ -273,13 +272,13 @@ func TestSampleScanDifferential(t *testing.T) {
 	raw := exactCorpus()
 	variants := backingVariants(t, raw)
 	qs := sampleScanQueries()
-	members := make([]*plan.QueryDef, len(qs))
+	defs := make([]*plan.QueryDef, len(qs))
 	wants := make([][]group, len(qs))
 	sels := make([][]int, len(qs))
 	for i, q := range qs {
-		members[i] = mustPlan(t, q, plan.Options{}).Def
+		defs[i] = mustPlan(t, q, plan.Options{}).Def
 		var err error
-		if wants[i], sels[i], err = referenceScan(members[i], raw); err != nil {
+		if wants[i], sels[i], err = referenceScan(defs[i], raw); err != nil {
 			t.Fatalf("reference %q: %v", q, err)
 		}
 	}
@@ -296,14 +295,14 @@ func TestSampleScanDifferential(t *testing.T) {
 					passes = 2 // the second reads a warm cache and a remembered selectivity
 				}
 				for pass := 0; pass < passes; pass++ {
-					for i, def := range members {
+					for i, def := range defs {
 						label := fmt.Sprintf("%s workers=%d cached=%v pass=%d %q", name, workers, cached, pass, qs[i])
-						res, errs := scanFilterProjectMulti(ctx, []*plan.QueryDef{def}, nil, data, cfg)
-						if errs[0] != nil {
-							t.Fatalf("%s: %v", label, errs[0])
+						res, err := scanFilterProject(ctx, def, 0, data, cfg)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
 						}
-						scanMatches(t, label, res[0], wants[i], sels[i])
-						c := res[0].counters
+						scanMatches(t, label, res, wants[i], sels[i])
+						c := res.counters
 						var skipped int64
 						if def.Where != nil {
 							_, skipped = blockSkip(data, def.Where)
@@ -338,19 +337,6 @@ func TestSampleScanDifferential(t *testing.T) {
 							warmHits += c.CacheHits
 						}
 					}
-					res, errs := scanFilterProjectMulti(ctx, members, nil, data, cfg)
-					var scans int
-					for i := range members {
-						if errs[i] != nil {
-							t.Fatalf("%s batched %q: %v", name, qs[i], errs[i])
-						}
-						scanMatches(t, fmt.Sprintf("%s workers=%d batched %q", name, workers, qs[i]),
-							res[i], wants[i], sels[i])
-						scans += res[i].counters.Scans
-					}
-					if scans != 1 {
-						t.Fatalf("%s workers=%d: batch performed %d scans", name, workers, scans)
-					}
 				}
 			}
 		}
@@ -362,7 +348,6 @@ func TestSampleScanDifferential(t *testing.T) {
 		t.Fatalf("success: %d pooled buffers outstanding", d)
 	}
 
-	good := mustPlan(t, "SELECT AVG(y) FROM T WHERE day > 1000", plan.Options{}).Def
 	for _, q := range []string{
 		"SELECT SUM(city) FROM T WHERE day > 1000",
 		"SELECT AVG(nosuch) FROM T WHERE y > 1e300",
@@ -376,9 +361,8 @@ func TestSampleScanDifferential(t *testing.T) {
 			t.Fatalf("reference accepted %q", q)
 		}
 		for name, data := range variants {
-			_, errs := scanFilterProjectMulti(ctx, []*plan.QueryDef{good, bad}, nil, data, Config{Workers: 2})
-			if errs[0] != nil || errs[1] == nil {
-				t.Errorf("%s %q: batchmate error %v, own error %v", name, q, errs[0], errs[1])
+			if _, err := scanFilterProject(ctx, bad, 0, data, Config{Workers: 2}); err == nil {
+				t.Errorf("%s %q: no error", name, q)
 			}
 		}
 	}
@@ -396,9 +380,9 @@ func TestSampleScanDifferential(t *testing.T) {
 		const workers = 2
 		into := phase.into
 		cctx := decodeCountCtx{Context: ctx, cancelAt: table.DecodedBlocks() + into}
-		_, errs := scanFilterProjectMulti(cctx, []*plan.QueryDef{def}, nil, comp, Config{Workers: workers})
-		if !errors.Is(errs[0], context.Canceled) {
-			t.Fatalf("cancelled %d decodes in: %v", into, errs[0])
+		_, err := scanFilterProject(cctx, def, 0, comp, Config{Workers: workers})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled %d decodes in: %v", into, err)
 		}
 		if past := (table.DecodedBlocks() - cctx.cancelAt) / phase.perBlock; past > 64*workers {
 			t.Errorf("cancelled %d decodes in: the scan decoded %d blocks past it", into, past)
@@ -454,20 +438,20 @@ func TestSampleScanAllocatesOnce(t *testing.T) {
 		cfg := Config{Workers: 2, Preds: cache.NewPredMemo(nil)}
 		var must int
 		run := func() {
-			res, errs := scanFilterProjectMulti(context.Background(), []*plan.QueryDef{def}, nil, tbl, cfg)
-			if errs[0] != nil {
-				t.Fatal(errs[0])
+			res, err := scanFilterProject(context.Background(), def, 0, tbl, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			groups := res[0].groups
+			groups := res.groups
 			must = 0
 			for _, g := range groups {
 				must += 8 * len(g.values[0])
 			}
 			if def.Where != nil {
-				must += 8 * res[0].rows
+				must += 8 * res.rows
 			}
 			if len(def.GroupBy) > 0 {
-				must += 4 * res[0].rows
+				must += 4 * res.rows
 				if len(groups) != 40 {
 					t.Fatalf("%d groups", len(groups))
 				}
@@ -491,10 +475,10 @@ func TestSampleScanAllocatesOnce(t *testing.T) {
 }
 
 // TestCountFirstSkipsUnreadColumns: at the barrier, a column whose every
-// group is under the diagnostic's floor and whose every reader runs the
-// diagnostic verdict-first is neither allocated nor filled, and its readers
-// get nil values; a column a reader needs whatever the verdict, a group over
-// the floor, or a masked SUM/COUNT column is filled with the bits it has
+// group is under the diagnostic's floor, in a query that runs the diagnostic
+// verdict-first, is neither allocated nor filled, and its aggregates get nil
+// values; a column of a query that reads it whatever the verdict, a group
+// over the floor, or a masked SUM/COUNT column is filled with the bits it has
 // without count-first. Downstream, the skipped aggregate gets the verdict the
 // diagnostic gives it from its values, and nothing else runs.
 func TestCountFirstSkipsUnreadColumns(t *testing.T) {
@@ -507,40 +491,42 @@ func TestCountFirstSkipsUnreadColumns(t *testing.T) {
 		verdict bool // runs the diagnostic verdict-first
 		counted bool // count-first skips its column
 	}{
-		{"SELECT City, AVG(Time) FROM Sessions GROUP BY City", true, false}, // shares Time with the next
+		{"SELECT City, AVG(Time), STDEV(Time) FROM Sessions GROUP BY City", true, true}, // one column, read twice
 		{"SELECT City, MAX(Time) FROM Sessions GROUP BY City", false, false},
 		{"SELECT City, MIN(Time + 1) FROM Sessions GROUP BY City", true, true},
 		{"SELECT AVG(Time) FROM Sessions", true, false},
 		{"SELECT PERCENTILE(Time, 0.5) FROM Sessions WHERE Time > 100", true, true},
 		{"SELECT COUNT(*) FROM Sessions WHERE Time > 100", true, false},
 	}
-	defs := make([]*plan.QueryDef, len(members))
-	verdictRows := make([]int, len(members))
-	for i, m := range members {
-		defs[i] = mustPlan(t, m.q, opt).Def
-		if m.verdict {
-			verdictRows[i] = rows
-		}
-	}
 	for _, workers := range []int{1, 3} {
 		cfg := Config{Workers: workers}
-		want, errs := scanFilterProjectMulti(context.Background(), defs, nil, data, cfg)
-		got, gerrs := scanFilterProjectMulti(context.Background(), defs, verdictRows, data, cfg)
-		for i, m := range members {
-			if errs[i] != nil || gerrs[i] != nil {
-				t.Fatalf("%q: %v / %v", m.q, errs[i], gerrs[i])
+		for _, m := range members {
+			def := mustPlan(t, m.q, opt).Def
+			verdictRows := 0
+			if m.verdict {
+				verdictRows = rows
 			}
-			if len(got[i].groups) != len(want[i].groups) || got[i].rows != want[i].rows {
+			want, err := scanFilterProject(context.Background(), def, 0, data, cfg)
+			if err != nil {
+				t.Fatalf("%q: %v", m.q, err)
+			}
+			got, err := scanFilterProject(context.Background(), def, verdictRows, data, cfg)
+			if err != nil {
+				t.Fatalf("%q: %v", m.q, err)
+			}
+			if len(got.groups) != len(want.groups) || got.rows != want.rows {
 				t.Fatalf("%q: %d groups of %d rows, want %d of %d", m.q,
-					len(got[i].groups), got[i].rows, len(want[i].groups), want[i].rows)
+					len(got.groups), got.rows, len(want.groups), want.rows)
 			}
-			for g, wg := range want[i].groups {
-				gv := got[i].groups[g].values[0]
-				switch {
-				case m.counted && gv != nil:
-					t.Errorf("workers=%d %q group %q: filled %d values, want none", workers, m.q, wg.key, len(gv))
-				case !m.counted && !sameF64Bits(gv, wg.values[0]):
-					t.Errorf("workers=%d %q group %q: values differ from the scan without count-first", workers, m.q, wg.key)
+			for g, wg := range want.groups {
+				for ai, wv := range wg.values {
+					gv := got.groups[g].values[ai]
+					switch {
+					case m.counted && gv != nil:
+						t.Errorf("workers=%d %q group %q aggregate %d: filled %d values, want none", workers, m.q, wg.key, ai, len(gv))
+					case !m.counted && !sameF64Bits(gv, wv):
+						t.Errorf("workers=%d %q group %q aggregate %d: values differ from the scan without count-first", workers, m.q, wg.key, ai)
+					}
 				}
 			}
 		}
@@ -548,8 +534,8 @@ func TestCountFirstSkipsUnreadColumns(t *testing.T) {
 
 	// Downstream: the same too_few_rows verdict, no value, no bar.
 	p := mustPlan(t, members[2].q, opt)
-	tables := map[string]*StoredTable{"Sessions": {Data: data, PopRows: rows * 10}}
-	res, err := Run(context.Background(), p, tables, nil, Config{Workers: 2})
+	st := &StoredTable{Data: data, PopRows: rows * 10}
+	res, err := Run(context.Background(), p, st, nil, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,7 @@ import (
 )
 
 // TestVerdictFirstSkipsOnlyRejectedBootstrap runs the same plans with and
-// without Options.VerdictFirst, through Run and RunShared at 1, 2 and 8
-// workers, and asserts the flag removes the bootstrap of rejected aggregates
+// without Options.VerdictFirst at 1, 2 and 8 workers, and asserts the flag removes the bootstrap of rejected aggregates
 // and nothing else: values and verdicts are identical, accepted aggregates
 // keep bit-identical resample estimates, and the counters drop by exactly
 // what bootstrapEstimates charges for the aggregates that were skipped. An
@@ -29,14 +28,14 @@ func TestVerdictFirstSkipsOnlyRejectedBootstrap(t *testing.T) {
 		p[i] = src.Pareto(1, 1.05)
 		city[i] = names[src.Intn(len(names))]
 	}
-	tables := map[string]*StoredTable{"T": {
+	st := &StoredTable{
 		Data: table.MustNew(table.Schema{
 			{Name: "g", Type: table.Float64},
 			{Name: "p", Type: table.Float64},
 			{Name: "City", Type: table.String},
 		}, g, p, city),
 		PopRows: 10 * n,
-	}}
+	}
 	ctx := context.Background()
 	var accepted, rejected int
 	for _, q := range []string{
@@ -48,21 +47,15 @@ func TestVerdictFirstSkipsOnlyRejectedBootstrap(t *testing.T) {
 			cfg := Config{Workers: workers, Seed: 7}
 			opt := plan.DefaultOptions(n)
 			opt.BootstrapK = k
-			keep, err := Run(ctx, mustPlan(t, q, opt), tables, nil, cfg)
+			keep, err := Run(ctx, mustPlan(t, q, opt), st, nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opt.VerdictFirst = true
-			skipPlan := mustPlan(t, q, opt)
-			skip, err := Run(ctx, skipPlan, tables, nil, cfg)
+			skip, err := Run(ctx, mustPlan(t, q, opt), st, nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			shared, errs := RunShared(ctx, []SharedItem{{Plan: skipPlan, Cfg: cfg}}, tables, nil)
-			if errs[0] != nil {
-				t.Fatal(errs[0])
-			}
-			resultsEqual(t, label+" shared vs solo", shared[0], skip)
 
 			want := keep.Counters
 			for gi, kg := range keep.Groups {
@@ -110,9 +103,6 @@ func TestVerdictFirstSkipsOnlyRejectedBootstrap(t *testing.T) {
 			}
 			if skip.Counters != want {
 				t.Errorf("%s: counters %+v, want %+v", label, skip.Counters, want)
-			}
-			if shared[0].Counters != want {
-				t.Errorf("%s: shared counters %+v, want %+v", label, shared[0].Counters, want)
 			}
 		}
 	}

@@ -139,7 +139,7 @@ func TestZoneSkipPreservesSelection(t *testing.T) {
 		if skipped > 0 {
 			anySkipped = true
 		}
-		got, err := evalPredicateSkipping(context.Background(), pred, tbl, 0, skip, blockCover(tbl, pred, skip), nil, nil, -1)
+		got, err := evalPredicateSkipping(context.Background(), pred, tbl, 0, skip, blockCover(tbl, pred, skip), nil, nil, -1, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", cond, err)
 		}
@@ -169,7 +169,7 @@ func TestZoneSkipSizesSelection(t *testing.T) {
 	for b := range skip {
 		skip[b] = b != admitted
 	}
-	sel, err := evalPredicateSkipping(context.Background(), wherePred(t, "Time >= 0"), tbl, 0, skip, nil, nil, nil, -1)
+	sel, err := evalPredicateSkipping(context.Background(), wherePred(t, "Time >= 0"), tbl, 0, skip, nil, nil, nil, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestZoneSkipAcrossPartitions(t *testing.T) {
 		var got []int
 		offset := 0
 		for _, part := range parts {
-			sel, err := evalPredicateSkipping(context.Background(), pred, part, offset, skip, blockCover(tbl, pred, skip), nil, nil, -1)
+			sel, err := evalPredicateSkipping(context.Background(), pred, part, offset, skip, blockCover(tbl, pred, skip), nil, nil, -1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,11 +244,9 @@ func TestRunZoneMapSkipping(t *testing.T) {
 		if zones {
 			tbl.BuildZones()
 		}
-		tables := map[string]*StoredTable{
-			"Sessions": {Data: tbl, PopRows: n * 10},
-		}
+		st := &StoredTable{Data: tbl, PopRows: n * 10}
 		p := mustPlan(t, q, plan.Options{BootstrapK: k})
-		res, err := Run(context.Background(), p, tables, nil,
+		res, err := Run(context.Background(), p, st, nil,
 			Config{Workers: workers, Seed: 9})
 		if err != nil {
 			t.Fatal(err)

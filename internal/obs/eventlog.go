@@ -128,9 +128,6 @@ func (l *EventLog) Emit(rec *QueryRecord) {
 	if work.DecodeNanos > 0 {
 		attrs = append(attrs, slog.Int64("decode_ns", work.DecodeNanos))
 	}
-	if rec.SharedScan {
-		attrs = append(attrs, slog.Bool("shared_scan", true))
-	}
 	if rec.Cached {
 		attrs = append(attrs, slog.Bool("cached", true))
 	}

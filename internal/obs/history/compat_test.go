@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,26 +36,7 @@ func TestReplayParentSchemaSegment(t *testing.T) {
 	}
 	now := time.Now().UnixNano()
 
-	parent := t.TempDir()
-	f, err := os.Create(filepath.Join(parent, segmentName(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeSegmentHeader(f); err != nil {
-		t.Fatal(err)
-	}
-	for _, tmpl := range []string{parentQueryFrame, parentAuditFrame} {
-		payload := []byte(fmt.Sprintf(tmpl, now))
-		var hdr [frameOverhead]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-		if _, err := f.Write(append(hdr[:], payload...)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	parent := writeSegment(t, fmt.Sprintf(parentQueryFrame, now), fmt.Sprintf(parentAuditFrame, now))
 
 	current := t.TempDir()
 	s, err := Open(current, Options{SampleInterval: -1, SLOs: specs})
@@ -81,17 +63,7 @@ func TestReplayParentSchemaSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	records := func(dir string) []Record {
-		var out []Record
-		if _, err := ReplayDir(dir, func(r *Record) {
-			c := *r
-			c.TS = 0
-			out = append(out, c)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
+	records := func(dir string) []Record { return replayRecords(t, dir) }
 	if got, want := records(parent), records(current); !reflect.DeepEqual(got, want) {
 		t.Fatalf("parent-schema segment replays as\n%+v\nwant\n%+v", got, want)
 	}
@@ -133,4 +105,59 @@ func TestReplayParentSchemaSegment(t *testing.T) {
 		gs.Replay.SkippedTails != ws.Replay.SkippedTails || gs.Segments != ws.Segments {
 		t.Fatalf("/debug/history stats: parent segment %+v, shared types %+v", gs, ws)
 	}
+}
+
+// TestReplayIgnoresDroppedFields: a segment written while query records
+// still carried shared_scan (set when a shared-scan batch answered the
+// query) replays as the same record without it.
+func TestReplayIgnoresDroppedFields(t *testing.T) {
+	plain := fmt.Sprintf(parentQueryFrame, 1)
+	withShared := strings.Replace(plain, `"sample_fraction":0.25,`, `"sample_fraction":0.25,"shared_scan":true,`, 1)
+	if withShared == plain {
+		t.Fatal("premise: the frame has a sample_fraction to insert beside")
+	}
+	got, want := replayRecords(t, writeSegment(t, withShared)), replayRecords(t, writeSegment(t, plain))
+	if len(got) != 1 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("a frame with shared_scan replays as\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// writeSegment writes the payloads as one segment's frames in a new
+// directory, and returns the directory.
+func writeSegment(t *testing.T, payloads ...string) string {
+	t.Helper()
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, segmentName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeSegmentHeader(f); err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range payloads {
+		var hdr [frameOverhead]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE([]byte(payload)))
+		if _, err := f.Write(append(hdr[:], payload...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// replayRecords replays dir's records with their timestamps zeroed.
+func replayRecords(t *testing.T, dir string) []Record {
+	t.Helper()
+	var out []Record
+	if _, err := ReplayDir(dir, func(r *Record) {
+		c := *r
+		c.TS = 0
+		out = append(out, c)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

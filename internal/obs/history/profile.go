@@ -76,7 +76,6 @@ type Profile struct {
 	// counts queries that fell back to exact execution.
 	Rejected   int64            `json:"rejected"`
 	FellBack   int64            `json:"fell_back"`
-	SharedScan int64            `json:"shared_scan"`
 	Techniques map[string]int64 `json:"techniques,omitempty"`
 }
 
@@ -129,7 +128,6 @@ type profAcc struct {
 	covered    int64
 	rejected   int64
 	fellBack   int64
-	shared     int64
 	techniques map[string]int64
 }
 
@@ -224,9 +222,6 @@ func (p *profiler) foldQuery(q *obs.QueryRecord) {
 		if q.FellBack {
 			acc.fellBack++
 		}
-		if q.SharedScan {
-			acc.shared++
-		}
 		for _, a := range byKind[kind] {
 			if a.RelErr >= 0 {
 				acc.rel.add(a.RelErr)
@@ -267,7 +262,6 @@ func (a *profAcc) snapshot(k Key) Profile {
 		Covered:     a.covered,
 		Rejected:    a.rejected,
 		FellBack:    a.fellBack,
-		SharedScan:  a.shared,
 	}
 	if a.fracN > 0 {
 		pr.SampleFraction = a.fracSum / float64(a.fracN)

@@ -52,10 +52,9 @@ type QueryRecord struct {
 	// KBudget is the bootstrap replicate count the plan allowed; KUsed is
 	// the largest count any aggregate ran: KBudget, or 0 when none was
 	// resampled.
-	KBudget    int  `json:"k_budget,omitempty"`
-	KUsed      int  `json:"k_used,omitempty"`
-	SharedScan bool `json:"shared_scan,omitempty"`
-	FellBack   bool `json:"fell_back,omitempty"`
+	KBudget  int  `json:"k_budget,omitempty"`
+	KUsed    int  `json:"k_used,omitempty"`
+	FellBack bool `json:"fell_back,omitempty"`
 	// SampleRows is the sample's row count (0 for exact execution).
 	SampleRows int `json:"-"`
 	// Cached marks an answer replayed from the answer cache — no scan,

@@ -154,15 +154,3 @@ func (p *Plan) Explain() string {
 	}
 	return sb.String()
 }
-
-// Identity renders everything about the plan that reaches an answer: the
-// Explain rendering plus the aggregates' output names, which Explain does
-// not show. Two plans with equal identities, run under one seed, produce
-// identical answers, so the shared-scan batch keys its dedup on it.
-func (p *Plan) Identity() string {
-	aliases := make([]string, len(p.Def.Aggs))
-	for i, a := range p.Def.Aggs {
-		aliases[i] = a.Alias
-	}
-	return fmt.Sprintf("%sAS %q", p.Explain(), aliases)
-}

@@ -270,35 +270,6 @@ func TestExplainGolden(t *testing.T) {
 	}
 }
 
-// TestIdentity: two plans share an identity exactly when they would produce
-// the same answer — EXPLAIN alone cannot tell aliases apart.
-func TestIdentity(t *testing.T) {
-	id := func(q string, opt Options) string {
-		p, err := Build(analyze(t, q), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p.Identity()
-	}
-	base := id("SELECT AVG(x) AS a FROM t", Options{BootstrapK: 10})
-	if got := id("select avg(x) as a from t", Options{BootstrapK: 10}); got != base {
-		t.Errorf("same plan, different identities:\n%s\n%s", base, got)
-	}
-	for _, c := range []struct {
-		q   string
-		opt Options
-	}{
-		{"SELECT AVG(x) AS b FROM t", Options{BootstrapK: 10}},
-		{"SELECT AVG(x) FROM t", Options{BootstrapK: 10}},
-		{"SELECT AVG(x) AS a FROM t", Options{BootstrapK: 11}},
-		{"SELECT AVG(x) AS a FROM t WHERE x > 0", Options{BootstrapK: 10}},
-	} {
-		if got := id(c.q, c.opt); got == base {
-			t.Errorf("%s %+v shares the identity of the base plan", c.q, c.opt)
-		}
-	}
-}
-
 func TestAggSpecLabel(t *testing.T) {
 	cases := []struct {
 		spec AggSpec

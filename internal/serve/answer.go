@@ -107,7 +107,6 @@ type QueryResponse struct {
 	SampleRows     int
 	PopulationRows int
 	BootstrapKUsed int
-	SharedScan     bool
 	ElapsedMs      float64
 }
 
@@ -133,7 +132,6 @@ type answerJSON struct {
 	SampleRows     int         `json:"sample_rows,omitempty"`
 	PopulationRows int         `json:"population_rows,omitempty"`
 	BootstrapKUsed int         `json:"bootstrap_k_used,omitempty"`
-	SharedScan     bool        `json:"shared_scan,omitempty"`
 	ElapsedMs      float64     `json:"elapsed_ms"`
 }
 
@@ -191,7 +189,7 @@ func descriptorRef(groups []GroupResult, g, i int) AggResult {
 // schema applies the JSON rule. The pointers it sends point into r.
 func (r *QueryResponse) schema() answerJSON {
 	w := answerJSON{SampleRows: r.SampleRows, PopulationRows: r.PopulationRows,
-		BootstrapKUsed: r.BootstrapKUsed, SharedScan: r.SharedScan, ElapsedMs: r.ElapsedMs}
+		BootstrapKUsed: r.BootstrapKUsed, ElapsedMs: r.ElapsedMs}
 	if r.Groups != nil {
 		w.Groups = make([]groupJSON, len(r.Groups))
 	}
@@ -233,7 +231,7 @@ func (r *QueryResponse) UnmarshalJSON(b []byte) error {
 		return err
 	}
 	*r = QueryResponse{SampleRows: w.SampleRows, PopulationRows: w.PopulationRows,
-		BootstrapKUsed: w.BootstrapKUsed, SharedScan: w.SharedScan, ElapsedMs: w.ElapsedMs}
+		BootstrapKUsed: w.BootstrapKUsed, ElapsedMs: w.ElapsedMs}
 	if w.Groups != nil {
 		r.Groups = make([]GroupResult, len(w.Groups))
 	}
@@ -268,7 +266,6 @@ func EncodeAnswer(ans *core.Answer) *QueryResponse {
 		SampleRows:     ans.SampleRows,
 		PopulationRows: ans.PopulationRows,
 		BootstrapKUsed: ans.BootstrapKUsed,
-		SharedScan:     ans.SharedScan,
 		ElapsedMs:      float64(ans.Elapsed) / 1e6,
 	}
 	for _, g := range ans.Groups {

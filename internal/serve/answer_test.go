@@ -27,7 +27,7 @@ func sameF64(got, want F64) bool {
 // from the one encoded, or returns "".
 func responseDiff(got, want *QueryResponse) string {
 	if got.SampleRows != want.SampleRows || got.PopulationRows != want.PopulationRows ||
-		got.BootstrapKUsed != want.BootstrapKUsed || got.SharedScan != want.SharedScan ||
+		got.BootstrapKUsed != want.BootstrapKUsed ||
 		got.ElapsedMs != want.ElapsedMs {
 		return fmt.Sprintf("header: got %+v want %+v", *got, *want)
 	}

@@ -72,19 +72,6 @@ type Config struct {
 	// MaxBootstrapK caps each query's resample count below the engine
 	// default — the per-query work budget (0 = engine default).
 	MaxBootstrapK int
-	// MaxBatch enables inter-query shared-scan batching: admitted queries
-	// targeting the same (table, sample) — per core.Engine.BatchKey — are
-	// grouped and executed with ONE physical pass (exec.RunShared), up to
-	// MaxBatch queries per group (0 or 1 = batching off). Answers are
-	// bit-identical to unbatched execution. Each batched query still holds
-	// its own execution slot, so size MaxInFlight >= MaxBatch to form full
-	// batches.
-	MaxBatch int
-	// BatchHold is the group-commit window: how long the first query of a
-	// forming batch waits for same-key arrivals before executing (0 =
-	// 500µs). The window closes early when the batch fills. This bounds
-	// the latency cost of batching at BatchHold per query.
-	BatchHold time.Duration
 	// Metrics, when non-nil, receives the serving gauges and counters.
 	Metrics *obs.Registry
 	// History, when non-nil, receives a durable RejectRecord for every
@@ -127,13 +114,6 @@ func (c Config) maxQueue() int {
 	return c.MaxQueue
 }
 
-func (c Config) batchHold() time.Duration {
-	if c.BatchHold <= 0 {
-		return 500 * time.Microsecond
-	}
-	return c.BatchHold
-}
-
 // Server serializes admission to a shared engine. The zero value is not
 // usable; construct with New.
 type Server struct {
@@ -145,7 +125,6 @@ type Server struct {
 	queue    []chan error // FIFO waiters; receive nil (slot granted) or a rejection
 	draining bool
 	drained  chan struct{} // closed when draining and inflight hits zero
-	batches  map[string]*batchGroup
 
 	gInflight   *obs.Gauge
 	gQueued     *obs.Gauge
@@ -153,10 +132,6 @@ type Server struct {
 	cancelled   *obs.Counter
 	cacheServed *obs.Counter
 	hQueueWait  *obs.Histogram
-
-	batchesRun     *obs.Counter
-	batchedQueries *obs.Counter
-	hBatchSize     *obs.Histogram
 
 	// Reject-spike tracking for the alert bus. Guarded by amu, never by
 	// s.mu: all bus calls happen outside the admission lock so a slow
@@ -186,13 +161,6 @@ func New(eng *core.Engine, cfg Config) *Server {
 		hQueueWait: reg.Histogram("aqp_serve_queue_wait_seconds",
 			"Time admitted queries spent waiting for an execution slot.",
 			obs.LatencyBuckets),
-		batchesRun: reg.Counter("aqp_serve_batches_total",
-			"Shared-scan batches executed."),
-		batchedQueries: reg.Counter("aqp_serve_batched_queries_total",
-			"Queries answered from a shared-scan batch."),
-		hBatchSize: reg.Histogram("aqp_serve_batch_size",
-			"Queries per executed shared-scan batch.",
-			[]float64{1, 2, 4, 8, 16, 32, 64}),
 	}
 }
 
@@ -312,25 +280,14 @@ func (s *Server) Submit(ctx context.Context, query string) (*core.Answer, error)
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 		defer cancel()
 	}
-	ans, err := s.run(ctx, query, wait)
+	ans, err := s.eng.RunWithOptions(ctx, query, core.RunOptions{
+		BootstrapK: s.cfg.MaxBootstrapK,
+		QueueWait:  wait,
+	})
 	if obs.Outcome(err) == "cancelled" {
 		s.cancelled.Inc()
 	}
 	return ans, err
-}
-
-// run executes one admitted query: through the shared-scan batcher when
-// batching is enabled and the query is batchable, solo otherwise.
-func (s *Server) run(ctx context.Context, query string, wait time.Duration) (*core.Answer, error) {
-	if s.cfg.MaxBatch > 1 && s.eng != nil {
-		if key, ok := s.eng.BatchKey(query); ok {
-			return s.submitBatched(ctx, key, query, wait)
-		}
-	}
-	return s.eng.RunWithOptions(ctx, query, core.RunOptions{
-		BootstrapK: s.cfg.MaxBootstrapK,
-		QueueWait:  wait,
-	})
 }
 
 // acquire blocks until an execution slot is free, the queue overflows, ctx

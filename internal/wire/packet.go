@@ -6,8 +6,8 @@
 // HandshakeResponse41 with a mysql_native_password auth hook, COM_QUERY /
 // COM_PING / COM_INIT_DB / COM_QUIT, and text-protocol resultsets. Every
 // query routes through the serve admission layer, so connection traffic
-// is governed by the same in-flight bounds, FIFO queue, deadlines and
-// shared-scan batching as in-process callers.
+// is governed by the same in-flight bounds, FIFO queue and deadlines as
+// in-process callers.
 //
 // The decoder trusts nothing: every length is bounds-checked against the
 // configured packet cap, malformed frames surface ErrMalformed (the
