@@ -116,7 +116,7 @@ func (e *Engine) residentBytes(t *table.Table) int64 {
 	}
 	var n int64
 	for i := 0; i < t.NumCols(); i++ {
-		if base, _ := table.BlockBase(t.Column(i)); base != nil {
+		if base := table.BlockBase(t.Column(i)); base != nil {
 			n += e.blocks.BytesFor(base)
 		}
 	}

@@ -55,9 +55,9 @@ type Config struct {
 	// run-length, bit-packed, and XOR codecs chosen per block); queries
 	// decode blocks lazily after zone-map admission. Samples drawn by
 	// BuildSamples take SampleBacking, not this backing. Answers are
-	// bit-identical across backings. Tables registered through
-	// RegisterTable are in-memory under BackingMmap too; use
-	// table.OpenStore to get a disk-backed table and register that.
+	// bit-identical across backings. A registered table stays in memory
+	// whatever the backing; table.OpenStore gives a disk-backed table to
+	// register instead.
 	Backing table.Backing
 	// SampleBacking selects the storage backing for samples drawn by
 	// BuildSamples (default BackingRaw: samples stay raw and decode-free).

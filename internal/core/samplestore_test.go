@@ -679,13 +679,12 @@ func TestPersistedSampleSplitOrder(t *testing.T) {
 	}
 }
 
-// TestNoSampleFilesWithoutIdentity: tables registered from memory, views of a
-// stored table, and stores written before digests existed build on the heap
-// and touch no directory.
+// TestNoSampleFilesWithoutIdentity: tables registered from memory and stores
+// written before digests existed build on the heap and touch no directory.
 func TestNoSampleFilesWithoutIdentity(t *testing.T) {
 	dir := t.TempDir()
 	content := goldenTable(4 * table.BlockRows)
-	full := storedTable(t, dir, "events.store", content)
+	storedTable(t, dir, "events.store", content)
 
 	// A store as the previous release wrote it: no digest member.
 	blob := mustReadFile(t, filepath.Join(dir, "events.store"))
@@ -703,7 +702,6 @@ func TestNoSampleFilesWithoutIdentity(t *testing.T) {
 	tr := obs.NewTracer(obs.Options{})
 	for name, tbl := range map[string]*table.Table{
 		"memory": content,
-		"view":   full.Slice(0, 3*table.BlockRows),
 		"legacy": legacy,
 	} {
 		e := storeEngine(t, Config{Seed: 1, Obs: tr}, name, tbl)

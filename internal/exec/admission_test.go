@@ -78,7 +78,7 @@ func codecTable() (*table.Table, map[string]bool) {
 func TestBlockCacheAdmitsTransformingCodecs(t *testing.T) {
 	tbl, admitted := codecTable()
 	for i, f := range tbl.Schema() {
-		base, _ := table.BlockBase(tbl.Column(i))
+		base := table.BlockBase(tbl.Column(i))
 		for b := 0; b*table.BlockRows < tbl.NumRows(); b++ {
 			if table.CacheableBlock(base, b) != admitted[f.Name] {
 				t.Fatalf("%s block %d: CacheableBlock = %v, want %v", f.Name, b, !admitted[f.Name], admitted[f.Name])
@@ -117,7 +117,7 @@ func TestBlockCacheAdmitsTransformingCodecs(t *testing.T) {
 	}
 
 	for i, f := range tbl.Schema() {
-		base, _ := table.BlockBase(tbl.Column(i))
+		base := table.BlockBase(tbl.Column(i))
 		if resident := cc.BytesFor(base); (resident > 0) != admitted[f.Name] {
 			t.Errorf("%s: %d bytes resident, want resident = %v", f.Name, resident, admitted[f.Name])
 		}

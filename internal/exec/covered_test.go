@@ -82,32 +82,19 @@ var coveredQueries = []string{
 // TestCoveredBlocksMatchDecoded: answers read off covered blocks — the
 // predicate skipped, MIN, MAX and COUNT taken from envelopes and row counts
 // — are bit-identical to the plain reference that evaluates every row, on
-// every backing and on a view that ends inside a block (whose inherited
-// last envelope also covers rows past it), with and without the predicate
-// memo, through ±0 in either order, NaN first in the fold, first in a
-// block and hidden inside one, and int64 values past 2^53.
+// every backing, with and without the predicate memo, through ±0 in either
+// order, NaN first in the fold, first in a block and hidden inside one, and
+// int64 values past 2^53.
 func TestCoveredBlocksMatchDecoded(t *testing.T) {
 	raw := coveredCorpus()
 	variants := backingVariants(t, raw)
-	const lo, hi = table.BlockRows, 5*table.BlockRows + 77
-	for name, data := range backingVariants(t, coveredCorpus()) {
-		variants[name+" view"] = data.Slice(lo, hi)
-	}
 	for _, q := range coveredQueries {
 		p := mustPlan(t, q, plan.Options{})
 		want, err := referenceExact(p, raw, nil)
 		if err != nil {
 			t.Fatalf("reference %q: %v", q, err)
 		}
-		wantView, err := referenceExact(p, raw.Slice(lo, hi), nil)
-		if err != nil {
-			t.Fatalf("reference %q: %v", q, err)
-		}
 		for name, data := range variants {
-			want := want
-			if data.NumRows() != raw.NumRows() {
-				want = wantView
-			}
 			for _, memo := range []bool{false, true} {
 				cfg := Config{Workers: 2}
 				if memo {
@@ -168,7 +155,7 @@ func TestCoveredBlocksDecodeNothing(t *testing.T) {
 
 // TestCoveredSampleScanSelection: the sample scan takes every row of a
 // covered block without evaluating the predicate, and selects exactly the
-// rows the plain evaluation does, across partition splits.
+// rows the plain evaluation does, across range splits.
 func TestCoveredSampleScanSelection(t *testing.T) {
 	comp := table.Compress(coveredCorpus())
 	for _, cond := range []string{"k <= 9", "k >= 3 AND k < 20", "kf > 2 AND k < 18", "kn >= 2"} {
@@ -184,17 +171,14 @@ func TestCoveredSampleScanSelection(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 3} {
 			var got []int
-			offset := 0
-			for _, part := range comp.PartitionAligned(workers) {
+			bounds := blockRanges(comp.NumRows(), workers)
+			for i := 0; i < workers; i++ {
 				var m decodeMeter
-				sel, err := evalPredicateSkipping(context.Background(), pred, part, offset, skip, covered, &m, nil, -1, nil)
+				sel, err := evalPredicateSkipping(context.Background(), pred, comp, bounds[i], bounds[i+1], skip, covered, &m, nil, -1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, r := range sel {
-					got = append(got, offset+r)
-				}
-				offset += part.NumRows()
+				got = append(got, sel...)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("%q workers=%d: %d rows, want %d", cond, workers, len(got), len(want))

@@ -276,13 +276,10 @@ func (s *exactScan) planEnvelopes(aggs []plan.AggSpec) {
 
 // foldEnvelopes folds the n rows of covered block b into the ungrouped
 // group from the inputs' envelopes, and reports false, folding nothing,
-// when some envelope cannot stand for its rows: not the block's own (a
-// view's wide last block), NaN, or int64 values past ±2^53.
+// when some envelope cannot stand for its rows: NaN, or int64 values past
+// ±2^53.
 func (s *exactScan) foldEnvelopes(b, n int) bool {
 	z := s.tbl.Zones()
-	if !z.Exact(b) {
-		return false
-	}
 	for _, ci := range s.envCols {
 		cz, _ := z.Column(ci)
 		mn, mx := cz.Mins[b], cz.Maxs[b]
@@ -319,7 +316,7 @@ func (s *exactScan) reserveVectors(ctx context.Context, skip []bool) (decodeMete
 		return meter, nil
 	}
 	if s.key == nil {
-		s.groups[0].rows = int64(admittedRows(s.tbl.NumRows(), 0, skip))
+		s.groups[0].rows = int64(admittedRows(0, s.tbl.NumRows(), skip))
 	} else {
 		var err error
 		if meter, err = s.scan(ctx, skip, true); err != nil {
@@ -338,14 +335,13 @@ func (s *exactScan) reserveVectors(ctx context.Context, skip []bool) (decodeMete
 	return meter, nil
 }
 
-// admittedRows is the number of rows in the blocks a scan visits when skip
-// marks the blocks zone maps rule out: the scan covers n rows from absolute
-// row absOffset of the base table, and skip is indexed by absolute block.
-func admittedRows(n, absOffset int, skip []bool) int {
-	rows := n
-	for block := absOffset / table.ZoneBlockRows; block < len(skip) && block*table.ZoneBlockRows < absOffset+n; block++ {
+// admittedRows is the number of rows in the blocks a scan of rows [lo, hi)
+// visits when skip marks the blocks zone maps rule out.
+func admittedRows(lo, hi int, skip []bool) int {
+	rows := hi - lo
+	for block := lo / table.ZoneBlockRows; block < len(skip) && block*table.ZoneBlockRows < hi; block++ {
 		if skip[block] {
-			rows -= min((block+1)*table.ZoneBlockRows, absOffset+n) - max(block*table.ZoneBlockRows, absOffset)
+			rows -= min((block+1)*table.ZoneBlockRows, hi) - max(block*table.ZoneBlockRows, lo)
 		}
 	}
 	return rows
@@ -358,7 +354,7 @@ func admittedRows(n, absOffset int, skip []bool) int {
 func (s *exactScan) scan(ctx context.Context, skip []bool, counting bool) (decodeMeter, error) {
 	be := blockEval{vals: make([]value, len(s.inputs))}
 	be.sc = scratch{m: &be.meter, memo: make([]value, s.tbl.NumCols())}
-	err := walkBlocks(ctx, s.tbl.NumRows(), 0, skip, &be.sc, func(row, end int) error {
+	err := walkBlocks(ctx, 0, s.tbl.NumRows(), skip, &be.sc, func(row, end int) error {
 		covered := s.pred == nil || isCovered(s.covered, row)
 		if covered && s.envCols != nil && !counting && s.foldEnvelopes(row/table.ZoneBlockRows, end-row) {
 			return nil

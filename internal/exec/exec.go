@@ -38,8 +38,8 @@ type StoredTable struct {
 
 // Config controls physical execution.
 type Config struct {
-	// Workers is the local degree of parallelism (goroutines over table
-	// partitions and over bootstrap resamples). <= 0 means 1.
+	// Workers is the local degree of parallelism (goroutines over row
+	// ranges of the table and over bootstrap resamples). <= 0 means 1.
 	Workers int
 	// Seed drives all randomness (resampling weights, diagnostics).
 	Seed uint64
@@ -284,7 +284,6 @@ func closedForm(values []float64, q estimator.Query) estimator.Interval {
 // key order, each holding one value vector per aggregate. An ungrouped query
 // has the one group "".
 type scanResult struct {
-	rows     int // rows surviving the filter
 	groups   []group
 	counters Counters
 }
@@ -307,9 +306,9 @@ type predWork struct {
 	skipped int64
 	sig     string
 	hint    float64
-	// local holds each partition's surviving partition-relative rows: nil
-	// without a WHERE (every row), never nil with one (evalPredicateSkipping
-	// always allocates), which is how fill tells the two apart.
+	// local holds each partition's surviving rows: nil without a WHERE
+	// (every row), never nil with one (evalPredicateSkipping always
+	// allocates), which is how fill tells the two apart.
 	local  [][]int
 	starts []int // per partition: rank of its first survivor overall
 	rows   int
@@ -371,7 +370,8 @@ func colKeyFor(spec plan.AggSpec, masked bool) (string, colWork) {
 	}
 }
 
-// scanFilterProject performs the query's ONE physical pass over tbl: each
+// scanFilterProject performs the query's ONE physical pass over tbl, split
+// into partitions, block-aligned row ranges of tbl (blockRanges). Each
 // partition is visited once, the filter predicate is evaluated once per
 // partition (with zone-map block skipping), the GROUP BY column is keyed in
 // that same walk, and every distinct (expression, mode) projection column is
@@ -379,9 +379,9 @@ func colKeyFor(spec plan.AggSpec, masked bool) (string, colWork) {
 // §5.3.1's scan consolidation of one query's bootstrap and diagnostic
 // subqueries.
 //
-// The pass has two phases over the same block-aligned partitions (DESIGN.md
-// §22). Phase 1 evaluates the predicate and numbers each survivor's group.
-// At the barrier the survivor counts, per group for a grouping, fix every
+// The pass has two phases over the same partitions (DESIGN.md §22). Phase
+// 1 evaluates the predicate and numbers each survivor's group. At the
+// barrier the survivor counts, per group for a grouping, fix every
 // output's exact length and each partition's offset in it, so phase 2
 // allocates each column once and every partition writes its share in place
 // — a grouped column straight into its groups' vectors — evaluating the
@@ -404,13 +404,8 @@ func scanFilterProject(ctx context.Context, def *plan.QueryDef, verdictRows int,
 	fail := func(err error) (*scanResult, error) {
 		return nil, fmt.Errorf("exec: scan of table %q: %w", def.Table, err)
 	}
-	// Partitions are block-aligned so each one decodes (and zone-checks)
-	// whole storage blocks.
-	parts := tbl.PartitionAligned(cfg.workers())
-	offsets := make([]int, len(parts)+1)
-	for i, p := range parts {
-		offsets[i+1] = offsets[i] + p.NumRows()
-	}
+	bounds := blockRanges(tbl.NumRows(), cfg.workers())
+	parts := len(bounds) - 1
 
 	// --- Plan the work: the predicate, the grouping and the distinct columns. ---
 	pw := &predWork{pred: def.Where, hint: -1}
@@ -473,16 +468,16 @@ func scanFilterProject(ctx context.Context, def *plan.QueryDef, verdictRows int,
 	}
 
 	// --- Phase 1: the predicate, and the grouping, once per partition. ---
-	meters := make([]decodeMeter, len(parts))
-	partErrs := make([]error, len(parts))
-	eachPart := func(work func(i int, part *table.Table) error) error {
+	meters := make([]decodeMeter, parts)
+	partErrs := make([]error, parts)
+	eachPart := func(work func(i, lo, hi int) error) error {
 		var wg sync.WaitGroup
-		for i, part := range parts {
+		for i := range parts {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				if partErrs[i] = ctx.Err(); partErrs[i] == nil {
-					partErrs[i] = work(i, part)
+					partErrs[i] = work(i, bounds[i], bounds[i+1])
 				}
 			}()
 		}
@@ -494,8 +489,8 @@ func scanFilterProject(ctx context.Context, def *plan.QueryDef, verdictRows int,
 		}
 		return nil
 	}
-	pw.local = make([][]int, len(parts))
-	err := eachPart(func(i int, part *table.Table) error {
+	pw.local = make([][]int, parts)
+	err := eachPart(func(i, lo, hi int) error {
 		if pw.pred == nil && kw == nil {
 			return nil
 		}
@@ -503,18 +498,18 @@ func scanFilterProject(ctx context.Context, def *plan.QueryDef, verdictRows int,
 		if kw != nil {
 			key = kw.readers[i]
 		}
-		sel, err := evalPredicateSkipping(ctx, pw.pred, part, offsets[i], pw.skip, pw.covered, &meters[i], cfg.Blocks, pw.hint, key)
+		sel, err := evalPredicateSkipping(ctx, pw.pred, tbl, lo, hi, pw.skip, pw.covered, &meters[i], cfg.Blocks, pw.hint, key)
 		pw.local[i] = sel
 		return err
 	})
 
 	// --- Barrier: survivor counts size every output exactly. ---
 	if err == nil {
-		pw.starts = make([]int, len(parts))
-		for i, part := range parts {
+		pw.starts = make([]int, parts)
+		for i := range parts {
 			pw.starts[i] = pw.rows
 			if pw.pred == nil {
-				pw.rows += part.NumRows()
+				pw.rows += bounds[i+1] - bounds[i]
 			} else {
 				pw.rows += len(pw.local[i])
 			}
@@ -539,13 +534,13 @@ func scanFilterProject(ctx context.Context, def *plan.QueryDef, verdictRows int,
 		}
 
 		// --- Phase 2: each partition writes its share in place. ---
-		err = eachPart(func(i int, part *table.Table) error {
+		err = eachPart(func(i, lo, hi int) error {
 			sc := &scratch{m: &meters[i], blocks: cfg.Blocks}
 			for _, cw := range distinct {
 				if cw.out == nil {
 					continue
 				}
-				if err := cw.fill(ctx, part, i, offsets[i], sc); err != nil {
+				if err := cw.fill(ctx, tbl, i, lo, hi, sc); err != nil {
 					return err
 				}
 			}
@@ -556,7 +551,7 @@ func scanFilterProject(ctx context.Context, def *plan.QueryDef, verdictRows int,
 		return fail(err)
 	}
 
-	r := &scanResult{rows: pw.rows, groups: kw.groups(cols)}
+	r := &scanResult{groups: kw.groups(cols)}
 	r.counters = Counters{
 		Scans:           1,
 		Subqueries:      1,
@@ -564,7 +559,7 @@ func scanFilterProject(ctx context.Context, def *plan.QueryDef, verdictRows int,
 		RowsAfterFilter: int64(pw.rows),
 		BytesScanned:    tbl.SizeBytes(),
 		BlocksSkipped:   pw.skipped,
-		Tasks:           len(parts),
+		Tasks:           parts,
 	}
 	for _, mt := range meters {
 		r.counters.BlocksDecoded += mt.blocks
@@ -573,6 +568,20 @@ func scanFilterProject(ctx context.Context, def *plan.QueryDef, verdictRows int,
 		r.counters.CacheBytes += mt.hitBytes
 	}
 	return r, nil
+}
+
+// blockRanges splits n rows into k partitions [bounds[i], bounds[i+1]) of
+// whole zone blocks, the last ending at n: each one decodes and zone-checks
+// whole storage blocks, and the blocks are spread as evenly as k allows.
+// Trailing partitions are empty when there are fewer blocks than k.
+func blockRanges(n, k int) []int {
+	nb := (n + table.ZoneBlockRows - 1) / table.ZoneBlockRows
+	bounds := make([]int, k+1)
+	for i := 1; i <= k; i++ {
+		blocks := i*(nb/k) + min(i, nb%k)
+		bounds[i] = min(blocks*table.ZoneBlockRows, n)
+	}
+	return bounds
 }
 
 // layout merges the partitions' keys, renumbers their survivors' groups
@@ -663,31 +672,26 @@ func (kw *keyWork) groups(cols []*colWork) []group {
 	return out
 }
 
-// fill writes partition i's share of the column: a value per partition row
-// when masked (rows the filter rejected stay 0), otherwise a value per
-// survivor, at its rank in the column or, grouped, at the next free slot of
-// its group's vector. The input is evaluated one zone block at a time in
-// sc's pooled scratch — the exact operator's walk — and only over blocks
-// with a survivor.
-func (cw *colWork) fill(ctx context.Context, part *table.Table, i, absOffset int, sc *scratch) error {
+// fill writes partition i's share of the column, rows [lo, hi) of tbl: a
+// value per row when masked (rows the filter rejected stay 0), otherwise a
+// value per survivor, at its rank in the column or, grouped, at the next
+// free slot of its group's vector. The input is evaluated one zone block at
+// a time in sc's pooled scratch — the exact operator's walk — and only over
+// blocks with a survivor.
+func (cw *colWork) fill(ctx context.Context, tbl *table.Table, i, lo, hi int, sc *scratch) error {
 	local := cw.pred.local[i] // nil: every row survives
 	var ids []int32           // grouped: each survivor's group
 	var next []int            // grouped: each group's next free slot
-	dst := cw.out
-	switch {
-	case cw.masked:
-		dst = dst[absOffset:]
-	case cw.keys != nil:
+	if cw.keys != nil {
 		groups := len(cw.keys.names)
 		ids, next = cw.keys.readers[i].ids, slices.Clone(cw.keys.at[i*groups:(i+1)*groups])
-	default:
-		dst = dst[cw.pred.starts[i]:]
 	}
-	k := 0 // the next survivor
-	return walkBlocks(ctx, part.NumRows(), absOffset, cw.pred.skip, sc, func(row, end int) error {
+	dst := cw.out
+	k := 0 // the next survivor, counted from the partition's first
+	return walkBlocks(ctx, lo, hi, cw.pred.skip, sc, func(row, end int) error {
 		k0 := k
 		if local == nil {
-			k = end
+			k = end - lo
 		} else {
 			for k < len(local) && local[k] < end {
 				k++
@@ -699,14 +703,14 @@ func (cw *colWork) fill(ctx context.Context, part *table.Table, i, absOffset int
 		v := value{scalar: true, numS: 1}
 		if cw.input != nil {
 			var err error
-			if v, err = evalExpr(cw.input, part, end-row, sc); err != nil {
+			if v, err = evalExpr(cw.input, tbl, end-row, sc); err != nil {
 				return err
 			}
 		}
 		switch {
 		case ids != nil:
 			for t := k0; t < k; t++ {
-				r := t
+				r := lo + t
 				if local != nil {
 					r = local[t]
 				}
@@ -716,12 +720,13 @@ func (cw *colWork) fill(ctx context.Context, part *table.Table, i, absOffset int
 			}
 		case local != nil:
 			for t, r := range local[k0:k] {
-				pos := k0 + t
+				pos := cw.pred.starts[i] + k0 + t
 				if cw.masked {
 					pos = r
 				}
 				dst[pos] = v.numAt(r - row)
 			}
+		// Every row survives, so row r's rank is r, masked or not.
 		case v.scalar:
 			for j := row; j < end; j++ {
 				dst[j] = v.numS

@@ -1,6 +1,6 @@
 // Package exec physically executes logical plans over columnar tables: it
 // evaluates filter predicates and projection expressions vectorized over
-// column slices, runs scans in parallel over table partitions, applies
+// column slices, runs scans in parallel over row ranges of a table, applies
 // Poissonized resampling weights, computes plain and weighted aggregates,
 // and drives the bootstrap and diagnostic operators. It also meters the
 // work performed (scans, rows, decoded blocks, weight draws, subqueries).
@@ -96,8 +96,7 @@ type scratch struct {
 	// clears it along with the buffers the values point into.
 	memo []value
 	// off is the first row of the window an evaluation covers: rows
-	// [off, off+n) of the table. Block walks move it
-	// instead of slicing a per-block table view.
+	// [off, off+n) of the table. Block walks move it from block to block.
 	off int
 }
 
@@ -302,10 +301,11 @@ func gatherColumn(col table.Column, name string, off, n int, sc *scratch) (value
 		return value{strs: c[off : off+n], isStr: true}, nil
 	}
 	if r, ok := col.(table.F64Reader); ok {
-		return value{nums: gatherReaderF64(r, off, n, sc)}, nil
+		return value{nums: gatherReader(r, off, sc.getF64(n), table.F64Reader.ReadF64, 8, sc)}, nil
 	}
 	if r, ok := col.(table.StrReader); ok {
-		return value{strs: gatherReaderStr(r, off, n, sc), isStr: true}, nil
+		// A hit copies 16 B per string header; the payload bytes are shared.
+		return value{strs: gatherReader(r, off, sc.getStr(n), table.StrReader.ReadStr, 16, sc), isStr: true}, nil
 	}
 	return value{}, fmt.Errorf("exec: unsupported column type for %q", name)
 }
@@ -319,53 +319,51 @@ func gatherI64(c table.Int64Col, off, n int, sc *scratch) []float64 {
 	return out
 }
 
-// gatherReaderF64 decodes rows [off, off+n) of a lazily decoded numeric
-// column into scratch, through the block cache where one is attached. The
-// buffer comes from sc, so the caller's deferred release reclaims it on
-// every return path, error and cancellation included.
-func gatherReaderF64(r table.F64Reader, off, n int, sc *scratch) []float64 {
-	out := sc.getF64(n)
+// gatherReader decodes rows [off, off+len(out)) of a lazily decoded column
+// into out, through the block cache where one is attached. out comes from
+// sc, so the caller's deferred release reclaims it on every return path,
+// error and cancellation included. read is the column's reader, a method
+// expression, so calling it allocates nothing; a cache hit copies size
+// bytes per value.
+func gatherReader[R table.Column, T any](r R, off int, out []T, read func(R, []T, int), size int64, sc *scratch) []T {
 	m := sc.meter()
 	var start time.Time
 	if m != nil {
 		start = time.Now()
 	}
+	n := len(out)
 	var blocks, hits, hitBytes int64
-	base, boff := table.BlockBase(r)
-	br, cacheable := base.(table.F64Reader)
-	cc := sc.cache()
-	switch {
-	case cc != nil && cacheable:
-		// Cross-query cache, full-range read: walk the base column's
-		// blocks, copying each cacheable block's cached decode (filling on a
-		// miss) and reading the rest from storage, as a decode. A hit
-		// replaces the codec decode with a memcpy; the decoded values are
-		// bit-identical either way, since block decodes are deterministic.
-		baseLen := base.Len()
+	base := table.BlockBase(r)
+	if cc := sc.cache(); cc != nil && base != nil {
+		// Cross-query cache, full-range read: walk the column's blocks,
+		// copying each cacheable block's cached decode (filling on a miss)
+		// and reading the rest from storage, as a decode. A hit replaces the
+		// codec decode with a memcpy; the decoded values are bit-identical
+		// either way, since block decodes are deterministic.
 		for covered := 0; covered < n; {
-			abs := boff + off + covered
+			abs := off + covered
 			b := abs / table.BlockRows
 			bStart := b * table.BlockRows
-			bLen := min(baseLen-bStart, table.BlockRows)
+			bLen := min(r.Len()-bStart, table.BlockRows)
 			if !table.CacheableBlock(base, b) {
 				k := min(bStart+bLen-abs, n-covered)
-				br.ReadF64(out[covered:covered+k], abs)
+				read(r, out[covered:covered+k], abs)
 				covered += k
 				blocks++
 				continue
 			}
-			vals, hit := cc.GetF64(base, b, bLen, func(dst []float64) { br.ReadF64(dst, bStart) })
+			vals, hit := cachedBlock(cc, base, b, bLen, func(dst []T) { read(r, dst, bStart) })
 			k := copy(out[covered:], vals[abs-bStart:])
 			covered += k
 			if hit {
 				hits++
-				hitBytes += int64(k) * 8
+				hitBytes += int64(k) * size
 			} else {
 				blocks++
 			}
 		}
-	default:
-		r.ReadF64(out, off)
+	} else {
+		read(r, out, off)
 		blocks = blocksSpanned(off, n)
 	}
 	if m != nil {
@@ -375,6 +373,21 @@ func gatherReaderF64(r table.F64Reader, off, n int, sc *scratch) []float64 {
 		m.nanos += time.Since(start).Nanoseconds()
 	}
 	return out
+}
+
+// cachedBlock is the block cache's lookup for T, float64 or string: block b
+// of base, bLen values, decoded by fill on a miss. The type switch keeps the
+// lookup a direct call, so fill stays on the caller's stack.
+func cachedBlock[T any](cc *cache.BlockCache, base table.Column, b, bLen int, fill func([]T)) ([]T, bool) {
+	switch f := any(fill).(type) {
+	case func([]float64):
+		vals, hit := cc.GetF64(base, b, bLen, f)
+		return any(vals).([]T), hit
+	case func([]string):
+		vals, hit := cc.GetStr(base, b, bLen, f)
+		return any(vals).([]T), hit
+	}
+	panic("exec: no block cache for this element type")
 }
 
 // blocksSpanned counts the storage blocks rows [off, off+n) touch.
@@ -383,56 +396,6 @@ func blocksSpanned(off, n int) int64 {
 		return 0
 	}
 	return int64((off+n-1)/table.ZoneBlockRows - off/table.ZoneBlockRows + 1)
-}
-
-// gatherReaderStr is gatherReaderF64 for string columns.
-func gatherReaderStr(r table.StrReader, off, n int, sc *scratch) []string {
-	out := sc.getStr(n)
-	m := sc.meter()
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	var blocks, hits, hitBytes int64
-	base, boff := table.BlockBase(r)
-	br, cacheable := base.(table.StrReader)
-	cc := sc.cache()
-	switch {
-	case cc != nil && cacheable:
-		baseLen := base.Len()
-		for covered := 0; covered < n; {
-			abs := boff + off + covered
-			b := abs / table.BlockRows
-			bStart := b * table.BlockRows
-			bLen := min(baseLen-bStart, table.BlockRows)
-			if !table.CacheableBlock(base, b) {
-				k := min(bStart+bLen-abs, n-covered)
-				br.ReadStr(out[covered:covered+k], abs)
-				covered += k
-				blocks++
-				continue
-			}
-			vals, hit := cc.GetStr(base, b, bLen, func(dst []string) { br.ReadStr(dst, bStart) })
-			k := copy(out[covered:], vals[abs-bStart:])
-			covered += k
-			if hit {
-				hits++
-				hitBytes += int64(k) * 16 // string headers; payload bytes are shared
-			} else {
-				blocks++
-			}
-		}
-	default:
-		r.ReadStr(out, off)
-		blocks = blocksSpanned(off, n)
-	}
-	if m != nil {
-		m.blocks += blocks
-		m.hits += hits
-		m.hitBytes += hitBytes
-		m.nanos += time.Since(start).Nanoseconds()
-	}
-	return out
 }
 
 func evalBinary(ex *sql.Binary, tbl *table.Table, n int, sc *scratch) (value, error) {
@@ -543,20 +506,19 @@ func applyStrCmp(op string, a, b string) bool {
 	}
 }
 
-// walkBlocks steps the n rows of a table that starts at row absOffset of its
-// base table one zone block at a time, in row order; the first block is
-// short when the table starts mid-block. It passes over the blocks skip
-// marks (indexed by absolute block: rows there provably cannot match, so on
+// walkBlocks steps rows [lo, hi) of a table one zone block at a time, in
+// row order; the first block is short when lo is not a block boundary. It
+// passes over the blocks skip marks (rows there provably cannot match, so on
 // block-backed tables they are never decoded), points sc's window at each
 // other block, calls visit with the block's rows [row, end) and then
 // releases sc's scratch, on the error path too. Cancellation is checked
 // every 64 visited blocks.
-func walkBlocks(ctx context.Context, n, absOffset int, skip []bool, sc *scratch, visit func(row, end int) error) error {
+func walkBlocks(ctx context.Context, lo, hi int, skip []bool, sc *scratch, visit func(row, end int) error) error {
 	const ctxCheckBlocks = 64
 	visited := 0
-	for row := 0; row < n; {
-		block := (absOffset + row) / table.ZoneBlockRows
-		end := min((block+1)*table.ZoneBlockRows-absOffset, n)
+	for row := lo; row < hi; {
+		block := row / table.ZoneBlockRows
+		end := min((block+1)*table.ZoneBlockRows, hi)
 		if block < len(skip) && skip[block] {
 			row = end
 			continue
@@ -578,16 +540,15 @@ func walkBlocks(ctx context.Context, n, absOffset int, skip []bool, sc *scratch,
 	return nil
 }
 
-// isCovered reports whether covered marks the block holding base row abs.
-func isCovered(covered []bool, abs int) bool {
-	b := abs / table.ZoneBlockRows
+// isCovered reports whether covered marks the block holding row r.
+func isCovered(covered []bool, r int) bool {
+	b := r / table.ZoneBlockRows
 	return b < len(covered) && covered[b]
 }
 
-// evalPredicateSkipping evaluates predicate e over the blocks of tbl that
-// skip admits (walkBlocks) and returns the matching rows, relative to tbl.
-// absOffset is tbl's first row in the base table. A nil e keeps every row
-// and returns a nil selection. On a block covered marks (e holds on every
+// evalPredicateSkipping evaluates predicate e over the blocks of rows
+// [lo, hi) of tbl that skip admits (walkBlocks) and returns the matching
+// rows. A nil e keeps every row and returns a nil selection. On a block covered marks (e holds on every
 // row; see blockCover) every row matches without evaluating e. A non-nil key
 // reads the GROUP BY key of every block with a survivor and appends the
 // survivors' group ids to its ids, so grouping costs no pass of its own.
@@ -598,8 +559,8 @@ func isCovered(covered []bool, abs int) bool {
 // regrows repeatedly (a 90% filter starting at n/2). Either way the
 // reservation is capped at the rows in blocks skip admits. Capacity only —
 // never affects which rows match.
-func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, absOffset int, skip, covered []bool, m *decodeMeter, cc *cache.BlockCache, selHint float64, key *keyReader) ([]int, error) {
-	n := tbl.NumRows()
+func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, lo, hi int, skip, covered []bool, m *decodeMeter, cc *cache.BlockCache, selHint float64, key *keyReader) ([]int, error) {
+	n := hi - lo
 	selCap := n
 	if e != nil {
 		selCap = n / 2
@@ -607,7 +568,7 @@ func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, ab
 			selCap = min(int(selHint*float64(n))+16, n)
 		}
 	}
-	selCap = min(selCap, admittedRows(n, absOffset, skip))
+	selCap = min(selCap, admittedRows(lo, hi, skip))
 	var sel []int
 	if e != nil {
 		sel = make([]int, 0, selCap)
@@ -616,9 +577,9 @@ func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, ab
 		key.ids = make([]int32, 0, selCap)
 	}
 	sc := &scratch{m: m, blocks: cc}
-	err := walkBlocks(ctx, n, absOffset, skip, sc, func(row, end int) error {
+	err := walkBlocks(ctx, lo, hi, skip, sc, func(row, end int) error {
 		var keep []bool
-		if e != nil && isCovered(covered, absOffset+row) {
+		if e != nil && isCovered(covered, row) {
 			for r := row; r < end; r++ {
 				sel = append(sel, r)
 			}

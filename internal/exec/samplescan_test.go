@@ -150,7 +150,7 @@ func columnRefs(e sql.Expr) int64 {
 func blockReads(e sql.Expr, tbl *table.Table, blocks []int) (reads, uncacheable int64) {
 	switch v := e.(type) {
 	case *sql.ColumnRef:
-		base, _ := table.BlockBase(tbl.Column(tbl.Schema().Index(v.Name)))
+		base := table.BlockBase(tbl.Column(tbl.Schema().Index(v.Name)))
 		for _, b := range blocks {
 			reads++
 			if !table.CacheableBlock(base, b) {
@@ -226,12 +226,36 @@ func decodeBounds(def *plan.QueryDef, tbl *table.Table, sel []int) (want, uncach
 	return want, uncacheable, parent
 }
 
+// TestBlockRangesCoverAllRowsInOrder: the sample scan's range split covers
+// [0, n) in k ascending ranges whose bounds are block multiples or n, the
+// trailing ones empty when the table has fewer blocks than k.
+func TestBlockRangesCoverAllRowsInOrder(t *testing.T) {
+	for _, n := range []int{0, 1, table.ZoneBlockRows, 2*table.ZoneBlockRows + 10, 5 * table.ZoneBlockRows} {
+		nb := (n + table.ZoneBlockRows - 1) / table.ZoneBlockRows
+		for k := 1; k <= 7; k++ {
+			bounds := blockRanges(n, k)
+			if len(bounds) != k+1 || bounds[0] != 0 || bounds[k] != n {
+				t.Fatalf("n=%d k=%d: bounds %v", n, k, bounds)
+			}
+			for i := 0; i < k; i++ {
+				lo, hi := bounds[i], bounds[i+1]
+				if lo > hi || hi != n && hi%table.ZoneBlockRows != 0 {
+					t.Fatalf("n=%d k=%d: range %d is [%d, %d)", n, k, i, lo, hi)
+				}
+				if empty := lo == hi; empty != (i >= nb) {
+					t.Fatalf("n=%d k=%d: range %d empty %v with %d blocks", n, k, i, empty, nb)
+				}
+			}
+		}
+	}
+}
+
 // scanMatches compares one query's scan with the reference: the same
 // groups in the same order, every vector Float64bits-equal.
 func scanMatches(t *testing.T, label string, got *scanResult, want []group, sel []int) {
 	t.Helper()
-	if got.rows != len(sel) {
-		t.Fatalf("%s: %d rows survive, want %d", label, got.rows, len(sel))
+	if got.counters.RowsAfterFilter != int64(len(sel)) {
+		t.Fatalf("%s: %d rows survive, want %d", label, got.counters.RowsAfterFilter, len(sel))
 	}
 	groups := got.groups
 	if len(groups) != len(want) {
@@ -448,10 +472,10 @@ func TestSampleScanAllocatesOnce(t *testing.T) {
 				must += 8 * len(g.values[0])
 			}
 			if def.Where != nil {
-				must += 8 * res.rows
+				must += 8 * int(res.counters.RowsAfterFilter)
 			}
 			if len(def.GroupBy) > 0 {
-				must += 4 * res.rows
+				must += 4 * int(res.counters.RowsAfterFilter)
 				if len(groups) != 40 {
 					t.Fatalf("%d groups", len(groups))
 				}
@@ -514,9 +538,9 @@ func TestCountFirstSkipsUnreadColumns(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q: %v", m.q, err)
 			}
-			if len(got.groups) != len(want.groups) || got.rows != want.rows {
+			if len(got.groups) != len(want.groups) || got.counters.RowsAfterFilter != want.counters.RowsAfterFilter {
 				t.Fatalf("%q: %d groups of %d rows, want %d of %d", m.q,
-					len(got.groups), got.rows, len(want.groups), want.rows)
+					len(got.groups), got.counters.RowsAfterFilter, len(want.groups), want.counters.RowsAfterFilter)
 			}
 			for g, wg := range want.groups {
 				for ai, wv := range wg.values {

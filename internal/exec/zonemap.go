@@ -345,7 +345,7 @@ func ExtremeDecode(memo *cache.PredMemo, st *StoredTable, def *plan.QueryDef) (b
 	}
 	z := tbl.Zones()
 	folds := func(b int) bool {
-		if z == nil || !z.Exact(b) || def.Where != nil && !(intCover && isCovered(covered, b*table.ZoneBlockRows)) {
+		if z == nil || def.Where != nil && !(intCover && isCovered(covered, b*table.ZoneBlockRows)) {
 			return false
 		}
 		for _, ci := range inputs {

@@ -139,7 +139,7 @@ func TestZoneSkipPreservesSelection(t *testing.T) {
 		if skipped > 0 {
 			anySkipped = true
 		}
-		got, err := evalPredicateSkipping(context.Background(), pred, tbl, 0, skip, blockCover(tbl, pred, skip), nil, nil, -1, nil)
+		got, err := evalPredicateSkipping(context.Background(), pred, tbl, 0, tbl.NumRows(), skip, blockCover(tbl, pred, skip), nil, nil, -1, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", cond, err)
 		}
@@ -169,7 +169,7 @@ func TestZoneSkipSizesSelection(t *testing.T) {
 	for b := range skip {
 		skip[b] = b != admitted
 	}
-	sel, err := evalPredicateSkipping(context.Background(), wherePred(t, "Time >= 0"), tbl, 0, skip, nil, nil, nil, -1, nil)
+	sel, err := evalPredicateSkipping(context.Background(), wherePred(t, "Time >= 0"), tbl, 0, tbl.NumRows(), skip, nil, nil, nil, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +180,10 @@ func TestZoneSkipSizesSelection(t *testing.T) {
 		t.Errorf("selected %d rows from %v, want block %d's %d", len(sel), sel[:min(len(sel), 1)], admitted, table.ZoneBlockRows)
 	}
 	for _, workers := range []int{1, 3, 7} {
-		rows, offset := 0, 0
-		for _, part := range unalignedParts(tbl, workers) {
-			rows += admittedRows(part.NumRows(), offset, skip)
-			offset += part.NumRows()
+		rows := 0
+		bounds := unalignedRanges(tbl.NumRows(), workers)
+		for i := 0; i < workers; i++ {
+			rows += admittedRows(bounds[i], bounds[i+1], skip)
 		}
 		if rows != table.ZoneBlockRows {
 			t.Errorf("workers=%d: partitions admit %d rows, want %d", workers, rows, table.ZoneBlockRows)
@@ -192,8 +192,8 @@ func TestZoneSkipSizesSelection(t *testing.T) {
 }
 
 func TestZoneSkipAcrossPartitions(t *testing.T) {
-	// The partitioned scan path hands evalPredicateSkipping a view plus the
-	// view's absolute offset; block alignment is relative to the base table.
+	// The partitioned scan path hands evalPredicateSkipping a row range of
+	// the table; ranges that start mid-block skip and select the same rows.
 	n := 5*table.ZoneBlockRows + 77
 	tbl := clusteredSessions(n, 22)
 	tbl.BuildZones()
@@ -207,18 +207,14 @@ func TestZoneSkipAcrossPartitions(t *testing.T) {
 		t.Fatal("expected skippable blocks")
 	}
 	for _, workers := range []int{1, 2, 3, 7} {
-		parts := unalignedParts(tbl, workers)
+		bounds := unalignedRanges(n, workers)
 		var got []int
-		offset := 0
-		for _, part := range parts {
-			sel, err := evalPredicateSkipping(context.Background(), pred, part, offset, skip, blockCover(tbl, pred, skip), nil, nil, -1, nil)
+		for i := 0; i < workers; i++ {
+			sel, err := evalPredicateSkipping(context.Background(), pred, tbl, bounds[i], bounds[i+1], skip, blockCover(tbl, pred, skip), nil, nil, -1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, i := range sel {
-				got = append(got, offset+i)
-			}
-			offset += part.NumRows()
+			got = append(got, sel...)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d rows, want %d", workers, len(got), len(want))
@@ -291,12 +287,13 @@ func TestRunZoneMapSkipping(t *testing.T) {
 	}
 }
 
-// unalignedParts splits tbl into k contiguous views of near-equal size whose
-// boundaries ignore zone blocks, so a view's rows start at any offset.
-func unalignedParts(tbl *table.Table, k int) []*table.Table {
-	parts := make([]*table.Table, k)
-	for i := range parts {
-		parts[i] = tbl.Slice(i*tbl.NumRows()/k, (i+1)*tbl.NumRows()/k)
+// unalignedRanges splits n rows into k contiguous ranges [bounds[i],
+// bounds[i+1]) of near-equal size whose boundaries ignore zone blocks, so a
+// range starts at any row.
+func unalignedRanges(n, k int) []int {
+	bounds := make([]int, k+1)
+	for i := range bounds {
+		bounds[i] = i * n / k
 	}
-	return parts
+	return bounds
 }

@@ -28,9 +28,6 @@ const (
 	BackingRaw Backing = iota
 	// BackingCompressed re-encodes columns into per-block compressed form.
 	BackingCompressed
-	// BackingMmap persists the compressed form to a store file and serves
-	// column data from a read-only memory mapping.
-	BackingMmap
 )
 
 func (b Backing) String() string {
@@ -39,8 +36,6 @@ func (b Backing) String() string {
 		return "raw"
 	case BackingCompressed:
 		return "compressed"
-	case BackingMmap:
-		return "mmap"
 	default:
 		return fmt.Sprintf("Backing(%d)", int(b))
 	}
@@ -178,36 +173,11 @@ func (c *F64BlockCol) ReadF64(dst []float64, off int) {
 	}
 }
 
-func (c *F64BlockCol) slice(i, j int) Column {
-	return &f64BlockView{c: c, off: i, n: j - i}
-}
-
-func (c *F64BlockCol) gather(p *gatherPlan) Column { return c.gatherAt(p, 0) }
-
 // zoneEnvelope adopts the envelopes captured at encoding time; a column
 // opened from a store that recorded none has none.
 func (c *F64BlockCol) zoneEnvelope() (ColumnZones, bool) {
 	return ColumnZones{Mins: c.mins, Maxs: c.maxs}, c.mins != nil
 }
-
-type f64BlockView struct {
-	c      *F64BlockCol
-	off, n int
-}
-
-func (v *f64BlockView) Len() int         { return v.n }
-func (v *f64BlockView) Type() Type       { return Float64 }
-func (v *f64BlockView) lazy() bool       { return true }
-func (v *f64BlockView) sizeBytes() int64 { return int64(v.n) * 8 }
-func (v *f64BlockView) physBytes() int64 { return 0 } // storage owned by base column
-func (v *f64BlockView) slice(i, j int) Column {
-	return &f64BlockView{c: v.c, off: v.off + i, n: j - i}
-}
-
-func (v *f64BlockView) gather(p *gatherPlan) Column { return v.c.gatherAt(p, v.off) }
-
-// ReadF64 fills dst with view rows [off, off+len(dst)).
-func (v *f64BlockView) ReadF64(dst []float64, off int) { v.c.ReadF64(dst, v.off+off) }
 
 // --- int64 block column. ---
 
@@ -291,37 +261,9 @@ func (c *I64BlockCol) ReadF64(dst []float64, off int) {
 	}
 }
 
-func (c *I64BlockCol) slice(i, j int) Column {
-	return &i64BlockView{c: c, off: i, n: j - i}
-}
-
-func (c *I64BlockCol) gather(p *gatherPlan) Column { return c.gatherAt(p, 0) }
-
 func (c *I64BlockCol) zoneEnvelope() (ColumnZones, bool) {
 	return ColumnZones{Mins: c.mins, Maxs: c.maxs}, c.mins != nil
 }
-
-type i64BlockView struct {
-	c      *I64BlockCol
-	off, n int
-}
-
-func (v *i64BlockView) Len() int         { return v.n }
-func (v *i64BlockView) Type() Type       { return Int64 }
-func (v *i64BlockView) lazy() bool       { return true }
-func (v *i64BlockView) sizeBytes() int64 { return int64(v.n) * 8 }
-func (v *i64BlockView) physBytes() int64 { return 0 }
-func (v *i64BlockView) slice(i, j int) Column {
-	return &i64BlockView{c: v.c, off: v.off + i, n: j - i}
-}
-
-func (v *i64BlockView) gather(p *gatherPlan) Column { return v.c.gatherAt(p, v.off) }
-
-// ReadI64 fills dst with view rows [off, off+len(dst)).
-func (v *i64BlockView) ReadI64(dst []int64, off int) { v.c.ReadI64(dst, v.off+off) }
-
-// ReadF64 widens view rows [off, off+len(dst)) into dst.
-func (v *i64BlockView) ReadF64(dst []float64, off int) { v.c.ReadF64(dst, v.off+off) }
 
 // --- string block column. ---
 
@@ -412,36 +354,6 @@ func (c *StrBlockCol) ReadStr(dst []string, off int) {
 	}
 }
 
-func (c *StrBlockCol) slice(i, j int) Column {
-	return &strBlockView{c: c, off: i, n: j - i}
-}
-
-func (c *StrBlockCol) gather(p *gatherPlan) Column { return c.gatherAt(p, 0) }
-
-type strBlockView struct {
-	c      *StrBlockCol
-	off, n int
-}
-
-func (v *strBlockView) Len() int   { return v.n }
-func (v *strBlockView) Type() Type { return String }
-func (v *strBlockView) lazy() bool { return true }
-func (v *strBlockView) sizeBytes() int64 {
-	if v.c.rows == 0 {
-		return 0
-	}
-	return v.c.logical * int64(v.n) / int64(v.c.rows)
-}
-func (v *strBlockView) physBytes() int64 { return 0 }
-func (v *strBlockView) slice(i, j int) Column {
-	return &strBlockView{c: v.c, off: v.off + i, n: j - i}
-}
-
-func (v *strBlockView) gather(p *gatherPlan) Column { return v.c.gatherAt(p, v.off) }
-
-// ReadStr fills dst with view rows [off, off+len(dst)).
-func (v *strBlockView) ReadStr(dst []string, off int) { v.c.ReadStr(dst, v.off+off) }
-
 // --- shared small helpers. ---
 
 func appendRawStrBlock(dst []byte, vals []string) []byte {
@@ -486,7 +398,7 @@ func compressColumn(c Column) Column {
 	case StringCol:
 		return compressStr(col)
 	default:
-		return c // already block-backed (or a view; views are not re-encoded)
+		return c // already block-backed
 	}
 }
 
@@ -690,30 +602,18 @@ func (e *i64BlockEnc) appendBlock(vals []int64, rest int) {
 	c.rows += len(vals)
 }
 
-// BlockBase unwraps a column (or a row-range view of one) to its
-// underlying block column and the view's row offset within it. The base
-// column's identity is stable across queries and views — a registered
-// table or sample holds one block column per field for its lifetime — so
-// it serves as the cache key for decoded blocks: block b of the base
-// covers base rows [b*BlockRows, (b+1)*BlockRows). Non-block columns
-// return (nil, 0); raw columns are already decoded, so caching them would
-// only duplicate memory.
-func BlockBase(c Column) (base Column, off int) {
-	switch v := c.(type) {
-	case *F64BlockCol:
-		return v, 0
-	case *I64BlockCol:
-		return v, 0
-	case *StrBlockCol:
-		return v, 0
-	case *f64BlockView:
-		return v.c, v.off
-	case *i64BlockView:
-		return v.c, v.off
-	case *strBlockView:
-		return v.c, v.off
+// BlockBase returns c when it is a block column, and nil for a raw one.
+// A block column's identity is stable across queries — a registered table
+// or sample holds one block column per field for its lifetime — so it
+// serves as the cache key for decoded blocks: block b covers rows
+// [b*BlockRows, (b+1)*BlockRows). Raw columns are already decoded, so
+// caching them would only duplicate memory.
+func BlockBase(c Column) Column {
+	switch c.(type) {
+	case *F64BlockCol, *I64BlockCol, *StrBlockCol:
+		return c
 	}
-	return nil, 0
+	return nil
 }
 
 // CacheableBlock reports whether block b of a block column returned by
@@ -743,10 +643,7 @@ var (
 	_ I64Reader = Int64Col(nil)
 	_ StrReader = StringCol(nil)
 	_ F64Reader = (*F64BlockCol)(nil)
-	_ F64Reader = (*f64BlockView)(nil)
 	_ I64Reader = (*I64BlockCol)(nil)
 	_ F64Reader = (*I64BlockCol)(nil)
-	_ I64Reader = (*i64BlockView)(nil)
 	_ StrReader = (*StrBlockCol)(nil)
-	_ StrReader = (*strBlockView)(nil)
 )

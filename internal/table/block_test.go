@@ -128,17 +128,38 @@ func TestBlockGatherMatchesRawAndStreams(t *testing.T) {
 	assertTablesEqual(t, raw.Gather(idx), got)
 }
 
-func TestBlockSliceViews(t *testing.T) {
+// TestBlockRangeReads: reading rows [lo, hi) of a block column, from a
+// block boundary or inside a block, within one block or across several,
+// gives the raw column's rows.
+func TestBlockRangeReads(t *testing.T) {
 	raw := blockTestTable(3*BlockRows + 10)
 	ct := Compress(raw)
-	for _, r := range [][2]int{{0, 10}, {5, BlockRows + 5}, {BlockRows, 3 * BlockRows}, {100, 100}} {
-		rv, cv := raw.Slice(r[0], r[1]), ct.Slice(r[0], r[1])
-		assertTablesEqual(t, rv, cv)
+	for _, r := range [][2]int{{0, 10}, {5, BlockRows + 5}, {BlockRows, 3 * BlockRows},
+		{100, 100}, {60, 910}, {2*BlockRows + 3, 3*BlockRows + 10}} {
+		lo, n := r[0], r[1]-r[0]
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = lo + i
+		}
+		cols := make([]Column, ct.NumCols())
+		for c := range cols {
+			switch col := ct.Column(c).(type) {
+			case *F64BlockCol:
+				v := make(Float64Col, n)
+				col.ReadF64(v, lo)
+				cols[c] = v
+			case *I64BlockCol:
+				v := make(Int64Col, n)
+				col.ReadI64(v, lo)
+				cols[c] = v
+			case *StrBlockCol:
+				v := make(StringCol, n)
+				col.ReadStr(v, lo)
+				cols[c] = v
+			}
+		}
+		assertTablesEqual(t, raw.Gather(idx), MustNew(ct.Schema(), cols...))
 	}
-	// Slice of slice.
-	assertTablesEqual(t,
-		raw.Slice(10, 2*BlockRows).Slice(50, 900),
-		ct.Slice(10, 2*BlockRows).Slice(50, 900))
 }
 
 func TestStrDictOverflowFallsBackRaw(t *testing.T) {
@@ -355,19 +376,4 @@ func TestStoreSpecialFloats(t *testing.T) {
 	}
 	defer closer.Close()
 	assertTablesEqual(t, raw, got)
-}
-
-func TestParseBacking(t *testing.T) {
-	for s, want := range map[string]Backing{
-		"": BackingRaw, "raw": BackingRaw,
-		"compressed": BackingCompressed, "mmap": BackingMmap,
-	} {
-		got, err := ParseBacking(s)
-		if err != nil || got != want {
-			t.Errorf("ParseBacking(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseBacking("bogus"); err == nil {
-		t.Error("ParseBacking accepted bogus backing")
-	}
 }

@@ -17,63 +17,48 @@ import (
 )
 
 // gatherPlan is one gather's row draw plus its block-bucketed visiting
-// orders. Columns of one table almost always share a single base-row offset
-// (zero, or the offset of the Slice view they all came from), so orders
-// normally holds one entry. It is read-only once the column work starts.
+// order: the positions of idx whose row falls in block b are
+// order[starts[b]:starts[b+1]], in ascending position order. Every block
+// column of the table shares it; it is read-only once the column work
+// starts.
 type gatherPlan struct {
 	idx    []int
-	orders map[int]*blockOrder // by the column's base-row offset
-}
-
-// blockOrder lists the positions of idx grouped by source block: the
-// positions whose row falls in block b are order[starts[b]:starts[b+1]], in
-// ascending position order.
-type blockOrder struct {
 	order  []int
 	starts []int
 }
 
-// prepare computes the visiting order for columns whose view of rows rows
-// starts at base row off, unless an earlier column already asked for it.
-func (p *gatherPlan) prepare(off, rows int) {
-	if _, ok := p.orders[off]; ok {
-		return
-	}
-	nb := numBlocksFor(off + rows)
-	starts := make([]int, nb+1)
+// prepare computes the visiting order over a table of rows rows.
+func (p *gatherPlan) prepare(rows int) {
+	nb := numBlocksFor(rows)
+	p.starts = make([]int, nb+1)
 	for _, r := range p.idx {
-		starts[(r+off)/BlockRows+1]++
+		p.starts[r/BlockRows+1]++
 	}
 	for b := 0; b < nb; b++ {
-		starts[b+1] += starts[b]
+		p.starts[b+1] += p.starts[b]
 	}
-	order := make([]int, len(p.idx))
-	next := append([]int(nil), starts[:nb]...)
+	p.order = make([]int, len(p.idx))
+	next := append([]int(nil), p.starts[:nb]...)
 	for k, r := range p.idx {
-		b := (r + off) / BlockRows
-		order[next[b]] = k
+		b := r / BlockRows
+		p.order[next[b]] = k
 		next[b]++
 	}
-	if p.orders == nil {
-		p.orders = map[int]*blockOrder{}
-	}
-	p.orders[off] = &blockOrder{order: order, starts: starts}
 }
 
 // gatherBlocks is the block-column gather shared by the three value types:
 // walk the touched source blocks in order, decode each once into buf, and
 // scatter its drawn rows into their output positions.
-func gatherBlocks[T any](p *gatherPlan, off int, buf []T, blockLen func(b int) int, decode func(b int, dst []T)) []T {
+func gatherBlocks[T any](p *gatherPlan, buf []T, blockLen func(b int) int, decode func(b int, dst []T)) []T {
 	out := make([]T, len(p.idx))
-	bo := p.orders[off]
-	for b := 0; b+1 < len(bo.starts); b++ {
-		ks := bo.order[bo.starts[b]:bo.starts[b+1]]
+	for b := 0; b+1 < len(p.starts); b++ {
+		ks := p.order[p.starts[b]:p.starts[b+1]]
 		if len(ks) == 0 {
 			continue
 		}
 		blk := buf[:blockLen(b)]
 		decode(b, blk)
-		first := b*BlockRows - off // view row of the block's first value
+		first := b * BlockRows
 		for _, k := range ks {
 			out[k] = blk[p.idx[k]-first]
 		}
@@ -81,18 +66,18 @@ func gatherBlocks[T any](p *gatherPlan, off int, buf []T, blockLen func(b int) i
 	return out
 }
 
-func (c *F64BlockCol) gatherAt(p *gatherPlan, off int) Column {
+func (c *F64BlockCol) gather(p *gatherPlan) Column {
 	iscratch := make([]int64, BlockRows)
-	return Float64Col(gatherBlocks(p, off, make([]float64, BlockRows), c.blockLen,
+	return Float64Col(gatherBlocks(p, make([]float64, BlockRows), c.blockLen,
 		func(b int, dst []float64) { c.decodeBlock(b, dst, iscratch) }))
 }
 
-func (c *I64BlockCol) gatherAt(p *gatherPlan, off int) Column {
-	return Int64Col(gatherBlocks(p, off, make([]int64, BlockRows), c.blockLen, c.decodeBlock))
+func (c *I64BlockCol) gather(p *gatherPlan) Column {
+	return Int64Col(gatherBlocks(p, make([]int64, BlockRows), c.blockLen, c.decodeBlock))
 }
 
-func (c *StrBlockCol) gatherAt(p *gatherPlan, off int) Column {
-	return StringCol(gatherBlocks(p, off, make([]string, BlockRows), c.blockLen, c.decodeBlock))
+func (c *StrBlockCol) gather(p *gatherPlan) Column {
+	return StringCol(gatherBlocks(p, make([]string, BlockRows), c.blockLen, c.decodeBlock))
 }
 
 // GatherStored gathers a table that is about to be stored and queried — a
@@ -138,8 +123,9 @@ func (t *Table) gatherColumns(idx []int, workers int, finish func(ci int, raw Co
 	}
 	p := &gatherPlan{idx: idx}
 	for _, c := range t.cols {
-		if base, off := BlockBase(c); base != nil {
-			p.prepare(off, t.rows)
+		if BlockBase(c) != nil {
+			p.prepare(t.rows)
+			break
 		}
 	}
 	cols := make([]Column, len(t.cols))

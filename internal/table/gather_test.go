@@ -31,19 +31,19 @@ func gatherSource(t *testing.T, n int) *Table {
 }
 
 // gatherRowByRow is the reference: one AppendRow per drawn row, each value
-// read straight from the raw source at row lo+idx[k].
-func gatherRowByRow(raw *Table, lo int, idx []int) *Table {
+// read straight from the raw source at row idx[k].
+func gatherRowByRow(raw *Table, idx []int) *Table {
 	b := NewBuilder(raw.Schema())
 	vals := make([]any, raw.NumCols())
 	for _, r := range idx {
 		for ci := range vals {
 			switch c := raw.Column(ci).(type) {
 			case Float64Col:
-				vals[ci] = c[lo+r]
+				vals[ci] = c[r]
 			case Int64Col:
-				vals[ci] = c[lo+r]
+				vals[ci] = c[r]
 			case StringCol:
-				vals[ci] = c[lo+r]
+				vals[ci] = c[r]
 			}
 		}
 		b.AppendRow(vals...)
@@ -103,7 +103,7 @@ func assertSameStorage(t *testing.T, label string, got, want *Table) {
 }
 
 // TestGatherDifferential checks Gather and GatherStored against a
-// row-at-a-time reference over every source backing and view shape, for the
+// row-at-a-time reference over every source backing, for the
 // index patterns that stress the block-bucketed visiting order, at 1, 2 and
 // 8 workers. GatherStored must equal what the parent pipeline produced:
 // Compress (or BuildZones) applied to the plainly gathered rows.
@@ -120,43 +120,29 @@ func TestGatherDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closer.Close()
-	// A view whose columns sit at different base offsets: a block-backed
-	// slice at offset 37 with a raw column appended.
-	extra := make(Float64Col, n-37-5)
+	// A block-backed table with a raw column appended.
+	extra := make(Float64Col, n)
 	for i := range extra {
 		extra[i] = float64(i) / 3
 	}
-	mixedRaw, err := raw.Slice(37, n-5).WithColumn(Field{Name: "extra", Type: Float64}, extra)
+	mixedRaw, err := raw.WithColumn(Field{Name: "extra", Type: Float64}, extra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := comp.Slice(37, n-5).WithColumn(Field{Name: "extra", Type: Float64}, extra)
+	mixed, err := comp.WithColumn(Field{Name: "extra", Type: Float64}, extra)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Block-backed columns at two different base offsets in one table, so
-	// the plan has to hold one visiting order per offset.
-	twoSchema := Schema{raw.schema[0], raw.schema[2]}
-	twoRaw := MustNew(twoSchema, raw.cols[0].slice(37, 2037), raw.cols[2].slice(100, 2100))
-	two := MustNew(twoSchema, comp.cols[0].slice(37, 2037), comp.cols[2].slice(100, 2100))
 
 	sources := []struct {
 		name string
 		tbl  *Table
-		ref  *Table // raw twin of tbl's base
-		lo   int    // tbl row 0 is ref row lo
+		ref  *Table // raw twin of tbl
 	}{
-		{"raw", raw, raw, 0},
-		{"compressed", comp, raw, 0},
-		{"mmap", mapped, raw, 0},
-		{"raw aligned view", raw.Slice(BlockRows, 3*BlockRows), raw, BlockRows},
-		{"compressed aligned view", comp.Slice(BlockRows, 3*BlockRows), raw, BlockRows},
-		{"compressed unaligned view", comp.Slice(37, n-5), raw, 37},
-		{"mmap unaligned view", mapped.Slice(BlockRows+1, n), raw, BlockRows + 1},
-		{"nested view", comp.Slice(37, n-5).Slice(1000, 2500), raw, 1037},
-		{"block view plus raw column", mixed, mixedRaw, 0},
-		{"two view offsets", two, twoRaw, 0},
+		{"raw", raw, raw},
+		{"compressed", comp, raw},
+		{"mmap", mapped, raw},
+		{"block columns plus raw column", mixed, mixedRaw},
 	}
 	rng := rand.New(rand.NewSource(5))
 	for _, src := range sources {
@@ -180,13 +166,13 @@ func TestGatherDifferential(t *testing.T) {
 		}
 		for iname, idx := range idxs {
 			label := fmt.Sprintf("%s/%s", src.name, iname)
-			want := gatherRowByRow(src.ref, src.lo, idx)
+			want := gatherRowByRow(src.ref, idx)
 			got := src.tbl.Gather(idx)
 			assertTablesEqual(t, want, got)
 			if got.Zones() != nil || got.Lazy() {
 				t.Fatalf("%s: Gather returned zones or lazy columns", label)
 			}
-			wantRaw := gatherRowByRow(src.ref, src.lo, idx)
+			wantRaw := gatherRowByRow(src.ref, idx)
 			wantRaw.BuildZones()
 			wantComp := Compress(want)
 			for _, workers := range []int{1, 2, 8} {

@@ -7,47 +7,11 @@ import (
 	"strconv"
 )
 
-// Test-only table helpers: the engine stores, gathers and partitions
-// tables through GatherStored and PartitionAligned; these build the
-// fixtures and the reference forms the tests compare against.
+// Test-only table helpers: the engine stores and gathers tables through
+// GatherStored; these build the fixtures and the reference forms the tests
+// compare against.
 
-// ParseBacking converts a knob string ("raw", "compressed", "mmap") to a
-// Backing.
-func ParseBacking(s string) (Backing, error) {
-	switch s {
-	case "", "raw":
-		return BackingRaw, nil
-	case "compressed":
-		return BackingCompressed, nil
-	case "mmap":
-		return BackingMmap, nil
-	}
-	return BackingRaw, fmt.Errorf("table: unknown backing %q", s)
-}
-
-// Partition splits the table into k contiguous, zero-copy views of
-// near-equal size. Remainder rows are spread across the leading
-// partitions. k must be >= 1; partitions beyond the row count are empty.
-func (t *Table) Partition(k int) []*Table {
-	if k < 1 {
-		panic("table: Partition with k < 1")
-	}
-	parts := make([]*Table, k)
-	base := t.rows / k
-	rem := t.rows % k
-	start := 0
-	for i := 0; i < k; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		parts[i] = t.Slice(start, start+size)
-		start += size
-	}
-	return parts
-}
-
-// WithColumn returns a new table view with an extra column appended. The
+// WithColumn returns a new table with an extra column appended. The
 // column must match the table's row count.
 func (t *Table) WithColumn(f Field, c Column) (*Table, error) {
 	if c.Len() != t.rows {
@@ -76,7 +40,7 @@ func (z *Zones) withColumn(ci int, c Column) *Zones {
 	if z == nil {
 		return nil
 	}
-	out := &Zones{rows: z.rows, byCol: make(map[int]ColumnZones, len(z.byCol)+1), wideTail: z.wideTail}
+	out := &Zones{rows: z.rows, byCol: make(map[int]ColumnZones, len(z.byCol)+1)}
 	for k, v := range z.byCol {
 		out.byCol[k] = v
 	}

@@ -276,9 +276,6 @@ func TestStoreDigestIsContentIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer closer.Close()
-		if view := tbl.Slice(0, BlockRows); mustIdentity(view) != "" {
-			t.Error("a view reports its base table's store identity")
-		}
 		return tbl.StoreIdentity()
 	}
 	da, dirA := identity(a)

@@ -1,11 +1,11 @@
 // Package table implements the in-memory columnar storage substrate of the
-// engine: typed columns, schemas, immutable table views, contiguous
-// partitioning (the unit of parallel task scheduling) and row gathering.
+// engine: typed columns, schemas, immutable tables, block storage with zone
+// maps, and row gathering.
 //
-// Tables are append-built with a Builder and immutable afterwards; Slice
-// and Partition return views that share column storage, which is what makes
-// "any subset of a shuffled sample is itself a random sample" free at the
-// storage layer (§5.3 of the paper).
+// Tables are append-built with a Builder and immutable afterwards. A scan
+// addresses a run of rows as a row range of the one stored table (the
+// executor's block walk), never as a table of its own, so a block index
+// always means the same rows of the same column.
 package table
 
 import (
@@ -69,8 +69,6 @@ func (s Schema) String() string {
 type Column interface {
 	Len() int
 	Type() Type
-	// slice returns a view of rows [i, j) sharing storage.
-	slice(i, j int) Column
 	// gather returns a new raw column of the rows at p.idx (see gather.go).
 	gather(p *gatherPlan) Column
 	// sizeBytes is the LOGICAL size: what the decoded values occupy. It is
@@ -93,8 +91,6 @@ func (c Float64Col) Len() int { return len(c) }
 // Type returns Float64.
 func (c Float64Col) Type() Type { return Float64 }
 
-func (c Float64Col) slice(i, j int) Column { return c[i:j] }
-
 func (c Float64Col) gather(p *gatherPlan) Column {
 	out := make(Float64Col, len(p.idx))
 	for k, i := range p.idx {
@@ -113,8 +109,6 @@ func (c Int64Col) Len() int { return len(c) }
 
 // Type returns Int64.
 func (c Int64Col) Type() Type { return Int64 }
-
-func (c Int64Col) slice(i, j int) Column { return c[i:j] }
 
 func (c Int64Col) gather(p *gatherPlan) Column {
 	out := make(Int64Col, len(p.idx))
@@ -135,8 +129,6 @@ func (c StringCol) Len() int { return len(c) }
 // Type returns String.
 func (c StringCol) Type() Type { return String }
 
-func (c StringCol) slice(i, j int) Column { return c[i:j] }
-
 func (c StringCol) gather(p *gatherPlan) Column {
 	out := make(StringCol, len(p.idx))
 	for k, i := range p.idx {
@@ -153,21 +145,18 @@ func (c StringCol) sizeBytes() int64 {
 	return n
 }
 
-// Table is an immutable columnar table (or a view into one).
+// Table is an immutable columnar table.
 type Table struct {
 	schema Schema
 	cols   []Column
 	rows   int
 	// zones holds per-block min/max envelopes for numeric columns, built
-	// once via BuildZones on stored tables. Views inherit them when their
-	// row numbering still lines up with block boundaries (block-aligned
-	// Slice and PartitionAligned views); gathered tables without a rebuilt
-	// envelope and unaligned slices leave it nil, which simply disables
-	// skipping.
+	// once via BuildZones on stored tables. A gathered table without a
+	// rebuilt envelope leaves it nil, which simply disables skipping.
 	zones *Zones
-	// storeDigest and storeDir are set by OpenStore on the table it returns
-	// (never on a view of it): the digest its store file records and the
-	// directory that file is in. See StoreIdentity.
+	// storeDigest and storeDir are set by OpenStore on the table it returns:
+	// the digest its store file records and the directory that file is in.
+	// See StoreIdentity.
 	storeDigest, storeDir string
 	// tag is set by OpenStore from the file's metadata. See Tag.
 	tag string
@@ -179,8 +168,7 @@ type Table struct {
 // whatever the files are called, which is what lets something derived from
 // the table — a sample — be stored beside it under a name made from the
 // digest and found again by any process that opens the same content. Tables
-// built in memory, views, and stores written before digests existed report
-// "", "".
+// built in memory and stores written before digests existed report "", "".
 func (t *Table) StoreIdentity() (digest, dir string) {
 	if t.storeDigest == "" {
 		return "", ""
@@ -244,61 +232,6 @@ func (t *Table) ColumnByName(name string) Column {
 		return nil
 	}
 	return t.cols[i]
-}
-
-// Slice returns a zero-copy view of rows [i, j). When i falls on a zone
-// block boundary the view inherits the base table's zone maps (sliced to
-// the covered blocks): the view's row b*ZoneBlockRows is exactly row
-// i+b*ZoneBlockRows of the base, so each inherited envelope covers a
-// superset of the view's block and skipping stays conservative. Unaligned
-// slices get nil zones, which degrades to "never skip".
-func (t *Table) Slice(i, j int) *Table {
-	if i < 0 || j > t.rows || i > j {
-		panic(fmt.Sprintf("table: Slice(%d, %d) out of range [0, %d]", i, j, t.rows))
-	}
-	cols := make([]Column, len(t.cols))
-	for k, c := range t.cols {
-		cols[k] = c.slice(i, j)
-	}
-	out := &Table{schema: t.schema, cols: cols, rows: j - i}
-	if i%ZoneBlockRows == 0 {
-		out.zones = t.zones.slice(i, j)
-	}
-	return out
-}
-
-// PartitionAligned splits the table into k contiguous views whose
-// boundaries fall on zone-block multiples (except the final row). Aligned
-// partitions inherit zone maps and decode whole blocks, which is why the
-// executor schedules its scans on them. Row order across the concatenated
-// partitions is the table's own, which is what keeps answers bit-identical
-// regardless of the split. Trailing
-// partitions may be empty when the table has fewer blocks than k.
-func (t *Table) PartitionAligned(k int) []*Table {
-	if k < 1 {
-		panic("table: PartitionAligned with k < 1")
-	}
-	nb := (t.rows + ZoneBlockRows - 1) / ZoneBlockRows
-	parts := make([]*Table, k)
-	base := nb / k
-	rem := nb % k
-	start := 0
-	for i := 0; i < k; i++ {
-		blocks := base
-		if i < rem {
-			blocks++
-		}
-		end := start + blocks*ZoneBlockRows
-		if end > t.rows || i == k-1 {
-			end = t.rows
-		}
-		if start > end {
-			start = end
-		}
-		parts[i] = t.Slice(start, end)
-		start = end
-	}
-	return parts
 }
 
 // SizeBytes estimates the LOGICAL in-memory footprint of the table's data —

@@ -3,7 +3,6 @@ package table
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func demoTable(t *testing.T) *Table {
@@ -99,82 +98,6 @@ func TestFloat64ColumnByName(t *testing.T) {
 	}
 }
 
-func TestSliceView(t *testing.T) {
-	tbl := demoTable(t)
-	v := tbl.Slice(1, 4)
-	if v.NumRows() != 3 {
-		t.Fatalf("slice rows = %d", v.NumRows())
-	}
-	if got := v.Column(2).(StringCol)[0]; got != "SF" {
-		t.Errorf("slice content = %q", got)
-	}
-	// Views share storage: no copying of the underlying data.
-	base := tbl.Column(0).(Float64Col)
-	view := v.Column(0).(Float64Col)
-	if &base[1] != &view[0] {
-		t.Error("Slice copied column data; want shared storage")
-	}
-}
-
-func TestSlicePanicsOutOfRange(t *testing.T) {
-	tbl := demoTable(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range Slice did not panic")
-		}
-	}()
-	tbl.Slice(2, 99)
-}
-
-func TestPartition(t *testing.T) {
-	tbl := demoTable(t)
-	parts := tbl.Partition(2)
-	if len(parts) != 2 {
-		t.Fatalf("partitions = %d", len(parts))
-	}
-	if parts[0].NumRows()+parts[1].NumRows() != 5 {
-		t.Error("partition sizes do not sum to total")
-	}
-	// Remainder goes to the leading partitions.
-	if parts[0].NumRows() != 3 || parts[1].NumRows() != 2 {
-		t.Errorf("partition sizes = %d, %d", parts[0].NumRows(), parts[1].NumRows())
-	}
-	// More partitions than rows: trailing ones are empty but valid.
-	many := tbl.Partition(8)
-	total := 0
-	for _, p := range many {
-		total += p.NumRows()
-	}
-	if total != 5 {
-		t.Error("over-partitioning lost rows")
-	}
-}
-
-func TestPartitionCoversAllRowsInOrder(t *testing.T) {
-	f := func(rowsRaw, kRaw uint8) bool {
-		rows := int(rowsRaw)
-		k := int(kRaw)%16 + 1
-		col := make(Float64Col, rows)
-		for i := range col {
-			col[i] = float64(i)
-		}
-		tbl := MustNew(Schema{{"x", Float64}}, col)
-		next := 0.0
-		for _, p := range tbl.Partition(k) {
-			for _, v := range p.Column(0).(Float64Col) {
-				if v != next {
-					return false
-				}
-				next++
-			}
-		}
-		return next == float64(rows)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGather(t *testing.T) {
 	tbl := demoTable(t)
 	g := tbl.Gather([]int{4, 0, 0})
@@ -265,12 +188,6 @@ func TestEmptyTable(t *testing.T) {
 	tbl := MustNew(Schema{{"x", Float64}}, Float64Col{})
 	if tbl.NumRows() != 0 {
 		t.Error("empty table rows != 0")
-	}
-	parts := tbl.Partition(3)
-	for _, p := range parts {
-		if p.NumRows() != 0 {
-			t.Error("empty partition should be empty")
-		}
 	}
 	if g := tbl.Gather(nil); g.NumRows() != 0 {
 		t.Error("empty gather should be empty")

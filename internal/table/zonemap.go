@@ -9,11 +9,10 @@ package table
 // Zone maps are conservative by construction: a block is only skippable
 // when its [min, max] envelope is disjoint from the predicate's feasible
 // range for some column, so skipping never changes which rows survive the
-// filter (pinned by TestZoneSkipPreservesSelection). Views inherit zone
-// maps when their row numbering still lines up with the base table's
-// blocks: block-aligned Slice and PartitionAligned views get the covered
-// sub-range of envelopes. Unaligned slices do not inherit — which degrades
-// them to "never skip", not to wrong answers.
+// filter (pinned by TestZoneSkipPreservesSelection). Envelope b is always
+// the extrema of block b's own rows: a scan reads row ranges of the stored
+// table, whose block numbering is the envelopes', and a gathered table gets
+// envelopes of its own or none.
 //
 // Block columns (block.go) capture per-block min/max during encoding, so
 // BuildZones on a compressed or mmap-backed table adopts the stored
@@ -36,9 +35,6 @@ type Zones struct {
 	rows int
 	// byCol maps column index -> envelope; string columns are absent.
 	byCol map[int]ColumnZones
-	// wideTail: the last envelope was inherited by a view that ends inside
-	// its block, so it also covers rows past the view's end.
-	wideTail bool
 }
 
 // NumBlocks returns the number of zone-map blocks covering the table.
@@ -58,53 +54,21 @@ func (z *Zones) Column(i int) (ColumnZones, bool) {
 	return cz, ok
 }
 
-// Exact reports whether block b's envelopes are its own rows' extrema: false
-// only for the last block of a view that ends inside it, whose inherited
-// envelope is a superset (see slice).
-func (z *Zones) Exact(b int) bool {
-	return !z.wideTail || b < z.NumBlocks()-1
-}
-
 // HidesNaN reports whether block b of numeric column c may hold a NaN that
 // the block's zone envelope does not show. An envelope is folded as
 // Moments folds a minimum and maximum: from the block's first value on, a
 // NaN is ignored unless it comes first. That cannot matter for an int64
 // column, a float64 block whose codec admits no NaN (integral values) or
 // shows it (one constant), and it can for any other float64 block — raw
-// columns included — which only a decode could rule out. c is a column of
-// the table whose zones are consulted, so its block b starts on a storage
-// block unless c is an unaligned view, which answers true.
+// columns included — which only a decode could rule out.
 func HidesNaN(c Column, b int) bool {
 	switch v := c.(type) {
-	case Int64Col, *I64BlockCol, *i64BlockView:
+	case Int64Col, *I64BlockCol:
 		return false
 	case *F64BlockCol:
 		return v.codecs[b] != codecIntF64 && v.codecs[b] != codecConstF64
-	case *f64BlockView:
-		if v.off%BlockRows != 0 {
-			return true
-		}
-		return HidesNaN(v.c, v.off/BlockRows+b)
 	}
 	return true
-}
-
-// slice returns the zones covering base rows [i, j), where i is a block
-// multiple. The final inherited envelope may cover rows past j; that keeps
-// it a superset of the view's last block, which is still conservative. Nil
-// receiver or empty range yields nil.
-func (z *Zones) slice(i, j int) *Zones {
-	if z == nil || i >= j {
-		return nil
-	}
-	lo := i / ZoneBlockRows
-	hi := (j + ZoneBlockRows - 1) / ZoneBlockRows
-	out := &Zones{rows: j - i, byCol: make(map[int]ColumnZones, len(z.byCol)),
-		wideTail: j%ZoneBlockRows != 0 && (j < z.rows || z.wideTail)}
-	for ci, cz := range z.byCol {
-		out.byCol[ci] = ColumnZones{Mins: cz.Mins[lo:hi], Maxs: cz.Maxs[lo:hi]}
-	}
-	return out
 }
 
 // BuildZones computes per-block min/max envelopes for every numeric column
@@ -147,8 +111,8 @@ func envelopeFor(col Column, nb int) (ColumnZones, bool) {
 	return ColumnZones{}, false
 }
 
-// Zones returns the table's zone maps, or nil when none were built (views
-// and unregistered tables).
+// Zones returns the table's zone maps, or nil when none were built
+// (unregistered tables).
 func (t *Table) Zones() *Zones { return t.zones }
 
 // DropZones detaches the table's zone maps: Compress attaches envelopes

@@ -95,39 +95,15 @@ func TestBuildZonesIdempotent(t *testing.T) {
 	}
 }
 
+// TestViewZoneInheritance: a gather renumbers rows, so it does not carry
+// the source's zones; appending a column keeps the row numbering, so the
+// table keeps its envelopes and gains one for the new column.
 func TestViewZoneInheritance(t *testing.T) {
 	tbl := zoneTestTable(2*ZoneBlockRows + 10)
 	tbl.BuildZones()
 
-	// Unaligned views and gathers must not inherit: their row numbering no
-	// longer matches block boundaries.
-	if v := tbl.Slice(5, 100); v.Zones() != nil {
-		t.Error("unaligned Slice view inherited zones")
-	}
 	if v := tbl.Gather([]int{3, 1, 2}); v.Zones() != nil {
-		t.Error("Gather view inherited zones")
-	}
-
-	// Block-aligned slices inherit the covered envelopes.
-	v := tbl.Slice(ZoneBlockRows, tbl.NumRows())
-	z := v.Zones()
-	if z == nil {
-		t.Fatal("aligned Slice view did not inherit zones")
-	}
-	if got, want := z.NumBlocks(), 2; got != want {
-		t.Fatalf("aligned slice has %d blocks, want %d", got, want)
-	}
-	base, _ := tbl.Zones().Column(0)
-	cz, ok := z.Column(0)
-	if !ok || cz.Mins[0] != base.Mins[1] || cz.Maxs[1] != base.Maxs[2] {
-		t.Error("aligned slice envelopes are not the covered sub-range")
-	}
-
-	// PartitionAligned partitions all start on block boundaries.
-	for i, p := range tbl.PartitionAligned(3) {
-		if p.NumRows() > 0 && p.Zones() == nil {
-			t.Errorf("aligned partition %d did not inherit zones", i)
-		}
+		t.Error("Gather inherited zones")
 	}
 
 	// WithColumn keeps row numbering, so it inherits and extends.
@@ -138,7 +114,7 @@ func TestViewZoneInheritance(t *testing.T) {
 	}
 	wz := wv.Zones()
 	if wz == nil {
-		t.Fatal("WithColumn view did not inherit zones")
+		t.Fatal("WithColumn did not keep the zones")
 	}
 	ncz, ok := wz.Column(wv.Schema().Index("f2"))
 	if !ok {
@@ -146,35 +122,6 @@ func TestViewZoneInheritance(t *testing.T) {
 	}
 	if ncz.Mins[0] != 0 || ncz.Maxs[0] != 0 {
 		t.Error("new column envelope wrong for all-zero column")
-	}
-}
-
-func TestPartitionAlignedCoversAllRowsInOrder(t *testing.T) {
-	for _, n := range []int{0, 1, ZoneBlockRows, 2*ZoneBlockRows + 10, 5 * ZoneBlockRows} {
-		for k := 1; k <= 7; k++ {
-			tbl := zoneTestTable(n)
-			parts := tbl.PartitionAligned(k)
-			if len(parts) != k {
-				t.Fatalf("n=%d k=%d: got %d partitions", n, k, len(parts))
-			}
-			total := 0
-			f := tbl.ColumnByName("f").(Float64Col)
-			for _, p := range parts {
-				if p.NumRows() > 0 && total%ZoneBlockRows != 0 {
-					t.Fatalf("n=%d k=%d: partition starts at unaligned row %d", n, k, total)
-				}
-				pf := p.ColumnByName("f").(Float64Col)
-				for i, v := range pf {
-					if v != f[total+i] {
-						t.Fatalf("n=%d k=%d: row %d out of order", n, k, total+i)
-					}
-				}
-				total += p.NumRows()
-			}
-			if total != n {
-				t.Fatalf("n=%d k=%d: partitions cover %d rows", n, k, total)
-			}
-		}
 	}
 }
 
@@ -236,7 +183,7 @@ func TestEnvelopesAreBlockExtrema(t *testing.T) {
 				for _, v := range vals[b*BlockRows : min((b+1)*BlockRows, len(vals))] {
 					m.Add(v)
 				}
-				if !z.Exact(b) || bits(cz.Mins[b]) != bits(m.Min()) || bits(cz.Maxs[b]) != bits(m.Max()) {
+				if bits(cz.Mins[b]) != bits(m.Min()) || bits(cz.Maxs[b]) != bits(m.Max()) {
 					t.Fatalf("%s %s block %d: envelope [%v, %v], Moments [%v, %v]", name, f.Name, b,
 						cz.Mins[b], cz.Maxs[b], m.Min(), m.Max())
 				}
@@ -245,32 +192,10 @@ func TestEnvelopesAreBlockExtrema(t *testing.T) {
 	}
 }
 
-// TestZonesExactAndHidesNaN: a view ending inside a block inherits a wider
-// last envelope and says so; only int64 columns and integral or constant
-// float64 blocks rule out a NaN their envelope does not show.
+// TestZonesExactAndHidesNaN: only int64 columns and integral or constant
+// float64 blocks rule out a NaN their envelope does not show. (That every
+// envelope is its own block's extrema is TestEnvelopesAreBlockExtrema.)
 func TestZonesExactAndHidesNaN(t *testing.T) {
-	tbl := zoneTestTable(3*ZoneBlockRows + 10)
-	tbl.BuildZones()
-	for _, tc := range []struct {
-		i, j      int
-		wideBlock int // -1: every envelope exact
-	}{
-		{0, tbl.NumRows(), -1},
-		{ZoneBlockRows, 2*ZoneBlockRows + 5, 1},
-		{0, 2 * ZoneBlockRows, -1},
-		{ZoneBlockRows, tbl.NumRows(), -1},
-	} {
-		v := tbl.Slice(tc.i, tc.j)
-		for b := 0; b < v.Zones().NumBlocks(); b++ {
-			if got, want := v.Zones().Exact(b), b != tc.wideBlock; got != want {
-				t.Errorf("Slice(%d, %d) block %d: Exact %v, want %v", tc.i, tc.j, b, got, want)
-			}
-		}
-	}
-	if v := tbl.Slice(ZoneBlockRows, 2*ZoneBlockRows+5).Slice(0, ZoneBlockRows+5); v.Zones().Exact(1) {
-		t.Error("a view of a view kept its base's wide last envelope as exact")
-	}
-
 	f := make(Float64Col, 3*BlockRows)
 	for i := range f {
 		f[i] = float64(i % 7) // integral: block 0
@@ -294,8 +219,5 @@ func TestZonesExactAndHidesNaN(t *testing.T) {
 	}
 	if !HidesNaN(f, 0) {
 		t.Error("a raw float64 column rules out a NaN without a decode")
-	}
-	if !HidesNaN(comp.Slice(5, 2*BlockRows).Column(0), 0) || HidesNaN(comp.Slice(BlockRows, 2*BlockRows+9).Column(0), 1) {
-		t.Error("views map their blocks wrong")
 	}
 }
