@@ -449,17 +449,20 @@ func TestExecPoolNoLeak(t *testing.T) {
 // RunExact calls over a table several times that size evict nothing, leave
 // the sample's residency as it was, never list the base table on
 // /debug/cache, and answer with the cache-off engine's bits and decode counts.
+// Shard and City take two values each, so a group of the sample holds ~4,000
+// rows, over the diagnostic's floor of 3,200: the grouped queries run on the
+// sample and fall back, rather than being planned exact before it.
 func TestExactScansLeaveBlockCacheToSample(t *testing.T) {
 	const n, sampleRows = 60000, 8000
 	build := func(cacheBytes int64) *Engine {
 		src := rng.New(431)
 		time, heavy := make(table.Float64Col, n), make(table.Float64Col, n)
 		shard, city := make(table.Int64Col, n), make(table.StringCol, n)
-		names := []string{"NYC", "SF", "LA", "CHI"}
+		names := []string{"NYC", "LA"}
 		for i := 0; i < n; i++ {
 			time[i] = 60 + 20*src.NormFloat64()
 			heavy[i] = src.Pareto(1, 1.05)
-			shard[i] = 1<<40 + int64(src.Intn(7))
+			shard[i] = 1<<40 + int64(src.Intn(2))
 			city[i] = names[src.Intn(len(names))]
 		}
 		e := New(Config{Seed: 79, Backing: table.BackingCompressed,

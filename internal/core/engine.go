@@ -14,6 +14,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -616,9 +617,11 @@ func (a *Answer) FellBack() bool {
 // Explain parses and plans the query as Run would — the same sample choice,
 // the same plan construction — and returns the plan tree rendering. A query
 // planned exact from the block table is headed by the line
-// "exact (block table: N blocks)", N the column blocks predicted decoded.
+// "exact (block table: N blocks)", N the column blocks predicted decoded; a
+// grouped one no group of the sample can be diagnosed for by
+// "exact (too few rows: at most N sample rows per <col> group, floor F)".
 func (e *Engine) Explain(query string) (string, error) {
-	q := &request{sql: query}
+	q := &request{sql: query, ctx: context.Background()}
 	if err := e.analyze(q); err != nil {
 		return "", err
 	}
@@ -632,15 +635,20 @@ func (e *Engine) Explain(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if q.planned {
+	switch q.route {
+	case obs.PlanBlockTable:
 		return fmt.Sprintf("exact (block table: %d blocks)\n", q.plannedBlocks) + p.Explain(), nil
+	case obs.PlanTooFewRows:
+		return fmt.Sprintf("exact (too few rows: at most %d sample rows per %s group, floor %d)\n",
+			q.ceiling, q.def.GroupBy[0], diagnostic.MinFilteredRows) + p.Explain(), nil
 	}
 	return p.Explain(), nil
 }
 
 // analyze parses q.sql and resolves it against a point-in-time catalog
-// snapshot, setting q.def and q.rt: the *registeredTable is a private copy
-// whose slices are never mutated, so the rest of the query runs lock-free.
+// snapshot, setting q.e, q.def and q.rt: the *registeredTable is a private
+// copy whose slices are never mutated, so the rest of the query runs
+// lock-free.
 func (e *Engine) analyze(q *request) error {
 	stmt, err := sql.Parse(q.sql)
 	if err != nil {
@@ -658,6 +666,6 @@ func (e *Engine) analyze(q *request) error {
 	if !ok {
 		return fmt.Errorf("core: %s: unknown table %q", q.label(), def.Table)
 	}
-	q.def, q.rt, q.memo = def, rt, e.preds
+	q.e, q.def, q.rt = e, def, rt
 	return nil
 }

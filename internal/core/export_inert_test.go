@@ -26,7 +26,7 @@ func TestExportAndAlertsDoNotPerturbAnswers(t *testing.T) {
 			cfg.Alerts = alert.New(alert.Config{})
 		}
 		e, _ := buildSessions(t, cfg, 30000)
-		if err := e.BuildSamples("Sessions", 8000); err != nil {
+		if err := e.BuildSamples("Sessions", obsSampleRows); err != nil {
 			t.Fatal(err)
 		}
 		return e

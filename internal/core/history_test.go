@@ -41,7 +41,7 @@ func TestHistoryDoesNotPerturbAnswers(t *testing.T) {
 			cfg.History = h
 		}
 		e, _ := buildSessions(t, cfg, 30000)
-		if err := e.BuildSamples("Sessions", 8000); err != nil {
+		if err := e.BuildSamples("Sessions", obsSampleRows); err != nil {
 			t.Fatal(err)
 		}
 		return e

@@ -18,7 +18,12 @@ import (
 )
 
 // obsTestQueries cover the pipeline variants: closed form, scaled sum with
-// filter, bootstrap percentile, GROUP BY fan-out.
+// filter, bootstrap percentile, GROUP BY fan-out. They run on a sample of
+// obsSampleRows rows, whose four City groups of ~4,000 rows clear the
+// diagnostic's floor, so the GROUP BY runs on the sample rather than being
+// planned exact before it.
+const obsSampleRows = 16000
+
 var obsTestQueries = []string{
 	"SELECT AVG(Time) FROM Sessions",
 	"SELECT SUM(Time) FROM Sessions WHERE City = 'NYC'",
@@ -34,7 +39,7 @@ func tracedPair(t *testing.T, mutate func(*Config)) (traced, plain *Engine) {
 			mutate(&cfg)
 		}
 		e, _ := buildSessions(t, cfg, 30000)
-		if err := e.BuildSamples("Sessions", 8000); err != nil {
+		if err := e.BuildSamples("Sessions", obsSampleRows); err != nil {
 			t.Fatal(err)
 		}
 		return e

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -195,9 +198,11 @@ func TestPlanExactDifferential(t *testing.T) {
 }
 
 // countFirstQueries are the grouped and ungrouped queries count-first
-// decides: Device's forty groups of ~300 sample rows are all under the
-// diagnostic's floor, and so is a one-day window's ~140 rows; City's groups
-// are not, and neither is any masked SUM or COUNT.
+// decides: a one-day window leaves ~140 sample rows, under the diagnostic's
+// floor, whether grouped by City or not; City's groups without a window are
+// not under it, and neither is any masked SUM or COUNT. Device's forty
+// groups of ~300 sample rows are under it whatever the filter, so its
+// queries are planned exact before the scan (planTooFew).
 var countFirstQueries = []string{
 	"SELECT Device, AVG(G), MAX(P) FROM E GROUP BY Device",
 	"SELECT Device, COUNT(*), SUM(G), MIN(G) FROM E GROUP BY Device",
@@ -205,17 +210,21 @@ var countFirstQueries = []string{
 	"SELECT City, AVG(G), MAX(P) FROM E GROUP BY City",
 	"SELECT AVG(G), PERCENTILE(P, 0.5) FROM E WHERE Day = 44",
 	"SELECT SUM(G), COUNT(*) FROM E WHERE Day = 44",
+	"SELECT City, AVG(G), MAX(P) FROM E WHERE Day = 44 GROUP BY City",
 }
 
-// countFirstGolden is the answerHasher hash of countFirstQueries, in order,
-// recorded from the commit before count-first: deciding too_few_rows at the
-// scan's barrier moves no answer bit.
-const countFirstGolden = 0xd39c0e58c92c49e9
+// countFirstGolden is the answerHasher hash of countFirstQueries, in order.
+// The first six were recorded from the commit before count-first, which
+// moved no answer bit. It was re-recorded when the Device queries came to be
+// planned exact: their 280 aggregates went from a too_few_rows reject to an
+// accept, and no estimate, interval, technique, exactness or group moved.
+// The seventh query was added then.
+const countFirstGolden = 0x52d615530a9a4e9a
 
 // TestCountFirstDifferential: count-first moves no answer bit on any
-// backing, worker count or cache setting — the answers are
-// the parent commit's — and it did decide: the Device query's estimate stage
-// served no bar, where the City query's served one per aggregate.
+// backing, worker count or cache setting, and it did decide: the estimate
+// stage of City's one-day query served no bar, where that of City's query
+// without a window served one per aggregate.
 func TestCountFirstDifferential(t *testing.T) {
 	for _, c := range planMatrix() {
 		e := planEngine(t, c)
@@ -236,8 +245,8 @@ func TestCountFirstDifferential(t *testing.T) {
 				}
 			}
 		}
-		if device, city := barred[countFirstQueries[0]], barred[countFirstQueries[3]]; device != 0 || city == 0 {
-			t.Errorf("%v: bars served: %d on Device's groups, %d on City's; want none and some", c, device, city)
+		if window, city := barred[countFirstQueries[6]], barred[countFirstQueries[3]]; window != 0 || city == 0 {
+			t.Errorf("%v: bars served: %d on City's one-day groups, %d on City's; want none and some", c, window, city)
 		}
 	}
 }
@@ -307,5 +316,277 @@ func TestCountFirstAnswersEmptyFilter(t *testing.T) {
 		if a.DiagnosticCause != "too_few_rows" || !a.Exact || !math.IsNaN(a.Estimate) || ans.SampleRows != planSampleRows {
 			t.Errorf("%q: %+v on %d sample rows, want the exact NaN after a too_few_rows reject on the sample", q, a, ans.SampleRows)
 		}
+	}
+}
+
+// TestTooFewPlanDifferential: a grouped query whose every GROUP BY key holds
+// fewer sample rows than the diagnostic's floor is planned exact before any
+// sample scan — with or without a Day window — and a query whose key clears
+// the floor stays on the sample, even where its filter leaves too few rows.
+// The decision, its EXPLAIN and every answer bit are the same on every
+// backing, worker count and cache setting; a routed answer is RunExact's, to
+// the bit; and queries racing to be first read one ceiling. An engine that
+// keeps rejected answers, an error bound and a time budget are not routed.
+func TestTooFewPlanDifferential(t *testing.T) {
+	queries := []struct {
+		sql    string
+		routed bool
+	}{
+		{"SELECT Device, AVG(G), MAX(P) FROM E GROUP BY Device", true},
+		{"SELECT Device, COUNT(*), SUM(G) FROM E WHERE Day >= 30 AND Day <= 59 GROUP BY Device", true},
+		{"SELECT City, AVG(G), MAX(P) FROM E GROUP BY City", false},
+		{"SELECT City, AVG(G) FROM E WHERE Day = 44 GROUP BY City", false},
+	}
+	sqls := make([]string, len(queries))
+	for i, q := range queries {
+		sqls[i] = q.sql
+	}
+	const head = "exact (too few rows: at most %d sample rows per Device group, floor 3200)\n"
+	wantHash, wantExplain := make([]uint64, len(queries)), make([]string, len(queries))
+	ceiling := 0
+	for ci, c := range planMatrix() {
+		e := planEngine(t, c)
+		if ci == 0 {
+			ceiling = deviceCeiling(t, e)
+		}
+		answers := runPlanQueries(t, e, sqls)
+		for i, q := range queries {
+			ans := answers[i]
+			explain, err := e.Explain(q.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if routed := strings.HasPrefix(explain, fmt.Sprintf(head, ceiling)); routed != q.routed {
+				t.Errorf("%v %q: planned exact = %v, want %v:\n%s", c, q.sql, routed, q.routed, explain)
+			}
+			if onSample := ans.SampleRows > 0; onSample == q.routed {
+				t.Errorf("%v %q: answered on %d sample rows, planned exact = %v", c, q.sql, ans.SampleRows, q.routed)
+			}
+			if ci == 0 {
+				wantHash[i], wantExplain[i] = answerHash(ans), explain
+				if q.routed {
+					exact, err := e.RunExact(context.Background(), q.sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := answerHash(ans), answerHash(exact); got != want || len(ans.Groups) != 40 {
+						t.Errorf("%q: routed answer of %d groups is not RunExact's", q.sql, len(ans.Groups))
+					}
+				}
+				continue
+			}
+			if got := answerHash(ans); got != wantHash[i] {
+				t.Errorf("%v %q: answer hash %#x, want %#x", c, q.sql, got, wantHash[i])
+			}
+			if explain != wantExplain[i] {
+				t.Errorf("%v %q: EXPLAIN\n%s\nwant\n%s", c, q.sql, explain, wantExplain[i])
+			}
+		}
+		if got := racedCeilings(t, planEngine(t, c)); got != ceiling {
+			t.Errorf("%v: queries racing to be first read ceiling %d, want %d", c, got, ceiling)
+		}
+	}
+
+	// Only a plain request on an engine that replaces rejects is routed.
+	e := planEngine(t, planConfig{backing: "raw", workers: 2})
+	var recs []*obs.QueryRecord
+	e.recorded = func(r *obs.QueryRecord) { recs = append(recs, r) }
+	keeps := New(Config{Seed: 47, Workers: 2, BootstrapK: 40, noFallback: true})
+	t.Cleanup(func() { keeps.Close() })
+	if err := keeps.RegisterTable("E", planTable(planRows)); err != nil {
+		t.Fatal(err)
+	}
+	if err := keeps.BuildSamples("E", planSampleRows); err != nil {
+		t.Fatal(err)
+	}
+	keeps.recorded = e.recorded
+	device := queries[0].sql
+	if explain, _ := keeps.Explain(device); strings.HasPrefix(explain, "exact") {
+		t.Errorf("an engine that keeps rejects planned exact:\n%s", explain)
+	}
+	for _, run := range []struct {
+		e    *Engine
+		opts RunOptions
+	}{
+		{keeps, RunOptions{}},
+		{e, RunOptions{ErrorBound: 0.05}},
+		{e, RunOptions{TimeBudget: time.Minute}},
+	} {
+		recs = nil
+		if _, err := run.e.RunWithOptions(context.Background(), device, run.opts); err != nil {
+			t.Fatal(err)
+		}
+		if p := recs[0].Stages[1]; p.Stage != obs.StagePlan || p.Reason != "" || p.SampleRows != planSampleRows {
+			t.Errorf("noFallback=%v %+v: first plan %+v, want the sample's", run.e.cfg.noFallback, run.opts, p)
+		}
+	}
+}
+
+// deviceCeiling counts the most sample rows any one Device value holds, from
+// e's raw sample column.
+func deviceCeiling(t *testing.T, e *Engine) int {
+	t.Helper()
+	s := e.tables["E"].samples[0].Data
+	counts := map[string]int{}
+	for _, d := range s.Column(s.Schema().Index("Device")).(table.StringCol) {
+		counts[d]++
+	}
+	most := 0
+	for _, n := range counts {
+		most = max(most, n)
+	}
+	if len(counts) != 40 || most >= 3200 {
+		t.Fatalf("the sample holds %d Device values, at most %d rows each; want 40 under the floor", len(counts), most)
+	}
+	return most
+}
+
+// racedCeilings runs eight routed Device queries at once on a fresh engine,
+// each a different window so none replays another's answer, and returns the
+// ceiling their plan stages read, failing unless they all read the same.
+func racedCeilings(t *testing.T, e *Engine) int {
+	t.Helper()
+	var mu sync.Mutex
+	var ceilings []int
+	e.recorded = func(r *obs.QueryRecord) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, s := range r.Stages {
+			if s.Stage == obs.StagePlan {
+				ceilings = append(ceilings, s.KeyCeiling)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = e.Run(context.Background(),
+				fmt.Sprintf("SELECT Device, AVG(G) FROM E WHERE Day >= %d GROUP BY Device", i))
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(ceilings) != len(errs) || slices.Min(ceilings) != slices.Max(ceilings) {
+		t.Fatalf("racing queries read ceilings %v, want %d equal ones", ceilings, len(errs))
+	}
+	return ceilings[0]
+}
+
+// TestFallbackAddsGroupsTheSampleMissed: a group the sample has no row of is
+// under the diagnostic's floor, so the exact fallback adds it — exact,
+// rejected too_few_rows, in key order — and the answer has RunExact's groups
+// and values, as the routed answer of a query no group of the sample can be
+// diagnosed for does. T(k, v) holds 60,000 rows: half on key "a", the rest
+// over nineteen other keys, and one row on key "zz" that the 12,000-row
+// sample misses.
+func TestFallbackAddsGroupsTheSampleMissed(t *testing.T) {
+	const n = 60000
+	build := func(big bool) *Engine {
+		src := rng.New(8)
+		k, v := make(table.StringCol, n), make(table.Float64Col, n)
+		for i := range k {
+			k[i] = fmt.Sprintf("k%02d", 1+src.Intn(19))
+			if big && src.Intn(2) == 0 || !big && src.Intn(20) == 0 {
+				k[i] = "a"
+			}
+			v[i] = 60 + 20*src.NormFloat64()
+		}
+		k[n/3] = "zz"
+		e := New(Config{Seed: 3, Workers: 2})
+		t.Cleanup(func() { e.Close() })
+		if err := e.RegisterTable("T", table.MustNew(table.Schema{
+			{Name: "k", Type: table.String}, {Name: "v", Type: table.Float64},
+		}, k, v)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.BuildSamples("T", 12000); err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(e.tables["T"].samples[0].Data.Column(0).(table.StringCol), "zz") {
+			t.Fatal("the sample holds the one row of key zz; the test needs it missed")
+		}
+		return e
+	}
+	const q = "SELECT k, AVG(v) FROM T GROUP BY k"
+	for _, big := range []bool{true, false} {
+		e := build(big)
+		ans, err := e.Run(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := e.RunExact(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if routed := ans.SampleRows == 0; routed == big {
+			t.Fatalf("key a on half the rows = %v, yet planned exact = %v", big, routed)
+		}
+		if len(ans.Groups) != 21 || len(exact.Groups) != 21 {
+			t.Fatalf("big=%v: %d groups, RunExact %d; want 21", big, len(ans.Groups), len(exact.Groups))
+		}
+		for gi, g := range ans.Groups {
+			a, x := g.Aggs[0], exact.Groups[gi].Aggs[0]
+			if g.Key != exact.Groups[gi].Key {
+				t.Fatalf("big=%v: group %d is %q, RunExact's %q", big, gi, g.Key, exact.Groups[gi].Key)
+			}
+			if a.Exact && math.Float64bits(a.Estimate) != math.Float64bits(x.Estimate) {
+				t.Errorf("big=%v: group %q: %v, RunExact %v", big, g.Key, a.Estimate, x.Estimate)
+			}
+		}
+		zz := ans.Groups[20].Aggs[0]
+		if big && (zz.DiagnosticOK || zz.DiagnosticCause != "too_few_rows" || !zz.Exact) {
+			t.Errorf("the missed group: %+v, want exact after a too_few_rows reject", zz)
+		}
+	}
+}
+
+// TestTooFewPlanRecord: a query planned exact for too few rows records why on
+// its plan stage — the reason, the Device ceiling and the sample's rows, all
+// on its span — runs one scan of the full table and nothing of the sample
+// path, and leaves the block table's decode ratio unobserved.
+func TestTooFewPlanRecord(t *testing.T) {
+	tr := obs.NewTracer(obs.Options{})
+	e := New(Config{Seed: 47, Obs: tr})
+	t.Cleanup(func() { e.Close() })
+	if err := e.RegisterTable("E", planTable(planRows)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.BuildSamples("E", planSampleRows); err != nil {
+		t.Fatal(err)
+	}
+	ceiling := deviceCeiling(t, e)
+	ans, err := e.Run(context.Background(), "SELECT Device, AVG(G) FROM E WHERE Day < 45 GROUP BY Device")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := tr.Last()
+	var stages []string
+	var plan *obs.SpanSnapshot
+	for i, s := range snap.Spans {
+		stages = append(stages, s.Stage)
+		if s.Stage == obs.StagePlan {
+			plan = &snap.Spans[i]
+		}
+	}
+	if got := strings.Join(stages, " "); got != "parse plan scan" {
+		t.Errorf("stages %q, want parse plan scan", got)
+	}
+	if plan == nil || plan.Attrs["mode"] != "exact" || plan.Attrs["reason"] != obs.PlanTooFewRows ||
+		plan.Attrs["key_ceiling"] != int64(ceiling) || plan.Attrs["sample_rows"] != int64(planSampleRows) {
+		t.Errorf("plan span %+v, want too few rows: ceiling %d on %d sample rows", plan, ceiling, planSampleRows)
+	}
+	if ans.SampleRows != 0 || ans.Counters.RowsScanned != planRows {
+		t.Errorf("answered on %d sample rows after scanning %d, want the full table's %d alone",
+			ans.SampleRows, ans.Counters.RowsScanned, planRows)
+	}
+	if n := tr.Registry().Histogram("aqp_plan_decode_ratio", "", obs.DecodeRatioBuckets).Count(); n != 0 {
+		t.Errorf("decode ratio observed %d times, want none", n)
 	}
 }

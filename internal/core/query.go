@@ -8,7 +8,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cache"
+	"repro/internal/diagnostic"
 	"repro/internal/estimator"
 	"repro/internal/exec"
 	"repro/internal/obs"
@@ -20,7 +20,8 @@ import (
 // go. The zero value is a plain request — the §5 pipeline on the sample
 // nextSample chooses, each aggregate the diagnostic rejects re-answered
 // exactly, or the exact plan when the block table answers the query for
-// less decode than the sample would cost. At most one of Exact, ErrorBound
+// less decode than the sample would cost, or when no group of the sample
+// can be diagnosed. At most one of Exact, ErrorBound
 // and TimeBudget may be set; the answer cache serves and stores plain
 // requests only.
 type RunOptions struct {
@@ -77,6 +78,7 @@ func (o RunOptions) validate() error {
 
 // request is one query between begin and finish.
 type request struct {
+	e     *Engine // the engine answering the request
 	ctx   context.Context
 	id    uint64 // Engine.qid's number for the query; 0 outside begin
 	tc    obs.TraceContext
@@ -86,13 +88,13 @@ type request struct {
 	start time.Time
 	def   *plan.QueryDef
 	rt    *registeredTable
-	// memo is the engine's predicate memo (nil without a cache): the one
-	// the block-table prediction reads zone-map skips through.
-	memo *cache.PredMemo
-	// planned marks a request nextSample planned exact from the block table,
-	// and plannedBlocks is the decode it predicted for the exact plan.
-	planned       bool
-	plannedBlocks int
+	// route is why nextSample planned the request exact (an obs.Plan*
+	// reason; "" when it did not), with the evidence: plannedBlocks, the
+	// decode predicted for the exact plan (obs.PlanBlockTable), or ceiling,
+	// the most rows one GROUP BY key holds in the sample of sampleRows rows
+	// it skipped (obs.PlanTooFewRows).
+	route                              string
+	plannedBlocks, ceiling, sampleRows int
 	// stages are the stages run so far, in the order they began: the
 	// record's.
 	stages []obs.StageRecord
@@ -260,7 +262,9 @@ func (e *Engine) exactOnReject(opts RunOptions) bool {
 //
 // An exact request, or one with no sample its mode can run on, gets nil at
 // once and runs the exact plan. So does a request the block table answers
-// for no more decode than its first sample would cost (planExact).
+// for no more decode than its first sample would cost (planExact), and a
+// grouped one no group of its first sample can be diagnosed for
+// (planTooFew).
 func (q *request) nextSample(ran *exec.StoredTable, ans *Answer) *exec.StoredTable {
 	samples := q.rt.samples
 	switch {
@@ -268,7 +272,7 @@ func (q *request) nextSample(ran *exec.StoredTable, ans *Answer) *exec.StoredTab
 		return nil
 	case ran == nil:
 		st := q.firstSample()
-		if st != nil && q.planExact(st) {
+		if st != nil && (q.planExact(st) || q.planTooFew(st)) {
 			return nil
 		}
 		return st
@@ -340,14 +344,40 @@ func (q *request) firstSample() *exec.StoredTable {
 // less than any pilot, so the rule holds in every mode. It records the
 // prediction on the request, for the plan stage and EXPLAIN.
 func (q *request) planExact(st *exec.StoredTable) bool {
-	exact, ok := exec.ExtremeDecode(q.memo, &exec.StoredTable{Data: q.rt.full}, q.def)
+	exact, ok := exec.ExtremeDecode(q.e.preds, &exec.StoredTable{Data: q.rt.full}, q.def)
 	if !ok {
 		return false
 	}
-	if sampled, _ := exec.ExtremeDecode(q.memo, st, q.def); exact > sampled {
+	if sampled, _ := exec.ExtremeDecode(q.e.preds, st, q.def); exact > sampled {
 		return false
 	}
-	q.planned, q.plannedBlocks = true, exact
+	q.route, q.plannedBlocks = obs.PlanBlockTable, exact
+	return true
+}
+
+// planTooFew reports whether every aggregate of the grouped plain request
+// is certain to be rejected too_few_rows on the sample st and re-answered
+// exactly: the engine replaces rejects, the diagnostic runs, and
+// diagnostic.Ladder finds no ladder in the most rows any one key of the
+// GROUP BY column holds in st (its KeyCeiling), which bounds every group's
+// filtered rows under any predicate. Count-first would reach that verdict at
+// the scan's barrier; this reaches it before the scan. An error bound is left
+// to escalate, since a larger sample may clear the floor, and a time budget
+// keeps a reject's bootstrap bar. It records the evidence on the request, for
+// the plan stage and EXPLAIN.
+func (q *request) planTooFew(st *exec.StoredTable) bool {
+	if !q.opts.plain() || !q.e.exactOnReject(q.opts) || q.e.cfg.skipDiagnostics || len(q.def.GroupBy) == 0 {
+		return false
+	}
+	ceiling, err := st.KeyCeiling(q.ctx, q.def.GroupBy[0], q.e.execConfig())
+	if err != nil {
+		return false // the sample run reports it
+	}
+	n := st.Data.NumRows()
+	if sizes, diagnosed := diagnostic.Ladder(n, ceiling); sizes != nil || !diagnosed {
+		return false // a group may clear the floor, or no group is diagnosed
+	}
+	q.route, q.ceiling, q.sampleRows = obs.PlanTooFewRows, ceiling, n
 	return true
 }
 
@@ -469,8 +499,9 @@ func (e *Engine) buildExactPlan(q *request, nested bool) (*plan.Plan, error) {
 	start := time.Now()
 	p, err := plan.Build(q.def, plan.Options{})
 	rec := obs.StageRecord{Stage: obs.StagePlan, Nested: nested}
-	if q.planned && !nested {
-		rec.Reason, rec.PredictedBlocks = obs.PlanBlockTable, q.plannedBlocks
+	if !nested {
+		rec.Reason, rec.PredictedBlocks = q.route, q.plannedBlocks
+		rec.KeyCeiling, rec.SampleRows = q.ceiling, q.sampleRows
 	}
 	q.stage(rec, start)
 	if err != nil {
@@ -542,11 +573,8 @@ func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st
 			default:
 				est.Unbarred++
 			}
-			if d := out.Diag; d != nil {
-				aa.Diagnosis = Diagnosis{DiagnosticOK: d.OK, DiagnosticCause: d.Cause.String(),
-					DiagnosticReason: d.Reason, DiagnosticRungsRun: d.RungsRun,
-					DiagnosticDecidedAfter:     d.DecidedAfter,
-					DiagnosticSubsampleQueries: d.SubsampleQueries, DiagnosticRungs: d.PerSize}
+			if out.Diag != nil {
+				aa.Diagnosis = diagnosisOf(out.Diag)
 			}
 			ga.Aggs = append(ga.Aggs, aa)
 		}
@@ -555,6 +583,14 @@ func (e *Engine) answerFromResult(q *request, p *plan.Plan, res *exec.Result, st
 	q.stage(est, estStart)
 	ans.Elapsed = time.Since(start)
 	return ans
+}
+
+// diagnosisOf is the diagnostic's verdict as an answer carries it.
+func diagnosisOf(d *diagnostic.Result) Diagnosis {
+	return Diagnosis{DiagnosticOK: d.OK, DiagnosticCause: d.Cause.String(),
+		DiagnosticReason: d.Reason, DiagnosticRungsRun: d.RungsRun,
+		DiagnosticDecidedAfter:     d.DecidedAfter,
+		DiagnosticSubsampleQueries: d.SubsampleQueries, DiagnosticRungs: d.PerSize}
 }
 
 // scanSelectivity derives the predicate pass rate from one execution's
@@ -596,7 +632,9 @@ func (e *Engine) fallbackExact(q *request, reason string) (*Answer, error) {
 
 // applyFallback re-answers exactly any aggregate whose diagnostic rejected
 // error estimation, replacing its entry in the answer — when the fallback
-// policy says rejects are replaced at all.
+// policy says rejects are replaced at all. A group the exact answer has and
+// the sample's lacks had no filtered sample row, under the diagnostic's
+// floor: it joins the answer, in key order, exact and rejected too_few_rows.
 func (e *Engine) applyFallback(q *request, ans *Answer) error {
 	needed := false
 	for _, g := range ans.Groups {
@@ -613,25 +651,36 @@ func (e *Engine) applyFallback(q *request, ans *Answer) error {
 	if err != nil {
 		return err
 	}
-	exactByKey := map[string][]AggAnswer{}
-	for _, g := range exact.Groups {
-		exactByKey[g.Key] = g.Aggs
-	}
-	for gi := range ans.Groups {
-		exAggs, ok := exactByKey[ans.Groups[gi].Key]
-		if !ok {
+	// Both answers list their groups in key order, and every key of the
+	// sample is a key of the full table.
+	groups := make([]GroupAnswer, 0, len(exact.Groups))
+	sampled := ans.Groups
+	tooFew := diagnosisOf(diagnostic.TooFewRows())
+	for _, ex := range exact.Groups {
+		for len(sampled) > 0 && sampled[0].Key < ex.Key {
+			groups, sampled = append(groups, sampled[0]), sampled[1:]
+		}
+		if len(sampled) == 0 || sampled[0].Key != ex.Key {
+			for ai := range ex.Aggs {
+				ex.Aggs[ai].Diagnosis = tooFew
+			}
+			groups = append(groups, ex)
 			continue
 		}
-		for ai := range ans.Groups[gi].Aggs {
-			a := &ans.Groups[gi].Aggs[ai]
+		g := sampled[0]
+		sampled = sampled[1:]
+		for ai := range g.Aggs {
+			a := &g.Aggs[ai]
 			if a.DiagnosticOK {
 				continue
 			}
 			rejected := a.Diagnosis
-			*a = exAggs[ai]
+			*a = ex.Aggs[ai]
 			a.Diagnosis = rejected
 		}
+		groups = append(groups, g)
 	}
+	ans.Groups = append(groups, sampled...)
 	// Selectivity stays the approximate pass's: the fallback's rows say
 	// nothing about the sample the answer was planned on.
 	ans.Counters.Add(exact.Counters)

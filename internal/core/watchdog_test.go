@@ -175,7 +175,7 @@ func TestTelemetryDoesNotPerturbAnswers(t *testing.T) {
 			})
 		}
 		e, _ := buildSessions(t, cfg, 30000)
-		if err := e.BuildSamples("Sessions", 8000); err != nil {
+		if err := e.BuildSamples("Sessions", obsSampleRows); err != nil {
 			t.Fatal(err)
 		}
 		return e

@@ -92,6 +92,16 @@ func Ladder(sampleRows, filteredRows int) (sizes []int, diagnosed bool) {
 	return ladder(filteredRows, P, filterFloor), true
 }
 
+// MinFilteredRows is the fewest filtered rows Ladder finds a ladder in on a
+// sample it diagnoses. Under it the verdict is TooFewRows.
+const MinFilteredRows = 2 * P * filterFloor
+
+// TooFewRows is the verdict on an aggregate over too few filtered rows for
+// Ladder: CauseTooFewRows, with nothing run.
+func TooFewRows() *Result {
+	return &Result{Cause: CauseTooFewRows, Reason: "too few rows after filtering for a diagnosis"}
+}
+
 // Config is one run of Algorithm 1: its ladder and p, which the paper
 // figures vary, and how the run is carried out.
 type Config struct {

@@ -937,3 +937,16 @@ func xiEvaluations(r Result, p int) int {
 	}
 	return (r.RungsRun-1)*p + r.DecidedAfter
 }
+
+// TestMinFilteredRowsIsLaddersFloor: on any sample Ladder diagnoses, it
+// finds a ladder in MinFilteredRows filtered rows and none in one fewer.
+func TestMinFilteredRowsIsLaddersFloor(t *testing.T) {
+	for _, n := range []int{6400, 12288, 50000, 1 << 20} {
+		if sizes, diagnosed := Ladder(n, MinFilteredRows-1); sizes != nil || !diagnosed {
+			t.Errorf("Ladder(%d, %d) = %v, %v; want nil, true", n, MinFilteredRows-1, sizes, diagnosed)
+		}
+		if sizes, _ := Ladder(n, MinFilteredRows); sizes == nil {
+			t.Errorf("Ladder(%d, %d) found no ladder", n, MinFilteredRows)
+		}
+	}
+}

@@ -34,6 +34,9 @@ type StoredTable struct {
 	// PopRows is |D|, the row count of the dataset the sample represents.
 	// Zero means the table IS the full dataset.
 	PopRows int
+	// ceilings memoizes KeyCeiling by column index. Data is immutable, so an
+	// entry never goes stale, and a new sample starts with none.
+	ceilings sync.Map
 }
 
 // Config controls physical execution.
@@ -936,8 +939,7 @@ func runDiagnostic(ctx context.Context, opt plan.Options, values []float64, q es
 	var c Counters
 	sizes, _ := diagnostic.Ladder(opt.SampleRows, len(values))
 	if sizes == nil {
-		return &diagnostic.Result{Cause: diagnostic.CauseTooFewRows,
-			Reason: "too few rows after filtering for a diagnosis"}, c, 0, nil
+		return diagnostic.TooFewRows(), c, 0, nil
 	}
 	dcfg := diagnostic.Config{
 		SubsampleSizes: sizes,

@@ -44,6 +44,11 @@ const (
 // sample would cost; the stage's PredictedBlocks holds the prediction.
 const PlanBlockTable = "block table"
 
+// PlanTooFewRows is the Reason of a plan stage whose grouped query the
+// engine planned exact because no group of its sample can hold enough rows
+// for a diagnosis; the stage's KeyCeiling and SampleRows hold the evidence.
+const PlanTooFewRows = "too few rows"
+
 // DecodeRatioBuckets lays out the ratio of the blocks a planned-exact scan
 // decoded to the blocks the block table predicted.
 var DecodeRatioBuckets = []float64{0, 0.25, 0.5, 0.75, 1, 1.25, 1.5, 2, 4, 16}
@@ -271,11 +276,16 @@ func (r *QueryRecord) span(s StageRecord, verdicts bool) SpanSnapshot {
 		}
 		a.count("aggregates", int64(s.Aggregates))
 	case StagePlan:
-		if s.SampleRows == 0 {
+		if s.SampleRows == 0 || s.Reason != "" {
 			a["mode"] = "exact"
-			if s.Reason == PlanBlockTable {
+			switch s.Reason {
+			case PlanBlockTable:
 				a["reason"] = s.Reason
 				a["predicted_blocks"] = int64(s.PredictedBlocks)
+			case PlanTooFewRows:
+				a["reason"] = s.Reason
+				a["key_ceiling"] = int64(s.KeyCeiling)
+				a["sample_rows"] = int64(s.SampleRows)
 			}
 			break
 		}

@@ -89,14 +89,18 @@ type StageRecord struct {
 	// Parse: the table queried and the number of aggregates.
 	Table      string
 	Aggregates int
-	// Plan: the sample's rows (0 for an exact plan), the bootstrap replicate
-	// count and whether the diagnostic runs. Bootstrap: the replicate count.
+	// Plan: the sample's rows (0 for an exact plan, unless Reason says why
+	// it skipped that sample), the bootstrap replicate count and whether the
+	// diagnostic runs. Bootstrap: the replicate count.
 	SampleRows  int
 	K           int
 	Diagnostics bool
 	// Plan, when Reason is PlanBlockTable: the column blocks the block table
 	// predicted the exact plan decodes, which the engine chose over a sample.
 	PredictedBlocks int
+	// Plan, when Reason is PlanTooFewRows: the most rows one key of the
+	// GROUP BY column holds in the skipped sample of SampleRows rows.
+	KeyCeiling int
 	// Resamples counts the resample estimates the stage drew: the bootstrap
 	// kernel's, or the diagnostic's bootstrap ξ's.
 	Resamples int64
@@ -107,9 +111,10 @@ type StageRecord struct {
 	// relative error.
 	ClosedForm, Bootstrapped, Unbarred int
 	MaxRelErr                          float64
-	// Fallback: why the query was re-answered exactly. Plan: PlanBlockTable
-	// when the engine planned exact because the block table answers the
-	// query for no more decode than a sample would cost.
+	// Fallback: why the query was re-answered exactly. Plan: why the engine
+	// planned exact — PlanBlockTable when the block table answers the query
+	// for no more decode than a sample would cost, PlanTooFewRows when no
+	// group of the sample can be diagnosed.
 	Reason string
 }
 
