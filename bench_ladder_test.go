@@ -59,11 +59,13 @@ func BenchmarkDiagnosticLadder(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			s := c.s
+			t := c.q.Eval(s) // θ(S): the caller's, computed once for its answer
+			theta := func() float64 { return t }
 			cfg := diagnostic.DefaultConfig(len(s), diagnostic.P)
 			b.ReportAllocs()
 			evals := 0
 			for i := 0; i < b.N; i++ {
-				res, err := diagnostic.Run(context.Background(), rng.New(uint64(i)), s, c.q, c.xi, cfg)
+				res, err := diagnostic.Run(context.Background(), rng.New(uint64(i)), s, theta, c.q, c.xi, cfg)
 				if err != nil || res.RungsRun == 0 {
 					b.Fatalf("%+v, err %v", res, err)
 				}
@@ -82,8 +84,11 @@ func TestDiagnosticLadderDecidesEarly(t *testing.T) {
 	rejecting, accepting := ladderSample(false), ladderSample(true)
 	cfg := diagnostic.DefaultConfig(len(rejecting), diagnostic.P)
 	cfg.Workers = 2
+	minQ, avgQ := estimator.Query{Kind: estimator.Min}, estimator.Query{Kind: estimator.Avg}
+	minOf := func() float64 { return minQ.Eval(rejecting) }
+	avgOf := func() float64 { return avgQ.Eval(accepting) }
 	for seed := uint64(0); seed < 5; seed++ {
-		res, err := diagnostic.Run(context.Background(), rng.New(seed), rejecting, estimator.Query{Kind: estimator.Min},
+		res, err := diagnostic.Run(context.Background(), rng.New(seed), rejecting, minOf, minQ,
 			estimator.Bootstrap{K: 100}, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -91,7 +96,7 @@ func TestDiagnosticLadderDecidesEarly(t *testing.T) {
 		if n := xiEvaluations(res, cfg.P); res.OK || n > 32 {
 			t.Errorf("seed %d: MIN took %d ξ evaluations (want <= 32): %+v", seed, n, res)
 		}
-		res, err = diagnostic.Run(context.Background(), rng.New(seed), accepting, estimator.Query{Kind: estimator.Avg},
+		res, err = diagnostic.Run(context.Background(), rng.New(seed), accepting, avgOf, avgQ,
 			estimator.ClosedForm{UseStudentT: true}, cfg)
 		if err != nil {
 			t.Fatal(err)

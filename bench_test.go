@@ -402,12 +402,14 @@ func BenchmarkDiagnosticParallel(b *testing.B) {
 		s[i] = 10 + 3*src.NormFloat64()
 	}
 	q := estimator.Query{Kind: estimator.Avg}
+	t := q.Eval(s)
+	theta := func() float64 { return t }
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			cfg := diagnostic.DefaultConfig(len(s), diagnostic.P)
 			cfg.Workers = workers
 			for i := 0; i < b.N; i++ {
-				res, err := diagnostic.Run(context.Background(), rng.New(uint64(i)), s, q,
+				res, err := diagnostic.Run(context.Background(), rng.New(uint64(i)), s, theta, q,
 					estimator.Bootstrap{K: 100}, cfg)
 				if err != nil {
 					b.Fatal(err)

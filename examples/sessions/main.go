@@ -60,7 +60,8 @@ func main() {
 			fmt.Printf("  %-28s %s  δ=%+.2f  %s\n", est.Name(), iv, delta, verdict)
 
 			// Would the runtime diagnostic have caught this?
-			dres, err := diagnostic.Run(context.Background(), src, s, q, est, diagnostic.DefaultConfig(n, diagnostic.P))
+			theta := func() float64 { return q.Eval(s) }
+			dres, err := diagnostic.Run(context.Background(), src, s, theta, q, est, diagnostic.DefaultConfig(n, diagnostic.P))
 			if err == nil {
 				mark := "diagnostic: TRUSTED"
 				if !dres.OK {

@@ -43,12 +43,17 @@ var boundQueries = []string{
 // more when count-first came in: the grouped query's groups on the 6400-row
 // sample are too small for a diagnosis, so its estimate stage serves no bar
 // (technique_none) where it used to fold closed-form bars nothing read.
+// Answers and shapes were re-recorded once more when stats.Moments became
+// shifted sums and the diagnostic took θ(S) from its caller: estimates,
+// interval ends and the verdicts' Δ/σ statistics moved in their last bits
+// (relative change under 1e-14), and the trail, every verdict and every
+// technique stayed.
 var boundGolden = map[bool]struct {
 	answers, shape uint64
 	trail          string
 }{
-	false: {0xd0de9c711575eda6, 0x9ef50dc3c061e9f9, "7000/2 48000/2 0/2 48000/3 48000/3 0/4 0/4 0/4 0/4"},
-	true:  {0xa7669a0f1635eb7b, 0x5b1a50f3046394a0, "7000/2 48000/2 6400/1 48000/3 48000/3 48000/3 48000/3 48000/3 48000/3"},
+	false: {0xd62c8521a220e8d2, 0xd418cbe85171cc95, "7000/2 48000/2 0/2 48000/3 48000/3 0/4 0/4 0/4 0/4"},
+	true:  {0x5cec42f157dbcd44, 0xbcaeddf873d58505, "7000/2 48000/2 6400/1 48000/3 48000/3 48000/3 48000/3 48000/3 48000/3"},
 }
 
 func TestErrorBoundGolden(t *testing.T) {

@@ -635,8 +635,10 @@ func (e *Engine) fallbackExact(q *request, reason string) (*Answer, error) {
 // policy says rejects are replaced at all. A group the exact answer has and
 // the sample's lacks had no filtered sample row, under the diagnostic's
 // floor: it joins the answer, in key order, exact and rejected too_few_rows.
+// A grouped answer with no group at all is such a reject of every group the
+// table has, as the ungrouped answer over no row is rejected too_few_rows.
 func (e *Engine) applyFallback(q *request, ans *Answer) error {
-	needed := false
+	needed := len(q.def.GroupBy) > 0 && len(ans.Groups) == 0
 	for _, g := range ans.Groups {
 		for _, a := range g.Aggs {
 			if !a.DiagnosticOK {

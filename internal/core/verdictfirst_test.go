@@ -107,8 +107,11 @@ func (h answerHasher) add(ans *Answer) {
 // BootstrapK 40. answers is the value the commit before the decide-first
 // diagnostic produces: no estimate, interval, technique or verdict moved. full
 // was re-recorded with that change on purpose — a reject now names the
-// condition the ladder met first, largest rung first.
-var verdictGolden = answerHashes{full: 0x0d82d197d5365845, answers: 0xf81554743f533c96}
+// condition the ladder met first, largest rung first. Both were re-recorded
+// when stats.Moments became shifted sums and the diagnostic took θ(S) from
+// its caller: the AVG estimates and intervals moved in their last bits
+// (relative change under 1e-14), and no technique, verdict or cause moved.
+var verdictGolden = answerHashes{full: 0x7814bea7f1605cac, answers: 0xd1eb03a65c49d867}
 
 // TestVerdictFirstAnswersGolden pins every estimate, interval, technique and
 // verdict of the mixed query set to the hash recorded from the commit before

@@ -369,11 +369,16 @@ func (cfg Config) each(done <-chan struct{}, lo, hi int, fn func(j int)) {
 // fixed by index, never by which goroutine finished first, so the whole
 // Result is bit-identical at any worker count.
 //
+// theta returns θ(S), q.Eval(values): the true interval's centre. The
+// caller holds it — it is the answer's own value — or is still computing it
+// beside Run, so Run does not fold it again: it calls theta once, after its
+// shuffle, which leaves a fold running beside Run the shuffle's time.
+//
 // Cancellation is checked before every subsample evaluation, and ξ itself
 // is cancelled mid-resampling when it implements estimator.ContextEstimator
 // (the bootstrap family does). A cancelled run returns ctx's error; all
 // worker goroutines exit before Run returns.
-func Run(ctx context.Context, src *rng.Source, values []float64, q estimator.Query, est estimator.Estimator, cfg Config) (Result, error) {
+func Run(ctx context.Context, src *rng.Source, values []float64, theta func() float64, q estimator.Query, est estimator.Estimator, cfg Config) (Result, error) {
 	if err := cfg.Validate(len(values)); err != nil {
 		return Result{}, err
 	}
@@ -397,7 +402,7 @@ func Run(ctx context.Context, src *rng.Source, values []float64, q estimator.Que
 		s = sample.Shuffled(src, values)
 	}
 	// Best available estimate of θ(D).
-	t := q.Eval(s)
+	t := theta()
 	// Base seed for the per-(size, subsample) streams.
 	base := src.Uint64()
 

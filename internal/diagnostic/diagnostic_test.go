@@ -40,6 +40,17 @@ func paretoSample(seed uint64, n int, alpha float64) []float64 {
 	return xs
 }
 
+var (
+	avgQ = estimator.Query{Kind: estimator.Avg}
+	maxQ = estimator.Query{Kind: estimator.Max}
+)
+
+// evalOf is θ(S) as Run's callers hand it over: q on the values in their own
+// order.
+func evalOf(q estimator.Query, values []float64) func() float64 {
+	return func() float64 { return q.Eval(values) }
+}
+
 func smallConfig(n int) Config {
 	// The paper's p=100; subsample ladder scaled to the test sample size.
 	return DefaultConfig(n, P)
@@ -158,7 +169,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 func TestDiagnosticAcceptsClosedFormOnGaussianAvg(t *testing.T) {
 	s := gaussianSample(1, 40000, 100, 15)
 	cfg := smallConfig(len(s))
-	res, err := Run(context.Background(), rng.New(2), s, estimator.Query{Kind: estimator.Avg},
+	res, err := Run(context.Background(), rng.New(2), s, evalOf(avgQ, s), avgQ,
 		estimator.ClosedForm{}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +188,7 @@ func TestDiagnosticAcceptsClosedFormOnGaussianAvg(t *testing.T) {
 func TestDiagnosticAcceptsBootstrapOnGaussianAvg(t *testing.T) {
 	s := gaussianSample(3, 40000, 100, 15)
 	cfg := smallConfig(len(s))
-	res, err := Run(context.Background(), rng.New(4), s, estimator.Query{Kind: estimator.Avg},
+	res, err := Run(context.Background(), rng.New(4), s, evalOf(avgQ, s), avgQ,
 		estimator.Bootstrap{K: 50}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +203,7 @@ func TestDiagnosticRejectsBootstrapOnHeavyTailMax(t *testing.T) {
 	// small subsample sizes neither converge nor concentrate.
 	s := paretoSample(5, 40000, 1.1)
 	cfg := smallConfig(len(s))
-	res, err := Run(context.Background(), rng.New(6), s, estimator.Query{Kind: estimator.Max},
+	res, err := Run(context.Background(), rng.New(6), s, evalOf(maxQ, s), maxQ,
 		estimator.Bootstrap{K: 50}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +219,7 @@ func TestDiagnosticRejectsBootstrapOnHeavyTailMax(t *testing.T) {
 func TestDiagnosticRejectsNotApplicableEstimator(t *testing.T) {
 	s := gaussianSample(7, 40000, 0, 1)
 	cfg := smallConfig(len(s))
-	res, err := Run(context.Background(), rng.New(8), s, estimator.Query{Kind: estimator.Max},
+	res, err := Run(context.Background(), rng.New(8), s, evalOf(maxQ, s), maxQ,
 		estimator.ClosedForm{}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -224,12 +235,12 @@ func TestDiagnosticRejectsNotApplicableEstimator(t *testing.T) {
 func TestDiagnosticDeterministicUnderSeed(t *testing.T) {
 	s := gaussianSample(9, 20000, 5, 2)
 	cfg := smallConfig(len(s))
-	a, err := Run(context.Background(), rng.New(10), s, estimator.Query{Kind: estimator.Avg},
+	a, err := Run(context.Background(), rng.New(10), s, evalOf(avgQ, s), avgQ,
 		estimator.ClosedForm{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), rng.New(10), s, estimator.Query{Kind: estimator.Avg},
+	b, err := Run(context.Background(), rng.New(10), s, evalOf(avgQ, s), avgQ,
 		estimator.ClosedForm{}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +264,7 @@ func TestDiagnosticWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) Result {
 		cfg := smallConfig(len(s))
 		cfg.Workers = workers
-		res, err := Run(context.Background(), rng.New(41), s, q, estimator.Bootstrap{K: 50}, cfg)
+		res, err := Run(context.Background(), rng.New(41), s, evalOf(q, s), q, estimator.Bootstrap{K: 50}, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -274,7 +285,7 @@ func TestDiagnosticWorkerCountInvariance(t *testing.T) {
 func TestDiagnosticPerSizeStatsShrinkOnNiceData(t *testing.T) {
 	s := gaussianSample(11, 80000, 50, 5)
 	cfg := smallConfig(len(s))
-	res, err := Run(context.Background(), rng.New(12), s, estimator.Query{Kind: estimator.Avg},
+	res, err := Run(context.Background(), rng.New(12), s, evalOf(avgQ, s), avgQ,
 		estimator.ClosedForm{}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +308,7 @@ func TestDiagnosticPerSizeStatsShrinkOnNiceData(t *testing.T) {
 func TestDiagnosticValidatesConfig(t *testing.T) {
 	s := gaussianSample(13, 100, 0, 1)
 	cfg := DefaultConfig(1000000, P) // far too big for 100 rows
-	if _, err := Run(context.Background(), rng.New(14), s, estimator.Query{Kind: estimator.Avg},
+	if _, err := Run(context.Background(), rng.New(14), s, evalOf(avgQ, s), avgQ,
 		estimator.ClosedForm{}, cfg); err == nil {
 		t.Error("oversized config not rejected")
 	}
@@ -315,7 +326,7 @@ func TestDiagnosticNoShuffleUsesGivenOrder(t *testing.T) {
 	_ = src
 	cfg := smallConfig(len(s))
 	cfg.noShuffle = true
-	resSorted, err := Run(context.Background(), rng.New(16), s, estimator.Query{Kind: estimator.Avg},
+	resSorted, err := Run(context.Background(), rng.New(16), s, evalOf(avgQ, s), avgQ,
 		estimator.ClosedForm{}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +335,7 @@ func TestDiagnosticNoShuffleUsesGivenOrder(t *testing.T) {
 		t.Error("diagnostic accepted estimation on adversarially ordered subsamples")
 	}
 	cfg.noShuffle = false
-	resShuffled, err := Run(context.Background(), rng.New(18), s, estimator.Query{Kind: estimator.Avg},
+	resShuffled, err := Run(context.Background(), rng.New(18), s, evalOf(avgQ, s), avgQ,
 		estimator.ClosedForm{}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -404,7 +415,7 @@ func TestDiagnosticAccuracySmoke(t *testing.T) {
 	src := rng.New(25)
 	for i, c := range cases {
 		cfg := smallConfig(len(c.data))
-		res, err := Run(context.Background(), src, c.data, c.q, c.est, cfg)
+		res, err := Run(context.Background(), src, c.data, evalOf(c.q, c.data), c.q, c.est, cfg)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -428,7 +439,7 @@ func BenchmarkDiagnosticClosedForm(b *testing.B) {
 	src := rng.New(31)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), src, s, q, estimator.ClosedForm{}, cfg); err != nil {
+		if _, err := Run(context.Background(), src, s, evalOf(q, s), q, estimator.ClosedForm{}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -441,7 +452,7 @@ func BenchmarkDiagnosticBootstrap(b *testing.B) {
 	src := rng.New(33)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), src, s, q, estimator.Bootstrap{K: 100}, cfg); err != nil {
+		if _, err := Run(context.Background(), src, s, evalOf(q, s), q, estimator.Bootstrap{K: 100}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -489,14 +500,14 @@ func TestDiagnosticLadderMatchesGenericPath(t *testing.T) {
 	for name, s := range samples {
 		for _, q := range queries {
 			cfg := smallConfig(len(s))
-			want, err := Run(context.Background(), rng.New(52), s, q, genericBootstrap{k: 30}, cfg)
+			want, err := Run(context.Background(), rng.New(52), s, evalOf(q, s), q, genericBootstrap{k: 30}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for round := 0; round < 2; round++ {
 				for _, workers := range []int{1, 2, 8} {
 					cfg.Workers = workers
-					got, err := Run(context.Background(), rng.New(52), s, q, estimator.Bootstrap{K: 30}, cfg)
+					got, err := Run(context.Background(), rng.New(52), s, evalOf(q, s), q, estimator.Bootstrap{K: 30}, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -537,8 +548,8 @@ func runFullLadder(ctx context.Context, src *rng.Source, values []float64, q est
 	if !cfg.noShuffle {
 		s = sample.Shuffled(src, values)
 	}
-	// Best available estimate of θ(D).
-	t := q.Eval(s)
+	// Best available estimate of θ(D), as Run's callers hand it over.
+	t := q.Eval(values)
 	// Base seed for the per-(size, subsample) streams.
 	base := src.Uint64()
 
@@ -777,7 +788,7 @@ func TestDecideFirstMatchesFullLadder(t *testing.T) {
 					var first Result
 					for _, workers := range []int{1, 2, 8} {
 						cfg.Workers = workers
-						got, err := Run(ctx, rng.New(uint64(seed)), s, q, xi, cfg)
+						got, err := Run(ctx, rng.New(uint64(seed)), s, evalOf(q, s), q, xi, cfg)
 						if err != nil {
 							t.Fatalf("%s seed %d workers %d: %v", id, seed, workers, err)
 						}
@@ -861,7 +872,7 @@ func TestDecideFirstEstimatorFailure(t *testing.T) {
 	cfg := smallConfig(len(s))
 	cfg.noShuffle = true
 	q := estimator.Query{Kind: estimator.Avg}
-	if res, err := Run(context.Background(), rng.New(71), s, q, failingAt{estimator.Bootstrap{K: 50}}, cfg); err != nil || !res.OK {
+	if res, err := Run(context.Background(), rng.New(71), s, evalOf(q, s), q, failingAt{estimator.Bootstrap{K: 50}}, cfg); err != nil || !res.OK {
 		t.Fatalf("clean sample: %+v, %v", res, err)
 	}
 	for _, at := range []int{0, 40 * cfg.SubsampleSizes[2], len(s)/2 - 1} {
@@ -873,7 +884,7 @@ func TestDecideFirstEstimatorFailure(t *testing.T) {
 		}
 		for _, workers := range []int{1, 8} {
 			cfg.Workers = workers
-			got, err := Run(context.Background(), rng.New(71), poisoned, q, failingAt{estimator.Bootstrap{K: 50}}, cfg)
+			got, err := Run(context.Background(), rng.New(71), poisoned, evalOf(q, poisoned), q, failingAt{estimator.Bootstrap{K: 50}}, cfg)
 			if err != nil || got.OK || got.Cause != CauseEstimatorFailed || got.Reason != want.Reason {
 				t.Errorf("row %d workers %d: %+v, %v; full ladder %+v", at, workers, got, err, want)
 			}
@@ -910,7 +921,7 @@ func TestDecideFirstCancellation(t *testing.T) {
 			cfg := smallConfig(len(s))
 			cfg.Workers = workers
 			xi := cancelling{estimator.Bootstrap{K: 50}, new(atomic.Int32), on, cancel}
-			res, err := Run(ctx, rng.New(4), s, q, xi, cfg)
+			res, err := Run(ctx, rng.New(4), s, evalOf(q, s), q, xi, cfg)
 			cancel()
 			if !errors.Is(err, context.Canceled) || res.OK || res.PerSize != nil {
 				t.Errorf("workers %d, cancelled on call %d: %+v, %v", workers, on, res, err)

@@ -75,16 +75,13 @@ func studentTCrit(p, df float64) float64 {
 // closedFormEstimate returns θ(S) and σ̂, the estimated standard deviation of
 // the sampling distribution of θ(S), for the closed-form aggregates. θ is what
 // Query.EvalWeighted computes on unweighted values, from the same additions
-// in the same order: the Welford fold σ̂ needs anyway answers AVG, VARIANCE
-// and STDEV, and SUM and COUNT keep their plain running sum beside it.
+// in the same order: the shifted-sum fold σ̂ needs anyway (stats.Moments.AddAll,
+// no division per row) answers AVG, VARIANCE and STDEV, and SUM and COUNT
+// take their plain running sum in a loop of their own.
 func closedFormEstimate(values []float64, q Query) (theta, se float64, err error) {
 	n := float64(len(values))
 	var m stats.Moments
-	sum := 0.0
-	for _, v := range values {
-		m.Add(v)
-		sum += v
-	}
+	m.AddAll(values)
 	s2 := m.SampleVariance()
 	if math.IsNaN(s2) {
 		s2 = 0 // single observation: no spread information
@@ -95,6 +92,10 @@ func closedFormEstimate(values []float64, q Query) (theta, se float64, err error
 		return m.Mean(), math.Sqrt(s2 / n), nil
 	case Sum, Count:
 		// θ̂ = scale·Σx = scale·n·x̄, so σ̂ = scale·n·s/√n = scale·s·√n.
+		sum := 0.0
+		for _, v := range values {
+			sum += v
+		}
 		return q.FinalizeFused(sum, n, len(values)), q.scale(len(values)) * math.Sqrt(s2*n), nil
 	case Variance:
 		// Var(s²) ≈ (μ₄ − σ⁴)/n (asymptotic; e.g. Rice §6).

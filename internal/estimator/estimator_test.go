@@ -76,7 +76,7 @@ func TestQueryEvalWeighted(t *testing.T) {
 }
 
 // TestMinMaxMatchMoments: MIN and MAX read off a compare-only loop return the
-// bits stats.Moments' Welford fold reports for the same rows — over vectors
+// bits stats.Moments' shifted-sum fold reports for the same rows — over vectors
 // with NaNs (leading and not), both zeros, runs of equal extremes, negative,
 // zero and NaN weights, no weights and no present row.
 func TestMinMaxMatchMoments(t *testing.T) {

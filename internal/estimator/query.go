@@ -196,9 +196,7 @@ func (q Query) scale(n int) float64 {
 
 func foldWeighted(m *stats.Moments, values, weights []float64) {
 	if weights == nil {
-		for _, v := range values {
-			m.Add(v)
-		}
+		m.AddAll(values)
 		return
 	}
 	for i, v := range values {

@@ -9,7 +9,7 @@ import (
 )
 
 // Sort-once order statistics. Query.EvalWeighted answers MIN, MAX and
-// PERCENTILE over a resample from scratch: a Welford fold to read one field,
+// PERCENTILE over a resample from scratch: a compare per row for an extreme,
 // or an n-pair allocation and sort. Under K resamples of one value vector —
 // the query-level bootstrap, and every subsample of the diagnostic's ladder
 // when ξ is the bootstrap — only the weights change, so the vector is sorted

@@ -203,18 +203,36 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *sca
 			// alone, and nothing else runs: no θ(S), no fold, no bootstrap.
 			counted := values == nil
 			out := AggOutput{Spec: spec, Query: q, Values: values}
-			// The closed-form fold and the diagnostic only read values, and
-			// the fold draws no randomness: with a second worker the fold
-			// runs beside the diagnostic's shuffle and θ fold.
+			// θ(S) is computed once: the closed forms' fold gives it with the
+			// bar, q.Eval the rest, and the diagnostic reads it through theta.
+			// The fold draws no randomness: with a second worker it starts
+			// beside the diagnostic's shuffle, and theta, called after the
+			// shuffle, runs it itself if that worker has not begun it yet.
+			closed := q.ClosedFormApplicable()
+			var once sync.Once
+			fold := func() {
+				once.Do(func() {
+					out.ClosedForm = closedForm(values, q)
+					out.Value = out.ClosedForm.Center // q.Eval's bits, from the fold that gave the bar
+				})
+			}
 			var folded chan struct{}
-			if q.ClosedFormApplicable() && !counted {
-				fold := func() { out.ClosedForm = closedForm(values, q) }
-				if p.Opt.Diagnostics && cfg.workers() > 1 {
-					folded = make(chan struct{})
-					go func() { defer close(folded); fold() }()
-				} else {
+			switch {
+			case counted:
+				out.Value = math.NaN()
+			case !closed:
+				out.Value = q.Eval(values)
+			case p.Opt.Diagnostics && cfg.workers() > 1:
+				folded = make(chan struct{})
+				go func() { defer close(folded); fold() }()
+			default:
+				fold()
+			}
+			theta := func() float64 {
+				if closed {
 					fold()
 				}
+				return out.Value
 			}
 
 			// The diagnostic runs before error estimation. Its verdict does
@@ -225,9 +243,9 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *sca
 			// reads them for an aggregate with a closed form either.
 			if p.Opt.Diagnostics {
 				start := time.Now()
-				dres, c, drawn, err := runDiagnostic(ctx, p.Opt, values, q, cfg, g.key, ai)
+				dres, c, drawn, err := runDiagnostic(ctx, p.Opt, values, theta, q, cfg, g.key, ai)
 				if folded != nil {
-					<-folded
+					<-folded // the fold has run, and its goroutine is gone
 				}
 				if err != nil {
 					return fmt.Errorf("exec: diagnostic for group %q aggregate %d: %w",
@@ -243,16 +261,8 @@ func runDownstream(ctx context.Context, p *plan.Plan, st *StoredTable, base *sca
 					res.Diagnostic.Rejects = append(res.Diagnostic.Rejects, dres.Cause.String())
 				}
 			}
-			switch {
-			case counted:
-				out.Value = math.NaN()
-			case q.ClosedFormApplicable():
-				out.Value = out.ClosedForm.Center // q.Eval's bits, from the fold that gave the bar
-			default:
-				out.Value = q.Eval(values)
-			}
 			replaced := out.Diag != nil && !out.Diag.OK && p.Opt.VerdictFirst
-			if k > 0 && !replaced && !q.ClosedFormApplicable() {
+			if k > 0 && !replaced && !closed {
 				start := time.Now()
 				ests, c, err := bootstrapEstimates(ctx, values, q, k, cfg, g.key, ai)
 				if err != nil {
@@ -935,7 +945,7 @@ func bootstrapEstimates(ctx context.Context, values []float64, q estimator.Query
 // runDiagnostic executes the diagnostic operator for one aggregate, and
 // returns with its verdict the resample estimates its bootstrap ξ drew: the
 // K of the ξ it built, for each subsample ξ was run on.
-func runDiagnostic(ctx context.Context, opt plan.Options, values []float64, q estimator.Query, cfg Config, groupKey string, aggIdx int) (*diagnostic.Result, Counters, int64, error) {
+func runDiagnostic(ctx context.Context, opt plan.Options, values []float64, theta func() float64, q estimator.Query, cfg Config, groupKey string, aggIdx int) (*diagnostic.Result, Counters, int64, error) {
 	var c Counters
 	sizes, _ := diagnostic.Ladder(opt.SampleRows, len(values))
 	if sizes == nil {
@@ -960,7 +970,7 @@ func runDiagnostic(ctx context.Context, opt plan.Options, values []float64, q es
 		xi, k = b, b.Resamples()
 	}
 	src := rng.NewWithStream(cfg.Seed, hashStream("diag", groupKey, aggIdx, 0))
-	dres, err := diagnostic.Run(ctx, src, values, q, xi, dcfg)
+	dres, err := diagnostic.Run(ctx, src, values, theta, q, xi, dcfg)
 	if err != nil {
 		return nil, c, 0, err
 	}

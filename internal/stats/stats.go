@@ -1,5 +1,5 @@
 // Package stats provides the statistical primitives the AQP pipeline is
-// built on: streaming moments (Welford), quantiles (exact and sketched),
+// built on: streaming moments (shifted sums), quantiles (exact and sketched),
 // empirical distributions, the normal and Student-t distributions, and the
 // symmetric centered interval construction from §2.2 of the paper.
 package stats
@@ -12,14 +12,27 @@ import (
 	"sync"
 )
 
-// Moments accumulates count, mean, variance, min and max in one pass using
-// Welford's numerically stable update. The zero value is an empty
-// accumulator ready for use.
+// Moments accumulates count, mean, variance, min and max in one pass by
+// shifted sums: the first value added is the shift k, and the fold keeps the
+// total weight n, Σw(x−k) and Σw(x−k)² — a subtraction, a multiply and two
+// additions per row, no division. Mean, Variance and SampleVariance divide
+// when they are read. The zero value is an empty accumulator ready for use.
+//
+// The bound: over n rows, the mean is within O(n·ε)·(|mean| + √(σ² + (k−mean)²))
+// of the exact one and the population variance within O(n·ε)·(σ² + (k−mean)²)
+// (ε = 2⁻⁵³), where the (k−mean)² term is what the subtraction at read time
+// cancels. k is a value of the data, so w_k·(k−mean)² ≤ Σw(x−mean)², that is
+// (k−mean)² ≤ n·σ² for unit weights, and about σ² for a typical first row:
+// data at 1e9 + N(0,1) keeps its variance to a few n·ε, where the unshifted
+// Σx² − (Σx)²/n would lose every digit. TestMomentsMatchTwoPass holds the
+// fold to this bound, and Merge to it plus the rounding of the difference of
+// the two sides' means.
 type Moments struct {
-	n    float64 // total weight
-	mean float64
-	m2   float64 // sum of squared deviations (times weight)
-	ext  Extremes
+	n   float64 // total weight
+	k   float64 // the shift: the first value added (after Merge, the mean)
+	s1  float64 // Σw(x−k)
+	s2  float64 // Σw(x−k)²
+	ext Extremes
 }
 
 // Extremes is MIN and MAX by the one rule every fold of them follows: the
@@ -63,25 +76,87 @@ func (e *Extremes) Max() float64 {
 	return e.hi
 }
 
-// Add folds a single observation into the accumulator.
-func (m *Moments) Add(x float64) { m.AddWeighted(x, 1) }
+// Add folds a single observation into the accumulator. It is
+// AddWeighted(x, 1) — the same operations, since multiplying by 1 is exact —
+// written out so that it inlines into a per-row loop, such as a grouped
+// fold whose rows alternate between accumulators.
+func (m *Moments) Add(x float64) {
+	m.n++
+	if !m.ext.seen {
+		m.k = x
+		m.ext = Extremes{x, x, true}
+		return
+	}
+	if x < m.ext.lo {
+		m.ext.lo = x
+	}
+	if x > m.ext.hi {
+		m.ext.hi = x
+	}
+	d := x - m.k
+	m.s1 += d
+	m.s2 += float64(d * d)
+}
 
 // AddWeighted folds an observation with non-negative weight w. Zero-weight
 // observations are ignored entirely (they do not affect min/max), matching
 // the semantics of Poissonized resampling where weight 0 means "the row is
 // absent from this resample".
+//
+// The first observation becomes the shift and adds nothing to either sum.
+// The float64 conversions keep each product rounded on its own (Go may fuse
+// a multiply into the add that follows), so Add and AddAll, written the same
+// way, give the same bits on every platform.
 func (m *Moments) AddWeighted(x, w float64) {
 	if w <= 0 {
 		return
 	}
-	m.ext.Add(x, x)
 	m.n += w
-	delta := x - m.mean
-	m.mean += delta * w / m.n
-	m.m2 += w * delta * (x - m.mean)
+	if !m.ext.seen {
+		m.k = x
+		m.ext.Add(x, x)
+		return
+	}
+	m.ext.Add(x, x)
+	d := x - m.k
+	wd := float64(w * d)
+	m.s1 += wd
+	m.s2 += float64(wd * d)
 }
 
-// Merge folds another accumulator into this one (parallel reduction).
+// AddAll folds the values of xs in order, with unit weights. It performs the
+// operations Add performs on each value, in the same order and on the one
+// chain of each accumulator, so it leaves the same bits (of a NaN, perhaps
+// another payload; see canonical): a block-streamed fold of Add calls and a
+// fold of the whole vector read the same.
+func (m *Moments) AddAll(xs []float64) {
+	if len(xs) == 0 {
+		return
+	}
+	if !m.ext.seen {
+		m.Add(xs[0])
+		xs = xs[1:]
+	}
+	n, k, s1, s2, lo, hi := m.n, m.k, m.s1, m.s2, m.ext.lo, m.ext.hi
+	for _, x := range xs {
+		n++
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+		d := x - k
+		s1 += d
+		s2 += float64(d * d)
+	}
+	m.n, m.s1, m.s2, m.ext.lo, m.ext.hi = n, s1, s2, lo, hi
+}
+
+// Merge folds another accumulator into this one (parallel reduction): each
+// side's mean and centred sum of squares, combined by Chan, Golub and
+// LeVeque's pairwise update. The merged mean becomes the shift, which is at
+// least as close to the data as either side's first value.
 func (m *Moments) Merge(o *Moments) {
 	if !o.ext.seen {
 		return
@@ -91,11 +166,37 @@ func (m *Moments) Merge(o *Moments) {
 		return
 	}
 	m.ext.Add(o.ext.lo, o.ext.hi)
+	ma, mb := m.Mean(), o.Mean()
 	n := m.n + o.n
-	delta := o.mean - m.mean
-	m.mean += delta * o.n / n
-	m.m2 += o.m2 + delta*delta*m.n*o.n/n
-	m.n = n
+	delta := mb - ma
+	m2 := m.m2() + o.m2() + delta*delta*m.n*o.n/n
+	m.n, m.k, m.s1, m.s2 = n, ma+delta*o.n/n, 0, m2
+}
+
+// m2 is the centred sum of squares Σw(x−mean)²: Σw(x−k)² less the shift's
+// share (Σw(x−k))²/n. Rounding can leave it a hair under zero, which reads
+// as zero. A NaN or infinite shift with nothing after it — one such row —
+// has no spread to report: NaN, as every fold over a NaN or an infinity
+// gives.
+func (m *Moments) m2() float64 {
+	c := m.s2 - m.s1*(m.s1/m.n)
+	switch {
+	case math.IsNaN(m.k) || math.IsInf(m.k, 0):
+		return math.NaN()
+	case c < 0:
+		return 0
+	}
+	return c
+}
+
+// canonical is x, or math.NaN() for every NaN. Which NaN payload a fold over
+// NaN or infinite rows ends with depends on the operand order the compiler
+// chose, which Add and AddAll need not share; their reads agree.
+func canonical(x float64) float64 {
+	if x != x {
+		return math.NaN()
+	}
+	return x
 }
 
 // Mean returns the weighted mean, or NaN when empty.
@@ -103,7 +204,7 @@ func (m *Moments) Mean() float64 {
 	if !m.ext.seen {
 		return math.NaN()
 	}
-	return m.mean
+	return canonical(m.k + m.s1/m.n)
 }
 
 // Variance returns the population variance, or NaN when empty.
@@ -111,7 +212,7 @@ func (m *Moments) Variance() float64 {
 	if !m.ext.seen || m.n == 0 {
 		return math.NaN()
 	}
-	return m.m2 / m.n
+	return canonical(m.m2() / m.n)
 }
 
 // SampleVariance returns the Bessel-corrected sample variance, or NaN when
@@ -120,7 +221,7 @@ func (m *Moments) SampleVariance() float64 {
 	if !m.ext.seen || m.n <= 1 {
 		return math.NaN()
 	}
-	return m.m2 / (m.n - 1)
+	return canonical(m.m2() / (m.n - 1))
 }
 
 // Stddev returns the population standard deviation.
@@ -147,18 +248,14 @@ func Mean(xs []float64) float64 {
 // Variance returns the population variance of xs, or NaN when empty.
 func Variance(xs []float64) float64 {
 	var m Moments
-	for _, x := range xs {
-		m.Add(x)
-	}
+	m.AddAll(xs)
 	return m.Variance()
 }
 
 // SampleVariance returns the Bessel-corrected variance of xs.
 func SampleVariance(xs []float64) float64 {
 	var m Moments
-	for _, x := range xs {
-		m.Add(x)
-	}
+	m.AddAll(xs)
 	return m.SampleVariance()
 }
 

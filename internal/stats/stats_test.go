@@ -36,7 +36,7 @@ func TestMomentsBasic(t *testing.T) {
 	if got := m.Max(); got != 5 {
 		t.Errorf("Max = %v, want 5", got)
 	}
-	if got := m.mean * m.n; got != 15 {
+	if got := m.k*m.n + m.s1; got != 15 {
 		t.Errorf("sum = %v, want 15", got)
 	}
 	if m.n != 5 {
@@ -50,8 +50,8 @@ func TestMomentsEmpty(t *testing.T) {
 		!math.IsNaN(m.Min()) || !math.IsNaN(m.Max()) {
 		t.Error("empty Moments should report NaN statistics")
 	}
-	if m.mean != 0 || m.n != 0 {
-		t.Error("empty Moments should hold zero mean and weight")
+	if m.s1 != 0 || m.s2 != 0 || m.n != 0 {
+		t.Error("empty Moments should hold zero sums and weight")
 	}
 }
 

@@ -160,11 +160,13 @@ func BenchmarkAblationDiagnosticP(b *testing.B) {
 		s[i] = src.LogNormal(4, 0.7)
 	}
 	q := estimator.Query{Kind: estimator.Avg}
+	t := q.Eval(s)
+	theta := func() float64 { return t }
 	for _, p := range []int{25, 50, 100} {
 		b.Run(map[int]string{25: "p25", 50: "p50", 100: "p100"}[p], func(b *testing.B) {
 			cfg := diagnostic.DefaultConfig(len(s), p)
 			for i := 0; i < b.N; i++ {
-				if _, err := diagnostic.Run(context.Background(), rng.New(uint64(i)), s, q,
+				if _, err := diagnostic.Run(context.Background(), rng.New(uint64(i)), s, theta, q,
 					estimator.ClosedForm{}, cfg); err != nil {
 					b.Fatal(err)
 				}

@@ -94,7 +94,8 @@ func DiagnosticAblation(cfg Config) *DiagAblationResult {
 			}
 			src := cfg.stream("ablation-diag", qi*1000+p)
 			s := sample.WithReplacement(src, spec.Population, cfg.SampleSize)
-			dres, err := diagnostic.Run(context.Background(), src, s, spec.Query, truths[qi].xi,
+			theta := func() float64 { return spec.Query.Eval(s) }
+			dres, err := diagnostic.Run(context.Background(), src, s, theta, spec.Query, truths[qi].xi,
 				diagnostic.DefaultConfig(len(s), p))
 			if err != nil {
 				continue

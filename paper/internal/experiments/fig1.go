@@ -49,9 +49,7 @@ func Fig1(cfg Config) *Fig1Result {
 		src := cfg.stream("fig1", qi)
 		pop := workload.GenerateColumn(src, dists[qi%len(dists)], cfg.PopulationSize)
 		var m stats.Moments
-		for _, x := range pop {
-			m.Add(x)
-		}
+		m.AddAll(pop)
 		mu, sigma := m.Mean(), m.Stddev()
 		if mu == 0 {
 			continue

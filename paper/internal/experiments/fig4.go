@@ -91,7 +91,8 @@ func assessQueries(cfg Config, kind workload.Kind, queries []workload.QuerySpec,
 					continue
 				}
 				s := sample.WithReplacement(src, spec.Population, cfg.SampleSize)
-				dres, err := diagnostic.Run(context.Background(), src, s, spec.Query, xi,
+				theta := func() float64 { return spec.Query.Eval(s) }
+				dres, err := diagnostic.Run(context.Background(), src, s, theta, spec.Query, xi,
 					diagnostic.DefaultConfig(len(s), cfg.DiagP))
 				if err != nil {
 					continue
