@@ -82,7 +82,8 @@ func BenchmarkEnginePipelineOptimized(b *testing.B) {
 
 // BenchmarkExactFallback measures what a rejected diagnostic costs: the
 // exact re-execution of a grouped AVG+MIN with a Day window over a 250k-row
-// compressed table, through exec.Run's block-streamed exact operator.
+// compressed table, through exec.Run's block-streamed exact operator, and of
+// an ungrouped AVG over the same window.
 // B/op is the allocation ceiling — it should stay in the tens of KiB,
 // independent of the rows scanned. The cache-on run attaches the serving
 // benchmark's 8 MiB block cache, smaller than the blocks one scan admits
@@ -135,6 +136,26 @@ func BenchmarkExactFallback(b *testing.B) {
 			}
 		})
 	}
+	// /ungrouped_avg: the same window with no GROUP BY, whose moments fold
+	// each block's surviving values in one Moments.AddAll call.
+	b.Run("ungrouped_avg", func(b *testing.B) {
+		def, err := plan.Analyze(sql.MustParse(
+			"SELECT AVG(V) FROM Events WHERE Day >= 20 AND Day < 50").(*sql.Select), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := plan.Build(def, plan.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res, err := exec.Run(context.Background(), p, st, nil, exec.Config{Workers: 2}); err != nil || len(res.Groups) != 1 {
+				b.Fatalf("%v, err %v", res, err)
+			}
+		}
+	})
 	// /udf: the holistic sink — an ungrouped frac_above_median_x2 over 256k
 	// rows keeps every value, once; B/op is that vector plus the order the
 	// UDF reads (12 B/row), not copies of it.
@@ -277,9 +298,11 @@ func BenchmarkOpenStore(b *testing.B) {
 // compressed. /cold draws and encodes it, which is every start of a table
 // without a store identity and the first start of one with; /persisted is
 // every later start — the table is a store file, the sample file is beside
-// it, and BuildSamples reads it once to check its digest and serves it from
-// the mapping. B/op is the boot's allocation volume, mapped-B/op what it maps
-// instead.
+// it, and BuildSamples checks the digest of its frame and serves it from the
+// mapping. /persisted_first_avg is that start plus its first answer,
+// SELECT AVG(Gaussian), whose scan checks the one column it reads: what a
+// start pays before it answers. B/op is the boot's allocation volume,
+// mapped-B/op what it maps instead.
 func BenchmarkBuildSamples(b *testing.B) {
 	full := bootTable()
 	boot := func(b *testing.B, full *table.Table) (*core.Engine, []core.SampleFile) {
@@ -301,35 +324,46 @@ func BenchmarkBuildSamples(b *testing.B) {
 		}
 		b.ReportMetric(0, "mapped-B/op")
 	})
-	b.Run("persisted", func(b *testing.B) {
-		path := filepath.Join(b.TempDir(), "events.store")
-		if err := table.WriteStore(path, full); err != nil {
-			b.Fatal(err)
+	for _, probe := range []string{"", "SELECT AVG(Gaussian) FROM Events"} {
+		name := "persisted"
+		if probe != "" {
+			name = "persisted_first_avg"
 		}
-		stored, closer, err := table.OpenStore(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer closer.Close()
-		_, files := boot(b, stored) // builds and saves
-		if len(files) != 1 || files[0].Opened || files[0].SaveErr != nil {
-			b.Fatalf("first boot: sample files %+v, want one built and saved", files)
-		}
-		fi, err := os.Stat(files[0].Path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e, files := boot(b, stored)
-			if !files[0].Opened {
-				b.Fatalf("boot %d: sample file %+v, want opened", i, files[0])
+		b.Run(name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "events.store")
+			if err := table.WriteStore(path, full); err != nil {
+				b.Fatal(err)
 			}
-			e.Close()
-		}
-		b.ReportMetric(float64(fi.Size()), "mapped-B/op")
-	})
+			stored, closer, err := table.OpenStore(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer closer.Close()
+			_, files := boot(b, stored) // builds and saves
+			if len(files) != 1 || files[0].Opened || files[0].SaveErr != nil {
+				b.Fatalf("first boot: sample files %+v, want one built and saved", files)
+			}
+			fi, err := os.Stat(files[0].Path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e, files := boot(b, stored)
+				if !files[0].Opened {
+					b.Fatalf("boot %d: sample file %+v, want opened", i, files[0])
+				}
+				if probe != "" {
+					if _, err := e.Run(context.Background(), probe); err != nil {
+						b.Fatal(err)
+					}
+				}
+				e.Close()
+			}
+			b.ReportMetric(float64(fi.Size()), "mapped-B/op")
+		})
+	}
 }
 
 // BenchmarkBootstrapKernel is the §5.3.1 loop-order ablation: resample-major

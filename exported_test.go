@@ -39,6 +39,7 @@ const protocolReference = "§3 protocol: TestDiagnosticAccuracySmoke's reference
 var exportAllowList = map[string]string{
 	"table.DecodedBlocks":         "test seam: exec, core and root benchmarks count block decodes through it",
 	"table.Table.DropZones":       "test seam: exec tests and root benchmarks compare zone-skipped scans with unpruned ones",
+	"table.StrictChecks":          "test seam: core's plan-matrix suites make a decode of an unchecked persisted-sample column panic",
 	"exec.PoolOutstanding":        "test seam: core tests and root benchmarks check the scratch pool drains",
 	"obs.TraceSnapshot.Structure": "test seam: core's lifecycle test hashes every trace's span tree",
 	"sql.MustParse":               "test seam: plan, exec and root tests build queries from literals",

@@ -209,21 +209,25 @@ type Engine struct {
 	gen atomic.Uint64
 
 	// sampleMaps, under mu, holds the mappings behind the sample files
-	// BuildSamples opened (samplestore.go); Close releases them.
+	// BuildSamples opened (samplestore.go); Close releases them. origins,
+	// under mu, says how each sample served from a mapping was drawn, for
+	// rebuildSample.
 	sampleMaps []io.Closer
+	origins    map[*exec.StoredTable]*sampleOrigin
 }
 
 // New returns an engine with the given configuration.
 func New(cfg Config) *Engine {
 	e := &Engine{
-		cfg:    cfg,
-		tables: map[string]*registeredTable{},
-		udfs:   exec.Registry{},
-		src:    rng.New(cfg.Seed),
-		obs:    cfg.Obs,
-		elog:   cfg.EventLog,
-		wd:     cfg.Watchdog,
-		hist:   cfg.History,
+		cfg:     cfg,
+		tables:  map[string]*registeredTable{},
+		origins: map[*exec.StoredTable]*sampleOrigin{},
+		udfs:    exec.Registry{},
+		src:     rng.New(cfg.Seed),
+		obs:     cfg.Obs,
+		elog:    cfg.EventLog,
+		wd:      cfg.Watchdog,
+		hist:    cfg.History,
 	}
 	if e.wd != nil {
 		e.wd.Bind(e.auditExact)

@@ -58,7 +58,8 @@ func (c planConfig) String() string {
 	return fmt.Sprintf("%s/workers=%d/cache=%v", c.backing, c.workers, c.cache)
 }
 
-// planMatrix is every backing × Workers 1/2/7 × cache on/off.
+// planMatrix is every backing × Workers 1/2/7 × cache on/off. The mmap cells
+// serve a persisted sample under strict payload checks (planEngine).
 func planMatrix() []planConfig {
 	var out []planConfig
 	for _, backing := range []string{"raw", "compressed", "mmap"} {
@@ -93,14 +94,32 @@ func planEngine(t *testing.T, c planConfig) *Engine {
 		}
 		t.Cleanup(func() { closer.Close() })
 		tbl, cfg.SampleBacking = mapped, table.BackingCompressed
+		// A first engine builds the sample and saves it beside the store;
+		// the cell's engine serves it from the file's mapping, each column
+		// checked on its first read. Strict checks make a decode of a column
+		// nothing checked panic: every read path must check first.
+		first := New(cfg)
+		if err := first.RegisterTable("E", tbl); err != nil {
+			t.Fatal(err)
+		}
+		if err := first.BuildSamples("E", planSampleRows); err != nil {
+			t.Fatal(err)
+		}
+		first.Close()
+		table.StrictChecks(true)
+		t.Cleanup(func() { table.StrictChecks(false) })
 	}
 	e := New(cfg)
 	t.Cleanup(func() { e.Close() })
 	if err := e.RegisterTable("E", tbl); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.BuildSamples("E", planSampleRows); err != nil {
+	files, err := e.BuildSamplesReport("E", planSampleRows)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if c.backing == "mmap" && (len(files) != 1 || !files[0].Opened) {
+		t.Fatalf("sample files %+v, want the one the first engine saved, opened", files)
 	}
 	return e
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/stats"
+	"repro/internal/table"
 )
 
 // RunOptions is one query's request: what to answer it with and how far to
@@ -188,34 +190,55 @@ func (e *Engine) begin(ctx context.Context, sql string, opts RunOptions, replayO
 	return q, nil, nil
 }
 
-// execute answers a request begin found no replay for: it runs the request on
-// each sample nextSample names, then ends it by the mode it names. A request
-// that never ran on a sample — an exact one, or one on a table with no sample
-// its mode could run on — runs the exact plan.
+// execute answers a request begin found no replay for. A sample opened from
+// its file whose column the run refused (table.CorruptColumnError) is rebuilt
+// with the rows the file should have held, and the request runs again from
+// the start on the catalog that serves the build, so the answer is the one an
+// engine that found no file gives. Each rebuild replaces a sample for good,
+// which bounds the retries.
 func (e *Engine) execute(q *request) (*Answer, error) {
+	ans, st, err := e.executeOnce(q)
+	for range q.rt.samples {
+		var refused *table.CorruptColumnError
+		if st == nil || !errors.As(err, &refused) || !e.rebuildSample(st) {
+			break
+		}
+		q.rt, _ = e.snapshotTable(q.def.Table)
+		ans, st, err = e.executeOnce(q)
+	}
+	return ans, err
+}
+
+// executeOnce runs the request on each sample nextSample names, then ends it
+// by the mode it names. A request that never ran on a sample — an exact one,
+// or one on a table with no sample its mode could run on — runs the exact
+// plan. A run on a sample that fails returns that sample with its error.
+func (e *Engine) executeOnce(q *request) (*Answer, *exec.StoredTable, error) {
 	var ran *exec.StoredTable
 	var ans *Answer
 	for st := q.nextSample(nil, nil); st != nil; st = q.nextSample(ran, ans) {
 		if err := q.ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", q.label(), err)
+			return nil, nil, fmt.Errorf("core: %s: %w", q.label(), err)
 		}
 		var err error
 		if ans, err = e.runApproximate(q, st, e.exactOnReject(q.opts)); err != nil {
-			return nil, err
+			return nil, st, err
 		}
 		ran = st
 	}
 	switch {
 	case ans == nil:
-		return e.runExact(q, false)
+		ans, err := e.runExact(q, false)
+		return ans, nil, err
 	case q.opts.plain():
-		return ans, e.applyFallback(q, ans)
+		return ans, nil, e.applyFallback(q, ans)
 	case q.opts.ErrorBound > 0 && e.exactOnReject(q.opts):
 		if met, _ := meetsBound(ans, q.opts.ErrorBound); !met {
-			return e.fallbackExact(q, "error bound unmet on all samples")
+			ans, err := e.fallbackExact(q, "error bound unmet on all samples")
+			return ans, nil, err
 		}
 	}
-	return ans, nil
+	return ans, nil, nil
 }
 
 // finish closes a request begin opened: a plain request's answer goes to the

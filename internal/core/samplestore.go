@@ -6,7 +6,8 @@ package core
 // the next BuildSamples that would draw the same sample — in this process or
 // any other — opens that file instead. Whether a sample is persisted follows
 // from where its table came from; there is no setting. DESIGN.md §19 has the
-// reasoning; the flow is in uniformSample.
+// reasoning; the flow is in uniformSample, and what a query does when a column
+// of an opened file is refused at its first read in rebuildSample.
 
 import (
 	"crypto/sha256"
@@ -15,6 +16,8 @@ import (
 	"io"
 	"io/fs"
 	"path/filepath"
+	"slices"
+	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/rng"
@@ -30,7 +33,7 @@ import (
 // re-record its hashes also bumps this and thereby stops finding the files
 // the old code wrote. A new store layout bumps it too: a sample file of the
 // old one is then never looked for, rather than found and refused.
-const sampleFormat = 2
+const sampleFormat = 3
 
 // SampleFile says what BuildSamplesReport did about one sample's file.
 type SampleFile struct {
@@ -89,7 +92,13 @@ func (e *Engine) uniformSample(name string, full *table.Table, src *rng.Source, 
 	if err == nil {
 		sf.Opened = true
 		e.countSampleStore(name, "opened")
-		return &exec.StoredTable{Data: s, PopRows: full.NumRows()}, closer, sf
+		st := &exec.StoredTable{Data: s, PopRows: full.NumRows()}
+		if closer != nil { // served from the mapping, each column checked on its first read
+			e.mu.Lock()
+			e.origins[st] = &sampleOrigin{name: name, full: full, src: *src, n: n, tag: tag, path: sf.Path}
+			e.mu.Unlock()
+		}
+		return st, closer, sf
 	}
 	if !errors.Is(err, fs.ErrNotExist) {
 		sf.Rejected = err
@@ -104,11 +113,12 @@ func (e *Engine) uniformSample(name string, full *table.Table, src *rng.Source, 
 	return st, nil, sf
 }
 
-// openSample opens the sample file at path if every byte of it is what a
-// WriteStore wrote (its digest) and it says it is the sample wanted (its
-// tag). Compressed-backed engines serve it from the mapping; raw-backed ones
-// decode it once — a gather of its n rows in order, where a build gathers
-// from all N — and let the mapping go.
+// openSample opens the sample file at path if its frame is what a WriteStore
+// wrote (its digest) and it says it is the sample wanted (its tag).
+// Compressed-backed engines serve it from the mapping, where the first read
+// of each column checks its payload (table.CheckColumn). Raw-backed ones check
+// every column, decode it once — a gather of its n rows in order, where a
+// build gathers from all N — and let the mapping go.
 func (e *Engine) openSample(path, tag string, n int) (*table.Table, io.Closer, error) {
 	s, closer, err := table.OpenStoreVerified(path)
 	if err != nil {
@@ -120,6 +130,12 @@ func (e *Engine) openSample(path, tag string, n int) (*table.Table, io.Closer, e
 			path, s.Tag(), s.NumRows())
 	}
 	if e.cfg.SampleBacking == table.BackingRaw {
+		for i := 0; i < s.NumCols(); i++ {
+			if _, err := table.CheckColumn(s.Column(i)); err != nil {
+				closer.Close()
+				return nil, nil, err
+			}
+		}
 		rows := make([]int, n)
 		for i := range rows {
 			rows[i] = i
@@ -129,4 +145,54 @@ func (e *Engine) openSample(path, tag string, n int) (*table.Table, io.Closer, e
 		closer = nil
 	}
 	return s, closer, nil
+}
+
+// sampleOrigin is how a sample served from its file's mapping was drawn: what
+// rebuilding it takes when a column of the file is refused.
+type sampleOrigin struct {
+	name string // the table's
+	full *table.Table
+	// src is the split the sample's draw takes, which opening the file left
+	// unconsumed.
+	src       rng.Source
+	n         int
+	tag, path string
+	once      sync.Once
+}
+
+// rebuildSample replaces st, a sample a query found a refused column in
+// (table.CorruptColumnError), when st was opened from its file: it draws the
+// rows the file should have held from the unconsumed split, builds them as
+// uniformSample builds a sample it finds no file for, saves them over the
+// file, and publishes the build in st's place, copy-on-write. The rows are
+// the same, so the catalog generation and every cached answer stand. Queries
+// racing to refuse st rebuild it once, and each then runs again on the
+// catalog that serves the build. It reports false when st has no file to
+// rebuild, and the refusal is then the query's error.
+func (e *Engine) rebuildSample(st *exec.StoredTable) bool {
+	e.mu.RLock()
+	o := e.origins[st]
+	e.mu.RUnlock()
+	if o == nil {
+		return false
+	}
+	o.once.Do(func() {
+		e.countSampleStore(o.name, "rejected")
+		idx := sample.RowsWithoutReplacement(&o.src, o.full.NumRows(), o.n)
+		built := e.storeSample(o.full, idx, e.cfg.SampleBacking)
+		if err := table.WriteStoreTagged(o.path, built.Data, o.tag); err != nil {
+			e.countSampleStore(o.name, "write_failed")
+		} else {
+			e.countSampleStore(o.name, "built")
+		}
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		rt := e.tables[o.name]
+		if i := slices.Index(rt.samples, st); i >= 0 {
+			samples := slices.Clone(rt.samples)
+			samples[i] = built
+			rt.samples = samples
+		}
+	})
+	return true
 }

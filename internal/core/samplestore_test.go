@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -393,7 +394,11 @@ func TestPersistedSampleKey(t *testing.T) {
 
 // TestPersistedSampleFaults: a sample file that is damaged, foreign, or
 // cannot be written is a rebuild and a counter — never an error, a panic or a
-// different answer.
+// different answer. A flipped payload byte is refused where its column is
+// first read: at BuildSamples on a raw-backed engine, which decodes every
+// column there, and by the first query that reads the column on a
+// compressed-backed one, which serves the file from its mapping — and never,
+// when no query reads it.
 func TestPersistedSampleFaults(t *testing.T) {
 	const n = 3000
 	queries := []string{
@@ -427,6 +432,30 @@ func TestPersistedSampleFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// flipPayload flips a byte in the middle of the named column's payload.
+	flipPayload := func(column string) func(*testing.T, string, string) {
+		return func(t *testing.T, _, path string) {
+			flip(t, path, func(metaOff, _ int) int {
+				var meta struct {
+					Columns []struct {
+						Name    string `json:"name"`
+						DataOff int    `json:"data_off"`
+						DataLen int    `json:"data_len"`
+					} `json:"columns"`
+				}
+				if err := json.Unmarshal(mustReadFile(t, path)[metaOff:], &meta); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range meta.Columns {
+					if c.Name == column {
+						return c.DataOff + c.DataLen/2
+					}
+				}
+				t.Fatalf("no column %q in the sample file", column)
+				return 0
+			})
+		}
+	}
 	truncate := func(at func(metaOff, size int) int) func(*testing.T, string, string) {
 		return func(t *testing.T, _, path string) {
 			data := mustReadFile(t, path)
@@ -440,34 +469,40 @@ func TestPersistedSampleFaults(t *testing.T) {
 		name string
 		// fault damages the sample file at path (in dir) that a first engine left.
 		fault func(t *testing.T, dir, path string)
-		// outcomes the second engine must report, and whether the file is whole again.
+		// outcomes the second engine's BuildSamples must report, and whether
+		// the file is whole again after it.
 		outcomes string
 		repaired bool
+		// read, for a fault in a column payload, is whether the queries read
+		// that column. A raw-backed engine checks every column at
+		// BuildSamples, as outcomes says. A compressed-backed one opens the
+		// file, and the first query that reads the column refuses it: the
+		// sample is rebuilt, saved and served, and the query answered.
+		payload, read bool
 	}{
-		{"truncated to nothing", truncate(func(_, _ int) int { return 0 }), "[rejected built]", true},
-		{"truncated in the payload", truncate(func(m, _ int) int { return m / 2 }), "[rejected built]", true},
-		{"truncated in the metadata", truncate(func(m, s int) int { return (m + s) / 2 }), "[rejected built]", true},
-		{"payload byte flipped", func(t *testing.T, _, path string) {
-			flip(t, path, func(m, _ int) int { return m / 3 })
-		}, "[rejected built]", true},
+		{"truncated to nothing", truncate(func(_, _ int) int { return 0 }), "[rejected built]", true, false, false},
+		{"truncated in the payload", truncate(func(m, _ int) int { return m / 2 }), "[rejected built]", true, false, false},
+		{"truncated in the metadata", truncate(func(m, s int) int { return (m + s) / 2 }), "[rejected built]", true, false, false},
+		{"payload byte flipped", flipPayload("Gauss"), "[rejected built]", true, true, true},
+		{"payload byte no query reads flipped", flipPayload("Spiky"), "[rejected built]", true, true, false},
 		{"metadata byte flipped", func(t *testing.T, _, path string) {
 			flip(t, path, func(m, s int) int { return m + (s-m)/3 })
-		}, "[rejected built]", true},
+		}, "[rejected built]", true, false, false},
 		{"another table's sample under this name", func(t *testing.T, _, path string) {
 			if err := os.WriteFile(path, foreign(t, goldenTable(6*table.BlockRows+6), 11, n), 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, "[rejected built]", true},
+		}, "[rejected built]", true, false, false},
 		{"this table's sample from another stream under this name", func(t *testing.T, _, path string) {
 			if err := os.WriteFile(path, foreign(t, content, 12, n), 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, "[rejected built]", true},
+		}, "[rejected built]", true, false, false},
 		{"this table's sample of another size under this name", func(t *testing.T, _, path string) {
 			if err := os.WriteFile(path, foreign(t, content, 11, n+1), 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, "[rejected built]", true},
+		}, "[rejected built]", true, false, false},
 		{"a directory where the file goes", func(t *testing.T, _, path string) {
 			if err := os.Remove(path); err != nil {
 				t.Fatal(err)
@@ -475,7 +510,7 @@ func TestPersistedSampleFaults(t *testing.T) {
 			if err := os.MkdirAll(filepath.Join(path, "x"), 0o755); err != nil {
 				t.Fatal(err)
 			}
-		}, "[rejected write_failed]", false},
+		}, "[rejected write_failed]", false, false, false},
 		{"read-only directory", func(t *testing.T, dir, path string) {
 			if err := os.Remove(path); err != nil {
 				t.Fatal(err)
@@ -489,46 +524,45 @@ func TestPersistedSampleFaults(t *testing.T) {
 				os.Remove(f.Name())
 				t.Skip("this user writes to read-only directories")
 			}
-		}, "[write_failed]", false},
+		}, "[write_failed]", false, false, false},
 		{"directory removed after the table was opened", func(t *testing.T, dir, _ string) {
 			if err := os.RemoveAll(dir); err != nil {
 				t.Fatal(err)
 			}
-		}, "[write_failed]", false},
+		}, "[write_failed]", false, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "stores")
-			if err := os.Mkdir(dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			full := storedTable(t, dir, "events.store", content)
-			first := storeEngine(t, Config{Seed: 11, Workers: 2}, "Events", full)
-			if err := first.BuildSamples("Events", n); err != nil {
-				t.Fatal(err)
-			}
-			path := sampleFiles(t, dir, "events.store")[0]
-			whole := mustReadFile(t, path)
-			tc.fault(t, dir, path)
-
 			for _, backing := range []table.Backing{table.BackingRaw, table.BackingCompressed} {
+				dir := filepath.Join(t.TempDir(), "stores")
+				if err := os.Mkdir(dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				full := storedTable(t, dir, "events.store", content)
+				first := storeEngine(t, Config{Seed: 11, Workers: 2}, "Events", full)
+				if err := first.BuildSamples("Events", n); err != nil {
+					t.Fatal(err)
+				}
+				path := sampleFiles(t, dir, "events.store")[0]
+				whole := mustReadFile(t, path)
+				tc.fault(t, dir, path)
+
 				tr := obs.NewTracer(obs.Options{})
 				e := storeEngine(t, Config{Seed: 11, Workers: 2, SampleBacking: backing, Obs: tr}, "Events", full)
 				files, err := e.BuildSamplesReport("Events", n)
 				if err != nil {
 					t.Fatalf("BuildSamples failed on a bad sample file: %v", err)
 				}
-				reported := tc.outcomes
-				if backing == table.BackingCompressed && tc.repaired {
-					reported = "[opened]" // the raw-backed engine put it right
+				reported, repaired := tc.outcomes, tc.repaired
+				var atQuery []string
+				if backing == table.BackingCompressed && tc.payload {
+					reported, repaired = "[opened]", tc.read
+					if tc.read {
+						atQuery = []string{"rejected", "built"}
+					}
 				}
 				if got := outcomes(files); got != reported {
 					t.Errorf("%v: sample file %s, want %s", backing, got, reported)
-				}
-				sorted := strings.Fields(strings.Trim(reported, "[]"))
-				sort.Strings(sorted)
-				if got := counted(tr, "Events"); got != fmt.Sprint(sorted) {
-					t.Errorf("%v: aqp_sample_store_total counted %s, the report says %s", backing, got, reported)
 				}
 				for _, f := range files {
 					if f.Opened && (f.Rejected != nil || f.SaveErr != nil) {
@@ -538,9 +572,17 @@ func TestPersistedSampleFaults(t *testing.T) {
 				if got := hashQueries(t, e, queries); got != want {
 					t.Errorf("%v: answers hash %#x, a heap build's %#x", backing, got, want)
 				}
-			}
-			if tc.repaired && !bytes.Equal(mustReadFile(t, path), whole) {
-				t.Error("the rebuilt sample file differs from the one first written")
+				sorted := append(strings.Fields(strings.Trim(reported, "[]")), atQuery...)
+				sort.Strings(sorted)
+				if got := counted(tr, "Events"); got != fmt.Sprint(sorted) {
+					t.Errorf("%v: aqp_sample_store_total counted %s, want %v", backing, got, sorted)
+				}
+				if repaired && !bytes.Equal(mustReadFile(t, path), whole) {
+					t.Errorf("%v: the rebuilt sample file differs from the one first written", backing)
+				}
+				if tc.payload && !repaired && bytes.Equal(mustReadFile(t, path), whole) {
+					t.Errorf("%v: a file with a payload no query read was rewritten", backing)
+				}
 			}
 		})
 	}
@@ -716,5 +758,143 @@ func TestNoSampleFilesWithoutIdentity(t *testing.T) {
 	}
 	if files := sampleFiles(t, dir, "events.store", "old.store"); len(files) != 0 {
 		t.Errorf("sample files %v written for tables without an identity", files)
+	}
+}
+
+// TestScanRecordsVerifiedBytes: the scan that first reads a column of a
+// sample served from its file checks the column's payload, and its stage
+// record and span say how many bytes that was; a later scan of the column
+// checks nothing. The sample's other columns are never hashed.
+func TestScanRecordsVerifiedBytes(t *testing.T) {
+	dir := t.TempDir()
+	full := storedTable(t, dir, "events.store", goldenTable(6*table.BlockRows))
+	report(t, storeEngine(t, Config{Seed: 3}, "Events", full), "Events", 3000)
+	e := storeEngine(t, Config{Seed: 3, SampleBacking: table.BackingCompressed}, "Events", full)
+	recs := recorded(e)
+	files := report(t, e, "Events", 3000)
+	if len(files) != 1 || !files[0].Opened {
+		t.Fatalf("sample files %+v, want the saved one opened", files)
+	}
+	var meta struct {
+		Columns []struct {
+			Name    string `json:"name"`
+			DataLen int64  `json:"data_len"`
+		} `json:"columns"`
+	}
+	data := mustReadFile(t, files[0].Path)
+	if err := json.Unmarshal(data[binary.LittleEndian.Uint64(data[8:16]):], &meta); err != nil {
+		t.Fatal(err)
+	}
+	payload := map[string]int64{}
+	for _, c := range meta.Columns {
+		payload[c.Name] = c.DataLen
+	}
+
+	for i, q := range []struct {
+		sql  string
+		want int64
+	}{
+		{"SELECT AVG(Gauss) FROM Events", payload["Gauss"]},
+		{"SELECT AVG(Gauss) FROM Events WHERE Cents > 100", payload["Cents"]},
+		{"SELECT SUM(Gauss) FROM Events WHERE Cents > 200", 0},
+	} {
+		if _, err := e.Run(context.Background(), q.sql); err != nil {
+			t.Fatal(err)
+		}
+		var got int64
+		var attr any
+		rec := (*recs)[i]
+		for _, s := range rec.Stages {
+			if s.Stage == obs.StageScan {
+				got += s.VerifiedBytes
+			}
+		}
+		for _, sp := range rec.Trace().Spans {
+			if sp.Stage == obs.StageScan {
+				attr = sp.Attrs["verified_bytes"]
+			}
+		}
+		if got != q.want {
+			t.Errorf("%s: scan verified %d bytes, want %d", q.sql, got, q.want)
+		}
+		if (attr == nil) != (q.want == 0) || attr != nil && attr != q.want {
+			t.Errorf("%s: scan span verified_bytes = %v, want %d", q.sql, attr, q.want)
+		}
+	}
+}
+
+// TestRacingQueriesRebuildOnce: queries racing to be the first to read a
+// damaged column of a sample served from its file all get the answer a heap
+// build gives, and the sample is rebuilt and saved once between them. Run it
+// under -race.
+func TestRacingQueriesRebuildOnce(t *testing.T) {
+	const n, queries = 3000, 8
+	const sql = "SELECT AVG(Gauss), MAX(Cents) FROM Events WHERE Day < 45"
+	content := goldenTable(6*table.BlockRows + 5)
+	ref := New(Config{Seed: 11, Workers: 2})
+	if err := ref.RegisterTable("Events", content); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.BuildSamples("Events", n); err != nil {
+		t.Fatal(err)
+	}
+	want := hashQueries(t, ref, []string{sql})
+
+	dir := t.TempDir()
+	full := storedTable(t, dir, "events.store", content)
+	report(t, storeEngine(t, Config{Seed: 11, Workers: 2}, "Events", full), "Events", n)
+	path := sampleFiles(t, dir, "events.store")[0]
+	whole := mustReadFile(t, path)
+	data := append([]byte(nil), whole...)
+	var meta struct {
+		Columns []struct {
+			Name    string `json:"name"`
+			DataOff int    `json:"data_off"`
+		} `json:"columns"`
+	}
+	if err := json.Unmarshal(data[binary.LittleEndian.Uint64(data[8:16]):], &meta); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range meta.Columns {
+		if c.Name == "Cents" {
+			data[c.DataOff+17] ^= 0x02
+		}
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tr := obs.NewTracer(obs.Options{})
+	e := storeEngine(t, Config{Seed: 11, Workers: 2, SampleBacking: table.BackingCompressed, Obs: tr}, "Events", full)
+	if got := outcomes(report(t, e, "Events", n)); got != "[opened]" {
+		t.Fatalf("sample file %s, want [opened]", got)
+	}
+	hashes := make([]answerHashes, queries)
+	var wg sync.WaitGroup
+	for i := range hashes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			h := newAnswerHasher()
+			ans, err := e.Run(context.Background(), sql)
+			if err != nil {
+				t.Errorf("query %d: %v", i, err)
+				return
+			}
+			h.add(ans)
+			hashes[i] = h.sum()
+		}(i)
+	}
+	wg.Wait()
+	for i, h := range hashes {
+		if h != want {
+			t.Errorf("query %d: answer hash %#x, a heap build's %#x", i, h, want)
+		}
+	}
+	if got := counted(tr, "Events"); got != "[built opened rejected]" {
+		t.Errorf("aqp_sample_store_total counted %s, want one rejection and one rebuild", got)
+	}
+	if !bytes.Equal(mustReadFile(t, path), whole) {
+		t.Error("the rebuilt sample file differs from the one first written")
 	}
 }

@@ -138,9 +138,9 @@ func (q *request) stage(s obs.StageRecord, start time.Time) int {
 }
 
 // execStages records an execution's stages — its scan and, on a sample, its
-// diagnostic and bootstrap kernel — with the work each did, the resample
-// estimates each drew and the diagnostic's verdicts; the bootstrap kernel
-// ran at replicate count k.
+// diagnostic and bootstrap kernel — with the work each did, the payload
+// bytes the scan checked, the resample estimates each drew and the
+// diagnostic's verdicts; the bootstrap kernel ran at replicate count k.
 func (q *request) execStages(res *exec.Result, k int, nested bool) {
 	for _, s := range []struct {
 		t   exec.StageTime
@@ -154,7 +154,7 @@ func (q *request) execStages(res *exec.Result, k int, nested bool) {
 			continue
 		}
 		s.rec.Nested, s.rec.Work, s.rec.Resamples = nested, s.t.Counters, s.t.Resamples
-		s.rec.Accepted, s.rec.Rejects = s.t.Accepted, s.t.Rejects
+		s.rec.Accepted, s.rec.Rejects, s.rec.VerifiedBytes = s.t.Accepted, s.t.Rejects, s.t.VerifiedBytes
 		s.rec.StartMs, s.rec.Ms = ms(s.t.Start.Sub(q.start)), ms(s.t.Dur)
 		q.stages = append(q.stages, s.rec)
 	}

@@ -118,6 +118,10 @@ func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Reg
 	tbl := st.Data
 	grouped := len(def.GroupBy) > 0
 	start := time.Now()
+	verified, err := checkColumns(def, tbl)
+	if err != nil {
+		return nil, err
+	}
 
 	s := &exactScan{tbl: tbl, aggInput: make([]int, len(def.Aggs))}
 	var skip []bool
@@ -155,7 +159,7 @@ func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Reg
 		c.RowsAfterFilter += s.groups[i].rows
 	}
 	res := &Result{SampleRows: tbl.NumRows(), Counters: c,
-		Scan: StageTime{Start: start, Dur: dur, Counters: c}}
+		Scan: StageTime{Start: start, Dur: dur, Counters: c, VerifiedBytes: verified}}
 	if grouped {
 		sort.Slice(s.groups, func(i, j int) bool { return s.groups[i].key < s.groups[j].key })
 	}
@@ -174,9 +178,9 @@ func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Reg
 // KeyCeiling is the most rows of st's table that one value of the column
 // holds: no group of a GROUP BY on it can have more rows, whatever the
 // predicate. The first call per column counts the groups with the exact
-// operator (COUNT(*) … GROUP BY col, on the calling goroutine) and memoizes
-// the answer on st. A call racing the first counts too and gets the same
-// answer.
+// operator (COUNT(*) … GROUP BY col, on the calling goroutine), which checks
+// the column's payload first like any scan, and memoizes the answer on st. A
+// call racing the first counts too and gets the same answer.
 func (st *StoredTable) KeyCeiling(ctx context.Context, col string, cfg Config) (int, error) {
 	idx := st.Data.Schema().Index(col)
 	if n, ok := st.ceilings.Load(idx); ok {
@@ -461,13 +465,23 @@ func (s *exactScan) fold(be *blockEval, counting bool) {
 	}
 	for ii, in := range s.inputs {
 		v := &be.vals[ii]
+		// An ungrouped input folds its moments a block at a time, in row
+		// order: the bits of adding them one at a time.
+		rowMoments := in.moments
+		if in.moments && s.key == nil {
+			s.groups[0].sinks[ii].m.AddAll(s.survivors(be, v))
+			rowMoments = false
+		}
+		if !in.sum && !rowMoments && !in.extreme && !in.vec {
+			continue
+		}
 		for k, p := range s.rowPos {
 			x := v.numAt(int(p))
 			sink := &s.groups[s.rowGroup[k]].sinks[ii]
 			if in.sum {
 				sink.sum += x
 			}
-			if in.moments {
+			if rowMoments {
 				sink.m.Add(x)
 			}
 			if in.extreme {
@@ -478,6 +492,19 @@ func (s *exactScan) fold(be *blockEval, counting bool) {
 			}
 		}
 	}
+}
+
+// survivors is v at the block's surviving rows, in row order: v's own values
+// when every row survives, otherwise a gather into the block's scratch.
+func (s *exactScan) survivors(be *blockEval, v *value) []float64 {
+	if be.keep == nil && !v.scalar {
+		return v.nums[:be.n]
+	}
+	out := be.sc.getF64(len(s.rowPos))
+	for k, p := range s.rowPos {
+		out[k] = v.numAt(int(p))
+	}
+	return out
 }
 
 // finalize reads one aggregate's answer off its group's sink. Each case

@@ -125,6 +125,10 @@ type StageTime struct {
 	// each of its rejections, in the order they were decided.
 	Accepted int
 	Rejects  []string
+	// VerifiedBytes is the payload bytes a scan checked against their
+	// store's sums before reading them: the first read of a column of a persisted
+	// sample (table.CheckColumn).
+	VerifiedBytes int64
 }
 
 // add accounts one piece of the stage that began at start and did c.
@@ -168,16 +172,49 @@ func Run(ctx context.Context, p *plan.Plan, st *StoredTable, udfs Registry, cfg 
 		verdictRows = o.SampleRows
 	}
 	scanStart := time.Now()
+	verified, err := checkColumns(p.Def, st.Data)
+	if err != nil {
+		return nil, err
+	}
 	base, err := scanFilterProject(ctx, p.Def, verdictRows, st.Data, cfg)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{SampleRows: st.Data.NumRows(), Counters: base.counters,
-		Scan: StageTime{Start: scanStart, Dur: time.Since(scanStart), Counters: base.counters}}
+		Scan: StageTime{Start: scanStart, Dur: time.Since(scanStart), Counters: base.counters, VerifiedBytes: verified}}
 	if err := runDownstream(ctx, p, st, base, udfs, cfg, res); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// checkColumns checks the payload of every column def reads from tbl — its
+// predicate's, its aggregates' inputs' and its GROUP BY key's — against the
+// sum its store lists (table.CheckColumn), before a scan reads any of them. It
+// returns the bytes it hashed; a column checked before costs nothing, and one
+// the schema lacks is left to the scan's type check. A refused column fails
+// the scan with the *table.CorruptColumnError.
+func checkColumns(def *plan.QueryDef, tbl *table.Table) (int64, error) {
+	names := slices.Clone(def.GroupBy)
+	if def.Where != nil {
+		names = append(names, sql.Columns(def.Where)...)
+	}
+	for _, spec := range def.Aggs {
+		if in := aggInput(spec); in != nil {
+			names = append(names, sql.Columns(in)...)
+		}
+	}
+	var hashed int64
+	for _, name := range names {
+		if i := tbl.Schema().Index(name); i >= 0 {
+			n, err := table.CheckColumn(tbl.Column(i))
+			hashed += n
+			if err != nil {
+				return hashed, fmt.Errorf("exec: scan of table %q: %w", def.Table, err)
+			}
+		}
+	}
+	return hashed, nil
 }
 
 // runDownstream drives everything after the physical pass — bootstrap and

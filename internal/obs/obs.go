@@ -293,6 +293,8 @@ func (r *QueryRecord) span(s StageRecord, verdicts bool) SpanSnapshot {
 		a.count("sample_rows", int64(s.SampleRows))
 		a.count("bootstrap_k", int64(s.K))
 		a["diagnostics"] = s.Diagnostics
+	case StageScan:
+		a.count("verified_bytes", s.VerifiedBytes)
 	case StageBootstrap:
 		a["k"] = int64(s.K)
 		a.count("resamples", s.Resamples)

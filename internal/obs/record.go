@@ -95,6 +95,9 @@ type StageRecord struct {
 	SampleRows  int
 	K           int
 	Diagnostics bool
+	// Scan: the payload bytes it checked against their store's sums before
+	// reading them — the first read of a persisted sample's columns.
+	VerifiedBytes int64
 	// Plan, when Reason is PlanBlockTable: the column blocks the block table
 	// predicted the exact plan decodes, which the engine chose over a sample.
 	PredictedBlocks int

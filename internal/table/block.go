@@ -117,6 +117,7 @@ type F64BlockCol struct {
 	mins   []float64
 	maxs   []float64
 	rows   int
+	check  *payloadCheck // nil unless opened by OpenStoreVerified
 }
 
 // Len returns the number of rows.
@@ -142,6 +143,7 @@ func (c *F64BlockCol) blockLen(b int) int {
 }
 
 func (c *F64BlockCol) decodeBlock(b int, dst []float64, iscratch []int64) {
+	c.check.backstop(c.data)
 	decodeF64Block(c.codecs[b], c.data[c.offs[b]:c.offs[b+1]], dst, iscratch)
 	decodedBlocksTotal.Add(1)
 }
@@ -189,6 +191,7 @@ type I64BlockCol struct {
 	mins   []float64
 	maxs   []float64
 	rows   int
+	check  *payloadCheck
 }
 
 // Len returns the number of rows.
@@ -214,6 +217,7 @@ func (c *I64BlockCol) blockLen(b int) int {
 }
 
 func (c *I64BlockCol) decodeBlock(b int, dst []int64) {
+	c.check.backstop(c.data)
 	decodeI64Block(c.codecs[b], c.data[c.offs[b]:c.offs[b+1]], dst)
 	decodedBlocksTotal.Add(1)
 }
@@ -281,6 +285,7 @@ type StrBlockCol struct {
 	offs    []uint32
 	rows    int
 	logical int64 // logical bytes as a raw StringCol would report
+	check   *payloadCheck
 }
 
 // Len returns the number of rows.
@@ -309,6 +314,7 @@ func (c *StrBlockCol) blockLen(b int) int {
 }
 
 func (c *StrBlockCol) decodeBlock(b int, dst []string) {
+	c.check.backstop(c.data)
 	payload := c.data[c.offs[b]:c.offs[b+1]]
 	if c.dict != nil {
 		decodeDictBlock(c.dict, payload, uint(c.widths[b]), dst)

@@ -2,6 +2,7 @@ package table
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -524,7 +525,9 @@ func FuzzStrBlock(f *testing.F) {
 
 // FuzzStoreOpen puts arbitrary bytes over a small valid store image, and
 // may cut it short, then opens it with and without digest verification. The
-// image must open or be refused as a corrupt store; nothing may panic.
+// image must open or be refused as a corrupt store. A verified open then
+// checks every column and decodes each one its check passes; a column it
+// refuses must say so with a CorruptColumnError. Nothing may panic.
 func FuzzStoreOpen(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "t.store")
 	if err := WriteStore(path, blockTestTable(2*BlockRows+5)); err != nil {
@@ -540,17 +543,34 @@ func FuzzStoreOpen(f *testing.F) {
 	f.Add(uint32(8), []byte{0xff, 0xff, 0xff, 0xff}, whole)
 	f.Add(metaOff-40, []byte{0xff, 0xff, 0xff, 0x7f}, whole) // a count in the last block table
 	f.Add(metaOff+9, []byte("-1"), whole)                    // the row count
-	outside := []byte(`{"rows":1,"columns":[{"data_off":16,"table_off":99999999,"table_len":16}]}`)
+	outside := []byte(`{"rows":1,"columns":[{"data_off":24,"table_off":99999999,"table_len":16}]}`)
 	f.Add(metaOff, outside, metaOff+uint32(len(outside)))
 	f.Add(uint32(100), []byte{}, metaOff/2)
+	f.Add(uint32(headerLen+5), []byte{0x5a}, whole) // a payload byte
 	f.Fuzz(func(t *testing.T, at uint32, patch []byte, keep uint32) {
 		img := append([]byte(nil), base[:min(keep, whole)]...)
 		if len(img) > 0 {
 			copy(img[int(at)%len(img):], patch)
 		}
 		for _, verify := range []bool{false, true} {
-			if _, err := storeFromBytes(img, verify); err != nil && !strings.Contains(err.Error(), "corrupt store") {
-				t.Fatalf("verify=%v: error %q does not say corrupt store", verify, err)
+			tbl, err := storeFromBytes(img, verify)
+			if err != nil {
+				if !strings.Contains(err.Error(), "corrupt store") {
+					t.Fatalf("verify=%v: error %q does not say corrupt store", verify, err)
+				}
+				continue
+			}
+			for i := 0; verify && i < tbl.NumCols(); i++ {
+				var corrupt *CorruptColumnError
+				if _, err := CheckColumn(tbl.Column(i)); err != nil {
+					if !errors.As(err, &corrupt) {
+						t.Fatalf("column %d: check error %v is not a CorruptColumnError", i, err)
+					}
+					continue
+				}
+				if err := decodeAll(tbl.Column(i)); err != nil {
+					t.Fatalf("column %d: decode after a passed check: %v", i, err)
+				}
 			}
 		}
 	})

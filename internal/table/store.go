@@ -2,8 +2,9 @@ package table
 
 // On-disk block store. A store file is the compressed backing made durable:
 //
-//	[8]  magic "AQPSTOR2"
+//	[8]  magic "AQPSTOR3"
 //	[8]  little-endian uint64 offset of the metadata section
+//	[8]  little-endian uint64 offset of the block tables
 //	[..] column data payloads, back to back (each column's encoded blocks)
 //	[..] block tables, one per column, back to back (below)
 //	[..] metadata: JSON, from the recorded offset to EOF
@@ -18,21 +19,25 @@ package table
 //	     (nb each, or none)
 //
 // The JSON keeps what is small — each column's name, type, payload and
-// block-table ranges, dictionary and logical size; the row count, tag and
-// digest — so opening a store decodes a few hundred bytes of JSON and copies
-// the block tables at memory speed. OpenStore attaches zone maps without
-// touching a single data byte: a query whose predicate excludes a block never
-// faults its pages in, which is what turns zone-map skipping into an I/O win
-// rather than just a CPU win. A file of the previous layout ("AQPSTOR1",
-// block tables inside the JSON) is refused: it is regenerated, not read.
+// block-table ranges, payload sum, dictionary and logical size; the row
+// count, tag and digest — so opening a store decodes a few hundred bytes of
+// JSON and copies the block tables at memory speed. OpenStore attaches zone
+// maps without touching a single data byte: a query whose predicate excludes
+// a block never faults its pages in, which is what turns zone-map skipping
+// into an I/O win rather than just a CPU win. A file of an earlier layout
+// ("AQPSTOR1", block tables inside the JSON; "AQPSTOR2", a digest over every
+// byte) is refused: it is regenerated, not read.
 //
-// The metadata's last member, "digest", is the store digest (storeDigest) of
-// every other byte of the file: header, payloads, block tables and the
-// metadata as it reads with that member removed. It is the store's identity —
-// two files with one digest hold the same table — and OpenStore hands it to
-// the Table without recomputing it, so opening stays O(metadata).
-// OpenStoreVerified recomputes it; that is for files small enough to read
-// whole and cheap enough to rebuild, which is to say persisted samples (see
+// Every column lists the store digest (storeDigest) of its payload as its
+// "sum". The metadata's last member, "digest", is the store digest of the
+// frame: the header, the block tables and the metadata as it reads with that
+// member removed — so it covers the payloads through the sums the metadata
+// lists. It is the store's identity — two files with one digest hold the same
+// table — and OpenStore hands it to the Table without recomputing it, so
+// opening stays O(metadata). OpenStoreVerified recomputes it, which reads the
+// frame and no payload byte, and leaves each payload to be checked against
+// its sum by the first read of its column (verify.go); that is for files that
+// are cheap to rebuild, which is to say persisted samples (see
 // core.BuildSamples). A file without the member opens with no identity.
 //
 // On unix the data section is served from a read-only memory mapping; other
@@ -57,9 +62,13 @@ import (
 )
 
 const (
-	storeMagic = "AQPSTOR2"
-	// storeMagicV1 is the layout that kept the block tables in the JSON.
+	storeMagic = "AQPSTOR3"
+	// storeMagicV1 is the layout that kept the block tables in the JSON, and
+	// storeMagicV2 the one whose digest covered every byte.
 	storeMagicV1 = "AQPSTOR1"
+	storeMagicV2 = "AQPSTOR2"
+	// headerLen is the magic and the two section offsets.
+	headerLen = 24
 	// digestChunk is the span the store digest hashes on its own. It is part
 	// of the format, not a knob: the digest of a file does not depend on how
 	// many goroutines computed it.
@@ -71,6 +80,8 @@ type storeColumn struct {
 	Type    Type   `json:"type"`
 	DataOff uint64 `json:"data_off"`
 	DataLen uint64 `json:"data_len"`
+	// Sum is the hex store digest of the payload.
+	Sum string `json:"sum"`
 	// TableOff and TableLen locate the column's binary block table.
 	TableOff uint64 `json:"table_off"`
 	TableLen uint64 `json:"table_len"`
@@ -238,8 +249,8 @@ func encodeTail(meta *storeMeta, off uint64) ([]byte, uint64, error) {
 // file, no file, or the whole new one, and an error leaves nothing behind. It
 // is not fsynced. Every consumer either regenerates its store (the benchmark,
 // aqpd -store from -gen/-csv) or treats it as a cache whose digest it checks
-// on open (persisted samples), so a file torn by power loss costs a rebuild,
-// not a wrong answer.
+// on open and whose payload sums it checks on first read (persisted samples),
+// so a file torn by power loss costs a rebuild, not a wrong answer.
 func WriteStore(path string, t *Table) error {
 	return WriteStoreTagged(path, t, t.tag)
 }
@@ -255,10 +266,15 @@ func WriteStoreTagged(path string, t *Table, tag string) (err error) {
 		ct = Compress(t)
 	}
 	meta := storeMeta{Rows: ct.rows, Tag: tag}
-	var header [16]byte
+	var header [headerLen]byte
 	parts := [][]byte{header[:]} // the file, in order: header, payloads, tables and metadata
 	dataOff := uint64(len(header))
 	for i, col := range ct.cols {
+		// A column of a verified store is checked before its bytes are
+		// written under a new sum.
+		if _, err := CheckColumn(col); err != nil {
+			return fmt.Errorf("table: writing store: %w", err)
+		}
 		sc := storeColumn{Name: ct.schema[i].Name, Type: ct.schema[i].Type}
 		var data []byte
 		switch c := col.(type) {
@@ -277,6 +293,7 @@ func WriteStoreTagged(path string, t *Table, tag string) (err error) {
 				sc.Name)
 		}
 		sc.DataOff, sc.DataLen = dataOff, uint64(len(data))
+		sc.Sum = hex.EncodeToString(storeDigest([][]byte{data}, runtime.GOMAXPROCS(0)))
 		parts = append(parts, data)
 		dataOff += uint64(len(data))
 		meta.Columns = append(meta.Columns, sc)
@@ -287,9 +304,9 @@ func WriteStoreTagged(path string, t *Table, tag string) (err error) {
 	}
 	copy(header[:8], storeMagic)
 	binary.LittleEndian.PutUint64(header[8:], metaOff)
-	parts = append(parts, tail)
-	sum := storeDigest(parts, runtime.GOMAXPROCS(0))
-	parts[len(parts)-1] = append(tail[:len(tail)-1], digestMember(sum)...)
+	binary.LittleEndian.PutUint64(header[16:], dataOff) // the block tables follow the payloads
+	sum := storeDigest([][]byte{header[:], tail}, 1)
+	parts = append(parts, append(tail[:len(tail)-1], digestMember(sum)...))
 
 	f, err := createBeside(path)
 	if err != nil {
@@ -354,8 +371,11 @@ func OpenStore(path string) (*Table, io.Closer, error) {
 }
 
 // OpenStoreVerified is OpenStore for a file that must be exactly what a
-// WriteStore wrote: it reads every byte once to recompute the digest and
-// refuses a file without one or with another.
+// WriteStore wrote. It recomputes the digest of the frame (header, block
+// tables, metadata: no payload byte) and refuses a file without one or with
+// another, or a column without a payload sum. Each column's payload is
+// checked against its sum by the first read of the column (CheckColumn), and
+// refused then.
 func OpenStoreVerified(path string) (*Table, io.Closer, error) {
 	return openStore(path, mapFile, true)
 }
@@ -378,20 +398,21 @@ func openStore(path string, mapper func(string) ([]byte, io.Closer, error), veri
 // says "corrupt store": whatever the bytes are, they are not a store this
 // code can serve.
 func storeFromBytes(data []byte, verify bool) (*Table, error) {
-	if len(data) >= 8 && string(data[:8]) == storeMagicV1 {
+	if len(data) >= 8 && (string(data[:8]) == storeMagicV1 || string(data[:8]) == storeMagicV2) {
 		return nil, fmt.Errorf("table: corrupt store (%s, a layout no longer read: "+
-			"remove the file and regenerate it with aqpd -store and -gen or -csv)", storeMagicV1)
+			"remove the file and regenerate it with aqpd -store and -gen or -csv)", data[:8])
 	}
-	if len(data) < 16 || string(data[:8]) != storeMagic {
+	if len(data) < headerLen || string(data[:8]) != storeMagic {
 		return nil, fmt.Errorf("table: corrupt store (bad magic: not a block store)")
 	}
 	metaOff := binary.LittleEndian.Uint64(data[8:16])
-	if metaOff < 16 || metaOff > uint64(len(data)) {
-		return nil, fmt.Errorf("table: corrupt store (meta offset %d of %d bytes)",
-			metaOff, len(data))
+	tablesOff := binary.LittleEndian.Uint64(data[16:24])
+	if metaOff > uint64(len(data)) || tablesOff < headerLen || tablesOff > metaOff {
+		return nil, fmt.Errorf("table: corrupt store (block tables at %d, metadata at %d of %d bytes)",
+			tablesOff, metaOff, len(data))
 	}
 	if verify {
-		if err := verifyDigest(data, metaOff); err != nil {
+		if err := verifyFrame(data, tablesOff, metaOff); err != nil {
 			return nil, err
 		}
 	}
@@ -408,11 +429,11 @@ func storeFromBytes(data []byte, verify bool) (*Table, error) {
 	for i := range meta.Columns {
 		sc := &meta.Columns[i]
 		schema[i] = Field{Name: sc.Name, Type: sc.Type}
-		if !inside(sc.DataOff, sc.DataLen, metaOff) {
+		if !inside(sc.DataOff, sc.DataLen, headerLen, tablesOff) {
 			return nil, fmt.Errorf("table: corrupt store (column %q data range)",
 				sc.Name)
 		}
-		if !inside(sc.TableOff, sc.TableLen, metaOff) {
+		if !inside(sc.TableOff, sc.TableLen, tablesOff, metaOff) {
 			return nil, fmt.Errorf("table: corrupt store (column %q block table range)",
 				sc.Name)
 		}
@@ -422,17 +443,25 @@ func storeFromBytes(data []byte, verify bool) (*Table, error) {
 		if err := sc.validate(meta.Rows, nb); err != nil {
 			return nil, fmt.Errorf("table: corrupt store (column %q: %w)", sc.Name, err)
 		}
+		var check *payloadCheck
+		if verify {
+			sum, err := hex.DecodeString(sc.Sum)
+			if err != nil || len(sum) != sha256.Size {
+				return nil, fmt.Errorf("table: corrupt store (column %q has no payload sum)", sc.Name)
+			}
+			check = &payloadCheck{column: sc.Name, sum: sum}
+		}
 		payload := data[sc.DataOff : sc.DataOff+sc.DataLen]
 		switch sc.Type {
 		case Float64:
 			cols[i] = &F64BlockCol{data: payload, offs: sc.Offs, codecs: sc.Codecs,
-				mins: sc.Mins, maxs: sc.Maxs, rows: meta.Rows}
+				mins: sc.Mins, maxs: sc.Maxs, rows: meta.Rows, check: check}
 		case Int64:
 			cols[i] = &I64BlockCol{data: payload, offs: sc.Offs, codecs: sc.Codecs,
-				mins: sc.Mins, maxs: sc.Maxs, rows: meta.Rows}
+				mins: sc.Mins, maxs: sc.Maxs, rows: meta.Rows, check: check}
 		case String:
 			cols[i] = &StrBlockCol{data: payload, offs: sc.Offs, widths: sc.Codecs,
-				dict: sc.Dict, rows: meta.Rows, logical: sc.Logical}
+				dict: sc.Dict, rows: meta.Rows, logical: sc.Logical, check: check}
 		}
 	}
 	t, err := New(schema, cols...)
@@ -448,10 +477,9 @@ func storeFromBytes(data []byte, verify bool) (*Table, error) {
 	return t, nil
 }
 
-// inside reports whether the n bytes at off lie after the 16-byte header and
-// before end.
-func inside(off, n, end uint64) bool {
-	return off >= 16 && off+n >= off && off+n <= end
+// inside reports whether the n bytes at off lie within [lo, hi).
+func inside(off, n, lo, hi uint64) bool {
+	return off >= lo && off+n >= off && off+n <= hi
 }
 
 func isHexDigest(s string) bool {
@@ -459,14 +487,15 @@ func isHexDigest(s string) bool {
 	return err == nil && len(sum) == sha256.Size
 }
 
-// verifyDigest recomputes the digest of a store image whose metadata starts
-// at metaOff and compares it with the one the image ends in.
-func verifyDigest(data []byte, metaOff uint64) error {
+// verifyFrame recomputes the digest of a store image's frame — its header,
+// and its block tables at tablesOff and metadata at metaOff without the
+// digest member — and compares it with the one the image ends in.
+func verifyFrame(data []byte, tablesOff, metaOff uint64) error {
 	cut := len(data) - digestMemberLen
 	if cut < 0 || uint64(cut) < metaOff {
 		return fmt.Errorf("table: corrupt store (no digest)")
 	}
-	sum := storeDigest([][]byte{data[:cut], []byte("}")}, runtime.GOMAXPROCS(0))
+	sum := storeDigest([][]byte{data[:headerLen], data[tablesOff:cut], []byte("}")}, 1)
 	if !bytes.Equal(data[cut:], []byte(digestMember(sum))) {
 		return fmt.Errorf("table: corrupt store (digest mismatch)")
 	}
@@ -477,7 +506,7 @@ func verifyDigest(data []byte, metaOff uint64) error {
 // bounds: one codec (or dictionary code width) per block, envelopes for every
 // block or for none, and payload offsets that start at 0, never decrease and
 // end at the payload's length. What the bytes inside a block's payload say is
-// not checked here; a persisted sample's digest covers them.
+// not checked here; a persisted sample's payload sums cover them.
 func (sc *storeColumn) validate(rows, nb int) error {
 	if len(sc.Offs) != nb+1 {
 		return fmt.Errorf("%d offsets, want %d", len(sc.Offs), nb+1)

@@ -3,12 +3,15 @@ package table
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -328,10 +331,11 @@ func mustRead(t *testing.T, path string) []byte {
 	return data
 }
 
-// TestOpenStoreVerified: any changed byte, a cut file, and a file without a
-// digest are all refused by the verifying open; the plain open neither reads
-// payloads nor recomputes, so it still accepts a payload flip and a store
-// from before digests (without an identity).
+// TestOpenStoreVerified: a changed byte of the frame, a cut file and a file
+// without a digest are refused by the verifying open; a changed payload byte
+// opens (TestStoreFlipMatrix has its first read). The plain open neither reads
+// payloads nor recomputes, so it accepts a payload flip and a store from
+// before digests (without an identity).
 func TestOpenStoreVerified(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTestStore(t, dir, "t.store", 2*BlockRows+41)
@@ -350,18 +354,17 @@ func TestOpenStoreVerified(t *testing.T) {
 		return out
 	}
 	refused := map[string][]byte{
-		"empty":              {},
-		"cut in payload":     good[:metaOff/2],
-		"cut in metadata":    good[:metaOff+(len(good)-metaOff)/2],
-		"cut in digest":      good[:len(good)-5],
-		"header flip":        flip(9),
-		"payload flip":       flip(metaOff / 2),
-		"last payload byte":  flip(metaOff - 1),
-		"metadata flip":      flip(metaOff + 20),
-		"digest flip":        flip(len(good) - 10),
-		"no digest":          append(append([]byte(nil), good[:len(good)-digestMemberLen]...), '}'),
-		"trailing byte":      append(append([]byte(nil), good...), '\n'),
-		"not a store at all": []byte("AQPSTOR2 but short"),
+		"empty":                 {},
+		"cut in payload":        good[:metaOff/2],
+		"cut in metadata":       good[:metaOff+(len(good)-metaOff)/2],
+		"cut in digest":         good[:len(good)-5],
+		"header flip":           flip(9),
+		"last block table byte": flip(metaOff - 1),
+		"metadata flip":         flip(metaOff + 20),
+		"digest flip":           flip(len(good) - 10),
+		"no digest":             append(append([]byte(nil), good[:len(good)-digestMemberLen]...), '}'),
+		"trailing byte":         append(append([]byte(nil), good...), '\n'),
+		"not a store at all":    []byte("AQPSTOR3 but short"),
 	}
 	for name, data := range refused {
 		if tbl, closer, err := OpenStoreVerified(variant(name, data)); err == nil {
@@ -369,6 +372,15 @@ func TestOpenStoreVerified(t *testing.T) {
 			t.Errorf("%s: verified open succeeded (%d rows)", name, tbl.NumRows())
 		}
 	}
+
+	sc := readJSON(t, good).Columns[1]
+	payloadFlip := variant("payload flip", flip(int(sc.DataOff+sc.DataLen/2)))
+	if _, closer, err := OpenStoreVerified(payloadFlip); err != nil {
+		t.Errorf("payload flip: verified open failed: %v", err)
+	} else {
+		closer.Close()
+	}
+
 	for _, name := range []string{"payload flip", "no digest"} {
 		tbl, closer, err := OpenStore(filepath.Join(dir, name))
 		if err != nil {
@@ -378,52 +390,66 @@ func TestOpenStoreVerified(t *testing.T) {
 		if name == "no digest" && mustIdentity(tbl) != "" {
 			t.Error("a store without a digest has a store identity")
 		}
+		if _, err := CheckColumn(tbl.Column(1)); err != nil {
+			t.Errorf("%s: a column of the plain open has a check: %v", name, err)
+		}
 		closer.Close()
 	}
 }
 
-// TestStoreDigestChunks: the digest is the SHA-256 of the length and the
-// chunks' SHA-256 sums, the same at any number of hashing goroutines, and
-// OpenStoreVerified refuses a flipped byte in the first, a middle or the last
-// chunk and in the block tables or the metadata, which the plain open, not
-// reading payloads, does not see in the payloads.
+// TestStoreDigestChunks: the store digest is the SHA-256 of the length and
+// the chunks' SHA-256 sums, the same at any number of hashing goroutines. A
+// column's listed sum is the store digest of its payload, and the file's
+// digest that of its frame. A flipped byte in the first, a middle or the last
+// chunk of a payload opens and is refused by the column's check; one in the
+// block tables or the metadata is refused at open.
 func TestStoreDigestChunks(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTestStore(t, dir, "t.store", 80*BlockRows+7)
 	good := mustRead(t, path)
-	chunks := (len(good) + digestChunk - 1) / digestChunk
+	meta := readJSON(t, good)
+	lat := meta.Columns[0] // normal floats: raw blocks, 8 bytes a row
+	payload := good[lat.DataOff : lat.DataOff+lat.DataLen]
+	chunks := (len(payload) + digestChunk - 1) / digestChunk
 	if chunks < 3 {
-		t.Fatalf("store of %d bytes spans %d digest chunks; the test needs a middle one", len(good), chunks)
+		t.Fatalf("payload of %d bytes spans %d digest chunks; the test needs a middle one", len(payload), chunks)
 	}
 
 	// The definition, written out serially over one contiguous stream.
-	cut := len(good) - digestMemberLen
-	stream := append(append([]byte(nil), good[:cut]...), '}')
-	want := binary.LittleEndian.AppendUint64(nil, uint64(len(stream)))
-	for lo := 0; lo < len(stream); lo += digestChunk {
-		sum := sha256.Sum256(stream[lo:min(lo+digestChunk, len(stream))])
-		want = append(want, sum[:]...)
+	serial := func(stream []byte) []byte {
+		want := binary.LittleEndian.AppendUint64(nil, uint64(len(stream)))
+		for lo := 0; lo < len(stream); lo += digestChunk {
+			sum := sha256.Sum256(stream[lo:min(lo+digestChunk, len(stream))])
+			want = append(want, sum[:]...)
+		}
+		sum := sha256.Sum256(want)
+		return sum[:]
 	}
-	ref := sha256.Sum256(want)
-	if got := good[cut:]; string(got) != digestMember(ref[:]) {
-		t.Fatalf("file ends in %s, want %s", got, digestMember(ref[:]))
+	ref := serial(payload)
+	if lat.Sum != hex.EncodeToString(ref) {
+		t.Fatalf("column %q lists sum %s, want %x", lat.Name, lat.Sum, ref)
+	}
+	metaOff := binary.LittleEndian.Uint64(good[8:16])
+	tablesOff := binary.LittleEndian.Uint64(good[16:24])
+	cut := len(good) - digestMemberLen
+	frame := append(append(append([]byte(nil), good[:headerLen]...), good[tablesOff:cut]...), '}')
+	if sum := serial(frame); string(good[cut:]) != digestMember(sum) {
+		t.Fatalf("file ends in %s, want %s", good[cut:], digestMember(sum))
 	}
 	// Parts cut across chunk boundaries, at 1 to 8 goroutines.
-	parts := [][]byte{stream[:7], stream[7 : digestChunk+1], {}, stream[digestChunk+1 : 2*digestChunk], stream[2*digestChunk:]}
+	parts := [][]byte{payload[:7], payload[7 : digestChunk+1], {}, payload[digestChunk+1 : 2*digestChunk], payload[2*digestChunk:]}
 	for _, workers := range []int{1, 2, 3, 8} {
-		if got := storeDigest(parts, workers); string(got) != string(ref[:]) {
+		if got := storeDigest(parts, workers); string(got) != string(ref) {
 			t.Errorf("%d goroutines: digest %x, want %x", workers, got, ref)
 		}
 	}
 
-	metaOff := int(binary.LittleEndian.Uint64(good[8:16]))
-	meta := readJSON(t, good)
 	last := meta.Columns[len(meta.Columns)-1]
-	flips := map[string]int{
-		"first chunk":  100,
-		"middle chunk": digestChunk + 3,
-		"last chunk":   (chunks-1)*digestChunk + 1,
-		"block table":  int(last.TableOff) + 20,
+	flips := map[string]uint64{
+		"first chunk":  lat.DataOff + 100,
+		"middle chunk": lat.DataOff + digestChunk + 3,
+		"last chunk":   lat.DataOff + uint64(chunks-1)*digestChunk + 1,
+		"block table":  last.TableOff + 20,
 		"metadata":     metaOff + 20,
 	}
 	for name, at := range flips {
@@ -434,19 +460,174 @@ func TestStoreDigestChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 		tbl, closer, err := OpenStoreVerified(p)
-		if err == nil {
-			closer.Close()
-			t.Errorf("%s (byte %d of %d): verified open succeeded (%d rows)", name, at, len(good), tbl.NumRows())
-		} else if !strings.Contains(err.Error(), "digest mismatch") {
-			t.Errorf("%s: error %q, want a digest mismatch", name, err)
-		}
-		if at < int(meta.Columns[0].TableOff) {
-			_, closer, err := OpenStore(p)
-			if err != nil {
-				t.Errorf("%s: plain open of a payload flip failed: %v", name, err)
-				continue
+		if at >= tablesOff {
+			if err == nil {
+				closer.Close()
+				t.Errorf("%s (byte %d of %d): verified open succeeded (%d rows)", name, at, len(good), tbl.NumRows())
+			} else if !strings.Contains(err.Error(), "digest mismatch") {
+				t.Errorf("%s: error %q, want a digest mismatch", name, err)
 			}
-			closer.Close()
+			continue
 		}
+		if err != nil {
+			t.Errorf("%s: verified open of a payload flip failed: %v", name, err)
+			continue
+		}
+		if _, err := CheckColumn(tbl.Column(0)); err == nil {
+			t.Errorf("%s (byte %d of %d): the column's check passed", name, at, len(good))
+		}
+		closer.Close()
+	}
+}
+
+// TestStoreFlipMatrix flips one byte at a time over the header, the start,
+// middle and end of each payload, each block table and the metadata. A flip
+// in the frame is refused at open; a flip in a payload opens, and is refused
+// by the first read of that column and no other — through CheckColumn, and
+// through the backstop of a block decode, which panics with the same error.
+func TestStoreFlipMatrix(t *testing.T) {
+	dir := t.TempDir()
+	good := mustRead(t, writeTestStore(t, dir, "t.store", 3*BlockRows+17))
+	meta := readJSON(t, good)
+	metaOff := int(binary.LittleEndian.Uint64(good[8:16]))
+	type flip struct {
+		region string
+		at     int
+		column int // the column whose payload holds the byte; -1 for the frame
+	}
+	var flips []flip
+	for at := 0; at < headerLen; at++ {
+		flips = append(flips, flip{"header", at, -1})
+	}
+	for ci, sc := range meta.Columns {
+		lo, n := int(sc.DataOff), int(sc.DataLen)
+		for _, at := range []int{lo, lo + n/2, lo + n - 1} {
+			flips = append(flips, flip{"payload of " + sc.Name, at, ci})
+		}
+		lo, n = int(sc.TableOff), int(sc.TableLen)
+		for _, at := range []int{lo, lo + n/2, lo + n - 1} {
+			flips = append(flips, flip{"block table of " + sc.Name, at, -1})
+		}
+	}
+	for _, at := range []int{metaOff, (metaOff + len(good)) / 2, len(good) - 1} {
+		flips = append(flips, flip{"metadata", at, -1})
+	}
+	p := filepath.Join(dir, "flipped.store")
+	for _, f := range flips {
+		bad := append([]byte(nil), good...)
+		bad[f.at] ^= 0x01
+		if err := os.WriteFile(p, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tbl, closer, err := OpenStoreVerified(p)
+		if f.column < 0 {
+			if err == nil {
+				closer.Close()
+				t.Errorf("%s, byte %d: verified open succeeded", f.region, f.at)
+			} else if !strings.Contains(err.Error(), "corrupt store") {
+				t.Errorf("%s, byte %d: error %q does not say corrupt store", f.region, f.at, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s, byte %d: verified open failed: %v", f.region, f.at, err)
+			continue
+		}
+		for ci := 0; ci < tbl.NumCols(); ci++ {
+			var err error
+			if ci%2 == 0 {
+				_, err = CheckColumn(tbl.Column(ci))
+			} else {
+				err = decodeAll(tbl.Column(ci))
+			}
+			var corrupt *CorruptColumnError
+			if ci == f.column && (!errors.As(err, &corrupt) || corrupt.Column != meta.Columns[ci].Name) {
+				t.Errorf("%s, byte %d: reading the column gave %v, want its CorruptColumnError", f.region, f.at, err)
+			}
+			if ci != f.column && err != nil {
+				t.Errorf("%s, byte %d: reading column %d gave %v", f.region, f.at, ci, err)
+			}
+		}
+		closer.Close()
+	}
+}
+
+// decodeAll reads every row of c, and returns the error a block decode's
+// backstop panicked with.
+func decodeAll(c Column) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var ok bool
+			if err, ok = r.(error); !ok {
+				panic(r)
+			}
+		}
+	}()
+	switch r := c.(type) {
+	case F64Reader:
+		r.ReadF64(make([]float64, c.Len()), 0)
+	case I64Reader:
+		r.ReadI64(make([]int64, c.Len()), 0)
+	case StrReader:
+		r.ReadStr(make([]string, c.Len()), 0)
+	}
+	return nil
+}
+
+// TestColumnCheckedOnce: readers racing to be a column's first check hash
+// its payload once between them — the hashed byte counts they report add up
+// to the payload's length — and all see one outcome, which a decode after
+// them sees too; a refused column stays refused. Run it under -race.
+func TestColumnCheckedOnce(t *testing.T) {
+	dir := t.TempDir()
+	good := mustRead(t, writeTestStore(t, dir, "t.store", 40*BlockRows+3))
+	meta := readJSON(t, good)
+	for _, flipped := range []bool{false, true} {
+		data := append([]byte(nil), good...)
+		if flipped {
+			data[meta.Columns[0].DataOff+9] ^= 0x01
+		}
+		p := filepath.Join(dir, "racing.store")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tbl, closer, err := OpenStoreVerified(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := tbl.Column(0)
+		const readers = 8
+		hashed := make([]int64, readers)
+		errs := make([]error, readers)
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				hashed[r], errs[r] = CheckColumn(col)
+				if errs[r] == nil && r%2 == 1 {
+					errs[r] = decodeAll(col)
+				}
+			}(r)
+		}
+		wg.Wait()
+		var total int64
+		for r := range hashed {
+			total += hashed[r]
+			if (errs[r] != nil) != flipped {
+				t.Errorf("flipped=%v: reader %d got %v", flipped, r, errs[r])
+			}
+		}
+		if total != int64(meta.Columns[0].DataLen) {
+			t.Errorf("flipped=%v: readers hashed %d bytes, want the payload's %d once",
+				flipped, total, meta.Columns[0].DataLen)
+		}
+		if n, err := CheckColumn(col); n != 0 || (err != nil) != flipped {
+			t.Errorf("flipped=%v: a later check hashed %d bytes, error %v", flipped, n, err)
+		}
+		if err := decodeAll(col); (err != nil) != flipped {
+			t.Errorf("flipped=%v: a later decode gave %v", flipped, err)
+		}
+		closer.Close()
 	}
 }

@@ -163,8 +163,8 @@ type Table struct {
 }
 
 // StoreIdentity reports, for a table that OpenStore returned from a file
-// carrying a digest, that digest (hex SHA-256 of the file's content, see
-// store.go) and the file's directory. Equal digests mean equal tables
+// carrying a digest, that digest (a hex SHA-256 that covers the file's
+// content, see store.go) and the file's directory. Equal digests mean equal tables
 // whatever the files are called, which is what lets something derived from
 // the table — a sample — be stored beside it under a name made from the
 // digest and found again by any process that opens the same content. Tables
