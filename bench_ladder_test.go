@@ -27,6 +27,13 @@ func ladderSample(accepting bool) []float64 {
 	return s
 }
 
+// servedConfig is the Algorithm 1 run the engine gives an unfiltered
+// aggregate over a sample of n rows: diagnostic.Ladder's sizes at p = P.
+func servedConfig(n int) diagnostic.Config {
+	sizes, _ := diagnostic.Ladder(n, n)
+	return diagnostic.Config{SubsampleSizes: sizes, P: diagnostic.P}
+}
+
 // BenchmarkDiagnosticLadder measures one diagnosis — what the serving path
 // pays before every answer. ξ is the bootstrap (K = 100) for the aggregates
 // without a closed form: up to 300 subsamples, each resampled 100 times with
@@ -61,7 +68,7 @@ func BenchmarkDiagnosticLadder(b *testing.B) {
 			s := c.s
 			t := c.q.Eval(s) // θ(S): the caller's, computed once for its answer
 			theta := func() float64 { return t }
-			cfg := diagnostic.DefaultConfig(len(s), diagnostic.P)
+			cfg := servedConfig(len(s))
 			b.ReportAllocs()
 			evals := 0
 			for i := 0; i < b.N; i++ {
@@ -82,7 +89,7 @@ func BenchmarkDiagnosticLadder(b *testing.B) {
 // and an aggregate the diagnostic accepts still gets all 300.
 func TestDiagnosticLadderDecidesEarly(t *testing.T) {
 	rejecting, accepting := ladderSample(false), ladderSample(true)
-	cfg := diagnostic.DefaultConfig(len(rejecting), diagnostic.P)
+	cfg := servedConfig(len(rejecting))
 	cfg.Workers = 2
 	minQ, avgQ := estimator.Query{Kind: estimator.Min}, estimator.Query{Kind: estimator.Avg}
 	minOf := func() float64 { return minQ.Eval(rejecting) }

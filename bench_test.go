@@ -80,17 +80,10 @@ func BenchmarkEnginePipelineOptimized(b *testing.B) {
 	}
 }
 
-// BenchmarkExactFallback measures what a rejected diagnostic costs: the
-// exact re-execution of a grouped AVG+MIN with a Day window over a 250k-row
-// compressed table, through exec.Run's block-streamed exact operator, and of
-// an ungrouped AVG over the same window.
-// B/op is the allocation ceiling — it should stay in the tens of KiB,
-// independent of the rows scanned. The cache-on run attaches the serving
-// benchmark's 8 MiB block cache, smaller than the blocks one scan admits
-// (30 × (8 + 16) KiB per column pair here, 5.9 MB for a City panel there):
-// the operator reads past it, so evictions/op is 0 and the rest of the line
-// matches the cache-off run.
-func BenchmarkExactFallback(b *testing.B) {
+// fallbackTable is BenchmarkExactFallback's Events(Day, Device, V): 250k
+// rows, compressed, Day ascending over 90 days. It returns the source the
+// rows were drawn from, for the benchmark's further draws.
+func fallbackTable() (*rng.Source, *exec.StoredTable) {
 	src := rng.New(2)
 	n := 250000
 	day := make(table.Int64Col, n)
@@ -106,7 +99,56 @@ func BenchmarkExactFallback(b *testing.B) {
 		{Name: "Device", Type: table.String},
 		{Name: "V", Type: table.Float64},
 	}, day, device, v)
-	st := &exec.StoredTable{Data: table.Compress(raw)}
+	return src, &exec.StoredTable{Data: table.Compress(raw)}
+}
+
+// ungroupedAvgPlan is the plan of BenchmarkExactFallback/ungrouped_avg.
+func ungroupedAvgPlan(tb testing.TB) *plan.Plan {
+	def, err := plan.Analyze(sql.MustParse(
+		"SELECT AVG(V) FROM Events WHERE Day >= 20 AND Day < 50").(*sql.Select), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := plan.Build(def, plan.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// TestExactFallbackAllocs gates, as a count, what
+// BenchmarkExactFallback/ungrouped_avg reports: the exact operator's
+// allocations per query, which a column check or an expression walk that
+// allocates on every query would raise.
+func TestExactFallbackAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	_, st := fallbackTable()
+	p := ungroupedAvgPlan(t)
+	run := func() {
+		if res, err := exec.Run(context.Background(), p, st, nil, exec.Config{Workers: 2}); err != nil || len(res.Groups) != 1 {
+			t.Fatalf("%v, err %v", res, err)
+		}
+	}
+	run() // the first query checks the columns; every later one finds them checked
+	if allocs := testing.AllocsPerRun(20, run); allocs > 56 {
+		t.Errorf("an ungrouped exact AVG allocates %v times per query, want at most 56", allocs)
+	}
+}
+
+// BenchmarkExactFallback measures what a rejected diagnostic costs: the
+// exact re-execution of a grouped AVG+MIN with a Day window over a 250k-row
+// compressed table, through exec.Run's block-streamed exact operator, and of
+// an ungrouped AVG over the same window.
+// B/op is the allocation ceiling — it should stay in the tens of KiB,
+// independent of the rows scanned. The cache-on run attaches the serving
+// benchmark's 8 MiB block cache, smaller than the blocks one scan admits
+// (30 × (8 + 16) KiB per column pair here, 5.9 MB for a City panel there):
+// the operator reads past it, so evictions/op is 0 and the rest of the line
+// matches the cache-off run.
+func BenchmarkExactFallback(b *testing.B) {
+	src, st := fallbackTable()
 	def, err := plan.Analyze(sql.MustParse(
 		"SELECT Device, AVG(V), MIN(V) FROM Events WHERE Day >= 20 AND Day < 50 GROUP BY Device").(*sql.Select), nil)
 	if err != nil {
@@ -139,15 +181,7 @@ func BenchmarkExactFallback(b *testing.B) {
 	// /ungrouped_avg: the same window with no GROUP BY, whose moments fold
 	// each block's surviving values in one Moments.AddAll call.
 	b.Run("ungrouped_avg", func(b *testing.B) {
-		def, err := plan.Analyze(sql.MustParse(
-			"SELECT AVG(V) FROM Events WHERE Day >= 20 AND Day < 50").(*sql.Select), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, err := plan.Build(def, plan.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := ungroupedAvgPlan(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -440,7 +474,7 @@ func BenchmarkDiagnosticParallel(b *testing.B) {
 	theta := func() float64 { return t }
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			cfg := diagnostic.DefaultConfig(len(s), diagnostic.P)
+			cfg := servedConfig(len(s))
 			cfg.Workers = workers
 			for i := 0; i < b.N; i++ {
 				res, err := diagnostic.Run(context.Background(), rng.New(uint64(i)), s, theta, q,

@@ -27,10 +27,6 @@ import (
 	"testing"
 )
 
-// protocolReference is the reason the guards keep the §3 evaluation
-// protocol, which only paper/'s figures call outside tests.
-const protocolReference = "§3 protocol: TestDiagnosticAccuracySmoke's reference, run by the figures"
-
 // exportAllowList names what the guard keeps without a non-test caller,
 // each with its reason. A key is a package path under internal/, then a
 // name: "table.DecodedBlocks", "obs/history.Store.Sync"; a bare package
@@ -44,12 +40,6 @@ var exportAllowList = map[string]string{
 	"obs.TraceSnapshot.Structure": "test seam: core's lifecycle test hashes every trace's span tree",
 	"sql.MustParse":               "test seam: plan, exec and root tests build queries from literals",
 	"workload.QuerySpec.SQL":      "test seam: core's trace integration test runs every generated query through the engine",
-
-	"diagnostic.Assess":             protocolReference,
-	"diagnostic.Tally":              protocolReference,
-	"diagnostic.Tally.Add":          protocolReference,
-	"diagnostic.Tally.AccurateFrac": protocolReference,
-	"estimator.EstimationWorks":     protocolReference,
 
 	"resample": "the §5.1 resampling strategies, kept as the reference the kernel and exec tests check the fused and generic kernels against",
 
@@ -115,13 +105,6 @@ var optionFieldAllowList = map[string]string{
 	"watchdog.Config.Tolerance":          "test seam: the alert pipeline test narrows the band its induced undercoverage leaves",
 	"watchdog.Config.Synchronous":        "test seam: core and alert tests run audits inline to assert on their outcome",
 	"obs/history.Options.SampleInterval": "test seam: core, wire and root tests stop the SLO sampler goroutine",
-
-	"estimator.EvalConfig.SampleSize": protocolReference,
-	"estimator.EvalConfig.Trials":     protocolReference,
-	"estimator.EvalConfig.TruthP":     protocolReference,
-	"estimator.EvalConfig.Alpha":      protocolReference,
-	"estimator.EvalConfig.DeltaTol":   protocolReference,
-	"estimator.EvalConfig.FailFrac":   protocolReference,
 }
 
 // TestEveryOptionFieldIsSet is the exported-name guard for option structs:

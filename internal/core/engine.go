@@ -629,9 +629,17 @@ func (e *Engine) Explain(query string) (string, error) {
 	if err := e.analyze(q); err != nil {
 		return "", err
 	}
+	var st *exec.StoredTable
+	err := e.rebuildingRefused(q, func() (*exec.StoredTable, error) {
+		var err error
+		st, err = q.planFirst()
+		return st, err
+	})
+	if err != nil {
+		return "", err
+	}
 	var p *plan.Plan
-	var err error
-	if st := q.nextSample(nil, nil); st != nil {
+	if st != nil {
 		p, err = e.buildApproxPlan(q, st, e.exactOnReject(q.opts))
 	} else {
 		p, err = e.buildExactPlan(q, false)

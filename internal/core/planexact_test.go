@@ -52,6 +52,9 @@ type planConfig struct {
 	backing string // raw, compressed or mmap
 	workers int
 	cache   bool
+	// damaged, in an mmap cell, names a column whose payload in the
+	// persisted sample has a byte flipped before the cell's engine opens it.
+	damaged string
 }
 
 func (c planConfig) String() string {
@@ -65,7 +68,7 @@ func planMatrix() []planConfig {
 	for _, backing := range []string{"raw", "compressed", "mmap"} {
 		for _, workers := range []int{1, 2, 7} {
 			for _, cache := range []bool{false, true} {
-				out = append(out, planConfig{backing, workers, cache})
+				out = append(out, planConfig{backing: backing, workers: workers, cache: cache})
 			}
 		}
 	}
@@ -106,6 +109,9 @@ func planEngine(t *testing.T, c planConfig) *Engine {
 			t.Fatal(err)
 		}
 		first.Close()
+		if c.damaged != "" {
+			flipPayload(t, sampleFiles(t, filepath.Dir(path), "e.store")[0], c.damaged)
+		}
 		table.StrictChecks(true)
 		t.Cleanup(func() { table.StrictChecks(false) })
 	}
@@ -481,6 +487,50 @@ func TestTooFewPlanDifferential(t *testing.T) {
 		}
 		if p := recs[0].Stages[1]; p.Stage != obs.StagePlan || p.Reason != "" || p.SampleRows != planSampleRows {
 			t.Errorf("noFallback=%v %+v: first plan %+v, want the sample's", run.e.cfg.noFallback, run.opts, p)
+		}
+	}
+}
+
+// TestTooFewPlanOnDamagedSample: on a persisted sample whose GROUP BY column
+// payload is damaged, whichever of EXPLAIN and Run reads the column first
+// refuses it and rebuilds the sample, and both then plan the grouped query as
+// an engine with a sound file does: exact, too few rows.
+func TestTooFewPlanOnDamagedSample(t *testing.T) {
+	const device = "SELECT Device, AVG(G), MAX(P) FROM E GROUP BY Device"
+	sound := planEngine(t, planConfig{backing: "mmap", workers: 2})
+	wantExplain, err := sound.Explain(device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(wantExplain, "exact (too few rows:") {
+		t.Fatalf("a sound file plans\n%s", wantExplain)
+	}
+	want, err := sound.Run(context.Background(), device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, explainFirst := range []bool{true, false} {
+		e := planEngine(t, planConfig{backing: "mmap", workers: 2, damaged: "Device"})
+		var explain string
+		var ans *Answer
+		steps := []func() error{
+			func() (err error) { explain, err = e.Explain(device); return err },
+			func() (err error) { ans, err = e.Run(context.Background(), device); return err },
+		}
+		if !explainFirst {
+			slices.Reverse(steps)
+		}
+		for _, step := range steps {
+			if err := step(); err != nil {
+				t.Fatalf("explain first = %v: %v", explainFirst, err)
+			}
+		}
+		if explain != wantExplain {
+			t.Errorf("explain first = %v: EXPLAIN\n%s\nwant\n%s", explainFirst, explain, wantExplain)
+		}
+		if ans.SampleRows != 0 || answerHash(ans) != answerHash(want) {
+			t.Errorf("explain first = %v: answered on %d sample rows, hash %#x; want exact, %#x",
+				explainFirst, ans.SampleRows, answerHash(ans), answerHash(want))
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 
 // RunOptions is one query's request: what to answer it with and how far to
 // go. The zero value is a plain request — the §5 pipeline on the sample
-// nextSample chooses, each aggregate the diagnostic rejects re-answered
+// planFirst chooses, each aggregate the diagnostic rejects re-answered
 // exactly, or the exact plan when the block table answers the query for
 // less decode than the sample would cost, or when no group of the sample
 // can be diagnosed. At most one of Exact, ErrorBound
@@ -90,7 +90,7 @@ type request struct {
 	start time.Time
 	def   *plan.QueryDef
 	rt    *registeredTable
-	// route is why nextSample planned the request exact (an obs.Plan*
+	// route is why planFirst planned the request exact (an obs.Plan*
 	// reason; "" when it did not), with the evidence: plannedBlocks, the
 	// decode predicted for the exact plan (obs.PlanBlockTable), or ceiling,
 	// the most rows one GROUP BY key holds in the sample of sampleRows rows
@@ -190,33 +190,48 @@ func (e *Engine) begin(ctx context.Context, sql string, opts RunOptions, replayO
 	return q, nil, nil
 }
 
-// execute answers a request begin found no replay for. A sample opened from
-// its file whose column the run refused (table.CorruptColumnError) is rebuilt
-// with the rows the file should have held, and the request runs again from
-// the start on the catalog that serves the build, so the answer is the one an
-// engine that found no file gives. Each rebuild replaces a sample for good,
-// which bounds the retries.
+// execute answers a request begin found no replay for.
 func (e *Engine) execute(q *request) (*Answer, error) {
-	ans, st, err := e.executeOnce(q)
+	var ans *Answer
+	err := e.rebuildingRefused(q, func() (st *exec.StoredTable, err error) {
+		ans, st, err = e.executeOnce(q)
+		return st, err
+	})
+	return ans, err
+}
+
+// rebuildingRefused runs attempt, which returns the sample it failed on with
+// its error. A sample opened from its file whose column attempt refused
+// (table.CorruptColumnError) is rebuilt with the rows the file should have
+// held, and attempt runs again from the start on the catalog that serves the
+// build, so what it returns is what an engine that found no file gives. Each
+// rebuild replaces a sample for good, which bounds the retries.
+func (e *Engine) rebuildingRefused(q *request, attempt func() (*exec.StoredTable, error)) error {
+	st, err := attempt()
 	for range q.rt.samples {
 		var refused *table.CorruptColumnError
 		if st == nil || !errors.As(err, &refused) || !e.rebuildSample(st) {
 			break
 		}
 		q.rt, _ = e.snapshotTable(q.def.Table)
-		ans, st, err = e.executeOnce(q)
+		st, err = attempt()
 	}
-	return ans, err
+	return err
 }
 
-// executeOnce runs the request on each sample nextSample names, then ends it
-// by the mode it names. A request that never ran on a sample — an exact one,
-// or one on a table with no sample its mode could run on — runs the exact
-// plan. A run on a sample that fails returns that sample with its error.
+// executeOnce runs the request on the sample planFirst names and on each one
+// nextSample names after it, then ends it by the mode it names. A request
+// that never ran on a sample — an exact one, or one on a table with no
+// sample its mode could run on — runs the exact plan. A run, or a plan, on a
+// sample that fails returns that sample with its error.
 func (e *Engine) executeOnce(q *request) (*Answer, *exec.StoredTable, error) {
 	var ran *exec.StoredTable
 	var ans *Answer
-	for st := q.nextSample(nil, nil); st != nil; st = q.nextSample(ran, ans) {
+	st, err := q.planFirst()
+	if err != nil {
+		return nil, st, err
+	}
+	for ; st != nil; st = q.nextSample(ran, ans) {
 		if err := q.ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("core: %s: %w", q.label(), err)
 		}
@@ -267,10 +282,10 @@ func (e *Engine) exactOnReject(opts RunOptions) bool {
 	return !e.cfg.noFallback && opts.TimeBudget == 0
 }
 
-// nextSample is the sample-choice policy, and the one reader of the catalog's
-// samples for routing: given the sample the request just ran on and its answer
-// (both nil before the first run), it names the sample to run next, or nil to
-// stop.
+// planFirst and nextSample are the sample-choice policy, and the one reader of
+// the catalog's samples for routing: planFirst names the sample a request runs
+// on first, and nextSample, given the sample the request just ran on and its
+// answer, the sample to run next; nil runs no (further) sample.
 //
 //   - A plain request runs once: on a stratified sample matching its GROUP BY
 //     when every aggregate is scale-invariant (stratification biases
@@ -283,22 +298,33 @@ func (e *Engine) exactOnReject(opts RunOptions) bool {
 //     largest one the pilot's per-row cost predicts will fit, if that is
 //     another sample.
 //
-// An exact request, or one with no sample its mode can run on, gets nil at
-// once and runs the exact plan. So does a request the block table answers
-// for no more decode than its first sample would cost (planExact), and a
-// grouped one no group of its first sample can be diagnosed for
-// (planTooFew).
+// An exact request, or one with no sample its mode can run on, gets nil from
+// planFirst and runs the exact plan. So does a request the block table
+// answers for no more decode than its first sample would cost (planExact),
+// and a grouped one no group of its first sample can be diagnosed for
+// (planTooFew). When planTooFew cannot read that sample's GROUP BY column,
+// planFirst returns the sample with the error.
+func (q *request) planFirst() (*exec.StoredTable, error) {
+	if q.opts.Exact {
+		return nil, nil
+	}
+	st := q.firstSample()
+	if st == nil || q.planExact(st) {
+		return nil, nil
+	}
+	switch tooFew, err := q.planTooFew(st); {
+	case err != nil:
+		return st, fmt.Errorf("core: %s: plan: %w", q.label(), err)
+	case tooFew:
+		return nil, nil
+	}
+	return st, nil
+}
+
+// nextSample is the rest of the policy (see planFirst).
 func (q *request) nextSample(ran *exec.StoredTable, ans *Answer) *exec.StoredTable {
 	samples := q.rt.samples
 	switch {
-	case q.opts.Exact:
-		return nil
-	case ran == nil:
-		st := q.firstSample()
-		if st != nil && (q.planExact(st) || q.planTooFew(st)) {
-			return nil
-		}
-		return st
 	case q.opts.plain():
 		return nil
 	case q.opts.ErrorBound > 0:
@@ -338,7 +364,7 @@ func (q *request) nextSample(ran *exec.StoredTable, ans *Answer) *exec.StoredTab
 	}
 }
 
-// firstSample is the sample a request's mode runs on first (see nextSample).
+// firstSample is the sample a request's mode runs on first (see planFirst).
 func (q *request) firstSample() *exec.StoredTable {
 	samples := q.rt.samples
 	if q.opts.plain() && len(q.def.GroupBy) == 1 && scaleInvariant(q.def) {
@@ -387,21 +413,22 @@ func (q *request) planExact(st *exec.StoredTable) bool {
 // the scan's barrier; this reaches it before the scan. An error bound is left
 // to escalate, since a larger sample may clear the floor, and a time budget
 // keeps a reject's bootstrap bar. It records the evidence on the request, for
-// the plan stage and EXPLAIN.
-func (q *request) planTooFew(st *exec.StoredTable) bool {
+// the plan stage and EXPLAIN. Counting the groups reads the GROUP BY column
+// of st, and its error is returned.
+func (q *request) planTooFew(st *exec.StoredTable) (bool, error) {
 	if !q.opts.plain() || !q.e.exactOnReject(q.opts) || q.e.cfg.skipDiagnostics || len(q.def.GroupBy) == 0 {
-		return false
+		return false, nil
 	}
 	ceiling, err := st.KeyCeiling(q.ctx, q.def.GroupBy[0], q.e.execConfig())
 	if err != nil {
-		return false // the sample run reports it
+		return false, err
 	}
 	n := st.Data.NumRows()
 	if sizes, diagnosed := diagnostic.Ladder(n, ceiling); sizes != nil || !diagnosed {
-		return false // a group may clear the floor, or no group is diagnosed
+		return false, nil // a group may clear the floor, or no group is diagnosed
 	}
 	q.route, q.ceiling, q.sampleRows = obs.PlanTooFewRows, ceiling, n
-	return true
+	return true, nil
 }
 
 // meetsBound reports whether every aggregate of ans is accepted by the

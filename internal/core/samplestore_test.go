@@ -392,6 +392,42 @@ func TestPersistedSampleKey(t *testing.T) {
 	}
 }
 
+// flipByte flips a bit of the byte of the store file at path that at names,
+// given the file's metadata offset and size.
+func flipByte(t *testing.T, path string, at func(metaOff, size int) int) {
+	t.Helper()
+	data := mustReadFile(t, path)
+	data[at(int(binary.LittleEndian.Uint64(data[8:16])), len(data))] ^= 0x04
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flipPayload flips a byte in the middle of the named column's payload in
+// the store file at path.
+func flipPayload(t *testing.T, path, column string) {
+	t.Helper()
+	flipByte(t, path, func(metaOff, _ int) int {
+		var meta struct {
+			Columns []struct {
+				Name    string `json:"name"`
+				DataOff int    `json:"data_off"`
+				DataLen int    `json:"data_len"`
+			} `json:"columns"`
+		}
+		if err := json.Unmarshal(mustReadFile(t, path)[metaOff:], &meta); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range meta.Columns {
+			if c.Name == column {
+				return c.DataOff + c.DataLen/2
+			}
+		}
+		t.Fatalf("no column %q in the sample file", column)
+		return 0
+	})
+}
+
 // TestPersistedSampleFaults: a sample file that is damaged, foreign, or
 // cannot be written is a rebuild and a counter — never an error, a panic or a
 // different answer. A flipped payload byte is refused where its column is
@@ -425,36 +461,8 @@ func TestPersistedSampleFaults(t *testing.T) {
 		}
 		return mustReadFile(t, sampleFiles(t, dir, "x.store")[0])
 	}
-	flip := func(t *testing.T, path string, at func(metaOff, size int) int) {
-		data := mustReadFile(t, path)
-		data[at(int(binary.LittleEndian.Uint64(data[8:16])), len(data))] ^= 0x04
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// flipPayload flips a byte in the middle of the named column's payload.
-	flipPayload := func(column string) func(*testing.T, string, string) {
-		return func(t *testing.T, _, path string) {
-			flip(t, path, func(metaOff, _ int) int {
-				var meta struct {
-					Columns []struct {
-						Name    string `json:"name"`
-						DataOff int    `json:"data_off"`
-						DataLen int    `json:"data_len"`
-					} `json:"columns"`
-				}
-				if err := json.Unmarshal(mustReadFile(t, path)[metaOff:], &meta); err != nil {
-					t.Fatal(err)
-				}
-				for _, c := range meta.Columns {
-					if c.Name == column {
-						return c.DataOff + c.DataLen/2
-					}
-				}
-				t.Fatalf("no column %q in the sample file", column)
-				return 0
-			})
-		}
+	payloadFault := func(column string) func(*testing.T, string, string) {
+		return func(t *testing.T, _, path string) { flipPayload(t, path, column) }
 	}
 	truncate := func(at func(metaOff, size int) int) func(*testing.T, string, string) {
 		return func(t *testing.T, _, path string) {
@@ -483,10 +491,10 @@ func TestPersistedSampleFaults(t *testing.T) {
 		{"truncated to nothing", truncate(func(_, _ int) int { return 0 }), "[rejected built]", true, false, false},
 		{"truncated in the payload", truncate(func(m, _ int) int { return m / 2 }), "[rejected built]", true, false, false},
 		{"truncated in the metadata", truncate(func(m, s int) int { return (m + s) / 2 }), "[rejected built]", true, false, false},
-		{"payload byte flipped", flipPayload("Gauss"), "[rejected built]", true, true, true},
-		{"payload byte no query reads flipped", flipPayload("Spiky"), "[rejected built]", true, true, false},
+		{"payload byte flipped", payloadFault("Gauss"), "[rejected built]", true, true, true},
+		{"payload byte no query reads flipped", payloadFault("Spiky"), "[rejected built]", true, true, false},
 		{"metadata byte flipped", func(t *testing.T, _, path string) {
-			flip(t, path, func(m, s int) int { return m + (s-m)/3 })
+			flipByte(t, path, func(m, s int) int { return m + (s-m)/3 })
 		}, "[rejected built]", true, false, false},
 		{"another table's sample under this name", func(t *testing.T, _, path string) {
 			if err := os.WriteFile(path, foreign(t, goldenTable(6*table.BlockRows+6), 11, n), 0o644); err != nil {

@@ -54,9 +54,6 @@ const (
 	// filterFloor: a filter that leaves too few rows for b₃ ≥ 16 (under
 	// 3,200 at p = P) makes the verdict CauseTooFewRows.
 	filterFloor = 16
-	// figureFloor: the paper figures diagnose any sample that fills rungs of
-	// 1, 2 and 4 rows.
-	figureFloor = 4
 )
 
 // ladder is the paper's k = 3 ladder in the ratio 1:2:4 (its 50, 100 and
@@ -127,14 +124,6 @@ func (c Config) workers() int {
 		return 1
 	}
 	return c.Workers
-}
-
-// DefaultConfig returns Algorithm 1 with p subsamples per size on a sample
-// of n rows that all reach the aggregate, at the paper figures' floor: the
-// ladder is nil, and Run fails validation, when the largest size would hold
-// fewer than 4 rows.
-func DefaultConfig(n, p int) Config {
-	return Config{SubsampleSizes: ladder(n, p, figureFloor), P: p}
 }
 
 // Validate reports whether the configuration is internally consistent and

@@ -51,18 +51,10 @@ func evalOf(q estimator.Query, values []float64) func() float64 {
 	return func() float64 { return q.Eval(values) }
 }
 
+// smallConfig is Algorithm 1 at the paper's p = 100 on n rows, with the
+// ladder's floor at 4 rows so that small test samples are diagnosed.
 func smallConfig(n int) Config {
-	// The paper's p=100; subsample ladder scaled to the test sample size.
-	return DefaultConfig(n, P)
-}
-
-func TestDefaultConfigFeasible(t *testing.T) {
-	for _, n := range []int{10000, 100000, 1000000} {
-		cfg := DefaultConfig(n, P)
-		if err := cfg.Validate(n); err != nil {
-			t.Errorf("DefaultConfig(%d, P) infeasible: %v", n, err)
-		}
-	}
+	return Config{SubsampleSizes: ladder(n, P, 4), P: P}
 }
 
 // refLadder is the serving ladder as it was computed before Ladder gave it
@@ -130,23 +122,10 @@ func TestLadderMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	// The paper figures' ladder: b₃ = n/2p with no floor but Validate's,
-	// which fails every ladder under 4 rows at the top.
-	for _, p := range []int{25, 50, 100} {
-		for _, n := range []int{0, 3*2*p - 1, 4*2*p - 1, 4 * 2 * p, 6000, 20000} {
-			b3 := n / (2 * p)
-			ref := Config{SubsampleSizes: []int{b3 / 4, b3 / 2, b3}, P: p}
-			got := DefaultConfig(n, p)
-			if refOK := ref.Validate(n) == nil; refOK != (got.Validate(n) == nil) ||
-				refOK && !reflect.DeepEqual(got, ref) {
-				t.Errorf("DefaultConfig(%d, %d) = %+v, reference %+v", n, p, got, ref)
-			}
-		}
-	}
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	good := DefaultConfig(100000, P)
+	good := smallConfig(100000)
 	cases := []struct {
 		name   string
 		mutate func(*Config)
@@ -307,7 +286,7 @@ func TestDiagnosticPerSizeStatsShrinkOnNiceData(t *testing.T) {
 
 func TestDiagnosticValidatesConfig(t *testing.T) {
 	s := gaussianSample(13, 100, 0, 1)
-	cfg := DefaultConfig(1000000, P) // far too big for 100 rows
+	cfg := smallConfig(1000000) // far too big for 100 rows
 	if _, err := Run(context.Background(), rng.New(14), s, evalOf(avgQ, s), avgQ,
 		estimator.ClosedForm{}, cfg); err == nil {
 		t.Error("oversized config not rejected")
@@ -345,96 +324,9 @@ func TestDiagnosticNoShuffleUsesGivenOrder(t *testing.T) {
 	}
 }
 
-func TestAssessMatrix(t *testing.T) {
-	cases := []struct {
-		diag, truth bool
-		want        Outcome
-	}{
-		{true, true, TrueAccept},
-		{false, false, TrueReject},
-		{true, false, FalsePositive},
-		{false, true, FalseNegative},
-	}
-	for _, c := range cases {
-		if got := Assess(c.diag, c.truth); got != c.want {
-			t.Errorf("Assess(%v, %v) = %v, want %v", c.diag, c.truth, got, c.want)
-		}
-	}
-}
-
-func TestTally(t *testing.T) {
-	var tl Tally
-	tl.Add(TrueAccept)
-	tl.Add(TrueAccept)
-	tl.Add(TrueReject)
-	tl.Add(FalsePositive)
-	if tl.total != 4 {
-		t.Errorf("Total = %d", tl.total)
-	}
-	if got := tl.Frac(TrueAccept); got != 0.5 {
-		t.Errorf("Frac(TrueAccept) = %v", got)
-	}
-	if got := tl.AccurateFrac(); got != 0.75 {
-		t.Errorf("AccurateFrac = %v", got)
-	}
-	var empty Tally
-	if empty.Frac(TrueAccept) != 0 {
-		t.Error("empty tally should report 0")
-	}
-}
-
-func TestOutcomeString(t *testing.T) {
-	if TrueAccept.String() != "accurate-approximation" ||
-		FalsePositive.String() != "false-positive" ||
-		FalseNegative.String() != "false-negative" ||
-		TrueReject.String() != "correct-rejection" {
-		t.Error("outcome names wrong")
-	}
-}
-
-// End-to-end accuracy smoke test in the spirit of Fig. 4: over a small
-// batch of easy and hard queries, the diagnostic should be right most of
-// the time.
-func TestDiagnosticAccuracySmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("accuracy smoke test is slow")
-	}
-	type workloadCase struct {
-		data []float64
-		q    estimator.Query
-		est  estimator.Estimator
-	}
-	cases := []workloadCase{
-		{gaussianSample(20, 40000, 100, 10), estimator.Query{Kind: estimator.Avg}, estimator.ClosedForm{}},
-		{gaussianSample(21, 40000, 100, 10), estimator.Query{Kind: estimator.Sum, PopN: 400000}, estimator.ClosedForm{}},
-		{gaussianSample(22, 40000, 100, 10), estimator.Query{Kind: estimator.Avg}, estimator.Bootstrap{K: 40}},
-		{paretoSample(23, 40000, 1.1), estimator.Query{Kind: estimator.Max}, estimator.Bootstrap{K: 40}},
-		{paretoSample(24, 40000, 1.05), estimator.Query{Kind: estimator.Max}, estimator.Bootstrap{K: 40}},
-	}
-	var tally Tally
-	src := rng.New(25)
-	for i, c := range cases {
-		cfg := smallConfig(len(c.data))
-		res, err := Run(context.Background(), src, c.data, evalOf(c.q, c.data), c.q, c.est, cfg)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		// Ground truth via the §3 protocol on a fresh "population" — here
-		// the sample itself serves as the finite population.
-		evalCfg := estimator.EvalConfig{SampleSize: 2000, Trials: 30, TruthP: 40,
-			Alpha: 0.95, DeltaTol: 0.2, FailFrac: 0.05}
-		works := estimator.EstimationWorks(src, c.data, c.q, c.est, evalCfg)
-		tally.Add(Assess(res.OK, works))
-	}
-	if tally.AccurateFrac() < 0.6 {
-		t.Errorf("diagnostic accuracy = %v over %d cases; want >= 0.6",
-			tally.AccurateFrac(), tally.total)
-	}
-}
-
 func BenchmarkDiagnosticClosedForm(b *testing.B) {
 	s := gaussianSample(30, 100000, 10, 3)
-	cfg := DefaultConfig(len(s), P)
+	cfg := smallConfig(len(s))
 	q := estimator.Query{Kind: estimator.Avg}
 	src := rng.New(31)
 	b.ResetTimer()
@@ -447,7 +339,7 @@ func BenchmarkDiagnosticClosedForm(b *testing.B) {
 
 func BenchmarkDiagnosticBootstrap(b *testing.B) {
 	s := gaussianSample(32, 100000, 10, 3)
-	cfg := DefaultConfig(len(s), P)
+	cfg := smallConfig(len(s))
 	q := estimator.Query{Kind: estimator.Avg}
 	src := rng.New(33)
 	b.ResetTimer()
@@ -779,7 +671,7 @@ func TestDecideFirstMatchesFullLadder(t *testing.T) {
 			s := workload.GenerateColumn(rng.New(uint64(1000*int(dist)+seed)), dist, 8000)
 			for _, q := range queries {
 				for _, xi := range xis {
-					cfg := DefaultConfig(len(s), P)
+					cfg := smallConfig(len(s))
 					id := dist.String() + " " + q.Name() + " " + xi.Name()
 					want, err := runFullLadder(ctx, rng.New(uint64(seed)), s, q, xi, cfg)
 					if err != nil {

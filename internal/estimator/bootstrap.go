@@ -13,36 +13,6 @@ import (
 // large number, like 100").
 const DefaultBootstrapK = 100
 
-// IntervalMethod selects how a confidence interval is read off the
-// bootstrap distribution.
-type IntervalMethod int
-
-// Bootstrap interval constructions.
-const (
-	// SymmetricCentered is the paper's §2.2 construction: the smallest
-	// interval around θ(S) covering α of the bootstrap distribution.
-	SymmetricCentered IntervalMethod = iota
-	// NormalApprox fits N(θ(S), sd(bootstrap)²) and uses ±z·sd. Less
-	// noisy at small K, blind to skew.
-	NormalApprox
-	// PercentileMethod uses the (1±α)/2 bootstrap quantiles re-centered
-	// on θ(S) (half-width = half the quantile range).
-	PercentileMethod
-)
-
-func (m IntervalMethod) String() string {
-	switch m {
-	case SymmetricCentered:
-		return "symmetric-centered"
-	case NormalApprox:
-		return "normal-approx"
-	case PercentileMethod:
-		return "percentile"
-	default:
-		return "unknown"
-	}
-}
-
 // Bootstrap is Efron's nonparametric bootstrap (§2.3.1): it approximates
 // the sampling distribution of θ(S) by the distribution of θ over K
 // Poissonized resamples of S. It applies to every aggregate, including
@@ -50,9 +20,6 @@ func (m IntervalMethod) String() string {
 type Bootstrap struct {
 	// K is the number of resamples; zero means DefaultBootstrapK.
 	K int
-	// Method selects the interval construction; the zero value is the
-	// paper's symmetric centered interval.
-	Method IntervalMethod
 }
 
 // Resamples is the number of resample estimates each interval draws.
@@ -98,18 +65,8 @@ func (b Bootstrap) IntervalContext(ctx context.Context, src *rng.Source, values 
 	if err := ctx.Err(); err != nil {
 		return Interval{}, err
 	}
-	var half float64
-	switch b.Method {
-	case NormalApprox:
-		half = stats.StdNormalQuantile(0.5+alpha/2) * stats.Stddev(ests)
-	case PercentileMethod:
-		lo := stats.Quantile(ests, (1-alpha)/2)
-		hi := stats.Quantile(ests, (1+alpha)/2)
-		half = (hi - lo) / 2
-	default:
-		// ests is this call's own and is not read again.
-		half = stats.SymmetricHalfWidthInPlace(ests, center, alpha)
-	}
+	// ests is this call's own and is not read again.
+	half := stats.SymmetricHalfWidthInPlace(ests, center, alpha)
 	return Interval{Center: center, HalfWidth: half}, nil
 }
 

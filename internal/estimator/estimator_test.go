@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/rng"
-	"repro/internal/sample"
 	"repro/internal/stats"
 )
 
@@ -18,6 +17,22 @@ func gaussianData(seed uint64, n int, mu, sigma float64) []float64 {
 		xs[i] = mu + sigma*src.NormFloat64()
 	}
 	return xs
+}
+
+// withReplacement draws n of xs uniformly with replacement.
+func withReplacement(src *rng.Source, xs []float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = xs[src.Intn(len(xs))]
+	}
+	return out
+}
+
+// stddev is the population standard deviation of xs.
+func stddev(xs []float64) float64 {
+	var m stats.Moments
+	m.AddAll(xs)
+	return m.Stddev()
 }
 
 func paretoData(seed uint64, n int, alpha float64) []float64 {
@@ -168,10 +183,6 @@ func TestApplicabilityPredicates(t *testing.T) {
 			t.Errorf("%v should not be closed-form applicable", k)
 		}
 	}
-	if !(Query{Kind: Avg}).LargeDeviationApplicable() ||
-		(Query{Kind: Max}).LargeDeviationApplicable() {
-		t.Error("large-deviation applicability wrong")
-	}
 }
 
 func TestAggKindString(t *testing.T) {
@@ -183,11 +194,11 @@ func TestAggKindString(t *testing.T) {
 	}
 }
 
-// --- Interval & Delta ---
+// --- Interval ---
 
 func TestIntervalGeometry(t *testing.T) {
 	iv := Interval{Center: 10, HalfWidth: 2}
-	if iv.Lo() != 8 || iv.Hi() != 12 || iv.Width() != 4 {
+	if iv.Lo() != 8 || iv.Hi() != 12 {
 		t.Error("interval geometry wrong")
 	}
 	if !iv.Contains(10) || !iv.Contains(8) || iv.Contains(12.001) {
@@ -204,21 +215,6 @@ func TestIntervalGeometry(t *testing.T) {
 	}
 }
 
-func TestDeltaSignConvention(t *testing.T) {
-	truth := Interval{Center: 0, HalfWidth: 1}
-	// Estimate twice as wide: pessimistic, δ = +1.
-	if d := Delta(Interval{Center: 0, HalfWidth: 2}, truth); d != 1 {
-		t.Errorf("wide delta = %v, want 1", d)
-	}
-	// Estimate half as wide: optimistic, δ = −0.5.
-	if d := Delta(Interval{Center: 0, HalfWidth: 0.5}, truth); d != -0.5 {
-		t.Errorf("narrow delta = %v, want -0.5", d)
-	}
-	if !math.IsNaN(Delta(Interval{0, 1}, Interval{0, 0})) {
-		t.Error("zero truth width should give NaN")
-	}
-}
-
 // --- Closed form ---
 
 func TestClosedFormAvgMatchesFormula(t *testing.T) {
@@ -228,7 +224,9 @@ func TestClosedFormAvgMatchesFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 1.959963984540054 * math.Sqrt(stats.SampleVariance(xs)/1000)
+	var m stats.Moments
+	m.AddAll(xs)
+	want := 1.959963984540054 * math.Sqrt(m.SampleVariance()/1000)
 	if math.Abs(iv.HalfWidth-want)/want > 1e-9 {
 		t.Errorf("AVG half-width = %v, want %v", iv.HalfWidth, want)
 	}
@@ -248,7 +246,7 @@ func TestClosedFormCoverage(t *testing.T) {
 	covered := 0
 	const trials = 300
 	for i := 0; i < trials; i++ {
-		s := sample.WithReplacement(src, pop, 500)
+		s := withReplacement(src, pop, 500)
 		iv, err := cf.Interval(nil, s, q, 0.95)
 		if err != nil {
 			t.Fatal(err)
@@ -289,7 +287,7 @@ func TestClosedFormVarianceAndStdev(t *testing.T) {
 	covered := 0
 	const trials = 200
 	for i := 0; i < trials; i++ {
-		s := sample.WithReplacement(src, pop, 1000)
+		s := withReplacement(src, pop, 1000)
 		iv, err := ClosedForm{}.Interval(nil, s, q, 0.95)
 		if err != nil {
 			t.Fatal(err)
@@ -302,10 +300,10 @@ func TestClosedFormVarianceAndStdev(t *testing.T) {
 		t.Errorf("VARIANCE closed-form coverage = %v", frac)
 	}
 	// STDEV half-width should be roughly VARIANCE half-width / (2σ).
-	s := sample.WithReplacement(src, pop, 1000)
+	s := withReplacement(src, pop, 1000)
 	ivV, _ := ClosedForm{}.Interval(nil, s, Query{Kind: Variance}, 0.95)
 	ivS, _ := ClosedForm{}.Interval(nil, s, Query{Kind: Stdev}, 0.95)
-	wantRatio := 2 * math.Sqrt(stats.Variance(s))
+	wantRatio := 2 * stddev(s)
 	gotRatio := ivV.HalfWidth / ivS.HalfWidth
 	if math.Abs(gotRatio-wantRatio)/wantRatio > 0.05 {
 		t.Errorf("VAR/STDEV width ratio = %v, want ~%v", gotRatio, wantRatio)
@@ -371,7 +369,7 @@ func TestBootstrapCoverageOnMean(t *testing.T) {
 	covered := 0
 	const trials = 150
 	for i := 0; i < trials; i++ {
-		s := sample.WithReplacement(src, pop, 400)
+		s := withReplacement(src, pop, 400)
 		iv, err := bs.Interval(src, s, q, 0.95)
 		if err != nil {
 			t.Fatal(err)
@@ -444,213 +442,6 @@ func TestBootstrapEmptySample(t *testing.T) {
 	}
 }
 
-// --- Large deviation ---
-
-func TestHoeffdingIsPessimistic(t *testing.T) {
-	xs := gaussianData(13, 1000, 0.5, 0.1) // data roughly within [0,1]
-	q := Query{Kind: Avg, Bounds: &[2]float64{0, 1}}
-	h, err := LargeDeviation{Bound: Hoeffding}.Interval(nil, xs, q, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := ClosedForm{}.Interval(nil, xs, q, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With σ = 0.1 and range 1, Hoeffding is ~4-7x wider than the CLT
-	// interval; assert at least 2x.
-	if h.HalfWidth < 2*c.HalfWidth {
-		t.Errorf("Hoeffding %v not clearly wider than closed form %v",
-			h.HalfWidth, c.HalfWidth)
-	}
-}
-
-func TestHoeffdingKnownValue(t *testing.T) {
-	xs := make([]float64, 100)
-	q := Query{Kind: Avg, Bounds: &[2]float64{0, 1}}
-	iv, err := LargeDeviation{Bound: Hoeffding}.Interval(nil, xs, q, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Sqrt(math.Log(2/0.05) / 200.0)
-	if math.Abs(iv.HalfWidth-want) > 1e-12 {
-		t.Errorf("Hoeffding half-width = %v, want %v", iv.HalfWidth, want)
-	}
-}
-
-func TestBernsteinTighterThanHoeffdingOnLowVariance(t *testing.T) {
-	// σ tiny relative to range: Bernstein should win.
-	xs := gaussianData(14, 10000, 0.5, 0.01)
-	q := Query{Kind: Avg, Bounds: &[2]float64{0, 1}}
-	h, _ := LargeDeviation{Bound: Hoeffding}.Interval(nil, xs, q, 0.95)
-	b, _ := LargeDeviation{Bound: Bernstein}.Interval(nil, xs, q, 0.95)
-	if b.HalfWidth >= h.HalfWidth {
-		t.Errorf("Bernstein %v not tighter than Hoeffding %v on low-variance data",
-			b.HalfWidth, h.HalfWidth)
-	}
-}
-
-func TestMcDiarmidEqualsHoeffdingForMean(t *testing.T) {
-	xs := gaussianData(15, 500, 0, 1)
-	q := Query{Kind: Avg, Bounds: &[2]float64{-5, 5}}
-	h, _ := LargeDeviation{Bound: Hoeffding}.Interval(nil, xs, q, 0.95)
-	m, _ := LargeDeviation{Bound: McDiarmid}.Interval(nil, xs, q, 0.95)
-	if h.HalfWidth != m.HalfWidth {
-		t.Error("McDiarmid should coincide with Hoeffding for the sample mean")
-	}
-}
-
-func TestLargeDeviationGuaranteedCoverage(t *testing.T) {
-	// Hoeffding coverage must be ≥ α (in practice ≈ 1).
-	src := rng.New(16)
-	pop := make([]float64, 50000)
-	for i := range pop {
-		pop[i] = src.Float64() // uniform [0,1)
-	}
-	q := Query{Kind: Avg, Bounds: &[2]float64{0, 1}}
-	truthMean := q.Eval(pop)
-	covered := 0
-	const trials = 200
-	for i := 0; i < trials; i++ {
-		s := sample.WithReplacement(src, pop, 200)
-		iv, err := LargeDeviation{Bound: Hoeffding}.Interval(nil, s, q, 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iv.Contains(truthMean) {
-			covered++
-		}
-	}
-	if covered < trials*95/100 {
-		t.Errorf("Hoeffding coverage %d/%d below nominal", covered, trials)
-	}
-}
-
-func TestLargeDeviationScaledSum(t *testing.T) {
-	xs := gaussianData(17, 100, 0.5, 0.1)
-	avg := Query{Kind: Avg, Bounds: &[2]float64{0, 1}}
-	sum := Query{Kind: Sum, PopN: 1000, Bounds: &[2]float64{0, 1}}
-	a, _ := LargeDeviation{Bound: Hoeffding}.Interval(nil, xs, avg, 0.95)
-	s, _ := LargeDeviation{Bound: Hoeffding}.Interval(nil, xs, sum, 0.95)
-	// SUM bound = AVG bound × scale × n = ×1000.
-	if math.Abs(s.HalfWidth/a.HalfWidth-1000) > 1e-6 {
-		t.Errorf("SUM/AVG bound ratio = %v, want 1000", s.HalfWidth/a.HalfWidth)
-	}
-}
-
-func TestLargeDeviationNotApplicable(t *testing.T) {
-	if _, err := (LargeDeviation{}).Interval(nil, []float64{1}, Query{Kind: Max}, 0.95); err == nil {
-		t.Error("MAX should have no large-deviation bound")
-	}
-	if _, err := (LargeDeviation{}).Interval(nil, nil, Query{Kind: Avg}, 0.95); err == nil {
-		t.Error("empty sample should error")
-	}
-}
-
-func TestBoundAndVerdictStrings(t *testing.T) {
-	if Hoeffding.String() != "hoeffding" || Bernstein.String() != "bernstein" ||
-		McDiarmid.String() != "mcdiarmid" {
-		t.Error("bound names wrong")
-	}
-	if Correct.String() != "correct" || Optimistic.String() != "optimistic" ||
-		Pessimistic.String() != "pessimistic" || NotApplicable.String() != "not-applicable" {
-		t.Error("verdict names wrong")
-	}
-	if (LargeDeviation{Bound: Bernstein}).Name() != "large-deviation/bernstein" {
-		t.Error("estimator name wrong")
-	}
-}
-
-// --- Truth & Evaluate ---
-
-func TestComputeTruth(t *testing.T) {
-	src := rng.New(18)
-	pop := gaussianData(19, 50000, 10, 2)
-	q := Query{Kind: Avg}
-	truth := ComputeTruth(src, pop, q, 500, 200, 0.95)
-	if truth.Answer != q.Eval(pop) {
-		t.Error("truth answer wrong")
-	}
-	if len(truth.Estimates) != 200 {
-		t.Error("truth estimate count wrong")
-	}
-	// True half width ≈ z * σ/√n.
-	want := 1.96 * math.Sqrt(stats.Variance(pop)/500)
-	if truth.Interval.HalfWidth < 0.5*want || truth.Interval.HalfWidth > 1.8*want {
-		t.Errorf("true half-width = %v, want ~%v", truth.Interval.HalfWidth, want)
-	}
-	// The realized sampling errors θ(Sᵢ) − θ(D) (§2.1's ε) center on zero.
-	errs := make([]float64, len(truth.Estimates))
-	for i, e := range truth.Estimates {
-		errs[i] = e - truth.Answer
-	}
-	if m := stats.Mean(errs); math.Abs(m) > 4*want {
-		t.Errorf("sampling errors not centered: %v", m)
-	}
-}
-
-func TestEvaluateClosedFormCorrectOnGaussianMean(t *testing.T) {
-	src := rng.New(20)
-	pop := gaussianData(21, 100000, 100, 10)
-	cfg := paperEvalConfig(1000)
-	res := Evaluate(src, pop, Query{Kind: Avg}, ClosedForm{}, cfg)
-	if res.Verdict != Correct {
-		t.Errorf("closed form on Gaussian AVG: %v (opt=%v pess=%v)",
-			res.Verdict, res.FracOptimistic, res.FracPessimistic)
-	}
-	if len(res.Deltas) != cfg.Trials {
-		t.Error("delta count wrong")
-	}
-}
-
-func TestEvaluateBootstrapFailsOnHeavyTailMax(t *testing.T) {
-	// MAX over heavy-tailed data is the canonical failure (§2.3.1): the
-	// bootstrap cannot see beyond the sample's own maximum.
-	src := rng.New(22)
-	pop := paretoData(23, 200000, 1.1)
-	cfg := EvalConfig{SampleSize: 500, Trials: 60, TruthP: 60,
-		Alpha: 0.95, DeltaTol: 0.2, FailFrac: 0.05}
-	res := Evaluate(src, pop, Query{Kind: Max}, Bootstrap{K: 60}, cfg)
-	if res.Verdict == Correct {
-		t.Errorf("bootstrap on Pareto MAX unexpectedly correct (opt=%v pess=%v)",
-			res.FracOptimistic, res.FracPessimistic)
-	}
-}
-
-func TestEvaluateHoeffdingPessimistic(t *testing.T) {
-	src := rng.New(24)
-	pop := gaussianData(25, 100000, 0.5, 0.05)
-	for i := range pop { // clamp into [0,1] so the bound's range is honest
-		pop[i] = math.Max(0, math.Min(1, pop[i]))
-	}
-	cfg := EvalConfig{SampleSize: 1000, Trials: 50, TruthP: 100,
-		Alpha: 0.95, DeltaTol: 0.2, FailFrac: 0.05}
-	q := Query{Kind: Avg, Bounds: &[2]float64{0, 1}}
-	res := Evaluate(src, pop, q, LargeDeviation{Bound: Hoeffding}, cfg)
-	if res.Verdict != Pessimistic {
-		t.Errorf("Hoeffding verdict = %v, want pessimistic", res.Verdict)
-	}
-}
-
-func TestEvaluateNotApplicable(t *testing.T) {
-	src := rng.New(26)
-	pop := gaussianData(27, 1000, 0, 1)
-	res := Evaluate(src, pop, Query{Kind: Max}, ClosedForm{}, paperEvalConfig(100))
-	if res.Verdict != NotApplicable {
-		t.Errorf("verdict = %v, want not-applicable", res.Verdict)
-	}
-}
-
-func TestEstimationWorks(t *testing.T) {
-	src := rng.New(28)
-	pop := gaussianData(29, 50000, 10, 1)
-	cfg := EvalConfig{SampleSize: 500, Trials: 40, TruthP: 60,
-		Alpha: 0.95, DeltaTol: 0.2, FailFrac: 0.05}
-	if !EstimationWorks(src, pop, Query{Kind: Avg}, ClosedForm{}, cfg) {
-		t.Error("closed form should work on Gaussian AVG")
-	}
-}
-
 // Property: for any data, the bootstrap interval is centered on θ(S).
 func TestQuickBootstrapCentering(t *testing.T) {
 	src := rng.New(30)
@@ -669,25 +460,6 @@ func TestQuickBootstrapCentering(t *testing.T) {
 		return iv.Center == q.Eval(xs) && iv.HalfWidth >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Hoeffding width shrinks as 1/√n.
-func TestQuickHoeffdingShrinks(t *testing.T) {
-	q := Query{Kind: Avg, Bounds: &[2]float64{0, 1}}
-	f := func(nRaw uint8) bool {
-		n := int(nRaw)%500 + 10
-		small := make([]float64, n)
-		big := make([]float64, 4*n)
-		a, err1 := LargeDeviation{}.Interval(nil, small, q, 0.95)
-		b, err2 := LargeDeviation{}.Interval(nil, big, q, 0.95)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return math.Abs(a.HalfWidth/b.HalfWidth-2) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
@@ -715,31 +487,6 @@ func BenchmarkBootstrapAvgK100(b *testing.B) {
 	}
 }
 
-func TestBootstrapIntervalMethods(t *testing.T) {
-	xs := gaussianData(50, 3000, 100, 10)
-	q := Query{Kind: Avg}
-	widths := map[IntervalMethod]float64{}
-	for _, m := range []IntervalMethod{SymmetricCentered, NormalApprox, PercentileMethod} {
-		iv, err := (Bootstrap{K: 300, Method: m}).Interval(rng.New(9), xs, q, 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		widths[m] = iv.HalfWidth
-	}
-	// On symmetric Gaussian data all three constructions agree closely.
-	for m, w := range widths {
-		ref := widths[SymmetricCentered]
-		if r := w / ref; r < 0.8 || r > 1.25 {
-			t.Errorf("%v width %v vs symmetric %v (ratio %v)", m, w, ref, r)
-		}
-	}
-	if SymmetricCentered.String() != "symmetric-centered" ||
-		NormalApprox.String() != "normal-approx" ||
-		PercentileMethod.String() != "percentile" {
-		t.Error("method names wrong")
-	}
-}
-
 // Property: AVG intervals scale linearly when the data is scaled.
 func TestQuickIntervalScaleEquivariance(t *testing.T) {
 	base := gaussianData(51, 400, 10, 2)
@@ -760,82 +507,6 @@ func TestQuickIntervalScaleEquivariance(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestChernoffTighterForSmallProportions(t *testing.T) {
-	// A 2% indicator column (a selective COUNT): Chernoff's width scales
-	// with sqrt(p), Hoeffding's with the full range.
-	src := rng.New(60)
-	xs := make([]float64, 20000)
-	for i := range xs {
-		if src.Float64() < 0.02 {
-			xs[i] = 1
-		}
-	}
-	q := Query{Kind: Avg, Bounds: &[2]float64{0, 1}}
-	ch, err := LargeDeviation{Bound: Chernoff}.Interval(nil, xs, q, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ho, err := LargeDeviation{Bound: Hoeffding}.Interval(nil, xs, q, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.HalfWidth >= ho.HalfWidth/2 {
-		t.Errorf("Chernoff %v not clearly tighter than Hoeffding %v on a 2%% proportion",
-			ch.HalfWidth, ho.HalfWidth)
-	}
-	if Chernoff.String() != "chernoff" {
-		t.Error("bound name wrong")
-	}
-}
-
-func TestChernoffCoverage(t *testing.T) {
-	// Chernoff coverage must stay ≥ α.
-	src := rng.New(61)
-	pop := make([]float64, 100000)
-	for i := range pop {
-		if src.Float64() < 0.05 {
-			pop[i] = 1
-		}
-	}
-	q := Query{Kind: Avg, Bounds: &[2]float64{0, 1}}
-	truthMean := q.Eval(pop)
-	covered := 0
-	const trials = 200
-	for i := 0; i < trials; i++ {
-		s := sample.WithReplacement(src, pop, 2000)
-		iv, err := LargeDeviation{Bound: Chernoff}.Interval(nil, s, q, 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iv.Contains(truthMean) {
-			covered++
-		}
-	}
-	if covered < trials*95/100 {
-		t.Errorf("Chernoff coverage %d/%d below nominal", covered, trials)
-	}
-}
-
-func TestChernoffDegenerateFallsBack(t *testing.T) {
-	// All-zero data: normalized mean 0 → falls back to the Hoeffding form.
-	xs := make([]float64, 100)
-	q := Query{Kind: Avg, Bounds: &[2]float64{0, 1}}
-	ch, err := LargeDeviation{Bound: Chernoff}.Interval(nil, xs, q, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ho, _ := LargeDeviation{Bound: Hoeffding}.Interval(nil, xs, q, 0.95)
-	if ch.HalfWidth != ho.HalfWidth {
-		t.Errorf("degenerate Chernoff %v != Hoeffding %v", ch.HalfWidth, ho.HalfWidth)
-	}
-}
-
-// paperEvalConfig is §3's protocol: 100 samples, δ tolerance 0.2, failure
-// when ≥5% of samples deviate, 95% confidence intervals.
-func paperEvalConfig(sampleSize int) EvalConfig {
-	return EvalConfig{SampleSize: sampleSize, Trials: 100, TruthP: 100, Alpha: 0.95, DeltaTol: 0.2, FailFrac: 0.05}
 }
 
 // TestCritValueMemo: the memoized Student-t critical value has the bits of

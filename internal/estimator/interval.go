@@ -18,9 +18,6 @@ func (iv Interval) Lo() float64 { return iv.Center - iv.HalfWidth }
 // Hi returns the upper endpoint.
 func (iv Interval) Hi() float64 { return iv.Center + iv.HalfWidth }
 
-// Width returns the full interval width.
-func (iv Interval) Width() float64 { return 2 * iv.HalfWidth }
-
 // Contains reports whether x lies inside the interval.
 func (iv Interval) Contains(x float64) bool {
 	return x >= iv.Lo() && x <= iv.Hi()
@@ -38,22 +35,4 @@ func (iv Interval) RelativeError() float64 {
 
 func (iv Interval) String() string {
 	return fmt.Sprintf("%g ± %g", iv.Center, iv.HalfWidth)
-}
-
-// Delta computes the paper's δ accuracy statistic comparing an estimated
-// interval width against the true interval width:
-//
-//	δ = (estimated width − true width) / true width
-//
-// δ > 0.2 flags a pessimistic estimate (interval too wide), δ < −0.2 an
-// optimistic and incorrect one (interval too narrow). The sign convention
-// follows §3's classification (pessimism = overestimation of error).
-// Returns NaN when the true width is zero or either width is NaN.
-func Delta(estimated, truth Interval) float64 {
-	tw := truth.Width()
-	ew := estimated.Width()
-	if tw == 0 || math.IsNaN(tw) || math.IsNaN(ew) {
-		return math.NaN()
-	}
-	return (ew - tw) / tw
 }

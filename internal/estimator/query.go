@@ -1,8 +1,8 @@
-// Package estimator implements the error-estimation procedures compared in
-// the paper — closed-form CLT estimates, the nonparametric bootstrap and
-// large-deviation bounds — behind a single interface, together with the
-// ground-truth ("true confidence interval") machinery and the δ-based
-// accuracy evaluation of §3.
+// Package estimator implements the two error-estimation procedures the
+// engine serves — closed-form CLT estimates and the nonparametric bootstrap
+// — behind the one interface the diagnostic validates, and the aggregate θ
+// they estimate. The paper's §3 comparison against large-deviation bounds,
+// with its ground truth and δ-based verdicts, is paper/'s.
 package estimator
 
 import (
@@ -78,11 +78,6 @@ type Query struct {
 	// the closed form, which holds that count at the sample's, does not
 	// apply (ClosedFormApplicable). It takes precedence over PopN.
 	Scale float64
-
-	// Bounds, when non-nil, give known population bounds [lo, hi] of the
-	// aggregation column. Large-deviation estimators require them; the
-	// paper notes this sensitivity quantity must be precomputed per θ.
-	Bounds *[2]float64
 
 	// Fn is the user-defined aggregate for Kind == UDF. It must treat a
 	// nil weight slice as all-ones and must ignore rows with weight zero.
@@ -278,18 +273,6 @@ func (q Query) ClosedFormApplicable() bool {
 		return true
 	case Sum, Count:
 		return q.Scale == 0
-	default:
-		return false
-	}
-}
-
-// LargeDeviationApplicable reports whether the large-deviation estimators
-// apply: they require the aggregate to be a bounded-sensitivity mean-like
-// statistic with known bounds.
-func (q Query) LargeDeviationApplicable() bool {
-	switch q.Kind {
-	case Avg, Sum, Count:
-		return true
 	default:
 		return false
 	}

@@ -259,13 +259,9 @@ func (s *exactScan) planKey(groupBy []string) error {
 	if err != nil {
 		return err
 	}
-	names := func(e sql.Expr) bool {
-		for _, c := range sql.Columns(e) {
-			if strings.EqualFold(c, groupBy[0]) {
-				return true
-			}
-		}
-		return false
+	names := func(e sql.Expr) (found bool) {
+		sql.EachColumn(e, func(c string) { found = found || strings.EqualFold(c, groupBy[0]) })
+		return found
 	}
 	s.keyInPred = s.pred != nil && names(s.pred)
 	key.memoF64 = s.keyInPred
@@ -382,7 +378,10 @@ func admittedRows(lo, hi int, skip []bool) int {
 // but each group's row count.
 func (s *exactScan) scan(ctx context.Context, skip []bool, counting bool) (decodeMeter, error) {
 	be := blockEval{vals: make([]value, len(s.inputs))}
-	be.sc = scratch{m: &be.meter, memo: make([]value, s.tbl.NumCols())}
+	// A block's predicate, key, inputs and survivors take a few pooled
+	// vectors; room for them up front keeps the lists from regrowing.
+	be.sc = scratch{m: &be.meter, memo: make([]value, s.tbl.NumCols()),
+		f64s: make([]*[]float64, 0, 4), bools: make([]*[]bool, 0, 4)}
 	err := walkBlocks(ctx, 0, s.tbl.NumRows(), skip, &be.sc, func(row, end int) error {
 		covered := s.pred == nil || isCovered(s.covered, row)
 		if covered && s.envCols != nil && !counting && s.foldEnvelopes(row/table.ZoneBlockRows, end-row) {

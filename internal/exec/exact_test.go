@@ -119,10 +119,14 @@ func referenceExact(p *plan.Plan, tbl *table.Table, udfs Registry) ([]GroupOutpu
 	cols := make([][]float64, len(def.Aggs))
 	for ai, spec := range def.Aggs {
 		if spec.Kind == estimator.Count { // one per row, whatever (resolvable) thing is counted
-			for _, c := range sql.Columns(spec.Input) {
-				if tbl.ColumnByName(c) == nil {
-					return nil, errors.New("unknown column " + c)
+			var err error
+			sql.EachColumn(spec.Input, func(c string) {
+				if err == nil && tbl.ColumnByName(c) == nil {
+					err = errors.New("unknown column " + c)
 				}
+			})
+			if err != nil {
+				return nil, err
 			}
 			cols[ai] = make([]float64, len(sel))
 			for i := range cols[ai] {

@@ -195,24 +195,26 @@ func Run(ctx context.Context, p *plan.Plan, st *StoredTable, udfs Registry, cfg 
 // the schema lacks is left to the scan's type check. A refused column fails
 // the scan with the *table.CorruptColumnError.
 func checkColumns(def *plan.QueryDef, tbl *table.Table) (int64, error) {
-	names := slices.Clone(def.GroupBy)
-	if def.Where != nil {
-		names = append(names, sql.Columns(def.Where)...)
+	var hashed int64
+	var err error
+	check := func(name string) {
+		if i := tbl.Schema().Index(name); i >= 0 && err == nil {
+			var n int64
+			n, err = table.CheckColumn(tbl.Column(i))
+			hashed += n
+		}
 	}
+	for _, name := range def.GroupBy {
+		check(name)
+	}
+	sql.EachColumn(def.Where, check)
 	for _, spec := range def.Aggs {
 		if in := aggInput(spec); in != nil {
-			names = append(names, sql.Columns(in)...)
+			sql.EachColumn(in, check)
 		}
 	}
-	var hashed int64
-	for _, name := range names {
-		if i := tbl.Schema().Index(name); i >= 0 {
-			n, err := table.CheckColumn(tbl.Column(i))
-			hashed += n
-			if err != nil {
-				return hashed, fmt.Errorf("exec: scan of table %q: %w", def.Table, err)
-			}
-		}
+	if err != nil {
+		return hashed, fmt.Errorf("exec: scan of table %q: %w", def.Table, err)
 	}
 	return hashed, nil
 }

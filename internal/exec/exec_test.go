@@ -62,6 +62,13 @@ func storedSessions(n int, seed uint64) *StoredTable {
 
 // --- Expression evaluation ---
 
+// stddev is the population standard deviation of xs.
+func stddev(xs []float64) float64 {
+	var m stats.Moments
+	m.AddAll(xs)
+	return m.Stddev()
+}
+
 func TestEvalNumericArithmetic(t *testing.T) {
 	tbl := table.MustNew(table.Schema{{Name: "x", Type: table.Float64}},
 		table.Float64Col{1, 2, 3})
@@ -298,8 +305,10 @@ func TestRunBootstrapProducesSaneDistribution(t *testing.T) {
 	// The bootstrap SE of a normal sample's median should approximate
 	// √(π/2)·s/√n.
 	times := st.Data.ColumnByName("Time").(table.Float64Col)
-	wantSE := math.Sqrt(math.Pi / 2 * stats.SampleVariance(times) / 20000)
-	se := stats.Stddev(out.Bootstrap)
+	var m stats.Moments
+	m.AddAll(times)
+	wantSE := math.Sqrt(math.Pi / 2 * m.SampleVariance() / 20000)
+	se := stddev(out.Bootstrap)
 	if se < 0.5*wantSE || se > 2*wantSE {
 		t.Errorf("bootstrap SE = %v, want ~%v", se, wantSE)
 	}
@@ -494,7 +503,7 @@ func TestBootstrapMatchesIndependentPoissonResamples(t *testing.T) {
 	}
 
 	mUnion, mCons := stats.Mean(resampleAnswers), stats.Mean(consolidated)
-	seUnion, seCons := stats.Stddev(resampleAnswers), stats.Stddev(consolidated)
+	seUnion, seCons := stddev(resampleAnswers), stddev(consolidated)
 	if math.Abs(mUnion-mCons) > 4*(seUnion+seCons)/math.Sqrt(k) {
 		t.Errorf("independent-resample mean %v vs consolidated %v", mUnion, mCons)
 	}

@@ -39,10 +39,14 @@ func referenceScan(def *plan.QueryDef, tbl *table.Table) ([]group, []int, error)
 	for ai, spec := range def.Aggs {
 		var vals []float64
 		if spec.Kind == estimator.Count {
-			for _, c := range sql.Columns(spec.Input) {
-				if tbl.ColumnByName(c) == nil {
-					return nil, nil, errors.New("unknown column " + c)
+			var err error
+			sql.EachColumn(spec.Input, func(c string) {
+				if err == nil && tbl.ColumnByName(c) == nil {
+					err = errors.New("unknown column " + c)
 				}
+			})
+			if err != nil {
+				return nil, nil, err
 			}
 			vals = make([]float64, len(sel))
 			for i := range vals {

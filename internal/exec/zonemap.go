@@ -335,9 +335,7 @@ func ExtremeDecode(memo *cache.PredMemo, st *StoredTable, def *plan.QueryDef) (b
 	var skip, covered []bool
 	intCover := true
 	if def.Where != nil {
-		for _, name := range sql.Columns(def.Where) {
-			read[schema.Index(name)] = true
-		}
+		sql.EachColumn(def.Where, func(name string) { read[schema.Index(name)] = true })
 		for name := range predRanges(def.Where) {
 			intCover = intCover && schema[schema.Index(name)].Type == table.Int64
 		}

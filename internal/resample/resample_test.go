@@ -129,14 +129,18 @@ func TestEstimatesAllStrategiesAgreeOnMean(t *testing.T) {
 		xs[i] = 50 + 10*src.NormFloat64()
 	}
 	sampleMean := stats.Mean(xs)
-	wantSE := math.Sqrt(stats.SampleVariance(xs) / float64(n))
+	var mo stats.Moments
+	mo.AddAll(xs)
+	wantSE := math.Sqrt(mo.SampleVariance() / float64(n))
 	for _, strat := range []Strategy{Poissonized, ExactMultinomial, TupleAugmentation} {
 		ests := Estimates(src, xs, 300, weightedMean, strat)
 		if len(ests) != 300 {
 			t.Fatalf("%v: got %d estimates", strat, len(ests))
 		}
 		m := stats.Mean(ests)
-		se := stats.Stddev(ests)
+		var me stats.Moments
+		me.AddAll(ests)
+		se := me.Stddev()
 		if math.Abs(m-sampleMean) > 4*wantSE {
 			t.Errorf("%v: bootstrap mean %v far from sample mean %v", strat, m, sampleMean)
 		}

@@ -1,7 +1,10 @@
-// Package sample implements the sampling layer of the AQP system: simple
-// random samples (values with replacement, row ids without) and the disjoint
+// Package sample implements the sampling layer of the AQP system: the row
+// ids of a simple random sample drawn without replacement, the shuffle that
+// makes any contiguous slice of a sample a sample itself, and the disjoint
 // subsample partitioning the diagnostic relies on. The engine's catalog of
 // built samples, and the choice of which one a query runs on, are core's.
+// The paper's with-replacement model (§2.1), which only its figures draw
+// from, is paper/'s.
 package sample
 
 import (
@@ -9,16 +12,6 @@ import (
 
 	"repro/internal/rng"
 )
-
-// WithReplacement draws n rows uniformly at random from xs with
-// replacement, matching the paper's simple-random-sampling model (§2.1).
-func WithReplacement(src *rng.Source, xs []float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = xs[src.Intn(len(xs))]
-	}
-	return out
-}
 
 // RowsWithoutReplacement draws the row ids of a uniform sample of n distinct
 // rows out of popRows, in the shuffled order a stored sample keeps them. The

@@ -17,29 +17,6 @@ func seq(n int) []float64 {
 	return xs
 }
 
-func TestWithReplacementShapeAndSupport(t *testing.T) {
-	src := rng.New(1)
-	xs := seq(100)
-	s := WithReplacement(src, xs, 1000)
-	if len(s) != 1000 {
-		t.Fatalf("len = %d", len(s))
-	}
-	for _, v := range s {
-		if v < 0 || v > 99 {
-			t.Fatalf("sampled value %v outside support", v)
-		}
-	}
-}
-
-func TestWithReplacementMeanConverges(t *testing.T) {
-	src := rng.New(2)
-	xs := seq(1000) // mean 499.5
-	s := WithReplacement(src, xs, 200000)
-	if m := stats.Mean(s); math.Abs(m-499.5) > 5 {
-		t.Fatalf("sample mean %v too far from 499.5", m)
-	}
-}
-
 func TestWithoutReplacementNoDuplicates(t *testing.T) {
 	for _, n := range []int{10, 100, 400, 500} {
 		ids := RowsWithoutReplacement(rng.New(uint64(n)), 500, n)
@@ -186,7 +163,7 @@ func TestQuickDisjointSubsamplesDisjoint(t *testing.T) {
 }
 
 // TestRequiredSampleSizeScaling checks the 1/√n rule the engine's sample
-// choice projects with, on WithReplacement samples of a mean-10,
+// choice projects with, on with-replacement samples of a mean-10,
 // standard-deviation-5 population: the 95% relative error of the sample mean
 // is (1.96·5/10)/√n, so 96 rows meet a 10% bound, and 4× the rows halve the
 // error.
@@ -200,7 +177,11 @@ func TestRequiredSampleSizeScaling(t *testing.T) {
 	relErr95 := func(n int) float64 {
 		errs := make([]float64, 4000)
 		for i := range errs {
-			errs[i] = math.Abs(stats.Mean(WithReplacement(src, pop, n))-mu) / mu
+			s := make([]float64, n)
+			for j := range s {
+				s[j] = pop[src.Intn(len(pop))]
+			}
+			errs[i] = math.Abs(stats.Mean(s)-mu) / mu
 		}
 		return stats.Quantile(errs, 0.95)
 	}

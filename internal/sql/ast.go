@@ -140,31 +140,22 @@ func (f *FuncCall) String() string {
 	return f.Name + "(" + strings.Join(args, ", ") + ")"
 }
 
-// Columns returns the distinct column names referenced by the expression,
-// in first-appearance order.
-func Columns(e Expr) []string {
-	var out []string
-	seen := map[string]bool{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch v := e.(type) {
-		case *ColumnRef:
-			key := strings.ToLower(v.Name)
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, v.Name)
-			}
-		case *Binary:
-			walk(v.L)
-			walk(v.R)
-		case *Unary:
-			walk(v.E)
-		case *FuncCall:
-			for _, a := range v.Args {
-				walk(a)
-			}
+// EachColumn calls visit with the name of every column reference in e, left
+// to right, once per reference: a column named twice is visited twice. A nil
+// e visits nothing. It allocates nothing, so a hot path may walk an
+// expression on every query.
+func EachColumn(e Expr, visit func(name string)) {
+	switch v := e.(type) {
+	case *ColumnRef:
+		visit(v.Name)
+	case *Binary:
+		EachColumn(v.L, visit)
+		EachColumn(v.R, visit)
+	case *Unary:
+		EachColumn(v.E, visit)
+	case *FuncCall:
+		for _, a := range v.Args {
+			EachColumn(a, visit)
 		}
 	}
-	walk(e)
-	return out
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -249,14 +250,24 @@ func TestRoundTripStrings(t *testing.T) {
 }
 
 func TestColumns(t *testing.T) {
-	sel := MustParse("SELECT a + b * a FROM t WHERE c > 0").(*Select)
-	cols := Columns(sel.Items[0].Expr)
-	if len(cols) != 2 || cols[0] != "a" || cols[1] != "b" {
-		t.Errorf("Columns = %v", cols)
+	sel := MustParse("SELECT a + b * f(a, -d) FROM t WHERE c > 0").(*Select)
+	columns := func(e Expr) []string {
+		var out []string
+		EachColumn(e, func(name string) { out = append(out, name) })
+		return out
 	}
-	whereCols := Columns(sel.Where)
-	if len(whereCols) != 1 || whereCols[0] != "c" {
-		t.Errorf("where Columns = %v", whereCols)
+	if cols := columns(sel.Items[0].Expr); !slices.Equal(cols, []string{"a", "b", "a", "d"}) {
+		t.Errorf("EachColumn visits %v", cols)
+	}
+	if cols := columns(sel.Where); !slices.Equal(cols, []string{"c"}) {
+		t.Errorf("EachColumn visits %v in the WHERE", cols)
+	}
+	if cols := columns(nil); cols != nil {
+		t.Errorf("EachColumn visits %v in no expression", cols)
+	}
+	visit := func(string) {}
+	if n := testing.AllocsPerRun(100, func() { EachColumn(sel.Items[0].Expr, visit) }); n != 0 {
+		t.Errorf("EachColumn allocates %v times per walk", n)
 	}
 }
 

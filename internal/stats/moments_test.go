@@ -153,8 +153,12 @@ func TestMomentsMatchTwoPass(t *testing.T) {
 			m := order.into
 			m.Merge(&order.o)
 			within(t, c.name+" "+order.name, &m, ref, n, k, true)
-			if m.Min() != Min(c.xs) || m.Max() != Max(c.xs) {
-				t.Errorf("%s %s: extremes [%v, %v], want [%v, %v]", c.name, order.name, m.Min(), m.Max(), Min(c.xs), Max(c.xs))
+			var want Extremes
+			for _, x := range c.xs {
+				want.Add(x, x)
+			}
+			if m.Min() != want.Min() || m.Max() != want.Max() {
+				t.Errorf("%s %s: extremes [%v, %v], want [%v, %v]", c.name, order.name, m.Min(), m.Max(), want.Min(), want.Max())
 			}
 		}
 	}

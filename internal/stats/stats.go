@@ -245,45 +245,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or NaN when empty.
-func Variance(xs []float64) float64 {
-	var m Moments
-	m.AddAll(xs)
-	return m.Variance()
-}
-
-// SampleVariance returns the Bessel-corrected variance of xs.
-func SampleVariance(xs []float64) float64 {
-	var m Moments
-	m.AddAll(xs)
-	return m.SampleVariance()
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the smallest element of xs by Extremes' rule, or NaN when
-// empty.
-func Min(xs []float64) float64 {
-	e := extremesOf(xs)
-	return e.Min()
-}
-
-// Max returns the largest element of xs by Extremes' rule, or NaN when
-// empty.
-func Max(xs []float64) float64 {
-	e := extremesOf(xs)
-	return e.Max()
-}
-
-func extremesOf(xs []float64) Extremes {
-	var e Extremes
-	for _, x := range xs {
-		e.Add(x, x)
-	}
-	return e
-}
-
 // Quantile returns the q-quantile (q in [0,1]) of xs using linear
 // interpolation between order statistics (type-7, the R/NumPy default).
 // The input is not modified. It returns NaN for empty input or q outside

@@ -185,8 +185,7 @@ func generateQuery(src *rng.Source, kind Kind, id, popSize int, pAdv float64) Qu
 		}
 		spec.Dist = Uniform
 		spec.Population = xs
-		spec.Query = estimator.Query{Kind: estimator.Count, PopN: popSize,
-			Bounds: &[2]float64{0, 1}}
+		spec.Query = estimator.Query{Kind: estimator.Count, PopN: popSize}
 	case estimator.UDF:
 		// Production UDFs are mostly well-behaved statistics; fragile
 		// functionals (range widths, tail means) are the minority — the

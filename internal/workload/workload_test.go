@@ -31,8 +31,8 @@ func TestGenerateColumnDistinctShapes(t *testing.T) {
 	// Pareto must be much more skewed than Gaussian.
 	g := GenerateColumn(src, Gaussian, 20000)
 	p := GenerateColumn(src, ParetoTail, 20000)
-	gRatio := stats.Max(g) / stats.Quantile(g, 0.5)
-	pRatio := stats.Max(p) / stats.Quantile(p, 0.5)
+	gRatio := slices.Max(g) / stats.Quantile(g, 0.5)
+	pRatio := slices.Max(p) / stats.Quantile(p, 0.5)
 	if pRatio < 10*gRatio {
 		t.Errorf("Pareto max/median %v not far heavier than Gaussian %v", pRatio, gRatio)
 	}

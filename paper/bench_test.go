@@ -17,6 +17,7 @@ import (
 	"repro/internal/rng"
 	"repro/paper/internal/cluster"
 	"repro/paper/internal/experiments"
+	"repro/paper/internal/protocol"
 )
 
 // benchConfig is deliberately small: benchmarks measure per-iteration cost
@@ -164,7 +165,7 @@ func BenchmarkAblationDiagnosticP(b *testing.B) {
 	theta := func() float64 { return t }
 	for _, p := range []int{25, 50, 100} {
 		b.Run(map[int]string{25: "p25", 50: "p50", 100: "p100"}[p], func(b *testing.B) {
-			cfg := diagnostic.DefaultConfig(len(s), p)
+			cfg := protocol.DiagnosticConfig(len(s), p)
 			for i := 0; i < b.N; i++ {
 				if _, err := diagnostic.Run(context.Background(), rng.New(uint64(i)), s, theta, q,
 					estimator.ClosedForm{}, cfg); err != nil {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/diagnostic"
 	"repro/internal/estimator"
 	"repro/internal/rng"
-	"repro/internal/sample"
+	"repro/paper/internal/protocol"
 )
 
 func main() {
@@ -25,23 +25,23 @@ func main() {
 		population[i] = src.LogNormal(4, 0.7)
 	}
 	const n = 100_000
-	s := sample.WithReplacement(src, population, n)
+	s := protocol.WithReplacement(src, population, n)
 
 	for _, q := range []estimator.Query{
 		{Kind: estimator.Avg},
 		{Kind: estimator.Max},
 	} {
 		fmt.Printf("== θ = %s(Time), sample n = %d ==\n", q.Name(), n)
-		truth := estimator.ComputeTruth(src, population, q, n, 200, estimator.ConfidenceLevel)
+		truth := protocol.ComputeTruth(src, population, q, n, 200, estimator.ConfidenceLevel)
 		fmt.Printf("θ(D) = %.4g; true 95%% interval half-width = %.4g\n",
 			truth.Answer, truth.Interval.HalfWidth)
 
 		techniques := []estimator.Estimator{
 			estimator.ClosedForm{},
 			estimator.Bootstrap{K: 100},
-			estimator.BlockJackknife{Blocks: 50},
-			estimator.LargeDeviation{Bound: estimator.Hoeffding},
-			estimator.LargeDeviation{Bound: estimator.Bernstein},
+			protocol.BlockJackknife{Blocks: 50},
+			protocol.LargeDeviation{Bound: protocol.Hoeffding},
+			protocol.LargeDeviation{Bound: protocol.Bernstein},
 		}
 		for _, est := range techniques {
 			iv, err := est.Interval(src, s, q, estimator.ConfidenceLevel)
@@ -49,7 +49,7 @@ func main() {
 				fmt.Printf("  %-28s not applicable (%v)\n", est.Name(), err)
 				continue
 			}
-			delta := estimator.Delta(iv, truth.Interval)
+			delta := protocol.Delta(iv, truth.Interval)
 			verdict := "about right"
 			switch {
 			case delta > 0.2:
@@ -61,7 +61,7 @@ func main() {
 
 			// Would the runtime diagnostic have caught this?
 			theta := func() float64 { return q.Eval(s) }
-			dres, err := diagnostic.Run(context.Background(), src, s, theta, q, est, diagnostic.DefaultConfig(n, diagnostic.P))
+			dres, err := diagnostic.Run(context.Background(), src, s, theta, q, est, protocol.DiagnosticConfig(n, diagnostic.P))
 			if err == nil {
 				mark := "diagnostic: TRUSTED"
 				if !dres.OK {

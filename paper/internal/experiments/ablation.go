@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/diagnostic"
 	"repro/internal/estimator"
-	"repro/internal/sample"
 	"repro/internal/workload"
+	"repro/paper/internal/protocol"
 )
 
 // DiagAblationResult reports diagnostic accuracy and cost as a function of
@@ -66,8 +66,8 @@ func DiagnosticAblation(cfg Config) *DiagAblationResult {
 					continue
 				}
 				src := cfg.stream("ablation-truth", qi)
-				works := estimator.EstimationWorks(src, spec.Population, spec.Query, xi,
-					estimator.EvalConfig{
+				works := protocol.EstimationWorks(src, spec.Population, spec.Query, xi,
+					protocol.EvalConfig{
 						SampleSize: cfg.SampleSize,
 						Trials:     cfg.Trials,
 						TruthP:     cfg.truthP(),
@@ -85,7 +85,7 @@ func DiagnosticAblation(cfg Config) *DiagAblationResult {
 
 	res := &DiagAblationResult{Ps: ps}
 	for _, p := range ps {
-		var tally diagnostic.Tally
+		var tally protocol.Tally
 		totalSubQ := 0
 		counted := 0
 		for qi, spec := range queries {
@@ -93,19 +93,19 @@ func DiagnosticAblation(cfg Config) *DiagAblationResult {
 				continue
 			}
 			src := cfg.stream("ablation-diag", qi*1000+p)
-			s := sample.WithReplacement(src, spec.Population, cfg.SampleSize)
+			s := protocol.WithReplacement(src, spec.Population, cfg.SampleSize)
 			theta := func() float64 { return spec.Query.Eval(s) }
 			dres, err := diagnostic.Run(context.Background(), src, s, theta, spec.Query, truths[qi].xi,
-				diagnostic.DefaultConfig(len(s), p))
+				protocol.DiagnosticConfig(len(s), p))
 			if err != nil {
 				continue
 			}
-			tally.Add(diagnostic.Assess(dres.OK, truths[qi].works))
+			tally.Add(protocol.Assess(dres.OK, truths[qi].works))
 			totalSubQ += dres.SubsampleQueries
 			counted++
 		}
 		res.Accuracy = append(res.Accuracy, tally.AccurateFrac())
-		res.FalsePositives = append(res.FalsePositives, tally.Frac(diagnostic.FalsePositive))
+		res.FalsePositives = append(res.FalsePositives, tally.Frac(protocol.FalsePositive))
 		avg := 0.0
 		if counted > 0 {
 			avg = float64(totalSubQ) / float64(counted)

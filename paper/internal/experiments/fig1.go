@@ -6,9 +6,9 @@ import (
 
 	"repro/internal/estimator"
 	"repro/internal/rng"
-	"repro/internal/sample"
 	"repro/internal/stats"
 	"repro/internal/workload"
+	"repro/paper/internal/protocol"
 )
 
 // Fig1RelErrs are the target relative errors of Fig. 1's x-axis.
@@ -59,7 +59,7 @@ func Fig1(cfg Config) *Fig1Result {
 		// Bootstrap pilot: measure the bootstrap CI half-width at a pilot
 		// size, then extrapolate by the 1/√n law the interval obeys.
 		pilotN := 1000
-		pilot := sample.WithReplacement(src, pop, pilotN)
+		pilot := protocol.WithReplacement(src, pop, pilotN)
 		pilotIv, err := (estimator.Bootstrap{K: cfg.BootstrapK}).Interval(
 			src, pilot, estimator.Query{Kind: estimator.Avg}, alpha)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/estimator"
 	"repro/internal/workload"
+	"repro/paper/internal/protocol"
 )
 
 // TechSummary is one bar of Fig. 3: how a technique behaved across a
@@ -58,7 +59,7 @@ func Fig3(cfg Config) *Fig3Result {
 	type verdictRec struct {
 		spec workload.QuerySpec
 		tech string
-		v    estimator.Verdict
+		v    protocol.Verdict
 	}
 	var all []verdictRec
 
@@ -70,7 +71,7 @@ func Fig3(cfg Config) *Fig3Result {
 			Seed:                cfg.Seed,
 			AdversarialFraction: -1,
 		})
-		evalCfg := estimator.EvalConfig{
+		evalCfg := protocol.EvalConfig{
 			SampleSize: cfg.SampleSize,
 			Trials:     cfg.Trials,
 			TruthP:     cfg.truthP(),
@@ -97,13 +98,13 @@ func Fig3(cfg Config) *Fig3Result {
 				}
 				n++
 				switch r.v {
-				case estimator.NotApplicable:
+				case protocol.NotApplicable:
 					s.NotApplicable++
-				case estimator.Optimistic:
+				case protocol.Optimistic:
 					s.Optimistic++
-				case estimator.Correct:
+				case protocol.Correct:
 					s.Correct++
-				case estimator.Pessimistic:
+				case protocol.Pessimistic:
 					s.Pessimistic++
 				}
 			}
@@ -129,27 +130,27 @@ func Fig3(cfg Config) *Fig3Result {
 		switch r.tech {
 		case "bootstrap":
 			fbBoot++
-			if r.v == estimator.Pessimistic {
+			if r.v == protocol.Pessimistic {
 				fbBootWide++
 			}
-			if r.v == estimator.Optimistic {
+			if r.v == protocol.Optimistic {
 				fbBootNarrow++
 			}
 			switch r.spec.Query.Kind {
 			case estimator.Min, estimator.Max:
 				minMaxTotal++
-				if r.v != estimator.Correct {
+				if r.v != protocol.Correct {
 					minMaxFail++
 				}
 			case estimator.UDF:
 				udfTotal++
-				if r.v != estimator.Correct {
+				if r.v != protocol.Correct {
 					udfFail++
 				}
 			}
 		case "closed-form":
 			fbCLTTotal++
-			if r.v != estimator.NotApplicable {
+			if r.v != protocol.NotApplicable {
 				fbCLTApplicable++
 			}
 		}
@@ -174,12 +175,12 @@ func frac(a, b float64) float64 {
 type traceRec struct {
 	spec workload.QuerySpec
 	tech string
-	v    estimator.Verdict
+	v    protocol.Verdict
 }
 
 // evaluateTrace runs the §3 protocol for both techniques over every query
 // of the trace, in parallel across queries.
-func evaluateTrace(cfg Config, trace []workload.QuerySpec, evalCfg estimator.EvalConfig) []traceRec {
+func evaluateTrace(cfg Config, trace []workload.QuerySpec, evalCfg protocol.EvalConfig) []traceRec {
 	type job struct{ qi int }
 	out := make([][]traceRec, len(trace))
 	workers := cfg.Workers
@@ -195,9 +196,9 @@ func evaluateTrace(cfg Config, trace []workload.QuerySpec, evalCfg estimator.Eva
 			for j := range jobs {
 				spec := trace[j.qi]
 				src := cfg.stream("fig3/"+spec.Trace.String(), j.qi)
-				boot := estimator.Evaluate(src, spec.Population, spec.Query,
+				boot := protocol.Evaluate(src, spec.Population, spec.Query,
 					estimator.Bootstrap{K: cfg.BootstrapK}, evalCfg)
-				cf := estimator.Evaluate(src, spec.Population, spec.Query,
+				cf := protocol.Evaluate(src, spec.Population, spec.Query,
 					estimator.ClosedForm{}, evalCfg)
 				out[j.qi] = []traceRec{
 					{spec: spec, tech: "bootstrap", v: boot.Verdict},

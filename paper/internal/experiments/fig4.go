@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/diagnostic"
 	"repro/internal/estimator"
-	"repro/internal/sample"
 	"repro/internal/workload"
+	"repro/paper/internal/protocol"
 )
 
 // Fig4Bars is one trace's diagnostic assessment (fractions of queries).
@@ -54,10 +54,10 @@ func fig4(cfg Config, estName string, closedFormSet bool) *Fig4Result {
 		}
 		tally := assessQueries(cfg, kind, queries, estName)
 		res.Bars[kind.String()] = Fig4Bars{
-			AccurateApprox:   tally.Frac(diagnostic.TrueAccept),
-			CorrectRejection: tally.Frac(diagnostic.TrueReject),
-			FalsePositives:   tally.Frac(diagnostic.FalsePositive),
-			FalseNegatives:   tally.Frac(diagnostic.FalseNegative),
+			AccurateApprox:   tally.Frac(protocol.TrueAccept),
+			CorrectRejection: tally.Frac(protocol.TrueReject),
+			FalsePositives:   tally.Frac(protocol.FalsePositive),
+			FalseNegatives:   tally.Frac(protocol.FalseNegative),
 		}
 	}
 	return res
@@ -65,8 +65,8 @@ func fig4(cfg Config, estName string, closedFormSet bool) *Fig4Result {
 
 // assessQueries runs the diagnostic on one sample per query and compares
 // it with the expensive ground truth, in parallel across queries.
-func assessQueries(cfg Config, kind workload.Kind, queries []workload.QuerySpec, estName string) *diagnostic.Tally {
-	outcomes := make([]diagnostic.Outcome, len(queries))
+func assessQueries(cfg Config, kind workload.Kind, queries []workload.QuerySpec, estName string) *protocol.Tally {
+	outcomes := make([]protocol.Outcome, len(queries))
 	valid := make([]bool, len(queries))
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -90,15 +90,15 @@ func assessQueries(cfg Config, kind workload.Kind, queries []workload.QuerySpec,
 				if !xi.AppliesTo(spec.Query) {
 					continue
 				}
-				s := sample.WithReplacement(src, spec.Population, cfg.SampleSize)
+				s := protocol.WithReplacement(src, spec.Population, cfg.SampleSize)
 				theta := func() float64 { return spec.Query.Eval(s) }
 				dres, err := diagnostic.Run(context.Background(), src, s, theta, spec.Query, xi,
-					diagnostic.DefaultConfig(len(s), cfg.DiagP))
+					protocol.DiagnosticConfig(len(s), cfg.DiagP))
 				if err != nil {
 					continue
 				}
-				works := estimator.EstimationWorks(src, spec.Population, spec.Query, xi,
-					estimator.EvalConfig{
+				works := protocol.EstimationWorks(src, spec.Population, spec.Query, xi,
+					protocol.EvalConfig{
 						SampleSize: cfg.SampleSize,
 						Trials:     cfg.Trials,
 						TruthP:     cfg.truthP(),
@@ -106,7 +106,7 @@ func assessQueries(cfg Config, kind workload.Kind, queries []workload.QuerySpec,
 						DeltaTol:   0.2,
 						FailFrac:   0.05,
 					})
-				outcomes[qi] = diagnostic.Assess(dres.OK, works)
+				outcomes[qi] = protocol.Assess(dres.OK, works)
 				valid[qi] = true
 			}
 		}()
@@ -116,7 +116,7 @@ func assessQueries(cfg Config, kind workload.Kind, queries []workload.QuerySpec,
 	}
 	close(jobs)
 	wg.Wait()
-	tally := &diagnostic.Tally{}
+	tally := &protocol.Tally{}
 	for qi := range queries {
 		if valid[qi] {
 			tally.Add(outcomes[qi])

@@ -1,4 +1,4 @@
-package diagnostic
+package protocol
 
 // Outcome classifies one diagnostic decision against the expensive ground
 // truth (§4.2's accuracy evaluation, Fig. 4).

@@ -1,10 +1,10 @@
-package estimator
+package protocol
 
 import (
 	"math"
 
+	"repro/internal/estimator"
 	"repro/internal/rng"
-	"repro/internal/sample"
 )
 
 // Verdict classifies how an error-estimation technique behaves on a query,
@@ -69,7 +69,7 @@ type EvalResult struct {
 // (population, q, n), then draw cfg.Trials fresh samples, estimate an
 // interval on each with est, and classify the technique by how often and
 // in which direction δ leaves the tolerance band.
-func Evaluate(src *rng.Source, population []float64, q Query, est Estimator, cfg EvalConfig) EvalResult {
+func Evaluate(src *rng.Source, population []float64, q estimator.Query, est estimator.Estimator, cfg EvalConfig) EvalResult {
 	if !est.AppliesTo(q) {
 		return EvalResult{Verdict: NotApplicable}
 	}
@@ -77,7 +77,7 @@ func Evaluate(src *rng.Source, population []float64, q Query, est Estimator, cfg
 	res := EvalResult{Truth: truth, Deltas: make([]float64, 0, cfg.Trials)}
 	optim, pessim := 0, 0
 	for t := 0; t < cfg.Trials; t++ {
-		s := sample.WithReplacement(src, population, cfg.SampleSize)
+		s := WithReplacement(src, population, cfg.SampleSize)
 		iv, err := est.Interval(src, s, q, cfg.Alpha)
 		if err != nil {
 			return EvalResult{Verdict: NotApplicable}
@@ -112,6 +112,6 @@ func Evaluate(src *rng.Source, population []float64, q Query, est Estimator, cfg
 // EstimationWorks is the boolean ground truth the diagnostic is evaluated
 // against (§4.2): true when the technique's verdict on this query is
 // Correct.
-func EstimationWorks(src *rng.Source, population []float64, q Query, est Estimator, cfg EvalConfig) bool {
+func EstimationWorks(src *rng.Source, population []float64, q estimator.Query, est estimator.Estimator, cfg EvalConfig) bool {
 	return Evaluate(src, population, q, est, cfg).Verdict == Correct
 }

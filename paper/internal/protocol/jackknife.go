@@ -1,9 +1,10 @@
-package estimator
+package protocol
 
 import (
 	"fmt"
 	"math"
 
+	"repro/internal/estimator"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -28,21 +29,21 @@ func (j BlockJackknife) blocks() int {
 	return j.Blocks
 }
 
-// Name implements Estimator.
+// Name implements estimator.Estimator.
 func (BlockJackknife) Name() string { return "block-jackknife" }
 
-// AppliesTo implements Estimator: anything evaluable applies, but accuracy
+// AppliesTo implements estimator.Estimator: anything evaluable applies, but accuracy
 // is only expected for smooth θ.
-func (BlockJackknife) AppliesTo(q Query) bool { return (Bootstrap{}).AppliesTo(q) }
+func (BlockJackknife) AppliesTo(q estimator.Query) bool { return (estimator.Bootstrap{}).AppliesTo(q) }
 
-// Interval implements Estimator.
-func (j BlockJackknife) Interval(_ *rng.Source, values []float64, q Query, alpha float64) (Interval, error) {
+// Interval implements estimator.Estimator.
+func (j BlockJackknife) Interval(_ *rng.Source, values []float64, q estimator.Query, alpha float64) (estimator.Interval, error) {
 	n := len(values)
 	if n == 0 {
-		return Interval{}, fmt.Errorf("estimator: empty sample")
+		return estimator.Interval{}, fmt.Errorf("protocol: empty sample")
 	}
 	if !j.AppliesTo(q) {
-		return Interval{}, fmt.Errorf("%w: UDF without function body", ErrNotApplicable)
+		return estimator.Interval{}, fmt.Errorf("%w: UDF without function body", estimator.ErrNotApplicable)
 	}
 	g := j.blocks()
 	if g > n {
@@ -69,7 +70,7 @@ func (j BlockJackknife) Interval(_ *rng.Source, values []float64, q Query, alpha
 		}
 		est := q.EvalWeighted(values, w)
 		if math.IsNaN(est) {
-			return Interval{}, fmt.Errorf("estimator: jackknife replicate %d degenerate", b)
+			return estimator.Interval{}, fmt.Errorf("protocol: jackknife replicate %d degenerate", b)
 		}
 		ests = append(ests, est)
 	}
@@ -82,5 +83,5 @@ func (j BlockJackknife) Interval(_ *rng.Source, values []float64, q Query, alpha
 	gf := float64(len(ests))
 	variance := (gf - 1) / gf * sum
 	z := stats.StdNormalQuantile(0.5 + alpha/2)
-	return Interval{Center: center, HalfWidth: z * math.Sqrt(variance)}, nil
+	return estimator.Interval{Center: center, HalfWidth: z * math.Sqrt(variance)}, nil
 }
