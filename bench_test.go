@@ -132,8 +132,8 @@ func TestExactFallbackAllocs(t *testing.T) {
 		}
 	}
 	run() // the first query checks the columns; every later one finds them checked
-	if allocs := testing.AllocsPerRun(20, run); allocs > 56 {
-		t.Errorf("an ungrouped exact AVG allocates %v times per query, want at most 56", allocs)
+	if allocs := testing.AllocsPerRun(20, run); allocs > 45 {
+		t.Errorf("an ungrouped exact AVG allocates %v times per query, want at most 45", allocs)
 	}
 }
 
@@ -163,7 +163,6 @@ func BenchmarkExactFallback(b *testing.B) {
 			cfg := exec.Config{Workers: 2}
 			if cacheBytes > 0 {
 				cfg.Blocks = cache.NewBlockCache(cache.BlockConfig{Bytes: cacheBytes})
-				cfg.Preds = cache.NewPredMemo(nil)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -462,9 +462,9 @@ func cacheSummary(engine *core.Engine) string {
 	if lookups > 0 {
 		rate = float64(st.Block.Hits) / float64(lookups)
 	}
-	fmt.Fprintf(&b, "cache: blocks %d/%d hits (%.0f%%), %s resident of %s budget, %d evicted; answers %d entries (%d replays); predicates %d memo hits",
+	fmt.Fprintf(&b, "cache: blocks %d/%d hits (%.0f%%), %s resident of %s budget, %d evicted; answers %d entries (%d replays)",
 		st.Block.Hits, lookups, rate*100, mib(st.Block.Bytes), mib(st.Block.Budget),
-		st.Block.Evictions, st.Answer.Entries, st.Answer.Hits, st.Predicate.Hits)
+		st.Block.Evictions, st.Answer.Entries, st.Answer.Hits)
 	for _, t := range st.Tables {
 		fmt.Fprintf(&b, "\n  hot: %s %.0f%% resident (%s of %s)",
 			t.Name, t.HotFraction*100, mib(t.ResidentBytes), mib(t.LogicalBytes))

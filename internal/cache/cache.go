@@ -1,24 +1,21 @@
 // Package cache provides the engine's cross-query reuse layers: a
 // byte-budgeted decoded-block cache sitting between the executor and the
-// block-compressed table backings, a predicate memo that remembers
-// zone-map admission decisions and measured selectivity per query shape,
-// and an answer cache that replays finished answers for exact-match
-// repeated SQL.
+// block-compressed table backings, and an answer cache that replays
+// finished answers for exact-match repeated SQL.
 //
-// All three layers are strictly inert with respect to query results:
-// block decodes are deterministic (the cache returns the same values
-// table.Compress/OpenStore decode today), zone-map skip lists are a pure
-// function of (table zones, predicate text), and answers are
-// bit-identical on re-execution because all engine randomness derives
-// from (seed, stream) pairs. Caching therefore changes latency, never
-// answers — pinned by the bit-identity tests in internal/core.
+// Both layers are strictly inert with respect to query results: block
+// decodes are deterministic (the cache returns the same values
+// table.Compress/OpenStore decode today), and answers are bit-identical on
+// re-execution because all engine randomness derives from (seed, stream)
+// pairs. Caching therefore changes latency, never answers — pinned by the
+// bit-identity tests in internal/core.
 //
 // Each layer keeps only what saves work. The executor offers the block
 // layer only blocks whose codec transforms values (table.CacheableBlock);
 // a block whose decode is a copy out of storage, or one dictionary index
-// per row, is read from storage every time. Answers and skip lists enter
-// on probation and stay resident past a stream of one-off queries only
-// once they have been reused (slru).
+// per row, is read from storage every time. Answers enter on probation and
+// stay resident past a stream of one-off queries only once they have been
+// reused (slru).
 package cache
 
 import (

@@ -327,69 +327,3 @@ func TestCanonicalSQL(t *testing.T) {
 		}
 	}
 }
-
-func TestPredMemoSkipLists(t *testing.T) {
-	m := NewPredMemo(nil)
-	store := new(int)
-	if _, _, _, ok := m.Lookup(store, "x < 5"); ok {
-		t.Fatal("empty memo hit")
-	}
-	m.Store(store, "x < 5", []bool{true, false}, []bool{false, true}, 1)
-	skip, covered, skipped, ok := m.Lookup(store, "x < 5")
-	if !ok || skipped != 1 || len(skip) != 2 || !skip[0] || skip[1] ||
-		len(covered) != 2 || covered[0] || !covered[1] {
-		t.Fatalf("lookup = %v, %v, %d, %v", skip, covered, skipped, ok)
-	}
-	// Exact keying: a different literal must not share the entry.
-	if _, _, _, ok := m.Lookup(store, "x < 50"); ok {
-		t.Fatal("skip list shared across different literals")
-	}
-	// Nil skip lists (nothing skippable) are memoized too.
-	m.Store(store, "y > 0", nil, nil, 0)
-	if skip, covered, _, ok := m.Lookup(store, "y > 0"); !ok || skip != nil || covered != nil {
-		t.Fatalf("nil skip list not memoized: %v, %v, %v", skip, covered, ok)
-	}
-}
-
-// TestPredMemoSkipListsStayProbationary: skip lists of one-off predicates
-// keep at most predMemoCap/8 entries, and a skip list read once survives
-// them.
-func TestPredMemoSkipListsStayProbationary(t *testing.T) {
-	m := NewPredMemo(nil)
-	store := new(int)
-	m.Store(store, "x < 5", []bool{true}, nil, 1)
-	if _, _, _, ok := m.Lookup(store, "x < 5"); !ok {
-		t.Fatal("skip list missing before churn")
-	}
-	for i := 0; i < 2*predMemoCap; i++ {
-		m.Store(store, fmt.Sprintf("x < %d", 100+i), nil, nil, 0)
-	}
-	if st := m.Stats(); st.SkipLists != predMemoCap/8+1 {
-		t.Fatalf("%d skip lists resident, want %d probationary + the reused one", st.SkipLists, predMemoCap/8)
-	}
-	if _, _, _, ok := m.Lookup(store, "x < 5"); !ok {
-		t.Fatal("a reused skip list was evicted by one-off predicates")
-	}
-}
-
-func TestPredMemoSelectivityEWMA(t *testing.T) {
-	m := NewPredMemo(nil)
-	store := new(int)
-	if _, ok := m.Hint(store, "sig"); ok {
-		t.Fatal("hint before any observation")
-	}
-	m.ObserveSelectivity(store, "sig", 0.4)
-	if sel, ok := m.Hint(store, "sig"); !ok || sel != 0.4 {
-		t.Fatalf("first observation hint = %v, %v", sel, ok)
-	}
-	m.ObserveSelectivity(store, "sig", 0.8)
-	want := 0.75*0.4 + 0.25*0.8
-	if sel, _ := m.Hint(store, "sig"); sel != want {
-		t.Fatalf("EWMA hint = %v, want %v", sel, want)
-	}
-	var nilM *PredMemo
-	nilM.ObserveSelectivity(store, "sig", 1)
-	if _, ok := nilM.Hint(store, "sig"); ok {
-		t.Fatal("nil memo produced a hint")
-	}
-}

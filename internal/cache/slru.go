@@ -2,14 +2,13 @@ package cache
 
 import "container/list"
 
-// slru is the admission rule the answer cache and the predicate memo's skip
-// lists share. A new entry is probationary; its first hit promotes it to a
-// protected LRU. At most an eighth of the capacity is probationary, and the
-// oldest probationary entry is dropped first, so a client that never
-// repeats itself (a fresh literal every query) cycles through that segment
-// and cannot push out an entry that has already been reused. The protected
-// segment holds the rest of the capacity and evicts its least recently
-// used entry. Not safe for concurrent use: callers hold their own lock.
+// slru is the answer cache's admission rule. A new entry is probationary;
+// its first hit promotes it to a protected LRU. At most an eighth of the
+// capacity is probationary, and the oldest probationary entry is dropped
+// first, so a client that never repeats itself (a fresh literal every
+// query) cycles through that segment and cannot push out an entry that has
+// already been reused. The protected segment holds the rest of the capacity
+// and evicts its least recently used entry. Not safe for concurrent use: callers hold their own lock.
 type slru[K comparable, V any] struct {
 	m         map[K]*slruItem[K, V]
 	probation list.List // of *slruItem; front is newest

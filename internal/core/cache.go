@@ -22,7 +22,6 @@ func (e *Engine) execConfig() exec.Config {
 		Workers: e.cfg.workers(),
 		Seed:    e.cfg.Seed,
 		Blocks:  e.blocks,
-		Preds:   e.preds,
 	}
 }
 
@@ -83,7 +82,6 @@ type CacheStats struct {
 	Enabled    bool              `json:"enabled"`
 	Generation uint64            `json:"catalog_generation"`
 	Block      cache.BlockStats  `json:"block"`
-	Predicate  cache.PredStats   `json:"predicate"`
 	Answer     cache.AnswerStats `json:"answer"`
 	Tables     []TableCacheStats `json:"tables,omitempty"`
 }
@@ -131,7 +129,6 @@ func (e *Engine) CacheStatsSnapshot(limit int) CacheStats {
 		Enabled:    e.blocks != nil,
 		Generation: e.gen.Load(),
 		Block:      e.blocks.Stats(),
-		Predicate:  e.preds.Stats(),
 		Answer:     e.answers.Stats(),
 	}
 	if e.blocks == nil || limit <= 0 {

@@ -71,18 +71,17 @@ type Config struct {
 	// block's codec transforms values. Answers are bit-identical across
 	// sample backings.
 	SampleBacking table.Backing
-	// CacheBytes, when positive, enables the three cross-query reuse
+	// CacheBytes, when positive, enables the two cross-query reuse
 	// layers. The decoded-block cache gets this global byte budget: blocks
 	// of compressed or mmap-backed sample columns whose codec transforms
 	// values (table.CacheableBlock) are kept resident (scan-resistant
 	// CLOCK eviction, per-block singleflight) and served to later queries
 	// without re-decoding; raw, constant and dictionary-string blocks are
-	// read from storage every time. The predicate memo and the answer
-	// cache keep a never-reused entry on probation, a fixed eighth of
-	// their capacity. 0 disables all three layers — behavior and answers
-	// are then byte-identical to an engine without this feature; with any
-	// budget, answers are bit-identical to cache-off (decodes are
-	// deterministic, pinned by tests).
+	// read from storage every time. The answer cache keeps a never-reused
+	// entry on probation, a fixed eighth of its capacity. 0 disables both
+	// layers — behavior and answers are then byte-identical to an engine
+	// without this feature; with any budget, answers are bit-identical to
+	// cache-off (decodes are deterministic, pinned by tests).
 	CacheBytes int64
 	// CacheTTL bounds answer-cache reuse of a finished answer
 	// (0 = cache.DefaultAnswerTTL, 60s). Catalog changes (RegisterTable,
@@ -198,9 +197,8 @@ type Engine struct {
 	// sinks. Only this package's tests set it.
 	recorded func(*obs.QueryRecord)
 
-	// Cross-query reuse layers (all nil when Config.CacheBytes == 0).
+	// Cross-query reuse layers (both nil when Config.CacheBytes == 0).
 	blocks  *cache.BlockCache
-	preds   *cache.PredMemo
 	answers *cache.AnswerCache
 	// gen is the catalog generation: bumped by every registration mutation
 	// (RegisterTable, RegisterUDF, BuildSamples, BuildStratifiedSample).
@@ -244,7 +242,6 @@ func New(cfg Config) *Engine {
 			reg = e.obs.Registry()
 		}
 		e.blocks = cache.NewBlockCache(cache.BlockConfig{Bytes: cfg.CacheBytes, Metrics: reg})
-		e.preds = cache.NewPredMemo(reg)
 		e.answers = cache.NewAnswerCache(cache.AnswerConfig{TTL: cfg.CacheTTL, Metrics: reg})
 	}
 	if e.obs != nil &&

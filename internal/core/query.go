@@ -393,11 +393,11 @@ func (q *request) firstSample() *exec.StoredTable {
 // less than any pilot, so the rule holds in every mode. It records the
 // prediction on the request, for the plan stage and EXPLAIN.
 func (q *request) planExact(st *exec.StoredTable) bool {
-	exact, ok := exec.ExtremeDecode(q.e.preds, &exec.StoredTable{Data: q.rt.full}, q.def)
+	exact, ok := exec.ExtremeDecode(&exec.StoredTable{Data: q.rt.full}, q.def)
 	if !ok {
 		return false
 	}
-	if sampled, _ := exec.ExtremeDecode(q.e.preds, st, q.def); exact > sampled {
+	if sampled, _ := exec.ExtremeDecode(st, q.def); exact > sampled {
 		return false
 	}
 	q.route, q.plannedBlocks = obs.PlanBlockTable, exact

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/table"
@@ -82,9 +81,8 @@ var coveredQueries = []string{
 // TestCoveredBlocksMatchDecoded: answers read off covered blocks — the
 // predicate skipped, MIN, MAX and COUNT taken from envelopes and row counts
 // — are bit-identical to the plain reference that evaluates every row, on
-// every backing, with and without the predicate memo, through ±0 in either
-// order, NaN first in the fold, first in a block and hidden inside one, and
-// int64 values past 2^53.
+// every backing, through ±0 in either order, NaN first in the fold, first
+// in a block and hidden inside one, and int64 values past 2^53.
 func TestCoveredBlocksMatchDecoded(t *testing.T) {
 	raw := coveredCorpus()
 	variants := backingVariants(t, raw)
@@ -95,20 +93,11 @@ func TestCoveredBlocksMatchDecoded(t *testing.T) {
 			t.Fatalf("reference %q: %v", q, err)
 		}
 		for name, data := range variants {
-			for _, memo := range []bool{false, true} {
-				cfg := Config{Workers: 2}
-				if memo {
-					cfg.Preds = cache.NewPredMemo(nil)
-				}
-				st := &StoredTable{Data: data}
-				for pass := 0; pass < 2; pass++ { // the second replays the memo
-					got, err := Run(context.Background(), p, st, nil, cfg)
-					if err != nil {
-						t.Fatalf("%s %q: %v", name, q, err)
-					}
-					groupsBitEqual(t, name+": "+q, got.Groups, want)
-				}
+			got, err := Run(context.Background(), p, &StoredTable{Data: data}, nil, Config{Workers: 2})
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, q, err)
 			}
+			groupsBitEqual(t, name+": "+q, got.Groups, want)
 		}
 	}
 }
@@ -120,8 +109,8 @@ func TestCoveredBlocksMatchDecoded(t *testing.T) {
 // never evaluates the predicate on a covered block.
 func TestCoveredBlocksDecodeNothing(t *testing.T) {
 	comp := table.Compress(coveredCorpus())
-	skip, skipped := blockSkip(comp, wherePred(t, "k <= 9"))
-	covered := blockCover(comp, wherePred(t, "k <= 9"), skip)
+	pred := wherePred(t, "k <= 9")
+	skip, covered, skipped := zoneSkip(comp, pred, predRanges(pred))
 	if skipped != 4 || len(covered) != 7 || !covered[0] || !covered[1] || covered[2] {
 		t.Fatalf("skip %v (%d), covered %v", skip, skipped, covered)
 	}
@@ -164,17 +153,16 @@ func TestCoveredSampleScanSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		skip, _ := blockSkip(comp, pred)
-		covered := blockCover(comp, pred, skip)
+		skip, covered, _ := zoneSkip(comp, pred, predRanges(pred))
 		if cond != "kn >= 2" && covered == nil {
 			t.Fatalf("%q: no block covered", cond)
 		}
 		for _, workers := range []int{1, 2, 3} {
-			var got []int
+			var got []int32
 			bounds := blockRanges(comp.NumRows(), workers)
 			for i := 0; i < workers; i++ {
 				var m decodeMeter
-				sel, err := evalPredicateSkipping(context.Background(), pred, comp, bounds[i], bounds[i+1], skip, covered, &m, nil, -1, nil)
+				sel, err := evalPredicateSkipping(context.Background(), pred, comp, bounds[i], bounds[i+1], skip, covered, &m, nil, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +172,7 @@ func TestCoveredSampleScanSelection(t *testing.T) {
 				t.Fatalf("%q workers=%d: %d rows, want %d", cond, workers, len(got), len(want))
 			}
 			for i := range want {
-				if got[i] != want[i] {
+				if int(got[i]) != want[i] {
 					t.Fatalf("%q workers=%d: row %d: %d != %d", cond, workers, i, got[i], want[i])
 				}
 			}

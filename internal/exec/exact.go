@@ -41,8 +41,7 @@ import (
 //
 // The operator reads past the decoded-block cache (Config.Blocks): its
 // blocks are read once, and admitting them would evict the sample blocks
-// every approximate query re-reads (DESIGN.md §15). Config.Preds still
-// serves the zone-map skip list.
+// every approximate query re-reads (DESIGN.md §15).
 
 // isExact reports whether the plan asks for exact execution on st.
 func isExact(p *plan.Plan, st *StoredTable) bool {
@@ -128,7 +127,7 @@ func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Reg
 	var c Counters
 	if def.Where != nil {
 		s.pred = def.Where
-		skip, s.covered, c.BlocksSkipped = zoneSkip(cfg.Preds, tbl, s.pred)
+		skip, s.covered, c.BlocksSkipped = zoneSkip(tbl, s.pred, predRanges(s.pred))
 	}
 	if err := s.plan(def.Aggs); err != nil {
 		return nil, fmt.Errorf("exec: scan of table %q: %w", def.Table, err)

@@ -259,7 +259,6 @@ func TestExactOperatorDifferential(t *testing.T) {
 					cfg := Config{Workers: workers, Seed: 5}
 					if cached {
 						cfg.Blocks = cache.NewBlockCache(cache.BlockConfig{Bytes: 1 << 20})
-						cfg.Preds = cache.NewPredMemo(nil)
 					}
 					st := &StoredTable{Data: data}
 					for pass := 0; pass < 2; pass++ { // second pass reads a warm cache
@@ -555,8 +554,7 @@ func TestExactPercentileOwnsItsVector(t *testing.T) {
 
 // TestExactOperatorReadsPastBlockCache: an exact plan over a lazy table
 // decodes into its own scratch and leaves an attached block cache untouched —
-// no lookups, no residents — with the counters of a cache-less run, while the
-// predicate memo still serves its zone-map skip list.
+// no lookups, no residents — with the counters of a cache-less run.
 func TestExactOperatorReadsPastBlockCache(t *testing.T) {
 	raw := exactCorpus()
 	for name, data := range backingVariants(t, raw) {
@@ -573,10 +571,7 @@ func TestExactOperatorReadsPastBlockCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{
-				Blocks: cache.NewBlockCache(cache.BlockConfig{Bytes: 1 << 20}),
-				Preds:  cache.NewPredMemo(nil),
-			}
+			cfg := Config{Blocks: cache.NewBlockCache(cache.BlockConfig{Bytes: 1 << 20})}
 			for pass := 0; pass < 2; pass++ {
 				got, err := Run(context.Background(), p, st, nil, cfg)
 				if err != nil {
@@ -591,9 +586,6 @@ func TestExactOperatorReadsPastBlockCache(t *testing.T) {
 			}
 			if st := cfg.Blocks.Stats(); st.Hits+st.Misses != 0 || st.Entries != 0 || st.Bytes != 0 {
 				t.Errorf("%s %q: exact scan touched the block cache: %+v", name, q, st)
-			}
-			if st := cfg.Preds.Stats(); st.Hits != 1 || st.SkipLists != 1 {
-				t.Errorf("%s %q: predicate memo %+v, want one stored skip list hit once", name, q, st)
 			}
 		}
 	}

@@ -53,10 +53,6 @@ type Config struct {
 	// Nil reproduces decode-every-time behavior exactly. Exact plans stream
 	// past it (exact.go).
 	Blocks *cache.BlockCache
-	// Preds, when non-nil, memoizes zone-map skip lists per (table,
-	// predicate text) and feeds measured-selectivity hints back into the
-	// scan. Hints affect allocation sizes only, never answers.
-	Preds *cache.PredMemo
 }
 
 func (c Config) workers() int {
@@ -347,21 +343,18 @@ type group struct {
 }
 
 // predWork is the query's filter predicate, with its precomputed zone-map
-// skip and covered lists. With a predicate memo attached, sig carries the
-// literal-normalized shape signature and hint a remembered selectivity in
-// [0,1] (-1 = unknown). Phase 1 fills local; the barrier derives starts and
-// rows from local.
+// skip and covered lists. Phase 1 fills local; the barrier derives starts
+// and rows from local.
 type predWork struct {
 	pred    sql.Expr // nil: no WHERE, every row survives
 	skip    []bool
 	covered []bool // admitted blocks pred holds on throughout
 	skipped int64
-	sig     string
-	hint    float64
 	// local holds each partition's surviving rows: nil without a WHERE
-	// (every row), never nil with one (evalPredicateSkipping always
-	// allocates), which is how fill tells the two apart.
-	local  [][]int
+	// (every row), never nil with one (a pooled selection always has
+	// backing), which is how fill tells the two apart. Row numbers are
+	// int32 like the group ids, which share their pool.
+	local  [][]int32
 	starts []int // per partition: rank of its first survivor overall
 	rows   int
 }
@@ -456,25 +449,19 @@ func scanFilterProject(ctx context.Context, def *plan.QueryDef, verdictRows int,
 	fail := func(err error) (*scanResult, error) {
 		return nil, fmt.Errorf("exec: scan of table %q: %w", def.Table, err)
 	}
+	if tbl.NumRows() > math.MaxInt32 {
+		return fail(fmt.Errorf("%d rows: the scan numbers rows in int32", tbl.NumRows()))
+	}
 	bounds := blockRanges(tbl.NumRows(), cfg.workers())
 	parts := len(bounds) - 1
 
 	// --- Plan the work: the predicate, the grouping and the distinct columns. ---
-	pw := &predWork{pred: def.Where, hint: -1}
+	pw := &predWork{pred: def.Where}
 	if pw.pred != nil {
 		if err := checkPredicate(pw.pred, tbl); err != nil {
 			return fail(err)
 		}
-		// Skip lists are exact-keyed — literals decide which blocks are
-		// admissible — while the selectivity hint below shares one estimate
-		// across all literals of the same shape.
-		pw.skip, pw.covered, pw.skipped = zoneSkip(cfg.Preds, tbl, pw.pred)
-		if cfg.Preds != nil {
-			pw.sig = sql.PredicateSignature(pw.pred)
-			if h, ok := cfg.Preds.Hint(tbl, pw.sig); ok {
-				pw.hint = h
-			}
-		}
+		pw.skip, pw.covered, pw.skipped = zoneSkip(tbl, pw.pred, predRanges(pw.pred))
 	}
 	grouped := len(def.GroupBy) > 0
 	var kw *keyWork
@@ -541,17 +528,41 @@ func scanFilterProject(ctx context.Context, def *plan.QueryDef, verdictRows int,
 		}
 		return nil
 	}
-	pw.local = make([][]int, parts)
+	// Each partition's selection and group ids come from i32Pool and go
+	// back on every exit, once phase 2 has read them.
+	pw.local = make([][]int32, parts)
+	var sels, ids []*[]int32
+	if pw.pred != nil || kw != nil {
+		sels, ids = make([]*[]int32, parts), make([]*[]int32, parts)
+		defer func() {
+			for i := range parts {
+				if sels[i] != nil {
+					*sels[i] = pw.local[i]
+					putPooled(i32Pool, sels[i])
+				}
+				if ids[i] != nil {
+					*ids[i] = kw.readers[i].ids
+					putPooled(i32Pool, ids[i])
+				}
+			}
+		}()
+	}
 	err := eachPart(func(i, lo, hi int) error {
 		if pw.pred == nil && kw == nil {
 			return nil
 		}
+		if pw.pred != nil {
+			sels[i] = getPooled[int32](i32Pool)
+			pw.local[i] = *sels[i]
+		}
 		var key *keyReader
 		if kw != nil {
 			key = kw.readers[i]
+			ids[i] = getPooled[int32](i32Pool)
+			key.ids = *ids[i]
 		}
-		sel, err := evalPredicateSkipping(ctx, pw.pred, tbl, lo, hi, pw.skip, pw.covered, &meters[i], cfg.Blocks, pw.hint, key)
-		pw.local[i] = sel
+		var err error
+		pw.local[i], err = evalPredicateSkipping(ctx, pw.pred, tbl, lo, hi, pw.skip, pw.covered, &meters[i], cfg.Blocks, pw.local[i], key)
 		return err
 	})
 
@@ -568,11 +579,6 @@ func scanFilterProject(ctx context.Context, def *plan.QueryDef, verdictRows int,
 		}
 		if kw != nil {
 			kw.layout()
-		}
-		// Feed the measured selectivity back into the memo so the NEXT scan
-		// of this predicate shape pre-sizes its selection vectors.
-		if pw.pred != nil && cfg.Preds != nil && tbl.NumRows() > 0 {
-			cfg.Preds.ObserveSelectivity(tbl, pw.sig, float64(pw.rows)/float64(tbl.NumRows()))
 		}
 		for _, cw := range distinct {
 			if cw.tooFew(verdictRows) {
@@ -745,7 +751,7 @@ func (cw *colWork) fill(ctx context.Context, tbl *table.Table, i, lo, hi int, sc
 		if local == nil {
 			k = end - lo
 		} else {
-			for k < len(local) && local[k] < end {
+			for k < len(local) && int(local[k]) < end {
 				k++
 			}
 			if k == k0 {
@@ -764,7 +770,7 @@ func (cw *colWork) fill(ctx context.Context, tbl *table.Table, i, lo, hi int, sc
 			for t := k0; t < k; t++ {
 				r := lo + t
 				if local != nil {
-					r = local[t]
+					r = int(local[t])
 				}
 				g := ids[t]
 				dst[next[g]] = v.numAt(r - row)
@@ -774,9 +780,9 @@ func (cw *colWork) fill(ctx context.Context, tbl *table.Table, i, lo, hi int, sc
 			for t, r := range local[k0:k] {
 				pos := cw.pred.starts[i] + k0 + t
 				if cw.masked {
-					pos = r
+					pos = int(r)
 				}
-				dst[pos] = v.numAt(r - row)
+				dst[pos] = v.numAt(int(r) - row)
 			}
 		// Every row survives, so row r's rank is r, masked or not.
 		case v.scalar:
@@ -788,21 +794,6 @@ func (cw *colWork) fill(ctx context.Context, tbl *table.Table, i, lo, hi int, sc
 		}
 		return nil
 	})
-}
-
-// zoneSkip returns pred's zone-map skip and covered lists over tbl. Both
-// are pure functions of (table zones, predicate text), so the predicate
-// memo replays them for repeated predicates without re-walking the range
-// analyzer.
-func zoneSkip(memo *cache.PredMemo, tbl *table.Table, pred sql.Expr) (skip, covered []bool, skipped int64) {
-	text := pred.String()
-	if skip, covered, skipped, ok := memo.Lookup(tbl, text); ok {
-		return skip, covered, skipped
-	}
-	skip, skipped = blockSkip(tbl, pred)
-	covered = blockCover(tbl, pred, skip)
-	memo.Store(tbl, text, skip, covered, skipped)
-	return skip, covered, skipped
 }
 
 // keyReader reads a GROUP BY column one zone block at a time and numbers

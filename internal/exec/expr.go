@@ -24,30 +24,34 @@ import (
 // partition per query, which at serving rates dominates the allocator. A
 // scratch tracks every pooled slice handed out during one evaluation so
 // the caller can return them all at once. Three callers use one: predicate
-// evaluation and key reading, whose intermediates are dead once the
-// selection vector and the group ids (freshly allocated, never pooled) are
-// built, the sample scan, which copies a block's input values into the
-// columns it owns, and the exact operator, which folds them into its sinks,
-// before releasing them.
+// evaluation and key reading, whose intermediates are dead once the block's
+// survivors and their group ids are appended, the sample scan, which
+// copies a block's input values into the columns it owns, and the exact
+// operator, which folds them into its sinks, before releasing them.
 // A nil scratch degrades every get to a plain make; the exact operator's
 // zero-row type check passes one.
+//
+// The sample scan's selection vectors and group ids outlive a block: each
+// partition takes one of each from i32Pool for phase 1, and
+// scanFilterProject returns them once phase 2 has read them. Appends grow
+// them to the partition's survivors, so a pooled slice comes back the size
+// the scans it served needed, and no selectivity is guessed.
 //
 // The pools hold *[]T rather than []T so Put doesn't allocate (staticcheck
 // SA6002).
 var (
-	f64Pool = sync.Pool{New: func() any {
-		s := make([]float64, 0, table.ZoneBlockRows)
-		return &s
-	}}
-	boolPool = sync.Pool{New: func() any {
-		s := make([]bool, 0, table.ZoneBlockRows)
-		return &s
-	}}
-	strPool = sync.Pool{New: func() any {
-		s := make([]string, 0, table.ZoneBlockRows)
-		return &s
-	}}
+	f64Pool  = newPool[float64]()
+	boolPool = newPool[bool]()
+	strPool  = newPool[string]()
+	i32Pool  = newPool[int32]()
 )
+
+func newPool[T any]() *sync.Pool {
+	return &sync.Pool{New: func() any {
+		s := make([]T, 0, table.ZoneBlockRows)
+		return &s
+	}}
+}
 
 // Pool accounting: every pooled get and put is counted so tests can pin
 // that scratch discipline holds on every exit branch — errors, context
@@ -65,6 +69,20 @@ var (
 // test pins this across success, error, cancellation and cache-hit
 // paths.
 func PoolOutstanding() int64 { return poolGets.Load() - poolPuts.Load() }
+
+// getPooled takes an emptied slice from p, counted.
+func getPooled[T any](p *sync.Pool) *[]T {
+	poolGets.Add(1)
+	s := p.Get().(*[]T)
+	*s = (*s)[:0]
+	return s
+}
+
+// putPooled returns s to p, counted.
+func putPooled[T any](p *sync.Pool, s *[]T) {
+	p.Put(s)
+	poolPuts.Add(1)
+}
 
 // decodeMeter accumulates lazy-decode work (blocks decoded, wall ns spent
 // decoding) during expression evaluation; it flows into Counters so the
@@ -547,41 +565,20 @@ func isCovered(covered []bool, r int) bool {
 }
 
 // evalPredicateSkipping evaluates predicate e over the blocks of rows
-// [lo, hi) of tbl that skip admits (walkBlocks) and returns the matching
-// rows. A nil e keeps every row and returns a nil selection. On a block covered marks (e holds on every
-// row; see blockCover) every row matches without evaluating e. A non-nil key
-// reads the GROUP BY key of every block with a survivor and appends the
-// survivors' group ids to its ids, so grouping costs no pass of its own.
-//
-// selHint, when in [0,1], is a remembered selectivity for this predicate
-// shape from the predicate memo; it pre-sizes the selection vector so a
-// repeated shape neither over-allocates (a 1% filter reserving n/2) nor
-// regrows repeatedly (a 90% filter starting at n/2). Either way the
-// reservation is capped at the rows in blocks skip admits. Capacity only —
-// never affects which rows match.
-func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, lo, hi int, skip, covered []bool, m *decodeMeter, cc *cache.BlockCache, selHint float64, key *keyReader) ([]int, error) {
-	n := hi - lo
-	selCap := n
-	if e != nil {
-		selCap = n / 2
-		if selHint >= 0 && selHint <= 1 {
-			selCap = min(int(selHint*float64(n))+16, n)
-		}
-	}
-	selCap = min(selCap, admittedRows(lo, hi, skip))
-	var sel []int
-	if e != nil {
-		sel = make([]int, 0, selCap)
-	}
-	if key != nil {
-		key.ids = make([]int32, 0, selCap)
-	}
+// [lo, hi) of tbl that skip admits (walkBlocks), appends the matching rows
+// to sel and returns it, on an error too, so that a pooled sel goes back
+// to its pool. A nil e keeps every row and leaves sel alone. On a block
+// covered marks (e holds on every row; see zoneSkip) every row matches
+// without evaluating e. A non-nil key reads the GROUP BY key of every block
+// with a survivor and appends the survivors' group ids to its ids, so
+// grouping costs no pass of its own.
+func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, lo, hi int, skip, covered []bool, m *decodeMeter, cc *cache.BlockCache, sel []int32, key *keyReader) ([]int32, error) {
 	sc := &scratch{m: m, blocks: cc}
 	err := walkBlocks(ctx, lo, hi, skip, sc, func(row, end int) error {
 		var keep []bool
 		if e != nil && isCovered(covered, row) {
 			for r := row; r < end; r++ {
-				sel = append(sel, r)
+				sel = append(sel, int32(r))
 			}
 		} else if e != nil {
 			v, err := evalExpr(e, tbl, end-row, sc)
@@ -594,7 +591,7 @@ func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, lo
 			before := len(sel)
 			for i, ok := range v.bools {
 				if ok {
-					sel = append(sel, row+i)
+					sel = append(sel, int32(row+i))
 				}
 			}
 			if len(sel) == before {
@@ -610,8 +607,5 @@ func evalPredicateSkipping(ctx context.Context, e sql.Expr, tbl *table.Table, lo
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return sel, nil
+	return sel, err
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cache"
@@ -188,7 +189,7 @@ func decodeBounds(def *plan.QueryDef, tbl *table.Table, sel []int) (want, uncach
 		}
 	}
 	if def.Where != nil {
-		skip, _ := blockSkip(tbl, def.Where)
+		skip, _, _ := zoneSkip(tbl, def.Where, predRanges(def.Where))
 		var admitted []int
 		for b := 0; b < nb; b++ {
 			if b >= len(skip) || !skip[b] {
@@ -287,14 +288,15 @@ func scanMatches(t *testing.T, label string, got *scanResult, want []group, sel 
 
 // TestSampleScanDifferential pins the two-phase sample scan and the
 // count-then-fill split to a plain reference over raw/compressed/mmap
-// backings × block cache and predicate memo on/off × Workers 1/2/8: the same
+// backings × block cache on/off × Workers 1/2/8: the same
 // vectors to the bit, the same group order, and the same counters, with
 // BlocksDecoded exactly "predicate columns in admitted blocks, inputs in
 // blocks with a survivor" — never more than the scan before it — and every
 // cached read either a hit or a decode: on a warm cache, a decode exactly
-// when the block's codec is one the cache turns away. Type errors fail the query even
-// when no row survives, and pooled scratch comes back after success, error
-// and a cancellation in either phase.
+// when the block's codec is one the cache turns away. Type errors fail the
+// query even when no row survives, and pooled scratch, selections and group
+// ids come back after success, error, a cancellation in either phase, and a
+// partition cancelled in phase 1 after the other has finished it.
 func TestSampleScanDifferential(t *testing.T) {
 	ctx := context.Background()
 	raw := exactCorpus()
@@ -319,8 +321,7 @@ func TestSampleScanDifferential(t *testing.T) {
 				cfg, passes := Config{Workers: workers}, 1
 				if cached {
 					cfg.Blocks = cache.NewBlockCache(cache.BlockConfig{Bytes: 1 << 20})
-					cfg.Preds = cache.NewPredMemo(nil)
-					passes = 2 // the second reads a warm cache and a remembered selectivity
+					passes = 2 // the second reads a warm cache
 				}
 				for pass := 0; pass < passes; pass++ {
 					for i, def := range defs {
@@ -333,7 +334,7 @@ func TestSampleScanDifferential(t *testing.T) {
 						c := res.counters
 						var skipped int64
 						if def.Where != nil {
-							_, skipped = blockSkip(data, def.Where)
+							_, _, skipped = zoneSkip(data, def.Where, predRanges(def.Where))
 						}
 						if c.Subqueries != 1 || c.Scans != 1 || c.Tasks != workers ||
 							c.RowsScanned != int64(data.NumRows()) || c.BytesScanned != data.SizeBytes() ||
@@ -419,6 +420,39 @@ func TestSampleScanDifferential(t *testing.T) {
 			t.Fatalf("cancelled %d decodes in: %d pooled buffers outstanding", into, d)
 		}
 	}
+
+	// One partition cancelled in phase 1 after the other finished it. Each
+	// of the two partitions walks 20 blocks, so phase 1 asks for the context
+	// four times: once as each partition starts, before it takes its
+	// selection and ids, and once at each partition's first block. The
+	// fourth ask is the second of one partition, made once the other has
+	// asked its last, so that one fails holding its selection and ids and
+	// the other finishes phase 1 with its own.
+	short := table.Compress(clusteredSessions(40*table.BlockRows, 29))
+	cctx := errCallCtx{Context: ctx, calls: new(atomic.Int64), cancelAt: 4}
+	if _, err := scanFilterProject(cctx, def, 0, short, Config{Workers: 2}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled at the fourth context check: %v", err)
+	}
+	if n := cctx.calls.Load(); n != 4 {
+		t.Fatalf("phase 1 checked the context %d times, want 4", n)
+	}
+	if d := PoolOutstanding() - pooled; d != 0 {
+		t.Fatalf("one partition cancelled in phase 1: %d pooled buffers outstanding", d)
+	}
+}
+
+// errCallCtx is cancelled from its cancelAt-th Err call on.
+type errCallCtx struct {
+	context.Context
+	calls    *atomic.Int64
+	cancelAt int64
+}
+
+func (c errCallCtx) Err() error {
+	if c.calls.Add(1) >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
 }
 
 // allocScanTable is a 50k-row compressed sample: a measure, 40 devices, and
@@ -446,12 +480,11 @@ func allocScanTable() *table.Table {
 
 // TestSampleScanAllocatesOnce: the scan of three plain shapes allocates
 // each per-row vector once. The budget is 1.15× the vectors the stage must
-// build — the filter's selection (8 B per survivor), each value column, or
-// for GROUP BY the group ids (4 B per row) and the group vectors, which are
+// build — each value column, or for GROUP BY the group vectors, which are
 // the value column — plus 64 KiB. Building them by merge appends,
 // absolute-index copies and a full-length temporary per masked column costs
-// 3.5–6×. A predicate memo is attached, as on every engine with caching on,
-// so the selection is reserved at the remembered selectivity.
+// 3.5–6×. The filter's selection and the group ids come from pools, which
+// the first run warms, so they cost nothing after it.
 func TestSampleScanAllocatesOnce(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -463,7 +496,7 @@ func TestSampleScanAllocatesOnce(t *testing.T) {
 		"SELECT Device, AVG(Time) FROM S GROUP BY Device",
 	} {
 		def := mustPlan(t, q, plan.Options{}).Def
-		cfg := Config{Workers: 2, Preds: cache.NewPredMemo(nil)}
+		cfg := Config{Workers: 2}
 		var must int
 		run := func() {
 			res, err := scanFilterProject(context.Background(), def, 0, tbl, cfg)
@@ -475,17 +508,11 @@ func TestSampleScanAllocatesOnce(t *testing.T) {
 			for _, g := range groups {
 				must += 8 * len(g.values[0])
 			}
-			if def.Where != nil {
-				must += 8 * int(res.counters.RowsAfterFilter)
-			}
-			if len(def.GroupBy) > 0 {
-				must += 4 * int(res.counters.RowsAfterFilter)
-				if len(groups) != 40 {
-					t.Fatalf("%d groups", len(groups))
-				}
+			if len(def.GroupBy) > 0 && len(groups) != 40 {
+				t.Fatalf("%d groups", len(groups))
 			}
 		}
-		run() // warm the scratch pools and the memo's selectivity
+		run() // warm the pools
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		const reps = 5

@@ -3,7 +3,6 @@ package exec
 import (
 	"math"
 
-	"repro/internal/cache"
 	"repro/internal/estimator"
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -206,90 +205,60 @@ func flipCmp(op string) string {
 	return op // "=" is symmetric
 }
 
-// blockSkip combines the predicate's ranges with the table's zone maps into
-// a per-block skip list. It returns (nil, 0) when the table has no zone
-// maps, the predicate yields no usable ranges, or nothing is skippable —
-// callers then fall back to the plain single-pass filter.
-func blockSkip(tbl *table.Table, pred sql.Expr) ([]bool, int64) {
+// zoneSkip combines ranges, pred's predRanges, with tbl's zone maps into
+// pred's zone-map admission: skip marks the blocks no row of which can
+// satisfy pred (skipped of them), and covered the blocks skip admits on
+// which pred holds for every row — pred is a pure conjunction, and each
+// constrained column's envelope vouches for the block and lies inside the
+// column's range. A nil list marks no block, as when the table has no zone
+// maps or ranges is empty.
+func zoneSkip(tbl *table.Table, pred sql.Expr, ranges map[string]colRange) (skip, covered []bool, skipped int64) {
 	z := tbl.Zones()
-	if z == nil || pred == nil {
-		return nil, 0
-	}
-	ranges := predRanges(pred)
-	if len(ranges) == 0 {
-		return nil, 0
-	}
-	nb := z.NumBlocks()
-	var skip []bool
-	var skipped int64
-	for col, r := range ranges {
-		idx := tbl.Schema().Index(col)
-		if idx < 0 {
-			continue
-		}
-		cz, ok := z.Column(idx)
-		if !ok {
-			continue
-		}
-		for b := 0; b < nb; b++ {
-			if r.excludes(cz.Mins[b], cz.Maxs[b]) {
-				if skip == nil {
-					skip = make([]bool, nb)
-				}
-				if !skip[b] {
-					skip[b] = true
-					skipped++
-				}
-			}
-		}
-	}
-	return skip, skipped
-}
-
-// blockCover marks the blocks skip admits on which pred holds for every
-// row: pred is a pure conjunction, and each constrained column's envelope
-// vouches for the block and lies inside the column's range. It returns nil
-// when no block is covered.
-func blockCover(tbl *table.Table, pred sql.Expr, skip []bool) []bool {
-	z := tbl.Zones()
-	if z == nil || pred == nil || !pureConjunction(pred) {
-		return nil
+	if z == nil || len(ranges) == 0 {
+		return nil, nil, 0
 	}
 	type constraint struct {
 		r   colRange
 		col table.Column
 		cz  table.ColumnZones
 	}
-	var cons []constraint
-	for name, r := range predRanges(pred) {
+	cons := make([]constraint, 0, len(ranges))
+	coverable := pureConjunction(pred)
+	for name, r := range ranges {
 		idx := tbl.Schema().Index(name)
 		cz, ok := z.Column(idx)
-		if idx < 0 || !ok {
-			return nil
+		if !ok { // an unknown or string column: it cannot vouch
+			coverable = false
+			continue
 		}
 		cons = append(cons, constraint{r, tbl.Column(idx), cz})
 	}
-	var covered []bool
-	for b := 0; b < z.NumBlocks(); b++ {
-		if b < len(skip) && skip[b] {
-			continue
-		}
-		holds := true
+	nb := z.NumBlocks()
+	for b := range nb {
+		excluded, holds := false, coverable
 		for _, c := range cons {
 			mn, mx := c.cz.Mins[b], c.cz.Maxs[b]
-			if !c.r.holds(mn, mx) || !vouches(c.col, b, mn, mx) {
-				holds = false
+			if c.r.excludes(mn, mx) {
+				excluded = true
 				break
 			}
+			holds = holds && c.r.holds(mn, mx) && vouches(c.col, b, mn, mx)
 		}
-		if holds {
+		switch {
+		case excluded:
+			if skip == nil {
+				skip = make([]bool, nb)
+			}
+			skip[b] = true
+			skipped++
+		case holds:
 			if covered == nil {
-				covered = make([]bool, z.NumBlocks())
+				covered = make([]bool, nb)
 			}
 			covered[b] = true
 		}
 	}
-	return covered
+	return skip, covered, skipped
 }
 
 // ExtremeDecode predicts, from st's block table alone, how many column
@@ -308,8 +277,8 @@ func blockCover(tbl *table.Table, pred sql.Expr, skip []bool) []bool {
 // predicate constrains is int64, whose envelope vouches for its block on any
 // codec, where a float64 envelope vouches only as its codec says. So the
 // prediction reads envelopes, never a codec, and is the same on every
-// backing. The skip and covered lists come through zoneSkip's memo.
-func ExtremeDecode(memo *cache.PredMemo, st *StoredTable, def *plan.QueryDef) (blocks int, ok bool) {
+// backing.
+func ExtremeDecode(st *StoredTable, def *plan.QueryDef) (blocks int, ok bool) {
 	tbl := st.Data
 	schema := tbl.Schema()
 	if len(def.GroupBy) > 0 {
@@ -336,10 +305,11 @@ func ExtremeDecode(memo *cache.PredMemo, st *StoredTable, def *plan.QueryDef) (b
 	intCover := true
 	if def.Where != nil {
 		sql.EachColumn(def.Where, func(name string) { read[schema.Index(name)] = true })
-		for name := range predRanges(def.Where) {
+		ranges := predRanges(def.Where)
+		for name := range ranges {
 			intCover = intCover && schema[schema.Index(name)].Type == table.Int64
 		}
-		skip, covered, _ = zoneSkip(memo, tbl, def.Where)
+		skip, covered, _ = zoneSkip(tbl, def.Where, ranges)
 	}
 	z := tbl.Zones()
 	folds := func(b int) bool {

@@ -135,11 +135,11 @@ func TestZoneSkipPreservesSelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", cond, err)
 		}
-		skip, skipped := blockSkip(tbl, pred)
+		skip, covered, skipped := zoneSkip(tbl, pred, predRanges(pred))
 		if skipped > 0 {
 			anySkipped = true
 		}
-		got, err := evalPredicateSkipping(context.Background(), pred, tbl, 0, tbl.NumRows(), skip, blockCover(tbl, pred, skip), nil, nil, -1, nil)
+		got, err := evalPredicateSkipping(context.Background(), pred, tbl, 0, tbl.NumRows(), skip, covered, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", cond, err)
 		}
@@ -148,7 +148,7 @@ func TestZoneSkipPreservesSelection(t *testing.T) {
 				cond, len(got), len(want), skipped)
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if int(got[i]) != want[i] {
 				t.Fatalf("%q: selection diverges at %d: %d != %d", cond, i, got[i], want[i])
 			}
 		}
@@ -158,9 +158,9 @@ func TestZoneSkipPreservesSelection(t *testing.T) {
 	}
 }
 
-// TestZoneSkipSizesSelection: with no memo hint, the selection vector
-// reserves no more than the rows in blocks the skip list admits, and still
-// selects every matching row there.
+// TestZoneSkipSizesSelection: the selection holds every matching row in
+// the blocks the skip list admits, and the partitions' admitted rows sum to
+// those blocks' rows.
 func TestZoneSkipSizesSelection(t *testing.T) {
 	const blocks, admitted = 10, 3
 	tbl := clusteredSessions(blocks*table.ZoneBlockRows, 24)
@@ -169,14 +169,11 @@ func TestZoneSkipSizesSelection(t *testing.T) {
 	for b := range skip {
 		skip[b] = b != admitted
 	}
-	sel, err := evalPredicateSkipping(context.Background(), wherePred(t, "Time >= 0"), tbl, 0, tbl.NumRows(), skip, nil, nil, nil, -1, nil)
+	sel, err := evalPredicateSkipping(context.Background(), wherePred(t, "Time >= 0"), tbl, 0, tbl.NumRows(), skip, nil, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cap(sel) > table.ZoneBlockRows {
-		t.Errorf("cap(sel) = %d, want at most the %d admitted rows", cap(sel), table.ZoneBlockRows)
-	}
-	if len(sel) != table.ZoneBlockRows || sel[0] != admitted*table.ZoneBlockRows {
+	if len(sel) != table.ZoneBlockRows || int(sel[0]) != admitted*table.ZoneBlockRows {
 		t.Errorf("selected %d rows from %v, want block %d's %d", len(sel), sel[:min(len(sel), 1)], admitted, table.ZoneBlockRows)
 	}
 	for _, workers := range []int{1, 3, 7} {
@@ -202,15 +199,15 @@ func TestZoneSkipAcrossPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skip, skipped := blockSkip(tbl, pred)
+	skip, covered, skipped := zoneSkip(tbl, pred, predRanges(pred))
 	if skipped == 0 {
 		t.Fatal("expected skippable blocks")
 	}
 	for _, workers := range []int{1, 2, 3, 7} {
 		bounds := unalignedRanges(n, workers)
-		var got []int
+		var got []int32
 		for i := 0; i < workers; i++ {
-			sel, err := evalPredicateSkipping(context.Background(), pred, tbl, bounds[i], bounds[i+1], skip, blockCover(tbl, pred, skip), nil, nil, -1, nil)
+			sel, err := evalPredicateSkipping(context.Background(), pred, tbl, bounds[i], bounds[i+1], skip, covered, nil, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +217,7 @@ func TestZoneSkipAcrossPartitions(t *testing.T) {
 			t.Fatalf("workers=%d: %d rows, want %d", workers, len(got), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if int(got[i]) != want[i] {
 				t.Fatalf("workers=%d: row %d: %d != %d", workers, i, got[i], want[i])
 			}
 		}
