@@ -620,7 +620,9 @@ func (a *Answer) FellBack() bool {
 // planned exact from the block table is headed by the line
 // "exact (block table: N blocks)", N the column blocks predicted decoded; a
 // grouped one no group of the sample can be diagnosed for by
-// "exact (too few rows: at most N sample rows per <col> group, floor F)".
+// "exact (too few rows: at most N sample rows per <col> group, floor F)",
+// with "with <range col> in <window>" after "group" when the predicate's
+// window on a range column gave N.
 func (e *Engine) Explain(query string) (string, error) {
 	q := &request{sql: query, ctx: context.Background()}
 	if err := e.analyze(q); err != nil {
@@ -648,8 +650,12 @@ func (e *Engine) Explain(query string) (string, error) {
 	case obs.PlanBlockTable:
 		return fmt.Sprintf("exact (block table: %d blocks)\n", q.plannedBlocks) + p.Explain(), nil
 	case obs.PlanTooFewRows:
-		return fmt.Sprintf("exact (too few rows: at most %d sample rows per %s group, floor %d)\n",
-			q.ceiling, q.def.GroupBy[0], diagnostic.MinFilteredRows) + p.Explain(), nil
+		window := ""
+		if c := q.ceiling; c.Column != "" {
+			window = fmt.Sprintf(" with %s in %s", c.Column, c.Window)
+		}
+		return fmt.Sprintf("exact (too few rows: at most %d sample rows per %s group%s, floor %d)\n",
+			q.ceiling.Rows, q.def.GroupBy[0], window, diagnostic.MinFilteredRows) + p.Explain(), nil
 	}
 	return p.Explain(), nil
 }

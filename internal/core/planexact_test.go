@@ -224,10 +224,12 @@ func TestPlanExactDifferential(t *testing.T) {
 
 // countFirstQueries are the grouped and ungrouped queries count-first
 // decides: a one-day window leaves ~140 sample rows, under the diagnostic's
-// floor, whether grouped by City or not; City's groups without a window are
-// not under it, and neither is any masked SUM or COUNT. Device's forty
-// groups of ~300 sample rows are under it whatever the filter, so its
-// queries are planned exact before the scan (planTooFew).
+// floor; City's groups without a filter are not under it, and neither is any
+// masked SUM or COUNT. Device's forty groups of ~300 sample rows are under it
+// whatever the filter, and so are City's under a one-day window, so those
+// queries are planned exact before the scan (planTooFew). G > 110 leaves
+// City's groups under the floor too, but G has too many distinct values for
+// the key ceiling to read its window: count-first decides that query.
 var countFirstQueries = []string{
 	"SELECT Device, AVG(G), MAX(P) FROM E GROUP BY Device",
 	"SELECT Device, COUNT(*), SUM(G), MIN(G) FROM E GROUP BY Device",
@@ -236,6 +238,7 @@ var countFirstQueries = []string{
 	"SELECT AVG(G), PERCENTILE(P, 0.5) FROM E WHERE Day = 44",
 	"SELECT SUM(G), COUNT(*) FROM E WHERE Day = 44",
 	"SELECT City, AVG(G), MAX(P) FROM E WHERE Day = 44 GROUP BY City",
+	"SELECT City, AVG(G), MAX(P) FROM E WHERE G > 110 GROUP BY City",
 }
 
 // countFirstGolden is the answerHasher hash of countFirstQueries, in order.
@@ -246,13 +249,17 @@ var countFirstQueries = []string{
 // The seventh query was added then. It was re-recorded again when
 // stats.Moments became shifted sums: AVG estimates and intervals moved in
 // their last bits (relative change under 1e-14), and no verdict, cause,
-// technique, exactness or group moved.
-const countFirstGolden = 0x7b574268faa022ee
+// technique, exactness or group moved. It was re-recorded when the key
+// ceiling came to read the predicate's window: the seventh query is planned
+// exact, so its six aggregates went from a too_few_rows reject to an accept,
+// and no estimate, interval bit, technique, exactness or group moved. The
+// eighth query was added then.
+const countFirstGolden = 0xa53deadd6ded30e8
 
 // TestCountFirstDifferential: count-first moves no answer bit on any
 // backing, worker count or cache setting, and it did decide: the estimate
-// stage of City's one-day query served no bar, where that of City's query
-// without a window served one per aggregate.
+// stage of City's query under G > 110 served no bar, where that of City's
+// query without a filter served one per aggregate.
 func TestCountFirstDifferential(t *testing.T) {
 	for _, c := range planMatrix() {
 		e := planEngine(t, c)
@@ -273,8 +280,10 @@ func TestCountFirstDifferential(t *testing.T) {
 				}
 			}
 		}
-		if window, city := barred[countFirstQueries[6]], barred[countFirstQueries[3]]; window != 0 || city == 0 {
-			t.Errorf("%v: bars served: %d on City's one-day groups, %d on City's; want none and some", c, window, city)
+		filtered, city := barred[countFirstQueries[7]], barred[countFirstQueries[3]]
+		if _, ran := barred[countFirstQueries[7]]; !ran || filtered != 0 || city == 0 {
+			t.Errorf("%v: bars served: %d on City's G > 110 groups (estimated: %v), %d on City's; want none and some",
+				c, filtered, ran, city)
 		}
 	}
 }
@@ -351,11 +360,13 @@ func TestCountFirstAnswersEmptyFilter(t *testing.T) {
 // sample row has no group to diagnose, yet the table has groups. The answer
 // is RunExact's, every aggregate exact after a too_few_rows reject — what
 // the ungrouped form over no row gets — on every backing, worker count and
-// cache setting. Without the fallback it served no group at all.
+// cache setting. Without the fallback it served no group at all. The filters
+// are on G and P, whose many distinct values leave the key ceiling no window
+// to read, so the queries run on the sample.
 func TestEmptyGroupedAnswerFallsBack(t *testing.T) {
 	queries := []string{
-		"SELECT City, AVG(G) FROM E WHERE Day = 11 AND G > 110 GROUP BY City",
-		"SELECT City, AVG(G) FROM E WHERE Day = 2 AND G > 110 GROUP BY City",
+		"SELECT City, AVG(G) FROM E WHERE G < 5 AND P > 30 GROUP BY City",
+		"SELECT City, AVG(G) FROM E WHERE G < 0 AND P > 30 GROUP BY City",
 	}
 	for _, c := range planMatrix() {
 		e := planEngine(t, c)
@@ -388,35 +399,56 @@ func TestEmptyGroupedAnswerFallsBack(t *testing.T) {
 	}
 }
 
-// TestTooFewPlanDifferential: a grouped query whose every GROUP BY key holds
-// fewer sample rows than the diagnostic's floor is planned exact before any
-// sample scan — with or without a Day window — and a query whose key clears
-// the floor stays on the sample, even where its filter leaves too few rows.
-// The decision, its EXPLAIN and every answer bit are the same on every
-// backing, worker count and cache setting; a routed answer is RunExact's, to
-// the bit; and queries racing to be first read one ceiling. An engine that
-// keeps rejected answers, an error bound and a time budget are not routed.
+// TestTooFewPlanDifferential: a grouped query no GROUP BY key of whose
+// sample can hold the diagnostic's floor of rows under its predicate is
+// planned exact before any sample scan. The ceiling is the key's rows in the
+// whole sample or, tighter, in the predicate's window on Day: Device is
+// routed with or without a window, City under a one-day or nine-day window,
+// also beside a G conjunct the ceiling cannot read. City stays on the sample
+// without a filter, under a window wide enough for a group to clear the
+// floor, and under a G filter alone, since G has too many distinct values
+// for a window count. The decision, its EXPLAIN — which names the ceiling
+// counted from the sample, and its window — and every answer bit are the
+// same on every backing, worker count and cache setting; a routed answer is
+// RunExact's, to the bit and in its group set; and queries racing to be
+// first read one ceiling. An engine that keeps rejected answers, an error
+// bound and a time budget are not routed.
 func TestTooFewPlanDifferential(t *testing.T) {
 	queries := []struct {
 		sql    string
+		key    string
+		lo, hi int64 // the Day window the ceiling reads; lo > hi: none
 		routed bool
 	}{
-		{"SELECT Device, AVG(G), MAX(P) FROM E GROUP BY Device", true},
-		{"SELECT Device, COUNT(*), SUM(G) FROM E WHERE Day >= 30 AND Day <= 59 GROUP BY Device", true},
-		{"SELECT City, AVG(G), MAX(P) FROM E GROUP BY City", false},
-		{"SELECT City, AVG(G) FROM E WHERE Day = 44 GROUP BY City", false},
+		{"SELECT Device, AVG(G), MAX(P) FROM E GROUP BY Device", "Device", 1, 0, true},
+		{"SELECT Device, COUNT(*), SUM(G) FROM E WHERE Day >= 30 AND Day <= 59 GROUP BY Device", "Device", 30, 59, true},
+		{"SELECT City, AVG(G), MAX(P) FROM E GROUP BY City", "City", 1, 0, false},
+		{"SELECT City, AVG(G) FROM E WHERE Day = 44 GROUP BY City", "City", 44, 44, true},
+		{"SELECT City, SUM(G), MAX(P) FROM E WHERE Day >= 30 AND Day <= 38 GROUP BY City", "City", 30, 38, true},
+		{"SELECT City, AVG(G) FROM E WHERE Day >= 30 AND Day <= 38 AND G > 110 GROUP BY City", "City", 30, 38, true},
+		{"SELECT City, AVG(G) FROM E WHERE Day >= 10 GROUP BY City", "City", 1, 0, false},
+		{"SELECT City, AVG(G), MAX(P) FROM E WHERE G > 110 GROUP BY City", "City", 1, 0, false},
 	}
 	sqls := make([]string, len(queries))
 	for i, q := range queries {
 		sqls[i] = q.sql
 	}
-	const head = "exact (too few rows: at most %d sample rows per Device group, floor 3200)\n"
 	wantHash, wantExplain := make([]uint64, len(queries)), make([]string, len(queries))
+	heads := make([]string, len(queries))
 	ceiling := 0
 	for ci, c := range planMatrix() {
 		e := planEngine(t, c)
 		if ci == 0 {
-			ceiling = deviceCeiling(t, e)
+			deviceCeiling(t, e)
+			for i, q := range queries {
+				window := ""
+				if q.lo <= q.hi {
+					window = fmt.Sprintf(" with Day in [%d, %d]", q.lo, q.hi)
+				}
+				heads[i] = fmt.Sprintf("exact (too few rows: at most %d sample rows per %s group%s, floor 3200)\n",
+					sampleCeiling(t, e, q.key, q.lo, q.hi), q.key, window)
+			}
+			ceiling = sampleCeiling(t, e, "City", 30, 38)
 		}
 		answers := runPlanQueries(t, e, sqls)
 		for i, q := range queries {
@@ -425,23 +457,26 @@ func TestTooFewPlanDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if routed := strings.HasPrefix(explain, fmt.Sprintf(head, ceiling)); routed != q.routed {
+			if routed := strings.HasPrefix(explain, "exact (too few rows:"); routed != q.routed {
 				t.Errorf("%v %q: planned exact = %v, want %v:\n%s", c, q.sql, routed, q.routed, explain)
+			}
+			if q.routed && !strings.HasPrefix(explain, heads[i]) {
+				t.Errorf("%v %q: EXPLAIN\n%s\nwant it headed\n%s", c, q.sql, explain, heads[i])
 			}
 			if onSample := ans.SampleRows > 0; onSample == q.routed {
 				t.Errorf("%v %q: answered on %d sample rows, planned exact = %v", c, q.sql, ans.SampleRows, q.routed)
 			}
+			if q.routed {
+				exact, err := e.RunExact(context.Background(), q.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if answerHash(ans) != answerHash(exact) || len(ans.Groups) != len(exact.Groups) {
+					t.Errorf("%v %q: routed answer of %d groups is not RunExact's %d", c, q.sql, len(ans.Groups), len(exact.Groups))
+				}
+			}
 			if ci == 0 {
 				wantHash[i], wantExplain[i] = answerHash(ans), explain
-				if q.routed {
-					exact, err := e.RunExact(context.Background(), q.sql)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, want := answerHash(ans), answerHash(exact); got != want || len(ans.Groups) != 40 {
-						t.Errorf("%q: routed answer of %d groups is not RunExact's", q.sql, len(ans.Groups))
-					}
-				}
 				continue
 			}
 			if got := answerHash(ans); got != wantHash[i] {
@@ -535,28 +570,44 @@ func TestTooFewPlanOnDamagedSample(t *testing.T) {
 	}
 }
 
-// deviceCeiling counts the most sample rows any one Device value holds, from
-// e's raw sample column.
-func deviceCeiling(t *testing.T, e *Engine) int {
+// deviceCeiling checks that e's raw sample holds forty Device values, each
+// on fewer rows than the diagnostic's floor.
+func deviceCeiling(t *testing.T, e *Engine) {
 	t.Helper()
 	s := e.tables["E"].samples[0].Data
 	counts := map[string]int{}
 	for _, d := range s.Column(s.Schema().Index("Device")).(table.StringCol) {
 		counts[d]++
 	}
+	if most := sampleCeiling(t, e, "Device", 1, 0); len(counts) != 40 || most >= 3200 {
+		t.Fatalf("the sample holds %d Device values, at most %d rows each; want 40 under the floor", len(counts), most)
+	}
+}
+
+// sampleCeiling counts the most rows of e's raw sample that one value of
+// the string column key holds with Day in [lo, hi], or anywhere when lo > hi.
+func sampleCeiling(t *testing.T, e *Engine, key string, lo, hi int64) int {
+	t.Helper()
+	s := e.tables["E"].samples[0].Data
+	keys := s.Column(s.Schema().Index(key)).(table.StringCol)
+	days := s.Column(s.Schema().Index("Day")).(table.Int64Col)
+	counts := map[string]int{}
+	for i, k := range keys {
+		if lo > hi || days[i] >= lo && days[i] <= hi {
+			counts[k]++
+		}
+	}
 	most := 0
 	for _, n := range counts {
 		most = max(most, n)
 	}
-	if len(counts) != 40 || most >= 3200 {
-		t.Fatalf("the sample holds %d Device values, at most %d rows each; want 40 under the floor", len(counts), most)
-	}
 	return most
 }
 
-// racedCeilings runs eight routed Device queries at once on a fresh engine,
-// each a different window so none replays another's answer, and returns the
-// ceiling their plan stages read, failing unless they all read the same.
+// racedCeilings runs eight routed City queries under one nine-day window at
+// once on a fresh engine, each a different aggregate so none replays
+// another's answer, and returns the ceiling their plan stages read, failing
+// unless they all read the same. Each of them may build the window's counts.
 func racedCeilings(t *testing.T, e *Engine) int {
 	t.Helper()
 	var mu sync.Mutex
@@ -565,7 +616,7 @@ func racedCeilings(t *testing.T, e *Engine) int {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, s := range r.Stages {
-			if s.Stage == obs.StagePlan {
+			if s.Stage == obs.StagePlan && s.RangeColumn == "Day" {
 				ceilings = append(ceilings, s.KeyCeiling)
 			}
 		}
@@ -577,7 +628,7 @@ func racedCeilings(t *testing.T, e *Engine) int {
 		go func() {
 			defer wg.Done()
 			_, errs[i] = e.Run(context.Background(),
-				fmt.Sprintf("SELECT Device, AVG(G) FROM E WHERE Day >= %d GROUP BY Device", i))
+				fmt.Sprintf("SELECT City, AVG(G + %d) FROM E WHERE Day >= 30 AND Day <= 38 GROUP BY City", i))
 		}()
 	}
 	wg.Wait()
@@ -661,9 +712,10 @@ func TestFallbackAddsGroupsTheSampleMissed(t *testing.T) {
 }
 
 // TestTooFewPlanRecord: a query planned exact for too few rows records why on
-// its plan stage — the reason, the Device ceiling and the sample's rows, all
-// on its span — runs one scan of the full table and nothing of the sample
-// path, and leaves the block table's decode ratio unobserved.
+// its plan stage — the reason, Device's ceiling under the Day window, the
+// range column and the sample's rows, all on its span — runs one scan of the
+// full table and nothing of the sample path, and leaves the block table's
+// decode ratio unobserved.
 func TestTooFewPlanRecord(t *testing.T) {
 	tr := obs.NewTracer(obs.Options{})
 	e := New(Config{Seed: 47, Obs: tr})
@@ -674,7 +726,7 @@ func TestTooFewPlanRecord(t *testing.T) {
 	if err := e.BuildSamples("E", planSampleRows); err != nil {
 		t.Fatal(err)
 	}
-	ceiling := deviceCeiling(t, e)
+	ceiling := sampleCeiling(t, e, "Device", 0, 44)
 	ans, err := e.Run(context.Background(), "SELECT Device, AVG(G) FROM E WHERE Day < 45 GROUP BY Device")
 	if err != nil {
 		t.Fatal(err)
@@ -692,8 +744,9 @@ func TestTooFewPlanRecord(t *testing.T) {
 		t.Errorf("stages %q, want parse plan scan", got)
 	}
 	if plan == nil || plan.Attrs["mode"] != "exact" || plan.Attrs["reason"] != obs.PlanTooFewRows ||
-		plan.Attrs["key_ceiling"] != int64(ceiling) || plan.Attrs["sample_rows"] != int64(planSampleRows) {
-		t.Errorf("plan span %+v, want too few rows: ceiling %d on %d sample rows", plan, ceiling, planSampleRows)
+		plan.Attrs["key_ceiling"] != int64(ceiling) || plan.Attrs["range_column"] != "Day" ||
+		plan.Attrs["sample_rows"] != int64(planSampleRows) {
+		t.Errorf("plan span %+v, want too few rows: ceiling %d under Day on %d sample rows", plan, ceiling, planSampleRows)
 	}
 	if ans.SampleRows != 0 || ans.Counters.RowsScanned != planRows {
 		t.Errorf("answered on %d sample rows after scanning %d, want the full table's %d alone",
@@ -701,5 +754,65 @@ func TestTooFewPlanRecord(t *testing.T) {
 	}
 	if n := tr.Registry().Histogram("aqp_plan_decode_ratio", "", obs.DecodeRatioBuckets).Count(); n != 0 {
 		t.Errorf("decode ratio observed %d times, want none", n)
+	}
+}
+
+// TestAggregateRoutes: each query moves aqp_aggregates_total on exactly its
+// route, by its aggregates times its groups: City's accepted AVG on the
+// sample, City under G > 110 rejected too_few_rows and re-answered exactly,
+// a MIN and MAX planned exact from the block table (ungrouped, as that route
+// is), City under a one-day window planned exact for too few rows, and
+// Device on request. A replay moves no route.
+func TestAggregateRoutes(t *testing.T) {
+	tr := obs.NewTracer(obs.Options{})
+	e := New(Config{Seed: 47, Workers: 2, Obs: tr, CacheBytes: 8 << 20})
+	t.Cleanup(func() { e.Close() })
+	if err := e.RegisterTable("E", planTable(planRows)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.BuildSamples("E", planSampleRows); err != nil {
+		t.Fatal(err)
+	}
+	routes := []string{"sample", "fallback", "block_table", "too_few_rows", "exact"}
+	counts := func() []int64 {
+		out := make([]int64, len(routes))
+		for i, r := range routes {
+			out[i] = tr.Registry().Counter("aqp_aggregates_total", "", "route", r).Value()
+		}
+		return out
+	}
+	for _, q := range []struct {
+		route, sql   string
+		exact        bool
+		aggs, groups int
+	}{
+		{"sample", "SELECT City, AVG(G) FROM E GROUP BY City", false, 1, 3},
+		{"fallback", "SELECT City, AVG(G), MAX(P) FROM E WHERE G > 110 GROUP BY City", false, 2, 3},
+		{"block_table", "SELECT MIN(G), MAX(P) FROM E", false, 2, 1},
+		{"too_few_rows", "SELECT City, AVG(G), MAX(P) FROM E WHERE Day = 44 GROUP BY City", false, 2, 3},
+		{"exact", "SELECT Device, AVG(G) FROM E GROUP BY Device", true, 1, 40},
+		{"", "SELECT City, AVG(G) FROM E GROUP BY City", false, 1, 3}, // a replay
+	} {
+		before := counts()
+		ans, err := e.RunWithOptions(context.Background(), q.sql, RunOptions{Exact: q.exact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ans.Groups) != q.groups || len(ans.Groups[0].Aggs) != q.aggs {
+			t.Fatalf("%q: %d groups of %d aggregates, want %d of %d", q.sql, len(ans.Groups), len(ans.Groups[0].Aggs), q.groups, q.aggs)
+		}
+		if q.route == "sample" && ans.FellBack() {
+			t.Fatalf("%q fell back; the test needs every aggregate accepted", q.sql)
+		}
+		after := counts()
+		for i, r := range routes {
+			want := int64(0)
+			if r == q.route {
+				want = int64(q.aggs * q.groups)
+			}
+			if got := after[i] - before[i]; got != want {
+				t.Errorf("%q: route %s moved by %d, want %d", q.sql, r, got, want)
+			}
+		}
 	}
 }

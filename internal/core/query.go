@@ -93,10 +93,11 @@ type request struct {
 	// route is why planFirst planned the request exact (an obs.Plan*
 	// reason; "" when it did not), with the evidence: plannedBlocks, the
 	// decode predicted for the exact plan (obs.PlanBlockTable), or ceiling,
-	// the most rows one GROUP BY key holds in the sample of sampleRows rows
-	// it skipped (obs.PlanTooFewRows).
-	route                              string
-	plannedBlocks, ceiling, sampleRows int
+	// the most rows one GROUP BY key can filter to in the sample of
+	// sampleRows rows it skipped (obs.PlanTooFewRows).
+	route                     string
+	plannedBlocks, sampleRows int
+	ceiling                   exec.Ceiling
 	// stages are the stages run so far, in the order they began: the
 	// record's.
 	stages []obs.StageRecord
@@ -408,23 +409,25 @@ func (q *request) planExact(st *exec.StoredTable) bool {
 // is certain to be rejected too_few_rows on the sample st and re-answered
 // exactly: the engine replaces rejects, the diagnostic runs, and
 // diagnostic.Ladder finds no ladder in the most rows any one key of the
-// GROUP BY column holds in st (its KeyCeiling), which bounds every group's
-// filtered rows under any predicate. Count-first would reach that verdict at
-// the scan's barrier; this reaches it before the scan. An error bound is left
-// to escalate, since a larger sample may clear the floor, and a time budget
-// keeps a reject's bootstrap bar. It records the evidence on the request, for
-// the plan stage and EXPLAIN. Counting the groups reads the GROUP BY column
-// of st, and its error is returned.
+// GROUP BY column can filter to in st under the request's predicate (its
+// KeyCeiling: the key's rows in the predicate's window on a range column, or
+// in the whole sample), which bounds every group's filtered rows.
+// Count-first would reach that verdict at the scan's barrier; this reaches it
+// before the scan. An error bound is left to escalate, since a larger sample
+// may clear the floor, and a time budget keeps a reject's bootstrap bar. It
+// records the evidence on the request, for the plan stage and EXPLAIN.
+// Counting reads the GROUP BY and range columns of st, and its error is
+// returned.
 func (q *request) planTooFew(st *exec.StoredTable) (bool, error) {
 	if !q.opts.plain() || !q.e.exactOnReject(q.opts) || q.e.cfg.skipDiagnostics || len(q.def.GroupBy) == 0 {
 		return false, nil
 	}
-	ceiling, err := st.KeyCeiling(q.ctx, q.def.GroupBy[0], q.e.execConfig())
+	ceiling, err := st.KeyCeiling(q.ctx, q.def.GroupBy[0], q.def.Where, q.e.execConfig())
 	if err != nil {
 		return false, err
 	}
 	n := st.Data.NumRows()
-	if sizes, diagnosed := diagnostic.Ladder(n, ceiling); sizes != nil || !diagnosed {
+	if sizes, diagnosed := diagnostic.Ladder(n, ceiling.Rows); sizes != nil || !diagnosed {
 		return false, nil // a group may clear the floor, or no group is diagnosed
 	}
 	q.route, q.ceiling, q.sampleRows = obs.PlanTooFewRows, ceiling, n
@@ -551,7 +554,7 @@ func (e *Engine) buildExactPlan(q *request, nested bool) (*plan.Plan, error) {
 	rec := obs.StageRecord{Stage: obs.StagePlan, Nested: nested}
 	if !nested {
 		rec.Reason, rec.PredictedBlocks = q.route, q.plannedBlocks
-		rec.KeyCeiling, rec.SampleRows = q.ceiling, q.sampleRows
+		rec.KeyCeiling, rec.RangeColumn, rec.SampleRows = q.ceiling.Rows, q.ceiling.Column, q.sampleRows
 	}
 	q.stage(rec, start)
 	if err != nil {

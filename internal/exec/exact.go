@@ -174,31 +174,6 @@ func runExact(ctx context.Context, def *plan.QueryDef, st *StoredTable, udfs Reg
 	return res, nil
 }
 
-// KeyCeiling is the most rows of st's table that one value of the column
-// holds: no group of a GROUP BY on it can have more rows, whatever the
-// predicate. The first call per column counts the groups with the exact
-// operator (COUNT(*) … GROUP BY col, on the calling goroutine), which checks
-// the column's payload first like any scan, and memoizes the answer on st. A
-// call racing the first counts too and gets the same answer.
-func (st *StoredTable) KeyCeiling(ctx context.Context, col string, cfg Config) (int, error) {
-	idx := st.Data.Schema().Index(col)
-	if n, ok := st.ceilings.Load(idx); ok {
-		return n.(int), nil
-	}
-	def := &plan.QueryDef{GroupBy: []string{col},
-		Aggs: []plan.AggSpec{{Kind: estimator.Count, Alias: "COUNT(*)"}}}
-	res, err := runExact(ctx, def, &StoredTable{Data: st.Data}, nil, cfg)
-	if err != nil {
-		return 0, err
-	}
-	ceiling := 0
-	for _, g := range res.Groups {
-		ceiling = max(ceiling, int(g.Aggs[0].Value))
-	}
-	st.ceilings.Store(idx, ceiling)
-	return ceiling, nil
-}
-
 // plan dedups the aggregates' input expressions and type-checks predicate
 // and inputs against the schema, so a bad expression fails the query even
 // when zone maps or the filter leave no block to evaluate it on.

@@ -34,9 +34,10 @@ type StoredTable struct {
 	// PopRows is |D|, the row count of the dataset the sample represents.
 	// Zero means the table IS the full dataset.
 	PopRows int
-	// ceilings memoizes KeyCeiling by column index. Data is immutable, so an
+	// ceilings and ranges memoize KeyCeiling's counts: the whole table's by
+	// column index, and rangeCounts by rangePair. Data is immutable, so an
 	// entry never goes stale, and a new sample starts with none.
-	ceilings sync.Map
+	ceilings, ranges sync.Map
 }
 
 // Config controls physical execution.

@@ -46,7 +46,8 @@ const PlanBlockTable = "block table"
 
 // PlanTooFewRows is the Reason of a plan stage whose grouped query the
 // engine planned exact because no group of its sample can hold enough rows
-// for a diagnosis; the stage's KeyCeiling and SampleRows hold the evidence.
+// for a diagnosis under its predicate; the stage's KeyCeiling, RangeColumn
+// and SampleRows hold the evidence.
 const PlanTooFewRows = "too few rows"
 
 // DecodeRatioBuckets lays out the ratio of the blocks a planned-exact scan
@@ -143,14 +144,18 @@ func (t *Tracer) Finish(rec *QueryRecord) {
 // observe feeds one record into the registry: the query's outcome and
 // latency, each top-level stage's latency, the work counters, the kernel's
 // throughput per bootstrap stage, each diagnostic stage's ξ resamples and
-// verdicts, and each fallback.
+// verdicts, each fallback, and the route of each aggregate served.
 func (t *Tracer) observe(rec *QueryRecord) {
 	reg := t.reg
 	reg.Counter("aqp_queries_total",
 		"Queries answered, by outcome.", "outcome", rec.Outcome).Inc()
 	reg.Histogram("aqp_query_duration_seconds",
 		"End-to-end local query latency.", LatencyBuckets).Observe(rec.TotalMs / 1e3)
+	route := ""
 	for i, s := range rec.Stages {
+		if s.Stage == StagePlan && !s.Nested {
+			route = planRoute(s)
+		}
 		if !s.Nested {
 			reg.Histogram("aqp_stage_duration_seconds",
 				"Per-stage local latency (the Figs. 7–9 breakdown).",
@@ -196,7 +201,55 @@ func (t *Tracer) observe(rec *QueryRecord) {
 				"reason", s.Reason).Inc()
 		}
 	}
+	observeRoutes(reg, route, rec.Aggs)
 	observeWork(reg, rec.Work())
+}
+
+// The routes of aqp_aggregates_total.
+const (
+	routeSample     = "sample"       // served from the sample
+	routeFallback   = "fallback"     // rejected and re-answered exactly
+	routeBlockTable = "block_table"  // planned exact: the block table costs less
+	routeTooFewRows = "too_few_rows" // planned exact: no group can be diagnosed
+	routeExact      = "exact"        // exact on request, or with no sample to run on
+)
+
+// planRoute is the route of the aggregates a top-level plan stage served:
+// the exact routes by their reason, and the sample for an approximate plan,
+// whose rejected aggregates observeRoutes moves to the fallback.
+func planRoute(s StageRecord) string {
+	switch {
+	case s.Reason == PlanBlockTable:
+		return routeBlockTable
+	case s.Reason == PlanTooFewRows:
+		return routeTooFewRows
+	case s.SampleRows == 0:
+		return routeExact
+	}
+	return routeSample
+}
+
+// observeRoutes counts aggs, the aggregates a query served, on the route of
+// its last top-level plan: an aggregate of a sample plan answered exactly
+// fell back. A replayed answer planned nothing and counts on no route.
+func observeRoutes(reg *Registry, route string, aggs []AggRecord) {
+	if route == "" || len(aggs) == 0 {
+		return
+	}
+	fellBack := 0
+	for _, a := range aggs {
+		if route == routeSample && a.Exact {
+			fellBack++
+		}
+	}
+	const help = "Aggregates served, by route: sample, fallback (rejected and re-answered exactly), " +
+		"block_table and too_few_rows (planned exact), exact (on request)."
+	if n := len(aggs) - fellBack; n > 0 {
+		reg.Counter("aqp_aggregates_total", help, "route", route).Add(int64(n))
+	}
+	if fellBack > 0 {
+		reg.Counter("aqp_aggregates_total", help, "route", routeFallback).Add(int64(fellBack))
+	}
 }
 
 // observeWork adds the work to the engine's work counters.
@@ -285,6 +338,9 @@ func (r *QueryRecord) span(s StageRecord, verdicts bool) SpanSnapshot {
 			case PlanTooFewRows:
 				a["reason"] = s.Reason
 				a["key_ceiling"] = int64(s.KeyCeiling)
+				if s.RangeColumn != "" {
+					a["range_column"] = s.RangeColumn
+				}
 				a["sample_rows"] = int64(s.SampleRows)
 			}
 			break

@@ -102,8 +102,11 @@ type StageRecord struct {
 	// predicted the exact plan decodes, which the engine chose over a sample.
 	PredictedBlocks int
 	// Plan, when Reason is PlanTooFewRows: the most rows one key of the
-	// GROUP BY column holds in the skipped sample of SampleRows rows.
-	KeyCeiling int
+	// GROUP BY column can filter to in the skipped sample of SampleRows rows,
+	// and the range column whose predicate window bounded them ("" when the
+	// whole sample did).
+	KeyCeiling  int
+	RangeColumn string
 	// Resamples counts the resample estimates the stage drew: the bootstrap
 	// kernel's, or the diagnostic's bootstrap ξ's.
 	Resamples int64

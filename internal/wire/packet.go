@@ -66,29 +66,27 @@ func readPacket(r io.Reader, seq *uint8, max int) ([]byte, error) {
 	}
 }
 
-// writePacket frames and writes one payload, splitting at maxChunk (a
-// payload of exactly k·maxChunk bytes is terminated by an empty frame,
-// per protocol).
-func writePacket(w io.Writer, seq *uint8, payload []byte) error {
-	var hdr [4]byte
+// appendPacket appends one payload to b, framed and split at maxChunk (a
+// payload of exactly k·maxChunk bytes is terminated by an empty frame, per
+// protocol).
+func appendPacket(b []byte, seq *uint8, payload []byte) []byte {
 	for {
-		n := len(payload)
-		if n > maxChunk {
-			n = maxChunk
-		}
-		hdr[0], hdr[1], hdr[2], hdr[3] = byte(n), byte(n>>8), byte(n>>16), *seq
+		n := min(len(payload), maxChunk)
+		b = append(b, byte(n), byte(n>>8), byte(n>>16), *seq)
 		*seq++
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(payload[:n]); err != nil {
-			return err
-		}
+		b = append(b, payload[:n]...)
 		payload = payload[n:]
 		if n < maxChunk {
-			return nil
+			return b
 		}
 	}
+}
+
+// writePacket frames one payload and writes it in one Write: a response of
+// one packet.
+func writePacket(w io.Writer, seq *uint8, payload []byte) error {
+	_, err := w.Write(appendPacket(make([]byte, 0, 4+len(payload)), seq, payload))
+	return err
 }
 
 // appendLenencInt appends a length-encoded integer.

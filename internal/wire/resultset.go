@@ -107,9 +107,10 @@ func answerRow(g core.GroupAnswer, grouped bool) []string {
 	return row
 }
 
-// writeResultset writes an answer as a text-protocol resultset: column
-// count, column definitions, EOF, rows, EOF. traceID, when non-empty,
-// is appended as a trailing VARCHAR "trace_id" column on every row.
+// writeResultset writes an answer as a text-protocol resultset — column
+// count, column definitions, EOF, rows, EOF — framed into one buffer and
+// written in one Write. traceID, when non-empty, is appended as a trailing
+// VARCHAR "trace_id" column on every row.
 func writeResultset(w io.Writer, seq *uint8, ans *core.Answer, traceID string) error {
 	names, types := answerColumns(ans)
 	if len(names) == 0 {
@@ -121,29 +122,23 @@ func writeResultset(w io.Writer, seq *uint8, ans *core.Answer, traceID string) e
 		names = append(names, "trace_id")
 		types = append(types, typeVarString)
 	}
-	if err := writePacket(w, seq, appendLenencInt(nil, uint64(len(names)))); err != nil {
-		return err
-	}
+	out := appendPacket(nil, seq, appendLenencInt(nil, uint64(len(names))))
 	for i, name := range names {
-		if err := writePacket(w, seq, colDef41(name, types[i])); err != nil {
-			return err
-		}
+		out = appendPacket(out, seq, colDef41(name, types[i]))
 	}
-	if err := writePacket(w, seq, eofPayload()); err != nil {
-		return err
-	}
+	out = appendPacket(out, seq, eofPayload())
 	grouped := names[0] == "group"
+	var row []byte
 	for _, g := range ans.Groups {
-		var row []byte
+		row = row[:0]
 		for _, cell := range answerRow(g, grouped) {
 			row = appendLenencBytes(row, []byte(cell))
 		}
 		if traceID != "" {
 			row = appendLenencBytes(row, []byte(traceID))
 		}
-		if err := writePacket(w, seq, row); err != nil {
-			return err
-		}
+		out = appendPacket(out, seq, row)
 	}
-	return writePacket(w, seq, eofPayload())
+	_, err := w.Write(appendPacket(out, seq, eofPayload()))
+	return err
 }
