@@ -12,8 +12,6 @@
 //
 //	\explain <sql>    show the logical plan
 //	\exact <sql>      run on the full dataset
-//	\bound <e> <sql>  answer within relative error e (escalates samples)
-//	\time <s> <sql>   answer within a time budget of s seconds
 //	\tables           list tables
 //	\help             this text
 //	\quit             exit
@@ -27,7 +25,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -131,7 +128,7 @@ func buildDemo(metricsAddr string, elog *obs.EventLog, audit float64, obsCfg obs
 		}
 		return c.Mean()
 	})
-	if err := e.BuildSamples("Sessions", 10000, 100000); err != nil {
+	if err := e.BuildSamples("Sessions", 100000); err != nil {
 		return nil, nil, nil, err
 	}
 	return e, wd, hist, nil
@@ -189,7 +186,7 @@ func main() {
 
 	fmt.Println("aqpshell — approximate query processing with reliable error bars")
 	fmt.Println("demo table: Sessions(Time FLOAT64, City STRING, KB FLOAT64),",
-		demoRows, "rows; samples: 10k, 100k")
+		demoRows, "rows; sample: 100k")
 	fmt.Println(`type \help for commands`)
 	engine, wd, hist, err := buildDemo(*metricsAddr, elog, *audit, obsCfg, *profileDir, *cacheMB)
 	if err != nil {
@@ -265,8 +262,6 @@ func main() {
 			fmt.Println(`  <sql>             approximate answer with error bars
   \explain <sql>    show the logical plan
   \exact <sql>      run on the full dataset
-  \bound <e> <sql>  answer within relative error e
-  \time <s> <sql>   answer within a time budget of s seconds
   \load <csv> <name> <types> [rows]  load a CSV table and sample it
   \tables           list tables
   \profile          workload profile summary (requires -profile <dir>)
@@ -292,38 +287,12 @@ func main() {
 			}
 		case line == `\tables`:
 			fmt.Println("  Sessions(Time FLOAT64, City STRING, KB FLOAT64) —",
-				demoRows, "rows, samples 10k/100k; UDF: TRIMMEDMEAN(col)")
+				demoRows, "rows, sample 100k; UDF: TRIMMEDMEAN(col)")
 		case strings.HasPrefix(line, `\explain `):
 			out, err := engine.Explain(strings.TrimPrefix(line, `\explain `))
 			report(out, err)
 		case strings.HasPrefix(line, `\exact `):
 			run(strings.TrimPrefix(line, `\exact `), core.RunOptions{Exact: true})
-		case strings.HasPrefix(line, `\time `):
-			rest := strings.TrimPrefix(line, `\time `)
-			fields := strings.SplitN(rest, " ", 2)
-			if len(fields) != 2 {
-				fmt.Println(`usage: \time <seconds> <sql>`)
-				continue
-			}
-			secs, err := strconv.ParseFloat(fields[0], 64)
-			if err != nil || secs <= 0 {
-				fmt.Println("bad time budget:", fields[0])
-				continue
-			}
-			run(fields[1], core.RunOptions{TimeBudget: time.Duration(secs * float64(time.Second))})
-		case strings.HasPrefix(line, `\bound `):
-			rest := strings.TrimPrefix(line, `\bound `)
-			fields := strings.SplitN(rest, " ", 2)
-			if len(fields) != 2 {
-				fmt.Println(`usage: \bound <relative-error> <sql>`)
-				continue
-			}
-			bound, err := strconv.ParseFloat(fields[0], 64)
-			if err != nil || !(bound > 0) {
-				fmt.Println("bad bound:", fields[0])
-				continue
-			}
-			run(fields[1], core.RunOptions{ErrorBound: bound})
 		default:
 			run(line, core.RunOptions{})
 		}

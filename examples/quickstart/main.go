@@ -1,5 +1,5 @@
-// Quickstart: load a table, build a sample, ask one approximate query with
-// an error bound, and read the answer's error bars and diagnostic verdict.
+// Quickstart: load a table, build a sample, ask one approximate query, and
+// read the answer's error bars and diagnostic verdict.
 package main
 
 import (
@@ -32,15 +32,16 @@ func main() {
 	if err := engine.RegisterTable("orders", orders); err != nil {
 		log.Fatal(err)
 	}
-	if err := engine.BuildSamples("orders", 5_000, 50_000); err != nil {
+	if err := engine.BuildSamples("orders", 50_000); err != nil {
 		log.Fatal(err)
 	}
 
-	// 3. Ask for the answer within 2% relative error at 95% confidence.
-	// The engine tries the 5k-row sample first (≈4.4% error — too loose),
-	// escalates to the 50k-row sample (≈1.4% — good) and stops there.
-	ans, err := engine.RunWithOptions(context.Background(),
-		"SELECT AVG(amount) FROM orders WHERE region = 'eu'", core.RunOptions{ErrorBound: 0.02})
+	// 3. Ask for the answer. The engine runs the query on the 50k-row
+	// sample, puts a 95% error bar on it, and asks the diagnostic whether
+	// that bar can be trusted. If the diagnostic rejects it, the engine
+	// re-answers the aggregate exactly on the full table, and the answer
+	// says so: technique "exact", diagnostic OK false, and the reason.
+	ans, err := engine.Run(context.Background(), "SELECT AVG(amount) FROM orders WHERE region = 'eu'")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,6 +50,9 @@ func main() {
 		a.Estimate, a.ErrorBar.HalfWidth, a.Technique)
 	fmt.Printf("sample used: %d rows of %d; diagnostic OK: %v; elapsed: %v\n",
 		ans.SampleRows, orders.NumRows(), a.DiagnosticOK, ans.Elapsed.Round(1000))
+	if !a.DiagnosticOK {
+		fmt.Printf("the diagnostic rejected the sample's bar (%s), so the answer is exact\n", a.DiagnosticReason)
+	}
 
 	// 4. Compare with the exact answer.
 	exact, err := engine.RunExact(context.Background(), "SELECT AVG(amount) FROM orders WHERE region = 'eu'")

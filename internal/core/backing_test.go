@@ -65,7 +65,7 @@ func TestEngineBackingBitEquality(t *testing.T) {
 // logical size is backing-invariant, the resident size shrinks under
 // compression.
 func TestStorageGauges(t *testing.T) {
-	tr := obs.NewTracer(obs.Options{})
+	tr := obs.NewTracer(obs.Config{})
 	e, tbl := buildSessions(t, Config{Seed: 62, Obs: tr, Backing: table.BackingCompressed}, 30000)
 	defer e.Close()
 	reg := tr.Registry()

@@ -54,7 +54,7 @@ func TestCalibrationCoverage(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			tr := obs.NewTracer(obs.Options{RingSize: trials})
+			tr := obs.NewTracer(obs.Config{RingSize: trials})
 			covered, degenerate := 0, 0
 			for trial := 0; trial < trials; trial++ {
 				e := New(Config{Seed: uint64(9000 + trial), BootstrapK: 120,

@@ -282,7 +282,7 @@ func TestCancellationNoLeaks(t *testing.T) {
 // TestDeadlineExceededIdentity covers the deadline flavour of cancellation
 // plus the trace outcome label.
 func TestDeadlineExceededIdentity(t *testing.T) {
-	tr := obs.NewTracer(obs.Options{})
+	tr := obs.NewTracer(obs.Config{})
 	e, _ := buildSessions(t, Config{Seed: 8, BootstrapK: 20000, Workers: 2, Obs: tr}, 50000)
 	if err := e.BuildSamples("Sessions", 40000); err != nil {
 		t.Fatal(err)

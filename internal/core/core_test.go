@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/rng"
 	"repro/internal/sql"
@@ -260,8 +259,8 @@ func TestDisableFallbackKeepsApproximation(t *testing.T) {
 }
 
 // TestEmptyFilterWithoutCountFirst: where count-first does not run — on a
-// sample too small to diagnose, or under a time budget, whose rejected
-// aggregates are not re-answered — a closed-form aggregate whose filter leaves
+// sample too small to diagnose, or on an engine that keeps rejects rather
+// than re-answer them — a closed-form aggregate whose filter leaves
 // no sample row is served NaN with no bar, technique none, beside a SUM whose
 // masked column answers 0 ± 0. Once the fold's "empty sample" failed the
 // whole query there.
@@ -271,20 +270,19 @@ func TestEmptyFilterWithoutCountFirst(t *testing.T) {
 	if err := small.BuildSamples("T", 2000); err != nil {
 		t.Fatal(err)
 	}
-	budgeted := heavyTailTable(t, Config{Seed: 48, BootstrapK: 40}, 120000)
-	if err := budgeted.BuildSamples("T", 40000); err != nil {
+	keeps := heavyTailTable(t, Config{Seed: 48, BootstrapK: 40, noFallback: true}, 120000)
+	if err := keeps.BuildSamples("T", 40000); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		name      string
 		e         *Engine
-		opts      RunOptions
 		diagnosed bool
 	}{
-		{"undiagnosed small sample", small, RunOptions{}, false},
-		{"time budget", budgeted, RunOptions{TimeBudget: time.Hour}, true},
+		{"undiagnosed small sample", small, false},
+		{"rejects kept", keeps, true},
 	} {
-		ans, err := c.e.RunWithOptions(context.Background(), q, c.opts)
+		ans, err := c.e.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -303,43 +301,6 @@ func TestEmptyFilterWithoutCountFirst(t *testing.T) {
 		if sum.Technique != "closed-form" || sum.Estimate != 0 || sum.ErrorBar.HalfWidth != 0 {
 			t.Errorf("%s: SUM %+v, want 0 ± 0 from the closed form", c.name, sum)
 		}
-	}
-}
-
-func TestErrorBoundEscalates(t *testing.T) {
-	e, _ := buildSessions(t, Config{Seed: 9, skipDiagnostics: true}, 200000)
-	if err := e.BuildSamples("Sessions", 2000, 20000, 100000); err != nil {
-		t.Fatal(err)
-	}
-	// A loose bound is satisfied by the smallest sample.
-	loose, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", RunOptions{ErrorBound: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.SampleRows != 2000 {
-		t.Errorf("loose bound used %d rows, want smallest (2000)", loose.SampleRows)
-	}
-	// A tight bound needs a bigger sample.
-	tight, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", RunOptions{ErrorBound: 0.002})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.SampleRows <= 2000 && !tight.FellBack() {
-		t.Errorf("tight bound satisfied suspiciously by %d rows", tight.SampleRows)
-	}
-	if tight.Groups[0].Aggs[0].RelErr > 0.002 && !tight.Groups[0].Aggs[0].Exact {
-		t.Errorf("tight bound missed: relErr %v", tight.Groups[0].Aggs[0].RelErr)
-	}
-	// An impossible bound falls back to exact.
-	impossible, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", RunOptions{ErrorBound: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !impossible.Groups[0].Aggs[0].Exact {
-		t.Error("impossible bound should fall back to exact execution")
-	}
-	if _, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", RunOptions{ErrorBound: -1}); err == nil {
-		t.Error("negative bound accepted")
 	}
 }
 

@@ -3,14 +3,14 @@
 // aggregation queries on pre-built samples at interactive speed, attaches
 // error bars from the cheapest applicable estimation technique, validates
 // those error bars at runtime with the Kleiner et al. diagnostic, and
-// falls back — to a larger sample and ultimately to exact execution — for
-// queries whose errors cannot be estimated reliably.
+// falls back to exact execution for each aggregate whose error cannot be
+// estimated reliably.
 //
 // The pipeline per query (Fig. 5):
 //
 //	SQL → logical plan (§5.3 rewrites) → single-scan execution with
 //	Poissonized resampling → answer ± error bars → diagnostic verdict →
-//	fallback if rejected or the error bound is missed.
+//	exact fallback if rejected.
 package core
 
 import (
@@ -425,7 +425,8 @@ func upper(s string) string {
 
 // BuildSamples draws uniform random samples (without replacement) of the
 // given row counts from the named table and adds them to its catalog,
-// shuffled so that any contiguous subset is itself a random sample. The
+// shuffled so that any contiguous subset is itself a random sample. A plain
+// query runs on the catalog's largest uniform sample (request.planFirst). The
 // engine lock is held only to split the RNG and, afterwards, to publish:
 // the build itself (table.GatherStored, up to Config.Workers columns at a
 // time) reads nothing but the immutable registered table, so queries keep
@@ -639,7 +640,7 @@ func (e *Engine) Explain(query string) (string, error) {
 	}
 	var p *plan.Plan
 	if st != nil {
-		p, err = e.buildApproxPlan(q, st, e.exactOnReject(q.opts))
+		p, err = e.buildApproxPlan(q, st, e.exactOnReject())
 	} else {
 		p, err = e.buildExactPlan(q, false)
 	}

@@ -21,7 +21,7 @@ func TestExportAndAlertsDoNotPerturbAnswers(t *testing.T) {
 	mk := func(instrumented bool) *Engine {
 		cfg := Config{Seed: 11, Workers: 3, BootstrapK: 30}
 		if instrumented {
-			cfg.Obs = obs.NewTracer(obs.Options{})
+			cfg.Obs = obs.NewTracer(obs.Config{})
 			cfg.ObsConfig = obs.Config{ExportPath: path}
 			cfg.Alerts = alert.New(alert.Config{})
 		}

@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"hash/fnv"
 	"regexp"
 	"strings"
 	"testing"
@@ -15,82 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/watchdog"
 )
-
-// boundQueries are the three shapes an error-bound escalation treats
-// differently: closed-form (the 0.8·ratio² skip applies), bootstrap-only, and
-// grouped with an aggregate the diagnostic rejects on every sample.
-var boundQueries = []string{
-	"SELECT AVG(g - 40) FROM T",
-	"SELECT PERCENTILE(g, 0.5) FROM T",
-	"SELECT City, AVG(g - 40), MAX(p) FROM T GROUP BY City",
-}
-
-// boundGolden was recorded from the error-bound entry point of the commit before the
-// bound became a field of the request (PR 18): answers is the
-// verdictGolden.answers recipe over boundQueries × {0.5, 0.02, 1e-6}; shape is
-// the FNV-1a of every trace's Structure() — which samples ran, in what order,
-// and whether a whole-query exact fallback ended the escalation; trail is the
-// sample each answer came from (0 = exact) and how many plans it took, for a
-// failure one can read. At 0.02 the closed-form query runs 6400 and 48000 rows
-// and skips 7000. The shapes were re-recorded when aggregates with a closed
-// form stopped being resampled: the grouped query's bootstrap span carries
-// only MAX's resamples, and does not open where the fallback's verdict-first
-// plan rejects every MAX. They were re-recorded again when traces became a
-// rendering of the query's record: the verdicts hang under the diagnostic
-// stage of the run whose answer is served, so a run an escalation moved on
-// from keeps its diagnostic span, work counters and accepted/rejected counts
-// but no verdict children. The fallback engine's shapes were re-recorded once
-// more when count-first came in: the grouped query's groups on the 6400-row
-// sample are too small for a diagnosis, so its estimate stage serves no bar
-// (technique_none) where it used to fold closed-form bars nothing read.
-// Answers and shapes were re-recorded once more when stats.Moments became
-// shifted sums and the diagnostic took θ(S) from its caller: estimates,
-// interval ends and the verdicts' Δ/σ statistics moved in their last bits
-// (relative change under 1e-14), and the trail, every verdict and every
-// technique stayed.
-var boundGolden = map[bool]struct {
-	answers, shape uint64
-	trail          string
-}{
-	false: {0xd62c8521a220e8d2, 0xd418cbe85171cc95, "7000/2 48000/2 0/2 48000/3 48000/3 0/4 0/4 0/4 0/4"},
-	true:  {0x5cec42f157dbcd44, 0xbcaeddf873d58505, "7000/2 48000/2 6400/1 48000/3 48000/3 48000/3 48000/3 48000/3 48000/3"},
-}
-
-func TestErrorBoundGolden(t *testing.T) {
-	for noFallback, want := range boundGolden {
-		tr := obs.NewTracer(obs.Options{})
-		e := New(Config{Seed: 7, Workers: 2, BootstrapK: 40, noFallback: noFallback, Obs: tr})
-		if err := e.RegisterTable("T", verdictTable()); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.BuildSamples("T", 6400, 7000, 48000); err != nil {
-			t.Fatal(err)
-		}
-		answers, shape := newAnswerHasher(), fnv.New64a()
-		var trail []string
-		for _, q := range boundQueries {
-			for _, bound := range []float64{0.5, 0.02, 1e-6} {
-				ans, err := e.RunWithOptions(context.Background(), q, RunOptions{ErrorBound: bound})
-				if err != nil {
-					t.Fatalf("%q at %g: %v", q, bound, err)
-				}
-				answers.add(ans)
-				snap, _ := tr.Last()
-				shape.Write([]byte(snap.Structure()))
-				trail = append(trail, fmt.Sprintf("%d/%d", ans.SampleRows, strings.Count(snap.Structure(), " plan(")))
-			}
-		}
-		if got := strings.Join(trail, " "); got != want.trail {
-			t.Errorf("noFallback=%v: trail %s, want %s", noFallback, got, want.trail)
-		}
-		if got := answers.sum().answers; got != want.answers {
-			t.Errorf("noFallback=%v: answers hash %#x, want %#x", noFallback, got, want.answers)
-		}
-		if got := shape.Sum64(); got != want.shape {
-			t.Errorf("noFallback=%v: trace shape hash %#x, want %#x", noFallback, got, want.shape)
-		}
-	}
-}
 
 // lifecycleRig is an engine with every observer attached and the answer cache
 // on: Sessions has two uniform samples and a stratified one on City, Raw has
@@ -104,7 +26,7 @@ type lifecycleRig struct {
 
 func newLifecycleRig(t *testing.T) lifecycleRig {
 	t.Helper()
-	r := lifecycleRig{tr: obs.NewTracer(obs.Options{}), events: &bytes.Buffer{},
+	r := lifecycleRig{tr: obs.NewTracer(obs.Config{}), events: &bytes.Buffer{},
 		wd: watchdog.New(watchdog.Config{Synchronous: true})}
 	h := openTestHistory(t, t.TempDir())
 	t.Cleanup(func() { h.Close() })
@@ -184,29 +106,9 @@ func TestOneLifecycle(t *testing.T) {
 				}
 			}},
 		{name: "exact", sql: "SELECT AVG(g) FROM Sessions", run: solo(RunOptions{Exact: true}),
-			check: func(t *testing.T, a *Answer) {
-				if a.SampleRows != 0 || !a.Groups[0].Aggs[0].Exact {
-					t.Errorf("not an exact answer: %d sample rows", a.SampleRows)
-				}
-			}},
-		{name: "error bound", sql: "SELECT AVG(g) FROM Sessions", run: solo(RunOptions{ErrorBound: 0.5}),
-			watched: 1,
-			check: func(t *testing.T, a *Answer) {
-				if a.SampleRows != 8000 {
-					t.Errorf("loose bound answered on %d rows, want the smallest sample", a.SampleRows)
-				}
-			}},
-		{name: "time budget", sql: "SELECT AVG(g) FROM Sessions", run: solo(RunOptions{TimeBudget: time.Nanosecond}),
-			watched: 1,
-			check: func(t *testing.T, a *Answer) {
-				if a.SampleRows != 8000 {
-					t.Errorf("tiny budget answered on %d rows, want the pilot", a.SampleRows)
-				}
-			}},
-		{name: "error bound, no sample", sql: "SELECT AVG(g) FROM Raw", run: solo(RunOptions{ErrorBound: 0.5}),
 			check: wantExact},
-		{name: "time budget, no sample", sql: "SELECT AVG(g) FROM Raw", run: solo(RunOptions{TimeBudget: time.Second}),
-			check: wantExact},
+		{name: "plain, no sample", sql: "SELECT AVG(g) FROM Raw", run: solo(RunOptions{}),
+			probes: 1, entries: 1, check: wantExact},
 		{name: "replay via CachedAnswer", sql: "SELECT AVG(g) FROM Sessions", warm: true, noWait: true,
 			run: func(r lifecycleRig, ctx context.Context, sql string) (*Answer, error) {
 				ans, ok := r.e.CachedAnswer(ctx, sql, 0)
@@ -307,33 +209,6 @@ func TestOneLifecycle(t *testing.T) {
 				t.Errorf("event-log record %+v does not describe the request", rec)
 			}
 		})
-	}
-}
-
-// TestRunOptionsValidation: a request that names an impossible mode is refused
-// — and is still a finished request, with a trace that says why.
-func TestRunOptionsValidation(t *testing.T) {
-	tr := obs.NewTracer(obs.Options{})
-	e, _ := buildSessions(t, Config{Seed: 3, Obs: tr}, 20000)
-	if err := e.BuildSamples("Sessions", 5000); err != nil {
-		t.Fatal(err)
-	}
-	for i, opts := range []RunOptions{
-		{ErrorBound: -0.1},
-		{TimeBudget: -time.Second},
-		{Exact: true, ErrorBound: 0.1},
-		{Exact: true, TimeBudget: time.Second},
-		{ErrorBound: 0.1, TimeBudget: time.Second},
-	} {
-		ans, err := e.RunWithOptions(context.Background(), "SELECT AVG(Time) FROM Sessions", opts)
-		if err == nil || ans != nil {
-			t.Errorf("%+v accepted", opts)
-			continue
-		}
-		snap, _ := tr.Last()
-		if got := len(tr.Recent()); got != i+1 || snap.Outcome != "error" || snap.Err != err.Error() {
-			t.Errorf("%+v: %d traces, last %+v; want a finished trace carrying %q", opts, got, snap, err)
-		}
 	}
 }
 

@@ -44,7 +44,7 @@ func tracedPair(t *testing.T, mutate func(*Config)) (traced, plain *Engine) {
 		}
 		return e
 	}
-	return mk(obs.NewTracer(obs.Options{})), mk(nil)
+	return mk(obs.NewTracer(obs.Config{})), mk(nil)
 }
 
 // recordQueries are the ways a query can finish, each once: answers (closed
@@ -262,7 +262,7 @@ func TestStageCountersMatchAnswerCounters(t *testing.T) {
 // TestMetricsEndpoint boots an engine with a live metrics endpoint and
 // checks both routes end to end.
 func TestMetricsEndpoint(t *testing.T) {
-	tr := obs.NewTracer(obs.Options{})
+	tr := obs.NewTracer(obs.Config{})
 	cfg := Config{Seed: 5, Workers: 2, BootstrapK: 20, Obs: tr, MetricsAddr: "127.0.0.1:0"}
 	e, _ := buildSessions(t, cfg, 20000)
 	if err := e.BuildSamples("Sessions", 7000); err != nil {
@@ -364,7 +364,7 @@ func TestQueryErrorsCarryIdentifier(t *testing.T) {
 // TestNaNRelErrSurvivesJSON ensures a trace with non-finite attributes
 // (e.g. rel_err on a zero estimate) still serializes.
 func TestNaNRelErrSurvivesJSON(t *testing.T) {
-	tr := obs.NewTracer(obs.Options{})
+	tr := obs.NewTracer(obs.Config{})
 	tr.Finish(&obs.QueryRecord{SQL: "synthetic", Outcome: "ok",
 		Stages: []obs.StageRecord{{Stage: obs.StageEstimate, MaxRelErr: math.Inf(1)}}})
 	last, _ := tr.Last()

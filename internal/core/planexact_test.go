@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -292,7 +291,7 @@ func TestCountFirstDifferential(t *testing.T) {
 // table and its prediction, EXPLAIN heads the exact plan with it, and the
 // tracer scores the scan's decoded blocks against it.
 func TestPlanExactRecord(t *testing.T) {
-	tr := obs.NewTracer(obs.Options{})
+	tr := obs.NewTracer(obs.Config{})
 	e := New(Config{Seed: 47, Obs: tr, Backing: table.BackingCompressed})
 	if err := e.RegisterTable("E", planTable(planRows)); err != nil {
 		t.Fatal(err)
@@ -411,8 +410,8 @@ func TestEmptyGroupedAnswerFallsBack(t *testing.T) {
 // counted from the sample, and its window — and every answer bit are the
 // same on every backing, worker count and cache setting; a routed answer is
 // RunExact's, to the bit and in its group set; and queries racing to be
-// first read one ceiling. An engine that keeps rejected answers, an error
-// bound and a time budget are not routed.
+// first read one ceiling. An engine that keeps rejected answers is not
+// routed.
 func TestTooFewPlanDifferential(t *testing.T) {
 	queries := []struct {
 		sql    string
@@ -491,10 +490,7 @@ func TestTooFewPlanDifferential(t *testing.T) {
 		}
 	}
 
-	// Only a plain request on an engine that replaces rejects is routed.
-	e := planEngine(t, planConfig{backing: "raw", workers: 2})
-	var recs []*obs.QueryRecord
-	e.recorded = func(r *obs.QueryRecord) { recs = append(recs, r) }
+	// An engine that keeps rejected answers is not routed.
 	keeps := New(Config{Seed: 47, Workers: 2, BootstrapK: 40, noFallback: true})
 	t.Cleanup(func() { keeps.Close() })
 	if err := keeps.RegisterTable("E", planTable(planRows)); err != nil {
@@ -503,26 +499,17 @@ func TestTooFewPlanDifferential(t *testing.T) {
 	if err := keeps.BuildSamples("E", planSampleRows); err != nil {
 		t.Fatal(err)
 	}
-	keeps.recorded = e.recorded
+	var recs []*obs.QueryRecord
+	keeps.recorded = func(r *obs.QueryRecord) { recs = append(recs, r) }
 	device := queries[0].sql
 	if explain, _ := keeps.Explain(device); strings.HasPrefix(explain, "exact") {
 		t.Errorf("an engine that keeps rejects planned exact:\n%s", explain)
 	}
-	for _, run := range []struct {
-		e    *Engine
-		opts RunOptions
-	}{
-		{keeps, RunOptions{}},
-		{e, RunOptions{ErrorBound: 0.05}},
-		{e, RunOptions{TimeBudget: time.Minute}},
-	} {
-		recs = nil
-		if _, err := run.e.RunWithOptions(context.Background(), device, run.opts); err != nil {
-			t.Fatal(err)
-		}
-		if p := recs[0].Stages[1]; p.Stage != obs.StagePlan || p.Reason != "" || p.SampleRows != planSampleRows {
-			t.Errorf("noFallback=%v %+v: first plan %+v, want the sample's", run.e.cfg.noFallback, run.opts, p)
-		}
+	if _, err := keeps.Run(context.Background(), device); err != nil {
+		t.Fatal(err)
+	}
+	if p := recs[0].Stages[1]; p.Stage != obs.StagePlan || p.Reason != "" || p.SampleRows != planSampleRows {
+		t.Errorf("an engine that keeps rejects: first plan %+v, want the sample's", p)
 	}
 }
 
@@ -717,7 +704,7 @@ func TestFallbackAddsGroupsTheSampleMissed(t *testing.T) {
 // full table and nothing of the sample path, and leaves the block table's
 // decode ratio unobserved.
 func TestTooFewPlanRecord(t *testing.T) {
-	tr := obs.NewTracer(obs.Options{})
+	tr := obs.NewTracer(obs.Config{})
 	e := New(Config{Seed: 47, Obs: tr})
 	t.Cleanup(func() { e.Close() })
 	if err := e.RegisterTable("E", planTable(planRows)); err != nil {
@@ -764,7 +751,7 @@ func TestTooFewPlanRecord(t *testing.T) {
 // is), City under a one-day window planned exact for too few rows, and
 // Device on request. A replay moves no route.
 func TestAggregateRoutes(t *testing.T) {
-	tr := obs.NewTracer(obs.Options{})
+	tr := obs.NewTracer(obs.Config{})
 	e := New(Config{Seed: 47, Workers: 2, Obs: tr, CacheBytes: 8 << 20})
 	t.Cleanup(func() { e.Close() })
 	if err := e.RegisterTable("E", planTable(planRows)); err != nil {

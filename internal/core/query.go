@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"time"
 
@@ -18,14 +17,12 @@ import (
 	"repro/internal/table"
 )
 
-// RunOptions is one query's request: what to answer it with and how far to
-// go. The zero value is a plain request — the §5 pipeline on the sample
-// planFirst chooses, each aggregate the diagnostic rejects re-answered
-// exactly, or the exact plan when the block table answers the query for
-// less decode than the sample would cost, or when no group of the sample
-// can be diagnosed. At most one of Exact, ErrorBound
-// and TimeBudget may be set; the answer cache serves and stores plain
-// requests only.
+// RunOptions is one query's request. The zero value is a plain request —
+// the §5 pipeline on the sample planFirst chooses, each aggregate the
+// diagnostic rejects re-answered exactly, or the exact plan when the block
+// table answers the query for less decode than the sample would cost, or
+// when no group of the sample can be diagnosed. Exact asks for the exact
+// plan outright. The answer cache serves and stores plain requests only.
 type RunOptions struct {
 	// BootstrapK, when positive, caps the resample count for this query
 	// below the engine's configured K (it never raises it). The serving
@@ -39,43 +36,11 @@ type RunOptions struct {
 	// Exact answers the query on the full dataset, with no sampling
 	// pipeline.
 	Exact bool
-	// ErrorBound, when positive, answers on the smallest sample whose error
-	// bars satisfy this relative error at the engine's confidence level
-	// (BlinkDB's error-constrained queries): it escalates through the
-	// uniform samples, ctx checked between them, and finally to exact
-	// execution when the bound cannot be met approximately or the diagnostic
-	// rejects error estimation.
-	ErrorBound float64
-	// TimeBudget, when positive, answers on the largest sample whose
-	// predicted execution time fits it (BlinkDB's response-time constrained
-	// queries). The prediction calibrates per-row cost on the smallest
-	// sample, so a budgeted query pays one pilot execution. The answer is
-	// returned as it comes: an aggregate the diagnostic rejects keeps its
-	// error bar and is not re-answered exactly.
-	TimeBudget time.Duration
 }
 
-// plain reports whether the request sets none of the three modes.
+// plain reports whether the request is not an exact one.
 func (o RunOptions) plain() bool {
-	return !o.Exact && o.ErrorBound == 0 && o.TimeBudget == 0
-}
-
-func (o RunOptions) validate() error {
-	modes := 0
-	for _, set := range []bool{o.Exact, o.ErrorBound != 0, o.TimeBudget != 0} {
-		if set {
-			modes++
-		}
-	}
-	switch {
-	case o.ErrorBound < 0 || math.IsNaN(o.ErrorBound):
-		return fmt.Errorf("core: relative error bound must be positive")
-	case o.TimeBudget < 0:
-		return fmt.Errorf("core: time budget must be positive")
-	case modes > 1:
-		return fmt.Errorf("core: at most one of Exact, ErrorBound and TimeBudget may be set")
-	}
-	return nil
+	return !o.Exact
 }
 
 // request is one query between begin and finish.
@@ -157,9 +122,8 @@ func (e *Engine) RunWithOptions(ctx context.Context, query string, opts RunOptio
 // invalidate instantly.
 func (e *Engine) begin(ctx context.Context, sql string, opts RunOptions, replayOnly bool) (request, *Answer, error) {
 	q := request{sql: sql, opts: opts, gen: e.gen.Load(), start: time.Now()}
-	invalid := opts.validate()
 	var replay *Answer
-	if invalid == nil && opts.plain() {
+	if opts.plain() {
 		replay = e.answerCacheGet(q.gen, sql, opts.BootstrapK)
 	}
 	if replay == nil && replayOnly {
@@ -170,9 +134,6 @@ func (e *Engine) begin(ctx context.Context, sql string, opts RunOptions, replayO
 	if replay != nil {
 		replay.Elapsed = time.Since(q.start)
 		return q, replay, nil
-	}
-	if invalid != nil {
-		return q, nil, invalid
 	}
 	q.stages = make([]obs.StageRecord, 0, 8)
 	start := time.Now()
@@ -220,41 +181,27 @@ func (e *Engine) rebuildingRefused(q *request, attempt func() (*exec.StoredTable
 	return err
 }
 
-// executeOnce runs the request on the sample planFirst names and on each one
-// nextSample names after it, then ends it by the mode it names. A request
-// that never ran on a sample — an exact one, or one on a table with no
-// sample its mode could run on — runs the exact plan. A run, or a plan, on a
-// sample that fails returns that sample with its error.
+// executeOnce runs the request on the sample planFirst names, and
+// applyFallback closes its answer. A request planFirst names no sample for —
+// an exact one, or one on a table with no sample — runs the exact plan. A
+// run, or a plan, on a sample that fails returns that sample with its error.
 func (e *Engine) executeOnce(q *request) (*Answer, *exec.StoredTable, error) {
-	var ran *exec.StoredTable
-	var ans *Answer
 	st, err := q.planFirst()
+	switch {
+	case err != nil:
+		return nil, st, err
+	case st == nil:
+		ans, err := e.runExact(q, false)
+		return ans, nil, err
+	}
+	if err := q.ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("core: %s: %w", q.label(), err)
+	}
+	ans, err := e.runApproximate(q, st, e.exactOnReject())
 	if err != nil {
 		return nil, st, err
 	}
-	for ; st != nil; st = q.nextSample(ran, ans) {
-		if err := q.ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("core: %s: %w", q.label(), err)
-		}
-		var err error
-		if ans, err = e.runApproximate(q, st, e.exactOnReject(q.opts)); err != nil {
-			return nil, st, err
-		}
-		ran = st
-	}
-	switch {
-	case ans == nil:
-		ans, err := e.runExact(q, false)
-		return ans, nil, err
-	case q.opts.plain():
-		return ans, nil, e.applyFallback(q, ans)
-	case q.opts.ErrorBound > 0 && e.exactOnReject(q.opts):
-		if met, _ := meetsBound(ans, q.opts.ErrorBound); !met {
-			ans, err := e.fallbackExact(q, "error bound unmet on all samples")
-			return ans, nil, err
-		}
-	}
-	return ans, nil, nil
+	return ans, nil, e.applyFallback(q, ans)
 }
 
 // finish closes a request begin opened: a plain request's answer goes to the
@@ -273,38 +220,24 @@ func (e *Engine) finish(q *request, ans *Answer, err error) (*Answer, error) {
 }
 
 // exactOnReject is the fallback policy, and the one reader of
-// Config.noFallback: whether an aggregate the diagnostic rejects is
-// replaced by an exact answer (applyFallback, or the whole-query fallback that
-// ends an error-bound escalation). When it is, the rejected aggregate's
-// bootstrap is never read, so the plan may run verdict-first
-// (plan.Options.VerdictFirst). A time-budgeted answer is returned as it comes,
-// rejected aggregates with their bootstrap error bars included.
-func (e *Engine) exactOnReject(opts RunOptions) bool {
-	return !e.cfg.noFallback && opts.TimeBudget == 0
+// Config.noFallback: whether applyFallback replaces an aggregate the
+// diagnostic rejects by an exact answer. When it does, the rejected
+// aggregate's bootstrap is never read, so the plan may run verdict-first
+// (plan.Options.VerdictFirst).
+func (e *Engine) exactOnReject() bool {
+	return !e.cfg.noFallback
 }
 
-// planFirst and nextSample are the sample-choice policy, and the one reader of
-// the catalog's samples for routing: planFirst names the sample a request runs
-// on first, and nextSample, given the sample the request just ran on and its
-// answer, the sample to run next; nil runs no (further) sample.
-//
-//   - A plain request runs once: on a stratified sample matching its GROUP BY
-//     when every aggregate is scale-invariant (stratification biases
-//     population-scaled SUM/COUNT), otherwise on the largest uniform sample.
-//   - An error bound starts on the smallest uniform sample and stops once
-//     every aggregate is accepted and within the bound. Otherwise it moves up
-//     to the next sample the closed-form projection does not rule out
-//     (BlinkDB's sample-selection jump).
-//   - A time budget pilots on the smallest uniform sample, then runs the
-//     largest one the pilot's per-row cost predicts will fit, if that is
-//     another sample.
-//
-// An exact request, or one with no sample its mode can run on, gets nil from
-// planFirst and runs the exact plan. So does a request the block table
-// answers for no more decode than its first sample would cost (planExact),
-// and a grouped one no group of its first sample can be diagnosed for
-// (planTooFew). When planTooFew cannot read that sample's GROUP BY column,
-// planFirst returns the sample with the error.
+// planFirst is the sample-choice policy, and the one reader of the catalog's
+// samples for routing: it names the one sample a plain request runs on — a
+// stratified sample matching its GROUP BY when every aggregate is
+// scale-invariant (stratification biases population-scaled SUM/COUNT),
+// otherwise the largest uniform sample. nil runs the exact plan: for an
+// exact request, one on a table with no sample, one the block table answers
+// for no more decode than the sample would cost (planExact), and a grouped
+// one no group of the sample can be diagnosed for (planTooFew). When
+// planTooFew cannot read the sample's GROUP BY column, planFirst returns the
+// sample with the error.
 func (q *request) planFirst() (*exec.StoredTable, error) {
 	if q.opts.Exact {
 		return nil, nil
@@ -322,66 +255,20 @@ func (q *request) planFirst() (*exec.StoredTable, error) {
 	return st, nil
 }
 
-// nextSample is the rest of the policy (see planFirst).
-func (q *request) nextSample(ran *exec.StoredTable, ans *Answer) *exec.StoredTable {
-	samples := q.rt.samples
-	switch {
-	case q.opts.plain():
-		return nil
-	case q.opts.ErrorBound > 0:
-		bound := q.opts.ErrorBound
-		met, worst := meetsBound(ans, bound)
-		if met {
-			return nil
-		}
-		minRows := 0 // samples smaller than this are provably insufficient
-		if !q.def.NeedsResamples(ran.PopRows, ran.Data.NumRows()) && worst > bound && !math.IsInf(worst, 0) {
-			minRows = rowsForBound(ran.Data.NumRows(), worst, bound)
-		}
-		for _, st := range samples[slices.Index(samples, ran)+1:] {
-			if st.Data.NumRows() >= minRows {
-				return st
-			}
-		}
-		return nil
-	default: // q.opts.TimeBudget > 0
-		// Even when the pilot alone blows the budget, it is the best answer
-		// there is.
-		if ran != samples[0] || ans.Elapsed >= q.opts.TimeBudget {
-			return nil
-		}
-		perRow := float64(ans.Elapsed) / float64(ran.Data.NumRows())
-		maxRows := withHeadroom(float64(q.opts.TimeBudget) / perRow)
-		best := ran
-		for _, st := range samples {
-			if st.Data.NumRows() <= maxRows {
-				best = st
-			}
-		}
-		if best == ran {
-			return nil
-		}
-		return best
-	}
-}
-
-// firstSample is the sample a request's mode runs on first (see planFirst).
+// firstSample is the sample a plain request runs on (see planFirst).
 func (q *request) firstSample() *exec.StoredTable {
 	samples := q.rt.samples
-	if q.opts.plain() && len(q.def.GroupBy) == 1 && scaleInvariant(q.def) {
+	if len(q.def.GroupBy) == 1 && scaleInvariant(q.def) {
 		for _, s := range q.rt.stratified {
 			if strings.EqualFold(s.keyColumn, q.def.GroupBy[0]) {
 				return s.st
 			}
 		}
 	}
-	switch {
-	case len(samples) == 0:
+	if len(samples) == 0 {
 		return nil
-	case q.opts.plain():
-		return samples[len(samples)-1]
 	}
-	return samples[0]
+	return samples[len(samples)-1]
 }
 
 // planExact reports whether the exact plan answers the request from the
@@ -390,9 +277,8 @@ func (q *request) firstSample() *exec.StoredTable {
 // exec.ExtremeDecode predicts no more column blocks on the full table than
 // on st. Such an aggregate is the diagnostic's most frequent reject (the
 // paper's Fig. 3), and the exact answer it falls back to then costs a scan
-// of the sample besides. An exact plan meets every error bound and costs
-// less than any pilot, so the rule holds in every mode. It records the
-// prediction on the request, for the plan stage and EXPLAIN.
+// of the sample besides. It records the prediction on the request, for the
+// plan stage and EXPLAIN.
 func (q *request) planExact(st *exec.StoredTable) bool {
 	exact, ok := exec.ExtremeDecode(&exec.StoredTable{Data: q.rt.full}, q.def)
 	if !ok {
@@ -405,21 +291,20 @@ func (q *request) planExact(st *exec.StoredTable) bool {
 	return true
 }
 
-// planTooFew reports whether every aggregate of the grouped plain request
-// is certain to be rejected too_few_rows on the sample st and re-answered
+// planTooFew reports whether every aggregate of the grouped request is
+// certain to be rejected too_few_rows on the sample st and re-answered
 // exactly: the engine replaces rejects, the diagnostic runs, and
 // diagnostic.Ladder finds no ladder in the most rows any one key of the
 // GROUP BY column can filter to in st under the request's predicate (its
 // KeyCeiling: the key's rows in the predicate's window on a range column, or
 // in the whole sample), which bounds every group's filtered rows.
 // Count-first would reach that verdict at the scan's barrier; this reaches it
-// before the scan. An error bound is left to escalate, since a larger sample
-// may clear the floor, and a time budget keeps a reject's bootstrap bar. It
-// records the evidence on the request, for the plan stage and EXPLAIN.
+// before the scan. It records the evidence on the request, for the plan
+// stage and EXPLAIN.
 // Counting reads the GROUP BY and range columns of st, and its error is
 // returned.
 func (q *request) planTooFew(st *exec.StoredTable) (bool, error) {
-	if !q.opts.plain() || !q.e.exactOnReject(q.opts) || q.e.cfg.skipDiagnostics || len(q.def.GroupBy) == 0 {
+	if !q.e.exactOnReject() || q.e.cfg.skipDiagnostics || len(q.def.GroupBy) == 0 {
 		return false, nil
 	}
 	ceiling, err := st.KeyCeiling(q.ctx, q.def.GroupBy[0], q.def.Where, q.e.execConfig())
@@ -432,48 +317,6 @@ func (q *request) planTooFew(st *exec.StoredTable) (bool, error) {
 	}
 	q.route, q.ceiling, q.sampleRows = obs.PlanTooFewRows, ceiling, n
 	return true, nil
-}
-
-// meetsBound reports whether every aggregate of ans is accepted by the
-// diagnostic with a relative error within bound, and the largest relative
-// error it has.
-func meetsBound(ans *Answer, bound float64) (met bool, worst float64) {
-	met = true
-	for _, g := range ans.Groups {
-		for _, a := range g.Aggs {
-			if !a.DiagnosticOK || math.IsNaN(a.RelErr) || a.RelErr > bound {
-				met = false
-			}
-			if !math.IsNaN(a.RelErr) && a.RelErr > worst {
-				worst = a.RelErr
-			}
-		}
-	}
-	return met, worst
-}
-
-// headroom discounts every projected row count by 20%, because a projection
-// from one run is noisy: the error-bound skip rules out only samples under
-// 80% of the rows it projects, and a time budget runs only samples within 80%
-// of the rows it projects will fit.
-const headroom = 0.8
-
-// rowsForBound is the 1/√n rule: a closed-form error bar that measured a
-// relative error rel on n rows narrows to bound on n·(rel/bound)² rows. The
-// count is taken with headroom.
-func rowsForBound(n int, rel, bound float64) int {
-	ratio := rel / bound
-	return withHeadroom(float64(n) * ratio * ratio)
-}
-
-// withHeadroom takes a projected row count with headroom, as an int. A
-// projection past the int range saturates at math.MaxInt rather than wrap.
-func withHeadroom(rows float64) int {
-	rows *= headroom
-	if !(rows < math.MaxInt) {
-		return math.MaxInt
-	}
-	return int(rows)
 }
 
 // scaleInvariant reports whether every aggregate is unaffected by
@@ -673,16 +516,6 @@ func errorBar(out exec.AggOutput) (estimator.Interval, string) {
 	return estimator.Interval{Center: out.Value, HalfWidth: half}, "bootstrap"
 }
 
-// fallbackExact runs the query exactly as a fallback stage, which holds the
-// exact run's stages and lasts until it ends.
-func (e *Engine) fallbackExact(q *request, reason string) (*Answer, error) {
-	start := time.Now()
-	i := q.stage(obs.StageRecord{Stage: obs.StageFallback, Reason: reason}, start)
-	ans, err := e.runExact(q, true)
-	q.stages[i].Ms = ms(time.Since(start))
-	return ans, err
-}
-
 // applyFallback re-answers exactly any aggregate whose diagnostic rejected
 // error estimation, replacing its entry in the answer — when the fallback
 // policy says rejects are replaced at all. A group the exact answer has and
@@ -699,10 +532,15 @@ func (e *Engine) applyFallback(q *request, ans *Answer) error {
 			}
 		}
 	}
-	if !needed || !e.exactOnReject(q.opts) {
+	if !needed || !e.exactOnReject() {
 		return nil
 	}
-	exact, err := e.fallbackExact(q, "diagnostic rejected")
+	// The exact run is a fallback stage, which holds its stages and lasts
+	// until it ends.
+	start := time.Now()
+	i := q.stage(obs.StageRecord{Stage: obs.StageFallback, Reason: "diagnostic rejected"}, start)
+	exact, err := e.runExact(q, true)
+	q.stages[i].Ms = ms(time.Since(start))
 	if err != nil {
 		return err
 	}

@@ -311,7 +311,7 @@ func TestPersistedSampleAnswersGolden(t *testing.T) {
 		{Seed: 7, Workers: 8, BootstrapK: 40, SampleBacking: table.BackingCompressed},
 		{Seed: 7, Workers: 1, BootstrapK: 40, SampleBacking: table.BackingCompressed, CacheBytes: 4 << 20},
 	} {
-		cfg.Obs = obs.NewTracer(obs.Options{})
+		cfg.Obs = obs.NewTracer(obs.Config{})
 		e := verdictEngineOn(t, cfg, full)
 		t.Cleanup(func() { e.Close() })
 		want := "[opened]"
@@ -555,7 +555,7 @@ func TestPersistedSampleFaults(t *testing.T) {
 				whole := mustReadFile(t, path)
 				tc.fault(t, dir, path)
 
-				tr := obs.NewTracer(obs.Options{})
+				tr := obs.NewTracer(obs.Config{})
 				e := storeEngine(t, Config{Seed: 11, Workers: 2, SampleBacking: backing, Obs: tr}, "Events", full)
 				files, err := e.BuildSamplesReport("Events", n)
 				if err != nil {
@@ -659,7 +659,7 @@ func TestQueriesRunDuringPersistedOpen(t *testing.T) {
 	}
 	var tr *obs.Tracer
 	boot := func() (*Engine, chan error) {
-		tr = obs.NewTracer(obs.Options{})
+		tr = obs.NewTracer(obs.Config{})
 		e := storeEngine(t, Config{Seed: 9, Workers: 2, Obs: tr}, "Sessions", full)
 		if err := e.BuildSamples("Sessions", 8000); err != nil {
 			t.Fatal(err)
@@ -749,7 +749,7 @@ func TestNoSampleFilesWithoutIdentity(t *testing.T) {
 	}
 	defer closer.Close()
 
-	tr := obs.NewTracer(obs.Options{})
+	tr := obs.NewTracer(obs.Config{})
 	for name, tbl := range map[string]*table.Table{
 		"memory": content,
 		"legacy": legacy,
@@ -872,7 +872,7 @@ func TestRacingQueriesRebuildOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := obs.NewTracer(obs.Options{})
+	tr := obs.NewTracer(obs.Config{})
 	e := storeEngine(t, Config{Seed: 11, Workers: 2, SampleBacking: table.BackingCompressed, Obs: tr}, "Events", full)
 	if got := outcomes(report(t, e, "Events", n)); got != "[opened]" {
 		t.Fatalf("sample file %s, want [opened]", got)

@@ -180,7 +180,7 @@ func TestVerdictFirstOffWithoutFallback(t *testing.T) {
 // aggregates it keeps.
 func TestVerdictFirstSkipsRejectedWork(t *testing.T) {
 	const k = 40
-	tr := obs.NewTracer(obs.Options{})
+	tr := obs.NewTracer(obs.Config{})
 	on := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, Obs: tr})
 	off := verdictEngine(t, Config{Seed: 7, Workers: 2, BootstrapK: k, noFallback: true})
 

@@ -167,7 +167,7 @@ func TestTelemetryDoesNotPerturbAnswers(t *testing.T) {
 	mk := func(full bool) *Engine {
 		cfg := Config{Seed: 23, Workers: 3, BootstrapK: 30}
 		if full {
-			cfg.Obs = obs.NewTracer(obs.Options{})
+			cfg.Obs = obs.NewTracer(obs.Config{})
 			cfg.EventLog = obs.NewEventLog(io.Discard, obs.Config{})
 			cfg.Watchdog = watchdog.New(watchdog.Config{
 				AuditFraction: 1, Synchronous: true,
@@ -215,7 +215,7 @@ func TestEventLogRecordsQueriesAndAudits(t *testing.T) {
 	wd := watchdog.New(watchdog.Config{AuditFraction: 1, Synchronous: true})
 	e, _ := buildSessions(t, Config{
 		Seed: 24, BootstrapK: 30,
-		Obs:      obs.NewTracer(obs.Options{}),
+		Obs:      obs.NewTracer(obs.Config{}),
 		EventLog: obs.NewEventLog(&buf, obs.Config{}),
 		Watchdog: wd,
 	}, 20000)

@@ -23,9 +23,9 @@ func (iv Interval) Contains(x float64) bool {
 	return x >= iv.Lo() && x <= iv.Hi()
 }
 
-// RelativeError returns HalfWidth / |Center|: the relative error bound the
-// engine compares against user-specified error bounds. Returns +Inf for a
-// zero center.
+// RelativeError returns HalfWidth / |Center|: the error bar's half-width
+// relative to the estimate, as an answer reports it. Returns +Inf for a zero
+// center.
 func (iv Interval) RelativeError() float64 {
 	if iv.Center == 0 {
 		return math.Inf(1)

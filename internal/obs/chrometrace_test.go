@@ -78,7 +78,7 @@ func TestWriteChromeTrace(t *testing.T) {
 // TestChromeTraceEndpoint exercises /debug/queries/{id}/trace over HTTP:
 // a live trace renders, an unknown id is 404, a non-numeric id is 400.
 func TestChromeTraceEndpoint(t *testing.T) {
-	tr := NewTracer(Options{})
+	tr := NewTracer(Config{})
 	tr.Finish(&QueryRecord{QID: 1, SQL: "SELECT COUNT(*) FROM t", Outcome: "ok",
 		Stages: []StageRecord{{Stage: StageScan}}})
 	last, _ := tr.Last()

@@ -149,7 +149,7 @@ func TestEventLogConcurrentEmits(t *testing.T) {
 // obs layer: the record's queue wait must surface in the rendered trace, its
 // JSON encoding and the human-readable trace.
 func TestQueueWaitRoundTrip(t *testing.T) {
-	tr := NewTracer(Options{})
+	tr := NewTracer(Config{})
 	tr.Finish(&QueryRecord{SQL: "SELECT 1", Outcome: "ok", QueueWaitMs: 1.5,
 		Stages: []StageRecord{{Stage: StageScan}}})
 	snap, ok := tr.Last()

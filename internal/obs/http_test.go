@@ -12,7 +12,7 @@ import (
 )
 
 func TestServeMetricsAndDebugQueries(t *testing.T) {
-	tr := NewTracer(Options{RingSize: 4})
+	tr := NewTracer(Config{RingSize: 4})
 	for i := 0; i < 6; i++ {
 		tr.Finish(&QueryRecord{QID: uint64(i + 1), SQL: fmt.Sprintf("SELECT %d", i), Outcome: "ok",
 			Stages: []StageRecord{{Stage: StageScan, Work: work.Counters{RowsScanned: int64(100 * (i + 1))}}}})

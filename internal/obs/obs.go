@@ -77,7 +77,7 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer with an empty registry and trace ring.
-func NewTracer(opt Options) *Tracer {
+func NewTracer(opt Config) *Tracer {
 	return &Tracer{reg: NewRegistry(),
 		ring: &traceRing{buf: make([]*QueryRecord, opt.ringSize())}}
 }

@@ -157,7 +157,7 @@ func TestConcurrentMetrics(t *testing.T) {
 }
 
 func TestTraceRingBound(t *testing.T) {
-	tr := NewTracer(Options{RingSize: 3})
+	tr := NewTracer(Config{RingSize: 3})
 	for i := 0; i < 5; i++ {
 		tr.Finish(&QueryRecord{QID: uint64(i + 1), SQL: fmt.Sprintf("q%d", i), Outcome: "ok",
 			Stages: []StageRecord{{Stage: StageScan}}})
@@ -235,11 +235,11 @@ func TestSpanAttrsAndStructure(t *testing.T) {
 }
 
 // TestFinishRecordsMetricsAndOutcome: Finish observes the record once —
-// outcome, stage latency, work, fallbacks and every diagnostic stage's
-// verdicts, a run an escalation moved on from included — and keeps it in the
-// ring with its failure text.
+// outcome, stage latency, work, fallbacks and the verdicts of every
+// diagnostic stage the record holds — and keeps it in the ring with its
+// failure text.
 func TestFinishRecordsMetricsAndOutcome(t *testing.T) {
-	tr := NewTracer(Options{})
+	tr := NewTracer(Config{})
 	tr.Finish(&QueryRecord{QID: 1, SQL: "boom", Outcome: "error", Err: "parse failed",
 		Stages: []StageRecord{{Stage: StageParse}}})
 	tr.Finish(&QueryRecord{QID: 2, SQL: "SELECT MAX(x) FROM t", Outcome: "ok",
@@ -289,7 +289,7 @@ func TestFinishRecordsMetricsAndOutcome(t *testing.T) {
 }
 
 func TestFormatTrace(t *testing.T) {
-	tr := NewTracer(Options{})
+	tr := NewTracer(Config{})
 	tr.Finish(&QueryRecord{SQL: "SELECT 1", Outcome: "ok",
 		Stages: []StageRecord{{Stage: StageScan, Work: work.Counters{RowsScanned: 10}}}})
 	last, _ := tr.Last()

@@ -252,7 +252,7 @@ func TestSubmitTimeout(t *testing.T) {
 // histogram observes it.
 func TestSubmitRecordsQueueWait(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(obs.Options{})
+	tr := obs.NewTracer(obs.Config{})
 	eng := testEngine(t, core.Config{Seed: 13, Obs: tr})
 	s := New(eng, Config{MaxInFlight: 1, MaxQueue: 4, Metrics: reg})
 
