@@ -619,11 +619,13 @@ func (a *Answer) FellBack() bool {
 // Explain parses and plans the query as Run would — the same sample choice,
 // the same plan construction — and returns the plan tree rendering. A query
 // planned exact from the block table is headed by the line
-// "exact (block table: N blocks)", N the column blocks predicted decoded; a
-// grouped one no group of the sample can be diagnosed for by
+// "exact (block table: N blocks)", N the column blocks predicted decoded; one
+// no group of the sample can be diagnosed for by
 // "exact (too few rows: at most N sample rows per <col> group, floor F)",
-// with "with <range col> in <window>" after "group" when the predicate's
-// window on a range column gave N.
+// with "with <col> <restriction>" after "group" when a restriction of the
+// predicate gave N (exec.Ceiling): "with Day in [30, 38]",
+// "with City = 'BOS'". An ungrouped query reads
+// "exact (too few rows: at most N sample rows with City = 'BOS', floor F)".
 func (e *Engine) Explain(query string) (string, error) {
 	q := &request{sql: query, ctx: context.Background()}
 	if err := e.analyze(q); err != nil {
@@ -640,9 +642,9 @@ func (e *Engine) Explain(query string) (string, error) {
 	}
 	var p *plan.Plan
 	if st != nil {
-		p, err = e.buildApproxPlan(q, st, e.exactOnReject())
+		p, err = e.buildApproxPlan(q, st, time.Now(), e.exactOnReject())
 	} else {
-		p, err = e.buildExactPlan(q, false)
+		p, err = e.buildExactPlan(q, time.Now(), false)
 	}
 	if err != nil {
 		return "", err
@@ -651,12 +653,15 @@ func (e *Engine) Explain(query string) (string, error) {
 	case obs.PlanBlockTable:
 		return fmt.Sprintf("exact (block table: %d blocks)\n", q.plannedBlocks) + p.Explain(), nil
 	case obs.PlanTooFewRows:
-		window := ""
-		if c := q.ceiling; c.Column != "" {
-			window = fmt.Sprintf(" with %s in %s", c.Column, c.Window)
+		var where string
+		if len(q.def.GroupBy) > 0 {
+			where = " per " + q.def.GroupBy[0] + " group"
 		}
-		return fmt.Sprintf("exact (too few rows: at most %d sample rows per %s group%s, floor %d)\n",
-			q.ceiling.Rows, q.def.GroupBy[0], window, diagnostic.MinFilteredRows) + p.Explain(), nil
+		if c := q.ceiling; c.Column != "" {
+			where += " with " + c.Column + " " + c.Window
+		}
+		return fmt.Sprintf("exact (too few rows: at most %d sample rows%s, floor %d)\n",
+			q.ceiling.Rows, where, diagnostic.MinFilteredRows) + p.Explain(), nil
 	}
 	return p.Explain(), nil
 }

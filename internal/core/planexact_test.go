@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/table"
+	"repro/internal/workload"
 )
 
 // planTable is E(Day, City, Device, G, P) over n rows: Day ascends over 90
@@ -337,12 +338,16 @@ func TestPlanExactRecord(t *testing.T) {
 // leaves no sample row is rejected too_few_rows and answered exactly, as a
 // MAX over the same filter always was. Before count-first the closed-form
 // fold's "empty sample" failed the query, though the diagnostic had already
-// rejected the aggregate and the fallback would have answered it.
+// rejected the aggregate and the fallback would have answered it. The filter
+// excludes every City with "!=", which the key ceiling cannot read, so the
+// queries run on the sample; "City = 'XX'" is planned exact before it
+// (TestTooFewPlanDifferential).
 func TestCountFirstAnswersEmptyFilter(t *testing.T) {
 	e := planEngine(t, planConfig{backing: "raw", workers: 2})
+	const noCity = "City != 'NYC' AND City != 'SF' AND City != 'LA'"
 	for _, q := range []string{
-		"SELECT AVG(G) FROM E WHERE City = 'XX'",
-		"SELECT MAX(P) FROM E WHERE City = 'XX'",
+		"SELECT AVG(G) FROM E WHERE " + noCity,
+		"SELECT MAX(P) FROM E WHERE " + noCity,
 	} {
 		ans, err := e.Run(context.Background(), q)
 		if err != nil {
@@ -398,36 +403,70 @@ func TestEmptyGroupedAnswerFallsBack(t *testing.T) {
 	}
 }
 
-// TestTooFewPlanDifferential: a grouped query no GROUP BY key of whose
-// sample can hold the diagnostic's floor of rows under its predicate is
-// planned exact before any sample scan. The ceiling is the key's rows in the
-// whole sample or, tighter, in the predicate's window on Day: Device is
-// routed with or without a window, City under a one-day or nine-day window,
-// also beside a G conjunct the ceiling cannot read. City stays on the sample
-// without a filter, under a window wide enough for a group to clear the
-// floor, and under a G filter alone, since G has too many distinct values
-// for a window count. The decision, its EXPLAIN — which names the ceiling
-// counted from the sample, and its window — and every answer bit are the
-// same on every backing, worker count and cache setting; a routed answer is
-// RunExact's, to the bit and in its group set; and queries racing to be
-// first read one ceiling. An engine that keeps rejected answers is not
-// routed.
+// TestTooFewPlanDifferential: a query no group of whose sample can hold the
+// diagnostic's floor of rows under its predicate is planned exact before any
+// sample scan. A grouped query's ceiling is a key's rows in the whole sample
+// or, tighter, in the predicate's window on Day or under its equality on a
+// string column: Device is routed with or without a window, City under a
+// one-day or nine-day window, also beside a G conjunct the ceiling cannot
+// read, and under one Device. City stays on the sample without a filter,
+// under a window wide enough for a group to clear the floor, and under a G
+// filter alone, since G has too many distinct values for a window count. An
+// ungrouped query's ceiling is the rows of its equality's values, in its
+// window when it has one: AVG, STDEV, MIN and a UDF are routed under one
+// Device (about 300 sample rows), two Devices, a City the table lacks, or a
+// City inside a nine-day window, and stay on the sample under a whole City,
+// over the floor. An ungrouped SUM or COUNT, diagnosed over every sample row,
+// stays on the sample under one Device, alone or beside an AVG. The
+// decision, its EXPLAIN — which names the ceiling counted from the sample,
+// and its restriction — and every answer bit are the same on every backing,
+// worker count and cache setting; a routed answer is RunExact's, to the bit
+// and in its group set; and queries racing to be first read one ceiling. An
+// engine that keeps rejected answers is not routed.
 func TestTooFewPlanDifferential(t *testing.T) {
+	every := func(int64, string, string) bool { return true }
+	days := func(lo, hi int64) func(int64, string, string) bool {
+		return func(day int64, _, _ string) bool { return day >= lo && day <= hi }
+	}
+	none := func(int64, string, string) bool { return false }
+	dev07 := func(_ int64, _, dev string) bool { return dev == "dev07" }
 	queries := []struct {
 		sql    string
-		key    string
-		lo, hi int64 // the Day window the ceiling reads; lo > hi: none
 		routed bool
+		// When routed, EXPLAIN names the GROUP BY column, the restriction
+		// that gave the ceiling, and the ceiling: the most rows one value of
+		// by ("": all of them) holds among the raw sample's rows keep admits.
+		group, restriction, by string
+		keep                   func(day int64, city, device string) bool
 	}{
-		{"SELECT Device, AVG(G), MAX(P) FROM E GROUP BY Device", "Device", 1, 0, true},
-		{"SELECT Device, COUNT(*), SUM(G) FROM E WHERE Day >= 30 AND Day <= 59 GROUP BY Device", "Device", 30, 59, true},
-		{"SELECT City, AVG(G), MAX(P) FROM E GROUP BY City", "City", 1, 0, false},
-		{"SELECT City, AVG(G) FROM E WHERE Day = 44 GROUP BY City", "City", 44, 44, true},
-		{"SELECT City, SUM(G), MAX(P) FROM E WHERE Day >= 30 AND Day <= 38 GROUP BY City", "City", 30, 38, true},
-		{"SELECT City, AVG(G) FROM E WHERE Day >= 30 AND Day <= 38 AND G > 110 GROUP BY City", "City", 30, 38, true},
-		{"SELECT City, AVG(G) FROM E WHERE Day >= 10 GROUP BY City", "City", 1, 0, false},
-		{"SELECT City, AVG(G), MAX(P) FROM E WHERE G > 110 GROUP BY City", "City", 1, 0, false},
+		{"SELECT Device, AVG(G), MAX(P) FROM E GROUP BY Device", true, "Device", "", "Device", every},
+		{"SELECT Device, COUNT(*), SUM(G) FROM E WHERE Day >= 30 AND Day <= 59 GROUP BY Device", true,
+			"Device", "Day in [30, 59]", "Device", days(30, 59)},
+		{"SELECT City, AVG(G), MAX(P) FROM E GROUP BY City", false, "", "", "", nil},
+		{"SELECT City, AVG(G) FROM E WHERE Day = 44 GROUP BY City", true, "City", "Day in [44, 44]", "City", days(44, 44)},
+		{"SELECT City, SUM(G), MAX(P) FROM E WHERE Day >= 30 AND Day <= 38 GROUP BY City", true,
+			"City", "Day in [30, 38]", "City", days(30, 38)},
+		{"SELECT City, AVG(G) FROM E WHERE Day >= 30 AND Day <= 38 AND G > 110 GROUP BY City", true,
+			"City", "Day in [30, 38]", "City", days(30, 38)},
+		{"SELECT City, AVG(G) FROM E WHERE Day >= 10 GROUP BY City", false, "", "", "", nil},
+		{"SELECT City, AVG(G), MAX(P) FROM E WHERE G > 110 GROUP BY City", false, "", "", "", nil},
+		{"SELECT City, SUM(G), COUNT(*) FROM E WHERE Device = 'dev07' GROUP BY City", true,
+			"City", "Device = 'dev07'", "", dev07},
+		{"SELECT AVG(G) FROM E WHERE Device = 'dev07'", true, "", "Device = 'dev07'", "", dev07},
+		{"SELECT STDEV(G), MIN(G) FROM E WHERE Device = 'dev07'", true, "", "Device = 'dev07'", "", dev07},
+		{"SELECT second_moment(G), MIN(P) FROM E WHERE Device = 'dev03' OR 'dev07' = Device", true,
+			"", "Device in ('dev03', 'dev07')", "", func(_ int64, _, dev string) bool { return dev == "dev03" || dev == "dev07" }},
+		{"SELECT AVG(G), second_moment(G) FROM E WHERE Device = 'dev07' AND Day >= 30 AND Day <= 59", true,
+			"", "Device = 'dev07' and Day in [30, 59]", "", func(day int64, _, dev string) bool { return dev == "dev07" && day >= 30 && day <= 59 }},
+		{"SELECT AVG(G) FROM E WHERE City = 'XX'", true, "", "City = 'XX'", "", none},
+		{"SELECT MIN(G), STDEV(G) FROM E WHERE City = 'XX' AND Day < 45", true, "", "City = 'XX'", "", none},
+		{"SELECT STDEV(G), MIN(G) FROM E WHERE City = 'NYC' AND Day >= 30 AND Day <= 38", true,
+			"", "City = 'NYC' and Day in [30, 38]", "", func(day int64, city, _ string) bool { return city == "NYC" && day >= 30 && day <= 38 }},
+		{"SELECT AVG(G), STDEV(G) FROM E WHERE City = 'NYC'", false, "", "", "", nil},
+		{"SELECT SUM(G), COUNT(*) FROM E WHERE Device = 'dev07'", false, "", "", "", nil},
+		{"SELECT AVG(G), SUM(G) FROM E WHERE Device = 'dev07'", false, "", "", "", nil},
 	}
+	udf := workload.UDFByName("second_moment")
 	sqls := make([]string, len(queries))
 	for i, q := range queries {
 		sqls[i] = q.sql
@@ -437,15 +476,21 @@ func TestTooFewPlanDifferential(t *testing.T) {
 	ceiling := 0
 	for ci, c := range planMatrix() {
 		e := planEngine(t, c)
+		e.RegisterUDF(udf.Name, udf.Fn)
 		if ci == 0 {
 			deviceCeiling(t, e)
 			for i, q := range queries {
-				window := ""
-				if q.lo <= q.hi {
-					window = fmt.Sprintf(" with Day in [%d, %d]", q.lo, q.hi)
+				var per, with string
+				if q.group != "" {
+					per = " per " + q.group + " group"
 				}
-				heads[i] = fmt.Sprintf("exact (too few rows: at most %d sample rows per %s group%s, floor 3200)\n",
-					sampleCeiling(t, e, q.key, q.lo, q.hi), q.key, window)
+				if q.restriction != "" {
+					with = " with " + q.restriction
+				}
+				if q.routed {
+					heads[i] = fmt.Sprintf("exact (too few rows: at most %d sample rows%s%s, floor 3200)\n",
+						sampleMost(t, e, q.by, q.keep), per, with)
+				}
 			}
 			ceiling = sampleCeiling(t, e, "City", 30, 38)
 		}
@@ -575,13 +620,25 @@ func deviceCeiling(t *testing.T, e *Engine) {
 // the string column key holds with Day in [lo, hi], or anywhere when lo > hi.
 func sampleCeiling(t *testing.T, e *Engine, key string, lo, hi int64) int {
 	t.Helper()
+	return sampleMost(t, e, key, func(day int64, _, _ string) bool { return lo > hi || day >= lo && day <= hi })
+}
+
+// sampleMost counts the most rows of e's raw sample that one value of the
+// string column by holds among the rows keep admits; by "" counts them all.
+func sampleMost(t *testing.T, e *Engine, by string, keep func(day int64, city, device string) bool) int {
+	t.Helper()
 	s := e.tables["E"].samples[0].Data
-	keys := s.Column(s.Schema().Index(key)).(table.StringCol)
-	days := s.Column(s.Schema().Index("Day")).(table.Int64Col)
+	column := func(name string) table.Column { return s.Column(s.Schema().Index(name)) }
+	days := column("Day").(table.Int64Col)
+	cities, devices := column("City").(table.StringCol), column("Device").(table.StringCol)
 	counts := map[string]int{}
-	for i, k := range keys {
-		if lo > hi || days[i] >= lo && days[i] <= hi {
-			counts[k]++
+	for i, day := range days {
+		if keep(day, cities[i], devices[i]) {
+			key := ""
+			if by != "" {
+				key = column(by).(table.StringCol)[i]
+			}
+			counts[key]++
 		}
 	}
 	most := 0
@@ -603,7 +660,7 @@ func racedCeilings(t *testing.T, e *Engine) int {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, s := range r.Stages {
-			if s.Stage == obs.StagePlan && s.RangeColumn == "Day" {
+			if s.Stage == obs.StagePlan && s.CeilingColumn == "Day" {
 				ceilings = append(ceilings, s.KeyCeiling)
 			}
 		}
@@ -699,10 +756,11 @@ func TestFallbackAddsGroupsTheSampleMissed(t *testing.T) {
 }
 
 // TestTooFewPlanRecord: a query planned exact for too few rows records why on
-// its plan stage — the reason, Device's ceiling under the Day window, the
-// range column and the sample's rows, all on its span — runs one scan of the
-// full table and nothing of the sample path, and leaves the block table's
-// decode ratio unobserved.
+// its plan stage — the reason, the ceiling, the column whose restriction gave
+// it and the sample's rows, all on its span — runs one scan of the full table
+// and nothing of the sample path, and leaves the block table's decode ratio
+// unobserved: Device's ceiling under a Day window, and an ungrouped STDEV's
+// under an equality on one Device.
 func TestTooFewPlanRecord(t *testing.T) {
 	tr := obs.NewTracer(obs.Config{})
 	e := New(Config{Seed: 47, Obs: tr})
@@ -713,34 +771,70 @@ func TestTooFewPlanRecord(t *testing.T) {
 	if err := e.BuildSamples("E", planSampleRows); err != nil {
 		t.Fatal(err)
 	}
-	ceiling := sampleCeiling(t, e, "Device", 0, 44)
-	ans, err := e.Run(context.Background(), "SELECT Device, AVG(G) FROM E WHERE Day < 45 GROUP BY Device")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, _ := tr.Last()
-	var stages []string
-	var plan *obs.SpanSnapshot
-	for i, s := range snap.Spans {
-		stages = append(stages, s.Stage)
-		if s.Stage == obs.StagePlan {
-			plan = &snap.Spans[i]
+	for _, q := range []struct {
+		sql, column string
+		ceiling     int
+	}{
+		{"SELECT Device, AVG(G) FROM E WHERE Day < 45 GROUP BY Device", "Day", sampleCeiling(t, e, "Device", 0, 44)},
+		{"SELECT STDEV(G) FROM E WHERE Device = 'dev07'", "Device",
+			sampleMost(t, e, "", func(_ int64, _, dev string) bool { return dev == "dev07" })},
+	} {
+		ans, err := e.Run(context.Background(), q.sql)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := strings.Join(stages, " "); got != "parse plan scan" {
-		t.Errorf("stages %q, want parse plan scan", got)
-	}
-	if plan == nil || plan.Attrs["mode"] != "exact" || plan.Attrs["reason"] != obs.PlanTooFewRows ||
-		plan.Attrs["key_ceiling"] != int64(ceiling) || plan.Attrs["range_column"] != "Day" ||
-		plan.Attrs["sample_rows"] != int64(planSampleRows) {
-		t.Errorf("plan span %+v, want too few rows: ceiling %d under Day on %d sample rows", plan, ceiling, planSampleRows)
-	}
-	if ans.SampleRows != 0 || ans.Counters.RowsScanned != planRows {
-		t.Errorf("answered on %d sample rows after scanning %d, want the full table's %d alone",
-			ans.SampleRows, ans.Counters.RowsScanned, planRows)
+		snap, _ := tr.Last()
+		var stages []string
+		var plan *obs.SpanSnapshot
+		for i, s := range snap.Spans {
+			stages = append(stages, s.Stage)
+			if s.Stage == obs.StagePlan {
+				plan = &snap.Spans[i]
+			}
+		}
+		if got := strings.Join(stages, " "); got != "parse plan scan" {
+			t.Errorf("%q: stages %q, want parse plan scan", q.sql, got)
+		}
+		if plan == nil || plan.Attrs["mode"] != "exact" || plan.Attrs["reason"] != obs.PlanTooFewRows ||
+			plan.Attrs["key_ceiling"] != int64(q.ceiling) || plan.Attrs["ceiling_column"] != q.column ||
+			plan.Attrs["sample_rows"] != int64(planSampleRows) {
+			t.Errorf("%q: plan span %+v, want too few rows: ceiling %d under %s on %d sample rows",
+				q.sql, plan, q.ceiling, q.column, planSampleRows)
+		}
+		if ans.SampleRows != 0 || ans.Counters.RowsScanned != planRows {
+			t.Errorf("%q: answered on %d sample rows after scanning %d, want the full table's %d alone",
+				q.sql, ans.SampleRows, ans.Counters.RowsScanned, planRows)
+		}
 	}
 	if n := tr.Registry().Histogram("aqp_plan_decode_ratio", "", obs.DecodeRatioBuckets).Count(); n != 0 {
 		t.Errorf("decode ratio observed %d times, want none", n)
+	}
+}
+
+// TestPlanStageCoversRouting: a routed query's plan stage starts where its
+// parse stage ends, so the routing — here the first count of the sample's
+// ceiling, which each query builds on a fresh engine — is plan time, not
+// time between stages: the gap from parse's end to the plan's start is
+// shorter than the plan stage that holds the count.
+func TestPlanStageCoversRouting(t *testing.T) {
+	for _, q := range []string{
+		"SELECT Device, AVG(G) FROM E WHERE Day < 45 GROUP BY Device",
+		"SELECT STDEV(G) FROM E WHERE Device = 'dev07' AND Day < 45",
+	} {
+		e := planEngine(t, planConfig{backing: "raw", workers: 2})
+		var rec *obs.QueryRecord
+		e.recorded = func(r *obs.QueryRecord) { rec = r }
+		if _, err := e.Run(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+		parse, plan := rec.Stages[0], rec.Stages[1]
+		if parse.Stage != obs.StageParse || plan.Stage != obs.StagePlan || plan.Reason != obs.PlanTooFewRows {
+			t.Fatalf("%q: stages %+v, want parse then a too-few-rows plan", q, rec.Stages)
+		}
+		if gap := plan.StartMs - (parse.StartMs + parse.Ms); gap >= plan.Ms {
+			t.Errorf("%q: plan stage starts %.4f ms after parse ends and lasts %.4f ms; want it to start where parse ends",
+				q, gap, plan.Ms)
+		}
 	}
 }
 
@@ -748,8 +842,9 @@ func TestTooFewPlanRecord(t *testing.T) {
 // route, by its aggregates times its groups: City's accepted AVG on the
 // sample, City under G > 110 rejected too_few_rows and re-answered exactly,
 // a MIN and MAX planned exact from the block table (ungrouped, as that route
-// is), City under a one-day window planned exact for too few rows, and
-// Device on request. A replay moves no route.
+// is), City under a one-day window and an ungrouped AVG and STDEV under one
+// Device planned exact for too few rows, and Device on request. A replay
+// moves no route.
 func TestAggregateRoutes(t *testing.T) {
 	tr := obs.NewTracer(obs.Config{})
 	e := New(Config{Seed: 47, Workers: 2, Obs: tr, CacheBytes: 8 << 20})
@@ -777,6 +872,7 @@ func TestAggregateRoutes(t *testing.T) {
 		{"fallback", "SELECT City, AVG(G), MAX(P) FROM E WHERE G > 110 GROUP BY City", false, 2, 3},
 		{"block_table", "SELECT MIN(G), MAX(P) FROM E", false, 2, 1},
 		{"too_few_rows", "SELECT City, AVG(G), MAX(P) FROM E WHERE Day = 44 GROUP BY City", false, 2, 3},
+		{"too_few_rows", "SELECT AVG(G), STDEV(G) FROM E WHERE Device = 'dev07'", false, 2, 1},
 		{"exact", "SELECT Device, AVG(G) FROM E GROUP BY Device", true, 1, 40},
 		{"", "SELECT City, AVG(G) FROM E GROUP BY City", false, 1, 3}, // a replay
 	} {

@@ -58,8 +58,8 @@ type request struct {
 	// route is why planFirst planned the request exact (an obs.Plan*
 	// reason; "" when it did not), with the evidence: plannedBlocks, the
 	// decode predicted for the exact plan (obs.PlanBlockTable), or ceiling,
-	// the most rows one GROUP BY key can filter to in the sample of
-	// sampleRows rows it skipped (obs.PlanTooFewRows).
+	// the most rows one group can filter to in the sample of sampleRows rows
+	// it skipped (obs.PlanTooFewRows).
 	route                     string
 	plannedBlocks, sampleRows int
 	ceiling                   exec.Ceiling
@@ -186,18 +186,19 @@ func (e *Engine) rebuildingRefused(q *request, attempt func() (*exec.StoredTable
 // an exact one, or one on a table with no sample — runs the exact plan. A
 // run, or a plan, on a sample that fails returns that sample with its error.
 func (e *Engine) executeOnce(q *request) (*Answer, *exec.StoredTable, error) {
+	start := time.Now() // the plan stage covers the routing
 	st, err := q.planFirst()
 	switch {
 	case err != nil:
 		return nil, st, err
 	case st == nil:
-		ans, err := e.runExact(q, false)
+		ans, err := e.runExact(q, start, false)
 		return ans, nil, err
 	}
 	if err := q.ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("core: %s: %w", q.label(), err)
 	}
-	ans, err := e.runApproximate(q, st, e.exactOnReject())
+	ans, err := e.runApproximate(q, st, start, e.exactOnReject())
 	if err != nil {
 		return nil, st, err
 	}
@@ -234,10 +235,10 @@ func (e *Engine) exactOnReject() bool {
 // scale-invariant (stratification biases population-scaled SUM/COUNT),
 // otherwise the largest uniform sample. nil runs the exact plan: for an
 // exact request, one on a table with no sample, one the block table answers
-// for no more decode than the sample would cost (planExact), and a grouped
-// one no group of the sample can be diagnosed for (planTooFew). When
-// planTooFew cannot read the sample's GROUP BY column, planFirst returns the
-// sample with the error.
+// for no more decode than the sample would cost (planExact), and one no
+// group of the sample can be diagnosed for (planTooFew). When planTooFew
+// cannot read a column of the sample it counts, planFirst returns the sample
+// with the error.
 func (q *request) planFirst() (*exec.StoredTable, error) {
 	if q.opts.Exact {
 		return nil, nil
@@ -291,23 +292,33 @@ func (q *request) planExact(st *exec.StoredTable) bool {
 	return true
 }
 
-// planTooFew reports whether every aggregate of the grouped request is
-// certain to be rejected too_few_rows on the sample st and re-answered
-// exactly: the engine replaces rejects, the diagnostic runs, and
-// diagnostic.Ladder finds no ladder in the most rows any one key of the
-// GROUP BY column can filter to in st under the request's predicate (its
-// KeyCeiling: the key's rows in the predicate's window on a range column, or
-// in the whole sample), which bounds every group's filtered rows.
-// Count-first would reach that verdict at the scan's barrier; this reaches it
-// before the scan. It records the evidence on the request, for the plan
+// planTooFew reports whether every aggregate of the request is certain to be
+// rejected too_few_rows on the sample st and re-answered exactly: the engine
+// replaces rejects, the diagnostic runs, every aggregate is diagnosed over
+// its group's filtered rows, and diagnostic.Ladder finds no ladder in the
+// most rows any one group can filter to in st under the request's predicate.
+// That is its KeyCeiling: for a grouped request, a GROUP BY key's rows in
+// the whole sample or, tighter, under the predicate's window on a range
+// column or its equality on a string column; for an ungrouped one, the rows
+// of the equality's values, in the window when there is one. An ungrouped
+// SUM or COUNT is diagnosed over every sample row, the filter's failures
+// masked to zero (exec's colKeyFor), so no ceiling puts it under the floor.
+// Count-first would reach that verdict at the scan's barrier; this reaches
+// it before the scan. It records the evidence on the request, for the plan
 // stage and EXPLAIN.
-// Counting reads the GROUP BY and range columns of st, and its error is
-// returned.
+// Counting reads the GROUP BY, equality and range columns of st, and its
+// error is returned.
 func (q *request) planTooFew(st *exec.StoredTable) (bool, error) {
-	if !q.e.exactOnReject() || q.e.cfg.skipDiagnostics || len(q.def.GroupBy) == 0 {
+	if !q.e.exactOnReject() || q.e.cfg.skipDiagnostics {
 		return false, nil
 	}
-	ceiling, err := st.KeyCeiling(q.ctx, q.def.GroupBy[0], q.def.Where, q.e.execConfig())
+	key := ""
+	if len(q.def.GroupBy) > 0 {
+		key = q.def.GroupBy[0]
+	} else if !scaleInvariant(q.def) {
+		return false, nil // a masked SUM or COUNT
+	}
+	ceiling, err := st.KeyCeiling(q.ctx, key, q.def.Where, q.e.execConfig())
 	if err != nil {
 		return false, err
 	}
@@ -331,12 +342,12 @@ func scaleInvariant(def *plan.QueryDef) bool {
 	return true
 }
 
-// runExact executes the query on the full table with no sampling pipeline.
-// A fallback's run is nested: its stages belong to the fallback stage rather
-// than forming a second top-level pipeline.
-func (e *Engine) runExact(q *request, nested bool) (*Answer, error) {
-	start := time.Now()
-	p, err := e.buildExactPlan(q, nested)
+// runExact executes the query on the full table with no sampling pipeline,
+// its plan stage begun at start. A fallback's run is nested: its stages
+// belong to the fallback stage rather than forming a second top-level
+// pipeline.
+func (e *Engine) runExact(q *request, start time.Time, nested bool) (*Answer, error) {
+	p, err := e.buildExactPlan(q, start, nested)
 	if err != nil {
 		return nil, err
 	}
@@ -371,13 +382,12 @@ func (e *Engine) runExact(q *request, nested bool) (*Answer, error) {
 	return ans, nil
 }
 
-// runApproximate executes the full §5 pipeline on the given sample.
-// verdictFirst (see exactOnReject) promises that the caller replaces every
-// aggregate the diagnostic rejects with an exact answer, which lets the plan
-// skip those aggregates' bootstrap.
-func (e *Engine) runApproximate(q *request, st *exec.StoredTable, verdictFirst bool) (*Answer, error) {
-	start := time.Now()
-	p, err := e.buildApproxPlan(q, st, verdictFirst)
+// runApproximate executes the full §5 pipeline on the given sample, its plan
+// stage begun at start. verdictFirst (see exactOnReject) promises that the
+// caller replaces every aggregate the diagnostic rejects with an exact
+// answer, which lets the plan skip those aggregates' bootstrap.
+func (e *Engine) runApproximate(q *request, st *exec.StoredTable, start time.Time, verdictFirst bool) (*Answer, error) {
+	p, err := e.buildApproxPlan(q, st, start, verdictFirst)
 	if err != nil {
 		return nil, err
 	}
@@ -390,14 +400,14 @@ func (e *Engine) runApproximate(q *request, st *exec.StoredTable, verdictFirst b
 }
 
 // buildExactPlan builds the plan of an exact execution and records its plan
-// stage, nested under a fallback when the run is one.
-func (e *Engine) buildExactPlan(q *request, nested bool) (*plan.Plan, error) {
-	start := time.Now()
+// stage, begun at start — before the routing that chose the plan —, nested
+// under a fallback when the run is one.
+func (e *Engine) buildExactPlan(q *request, start time.Time, nested bool) (*plan.Plan, error) {
 	p, err := plan.Build(q.def, plan.Options{})
 	rec := obs.StageRecord{Stage: obs.StagePlan, Nested: nested}
 	if !nested {
 		rec.Reason, rec.PredictedBlocks = q.route, q.plannedBlocks
-		rec.KeyCeiling, rec.RangeColumn, rec.SampleRows = q.ceiling.Rows, q.ceiling.Column, q.sampleRows
+		rec.KeyCeiling, rec.CeilingColumn, rec.SampleRows = q.ceiling.Rows, q.ceiling.Column, q.sampleRows
 	}
 	q.stage(rec, start)
 	if err != nil {
@@ -407,8 +417,9 @@ func (e *Engine) buildExactPlan(q *request, nested bool) (*plan.Plan, error) {
 }
 
 // buildApproxPlan builds the §5 approximate plan for one query on one
-// sample and records its plan stage, for runApproximate and Explain.
-func (e *Engine) buildApproxPlan(q *request, st *exec.StoredTable, verdictFirst bool) (*plan.Plan, error) {
+// sample and records its plan stage, begun at start, for runApproximate and
+// Explain.
+func (e *Engine) buildApproxPlan(q *request, st *exec.StoredTable, start time.Time, verdictFirst bool) (*plan.Plan, error) {
 	n := st.Data.NumRows()
 	opt := plan.DefaultOptions(n)
 	opt.BootstrapK = 0 // stays 0 when every bar has a closed form: nothing reads resamples
@@ -420,7 +431,6 @@ func (e *Engine) buildApproxPlan(q *request, st *exec.StoredTable, verdictFirst 
 	}
 	opt.Diagnostics = opt.Diagnostics && !e.cfg.skipDiagnostics
 	opt.VerdictFirst = verdictFirst
-	start := time.Now()
 	p, err := plan.Build(q.def, opt)
 	q.stage(obs.StageRecord{Stage: obs.StagePlan, SampleRows: n, K: opt.BootstrapK,
 		Diagnostics: opt.Diagnostics}, start)
@@ -539,7 +549,7 @@ func (e *Engine) applyFallback(q *request, ans *Answer) error {
 	// until it ends.
 	start := time.Now()
 	i := q.stage(obs.StageRecord{Stage: obs.StageFallback, Reason: "diagnostic rejected"}, start)
-	exact, err := e.runExact(q, true)
+	exact, err := e.runExact(q, start, true)
 	q.stages[i].Ms = ms(time.Since(start))
 	if err != nil {
 		return err

@@ -278,7 +278,7 @@ func TestQueriesRunDuringSampleBuild(t *testing.T) {
 	go func() { built <- e.BuildSamples("Sessions", sizes...) }()
 	during := 0
 	for done := false; !done; {
-		ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")
+		ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City != 'NYC'")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestQueriesRunDuringSampleBuild(t *testing.T) {
 	if got := e.gen.Load(); got != genBefore+1 {
 		t.Errorf("catalog generation %d after one build, want %d", got, genBefore+1)
 	}
-	ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")
+	ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City != 'NYC'")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -675,7 +675,7 @@ func TestQueriesRunDuringPersistedOpen(t *testing.T) {
 	e, done := boot()
 	during := 0
 	for finished := false; !finished; {
-		ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City = 'NYC'")
+		ans, err := e.Run(context.Background(), "SELECT AVG(Time) FROM Sessions WHERE City != 'NYC'")
 		if err != nil {
 			t.Fatal(err)
 		}

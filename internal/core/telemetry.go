@@ -194,7 +194,7 @@ func (e *Engine) auditExact(ctx context.Context, rec *obs.QueryRecord) (map[watc
 	if err := e.analyze(q); err != nil {
 		return nil, err
 	}
-	ans, err := e.runExact(q, false)
+	ans, err := e.runExact(q, time.Now(), false)
 	if e.elog != nil {
 		line := &obs.QueryRecord{Kind: "audit", QID: rec.QID, TraceID: rec.TraceID,
 			SQL: rec.SQL, Outcome: obs.Outcome(err),

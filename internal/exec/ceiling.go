@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/estimator"
 	"repro/internal/plan"
@@ -15,92 +16,238 @@ import (
 	"repro/internal/table"
 )
 
-// Ceiling bounds the filtered rows of every group of a GROUP BY on a
-// sample: no group holds more than Rows of the sample's rows that can
-// satisfy the predicate (KeyCeiling).
+// Ceiling bounds the filtered rows of every group of a query on a sample: no
+// group holds more than Rows of the sample's rows that can satisfy the
+// predicate (KeyCeiling).
 type Ceiling struct {
-	// Rows is the most rows one key holds among the rows whose Column value
-	// lies in Window, or among all the sample's rows when Column is "".
+	// Rows is the most rows one group can hold: the most one key holds in
+	// the whole sample, or among the rows whose Column value lies in Window.
+	// An ungrouped query's one group holds at most the sample's rows.
 	Rows int
-	// Column names the range column whose window gave Rows, as the
-	// predicate spells it, and Window renders that window: "[30, 38]".
+	// Column names the column whose restriction gave Rows, as the predicate
+	// spells it ("" when none did), and Window renders that restriction after
+	// the column's name: a range column's window, "in [30, 38]", or a string
+	// column's equality, "= 'BOS'" or "in ('BOS', 'SF')", followed by
+	// " and Day in [0, 8]" when a window narrowed its count.
 	Column, Window string
 }
 
 // KeyCeiling is the most rows of st's table that one value of the column
-// col holds among the rows pred can select. A row pred selects has every
-// column predRanges constrains inside that column's interval (predRanges
-// states a necessary condition), so the count over one such interval bounds
-// every group's filtered rows, whatever pred's other conjuncts are. The
-// ceiling is the smallest of the whole table's and each numeric range
-// column's window count; a range column with more than table.ZoneBlockRows
-// distinct values gives no window count.
+// col holds among the rows pred can select; with col "", the rows of an
+// ungrouped query's one group. A row pred selects has every column predRanges
+// constrains inside that column's interval, and every string column
+// predEquals constrains at one of that column's values (both state a
+// necessary condition), so the count over one such restriction bounds every
+// group's filtered rows, whatever pred's other conjuncts are:
 //
-// Both counts are memoized on st, so a ceiling costs one walk per column
-// (the whole table's) and per (col, range column) pair, on the first call
-// that needs it, and then two binary searches per key. Each walk checks the
-// columns' payloads first, like any scan. A call racing the first counts
-// too and gets the same answer.
+//   - a numeric range column's window bounds each key by its rows there;
+//   - an equality bounds every group by the sum of its values' rows, or by
+//     the most of them when it restricts col itself; and with a window on a
+//     range column, by their rows inside that window.
+//
+// The ceiling is the smallest of these and, under a GROUP BY, of the whole
+// table's most rows per key. A range column with more than
+// table.ZoneBlockRows distinct values gives no window count. An ungrouped
+// query with no equality reads no count.
+//
+// The counts are memoized on st, so a ceiling costs one walk per column (the
+// whole table's) and per (key or equality column, range column) pair, on the
+// first call that needs it, and then map lookups and binary searches. Each
+// walk checks the columns' payloads first, like any scan. A call racing the
+// first counts too and gets the same answer.
 func (st *StoredTable) KeyCeiling(ctx context.Context, col string, pred sql.Expr, cfg Config) (Ceiling, error) {
-	whole, err := st.wholeCeiling(ctx, col, cfg)
-	if err != nil {
-		return Ceiling{}, err
-	}
-	out := Ceiling{Rows: whole}
 	schema := st.Data.Schema()
-	key := schema.Index(col)
-	ranges := predRanges(pred)
-	names := make([]string, 0, len(ranges))
-	for name := range ranges {
-		if i := schema.Index(name); i >= 0 && schema[i].Type != table.String {
-			names = append(names, name)
-		}
+	eqs := predEquals(pred)
+	equals := readable(schema, eqs, func(t table.Type) bool { return t == table.String })
+	out := Ceiling{Rows: st.Data.NumRows()}
+	if col == "" && len(equals) == 0 {
+		return out, nil
 	}
-	// Map order is random: the first of equal ceilings, in schema order,
-	// names the window.
-	slices.SortFunc(names, func(a, b string) int { return schema.Index(a) - schema.Index(b) })
-	for _, name := range names {
-		counts, err := st.rangeCounts(ctx, key, schema.Index(name))
+	ranges := predRanges(pred)
+	windows := readable(schema, ranges, func(t table.Type) bool { return t != table.String })
+	if col != "" {
+		whole, err := st.wholeCounts(ctx, col, cfg)
 		if err != nil {
 			return Ceiling{}, err
 		}
-		r := ranges[name]
-		if n, ok := counts.most(r); ok && n < out.Rows {
-			out = Ceiling{Rows: n, Column: name, Window: r.String()}
+		out.Rows = whole.most
+		key := schema.Index(col)
+		for _, name := range windows {
+			counts, err := st.rangeCounts(ctx, key, schema.Index(name))
+			if err != nil {
+				return Ceiling{}, err
+			}
+			r := ranges[name]
+			if n, ok := counts.most(r); ok && n < out.Rows {
+				out = Ceiling{Rows: n, Column: name, Window: "in " + r.String()}
+			}
+		}
+	}
+	for _, name := range equals {
+		values := eqs[name]
+		eq := schema.Index(name)
+		// Restricting the GROUP BY column itself leaves each group one value.
+		most := col != "" && eq == schema.Index(col)
+		whole, err := st.wholeCounts(ctx, name, cfg)
+		if err != nil {
+			return Ceiling{}, err
+		}
+		restriction := renderValues(values)
+		if n := combine(values, most, func(v string) int { return whole.rows[v] }); n < out.Rows {
+			out = Ceiling{Rows: n, Column: name, Window: restriction}
+		}
+		for _, rng := range windows {
+			counts, err := st.rangeCounts(ctx, eq, schema.Index(rng))
+			if err != nil {
+				return Ceiling{}, err
+			}
+			if counts == nil {
+				continue
+			}
+			r := ranges[rng]
+			if n := combine(values, most, func(v string) int { return counts.rows(v, r) }); n < out.Rows {
+				out = Ceiling{Rows: n, Column: name, Window: restriction + " and " + rng + " in " + r.String()}
+			}
 		}
 	}
 	return out, nil
 }
 
-// wholeCeiling is the most rows of st's table that one value of the column
-// holds. The first call per column counts the groups with the exact operator
-// (COUNT(*) … GROUP BY col, on the calling goroutine).
-func (st *StoredTable) wholeCeiling(ctx context.Context, col string, cfg Config) (int, error) {
+// readable is the names of m whose column the schema holds with a type ok
+// admits, in schema order: map order is random, and the first of equal
+// ceilings names the restriction.
+func readable[V any](schema table.Schema, m map[string]V, ok func(table.Type) bool) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		if i := schema.Index(name); i >= 0 && ok(schema[i].Type) {
+			names = append(names, name)
+		}
+	}
+	slices.SortFunc(names, func(a, b string) int {
+		return cmp.Or(schema.Index(a)-schema.Index(b), strings.Compare(a, b))
+	})
+	return names
+}
+
+// combine bounds the rows of a group restricted to values: the sum of each
+// value's rows, or the most of them when the group holds one value.
+func combine(values []string, most bool, rows func(string) int) int {
+	n := 0
+	for _, v := range values {
+		if most {
+			n = max(n, rows(v))
+		} else {
+			n += rows(v)
+		}
+	}
+	return n
+}
+
+// renderValues renders an equality's values: "= 'BOS'", "in ('BOS', 'SF')".
+func renderValues(values []string) string {
+	lits := make([]string, len(values))
+	for i, v := range values {
+		lits[i] = (&sql.Literal{Str: v, IsStr: true}).String()
+	}
+	if len(lits) == 1 {
+		return "= " + lits[0]
+	}
+	return "in (" + strings.Join(lits, ", ") + ")"
+}
+
+// predEquals derives, per column, the string values a row must hold in it to
+// satisfy the predicate, sorted and distinct: "col = 'X'" (either way round)
+// gives {X}; AND intersects the values of a column both sides restrict, and
+// OR unites them, restricting only a column both sides restrict, as
+// predRanges does. A nil map restricts nothing; an empty set of values, from
+// an AND of two different values, holds no row.
+func predEquals(e sql.Expr) map[string][]string {
+	ex, ok := e.(*sql.Binary)
+	if !ok {
+		return nil
+	}
+	switch ex.Op {
+	case "AND":
+		l, r := predEquals(ex.L), predEquals(ex.R)
+		if l == nil {
+			return r
+		}
+		for col, rv := range r {
+			if lv, ok := l[col]; ok {
+				l[col] = slices.DeleteFunc(lv, func(v string) bool { return !slices.Contains(rv, v) })
+			} else {
+				l[col] = rv
+			}
+		}
+		return l
+	case "OR":
+		l, r := predEquals(ex.L), predEquals(ex.R)
+		var out map[string][]string
+		for col, lv := range l {
+			if rv, ok := r[col]; ok {
+				if out == nil {
+					out = map[string][]string{}
+				}
+				both := slices.Concat(lv, rv)
+				slices.Sort(both)
+				out[col] = slices.Compact(both)
+			}
+		}
+		return out
+	case "=":
+		c, cok := ex.L.(*sql.ColumnRef)
+		l, lok := ex.R.(*sql.Literal)
+		if !cok || !lok {
+			c, cok = ex.R.(*sql.ColumnRef)
+			l, lok = ex.L.(*sql.Literal)
+		}
+		if cok && lok && l.IsStr {
+			return map[string][]string{c.Name: {l.Str}}
+		}
+	}
+	return nil
+}
+
+// keyCounts is the whole-table memo of one column: each value's rows, keyed
+// as a GROUP BY keys its groups, and the most of them.
+type keyCounts struct {
+	rows map[string]int
+	most int
+}
+
+// wholeCounts returns the whole-table memo of the column, counting it on the
+// first call with the exact operator (COUNT(*) … GROUP BY col, on the
+// calling goroutine).
+func (st *StoredTable) wholeCounts(ctx context.Context, col string, cfg Config) (*keyCounts, error) {
 	idx := st.Data.Schema().Index(col)
-	if n, ok := st.ceilings.Load(idx); ok {
-		return n.(int), nil
+	if kc, ok := st.ceilings.Load(idx); ok {
+		return kc.(*keyCounts), nil
 	}
 	def := &plan.QueryDef{GroupBy: []string{col},
 		Aggs: []plan.AggSpec{{Kind: estimator.Count, Alias: "COUNT(*)"}}}
 	res, err := runExact(ctx, def, &StoredTable{Data: st.Data}, nil, cfg)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	ceiling := 0
+	kc := &keyCounts{rows: make(map[string]int, len(res.Groups))}
 	for _, g := range res.Groups {
-		ceiling = max(ceiling, int(g.Aggs[0].Value))
+		n := int(g.Aggs[0].Value)
+		kc.rows[g.Key] = n
+		kc.most = max(kc.most, n)
 	}
-	st.ceilings.Store(idx, ceiling)
-	return ceiling, nil
+	got, _ := st.ceilings.LoadOrStore(idx, kc)
+	return got.(*keyCounts), nil
 }
 
-// rangeCounts is the memo of one (GROUP BY column, range column) pair: the
-// range column's distinct non-NaN values, ascending, and for each key its
-// rows over them as prefix sums. A key keeps an entry only for the values it
+// rangeCounts is the memo of one (key column, range column) pair — the key
+// column a GROUP BY's or an equality's: the range column's distinct non-NaN
+// values, ascending, and for each key, numbered by its name in ids, its rows
+// over them as prefix sums. A key keeps an entry only for the values it
 // holds, so the memo holds at most min(keys × values, rows) counts. A nil
 // *rangeCounts is the memo of a range column with too many distinct values.
 type rangeCounts struct {
 	values []float64
+	ids    map[string]int32
 	keys   []keyPrefix
 }
 
@@ -186,7 +333,8 @@ func countRanges(ctx context.Context, tbl *table.Table, key, rng int) (*rangeCou
 	case err != nil:
 		return nil, err
 	}
-	rc := &rangeCounts{values: make([]float64, 0, len(seen)), keys: make([]keyPrefix, len(kr.keys.names))}
+	rc := &rangeCounts{values: make([]float64, 0, len(seen)), ids: kr.keys.byStr,
+		keys: make([]keyPrefix, len(kr.keys.names))}
 	for x := range seen {
 		rc.values = append(rc.values, x)
 	}
@@ -232,19 +380,40 @@ func (rc *rangeCounts) most(r colRange) (n int, ok bool) {
 	if rc == nil {
 		return 0, false
 	}
-	lo := sort.Search(len(rc.values), func(i int) bool {
-		return rc.values[i] > r.lo || rc.values[i] == r.lo && !r.loStrict
-	})
-	hi := sort.Search(len(rc.values), func(i int) bool {
-		return rc.values[i] > r.hi || rc.values[i] == r.hi && r.hiStrict
-	})
-	if hi <= lo {
-		return 0, true
-	}
+	lo, hi := rc.span(r)
 	for _, k := range rc.keys {
-		n = max(n, k.below(hi)-k.below(lo))
+		n = max(n, k.within(lo, hi))
 	}
 	return n, true
+}
+
+// rows is the rows of the key named name whose value lies in r: 0 for a name
+// the key column does not hold.
+func (rc *rangeCounts) rows(name string, r colRange) int {
+	id, ok := rc.ids[name]
+	if !ok {
+		return 0
+	}
+	return rc.keys[id].within(rc.span(r))
+}
+
+// span is the ranks of the values r holds, [lo, hi).
+func (rc *rangeCounts) span(r colRange) (lo, hi int) {
+	lo = sort.Search(len(rc.values), func(i int) bool {
+		return rc.values[i] > r.lo || rc.values[i] == r.lo && !r.loStrict
+	})
+	hi = sort.Search(len(rc.values), func(i int) bool {
+		return rc.values[i] > r.hi || rc.values[i] == r.hi && r.hiStrict
+	})
+	return lo, hi
+}
+
+// within is the key's rows with a value of rank in [lo, hi).
+func (k keyPrefix) within(lo, hi int) int {
+	if hi <= lo {
+		return 0
+	}
+	return k.below(hi) - k.below(lo)
 }
 
 // below is the key's rows with a value of rank under r.

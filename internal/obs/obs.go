@@ -44,10 +44,11 @@ const (
 // sample would cost; the stage's PredictedBlocks holds the prediction.
 const PlanBlockTable = "block table"
 
-// PlanTooFewRows is the Reason of a plan stage whose grouped query the
-// engine planned exact because no group of its sample can hold enough rows
-// for a diagnosis under its predicate; the stage's KeyCeiling, RangeColumn
-// and SampleRows hold the evidence.
+// PlanTooFewRows is the Reason of a plan stage whose query the engine
+// planned exact because no group of its sample — an ungrouped query's one
+// group among them — can hold enough rows for a diagnosis under its
+// predicate; the stage's KeyCeiling, CeilingColumn and SampleRows hold the
+// evidence.
 const PlanTooFewRows = "too few rows"
 
 // DecodeRatioBuckets lays out the ratio of the blocks a planned-exact scan
@@ -210,7 +211,7 @@ const (
 	routeSample     = "sample"       // served from the sample
 	routeFallback   = "fallback"     // rejected and re-answered exactly
 	routeBlockTable = "block_table"  // planned exact: the block table costs less
-	routeTooFewRows = "too_few_rows" // planned exact: no group can be diagnosed
+	routeTooFewRows = "too_few_rows" // planned exact: no aggregate can be diagnosed
 	routeExact      = "exact"        // exact on request, or with no sample to run on
 )
 
@@ -243,7 +244,8 @@ func observeRoutes(reg *Registry, route string, aggs []AggRecord) {
 		}
 	}
 	const help = "Aggregates served, by route: sample, fallback (rejected and re-answered exactly), " +
-		"block_table and too_few_rows (planned exact), exact (on request)."
+		"block_table (planned exact: the block table costs less), " +
+		"too_few_rows (planned exact: the sample holds too few filtered rows for any diagnosis), exact (on request)."
 	if n := len(aggs) - fellBack; n > 0 {
 		reg.Counter("aqp_aggregates_total", help, "route", route).Add(int64(n))
 	}
@@ -338,8 +340,8 @@ func (r *QueryRecord) span(s StageRecord, verdicts bool) SpanSnapshot {
 			case PlanTooFewRows:
 				a["reason"] = s.Reason
 				a["key_ceiling"] = int64(s.KeyCeiling)
-				if s.RangeColumn != "" {
-					a["range_column"] = s.RangeColumn
+				if s.CeilingColumn != "" {
+					a["ceiling_column"] = s.CeilingColumn
 				}
 				a["sample_rows"] = int64(s.SampleRows)
 			}

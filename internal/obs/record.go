@@ -101,12 +101,13 @@ type StageRecord struct {
 	// Plan, when Reason is PlanBlockTable: the column blocks the block table
 	// predicted the exact plan decodes, which the engine chose over a sample.
 	PredictedBlocks int
-	// Plan, when Reason is PlanTooFewRows: the most rows one key of the
-	// GROUP BY column can filter to in the skipped sample of SampleRows rows,
-	// and the range column whose predicate window bounded them ("" when the
-	// whole sample did).
-	KeyCeiling  int
-	RangeColumn string
+	// Plan, when Reason is PlanTooFewRows: the most rows one group can
+	// filter to in the skipped sample of SampleRows rows — one key of the
+	// GROUP BY column, or an ungrouped query's one group — and the column
+	// whose restriction by the predicate bounded them, a range column's
+	// window or a string column's equality ("" when the whole sample did).
+	KeyCeiling    int
+	CeilingColumn string
 	// Resamples counts the resample estimates the stage drew: the bootstrap
 	// kernel's, or the diagnostic's bootstrap ξ's.
 	Resamples int64
